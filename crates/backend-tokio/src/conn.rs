@@ -11,8 +11,9 @@
 //!   ones), counts it, and raises a delivery-failure event;
 //! * the writer owns the TCP stream, reconnecting under deterministic
 //!   seeded exponential backoff with jitter ([`BackoffPolicy`]) and
-//!   giving up on a frame only after `max_attempts`, which again counts
-//!   and raises [`NodeEvent::SendFailed`];
+//!   giving up on a frame only after `max_attempts` (or at once, when the
+//!   message exceeds the frame cap), which again counts and raises
+//!   [`NodeEvent::SendFailed`];
 //! * the fault-injection shim sits exactly between codec and socket: the
 //!   writer asks [`NetFaults::verdict`] about each frame and then drops,
 //!   resets, truncates, duplicates, or delays the already-encoded bytes.
@@ -87,7 +88,8 @@ pub struct DeliveryStats {
     pub frames_sent: AtomicU64,
     /// Frames dropped because the peer's bounded queue was full.
     pub frames_dropped_queue_full: AtomicU64,
-    /// Frames dropped after the writer exhausted its delivery attempts.
+    /// Frames the writer abandoned: delivery attempts exhausted, or a
+    /// message over the frame cap that no receiver would accept.
     pub frames_dropped_retries: AtomicU64,
     /// Outbound frames (queued sends and discarded crash-time actions)
     /// dropped because the sending node was down.
@@ -271,7 +273,13 @@ impl Writer {
                 self.last_gen = gen;
                 self.conn = None;
             }
-            let bytes = codec::encode_frame(self.me, &msg);
+            // A message over the frame cap can never be delivered (every
+            // receiver rejects it and drops the connection): abandon it
+            // here, before a byte reaches the stream.
+            let Ok(bytes) = codec::try_encode_frame(self.me, &msg) else {
+                self.abandon();
+                continue;
+            };
             let count = |field: &AtomicU64| field.fetch_add(1, Ordering::Relaxed);
             match self.faults.verdict(self.me, self.to) {
                 Verdict::SenderDown => {
@@ -323,8 +331,15 @@ impl Writer {
     fn deliver(&mut self, bytes: &[u8]) {
         if self.deliver_quiet(bytes) {
             self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        } else if self.faults.is_down(self.me) {
-            // Crashed mid-retry: the loss is crash-gated, and a down
+        } else {
+            self.abandon();
+        }
+    }
+
+    /// Books a frame the writer gave up on and tells the sending core.
+    fn abandon(&self) {
+        if self.faults.is_down(self.me) {
+            // Crashed meanwhile: the loss is crash-gated, and a down
             // node's core receives no events.
             self.stats
                 .frames_dropped_down
@@ -464,5 +479,34 @@ mod tests {
         assert!(failures > 0, "overflow must raise SendFailed");
         assert!(stats.frames_dropped_queue_full.load(Ordering::Relaxed) > 0);
         assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn oversized_message_is_abandoned_without_poisoning_the_stream() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stats = Arc::new(DeliveryStats::default());
+        let (tx, rx) = mpsc::channel();
+        let sender = PeerSender::spawn(
+            NodeId(0),
+            NodeId(1),
+            listener.local_addr().unwrap(),
+            BackoffPolicy::default(),
+            Arc::new(NetFaults::new(2)),
+            stats.clone(),
+            tx,
+        );
+        sender.send(Msg::ReportMisbehavior {
+            record: vec![0u8; codec::MAX_FRAME_BYTES].into(),
+        });
+        sender.send(Msg::StartRound { iter: 4 });
+        // The next frame on the same connection decodes: nothing of the
+        // oversized message reached the stream.
+        let (mut conn, _) = listener.accept().unwrap();
+        let (from, msg) = codec::read_frame(&mut conn).unwrap().expect("one frame");
+        assert_eq!(from, NodeId(0));
+        assert!(matches!(msg, Msg::StartRound { iter: 4 }));
+        let event = rx.recv_timeout(Duration::from_secs(5)).expect("event");
+        assert!(matches!(event, NodeEvent::SendFailed { to } if to == NodeId(1)));
+        assert_eq!(stats.frames_dropped_retries.load(Ordering::Relaxed), 1);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! One enum covers storage traffic (embedded [`IpfsWire`]), directory
 //! traffic (register/query, §III-C and §IV-B), and the round schedule the
-//! bootstrapper broadcasts. Control messages cost [`CONTROL_BYTES`]-scale
-//! wire bytes; data rides inside the storage messages.
+//! bootstrapper broadcasts. Control messages cost tens of wire bytes; data
+//! rides inside the storage messages. The enum, its byte layout and its
+//! simulated cost all come from the one table in [`msg_schema!`](crate::msg_schema).
 
-use dfl_ipfs::{Cid, IpfsWire, WireEmbed, CONTROL_BYTES};
+use dfl_ipfs::{Cid, DecodeError, IpfsWire, WireCost, WireEmbed};
 
 /// A serialized Pedersen commitment (compressed secp256k1 point).
 pub type CommitmentBytes = [u8; 33];
@@ -162,284 +163,260 @@ pub fn overlay_update_message(
     out
 }
 
-/// Messages exchanged between task participants.
-#[derive(Clone, Debug)]
-pub enum Msg {
-    /// Storage-layer traffic.
-    Ipfs(IpfsWire),
+/// The protocol's wire table: every [`Msg`] variant declared once — tag,
+/// then fields in wire order. Hands the table to the macro named by its
+/// argument: [`wire_enum!`](dfl_ipfs::wire_enum) below turns it into the
+/// enum and its [`WireCost`] impl; the wire-schema test suite turns the
+/// same rows into per-variant samples.
+#[macro_export]
+macro_rules! msg_schema {
+    ($($callback:tt)+) => {
+        $($callback)+! {
+            /// Messages exchanged between task participants.
+            #[derive(Clone, Debug)]
+            pub enum Msg {
+                /// Storage-layer traffic.
+                0 => Ipfs(wire: IpfsWire),
 
-    /// Bootstrapper → everyone: a new round begins (the schedule message
-    /// carrying the iteration number; deadlines are in the shared config).
-    StartRound {
-        /// Round number.
-        iter: u64,
-    },
+                /// Bootstrapper → everyone: a new round begins (the schedule message
+                /// carrying the iteration number; deadlines are in the shared config).
+                1 => StartRound {
+                    /// Round number.
+                    iter: u64,
+                },
 
-    /// Trainer → directory: register a gradient's CID and (optionally) its
-    /// commitment under its addressing tuple.
-    RegisterGradient {
-        /// Trainer index.
-        trainer: usize,
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// Content identifier of the uploaded gradient blob.
-        cid: Cid,
-        /// Pedersen commitment to the quantized gradient (verifiable mode).
-        commitment: Option<CommitmentBytes>,
-        /// Schnorr signature over [`registration_message`] (authenticated
-        /// mode).
-        signature: Option<SignatureBytes>,
-    },
+                /// Trainer → directory: register a gradient's CID and (optionally) its
+                /// commitment under its addressing tuple.
+                2 => RegisterGradient {
+                    /// Trainer index.
+                    trainer: usize,
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// Content identifier of the uploaded gradient blob.
+                    cid: Cid,
+                    /// Pedersen commitment to the quantized gradient (verifiable mode).
+                    commitment: Option<CommitmentBytes>,
+                    /// Schnorr signature over [`registration_message`] (authenticated
+                    /// mode).
+                    signature: Option<SignatureBytes>,
+                },
 
-    /// Trainer → directory, compact mode: register every partition of the
-    /// round in one message (§VI directory-load reduction).
-    RegisterGradientBatch {
-        /// Trainer index.
-        trainer: usize,
-        /// Round number.
-        iter: u64,
-        /// `(partition, cid, commitment)` per partition.
-        entries: Vec<(usize, Cid, Option<CommitmentBytes>)>,
-        /// Schnorr signature over [`batch_registration_message`].
-        signature: Option<SignatureBytes>,
-    },
+                /// Trainer → directory, compact mode: register every partition of the
+                /// round in one message (§VI directory-load reduction).
+                3 => RegisterGradientBatch {
+                    /// Trainer index.
+                    trainer: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// `(partition, cid, commitment)` per partition.
+                    entries: Vec<(usize, Cid, Option<CommitmentBytes>)>,
+                    /// Schnorr signature over [`batch_registration_message`].
+                    signature: Option<SignatureBytes>,
+                },
 
-    /// Aggregator → directory: which gradients have been registered for my
-    /// partition and trainer set?
-    QueryGradients {
-        /// Partition index.
-        partition: usize,
-        /// Aggregator position `j` within `A_i`.
-        agg_j: usize,
-        /// Round number.
-        iter: u64,
-    },
+                /// Aggregator → directory: which gradients have been registered for my
+                /// partition and trainer set?
+                4 => QueryGradients {
+                    /// Partition index.
+                    partition: usize,
+                    /// Aggregator position `j` within `A_i`.
+                    agg_j: usize,
+                    /// Round number.
+                    iter: u64,
+                },
 
-    /// Directory → aggregator: gradients registered so far for `(partition,
-    /// T_ij, iter)`, with each gradient's commitment in verifiable mode so
-    /// the aggregator can check merged downloads and recovered gradients
-    /// (§IV-B).
-    GradientList {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// `(trainer, cid, commitment)` triples.
-        entries: Vec<(usize, Cid, Option<CommitmentBytes>)>,
-    },
+                /// Directory → aggregator: gradients registered so far for `(partition,
+                /// T_ij, iter)`, with each gradient's commitment in verifiable mode so
+                /// the aggregator can check merged downloads and recovered gradients
+                /// (§IV-B).
+                5 => GradientList {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// `(trainer, cid, commitment)` triples.
+                    entries: Vec<(usize, Cid, Option<CommitmentBytes>)>,
+                },
 
-    /// Aggregator → directory: the per-aggregator accumulated commitments
-    /// for a partition (used to verify peers' partial updates, §IV-B).
-    QueryAccumulators {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-    },
+                /// Aggregator → directory: the per-aggregator accumulated commitments
+                /// for a partition (used to verify peers' partial updates, §IV-B).
+                6 => QueryAccumulators {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                },
 
-    /// Directory → aggregator: accumulated commitment per aggregator slot
-    /// `j` (present once all of `T_ij`'s gradients are registered).
-    Accumulators {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// Index `j` → accumulated commitment over `T_ij`.
-        accumulated: Vec<Option<CommitmentBytes>>,
-    },
+                /// Directory → aggregator: accumulated commitment per aggregator slot
+                /// `j` (present once all of `T_ij`'s gradients are registered).
+                7 => Accumulators {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// Index `j` → accumulated commitment over `T_ij`.
+                    accumulated: Vec<Option<CommitmentBytes>>,
+                },
 
-    /// Trainer → directory: the accumulated commitment over *all* trainers
-    /// of a partition, for independent update verification (§IV-B).
-    QueryTotalAccumulator {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-    },
+                /// Trainer → directory: the accumulated commitment over *all* trainers
+                /// of a partition, for independent update verification (§IV-B).
+                8 => QueryTotalAccumulator {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                },
 
-    /// Directory → trainer: the total accumulated commitment, once every
-    /// trainer's gradient is registered.
-    TotalAccumulator {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// Product of all trainers' commitments for the partition.
-        accumulated: Option<CommitmentBytes>,
-    },
+                /// Directory → trainer: the total accumulated commitment, once every
+                /// trainer's gradient is registered.
+                9 => TotalAccumulator {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// Product of all trainers' commitments for the partition.
+                    accumulated: Option<CommitmentBytes>,
+                },
 
-    /// Aggregator → directory: register the globally updated partition.
-    RegisterUpdate {
-        /// Global aggregator index.
-        aggregator: usize,
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// CID of the uploaded update blob.
-        cid: Cid,
-        /// Global trainer indices the update averages over, when a quorum
-        /// degradation left out part of the membership (`None` = full set).
-        contributors: Option<Vec<u32>>,
-        /// Schnorr signature over [`update_message`] (accountability mode).
-        signature: Option<SignatureBytes>,
-    },
+                /// Aggregator → directory: register the globally updated partition.
+                10 => RegisterUpdate {
+                    /// Global aggregator index.
+                    aggregator: usize,
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// CID of the uploaded update blob.
+                    cid: Cid,
+                    /// Global trainer indices the update averages over, when a quorum
+                    /// degradation left out part of the membership (`None` = full set).
+                    contributors: Option<Vec<u32>>,
+                    /// Schnorr signature over [`update_message`] (accountability mode).
+                    signature: Option<SignatureBytes>,
+                },
 
-    /// Directory → aggregator: the update was rejected (failed
-    /// verification or arrived after another valid update).
-    UpdateRejected {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// Human-readable reason.
-        reason: String,
-    },
+                /// Directory → aggregator: the update was rejected (failed
+                /// verification or arrived after another valid update).
+                11 => UpdateRejected {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// Human-readable reason.
+                    reason: String,
+                },
 
-    /// Trainer → directory: is the update for `(partition, iter)` ready?
-    QueryUpdate {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-    },
+                /// Trainer → directory: is the update for `(partition, iter)` ready?
+                12 => QueryUpdate {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                },
 
-    /// Directory → trainer: update CID when available.
-    UpdateInfo {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// CID of the verified global update, if registered yet.
-        cid: Option<Cid>,
-    },
+                /// Directory → trainer: update CID when available.
+                13 => UpdateInfo {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// CID of the verified global update, if registered yet.
+                    cid: Option<Cid>,
+                },
 
-    /// Trainer → directory: finished the round (downloaded every updated
-    /// partition and rebuilt the model).
-    TrainerDone {
-        /// Trainer index.
-        trainer: usize,
-        /// Round number.
-        iter: u64,
-    },
+                /// Trainer → directory: finished the round (downloaded every updated
+                /// partition and rebuilt the model).
+                14 => TrainerDone {
+                    /// Trainer index.
+                    trainer: usize,
+                    /// Round number.
+                    iter: u64,
+                },
 
-    /// Detector → directory: a serialized, transferable
-    /// [`Misbehavior`](crate::accountability::Misbehavior) proof. The
-    /// directory re-verifies it independently before evicting the offender.
-    ReportMisbehavior {
-        /// The encoded evidence record.
-        record: bytes::Bytes,
-    },
+                /// Detector → directory: a serialized, transferable
+                /// [`Misbehavior`](crate::accountability::Misbehavior) proof. The
+                /// directory re-verifies it independently before evicting the offender.
+                15 => ReportMisbehavior {
+                    /// The encoded evidence record.
+                    record: bytes::Bytes,
+                },
 
-    /// Trainer → aggregator, direct mode only: the gradient blob itself,
-    /// bypassing storage (the original IPLS design Fig. 1 compares against).
-    DirectGradient {
-        /// Trainer index.
-        trainer: usize,
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// The encoded gradient blob.
-        data: bytes::Bytes,
-    },
+                /// Trainer → aggregator, direct mode only: the gradient blob itself,
+                /// bypassing storage (the original IPLS design Fig. 1 compares against).
+                16 => DirectGradient {
+                    /// Trainer index.
+                    trainer: usize,
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// The encoded gradient blob.
+                    data: bytes::Bytes,
+                },
 
-    /// Trainer → overlay parent (or tree root → aggregator): one level's
-    /// partial aggregate — the sender's gradient summed with its verified
-    /// children's partials, the homomorphically composed commitment, and
-    /// how many trainers the sum covers.
-    OverlayPartial {
-        /// Sending trainer's index.
-        trainer: usize,
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// The encoded partial-sum blob (values + summed counter).
-        data: bytes::Bytes,
-        /// Trainers whose gradients the partial covers.
-        count: u64,
-        /// Composed Pedersen commitment over the partial.
-        commitment: CommitmentBytes,
-        /// Schnorr signature over [`overlay_partial_message`]
-        /// (authenticated mode).
-        signature: Option<SignatureBytes>,
-    },
+                /// Trainer → overlay parent (or tree root → aggregator): one level's
+                /// partial aggregate — the sender's gradient summed with its verified
+                /// children's partials, the homomorphically composed commitment, and
+                /// how many trainers the sum covers.
+                17 => OverlayPartial {
+                    /// Sending trainer's index.
+                    trainer: usize,
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// The encoded partial-sum blob (values + summed counter).
+                    data: bytes::Bytes,
+                    /// Trainers whose gradients the partial covers.
+                    count: u64,
+                    /// Composed Pedersen commitment over the partial.
+                    commitment: CommitmentBytes,
+                    /// Schnorr signature over [`overlay_partial_message`]
+                    /// (authenticated mode).
+                    signature: Option<SignatureBytes>,
+                },
 
-    /// Aggregator → tree root, then trainer → children: the final
-    /// partition update disseminated down the overlay tree (replaces the
-    /// flat mode's directory polling, so dissemination is O(|T|) messages
-    /// with per-node fan-out bounded by the branching factor).
-    OverlayUpdate {
-        /// Partition index.
-        partition: usize,
-        /// Round number.
-        iter: u64,
-        /// The aggregated update blob (same encoding as the flat global
-        /// update, so depth-1 overlays reproduce flat rounds bit for bit).
-        data: bytes::Bytes,
-        /// Schnorr signature over [`overlay_update_message`]
-        /// (authenticated mode).
-        signature: Option<SignatureBytes>,
-    },
+                /// Aggregator → tree root, then trainer → children: the final
+                /// partition update disseminated down the overlay tree (replaces the
+                /// flat mode's directory polling, so dissemination is O(|T|) messages
+                /// with per-node fan-out bounded by the branching factor).
+                18 => OverlayUpdate {
+                    /// Partition index.
+                    partition: usize,
+                    /// Round number.
+                    iter: u64,
+                    /// The aggregated update blob (same encoding as the flat global
+                    /// update, so depth-1 overlays reproduce flat rounds bit for bit).
+                    data: bytes::Bytes,
+                    /// Schnorr signature over [`overlay_update_message`]
+                    /// (authenticated mode).
+                    signature: Option<SignatureBytes>,
+                },
+            }
+        }
+    };
 }
-
-impl crate::protocol::WireCost for Msg {
-    fn wire_bytes(&self) -> u64 {
-        Msg::wire_bytes(self)
-    }
-}
+msg_schema!(dfl_ipfs::wire_enum);
 
 impl Msg {
-    /// Wire size of the message in bytes.
+    /// [`WireCost::wire_bytes`], callable without importing the trait.
     pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Msg::Ipfs(wire) => wire.wire_bytes(),
-            Msg::GradientList { entries, .. } => CONTROL_BYTES + 73 * entries.len() as u64,
-            Msg::Accumulators { accumulated, .. } => CONTROL_BYTES + 33 * accumulated.len() as u64,
-            Msg::RegisterGradient {
-                commitment,
-                signature,
-                ..
-            } => {
-                CONTROL_BYTES
-                    + 32
-                    + if commitment.is_some() { 33 } else { 0 }
-                    + if signature.is_some() { 65 } else { 0 }
-            }
-            Msg::RegisterUpdate {
-                contributors,
-                signature,
-                ..
-            } => {
-                CONTROL_BYTES
-                    + 32
-                    + contributors.as_ref().map_or(0, |s| 4 * s.len() as u64)
-                    + if signature.is_some() { 65 } else { 0 }
-            }
-            Msg::UpdateInfo { cid: Some(_), .. } => CONTROL_BYTES + 32,
-            Msg::ReportMisbehavior { record } => CONTROL_BYTES + record.len() as u64,
-            Msg::TotalAccumulator {
-                accumulated: Some(_),
-                ..
-            } => CONTROL_BYTES + 33,
-            Msg::DirectGradient { data, .. } => CONTROL_BYTES + data.len() as u64,
-            Msg::OverlayPartial {
-                data, signature, ..
-            } => CONTROL_BYTES + data.len() as u64 + 33 + if signature.is_some() { 65 } else { 0 },
-            Msg::OverlayUpdate {
-                data, signature, ..
-            } => CONTROL_BYTES + data.len() as u64 + if signature.is_some() { 65 } else { 0 },
-            Msg::RegisterGradientBatch {
-                entries, signature, ..
-            } => {
-                CONTROL_BYTES + 73 * entries.len() as u64 + if signature.is_some() { 65 } else { 0 }
-            }
-            _ => CONTROL_BYTES,
-        }
+        WireCost::wire_bytes(self)
     }
+}
+
+/// Serializes a message to its frame payload.
+pub fn encode_msg(msg: &Msg) -> Vec<u8> {
+    let mut out = Vec::with_capacity(msg.encoded_len());
+    msg.encode_into(&mut out);
+    out
+}
+
+/// Parses a frame payload back into a message.
+pub fn decode_msg(buf: &[u8]) -> Result<Msg, DecodeError> {
+    Msg::decode(buf)
 }
 
 impl WireEmbed for Msg {
@@ -802,8 +779,9 @@ mod tests {
             data: bytes::Bytes::from(vec![0u8; 100]),
             signature: None,
         };
-        // Partial carries the 33-byte commitment on top of the payload.
-        assert_eq!(partial.wire_bytes(), update.wire_bytes() + 33);
+        // Partial carries the sender, the contributor count (8 bytes each)
+        // and the 33-byte commitment on top of the update's fields.
+        assert_eq!(partial.wire_bytes(), update.wire_bytes() + 8 + 8 + 33);
         let update_signed = Msg::OverlayUpdate {
             partition: 0,
             iter: 0,

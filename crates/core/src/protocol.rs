@@ -185,13 +185,11 @@ pub trait ProtocolCore {
     );
 }
 
-/// Wire-cost metadata a netsim backend needs from a message type: how many
-/// bytes the message occupies on the wire (the simulator models transfer
-/// time from this).
-pub trait WireCost {
-    /// Serialized size in bytes.
-    fn wire_bytes(&self) -> u64;
-}
+/// What a backend needs from a message type: its wire encoding (sockets
+/// carry it) and the byte cost derived from that same encoding (the
+/// simulator models transfer time from it). Defined beside the field
+/// primitives in `dfl_ipfs::wire`, where `IpfsWire`'s table also lives.
+pub use dfl_ipfs::wire::WireCost;
 
 /// The one netsim glue type: wraps any [`ProtocolCore`] into a simulation
 /// [`Actor`] by translating callbacks into events and replaying the
@@ -352,13 +350,20 @@ impl<M: WireEmbed> ProtocolCore for IpfsCore<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfl_ipfs::wire::{DecodeError, Reader};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u64);
 
     impl WireCost for Ping {
-        fn wire_bytes(&self) -> u64 {
-            8
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            self.0.encode_into(out);
+        }
+        fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Ping, DecodeError> {
+            Ok(Ping(u64::decode_from(r, context)?))
+        }
+        fn encoded_len(&self) -> usize {
+            self.0.encoded_len()
         }
     }
 

@@ -20,6 +20,9 @@
 //!   **merge-and-download** pre-aggregation RPC (§III-E).
 //! * [`merge`] — the pre-aggregation computation itself, shared between
 //!   storage nodes and tests.
+//! * [`wire`] — the wire schema: the [`WireCost`] trait, its field
+//!   primitives, and the table macro that derives each message enum's
+//!   encoder, decoder and simulated cost from one per-variant row.
 //!
 //! Every retrieved block is re-hashed against its CID: the storage network
 //! is assumed available but never trusted for correctness (§III-A).
@@ -30,11 +33,11 @@ pub mod cid;
 pub mod kademlia;
 pub mod merge;
 pub mod node;
+pub mod wire;
 
 pub use block::{Block, BlockStore};
 pub use chunker::{ChunkError, Manifest, Reassembly};
 pub use cid::Cid;
 pub use kademlia::Key;
-pub use node::{
-    IpfsActor, IpfsNode, IpfsWire, Outgoing, RetryPolicy, Topic, WireEmbed, CONTROL_BYTES,
-};
+pub use node::{IpfsActor, IpfsNode, IpfsWire, Outgoing, RetryPolicy, Topic, WireEmbed};
+pub use wire::{DecodeError, WireCost, TRANSPORT_OVERHEAD_BYTES};

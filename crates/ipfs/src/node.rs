@@ -32,15 +32,7 @@ use crate::chunker::{self, Manifest};
 use crate::cid::Cid;
 use crate::kademlia::{closest_nodes, Key};
 use crate::merge::merge_blobs;
-
-/// Fixed per-message framing overhead charged on the simulated wire.
-pub const CONTROL_BYTES: u64 = 100;
-
-/// Bytes a CID occupies on the wire (SHA-256 digest).
-pub const CID_BYTES: u64 = 32;
-
-/// Bytes a node id occupies on the wire.
-pub const NODE_ID_BYTES: u64 = 8;
+use crate::wire::WireCost;
 
 /// Number of nodes that hold the provider record for each CID.
 pub const RECORD_REPLICAS: usize = 2;
@@ -75,164 +67,106 @@ impl Default for RetryPolicy {
 /// A pub/sub topic name.
 pub type Topic = String;
 
-/// Wire messages of the storage layer.
-#[derive(Clone, Debug)]
-pub enum IpfsWire {
-    // -- client → node ----------------------------------------------------
-    /// Store `data`; push `replicate` total copies (1 = local only).
-    Put {
-        data: Bytes,
-        req_id: u64,
-        replicate: usize,
-    },
-    /// Retrieve the block with this CID.
-    Get { cid: Cid, req_id: u64 },
-    /// Merge-and-download: return the element-wise sum of these gradient
-    /// blobs (§III-E).
-    Merge { cids: Vec<Cid>, req_id: u64 },
-    /// Release the sender's pin on a block (and its replicas); unpinned
-    /// blocks are garbage-collected. Ephemeral FL data — gradients and
-    /// updates — is only needed for one round (§VI).
-    Unpin {
-        /// Block to unpin.
-        cid: Cid,
-        /// The replication factor it was stored with, so replica pins are
-        /// released too.
-        replicate: usize,
-    },
-    /// Subscribe the sender to a topic.
-    Subscribe { topic: Topic },
-    /// Publish to a topic (flooded to all nodes' subscribers).
-    Publish { topic: Topic, data: Bytes },
-    /// Store a chunked blob: `manifest` encodes the chunk DAG (ordered
-    /// child CIDs, see [`crate::chunker::Manifest`]). The node answers
-    /// with [`IpfsWire::ChunkWant`] naming the chunks it does not already
-    /// hold — chunks unchanged since a previous round dedup to zero wire
-    /// bytes.
-    PutChunked {
-        manifest: Bytes,
-        req_id: u64,
-        replicate: usize,
-    },
-    /// The chunk bytes a [`IpfsWire::ChunkWant`] asked for.
-    ChunkFill { chunks: Vec<Bytes>, req_id: u64 },
-    /// Retrieve one chunk of a chunk DAG. Resolved, retried, and failed
-    /// over exactly like [`IpfsWire::Get`]; answered with
-    /// [`IpfsWire::GetOk`]/[`IpfsWire::GetErr`].
-    GetChunk { cid: Cid, req_id: u64 },
+/// The storage layer's wire table: every [`IpfsWire`] variant declared
+/// once — tag, then fields in wire order. Hands the table to the macro
+/// named by its argument: [`wire_enum!`](crate::wire_enum) below turns it
+/// into the enum and its [`WireCost`](crate::wire::WireCost) impl; the
+/// wire-schema test suite turns the same rows into per-variant samples.
+#[macro_export]
+macro_rules! ipfs_wire_schema {
+    ($($callback:tt)+) => {
+        $($callback)+! {
+            /// Wire messages of the storage layer.
+            #[derive(Clone, Debug)]
+            pub enum IpfsWire {
+                // -- client → node ------------------------------------------
+                /// Store `data`; push `replicate` total copies (1 = local only).
+                0 => Put { data: Bytes, req_id: u64, replicate: usize },
+                /// Retrieve the block with this CID.
+                1 => Get { cid: Cid, req_id: u64 },
+                /// Merge-and-download: return the element-wise sum of these
+                /// gradient blobs (§III-E).
+                2 => Merge { cids: Vec<Cid>, req_id: u64 },
+                /// Release the sender's pin on a block (and its replicas);
+                /// unpinned blocks are garbage-collected. Ephemeral FL data —
+                /// gradients and updates — is only needed for one round (§VI).
+                3 => Unpin {
+                    /// Block to unpin.
+                    cid: Cid,
+                    /// The replication factor it was stored with, so replica
+                    /// pins are released too.
+                    replicate: usize,
+                },
+                /// Subscribe the sender to a topic.
+                4 => Subscribe { topic: Topic },
+                /// Publish to a topic (flooded to all nodes' subscribers).
+                5 => Publish { topic: Topic, data: Bytes },
+                /// Store a chunked blob: `manifest` encodes the chunk DAG
+                /// (ordered child CIDs, see [`crate::chunker::Manifest`]). The
+                /// node answers with [`IpfsWire::ChunkWant`] naming the chunks
+                /// it does not already hold — chunks unchanged since a previous
+                /// round dedup to zero wire bytes.
+                22 => PutChunked { manifest: Bytes, req_id: u64, replicate: usize },
+                /// The chunk bytes a [`IpfsWire::ChunkWant`] asked for. Only
+                /// those ride the wire — this is where cross-round dedup saves
+                /// bytes.
+                24 => ChunkFill { chunks: Vec<Bytes>, req_id: u64 },
+                /// Retrieve one chunk of a chunk DAG. Resolved, retried, and
+                /// failed over exactly like [`IpfsWire::Get`]; answered with
+                /// [`IpfsWire::GetOk`]/[`IpfsWire::GetErr`].
+                25 => GetChunk { cid: Cid, req_id: u64 },
 
-    // -- node → client -----------------------------------------------------
-    /// Put acknowledged; the data's CID.
-    PutAck { cid: Cid, req_id: u64 },
-    /// Get succeeded.
-    GetOk { cid: Cid, data: Bytes, req_id: u64 },
-    /// Get failed (no provider reachable).
-    GetErr { cid: Cid, req_id: u64 },
-    /// Merge succeeded.
-    MergeOk { data: Bytes, req_id: u64 },
-    /// Merge failed.
-    MergeErr { reason: String, req_id: u64 },
-    /// A published message on a subscribed topic.
-    Deliver {
-        topic: Topic,
-        data: Bytes,
-        publisher: NodeId,
-    },
-    /// Chunked-put negotiation reply: the chunks of the manifest the
-    /// provider is missing (manifest order). Everything absent from this
-    /// list was deduped against the provider's store.
-    ChunkWant { cids: Vec<Cid>, req_id: u64 },
-    /// Chunked put failed: the manifest was malformed, or the fill left
-    /// chunks missing. The client's retransmission machinery re-negotiates
-    /// from the manifest.
-    PutChunkedErr { reason: String, req_id: u64 },
+                // -- node → client ------------------------------------------
+                /// Put acknowledged; the data's CID.
+                6 => PutAck { cid: Cid, req_id: u64 },
+                /// Get succeeded.
+                7 => GetOk { cid: Cid, data: Bytes, req_id: u64 },
+                /// Get failed (no provider reachable).
+                8 => GetErr { cid: Cid, req_id: u64 },
+                /// Merge succeeded.
+                9 => MergeOk { data: Bytes, req_id: u64 },
+                /// Merge failed.
+                10 => MergeErr { reason: String, req_id: u64 },
+                /// A published message on a subscribed topic.
+                11 => Deliver { topic: Topic, data: Bytes, publisher: NodeId },
+                /// Chunked-put negotiation reply: the chunks of the manifest
+                /// the provider is missing (manifest order). Everything absent
+                /// from this list was deduped against the provider's store.
+                23 => ChunkWant { cids: Vec<Cid>, req_id: u64 },
+                /// Chunked put failed: the manifest was malformed, or the fill
+                /// left chunks missing. The client's retransmission machinery
+                /// re-negotiates from the manifest.
+                26 => PutChunkedErr { reason: String, req_id: u64 },
 
-    // -- node ↔ node -------------------------------------------------------
-    /// Ask a record holder who provides `cid`.
-    FindProviders { cid: Cid, req_id: u64 },
-    /// Provider-record response.
-    Providers {
-        cid: Cid,
-        providers: Vec<NodeId>,
-        req_id: u64,
-    },
-    /// Register `provider` as holding `cid` (sent to record holders).
-    Announce { cid: Cid, provider: NodeId },
-    /// Fetch a block node-to-node.
-    FetchBlock { cid: Cid, req_id: u64 },
-    /// Fetch response with data.
-    FetchOk { cid: Cid, data: Bytes, req_id: u64 },
-    /// Fetch failed (block not held).
-    FetchErr { cid: Cid, req_id: u64 },
-    /// Push a replica of a block.
-    Replicate { data: Bytes },
-    /// Remove `provider` from the record for `cid` (block was dropped).
-    Retract { cid: Cid, provider: NodeId },
-    /// Release a replica pin.
-    UnpinReplica { cid: Cid },
-    /// Flooded publish.
-    PubGossip {
-        topic: Topic,
-        data: Bytes,
-        publisher: NodeId,
-    },
+                // -- node ↔ node --------------------------------------------
+                // Retry/failover control traffic (`FindProviders`, `FetchErr`,
+                // `Retract`) is encoded — and so charged — like the happy
+                // path: failure handling shows up honestly in the byte ledger.
+                /// Ask a record holder who provides `cid`.
+                12 => FindProviders { cid: Cid, req_id: u64 },
+                /// Provider-record response.
+                13 => Providers { cid: Cid, providers: Vec<NodeId>, req_id: u64 },
+                /// Register `provider` as holding `cid` (sent to record holders).
+                14 => Announce { cid: Cid, provider: NodeId },
+                /// Fetch a block node-to-node.
+                15 => FetchBlock { cid: Cid, req_id: u64 },
+                /// Fetch response with data.
+                16 => FetchOk { cid: Cid, data: Bytes, req_id: u64 },
+                /// Fetch failed (block not held).
+                17 => FetchErr { cid: Cid, req_id: u64 },
+                /// Push a replica of a block.
+                18 => Replicate { data: Bytes },
+                /// Remove `provider` from the record for `cid` (block was dropped).
+                19 => Retract { cid: Cid, provider: NodeId },
+                /// Release a replica pin.
+                20 => UnpinReplica { cid: Cid },
+                /// Flooded publish.
+                21 => PubGossip { topic: Topic, data: Bytes, publisher: NodeId },
+            }
+        }
+    };
 }
-
-impl IpfsWire {
-    /// Bytes this message occupies on the simulated wire: the fixed
-    /// [`CONTROL_BYTES`] framing plus every variable-length field — block
-    /// payloads, CIDs ([`CID_BYTES`] each), node ids ([`NODE_ID_BYTES`]
-    /// each), topic strings, and error reasons. Control traffic generated
-    /// by the retry/failover machinery (`FindProviders`, `FetchErr`,
-    /// `Retract`) is charged the same way as the happy path, so failure
-    /// handling shows up honestly in the byte accounting.
-    pub fn wire_bytes(&self) -> u64 {
-        let payload = match self {
-            // Data-bearing messages.
-            IpfsWire::Put { data, .. } | IpfsWire::Replicate { data } => data.len() as u64,
-            IpfsWire::GetOk { data, .. } | IpfsWire::FetchOk { data, .. } => {
-                CID_BYTES + data.len() as u64
-            }
-            IpfsWire::MergeOk { data, .. } => data.len() as u64,
-            IpfsWire::PutChunked { manifest, .. } => manifest.len() as u64,
-            // Only the chunks the provider actually asked for ride the
-            // wire — this is where cross-round dedup saves bytes.
-            IpfsWire::ChunkFill { chunks, .. } => {
-                chunks.iter().map(|c| c.len() as u64).sum::<u64>()
-            }
-            // Pub/sub carries a topic, a payload, and (when flooded or
-            // delivered) the publisher's id.
-            IpfsWire::Subscribe { topic } => topic.len() as u64,
-            IpfsWire::Publish { topic, data } => (topic.len() + data.len()) as u64,
-            IpfsWire::Deliver { topic, data, .. } | IpfsWire::PubGossip { topic, data, .. } => {
-                (topic.len() + data.len()) as u64 + NODE_ID_BYTES
-            }
-            // CID-list messages.
-            IpfsWire::Merge { cids, .. } | IpfsWire::ChunkWant { cids, .. } => {
-                CID_BYTES * cids.len() as u64
-            }
-            IpfsWire::Providers { providers, .. } => {
-                CID_BYTES + NODE_ID_BYTES * providers.len() as u64
-            }
-            // Single-CID control messages (requests, acks, errors).
-            IpfsWire::Get { .. }
-            | IpfsWire::GetErr { .. }
-            | IpfsWire::PutAck { .. }
-            | IpfsWire::FindProviders { .. }
-            | IpfsWire::FetchBlock { .. }
-            | IpfsWire::FetchErr { .. }
-            | IpfsWire::Unpin { .. }
-            | IpfsWire::UnpinReplica { .. }
-            | IpfsWire::GetChunk { .. } => CID_BYTES,
-            // CID + provider id.
-            IpfsWire::Announce { .. } | IpfsWire::Retract { .. } => CID_BYTES + NODE_ID_BYTES,
-            IpfsWire::MergeErr { reason, .. } | IpfsWire::PutChunkedErr { reason, .. } => {
-                reason.len() as u64
-            }
-        };
-        payload + CONTROL_BYTES
-    }
-}
+ipfs_wire_schema!(crate::wire_enum);
 
 /// Embedding of [`IpfsWire`] into a larger application message type, so the
 /// same node logic runs inside any simulation message enum.
@@ -1534,6 +1468,7 @@ impl<M: WireEmbed> Actor<M> for IpfsActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::TRANSPORT_OVERHEAD_BYTES;
 
     fn network(n: usize) -> Vec<IpfsNode> {
         let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -1943,8 +1878,10 @@ mod tests {
         }
     }
 
-    /// Pins the wire cost of every message variant, so a change to the byte
-    /// accounting (which feeds every traffic figure) is always deliberate.
+    /// Pins the encoded size of every message variant — tag byte, then each
+    /// field (`u32` prefixes in parentheses with what they count) — so a
+    /// change to the byte accounting (which feeds every traffic figure) is
+    /// always deliberate.
     #[test]
     fn wire_bytes_accounting() {
         let cid = Cid::of(b"x");
@@ -1957,53 +1894,53 @@ mod tests {
                     req_id: 0,
                     replicate: 1,
                 },
-                1000,
+                1 + (4 + 1000) + 8 + 8,
             ),
-            (IpfsWire::Get { cid, req_id: 0 }, 32),
+            (IpfsWire::Get { cid, req_id: 0 }, 1 + 32 + 8),
             (
                 IpfsWire::Merge {
                     cids: vec![Cid::of(b"a"), Cid::of(b"b")],
                     req_id: 0,
                 },
-                64,
+                1 + (4 + 64) + 8,
             ),
-            (IpfsWire::Unpin { cid, replicate: 2 }, 32),
+            (IpfsWire::Unpin { cid, replicate: 2 }, 1 + 32 + 8),
             (
                 IpfsWire::Subscribe {
                     topic: "sync".into(),
                 },
-                4,
+                1 + (4 + 4),
             ),
             (
                 IpfsWire::Publish {
                     topic: "sync".into(),
                     data: data.clone(),
                 },
-                4 + 1000,
+                1 + (4 + 4) + (4 + 1000),
             ),
-            (IpfsWire::PutAck { cid, req_id: 0 }, 32),
+            (IpfsWire::PutAck { cid, req_id: 0 }, 1 + 32 + 8),
             (
                 IpfsWire::GetOk {
                     cid,
                     data: data.clone(),
                     req_id: 0,
                 },
-                32 + 1000,
+                1 + 32 + (4 + 1000) + 8,
             ),
-            (IpfsWire::GetErr { cid, req_id: 0 }, 32),
+            (IpfsWire::GetErr { cid, req_id: 0 }, 1 + 32 + 8),
             (
                 IpfsWire::MergeOk {
                     data: data.clone(),
                     req_id: 0,
                 },
-                1000,
+                1 + (4 + 1000) + 8,
             ),
             (
                 IpfsWire::MergeErr {
                     reason: "missing".into(),
                     req_id: 0,
                 },
-                7,
+                1 + (4 + 7) + 8,
             ),
             (
                 IpfsWire::Deliver {
@@ -2011,50 +1948,50 @@ mod tests {
                     data: data.clone(),
                     publisher: peer,
                 },
-                4 + 1000 + 8,
+                1 + (4 + 4) + (4 + 1000) + 8,
             ),
-            (IpfsWire::FindProviders { cid, req_id: 0 }, 32),
+            (IpfsWire::FindProviders { cid, req_id: 0 }, 1 + 32 + 8),
             (
                 IpfsWire::Providers {
                     cid,
                     providers: vec![peer, NodeId(4)],
                     req_id: 0,
                 },
-                32 + 16,
+                1 + 32 + (4 + 16) + 8,
             ),
             (
                 IpfsWire::Announce {
                     cid,
                     provider: peer,
                 },
-                32 + 8,
+                1 + 32 + 8,
             ),
-            (IpfsWire::FetchBlock { cid, req_id: 0 }, 32),
+            (IpfsWire::FetchBlock { cid, req_id: 0 }, 1 + 32 + 8),
             (
                 IpfsWire::FetchOk {
                     cid,
                     data: data.clone(),
                     req_id: 0,
                 },
-                32 + 1000,
+                1 + 32 + (4 + 1000) + 8,
             ),
-            (IpfsWire::FetchErr { cid, req_id: 0 }, 32),
-            (IpfsWire::Replicate { data: data.clone() }, 1000),
+            (IpfsWire::FetchErr { cid, req_id: 0 }, 1 + 32 + 8),
+            (IpfsWire::Replicate { data: data.clone() }, 1 + (4 + 1000)),
             (
                 IpfsWire::Retract {
                     cid,
                     provider: peer,
                 },
-                32 + 8,
+                1 + 32 + 8,
             ),
-            (IpfsWire::UnpinReplica { cid }, 32),
+            (IpfsWire::UnpinReplica { cid }, 1 + 32),
             (
                 IpfsWire::PubGossip {
                     topic: "sync".into(),
                     data,
                     publisher: peer,
                 },
-                4 + 1000 + 8,
+                1 + (4 + 4) + (4 + 1000) + 8,
             ),
             (
                 IpfsWire::PutChunked {
@@ -2062,35 +1999,35 @@ mod tests {
                     req_id: 0,
                     replicate: 2,
                 },
-                56,
+                1 + (4 + 56) + 8 + 8,
             ),
             (
                 IpfsWire::ChunkWant {
                     cids: vec![Cid::of(b"a"), Cid::of(b"b"), Cid::of(b"c")],
                     req_id: 0,
                 },
-                96,
+                1 + (4 + 96) + 8,
             ),
             (
                 IpfsWire::ChunkFill {
                     chunks: vec![Bytes::from(vec![1u8; 300]), Bytes::from(vec![2u8; 50])],
                     req_id: 0,
                 },
-                350,
+                1 + 4 + (4 + 300) + (4 + 50) + 8,
             ),
-            (IpfsWire::GetChunk { cid, req_id: 0 }, 32),
+            (IpfsWire::GetChunk { cid, req_id: 0 }, 1 + 32 + 8),
             (
                 IpfsWire::PutChunkedErr {
                     reason: "bad magic".into(),
                     req_id: 0,
                 },
-                9,
+                1 + (4 + 9) + 8,
             ),
         ];
-        for (wire, payload) in cases {
+        for (wire, encoded) in cases {
             assert_eq!(
                 wire.wire_bytes(),
-                payload + CONTROL_BYTES,
+                encoded + TRANSPORT_OVERHEAD_BYTES,
                 "variant {wire:?}"
             );
         }

@@ -119,7 +119,7 @@ fn chunked_mode_conserves_bytes_with_no_waste() {
     // byte accounting) changed and the recorded artifacts must be
     // regenerated alongside this value.
     assert_eq!(
-        report.total_tx_bytes, 128_300,
+        report.total_tx_bytes, 93_782,
         "chunked-mode wire bytes drifted from the pinned value"
     );
 }
@@ -278,7 +278,7 @@ fn churn_wasted_bytes_regression() {
     let point = dfl_bench::churn_run(SimDuration::from_secs(4), SimDuration::from_secs(10), 42);
     assert_eq!(point.completed_rounds, point.rounds);
     assert_eq!(
-        point.wire_wasted_bytes, 625_564,
+        point.wire_wasted_bytes, 628_849,
         "churn wire waste drifted from the pinned artifact value"
     );
     assert_eq!(point.wasted_bytes, point.wire_wasted_bytes);

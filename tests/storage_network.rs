@@ -4,7 +4,7 @@
 //! built from.
 
 use bytes::Bytes;
-use decentralized_fl::ipfs::{Cid, IpfsActor, IpfsNode, IpfsWire};
+use decentralized_fl::ipfs::{Cid, IpfsActor, IpfsNode, IpfsWire, WireCost};
 use decentralized_fl::netsim::{Actor, Context, LinkSpec, NodeId, SimDuration, Simulation};
 
 /// A scripted storage client: performs a sequence of operations, records a
