@@ -31,6 +31,8 @@
 //!
 //! [`TaskConfig::fault_plan`]: ipls::config::TaskConfig
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -42,6 +42,8 @@
 //! # Ok::<(), ipls::IplsError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accountability;
 pub mod addressing;
 pub mod adversary;

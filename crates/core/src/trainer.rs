@@ -68,7 +68,7 @@ pub struct Trainer<M: Model> {
     round_start: SimTime,
     finished: bool,
     /// Blob + commitment per partition for the current round.
-    blobs: HashMap<usize, (Vec<u8>, Option<[u8; 33]>)>,
+    blobs: HashMap<usize, (Bytes, Option<[u8; 33]>)>,
     /// Put request id → partition awaiting its ack.
     pending_acks: HashMap<u64, usize>,
     acked: usize,
@@ -263,7 +263,7 @@ impl<M: Model> Trainer<M> {
         let mut commit_elements = 0u64;
         for i in 0..self.topo.config().partitions {
             let (s, e) = self.topo.partition_range(i);
-            let blob = build_blob(&new_params[s..e]);
+            let blob = Bytes::from(build_blob(&new_params[s..e]));
             let commitment = self.key.as_ref().map(|key| {
                 commit_elements += (e - s + 1) as u64;
                 commit_blob(key, &blob)
@@ -307,7 +307,7 @@ impl<M: Model> Trainer<M> {
                         trainer: self.t,
                         partition: i,
                         iter: self.iter,
-                        data: Bytes::from(blob.clone()),
+                        data: blob.clone(),
                     };
                     out.send(to, msg);
                     // Register the hash (and commitment) with the directory
@@ -338,7 +338,7 @@ impl<M: Model> Trainer<M> {
                     let put = match &mut self.chunked {
                         Some(planner) => planner.begin_upload(req_id, blob, replicate),
                         None => IpfsWire::Put {
-                            data: Bytes::from(blob.clone()),
+                            data: blob.clone(),
                             req_id,
                             replicate,
                         },
@@ -492,7 +492,7 @@ impl<M: Model> Trainer<M> {
         let blob = if grads.len() == 1 {
             own_blob // no accepted children: the partial is the own blob verbatim
         } else {
-            encode(&summed)
+            Bytes::from(encode(&summed))
         };
         let commitment = ProtocolCommitment::accumulate(commits.iter()).to_bytes();
         let cid = Cid::of(&blob);
@@ -513,7 +513,7 @@ impl<M: Model> Trainer<M> {
                 trainer: self.t,
                 partition,
                 iter: self.iter,
-                data: Bytes::from(blob),
+                data: blob,
                 count,
                 commitment,
                 signature,
@@ -652,7 +652,7 @@ impl<M: Model> Trainer<M> {
                     .upload_wire(req_id)
                     .unwrap_or_else(|| panic!("pending ack {req_id} has no chunked upload")),
                 None => IpfsWire::Put {
-                    data: Bytes::from(blob.clone()),
+                    data: blob.clone(),
                     req_id,
                     replicate: self.topo.config().replication,
                 },

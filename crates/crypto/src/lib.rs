@@ -44,6 +44,9 @@
 //! assert!(key.verify(&to_scalars::<Secp256k1>(&aggregated), &accumulated));
 //! ```
 
+// The one `unsafe` in this crate is the SHA-NI kernel in `sha256`.
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod bigint;
 pub mod curve;
 pub mod field;

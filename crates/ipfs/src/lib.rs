@@ -27,6 +27,8 @@
 //! Every retrieved block is re-hashed against its CID: the storage network
 //! is assumed available but never trusted for correctness (§III-A).
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod chunker;
 pub mod cid;

@@ -20,6 +20,8 @@
 //!   the paper's introduction.
 //! * [`metrics`] — accuracy / MSE / parameter-distance.
 
+#![forbid(unsafe_code)]
+
 pub mod data;
 pub mod fedavg;
 pub mod gossip;

@@ -19,6 +19,8 @@
 //! * runs are bit-for-bit deterministic (ordered event queue, no wall-clock
 //!   or thread nondeterminism), so experiments are exactly reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod fair;
 pub mod fault;
