@@ -142,7 +142,7 @@ impl DeliveryStats {
     }
 }
 
-/// Frozen [`DeliveryStats`], embedded in the run report.
+/// Frozen `DeliveryStats`, embedded in the run report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[allow(missing_docs)] // field-for-field mirror of DeliveryStats
 pub struct DeliveryReport {

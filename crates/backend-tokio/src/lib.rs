@@ -11,15 +11,15 @@
 //! - every node gets a TCP listener on an ephemeral port; [`codec`] frames
 //!   messages as `[u32 len][u64 sender][payload]`;
 //! - each node runs on its own blocking thread, draining a channel fed by
-//!   socket-reader threads, one heap-based [`timer`] thread, and the
+//!   socket-reader threads, one heap-based `timer` thread, and the
 //!   fault driver;
-//! - `Send` actions go through supervised per-peer writers ([`conn`]) with
+//! - `Send` actions go through supervised per-peer writers (`conn`) with
 //!   bounded queues and seeded exponential backoff — every way a frame
 //!   can be lost is counted in the report's [`DeliveryReport`], never
 //!   swallowed;
 //! - the run honours the [`TaskConfig::fault_plan`] netsim executes:
 //!   crashes, recoveries, partitions, and per-frame chaos are replayed
-//!   against wall-clock time by [`fault`], so one scripted scenario
+//!   against wall-clock time by `fault`, so one scripted scenario
 //!   exercises both backends.
 //!
 //! Because training is seeded per `(task seed, round, trainer)` and

@@ -471,8 +471,14 @@ pub struct VerifiableRoundPoint {
     pub elements: usize,
     /// Per-blob verification of the whole round (ms).
     pub per_blob_ms: f64,
-    /// One batched RLC check of the whole round (ms).
+    /// The batched round check, [`CommitKey::batch_culprits`] (ms): one
+    /// RLC from the batch size at which that beats recommitting, per-blob
+    /// recommits below it.
     pub batched_ms: f64,
+    /// One RLC over the round whatever its size,
+    /// [`CommitKey::batch_check`] (ms) — with `per_blob_ms`, the pair the
+    /// batch-size threshold inside `batch_culprits` was chosen from.
+    pub rlc_ms: f64,
 }
 
 impl VerifiableRoundPoint {
@@ -521,11 +527,16 @@ pub fn verifiable_round_point(trainers: usize, elements: usize) -> VerifiableRou
             .is_empty());
     });
 
+    let rlc_ms = time_ms(|| {
+        assert!(key.batch_check(std::hint::black_box(&entries)));
+    });
+
     VerifiableRoundPoint {
         trainers,
         elements,
         per_blob_ms,
         batched_ms,
+        rlc_ms,
     }
 }
 

@@ -403,4 +403,50 @@ mod tests {
         assert_eq!(c, commit_blob(&fast, &blob).unwrap());
         assert!(verify_blob(&fast, &blob, &c));
     }
+
+    #[test]
+    fn flushed_culprits_equal_per_blob_rejections_malformed_and_overlong_included() {
+        // Seeded queues of 1–14 blobs, either side of the batch size from
+        // which `batch_culprits` switches to one RLC: honest, altered
+        // value, someone else's commitment, undecodable (ragged length,
+        // counter only) and longer than the key. The flush must convict
+        // exactly the blobs `verify_blob` rejects one at a time.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let key = derive_key(4, 11, true);
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..60 {
+            let n = rng.gen_range(1..15);
+            let mut blobs = Vec::with_capacity(n);
+            let mut commits = Vec::with_capacity(n);
+            for _ in 0..n {
+                let values: Vec<f32> = (0..rng.gen_range(1..5))
+                    .map(|_| rng.gen_range(-4.0f32..4.0))
+                    .collect();
+                let mut blob = build_blob(&values);
+                let mut commitment = commit_blob(&key, &blob).unwrap();
+                match rng.gen_range(0..12) {
+                    0 => blob[0] ^= 1,
+                    1 => commitment = commit_blob(&key, &build_blob(&[0.5])).unwrap(),
+                    2 => blob.truncate(blob.len() - 3),
+                    3 => blob.truncate(8),
+                    4 => blob = build_blob(&[1.0; 7]),
+                    _ => {}
+                }
+                blobs.push(blob);
+                commits.push(commitment);
+            }
+            let items: Vec<(&[u8], &ProtocolCommitment)> =
+                blobs.iter().map(Vec::as_slice).zip(&commits).collect();
+            let per_blob: Vec<usize> = (0..n)
+                .filter(|&i| !verify_blob(&key, items[i].0, items[i].1))
+                .collect();
+            let mut out = Actions::<()>::new();
+            assert_eq!(
+                verify_blobs_timed(&mut out, &key, &items),
+                per_blob,
+                "case {case}, n = {n}"
+            );
+        }
+    }
 }

@@ -987,8 +987,7 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                     TK_POLL => self.poll(out),
                     TK_RETRY => self.on_retry(out, token & 0xFFFF_FFFF),
                     TK_OVERLAY
-                        if (token & 0xFFFF_FFFF) == (self.iter & 0xFFFF_FFFF)
-                            && !self.finished =>
+                        if (token & 0xFFFF_FFFF) == (self.iter & 0xFFFF_FFFF) && !self.finished =>
                     {
                         // Level deadline: forward every partition still
                         // waiting on children, with whatever arrived.

@@ -454,15 +454,21 @@ impl<C: Curve> Jacobian<C> {
         }
     }
 
-    /// Scalar multiplication via width-5 wNAF.
+    /// Scalar multiplication via width-5 wNAF over the scalar's centred
+    /// representative (`k` if `k ≤ (n−1)/2`, else `−(n − k)`):
+    /// `k·P = |k|·(±P)`, and the ladder is as long as `|k|`, so a short
+    /// negative scalar costs what its magnitude costs rather than the 256
+    /// doublings of `n − |k|`.
     pub fn mul(&self, k: &Scalar<C>) -> Jacobian<C> {
         const W: u32 = 5;
-        let naf = wnaf_digits(&k.to_canonical(), W);
+        let (negative, magnitude) = k.to_centred();
+        let naf = wnaf_digits(&magnitude, W);
+        let base = if negative { self.negate() } else { *self };
         // Precompute odd multiples 1P, 3P, ... (2^(w-1) − 1)P.
         let table_len = 1usize << (W - 1);
         let mut table = Vec::with_capacity(table_len);
-        table.push(*self);
-        let twice = self.double();
+        table.push(base);
+        let twice = base.double();
         for i in 1..table_len {
             table.push(table[i - 1].add(&twice));
         }

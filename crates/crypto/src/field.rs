@@ -193,6 +193,20 @@ impl<P: FieldParams> Fp<P> {
         mont_mul(&self.mont, &U256::ONE, &P::MODULUS, P::N0)
     }
 
+    /// Sign and magnitude of the *centred* representative, the one in
+    /// `[−(p−1)/2, (p−1)/2]`: `(false, k)` for a canonical `k ≤ (p−1)/2`,
+    /// `(true, p − k)` above it. An embedded signed integer ([`Fp::from_i64`])
+    /// comes back as its sign and `|v|`, so the magnitude's bit length is
+    /// the value's real length, not the 256 bits of `p − |v|`.
+    pub(crate) fn to_centred(self) -> (bool, U256) {
+        let k = self.to_canonical();
+        if k.const_cmp(&P::MODULUS.shr(1)) <= 0 {
+            (false, k)
+        } else {
+            (true, P::MODULUS.wrapping_sub(&k))
+        }
+    }
+
     /// Serializes the canonical value as 32 big-endian bytes.
     pub fn to_be_bytes(&self) -> [u8; 32] {
         self.to_canonical().to_be_bytes()

@@ -24,6 +24,20 @@
 //!   This is the commitment fast path; [`crate::pedersen::CommitKey`]
 //!   builds one per task.
 //!
+//! **Cost follows the scalar's real length.** Every kernel but the naive
+//! baseline reads digits from the scalar's *centred* representative (`k`
+//! if `k ≤ (n−1)/2`, else `−(n − k)`), adds the *negated* point or table
+//! entry for a negative one — free in affine coordinates, one field
+//! subtraction — and stops at the magnitude's bit length (the windowed
+//! Pippengers: at the longest magnitude in the call).
+//! A quantized gradient coordinate `−v` is embedded as `n − v`
+//! ([`crate::quantize`]), a 256-bit canonical scalar, but costs what its
+//! ≤ 40-bit magnitude costs: at most 4 of a d = 8 192 table's 22 windows
+//! instead of all of them. The result is the same group element, so
+//! commitments are byte-identical whichever representative was walked.
+//! [`Strategy::Naive`] deliberately stays on the canonical representative:
+//! it is the paper's implementation, and Fig. 3's baseline.
+//!
 //! With the `rayon` feature enabled, the batch-affine and table kernels
 //! chunk the scalar vector across threads and fold the per-chunk partial
 //! sums in a fixed order. Elliptic-curve addition is exact (no rounding),
@@ -41,6 +55,7 @@
 //! assert_eq!(sum, Secp256k1::generator().mul(&Scalar::<Secp256k1>::from_u64(10)));
 //! ```
 
+use crate::bigint::U256;
 use crate::curve::{Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
 
@@ -177,11 +192,14 @@ impl<'a, C: Curve> Msm<'a, C> {
 /// For each base point `Pᵢ` the table stores the shifted points
 /// `2^(w·c)·Pᵢ` for every `c`-bit digit window `w` (`c` =
 /// [`MsmTable::window`], chosen at build time to minimize the evaluation
-/// cost for the set's size). Every 256-bit scalar then decomposes into
-/// digits that each select *one* precomputed point, so evaluation is a
-/// single bucket-accumulation pass over `n·⌈256/c⌉` points followed by one
-/// running sum — no doubling chain. Bucket contents are summed in affine
-/// coordinates with a shared batched inversion per round
+/// cost for the set's size). Every scalar then decomposes into digits that
+/// each select *one* precomputed point (negated for a negative centred
+/// representative), so evaluation is a single bucket-accumulation pass
+/// over at most `Σᵢ ⌈bitsᵢ/c⌉` points — `bitsᵢ` the bit length of scalar
+/// `i`'s centred magnitude, so `n·⌈bits/c⌉` for same-length scalars, and
+/// `n·⌈256/c⌉` only when they are full-width — followed by one running
+/// sum over the `2^c − 1` buckets; no doubling chain. Bucket contents are
+/// summed in affine coordinates with a shared batched inversion per round
 /// ([`Fp::batch_invert`]).
 ///
 /// Build cost is ~256 doublings per point (about one naive scalar
@@ -231,9 +249,11 @@ impl<C: Curve> MsmTable<C> {
     }
 
     /// The window size that minimizes the estimated evaluation cost for an
-    /// MSM over `n` points: `n·⌈256/c⌉` batch-affine additions (~6 field
-    /// muls each) plus a running sum over `2^c` buckets (~14 muls per
-    /// Jacobian op).
+    /// MSM over `n` points with full-width scalars: `n·⌈256/c⌉`
+    /// batch-affine additions (~6 field muls each) plus a running sum over
+    /// `2^c` buckets (~14 muls per Jacobian op). Shorter scalars use fewer
+    /// of the same windows; the window is a property of the stored table,
+    /// so it stays sized for the widest input the key must accept.
     pub fn suggested_window(n: usize) -> usize {
         let n = n.max(1);
         (4..=16)
@@ -295,19 +315,21 @@ impl<C: Curve> MsmTable<C> {
     }
 
     /// Serial kernel over the scalar index range `range`: one bucket pass
-    /// over every (point, digit) pair, then a single running sum.
+    /// over every (point, nonzero digit) pair, then a single running sum.
+    /// Digits come from the scalar's centred representative
+    /// ([`Fp::to_centred`]): a negative one selects the *negated* shift
+    /// (one field subtraction in affine), and the row walk stops at the
+    /// magnitude's top digit.
     fn eval_chunk(&self, scalars: &[Scalar<C>], range: std::ops::Range<usize>) -> Jacobian<C> {
         let mut buckets: Vec<Vec<Affine<C>>> = vec![Vec::new(); (1 << self.window) - 1];
         for i in range {
-            let k = scalars[i].to_canonical();
-            if k.is_zero() {
-                continue;
-            }
-            let row = &self.shifts[i * self.digits..(i + 1) * self.digits];
+            let (negative, magnitude) = scalars[i].to_centred();
+            let used = magnitude.bit_len().div_ceil(self.window);
+            let row = &self.shifts[i * self.digits..i * self.digits + used];
             for (w, shift) in row.iter().enumerate() {
-                let digit = k.bits(w * self.window, self.window) as usize;
+                let digit = magnitude.bits(w * self.window, self.window) as usize;
                 if digit != 0 && !shift.is_identity() {
-                    buckets[digit - 1].push(*shift);
+                    buckets[digit - 1].push(if negative { shift.negate() } else { *shift });
                 }
             }
         }
@@ -319,8 +341,9 @@ impl<C: Curve> MsmTable<C> {
 // Kernels
 // ---------------------------------------------------------------------------
 
-/// Naive MSM: independent double-and-add per term, deliberately
-/// unoptimized (models the paper's implementation).
+/// Naive MSM: independent double-and-add per term over the *canonical*
+/// representative, deliberately unoptimized (models the paper's
+/// implementation: a negative coordinate's `n − |v|` costs all 256 bits).
 fn naive<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
     let mut acc = Jacobian::identity();
     for (p, k) in points.iter().zip(scalars) {
@@ -346,26 +369,48 @@ fn wnaf<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
     acc
 }
 
+/// Every term as `|kᵢ|·(±Pᵢ)` over the scalar's centred representative
+/// ([`Fp::to_centred`]): the points with the negative terms' negated, the
+/// magnitudes, and the longest magnitude's bit length — the number of bits
+/// the windowed kernels below have to walk.
+fn centred_terms<C: Curve>(
+    points: &[Affine<C>],
+    scalars: &[Scalar<C>],
+) -> (Vec<Affine<C>>, Vec<U256>, usize) {
+    let mut bits = 0;
+    let (points, magnitudes) = points
+        .iter()
+        .zip(scalars)
+        .map(|(p, k)| {
+            let (negative, magnitude) = k.to_centred();
+            bits = bits.max(magnitude.bit_len());
+            (if negative { p.negate() } else { *p }, magnitude)
+        })
+        .unzip();
+    (points, magnitudes, bits)
+}
+
 /// Pippenger bucket MSM with Jacobian bucket accumulation.
 ///
-/// Splits each 256-bit scalar into windows of `c` bits, accumulates points
-/// into per-window buckets, and combines buckets with the running-sum
-/// trick. Cost is roughly `256/c · (2^c + n)` point additions, versus
-/// `n · 256` for the naive method.
+/// Splits each scalar's magnitude into windows of `c` bits, accumulates
+/// points into per-window buckets, and combines buckets with the
+/// running-sum trick. Cost is roughly `bits/c · (2^c + n)` point additions
+/// for a longest magnitude of `bits` bits, versus `n · 256` for the naive
+/// method.
 fn pippenger_jacobian<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
     let n = points.len();
     if n == 0 {
         return Jacobian::identity();
     }
     let c = window_size(n);
-    let windows = 256usize.div_ceil(c);
-    let canonical: Vec<_> = scalars.iter().map(|s| s.to_canonical()).collect();
+    let (points, magnitudes, bits) = centred_terms(points, scalars);
+    let windows = bits.div_ceil(c);
 
     let mut window_sums = Vec::with_capacity(windows);
     for w in 0..windows {
         // Buckets 1..2^c−1 (bucket 0 contributes nothing).
         let mut buckets = vec![Jacobian::<C>::identity(); (1 << c) - 1];
-        for (k, p) in canonical.iter().zip(points) {
+        for (k, p) in magnitudes.iter().zip(&points) {
             let digit = k.bits(w * c, c) as usize;
             if digit != 0 {
                 buckets[digit - 1] = buckets[digit - 1].add_affine(p);
@@ -394,13 +439,13 @@ fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>])
         return Jacobian::identity();
     }
     let c = window_size(n);
-    let windows = 256usize.div_ceil(c);
-    let canonical: Vec<_> = scalars.iter().map(|s| s.to_canonical()).collect();
+    let (points, magnitudes, bits) = centred_terms(points, scalars);
+    let windows = bits.div_ceil(c);
 
     let mut window_sums = Vec::with_capacity(windows);
     for w in 0..windows {
         let mut buckets: Vec<Vec<Affine<C>>> = vec![Vec::new(); (1 << c) - 1];
-        for (k, p) in canonical.iter().zip(points) {
+        for (k, p) in magnitudes.iter().zip(&points) {
             let digit = k.bits(w * c, c) as usize;
             if digit != 0 && !p.is_identity() {
                 buckets[digit - 1].push(*p);
@@ -564,7 +609,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bigint::U256;
     use crate::curve::{Secp256k1, Secp256r1};
     use crate::field::FieldParams;
     use rand::rngs::StdRng;

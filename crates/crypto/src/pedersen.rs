@@ -203,8 +203,16 @@ impl<C: Curve> CommitKey<C> {
     /// individually, the batched identity holds with probability ≤ 1/2¹²⁸
     /// over the coefficients, which are derived by hashing a transcript of
     /// the full input (Fiat–Shamir style), so the prover cannot choose
-    /// openings after seeing them. Entries longer than the key can never
-    /// verify and fail the batch outright.
+    /// openings after seeing them. The coefficients are 128-bit — the low
+    /// half of each digest, see `batch_coefficients` — which is exactly
+    /// what that bound needs: with every other coefficient fixed, at most
+    /// one value of `rⱼ` modulo the (≈ 2²⁵⁶) group order cancels a
+    /// non-opening entry `j`, so at most one of the 2¹²⁸ equally likely
+    /// ones does. Shorter coefficients are what make the check cheap: the
+    /// protocol's openings are ≤ 40-bit signed values, so `Σ rᵢ·vᵢ`
+    /// centres to ≈ 170 bits and its commitment walks two thirds of the
+    /// windows, and `Σ rᵢ·Cᵢ` needs half the doublings. Entries longer
+    /// than the key can never verify and fail the batch outright.
     ///
     /// With the `rayon` feature the transcript hashing and the scalar
     /// accumulation shard across threads; field arithmetic is exact, so
@@ -231,9 +239,11 @@ impl<C: Curve> CommitKey<C> {
     /// returns the sorted indices whose `(values, commitment)` pair fails
     /// [`CommitKey::verify`], by bisecting the batch with the *same*
     /// Fiat–Shamir coefficients (derived once from the full transcript,
-    /// reused per subrange so a cheating prover cannot adapt). Singleton
-    /// ranges fall back to a direct [`CommitKey::verify`], so the culprit
-    /// set matches sequential per-item verification exactly.
+    /// reused per subrange so a cheating prover cannot adapt). Ranges of
+    /// fewer than `RLC_MIN_BATCH` (6) entries — a small batch as a whole
+    /// included — fall back to a direct [`CommitKey::verify`] per entry,
+    /// so the culprit set matches sequential per-item verification
+    /// exactly.
     ///
     /// Cost is one subrange check per bisection node on the path to each
     /// culprit: `O(b · log k)` extra MSMs for `b` culprits in a batch of
@@ -244,7 +254,9 @@ impl<C: Curve> CommitKey<C> {
         let (overlong, in_range): (Vec<usize>, Vec<usize>) =
             (0..entries.len()).partition(|&i| entries[i].values.len() > self.generators.len());
         let mut culprits = overlong;
-        if !in_range.is_empty() {
+        if in_range.len() < RLC_MIN_BATCH {
+            self.verify_each(entries, &in_range, &mut culprits);
+        } else {
             let coeffs = self.batch_coefficients(entries);
             let points = normalized_points(entries);
             self.bisect(entries, &coeffs, &points, &in_range, &mut culprits);
@@ -255,7 +267,7 @@ impl<C: Curve> CommitKey<C> {
 
     /// Fiat–Shamir coefficients for a batch: hash each entry to a leaf
     /// digest, chain the leaves (in index order) into a root, and derive
-    /// `rᵢ = H(root ‖ i)` reduced into the scalar field. Leaves hash the
+    /// `rᵢ` = the low 128 bits of `H(root ‖ i)`. Leaves hash the
     /// binding bytes when present (cheaper than 32 B per scalar) and the
     /// scalar encodings otherwise; per-leaf hashing is independent, so it
     /// shards across threads while the root stays index-ordered and
@@ -298,12 +310,12 @@ impl<C: Curve> CommitKey<C> {
                 let mut h = Sha256::new();
                 h.update(&root);
                 h.update(&(i as u64).to_be_bytes());
-                // A uniform 256-bit value reduced once; bias ≤ 2⁻¹²⁸ for
-                // the secp group orders.
-                Scalar::<C>::from_canonical(
-                    crate::bigint::U256::from_be_bytes(h.finalize())
-                        .reduce_once(&<C::Scalar as crate::field::FieldParams>::MODULUS),
-                )
+                // The digest's low 128 bits: exactly uniform below 2¹²⁸,
+                // which is all the soundness bound uses, and half the MSM
+                // length of a full-width coefficient.
+                let digest = h.finalize();
+                let low: [u8; 16] = digest[16..].try_into().expect("upper half of 32");
+                Scalar::<C>::from_canonical(U256::from_u128(u128::from_be_bytes(low)))
             })
             .collect()
     }
@@ -343,27 +355,57 @@ impl<C: Curve> CommitKey<C> {
         idxs: &[usize],
         culprits: &mut Vec<usize>,
     ) {
-        match idxs {
-            [] => {}
-            // Exact sequential semantics at the leaves: the verdict for a
-            // single entry is a direct recommit-and-compare, never an RLC.
-            &[i] => {
-                let e = &entries[i];
-                if !self.verify(e.values, e.commitment) {
-                    culprits.push(i);
-                }
-            }
-            _ => {
-                if self.check_subset(entries, coeffs, points, idxs) {
-                    return;
-                }
-                let mid = idxs.len() / 2;
-                self.bisect(entries, coeffs, points, &idxs[..mid], culprits);
-                self.bisect(entries, coeffs, points, &idxs[mid..], culprits);
-            }
+        if idxs.len() < RLC_MIN_BATCH {
+            return self.verify_each(entries, idxs, culprits);
         }
+        if self.check_subset(entries, coeffs, points, idxs) {
+            return;
+        }
+        let mid = idxs.len() / 2;
+        self.bisect(entries, coeffs, points, &idxs[..mid], culprits);
+        self.bisect(entries, coeffs, points, &idxs[mid..], culprits);
+    }
+
+    /// The bisection's leaves, with exact sequential semantics: the
+    /// verdict for each entry is a direct recommit-and-compare, never an
+    /// RLC.
+    fn verify_each(
+        &self,
+        entries: &[BatchEntry<'_, C>],
+        idxs: &[usize],
+        culprits: &mut Vec<usize>,
+    ) {
+        culprits.extend(
+            idxs.iter()
+                .copied()
+                .filter(|&i| !self.verify(entries[i].values, entries[i].commitment)),
+        );
     }
 }
+
+/// Ranges of fewer entries than this are verified one by one instead of by
+/// one random linear combination. An RLC check commits once to `Σ rᵢ·vᵢ`,
+/// whose ≈ 170-bit entries walk 14 of a d = 8 192 table's 22 windows,
+/// where a direct recommit of ≤ 40-bit openings walks 2–4, so it only pays
+/// from the batch size at which that fixed cost is shared widely enough.
+/// Measured on honest rounds (`cargo run --release --example bench_crypto
+/// -- --crossover`, median of 5; sequential `verify` vs one `batch_check`,
+/// ms):
+///
+/// | n  | d = 8 193     | d = 33        |
+/// |----|---------------|---------------|
+/// | 2  | 20.3 vs 47.1  | 0.27 vs 0.56  |
+/// | 4  | 39.8 vs 47.1  | 0.70 vs 1.02  |
+/// | 5  | 48.4 vs 48.2  | 0.67 vs 0.84  |
+/// | 6  | 54.2 vs 42.6  | 0.79 vs 0.92  |
+/// | 8  | 72.2 vs 45.7  | 1.06 vs 1.11  |
+/// | 16 | 149.4 vs 60.2 | 2.21 vs 1.95  |
+///
+/// The two are level at n ≈ 5 for large d and n ≈ 8 for tiny d; 6 is the
+/// size from which an RLC is never the worse choice by more than a fifth
+/// at either. Not a knob: verdicts and culprit sets do not depend on it,
+/// only which of two equivalent checks a short range gets.
+const RLC_MIN_BATCH: usize = 6;
 
 /// One opening queued for batched verification: a claimed value vector,
 /// the commitment it should open, and optionally the canonical wire bytes
@@ -1005,6 +1047,129 @@ mod tests {
             .collect();
         assert!(!r1.batch_check(&e));
         assert_eq!(r1.batch_culprits(&e), vec![2]);
+    }
+
+    /// Small signed fixed-point vectors, the protocol's opening shape.
+    fn signed_vector(n: usize, rng: &mut StdRng) -> Vec<Scalar<K1>> {
+        use rand::Rng;
+        (0..n)
+            .map(|_| Scalar::<K1>::from_i64(rng.gen_range(-(1i64 << 30)..(1i64 << 30))))
+            .collect()
+    }
+
+    #[test]
+    fn batch_coefficients_are_short_distinct_and_bound_to_the_whole_batch() {
+        let key = key(4);
+        let (vectors, commits) = corrupted_batch(&key, 9, &[], 300);
+        let bindings: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 32]).collect();
+        let bound = |commits: &[Commitment<K1>], bindings: &[Vec<u8>]| {
+            let e: Vec<BatchEntry<'_, K1>> = (0..commits.len())
+                .map(|i| BatchEntry::with_binding(&vectors[i], &commits[i], &bindings[i]))
+                .collect();
+            key.batch_coefficients(&e)
+        };
+        let base = bound(&commits, &bindings);
+        assert_eq!(base, bound(&commits, &bindings), "deterministic");
+        for (i, r) in base.iter().enumerate() {
+            assert!(r.to_canonical().bit_len() <= 128, "coefficient {i} is wide");
+            assert!(!r.is_zero());
+            assert!(!base[..i].contains(r), "coefficient {i} repeats");
+        }
+        // Any entry's binding, any entry's commitment, or the length:
+        // every coefficient moves, not just the touched entry's.
+        let mut other = bindings.clone();
+        other[8][0] ^= 1;
+        let rebound = bound(&commits, &other);
+        let mut moved = commits.clone();
+        moved[0] = moved[0].combine(&commits[1]);
+        let recommitted = bound(&moved, &bindings);
+        let shorter = bound(&commits[..8], &bindings[..8]);
+        for i in 0..8 {
+            assert_ne!(
+                base[i], rebound[i],
+                "binding of entry 8 not bound into r{i}"
+            );
+            assert_ne!(base[i], recommitted[i], "commitment 0 not bound into r{i}");
+            assert_ne!(base[i], shorter[i], "batch length not bound into r{i}");
+        }
+        // Without bindings the scalar encodings are the leaf.
+        let plain = key.batch_coefficients(&entries(&vectors, &commits));
+        let mut altered = vectors.clone();
+        altered[4][2] += Scalar::<K1>::ONE;
+        assert_ne!(plain, base);
+        assert_ne!(
+            plain[0],
+            key.batch_coefficients(&entries(&altered, &commits))[0]
+        );
+    }
+
+    #[test]
+    fn opposite_errors_at_one_coordinate_do_not_cancel() {
+        // Entry 1 claims +δ and entry 4 claims −δ at the same coordinate.
+        // Under equal coefficients Σ rᵢ·vᵢ would be unchanged and the
+        // batch would pass; distinct per-entry coefficients reject it, at
+        // every batch size on either side of the bisection leaf.
+        let key = key(6);
+        let mut rng = StdRng::seed_from_u64(310);
+        for n in [2, RLC_MIN_BATCH - 1, RLC_MIN_BATCH, 2 * RLC_MIN_BATCH + 1] {
+            let (a, b) = (n / 4, n - 1);
+            let honest: Vec<Vec<_>> = (0..n).map(|_| signed_vector(6, &mut rng)).collect();
+            let commits: Vec<_> = honest.iter().map(|v| key.commit(v)).collect();
+            let delta = Scalar::<K1>::from_i64(1 << 20);
+            let mut claimed = honest.clone();
+            claimed[a][3] += delta;
+            claimed[b][3] -= delta;
+            // The unweighted sums agree, so an equal-coefficient check passes…
+            let total = |vs: &[Vec<Scalar<K1>>]| -> Vec<Scalar<K1>> {
+                (0..6).map(|j| vs.iter().map(|v| v[j]).sum()).collect()
+            };
+            assert!(key.verify(&total(&claimed), &Commitment::accumulate(&commits)));
+            // …and the real one does not.
+            let e = entries(&claimed, &commits);
+            assert!(!key.batch_check(&e), "n = {n}");
+            assert_eq!(key.batch_culprits(&e), vec![a, b], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn culprits_equal_sequential_rejections_either_side_of_the_leaf_size() {
+        // 200 seeded batches of 1 ..= 2·RLC_MIN_BATCH + 2 entries, each
+        // entry honest or broken one of five ways — altered value, altered
+        // commitment, truncated opening, over-long opening, empty opening
+        // of a non-identity commitment — plus honest openings shorter than
+        // the key. The bisected set must be the one `verify` rejects.
+        use rand::Rng;
+        let key = CommitKey::<K1>::setup_precomputed(5, b"test-seed");
+        let mut rng = StdRng::seed_from_u64(320);
+        let mut sizes_seen = std::collections::BTreeSet::new();
+        for case in 0..200 {
+            let n = rng.gen_range(1..2 * RLC_MIN_BATCH + 3);
+            sizes_seen.insert(n);
+            let mut vectors = Vec::with_capacity(n);
+            let mut commits = Vec::with_capacity(n);
+            for _ in 0..n {
+                let len = rng.gen_range(1..6);
+                let mut v = signed_vector(len, &mut rng);
+                let mut c = key.commit(&v);
+                match rng.gen_range(0..12) {
+                    0 => v[0] += Scalar::<K1>::ONE,
+                    1 => c = c.combine(&key.commit(&signed_vector(2, &mut rng))),
+                    2 => v.truncate(len - 1),
+                    3 => v.extend(signed_vector(6 - len, &mut rng)),
+                    4 => v.clear(),
+                    _ => {}
+                }
+                vectors.push(v);
+                commits.push(c);
+            }
+            let sequential: Vec<usize> = (0..n)
+                .filter(|&i| !key.verify(&vectors[i], &commits[i]))
+                .collect();
+            let e = entries(&vectors, &commits);
+            assert_eq!(key.batch_culprits(&e), sequential, "case {case}, n = {n}");
+            assert_eq!(key.batch_check(&e), sequential.is_empty(), "case {case}");
+        }
+        assert!(sizes_seen.contains(&(RLC_MIN_BATCH - 1)) && sizes_seen.contains(&RLC_MIN_BATCH));
     }
 
     proptest! {

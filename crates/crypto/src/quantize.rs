@@ -9,6 +9,13 @@
 //! for any realistic number of trainers, since `n ≈ 2^256` and each term is
 //! below `2^63`.
 //!
+//! `n - |v|` is a full 256-bit canonical scalar, but committing to it does
+//! not cost a full-width walk: the MSM kernels ([`crate::msm`]) read the
+//! centred representative back out (the same sign and `|v|` that
+//! [`Quantized::from_scalar`] recovers), negate the generator and multiply
+//! by `|v|`, so a negative coordinate costs exactly what the positive one
+//! of equal magnitude does.
+//!
 //! Aggregators sum *quantized* values, the directory verifies commitments
 //! over the same quantized domain, and trainers dequantize after download,
 //! so the verifiable path and the numeric path can never diverge.
@@ -61,16 +68,9 @@ impl Quantized {
     /// magnitude does not fit in an `i64` (which honest protocol data never
     /// produces).
     pub fn from_scalar<C: Curve>(s: &Scalar<C>) -> Option<Quantized> {
-        let canonical = s.to_canonical();
-        let half = <C::Scalar as FieldParams>::MODULUS.shr(1);
-        if canonical.const_cmp(&half) <= 0 {
-            let v = canonical.to_u128()?;
-            i64::try_from(v).ok().map(Quantized)
-        } else {
-            let neg = <C::Scalar as FieldParams>::MODULUS.wrapping_sub(&canonical);
-            let v = neg.to_u128()?;
-            i64::try_from(v).ok().map(|x| Quantized(-x))
-        }
+        let (negative, magnitude) = s.to_centred();
+        let v = i64::try_from(magnitude.to_u128()?).ok()?;
+        Some(Quantized(if negative { -v } else { v }))
     }
 }
 

@@ -2,8 +2,12 @@
 //!
 //! The workspace builds in hermetic environments, so the subset of the
 //! `bytes 1.x` API actually used — a cheaply clonable, immutable, shared
-//! byte buffer — is reimplemented here over `Arc<[u8]>` and wired in via
-//! `[patch.crates-io]`.
+//! byte buffer — is reimplemented here over `Arc<Vec<u8>>` and wired in
+//! as a path dependency. The `Vec` is kept, not re-boxed as `Arc<[u8]>`,
+//! so `Bytes::from(vec)` adopts the caller's allocation: `Arc::from(vec)`
+//! has to allocate a second buffer (the reference counts sit in front of
+//! the bytes) and copy into it, which doubles a megabyte blob's footprint
+//! at the instant it is wrapped.
 
 use std::fmt;
 use std::ops::Deref;
@@ -12,30 +16,24 @@ use std::sync::Arc;
 /// A cheaply clonable immutable byte buffer.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes {
-            data: Arc::from(&[][..]),
-        }
+        Bytes::from(Vec::new())
     }
 
     /// Wraps a static byte slice (copied; cheapness is not load-bearing
     /// in the simulator).
     pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(data),
-        }
+        Bytes::copy_from_slice(data)
     }
 
     /// Copies `data` into a new shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(data),
-        }
+        Bytes::from(data.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -72,8 +70,9 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Adopts `v`'s allocation; no byte is copied.
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes { data: Arc::from(v) }
+        Bytes { data: Arc::new(v) }
     }
 }
 
@@ -139,6 +138,15 @@ mod tests {
         let s = Bytes::from_static(b"hello");
         assert_eq!(*s, *b"hello");
         assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn from_vec_adopts_the_allocation() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert!(std::ptr::eq(b.as_ptr(), ptr));
+        assert_eq!(b.len(), 4096);
     }
 
     #[test]
