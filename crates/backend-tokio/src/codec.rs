@@ -126,9 +126,10 @@ mod tests {
                 commitment: Some([9u8; 33]),
                 signature: Some([7u8; 65]),
             },
-            Msg::Ipfs(IpfsWire::ChunkFill {
-                chunks: vec![vec![1u8; 64].into(), vec![2u8; 10].into()],
+            Msg::Ipfs(IpfsWire::Put {
+                data: vec![1u8; 74].into(),
                 req_id: 14,
+                replicate: 2,
             }),
         ]
     }

@@ -40,7 +40,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dfl_ipfs::{IpfsNode, RetryPolicy};
 use dfl_ml::{Dataset, Model, SgdConfig};
 use dfl_netsim::{Fault, NodeId, SimTime};
 use ipls::adversary::Behavior;
@@ -48,6 +47,7 @@ use ipls::config::{TaskConfig, Topology};
 use ipls::error::IplsError;
 use ipls::labels;
 use ipls::protocol::{Actions, IpfsCore, ProtocolAction, ProtocolCore, ProtocolEvent};
+use ipls::runner::storage_nodes;
 use ipls::trainer::ParamSink;
 use ipls::{Aggregator, Directory, Msg, Trainer};
 
@@ -469,13 +469,7 @@ pub fn run_task_over_tcp_with<M: Model + Clone + Send + 'static>(
     // aggregators, trainers.
     let mut cores: Vec<Box<dyn ProtocolCore<Msg = Msg> + Send>> = Vec::new();
     cores.push(Box::new(Directory::new(topo.clone(), key.clone())));
-    let roster = IpfsNode::roster_for(&topo.ipfs_ids());
-    for k in 0..cfg.ipfs_nodes {
-        let mut node = IpfsNode::new(topo.ipfs_node(k), roster.clone());
-        node.set_retry_policy(RetryPolicy {
-            base_timeout: cfg.fetch_timeout,
-            ..RetryPolicy::default()
-        });
+    for node in storage_nodes(&topo) {
         cores.push(Box::new(IpfsCore::<Msg>::new(node)));
     }
     for g in 0..cfg.total_aggregators() {
@@ -499,18 +493,6 @@ pub fn run_task_over_tcp_with<M: Model + Clone + Send + 'static>(
         )));
     }
     debug_assert_eq!(cores.len(), topo.node_count());
-
-    // The fault plan must reference real nodes (same check as the netsim
-    // runner).
-    for node in cfg.fault_plan.nodes() {
-        if node.index() >= cores.len() {
-            return Err(IplsError::InvalidConfig(format!(
-                "fault plan references node {} but the deployment has {}",
-                node.index(),
-                cores.len()
-            )));
-        }
-    }
 
     let deadline =
         Duration::from_micros(cfg.t_sync.as_micros() * cfg.rounds) + Duration::from_secs(60);

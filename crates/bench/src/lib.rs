@@ -18,10 +18,11 @@ use dfl_crypto::curve::{Curve, Scalar, Secp256k1, Secp256r1};
 use dfl_crypto::msm::{self, Msm, MsmTable, Strategy};
 use dfl_crypto::pedersen::{BatchEntry, CommitKey, Commitment};
 use dfl_crypto::sha256::Sha256;
-use dfl_ml::{Dataset, Matrix, Model, SgdConfig, SyntheticModel};
-use dfl_netsim::{FaultPlan, NodeId, SimDuration, SimTime, Trace};
+use dfl_ml::{Dataset, Matrix, SgdConfig, SyntheticModel};
+use dfl_netsim::{FaultPlan, NodeId, SimDuration, SimTime, Simulation, Trace};
 use ipls::overlay::OverlayTree;
-use ipls::{labels, run_task, CommMode, TaskConfig, TaskReport};
+use ipls::runner::run_task_in;
+use ipls::{labels, CommMode, Msg, TaskConfig, TaskReport};
 
 /// Bytes per encoded parameter on the wire (fixed-point i64).
 pub const BYTES_PER_ELEMENT: usize = 8;
@@ -33,6 +34,16 @@ pub const BYTES_PER_ELEMENT: usize = 8;
 ///
 /// Panics if the configuration is invalid.
 pub fn run_network_experiment(cfg: TaskConfig, param_count: usize) -> TaskReport {
+    run_network_experiment_in(Simulation::new(), cfg, param_count)
+}
+
+/// [`run_network_experiment`] on a simulation the caller made — how the
+/// allocator-equivalence tests run a figure under the reference allocator.
+pub fn run_network_experiment_in(
+    sim: Simulation<Msg>,
+    cfg: TaskConfig,
+    param_count: usize,
+) -> TaskReport {
     let model = SyntheticModel::new(param_count, cfg.seed);
     let params = dfl_ml::Model::params(&model);
     // Delay experiments do not train on real data; a single dummy example
@@ -49,7 +60,7 @@ pub fn run_network_experiment(cfg: TaskConfig, param_count: usize) -> TaskReport
         epochs: 1,
         clip: None,
     };
-    run_task(cfg, model, params, datasets, sgd, &[]).expect("valid experiment config")
+    run_task_in(sim, cfg, model, params, datasets, sgd, &[]).expect("valid experiment config")
 }
 
 // ---------------------------------------------------------------------------
@@ -827,7 +838,6 @@ pub fn netsim_report_json(
     churn: &[ChurnPoint],
     scale: &[ScalePoint],
     overlay: &[OverlayPoint],
-    dedup: &[DedupPoint],
 ) -> String {
     let mut out = String::from("{\n  \"trace_query\": [\n");
     for (i, p) in profiles.iter().enumerate() {
@@ -938,39 +948,6 @@ pub fn netsim_report_json(
             if i + 1 < overlay.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n  \"dedup\": [\n");
-    for (i, p) in dedup.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"regime\": \"{}\",\n", p.regime));
-        out.push_str(&format!(
-            "      \"rounds\": {},\n      \"chunk_size\": {},\n",
-            p.rounds, p.chunk_size
-        ));
-        out.push_str(&format!(
-            "      \"plain_tx_bytes\": {},\n",
-            p.plain_tx_bytes
-        ));
-        out.push_str(&format!(
-            "      \"chunked_tx_bytes\": {},\n",
-            p.chunked_tx_bytes
-        ));
-        out.push_str(&format!(
-            "      \"chunks_sent\": {},\n      \"chunks_deduped\": {},\n",
-            p.chunks_sent, p.chunks_deduped
-        ));
-        out.push_str(&format!(
-            "      \"dedup_bytes_saved\": {},\n",
-            p.dedup_bytes_saved
-        ));
-        out.push_str(&format!(
-            "      \"wire_reduction\": {}\n",
-            json_f64(p.wire_reduction())
-        ));
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < dedup.len() { "," } else { "" }
-        ));
-    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -1073,149 +1050,6 @@ pub fn churn_sweep() -> Vec<ChurnPoint> {
         .iter()
         .map(|&o| churn_run(SimDuration::from_secs(o), period, 42))
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Chunked-storage dedup sweep
-// ---------------------------------------------------------------------------
-
-/// One point of the chunked-storage dedup sweep: the same multi-round
-/// task run with flat storage and with chunked storage
-/// ([`TaskConfig::chunked_storage`]), under one update-stability regime.
-#[derive(Clone, Debug)]
-pub struct DedupPoint {
-    /// Update-stability regime: `"frozen"` re-uploads bit-identical
-    /// gradient blobs every round (the dedup best case), `"drifting"`
-    /// changes every gradient every round (the dedup worst case).
-    pub regime: String,
-    /// Rounds the task ran.
-    pub rounds: u64,
-    /// Chunk size of the chunked run (bytes).
-    pub chunk_size: usize,
-    /// Total wire bytes of the flat-storage run.
-    pub plain_tx_bytes: u64,
-    /// Total wire bytes of the chunked run.
-    pub chunked_tx_bytes: u64,
-    /// Chunks that crossed the wire in the chunked run.
-    pub chunks_sent: u64,
-    /// Chunks the providers already held (zero wire bytes).
-    pub chunks_deduped: u64,
-    /// Payload bytes dedup kept off the wire in the chunked run.
-    pub dedup_bytes_saved: u64,
-}
-
-impl DedupPoint {
-    /// Fraction of the flat run's wire bytes that the chunked run saved.
-    /// Slightly negative in the drifting regime: manifests and chunk
-    /// negotiation cost extra frames when nothing dedups.
-    pub fn wire_reduction(&self) -> f64 {
-        1.0 - self.chunked_tx_bytes as f64 / self.plain_tx_bytes as f64
-    }
-}
-
-/// Model stub whose pseudo-gradient never changes across steps. With
-/// `lr = 0` every round re-uploads bit-identical blobs — the best case
-/// for cross-round chunk dedup ([`SyntheticModel`]'s gradient varies per
-/// step, so it is the worst case).
-#[derive(Clone, Debug)]
-struct FrozenSyntheticModel {
-    params: Vec<f32>,
-    seed: u64,
-}
-
-impl Model for FrozenSyntheticModel {
-    fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
-    fn params(&self) -> Vec<f32> {
-        self.params.clone()
-    }
-
-    fn set_params(&mut self, params: &[f32]) {
-        self.params.copy_from_slice(params);
-    }
-
-    fn loss_and_grad(&self, _x: &Matrix, _y: &[f32]) -> (f32, Vec<f32>) {
-        // Step-independent pseudo-gradient from a splitmix-style stream.
-        let mut state = self.seed | 1;
-        let grad = (0..self.params.len())
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 40) as f32 / (1u64 << 24) as f32) * 0.02 - 0.01
-            })
-            .collect();
-        (1.0, grad)
-    }
-
-    fn predict(&self, x: &Matrix) -> Vec<f32> {
-        vec![0.0; x.rows()]
-    }
-}
-
-/// Dedup sweep base setup: the churn topology over 3 rounds with 4 KiB
-/// chunks (≈ 50 chunks per 0.2 MB partition blob).
-pub fn dedup_config(chunked: bool) -> TaskConfig {
-    let mut cfg = churn_config();
-    cfg.rounds = 3;
-    cfg.chunked_storage = chunked;
-    cfg.chunk_size = 4096;
-    cfg
-}
-
-fn dedup_experiment(chunked: bool, frozen: bool) -> TaskReport {
-    let cfg = dedup_config(chunked);
-    let datasets: Vec<Dataset> = (0..cfg.trainers)
-        .map(|_| Dataset {
-            x: Matrix::zeros(1, 1),
-            y: vec![0.0],
-        })
-        .collect();
-    let sgd = SgdConfig {
-        // lr = 0 keeps the frozen regime's params (and therefore blobs)
-        // bit-identical across rounds.
-        lr: if frozen { 0.0 } else { 0.01 },
-        batch_size: 1,
-        epochs: 1,
-        clip: None,
-    };
-    if frozen {
-        let model = FrozenSyntheticModel {
-            params: dfl_ml::Model::params(&SyntheticModel::new(churn_param_count(), cfg.seed)),
-            seed: cfg.seed,
-        };
-        let params = dfl_ml::Model::params(&model);
-        run_task(cfg, model, params, datasets, sgd, &[]).expect("valid dedup config")
-    } else {
-        let model = SyntheticModel::new(churn_param_count(), cfg.seed);
-        let params = dfl_ml::Model::params(&model);
-        run_task(cfg, model, params, datasets, sgd, &[]).expect("valid dedup config")
-    }
-}
-
-/// Runs one dedup point: the same task flat and chunked, in the given
-/// stability regime.
-pub fn dedup_run(frozen: bool) -> DedupPoint {
-    let plain = dedup_experiment(false, frozen);
-    let chunked = dedup_experiment(true, frozen);
-    let cfg = dedup_config(true);
-    DedupPoint {
-        regime: if frozen { "frozen" } else { "drifting" }.to_string(),
-        rounds: cfg.rounds,
-        chunk_size: cfg.chunk_size,
-        plain_tx_bytes: plain.total_tx_bytes,
-        chunked_tx_bytes: chunked.total_tx_bytes,
-        chunks_sent: chunked.chunks_sent,
-        chunks_deduped: chunked.chunks_deduped,
-        dedup_bytes_saved: chunked.dedup_bytes_saved,
-    }
-}
-
-/// The dedup sweep: both stability regimes.
-pub fn dedup_sweep() -> Vec<DedupPoint> {
-    vec![dedup_run(true), dedup_run(false)]
 }
 
 // ---------------------------------------------------------------------------
@@ -1676,39 +1510,12 @@ mod tests {
             p.scan_find_ms,
             p.indexed_find_ms
         );
-        let json = netsim_report_json(std::slice::from_ref(&p), &[], &[], &[], &[]);
+        let json = netsim_report_json(std::slice::from_ref(&p), &[], &[], &[]);
         assert!(json.contains("\"source\": \"synthetic\""));
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"churn_wire_cost\""));
         assert!(json.contains("\"scale\""));
         assert!(json.contains("\"overlay\""));
-        assert!(json.contains("\"dedup\""));
-    }
-
-    #[test]
-    fn frozen_dedup_point_saves_wire_bytes() {
-        // The frozen regime re-uploads bit-identical blobs each round, so
-        // the chunked run must dedup rounds 2..n down to manifest traffic
-        // and beat the flat run's total wire bytes.
-        let point = dedup_run(true);
-        assert_eq!(point.regime, "frozen");
-        assert!(point.chunks_sent > 0);
-        assert!(
-            point.chunks_deduped > point.chunks_sent,
-            "3 frozen rounds must dedup more chunks than they ship: sent {} deduped {}",
-            point.chunks_sent,
-            point.chunks_deduped
-        );
-        assert!(
-            point.wire_reduction() > 0.2,
-            "chunked {} vs plain {} bytes (reduction {:.3})",
-            point.chunked_tx_bytes,
-            point.plain_tx_bytes,
-            point.wire_reduction()
-        );
-        let json = netsim_report_json(&[], &[], &[], &[], std::slice::from_ref(&point));
-        assert!(json.contains("\"regime\": \"frozen\""));
-        assert!(json.contains("\"wire_reduction\""));
     }
 
     #[test]
@@ -1727,7 +1534,7 @@ mod tests {
         assert!(point.agg_msgs_max <= point.work_bound);
         assert!(point.agg_msgs_max < 200);
         assert!(point.fan_in_max > 0 && point.fan_in_max <= 8);
-        let json = netsim_report_json(&[], &[], &[], std::slice::from_ref(&point), &[]);
+        let json = netsim_report_json(&[], &[], &[], std::slice::from_ref(&point));
         assert!(json.contains("\"trainers\": 200"));
         assert!(json.contains("\"agg_msgs_max\""));
     }

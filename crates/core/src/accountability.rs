@@ -163,11 +163,7 @@ impl Misbehavior {
     /// 1. the offender's signature covers (partition, slot, round, CID,
     ///    contributors) under the offender's identity key;
     /// 2. the detector's signature covers the record;
-    /// 3. the embedded blob hashes to the signed CID — or, under chunked
-    ///    storage (`chunk_size = Some(..)`), re-chunking the blob with the
-    ///    task's chunk size reproduces the manifest whose CID was signed
-    ///    (the chunker is deterministic, so the blob still binds to the
-    ///    signed CID);
+    /// 3. the embedded blob hashes to the signed CID;
     /// 4. the record's accumulator equals the verifier's independently
     ///    computed `expected` commitment for the claimed contributor set;
     /// 5. the blob **fails** commitment verification against it.
@@ -181,7 +177,6 @@ impl Misbehavior {
         task_seed: u64,
         aggregators_per_partition: usize,
         expected: &ProtocolCommitment,
-        chunk_size: Option<usize>,
     ) -> bool {
         let Some(offender_sig) = Signature::from_bytes(&self.offender_sig) else {
             return false;
@@ -204,14 +199,7 @@ impl Misbehavior {
         if !detector_vk.verify(&self.detector_message(), &detector_sig) {
             return false;
         }
-        let cid_bound = match chunk_size {
-            None => Cid::of(&self.blob) == self.cid,
-            Some(size) => {
-                let (manifest, _) = dfl_ipfs::chunker::split(&self.blob, size);
-                Cid::of(&manifest.encode()) == self.cid
-            }
-        };
-        if !cid_bound {
+        if Cid::of(&self.blob) != self.cid {
             return false;
         }
         if expected.to_bytes() != self.accumulator {
@@ -357,7 +345,7 @@ mod tests {
     #[test]
     fn valid_evidence_verifies() {
         let (record, key, expected) = valid_evidence();
-        assert!(record.verify(&key, SEED, SLOTS, &expected, None));
+        assert!(record.verify(&key, SEED, SLOTS, &expected));
     }
 
     #[test]
@@ -383,7 +371,7 @@ mod tests {
             detector_sig: [0u8; 65],
         };
         record.sign_as_detector(2, &agg_signing_key(SEED, 2));
-        assert!(!record.verify(&key, SEED, SLOTS, &expected, None));
+        assert!(!record.verify(&key, SEED, SLOTS, &expected));
     }
 
     #[test]
@@ -394,22 +382,22 @@ mod tests {
         let mut doctored = record.clone();
         doctored.blob = build_blob(&[0.1f32; 8]);
         doctored.sign_as_detector(2, &agg_signing_key(SEED, 2));
-        assert!(!doctored.verify(&key, SEED, SLOTS, &expected, None));
+        assert!(!doctored.verify(&key, SEED, SLOTS, &expected));
 
         // Re-attributed offender invalidates the offender signature.
         let mut doctored = record.clone();
         doctored.agg_j = 0;
         doctored.sign_as_detector(2, &agg_signing_key(SEED, 2));
-        assert!(!doctored.verify(&key, SEED, SLOTS, &expected, None));
+        assert!(!doctored.verify(&key, SEED, SLOTS, &expected));
 
         // Detector signature must cover the record.
         let mut doctored = record.clone();
         doctored.iter = 5;
-        assert!(!doctored.verify(&key, SEED, SLOTS, &expected, None));
+        assert!(!doctored.verify(&key, SEED, SLOTS, &expected));
 
         // Wrong expected accumulator (verifier view mismatch).
         let other = commit_blob(&key, &build_blob(&[0.9f32; 8])).unwrap();
-        assert!(!record.verify(&key, SEED, SLOTS, &other, None));
+        assert!(!record.verify(&key, SEED, SLOTS, &other));
     }
 
     #[test]
@@ -435,50 +423,10 @@ mod tests {
             detector_sig: [0u8; 65],
         };
         record.sign_as_detector(DIRECTORY_DETECTOR, &directory_signing_key(SEED));
-        assert!(record.verify(&key, SEED, SLOTS, &expected, None));
+        assert!(record.verify(&key, SEED, SLOTS, &expected));
         // The same record under a different aggregator-set size points at
         // a different offender (1·3 + 1 = 4, not 3) and must fail.
-        assert!(!record.verify(&key, SEED, 3, &expected, None));
-    }
-
-    /// Chunked storage: the offender signs the *manifest* CID (that is
-    /// what storage acks and what announces carry), while the evidence
-    /// embeds the reassembled blob. Verification must re-chunk the blob to
-    /// re-derive the signed CID — and must still reject a substituted
-    /// blob, whose manifest hashes differently.
-    #[test]
-    fn chunked_evidence_binds_blob_through_manifest() {
-        let chunk_size = 64;
-        let key = derive_key(8, SEED, false);
-        let honest = build_blob(&[0.5f32; 8]);
-        let expected = commit_blob(&key, &honest).unwrap();
-        let altered = build_blob(&[0.75f32; 8]);
-        let (manifest, _) = dfl_ipfs::chunker::split(&altered, chunk_size);
-        let cid = Cid::of(&manifest.encode());
-        let msg = announce_message(1, 1, 4, &cid, &[0, 1]);
-        let mut record = Misbehavior {
-            kind: MisbehaviorKind::BadPartial,
-            partition: 1,
-            agg_j: 1,
-            iter: 4,
-            cid,
-            contributors: vec![0, 1],
-            accumulator: expected.to_bytes(),
-            blob: altered,
-            offender_sig: agg_signing_key(SEED, 3).sign(&msg).to_bytes(),
-            detector: 0,
-            detector_sig: [0u8; 65],
-        };
-        record.sign_as_detector(2, &agg_signing_key(SEED, 2));
-        assert!(record.verify(&key, SEED, SLOTS, &expected, Some(chunk_size)));
-        // Without the chunk size the raw-blob hash check fails: the signed
-        // CID addresses the manifest, not the blob.
-        assert!(!record.verify(&key, SEED, SLOTS, &expected, None));
-        // A substituted blob re-chunks to a different manifest.
-        let mut doctored = record.clone();
-        doctored.blob = build_blob(&[0.1f32; 8]);
-        doctored.sign_as_detector(2, &agg_signing_key(SEED, 2));
-        assert!(!doctored.verify(&key, SEED, SLOTS, &expected, Some(chunk_size)));
+        assert!(!record.verify(&key, SEED, 3, &expected));
     }
 
     #[test]

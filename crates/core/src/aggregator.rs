@@ -38,7 +38,6 @@ use crate::accountability::{
     agg_signing_key, agg_verifying_key, Misbehavior, MisbehaviorKind, EVIDENCE_TOPIC,
 };
 use crate::adversary::Behavior;
-use crate::chunked::{ChunkProgress, ChunkedClient, ManifestOutcome};
 use crate::config::{CommMode, Topology};
 use crate::error::IplsError;
 use crate::gradient::{
@@ -73,9 +72,6 @@ enum Request {
     PeerPartial { j: usize },
     /// Download of a dead peer's trainer gradient (recovery).
     Recovery { j: usize, trainer: usize },
-    /// Download of one chunk of a chunked blob fetch; `manifest` is the
-    /// request id of the owning manifest fetch.
-    Chunk { manifest: u64 },
 }
 
 /// The aggregator actor.
@@ -175,12 +171,6 @@ pub struct Aggregator {
     /// Blocks this aggregator uploaded in the current round, released at
     /// the next round (§VI ephemeral-data lifecycle).
     uploads: Vec<(NodeId, Cid)>,
-    /// Chunked mode: last round's uploads, unpinned one round later than
-    /// `uploads` so the next round's chunked put can dedup against them
-    /// (pin-new-before-unpin-old).
-    deferred_unpins: Vec<(NodeId, Cid)>,
-    /// Chunked-storage upload/download planner (`TaskConfig::chunked_storage`).
-    chunked: Option<ChunkedClient>,
     /// The fabricated gradient substituted by `Behavior::ForgeRegistration`
     /// (set once the forgery has been sent for this round).
     forged: Option<Vec<Quantized>>,
@@ -203,8 +193,6 @@ impl Aggregator {
             .config()
             .accountability
             .then(|| agg_signing_key(topo.config().seed, g));
-        let (chunked_storage, chunk_size) =
-            (topo.config().chunked_storage, topo.config().chunk_size);
         Aggregator {
             g,
             partition,
@@ -250,8 +238,6 @@ impl Aggregator {
             in_flight: HashMap::new(),
             retry_wires: HashMap::new(),
             uploads: Vec::new(),
-            deferred_unpins: Vec::new(),
-            chunked: chunked_storage.then(|| ChunkedClient::new(chunk_size)),
             forged: None,
             polling: false,
             next_req: 0,
@@ -364,23 +350,11 @@ impl Aggregator {
         self.retry_wires.clear();
         self.forged = None;
 
-        // Release last round's partial/global update blobs. In chunked
-        // mode the release lags one extra round: the new round's chunked
-        // put must still find last round's chunks pinned at the provider
-        // to dedup against them, so only the round-before-last is let go.
+        // Release last round's partial/global update blobs.
         let replicate = self.topo.config().replication;
-        if let Some(planner) = &mut self.chunked {
-            planner.reset();
-            for (target, cid) in std::mem::take(&mut self.deferred_unpins) {
-                let unpin = IpfsWire::Unpin { cid, replicate };
-                out.send(target, Msg::Ipfs(unpin));
-            }
-            self.deferred_unpins = std::mem::take(&mut self.uploads);
-        } else {
-            for (target, cid) in std::mem::take(&mut self.uploads) {
-                let unpin = IpfsWire::Unpin { cid, replicate };
-                self.send_ipfs(out, target, unpin);
-            }
+        for (target, cid) in std::mem::take(&mut self.uploads) {
+            let unpin = IpfsWire::Unpin { cid, replicate };
+            self.send_ipfs(out, target, unpin);
         }
         // (Unpins are best-effort control messages; an Offline aggregator
         // below never uploaded anything last round anyway.)
@@ -884,19 +858,14 @@ impl Aggregator {
 
         if self.multi() {
             // Upload the partial, then announce its hash over pub/sub.
-            let blob = encode(&partial);
-            let req = self.fresh_req(Request::PutPartial);
             let gw = self.gateway();
-            let wire = self.put_wire(req, blob, 1);
-            self.send_retryable(out, gw, wire, req);
+            self.put(out, Request::PutPartial, gw, encode(&partial), 1);
             if self.behavior == Behavior::Equivocate {
                 // A second, poisoned variant of the partial: announced to
                 // half the peers in place of the honest one.
                 let mut altered = partial.clone();
                 altered[0] = Quantized(altered[0].0 + (1 << 20));
-                let req = self.fresh_req(Request::PutAltered);
-                let wire = self.put_wire(req, encode(&altered), 1);
-                self.send_retryable(out, gw, wire, req);
+                self.put(out, Request::PutAltered, gw, encode(&altered), 1);
             }
         } else {
             self.finish_global(out);
@@ -940,13 +909,6 @@ impl Aggregator {
 
     fn on_put_ack(&mut self, out: &mut Actions<Msg>, cid: Cid, req_id: u64) {
         self.retry_wires.remove(&req_id);
-        if let Some(planner) = &mut self.chunked {
-            if let Some(stats) = planner.finish_upload(req_id) {
-                out.incr(labels::CHUNKS_SENT, stats.sent);
-                out.incr(labels::CHUNKS_DEDUPED, stats.deduped);
-                out.incr(labels::DEDUP_BYTES_SAVED, stats.saved_bytes);
-            }
-        }
         match self.in_flight.remove(&req_id) {
             Some(Request::PutPartial) => {
                 self.uploads.push((self.gateway(), cid));
@@ -1277,12 +1239,7 @@ impl Aggregator {
                 // the commitment key exists whenever evidence is handled.
                 let key = self.key.as_ref().expect("accountability keys").clone();
                 let slots = self.topo.config().aggregators_per_partition;
-                let chunk_size = self
-                    .topo
-                    .config()
-                    .chunked_storage
-                    .then(|| self.topo.config().chunk_size);
-                if record.verify(&key, self.topo.config().seed, slots, &expected, chunk_size) {
+                if record.verify(&key, self.topo.config().seed, slots, &expected) {
                     self.blacklist_peer(out, record.agg_j);
                 }
             }
@@ -1500,142 +1457,33 @@ impl Aggregator {
             CommMode::Direct => {
                 // Even original IPLS writes the update somewhere the
                 // trainers can fetch it; we reuse storage for that leg.
-                let req = self.fresh_req(Request::PutGlobal);
                 let gw = self.topo.ipfs_node(self.g % self.topo.config().ipfs_nodes);
-                let wire = self.put_wire(req, blob, 1);
-                self.send_retryable(out, gw, wire, req);
+                self.put(out, Request::PutGlobal, gw, blob, 1);
             }
             _ => {
-                let req = self.fresh_req(Request::PutGlobal);
-                let gw = self.gateway();
                 let replicate = self.topo.config().replication;
-                let wire = self.put_wire(req, blob, replicate);
-                self.send_retryable(out, gw, wire, req);
+                self.put(out, Request::PutGlobal, self.gateway(), blob, replicate);
             }
         }
     }
 
-    /// The storage wire for one upload: a plain `Put`, or the opening
-    /// `PutChunked` negotiation when chunked storage is on. Retries re-send
-    /// the stored wire verbatim; the provider treats a repeated
-    /// `PutChunked` as a fresh negotiation (newest want-list wins).
-    fn put_wire(&mut self, req: u64, blob: Vec<u8>, replicate: usize) -> IpfsWire {
-        match &mut self.chunked {
-            Some(planner) => planner.begin_upload(req, &blob, replicate),
-            None => IpfsWire::Put {
-                data: Bytes::from(blob),
-                req_id: req,
-                replicate,
-            },
-        }
-    }
-
-    /// Chunked-mode `GetOk` routing. A reply is either a chunk (its
-    /// request id is a [`Request::Chunk`]) or a manifest (any other fetch
-    /// purpose — the registered CID addresses the manifest). A manifest
-    /// keeps its request in flight until the blob reassembles, so late
-    /// duplicate replies stay deduplicated and the round's cleanup drops
-    /// the fetch wholesale.
-    fn on_chunked_get_ok(&mut self, out: &mut Actions<Msg>, req_id: u64, data: &Bytes) {
-        self.retry_wires.remove(&req_id);
-        match self.in_flight.get(&req_id).copied() {
-            Some(Request::Chunk { .. }) => {
-                self.in_flight.remove(&req_id);
-                let planner = self
-                    .chunked
-                    .as_mut()
-                    .expect("chunked mode checked by caller");
-                match planner.chunk_received(req_id, data) {
-                    ChunkProgress::NotMine | ChunkProgress::Progress => {}
-                    ChunkProgress::Done {
-                        manifest_req, blob, ..
-                    } => self.finish_chunked_fetch(out, manifest_req, &blob),
-                    ChunkProgress::Corrupt { manifest_req, .. } => {
-                        out.incr(labels::CHUNK_DECODE_FAILED, 1);
-                        self.fail_chunked_fetch(manifest_req);
-                    }
-                }
-            }
-            Some(_) => {
-                let planner = self
-                    .chunked
-                    .as_mut()
-                    .expect("chunked mode checked by caller");
-                match planner.on_manifest(req_id, req_id, data) {
-                    Ok(ManifestOutcome::Done { blob, .. }) => {
-                        self.finish_chunked_fetch(out, req_id, &blob);
-                    }
-                    Ok(ManifestOutcome::Requests(requests)) => {
-                        let nodes = self.topo.config().ipfs_nodes;
-                        for (index, cid) in requests {
-                            // Stripe chunk downloads across the storage
-                            // nodes; each request keeps the per-request
-                            // round-robin failover of `send_retryable`.
-                            let chunk_req = self.fresh_req(Request::Chunk { manifest: req_id });
-                            let k = (self.g + index) % nodes;
-                            let to = self.topo.ipfs_node(k);
-                            self.chunked
-                                .as_mut()
-                                .expect("chunked mode checked by caller")
-                                .register_chunk_req(chunk_req, req_id, index, to, cid);
-                            out.record(labels::CHUNK_STRIPE, k as f64);
-                            self.send_retryable(
-                                out,
-                                to,
-                                IpfsWire::GetChunk {
-                                    cid,
-                                    req_id: chunk_req,
-                                },
-                                chunk_req,
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        out.incr(labels::CHUNK_DECODE_FAILED, 1);
-                        self.fail_chunked_fetch(req_id);
-                    }
-                }
-            }
-            None => {}
-        }
-    }
-
-    /// Dispatches a fully reassembled, CID-verified blob to the handler of
-    /// the manifest fetch's original purpose.
-    fn finish_chunked_fetch(&mut self, out: &mut Actions<Msg>, manifest_req: u64, blob: &[u8]) {
-        match self.in_flight.remove(&manifest_req) {
-            Some(Request::OwnGradient { trainer }) => self.on_own_gradient(out, trainer, blob),
-            Some(Request::PeerPartial { j }) => self.on_peer_partial(out, j, blob),
-            Some(Request::Recovery { j, trainer }) => {
-                self.on_recovery_gradient(out, j, trainer, blob)
-            }
-            _ => {}
-        }
-    }
-
-    /// Abandons a chunked fetch: drops the sibling chunk requests and
-    /// applies the manifest purpose's `GetErr` fallback so the poll loop
-    /// can re-offer the blob.
-    fn fail_chunked_fetch(&mut self, manifest_req: u64) {
-        let cancelled = match &mut self.chunked {
-            Some(planner) => planner.cancel_fetch(manifest_req),
-            None => Vec::new(),
+    /// Uploads `blob` to `gw` as a retryable `Put` tracked under `purpose`.
+    fn put(
+        &mut self,
+        out: &mut Actions<Msg>,
+        purpose: Request,
+        gw: NodeId,
+        blob: Vec<u8>,
+        replicate: usize,
+    ) {
+        let req_id = self.fresh_req(purpose);
+        let data = Bytes::from(blob);
+        let wire = IpfsWire::Put {
+            data,
+            req_id,
+            replicate,
         };
-        for sibling in cancelled {
-            self.in_flight.remove(&sibling);
-            self.retry_wires.remove(&sibling);
-        }
-        self.retry_wires.remove(&manifest_req);
-        match self.in_flight.remove(&manifest_req) {
-            Some(Request::OwnGradient { trainer }) => {
-                self.downloading.remove(&trainer);
-                self.registered.remove(&trainer);
-            }
-            Some(Request::Recovery { j, trainer }) => {
-                self.recovery_pending.entry(j).or_default().insert(trainer);
-            }
-            _ => {}
-        }
+        self.send_retryable(out, gw, wire, req_id);
     }
 
     // -- dropout recovery ----------------------------------------------------
@@ -1757,7 +1605,7 @@ impl ProtocolCore for Aggregator {
     fn handle(&mut self, now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
         match event {
             ProtocolEvent::Start => self.on_start(out),
-            ProtocolEvent::Message { from, msg } => self.on_message(now, out, from, msg),
+            ProtocolEvent::Message { msg, .. } => self.on_message(now, out, msg),
             ProtocolEvent::Timer { token } => self.on_timer(out, token),
             ProtocolEvent::Fault { .. } => {}
             ProtocolEvent::DeliveryFailure { .. } => out.incr(labels::DELIVERY_FAILED, 1),
@@ -1785,7 +1633,7 @@ impl Aggregator {
         }
     }
 
-    fn on_message(&mut self, now: SimTime, out: &mut Actions<Msg>, from: NodeId, msg: Msg) {
+    fn on_message(&mut self, now: SimTime, out: &mut Actions<Msg>, msg: Msg) {
         if self.behavior == Behavior::Offline {
             return;
         }
@@ -1826,38 +1674,17 @@ impl Aggregator {
                 // reports the failure.
             }
             Msg::Ipfs(IpfsWire::PutAck { cid, req_id }) => self.on_put_ack(out, cid, req_id),
-            Msg::Ipfs(IpfsWire::ChunkWant { cids, req_id })
-                if self.in_flight.contains_key(&req_id) =>
-            {
-                if let Some(planner) = &mut self.chunked {
-                    if let Some(fill) = planner.on_chunk_want(req_id, &cids) {
-                        out.send(from, Msg::Ipfs(fill));
-                    }
-                }
-            }
-            Msg::Ipfs(IpfsWire::PutChunkedErr { req_id, .. })
-                if self.in_flight.contains_key(&req_id) =>
-            {
-                // Booked only: the request stays in flight so the fetch
-                // timer renegotiates the upload from scratch.
-                out.record("put_chunked_rejected", req_id as f64);
-            }
             Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                if self.chunked.is_some() {
-                    self.on_chunked_get_ok(out, req_id, &data);
-                } else {
-                    self.retry_wires.remove(&req_id);
-                    let data = data.to_vec();
-                    match self.in_flight.remove(&req_id) {
-                        Some(Request::OwnGradient { trainer }) => {
-                            self.on_own_gradient(out, trainer, &data)
-                        }
-                        Some(Request::PeerPartial { j }) => self.on_peer_partial(out, j, &data),
-                        Some(Request::Recovery { j, trainer }) => {
-                            self.on_recovery_gradient(out, j, trainer, &data)
-                        }
-                        _ => {}
+                self.retry_wires.remove(&req_id);
+                match self.in_flight.remove(&req_id) {
+                    Some(Request::OwnGradient { trainer }) => {
+                        self.on_own_gradient(out, trainer, &data)
                     }
+                    Some(Request::PeerPartial { j }) => self.on_peer_partial(out, j, &data),
+                    Some(Request::Recovery { j, trainer }) => {
+                        self.on_recovery_gradient(out, j, trainer, &data)
+                    }
+                    _ => {}
                 }
             }
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
@@ -1871,11 +1698,6 @@ impl Aggregator {
                     Some(Request::Recovery { j, trainer }) => {
                         self.recovery_pending.entry(j).or_default().insert(trainer);
                     }
-                    Some(Request::Chunk { manifest }) => {
-                        // One failed chunk abandons the whole reassembly;
-                        // the poll loop re-offers the manifest later.
-                        self.fail_chunked_fetch(manifest);
-                    }
                     _ => {}
                 }
             }
@@ -1883,7 +1705,6 @@ impl Aggregator {
                 self.retry_wires.remove(&req_id);
                 let members = self.merge_members.remove(&req_id).unwrap_or_default();
                 if let Some(Request::Merged) = self.in_flight.remove(&req_id) {
-                    let data = data.to_vec();
                     self.on_merged(out, &members, &data);
                 }
             }
@@ -1908,7 +1729,6 @@ impl Aggregator {
                 }
             }
             Msg::Ipfs(IpfsWire::Deliver { topic, data, .. }) => {
-                let data = data.to_vec();
                 self.on_deliver(out, &topic, &data);
             }
             Msg::OverlayPartial {

@@ -143,28 +143,8 @@ pub struct TaskConfig {
     /// verification is a commitment check) and a single aggregator per
     /// partition (partial sync across slots stays flat-mode-only).
     pub overlay_branching: Option<usize>,
-    /// Store gradient blobs as content-addressed chunk DAGs instead of one
-    /// opaque block per partition: uploads ship a manifest first and only
-    /// the chunks the provider does not already hold (cross-round dedup),
-    /// downloads stripe chunk requests across all storage nodes with
-    /// per-chunk retry/failover, and every chunk is re-hashed against its
-    /// CID before reassembly. Off by default — the blob path is the
-    /// trace-fingerprint oracle. Incompatible with
-    /// [`CommMode::MergeAndDownload`] (the merge RPC pre-aggregates raw
-    /// blobs server-side and would sum manifest bytes).
-    pub chunked_storage: bool,
-    /// Chunk payload size in bytes when `chunked_storage` is on. Must be
-    /// at least [`dfl_ipfs::chunker::MIN_CHUNK_SIZE`]; blobs that are not
-    /// a multiple carry a short final chunk.
-    pub chunk_size: usize,
     /// Master seed for all task randomness.
     pub seed: u64,
-    /// Run the network simulation under the reference global max–min
-    /// allocator instead of the incremental component-scoped one. Both are
-    /// bit-identical in output (the equivalence suite proves it); the
-    /// reference path exists as the oracle those tests compare against and
-    /// is far slower at scale.
-    pub reference_allocator: bool,
 }
 
 impl Default for TaskConfig {
@@ -199,10 +179,7 @@ impl Default for TaskConfig {
             commit_precompute: true,
             batch_verify: false,
             overlay_branching: None,
-            chunked_storage: false,
-            chunk_size: dfl_ipfs::chunker::DEFAULT_CHUNK_SIZE,
             seed: 0,
-            reference_allocator: false,
         }
     }
 }
@@ -305,14 +282,12 @@ impl TaskConfig {
         if self.fetch_timeout <= SimDuration::ZERO {
             return err("fetch_timeout must be positive");
         }
-        if self.chunked_storage {
-            if self.chunk_size < dfl_ipfs::chunker::MIN_CHUNK_SIZE {
-                return err("chunk_size is below the minimum chunk size");
-            }
-            if self.comm == CommMode::MergeAndDownload {
-                return err("chunked_storage is incompatible with merge-and-download \
-                     (the merge RPC pre-aggregates raw blobs and would sum manifest bytes)");
-            }
+        let node_count = self.node_count();
+        if let Some(node) = self.fault_plan.nodes().find(|n| n.index() >= node_count) {
+            return Err(IplsError::InvalidConfig(format!(
+                "fault plan targets node {} but the deployment has only {node_count} nodes",
+                node.index()
+            )));
         }
         if let Some(b) = self.overlay_branching {
             if b < 2 {
@@ -342,6 +317,12 @@ impl TaskConfig {
     /// Total number of aggregators in the task.
     pub fn total_aggregators(&self) -> usize {
         self.partitions * self.aggregators_per_partition
+    }
+
+    /// Total nodes of the deployment: `directory | ipfs | aggregators |
+    /// trainers`.
+    pub fn node_count(&self) -> usize {
+        1 + self.ipfs_nodes + self.total_aggregators() + self.trainers
     }
 
     /// The access link every participant sits behind.
@@ -410,10 +391,7 @@ impl TaskConfigBuilder {
         commit_precompute: bool,
         batch_verify: bool,
         overlay_branching: Option<usize>,
-        chunked_storage: bool,
-        chunk_size: usize,
         seed: u64,
-        reference_allocator: bool,
     }
 
     /// Validates the assembled configuration and returns it.
@@ -506,7 +484,7 @@ impl Topology {
 
     /// Total simulated nodes.
     pub fn node_count(&self) -> usize {
-        1 + self.cfg.ipfs_nodes + self.cfg.total_aggregators() + self.cfg.trainers
+        self.cfg.node_count()
     }
 
     /// The directory-service node (also the bootstrapper).
@@ -722,37 +700,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(cfg.verifiable && cfg.min_quorum == Some(2));
-    }
-
-    #[test]
-    fn chunked_storage_validation() {
-        // Default-off keeps any chunk_size acceptable.
-        assert!(TaskConfig::builder().chunk_size(1).build().is_ok());
-        // Enabled: chunk_size must clear the floor.
-        assert!(TaskConfig::builder()
-            .chunked_storage(true)
-            .chunk_size(dfl_ipfs::chunker::MIN_CHUNK_SIZE - 1)
-            .build()
-            .is_err());
-        assert!(TaskConfig::builder()
-            .chunked_storage(true)
-            .chunk_size(dfl_ipfs::chunker::MIN_CHUNK_SIZE)
-            .build()
-            .is_ok());
-        // Merge-and-download pre-aggregates raw blobs server-side, which
-        // chunked manifests would corrupt.
-        assert!(TaskConfig::builder()
-            .chunked_storage(true)
-            .comm(CommMode::MergeAndDownload)
-            .build()
-            .is_err());
-        // Direct mode never touches storage for gradients, but the flag
-        // still validates (the global model path can use it).
-        assert!(TaskConfig::builder()
-            .chunked_storage(true)
-            .comm(CommMode::Direct)
-            .build()
-            .is_ok());
     }
 
     #[test]

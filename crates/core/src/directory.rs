@@ -26,7 +26,6 @@ use crate::accountability::{
     agg_verifying_key, directory_signing_key, Misbehavior, MisbehaviorKind, DIRECTORY_DETECTOR,
     EVIDENCE_TOPIC,
 };
-use crate::chunked::{ChunkProgress, ChunkedClient, ManifestOutcome};
 use crate::config::Topology;
 use crate::gradient::{
     verify_blob_timed, verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
@@ -95,10 +94,6 @@ pub struct Directory {
     /// `QueryTotalAccumulator` answers with the accumulator the accepted
     /// update actually opens.
     accepted_contributors: HashMap<(usize, u64), Vec<u32>>,
-    /// Chunked-storage download planner: update CIDs address manifests, so
-    /// audit fetches must reassemble before verifying
-    /// (`TaskConfig::chunked_storage`).
-    chunked: Option<ChunkedClient>,
 }
 
 impl Directory {
@@ -118,8 +113,6 @@ impl Directory {
         } else {
             Vec::new()
         };
-        let (chunked_storage, chunk_size) =
-            (topo.config().chunked_storage, topo.config().chunk_size);
         Directory {
             topo,
             key,
@@ -139,7 +132,6 @@ impl Directory {
             evicted: HashSet::new(),
             evidence_issued: HashSet::new(),
             accepted_contributors: HashMap::new(),
-            chunked: chunked_storage.then(|| ChunkedClient::new(chunk_size)),
         }
     }
 
@@ -470,12 +462,7 @@ impl Directory {
         let (Some(expected), Some(key)) = (expected, self.key.as_ref()) else {
             return;
         };
-        let chunk_size = self
-            .topo
-            .config()
-            .chunked_storage
-            .then(|| self.topo.config().chunk_size);
-        if record.verify(key, self.topo.config().seed, slots, &expected, chunk_size) {
+        if record.verify(key, self.topo.config().seed, slots, &expected) {
             self.evict(out, offender);
         }
     }
@@ -513,75 +500,6 @@ impl Directory {
         let token = TK_VERIFY | self.next_verify;
         self.verifying.insert(self.next_verify, pv);
         out.set_timer(SimDuration::from_micros(us), token);
-    }
-
-    /// Chunked-mode `GetOk` routing for audit fetches: a reply under a
-    /// `fetching` request id is the update's manifest (the registered CID
-    /// addresses it); anything else is a chunk. Chunk downloads stripe
-    /// across the storage nodes by slot index.
-    fn on_chunked_get_ok(&mut self, out: &mut Actions<Msg>, req_id: u64, data: &Bytes) {
-        if self.fetching.contains_key(&req_id) {
-            let planner = self
-                .chunked
-                .as_mut()
-                .expect("chunked mode checked by caller");
-            match planner.on_manifest(req_id, req_id, data) {
-                Ok(ManifestOutcome::Done { blob, .. }) => {
-                    self.on_update_blob(out, req_id, &blob, true);
-                }
-                Ok(ManifestOutcome::Requests(requests)) => {
-                    let nodes = self.topo.config().ipfs_nodes;
-                    for (index, cid) in requests {
-                        self.next_req += 1;
-                        let chunk_req = self.next_req;
-                        let k = index % nodes;
-                        let to = self.topo.ipfs_node(k);
-                        self.chunked
-                            .as_mut()
-                            .expect("chunked mode checked by caller")
-                            .register_chunk_req(chunk_req, req_id, index, to, cid);
-                        out.record(labels::CHUNK_STRIPE, k as f64);
-                        let get = IpfsWire::GetChunk {
-                            cid,
-                            req_id: chunk_req,
-                        };
-                        out.send(to, Msg::Ipfs(get));
-                    }
-                }
-                Err(_) => {
-                    out.incr(labels::CHUNK_DECODE_FAILED, 1);
-                    self.on_update_blob(out, req_id, &[], false);
-                }
-            }
-        } else if let Some(planner) = &mut self.chunked {
-            match planner.chunk_received(req_id, data) {
-                ChunkProgress::NotMine | ChunkProgress::Progress => {}
-                ChunkProgress::Done {
-                    manifest_req, blob, ..
-                } => self.on_update_blob(out, manifest_req, &blob, true),
-                ChunkProgress::Corrupt { manifest_req, .. } => {
-                    out.incr(labels::CHUNK_DECODE_FAILED, 1);
-                    self.on_update_blob(out, manifest_req, &[], false);
-                }
-            }
-        }
-    }
-
-    /// Chunked-mode `GetErr` routing: a failed manifest fetch fails the
-    /// audit outright; a failed chunk abandons the whole reassembly and
-    /// fails the owning audit (its tag is the manifest request id).
-    fn on_chunked_get_err(&mut self, out: &mut Actions<Msg>, req_id: u64) {
-        if self.fetching.contains_key(&req_id) {
-            self.on_update_blob(out, req_id, &[], false);
-        } else {
-            let failed = self
-                .chunked
-                .as_mut()
-                .and_then(|planner| planner.chunk_failed(req_id));
-            if let Some((manifest_req, _)) = failed {
-                self.on_update_blob(out, manifest_req, &[], false);
-            }
-        }
     }
 
     fn maybe_finish_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
@@ -814,19 +732,10 @@ impl Directory {
                 self.maybe_finish_round(out, iter);
             }
             Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                if self.chunked.is_some() {
-                    self.on_chunked_get_ok(out, req_id, &data);
-                } else {
-                    let data = data.to_vec();
-                    self.on_update_blob(out, req_id, &data, true);
-                }
+                self.on_update_blob(out, req_id, &data, true);
             }
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
-                if self.chunked.is_some() {
-                    self.on_chunked_get_err(out, req_id);
-                } else {
-                    self.on_update_blob(out, req_id, &[], false);
-                }
+                self.on_update_blob(out, req_id, &[], false);
             }
             // Other storage responses (acks for nothing we sent) and
             // protocol messages not addressed to the directory are ignored.

@@ -134,21 +134,3 @@ pub const OVERLAY_UPDATE_PUSHED: &str = "overlay_update_pushed";
 /// Trainer (overlay mode): an update pushed down the tree failed its
 /// aggregator signature check and was dropped (value = partition).
 pub const OVERLAY_UPDATE_REJECTED: &str = "overlay_update_rejected";
-/// Client (chunked storage): chunks actually shipped over the wire in a
-/// `ChunkFill` after the provider's want-list negotiation (counter).
-pub const CHUNKS_SENT: &str = "chunks_sent";
-/// Client (chunked storage): chunks the provider already held, elided
-/// from the upload entirely — the cross-round dedup win (counter).
-pub const CHUNKS_DEDUPED: &str = "chunks_deduped";
-/// Client (chunked storage): payload bytes saved by dedup — the sum of
-/// the elided chunks' lengths (counter).
-pub const DEDUP_BYTES_SAVED: &str = "dedup_bytes_saved";
-/// Client (chunked storage): a reassembled blob failed manifest or CID
-/// verification and was dropped before decode (counter).
-pub const CHUNK_DECODE_FAILED: &str = "chunk_decode_failed";
-/// Client (chunked storage): a chunk request was issued to a storage node
-/// (value = that node's storage index). Per-value event counts are the
-/// per-provider stripe distribution in [`TaskReport`].
-///
-/// [`TaskReport`]: crate::runner::TaskReport
-pub const CHUNK_STRIPE: &str = "chunk_stripe";

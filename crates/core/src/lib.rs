@@ -48,7 +48,6 @@ pub mod accountability;
 pub mod addressing;
 pub mod adversary;
 pub mod aggregator;
-pub mod chunked;
 pub mod config;
 pub mod directory;
 pub mod error;

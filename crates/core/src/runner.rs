@@ -85,17 +85,6 @@ pub struct TaskReport {
     /// Application bytes sent across all nodes over the whole task (the
     /// run's total wire cost).
     pub total_tx_bytes: u64,
-    /// Chunked storage: chunks clients actually shipped in `ChunkFill`s
-    /// (zero unless `TaskConfig::chunked_storage`).
-    pub chunks_sent: u64,
-    /// Chunked storage: distinct chunks providers already held, elided
-    /// from the wire by cross-round dedup.
-    pub chunks_deduped: u64,
-    /// Chunked storage: payload bytes dedup kept off the wire.
-    pub dedup_bytes_saved: u64,
-    /// Chunked storage: chunk download requests issued per storage-node
-    /// index — how evenly striped fetches spread across providers.
-    pub chunk_stripe: Vec<u64>,
     /// The raw simulation trace, for custom analysis.
     pub trace: Trace,
 }
@@ -122,6 +111,25 @@ impl TaskReport {
     }
 }
 
+/// The deployment's storage nodes in index order, each configured from the
+/// task: the shared roster, `fetch_timeout` as the retry base and the
+/// `lossy_ipfs_nodes` fault injection. Every backend builds them here.
+pub fn storage_nodes(topo: &Topology) -> Vec<IpfsNode> {
+    let cfg = topo.config();
+    let roster = IpfsNode::roster_for(&topo.ipfs_ids());
+    (0..cfg.ipfs_nodes)
+        .map(|k| {
+            let mut node = IpfsNode::new(topo.ipfs_node(k), roster.clone());
+            node.set_retry_policy(RetryPolicy {
+                base_timeout: cfg.fetch_timeout,
+                ..RetryPolicy::default()
+            });
+            node.set_lossy(cfg.lossy_ipfs_nodes.contains(&k));
+            node
+        })
+        .collect()
+}
+
 /// Runs a full task and reports its metrics.
 ///
 /// `datasets[t]` is trainer `t`'s local data; `behaviors` overrides the
@@ -132,6 +140,26 @@ impl TaskReport {
 /// Returns an error when the configuration is invalid or inconsistent with
 /// the model/datasets.
 pub fn run_task<M: Model + Clone + 'static>(
+    cfg: TaskConfig,
+    model: M,
+    initial_params: Vec<f32>,
+    datasets: Vec<Dataset>,
+    sgd: SgdConfig,
+    behaviors: &[(usize, Behavior)],
+) -> Result<TaskReport, IplsError> {
+    let sim = Simulation::new();
+    run_task_in(sim, cfg, model, initial_params, datasets, sgd, behaviors)
+}
+
+/// [`run_task`] on a simulation the caller made: the deployment is added to
+/// `sim`, which must hold no nodes yet. The allocator-equivalence tests pass
+/// one with [`Simulation::set_reference_allocator`] switched on.
+///
+/// # Errors
+///
+/// As [`run_task`].
+pub fn run_task_in<M: Model + Clone + 'static>(
+    mut sim: Simulation<Msg>,
     cfg: TaskConfig,
     model: M,
     initial_params: Vec<f32>,
@@ -159,15 +187,6 @@ pub fn run_task<M: Model + Clone + 'static>(
             )));
         }
     }
-    let node_count = topo.node_count();
-    for node in cfg.fault_plan.nodes() {
-        if node.index() >= node_count {
-            return Err(IplsError::InvalidConfig(format!(
-                "fault plan targets node {} but the deployment has only {node_count} nodes",
-                node.index()
-            )));
-        }
-    }
 
     let key: Option<Arc<ProtocolKey>> = cfg.verifiable.then(|| {
         Arc::new(derive_key(
@@ -177,8 +196,6 @@ pub fn run_task<M: Model + Clone + 'static>(
         ))
     });
 
-    let mut sim: Simulation<Msg> = Simulation::new();
-    sim.set_reference_allocator(cfg.reference_allocator);
     // Generous stop-gap: a stalled round ends the simulation at the limit.
     let limit_us = (cfg.t_sync.as_micros() + 120_000_000) * cfg.rounds;
     sim.set_time_limit(SimTime::from_micros(limit_us));
@@ -195,16 +212,7 @@ pub fn run_task<M: Model + Clone + 'static>(
 
     // Storage nodes (possibly on faster infrastructure links).
     let ipfs_link = cfg.ipfs_link();
-    let roster = IpfsNode::roster_for(&topo.ipfs_ids());
-    for k in 0..cfg.ipfs_nodes {
-        let mut node = IpfsNode::new(topo.ipfs_node(k), roster.clone());
-        node.set_retry_policy(RetryPolicy {
-            base_timeout: cfg.fetch_timeout,
-            ..RetryPolicy::default()
-        });
-        if cfg.lossy_ipfs_nodes.contains(&k) {
-            node.set_lossy(true);
-        }
+    for (k, node) in storage_nodes(&topo).into_iter().enumerate() {
         let id = sim.add_node(NetsimAdapter::new(IpfsCore::new(node)), ipfs_link);
         assert_eq!(id, topo.ipfs_node(k));
     }
@@ -381,20 +389,6 @@ fn build_report(topo: &Topology, trace: &Trace, sink: &HashMap<usize, Vec<f32>>)
         wasted_bytes: protocol_wasted_bytes + wire_wasted_bytes,
         wire_wasted_bytes,
         total_tx_bytes: trace.total_bytes_sent(),
-        chunks_sent: trace.counter(labels::CHUNKS_SENT),
-        chunks_deduped: trace.counter(labels::CHUNKS_DEDUPED),
-        dedup_bytes_saved: trace.counter(labels::DEDUP_BYTES_SAVED),
-        chunk_stripe: {
-            // Striping spread: each CHUNK_STRIPE event's value is the
-            // storage-node index one chunk request went to.
-            let mut spread = vec![0u64; cfg.ipfs_nodes];
-            for e in trace.find_all(labels::CHUNK_STRIPE) {
-                if e.value >= 0.0 && (e.value as usize) < spread.len() {
-                    spread[e.value as usize] += 1;
-                }
-            }
-            spread
-        },
         trace: trace.clone(),
     }
 }

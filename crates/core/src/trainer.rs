@@ -20,7 +20,6 @@ use dfl_crypto::quantize::encode;
 use dfl_crypto::schnorr::{Signature, SigningKey};
 
 use crate::accountability::agg_verifying_key;
-use crate::chunked::{ChunkProgress, ChunkedClient, ManifestOutcome};
 use crate::config::{CommMode, Topology};
 use crate::gradient::{
     build_blob, commit_blob, decode_blob, decode_update, flush_verify_queue, sum_gradients,
@@ -92,15 +91,6 @@ pub struct Trainer<M: Model> {
     /// Blocks uploaded in the current round, released at the next round
     /// (ephemeral storage lifecycle, §VI).
     uploads: Vec<(NodeId, Cid)>,
-    /// Chunked mode: the previous round's uploads, kept pinned one extra
-    /// round so the new round's chunked put can dedup against them; the
-    /// unpins go out at the following round start (pin-new-before-
-    /// unpin-old).
-    deferred_unpins: Vec<(NodeId, Cid)>,
-    /// Chunk DAG planner ([`TaskConfig::chunked_storage`] mode).
-    ///
-    /// [`TaskConfig::chunked_storage`]: crate::config::TaskConfig::chunked_storage
-    chunked: Option<ChunkedClient>,
     /// Registration signing key (authenticated mode).
     signing_key: Option<SigningKey<ProtocolCurve>>,
     polling: bool,
@@ -145,8 +135,6 @@ impl<M: Model> Trainer<M> {
             .config()
             .authenticate
             .then(|| SigningKey::derive(&topo.config().seed.to_be_bytes(), t as u64));
-        let (chunked_storage, chunk_size) =
-            (topo.config().chunked_storage, topo.config().chunk_size);
         Trainer {
             t,
             topo,
@@ -170,8 +158,6 @@ impl<M: Model> Trainer<M> {
             unverified_updates: HashMap::new(),
             pending_verify: Vec::new(),
             uploads: Vec::new(),
-            deferred_unpins: Vec::new(),
-            chunked: chunked_storage.then(|| ChunkedClient::new(chunk_size)),
             signing_key,
             polling: false,
             retrying: false,
@@ -222,9 +208,6 @@ impl<M: Model> Trainer<M> {
         self.pending_verify.clear();
         self.overlay_ready = false;
         self.overlay_sent.clear();
-        if let Some(planner) = &mut self.chunked {
-            planner.reset();
-        }
         // Keep buffered partials for this and later rounds (children may
         // race ahead of our StartRound); drop anything older.
         self.overlay_children.retain(|&(i, _), _| i >= iter);
@@ -232,21 +215,10 @@ impl<M: Model> Trainer<M> {
 
         // Release last round's gradient blobs: they have served their
         // purpose once the round completed (§VI ephemeral-data lifecycle).
-        // Chunked mode lags the release by one round — the previous
-        // round's chunks must still be pinned when this round's manifest
-        // negotiates, or there is nothing to dedup against.
         let replicate = self.topo.config().replication;
-        if self.chunked.is_some() {
-            for (target, cid) in std::mem::take(&mut self.deferred_unpins) {
-                let unpin = IpfsWire::Unpin { cid, replicate };
-                out.send(target, Msg::Ipfs(unpin));
-            }
-            self.deferred_unpins = std::mem::take(&mut self.uploads);
-        } else {
-            for (target, cid) in std::mem::take(&mut self.uploads) {
-                let unpin = IpfsWire::Unpin { cid, replicate };
-                out.send(target, Msg::Ipfs(unpin));
-            }
+        for (target, cid) in std::mem::take(&mut self.uploads) {
+            let unpin = IpfsWire::Unpin { cid, replicate };
+            out.send(target, Msg::Ipfs(unpin));
         }
 
         // Train now (real computation), charge the virtual compute time,
@@ -335,13 +307,10 @@ impl<M: Model> Trainer<M> {
                     self.next_req = req_id;
                     self.pending_acks.insert(req_id, i);
                     let replicate = self.topo.config().replication;
-                    let put = match &mut self.chunked {
-                        Some(planner) => planner.begin_upload(req_id, blob, replicate),
-                        None => IpfsWire::Put {
-                            data: blob.clone(),
-                            req_id,
-                            replicate,
-                        },
+                    let put = IpfsWire::Put {
+                        data: blob.clone(),
+                        req_id,
+                        replicate,
                     };
                     // Truly local invariant: this match arm only runs in the
                     // storage-backed comm modes, where every partition has a
@@ -631,10 +600,7 @@ impl<M: Model> Trainer<M> {
         self.retrying = false;
         if iter != self.iter || self.finished {
             // Stale timer from a previous round; re-cover the current one.
-            if !self.pending_acks.is_empty()
-                || !self.pending_gets.is_empty()
-                || self.chunked.as_ref().is_some_and(ChunkedClient::busy)
-            {
+            if !self.pending_acks.is_empty() || !self.pending_gets.is_empty() {
                 self.arm_retry(out);
             }
             return;
@@ -645,17 +611,10 @@ impl<M: Model> Trainer<M> {
         puts.sort_unstable();
         for (req_id, partition) in puts {
             let (blob, _) = &self.blobs[&partition];
-            // Chunked mode retransmits the manifest; the provider treats a
-            // repeated PutChunked as a fresh negotiation.
-            let put = match &self.chunked {
-                Some(planner) => planner
-                    .upload_wire(req_id)
-                    .unwrap_or_else(|| panic!("pending ack {req_id} has no chunked upload")),
-                None => IpfsWire::Put {
-                    data: blob.clone(),
-                    req_id,
-                    replicate: self.topo.config().replication,
-                },
+            let put = IpfsWire::Put {
+                data: blob.clone(),
+                req_id,
+                replicate: self.topo.config().replication,
             };
             // Truly local invariant: pending_acks is only populated by the
             // storage-backed upload path, never from remote input.
@@ -676,15 +635,7 @@ impl<M: Model> Trainer<M> {
             let get = IpfsWire::Get { cid, req_id };
             out.send(gateway, Msg::Ipfs(get));
         }
-        if let Some(planner) = &self.chunked {
-            for (to, wire) in planner.outstanding_chunk_wires() {
-                out.send(to, Msg::Ipfs(wire));
-            }
-        }
-        if !self.pending_acks.is_empty()
-            || !self.pending_gets.is_empty()
-            || self.chunked.as_ref().is_some_and(ChunkedClient::busy)
-        {
+        if !self.pending_acks.is_empty() || !self.pending_gets.is_empty() {
             self.arm_retry(out);
         }
     }
@@ -703,13 +654,6 @@ impl<M: Model> Trainer<M> {
             out.incr(labels::MISROUTED_ACK, 1);
             return;
         };
-        if let Some(planner) = &mut self.chunked {
-            if let Some(stats) = planner.finish_upload(req_id) {
-                out.incr(labels::CHUNKS_SENT, stats.sent);
-                out.incr(labels::CHUNKS_DEDUPED, stats.deduped);
-                out.incr(labels::DEDUP_BYTES_SAVED, stats.saved_bytes);
-            }
-        }
         self.uploads.push((target, cid));
         let commitment = self.blobs[&partition].1;
         if self.topo.config().compact_registration {
@@ -817,66 +761,6 @@ impl<M: Model> Trainer<M> {
         self.accept_update(out, partition, data.to_vec());
     }
 
-    /// Chunked-mode `GetOk` routing: a response is either the manifest of
-    /// a pending update download (then the chunk fan-out starts, striped
-    /// across the storage nodes) or one chunk of an in-flight reassembly.
-    fn on_chunked_get_ok(&mut self, out: &mut Actions<Msg>, req_id: u64, data: &Bytes) {
-        let Some(planner) = &mut self.chunked else {
-            return;
-        };
-        if let Some((partition, _)) = self.pending_gets.remove(&req_id) {
-            match planner.on_manifest(req_id, partition as u64, data) {
-                Ok(ManifestOutcome::Done { blob, .. }) => {
-                    self.fetching.remove(&partition);
-                    self.accept_update(out, partition, blob);
-                }
-                Ok(ManifestOutcome::Requests(requests)) => {
-                    let ipfs_nodes = self.topo.config().ipfs_nodes;
-                    for (index, cid) in requests {
-                        let chunk_req = self.next_req + 1;
-                        self.next_req = chunk_req;
-                        // Stripe chunk requests round-robin over the
-                        // storage nodes, starting from this trainer's
-                        // gateway offset so concurrent downloaders spread
-                        // their load.
-                        let k = (self.t + index) % ipfs_nodes;
-                        let to = self.topo.ipfs_node(k);
-                        let planner = self.chunked.as_mut().expect("chunked mode");
-                        planner.register_chunk_req(chunk_req, req_id, index, to, cid);
-                        out.record(labels::CHUNK_STRIPE, k as f64);
-                        out.send(
-                            to,
-                            Msg::Ipfs(IpfsWire::GetChunk {
-                                cid,
-                                req_id: chunk_req,
-                            }),
-                        );
-                    }
-                    self.arm_retry(out);
-                }
-                Err(_) => {
-                    // Corrupt manifest bytes: drop the download and let
-                    // the poll loop re-offer the update.
-                    out.incr(labels::CHUNK_DECODE_FAILED, 1);
-                    self.fetching.remove(&partition);
-                }
-            }
-            return;
-        }
-        match planner.chunk_received(req_id, data) {
-            ChunkProgress::NotMine | ChunkProgress::Progress => {}
-            ChunkProgress::Done { tag, blob, .. } => {
-                let partition = tag as usize;
-                self.fetching.remove(&partition);
-                self.accept_update(out, partition, blob);
-            }
-            ChunkProgress::Corrupt { tag, .. } => {
-                out.incr(labels::CHUNK_DECODE_FAILED, 1);
-                self.fetching.remove(&(tag as usize));
-            }
-        }
-    }
-
     /// Validates (and in trainer-verification mode, cryptographically
     /// verifies) a downloaded update blob, then applies it.
     fn accept_update(&mut self, out: &mut Actions<Msg>, partition: usize, data: Vec<u8>) {
@@ -979,8 +863,8 @@ impl<M: Model> ProtocolCore for Trainer<M> {
     type Msg = Msg;
 
     fn handle(&mut self, now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
-        let (from, msg) = match event {
-            ProtocolEvent::Message { from, msg } => (from, msg),
+        let msg = match event {
+            ProtocolEvent::Message { msg, .. } => msg,
             ProtocolEvent::Timer { token } => {
                 match token & !0xFFFF_FFFF {
                     TK_TRAIN => self.upload(now, out),
@@ -1029,45 +913,13 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                 }
             }
             Msg::Ipfs(IpfsWire::PutAck { cid, req_id }) => self.on_put_ack(out, cid, req_id),
-            Msg::Ipfs(IpfsWire::ChunkWant { cids, req_id })
-                if self.pending_acks.contains_key(&req_id) =>
-            {
-                // A provider's want-list for one of our chunked uploads:
-                // answer with exactly the requested chunk payloads. Stale
-                // or forged want-lists are dropped by the planner.
-                if let Some(planner) = &mut self.chunked {
-                    if let Some(fill) = planner.on_chunk_want(req_id, &cids) {
-                        out.send(from, Msg::Ipfs(fill));
-                    }
-                }
-            }
-            Msg::Ipfs(IpfsWire::PutChunkedErr { req_id, .. })
-                if self.pending_acks.contains_key(&req_id) =>
-            {
-                // The provider refused the negotiation (e.g. its state was
-                // lost mid-fill after a crash). Keep the pending ack: the
-                // retransmission timer re-sends the manifest and the
-                // negotiation starts over.
-                out.record("put_chunked_rejected", req_id as f64);
-            }
             Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                if self.chunked.is_some() {
-                    self.on_chunked_get_ok(out, req_id, &data);
-                } else {
-                    let data = data.to_vec();
-                    self.on_update_blob(out, req_id, &data);
-                }
+                self.on_update_blob(out, req_id, &data);
             }
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
                 // Allow the poll loop to retry the partition.
                 if let Some((partition, _)) = self.pending_gets.remove(&req_id) {
                     self.fetching.remove(&partition);
-                } else if let Some(planner) = &mut self.chunked {
-                    // A failed chunk fetch abandons the whole reassembly;
-                    // polling re-offers the manifest later.
-                    if let Some((tag, _)) = planner.chunk_failed(req_id) {
-                        self.fetching.remove(&(tag as usize));
-                    }
                 }
             }
             Msg::OverlayPartial {

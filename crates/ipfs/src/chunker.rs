@@ -1,115 +1,30 @@
-//! Content-addressed chunk DAGs: deterministic fixed-size chunking of
-//! partition blobs plus the manifest block that names the chunks.
+//! Deterministic fixed-size chunking of a blob into content-addressed
+//! blocks, and the manifest that names them in order.
 //!
-//! A blob is split into fixed-size chunks (the last one may be shorter),
-//! each addressed by its SHA-256 [`Cid`]. The manifest lists the child
-//! CIDs **in order** together with each chunk's length, so a provider can
-//! compute which chunks it already holds — and how many wire bytes the
-//! upload saves — from the manifest alone, before a single chunk byte is
-//! shipped. Chunk boundaries depend only on the blob bytes and the chunk
-//! size, so an unchanged blob prefix yields the same chunk CIDs round
-//! after round: those chunks dedup to zero wire bytes at the provider.
-//!
-//! The manifest is itself an ordinary block (stored, replicated, and
-//! fetched by its own CID); its encoding is versioned by a magic prefix
-//! and validated structurally on decode — manifests arrive from the
-//! network and are never trusted.
+//! What is left of chunked storage, which PR 18 removed after measuring it
+//! (DESIGN.md §15): nothing in the storage path calls this module. It stays
+//! only because the frozen `benchmark/` package times [`split`] as its
+//! `ipfs.chunk_split_mb_s` kernel; delete the module together with that
+//! kernel in the next PR that may edit `benchmark/`.
 
 use bytes::Bytes;
 
 use crate::block::Block;
 use crate::cid::Cid;
 
-/// Version magic prefixing every encoded manifest.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"DFLCHNK1";
-
-/// Smallest chunk size the config validator accepts. Tiny chunks are
-/// legal for the chunker itself (tests use them) but make no sense on the
-/// wire: each chunk costs a manifest entry and a request round-trip.
-pub const MIN_CHUNK_SIZE: usize = 64;
-
-/// Default chunk size when [`chunked storage`](crate::chunker) is enabled.
+/// The chunk size the `ipfs.chunk_split_mb_s` kernel splits at.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
-/// Why an encoded manifest (or a chunk fill) could not be accepted.
-/// Manifests and chunks are remote input; every malformation is a typed
-/// error, never a panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChunkError {
-    /// The manifest does not start with [`MANIFEST_MAGIC`].
-    BadMagic,
-    /// The manifest is shorter than its declared entry count requires.
-    Truncated { needed: usize, got: usize },
-    /// The manifest has bytes beyond the last declared entry.
-    TrailingBytes { extra: usize },
-    /// The declared total length disagrees with the sum of chunk lengths.
-    LengthMismatch { declared: u64, summed: u64 },
-    /// A supplied chunk does not hash to the CID the manifest declares.
-    ChunkCidMismatch { index: usize },
-    /// A supplied chunk's length disagrees with the manifest entry.
-    ChunkLenMismatch {
-        index: usize,
-        expected: u32,
-        got: usize,
-    },
-    /// A chunk index outside the manifest's entry list.
-    UnknownChunk { index: usize },
-    /// Reassembly was finished with chunks still missing.
-    Incomplete { missing: usize },
-}
-
-impl std::fmt::Display for ChunkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChunkError::BadMagic => write!(f, "manifest does not start with the chunk magic"),
-            ChunkError::Truncated { needed, got } => {
-                write!(f, "manifest truncated: needed {needed} bytes, got {got}")
-            }
-            ChunkError::TrailingBytes { extra } => {
-                write!(f, "manifest has {extra} trailing bytes")
-            }
-            ChunkError::LengthMismatch { declared, summed } => write!(
-                f,
-                "manifest declares {declared} total bytes but its chunks sum to {summed}"
-            ),
-            ChunkError::ChunkCidMismatch { index } => {
-                write!(f, "chunk {index} does not hash to its declared CID")
-            }
-            ChunkError::ChunkLenMismatch {
-                index,
-                expected,
-                got,
-            } => write!(
-                f,
-                "chunk {index} is {got} bytes, manifest declares {expected}"
-            ),
-            ChunkError::UnknownChunk { index } => {
-                write!(f, "chunk index {index} is outside the manifest")
-            }
-            ChunkError::Incomplete { missing } => {
-                write!(f, "reassembly incomplete: {missing} chunks missing")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ChunkError {}
-
-/// The manifest block of a chunk DAG: the blob's total length plus the
-/// ordered `(cid, len)` list of its chunks.
+/// The blob's total length plus the ordered `(cid, len)` list of its
+/// chunks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
     total_len: u64,
     chunks: Vec<(Cid, u32)>,
 }
 
-/// Encoded size of one manifest entry: a 32-byte CID plus a u32 length.
-const ENTRY_BYTES: usize = 36;
-/// Encoded size of the manifest header: magic, total length, entry count.
-const HEADER_BYTES: usize = 8 + 8 + 4;
-
 impl Manifest {
-    /// Total length of the reassembled blob.
+    /// Total length of the blob.
     pub fn total_len(&self) -> u64 {
         self.total_len
     }
@@ -118,73 +33,6 @@ impl Manifest {
     pub fn chunks(&self) -> &[(Cid, u32)] {
         &self.chunks
     }
-
-    /// Serializes the manifest (magic | total_len | count | entries).
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(HEADER_BYTES + self.chunks.len() * ENTRY_BYTES);
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&self.total_len.to_le_bytes());
-        out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        for (cid, len) in &self.chunks {
-            out.extend_from_slice(cid.as_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        Bytes::from(out)
-    }
-
-    /// Parses and structurally validates an encoded manifest.
-    ///
-    /// # Errors
-    ///
-    /// Any malformation of the (remote, untrusted) bytes: wrong magic,
-    /// truncation, trailing garbage, or a total length that disagrees
-    /// with the chunk lengths.
-    pub fn decode(data: &[u8]) -> Result<Manifest, ChunkError> {
-        if data.len() < HEADER_BYTES || data[..8] != MANIFEST_MAGIC {
-            if data.len() >= 8 && data[..8] == MANIFEST_MAGIC {
-                return Err(ChunkError::Truncated {
-                    needed: HEADER_BYTES,
-                    got: data.len(),
-                });
-            }
-            return Err(ChunkError::BadMagic);
-        }
-        let total_len = u64::from_le_bytes(data[8..16].try_into().expect("fixed slice"));
-        let count = u32::from_le_bytes(data[16..20].try_into().expect("fixed slice")) as usize;
-        let needed = HEADER_BYTES + count * ENTRY_BYTES;
-        if data.len() < needed {
-            return Err(ChunkError::Truncated {
-                needed,
-                got: data.len(),
-            });
-        }
-        if data.len() > needed {
-            return Err(ChunkError::TrailingBytes {
-                extra: data.len() - needed,
-            });
-        }
-        let mut chunks = Vec::with_capacity(count);
-        let mut summed = 0u64;
-        for i in 0..count {
-            let at = HEADER_BYTES + i * ENTRY_BYTES;
-            let cid = Cid::from_bytes(data[at..at + 32].try_into().expect("fixed slice"));
-            let len = u32::from_le_bytes(data[at + 32..at + 36].try_into().expect("fixed slice"));
-            summed = summed.saturating_add(len as u64);
-            chunks.push((cid, len));
-        }
-        if summed != total_len {
-            return Err(ChunkError::LengthMismatch {
-                declared: total_len,
-                summed,
-            });
-        }
-        Ok(Manifest { total_len, chunks })
-    }
-}
-
-/// Whether `data` looks like an encoded manifest (magic prefix check).
-pub fn is_manifest(data: &[u8]) -> bool {
-    data.len() >= 8 && data[..8] == MANIFEST_MAGIC
 }
 
 /// Splits `data` into fixed-size chunks and the manifest naming them.
@@ -210,109 +58,27 @@ pub fn split(data: &[u8], chunk_size: usize) -> (Manifest, Vec<Block>) {
     )
 }
 
-/// Reassembles a blob from chunks arriving in any order, verifying each
-/// against the manifest before accepting it.
-#[derive(Clone, Debug)]
-pub struct Reassembly {
-    manifest: Manifest,
-    slots: Vec<Option<Bytes>>,
-    missing: usize,
-}
-
-impl Reassembly {
-    /// Starts a reassembly for `manifest`.
-    pub fn new(manifest: Manifest) -> Reassembly {
-        let n = manifest.chunks().len();
-        Reassembly {
-            manifest,
-            slots: vec![None; n],
-            missing: n,
-        }
-    }
-
-    /// The manifest being reassembled.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
-    /// Number of chunks still missing.
-    pub fn missing(&self) -> usize {
-        self.missing
-    }
-
-    /// `true` once every chunk has been filled.
-    pub fn is_complete(&self) -> bool {
-        self.missing == 0
-    }
-
-    /// Accepts chunk `index` after verifying its length and CID against
-    /// the manifest. Duplicate fills of an already-verified slot are
-    /// ignored (retransmissions can double-deliver).
-    ///
-    /// # Errors
-    ///
-    /// The index is out of range, or the bytes disagree with the
-    /// manifest entry (length or CID).
-    pub fn fill(&mut self, index: usize, data: Bytes) -> Result<(), ChunkError> {
-        let Some(&(cid, len)) = self.manifest.chunks.get(index) else {
-            return Err(ChunkError::UnknownChunk { index });
-        };
-        if self.slots[index].is_some() {
-            return Ok(());
-        }
-        if data.len() != len as usize {
-            return Err(ChunkError::ChunkLenMismatch {
-                index,
-                expected: len,
-                got: data.len(),
-            });
-        }
-        if !cid.verifies(&data) {
-            return Err(ChunkError::ChunkCidMismatch { index });
-        }
-        self.slots[index] = Some(data);
-        self.missing -= 1;
-        Ok(())
-    }
-
-    /// Concatenates the verified chunks back into the original blob.
-    ///
-    /// # Errors
-    ///
-    /// [`ChunkError::Incomplete`] when chunks are still missing.
-    pub fn assemble(self) -> Result<Vec<u8>, ChunkError> {
-        if self.missing > 0 {
-            return Err(ChunkError::Incomplete {
-                missing: self.missing,
-            });
-        }
-        let mut out = Vec::with_capacity(self.manifest.total_len as usize);
-        for slot in self.slots {
-            out.extend_from_slice(&slot.expect("no slot missing after the completeness check"));
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Splits, then concatenates the blocks back in manifest order.
     fn round_trip(data: &[u8], chunk_size: usize) -> Vec<u8> {
         let (manifest, blocks) = split(data, chunk_size);
-        let decoded = Manifest::decode(&manifest.encode()).unwrap();
-        assert_eq!(decoded, manifest);
-        let mut asm = Reassembly::new(decoded);
-        // Fill in reverse order: arrival order must not matter.
-        for (i, b) in blocks.iter().enumerate().rev() {
-            asm.fill(i, b.data().clone()).unwrap();
+        assert_eq!(manifest.total_len(), data.len() as u64);
+        assert_eq!(manifest.chunks().len(), blocks.len());
+        let mut out = Vec::new();
+        for (&(cid, len), block) in manifest.chunks().iter().zip(&blocks) {
+            assert_eq!(cid, block.cid());
+            assert_eq!(len as usize, block.data().len());
+            out.extend_from_slice(block.data());
         }
-        asm.assemble().unwrap()
+        out
     }
 
     #[test]
-    fn split_and_reassemble_small() {
+    fn split_covers_the_blob_in_order() {
         let data = b"hello chunked world".to_vec();
         assert_eq!(round_trip(&data, 4), data);
         assert_eq!(round_trip(&data, 1), data);
@@ -325,11 +91,6 @@ mod tests {
         assert!(blocks.is_empty());
         assert_eq!(manifest.total_len(), 0);
         assert_eq!(manifest.chunks().len(), 0);
-        let decoded = Manifest::decode(&manifest.encode()).unwrap();
-        assert_eq!(
-            Reassembly::new(decoded).assemble().unwrap(),
-            Vec::<u8>::new()
-        );
     }
 
     #[test]
@@ -356,81 +117,8 @@ mod tests {
         assert_ne!(ma.chunks()[3], mb.chunks()[3]);
     }
 
-    #[test]
-    fn decode_rejects_malformed_manifests() {
-        assert_eq!(
-            Manifest::decode(b"not a manifest at all"),
-            Err(ChunkError::BadMagic)
-        );
-        assert_eq!(Manifest::decode(&[]), Err(ChunkError::BadMagic));
-        assert_eq!(
-            Manifest::decode(&MANIFEST_MAGIC[..7]),
-            Err(ChunkError::BadMagic)
-        );
-        assert_eq!(
-            Manifest::decode(&MANIFEST_MAGIC),
-            Err(ChunkError::Truncated { needed: 20, got: 8 })
-        );
-
-        let (manifest, _) = split(&[9u8; 100], 32);
-        let good = manifest.encode();
-        // Truncated entry list.
-        assert!(matches!(
-            Manifest::decode(&good[..good.len() - 1]),
-            Err(ChunkError::Truncated { .. })
-        ));
-        // Trailing garbage.
-        let mut long = good.to_vec();
-        long.push(0);
-        assert_eq!(
-            Manifest::decode(&long),
-            Err(ChunkError::TrailingBytes { extra: 1 })
-        );
-        // Total length lies about the chunk sum.
-        let mut lying = good.to_vec();
-        lying[8..16].copy_from_slice(&999u64.to_le_bytes());
-        assert_eq!(
-            Manifest::decode(&lying),
-            Err(ChunkError::LengthMismatch {
-                declared: 999,
-                summed: 100
-            })
-        );
-    }
-
-    #[test]
-    fn fill_verifies_length_and_cid() {
-        let data = vec![5u8; 70];
-        let (manifest, blocks) = split(&data, 32);
-        let mut asm = Reassembly::new(manifest);
-        assert_eq!(
-            asm.fill(0, Bytes::from_static(b"short")),
-            Err(ChunkError::ChunkLenMismatch {
-                index: 0,
-                expected: 32,
-                got: 5
-            })
-        );
-        assert_eq!(
-            asm.fill(0, Bytes::from(vec![6u8; 32])),
-            Err(ChunkError::ChunkCidMismatch { index: 0 })
-        );
-        assert_eq!(
-            asm.fill(9, blocks[0].data().clone()),
-            Err(ChunkError::UnknownChunk { index: 9 })
-        );
-        // A duplicate fill of a verified slot is a no-op, not an error.
-        asm.fill(0, blocks[0].data().clone()).unwrap();
-        asm.fill(0, blocks[0].data().clone()).unwrap();
-        assert_eq!(asm.missing(), 2);
-        assert!(matches!(
-            asm.clone().assemble(),
-            Err(ChunkError::Incomplete { missing: 2 })
-        ));
-    }
-
     proptest! {
-        /// Split/reassemble is byte-identical for arbitrary blob sizes,
+        /// The blocks concatenate back to the blob for arbitrary sizes,
         /// including empty and sub-chunk blobs.
         #[test]
         fn prop_round_trip(
@@ -449,11 +137,7 @@ mod tests {
         ) {
             let (a, _) = split(&data, chunk_size);
             let (b, _) = split(&data, chunk_size);
-            prop_assert_eq!(a.encode(), b.encode());
-            for (cid, _) in a.chunks() {
-                // Every boundary starts at a multiple of chunk_size.
-                prop_assert!(a.chunks().iter().filter(|(c, _)| c == cid).count() >= 1);
-            }
+            prop_assert_eq!(a, b);
         }
 
         /// An unchanged prefix yields identical chunk CIDs across rounds:

@@ -9,9 +9,6 @@
 //!
 //! * [`cid`] / [`block`] — SHA-256 content addressing, integrity-checked
 //!   blocks, a pinning block store.
-//! * [`chunker`] — deterministic fixed-size chunk DAGs: a manifest block
-//!   naming ordered child CIDs, verified out-of-order reassembly, and the
-//!   content-addressing basis for cross-round upload dedup.
 //! * [`kademlia`] — XOR-metric keys, k-bucket routing tables, iterative
 //!   lookups; used for provider-record placement and uniform replica
 //!   allocation.
@@ -38,7 +35,6 @@ pub mod node;
 pub mod wire;
 
 pub use block::{Block, BlockStore};
-pub use chunker::{ChunkError, Manifest, Reassembly};
 pub use cid::Cid;
 pub use kademlia::Key;
 pub use node::{IpfsActor, IpfsNode, IpfsWire, Outgoing, RetryPolicy, Topic, WireEmbed};

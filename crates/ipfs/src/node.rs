@@ -28,7 +28,6 @@ use bytes::Bytes;
 use dfl_netsim::{Actor, Context, Fault, NodeId, SimDuration};
 
 use crate::block::{Block, BlockStore};
-use crate::chunker::{self, Manifest};
 use crate::cid::Cid;
 use crate::kademlia::{closest_nodes, Key};
 use crate::merge::merge_blobs;
@@ -101,20 +100,6 @@ macro_rules! ipfs_wire_schema {
                 4 => Subscribe { topic: Topic },
                 /// Publish to a topic (flooded to all nodes' subscribers).
                 5 => Publish { topic: Topic, data: Bytes },
-                /// Store a chunked blob: `manifest` encodes the chunk DAG
-                /// (ordered child CIDs, see [`crate::chunker::Manifest`]). The
-                /// node answers with [`IpfsWire::ChunkWant`] naming the chunks
-                /// it does not already hold — chunks unchanged since a previous
-                /// round dedup to zero wire bytes.
-                22 => PutChunked { manifest: Bytes, req_id: u64, replicate: usize },
-                /// The chunk bytes a [`IpfsWire::ChunkWant`] asked for. Only
-                /// those ride the wire — this is where cross-round dedup saves
-                /// bytes.
-                24 => ChunkFill { chunks: Vec<Bytes>, req_id: u64 },
-                /// Retrieve one chunk of a chunk DAG. Resolved, retried, and
-                /// failed over exactly like [`IpfsWire::Get`]; answered with
-                /// [`IpfsWire::GetOk`]/[`IpfsWire::GetErr`].
-                25 => GetChunk { cid: Cid, req_id: u64 },
 
                 // -- node → client ------------------------------------------
                 /// Put acknowledged; the data's CID.
@@ -129,14 +114,6 @@ macro_rules! ipfs_wire_schema {
                 10 => MergeErr { reason: String, req_id: u64 },
                 /// A published message on a subscribed topic.
                 11 => Deliver { topic: Topic, data: Bytes, publisher: NodeId },
-                /// Chunked-put negotiation reply: the chunks of the manifest
-                /// the provider is missing (manifest order). Everything absent
-                /// from this list was deduped against the provider's store.
-                23 => ChunkWant { cids: Vec<Cid>, req_id: u64 },
-                /// Chunked put failed: the manifest was malformed, or the fill
-                /// left chunks missing. The client's retransmission machinery
-                /// re-negotiates from the manifest.
-                26 => PutChunkedErr { reason: String, req_id: u64 },
 
                 // -- node ↔ node --------------------------------------------
                 // Retry/failover control traffic (`FindProviders`, `FetchErr`,
@@ -233,20 +210,6 @@ struct FetchAttempt {
     leg: Leg,
 }
 
-/// A chunked upload whose negotiation is waiting for its `ChunkFill`.
-#[derive(Debug)]
-struct ChunkedPut {
-    /// The decoded manifest (validated on arrival).
-    manifest: Manifest,
-    /// The raw manifest bytes, stored as the manifest block on completion.
-    manifest_bytes: Bytes,
-    replicate: usize,
-    /// Chunk CIDs the fill still has to supply.
-    missing: HashSet<Cid>,
-    /// Verified chunks received so far.
-    received: Vec<Block>,
-}
-
 /// An in-progress merge waiting for missing blocks.
 #[derive(Debug)]
 struct PendingMerge {
@@ -274,10 +237,6 @@ pub struct IpfsNode {
     /// Retry/failover state per in-flight retrieval.
     fetches: HashMap<u64, FetchAttempt>,
     merges: HashMap<u64, PendingMerge>,
-    /// Chunked-put negotiations keyed by `(client, client req)` — request
-    /// ids are per-client counters, so the pair is what identifies a
-    /// negotiation.
-    pending_chunked: HashMap<(NodeId, u64), ChunkedPut>,
     next_req: u64,
     policy: RetryPolicy,
     /// Timeouts requested but not yet armed; the hosting actor drains
@@ -316,26 +275,6 @@ pub mod stats {
     pub const RETRACTIONS: &str = "ipfs/retractions";
     /// Retrievals that exhausted every candidate and failed.
     pub const FETCH_FAILURES: &str = "ipfs/fetch_failures";
-    /// Chunked puts (`PutChunked` manifests) received.
-    pub const CHUNK_PUTS: &str = "ipfs/chunk_puts";
-    /// Chunks a chunked-put negotiation skipped because the provider
-    /// already held them (cross-round dedup hits).
-    pub const CHUNKS_DEDUPED: &str = "ipfs/chunks_deduped";
-    /// Wire bytes those deduped chunks did not re-ship.
-    pub const DEDUP_BYTES_SAVED: &str = "ipfs/dedup_bytes_saved";
-    /// Chunks stored from `ChunkFill` payloads.
-    pub const CHUNKS_STORED: &str = "ipfs/chunks_stored";
-    /// `GetChunk` requests received (striped chunk downloads).
-    pub const CHUNK_REQUESTS: &str = "ipfs/chunk_requests";
-    /// `PutChunked` manifests that failed structural validation — remote
-    /// input, booked and answered with `PutChunkedErr`.
-    pub const MALFORMED_MANIFESTS: &str = "ipfs/malformed_manifests";
-    /// `ChunkFill` chunks that hashed to no wanted CID (corrupt,
-    /// duplicated, or unsolicited) and were dropped.
-    pub const CHUNK_REJECTS: &str = "ipfs/chunk_rejects";
-    /// `ChunkFill`s with no matching negotiation (crash-cleared,
-    /// duplicated, or misrouted) — booked and dropped.
-    pub const STRAY_CHUNK_FILLS: &str = "ipfs/stray_chunk_fills";
     /// Replies naming a request this node is not running (forged or
     /// stale `Providers`) — booked and dropped.
     pub const STALE_REPLIES: &str = "ipfs/stale_replies";
@@ -364,7 +303,6 @@ impl IpfsNode {
             pending: HashMap::new(),
             fetches: HashMap::new(),
             merges: HashMap::new(),
-            pending_chunked: HashMap::new(),
             next_req: 0,
             policy: RetryPolicy::default(),
             timer_requests: Vec::new(),
@@ -431,7 +369,6 @@ impl IpfsNode {
         self.pending.clear();
         self.fetches.clear();
         self.merges.clear();
-        self.pending_chunked.clear();
         self.timer_requests.clear();
         self.timer_owner.clear();
     }
@@ -471,16 +408,6 @@ impl IpfsNode {
                 req_id,
                 replicate,
             } => self.on_put(from, data, req_id, replicate),
-            IpfsWire::PutChunked {
-                manifest,
-                req_id,
-                replicate,
-            } => self.on_put_chunked(from, manifest, req_id, replicate),
-            IpfsWire::ChunkFill { chunks, req_id } => self.on_chunk_fill(from, chunks, req_id),
-            IpfsWire::GetChunk { cid, req_id } => {
-                self.bump(stats::CHUNK_REQUESTS);
-                self.on_get(from, cid, req_id)
-            }
             IpfsWire::Unpin { cid, replicate } => self.on_unpin(cid, replicate),
             IpfsWire::UnpinReplica { cid } => {
                 self.store.unpin(&cid);
@@ -600,54 +527,26 @@ impl IpfsNode {
     /// (the same deterministic closest-to-CID nodes `Put` used), collects
     /// garbage, and retracts stale provider records.
     fn on_unpin(&mut self, cid: Cid, replicate: usize) -> Vec<Outgoing> {
-        // If the block is a chunk manifest, release its children too —
-        // once per manifest reference, mirroring the per-reference pins a
-        // chunked put took, so chunks shared with a newer manifest stay
-        // pinned.
-        let children: Vec<Cid> = self
-            .store
-            .get(&cid)
-            .map(|b| b.data().clone())
-            .filter(|d| chunker::is_manifest(d))
-            .and_then(|d| Manifest::decode(&d).ok())
-            .map(|m| m.chunks().iter().map(|&(c, _)| c).collect())
-            .unwrap_or_default();
         self.store.unpin(&cid);
-        for child in &children {
-            self.store.unpin(child);
-        }
         let mut out = Vec::new();
         if replicate > 1 {
-            let mut released = HashSet::new();
-            for target_cid in std::iter::once(cid).chain(children.iter().copied()) {
-                if !released.insert(target_cid) {
-                    continue;
-                }
-                let targets: Vec<NodeId> = closest_nodes(
-                    &self.roster,
-                    &Key::from_u256(target_cid.as_key()),
-                    self.roster.len(),
-                )
-                .into_iter()
-                .filter(|n| *n != self.id)
-                .take(replicate - 1)
-                .collect();
-                for target in targets {
-                    out.push(Outgoing {
-                        to: target,
-                        wire: IpfsWire::UnpinReplica { cid: target_cid },
-                    });
-                }
+            let targets: Vec<NodeId> = closest_nodes(
+                &self.roster,
+                &Key::from_u256(cid.as_key()),
+                self.roster.len(),
+            )
+            .into_iter()
+            .filter(|n| *n != self.id)
+            .take(replicate - 1)
+            .collect();
+            for target in targets {
+                out.push(Outgoing {
+                    to: target,
+                    wire: IpfsWire::UnpinReplica { cid },
+                });
             }
         }
         out.extend(self.gc_and_retract(cid));
-        let mut retracted = HashSet::new();
-        retracted.insert(cid);
-        for child in children {
-            if retracted.insert(child) {
-                out.extend(self.gc_and_retract(child));
-            }
-        }
         out
     }
 
@@ -724,165 +623,6 @@ impl IpfsNode {
         out.push(Outgoing {
             to: from,
             wire: IpfsWire::PutAck { cid, req_id },
-        });
-        out
-    }
-
-    /// First leg of a chunked upload: the client ships only the manifest,
-    /// and the node answers with the subset of chunk CIDs it does not
-    /// already hold. Chunks that survived from a previous round dedup to
-    /// zero wire bytes.
-    fn on_put_chunked(
-        &mut self,
-        from: NodeId,
-        manifest_bytes: Bytes,
-        req_id: u64,
-        replicate: usize,
-    ) -> Vec<Outgoing> {
-        self.bump(stats::CHUNK_PUTS);
-        let manifest = match Manifest::decode(&manifest_bytes) {
-            Ok(m) => m,
-            Err(e) => {
-                // Remotely-supplied bytes: book the malformed manifest and
-                // bounce a typed error instead of trusting the frame.
-                self.bump(stats::MALFORMED_MANIFESTS);
-                return vec![Outgoing {
-                    to: from,
-                    wire: IpfsWire::PutChunkedErr {
-                        reason: e.to_string(),
-                        req_id,
-                    },
-                }];
-            }
-        };
-        let mut missing = Vec::new();
-        let mut seen = HashSet::new();
-        let mut deduped = 0u64;
-        let mut saved = 0u64;
-        for &(cid, len) in manifest.chunks() {
-            if self.store.contains(&cid) {
-                deduped += 1;
-                saved += u64::from(len);
-            } else if seen.insert(cid) {
-                // Deterministic want-list: manifest order, distinct CIDs.
-                missing.push(cid);
-            }
-        }
-        self.bump_by(stats::CHUNKS_DEDUPED, deduped);
-        self.bump_by(stats::DEDUP_BYTES_SAVED, saved);
-        let job = ChunkedPut {
-            manifest,
-            manifest_bytes,
-            replicate,
-            missing: missing.iter().copied().collect(),
-            received: Vec::new(),
-        };
-        if job.missing.is_empty() {
-            return self.finish_chunked_put(from, job, req_id);
-        }
-        // A re-sent PutChunked re-negotiates from scratch; newest wins.
-        self.pending_chunked.insert((from, req_id), job);
-        vec![Outgoing {
-            to: from,
-            wire: IpfsWire::ChunkWant {
-                cids: missing,
-                req_id,
-            },
-        }]
-    }
-
-    /// Second leg: the client delivers the wanted chunk payloads. Each is
-    /// re-hashed — a corrupt chunk names no wanted CID and is rejected
-    /// without trusting the sender.
-    fn on_chunk_fill(&mut self, from: NodeId, chunks: Vec<Bytes>, req_id: u64) -> Vec<Outgoing> {
-        let Some(mut job) = self.pending_chunked.remove(&(from, req_id)) else {
-            // Duplicate or misrouted fill for a negotiation we no longer
-            // track; book it rather than panicking on remote input.
-            self.bump(stats::STRAY_CHUNK_FILLS);
-            return Vec::new();
-        };
-        let mut rejected = 0u64;
-        for data in chunks {
-            let block = Block::new(data);
-            if job.missing.remove(&block.cid()) {
-                job.received.push(block);
-            } else {
-                rejected += 1;
-            }
-        }
-        self.bump_by(stats::CHUNK_REJECTS, rejected);
-        if !job.missing.is_empty() {
-            return vec![Outgoing {
-                to: from,
-                wire: IpfsWire::PutChunkedErr {
-                    reason: format!("{} chunks missing after fill", job.missing.len()),
-                    req_id,
-                },
-            }];
-        }
-        self.finish_chunked_put(from, job, req_id)
-    }
-
-    /// Stores the received chunks plus the manifest block, pins each chunk
-    /// once per manifest reference (so a chunk shared with a still-pinned
-    /// older manifest survives that manifest's unpin), announces provider
-    /// records, pushes replicas, and acks with the manifest CID.
-    fn finish_chunked_put(&mut self, from: NodeId, job: ChunkedPut, req_id: u64) -> Vec<Outgoing> {
-        let manifest_block = Block::new(job.manifest_bytes.clone());
-        let manifest_cid = manifest_block.cid();
-        self.bump_by(stats::CHUNKS_STORED, job.received.len() as u64);
-        if !self.lossy {
-            for block in &job.received {
-                self.store.put(block.clone());
-            }
-            self.store.put(manifest_block);
-            self.store.pin(manifest_cid);
-            for &(cid, _) in job.manifest.chunks() {
-                self.store.pin(cid);
-            }
-        }
-        let mut out = Vec::new();
-        let mut announced = HashSet::new();
-        let all =
-            std::iter::once(manifest_cid).chain(job.manifest.chunks().iter().map(|&(cid, _)| cid));
-        for cid in all {
-            if !announced.insert(cid) {
-                continue;
-            }
-            let holders = self.record_holders(&cid, RECORD_REPLICAS);
-            if holders.contains(&self.id) {
-                let entry = self.records.entry(cid).or_default();
-                if !entry.contains(&self.id) {
-                    entry.push(self.id);
-                }
-            }
-            out.extend(self.announce(cid));
-            if job.replicate > 1 {
-                if let Some(data) = self.store.get(&cid).map(|b| b.data().clone()) {
-                    let targets: Vec<NodeId> = closest_nodes(
-                        &self.roster,
-                        &Key::from_u256(cid.as_key()),
-                        self.roster.len(),
-                    )
-                    .into_iter()
-                    .filter(|n| *n != self.id)
-                    .take(job.replicate - 1)
-                    .collect();
-                    for target in targets {
-                        out.push(Outgoing {
-                            to: target,
-                            wire: IpfsWire::Replicate { data: data.clone() },
-                        });
-                    }
-                }
-            }
-        }
-        out.push(Outgoing {
-            to: from,
-            wire: IpfsWire::PutAck {
-                cid: manifest_cid,
-                req_id,
-            },
         });
         out
     }
@@ -1993,36 +1733,6 @@ mod tests {
                 },
                 1 + (4 + 4) + (4 + 1000) + 8,
             ),
-            (
-                IpfsWire::PutChunked {
-                    manifest: Bytes::from(vec![7u8; 56]),
-                    req_id: 0,
-                    replicate: 2,
-                },
-                1 + (4 + 56) + 8 + 8,
-            ),
-            (
-                IpfsWire::ChunkWant {
-                    cids: vec![Cid::of(b"a"), Cid::of(b"b"), Cid::of(b"c")],
-                    req_id: 0,
-                },
-                1 + (4 + 96) + 8,
-            ),
-            (
-                IpfsWire::ChunkFill {
-                    chunks: vec![Bytes::from(vec![1u8; 300]), Bytes::from(vec![2u8; 50])],
-                    req_id: 0,
-                },
-                1 + 4 + (4 + 300) + (4 + 50) + 8,
-            ),
-            (IpfsWire::GetChunk { cid, req_id: 0 }, 1 + 32 + 8),
-            (
-                IpfsWire::PutChunkedErr {
-                    reason: "bad magic".into(),
-                    req_id: 0,
-                },
-                1 + (4 + 9) + 8,
-            ),
         ];
         for (wire, encoded) in cases {
             assert_eq!(
@@ -2257,229 +1967,6 @@ mod tests {
         // Stored blocks survive a crash; only request state is gone.
         assert!(nodes[0].store().contains(&cid));
         assert!(nodes[1].fetches.is_empty() && nodes[1].pending.is_empty());
-    }
-
-    /// Drives a full chunked upload (PutChunked → ChunkWant → ChunkFill →
-    /// PutAck) of `data` at `node`, returning the manifest CID.
-    fn chunked_put(
-        nodes: &mut [IpfsNode],
-        node: usize,
-        data: &[u8],
-        chunk_size: usize,
-        req_id: u64,
-    ) -> Cid {
-        let (manifest, blocks) = crate::chunker::split(data, chunk_size);
-        let manifest_bytes = manifest.encode();
-        let out = nodes[node].handle(
-            CLIENT,
-            IpfsWire::PutChunked {
-                manifest: manifest_bytes.clone(),
-                req_id,
-                replicate: 1,
-            },
-        );
-        let self_id = nodes[node].id();
-        let mut replies = pump(nodes, out.into_iter().map(|o| (self_id, o)).collect());
-        if let Some((_, IpfsWire::ChunkWant { cids, req_id: r })) = replies.first() {
-            assert_eq!(*r, req_id);
-            let by_cid: HashMap<Cid, Bytes> =
-                blocks.iter().map(|b| (b.cid(), b.data().clone())).collect();
-            let chunks: Vec<Bytes> = cids.iter().map(|c| by_cid[c].clone()).collect();
-            let out = nodes[node].handle(CLIENT, IpfsWire::ChunkFill { chunks, req_id });
-            replies = pump(nodes, out.into_iter().map(|o| (self_id, o)).collect());
-        }
-        match &replies[..] {
-            [(to, IpfsWire::PutAck { cid, req_id: r })] if *to == CLIENT && *r == req_id => *cid,
-            other => panic!("unexpected replies {other:?}"),
-        }
-    }
-
-    #[test]
-    fn chunked_put_stores_manifest_and_chunks_and_serves_gets() {
-        let mut nodes = network(4);
-        let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
-        let manifest_cid = chunked_put(&mut nodes, 0, &data, 100, 1);
-        let (manifest, blocks) = crate::chunker::split(&data, 100);
-        assert_eq!(manifest_cid, Cid::of(&manifest.encode()));
-        assert!(nodes[0].store().contains(&manifest_cid));
-        for block in &blocks {
-            assert!(nodes[0].store().contains(&block.cid()));
-        }
-        // The manifest is retrievable via Get and each chunk via GetChunk.
-        let out = nodes[0].handle(
-            CLIENT,
-            IpfsWire::Get {
-                cid: manifest_cid,
-                req_id: 2,
-            },
-        );
-        let replies = pump(
-            &mut nodes,
-            out.into_iter().map(|o| (NodeId(0), o)).collect(),
-        );
-        match &replies[..] {
-            [(_, IpfsWire::GetOk { data: got, .. })] => assert_eq!(*got, manifest.encode()),
-            other => panic!("unexpected {other:?}"),
-        }
-        let out = nodes[0].handle(
-            CLIENT,
-            IpfsWire::GetChunk {
-                cid: blocks[1].cid(),
-                req_id: 3,
-            },
-        );
-        let replies = pump(
-            &mut nodes,
-            out.into_iter().map(|o| (NodeId(0), o)).collect(),
-        );
-        match &replies[..] {
-            [(_, IpfsWire::GetOk { data: got, .. })] => assert_eq!(got, blocks[1].data()),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn second_chunked_put_dedups_unchanged_chunks() {
-        let mut nodes = network(4);
-        let data: Vec<u8> = vec![9u8; 400];
-        chunked_put(&mut nodes, 0, &data, 100, 1);
-        // Re-upload the identical blob: the node already holds every chunk,
-        // so the want-list is empty and the put completes manifest-only.
-        let (manifest, _) = crate::chunker::split(&data, 100);
-        let out = nodes[0].handle(
-            CLIENT,
-            IpfsWire::PutChunked {
-                manifest: manifest.encode(),
-                req_id: 2,
-                replicate: 1,
-            },
-        );
-        let replies = pump(
-            &mut nodes,
-            out.into_iter().map(|o| (NodeId(0), o)).collect(),
-        );
-        assert!(
-            matches!(&replies[..], [(_, IpfsWire::PutAck { req_id: 2, .. })]),
-            "expected immediate ack, got {replies:?}"
-        );
-        let stats = drained_stats(&mut nodes[0]);
-        // Every chunk of the second upload already sits in the store.
-        assert_eq!(stats[stats::CHUNKS_DEDUPED], 4);
-        assert_eq!(stats[stats::DEDUP_BYTES_SAVED], 400);
-    }
-
-    #[test]
-    fn malformed_manifest_is_rejected_with_typed_error() {
-        let mut nodes = network(3);
-        let out = nodes[0].handle(
-            CLIENT,
-            IpfsWire::PutChunked {
-                manifest: Bytes::from_static(b"not a manifest"),
-                req_id: 7,
-                replicate: 1,
-            },
-        );
-        match &out[..] {
-            [Outgoing {
-                to,
-                wire: IpfsWire::PutChunkedErr { req_id: 7, .. },
-            }] => assert_eq!(*to, CLIENT),
-            other => panic!("unexpected {other:?}"),
-        }
-        let stats = drained_stats(&mut nodes[0]);
-        assert_eq!(stats[stats::MALFORMED_MANIFESTS], 1);
-    }
-
-    #[test]
-    fn corrupt_chunk_fill_is_rejected_not_stored() {
-        let mut nodes = network(3);
-        let data = vec![5u8; 200];
-        let (manifest, _) = crate::chunker::split(&data, 100);
-        let out = nodes[0].handle(
-            CLIENT,
-            IpfsWire::PutChunked {
-                manifest: manifest.encode(),
-                req_id: 1,
-                replicate: 1,
-            },
-        );
-        assert!(matches!(
-            &out[..],
-            [Outgoing {
-                wire: IpfsWire::ChunkWant { .. },
-                ..
-            }]
-        ));
-        // Send garbage instead of the wanted chunk: it hashes to a CID the
-        // node never asked for, so the fill leaves the want-list non-empty.
-        let out = nodes[0].handle(
-            CLIENT,
-            IpfsWire::ChunkFill {
-                chunks: vec![Bytes::from_static(b"corrupted payload")],
-                req_id: 1,
-            },
-        );
-        match &out[..] {
-            [Outgoing {
-                wire: IpfsWire::PutChunkedErr { req_id: 1, .. },
-                ..
-            }] => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        let stats = drained_stats(&mut nodes[0]);
-        assert_eq!(stats[stats::CHUNK_REJECTS], 1);
-        assert!(!nodes[0].store().contains(&Cid::of(b"corrupted payload")));
-    }
-
-    #[test]
-    fn stray_chunk_fill_is_booked_not_fatal() {
-        let mut nodes = network(3);
-        let out = nodes[0].handle(
-            CLIENT,
-            IpfsWire::ChunkFill {
-                chunks: vec![Bytes::from_static(b"nobody asked")],
-                req_id: 99,
-            },
-        );
-        assert!(out.is_empty());
-        let stats = drained_stats(&mut nodes[0]);
-        assert_eq!(stats[stats::STRAY_CHUNK_FILLS], 1);
-    }
-
-    #[test]
-    fn unpinning_a_manifest_releases_its_chunks() {
-        let mut nodes = network(4);
-        let round1: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
-        let cid1 = chunked_put(&mut nodes, 0, &round1, 100, 1);
-        // Round 2 shares the first two chunks with round 1 and changes the
-        // last one. Upload FIRST, then unpin the old manifest — the shared
-        // chunks' per-reference pins must keep them alive.
-        let mut round2 = round1.clone();
-        round2[250] ^= 0xff;
-        let cid2 = chunked_put(&mut nodes, 0, &round2, 100, 2);
-        let o = nodes[0].handle(
-            CLIENT,
-            IpfsWire::Unpin {
-                cid: cid1,
-                replicate: 1,
-            },
-        );
-        pump(&mut nodes, o.into_iter().map(|o| (NodeId(0), o)).collect());
-        let (m1, b1) = crate::chunker::split(&round1, 100);
-        let (_, b2) = crate::chunker::split(&round2, 100);
-        assert_eq!(Cid::of(&m1.encode()), cid1);
-        assert!(!nodes[0].store().contains(&cid1), "old manifest collected");
-        assert!(
-            !nodes[0].store().contains(&b1[2].cid()),
-            "chunk unique to round 1 collected"
-        );
-        for block in &b2 {
-            assert!(
-                nodes[0].store().contains(&block.cid()),
-                "round-2 chunk survived the round-1 unpin"
-            );
-        }
-        assert!(nodes[0].store().contains(&cid2));
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //! - `--overlay-smoke`: CI smoke mode for the aggregation overlay — one
 //!   10k-trainer verifiable round through the branching-8 overlay, with
 //!   the per-node work bounds asserted, skip the artifact write.
-//! - `--dedup-smoke`: CI smoke mode for chunked-storage dedup — the
-//!   frozen-gradient point with the wire-byte reduction asserted, skip
-//!   the artifact write.
 //! - `BENCH_NETSIM_EVENTS`: synthetic trace size (default 1 000 000).
 //! - `BENCH_NETSIM_SCALE`: comma-separated swarm sizes
 //!   (default `2000,5000,10000`).
@@ -26,8 +23,8 @@
 //!   (default `1000,10000,100000`).
 
 use dfl_bench::{
-    churn_sweep, dedup_run, dedup_sweep, netsim_report, netsim_report_json, overlay_point,
-    overlay_sweep, scale_point, scale_sweep,
+    churn_sweep, netsim_report, netsim_report_json, overlay_point, overlay_sweep, scale_point,
+    scale_sweep,
 };
 
 fn print_scale(points: &[dfl_bench::ScalePoint]) {
@@ -76,48 +73,7 @@ fn print_overlay(points: &[dfl_bench::OverlayPoint]) {
     }
 }
 
-fn print_dedup(points: &[dfl_bench::DedupPoint]) {
-    println!(
-        "{:>9} {:>7} {:>11} {:>14} {:>14} {:>7} {:>8} {:>10}",
-        "regime", "rounds", "chunk (B)", "plain tx", "chunked tx", "sent", "deduped", "reduction"
-    );
-    for p in points {
-        println!(
-            "{:>9} {:>7} {:>11} {:>14} {:>14} {:>7} {:>8} {:>9.1}%",
-            p.regime,
-            p.rounds,
-            p.chunk_size,
-            p.plain_tx_bytes,
-            p.chunked_tx_bytes,
-            p.chunks_sent,
-            p.chunks_deduped,
-            p.wire_reduction() * 100.0,
-        );
-    }
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--dedup-smoke") {
-        // CI smoke: chunked storage must save wire bytes when blobs repeat
-        // across rounds — the number recorded in BENCH_netsim.json's
-        // "dedup" section.
-        println!("Chunked-storage dedup smoke (frozen gradients, 3 rounds)");
-        let point = dedup_run(true);
-        print_dedup(std::slice::from_ref(&point));
-        assert!(point.chunks_deduped > 0, "no chunks deduped");
-        assert!(
-            point.wire_reduction() > 0.2,
-            "chunked storage must cut wire bytes on repeated blobs: plain {} vs chunked {}",
-            point.plain_tx_bytes,
-            point.chunked_tx_bytes
-        );
-        println!(
-            "ok: {:.1}% wire bytes saved over {} rounds",
-            point.wire_reduction() * 100.0,
-            point.rounds
-        );
-        return;
-    }
     if std::env::args().any(|a| a == "--overlay-smoke") {
         // CI smoke: one 10k-trainer verifiable round through the overlay.
         // overlay_point asserts completion and the per-node work bounds.
@@ -218,11 +174,7 @@ fn main() {
     let overlay = overlay_sweep(&overlay_sizes);
     print_overlay(&overlay);
 
-    println!("\nChunked-storage dedup (wire bytes, flat vs chunked)");
-    let dedup = dedup_sweep();
-    print_dedup(&dedup);
-
-    let json = netsim_report_json(&profiles, &churn, &scale, &overlay, &dedup);
+    let json = netsim_report_json(&profiles, &churn, &scale, &overlay);
     std::fs::write("BENCH_netsim.json", &json).expect("write BENCH_netsim.json");
     println!("\nwrote BENCH_netsim.json");
 }

@@ -358,18 +358,6 @@ fn try_report(rest: &[String]) -> Result<(), CliError> {
         .map(|b| b.to_string())
         .collect();
     println!("  rx per aggregator            [{}]", per_agg.join(", "));
-    if report.chunks_sent > 0 || report.chunks_deduped > 0 {
-        println!();
-        println!("chunked storage:");
-        println!("  chunks sent                  {}", report.chunks_sent);
-        println!("  chunks deduped               {}", report.chunks_deduped);
-        println!(
-            "  dedup bytes saved            {}",
-            report.dedup_bytes_saved
-        );
-        let stripe: Vec<String> = report.chunk_stripe.iter().map(|n| n.to_string()).collect();
-        println!("  chunk fetches per provider   [{}]", stripe.join(", "));
-    }
 
     if let Some(path) = flags.get("--export-jsonl") {
         let mut out = Vec::new();

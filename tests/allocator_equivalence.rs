@@ -4,10 +4,12 @@
 //! microsecond, every counter, every byte ledger entry — hashes to the
 //! same value under both allocators.
 
+use decentralized_fl::netsim::Simulation;
 use decentralized_fl::prelude::TaskConfig;
 use decentralized_fl::protocol::TaskReport;
 use dfl_bench::{
     fig1_config, fig1_param_count, fig2_config, fig2_param_count, run_network_experiment,
+    run_network_experiment_in,
 };
 
 /// FNV-1a over the full observable run outcome.
@@ -34,11 +36,11 @@ fn trace_hash(report: &TaskReport) -> u64 {
     h
 }
 
-fn run_both(mut cfg: TaskConfig, params: usize) -> (u64, usize, u64, usize) {
-    cfg.reference_allocator = false;
+fn run_both(cfg: TaskConfig, params: usize) -> (u64, usize, u64, usize) {
     let fast = run_network_experiment(cfg.clone(), params);
-    cfg.reference_allocator = true;
-    let slow = run_network_experiment(cfg, params);
+    let mut reference = Simulation::new();
+    reference.set_reference_allocator(true);
+    let slow = run_network_experiment_in(reference, cfg, params);
     (
         trace_hash(&fast),
         fast.trace.events().len(),

@@ -99,32 +99,6 @@ fn healthy_run_conserves_bytes_with_no_waste() {
 }
 
 #[test]
-fn chunked_mode_conserves_bytes_with_no_waste() {
-    // Chunked storage replaces every Put/Get payload with PutChunked /
-    // ChunkWant / ChunkFill / GetChunk frames; each of those must land in
-    // the same tx/rx ledgers as the flat wires they replace.
-    let mut c = cfg();
-    c.rounds = 2;
-    c.chunked_storage = true;
-    c.chunk_size = 256;
-    let report = run(c.clone());
-    assert!(report.succeeded(&c));
-    assert_conserved(&report);
-    let trace = &report.trace;
-    assert_eq!(trace.total_bytes_sent(), trace.total_bytes_received());
-    assert_eq!(report.wire_wasted_bytes, 0);
-    assert!(report.chunks_sent > 0, "chunked uploads must ship chunks");
-    // Pin the healthy chunked run's total wire cost. The simulation is
-    // deterministic, so any drift means the chunked wire protocol (or its
-    // byte accounting) changed and the recorded artifacts must be
-    // regenerated alongside this value.
-    assert_eq!(
-        report.total_tx_bytes, 93_782,
-        "chunked-mode wire bytes drifted from the pinned value"
-    );
-}
-
-#[test]
 fn crash_and_recover_mid_round_conserves_bytes() {
     // Storage node 1 crashes at 90 ms — mid-fetch, with gradient transfers
     // in flight in both directions — and recovers at 4 s.

@@ -1,0 +1,109 @@
+//! Every combination of the protocol-mode switches that
+//! [`TaskConfig::validate`] accepts, in all three communication modes: a
+//! two-round task on a deployment small enough that the whole matrix is a
+//! tier-1 test. Whatever `validate` lets through must complete its rounds,
+//! leave every trainer with the same model, and balance the byte ledger.
+//!
+//! One test per communication mode, so the harness runs them side by side.
+
+use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};
+use decentralized_fl::netsim::trace::net;
+use decentralized_fl::prelude::*;
+
+const TRAINERS: usize = 3;
+
+/// Combinations `validate()` accepts per communication mode: 16 without
+/// commitments (`authenticate` × `compact_registration` × `min_quorum` ×
+/// `aggregators_per_partition`), 128 verifiable and flat, 32 through the
+/// overlay (one aggregator per partition, no `trainer_verifies`). A change
+/// to `validate()` or to the switches moves this on purpose or not at all.
+const VALID_PER_COMM: usize = 16 + 128 + 32;
+
+/// The nine switches, one bit each.
+fn configure(bits: u32, comm: CommMode) -> Result<TaskConfig, IplsError> {
+    let on = |bit: u32| bits & (1 << bit) != 0;
+    TaskConfig::builder()
+        .trainers(TRAINERS)
+        .partitions(2)
+        .ipfs_nodes(2)
+        .providers_per_aggregator(2)
+        .rounds(2)
+        .seed(18)
+        .comm(comm)
+        .verifiable(on(0))
+        .authenticate(on(1))
+        .accountability(on(2))
+        .trainer_verifies(on(3))
+        .batch_verify(on(4))
+        .compact_registration(on(5))
+        .min_quorum(on(6).then_some(TRAINERS - 1))
+        .aggregators_per_partition(if on(7) { 2 } else { 1 })
+        .overlay_branching(on(8).then_some(2))
+        .build()
+}
+
+/// Runs every accepted combination under `comm` and returns how many ran.
+fn run_matrix(comm: CommMode) -> usize {
+    // 4 parameters: two 2-element partitions.
+    let model = LogisticRegression::new(1, 2);
+    let dataset = data::make_blobs(30, 1, 2, 0.5, 4);
+    let clients = data::partition_iid(&dataset, TRAINERS, 2);
+    let sgd = SgdConfig {
+        lr: 0.3,
+        batch_size: 8,
+        epochs: 1,
+        clip: None,
+    };
+    let mut ran = 0;
+    for bits in 0..1u32 << 9 {
+        let Ok(cfg) = configure(bits, comm) else {
+            continue; // a combination validate() rejects
+        };
+        let what = format!("{comm:?} switches {bits:#011b}");
+        let report = run_task(
+            cfg.clone(),
+            model.clone(),
+            model.params(),
+            clients.clone(),
+            sgd,
+            &[],
+        )
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(report.succeeded(&cfg), "{what}: a round did not complete");
+        assert!(
+            report.consensus_params().is_some(),
+            "{what}: trainers disagree"
+        );
+        let trace = &report.trace;
+        assert_eq!(
+            trace.total_bytes_sent(),
+            trace.total_bytes_received(),
+            "{what}: bytes leaked"
+        );
+        for label in [
+            net::FLOW_TORN_INBOUND,
+            net::FLOW_TORN_OUTBOUND,
+            net::FLOW_UNDELIVERED,
+        ] {
+            assert_eq!(trace.count(label), 0, "{what}: {label}");
+        }
+        ran += 1;
+    }
+    println!("mode matrix, {comm:?}: {ran} valid combinations ran");
+    ran
+}
+
+#[test]
+fn every_valid_combination_completes_agrees_and_conserves_bytes_direct() {
+    assert_eq!(run_matrix(CommMode::Direct), VALID_PER_COMM);
+}
+
+#[test]
+fn every_valid_combination_completes_agrees_and_conserves_bytes_indirect() {
+    assert_eq!(run_matrix(CommMode::Indirect), VALID_PER_COMM);
+}
+
+#[test]
+fn every_valid_combination_completes_agrees_and_conserves_bytes_merge_and_download() {
+    assert_eq!(run_matrix(CommMode::MergeAndDownload), VALID_PER_COMM);
+}

@@ -17,7 +17,6 @@
 use bytes::Bytes;
 use decentralized_fl::ipfs::wire::{WireCost, TRANSPORT_OVERHEAD_BYTES};
 use decentralized_fl::ipfs::{Cid, IpfsWire};
-use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};
 use decentralized_fl::prelude::*;
 use decentralized_fl::protocol::{Msg, TaskReport};
 use dfl_bench::{churn_config, churn_param_count, fig1_config, fig2_config};
@@ -269,7 +268,7 @@ fn corrupted_and_random_input_is_an_error_or_a_message_never_a_panic() {
 #[test]
 fn unknown_tags_bad_flags_and_bad_utf8_are_rejected() {
     assert!(Msg::decode(&[19]).is_err(), "unknown Msg tag");
-    assert!(Msg::decode(&[0, 27]).is_err(), "unknown IpfsWire tag");
+    assert!(Msg::decode(&[0, 22]).is_err(), "unknown IpfsWire tag");
     // UpdateInfo { partition, iter, cid: Option<Cid> } with presence byte 2.
     let mut bytes = encode(&Msg::UpdateInfo {
         partition: 1,
@@ -315,7 +314,7 @@ fn outcome(r: &TaskReport) -> String {
     let mut counters: Vec<_> = r.trace.counters().collect();
     counters.sort_unstable();
     format!(
-        "model {:016x} rounds {} report {:?} stripe {:?} counters {:?} events {}",
+        "model {:016x} rounds {} report {:?} counters {:?} events {}",
         model_hash(r),
         r.completed_rounds,
         (
@@ -326,50 +325,10 @@ fn outcome(r: &TaskReport) -> String {
             r.detections,
             r.evictions,
             r.recovered_rounds,
-            r.chunks_sent,
-            r.chunks_deduped,
         ),
-        r.chunk_stripe,
         counters,
         r.trace.events().len(),
     )
-}
-
-/// The tests/chunked_storage.rs / tests/byte_conservation.rs deployment
-/// with chunked storage on and storage node 1 crashing mid-round.
-fn chunked_crash_run() -> TaskReport {
-    let cfg = TaskConfig::builder()
-        .trainers(6)
-        .partitions(2)
-        .aggregators_per_partition(1)
-        .ipfs_nodes(4)
-        .comm(CommMode::Indirect)
-        .rounds(2)
-        .seed(77)
-        .replication(2)
-        .chunked_storage(true)
-        .chunk_size(256)
-        .t_train(SimDuration::from_secs(20))
-        .t_sync(SimDuration::from_secs(40))
-        .fetch_timeout(SimDuration::from_secs(2))
-        .fault_plan(
-            FaultPlan::new()
-                .crash_at(SimTime::from_micros(90_000), NodeId(1))
-                .recover_at(SimTime::from_micros(4_000_000), NodeId(1)),
-        )
-        .build()
-        .unwrap();
-    let dataset = data::make_blobs(120, 3, 2, 0.5, 4);
-    let clients = data::partition_iid(&dataset, 6, 2);
-    let model = LogisticRegression::new(3, 2);
-    let params = model.params();
-    let sgd = SgdConfig {
-        lr: 0.3,
-        batch_size: 16,
-        epochs: 1,
-        clip: None,
-    };
-    run_task(cfg, model, params, clients, sgd, &[]).expect("valid config")
 }
 
 /// The `dfl_bench::churn_run(4 s, 10 s, 42)` point, as a full report.
@@ -406,7 +365,6 @@ fn scenario_outcomes_are_what_they_were_under_the_hand_kept_size_model() {
             "fig2-verifiable",
             dfl_bench::run_network_experiment(verifiable, 1_024),
         ),
-        ("chunked-crash", chunked_crash_run()),
         ("churn", churn_run()),
     ];
     for ((name, report), pinned) in runs.iter().zip(PINNED_OUTCOMES) {
@@ -416,10 +374,9 @@ fn scenario_outcomes_are_what_they_were_under_the_hand_kept_size_model() {
 
 /// Captured at the commit before the schema, where sizes still came from
 /// the hand-kept `wire_bytes()` match blocks.
-const PINNED_OUTCOMES: [&str; 5] = [
-    r#"model fcf70b3fcd707f85 rounds 1 report (0, 0, 0, 0, 0, 0, 0, 0, 0) stripe [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] counters [("ipfs/cache_hits", 17), ("ipfs/cache_misses", 15), ("ipfs/provider_lookups", 15)] events 88"#,
-    r#"model e1478006cb71bb25 rounds 1 report (0, 0, 0, 0, 0, 0, 0, 0, 0) stripe [0, 0, 0, 0, 0, 0, 0, 0] counters [("ipfs/cache_hits", 72), ("ipfs/cache_misses", 56), ("ipfs/provider_lookups", 56)] events 132"#,
-    r#"model e1478006cb71bb25 rounds 1 report (0, 0, 0, 0, 0, 0, 0, 0, 0) stripe [0, 0, 0, 0, 0, 0, 0, 0] counters [("blobs_verified", 68), ("ipfs/cache_hits", 79), ("ipfs/cache_misses", 53), ("ipfs/provider_lookups", 53)] events 132"#,
-    r#"model a5aadd9e2c14874d rounds 2 report (0, 0, 0, 0, 0, 0, 0, 28, 0) stripe [22, 21, 4, 4] counters [("chunks_sent", 28), ("ipfs/cache_hits", 66), ("ipfs/cache_misses", 39), ("ipfs/chunk_puts", 28), ("ipfs/chunk_requests", 53), ("ipfs/chunks_stored", 28), ("ipfs/failovers", 2), ("ipfs/provider_lookups", 39), ("ipfs/retries", 6)] events 257"#,
-    r#"model d02aafacf61f1cb9 rounds 3 report (0, 0, 0, 0, 0, 0, 0, 0, 0) stripe [0, 0, 0, 0] counters [("ipfs/cache_hits", 50), ("ipfs/cache_misses", 32), ("ipfs/failovers", 12), ("ipfs/fetch_failures", 4), ("ipfs/provider_lookups", 32), ("ipfs/retries", 8)] events 260"#,
+const PINNED_OUTCOMES: [&str; 4] = [
+    r#"model fcf70b3fcd707f85 rounds 1 report (0, 0, 0, 0, 0, 0, 0) counters [("ipfs/cache_hits", 17), ("ipfs/cache_misses", 15), ("ipfs/provider_lookups", 15)] events 88"#,
+    r#"model e1478006cb71bb25 rounds 1 report (0, 0, 0, 0, 0, 0, 0) counters [("ipfs/cache_hits", 72), ("ipfs/cache_misses", 56), ("ipfs/provider_lookups", 56)] events 132"#,
+    r#"model e1478006cb71bb25 rounds 1 report (0, 0, 0, 0, 0, 0, 0) counters [("blobs_verified", 68), ("ipfs/cache_hits", 79), ("ipfs/cache_misses", 53), ("ipfs/provider_lookups", 53)] events 132"#,
+    r#"model d02aafacf61f1cb9 rounds 3 report (0, 0, 0, 0, 0, 0, 0) counters [("ipfs/cache_hits", 50), ("ipfs/cache_misses", 32), ("ipfs/failovers", 12), ("ipfs/fetch_failures", 4), ("ipfs/provider_lookups", 32), ("ipfs/retries", 8)] events 260"#,
 ];
