@@ -1,6 +1,6 @@
 //! Ablation: multi-scalar-multiplication strategy for Pedersen commitment
-//! computation — naive double-and-add (the paper's implementation), per-
-//! term wNAF, Jacobian Pippenger buckets (the multi-exponentiation
+//! computation — naive double-and-add (the paper's implementation),
+//! interleaved wNAF, Jacobian Pippenger buckets (the multi-exponentiation
 //! optimization the paper cites as future work [27, 28]), batch-affine
 //! Pippenger, and the precomputed fixed-base table.
 //!

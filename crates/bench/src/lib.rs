@@ -499,19 +499,30 @@ impl VerifiableRoundPoint {
     }
 }
 
-/// Measures one verifiable round of `trainers` × `elements` on the
-/// protocol curve. Each trainer's vector is the shared base plus one
-/// distinct single-element bump, so its commitment is built homomorphically
-/// (base commit ⊕ one single-generator mul) — setup stays O(trainers)
-/// scalar muls and the timed spans cover verification only.
-pub fn verifiable_round_point(trainers: usize, elements: usize) -> VerifiableRoundPoint {
+/// One verifiable round's inputs on the protocol curve
+/// ([`verifiable_round_inputs`]).
+pub struct VerifiableRound {
+    /// The task's commitment key, table attached.
+    pub key: CommitKey<Secp256k1>,
+    /// One opening vector per trainer.
+    pub vectors: Vec<Vec<Scalar<Secp256k1>>>,
+    /// The commitment each vector opens.
+    pub commitments: Vec<Commitment<Secp256k1>>,
+}
+
+/// `trainers` opening vectors of `elements` scalars and their commitments
+/// under a precomputed key. Each trainer's vector is the shared base plus
+/// one distinct single-element bump, so its commitment is built
+/// homomorphically (base commit ⊕ one single-generator mul) — setup stays
+/// O(trainers) scalar muls.
+pub fn verifiable_round_inputs(trainers: usize, elements: usize) -> VerifiableRound {
     let mut key = CommitKey::<Secp256k1>::setup(elements, b"bench-verifiable-round");
     key.precompute();
     let base = deterministic_scalars::<Secp256k1>(elements);
     let base_commit = key.commit(&base);
 
     let mut vectors: Vec<Vec<Scalar<Secp256k1>>> = Vec::with_capacity(trainers);
-    let mut commits: Vec<Commitment<Secp256k1>> = Vec::with_capacity(trainers);
+    let mut commitments: Vec<Commitment<Secp256k1>> = Vec::with_capacity(trainers);
     for i in 0..trainers {
         let k = i % elements;
         let delta = Scalar::<Secp256k1>::from_u64(0x9E37u64.wrapping_mul(i as u64) & 0xFF_FFFF | 1);
@@ -519,8 +530,23 @@ pub fn verifiable_round_point(trainers: usize, elements: usize) -> VerifiableRou
         values[k] += delta;
         let bump = key.generators()[k].mul(&delta);
         vectors.push(values);
-        commits.push(Commitment::from_point(base_commit.point().add(&bump)));
+        commitments.push(Commitment::from_point(base_commit.point().add(&bump)));
     }
+    VerifiableRound {
+        key,
+        vectors,
+        commitments,
+    }
+}
+
+/// Measures one verifiable round of [`verifiable_round_inputs`]; the timed
+/// spans cover verification only.
+pub fn verifiable_round_point(trainers: usize, elements: usize) -> VerifiableRoundPoint {
+    let VerifiableRound {
+        key,
+        vectors,
+        commitments: commits,
+    } = verifiable_round_inputs(trainers, elements);
 
     let per_blob_ms = time_ms(|| {
         for (values, commitment) in vectors.iter().zip(&commits) {

@@ -66,8 +66,11 @@ pub struct Trainer<M: Model> {
     iter: u64,
     round_start: SimTime,
     finished: bool,
-    /// Blob + commitment per partition for the current round.
-    blobs: HashMap<usize, (Bytes, Option<[u8; 33]>)>,
+    /// Blob + commitment per partition for the current round. The
+    /// commitment stays a point until it is sent: serialising costs a field
+    /// inversion and parsing back a square root, and an overlay node
+    /// combines its own with its children's before anything goes out.
+    blobs: HashMap<usize, (Bytes, Option<ProtocolCommitment>)>,
     /// Put request id → partition awaiting its ack.
     pending_acks: HashMap<u64, usize>,
     acked: usize,
@@ -238,9 +241,7 @@ impl<M: Model> Trainer<M> {
             let blob = Bytes::from(build_blob(&new_params[s..e]));
             let commitment = self.key.as_ref().map(|key| {
                 commit_elements += (e - s + 1) as u64;
-                commit_blob(key, &blob)
-                    .expect("locally built blob is well-formed")
-                    .to_bytes()
+                commit_blob(key, &blob).expect("locally built blob is well-formed")
             });
             self.blobs.insert(i, (blob, commitment));
         }
@@ -273,6 +274,7 @@ impl<M: Model> Trainer<M> {
             CommMode::Direct => {
                 for i in 0..self.topo.config().partitions {
                     let (blob, commitment) = &self.blobs[&i];
+                    let commitment = commitment.map(|c| c.to_bytes());
                     let j = self.topo.agg_for_trainer(i, self.t);
                     let to = self.topo.aggregator(self.topo.agg_index(i, j));
                     let msg = Msg::DirectGradient {
@@ -286,13 +288,13 @@ impl<M: Model> Trainer<M> {
                     // so the aggregation-delay metric and the verification
                     // path work identically across communication modes.
                     let cid = Cid::of(blob);
-                    let signature = self.sign_registration(i, &cid, commitment);
+                    let signature = self.sign_registration(i, &cid, &commitment);
                     let register = Msg::RegisterGradient {
                         trainer: self.t,
                         partition: i,
                         iter: self.iter,
                         cid,
-                        commitment: *commitment,
+                        commitment,
                         signature,
                     };
                     out.send(self.topo.directory(), register);
@@ -431,10 +433,7 @@ impl<M: Model> Trainer<M> {
         let mut commits = Vec::with_capacity(1 + candidates.len());
         let mut count = 1u64;
         grads.push(decode_blob(&own_blob).expect("locally built blob is well-formed"));
-        commits.push(
-            ProtocolCommitment::from_bytes(&own_commitment)
-                .expect("locally built commitment is a curve point"),
-        );
+        commits.push(own_commitment);
         for (i, (child, blob, child_count, point)) in candidates.iter().enumerate() {
             if culprits.contains(&i) {
                 out.record(labels::OVERLAY_CHILD_REJECTED, *child as f64);
@@ -655,7 +654,7 @@ impl<M: Model> Trainer<M> {
             return;
         };
         self.uploads.push((target, cid));
-        let commitment = self.blobs[&partition].1;
+        let commitment = self.blobs[&partition].1.map(|c| c.to_bytes());
         if self.topo.config().compact_registration {
             // Accumulate; one batched registration goes out with the last
             // acknowledgment (§VI directory-load reduction).

@@ -8,8 +8,11 @@
 //! * [`Strategy::Naive`] — one plain double-and-add per term, summed. This
 //!   models the paper's "rather straight-forward" Bouncy Castle
 //!   implementation and is the baseline in the `ablate_msm` bench.
-//! * [`Strategy::Wnaf`] — per-term width-5 wNAF ladder; a modest
-//!   constant-factor improvement.
+//! * [`Strategy::Wnaf`] — interleaved width-5 wNAF (Straus): every term's
+//!   signed digits walked down **one** shared doubling chain, adding from
+//!   per-point affine odd multiples `1P, 3P … 15P`. `n` terms cost one
+//!   ladder's doublings instead of `n` ladders'; the kernel for a handful
+//!   of points, where bucket set-up dominates.
 //! * [`Strategy::Pippenger`] — bucket method with an adaptive window and
 //!   Jacobian bucket accumulation, the multi-exponentiation optimization
 //!   the paper cites as future work ([Möller '01; Borges et al. '17]).
@@ -22,7 +25,10 @@
 //!   (`2^(w·c)·Pᵢ`) built once per point set collapse the entire MSM into a
 //!   **single** batch-affine bucket pass with no doubling chain at all.
 //!   This is the commitment fast path; [`crate::pedersen::CommitKey`]
-//!   builds one per task.
+//!   builds one per task. A small point set's table also keeps the odd
+//!   multiples and takes the interleaved walk over them whenever the
+//!   scalars in the call are short enough that the bucket pass's fixed
+//!   cost (running sum, shared inversions) exceeds the whole walk.
 //!
 //! **Cost follows the scalar's real length.** Every kernel but the naive
 //! baseline reads digits from the scalar's *centred* representative (`k`
@@ -56,7 +62,7 @@
 //! ```
 
 use crate::bigint::U256;
-use crate::curve::{Affine, Curve, Jacobian, Scalar};
+use crate::curve::{wnaf_digits, Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
 
 /// `true` when the crate was built with the `rayon` feature, i.e. when
@@ -71,15 +77,15 @@ pub const fn parallel_enabled() -> bool {
 pub enum Strategy {
     /// Independent binary double-and-add per term (the paper's baseline).
     Naive,
-    /// Per-term width-5 wNAF ladder.
+    /// Interleaved width-5 wNAF: one doubling chain shared by all terms.
     Wnaf,
     /// Bucket method with Jacobian bucket accumulation.
     Pippenger,
     /// Bucket method with batch-affine bucket accumulation.
     BatchAffine,
-    /// Pick by input size: wNAF for small inputs (where bucket setup
-    /// dominates), batch-affine Pippenger otherwise — or the precomputed
-    /// table when one is attached via [`Msm::with_table`].
+    /// Pick by input size: interleaved wNAF for small inputs (where bucket
+    /// setup dominates), batch-affine Pippenger otherwise — or the
+    /// precomputed table when one is attached via [`Msm::with_table`].
     #[default]
     Auto,
 }
@@ -156,19 +162,24 @@ impl<'a, C: Curve> Msm<'a, C> {
         );
         match self.strategy {
             Strategy::Naive => naive(self.points, scalars),
-            Strategy::Wnaf => wnaf(self.points, scalars),
+            Strategy::Wnaf => self.run_wnaf(scalars),
             Strategy::Pippenger => pippenger_jacobian(self.points, scalars),
             Strategy::BatchAffine => self.run_batch_affine(scalars),
             Strategy::Auto => {
                 if let Some(table) = self.table {
                     table.eval_parallel(scalars, self.parallel)
                 } else if self.points.len() < 32 {
-                    wnaf(self.points, scalars)
+                    self.run_wnaf(scalars)
                 } else {
                     self.run_batch_affine(scalars)
                 }
             }
         }
+    }
+
+    fn run_wnaf(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
+        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
+        interleaved_wnaf(&odd_multiples(self.points), &centred)
     }
 
     fn run_batch_affine(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
@@ -202,14 +213,26 @@ impl<'a, C: Curve> Msm<'a, C> {
 /// summed in affine coordinates with a shared batched inversion per round
 /// ([`Fp::batch_invert`]).
 ///
+/// That pass has a fixed cost whatever the scalars' length — the running
+/// sum and two to four shared inversions (`bucket_pass_muls`) — which for
+/// a small point set and short scalars is more than a whole interleaved
+/// wNAF walk (`interleaved_walk_muls`). A table over a point set small
+/// enough for that to happen also keeps each base's affine odd multiples
+/// `1P, 3P … 15P`, and [`MsmTable::eval`] walks them instead whenever the
+/// operation counts say so for the call's `n` and longest magnitude.
+///
 /// Build cost is ~256 doublings per point (about one naive scalar
 /// multiplication per point) plus one batch normalization, paid once per
-/// task; memory is `⌈256/c⌉` affine points per base point.
+/// task; memory is `⌈256/c⌉` affine points per base point (plus 8 where
+/// the odd multiples are kept).
 #[derive(Clone, Debug)]
 pub struct MsmTable<C: Curve> {
     window: usize,
     digits: usize,
     shifts: Vec<Affine<C>>,
+    /// [`odd_multiples`] of the base points, or empty when the point set is
+    /// too large for the interleaved walk to win a call worth planning for.
+    odd: Vec<Affine<C>>,
 }
 
 impl<C: Curve> MsmTable<C> {
@@ -241,10 +264,18 @@ impl<C: Curve> MsmTable<C> {
                 jac.push(cur);
             }
         }
+        let n = points.len();
+        let walk_can_win = interleaved_walk_muls(n, SHORTEST_PLANNED_BITS)
+            < bucket_pass_muls(n, SHORTEST_PLANNED_BITS, window);
         MsmTable {
             window,
             digits,
             shifts: Jacobian::batch_normalize(&jac),
+            odd: if walk_can_win {
+                odd_multiples(points)
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -283,7 +314,7 @@ impl<C: Curve> MsmTable<C> {
 
     /// Approximate heap footprint in bytes (for capacity planning).
     pub fn memory_bytes(&self) -> usize {
-        self.shifts.len() * std::mem::size_of::<Affine<C>>()
+        (self.shifts.len() + self.odd.len()) * std::mem::size_of::<Affine<C>>()
     }
 
     /// Evaluates `Σ kᵢ·Pᵢ` over the first `scalars.len()` base points.
@@ -315,15 +346,28 @@ impl<C: Curve> MsmTable<C> {
     }
 
     /// Serial kernel over the scalar index range `range`: one bucket pass
-    /// over every (point, nonzero digit) pair, then a single running sum.
+    /// over every (point, nonzero digit) pair, then a single running sum —
+    /// or, where the odd multiples are kept and the operation counts for
+    /// this many scalars of this length favour it, the interleaved walk.
     /// Digits come from the scalar's centred representative
     /// ([`Fp::to_centred`]): a negative one selects the *negated* shift
     /// (one field subtraction in affine), and the row walk stops at the
     /// magnitude's top digit.
     fn eval_chunk(&self, scalars: &[Scalar<C>], range: std::ops::Range<usize>) -> Jacobian<C> {
+        let centred: Vec<(bool, U256)> = scalars[range.clone()]
+            .iter()
+            .map(|k| k.to_centred())
+            .collect();
+        let bits = centred.iter().map(|(_, m)| m.bit_len()).max().unwrap_or(0);
+        if !self.odd.is_empty()
+            && interleaved_walk_muls(centred.len(), bits)
+                < bucket_pass_muls(centred.len(), bits, self.window)
+        {
+            let rows = range.start * ODD_MULTIPLES..range.end * ODD_MULTIPLES;
+            return interleaved_wnaf(&self.odd[rows], &centred);
+        }
         let mut buckets: Vec<Vec<Affine<C>>> = vec![Vec::new(); (1 << self.window) - 1];
-        for i in range {
-            let (negative, magnitude) = scalars[i].to_centred();
+        for (i, (negative, magnitude)) in range.zip(centred) {
             let used = magnitude.bit_len().div_ceil(self.window);
             let row = &self.shifts[i * self.digits..i * self.digits + used];
             for (w, shift) in row.iter().enumerate() {
@@ -360,11 +404,84 @@ fn naive<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
     acc
 }
 
-/// Per-term width-5 wNAF ladder, summed.
-fn wnaf<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
+/// Digit width of the interleaved wNAF kernel: digits are odd, below
+/// `2^(WNAF_WIDTH − 1)` in magnitude, and on average one position in
+/// `WNAF_WIDTH + 1` holds one.
+const WNAF_WIDTH: u32 = 5;
+
+/// Odd multiples `1P, 3P … 15P` the kernel keeps per point.
+const ODD_MULTIPLES: usize = 1 << (WNAF_WIDTH - 2);
+
+/// The odd multiples of every point, [`ODD_MULTIPLES`] consecutive entries
+/// per point, brought to affine with one shared inversion.
+fn odd_multiples<C: Curve>(points: &[Affine<C>]) -> Vec<Affine<C>> {
+    let mut multiples = Vec::with_capacity(points.len() * ODD_MULTIPLES);
+    for p in points {
+        let mut cur = p.to_jacobian();
+        let twice = cur.double();
+        multiples.push(cur);
+        for _ in 1..ODD_MULTIPLES {
+            cur = cur.add(&twice);
+            multiples.push(cur);
+        }
+    }
+    Jacobian::batch_normalize(&multiples)
+}
+
+/// Field multiplications, by operation count, of [`interleaved_wnaf`] over
+/// `n` scalars of at most `bits` bits: a Jacobian doubling (≈ 10) per bit
+/// and a mixed addition (≈ 11) per non-zero digit.
+fn interleaved_walk_muls(n: usize, bits: usize) -> usize {
+    10 * bits + 11 * n * bits.div_ceil(WNAF_WIDTH as usize + 1)
+}
+
+/// Field multiplications of one [`MsmTable`] bucket pass with a `window`-bit
+/// table over the same input: a batch-affine addition (≈ 6) per table digit,
+/// and — whatever the scalars' length — a mixed plus a full addition (≈ 28)
+/// per bucket of the running sum and about three Fermat inversions (≈ 500
+/// each), one per batch-affine round. Against the clock the two counts
+/// cross where the kernels do for n ≤ 64 (n = 33: ≈ 90 bits either way);
+/// from there to the few hundred bases that still keep odd multiples the
+/// pass runs a little cheaper than counted, so a call within a few bits of
+/// the crossing can take the walk at a loss of under a tenth.
+fn bucket_pass_muls(n: usize, bits: usize, window: usize) -> usize {
+    6 * n * bits.div_ceil(window) + 28 * ((1 << window) - 1) + 3 * 500
+}
+
+/// The shortest call a table is planned for: one whose longest entry is a
+/// single fixed-point unit ([`crate::quantize::SCALE`]). A point set on
+/// which the walk loses even that call gets no odd multiples.
+const SHORTEST_PLANNED_BITS: usize = crate::quantize::FRACTIONAL_BITS as usize + 1;
+
+/// Interleaved width-5 wNAF (Straus): `Σ ±|kᵢ|·Pᵢ` over centred
+/// `(negative, magnitude)` scalars and the points' [`odd_multiples`].
+/// Every magnitude's signed digits ride one doubling chain as long as the
+/// longest of them, each non-zero digit costing one mixed addition of a
+/// stored multiple (negated for a negative digit or scalar, not both).
+/// With one term this is the classic wNAF ladder.
+fn interleaved_wnaf<C: Curve>(odd: &[Affine<C>], centred: &[(bool, U256)]) -> Jacobian<C> {
+    let digits: Vec<Vec<i8>> = centred
+        .iter()
+        .map(|(_, magnitude)| wnaf_digits(magnitude, WNAF_WIDTH))
+        .collect();
+    let longest = digits.iter().map(Vec::len).max().unwrap_or(0);
     let mut acc = Jacobian::identity();
-    for (p, k) in points.iter().zip(scalars) {
-        acc = acc.add(&p.mul(k));
+    for position in (0..longest).rev() {
+        acc = acc.double();
+        let rows = odd.chunks_exact(ODD_MULTIPLES);
+        for ((row, naf), (negative, _)) in rows.zip(&digits).zip(centred) {
+            match naf.get(position) {
+                None | Some(0) => {}
+                Some(&digit) => {
+                    let multiple = row[usize::from(digit.unsigned_abs()) / 2];
+                    acc = acc.add_affine(&if (digit < 0) != *negative {
+                        multiple.negate()
+                    } else {
+                        multiple
+                    });
+                }
+            }
+        }
     }
     acc
 }
@@ -815,6 +932,27 @@ mod tests {
         assert_eq!(table.base_point(5).unwrap(), points[5]);
         assert!(table.base_point(6).is_none());
         assert!(table.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn selection_rule_follows_the_operation_counts() {
+        // 33 bases: short openings walk, ≈ 170-bit RLC sums take the
+        // buckets; the counts cross near 90 bits.
+        let c = MsmTable::<C>::suggested_window(33);
+        assert!(interleaved_walk_muls(33, 40) < bucket_pass_muls(33, 40, c));
+        assert!(interleaved_walk_muls(33, 170) > bucket_pass_muls(33, 170, c));
+        let (points, _) = random_instance(33, 33);
+        assert_eq!(MsmTable::build(&points).odd.len(), 33 * ODD_MULTIPLES);
+        // Thousands of bases lose even the shortest planned call, so their
+        // table keeps no odd multiples and never walks.
+        for n in [600, 8_193, 65_537] {
+            let c = MsmTable::<C>::suggested_window(n);
+            assert!(
+                interleaved_walk_muls(n, SHORTEST_PLANNED_BITS)
+                    > bucket_pass_muls(n, SHORTEST_PLANNED_BITS, c),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

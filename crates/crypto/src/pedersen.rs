@@ -385,26 +385,33 @@ impl<C: Curve> CommitKey<C> {
 
 /// Ranges of fewer entries than this are verified one by one instead of by
 /// one random linear combination. An RLC check commits once to `Σ rᵢ·vᵢ`,
-/// whose ≈ 170-bit entries walk 14 of a d = 8 192 table's 22 windows,
-/// where a direct recommit of ≤ 40-bit openings walks 2–4, so it only pays
-/// from the batch size at which that fixed cost is shared widely enough.
+/// whose ≈ 170-bit entries walk 14 of a d = 8 192 table's 22 windows — and
+/// at d = 33 are too long for the interleaved walk, so they pay the bucket
+/// pass's fixed cost — where a direct recommit of ≤ 40-bit openings walks
+/// 2–4 windows, or at d = 33 one short doubling chain. So an RLC only pays
+/// from the batch size at which its fixed cost is shared widely enough.
 /// Measured on honest rounds (`cargo run --release --example bench_crypto
 /// -- --crossover`, median of 5; sequential `verify` vs one `batch_check`,
-/// ms):
+/// ms; the quietest of five runs, whose ratios agree to within 0.1):
 ///
 /// | n  | d = 8 193     | d = 33        |
 /// |----|---------------|---------------|
-/// | 2  | 20.3 vs 47.1  | 0.27 vs 0.56  |
-/// | 4  | 39.8 vs 47.1  | 0.70 vs 1.02  |
-/// | 5  | 48.4 vs 48.2  | 0.67 vs 0.84  |
-/// | 6  | 54.2 vs 42.6  | 0.79 vs 0.92  |
-/// | 8  | 72.2 vs 45.7  | 1.06 vs 1.11  |
-/// | 16 | 149.4 vs 60.2 | 2.21 vs 1.95  |
+/// | 2  | 18.8 vs 45.1  | 0.12 vs 0.46  |
+/// | 4  | 41.8 vs 49.2  | 0.22 vs 0.47  |
+/// | 5  | 45.7 vs 46.7  | 0.28 vs 0.53  |
+/// | 6  | 53.9 vs 42.9  | 0.34 vs 0.53  |
+/// | 8  | 77.1 vs 48.2  | 0.44 vs 0.60  |
+/// | 16 | 146.4 vs 53.8 | 0.89 vs 0.83  |
 ///
-/// The two are level at n ≈ 5 for large d and n ≈ 8 for tiny d; 6 is the
-/// size from which an RLC is never the worse choice by more than a fifth
-/// at either. Not a knob: verdicts and culprit sets do not depend on it,
-/// only which of two equivalent checks a short range gets.
+/// The two are level at n ≈ 5 for large d and n ≈ 15 for tiny d (≈ 8
+/// before the tiny-d recommit halved in cost). 6 is the size from which an
+/// RLC is never the worse choice by more than a fifth at large d, where
+/// the wrong choice costs tens of milliseconds a check. At tiny d no one
+/// size does that any more: ranges of 6–14 get an RLC that costs up to
+/// 1.6× their recommits, ≈ 0.2 ms a check, and any size that spared them
+/// would hand a d = 8 193 range of 6–8 to recommits at 1.3–1.6× an RLC.
+/// Not a knob: verdicts and culprit sets do not depend on it, only which
+/// of two equivalent checks a short range gets.
 const RLC_MIN_BATCH: usize = 6;
 
 /// One opening queued for batched verification: a claimed value vector,

@@ -1,7 +1,8 @@
-//! Property tests: every MSM kernel — wNAF, Jacobian Pippenger,
-//! batch-affine Pippenger, the precomputed table, and (with the `rayon`
-//! feature) the parallel reductions — must be *bit-identical* to the naive
-//! double-and-add reference, on both protocol curves.
+//! Property tests: every MSM kernel — interleaved wNAF, Jacobian Pippenger,
+//! batch-affine Pippenger, the precomputed table (its bucket pass and its
+//! interleaved walk), and (with the `rayon` feature) the parallel
+//! reductions — must be *bit-identical* to the naive double-and-add
+//! reference, on both protocol curves.
 //!
 //! Equality is checked on the canonical compressed encoding, not just the
 //! projective equivalence class, because commitments travel as serialized
@@ -17,6 +18,13 @@
 //! RLC coefficients) and the scalars either side of `(n − 1)/2`, where the
 //! representative flips sign — because one full-width term anywhere in the
 //! vector would put the windowed kernels back on the 256-bit walk.
+//!
+//! The interleaved wNAF kernel adds every term's digits into *one*
+//! accumulator, so what it can get wrong is what meets in that accumulator:
+//! the hand-built instances at the bottom put equal and opposite points,
+//! identities, zero scalars and lengths from 1 to 256 bits side by side, and
+//! walk a d = 33 table across the length at which it stops choosing the
+//! walk.
 
 use dfl_crypto::bigint::U256;
 use dfl_crypto::curve::{Affine, Curve, Jacobian, Scalar, Secp256k1, Secp256r1};
@@ -24,7 +32,7 @@ use dfl_crypto::field::FieldParams;
 use dfl_crypto::msm::{Msm, MsmTable, Strategy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// How a generated `u64` code becomes a scalar.
 #[derive(Copy, Clone, Debug)]
@@ -42,9 +50,31 @@ enum Family {
     /// ±1, the ends of the `i64` range, `(n − 1)/2` (last positive), the
     /// one after it (first negative) and `n − 1 ≡ −1`.
     Boundary,
+    /// A signed value of 1–256 bits, width from the code: every length in
+    /// one call, so the shared doubling chain outlives most of its terms.
+    AnyLength,
 }
 
-use Family::{Boundary, Coefficient128, Mixed, ShortSigned};
+use Family::{AnyLength, Boundary, Coefficient128, Mixed, ShortSigned};
+
+/// A signed scalar whose magnitude is exactly `width` bits (1 ..= 255),
+/// drawn from `code`.
+fn of_width<C: Curve>(width: usize, code: u64) -> Scalar<C> {
+    let mut bytes = [0u8; 32];
+    StdRng::seed_from_u64(code).fill_bytes(&mut bytes);
+    let low = U256::from_be_bytes(bytes).shr(256 - width);
+    let magnitude = if low.bit(width - 1) {
+        low
+    } else {
+        low.xor(&U256::ONE.shl(width - 1))
+    };
+    let scalar = Scalar::<C>::from_canonical(magnitude);
+    if code & 1 == 0 {
+        scalar
+    } else {
+        -scalar
+    }
+}
 
 impl Family {
     fn scalar<C: Curve>(self, code: u64) -> Scalar<C> {
@@ -76,6 +106,10 @@ impl Family {
                 6 => Scalar::<C>::from_canonical(order.shr(1).wrapping_add(&U256::ONE)),
                 _ => minus_one,
             },
+            AnyLength => match 1 + (code >> 1) as usize % 256 {
+                256 => Scalar::<C>::random(&mut StdRng::seed_from_u64(code)),
+                width => of_width::<C>(width, code),
+            },
         }
     }
 }
@@ -99,16 +133,24 @@ fn encode<C: Curve>(p: Jacobian<C>) -> [u8; 33] {
 }
 
 /// Asserts every kernel — each `Strategy`, with and without a table —
-/// matches naive on this instance, byte for byte.
+/// matches naive on the instance `pairs` decodes to, byte for byte.
 fn assert_all_paths_agree<C: Curve>(
     pairs: &[(u64, u64)],
     family: Family,
 ) -> Result<(), TestCaseError> {
     let (points, scalars) = terms::<C>(pairs, family);
+    assert_terms_agree(&points, &scalars)
+}
+
+/// [`assert_all_paths_agree`] on explicit terms.
+fn assert_terms_agree<C: Curve>(
+    points: &[Affine<C>],
+    scalars: &[Scalar<C>],
+) -> Result<(), TestCaseError> {
     let reference = encode(
-        Msm::new(&points)
+        Msm::new(points)
             .with_strategy(Strategy::Naive)
-            .eval(&scalars),
+            .eval(scalars),
     );
     for strategy in [
         Strategy::Wnaf,
@@ -117,7 +159,7 @@ fn assert_all_paths_agree<C: Curve>(
         Strategy::Auto,
     ] {
         prop_assert_eq!(
-            encode(Msm::new(&points).with_strategy(strategy).eval(&scalars)),
+            encode(Msm::new(points).with_strategy(strategy).eval(scalars)),
             reference,
             "{:?} diverges from naive on {} ({} terms)",
             strategy,
@@ -126,7 +168,7 @@ fn assert_all_paths_agree<C: Curve>(
         );
     }
 
-    let table = MsmTable::build(&points);
+    let table = MsmTable::build(points);
     for strategy in [
         Strategy::Naive,
         Strategy::Wnaf,
@@ -135,10 +177,10 @@ fn assert_all_paths_agree<C: Curve>(
     ] {
         prop_assert_eq!(
             encode(
-                Msm::new(&points)
+                Msm::new(points)
                     .with_table(&table)
                     .with_strategy(strategy)
-                    .eval(&scalars)
+                    .eval(scalars)
             ),
             reference,
             "{:?} with a table attached diverges from naive on {}",
@@ -147,13 +189,13 @@ fn assert_all_paths_agree<C: Curve>(
         );
     }
     prop_assert_eq!(
-        encode(table.eval_parallel(&scalars, false)),
+        encode(table.eval_parallel(scalars, false)),
         reference,
         "table path diverges from naive on {}",
         C::NAME
     );
     prop_assert_eq!(
-        encode(Msm::new(&points).with_table(&table).eval(&scalars)),
+        encode(Msm::new(points).with_table(&table).eval(scalars)),
         reference,
         "auto-with-table path diverges from naive on {}",
         C::NAME
@@ -162,17 +204,17 @@ fn assert_all_paths_agree<C: Curve>(
     #[cfg(feature = "rayon")]
     {
         prop_assert_eq!(
-            encode(table.eval_parallel(&scalars, true)),
+            encode(table.eval_parallel(scalars, true)),
             reference,
             "parallel table path not bit-identical on {}",
             C::NAME
         );
         prop_assert_eq!(
             encode(
-                Msm::new(&points)
+                Msm::new(points)
                     .with_strategy(Strategy::BatchAffine)
                     .with_parallel(true)
-                    .eval(&scalars)
+                    .eval(scalars)
             ),
             reference,
             "parallel batch-affine path not bit-identical on {}",
@@ -225,6 +267,14 @@ proptest! {
     ) {
         assert_all_paths_agree::<Secp256k1>(&pairs, Boundary)?;
         assert_all_paths_agree::<Secp256r1>(&pairs, Boundary)?;
+    }
+
+    #[test]
+    fn prop_every_length_in_one_call_matches_naive(
+        pairs in proptest::collection::vec((1u64..u64::MAX, 0u64..u64::MAX), 1..48),
+    ) {
+        assert_all_paths_agree::<Secp256k1>(&pairs, AnyLength)?;
+        assert_all_paths_agree::<Secp256r1>(&pairs, AnyLength)?;
     }
 
     #[test]
@@ -294,4 +344,110 @@ fn three_hundred_short_terms_all_paths() {
         .collect();
     assert_all_paths_agree::<Secp256k1>(&pairs, ShortSigned).unwrap();
     assert_all_paths_agree::<Secp256r1>(&pairs, Coefficient128).unwrap();
+}
+
+fn seeded_points<C: Curve>(n: usize, seed: u64) -> Vec<Affine<C>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).map(|_| Affine::<C>::random(&mut rng)).collect()
+}
+
+/// What meets in the interleaved kernel's one accumulator. `P, P` with
+/// equal scalars adds a multiple to itself at their first digit (the
+/// doubling branch of `add_affine`), `P, −P` cancels to the identity there
+/// and the chain carries on from it, an identity point contributes rows of
+/// identities, and a zero scalar no digit at all.
+fn colliding_terms_agree<C: Curve>() {
+    let [p, q, r] = seeded_points::<C>(3, 0xC0111DE)[..] else {
+        unreachable!("three points were asked for")
+    };
+    let id = Affine::<C>::identity();
+    let points = [p, p, q, q.negate(), id, r, p.negate(), r, id];
+    for family in [ShortSigned, Coefficient128, AnyLength] {
+        let [a, b, c] = [11u64, 12, 13].map(|code| family.scalar::<C>(code));
+        let zero = Scalar::<C>::ZERO;
+        for scalars in [
+            [a, a, b, b, c, zero, a, c, zero],
+            [a, -a, b, -b, a, c, a, c, b],
+            [zero; 9],
+        ] {
+            for n in [1, 2, 4, 9] {
+                assert_terms_agree(&points[..n], &scalars[..n]).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn colliding_points_identities_and_zero_scalars_all_paths() {
+    colliding_terms_agree::<Secp256k1>();
+    colliding_terms_agree::<Secp256r1>();
+}
+
+/// The sizes either side of `Strategy::Auto`'s table-less switch (n < 32
+/// walks, n ≥ 32 buckets), with every length in each call.
+#[test]
+fn sizes_around_the_auto_switch_all_paths() {
+    for n in [0u64, 1, 2, 31, 32] {
+        let pairs: Vec<(u64, u64)> = (1..=n)
+            .map(|i| (i, i.wrapping_mul(0xA24B_AED4_963E_E407)))
+            .collect();
+        assert_all_paths_agree::<Secp256k1>(&pairs, AnyLength).unwrap();
+        assert_all_paths_agree::<Secp256r1>(&pairs, Coefficient128).unwrap();
+    }
+}
+
+/// `MsmTable::memory_bytes` of a table that keeps `per_base` points a base.
+fn table_bytes<C: Curve>(table: &MsmTable<C>, per_base: usize) -> usize {
+    table.len() * per_base * std::mem::size_of::<Affine<C>>()
+}
+
+/// A d = 33 table keeps the odd multiples and walks them for short scalars,
+/// up to ≈ 90 bits; beyond, the same table answers from its buckets. Every
+/// length must give naive's bytes, and the walk's answer must be the bucket
+/// pass's: a 600-point table keeps no odd multiples, so its 33-element
+/// prefix evaluation is the bucket pass over the same bases.
+#[test]
+fn d33_table_agrees_either_side_of_the_selection_rule() {
+    let points = seeded_points::<Secp256k1>(600, 33);
+    let small = MsmTable::build(&points[..33]);
+    let large = MsmTable::build(&points);
+    let shifts = |t: &MsmTable<Secp256k1>| 256usize.div_ceil(t.window());
+    assert_eq!(
+        small.memory_bytes(),
+        table_bytes(&small, shifts(&small) + 8)
+    );
+    assert_eq!(large.memory_bytes(), table_bytes(&large, shifts(&large)));
+    for width in [1, 8, 25, 40, 64, 80, 88, 92, 96, 128, 170, 255] {
+        let scalars: Vec<Scalar<Secp256k1>> = (0..33)
+            .map(|i| {
+                of_width::<Secp256k1>(
+                    if i == 0 { width } else { 1 + i % width },
+                    1000 * width as u64 + i as u64,
+                )
+            })
+            .collect();
+        assert_terms_agree(&points[..33], &scalars).unwrap();
+        assert_eq!(
+            encode(small.eval(&scalars)),
+            encode(large.eval(&scalars)),
+            "walk and bucket pass differ at {width} bits"
+        );
+    }
+}
+
+/// 256 short terms: the largest table that still keeps odd multiples, on
+/// scalars short enough that it walks them. The `rayon` build splits the
+/// call in two, so the second chunk's walk starts at row 128, not 0.
+#[test]
+fn offset_chunk_takes_the_walk() {
+    let points = seeded_points::<Secp256r1>(256, 256);
+    let table = MsmTable::build(&points);
+    assert_eq!(
+        table.memory_bytes(),
+        table_bytes(&table, 256usize.div_ceil(table.window()) + 8)
+    );
+    let scalars: Vec<Scalar<Secp256r1>> = (0..256)
+        .map(|i| of_width::<Secp256r1>(1 + i % 16, i as u64))
+        .collect();
+    assert_terms_agree(&points, &scalars).unwrap();
 }

@@ -12,13 +12,16 @@
 //!
 //! `-- --test` runs the CI smoke check instead: verifiable rounds of 8 and
 //! 16 blobs at d = 8192 where the batched check must beat per-blob
-//! verification. `-- --crossover` prints where it starts to, at d = 33 and
-//! d = 8193.
+//! verification, and the tiny-d kernels (d = 33 commit, 8-child culprit
+//! search) against the naive MSM. `-- --crossover` prints where batching
+//! starts to win, at d = 33 and d = 8193.
 
 use dfl_bench::{
-    crypto_report, crypto_report_json, verifiable_round_point, verifiable_round_sweep,
-    VerifiableRoundPoint,
+    crypto_report, crypto_report_json, verifiable_round_inputs, verifiable_round_point,
+    verifiable_round_sweep, VerifiableRound, VerifiableRoundPoint,
 };
+use dfl_crypto::curve::{Scalar, Secp256k1};
+use dfl_crypto::pedersen::BatchEntry;
 
 /// Median per-blob, batched and pure-RLC times over `reps` measurements
 /// of one round shape (a single `verifiable_round_point` is one shot of
@@ -60,6 +63,39 @@ fn crossover() {
     }
 }
 
+/// Correctness only, no timing: on the crossover's d = 33 / n = 8 inputs —
+/// an overlay node's own commit and its child-opening check — every
+/// commitment and both culprit sets (an honest round, and one whose child
+/// 5 sends a doctored opening) must equal what the naive MSM gives.
+fn tiny_d_kernels_match_naive() {
+    let VerifiableRound {
+        key,
+        mut vectors,
+        commitments,
+    } = verifiable_round_inputs(8, 33);
+    for (values, commitment) in vectors.iter().zip(&commitments) {
+        let committed = key.commit(values);
+        assert_eq!(committed, key.commit_naive(values));
+        assert_eq!(committed, *commitment);
+    }
+    for doctored in [None, Some(5)] {
+        if let Some(child) = doctored {
+            vectors[child][7] += Scalar::<Secp256k1>::ONE;
+        }
+        let naive: Vec<usize> = (0..vectors.len())
+            .filter(|&i| key.commit_naive(&vectors[i]) != commitments[i])
+            .collect();
+        assert_eq!(naive, Vec::from_iter(doctored));
+        let entries: Vec<_> = vectors
+            .iter()
+            .zip(&commitments)
+            .map(|(values, commitment)| BatchEntry::new(values, commitment))
+            .collect();
+        assert_eq!(key.batch_culprits(&entries), naive);
+    }
+    println!("smoke: d=33 commit and 8-child batch_culprits (honest, doctored) equal naive");
+}
+
 /// CI smoke mode: quick, asserting, no JSON write. One RLC batch must beat
 /// per-blob verification at the batch shapes the protocol really flushes
 /// (8 and 16 blobs of the acceptance length). Four blobs are printed for
@@ -80,6 +116,7 @@ fn smoke() {
              per-blob {per_blob_ms:.2} ms vs batched {batched_ms:.2} ms"
         );
     }
+    tiny_d_kernels_match_naive();
     println!("smoke: OK");
 }
 
