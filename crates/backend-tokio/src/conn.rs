@@ -40,7 +40,7 @@ use crate::{codec, NodeEvent};
 /// backoff is jittered from a SplitMix64 stream seeded per `(seed, me,
 /// peer)`, so a run's retry timing is deterministic given its seed.
 #[derive(Clone, Copy, Debug)]
-pub struct BackoffPolicy {
+pub(crate) struct BackoffPolicy {
     /// First retry delay; doubles each subsequent attempt.
     pub base: Duration,
     /// Backoff ceiling.

@@ -5,18 +5,24 @@
 //! network; this crate interprets the *same* actions against localhost TCP
 //! sockets and wall-clock timers, driving the *same* state machines
 //! ([`ipls::Directory`], [`ipls::Aggregator`], [`ipls::Trainer`],
-//! [`ipls::protocol::IpfsCore`]) unmodified. Nothing protocol-specific
-//! lives here — only transport:
+//! [`ipls::protocol::IpfsCore`]) unmodified. The deployment comes from
+//! [`ipls::runner::Deployment::build`] and the report from
+//! [`ipls::runner::build_report`], the code the simulator runs; only
+//! transport lives here:
 //!
 //! - every node gets a TCP listener on an ephemeral port; [`codec`] frames
 //!   messages as `[u32 len][u64 sender][payload]`;
 //! - each node runs on its own blocking thread, draining a channel fed by
-//!   socket-reader threads, one heap-based `timer` thread, and the
-//!   fault driver;
+//!   socket-reader threads and the fault driver, and keeps its own timers:
+//!   `SetTimer` pushes onto a heap the loop fires from between receives;
 //! - `Send` actions go through supervised per-peer writers (`conn`) with
 //!   bounded queues and seeded exponential backoff — every way a frame
 //!   can be lost is counted in the report's [`DeliveryReport`], never
 //!   swallowed;
+//! - `Record` / `Incr` / `Observe` go into the run's one
+//!   [`Trace`], stamped with wall-clock time since the run
+//!   started, and every `Send` and delivered frame books its wire bytes
+//!   there — so a TCP run ends in the [`TaskReport`] a simulation ends in;
 //! - the run honours the [`TaskConfig::fault_plan`] netsim executes:
 //!   crashes, recoveries, partitions, and per-frame chaos are replayed
 //!   against wall-clock time by `fault`, so one scripted scenario
@@ -25,42 +31,44 @@
 //! Because training is seeded per `(task seed, round, trainer)` and
 //! aggregation is exact and order-independent, a healthy run produces the
 //! **same final model bytes** as a simulation of the same [`TaskConfig`] —
-//! the end-to-end test in this crate asserts exactly that, and the chaos
-//! test asserts a faulted run degrades to `min_quorum` exactly as the
-//! netsim oracle does.
+//! `tests/tcp_matches_netsim.rs` at the repository root asserts exactly
+//! that, label by label of the trace, and the chaos test in this crate
+//! asserts a faulted run degrades to `min_quorum` exactly as the netsim
+//! oracle does.
 //!
 //! [`TaskConfig::fault_plan`]: ipls::config::TaskConfig
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dfl_ml::{Dataset, Model, SgdConfig};
-use dfl_netsim::{Fault, NodeId, SimTime};
-use ipls::adversary::Behavior;
-use ipls::config::{TaskConfig, Topology};
+use dfl_netsim::{Fault, NodeId, SimTime, Trace};
+use ipls::config::TaskConfig;
 use ipls::error::IplsError;
 use ipls::labels;
-use ipls::protocol::{Actions, IpfsCore, ProtocolAction, ProtocolCore, ProtocolEvent};
-use ipls::runner::storage_nodes;
-use ipls::trainer::ParamSink;
-use ipls::{Aggregator, Directory, Msg, Trainer};
+use ipls::protocol::{Actions, ProtocolAction, ProtocolCore, ProtocolEvent};
+use ipls::runner::{build_report, BoxedCore, Deployment, TaskReport};
+use ipls::Msg;
 
 pub mod codec;
 mod conn;
 mod fault;
-mod timer;
 
-pub use conn::{BackoffPolicy, DeliveryReport};
+pub use conn::DeliveryReport;
 
-use conn::{DeliveryStats, PeerSender};
+use conn::{BackoffPolicy, DeliveryStats, PeerSender};
 use fault::NetFaults;
-use timer::TimerWheel;
+
+/// The longest a node loop or the run's waiter blocks before it looks at
+/// the shutdown flag, its timers and the fault table again.
+const TICK: Duration = Duration::from_millis(10);
 
 /// Poison-tolerant locking: a panicking node thread must degrade that
 /// node, not cascade a `PoisonError` panic through every thread sharing
@@ -71,73 +79,37 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Running summary of one histogram label (`ProtocolAction::Observe`).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ObsSummary {
-    /// Samples observed.
-    pub count: u64,
-    /// Sum of the sample values.
-    pub sum: f64,
-}
-
-/// What a TCP task run produced. The socket backend has no [`Trace`], so
-/// this carries the subset of [`ipls::runner::TaskReport`] that exists
-/// outside the simulator — the learned model, progress, per-node
-/// observability sinks, and the transport's delivery accounting.
-///
-/// [`Trace`]: dfl_netsim::Trace
+/// What a TCP task run produced: the [`TaskReport`] every backend builds
+/// from its trace (read through `Deref`: `completed_rounds`,
+/// `final_params`, `rounds`, `trace`, …) plus the transport's delivery
+/// accounting. Times in the report and its trace are wall-clock seconds
+/// since the run started.
 #[derive(Clone, Debug)]
 pub struct TcpTaskReport {
-    /// Final model parameters per trainer index.
-    pub final_params: HashMap<usize, Vec<f32>>,
-    /// Rounds that ran to completion.
-    pub completed_rounds: u64,
-    /// Per-node counter sink (`ProtocolAction::Incr`), indexed like the
-    /// simulator's node ids: directory, storage nodes, aggregators,
-    /// trainers.
-    pub counters: Vec<HashMap<&'static str, u64>>,
-    /// Per-node count of `ProtocolAction::Record` events by label.
-    pub records: Vec<HashMap<&'static str, u64>>,
-    /// Per-node histogram summaries (`ProtocolAction::Observe`).
-    pub observations: Vec<HashMap<&'static str, ObsSummary>>,
+    /// The run's report, from [`ipls::runner::build_report`].
+    pub report: TaskReport,
     /// The transport's frame-delivery accounting: every dropped,
     /// faulted, or crash-discarded frame of the run, by cause.
     pub delivery: DeliveryReport,
 }
 
+impl std::ops::Deref for TcpTaskReport {
+    type Target = TaskReport;
+
+    fn deref(&self) -> &TaskReport {
+        &self.report
+    }
+}
+
 impl TcpTaskReport {
-    /// The parameter vector all trainers converged to, if they agree
-    /// (mirrors [`ipls::runner::TaskReport::consensus_params`]).
-    pub fn consensus_params(&self) -> Option<Vec<f32>> {
-        let mut iter = self.final_params.values();
-        let first = iter.next()?.clone();
-        for other in iter {
-            if *other != first {
-                return None;
-            }
-        }
-        Some(first)
-    }
-
-    /// Total of `label` across every node's counter sink (mirrors
-    /// `Trace::counter`).
-    pub fn counter(&self, label: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter_map(|node| node.get(label))
-            .sum()
-    }
-
-    /// How many times `label` was recorded, across nodes (mirrors
-    /// `Trace::count`).
+    /// How many times `label` was recorded, across nodes.
     pub fn record_count(&self, label: &str) -> u64 {
-        self.records.iter().filter_map(|node| node.get(label)).sum()
+        self.trace.count(label) as u64
     }
 
-    /// Rounds that completed on a degraded quorum (mirrors
-    /// [`ipls::runner::TaskReport::quorum_degradations`]).
+    /// Rounds that completed on a degraded quorum.
     pub fn quorum_degradations(&self) -> u64 {
-        self.record_count(labels::QUORUM_DEGRADED)
+        self.report.quorum_degradations as u64
     }
 }
 
@@ -145,8 +117,6 @@ impl TcpTaskReport {
 pub(crate) enum NodeEvent {
     /// A decoded frame from a peer.
     Msg { from: NodeId, msg: Msg },
-    /// A timer set by the node fired.
-    Timer { token: u64 },
     /// The fault driver injected a fault on this node.
     Fault { fault: Fault },
     /// This node's transport gave up delivering a frame to `to`.
@@ -157,38 +127,39 @@ pub(crate) enum NodeEvent {
 struct Shared {
     /// Listener address per node index.
     addrs: Vec<SocketAddr>,
-    /// Run start; `now` for handlers is elapsed time since it.
+    /// Run start; `now` for handlers and trace stamps is elapsed time
+    /// since it.
     epoch: Instant,
     /// Set once to stop every node loop and acceptor (shared with the
     /// fault driver, which also honours it).
     shutdown: Arc<AtomicBool>,
-    /// Directory `round_complete` records seen.
-    completed_rounds: AtomicU64,
-    /// Per-node `Incr` sink.
-    counters: Vec<Mutex<HashMap<&'static str, u64>>>,
-    /// Per-node `Record` occurrence counts.
-    records: Vec<Mutex<HashMap<&'static str, u64>>>,
-    /// Per-node `Observe` summaries.
-    observations: Vec<Mutex<HashMap<&'static str, ObsSummary>>>,
-    /// Flipped under the mutex when the directory records `task_complete`.
-    done: Mutex<bool>,
-    /// Signals `done`.
-    done_cv: Condvar,
+    /// The run's one trace. Writers read the clock while holding the
+    /// lock, so events are in time order.
+    trace: Mutex<Trace>,
+    /// Signalled when a record the run's waiter looks for lands in
+    /// `trace` (`task_complete`, `trainer_round_done`).
+    progress: Condvar,
+    faults: Arc<NetFaults>,
+    stats: Arc<DeliveryStats>,
+    /// Connection supervision knobs: the defaults, jittered from the task
+    /// seed.
+    policy: BackoffPolicy,
 }
 
 impl Shared {
-    fn new(addrs: Vec<SocketAddr>) -> Shared {
-        let nodes = addrs.len();
+    fn new(addrs: Vec<SocketAddr>, seed: u64) -> Shared {
         Shared {
-            addrs,
             epoch: Instant::now(),
             shutdown: Arc::new(AtomicBool::new(false)),
-            completed_rounds: AtomicU64::new(0),
-            counters: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            records: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            observations: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            trace: Mutex::new(Trace::new()),
+            progress: Condvar::new(),
+            faults: Arc::new(NetFaults::new(addrs.len())),
+            stats: Arc::new(DeliveryStats::default()),
+            policy: BackoffPolicy {
+                seed,
+                ..BackoffPolicy::default()
+            },
+            addrs,
         }
     }
 
@@ -196,106 +167,25 @@ impl Shared {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    fn mark_done(&self) {
-        *lock(&self.done) = true;
-        self.done_cv.notify_all();
-    }
-
-    /// Waits until `task_complete` or the deadline; `true` on completion.
-    fn wait_done(&self, deadline: Duration) -> bool {
-        let guard = lock(&self.done);
-        let (guard, _) = self
-            .done_cv
-            .wait_timeout_while(guard, deadline, |done| !*done)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *guard
-    }
-}
-
-/// Everything one node's protocol thread needs to interpret actions:
-/// supervised peer writers, the timer wheel, and the observability sinks.
-struct NodeCtx {
-    me: NodeId,
-    senders: HashMap<usize, PeerSender>,
-    wheel: TimerWheel,
-    tx: mpsc::Sender<NodeEvent>,
-    shared: Arc<Shared>,
-    faults: Arc<NetFaults>,
-    stats: Arc<DeliveryStats>,
-    policy: BackoffPolicy,
-}
-
-impl NodeCtx {
-    fn sender(&mut self, to: NodeId) -> &PeerSender {
-        let NodeCtx {
-            me,
-            senders,
-            tx,
-            shared,
-            faults,
-            stats,
-            policy,
-            ..
-        } = self;
-        senders.entry(to.index()).or_insert_with(|| {
-            PeerSender::spawn(
-                *me,
-                to,
-                shared.addrs[to.index()],
-                *policy,
-                faults.clone(),
-                stats.clone(),
-                tx.clone(),
-            )
-        })
-    }
-
-    /// Interprets one batch of actions against sockets, the timer wheel,
-    /// and the observability sinks.
-    fn flush(&mut self, out: &mut Actions<Msg>) {
-        for action in out.drain() {
-            match action {
-                ProtocolAction::Send { to, msg } => self.sender(to).send(msg),
-                ProtocolAction::SetTimer { delay, token } => self
-                    .wheel
-                    .arm(Duration::from_micros(delay.as_micros()), token),
-                ProtocolAction::Record { label, value } => {
-                    *lock(&self.shared.records[self.me.index()])
-                        .entry(label)
-                        .or_insert(0) += 1;
-                    if label == labels::ROUND_COMPLETE {
-                        self.shared.completed_rounds.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if label == labels::TASK_COMPLETE {
-                        let _ = value; // rounds count; completed_rounds tracks it
-                        self.shared.mark_done();
-                    }
-                }
-                ProtocolAction::Incr { label, delta } => {
-                    *lock(&self.shared.counters[self.me.index()])
-                        .entry(label)
-                        .or_insert(0) += delta;
-                }
-                ProtocolAction::Observe { label, value } => {
-                    let mut obs = lock(&self.shared.observations[self.me.index()]);
-                    let summary = obs.entry(label).or_default();
-                    summary.count += 1;
-                    summary.sum += value;
-                }
+    /// Blocks until `done` holds of the trace or `deadline` passes, looking
+    /// again at every signalled record and every [`TICK`] (what `done`
+    /// reads beside the trace — the fault table — changes unannounced).
+    /// Returns whether `done` held.
+    fn wait_until(&self, deadline: Instant, mut done: impl FnMut(&Trace) -> bool) -> bool {
+        let mut trace = lock(&self.trace);
+        loop {
+            if done(&trace) {
+                return true;
             }
-        }
-    }
-
-    /// Discards a crashed node's actions wholesale (the backend contract
-    /// allows this; netsim does the same), counting the dropped sends so
-    /// the loss is never silent.
-    fn discard(&mut self, out: &mut Actions<Msg>) {
-        for action in out.drain() {
-            if let ProtocolAction::Send { .. } = action {
-                self.stats
-                    .frames_dropped_down
-                    .fetch_add(1, Ordering::Relaxed);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
             }
+            trace = self
+                .progress
+                .wait_timeout(trace, left.min(TICK))
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
         }
     }
 }
@@ -326,89 +216,191 @@ fn accept_loop(listener: std::net::TcpListener, tx: mpsc::Sender<NodeEvent>, sha
     }
 }
 
-/// Drives one protocol core: Start, then events off the channel until
-/// shutdown. The core never learns it is not in the simulator.
+/// One protocol core and everything its thread needs to interpret the
+/// core's actions: supervised peer writers, its pending timers and the
+/// run's trace. The core never learns it is not in the simulator.
 ///
 /// Crash semantics mirror netsim exactly: while down, inbound frames and
 /// timer firings are discarded (counted), the crash event's own actions
 /// are discarded wholesale, and recovery resumes normal interpretation —
-/// timers armed before the crash that fire during the outage die, and the
-/// core re-arms its clocks from the protocol's own recovery paths (the
+/// timers armed before the crash that come due during the outage die, and
+/// the core re-arms its clocks from the protocol's own recovery paths (the
 /// directory's next `StartRound`, the sync watchdog).
-fn node_loop(
+struct Node {
     me: NodeId,
-    mut core: Box<dyn ProtocolCore<Msg = Msg> + Send>,
-    rx: mpsc::Receiver<NodeEvent>,
-    mut ctx: NodeCtx,
-) {
-    let mut out = Actions::new();
-    let mut down = false;
-    core.handle(ctx.shared.now(), ProtocolEvent::Start, &mut out);
-    ctx.flush(&mut out);
-    while !ctx.shared.shutdown.load(Ordering::Relaxed) {
-        let event = match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(event) => event,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        let event = match event {
-            NodeEvent::Msg { from, msg } => {
-                if down {
-                    ctx.stats
-                        .frames_discarded_down
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                ProtocolEvent::Message { from, msg }
-            }
-            NodeEvent::Timer { token } => {
-                if down {
-                    ctx.stats
-                        .timers_discarded_down
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                ProtocolEvent::Timer { token }
-            }
-            NodeEvent::SendFailed { to } => {
-                if down {
-                    continue;
-                }
-                ProtocolEvent::DeliveryFailure { to }
-            }
-            NodeEvent::Fault { fault } => {
-                match fault {
-                    Fault::Crash(n) if n == me => {
-                        down = true;
-                        core.handle(ctx.shared.now(), ProtocolEvent::Fault { fault }, &mut out);
-                        ctx.discard(&mut out);
-                        continue;
-                    }
-                    Fault::Recover(n) if n == me => down = false,
-                    _ => {}
-                }
-                ProtocolEvent::Fault { fault }
-            }
-        };
-        core.handle(ctx.shared.now(), event, &mut out);
-        if down {
-            ctx.discard(&mut out);
-        } else {
-            ctx.flush(&mut out);
-        }
-    }
-    // Flush pending deadlines so the wheel's Drop join is immediate even
-    // when a long watchdog is still armed.
-    ctx.wheel.cancel_all();
+    core: BoxedCore,
+    /// The fault plan holds this node crashed.
+    down: bool,
+    /// The core's action queue, reused across events.
+    out: Actions<Msg>,
+    senders: HashMap<usize, PeerSender>,
+    /// Pending timers as `(deadline, arming sequence, token)`, earliest
+    /// first; the sequence keeps same-deadline timers in arming order,
+    /// the simulator's tie-break.
+    timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    timers_armed: u64,
+    /// This node's own event channel, for its writers' failure reports.
+    tx: mpsc::Sender<NodeEvent>,
+    shared: Arc<Shared>,
 }
 
-/// Runs a full task over localhost TCP with default [`BackoffPolicy`]
-/// supervision (seeded from the task seed) and reports the outcome.
+impl Node {
+    fn new(me: NodeId, core: BoxedCore, tx: mpsc::Sender<NodeEvent>, shared: Arc<Shared>) -> Node {
+        Node {
+            me,
+            core,
+            down: false,
+            out: Actions::new(),
+            senders: HashMap::new(),
+            timers: BinaryHeap::new(),
+            timers_armed: 0,
+            tx,
+            shared,
+        }
+    }
+
+    /// Hands `event` to the core and interprets what it asks for, in push
+    /// order. A crashed node's actions are discarded wholesale (the backend
+    /// contract allows this; netsim does the same), its sends counted so
+    /// the loss is never silent.
+    fn deliver(&mut self, event: ProtocolEvent<Msg>) {
+        let mut out = std::mem::replace(&mut self.out, Actions::new());
+        self.core.handle(self.shared.now(), event, &mut out);
+        let armed_at = Instant::now();
+        for action in out.drain() {
+            match action {
+                ProtocolAction::Send { .. } if self.down => {
+                    let dropped = &self.shared.stats.frames_dropped_down;
+                    dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                _ if self.down => {}
+                ProtocolAction::Send { to, msg } => {
+                    lock(&self.shared.trace).count_tx(self.me, msg.wire_bytes());
+                    self.sender(to).send(msg);
+                }
+                ProtocolAction::SetTimer { delay, token } => {
+                    let deadline = armed_at + Duration::from_micros(delay.as_micros());
+                    self.timers
+                        .push(Reverse((deadline, self.timers_armed, token)));
+                    self.timers_armed += 1;
+                }
+                ProtocolAction::Record { label, value } => {
+                    let mut trace = lock(&self.shared.trace);
+                    trace.record(self.shared.now(), self.me, label, value);
+                    if label == labels::TASK_COMPLETE || label == labels::TRAINER_ROUND_DONE {
+                        self.shared.progress.notify_all();
+                    }
+                }
+                ProtocolAction::Incr { label, delta } => {
+                    lock(&self.shared.trace).add(label, delta);
+                }
+                ProtocolAction::Observe { label, value } => {
+                    lock(&self.shared.trace).observe(label, value);
+                }
+            }
+        }
+        self.out = out;
+    }
+
+    fn sender(&mut self, to: NodeId) -> &PeerSender {
+        let Node {
+            me,
+            senders,
+            tx,
+            shared,
+            ..
+        } = self;
+        senders.entry(to.index()).or_insert_with(|| {
+            PeerSender::spawn(
+                *me,
+                to,
+                shared.addrs[to.index()],
+                shared.policy,
+                shared.faults.clone(),
+                shared.stats.clone(),
+                tx.clone(),
+            )
+        })
+    }
+
+    /// Fires every timer due at `now`, earliest first.
+    fn fire_due(&mut self, now: Instant) {
+        while let Some(&Reverse((deadline, _, token))) = self.timers.peek() {
+            if deadline > now {
+                break;
+            }
+            self.timers.pop();
+            if self.down {
+                let discarded = &self.shared.stats.timers_discarded_down;
+                discarded.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.deliver(ProtocolEvent::Timer { token });
+            }
+        }
+    }
+
+    /// How long the loop may block at `now`: to the next deadline, at
+    /// most [`TICK`].
+    fn idle(&self, now: Instant) -> Duration {
+        self.timers.peek().map_or(TICK, |Reverse((deadline, ..))| {
+            deadline.saturating_duration_since(now).min(TICK)
+        })
+    }
+
+    fn on_event(&mut self, event: NodeEvent) {
+        match event {
+            NodeEvent::Msg { .. } if self.down => {
+                let discarded = &self.shared.stats.frames_discarded_down;
+                discarded.fetch_add(1, Ordering::Relaxed);
+            }
+            NodeEvent::SendFailed { .. } if self.down => {}
+            NodeEvent::Msg { from, msg } => {
+                lock(&self.shared.trace).count_rx(self.me, msg.wire_bytes());
+                self.deliver(ProtocolEvent::Message { from, msg });
+            }
+            NodeEvent::SendFailed { to } => self.deliver(ProtocolEvent::DeliveryFailure { to }),
+            NodeEvent::Fault { fault } => {
+                match fault {
+                    Fault::Crash(n) if n == self.me => self.down = true,
+                    Fault::Recover(n) if n == self.me => self.down = false,
+                    _ => {}
+                }
+                self.deliver(ProtocolEvent::Fault { fault });
+            }
+        }
+    }
+
+    /// Drives the node: `Start`, then due timers and events off the
+    /// channel until shutdown. Timers still pending then never fire.
+    fn run(mut self, rx: mpsc::Receiver<NodeEvent>) {
+        self.deliver(ProtocolEvent::Start);
+        while !self.shared.shutdown.load(Ordering::Relaxed) {
+            let now = Instant::now();
+            self.fire_due(now);
+            match rx.recv_timeout(self.idle(now)) {
+                Ok(event) => self.on_event(event),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+    }
+}
+
+/// Runs a full task over localhost TCP and reports the outcome.
 ///
 /// Mirrors [`ipls::runner::run_task`] with all aggregators honest; the
 /// configuration's [`fault_plan`](TaskConfig::fault_plan) is replayed
 /// against wall-clock time (crashes, partitions, per-frame chaos), and a
 /// wall-clock completion deadline of `t_sync × rounds + 60 s` applies.
+/// Connections are supervised with the default backoff, jittered from the
+/// task seed.
+///
+/// The run ends when the last round is quiet, not at `task_complete`:
+/// under `min_quorum` the directory completes the task on a quorum of
+/// `TrainerDone`s, so the nodes keep running until every trainer the fault
+/// plan does not hold down has recorded the last round's
+/// `trainer_round_done` — at most `t_sync` longer, and no longer at all
+/// when they already have.
 ///
 /// # Errors
 ///
@@ -421,118 +413,47 @@ pub fn run_task_over_tcp<M: Model + Clone + Send + 'static>(
     datasets: Vec<Dataset>,
     sgd: SgdConfig,
 ) -> Result<TcpTaskReport, IplsError> {
-    let policy = BackoffPolicy {
-        seed: cfg.seed,
-        ..BackoffPolicy::default()
-    };
-    run_task_over_tcp_with(cfg, model, initial_params, datasets, sgd, policy)
-}
-
-/// [`run_task_over_tcp`] with explicit connection-supervision knobs.
-///
-/// # Errors
-///
-/// Returns an error when the configuration is invalid or the task misses
-/// the deadline.
-pub fn run_task_over_tcp_with<M: Model + Clone + Send + 'static>(
-    cfg: TaskConfig,
-    model: M,
-    initial_params: Vec<f32>,
-    datasets: Vec<Dataset>,
-    sgd: SgdConfig,
-    policy: BackoffPolicy,
-) -> Result<TcpTaskReport, IplsError> {
-    let topo = Arc::new(Topology::new(cfg.clone(), initial_params.len())?);
-    if datasets.len() != cfg.trainers {
-        return Err(IplsError::InvalidConfig(format!(
-            "{} datasets for {} trainers",
-            datasets.len(),
-            cfg.trainers
-        )));
-    }
-    if model.param_count() != initial_params.len() {
-        return Err(IplsError::InvalidConfig(
-            "model parameter count does not match initial parameters".to_string(),
-        ));
-    }
-
-    let key = cfg.verifiable.then(|| {
-        Arc::new(ipls::gradient::derive_key(
-            topo.max_partition_len(),
-            cfg.seed,
-            cfg.commit_precompute,
-        ))
-    });
-    let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
-
-    // Same node-id layout as the simulator: directory, storage nodes,
-    // aggregators, trainers.
-    let mut cores: Vec<Box<dyn ProtocolCore<Msg = Msg> + Send>> = Vec::new();
-    cores.push(Box::new(Directory::new(topo.clone(), key.clone())));
-    for node in storage_nodes(&topo) {
-        cores.push(Box::new(IpfsCore::<Msg>::new(node)));
-    }
-    for g in 0..cfg.total_aggregators() {
-        cores.push(Box::new(Aggregator::new(
-            g,
-            topo.clone(),
-            key.clone(),
-            Behavior::Honest,
-        )));
-    }
-    for (t, dataset) in datasets.into_iter().enumerate() {
-        cores.push(Box::new(Trainer::new(
-            t,
-            topo.clone(),
-            key.clone(),
-            model.clone(),
-            initial_params.clone(),
-            dataset,
-            sgd,
-            sink.clone(),
-        )));
-    }
-    debug_assert_eq!(cores.len(), topo.node_count());
-
+    let Deployment { topo, cores, sink } =
+        Deployment::build(cfg, model, initial_params, datasets, sgd, &[])?;
+    let cfg = topo.config();
+    let t_sync = Duration::from_micros(cfg.t_sync.as_micros());
     let deadline =
         Duration::from_micros(cfg.t_sync.as_micros() * cfg.rounds) + Duration::from_secs(60);
+    let last_round = (cfg.rounds - 1) as f64;
+    let trainers: Vec<NodeId> = (0..cfg.trainers).map(|t| topo.trainer(t)).collect();
 
-    let faults = Arc::new(NetFaults::new(cores.len()));
-    let stats = Arc::new(DeliveryStats::default());
+    // Bind every node's listener first so the address table is complete
+    // before any core runs. Listeners stay bound for the whole run — a
+    // crashed node keeps its port (rebinding an ephemeral port would
+    // race), and "restart" clears the down flag.
+    let io = |e: std::io::Error| IplsError::InvalidConfig(format!("listener: {e}"));
+    let mut listeners = Vec::with_capacity(cores.len());
+    let mut addrs = Vec::with_capacity(cores.len());
+    for _ in 0..cores.len() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").map_err(io)?;
+        addrs.push(listener.local_addr().map_err(io)?);
+        listeners.push(listener);
+    }
+    let shared = Arc::new(Shared::new(addrs, cfg.seed));
 
     let rt = tokio::runtime::Runtime::new()
         .map_err(|e| IplsError::InvalidConfig(format!("runtime: {e}")))?;
-    let run = rt.block_on(async {
-        // Bind every node's listener first so the address table is
-        // complete before any core runs. Listeners stay bound for the
-        // whole run — a crashed node keeps its port (rebinding an
-        // ephemeral port would race), and "restart" clears the down flag.
-        let mut listeners = Vec::with_capacity(cores.len());
-        let mut addrs = Vec::with_capacity(cores.len());
-        for _ in 0..cores.len() {
-            let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
-                .await
-                .map_err(|e| IplsError::InvalidConfig(format!("bind: {e}")))?;
-            addrs.push(
-                listener
-                    .local_addr()
-                    .map_err(|e| IplsError::InvalidConfig(format!("local_addr: {e}")))?,
-            );
-            listeners.push(listener);
-        }
-        let shared = Arc::new(Shared::new(addrs));
-
+    let completed = rt.block_on(async {
         // Channels first: the fault driver needs every node's sender
         // before any node runs.
         let channels: Vec<_> = (0..cores.len()).map(|_| mpsc::channel()).collect();
         if !cfg.fault_plan.is_empty() {
             let plan = cfg.fault_plan.clone();
-            let epoch = shared.epoch;
-            let driver_faults = faults.clone();
             let txs: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-            let driver_shutdown = shared.shutdown.clone();
+            let shared = shared.clone();
             std::thread::spawn(move || {
-                fault::drive_plan(plan, epoch, driver_faults, txs, driver_shutdown)
+                fault::drive_plan(
+                    plan,
+                    shared.epoch,
+                    shared.faults.clone(),
+                    txs,
+                    shared.shutdown.clone(),
+                )
             });
         }
 
@@ -540,34 +461,32 @@ pub fn run_task_over_tcp_with<M: Model + Clone + Send + 'static>(
         for (index, ((core, listener), (tx, rx))) in
             cores.into_iter().zip(listeners).zip(channels).enumerate()
         {
-            let me = NodeId(index);
-            let std_listener = listener
-                .into_std()
-                .map_err(|e| IplsError::InvalidConfig(format!("listener: {e}")))?;
-            let acceptor_tx = tx.clone();
-            let acceptor_shared = shared.clone();
+            let (acceptor_tx, acceptor_shared) = (tx.clone(), shared.clone());
             tokio::task::spawn_blocking(move || {
-                accept_loop(std_listener, acceptor_tx, acceptor_shared)
+                accept_loop(listener, acceptor_tx, acceptor_shared)
             });
-            let ctx = NodeCtx {
-                me,
-                senders: HashMap::new(),
-                wheel: TimerWheel::spawn(tx.clone()),
-                tx,
-                shared: shared.clone(),
-                faults: faults.clone(),
-                stats: stats.clone(),
-                policy,
-            };
-            nodes.push(tokio::task::spawn_blocking(move || {
-                node_loop(me, core, rx, ctx)
-            }));
+            let node = Node::new(NodeId(index), core, tx, shared.clone());
+            nodes.push(tokio::task::spawn_blocking(move || node.run(rx)));
         }
 
-        let waiter_shared = shared.clone();
-        let completed = tokio::task::spawn_blocking(move || waiter_shared.wait_done(deadline))
-            .await
-            .expect("completion waiter");
+        let waiter = shared.clone();
+        let completed = tokio::task::spawn_blocking(move || {
+            let completed = waiter.wait_until(waiter.epoch + deadline, |trace| {
+                trace.count(labels::TASK_COMPLETE) > 0
+            });
+            if completed {
+                waiter.wait_until(Instant::now() + t_sync, |trace| {
+                    let done = trace.find_all(labels::TRAINER_ROUND_DONE);
+                    trainers.iter().all(|&t| {
+                        waiter.faults.is_down(t)
+                            || done.iter().any(|e| e.node == t && e.value == last_round)
+                    })
+                });
+            }
+            completed
+        })
+        .await
+        .expect("completion waiter");
 
         // Stop the node loops, then poke every listener so blocked
         // accept() calls observe the flag and exit.
@@ -578,28 +497,119 @@ pub fn run_task_over_tcp_with<M: Model + Clone + Send + 'static>(
         for node in nodes {
             let _ = node.await;
         }
-        Ok::<_, IplsError>((completed, shared))
-    })?;
-    let (done, shared) = run;
-    let completed_rounds = shared.completed_rounds.load(Ordering::Relaxed);
-    if !done {
+        completed
+    });
+    // Every node loop has been joined: nothing writes the trace any more.
+    let trace = std::mem::take(&mut *lock(&shared.trace));
+    if !completed {
         return Err(IplsError::RoundFailed {
-            round: completed_rounds,
+            round: trace.count(labels::ROUND_COMPLETE) as u64,
             reason: format!("TCP task missed its completion deadline ({deadline:?})"),
         });
     }
-
-    let final_params = lock(&sink).clone();
     Ok(TcpTaskReport {
-        final_params,
-        completed_rounds,
-        counters: shared.counters.iter().map(|m| lock(m).clone()).collect(),
-        records: shared.records.iter().map(|m| lock(m).clone()).collect(),
-        observations: shared
-            .observations
-            .iter()
-            .map(|m| lock(m).clone())
-            .collect(),
-        delivery: stats.snapshot(),
+        report: build_report(&topo, trace, &sink),
+        delivery: shared.stats.snapshot(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dfl_netsim::SimDuration;
+
+    /// Arms its timers at `Start` and reports every token that fires.
+    struct Probe {
+        arm_ms: Vec<(u64, u64)>,
+        fired: mpsc::Sender<u64>,
+    }
+
+    impl ProtocolCore for Probe {
+        type Msg = Msg;
+
+        fn handle(&mut self, _now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
+            match event {
+                ProtocolEvent::Start => {
+                    for &(ms, token) in &self.arm_ms {
+                        out.set_timer(SimDuration::from_millis(ms), token);
+                    }
+                }
+                ProtocolEvent::Timer { token } => self.fired.send(token).expect("test listens"),
+                _ => {}
+            }
+        }
+    }
+
+    /// A one-node deployment around a [`Probe`]: the node, its event
+    /// receiver and the fired-token receiver.
+    fn probe(arm_ms: &[(u64, u64)]) -> (Node, mpsc::Receiver<NodeEvent>, mpsc::Receiver<u64>) {
+        let (fired, fired_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
+        let nowhere = SocketAddr::from(([127, 0, 0, 1], 1));
+        let shared = Arc::new(Shared::new(vec![nowhere], 0));
+        let core = Box::new(Probe {
+            arm_ms: arm_ms.to_vec(),
+            fired,
+        });
+        (Node::new(NodeId(0), core, tx, shared), rx, fired_rx)
+    }
+
+    fn started(arm_ms: &[(u64, u64)]) -> (Node, mpsc::Receiver<u64>) {
+        let (mut node, _rx, fired) = probe(arm_ms);
+        node.deliver(ProtocolEvent::Start);
+        (node, fired)
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order_and_only_when_due() {
+        let (mut node, fired) = started(&[(3_000, 3), (1_000, 1), (2_000, 2)]);
+        let now = Instant::now();
+        node.fire_due(now);
+        assert!(fired.try_recv().is_err(), "nothing is due yet");
+        assert!(node.idle(now) <= TICK);
+        node.fire_due(now + Duration::from_millis(1_500));
+        assert_eq!(fired.try_iter().collect::<Vec<_>>(), vec![1]);
+        node.fire_due(now + Duration::from_secs(10));
+        assert_eq!(fired.try_iter().collect::<Vec<_>>(), vec![2, 3]);
+        assert!(node.timers.is_empty());
+    }
+
+    #[test]
+    fn same_deadline_timers_fire_in_arming_order() {
+        let tokens: Vec<u64> = (0..8).collect();
+        let arm: Vec<(u64, u64)> = tokens.iter().map(|&token| (0, token)).collect();
+        let (mut node, fired) = started(&arm);
+        node.fire_due(Instant::now());
+        assert_eq!(fired.try_iter().collect::<Vec<_>>(), tokens);
+    }
+
+    #[test]
+    fn a_timer_due_while_the_node_is_down_is_counted_and_never_fires() {
+        let (mut node, fired) = started(&[(10, 7)]);
+        let stats = node.shared.stats.clone();
+        let discarded = || stats.timers_discarded_down.load(Ordering::Relaxed);
+        let crash = Fault::Crash(NodeId(0));
+        node.on_event(NodeEvent::Fault { fault: crash });
+        node.fire_due(Instant::now() + Duration::from_secs(1));
+        assert_eq!(discarded(), 1);
+        let recover = Fault::Recover(NodeId(0));
+        node.on_event(NodeEvent::Fault { fault: recover });
+        node.fire_due(Instant::now() + Duration::from_secs(2));
+        assert_eq!(discarded(), 1);
+        assert!(node.timers.is_empty());
+        assert!(fired.try_recv().is_err(), "the timer died with the outage");
+    }
+
+    #[test]
+    fn nothing_fires_after_the_loop_stops() {
+        // An hour-long watchdog is still pending when the run shuts down:
+        // the loop returns at its next tick and the timer goes with it.
+        let (node, rx, fired) = probe(&[(0, 1), (3_600_000, 2)]);
+        let shared = node.shared.clone();
+        let node = std::thread::spawn(move || node.run(rx));
+        assert_eq!(fired.recv_timeout(Duration::from_secs(5)), Ok(1));
+        shared.shutdown.store(true, Ordering::Relaxed);
+        node.join().expect("node loop");
+        assert_eq!(fired.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    }
 }

@@ -14,8 +14,11 @@
 //! storage, nodes 3–4 = aggregators (one per partition), nodes 5–8 =
 //! trainers 0–3.
 
-use dfl_backend_tokio::run_task_over_tcp;
+use std::io::Write as _;
+
+use dfl_backend_tokio::{run_task_over_tcp, TcpTaskReport};
 use dfl_ml::{data, LogisticRegression, Model, SgdConfig};
+use ipls::labels;
 use ipls::prelude::{ChaosSpec, FaultPlan, NodeId, SimDuration, SimTime};
 use ipls::{run_task, CommMode, TaskConfig};
 
@@ -62,7 +65,48 @@ fn clients(cfg: &TaskConfig) -> Vec<data::Dataset> {
     data::partition_iid(&dataset, cfg.trainers, 0)
 }
 
-fn run_both(cfg: TaskConfig) -> (ipls::runner::TaskReport, dfl_backend_tokio::TcpTaskReport) {
+/// When an assertion of the test holding it fails, leaves the TCP run's
+/// trace under `target/` and says which trainers never finished the last
+/// round — what a failure of a wall-clock scenario is diagnosed from.
+struct TraceOnFailure<'a> {
+    scenario: &'static str,
+    cfg: &'a TaskConfig,
+    tcp: &'a TcpTaskReport,
+}
+
+impl Drop for TraceOnFailure<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let trace = &self.tcp.trace;
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("{}.tcp-trace.jsonl", self.scenario));
+        let written = std::fs::File::create(&path).and_then(|file| {
+            let mut file = std::io::BufWriter::new(file);
+            trace.write_jsonl(&mut file)?;
+            file.flush()
+        });
+        let first_trainer = 1 + self.cfg.ipfs_nodes + self.cfg.total_aggregators();
+        let last_round = (self.cfg.rounds - 1) as f64;
+        let unfinished: Vec<usize> = (0..self.cfg.trainers)
+            .filter(|t| {
+                !trace
+                    .find(NodeId(first_trainer + t), labels::TRAINER_ROUND_DONE)
+                    .iter()
+                    .any(|e| e.value == last_round)
+            })
+            .collect();
+        eprintln!(
+            "{}: TCP trace at {} ({written:?}); trainers without the last round's {}: {unfinished:?}",
+            self.scenario,
+            path.display(),
+            labels::TRAINER_ROUND_DONE,
+        );
+    }
+}
+
+fn run_both(cfg: TaskConfig) -> (ipls::runner::TaskReport, TcpTaskReport) {
     let model = LogisticRegression::new(2, 2);
     let params = model.params();
     let sim = run_task(
@@ -113,6 +157,11 @@ fn scripted_chaos_scenario_matches_the_netsim_oracle() {
         .recover_at(SimTime::from_micros(6_000_000), trainer3);
 
     let (sim, tcp) = run_both(cfg.clone());
+    let _trace_on_failure = TraceOnFailure {
+        scenario: "scripted_chaos",
+        cfg: &cfg,
+        tcp: &tcp,
+    };
 
     // The netsim oracle: all rounds complete, the first two degraded
     // (both partition aggregators degrade per round).
@@ -168,6 +217,11 @@ fn permanent_trainer_loss_degrades_identically_on_both_backends() {
     cfg.fault_plan = FaultPlan::new().crash_at(SimTime::from_micros(10_000), trainer3);
 
     let (sim, tcp) = run_both(cfg.clone());
+    let _trace_on_failure = TraceOnFailure {
+        scenario: "permanent_trainer_loss",
+        cfg: &cfg,
+        tcp: &tcp,
+    };
 
     assert!(sim.succeeded(&cfg), "quorum must carry the netsim run");
     assert_eq!(

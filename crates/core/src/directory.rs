@@ -356,7 +356,7 @@ impl Directory {
         self.rejected += 1;
         out.record(labels::VERIFICATION_FAILED, pv.partition as f64);
         // A second event keyed by the offender, for forensic reports.
-        out.record("verification_failed_by", pv.aggregator as f64);
+        out.record(labels::VERIFICATION_FAILED_BY, pv.aggregator as f64);
         if !pv.blob.is_empty() {
             out.record(labels::WASTED_BYTES, pv.blob.len() as f64);
         }

@@ -134,3 +134,65 @@ pub const OVERLAY_UPDATE_PUSHED: &str = "overlay_update_pushed";
 /// Trainer (overlay mode): an update pushed down the tree failed its
 /// aggregator signature check and was dropped (value = partition).
 pub const OVERLAY_UPDATE_REJECTED: &str = "overlay_update_rejected";
+/// Trainer: local training overran `t_train` and the round's upload was
+/// skipped; the trainer still polls for the next global model (Algorithm 1,
+/// lines 10–12; value = iter).
+pub const TRAIN_ABORT: &str = "train_abort";
+/// Trainer: a downloaded partition update failed its commitment check and
+/// was not applied; the poll loop fetches again (value = partition).
+pub const TRAINER_REJECTED_UPDATE: &str = "trainer_rejected_update";
+/// Directory: the companion of [`VERIFICATION_FAILED`], keyed by the
+/// offender (value = the registering aggregator's global index).
+pub const VERIFICATION_FAILED_BY: &str = "verification_failed_by";
+/// Storage node: the block store's occupancy changed (value = blocks held
+/// now; 0 after a `DataLoss` fault).
+pub const STORE_BLOCKS: &str = "store_blocks";
+
+/// Every label an `ipls` core can emit as an event, counter or histogram.
+/// Storage counters are in `dfl_ipfs::node::stats` and the simulator's own
+/// labels in `dfl_netsim::trace::net`; `tests/mode_matrix.rs` checks that a
+/// run's trace holds nothing outside the three.
+pub const ALL: &[&str] = &[
+    ROUND_START,
+    FIRST_GRADIENT_HASH,
+    UPLOAD_START,
+    UPLOAD_DONE,
+    GRADS_AGGREGATED,
+    SYNC_DONE,
+    UPDATE_REGISTERED,
+    VERIFICATION_FAILED,
+    ROUND_COMPLETE,
+    TASK_COMPLETE,
+    TRAINER_ROUND_DONE,
+    DROPOUT_RECOVERY,
+    FORGED_REGISTRATION,
+    QUORUM_DEGRADED,
+    MERGE_FALLBACK,
+    SUM_OVERFLOW,
+    MISBEHAVIOR_DETECTED,
+    EVICTED,
+    EVICTED_REJECTED,
+    PEER_BLACKLISTED,
+    ROUND_RECOVERED,
+    WASTED_BYTES,
+    FETCH_START,
+    VERIFY_MS,
+    BLOBS_VERIFIED,
+    VERIFY_BATCHED,
+    DELIVERY_FAILED,
+    UNLISTED_PROVIDER,
+    MISROUTED_ACK,
+    MISSING_COMMIT_KEY,
+    OVERLAY_FORWARDED,
+    OVERLAY_CHILD_RECV,
+    OVERLAY_CHILD_REJECTED,
+    OVERLAY_TIMEOUT,
+    OVERLAY_AGG_MSG,
+    OVERLAY_PARTIAL_REJECTED,
+    OVERLAY_UPDATE_PUSHED,
+    OVERLAY_UPDATE_REJECTED,
+    TRAIN_ABORT,
+    TRAINER_REJECTED_UPDATE,
+    VERIFICATION_FAILED_BY,
+    STORE_BLOCKS,
+];

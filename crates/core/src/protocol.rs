@@ -185,6 +185,21 @@ pub trait ProtocolCore {
     );
 }
 
+/// A boxed core is a core, so a backend can hold every role of a deployment
+/// in one `Vec` (see [`Deployment`](crate::runner::Deployment)).
+impl<C: ProtocolCore + ?Sized> ProtocolCore for Box<C> {
+    type Msg = C::Msg;
+
+    fn handle(
+        &mut self,
+        now: SimTime,
+        event: ProtocolEvent<Self::Msg>,
+        out: &mut Actions<Self::Msg>,
+    ) {
+        (**self).handle(now, event, out);
+    }
+}
+
 /// What a backend needs from a message type: its wire encoding (sockets
 /// carry it) and the byte cost derived from that same encoding (the
 /// simulator models transfer time from it). Defined beside the field
@@ -262,9 +277,9 @@ where
 /// a pure request/response machine) through the [`ProtocolCore`] API, so
 /// storage nodes ride the same backends as the IPLS roles.
 ///
-/// Mirrors `dfl_ipfs::IpfsActor` exactly — produced wires, then timer
-/// requests, then drained stat counters, then the store-occupancy sample —
-/// so traces are bit-identical to the pre-sans-io actor.
+/// After every event it pushes, in this order, the produced wires, the
+/// timer requests, the drained stat counters and the store-occupancy sample
+/// — the order the trace fingerprints pin.
 pub struct IpfsCore<M> {
     node: IpfsNode,
     last_reported_blocks: usize,
@@ -304,7 +319,7 @@ impl<M: WireEmbed> IpfsCore<M> {
         let blocks = self.node.store().len();
         if blocks != self.last_reported_blocks {
             self.last_reported_blocks = blocks;
-            out.record("store_blocks", blocks as f64);
+            out.record(crate::labels::STORE_BLOCKS, blocks as f64);
         }
     }
 }
@@ -334,7 +349,7 @@ impl<M: WireEmbed> ProtocolCore for IpfsCore<M> {
                 Fault::DataLoss(_) => {
                     self.node.drop_stored_data();
                     self.last_reported_blocks = 0;
-                    out.record("store_blocks", 0.0);
+                    out.record(crate::labels::STORE_BLOCKS, 0.0);
                 }
                 // Recovery, link shaping, partitions and frame chaos are
                 // transport-level: the storage state machine is unaffected.

@@ -1,6 +1,9 @@
-//! Task runner: builds the simulated deployment (directory, storage nodes,
-//! aggregators, trainers), runs the configured number of rounds, and
-//! extracts the delay metrics the paper's evaluation reports.
+//! Task runner: builds the deployment (directory, storage nodes,
+//! aggregators, trainers), runs the configured number of rounds in the
+//! simulator, and extracts the delay metrics the paper's evaluation reports
+//! from the trace. [`Deployment::build`] and [`build_report`] are the two
+//! ends every backend shares; `dfl-backend-tokio` puts sockets between them
+//! where [`run_task_in`] puts the simulator.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -16,11 +19,12 @@ use crate::error::IplsError;
 use crate::gradient::{derive_key, ProtocolKey};
 use crate::labels;
 use crate::messages::Msg;
-use crate::protocol::{IpfsCore, NetsimAdapter};
+use crate::protocol::{IpfsCore, NetsimAdapter, ProtocolCore};
 use crate::trainer::{ParamSink, Trainer};
 use crate::Aggregator;
 
-/// Delay metrics of one training round (all in seconds of simulated time).
+/// Delay metrics of one training round, all in seconds of the run's clock:
+/// simulated time under netsim, wall-clock time over sockets.
 #[derive(Clone, Debug, Default)]
 pub struct RoundMetrics {
     /// Round number.
@@ -40,7 +44,7 @@ pub struct RoundMetrics {
     pub sync_delay: f64,
     /// Total aggregation delay (`aggregation_delay + sync_delay`).
     pub total_aggregation_delay: f64,
-    /// Wall-clock duration of the round (announcement → all trainers done).
+    /// Duration of the round (announcement → all trainers done).
     pub round_duration: f64,
 }
 
@@ -80,12 +84,14 @@ pub struct TaskReport {
     pub wasted_bytes: u64,
     /// Bytes the network carried that no application consumed: partial
     /// transfers torn by crashes and completed payloads dropped because the
-    /// receiver was down at delivery.
+    /// receiver was down at delivery. Zero over sockets, where frames that
+    /// die are counted, not weighed, in the backend's `DeliveryReport`.
     pub wire_wasted_bytes: u64,
     /// Application bytes sent across all nodes over the whole task (the
-    /// run's total wire cost).
+    /// run's total wire cost). Over sockets a frame is booked when its
+    /// `Send` is interpreted, and as received when it reaches a live core.
     pub total_tx_bytes: u64,
-    /// The raw simulation trace, for custom analysis.
+    /// The run's raw trace, for custom analysis.
     pub trace: Trace,
 }
 
@@ -111,23 +117,115 @@ impl TaskReport {
     }
 }
 
-/// The deployment's storage nodes in index order, each configured from the
-/// task: the shared roster, `fetch_timeout` as the retry base and the
-/// `lossy_ipfs_nodes` fault injection. Every backend builds them here.
-pub fn storage_nodes(topo: &Topology) -> Vec<IpfsNode> {
-    let cfg = topo.config();
-    let roster = IpfsNode::roster_for(&topo.ipfs_ids());
-    (0..cfg.ipfs_nodes)
-        .map(|k| {
+/// A protocol core behind a pointer, as a backend drives it.
+pub type BoxedCore = Box<dyn ProtocolCore<Msg = Msg> + Send>;
+
+/// One task's deployment, built once for whichever backend runs it: the
+/// checked topology, every node's core and the sink the trainers write
+/// their final parameters to.
+pub struct Deployment {
+    /// The task's topology (node ids, partitions, gateways).
+    pub topo: Arc<Topology>,
+    /// One core per node in node-id order: the directory, the storage
+    /// nodes, the aggregators, the trainers.
+    pub cores: Vec<BoxedCore>,
+    /// Final model parameters per trainer index, filled in as trainers
+    /// finish rounds.
+    pub sink: ParamSink,
+}
+
+impl Deployment {
+    /// Checks the inputs against each other and builds every core.
+    ///
+    /// `datasets[t]` is trainer `t`'s local data; `behaviors` overrides the
+    /// behaviour of specific aggregators by global index (all others honest).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the configuration is invalid or inconsistent
+    /// with the model/datasets.
+    pub fn build<M: Model + Clone + 'static>(
+        cfg: TaskConfig,
+        model: M,
+        initial_params: Vec<f32>,
+        datasets: Vec<Dataset>,
+        sgd: SgdConfig,
+        behaviors: &[(usize, Behavior)],
+    ) -> Result<Deployment, IplsError> {
+        let topo = Arc::new(Topology::new(cfg, initial_params.len())?);
+        let cfg = topo.config();
+        if datasets.len() != cfg.trainers {
+            return Err(IplsError::InvalidConfig(format!(
+                "{} datasets for {} trainers",
+                datasets.len(),
+                cfg.trainers
+            )));
+        }
+        if model.param_count() != initial_params.len() {
+            return Err(IplsError::InvalidConfig(
+                "model parameter count does not match initial parameters".to_string(),
+            ));
+        }
+        for (g, _) in behaviors {
+            if *g >= cfg.total_aggregators() {
+                return Err(IplsError::InvalidConfig(format!(
+                    "no aggregator with index {g}"
+                )));
+            }
+        }
+
+        let key: Option<Arc<ProtocolKey>> = cfg.verifiable.then(|| {
+            Arc::new(derive_key(
+                topo.max_partition_len(),
+                cfg.seed,
+                cfg.commit_precompute,
+            ))
+        });
+        let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
+        let behavior_of = |g: usize| {
+            behaviors
+                .iter()
+                .find(|(i, _)| *i == g)
+                .map_or(Behavior::Honest, |(_, b)| *b)
+        };
+
+        let mut cores: Vec<BoxedCore> = Vec::with_capacity(topo.node_count());
+        cores.push(Box::new(Directory::new(topo.clone(), key.clone())));
+        // Storage nodes share the roster and take `fetch_timeout` as the retry
+        // base and the `lossy_ipfs_nodes` fault injection from the task.
+        let roster = IpfsNode::roster_for(&topo.ipfs_ids());
+        for k in 0..cfg.ipfs_nodes {
             let mut node = IpfsNode::new(topo.ipfs_node(k), roster.clone());
             node.set_retry_policy(RetryPolicy {
                 base_timeout: cfg.fetch_timeout,
                 ..RetryPolicy::default()
             });
             node.set_lossy(cfg.lossy_ipfs_nodes.contains(&k));
-            node
-        })
-        .collect()
+            cores.push(Box::new(IpfsCore::<Msg>::new(node)));
+        }
+        for g in 0..cfg.total_aggregators() {
+            cores.push(Box::new(Aggregator::new(
+                g,
+                topo.clone(),
+                key.clone(),
+                behavior_of(g),
+            )));
+        }
+        for (t, dataset) in datasets.into_iter().enumerate() {
+            cores.push(Box::new(Trainer::new(
+                t,
+                topo.clone(),
+                key.clone(),
+                model.clone(),
+                initial_params.clone(),
+                dataset,
+                sgd,
+                sink.clone(),
+            )));
+        }
+        assert_eq!(cores.len(), topo.node_count());
+        Ok(Deployment { topo, cores, sink })
+    }
 }
 
 /// Runs a full task and reports its metrics.
@@ -167,101 +265,30 @@ pub fn run_task_in<M: Model + Clone + 'static>(
     sgd: SgdConfig,
     behaviors: &[(usize, Behavior)],
 ) -> Result<TaskReport, IplsError> {
-    let topo = Arc::new(Topology::new(cfg.clone(), initial_params.len())?);
-    if datasets.len() != cfg.trainers {
-        return Err(IplsError::InvalidConfig(format!(
-            "{} datasets for {} trainers",
-            datasets.len(),
-            cfg.trainers
-        )));
-    }
-    if model.param_count() != initial_params.len() {
-        return Err(IplsError::InvalidConfig(
-            "model parameter count does not match initial parameters".to_string(),
-        ));
-    }
-    for (g, _) in behaviors {
-        if *g >= cfg.total_aggregators() {
-            return Err(IplsError::InvalidConfig(format!(
-                "no aggregator with index {g}"
-            )));
-        }
-    }
-
-    let key: Option<Arc<ProtocolKey>> = cfg.verifiable.then(|| {
-        Arc::new(derive_key(
-            topo.max_partition_len(),
-            cfg.seed,
-            cfg.commit_precompute,
-        ))
-    });
+    let Deployment { topo, cores, sink } =
+        Deployment::build(cfg, model, initial_params, datasets, sgd, behaviors)?;
+    let cfg = topo.config();
 
     // Generous stop-gap: a stalled round ends the simulation at the limit.
     let limit_us = (cfg.t_sync.as_micros() + 120_000_000) * cfg.rounds;
     sim.set_time_limit(SimTime::from_micros(limit_us));
 
-    let link = cfg.link();
-    let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
-
-    // Node 0: the directory (bootstrapper).
-    let dir_id = sim.add_node(
-        NetsimAdapter::new(Directory::new(topo.clone(), key.clone())),
-        link,
-    );
-    assert_eq!(dir_id, topo.directory());
-
-    // Storage nodes (possibly on faster infrastructure links).
-    let ipfs_link = cfg.ipfs_link();
-    for (k, node) in storage_nodes(&topo).into_iter().enumerate() {
-        let id = sim.add_node(NetsimAdapter::new(IpfsCore::new(node)), ipfs_link);
-        assert_eq!(id, topo.ipfs_node(k));
-    }
-
-    // Aggregators.
-    let behavior_of = |g: usize| {
-        behaviors
-            .iter()
-            .find(|(i, _)| *i == g)
-            .map(|(_, b)| *b)
-            .unwrap_or(Behavior::Honest)
-    };
-    for g in 0..cfg.total_aggregators() {
-        let id = sim.add_node(
-            NetsimAdapter::new(Aggregator::new(
-                g,
-                topo.clone(),
-                key.clone(),
-                behavior_of(g),
-            )),
-            link,
-        );
-        assert_eq!(id, topo.aggregator(g));
-    }
-
-    // Trainers.
-    for (t, dataset) in datasets.into_iter().enumerate() {
-        let id = sim.add_node(
-            NetsimAdapter::new(Trainer::new(
-                t,
-                topo.clone(),
-                key.clone(),
-                model.clone(),
-                initial_params.clone(),
-                dataset,
-                sgd,
-                sink.clone(),
-            )),
-            link,
-        );
-        assert_eq!(id, topo.trainer(t));
+    // Storage nodes may sit on faster infrastructure links.
+    let storage = topo.ipfs_ids();
+    for (index, core) in cores.into_iter().enumerate() {
+        let link = if storage.contains(&NodeId(index)) {
+            cfg.ipfs_link()
+        } else {
+            cfg.link()
+        };
+        let id = sim.add_node(NetsimAdapter::new(core), link);
+        assert_eq!(id, NodeId(index));
     }
 
     sim.apply_fault_plan(&cfg.fault_plan);
 
     sim.run();
-    let trace = sim.into_trace();
-    let params = sink.lock().expect("param sink").clone();
-    Ok(build_report(&topo, &trace, &params))
+    Ok(build_report(&topo, sim.into_trace(), &sink))
 }
 
 /// One label's events bucketed by round: each event whose value is the
@@ -278,19 +305,24 @@ fn by_round(trace: &Trace, label: &str, rounds: u64) -> Vec<Vec<(NodeId, f64)>> 
     out
 }
 
-fn build_report(topo: &Topology, trace: &Trace, sink: &HashMap<usize, Vec<f32>>) -> TaskReport {
+/// Turns a finished run's trace into its [`TaskReport`]: the per-round
+/// delays of §V, the counter fields and the trainers' final parameters. Both
+/// backends end here; over sockets the trace's times are wall-clock seconds
+/// since the run started.
+pub fn build_report(topo: &Topology, trace: Trace, sink: &ParamSink) -> TaskReport {
     let cfg = topo.config();
+    let final_params = sink.lock().expect("param sink").clone();
 
     // Bucket every per-round label once, instead of re-querying the trace
     // for each round.
-    let complete = by_round(trace, labels::ROUND_COMPLETE, cfg.rounds);
-    let round_starts = by_round(trace, labels::ROUND_START, cfg.rounds);
-    let upload_starts = by_round(trace, labels::UPLOAD_START, cfg.rounds);
-    let upload_dones = by_round(trace, labels::UPLOAD_DONE, cfg.rounds);
-    let first_hashes = by_round(trace, labels::FIRST_GRADIENT_HASH, cfg.rounds);
-    let fetch_starts = by_round(trace, labels::FETCH_START, cfg.rounds);
-    let aggregated = by_round(trace, labels::GRADS_AGGREGATED, cfg.rounds);
-    let syncs = by_round(trace, labels::SYNC_DONE, cfg.rounds);
+    let complete = by_round(&trace, labels::ROUND_COMPLETE, cfg.rounds);
+    let round_starts = by_round(&trace, labels::ROUND_START, cfg.rounds);
+    let upload_starts = by_round(&trace, labels::UPLOAD_START, cfg.rounds);
+    let upload_dones = by_round(&trace, labels::UPLOAD_DONE, cfg.rounds);
+    let first_hashes = by_round(&trace, labels::FIRST_GRADIENT_HASH, cfg.rounds);
+    let fetch_starts = by_round(&trace, labels::FETCH_START, cfg.rounds);
+    let aggregated = by_round(&trace, labels::GRADS_AGGREGATED, cfg.rounds);
+    let syncs = by_round(&trace, labels::SYNC_DONE, cfg.rounds);
 
     let mut rounds = Vec::new();
     for iter in 0..cfg.rounds as usize {
@@ -366,7 +398,7 @@ fn build_report(topo: &Topology, trace: &Trace, sink: &HashMap<usize, Vec<f32>>)
     TaskReport {
         completed_rounds: rounds.len() as u64,
         rounds,
-        final_params: sink.clone(),
+        final_params,
         aggregator_rx_bytes,
         verification_failures: trace.count(labels::VERIFICATION_FAILED),
         dropout_recoveries: trace.count(labels::DROPOUT_RECOVERY),
@@ -389,6 +421,6 @@ fn build_report(topo: &Topology, trace: &Trace, sink: &HashMap<usize, Vec<f32>>)
         wasted_bytes: protocol_wasted_bytes + wire_wasted_bytes,
         wire_wasted_bytes,
         total_tx_bytes: trace.total_bytes_sent(),
-        trace: trace.clone(),
+        trace,
     }
 }

@@ -265,7 +265,7 @@ impl<M: Model> Trainer<M> {
         // the trainer still picks up the next global model.
         let deadline = self.round_start + self.topo.config().t_train;
         if now > deadline {
-            out.record("train_abort", self.iter as f64);
+            out.record(labels::TRAIN_ABORT, self.iter as f64);
             self.start_polling(out);
             return;
         }
@@ -785,7 +785,7 @@ impl<M: Model> Trainer<M> {
                     } else if !verify_blob_timed(out, &key, &data, &acc) {
                         // Never accept an unverified update (the poll loop
                         // will re-fetch if a correct one appears).
-                        out.record("trainer_rejected_update", partition as f64);
+                        out.record(labels::TRAINER_REJECTED_UPDATE, partition as f64);
                         return;
                     }
                 }
@@ -830,7 +830,7 @@ impl<M: Model> Trainer<M> {
         let culprits = flush_verify_queue(out, &key, &items);
         for &i in &culprits {
             let partition = pending[i].0;
-            out.record("trainer_rejected_update", partition as f64);
+            out.record(labels::TRAINER_REJECTED_UPDATE, partition as f64);
             self.received.remove(&partition);
         }
         culprits.is_empty()

@@ -37,5 +37,5 @@ pub mod wire;
 pub use block::{Block, BlockStore};
 pub use cid::Cid;
 pub use kademlia::Key;
-pub use node::{IpfsActor, IpfsNode, IpfsWire, Outgoing, RetryPolicy, Topic, WireEmbed};
+pub use node::{IpfsNode, IpfsWire, Outgoing, RetryPolicy, Topic, WireEmbed};
 pub use wire::{DecodeError, WireCost, TRANSPORT_OVERHEAD_BYTES};

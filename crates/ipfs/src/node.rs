@@ -3,9 +3,9 @@
 //!
 //! [`IpfsNode`] is a pure state machine: [`IpfsNode::handle`] consumes one
 //! wire message and returns the messages to send in response, so it can be
-//! unit-tested without a simulator and embedded into any
-//! [`dfl_netsim::Actor`] message type via the [`WireEmbed`] trait and the
-//! ready-made [`IpfsActor`] wrapper.
+//! unit-tested without a simulator and embedded into any message type via
+//! the [`WireEmbed`] trait. `ipls::protocol::IpfsCore` is the wrapper that
+//! drives one on either backend.
 //!
 //! Protocol participants talk to an assigned node (their *gateway*):
 //!
@@ -25,13 +25,12 @@ use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
 
-use dfl_netsim::{Actor, Context, Fault, NodeId, SimDuration};
+use dfl_netsim::{NodeId, SimDuration};
 
 use crate::block::{Block, BlockStore};
 use crate::cid::Cid;
 use crate::kademlia::{closest_nodes, Key};
 use crate::merge::merge_blobs;
-use crate::wire::WireCost;
 
 /// Number of nodes that hold the provider record for each CID.
 pub const RECORD_REPLICAS: usize = 2;
@@ -254,8 +253,8 @@ pub struct IpfsNode {
 }
 
 /// Trace counter labels bumped by [`IpfsNode`] and drained into the shared
-/// [`Trace`](dfl_netsim::Trace) by [`IpfsActor`] (`Trace::counter(label)`
-/// reads them back after a run).
+/// [`Trace`](dfl_netsim::Trace) by `ipls::protocol::IpfsCore`
+/// (`Trace::counter(label)` reads them back after a run).
 pub mod stats {
     /// Provider-record lookups started for a block not held locally.
     pub const PROVIDER_LOOKUPS: &str = "ipfs/provider_lookups";
@@ -339,8 +338,8 @@ impl IpfsNode {
 
     /// Drains the timeouts this node wants armed, as `(token, delay)`
     /// pairs. The hosting actor must arm a timer per entry and route its
-    /// expiry back into [`IpfsNode::on_timeout`]. Called by [`IpfsActor`]
-    /// after every `handle`/`on_timeout`.
+    /// expiry back into [`IpfsNode::on_timeout`]. `ipls::protocol::IpfsCore`
+    /// calls it after every `handle`/`on_timeout`.
     pub fn take_timer_requests(&mut self) -> Vec<(u64, SimDuration)> {
         std::mem::take(&mut self.timer_requests)
     }
@@ -1125,90 +1124,10 @@ impl std::fmt::Debug for IpfsNode {
     }
 }
 
-/// Ready-made simulation actor wrapping an [`IpfsNode`], usable with any
-/// message type that embeds [`IpfsWire`].
-pub struct IpfsActor {
-    node: IpfsNode,
-    last_reported_blocks: usize,
-}
-
-impl IpfsActor {
-    /// Wraps a node.
-    pub fn new(node: IpfsNode) -> IpfsActor {
-        IpfsActor {
-            node,
-            last_reported_blocks: 0,
-        }
-    }
-
-    /// The wrapped node.
-    pub fn node(&self) -> &IpfsNode {
-        &self.node
-    }
-
-    /// Mutable access (e.g. for fault injection before a run).
-    pub fn node_mut(&mut self) -> &mut IpfsNode {
-        &mut self.node
-    }
-
-    /// Ships produced messages, arms requested timeouts, and traces store
-    /// occupancy changes so experiments can observe the ephemeral-data
-    /// lifecycle (§VI).
-    fn flush<M: WireEmbed>(&mut self, ctx: &mut Context<'_, M>, outgoing: Vec<Outgoing>) {
-        for Outgoing { to, wire } in outgoing {
-            let bytes = wire.wire_bytes();
-            ctx.send(to, bytes, M::embed(wire));
-        }
-        for (token, delay) in self.node.take_timer_requests() {
-            ctx.set_timer(delay, token);
-        }
-        for (label, delta) in self.node.take_stats() {
-            ctx.incr(label, delta);
-        }
-        let blocks = self.node.store().len();
-        if blocks != self.last_reported_blocks {
-            self.last_reported_blocks = blocks;
-            ctx.record("store_blocks", blocks as f64);
-        }
-    }
-}
-
-impl<M: WireEmbed> Actor<M> for IpfsActor {
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        let wire = match msg.extract() {
-            Ok(wire) => wire,
-            Err(_) => return, // not a storage message; ignore
-        };
-        let out = self.node.handle(from, wire);
-        self.flush(ctx, out);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, token: u64) {
-        let out = self.node.on_timeout(token);
-        self.flush(ctx, out);
-    }
-
-    fn on_fault(&mut self, ctx: &mut Context<'_, M>, fault: Fault) {
-        match fault {
-            // A crash loses volatile state (request tables, armed timers);
-            // stored blocks are durable and survive the outage.
-            Fault::Crash(_) => self.node.drop_volatile_state(),
-            Fault::DataLoss(_) => {
-                self.node.drop_stored_data();
-                self.last_reported_blocks = 0;
-                ctx.record("store_blocks", 0.0);
-            }
-            // Recovery, link shaping, partitions and frame chaos are
-            // transport-level: the storage state machine is unaffected.
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::TRANSPORT_OVERHEAD_BYTES;
+    use crate::wire::{WireCost, TRANSPORT_OVERHEAD_BYTES};
 
     fn network(n: usize) -> Vec<IpfsNode> {
         let ids: Vec<NodeId> = (0..n).map(NodeId).collect();

@@ -2,13 +2,16 @@
 //! [`TaskConfig::validate`] accepts, in all three communication modes: a
 //! two-round task on a deployment small enough that the whole matrix is a
 //! tier-1 test. Whatever `validate` lets through must complete its rounds,
-//! leave every trainer with the same model, and balance the byte ledger.
+//! leave every trainer with the same model, balance the byte ledger, and
+//! put nothing in the trace under a name no registry declares.
 //!
 //! One test per communication mode, so the harness runs them side by side.
 
+use decentralized_fl::ipfs::node::stats;
 use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};
 use decentralized_fl::netsim::trace::net;
 use decentralized_fl::prelude::*;
+use decentralized_fl::protocol::labels;
 
 const TRAINERS: usize = 3;
 
@@ -18,6 +21,35 @@ const TRAINERS: usize = 3;
 /// overlay (one aggregator per partition, no `trainer_verifies`). A change
 /// to `validate()` or to the switches moves this on purpose or not at all.
 const VALID_PER_COMM: usize = 16 + 128 + 32;
+
+/// The storage node's counters (`dfl_ipfs::node::stats`) and the simulator's
+/// own labels (`dfl_netsim::trace::net`): with `labels::ALL`, every name a
+/// run's trace may hold.
+const STORAGE_AND_NET: &[&str] = &[
+    stats::PROVIDER_LOOKUPS,
+    stats::CACHE_HITS,
+    stats::CACHE_MISSES,
+    stats::MERGE_RPCS,
+    stats::MERGE_REMOTE_FETCHES,
+    stats::RETRIES,
+    stats::FAILOVERS,
+    stats::RETRACTIONS,
+    stats::FETCH_FAILURES,
+    stats::STALE_REPLIES,
+    stats::UNEXPECTED_MESSAGES,
+    net::FAULT_CRASH,
+    net::FAULT_RECOVER,
+    net::FAULT_DATA_LOSS,
+    net::FAULT_DEGRADE_LINK,
+    net::FLOW_TORN_INBOUND,
+    net::FLOW_TORN_OUTBOUND,
+    net::FLOW_UNDELIVERED,
+    net::FAULT_ISOLATE,
+    net::FAULT_HEAL,
+    net::FAULT_CHAOS,
+    net::CHAOS_PARTITION_DROP,
+    net::CHAOS_FRAME_DROP,
+];
 
 /// The nine switches, one bit each.
 fn configure(bits: u32, comm: CommMode) -> Result<TaskConfig, IplsError> {
@@ -87,10 +119,24 @@ fn run_matrix(comm: CommMode) -> usize {
         ] {
             assert_eq!(trace.count(label), 0, "{what}: {label}");
         }
+        for name in trace.labels() {
+            assert!(
+                labels::ALL.contains(&name) || STORAGE_AND_NET.contains(&name),
+                "{what}: `{name}` is in no label registry"
+            );
+        }
         ran += 1;
     }
     println!("mode matrix, {comm:?}: {ran} valid combinations ran");
     ran
+}
+
+#[test]
+fn the_label_registry_names_each_label_once() {
+    let mut names = labels::ALL.to_vec();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), labels::ALL.len());
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! built from.
 
 use bytes::Bytes;
-use decentralized_fl::ipfs::{Cid, IpfsActor, IpfsNode, IpfsWire, WireCost};
+use decentralized_fl::ipfs::{Cid, IpfsNode, IpfsWire, WireCost};
 use decentralized_fl::netsim::{Actor, Context, LinkSpec, NodeId, SimDuration, Simulation};
+use decentralized_fl::protocol::protocol::{IpfsCore, NetsimAdapter};
 
 /// A scripted storage client: performs a sequence of operations, records a
 /// trace milestone when each completes.
@@ -79,7 +80,8 @@ fn build(n_nodes: usize, mbps: u64) -> (Simulation<IpfsWire>, Vec<NodeId>) {
     let ids: Vec<NodeId> = (0..n_nodes).map(NodeId).collect();
     let roster = IpfsNode::roster_for(&ids);
     for id in &ids {
-        let added = sim.add_node(IpfsActor::new(IpfsNode::new(*id, roster.clone())), link);
+        let node = IpfsNode::new(*id, roster.clone());
+        let added = sim.add_node(NetsimAdapter::new(IpfsCore::new(node)), link);
         assert_eq!(added, *id);
     }
     (sim, ids)

@@ -1,0 +1,198 @@
+//! End-to-end equivalence: the same protocol cores, driven over real
+//! localhost TCP sockets, learn bit-for-bit the same model as a netsim run
+//! of the same [`TaskConfig`] and leave the same trace behind, label by
+//! label. Training is seeded per `(task seed, round, trainer)` and
+//! aggregation is exact and order-independent, so transport timing must not
+//! leak into the result — this suite is the proof.
+
+use decentralized_fl::ipfs::node::stats;
+use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};
+use decentralized_fl::netsim::Trace;
+use decentralized_fl::prelude::*;
+use decentralized_fl::protocol::labels;
+use dfl_backend_tokio::{run_task_over_tcp, TcpTaskReport};
+
+fn task_config() -> TaskConfig {
+    TaskConfig {
+        trainers: 4,
+        partitions: 2,
+        aggregators_per_partition: 1,
+        ipfs_nodes: 2,
+        comm: CommMode::Indirect,
+        rounds: 2,
+        // Real time, not simulated: poll fast so a round completes in
+        // tens of milliseconds instead of the simulator-scaled default.
+        poll_interval: SimDuration::from_millis(20),
+        ..TaskConfig::default()
+    }
+}
+
+/// The same small task on both backends: `(netsim, TCP)`.
+fn run_both(
+    cfg: &TaskConfig,
+) -> (
+    Result<TaskReport, IplsError>,
+    Result<TcpTaskReport, IplsError>,
+) {
+    let dataset = data::make_blobs(64, 2, 2, 0.5, 1);
+    let clients = data::partition_iid(&dataset, cfg.trainers, 0);
+    let model = LogisticRegression::new(2, 2);
+    let params = model.params();
+    let sgd = SgdConfig::default();
+    let sim = run_task(
+        cfg.clone(),
+        model.clone(),
+        params.clone(),
+        clients.clone(),
+        sgd,
+        &[],
+    );
+    (
+        sim,
+        run_task_over_tcp(cfg.clone(), model, params, clients, sgd),
+    )
+}
+
+/// Labels whose count follows wall-clock arrival order, not the protocol:
+/// the only ones a healthy TCP run may differ from netsim on, each with why.
+/// Found by running the TCP side twelve times and keeping what moved
+/// (`cache_hits` 25–28 against netsim's 24); their sum did not, and is
+/// asserted.
+const TIMING_DEPENDENT: &[(&str, &str)] = &[
+    (
+        stats::CACHE_HITS,
+        "a Get is a hit when an earlier Get through the same gateway has \
+         already cached the block, which races the fetch's wall-clock return",
+    ),
+    (
+        stats::CACHE_MISSES,
+        "the other side of the same race: every Get is a hit or a miss",
+    ),
+    (stats::PROVIDER_LOOKUPS, "one lookup per miss"),
+];
+
+#[test]
+fn tcp_run_matches_netsim_model_bytes_trace_and_report() {
+    let cfg = task_config();
+    let (sim, tcp) = run_both(&cfg);
+    let (sim, tcp) = (sim.expect("netsim run"), tcp.expect("TCP run"));
+    assert!(sim.succeeded(&cfg), "netsim run must complete");
+    assert!(tcp.succeeded(&cfg), "TCP run must complete every round");
+    assert_eq!(
+        tcp.final_params.len(),
+        cfg.trainers,
+        "every trainer reports final parameters"
+    );
+    let sim_params = sim.consensus_params().expect("netsim trainers agree");
+    let tcp_params = tcp.consensus_params().expect("TCP trainers agree");
+
+    // The headline assertion: identical bytes, not approximately-equal
+    // floats — both backends interpreted the same state machines.
+    assert_eq!(
+        tcp_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+        sim_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+        "TCP and netsim final model bytes differ"
+    );
+
+    // A healthy run loses nothing, and every category proves it: the
+    // supervised writers never gave up, no queue overflowed, no fault
+    // was injected.
+    let delivery = tcp.delivery;
+    assert_eq!(delivery.frames_dropped(), 0, "healthy run dropped frames");
+    assert_eq!(delivery.frames_faulted(), 0, "no faults were injected");
+    assert_eq!(delivery.frames_dropped_down, 0, "no node was crashed");
+    assert!(delivery.frames_sent > 0, "frames flowed over TCP");
+    assert_eq!(
+        tcp.quorum_degradations(),
+        0,
+        "healthy run must not degrade quorum"
+    );
+
+    // Every event label and every counter, not a chosen few.
+    let mut names: Vec<&str> = sim.trace.labels().chain(tcp.trace.labels()).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert!(names.contains(&stats::PROVIDER_LOOKUPS), "{names:?}");
+    let mut differing = Vec::new();
+    for name in names {
+        if TIMING_DEPENDENT.iter().any(|(label, _)| *label == name) {
+            continue;
+        }
+        let of = |trace: &Trace| (trace.count(name), trace.counter(name));
+        if of(&sim.trace) != of(&tcp.trace) {
+            differing.push(format!(
+                "{name}: netsim {:?}, TCP {:?} (events, counter)",
+                of(&sim.trace),
+                of(&tcp.trace)
+            ));
+        }
+    }
+    assert!(differing.is_empty(), "{differing:#?}");
+    let gets =
+        |trace: &Trace| trace.counter(stats::CACHE_HITS) + trace.counter(stats::CACHE_MISSES);
+    assert_eq!(gets(&tcp.trace), gets(&sim.trace));
+    assert_eq!(
+        tcp.trace.counter(stats::PROVIDER_LOOKUPS),
+        tcp.trace.counter(stats::CACHE_MISSES)
+    );
+
+    // One `build_report` for both backends: over sockets too a report has
+    // its per-round delays (in wall-clock seconds) and its byte totals
+    // (booked from the frames themselves), and the events are in time order.
+    assert_eq!(tcp.rounds.len() as u64, tcp.completed_rounds);
+    for round in &tcp.rounds {
+        assert!(round.upload_delay_avg > 0.0, "{round:?}");
+        assert!(round.round_duration >= round.upload_delay_max, "{round:?}");
+    }
+    assert!(tcp.total_tx_bytes > 0);
+    assert!(tcp.aggregator_rx_bytes.iter().all(|&bytes| bytes > 0));
+    let events = tcp.trace.events();
+    assert!(events.windows(2).all(|pair| pair[0].time <= pair[1].time));
+
+    // And the export a netsim trace has, byte for byte through a read-back.
+    let mut written = Vec::new();
+    tcp.trace.write_jsonl(&mut written).expect("write");
+    let read = Trace::read_jsonl(written.as_slice()).expect("read back");
+    let mut rewritten = Vec::new();
+    read.write_jsonl(&mut rewritten).expect("write again");
+    assert_eq!(written, rewritten);
+}
+
+#[test]
+fn lossy_storage_node_loses_data_over_tcp_too() {
+    // Storage node 0 discards everything it is asked to keep; with two
+    // replicas every round still completes on both backends, and over TCP
+    // too the lossy node never holds a block.
+    let cfg = TaskConfig {
+        lossy_ipfs_nodes: vec![0],
+        replication: 2,
+        ..task_config()
+    };
+    let (sim, tcp) = run_both(&cfg);
+    let (sim, tcp) = (sim.expect("netsim run"), tcp.expect("TCP run"));
+    assert!(sim.succeeded(&cfg), "replication masks the loss");
+    assert!(tcp.succeeded(&cfg));
+    assert_eq!(
+        tcp.consensus_params().expect("TCP trainers agree"),
+        sim.consensus_params().expect("netsim trainers agree"),
+    );
+    // Node ids: directory 0, storage nodes 1 and 2. A node records
+    // `store_blocks` whenever its store's occupancy changes.
+    for trace in [&sim.trace, &tcp.trace] {
+        assert!(trace.find(NodeId(1), labels::STORE_BLOCKS).is_empty());
+        assert!(!trace.find(NodeId(2), labels::STORE_BLOCKS).is_empty());
+    }
+    assert!(tcp.trace.counter(stats::CACHE_MISSES) > 0);
+}
+
+#[test]
+fn a_fault_plan_outside_the_deployment_is_the_same_error_on_both_backends() {
+    let cfg = TaskConfig {
+        fault_plan: FaultPlan::new().crash_at(SimTime::from_micros(1), NodeId(99)),
+        ..task_config()
+    };
+    let (sim, tcp) = run_both(&cfg);
+    let (sim, tcp) = (sim.expect_err("no node 99"), tcp.expect_err("nor over TCP"));
+    assert_eq!(tcp.to_string(), sim.to_string());
+    assert!(tcp.to_string().contains("fault plan targets node 99"));
+}
