@@ -16,11 +16,17 @@
 //!   [`NodeEvent::SendFailed`];
 //! * the fault-injection shim sits exactly between codec and socket: the
 //!   writer asks [`NetFaults::verdict`] about each frame and then drops,
-//!   resets, truncates, duplicates, or delays the already-encoded bytes.
+//!   resets, truncates, duplicates, or delays the already-encoded frame;
+//! * that frame is a segment list (`codec::try_encode_segments`), not a
+//!   flat buffer: a blob goes from the message's own allocation to the
+//!   socket in one `write_vectored`, and a truncation is the first half of
+//!   the frame's bytes wherever the segment boundaries fall.
 //!
 //! Every way a frame can die increments a dedicated [`DeliveryStats`]
 //! counter — the run report can prove (and tests assert) that no loss is
-//! silent.
+//! silent. What the queues hold is a gauge beside those counters: frames
+//! and frame bytes handed to writers and not yet dealt with, now and at
+//! the run's worst moment.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +34,9 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use dfl_ipfs::wire::{Segments, FRAME_HEADER_BYTES};
 use dfl_netsim::{ChaosRng, NodeId};
+use ipls::protocol::WireCost;
 use ipls::Msg;
 
 use crate::fault::{NetFaults, Verdict};
@@ -117,9 +125,34 @@ pub struct DeliveryStats {
     /// Individual failed connect attempts (each later retried or given
     /// up with `frames_dropped_retries`).
     pub connect_failures: AtomicU64,
+    /// Gauge, not a loss: frames handed to writers (queued, or being
+    /// written, retried or delayed) and not yet dealt with, over all
+    /// `(node, peer)` queues of the run.
+    pub queued_frames: AtomicU64,
+    /// Gauge: the frame bytes of [`queued_frames`](Self::queued_frames) —
+    /// what the per-peer queues pin in memory right now.
+    pub queued_bytes: AtomicU64,
+    /// High-water mark of `queued_frames`.
+    pub queued_frames_peak: AtomicU64,
+    /// High-water mark of `queued_bytes`.
+    pub queued_bytes_peak: AtomicU64,
 }
 
 impl DeliveryStats {
+    /// Books a frame of `bytes` into the queue gauge.
+    fn queued(&self, bytes: u64) {
+        let frames = self.queued_frames.fetch_add(1, Ordering::Relaxed) + 1;
+        let held = self.queued_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.queued_frames_peak.fetch_max(frames, Ordering::Relaxed);
+        self.queued_bytes_peak.fetch_max(held, Ordering::Relaxed);
+    }
+
+    /// Books a frame of `bytes` out of the queue gauge.
+    fn dequeued(&self, bytes: u64) {
+        self.queued_frames.fetch_sub(1, Ordering::Relaxed);
+        self.queued_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
     /// A plain-integer copy for reports.
     pub fn snapshot(&self) -> DeliveryReport {
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -138,6 +171,10 @@ impl DeliveryStats {
             chaos_delayed: get(&self.chaos_delayed),
             reconnects: get(&self.reconnects),
             connect_failures: get(&self.connect_failures),
+            queued_frames: get(&self.queued_frames),
+            queued_bytes: get(&self.queued_bytes),
+            queued_frames_peak: get(&self.queued_frames_peak),
+            queued_bytes_peak: get(&self.queued_bytes_peak),
         }
     }
 }
@@ -160,6 +197,10 @@ pub struct DeliveryReport {
     pub chaos_delayed: u64,
     pub reconnects: u64,
     pub connect_failures: u64,
+    pub queued_frames: u64,
+    pub queued_bytes: u64,
+    pub queued_frames_peak: u64,
+    pub queued_bytes_peak: u64,
 }
 
 impl DeliveryReport {
@@ -236,9 +277,14 @@ impl PeerSender {
     /// frame (counted + delivery-failure event) — the protocol's own
     /// retry machinery regenerates anything that mattered.
     pub(crate) fn send(&self, msg: Msg) {
+        // Booked before the hand-over: the writer may book the frame out
+        // the instant it is in the queue.
+        let bytes = frame_bytes(&msg);
+        self.stats.queued(bytes);
         match self.queue.try_send(msg) {
             Ok(()) => {}
             Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
+                self.stats.dequeued(bytes);
                 self.stats
                     .frames_dropped_queue_full
                     .fetch_add(1, Ordering::Relaxed);
@@ -246,6 +292,11 @@ impl PeerSender {
             }
         }
     }
+}
+
+/// What `msg` occupies as a frame, for the queue gauge.
+fn frame_bytes(msg: &Msg) -> u64 {
+    (FRAME_HEADER_BYTES + msg.encoded_len()) as u64
 }
 
 /// The writer-thread state for one peer connection.
@@ -266,70 +317,76 @@ struct Writer {
 impl Writer {
     fn run(mut self, rx: mpsc::Receiver<Msg>) {
         while let Ok(msg) = rx.recv() {
-            // A crash bumps the sender's connection generation: drop the
-            // cached stream so the peer observes a reset.
-            let gen = self.faults.conn_gen(self.me);
-            if gen != self.last_gen {
-                self.last_gen = gen;
+            self.handle(&msg);
+            self.stats.dequeued(frame_bytes(&msg));
+        }
+    }
+
+    /// Deals with one queued message: asks the fault table, then writes,
+    /// mangles or drops its frame, accounting the outcome.
+    fn handle(&mut self, msg: &Msg) {
+        // A crash bumps the sender's connection generation: drop the
+        // cached stream so the peer observes a reset.
+        let gen = self.faults.conn_gen(self.me);
+        if gen != self.last_gen {
+            self.last_gen = gen;
+            self.conn = None;
+        }
+        // A message over the frame cap can never be delivered (every
+        // receiver rejects it and drops the connection): abandon it
+        // here, before a byte reaches the stream.
+        let Ok(frame) = codec::try_encode_segments(self.me, msg) else {
+            self.abandon();
+            return;
+        };
+        let count = |field: &AtomicU64| field.fetch_add(1, Ordering::Relaxed);
+        match self.faults.verdict(self.me, self.to) {
+            Verdict::SenderDown => {
+                count(&self.stats.frames_dropped_down);
+            }
+            Verdict::Isolated => {
+                count(&self.stats.frames_dropped_partition);
+            }
+            Verdict::ChaosDrop => {
+                count(&self.stats.chaos_dropped);
+            }
+            Verdict::ChaosReset => {
+                self.conn = None;
+                count(&self.stats.chaos_resets);
+            }
+            Verdict::ChaosTruncate => {
+                if self.ensure_conn().is_some() {
+                    if let Some(conn) = self.conn.as_mut() {
+                        let _ = codec::write_prefix(conn, &frame, frame.len() / 2);
+                    }
+                }
+                // Kill the connection mid-frame: the receiver sees a
+                // torn frame and a clean decode error (booked first, so
+                // whoever sees the reset also sees the count).
+                count(&self.stats.chaos_truncated);
                 self.conn = None;
             }
-            // A message over the frame cap can never be delivered (every
-            // receiver rejects it and drops the connection): abandon it
-            // here, before a byte reaches the stream.
-            let Ok(bytes) = codec::try_encode_frame(self.me, &msg) else {
-                self.abandon();
-                continue;
-            };
-            let count = |field: &AtomicU64| field.fetch_add(1, Ordering::Relaxed);
-            match self.faults.verdict(self.me, self.to) {
-                Verdict::SenderDown => {
-                    count(&self.stats.frames_dropped_down);
+            Verdict::ChaosDup => {
+                self.deliver(&frame);
+                if self.deliver_quiet(&frame) {
+                    count(&self.stats.chaos_duplicated);
                 }
-                Verdict::Isolated => {
-                    count(&self.stats.frames_dropped_partition);
-                }
-                Verdict::ChaosDrop => {
-                    count(&self.stats.chaos_dropped);
-                }
-                Verdict::ChaosReset => {
-                    self.conn = None;
-                    count(&self.stats.chaos_resets);
-                }
-                Verdict::ChaosTruncate => {
-                    if self.ensure_conn().is_some() {
-                        let torn = &bytes[..bytes.len() / 2];
-                        if let Some(conn) = self.conn.as_mut() {
-                            use std::io::Write as _;
-                            let _ = conn.write_all(torn);
-                        }
-                    }
-                    // Kill the connection mid-frame: the receiver sees a
-                    // torn frame and a clean decode error.
-                    self.conn = None;
-                    count(&self.stats.chaos_truncated);
-                }
-                Verdict::ChaosDup => {
-                    self.deliver(&bytes);
-                    if self.deliver_quiet(&bytes) {
-                        count(&self.stats.chaos_duplicated);
-                    }
-                }
-                Verdict::ChaosDelay(delay) => {
-                    std::thread::sleep(delay);
-                    count(&self.stats.chaos_delayed);
-                    self.deliver(&bytes);
-                }
-                Verdict::Deliver => {
-                    self.deliver(&bytes);
-                }
+            }
+            Verdict::ChaosDelay(delay) => {
+                std::thread::sleep(delay);
+                count(&self.stats.chaos_delayed);
+                self.deliver(&frame);
+            }
+            Verdict::Deliver => {
+                self.deliver(&frame);
             }
         }
     }
 
     /// Writes one frame under the retry budget, accounting the outcome
     /// and raising a delivery-failure event on exhaustion.
-    fn deliver(&mut self, bytes: &[u8]) {
-        if self.deliver_quiet(bytes) {
+    fn deliver(&mut self, frame: &Segments) {
+        if self.deliver_quiet(frame) {
             self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         } else {
             self.abandon();
@@ -353,8 +410,7 @@ impl Writer {
     }
 
     /// The bare retry loop: `true` once the frame is on the wire.
-    fn deliver_quiet(&mut self, bytes: &[u8]) -> bool {
-        use std::io::Write as _;
+    fn deliver_quiet(&mut self, frame: &Segments) -> bool {
         for attempt in 1..=self.policy.max_attempts {
             if attempt > 1 {
                 std::thread::sleep(self.policy.delay(attempt - 1, &mut self.rng));
@@ -366,7 +422,7 @@ impl Writer {
                 continue;
             }
             let conn = self.conn.as_mut().expect("ensured connection");
-            match conn.write_all(bytes) {
+            match codec::write_prefix(conn, frame, frame.len()) {
                 Ok(()) => return true,
                 // Stale or reset connection: reconnect and retry.
                 Err(_) => self.conn = None,
@@ -508,5 +564,93 @@ mod tests {
         let event = rx.recv_timeout(Duration::from_secs(5)).expect("event");
         assert!(matches!(event, NodeEvent::SendFailed { to } if to == NodeId(1)));
         assert_eq!(stats.frames_dropped_retries.load(Ordering::Relaxed), 1);
+    }
+
+    /// A writer `0 → 1` to a fresh listener whose every frame gets the
+    /// one verdict `spec` leaves possible.
+    fn writer_under(
+        spec: dfl_netsim::ChaosSpec,
+    ) -> (PeerSender, std::net::TcpListener, Arc<DeliveryStats>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let faults = Arc::new(NetFaults::new(2));
+        let node = NodeId(0);
+        faults.apply(&dfl_netsim::Fault::Chaos { node, spec });
+        let stats = Arc::new(DeliveryStats::default());
+        let sender = PeerSender::spawn(
+            NodeId(0),
+            NodeId(1),
+            listener.local_addr().unwrap(),
+            BackoffPolicy::default(),
+            faults,
+            stats.clone(),
+            mpsc::channel().0,
+        );
+        (sender, listener, stats)
+    }
+
+    /// A frame of two segments: the copied head, then the blob by reference.
+    fn two_segment_msg() -> (Msg, Vec<u8>) {
+        let msg = Msg::DirectGradient {
+            trainer: 1,
+            partition: 2,
+            iter: 3,
+            data: (0..9001)
+                .map(|i| (i % 253) as u8)
+                .collect::<Vec<u8>>()
+                .into(),
+        };
+        let frame = codec::try_encode_segments(NodeId(0), &msg).unwrap();
+        assert_eq!(frame.slices().count(), 2);
+        let flat = codec::encode_frame(NodeId(0), &msg);
+        (msg, flat)
+    }
+
+    #[test]
+    fn a_truncated_segmented_frame_is_the_first_half_of_its_bytes() {
+        use std::io::Read as _;
+        let (sender, listener, stats) = writer_under(dfl_netsim::ChaosSpec {
+            truncate_pct: 100,
+            seed: 1,
+            ..Default::default()
+        });
+        let (msg, flat) = two_segment_msg();
+        sender.send(msg);
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut wire = Vec::new();
+        conn.read_to_end(&mut wire).unwrap();
+        // ⌊n/2⌋ bytes, cut inside the blob segment, then the connection died.
+        assert_eq!(wire, flat[..flat.len() / 2]);
+        assert_eq!(stats.chaos_truncated.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_duplicated_segmented_frame_is_two_whole_frames_and_the_gauge_drains() {
+        use std::io::Read as _;
+        let (sender, listener, stats) = writer_under(dfl_netsim::ChaosSpec {
+            dup_pct: 100,
+            seed: 1,
+            ..Default::default()
+        });
+        let (msg, flat) = two_segment_msg();
+        sender.send(msg);
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut wire = vec![0u8; 2 * flat.len()];
+        conn.read_exact(&mut wire).unwrap();
+        assert_eq!(wire[..flat.len()], flat[..]);
+        assert_eq!(wire[flat.len()..], flat[..]);
+        // Dropping the sender ends the writer, which closes the stream:
+        // nothing followed the second copy.
+        drop(sender);
+        assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0);
+        assert_eq!(stats.chaos_duplicated.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1);
+        // The queue gauge saw the one frame at its worst and holds nothing
+        // now; it is no loss bucket.
+        let report = stats.snapshot();
+        assert_eq!((report.queued_frames, report.queued_bytes), (0, 0));
+        assert_eq!(report.queued_frames_peak, 1);
+        assert_eq!(report.queued_bytes_peak, flat.len() as u64);
+        assert_eq!(report.frames_lost_total(), 0);
     }
 }

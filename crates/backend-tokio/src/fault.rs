@@ -145,7 +145,7 @@ impl NetFaults {
         Verdict::Deliver
     }
 
-    fn apply(&self, fault: &Fault) {
+    pub(crate) fn apply(&self, fault: &Fault) {
         match *fault {
             Fault::Crash(node) => {
                 self.down[node.index()].store(true, Ordering::Relaxed);

@@ -14,7 +14,10 @@
 //!   messages as `[u32 len][u64 sender][payload]`;
 //! - each node runs on its own blocking thread, draining a channel fed by
 //!   socket-reader threads and the fault driver, and keeps its own timers:
-//!   `SetTimer` pushes onto a heap the loop fires from between receives;
+//!   `SetTimer` pushes onto a heap the loop fires from between receives.
+//!   The loop sleeps until it has work — its next timer deadline or its
+//!   next event, whichever is first; shutdown is one more event on the
+//!   channel, not a flag the loop wakes up to look at;
 //! - `Send` actions go through supervised per-peer writers (`conn`) with
 //!   bounded queues and seeded exponential backoff — every way a frame
 //!   can be lost is counted in the report's [`DeliveryReport`], never
@@ -66,8 +69,8 @@ pub use conn::DeliveryReport;
 use conn::{BackoffPolicy, DeliveryStats, PeerSender};
 use fault::NetFaults;
 
-/// The longest a node loop or the run's waiter blocks before it looks at
-/// the shutdown flag, its timers and the fault table again.
+/// The longest the run's waiter blocks before it looks at the fault table
+/// again (which changes unannounced).
 const TICK: Duration = Duration::from_millis(10);
 
 /// Poison-tolerant locking: a panicking node thread must degrade that
@@ -121,6 +124,8 @@ pub(crate) enum NodeEvent {
     Fault { fault: Fault },
     /// This node's transport gave up delivering a frame to `to`.
     SendFailed { to: NodeId },
+    /// The run is over: the node loop returns.
+    Shutdown,
 }
 
 /// Cross-thread state shared by every node of one run.
@@ -130,8 +135,8 @@ struct Shared {
     /// Run start; `now` for handlers and trace stamps is elapsed time
     /// since it.
     epoch: Instant,
-    /// Set once to stop every node loop and acceptor (shared with the
-    /// fault driver, which also honours it).
+    /// Set once to stop every acceptor and the fault driver. Node loops
+    /// do not poll it: they are sent [`NodeEvent::Shutdown`].
     shutdown: Arc<AtomicBool>,
     /// The run's one trace. Writers read the clock while holding the
     /// lock, so events are in time order.
@@ -339,16 +344,17 @@ impl Node {
         }
     }
 
-    /// How long the loop may block at `now`: to the next deadline, at
-    /// most [`TICK`].
-    fn idle(&self, now: Instant) -> Duration {
-        self.timers.peek().map_or(TICK, |Reverse((deadline, ..))| {
-            deadline.saturating_duration_since(now).min(TICK)
-        })
+    /// How long the loop may block at `now` before a timer is due: to the
+    /// next deadline, or without bound when no timer is pending.
+    fn idle(&self, now: Instant) -> Option<Duration> {
+        let Reverse((deadline, ..)) = self.timers.peek()?;
+        Some(deadline.saturating_duration_since(now))
     }
 
     fn on_event(&mut self, event: NodeEvent) {
         match event {
+            // The loop's own business: `run` never hands it on.
+            NodeEvent::Shutdown => {}
             NodeEvent::Msg { .. } if self.down => {
                 let discarded = &self.shared.stats.frames_discarded_down;
                 discarded.fetch_add(1, Ordering::Relaxed);
@@ -371,16 +377,21 @@ impl Node {
     }
 
     /// Drives the node: `Start`, then due timers and events off the
-    /// channel until shutdown. Timers still pending then never fire.
+    /// channel until [`NodeEvent::Shutdown`], asleep whenever neither is
+    /// at hand. Timers still pending at shutdown never fire.
     fn run(mut self, rx: mpsc::Receiver<NodeEvent>) {
         self.deliver(ProtocolEvent::Start);
-        while !self.shared.shutdown.load(Ordering::Relaxed) {
+        loop {
             let now = Instant::now();
             self.fire_due(now);
-            match rx.recv_timeout(self.idle(now)) {
+            let event = match self.idle(now) {
+                Some(idle) => rx.recv_timeout(idle),
+                None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+            };
+            match event {
+                Ok(NodeEvent::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 Ok(event) => self.on_event(event),
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
     }
@@ -440,11 +451,12 @@ pub fn run_task_over_tcp<M: Model + Clone + Send + 'static>(
         .map_err(|e| IplsError::InvalidConfig(format!("runtime: {e}")))?;
     let completed = rt.block_on(async {
         // Channels first: the fault driver needs every node's sender
-        // before any node runs.
+        // before any node runs, and shutdown reaches the nodes through them.
         let channels: Vec<_> = (0..cores.len()).map(|_| mpsc::channel()).collect();
+        let txs: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
         if !cfg.fault_plan.is_empty() {
             let plan = cfg.fault_plan.clone();
-            let txs: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
+            let txs = txs.clone();
             let shared = shared.clone();
             std::thread::spawn(move || {
                 fault::drive_plan(
@@ -491,6 +503,9 @@ pub fn run_task_over_tcp<M: Model + Clone + Send + 'static>(
         // Stop the node loops, then poke every listener so blocked
         // accept() calls observe the flag and exit.
         shared.shutdown.store(true, Ordering::Relaxed);
+        for tx in &txs {
+            let _ = tx.send(NodeEvent::Shutdown);
+        }
         for addr in &shared.addrs {
             let _ = std::net::TcpStream::connect(*addr);
         }
@@ -566,12 +581,17 @@ mod tests {
         let now = Instant::now();
         node.fire_due(now);
         assert!(fired.try_recv().is_err(), "nothing is due yet");
-        assert!(node.idle(now) <= TICK);
+        assert!(node
+            .idle(now)
+            .is_some_and(|idle| idle <= Duration::from_secs(1)));
         node.fire_due(now + Duration::from_millis(1_500));
         assert_eq!(fired.try_iter().collect::<Vec<_>>(), vec![1]);
         node.fire_due(now + Duration::from_secs(10));
         assert_eq!(fired.try_iter().collect::<Vec<_>>(), vec![2, 3]);
         assert!(node.timers.is_empty());
+        // With no timer pending there is nothing to wake up for: the loop
+        // blocks in `recv`, without a timeout.
+        assert_eq!(node.idle(now), None);
     }
 
     #[test]
@@ -602,14 +622,45 @@ mod tests {
 
     #[test]
     fn nothing_fires_after_the_loop_stops() {
-        // An hour-long watchdog is still pending when the run shuts down:
-        // the loop returns at its next tick and the timer goes with it.
-        let (node, rx, fired) = probe(&[(0, 1), (3_600_000, 2)]);
-        let shared = node.shared.clone();
+        // An hour-long watchdog is still pending on every node when the run
+        // shuts down. The loops are asleep until that hour is up; shutdown
+        // is an event on their channel, so each returns as soon as it is
+        // sent — not at the next 10 ms tick, which stopping these sixteen
+        // one after the other would take ≈ 80 ms to wait out.
+        let nodes: Vec<_> = (0..16)
+            .map(|_| {
+                let (node, rx, fired) = probe(&[(0, 1), (3_600_000, 2)]);
+                let tx = node.tx.clone();
+                let node = std::thread::spawn(move || node.run(rx));
+                assert_eq!(fired.recv_timeout(Duration::from_secs(5)), Ok(1));
+                (node, tx, fired)
+            })
+            .collect();
+        let stopping = Instant::now();
+        for (node, tx, fired) in nodes {
+            tx.send(NodeEvent::Shutdown).expect("node listens");
+            node.join().expect("node loop");
+            assert_eq!(fired.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        }
+        let took = stopping.elapsed();
+        assert!(took < Duration::from_millis(30), "shutdown took {took:?}");
+    }
+
+    #[test]
+    fn an_idle_node_sleeps_until_an_event_arrives() {
+        // No timer at all: `idle` is unbounded, the loop sits in `recv`, and
+        // an event still gets through at once.
+        let (node, rx, _fired) = probe(&[]);
+        assert_eq!(node.idle(Instant::now()), None);
+        let (tx, stats) = (node.tx.clone(), node.shared.stats.clone());
         let node = std::thread::spawn(move || node.run(rx));
-        assert_eq!(fired.recv_timeout(Duration::from_secs(5)), Ok(1));
-        shared.shutdown.store(true, Ordering::Relaxed);
+        let crash = Fault::Crash(NodeId(0));
+        tx.send(NodeEvent::Fault { fault: crash })
+            .expect("node listens");
+        let (from, msg) = (NodeId(0), Msg::StartRound { iter: 0 });
+        tx.send(NodeEvent::Msg { from, msg }).expect("node listens");
+        tx.send(NodeEvent::Shutdown).expect("node listens");
         node.join().expect("node loop");
-        assert_eq!(fired.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        assert_eq!(stats.frames_discarded_down.load(Ordering::Relaxed), 1);
     }
 }

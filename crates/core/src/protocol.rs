@@ -365,13 +365,13 @@ impl<M: WireEmbed> ProtocolCore for IpfsCore<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfl_ipfs::wire::{DecodeError, Reader};
+    use dfl_ipfs::wire::{DecodeError, Reader, Sink};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u64);
 
     impl WireCost for Ping {
-        fn encode_into(&self, out: &mut Vec<u8>) {
+        fn encode_into<S: Sink>(&self, out: &mut S) {
             self.0.encode_into(out);
         }
         fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Ping, DecodeError> {

@@ -10,6 +10,17 @@
 //! The same [`WireCost`] impl yields the bytes a socket carries
 //! ([`WireCost::encode_into`] / [`WireCost::decode`]) and the size the
 //! simulator charges ([`WireCost::wire_bytes`]), so the two cannot drift.
+//!
+//! A blob is not copied by its codec. There is one encoder per message,
+//! generic over where the bytes go ([`Sink`]): into a `Vec<u8>` every
+//! field is copied, into [`Segments`] a large [`Bytes`] field is kept by
+//! reference for a vectored write. There is one decoder per message, over
+//! a [`Reader`] that may know the buffer it reads from is itself a
+//! `Bytes` ([`WireCost::decode_shared`]): a large `Bytes` field is then a
+//! [`slice`](Bytes::slice) of that buffer. "Large" is one private
+//! threshold, `SHARE_MIN_BYTES`, on both sides: below it a copy is
+//! cheaper than a segment, and a decoded 33-byte field must never keep a
+//! megabyte frame alive.
 
 use bytes::Bytes;
 use dfl_netsim::NodeId;
@@ -44,15 +55,34 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Smallest [`Bytes`] field that is shared instead of copied: kept by
+/// reference in [`Segments`] on the way out, sliced out of the frame
+/// buffer by a [`Reader::shared`] on the way in. A field that shares a
+/// frame keeps all of it alive, so the frame can outweigh the longest-lived
+/// of its shared fields by at most the rest of the frame — in the protocol's
+/// blob messages, a tag, a length prefix and a few integers.
+const SHARE_MIN_BYTES: usize = 4096;
+
 /// A cursor over the bytes still to decode.
 pub struct Reader<'a> {
     buf: &'a [u8],
+    /// The buffer `buf` is the tail of, when that is a `Bytes`.
+    owner: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
-    /// Starts at the front of `buf`.
+    /// Starts at the front of `buf`; every decoded field is a copy.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf }
+        Reader { buf, owner: None }
+    }
+
+    /// Starts at the front of `frame`; decoded `Bytes` fields of
+    /// `SHARE_MIN_BYTES` or more are slices of `frame`, not copies.
+    pub fn shared(frame: &'a Bytes) -> Reader<'a> {
+        Reader {
+            buf: frame,
+            owner: Some(frame),
+        }
     }
 
     /// Consumes the next `n` bytes, or fails without consuming any.
@@ -65,6 +95,19 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    /// [`take`](Reader::take) as a `Bytes`: a slice of the owner when
+    /// there is one and `n` is large, a copy otherwise.
+    fn take_bytes(&mut self, n: usize, context: &'static str) -> Result<Bytes, DecodeError> {
+        let head = self.take(n, context)?;
+        Ok(match self.owner {
+            Some(owner) if n >= SHARE_MIN_BYTES => {
+                let end = owner.len() - self.buf.len();
+                owner.slice(end - n..end)
+            }
+            _ => Bytes::copy_from_slice(head),
+        })
+    }
+
     fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], DecodeError> {
         Ok(self.take(N, context)?.try_into().expect("took N bytes"))
     }
@@ -72,11 +115,111 @@ impl<'a> Reader<'a> {
     fn len_prefix(&mut self, context: &'static str) -> Result<usize, DecodeError> {
         Ok(u32::decode_from(self, context)? as usize)
     }
+
+    /// `value` if the input was consumed to its last byte.
+    fn finish<T>(self, value: T) -> Result<T, DecodeError> {
+        if self.buf.is_empty() {
+            Ok(value)
+        } else {
+            Err(DecodeError {
+                context: "trailing bytes",
+            })
+        }
+    }
 }
 
-fn put_len(out: &mut Vec<u8>, len: usize) {
+/// Where an encoding goes: [`WireCost::encode_into`] is written once
+/// against this, so a flat buffer and a segment list cannot disagree about
+/// a layout.
+pub trait Sink {
+    /// Appends `bytes`, copying them.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends the content of a [`Bytes`] field (its length prefix is
+    /// [`put`](Sink::put) separately). A sink that can hold a reference
+    /// keeps a large one without copying it.
+    fn put_bytes(&mut self, bytes: &Bytes) {
+        self.put(bytes);
+    }
+}
+
+/// The flat encoding: every byte is copied into the vector.
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+enum Segment {
+    Copied(Vec<u8>),
+    Shared(Bytes),
+}
+
+/// An encoding as the list of slices a vectored write takes: runs of small
+/// fields copied into buffers of their own, and between them every
+/// [`Bytes`] field of `SHARE_MIN_BYTES` or more by reference — the
+/// message's own allocation, not a copy of it. Concatenated, the slices are
+/// exactly the flat encoding.
+pub struct Segments {
+    parts: Vec<Segment>,
+    len: usize,
+}
+
+impl Segments {
+    /// An empty list whose first copied run has room for `capacity` bytes
+    /// (capped at the sharing threshold: a frame much longer than that
+    /// holds a shared field, and its copied runs are short).
+    pub fn with_capacity(capacity: usize) -> Segments {
+        let head = Vec::with_capacity(capacity.min(SHARE_MIN_BYTES));
+        Segments {
+            parts: vec![Segment::Copied(head)],
+            len: 0,
+        }
+    }
+
+    /// Total bytes across all slices.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing has been appended.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The non-empty slices, in wire order.
+    pub fn slices(&self) -> impl Iterator<Item = &[u8]> {
+        let slices = self.parts.iter().map(|part| match part {
+            Segment::Copied(run) => &run[..],
+            Segment::Shared(bytes) => &bytes[..],
+        });
+        slices.filter(|s| !s.is_empty())
+    }
+}
+
+impl Sink for Segments {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.len += bytes.len();
+        match self.parts.last_mut() {
+            Some(Segment::Copied(run)) => run.extend_from_slice(bytes),
+            _ => self.parts.push(Segment::Copied(bytes.to_vec())),
+        }
+    }
+
+    fn put_bytes(&mut self, bytes: &Bytes) {
+        if bytes.len() < SHARE_MIN_BYTES {
+            return self.put(bytes);
+        }
+        self.len += bytes.len();
+        self.parts.push(Segment::Shared(bytes.clone()));
+    }
+}
+
+fn put_len(out: &mut impl Sink, len: usize) {
     let len = u32::try_from(len).expect("length prefix fits u32: frames are capped at 64 MiB");
-    out.extend_from_slice(&len.to_le_bytes());
+    out.put(&len.to_le_bytes());
 }
 
 /// A value with a wire encoding: how it is written, read back, sized,
@@ -85,7 +228,7 @@ fn put_len(out: &mut Vec<u8>, len: usize) {
 /// for the message enums themselves.
 pub trait WireCost: Sized {
     /// Appends the encoding to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
+    fn encode_into<S: Sink>(&self, out: &mut S);
 
     /// Reads one value off the front of `r`; `context` names the enclosing
     /// variant in the error.
@@ -98,13 +241,16 @@ pub trait WireCost: Sized {
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
         let value = Self::decode_from(&mut r, "message")?;
-        if r.buf.is_empty() {
-            Ok(value)
-        } else {
-            Err(DecodeError {
-                context: "trailing bytes",
-            })
-        }
+        r.finish(value)
+    }
+
+    /// [`decode`](WireCost::decode) of a buffer that is itself a `Bytes`:
+    /// the same value and the same errors, but large `Bytes` fields share
+    /// `frame`'s storage (and keep it alive) instead of copying out of it.
+    fn decode_shared(frame: &Bytes) -> Result<Self, DecodeError> {
+        let mut r = Reader::shared(frame);
+        let value = Self::decode_from(&mut r, "message")?;
+        r.finish(value)
     }
 
     /// Bytes the message occupies on a link — what the simulator models
@@ -117,8 +263,8 @@ pub trait WireCost: Sized {
 macro_rules! le_int {
     ($($int:ty),*) => {$(
         impl WireCost for $int {
-            fn encode_into(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn encode_into<S: Sink>(&self, out: &mut S) {
+                out.put(&self.to_le_bytes());
             }
             fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
                 Ok(<$int>::from_le_bytes(r.array(context)?))
@@ -132,7 +278,7 @@ macro_rules! le_int {
 le_int!(u8, u32, u64);
 
 impl WireCost for usize {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         (*self as u64).encode_into(out);
     }
     fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
@@ -144,7 +290,7 @@ impl WireCost for usize {
 }
 
 impl WireCost for NodeId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.index().encode_into(out);
     }
     fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
@@ -157,8 +303,8 @@ impl WireCost for NodeId {
 
 /// Raw fixed-size arrays: commitments (33 bytes) and signatures (65).
 impl<const N: usize> WireCost for [u8; N] {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.put(self);
     }
     fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
         r.array(context)
@@ -169,8 +315,8 @@ impl<const N: usize> WireCost for [u8; N] {
 }
 
 impl WireCost for Cid {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.as_bytes());
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.put(self.as_bytes());
     }
     fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
         Ok(Cid::from_bytes(r.array(context)?))
@@ -181,13 +327,13 @@ impl WireCost for Cid {
 }
 
 impl WireCost for Bytes {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         put_len(out, self.len());
-        out.extend_from_slice(self);
+        out.put_bytes(self);
     }
     fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
         let len = r.len_prefix(context)?;
-        Ok(Bytes::from(r.take(len, context)?.to_vec()))
+        r.take_bytes(len, context)
     }
     fn encoded_len(&self) -> usize {
         4 + self.len()
@@ -195,9 +341,9 @@ impl WireCost for Bytes {
 }
 
 impl WireCost for String {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         put_len(out, self.len());
-        out.extend_from_slice(self.as_bytes());
+        out.put(self.as_bytes());
     }
     fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
         let len = r.len_prefix(context)?;
@@ -209,13 +355,13 @@ impl WireCost for String {
 }
 
 impl<T: WireCost> WireCost for Option<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         match self {
             Some(value) => {
-                out.push(1);
+                out.put(&[1]);
                 value.encode_into(out);
             }
-            None => out.push(0),
+            None => out.put(&[0]),
         }
     }
     fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
@@ -231,7 +377,7 @@ impl<T: WireCost> WireCost for Option<T> {
 }
 
 impl<T: WireCost> WireCost for Vec<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         put_len(out, self.len());
         for item in self {
             item.encode_into(out);
@@ -253,7 +399,7 @@ impl<T: WireCost> WireCost for Vec<T> {
 }
 
 impl<A: WireCost, B: WireCost, C: WireCost> WireCost for (A, B, C) {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
         self.0.encode_into(out);
         self.1.encode_into(out);
         self.2.encode_into(out);
@@ -299,11 +445,11 @@ macro_rules! wire_enum {
         }
 
         impl $crate::wire::WireCost for $name {
-            fn encode_into(&self, out: &mut Vec<u8>) {
+            fn encode_into<S: $crate::wire::Sink>(&self, out: &mut S) {
                 match self {
                     $(
                         $name::$variant $( { $( $field ),* } )? $( ( $inner ) )? => {
-                            out.push($tag);
+                            $crate::wire::Sink::put(out, &[$tag]);
                             $( $( $crate::wire::WireCost::encode_into($field, out); )* )?
                             $( $crate::wire::WireCost::encode_into($inner, out); )?
                         }

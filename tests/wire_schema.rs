@@ -93,8 +93,14 @@ impl Sample for Cid {
     }
 }
 
+/// Mostly short; one in eight is long enough (≥ 4 KiB) that a decoder
+/// reading out of a shared frame slices it instead of copying it.
 impl Sample for Bytes {
     fn sample(rng: &mut Rng) -> Bytes {
+        if rng.below(8) == 0 {
+            let len = 4096 + rng.below(64);
+            return (0..len).map(|_| rng.next() as u8).collect();
+        }
         Bytes::from(rng.bytes(40))
     }
 }
@@ -210,18 +216,22 @@ fn check_schema<M: Schema>() {
             );
             let back = M::decode(&bytes).unwrap_or_else(|e| panic!("{e}: {what}"));
             assert_eq!(encode(&back), bytes, "re-encoding differs: {what}");
+            // The same decoder reading out of a shared frame (large blobs
+            // sliced, not copied) yields the same value and the same errors.
+            // (`frame` is the encoding plus one trailing byte.)
+            let frame: Bytes = bytes.iter().copied().chain([0]).collect();
+            let whole = frame.slice(..bytes.len());
+            let shared = M::decode_shared(&whole).unwrap_or_else(|e| panic!("{e}: {what}"));
+            assert_eq!(encode(&shared), bytes, "shared decode differs: {what}");
             for cut in 0..bytes.len() {
-                assert!(
-                    M::decode(&bytes[..cut]).is_err(),
-                    "prefix of {cut} bytes decoded: {what}"
-                );
+                let err = M::decode(&bytes[..cut]).err();
+                assert!(err.is_some(), "prefix of {cut} bytes decoded: {what}");
+                let shared = M::decode_shared(&frame.slice(..cut)).err();
+                assert_eq!(shared, err, "prefix of {cut} bytes, shared: {what}");
             }
-            let mut longer = bytes.clone();
-            longer.push(0);
-            assert!(
-                M::decode(&longer).is_err(),
-                "trailing byte accepted: {what}"
-            );
+            let err = M::decode(&frame).err();
+            assert!(err.is_some(), "trailing byte accepted: {what}");
+            assert_eq!(M::decode_shared(&frame).err(), err, "shared: {what}");
         }
     }
 }
