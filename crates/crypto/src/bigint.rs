@@ -39,16 +39,19 @@ impl U256 {
     };
 
     /// Creates a value from little-endian limbs.
+    #[inline]
     pub const fn from_limbs(limbs: [u64; 4]) -> U256 {
         U256 { limbs }
     }
 
     /// Returns the little-endian limbs.
+    #[inline]
     pub const fn limbs(&self) -> [u64; 4] {
         self.limbs
     }
 
     /// Creates a value from a `u64`.
+    #[inline]
     pub const fn from_u64(v: u64) -> U256 {
         U256 {
             limbs: [v, 0, 0, 0],
@@ -56,6 +59,7 @@ impl U256 {
     }
 
     /// Creates a value from a `u128`.
+    #[inline]
     pub const fn from_u128(v: u128) -> U256 {
         U256 {
             limbs: [v as u64, (v >> 64) as u64, 0, 0],
@@ -118,6 +122,7 @@ impl U256 {
     }
 
     /// Returns `true` if the value is zero.
+    #[inline]
     pub const fn is_zero(&self) -> bool {
         self.limbs[0] == 0 && self.limbs[1] == 0 && self.limbs[2] == 0 && self.limbs[3] == 0
     }
@@ -127,6 +132,7 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `i >= 256`.
+    #[inline]
     pub const fn bit(&self, i: usize) -> bool {
         assert!(i < 256);
         (self.limbs[i / 64] >> (i % 64)) & 1 == 1
@@ -142,6 +148,7 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `width` is 0 or greater than 64, or if `start >= 256`.
+    #[inline]
     pub const fn bits(&self, start: usize, width: usize) -> u64 {
         assert!(width >= 1 && width <= 64, "width must be in 1..=64");
         assert!(start < 256, "start must be below 256");
@@ -160,6 +167,7 @@ impl U256 {
     }
 
     /// Number of bits required to represent the value (0 for zero).
+    #[inline]
     pub const fn bit_len(&self) -> usize {
         let mut i = 3;
         loop {
@@ -174,6 +182,7 @@ impl U256 {
     }
 
     /// `self + rhs`, returning the sum and the carry-out bit.
+    #[inline]
     pub const fn adc(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut carry = 0u64;
@@ -188,6 +197,7 @@ impl U256 {
     }
 
     /// `self - rhs`, returning the difference and the borrow-out bit.
+    #[inline]
     pub const fn sbb(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut borrow = 0u64;
@@ -203,16 +213,19 @@ impl U256 {
     }
 
     /// Wrapping addition (mod 2^256).
+    #[inline]
     pub const fn wrapping_add(&self, rhs: &U256) -> U256 {
         self.adc(rhs).0
     }
 
     /// Wrapping subtraction (mod 2^256).
+    #[inline]
     pub const fn wrapping_sub(&self, rhs: &U256) -> U256 {
         self.sbb(rhs).0
     }
 
     /// Full 256×256 → 512-bit multiplication.
+    #[inline]
     pub const fn widening_mul(&self, rhs: &U256) -> U512 {
         let mut out = [0u64; 8];
         let mut i = 0;
@@ -233,9 +246,51 @@ impl U256 {
         U512 { limbs: out }
     }
 
+    /// Full 256-bit squaring: each of the six cross products `aᵢ·aⱼ`
+    /// (`i < j`) once and doubled, plus the four squares `aᵢ²` — 10 limb
+    /// products where [`U256::widening_mul`] spends 16.
+    #[inline]
+    pub const fn widening_square(&self) -> U512 {
+        let a = self.limbs;
+        let mut out = [0u64; 8];
+        let mut i = 0;
+        while i < 3 {
+            let mut carry = 0u64;
+            let mut j = i + 1;
+            while j < 4 {
+                let prod = a[i] as u128 * a[j] as u128 + out[i + j] as u128 + carry as u128;
+                out[i + j] = prod as u64;
+                carry = (prod >> 64) as u64;
+                j += 1;
+            }
+            out[i + 4] = carry;
+            i += 1;
+        }
+        // The cross products sum to under 2^511, so doubling keeps 512 bits.
+        let mut k = 7;
+        while k > 0 {
+            out[k] = (out[k] << 1) | (out[k - 1] >> 63);
+            k -= 1;
+        }
+        out[0] <<= 1;
+        let mut carry = 0u64;
+        let mut i = 0;
+        while i < 4 {
+            let sq = a[i] as u128 * a[i] as u128;
+            let lo = out[2 * i] as u128 + (sq as u64) as u128 + carry as u128;
+            out[2 * i] = lo as u64;
+            let hi = out[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+            out[2 * i + 1] = hi as u64;
+            carry = (hi >> 64) as u64;
+            i += 1;
+        }
+        U512 { limbs: out }
+    }
+
     /// Compares two values (const-friendly version of `Ord`).
     ///
     /// Returns -1, 0, or 1.
+    #[inline]
     pub const fn const_cmp(&self, rhs: &U256) -> i8 {
         let mut i = 3;
         loop {
@@ -257,6 +312,7 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `n >= 256`.
+    #[inline]
     pub const fn shr(&self, n: usize) -> U256 {
         assert!(n < 256);
         let limb_shift = n / 64;
@@ -337,16 +393,19 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `m` does not have its top bit set.
+    #[inline]
     pub const fn reduce_once(&self, m: &U256) -> U256 {
         assert!(m.bit(255), "reduce_once requires a modulus > 2^255");
-        if self.const_cmp(m) >= 0 {
-            self.wrapping_sub(m)
-        } else {
+        let (reduced, borrow) = self.sbb(m);
+        if borrow {
             *self
+        } else {
+            reduced
         }
     }
 
     /// Interprets the low 64 bits as `u64` (discards upper bits).
+    #[inline]
     pub const fn low_u64(&self) -> u64 {
         self.limbs[0]
     }
@@ -371,6 +430,7 @@ impl U512 {
     }
 
     /// Returns the little-endian limbs.
+    #[inline]
     pub const fn limbs(&self) -> [u64; 8] {
         self.limbs
     }
@@ -454,6 +514,8 @@ impl From<u128> for U256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn hex_round_trip() {
@@ -514,6 +576,28 @@ mod tests {
         let mut expect = U256::MAX;
         expect = expect.wrapping_sub(&U256::ONE);
         assert_eq!(hi, expect);
+    }
+
+    #[test]
+    fn widening_square_is_widening_mul_by_itself() {
+        let max = u64::MAX;
+        let mut values = vec![
+            U256::ZERO,
+            U256::ONE,
+            U256::MAX,
+            U256::from_limbs([max, 0, max, 0]),
+            U256::from_limbs([0, max, 0, max]),
+            U256::from_limbs([0, 0, 0, max]),
+            U256::from_limbs([max, max, max, 1 << 63]),
+            U256::ONE.shl(255),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5A);
+        for _ in 0..200 {
+            values.push(U256::from_limbs(std::array::from_fn(|_| rng.next_u64())));
+        }
+        for v in &values {
+            assert_eq!(v.widening_square(), v.widening_mul(v), "{v}");
+        }
     }
 
     #[test]

@@ -351,7 +351,11 @@ impl<C: Curve> Jacobian<C> {
         self.z.is_zero()
     }
 
-    /// Point doubling (general-`a` Jacobian formulas).
+    /// Point doubling (general-`a` Jacobian formulas). Where `a` is zero
+    /// (secp256k1) the `a·z⁴` term costs nothing: `a` is a constant of the
+    /// instantiation and the field product is inlined, so the optimiser
+    /// drops the product and the two squarings that feed it — 2M + 5S, as
+    /// a hand-written `a = 0` branch measured (EXPERIMENTS.md).
     pub fn double(&self) -> Jacobian<C> {
         if self.is_identity() || self.y.is_zero() {
             return Jacobian::identity();
@@ -484,10 +488,15 @@ impl<C: Curve> Jacobian<C> {
         acc
     }
 
-    /// Converts back to affine coordinates (one field inversion).
+    /// Converts back to affine coordinates: one field inversion, or none
+    /// for a point that still has `Z = 1` (one that came from affine — a
+    /// commitment parsed from its bytes, say — and was not added to since).
     pub fn to_affine(&self) -> Affine<C> {
         if self.is_identity() {
             return Affine::identity();
+        }
+        if self.z == Fp::ONE {
+            return Affine::from_xy_unchecked(self.x, self.y);
         }
         let zinv = self.z.invert().expect("nonzero z");
         let zinv2 = zinv.square();
@@ -514,7 +523,12 @@ impl<C: Curve> Jacobian<C> {
     /// differently-parenthesized (e.g. parallel) MSM reductions comparable
     /// byte-for-byte.
     pub fn batch_normalize(points: &[Jacobian<C>]) -> Vec<Affine<C>> {
-        let mut zs: Vec<BaseField<C>> = points.iter().map(|p| p.z).collect();
+        // A `Z = 1` point is affine already: it stays out of the shared
+        // inversion (zeros are skipped) and keeps its coordinates.
+        let mut zs: Vec<BaseField<C>> = points
+            .iter()
+            .map(|p| if p.z == Fp::ONE { Fp::ZERO } else { p.z })
+            .collect();
         Fp::batch_invert(&mut zs);
         points
             .iter()
@@ -522,6 +536,8 @@ impl<C: Curve> Jacobian<C> {
             .map(|(p, zinv)| {
                 if p.is_identity() {
                     Affine::identity()
+                } else if p.z == Fp::ONE {
+                    Affine::from_xy_unchecked(p.x, p.y)
                 } else {
                     let zinv2 = zinv.square();
                     Affine {
@@ -662,6 +678,32 @@ mod tests {
         let five_g_b = g_k1().mul(&Scalar::<Secp256k1>::from_u64(5));
         assert_eq!(five_g_a, five_g_b);
         assert!(five_g_a.to_affine().is_on_curve());
+    }
+
+    /// `double` against the affine tangent formula `λ = (3x² + a) / 2y` on
+    /// both curves (`a = 0` and `a = −3`), from points with `Z ≠ 1`.
+    /// `add(P, P)` is no oracle here: it detects equal operands and calls
+    /// `double` itself — which this checks too.
+    #[test]
+    fn double_matches_the_affine_tangent_formula() {
+        fn check<C: Curve>() {
+            let mut rng = StdRng::seed_from_u64(29);
+            for _ in 0..8 {
+                let p = C::generator().mul(&Scalar::<C>::random(&mut rng));
+                assert!(p.z != Fp::ONE);
+                let (x, y) = (p.to_affine().x(), p.to_affine().y());
+                let lambda = (x.square().double() + x.square() + C::a())
+                    * y.double().invert().expect("odd order: y is never zero");
+                let x3 = lambda.square() - x.double();
+                let y3 = lambda * (x - x3) - y;
+                let expected = Affine::<C>::from_xy(x3, y3).expect("2P is on the curve");
+                assert_eq!(p.double().to_affine(), expected, "curve {}", C::NAME);
+                assert_eq!(p.add(&p).to_affine(), expected);
+                assert_eq!(p.add_affine(&p.to_affine()).to_affine(), expected);
+            }
+        }
+        check::<Secp256k1>();
+        check::<Secp256r1>();
     }
 
     #[test]

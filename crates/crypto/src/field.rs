@@ -1,10 +1,27 @@
-//! Prime-field arithmetic in Montgomery form, generic over the modulus.
+//! Prime-field arithmetic generic over the modulus, with the reduction the
+//! modulus allows.
 //!
 //! Both secp256k1 and secp256r1 need a base field (coordinates) and a scalar
 //! field (exponents); all four are instances of [`Fp`] with a different
-//! [`FieldParams`] marker type. All Montgomery pre-computation (R, R², −p⁻¹
-//! mod 2⁶⁴) is derived from the modulus at compile time, so defining a new
-//! field is a three-line impl.
+//! [`FieldParams`] marker type. Everything a reduction needs is derived from
+//! the modulus at compile time, so defining a new field is a three-line impl:
+//!
+//! * a modulus `p = 2²⁵⁶ − c` with `c` below 2⁶⁴ (secp256k1's base field,
+//!   `c = 2³² + 977`) gets [`FieldParams::FOLD`]` = Some(c)`: elements are
+//!   stored as plain residues and a product is the 512-bit integer product
+//!   with its high half folded into the low as `high · c` (2²⁵⁶ ≡ c), twice,
+//!   and one conditional subtraction — 21 limb products, 15 for a squaring;
+//! * any other modulus (both group orders, P-256's base field) is kept in
+//!   Montgomery form (R, R², −p⁻¹ mod 2⁶⁴) and multiplied by CIOS, 36 limb
+//!   products.
+//!
+//! The choice is a `match` on an associated constant, so each instantiation
+//! compiles to one of the two and no caller can see which.
+//!
+//! Every kernel here and every [`U256`] primitive under it is `#[inline]`:
+//! curve and MSM code is generic over the curve, so it is instantiated in
+//! whichever crate names the curve, and without the attribute these
+//! non-generic leaves would be calls across a crate boundary there.
 
 use std::fmt;
 use std::hash::Hash;
@@ -13,13 +30,13 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
 
-use crate::bigint::U256;
+use crate::bigint::{U256, U512};
 
 /// Compile-time parameters of a prime field.
 ///
 /// Implementors only provide [`FieldParams::MODULUS`] (which must be an odd
 /// prime with its top bit set, true for all secp256* primes and orders) and a
-/// display name; the Montgomery constants are derived automatically.
+/// display name; the constants of both reductions are derived automatically.
 pub trait FieldParams:
     'static + Copy + Clone + fmt::Debug + PartialEq + Eq + Hash + Send + Sync
 {
@@ -34,6 +51,18 @@ pub trait FieldParams:
     const R2: U256 = mont_r2(&Self::MODULUS);
     /// `-p⁻¹ mod 2^64`. Derived; do not override.
     const N0: u64 = mont_n0(&Self::MODULUS);
+    /// `Some(c)` when `p = 2^256 − c` with `c < 2^64`: the field then stores
+    /// plain residues and reduces by folding (see the module docs); `None`
+    /// keeps it in Montgomery form. Derived; do not override.
+    const FOLD: Option<u64> = fold_constant(&Self::R);
+}
+
+/// `c` if `2^256 − p` (which is `R`) fits one limb.
+const fn fold_constant(r: &U256) -> Option<u64> {
+    match r.limbs() {
+        [c, 0, 0, 0] => Some(c),
+        _ => None,
+    }
 }
 
 /// `2^256 mod p` for `p > 2^255`: exactly `2^256 - p`.
@@ -74,6 +103,7 @@ const fn mont_n0(p: &U256) -> u64 {
 }
 
 /// Montgomery multiplication `a * b * R⁻¹ mod p` (CIOS, 4 limbs).
+#[inline]
 const fn mont_mul(a: &U256, b: &U256, p: &U256, n0: u64) -> U256 {
     let al = a.limbs();
     let bl = b.limbs();
@@ -114,14 +144,51 @@ const fn mont_mul(a: &U256, b: &U256, p: &U256, n0: u64) -> U256 {
     }
     let r = U256::from_limbs([t[0], t[1], t[2], t[3]]);
     // Result < 2p: one conditional subtraction finishes the reduction.
-    if t[4] != 0 || r.const_cmp(p) >= 0 {
-        r.wrapping_sub(p)
+    let (reduced, borrow) = r.sbb(p);
+    if t[4] != 0 || !borrow {
+        reduced
     } else {
         r
     }
 }
 
-/// An element of the prime field defined by `P`, stored in Montgomery form.
+/// `wide mod p` for `p = 2^256 − c`. Since `2^256 ≡ c`, the high half folds
+/// into the low as `high · c`: once to under `2^320`, then the fifth limb
+/// again to under `2^256 + 2^128`, which one subtraction of `p` — an
+/// addition of `c` that carries out of 256 bits — brings below `p`.
+#[inline]
+const fn fold_reduce(wide: &U512, c: u64) -> U256 {
+    let w = wide.limbs();
+    let mut t = [0u64; 4];
+    let mut high = 0u64;
+    let mut i = 0;
+    while i < 4 {
+        let s = w[i] as u128 + w[i + 4] as u128 * c as u128 + high as u128;
+        t[i] = s as u64;
+        high = (s >> 64) as u64;
+        i += 1;
+    }
+    let (r, wrapped) = U256::from_limbs(t).adc(&U256::from_u128(high as u128 * c as u128));
+    // A wrapped `r` is below 2^128, so adding `c` cannot carry a second
+    // time; an unwrapped one is at least `p` exactly when adding `c` carries.
+    let (minus_p, at_least_p) = r.adc(&U256::from_u64(c));
+    if wrapped || at_least_p {
+        minus_p
+    } else {
+        r
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fermat inversions run on this thread, in any field: lets a test
+    /// assert that a path takes none.
+    pub(crate) static INVERSIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// An element of the prime field defined by `P`, stored as the reduction
+/// wants it: the residue itself where [`FieldParams::FOLD`] is `Some`, in
+/// Montgomery form otherwise.
 ///
 /// `Fp` is `Copy` and implements the usual arithmetic operators. Construct
 /// elements with [`Fp::from_u64`], [`Fp::from_canonical`], or
@@ -138,29 +205,37 @@ const fn mont_mul(a: &U256, b: &U256, p: &U256, n0: u64) -> U256 {
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Hash)]
 pub struct Fp<P: FieldParams> {
-    /// Montgomery representation: `value * R mod p`.
-    mont: U256,
+    /// `value mod p` for a folding field, `value * R mod p` for a
+    /// Montgomery one; below `p` either way.
+    repr: U256,
     _marker: PhantomData<P>,
 }
 
 impl<P: FieldParams> Fp<P> {
     /// The additive identity.
     pub const ZERO: Fp<P> = Fp {
-        mont: U256::ZERO,
+        repr: U256::ZERO,
         _marker: PhantomData,
     };
     /// The multiplicative identity.
     pub const ONE: Fp<P> = Fp {
-        mont: P::R,
+        repr: match P::FOLD {
+            Some(_) => U256::ONE,
+            None => P::R,
+        },
         _marker: PhantomData,
     };
 
     /// Builds an element from a canonical integer, reducing mod p.
+    #[inline]
     pub fn from_canonical(v: U256) -> Fp<P> {
         // v < 2^256 < 2p, so one conditional subtraction canonicalizes.
         let reduced = v.reduce_once(&P::MODULUS);
         Fp {
-            mont: mont_mul(&reduced, &P::R2, &P::MODULUS, P::N0),
+            repr: match P::FOLD {
+                Some(_) => reduced,
+                None => mont_mul(&reduced, &P::R2, &P::MODULUS, P::N0),
+            },
             _marker: PhantomData,
         }
     }
@@ -188,9 +263,13 @@ impl<P: FieldParams> Fp<P> {
         }
     }
 
-    /// Returns the canonical (non-Montgomery) representative in `[0, p)`.
+    /// Returns the canonical representative in `[0, p)`.
+    #[inline]
     pub fn to_canonical(&self) -> U256 {
-        mont_mul(&self.mont, &U256::ONE, &P::MODULUS, P::N0)
+        match P::FOLD {
+            Some(_) => self.repr,
+            None => mont_mul(&self.repr, &U256::ONE, &P::MODULUS, P::N0),
+        }
     }
 
     /// Sign and magnitude of the *centred* representative, the one in
@@ -198,6 +277,7 @@ impl<P: FieldParams> Fp<P> {
     /// `(true, p − k)` above it. An embedded signed integer ([`Fp::from_i64`])
     /// comes back as its sign and `|v|`, so the magnitude's bit length is
     /// the value's real length, not the 256 bits of `p − |v|`.
+    #[inline]
     pub(crate) fn to_centred(self) -> (bool, U256) {
         let k = self.to_canonical();
         if k.const_cmp(&P::MODULUS.shr(1)) <= 0 {
@@ -223,76 +303,105 @@ impl<P: FieldParams> Fp<P> {
     }
 
     /// Returns `true` for the additive identity.
+    #[inline]
     pub fn is_zero(&self) -> bool {
-        self.mont.is_zero()
+        self.repr.is_zero()
     }
 
     /// Field addition (also available via the `+` operator).
+    #[inline]
     fn add_inner(&self, rhs: &Fp<P>) -> Fp<P> {
-        let (sum, carry) = self.mont.adc(&rhs.mont);
-        let reduced = if carry || sum.const_cmp(&P::MODULUS) >= 0 {
-            sum.wrapping_sub(&P::MODULUS)
-        } else {
-            sum
-        };
+        let (sum, carry) = self.repr.adc(&rhs.repr);
+        let (reduced, borrow) = sum.sbb(&P::MODULUS);
         Fp {
-            mont: reduced,
+            repr: if carry || !borrow { reduced } else { sum },
             _marker: PhantomData,
         }
     }
 
     /// Field subtraction (also available via the `-` operator).
+    #[inline]
     fn sub_inner(&self, rhs: &Fp<P>) -> Fp<P> {
-        let (diff, borrow) = self.mont.sbb(&rhs.mont);
+        let (diff, borrow) = self.repr.sbb(&rhs.repr);
         let reduced = if borrow {
             diff.wrapping_add(&P::MODULUS)
         } else {
             diff
         };
         Fp {
-            mont: reduced,
+            repr: reduced,
             _marker: PhantomData,
         }
     }
 
     /// Additive inverse.
+    #[inline]
     pub fn negate(&self) -> Fp<P> {
         if self.is_zero() {
             *self
         } else {
             Fp {
-                mont: P::MODULUS.wrapping_sub(&self.mont),
+                repr: P::MODULUS.wrapping_sub(&self.repr),
                 _marker: PhantomData,
             }
         }
     }
 
-    /// Field multiplication (also available via the `*` operator).
+    /// Field multiplication (also available via the `*` operator). Always
+    /// inlined, like [`Fp::square`] and for its reason.
+    #[inline(always)]
     fn mul_inner(&self, rhs: &Fp<P>) -> Fp<P> {
         Fp {
-            mont: mont_mul(&self.mont, &rhs.mont, &P::MODULUS, P::N0),
+            repr: match P::FOLD {
+                Some(c) => fold_reduce(&self.repr.widening_mul(&rhs.repr), c),
+                None => mont_mul(&self.repr, &rhs.repr, &P::MODULUS, P::N0),
+            },
             _marker: PhantomData,
         }
     }
 
-    /// Squaring (currently delegates to `mul`).
+    /// Squaring: a dedicated 10-product square under the fold; the
+    /// Montgomery fields square by `mul` (square-then-reduce measured level
+    /// or slower than CIOS, EXPERIMENTS.md). Always inlined: as a hint it
+    /// stayed a call, and a 32-byte round trip through memory in every
+    /// link of a doubling or `pow` chain cost more than the squaring saved.
+    #[inline(always)]
     pub fn square(&self) -> Fp<P> {
-        self.mul_inner(self)
+        match P::FOLD {
+            Some(c) => Fp {
+                repr: fold_reduce(&self.repr.widening_square(), c),
+                _marker: PhantomData,
+            },
+            None => self.mul_inner(self),
+        }
     }
 
     /// Doubling.
+    #[inline]
     pub fn double(&self) -> Fp<P> {
         self.add_inner(self)
     }
 
-    /// Exponentiation by a canonical 256-bit exponent (square-and-multiply).
+    /// Exponentiation by a canonical 256-bit exponent, in fixed 4-bit
+    /// windows from the top: four squarings a digit and one product per
+    /// non-zero digit (plus 14 for the table of `self¹ … self¹⁵`), where
+    /// square-and-multiply pays one per set bit — ≈ 335 operations in
+    /// place of ≈ 500 on the nearly all-ones exponents of
+    /// [`Fp::invert`] and [`Fp::sqrt`].
     pub fn pow(&self, exp: &U256) -> Fp<P> {
+        const WINDOW: usize = 4;
+        let mut powers = [*self; (1 << WINDOW) - 1];
+        for d in 1..powers.len() {
+            powers[d] = powers[d - 1].mul_inner(self);
+        }
         let mut acc = Fp::<P>::ONE;
-        let bits = exp.bit_len();
-        for i in (0..bits).rev() {
-            acc = acc.square();
-            if exp.bit(i) {
-                acc = acc.mul_inner(self);
+        for w in (0..exp.bit_len().div_ceil(WINDOW)).rev() {
+            for _ in 0..WINDOW {
+                acc = acc.square();
+            }
+            let digit = exp.bits(w * WINDOW, WINDOW) as usize;
+            if digit != 0 {
+                acc = acc.mul_inner(&powers[digit - 1]);
             }
         }
         acc
@@ -305,6 +414,8 @@ impl<P: FieldParams> Fp<P> {
         if self.is_zero() {
             return None;
         }
+        #[cfg(test)]
+        INVERSIONS.with(|n| n.set(n.get() + 1));
         let exp = P::MODULUS.wrapping_sub(&U256::from_u64(2));
         Some(self.pow(&exp))
     }
@@ -351,8 +462,13 @@ impl<P: FieldParams> Fp<P> {
             }
         }
         // One inversion of the total product (a product of nonzero factors,
-        // or ONE when every entry was zero — never zero itself)...
-        let mut inv = acc.invert().expect("product of nonzero elements");
+        // or ONE, its own inverse, when every entry was zero — never zero
+        // itself)...
+        let mut inv = if acc == Fp::ONE {
+            acc
+        } else {
+            acc.invert().expect("product of nonzero elements")
+        };
         // ...then unwind: inv holds the inverse of the product of all
         // nonzero entries up to (and including) position i.
         for (e, p) in elems.iter_mut().zip(prefix).rev() {
@@ -403,12 +519,14 @@ impl<P: FieldParams> Default for Fp<P> {
 
 impl<P: FieldParams> Add for Fp<P> {
     type Output = Fp<P>;
+    #[inline]
     fn add(self, rhs: Fp<P>) -> Fp<P> {
         Fp::add_inner(&self, &rhs)
     }
 }
 
 impl<P: FieldParams> AddAssign for Fp<P> {
+    #[inline]
     fn add_assign(&mut self, rhs: Fp<P>) {
         *self = Fp::add_inner(self, &rhs);
     }
@@ -416,12 +534,14 @@ impl<P: FieldParams> AddAssign for Fp<P> {
 
 impl<P: FieldParams> Sub for Fp<P> {
     type Output = Fp<P>;
+    #[inline]
     fn sub(self, rhs: Fp<P>) -> Fp<P> {
         Fp::sub_inner(&self, &rhs)
     }
 }
 
 impl<P: FieldParams> SubAssign for Fp<P> {
+    #[inline]
     fn sub_assign(&mut self, rhs: Fp<P>) {
         *self = Fp::sub_inner(self, &rhs);
     }
@@ -429,12 +549,14 @@ impl<P: FieldParams> SubAssign for Fp<P> {
 
 impl<P: FieldParams> Mul for Fp<P> {
     type Output = Fp<P>;
+    #[inline]
     fn mul(self, rhs: Fp<P>) -> Fp<P> {
         Fp::mul_inner(&self, &rhs)
     }
 }
 
 impl<P: FieldParams> MulAssign for Fp<P> {
+    #[inline]
     fn mul_assign(&mut self, rhs: Fp<P>) {
         *self = Fp::mul_inner(self, &rhs);
     }
@@ -442,6 +564,7 @@ impl<P: FieldParams> MulAssign for Fp<P> {
 
 impl<P: FieldParams> Neg for Fp<P> {
     type Output = Fp<P>;
+    #[inline]
     fn neg(self) -> Fp<P> {
         self.negate()
     }
@@ -484,6 +607,167 @@ mod tests {
         assert_eq!(p0.wrapping_mul(Secp256k1Base::N0), u64::MAX);
         let p0 = Secp256r1Base::MODULUS.limbs()[0];
         assert_eq!(p0.wrapping_mul(Secp256r1Base::N0), u64::MAX);
+    }
+
+    // -- Differential suite: every kernel against schoolbook arithmetic ------
+
+    /// `wide mod p`, one bit at a time: the remainder so far is below `p`,
+    /// so twice it plus a bit is below `2p` and one subtraction restores it.
+    fn reference_mod(wide: &U512, p: &U256) -> U256 {
+        let mut r = U256::ZERO;
+        for limb in wide.limbs().iter().rev() {
+            for bit in (0..64).rev() {
+                let (doubled, carry) = r.adc(&r);
+                // `doubled` is even, so the bit never carries further.
+                let next = doubled.wrapping_add(&U256::from_u64((limb >> bit) & 1));
+                r = if carry || next.const_cmp(p) >= 0 {
+                    next.wrapping_sub(p)
+                } else {
+                    next
+                };
+            }
+        }
+        r
+    }
+
+    /// `(a · b) mod p` by a 512-bit product and [`reference_mod`].
+    fn reference_mul(a: &U256, b: &U256, p: &U256) -> U256 {
+        reference_mod(&a.widening_mul(b), p)
+    }
+
+    /// Integers in `[0, 2^256)` that exercise the carries of both
+    /// reductions — 0, 1, `c = 2^256 − p`, `c ± 1`, `p − 2`, `p − 1`, `p`,
+    /// `p + 1`, `(p − 1)/2` and its successor, `2^256 − 1`, values whose
+    /// high limbs are all ones, single high bits — and `random` seeded ones.
+    fn edge_integers<P: FieldParams>(random: usize) -> Vec<U256> {
+        let p = P::MODULUS;
+        let c = U256::ZERO.wrapping_sub(&p);
+        let half = p.shr(1);
+        let mut v = vec![
+            U256::ZERO,
+            U256::ONE,
+            c,
+            c.wrapping_sub(&U256::ONE),
+            c.wrapping_add(&U256::ONE),
+            p.wrapping_sub(&U256::from_u64(2)),
+            p.wrapping_sub(&U256::ONE),
+            p,
+            p.wrapping_add(&U256::ONE),
+            half,
+            half.wrapping_add(&U256::ONE),
+            U256::MAX,
+            U256::from_limbs([0, u64::MAX, u64::MAX, u64::MAX]),
+            U256::from_limbs([1, 0, u64::MAX, u64::MAX]),
+            U256::from_limbs([u64::MAX, 0, 0, u64::MAX]),
+            U256::from_limbs([u64::MAX, u64::MAX, u64::MAX, 0]),
+            U256::from_u64(u64::MAX),
+            U256::ONE.shl(255),
+            U256::ONE.shl(128),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EED ^ p.limbs()[0]);
+        for _ in 0..random {
+            let mut bytes = [0u8; 32];
+            rng.fill_bytes(&mut bytes);
+            v.push(U256::from_be_bytes(bytes));
+        }
+        v
+    }
+
+    fn kernels_match_the_reference<P: FieldParams>(random: usize) {
+        let p = P::MODULUS;
+        let integers = edge_integers::<P>(random);
+        let one = Fp::<P>::ONE;
+        assert_eq!(one.to_canonical(), U256::ONE, "{}", P::NAME);
+        for v in &integers {
+            // from_canonical reduces (inputs at and above p included) and
+            // to_canonical undoes it.
+            let x = Fp::<P>::from_canonical(*v);
+            let k = x.to_canonical();
+            let expect = if v.const_cmp(&p) >= 0 {
+                v.wrapping_sub(&p)
+            } else {
+                *v
+            };
+            assert_eq!(k, expect, "{} from/to_canonical {v}", P::NAME);
+            assert_eq!(Fp::<P>::from_canonical(k), x);
+            assert_eq!(x * one, x);
+
+            let (negative, magnitude) = x.to_centred();
+            assert!(magnitude.const_cmp(&p.shr(1)) <= 0);
+            let back = if negative && !magnitude.is_zero() {
+                p.wrapping_sub(&magnitude)
+            } else {
+                magnitude
+            };
+            assert_eq!(back, k, "{} to_centred {v}", P::NAME);
+            assert_eq!(negative, k.const_cmp(&p.shr(1)) > 0);
+
+            assert_eq!(
+                x.square().to_canonical(),
+                reference_mul(&k, &k, &p),
+                "{} square {v}",
+                P::NAME
+            );
+            match x.invert() {
+                None => assert!(k.is_zero()),
+                Some(inv) => {
+                    assert_eq!(inv * x, one, "{} invert {v}", P::NAME);
+                    assert_eq!(reference_mul(&inv.to_canonical(), &k, &p), U256::ONE);
+                }
+            }
+            for w in &integers {
+                let y = Fp::<P>::from_canonical(*w);
+                assert_eq!(
+                    (x * y).to_canonical(),
+                    reference_mul(&k, &y.to_canonical(), &p),
+                    "{} mul {v} {w}",
+                    P::NAME
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_reference_in_all_four_fields() {
+        kernels_match_the_reference::<Secp256k1Base>(40);
+        kernels_match_the_reference::<Secp256k1Scalar>(40);
+        kernels_match_the_reference::<Secp256r1Base>(40);
+        kernels_match_the_reference::<Secp256r1Scalar>(40);
+    }
+
+    #[test]
+    fn only_the_secp256k1_base_field_folds() {
+        assert_eq!(Secp256k1Base::FOLD, Some((1 << 32) + 977));
+        assert_eq!(Secp256k1Scalar::FOLD, None);
+        assert_eq!(Secp256r1Base::FOLD, None);
+        assert_eq!(Secp256r1Scalar::FOLD, None);
+    }
+
+    /// The fold on 512-bit inputs no product of reduced operands reaches:
+    /// all ones (both folds wrap), a high half of all ones over a zero low
+    /// half, and the values one either side of a multiple of `p`.
+    #[test]
+    fn fold_reduce_handles_every_512_bit_input() {
+        let p = Secp256k1Base::MODULUS;
+        let c = Secp256k1Base::FOLD.expect("folds");
+        let max = u64::MAX;
+        let mut inputs = vec![
+            U512::from_limbs([max; 8]),
+            U512::from_limbs([0, 0, 0, 0, max, max, max, max]),
+            U512::from_limbs([max, max, max, max, 0, 0, 0, 0]),
+            U512::from_limbs([0, 0, 0, 0, 1, 0, 0, 0]),
+            U512::from_u256(&p),
+            U512::from_u256(&p.wrapping_sub(&U256::ONE)),
+            p.widening_mul(&U256::MAX),
+            p.widening_mul(&p),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        for _ in 0..200 {
+            inputs.push(U512::from_limbs(std::array::from_fn(|_| rng.next_u64())));
+        }
+        for wide in &inputs {
+            assert_eq!(fold_reduce(wide, c), reference_mod(wide, &p), "{wide:?}");
+        }
     }
 
     #[test]

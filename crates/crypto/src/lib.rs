@@ -7,7 +7,8 @@
 //! * [`sha256`] — FIPS 180-4 SHA-256 (IPFS content addressing + the Fig. 3
 //!   hashing baseline).
 //! * [`bigint`] — fixed-width 256/512-bit integers.
-//! * [`field`] — Montgomery-form prime fields, generic over the modulus.
+//! * [`field`] — prime fields generic over the modulus, each with the
+//!   reduction its modulus allows (a fold for `2²⁵⁶ − c`, Montgomery otherwise).
 //! * [`curve`] — secp256k1 and secp256r1 with Jacobian arithmetic and wNAF
 //!   scalar multiplication.
 //! * [`msm`] — one [`msm::Msm`] entry point over naive, wNAF, Pippenger,

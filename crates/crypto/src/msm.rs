@@ -428,24 +428,26 @@ fn odd_multiples<C: Curve>(points: &[Affine<C>]) -> Vec<Affine<C>> {
     Jacobian::batch_normalize(&multiples)
 }
 
-/// Field multiplications, by operation count, of [`interleaved_wnaf`] over
-/// `n` scalars of at most `bits` bits: a Jacobian doubling (≈ 10) per bit
-/// and a mixed addition (≈ 11) per non-zero digit.
+/// Field products and squarings, by operation count, of
+/// [`interleaved_wnaf`] over `n` scalars of at most `bits` bits: a Jacobian
+/// doubling (2M + 5S on secp256k1, whose `a = 0` term folds away) per bit
+/// and a mixed addition (7M + 4S) per non-zero digit.
 fn interleaved_walk_muls(n: usize, bits: usize) -> usize {
-    10 * bits + 11 * n * bits.div_ceil(WNAF_WIDTH as usize + 1)
+    7 * bits + 11 * n * bits.div_ceil(WNAF_WIDTH as usize + 1)
 }
 
-/// Field multiplications of one [`MsmTable`] bucket pass with a `window`-bit
+/// The same count for one [`MsmTable`] bucket pass with a `window`-bit
 /// table over the same input: a batch-affine addition (≈ 6) per table digit,
 /// and — whatever the scalars' length — a mixed plus a full addition (≈ 28)
-/// per bucket of the running sum and about three Fermat inversions (≈ 500
-/// each), one per batch-affine round. Against the clock the two counts
-/// cross where the kernels do for n ≤ 64 (n = 33: ≈ 90 bits either way);
-/// from there to the few hundred bases that still keep odd multiples the
-/// pass runs a little cheaper than counted, so a call within a few bits of
-/// the crossing can take the walk at a loss of under a tenth.
+/// per bucket of the running sum and about three Fermat inversions (≈ 335
+/// each: 256 squarings and [`Fp::pow`]'s ≈ 78 windowed products), one per
+/// batch-affine round. Against the clock the two counts cross where the
+/// kernels do for n ≤ 64 (n = 33: ≈ 80 bits either way); from n ≈ 128 to
+/// the few hundred bases that still keep odd multiples the pass runs
+/// cheaper than counted, so a call within a few bits of the crossing can
+/// take the walk at a loss of about a tenth (EXPERIMENTS.md has the table).
 fn bucket_pass_muls(n: usize, bits: usize, window: usize) -> usize {
-    6 * n * bits.div_ceil(window) + 28 * ((1 << window) - 1) + 3 * 500
+    6 * n * bits.div_ceil(window) + 28 * ((1 << window) - 1) + 3 * 335
 }
 
 /// The shortest call a table is planned for: one whose longest entry is a
@@ -937,7 +939,7 @@ mod tests {
     #[test]
     fn selection_rule_follows_the_operation_counts() {
         // 33 bases: short openings walk, ≈ 170-bit RLC sums take the
-        // buckets; the counts cross near 90 bits.
+        // buckets; the counts cross near 80 bits.
         let c = MsmTable::<C>::suggested_window(33);
         assert!(interleaved_walk_muls(33, 40) < bucket_pass_muls(33, 40, c));
         assert!(interleaved_walk_muls(33, 170) > bucket_pass_muls(33, 170, c));

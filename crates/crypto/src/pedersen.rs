@@ -392,24 +392,25 @@ impl<C: Curve> CommitKey<C> {
 /// from the batch size at which its fixed cost is shared widely enough.
 /// Measured on honest rounds (`cargo run --release --example bench_crypto
 /// -- --crossover`, median of 5; sequential `verify` vs one `batch_check`,
-/// ms; the quietest of five runs, whose ratios agree to within 0.1):
+/// ms; the first of three runs whose ratios agree to within 0.05):
 ///
 /// | n  | d = 8 193     | d = 33        |
 /// |----|---------------|---------------|
-/// | 2  | 18.8 vs 45.1  | 0.12 vs 0.46  |
-/// | 4  | 41.8 vs 49.2  | 0.22 vs 0.47  |
-/// | 5  | 45.7 vs 46.7  | 0.28 vs 0.53  |
-/// | 6  | 53.9 vs 42.9  | 0.34 vs 0.53  |
-/// | 8  | 77.1 vs 48.2  | 0.44 vs 0.60  |
-/// | 16 | 146.4 vs 53.8 | 0.89 vs 0.83  |
+/// | 2  | 12.4 vs 30.9  | 0.08 vs 0.31  |
+/// | 4  | 24.9 vs 32.3  | 0.17 vs 0.34  |
+/// | 5  | 30.9 vs 33.2  | 0.21 vs 0.35  |
+/// | 6  | 36.9 vs 34.2  | 0.26 vs 0.36  |
+/// | 8  | 48.4 vs 35.7  | 0.35 vs 0.39  |
+/// | 16 | 97.5 vs 42.1  | 0.70 vs 0.55  |
 ///
-/// The two are level at n ≈ 5 for large d and n ≈ 15 for tiny d (≈ 8
-/// before the tiny-d recommit halved in cost). 6 is the size from which an
-/// RLC is never the worse choice by more than a fifth at large d, where
-/// the wrong choice costs tens of milliseconds a check. At tiny d no one
-/// size does that any more: ranges of 6–14 get an RLC that costs up to
-/// 1.6× their recommits, ≈ 0.2 ms a check, and any size that spared them
-/// would hand a d = 8 193 range of 6–8 to recommits at 1.3–1.6× an RLC.
+/// The two are level between n = 5 and 6 for large d and at n ≈ 10 for
+/// tiny d (≈ 15 while a Fermat inversion cost 500 products; the bucket
+/// pass under the RLC's long-scalar commit pays three, the recommits'
+/// walk none). 6 is the size from which an RLC is never the worse choice
+/// at large d, where the wrong choice costs tens of milliseconds a check.
+/// At tiny d ranges of 6–9 get an RLC that costs up to 1.4× their
+/// recommits, ≈ 0.1 ms a check, and any size that spared them would hand
+/// a d = 8 193 range of 6–8 to recommits at 1.1–1.4× an RLC.
 /// Not a knob: verdicts and culprit sets do not depend on it, only which
 /// of two equivalent checks a short range gets.
 const RLC_MIN_BATCH: usize = 6;
@@ -867,6 +868,33 @@ mod tests {
         assert_eq!(decoded, c);
         let id = Commitment::<K1>::identity();
         assert_eq!(Commitment::<K1>::from_bytes(&id.to_bytes()).unwrap(), id);
+    }
+
+    /// A commitment parsed from its bytes still has `Z = 1`: serialising
+    /// it again, or normalising a batch of such, runs no field inversion —
+    /// where one that came out of an MSM pays one.
+    #[test]
+    fn a_parsed_commitment_reserialises_without_an_inversion() {
+        use crate::field::INVERSIONS;
+        let key = key(8);
+        let computed = key.commit(&random_vector(8, 8));
+        let bytes = computed.to_bytes();
+        let parsed = Commitment::<K1>::from_bytes(&bytes).unwrap();
+        let before = INVERSIONS.get();
+        assert_eq!(parsed.to_bytes(), bytes);
+        let affine = Jacobian::batch_normalize(&[parsed.point(), Jacobian::identity()]);
+        assert_eq!(affine[0].to_compressed(), bytes);
+        assert!(affine[1].is_identity());
+        assert_eq!(INVERSIONS.get(), before);
+        assert_eq!(computed.to_bytes(), bytes);
+        assert_eq!(INVERSIONS.get(), before + 1);
+        // Mixed batches still share one inversion and agree point by point.
+        let mixed = [parsed.point(), computed.point(), parsed.point().double()];
+        let normalized = Jacobian::batch_normalize(&mixed);
+        assert_eq!(INVERSIONS.get(), before + 2);
+        for (j, a) in mixed.iter().zip(&normalized) {
+            assert_eq!(j.to_affine(), *a);
+        }
     }
 
     #[test]
