@@ -115,7 +115,7 @@ pub struct Aggregator {
     announced: HashMap<usize, SyncAnnounce>,
     /// Peer partial blobs fetched but not yet verified (waiting for the
     /// accumulated commitments): j → blob.
-    unverified: HashMap<usize, Vec<u8>>,
+    unverified: HashMap<usize, Bytes>,
     /// Accumulated commitment per slot from the directory.
     accumulators: Vec<Option<ProtocolCommitment>>,
     /// Individual registered commitments by global trainer index (for
@@ -124,7 +124,7 @@ pub struct Aggregator {
     /// Deferred verification queue (`batch_verify` mode): own-set gradient
     /// blobs admitted optimistically at arrival, settled with one RLC
     /// batch check when aggregation is about to consume them.
-    pending_verify: Vec<(usize, Vec<u8>, ProtocolCommitment)>,
+    pending_verify: Vec<(usize, Bytes, ProtocolCommitment)>,
     /// Recovery bookkeeping: slot → trainers still to fetch.
     recovery_pending: HashMap<usize, HashSet<usize>>,
     /// Recovery gradients collected: slot → trainer → vector.
@@ -681,7 +681,7 @@ impl Aggregator {
         }
     }
 
-    fn on_own_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, data: &[u8]) {
+    fn on_own_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, data: &Bytes) {
         self.downloading.remove(&trainer);
         self.fallback_pending.remove(&trainer);
         let Some(vector) = decode_blob(data) else {
@@ -700,7 +700,7 @@ impl Aggregator {
                 // match per-blob mode even in rounds that never flush.
                 out.incr(labels::BLOBS_VERIFIED, 1);
                 self.pending_verify
-                    .push((trainer, data.to_vec(), commitment));
+                    .push((trainer, data.clone(), commitment));
             } else if !verify_blob_timed(out, &key, data, &commitment) {
                 return; // corrupt gradient; the poll loop will retry
             }
@@ -745,10 +745,8 @@ impl Aggregator {
         let Some(key) = self.key.clone() else {
             return 0; // unreachable: entries only queue in verifiable mode
         };
-        let items: Vec<(&[u8], &ProtocolCommitment)> = pending
-            .iter()
-            .map(|(_, blob, c)| (blob.as_slice(), c))
-            .collect();
+        let items: Vec<(&[u8], &ProtocolCommitment)> =
+            pending.iter().map(|(_, blob, c)| (&blob[..], c)).collect();
         // Blobs were counted at enqueue time; the flush books only the
         // wall-clock and batch-size metrics.
         let culprits = flush_verify_queue(out, &key, &items);
@@ -1074,7 +1072,7 @@ impl Aggregator {
         }
     }
 
-    fn on_peer_partial(&mut self, out: &mut Actions<Msg>, j: usize, data: &[u8]) {
+    fn on_peer_partial(&mut self, out: &mut Actions<Msg>, j: usize, data: &Bytes) {
         self.process_peer_partial(out, j, data, None);
     }
 
@@ -1085,7 +1083,7 @@ impl Aggregator {
         &mut self,
         out: &mut Actions<Msg>,
         j: usize,
-        data: &[u8],
+        data: &Bytes,
         verdict: Option<bool>,
     ) {
         if self.partials.contains_key(&j) || self.blacklist.contains(&j) {
@@ -1121,7 +1119,7 @@ impl Aggregator {
                 None => {
                     // Accumulators/commitments not known yet; stash and
                     // re-check once the poll loop learns them.
-                    self.unverified.insert(j, data.to_vec());
+                    self.unverified.insert(j, data.clone());
                     return;
                 }
             }
@@ -1292,7 +1290,7 @@ impl Aggregator {
     /// verdicts, so both modes produce identical event streams and name
     /// identical culprits.
     fn retry_unverified(&mut self, out: &mut Actions<Msg>) {
-        let mut stashed: Vec<(usize, Vec<u8>)> = self.unverified.drain().collect();
+        let mut stashed: Vec<(usize, Bytes)> = self.unverified.drain().collect();
         stashed.sort_unstable_by_key(|(j, _)| *j); // deterministic order
         let mut verdicts: Vec<Option<bool>> = vec![None; stashed.len()];
         if self.topo.config().batch_verify && !stashed.is_empty() {
@@ -1317,7 +1315,7 @@ impl Aggregator {
                 let items: Vec<(&[u8], &ProtocolCommitment)> = idx
                     .iter()
                     .zip(&accs)
-                    .map(|(&i, acc)| (stashed[i].1.as_slice(), acc))
+                    .map(|(&i, acc)| (&stashed[i].1[..], acc))
                     .collect();
                 let culprits = verify_blobs_timed(out, &key, &items);
                 for (k, &i) in idx.iter().enumerate() {

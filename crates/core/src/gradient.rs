@@ -10,7 +10,7 @@
 
 use dfl_crypto::curve::Secp256k1;
 use dfl_crypto::pedersen::{CommitKey, Commitment};
-use dfl_crypto::quantize::{decode, encode, to_scalars, Quantized};
+use dfl_crypto::quantize::{decode, to_scalars, Quantized};
 
 use crate::error::IplsError;
 use crate::protocol::Actions;
@@ -22,14 +22,14 @@ pub type ProtocolKey = CommitKey<ProtocolCurve>;
 /// Commitment type for the protocol.
 pub type ProtocolCommitment = Commitment<ProtocolCurve>;
 
-/// Builds the upload blob for one partition: `quantize(values ++ [1.0])`.
+/// Builds the upload blob for one partition: `quantize(values ++ [1.0])`,
+/// each element written as its 8 little-endian bytes as it is rounded.
 pub fn build_blob(values: &[f32]) -> Vec<u8> {
-    let mut quantized: Vec<Quantized> = values
-        .iter()
-        .map(|&v| Quantized::from_f64(v as f64))
-        .collect();
-    quantized.push(Quantized::from_f64(1.0)); // the averaging counter
-    encode(&quantized)
+    let element = |v: f64| Quantized::from_f64(v).0.to_le_bytes();
+    let mut out: Vec<[u8; 8]> = Vec::with_capacity(values.len() + 1);
+    out.extend(values.iter().map(|&v| element(v as f64)));
+    out.push(element(1.0)); // the averaging counter
+    out.into_flattened()
 }
 
 /// Decodes a blob into its quantized vector (values + counter).
@@ -42,18 +42,24 @@ pub fn decode_blob(blob: &[u8]) -> Option<Vec<Quantized>> {
 }
 
 /// Decodes an aggregated update blob and divides by the counter, returning
-/// the averaged partition values (Algorithm 1 lines 20–21).
+/// the averaged partition values (Algorithm 1 lines 20–21). The counter is
+/// the last element, so it is read first and the values stream from the
+/// bytes into the result.
 ///
 /// Returns `None` when the blob is malformed or the counter is not
 /// positive.
 pub fn decode_update(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
-    let v = decode_blob(blob)?;
-    let (values, counter) = v.split_at(v.len() - 1);
-    let count = counter[0].to_f64();
+    let (elements, ragged) = blob.as_chunks::<8>();
+    let (counter, values) = elements.split_last()?;
+    if !ragged.is_empty() || values.is_empty() {
+        return None; // at least one value plus the counter
+    }
+    let real = |bytes: &[u8; 8]| Quantized(i64::from_le_bytes(*bytes)).to_f64();
+    let count = real(counter);
     if count < 1.0 || count.fract() != 0.0 {
         return None;
     }
-    let averaged = values.iter().map(|q| (q.to_f64() / count) as f32).collect();
+    let averaged = values.iter().map(|v| (real(v) / count) as f32).collect();
     Some((averaged, count as u64))
 }
 
@@ -225,6 +231,93 @@ pub fn derive_key(max_partition_len: usize, task_seed: u64, precompute: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfl_crypto::quantize::{encode, SCALE};
+
+    /// [`build_blob`] as it was — quantise into a vector, then encode it —
+    /// kept as the one-pass version's oracle.
+    fn build_blob_two_pass(values: &[f32]) -> Vec<u8> {
+        let mut quantized: Vec<Quantized> = values
+            .iter()
+            .map(|&v| Quantized((v as f64 * SCALE).round() as i64))
+            .collect();
+        quantized.push(Quantized(SCALE as i64));
+        encode(&quantized)
+    }
+
+    /// [`decode_update`] as it was: decode the whole vector, then average.
+    fn decode_update_two_pass(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
+        let v = decode_blob(blob)?;
+        let (values, counter) = v.split_at(v.len() - 1);
+        let count = counter[0].to_f64();
+        if count < 1.0 || count.fract() != 0.0 {
+            return None;
+        }
+        let averaged = values.iter().map(|q| (q.to_f64() / count) as f32).collect();
+        Some((averaged, count as u64))
+    }
+
+    #[test]
+    fn one_pass_codecs_equal_the_two_pass_ones() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let one = SCALE as i64;
+        for case in 0..300 {
+            // Gradient-sized values, ties, and raw bit patterns (huge, tiny,
+            // NaN, ± ∞) — a blob is built from whatever training produced.
+            let values: Vec<f32> = (0..rng.gen_range(0..40usize))
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => f32::from_bits(rng.next_u64() as u32),
+                    1 => (rng.gen_range(-64i32..64) as f32 + 0.5) / 16_777_216.0,
+                    _ => rng.gen_range(-4.0f32..4.0),
+                })
+                .collect();
+            let blob = build_blob(&values);
+            assert_eq!(
+                blob,
+                build_blob_two_pass(&values),
+                "case {case}: {values:?}"
+            );
+            assert_eq!(blob.len(), (values.len() + 1) * 8);
+
+            // The same bytes as an update, under every kind of counter.
+            let mut elements: Vec<i64> = (0..values.len()).map(|_| rng.next_u64() as i64).collect();
+            // `i64::MAX` reads as the whole number 2³⁹: `to_f64` rounds it.
+            for (counter, whole) in [
+                (one, true),
+                (16 * one, true),
+                (0, false),
+                (-one, false),
+                (one + 1, false),
+                (one / 2, false),
+                (i64::MAX, true),
+                (i64::MIN, false),
+            ] {
+                elements.push(counter);
+                let update: Vec<u8> = elements.iter().flat_map(|e| e.to_le_bytes()).collect();
+                for cut in [0, 1, 7] {
+                    let bytes = &update[..update.len() - cut];
+                    let (got, expect) = (decode_update(bytes), decode_update_two_pass(bytes));
+                    // Bit patterns, not float equality: NaN never occurs
+                    // (i64 / positive count) but − 0.0 vs 0.0 must not hide.
+                    let bits = |r: &Option<(Vec<f32>, u64)>| {
+                        r.as_ref()
+                            .map(|(v, n)| (v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), *n))
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&expect),
+                        "case {case} counter {counter} cut {cut}"
+                    );
+                    let ok = cut == 0 && !values.is_empty() && whole;
+                    assert_eq!(got.is_some(), ok, "case {case} counter {counter} cut {cut}");
+                }
+                elements.pop();
+            }
+        }
+        assert_eq!(decode_update(&[]), None);
+        assert_eq!(decode_update(&one.to_le_bytes()), None, "counter only");
+    }
 
     #[test]
     fn blob_round_trip_single_trainer() {

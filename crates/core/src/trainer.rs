@@ -43,7 +43,7 @@ const TK_OVERLAY: u64 = 4 << 32;
 /// One buffered child partial: the child's trainer index, its composed
 /// blob, the number of gradients folded into it, the claimed commitment,
 /// and the child's signature (authenticated mode).
-type ChildPartial = (usize, Vec<u8>, u64, [u8; 33], Option<[u8; 65]>);
+type ChildPartial = (usize, Bytes, u64, [u8; 33], Option<[u8; 65]>);
 
 /// Shared sink the runner reads trainers' final parameters from after the
 /// run ends. `Arc<Mutex<..>>` so socket backends can host each trainer on
@@ -86,11 +86,11 @@ pub struct Trainer<M: Model> {
     /// mode, §IV-B "can be performed by any participant").
     accumulators: HashMap<usize, ProtocolCommitment>,
     /// Update blobs awaiting an accumulator to verify against.
-    unverified_updates: HashMap<usize, Vec<u8>>,
+    unverified_updates: HashMap<usize, Bytes>,
     /// Deferred verification queue (`batch_verify` mode): update blobs
     /// accepted optimistically, settled with one RLC batch check when the
     /// last partition arrives and the round is about to finish.
-    pending_verify: Vec<(usize, Vec<u8>, ProtocolCommitment)>,
+    pending_verify: Vec<(usize, Bytes, ProtocolCommitment)>,
     /// Blocks uploaded in the current round, released at the next round
     /// (ephemeral storage lifecycle, §VI).
     uploads: Vec<(NodeId, Cid)>,
@@ -229,7 +229,7 @@ impl<M: Model> Trainer<M> {
         let seed = self.round_seed();
         let new_params = local_update(
             &mut self.model,
-            &self.params.clone(),
+            &self.params,
             &self.dataset,
             &self.sgd,
             seed,
@@ -391,7 +391,7 @@ impl<M: Model> Trainer<M> {
             .expect("overlay requires verifiable mode") // TaskConfig::validate
             .clone();
         let seed = self.topo.config().seed.to_be_bytes();
-        let mut candidates: Vec<(usize, Vec<u8>, u64, ProtocolCommitment)> = Vec::new();
+        let mut candidates: Vec<(usize, Bytes, u64, ProtocolCommitment)> = Vec::new();
         for (child, blob, count, commitment, signature) in buffered {
             let Some(point) = ProtocolCommitment::from_bytes(&commitment) else {
                 out.record(labels::OVERLAY_CHILD_REJECTED, child as f64);
@@ -419,7 +419,7 @@ impl<M: Model> Trainer<M> {
         }
         let items: Vec<(&[u8], &ProtocolCommitment)> = candidates
             .iter()
-            .map(|(_, blob, _, point)| (blob.as_slice(), point))
+            .map(|(_, blob, _, point)| (&blob[..], point))
             .collect();
         let culprits: HashSet<usize> = verify_blobs_timed(out, &key, &items).into_iter().collect();
 
@@ -529,7 +529,7 @@ impl<M: Model> Trainer<M> {
         self.overlay_children
             .entry((iter, partition))
             .or_default()
-            .push((trainer, data.to_vec(), count, commitment, signature));
+            .push((trainer, data, count, commitment, signature));
         if iter == self.iter {
             self.try_forward_overlay(out, tree, partition, false);
         }
@@ -752,17 +752,18 @@ impl<M: Model> Trainer<M> {
         self.arm_retry(out);
     }
 
-    fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: &[u8]) {
+    fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: Bytes) {
         let Some((partition, _)) = self.pending_gets.remove(&req_id) else {
             return;
         };
         self.fetching.remove(&partition);
-        self.accept_update(out, partition, data.to_vec());
+        self.accept_update(out, partition, data);
     }
 
     /// Validates (and in trainer-verification mode, cryptographically
-    /// verifies) a downloaded update blob, then applies it.
-    fn accept_update(&mut self, out: &mut Actions<Msg>, partition: usize, data: Vec<u8>) {
+    /// verifies) a downloaded update blob, then applies it. The blob stays
+    /// the buffer it arrived in wherever it has to wait.
+    fn accept_update(&mut self, out: &mut Actions<Msg>, partition: usize, data: Bytes) {
         if self.finished || self.received.contains_key(&partition) {
             return;
         }
@@ -823,7 +824,7 @@ impl<M: Model> Trainer<M> {
         let pending = std::mem::take(&mut self.pending_verify);
         let items: Vec<(&[u8], &ProtocolCommitment)> = pending
             .iter()
-            .map(|(_, blob, acc)| (blob.as_slice(), acc))
+            .map(|(_, blob, acc)| (&blob[..], acc))
             .collect();
         // Blobs were counted at enqueue time; the flush books only the
         // wall-clock and batch-size metrics.
@@ -913,7 +914,7 @@ impl<M: Model> ProtocolCore for Trainer<M> {
             }
             Msg::Ipfs(IpfsWire::PutAck { cid, req_id }) => self.on_put_ack(out, cid, req_id),
             Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                self.on_update_blob(out, req_id, &data);
+                self.on_update_blob(out, req_id, data);
             }
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
                 // Allow the poll loop to retry the partition.

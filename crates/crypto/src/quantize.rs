@@ -42,12 +42,32 @@ pub const SCALE: f64 = (1u64 << FRACTIONAL_BITS) as f64;
 pub struct Quantized(pub i64);
 
 impl Quantized {
-    /// Quantizes an `f32` (or any value convertible to `f64`).
+    /// Quantizes an `f32` (or any value convertible to `f64`): `v · SCALE`
+    /// rounded to the nearest integer, ties away from zero — what
+    /// `f64::round` computes, without the call into libm that `round`
+    /// compiles to on x86-64 (this runs once per parameter per round).
+    ///
+    /// Below 2⁶² the cast truncates without saturating, and the remainder
+    /// `x − trunc(x)` is exact: it is zero from 2⁵² up, where every `f64`
+    /// is an integer, and below that it lies on `x`'s own grid of
+    /// representable values with a smaller magnitude than `x`. Comparing
+    /// an exact remainder with ± 0.5 decides exactly as `round` does.
+    #[inline]
     pub fn from_f64(v: f64) -> Quantized {
-        Quantized((v * SCALE).round() as i64)
+        const CAST_IS_EXACT_BELOW: f64 = (1u64 << 62) as f64;
+        let x = v * SCALE;
+        if x.abs() < CAST_IS_EXACT_BELOW {
+            let truncated = x as i64;
+            let frac = x - truncated as f64;
+            Quantized(truncated + (frac >= 0.5) as i64 - (frac <= -0.5) as i64)
+        } else {
+            // An integer already, ± ∞ or NaN: the definition itself.
+            Quantized(x.round() as i64)
+        }
     }
 
     /// Recovers the real value.
+    #[inline]
     pub fn to_f64(self) -> f64 {
         self.0 as f64 / SCALE
     }
@@ -59,6 +79,7 @@ impl Quantized {
     }
 
     /// Embeds the signed value into the scalar field of curve `C`.
+    #[inline]
     pub fn to_scalar<C: Curve>(self) -> Scalar<C> {
         Fp::from_i64(self.0)
     }
@@ -149,6 +170,96 @@ mod tests {
     use proptest::prelude::*;
 
     type C = Secp256k1;
+
+    /// The definition [`Quantized::from_f64`] replaced, kept as its oracle.
+    fn from_f64_by_libm(v: f64) -> i64 {
+        (v * SCALE).round() as i64
+    }
+
+    #[track_caller]
+    fn assert_rounds_as_libm(v: f64) {
+        let bits = v.to_bits();
+        assert_eq!(
+            Quantized::from_f64(v).0,
+            from_f64_by_libm(v),
+            "v = {v:e} (bits {bits:#018x})"
+        );
+        assert_eq!(Quantized::from_f64(-v).0, from_f64_by_libm(-v), "-{v:e}");
+    }
+
+    /// `x / SCALE` and its neighbours one and two ulps either side — exact
+    /// for every `x` the tie tables use, so `from_f64` sees `x` itself.
+    fn around(x: f64) -> [f64; 5] {
+        let v = x / SCALE;
+        let step = |bits: u64, by: i64| f64::from_bits(bits.wrapping_add_signed(by));
+        [-2, -1, 0, 1, 2].map(|by| step(v.to_bits(), by))
+    }
+
+    #[test]
+    fn from_f64_ties_round_away_from_zero() {
+        // k + 0.5 exists as an f64 up to 2⁵²; from 2⁵² to 2⁵³ the grid is
+        // the integers, beyond it the even ones.
+        for shift in 0..=53u32 {
+            for k in [(1u64 << shift) - 1, 1 << shift, (1 << shift) + 1] {
+                for x in [k as f64 + 0.5, k as f64, k as f64 - 0.5] {
+                    around(x).into_iter().for_each(assert_rounds_as_libm);
+                }
+            }
+        }
+        for k in 0..4096u32 {
+            assert_rounds_as_libm((k as f64 + 0.5) / SCALE);
+        }
+        assert_eq!(Quantized::from_f64(0.5 / SCALE), Quantized(1));
+        assert_eq!(Quantized::from_f64(-0.5 / SCALE), Quantized(-1));
+        assert_eq!(Quantized::from_f64(2.5 / SCALE), Quantized(3));
+        assert_eq!(Quantized::from_f64(-2.5 / SCALE), Quantized(-3));
+        // The largest f64 below one half must not round up: adding 0.5 and
+        // truncating (the folklore shortcut) gets this one wrong.
+        let below_half = 0.499_999_999_999_999_94_f64;
+        assert_eq!(below_half.to_bits(), 0.5f64.to_bits() - 1);
+        assert_eq!(Quantized::from_f64(below_half / SCALE), Quantized(0));
+        assert_eq!(Quantized::from_f64(-below_half / SCALE), Quantized(0));
+    }
+
+    #[test]
+    fn from_f64_edges_of_the_domain() {
+        for v in [
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),             // smallest subnormal
+            f64::from_bits((1 << 52) - 1), // largest subnormal
+            f32::MIN_POSITIVE as f64,
+            f32::from_bits(1) as f64,
+            f32::MAX as f64,
+            f64::MAX,
+            f64::INFINITY,
+            f64::EPSILON,
+            i64::MAX as f64,
+            i64::MAX as f64 / SCALE,
+        ] {
+            assert_rounds_as_libm(v);
+        }
+        assert_eq!(Quantized::from_f64(-0.0), Quantized(0));
+        assert_eq!(Quantized::from_f64(f64::NAN), Quantized(0));
+        assert_eq!(from_f64_by_libm(f64::NAN), 0);
+        assert_eq!(Quantized::from_f64(f64::INFINITY), Quantized(i64::MAX));
+        assert_eq!(Quantized::from_f64(f64::NEG_INFINITY), Quantized(i64::MIN));
+        // Both sides of the hand-over to `round`, and of the i64 range.
+        for x in [
+            (1u64 << 62) as f64,
+            (1u64 << 63) as f64,
+            2.0 * (1u64 << 63) as f64,
+        ] {
+            around(x).into_iter().for_each(assert_rounds_as_libm);
+        }
+        // Every f32 exponent, at three mantissas.
+        for exponent in 0..=255u32 {
+            for mantissa in [0, 1, 0x40_0000, 0x7f_ffff] {
+                let v = f32::from_bits(exponent << 23 | mantissa);
+                assert_rounds_as_libm(v as f64);
+            }
+        }
+    }
 
     #[test]
     fn round_trip_exact_values() {
@@ -249,6 +360,21 @@ mod tests {
         fn prop_field_add_matches_i128_add(a in -(1i64<<40)..(1i64<<40), b in -(1i64<<40)..(1i64<<40)) {
             let s = Quantized(a).to_scalar::<C>() + Quantized(b).to_scalar::<C>();
             prop_assert_eq!(Quantized::from_scalar::<C>(&s), Some(Quantized(a + b)));
+        }
+
+        #[test]
+        fn prop_from_f64_rounds_as_libm(bits in any::<u64>(), single in any::<u32>(), unit in any::<i64>()) {
+            // Raw bit patterns reach every exponent, NaN payloads included.
+            let v = f64::from_bits(bits);
+            prop_assert_eq!(Quantized::from_f64(v).0, from_f64_by_libm(v), "bits {:#018x}", bits);
+            let v = f32::from_bits(single) as f64;
+            prop_assert_eq!(Quantized::from_f64(v).0, from_f64_by_libm(v), "f32 bits {:#010x}", single);
+            // And where gradients live: a few units of fixed point, at a tie
+            // or one ulp off it.
+            let x = (unit >> 12) as f64 + 0.5;
+            for v in around(x) {
+                prop_assert_eq!(Quantized::from_f64(v).0, from_f64_by_libm(v), "around {:e}", x);
+            }
         }
 
         #[test]

@@ -71,9 +71,9 @@ impl BlockStore {
 
     /// Inserts a block; returns its CID. Idempotent.
     pub fn put(&mut self, block: Block) -> Cid {
-        let cid = block.cid();
-        if self.blocks.insert(cid, block.clone()).is_none() {
-            self.total_bytes += block.len();
+        let (cid, len) = (block.cid(), block.len());
+        if self.blocks.insert(cid, block).is_none() {
+            self.total_bytes += len;
         }
         cid
     }
@@ -105,12 +105,16 @@ impl BlockStore {
 
     /// Drops all unpinned blocks; returns the number of bytes freed.
     pub fn gc(&mut self) -> usize {
-        let before = self.total_bytes;
-        let pinned: Vec<Cid> = self.pins.keys().copied().collect();
-        let keep: std::collections::HashSet<Cid> = pinned.into_iter().collect();
-        self.blocks.retain(|cid, _| keep.contains(cid));
-        self.total_bytes = self.blocks.values().map(Block::len).sum();
-        before - self.total_bytes
+        let mut freed = 0;
+        self.blocks.retain(|cid, block| {
+            let keep = self.pins.contains_key(cid);
+            if !keep {
+                freed += block.len();
+            }
+            keep
+        });
+        self.total_bytes -= freed;
+        freed
     }
 
     /// Number of stored blocks.
@@ -179,6 +183,25 @@ mod tests {
         store.unpin(&keep);
         store.gc();
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn gc_with_nothing_collectable_frees_nothing() {
+        let mut store = BlockStore::new();
+        assert_eq!(store.gc(), 0, "empty store");
+        let a = store.put(block(b"four"));
+        let b = store.put(block(b"sixsix"));
+        store.pin(a);
+        store.pin(b);
+        assert_eq!(store.gc(), 0);
+        assert_eq!(store.total_bytes(), 10);
+        assert_eq!(store.len(), 2);
+        // A pin on a block the store never held keeps nothing alive and
+        // frees nothing.
+        store.pin(Cid::of(b"absent"));
+        store.unpin(&a);
+        assert_eq!(store.gc(), 4);
+        assert_eq!(store.total_bytes(), 6);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! cutting the aggregator's download volume from `|T|` partitions to
 //! `|P|` pre-merged ones.
 
-use dfl_crypto::quantize::{decode, encode, sum_quantized, Quantized};
-
 /// Why a merge request could not be served.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MergeError {
@@ -43,44 +41,187 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Sums a set of encoded gradient blobs into one encoded blob.
+/// Sums a set of encoded gradient blobs into one encoded blob: 8-byte
+/// little-endian fixed-point elements, added with saturation, blob after
+/// blob into the output's bytes.
 ///
 /// # Errors
 ///
 /// Returns an error if the input is empty, any blob fails to decode, or the
-/// vectors disagree in length.
+/// vectors disagree in length — for the first blob, in request order, that
+/// does either. Every length is checked before a byte is summed.
 pub fn merge_blobs<B: AsRef<[u8]>>(blobs: &[B]) -> Result<Vec<u8>, MergeError> {
-    if blobs.is_empty() {
+    let Some((first, rest)) = blobs.split_first() else {
         return Err(MergeError::Empty);
-    }
-    let mut vectors: Vec<Vec<Quantized>> = Vec::with_capacity(blobs.len());
-    let mut expected_len = None;
+    };
+    let expected = first.as_ref().len();
     for (index, blob) in blobs.iter().enumerate() {
-        let v = decode(blob.as_ref()).ok_or(MergeError::MalformedBlob { index })?;
-        match expected_len {
-            None => expected_len = Some(v.len()),
-            Some(expected) if expected != v.len() => {
-                return Err(MergeError::LengthMismatch {
-                    expected,
-                    found: v.len(),
-                    index,
-                });
-            }
-            _ => {}
+        let found = blob.as_ref().len();
+        if !found.is_multiple_of(8) {
+            return Err(MergeError::MalformedBlob { index });
         }
-        vectors.push(v);
+        if found != expected {
+            return Err(MergeError::LengthMismatch {
+                expected: expected / 8,
+                found: found / 8,
+                index,
+            });
+        }
     }
-    Ok(encode(&sum_quantized(&vectors)))
+    let mut out = first.as_ref().to_vec();
+    for blob in rest {
+        let (sums, _) = out.as_chunks_mut::<8>();
+        let (terms, _) = blob.as_ref().as_chunks::<8>();
+        for (sum, term) in sums.iter_mut().zip(terms) {
+            let total = i64::from_le_bytes(*sum).saturating_add(i64::from_le_bytes(*term));
+            *sum = total.to_le_bytes();
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfl_crypto::quantize::{dequantize_vector, quantize_vector};
+    use dfl_crypto::quantize::{
+        decode, dequantize_vector, encode, quantize_vector, sum_quantized, Quantized,
+    };
     use proptest::prelude::*;
 
     fn blob(values: &[f32]) -> Vec<u8> {
         encode(&quantize_vector(values))
+    }
+
+    /// [`merge_blobs`] as it was — decode every blob, sum the vectors,
+    /// encode the sum — kept as the streaming version's oracle.
+    fn merge_blobs_by_decoding<B: AsRef<[u8]>>(blobs: &[B]) -> Result<Vec<u8>, MergeError> {
+        if blobs.is_empty() {
+            return Err(MergeError::Empty);
+        }
+        let mut vectors: Vec<Vec<Quantized>> = Vec::with_capacity(blobs.len());
+        let mut expected_len = None;
+        for (index, blob) in blobs.iter().enumerate() {
+            let v = decode(blob.as_ref()).ok_or(MergeError::MalformedBlob { index })?;
+            match expected_len {
+                None => expected_len = Some(v.len()),
+                Some(expected) if expected != v.len() => {
+                    return Err(MergeError::LengthMismatch {
+                        expected,
+                        found: v.len(),
+                        index,
+                    });
+                }
+                _ => {}
+            }
+            vectors.push(v);
+        }
+        Ok(encode(&sum_quantized(&vectors)))
+    }
+
+    fn raw(elements: &[i64]) -> Vec<u8> {
+        elements.iter().flat_map(|e| e.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn streaming_merge_equals_decode_sum_encode() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        for case in 0..200 {
+            let len = rng.gen_range(0..24usize);
+            let n = rng.gen_range(1..7usize);
+            // Half the cases use the whole i64 range, so sums saturate at
+            // either end — in request order, as the pairwise adds did.
+            let wide = case % 2 == 0;
+            let mut blobs: Vec<Vec<u8>> = (0..n)
+                .map(|_| {
+                    let elements: Vec<i64> = (0..len)
+                        .map(|_| match wide {
+                            true => rng.next_u64() as i64,
+                            false => rng.gen_range(-(1i64 << 40)..1 << 40),
+                        })
+                        .collect();
+                    raw(&elements)
+                })
+                .collect();
+            assert_eq!(
+                merge_blobs(&blobs),
+                merge_blobs_by_decoding(&blobs),
+                "case {case}"
+            );
+            // One defect, then a second one before or after it: the error
+            // names the first bad blob in request order.
+            for _ in 0..2 {
+                let at = rng.gen_range(0..n);
+                let bad = &mut blobs[at];
+                match rng.gen_range(0..3u32) {
+                    0 => bad.push(0),
+                    1 => bad.extend_from_slice(&[0; 8]),
+                    _ => bad.truncate(bad.len().saturating_sub(8)),
+                }
+                assert_eq!(
+                    merge_blobs(&blobs),
+                    merge_blobs_by_decoding(&blobs),
+                    "case {case}, defect at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_requests_fail_as_before() {
+        let good = raw(&[1, 2, 3]);
+        let short = raw(&[1, 2]);
+        let ragged = vec![0u8; 17];
+        let mismatch = |found, index| MergeError::LengthMismatch {
+            expected: 3,
+            found,
+            index,
+        };
+        type Case<'a> = (Vec<&'a Vec<u8>>, Result<Vec<u8>, MergeError>);
+        let table: Vec<Case> = vec![
+            (vec![], Err(MergeError::Empty)),
+            (vec![&ragged], Err(MergeError::MalformedBlob { index: 0 })),
+            (
+                vec![&ragged, &good],
+                Err(MergeError::MalformedBlob { index: 0 }),
+            ),
+            (
+                vec![&good, &ragged],
+                Err(MergeError::MalformedBlob { index: 1 }),
+            ),
+            (vec![&good, &short], Err(mismatch(2, 1))),
+            (vec![&good, &good, &good, &short], Err(mismatch(2, 3))),
+            // Two defects: the earlier one is reported, whichever kind.
+            (vec![&good, &short, &ragged], Err(mismatch(2, 1))),
+            (
+                vec![&good, &ragged, &short],
+                Err(MergeError::MalformedBlob { index: 1 }),
+            ),
+            // The first blob sets the length, even when it is the odd one.
+            (
+                vec![&short, &good, &good],
+                Err(MergeError::LengthMismatch {
+                    expected: 2,
+                    found: 3,
+                    index: 1,
+                }),
+            ),
+            (vec![&good, &good], Ok(raw(&[2, 4, 6]))),
+        ];
+        for (blobs, expect) in table {
+            assert_eq!(merge_blobs(&blobs), expect, "{blobs:?}");
+            assert_eq!(merge_blobs_by_decoding(&blobs), expect, "oracle, {blobs:?}");
+        }
+        // Empty vectors are vectors: nothing to add, nothing wrong.
+        assert_eq!(merge_blobs(&[[0u8; 0], [0u8; 0]]), Ok(Vec::new()));
+        // One past the range saturates, at both ends, and stays there only
+        // while later terms do not pull it back (pairwise, in order).
+        let (max, min) = (i64::MAX, i64::MIN);
+        assert_eq!(
+            merge_blobs(&[raw(&[max, min, max]), raw(&[1, -1, 1]), raw(&[0, 0, -5])]),
+            Ok(raw(&[max, min, max - 5]))
+        );
     }
 
     #[test]
