@@ -658,244 +658,18 @@ pub fn crypto_report_json(profiles: &[MsmProfile], rounds: &[VerifiableRoundPoin
 }
 
 // ---------------------------------------------------------------------------
-// Trace-query before/after report (BENCH_netsim.json)
+// BENCH_netsim.json
 // ---------------------------------------------------------------------------
 
-/// Before/after timings of the standard trace-query battery on one trace.
-///
-/// "Before" is the seed's access pattern: every query walks the whole event
-/// log and resolves each event's label to a string for comparison. "After"
-/// is the interned-label index introduced with the structured metrics
-/// layer: `count`/`sum` are O(1) and `find` walks only one label's index.
-/// Produced by [`trace_query_profile`], serialized by [`netsim_report_json`].
-#[derive(Clone, Debug)]
-pub struct TraceQueryProfile {
-    /// Which trace was profiled (`fig2` / `synthetic`).
-    pub source: String,
-    /// Events in the trace.
-    pub events: usize,
-    /// Distinct labels in the trace.
-    pub labels: usize,
-    /// Nodes covered by the per-node `find` battery.
-    pub nodes_queried: usize,
-    /// Per-label count + sum over the full log, one linear scan per label
-    /// (ms per battery run) — the seed's `build_report` pattern.
-    pub scan_aggregate_ms: f64,
-    /// Per-(label, node) event lookup by linear scan (ms per battery run).
-    pub scan_find_ms: f64,
-    /// The same aggregate battery through `Trace::count`/`Trace::sum` (ms).
-    pub indexed_aggregate_ms: f64,
-    /// The same find battery through `Trace::find` (ms).
-    pub indexed_find_ms: f64,
-}
-
-impl TraceQueryProfile {
-    /// Speedup of indexed count/sum over the linear-scan baseline.
-    pub fn aggregate_speedup(&self) -> f64 {
-        self.scan_aggregate_ms / self.indexed_aggregate_ms.max(1e-9)
-    }
-
-    /// Speedup of indexed per-node lookup over the linear-scan baseline.
-    pub fn find_speedup(&self) -> f64 {
-        self.scan_find_ms / self.indexed_find_ms.max(1e-9)
-    }
-}
-
-fn scan_aggregate(trace: &Trace, labels: &[String]) -> f64 {
-    let mut acc = 0.0;
-    for name in labels {
-        let mut count = 0usize;
-        let mut sum = 0.0;
-        for e in trace.events() {
-            if trace.label_name(e.label) == name {
-                count += 1;
-                sum += e.value;
-            }
-        }
-        acc += count as f64 + sum;
-    }
-    acc
-}
-
-fn indexed_aggregate(trace: &Trace, labels: &[String]) -> f64 {
-    labels
-        .iter()
-        .map(|name| trace.count(name) as f64 + trace.sum(name))
-        .sum()
-}
-
-fn scan_find(trace: &Trace, labels: &[String], nodes: &[NodeId]) -> f64 {
-    let mut acc = 0.0;
-    for name in labels {
-        for &node in nodes {
-            for e in trace.events() {
-                if e.node == node && trace.label_name(e.label) == name {
-                    acc += e.value;
-                }
-            }
-        }
-    }
-    acc
-}
-
-fn indexed_find(trace: &Trace, labels: &[String], nodes: &[NodeId]) -> f64 {
-    let mut acc = 0.0;
-    for name in labels {
-        for &node in nodes {
-            for e in trace.find(node, name) {
-                acc += e.value;
-            }
-        }
-    }
-    acc
-}
-
-/// Runs the query battery `reps` times through both access paths and
-/// returns per-run timings. The two paths visit events in the same order,
-/// so their checksums must agree exactly — a correctness cross-check of the
-/// index, not just a timing.
-///
-/// The `find` battery covers at most 8 nodes to keep the quadratic
-/// linear-scan baseline bounded on million-event traces.
-///
-/// # Panics
-///
-/// Panics if the indexed results diverge from the linear scan.
-pub fn trace_query_profile(source: &str, trace: &Trace, reps: usize) -> TraceQueryProfile {
-    let labels: Vec<String> = trace.labels().map(String::from).collect();
-    let mut nodes: Vec<NodeId> = trace.events().iter().map(|e| e.node).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    nodes.truncate(8);
-    let reps = reps.max(1);
-
-    let scan_agg = scan_aggregate(trace, &labels);
-    let idx_agg = indexed_aggregate(trace, &labels);
-    assert!(
-        (scan_agg - idx_agg).abs() <= 1e-9 * scan_agg.abs().max(1.0),
-        "indexed aggregate diverged: scan {scan_agg} vs indexed {idx_agg}"
-    );
-    let scan_f = scan_find(trace, &labels, &nodes);
-    let idx_f = indexed_find(trace, &labels, &nodes);
-    assert!(
-        (scan_f - idx_f).abs() <= 1e-9 * scan_f.abs().max(1.0),
-        "indexed find diverged: scan {scan_f} vs indexed {idx_f}"
-    );
-
-    let scan_aggregate_ms = time_ms(|| {
-        for _ in 0..reps {
-            std::hint::black_box(scan_aggregate(trace, &labels));
-        }
-    }) / reps as f64;
-    let indexed_aggregate_ms = time_ms(|| {
-        for _ in 0..reps {
-            std::hint::black_box(indexed_aggregate(trace, &labels));
-        }
-    }) / reps as f64;
-    let scan_find_ms = time_ms(|| {
-        for _ in 0..reps {
-            std::hint::black_box(scan_find(trace, &labels, &nodes));
-        }
-    }) / reps as f64;
-    let indexed_find_ms = time_ms(|| {
-        for _ in 0..reps {
-            std::hint::black_box(indexed_find(trace, &labels, &nodes));
-        }
-    }) / reps as f64;
-
-    TraceQueryProfile {
-        source: source.to_string(),
-        events: trace.events().len(),
-        labels: labels.len(),
-        nodes_queried: nodes.len(),
-        scan_aggregate_ms,
-        scan_find_ms,
-        indexed_aggregate_ms,
-        indexed_find_ms,
-    }
-}
-
-/// Builds a deterministic synthetic trace of `events` events spread over
-/// `labels` labels and `nodes` nodes — the stress shape for the query
-/// benchmarks (a Fig. 2 run produces a few thousand events; this scales
-/// the same battery to millions).
-pub fn synthetic_trace(events: usize, labels: usize, nodes: usize, seed: u64) -> Trace {
-    let names: Vec<String> = (0..labels)
-        .map(|i| format!("synthetic/label_{i:02}"))
-        .collect();
-    let mut trace = Trace::new();
-    let mut state = seed | 1;
-    for i in 0..events {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let label = ((state >> 33) as usize) % labels.max(1);
-        let node = ((state >> 17) as usize) % nodes.max(1);
-        let value = (state & 0xFFFF) as f64;
-        trace.record(
-            SimTime::from_micros(i as u64),
-            NodeId(node),
-            &names[label],
-            value,
-        );
-    }
-    trace
-}
-
-/// Profiles the trace-query battery on a Fig. 2-scale protocol run and on
-/// a `synthetic_events`-event synthetic trace.
-pub fn netsim_report(synthetic_events: usize) -> Vec<TraceQueryProfile> {
-    let report = run_network_experiment(fig2_config(), fig2_param_count());
-    vec![
-        trace_query_profile("fig2", &report.trace, 20),
-        trace_query_profile(
-            "synthetic",
-            &synthetic_trace(synthetic_events, 32, 64, 7),
-            2,
-        ),
-    ]
-}
-
-/// Hand-formats the trace-query profiles, churn wire costs, and scale
+/// Hand-formats the churn wire costs, the scale sweep and the overlay
 /// sweep as the `BENCH_netsim.json` document (same dependency-free scheme
 /// as [`crypto_report_json`]).
 pub fn netsim_report_json(
-    profiles: &[TraceQueryProfile],
     churn: &[ChurnPoint],
     scale: &[ScalePoint],
     overlay: &[OverlayPoint],
 ) -> String {
-    let mut out = String::from("{\n  \"trace_query\": [\n");
-    for (i, p) in profiles.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"source\": \"{}\",\n", p.source));
-        out.push_str(&format!("      \"events\": {},\n", p.events));
-        out.push_str(&format!("      \"labels\": {},\n", p.labels));
-        out.push_str(&format!("      \"nodes_queried\": {},\n", p.nodes_queried));
-        out.push_str("      \"before_ms\": {\n");
-        out.push_str(&format!(
-            "        \"aggregate\": {},\n        \"find\": {}\n      }},\n",
-            json_f64(p.scan_aggregate_ms),
-            json_f64(p.scan_find_ms)
-        ));
-        out.push_str("      \"after_ms\": {\n");
-        out.push_str(&format!(
-            "        \"aggregate\": {},\n        \"find\": {}\n      }},\n",
-            json_f64(p.indexed_aggregate_ms),
-            json_f64(p.indexed_find_ms)
-        ));
-        out.push_str("      \"speedup\": {\n");
-        out.push_str(&format!(
-            "        \"aggregate\": {},\n        \"find\": {}\n      }}\n",
-            json_f64(p.aggregate_speedup()),
-            json_f64(p.find_speedup())
-        ));
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < profiles.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"churn_wire_cost\": [\n");
+    let mut out = String::from("{\n  \"churn_wire_cost\": [\n");
     for (i, p) in churn.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!(
@@ -1513,38 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_queries_agree_and_index_wins() {
-        let trace = synthetic_trace(100_000, 16, 32, 7);
-        // trace_query_profile asserts internally that both access paths
-        // return identical results before timing them.
-        let p = trace_query_profile("synthetic", &trace, 1);
-        assert_eq!(p.events, 100_000);
-        assert_eq!(p.labels, 16);
-        assert_eq!(p.nodes_queried, 8);
-        assert!(
-            p.aggregate_speedup() > 50.0,
-            "aggregate: scan {:.3} ms vs indexed {:.3} ms",
-            p.scan_aggregate_ms,
-            p.indexed_aggregate_ms
-        );
-        // The find battery's win is bounded by the visit ratio (events per
-        // label vs total events); debug builds flatten it further, so the
-        // bar here is conservative — release numbers go to BENCH_netsim.json.
-        assert!(
-            p.find_speedup() > 2.0,
-            "find: scan {:.3} ms vs indexed {:.3} ms",
-            p.scan_find_ms,
-            p.indexed_find_ms
-        );
-        let json = netsim_report_json(std::slice::from_ref(&p), &[], &[], &[]);
-        assert!(json.contains("\"source\": \"synthetic\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"churn_wire_cost\""));
-        assert!(json.contains("\"scale\""));
-        assert!(json.contains("\"overlay\""));
-    }
-
-    #[test]
     fn overlay_point_completes_with_bounded_per_node_work() {
         // 200 trainers at branching 8 is a 3-level overlay; overlay_point
         // asserts internally that the round completes, the aggregator
@@ -1560,7 +1302,7 @@ mod tests {
         assert!(point.agg_msgs_max <= point.work_bound);
         assert!(point.agg_msgs_max < 200);
         assert!(point.fan_in_max > 0 && point.fan_in_max <= 8);
-        let json = netsim_report_json(&[], &[], &[], std::slice::from_ref(&point));
+        let json = netsim_report_json(&[], &[], std::slice::from_ref(&point));
         assert!(json.contains("\"trainers\": 200"));
         assert!(json.contains("\"agg_msgs_max\""));
     }

@@ -24,11 +24,11 @@
 //! trainer registration keys) under a separate domain; a deployment would
 //! distribute real keys at enrollment.
 
-use dfl_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use dfl_crypto::schnorr::{SigningKey, VerifyingKey};
 use dfl_ipfs::Cid;
 
 use crate::gradient::{verify_blob, ProtocolCommitment, ProtocolCurve, ProtocolKey};
-use crate::messages::{announce_message, update_message, SignatureBytes};
+use crate::messages::{announce_message, signed_by, update_message, SignatureBytes};
 
 /// Pub/sub topic misbehavior evidence is gossiped on.
 pub const EVIDENCE_TOPIC: &str = "ipls/evidence";
@@ -178,25 +178,21 @@ impl Misbehavior {
         aggregators_per_partition: usize,
         expected: &ProtocolCommitment,
     ) -> bool {
-        let Some(offender_sig) = Signature::from_bytes(&self.offender_sig) else {
-            return false;
-        };
         let offender_vk = agg_verifying_key(task_seed, self.offender(aggregators_per_partition));
-        if !offender_vk.verify(
-            &self.offender_message(aggregators_per_partition),
-            &offender_sig,
-        ) {
+        let offender_message = self.offender_message(aggregators_per_partition);
+        if !signed_by(&offender_vk, &offender_message, Some(self.offender_sig)) {
             return false;
         }
-        let Some(detector_sig) = Signature::from_bytes(&self.detector_sig) else {
-            return false;
-        };
         let detector_vk = if self.detector == DIRECTORY_DETECTOR {
             directory_signing_key(task_seed).verifying_key()
         } else {
             agg_verifying_key(task_seed, self.detector as usize)
         };
-        if !detector_vk.verify(&self.detector_message(), &detector_sig) {
+        if !signed_by(
+            &detector_vk,
+            &self.detector_message(),
+            Some(self.detector_sig),
+        ) {
             return false;
         }
         if Cid::of(&self.blob) != self.cid {

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use dfl_crypto::quantize::{encode, Quantized};
-use dfl_crypto::schnorr::{Signature, SigningKey};
+use dfl_crypto::schnorr::SigningKey;
 use dfl_ipfs::{Cid, IpfsWire};
 use dfl_netsim::{NodeId, SimTime};
 
@@ -38,16 +38,17 @@ use crate::accountability::{
     agg_signing_key, agg_verifying_key, Misbehavior, MisbehaviorKind, EVIDENCE_TOPIC,
 };
 use crate::adversary::Behavior;
-use crate::config::{CommMode, Topology};
+use crate::config::{CommMode, TaskConfig, Topology};
 use crate::error::IplsError;
 use crate::gradient::{
-    commit_blob, decode_blob, flush_verify_queue, sum_gradients, verify_blob_timed,
-    verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
+    commit_blob, decode_blob, sum_gradients, verify_blobs_timed, ProtocolCommitment, ProtocolCurve,
+    ProtocolKey, VerifyQueue,
 };
 use crate::labels;
 use crate::messages::{
-    overlay_partial_message, overlay_update_message, update_message, Msg, SyncAnnounce,
+    overlay_partial_message, overlay_update_message, signed_by, update_message, Msg, SyncAnnounce,
 };
+use crate::overlay::OverlayTree;
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
 
 const TK_POLL: u64 = 1 << 32;
@@ -74,42 +75,43 @@ enum Request {
     Recovery { j: usize, trainer: usize },
 }
 
-/// The aggregator actor.
-pub struct Aggregator {
-    g: usize,
-    partition: usize,
-    j: usize,
-    topo: Arc<Topology>,
-    key: Option<Arc<ProtocolKey>>,
-    behavior: Behavior,
+/// What a blob admitted to the round's [`VerifyQueue`] was — that is, what
+/// to take back out of the round if it does not open its commitment.
+#[derive(Copy, Clone)]
+enum Admitted {
+    /// One trainer's gradient, fetched individually.
+    Gradient(usize),
+    /// The merged reply to this merge request.
+    Merge(u64),
+}
 
-    // -- per-round state ----------------------------------------------------
-    iter: u64,
-    round_start: SimTime,
-    /// Trainers in `T_ij`.
-    expected: Vec<usize>,
-    /// Registered gradient CIDs (and commitments) for my trainer set.
-    registered: HashMap<usize, (Cid, Option<ProtocolCommitment>)>,
-    /// Downloaded/received gradient vectors by trainer.
-    gradients: HashMap<usize, Vec<Quantized>>,
-    /// Trainers whose download is in flight.
-    downloading: HashSet<usize>,
-    /// Outstanding merge requests (by provider count).
-    merges_outstanding: usize,
-    merges_sent: bool,
-    /// Merged blobs received so far.
-    merged: Vec<Vec<Quantized>>,
-    /// Trainers covered by the successful merges.
-    merged_members: Vec<usize>,
-    /// My partial update, once computed.
-    partial: Option<Vec<Quantized>>,
-    /// Global trainer indices summed into my partial.
-    partial_contributors: Vec<usize>,
-    /// Peers' partials by slot index (mine included once computed).
-    partials: HashMap<usize, Vec<Quantized>>,
-    /// Contributor sets (global trainer indices) behind each slot's
-    /// partial — peer-claimed, or observed during recovery.
-    slot_contributors: HashMap<usize, Vec<usize>>,
+/// The vectors a partial is the sum of, and the trainers they cover.
+type Gathered = (Vec<Vec<Quantized>>, Vec<usize>);
+
+/// The `(trainer, cid)` pairs one merge request asks a storage node to sum.
+type Members = Vec<(usize, Cid)>;
+
+/// Merge-and-download bookkeeping (§III-E); exists in that mode only.
+#[derive(Default)]
+struct Merging {
+    /// The round's merge requests went out.
+    sent: bool,
+    /// Unanswered merge requests: req → the `(trainer, cid)` members asked
+    /// for, kept so a failed merge can degrade to plain per-CID fetches.
+    requests: HashMap<u64, Members>,
+    /// Merged blobs received so far: req → the sum and the members in it.
+    merged: HashMap<u64, (Vec<Quantized>, Members)>,
+    /// Trainers being fetched individually after their merge failed.
+    fallback_pending: HashSet<usize>,
+}
+
+/// Synchronisation with the partition's other aggregators (§IV-B) and
+/// recovery of their trainer sets (§III-D); exists only with `|A_i| > 1`.
+#[derive(Default)]
+struct PeerSync {
+    /// Partials by slot index (mine included once computed), each with the
+    /// contributor set (global trainer indices) behind it — peer-claimed.
+    partials: HashMap<usize, (Vec<Quantized>, Vec<usize>)>,
     /// Peer announcements whose partials are not yet verified: j → announce
     /// (kept afterwards as evidence material).
     announced: HashMap<usize, SyncAnnounce>,
@@ -121,14 +123,87 @@ pub struct Aggregator {
     /// Individual registered commitments by global trainer index (for
     /// degraded-quorum verification and recovered-gradient checks).
     commitments_seen: HashMap<usize, ProtocolCommitment>,
-    /// Deferred verification queue (`batch_verify` mode): own-set gradient
-    /// blobs admitted optimistically at arrival, settled with one RLC
-    /// batch check when aggregation is about to consume them.
-    pending_verify: Vec<(usize, Bytes, ProtocolCommitment)>,
     /// Recovery bookkeeping: slot → trainers still to fetch.
     recovery_pending: HashMap<usize, HashSet<usize>>,
     /// Recovery gradients collected: slot → trainer → vector.
     recovery_grads: HashMap<usize, HashMap<usize, Vec<Quantized>>>,
+    /// Gossiped evidence that could not be re-verified yet (accumulators
+    /// still unknown).
+    pending_evidence: Vec<Misbehavior>,
+    /// `Behavior::Equivocate`: CIDs of the two uploaded partial variants.
+    equiv_honest: Option<Cid>,
+    equiv_altered: Option<Cid>,
+}
+
+/// One round of the AGGREGATOR procedure: built when `StartRound` arrives,
+/// dropped when the next one does.
+#[derive(Default)]
+struct Round {
+    iter: u64,
+    /// Registered gradient CIDs (and commitments) for my trainer set.
+    registered: HashMap<usize, (Cid, Option<ProtocolCommitment>)>,
+    /// Downloaded/received gradient vectors by trainer.
+    gradients: HashMap<usize, Vec<Quantized>>,
+    /// Trainers whose download is in flight.
+    downloading: HashSet<usize>,
+    /// Own-set blobs (and merged blobs) taken in, to be settled when
+    /// aggregation is about to consume them. Verifiable mode only.
+    admitted: Option<VerifyQueue<Admitted>>,
+    merge: Option<Merging>,
+    sync: Option<PeerSync>,
+    /// My partial update is computed (`GRADS_AGGREGATED` recorded).
+    aggregated: bool,
+    /// Contributor set registered with the global update (`None` = full).
+    update_contributors: Option<Vec<u32>>,
+    global_sent: bool,
+    /// `FETCH_START` recorded for this round (first own-gradient fetch or
+    /// merge RPC — the start of the merge-delay span).
+    fetch_started: bool,
+    /// The t_sync deadline passed and `min_quorum` authorized completing
+    /// the round with the gradients received so far.
+    deadline_degraded: bool,
+    /// Unanswered storage requests: req → what it is for, its last target
+    /// and the wire to re-issue. On timeout the request is re-sent to the
+    /// next storage node, which resolves the data wherever a live replica
+    /// exists.
+    in_flight: HashMap<u64, (Request, NodeId, IpfsWire)>,
+    /// The fabricated gradient substituted by `Behavior::ForgeRegistration`
+    /// (set once the forgery has been sent for this round).
+    forged: Option<Vec<Quantized>>,
+}
+
+impl Round {
+    fn new(iter: u64, cfg: &TaskConfig, key: Option<&Arc<ProtocolKey>>) -> Round {
+        let slots = cfg.aggregators_per_partition;
+        Round {
+            iter,
+            admitted: key.map(|key| VerifyQueue::new(key.clone(), cfg)),
+            merge: (cfg.comm == CommMode::MergeAndDownload).then(Merging::default),
+            sync: (slots > 1).then(|| PeerSync {
+                accumulators: vec![None; slots],
+                ..PeerSync::default()
+            }),
+            ..Round::default()
+        }
+    }
+}
+
+/// The aggregator actor. Beside the round it holds only what outlives one:
+/// identity and keys, the verdicts on its peers, the blocks to unpin when
+/// the next round starts, the poll-timer flag and the request counter.
+pub struct Aggregator {
+    g: usize,
+    partition: usize,
+    j: usize,
+    topo: Arc<Topology>,
+    key: Option<Arc<ProtocolKey>>,
+    behavior: Behavior,
+    /// Trainers in `T_ij`.
+    expected: Vec<usize>,
+    /// Overlay mode: the aggregation tree and the key its root's partial
+    /// is checked against.
+    overlay: Option<(OverlayTree, Arc<ProtocolKey>)>,
+    round: Round,
     /// Partition slots proven or suspected Byzantine; persists across
     /// rounds: their announces are ignored and their trainer sets
     /// proactively recovered at round start.
@@ -136,44 +211,11 @@ pub struct Aggregator {
     /// `(offender global index, iter)` pairs already reported, so one
     /// detection produces one evidence record.
     accused: HashSet<(usize, u64)>,
-    /// Gossiped evidence that could not be re-verified yet (accumulators
-    /// still unknown).
-    pending_evidence: Vec<Misbehavior>,
     /// Schnorr identity key (accountability mode).
     signing_key: Option<SigningKey<ProtocolCurve>>,
-    /// `Behavior::Equivocate`: CIDs of the two uploaded partial variants.
-    equiv_honest: Option<Cid>,
-    equiv_altered: Option<Cid>,
-    /// The round's sync already completed through at least one recovered
-    /// slot (`ROUND_RECOVERED` recorded once).
-    round_recovered: bool,
-    /// Contributor set registered with the global update (`None` = full).
-    update_contributors: Option<Vec<u32>>,
-    global_sent: bool,
-    sync_recorded: bool,
-    /// `FETCH_START` recorded for this round (first own-gradient fetch or
-    /// merge RPC — the start of the merge-delay span).
-    fetch_started: bool,
-    /// The t_sync deadline passed and `min_quorum` authorized completing
-    /// the round with the gradients received so far.
-    deadline_degraded: bool,
-    /// Member `(trainer, cid)` lists of in-flight merge requests, kept so
-    /// a failed merge can degrade to plain per-CID fetches.
-    merge_members: HashMap<u64, Vec<(usize, Cid)>>,
-    /// Trainers being fetched individually after their merge failed.
-    fallback_pending: HashSet<usize>,
-    in_flight: HashMap<u64, Request>,
-    /// Storage requests eligible for client-side retry: req → last target
-    /// and the wire to re-issue. On timeout the request is re-sent to the
-    /// next storage node, which resolves the data wherever a live replica
-    /// exists.
-    retry_wires: HashMap<u64, (NodeId, IpfsWire)>,
     /// Blocks this aggregator uploaded in the current round, released at
     /// the next round (§VI ephemeral-data lifecycle).
     uploads: Vec<(NodeId, Cid)>,
-    /// The fabricated gradient substituted by `Behavior::ForgeRegistration`
-    /// (set once the forgery has been sent for this round).
-    forged: Option<Vec<Quantized>>,
     polling: bool,
     next_req: u64,
 }
@@ -187,8 +229,6 @@ impl Aggregator {
         behavior: Behavior,
     ) -> Aggregator {
         let (partition, j) = topo.agg_role(g);
-        let expected = topo.trainer_set(partition, j);
-        let slots = topo.config().aggregators_per_partition;
         let signing_key = topo
             .config()
             .accountability
@@ -197,48 +237,16 @@ impl Aggregator {
             g,
             partition,
             j,
+            expected: topo.trainer_set(partition, j),
+            overlay: topo.overlay().zip(key.clone()),
+            round: Round::new(0, topo.config(), key.as_ref()),
             topo,
             key,
             behavior,
-            iter: 0,
-            round_start: SimTime::ZERO,
-            expected,
-            registered: HashMap::new(),
-            gradients: HashMap::new(),
-            downloading: HashSet::new(),
-            merges_outstanding: 0,
-            merges_sent: false,
-            merged: Vec::new(),
-            merged_members: Vec::new(),
-            partial: None,
-            partial_contributors: Vec::new(),
-            partials: HashMap::new(),
-            slot_contributors: HashMap::new(),
-            announced: HashMap::new(),
-            unverified: HashMap::new(),
-            accumulators: vec![None; slots],
-            commitments_seen: HashMap::new(),
-            pending_verify: Vec::new(),
-            recovery_pending: HashMap::new(),
-            recovery_grads: HashMap::new(),
             blacklist: HashSet::new(),
             accused: HashSet::new(),
-            pending_evidence: Vec::new(),
             signing_key,
-            equiv_honest: None,
-            equiv_altered: None,
-            round_recovered: false,
-            update_contributors: None,
-            global_sent: false,
-            sync_recorded: false,
-            fetch_started: false,
-            deadline_degraded: false,
-            merge_members: HashMap::new(),
-            fallback_pending: HashSet::new(),
-            in_flight: HashMap::new(),
-            retry_wires: HashMap::new(),
             uploads: Vec::new(),
-            forged: None,
             polling: false,
             next_req: 0,
         }
@@ -249,7 +257,7 @@ impl Aggregator {
     }
 
     fn multi(&self) -> bool {
-        self.topo.config().aggregators_per_partition > 1
+        self.round.sync.is_some()
     }
 
     fn verifiable(&self) -> bool {
@@ -260,42 +268,51 @@ impl Aggregator {
         self.topo.config().accountability
     }
 
-    fn fresh_req(&mut self, purpose: Request) -> u64 {
-        self.next_req += 1;
-        self.in_flight.insert(self.next_req, purpose);
-        self.next_req
-    }
-
-    fn send_ipfs(&mut self, out: &mut Actions<Msg>, to: NodeId, wire: IpfsWire) {
-        out.send(to, Msg::Ipfs(wire));
-    }
-
     /// Sends a storage request that must survive a dead target: if no reply
-    /// arrives within `fetch_timeout`, the same request (same `req`) is
+    /// arrives within `fetch_timeout`, the same request (same id) is
     /// re-issued to the next storage node, round-robin, until the round
-    /// ends or a reply lands. Late replies from earlier targets dedupe via
-    /// `in_flight`.
-    fn send_retryable(&mut self, out: &mut Actions<Msg>, to: NodeId, wire: IpfsWire, req: u64) {
-        self.retry_wires.insert(req, (to, wire.clone()));
+    /// ends or a reply lands. Late replies from earlier targets find
+    /// `in_flight` empty and are dropped.
+    fn request(
+        &mut self,
+        out: &mut Actions<Msg>,
+        purpose: Request,
+        to: NodeId,
+        wire: impl FnOnce(u64) -> IpfsWire,
+    ) -> u64 {
+        self.next_req += 1;
+        let req = self.next_req;
+        self.round.in_flight.insert(req, (purpose, to, wire(req)));
+        self.send_in_flight(out, req);
+        req
+    }
+
+    fn send_in_flight(&mut self, out: &mut Actions<Msg>, req: u64) {
+        let Some((_, to, wire)) = self.round.in_flight.get(&req) else {
+            return; // answered (or the round moved on) meanwhile
+        };
         out.set_timer(
             self.topo.config().fetch_timeout,
             TK_FETCH | (req & 0xFFFF_FFFF),
         );
-        self.send_ipfs(out, to, wire);
+        out.send(*to, Msg::Ipfs(wire.clone()));
     }
 
     fn on_fetch_retry(&mut self, out: &mut Actions<Msg>, req: u64) {
-        if !self.in_flight.contains_key(&req) {
-            self.retry_wires.remove(&req);
-            return; // answered (or the round moved on) meanwhile
+        if let Some((_, target, _)) = self.round.in_flight.get_mut(&req) {
+            let ids = self.topo.ipfs_ids();
+            let idx = ids.iter().position(|n| n == target).unwrap_or(0);
+            *target = ids[(idx + 1) % ids.len()];
         }
-        let Some((last, wire)) = self.retry_wires.get(&req).cloned() else {
-            return;
-        };
-        let ids = self.topo.ipfs_ids();
-        let idx = ids.iter().position(|n| *n == last).unwrap_or(0);
-        let next = ids[(idx + 1) % ids.len()];
-        self.send_retryable(out, next, wire, req);
+        self.send_in_flight(out, req);
+    }
+
+    /// The purpose of the request a reply answers, if it is still wanted.
+    fn answered(&mut self, req: u64) -> Option<Request> {
+        self.round
+            .in_flight
+            .remove(&req)
+            .map(|(purpose, ..)| purpose)
     }
 
     /// How many of `expected` must be in before a degraded round may
@@ -314,47 +331,14 @@ impl Aggregator {
         })
     }
 
-    fn begin_round(&mut self, now: SimTime, out: &mut Actions<Msg>, iter: u64) {
-        self.iter = iter;
-        self.round_start = now;
-        self.registered.clear();
-        self.gradients.clear();
-        self.downloading.clear();
-        self.merges_outstanding = 0;
-        self.merges_sent = false;
-        self.merged.clear();
-        self.merged_members.clear();
-        self.partial = None;
-        self.partial_contributors.clear();
-        self.partials.clear();
-        self.slot_contributors.clear();
-        self.announced.clear();
-        self.unverified.clear();
-        self.accumulators = vec![None; self.topo.config().aggregators_per_partition];
-        self.commitments_seen.clear();
-        self.pending_verify.clear();
-        self.recovery_pending.clear();
-        self.recovery_grads.clear();
-        self.pending_evidence.clear();
-        self.equiv_honest = None;
-        self.equiv_altered = None;
-        self.round_recovered = false;
-        self.update_contributors = None;
-        self.global_sent = false;
-        self.sync_recorded = false;
-        self.fetch_started = false;
-        self.deadline_degraded = false;
-        self.merge_members.clear();
-        self.fallback_pending.clear();
-        self.in_flight.clear();
-        self.retry_wires.clear();
-        self.forged = None;
+    fn begin_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
+        self.round = Round::new(iter, self.topo.config(), self.key.as_ref());
 
         // Release last round's partial/global update blobs.
         let replicate = self.topo.config().replication;
         for (target, cid) in std::mem::take(&mut self.uploads) {
             let unpin = IpfsWire::Unpin { cid, replicate };
-            self.send_ipfs(out, target, unpin);
+            out.send(target, Msg::Ipfs(unpin));
         }
         // (Unpins are best-effort control messages; an Offline aggregator
         // below never uploaded anything last round anyway.)
@@ -364,7 +348,7 @@ impl Aggregator {
         // Overlay mode is push-driven: the tree root delivers one composed
         // partial and this aggregator pushes one update back down. There
         // is nothing to poll for and no peer sync to deadline.
-        if self.topo.overlay().is_some() {
+        if self.overlay.is_some() {
             return;
         }
         // Direct mode receives gradients without polling, but the poll
@@ -399,22 +383,22 @@ impl Aggregator {
     /// fetch the members' original gradient blobs from storage and
     /// re-aggregate them on the slot's behalf. Idempotent per round.
     fn start_recovery(&mut self, out: &mut Actions<Msg>, j: usize) {
+        let Some(sync) = &mut self.round.sync else {
+            return;
+        };
         if j == self.j
             || self.topo.config().comm == CommMode::Direct
-            || self.partials.contains_key(&j)
-            || self.recovery_pending.contains_key(&j)
-            || self.recovery_grads.contains_key(&j)
+            || sync.partials.contains_key(&j)
+            || sync.recovery_pending.contains_key(&j)
+            || sync.recovery_grads.contains_key(&j)
         {
             return;
         }
         out.record(labels::DROPOUT_RECOVERY, j as f64);
-        let trainers: HashSet<usize> = self
-            .topo
-            .trainer_set(self.partition, j)
-            .into_iter()
-            .collect();
-        self.recovery_pending.insert(j, trainers);
-        self.recovery_grads.insert(j, HashMap::new());
+        let trainers = self.topo.trainer_set(self.partition, j);
+        sync.recovery_pending
+            .insert(j, trainers.into_iter().collect());
+        sync.recovery_grads.insert(j, HashMap::new());
         self.start_polling(out);
     }
 
@@ -426,63 +410,56 @@ impl Aggregator {
     }
 
     fn poll(&mut self, out: &mut Actions<Msg>) {
-        let mut outstanding = false;
         // Gradient discovery (lines 28–34 of Algorithm 1).
-        let grads_done = self.partial.is_some() || self.registered.len() == self.expected.len();
+        let grads_done =
+            self.round.aggregated || self.round.registered.len() == self.expected.len();
         if !grads_done && self.topo.config().comm != CommMode::Direct {
-            outstanding = true;
             let msg = Msg::QueryGradients {
                 partition: self.partition,
                 agg_j: self.j,
-                iter: self.iter,
+                iter: self.round.iter,
             };
             out.send(self.topo.directory(), msg);
         }
-        // Merge requests may need re-issuing after a MergeErr.
-        if self.topo.config().comm == CommMode::MergeAndDownload
-            && !self.merges_sent
-            && self.partial.is_none()
+        // Merge requests wait for the last registration, or for the quorum
+        // once the deadline passed.
+        if self.round.merge.as_ref().is_some_and(|m| !m.sent)
+            && !self.round.aggregated
             && self.merge_ready()
         {
             self.send_merges(out);
         }
-        // Accumulated commitments for peer verification (§IV-B).
-        if self.verifiable() && self.multi() && self.accumulators.iter().any(Option::is_none) {
-            outstanding = true;
-            let msg = Msg::QueryAccumulators {
-                partition: self.partition,
-                iter: self.iter,
-            };
-            out.send(self.topo.directory(), msg);
-        }
-        // Recovery gradient discovery; degraded-quorum verification also
-        // needs peer slots' individual commitments, which ride on the same
-        // gradient lists.
-        let mut slot_queries: HashSet<usize> = self.recovery_pending.keys().copied().collect();
-        if self.verifiable() {
-            slot_queries.extend(self.unverified.keys().copied());
-        }
-        if !slot_queries.is_empty() {
-            outstanding = true;
-            let mut pending: Vec<usize> = slot_queries.into_iter().collect();
-            pending.sort_unstable(); // deterministic query order
-            for j in pending {
+        if let Some(sync) = &self.round.sync {
+            // Accumulated commitments for peer verification (§IV-B).
+            if self.verifiable() && sync.accumulators.iter().any(Option::is_none) {
+                let msg = Msg::QueryAccumulators {
+                    partition: self.partition,
+                    iter: self.round.iter,
+                };
+                out.send(self.topo.directory(), msg);
+            }
+            // Recovery gradient discovery; degraded-quorum verification
+            // also needs peer slots' individual commitments, which ride on
+            // the same gradient lists.
+            let mut slots: Vec<usize> = sync.recovery_pending.keys().copied().collect();
+            if self.verifiable() {
+                slots.extend(sync.unverified.keys().copied());
+            }
+            slots.sort_unstable(); // deterministic query order
+            slots.dedup();
+            for j in slots {
                 let msg = Msg::QueryGradients {
                     partition: self.partition,
                     agg_j: j,
-                    iter: self.iter,
+                    iter: self.round.iter,
                 };
                 out.send(self.topo.directory(), msg);
             }
         }
-        if outstanding || !self.global_sent {
-            if !self.global_sent {
-                out.set_timer(self.topo.config().poll_interval, TK_POLL);
-            } else {
-                self.polling = false;
-            }
-        } else {
+        if self.round.global_sent {
             self.polling = false;
+        } else {
+            out.set_timer(self.topo.config().poll_interval, TK_POLL);
         }
     }
 
@@ -494,35 +471,40 @@ impl Aggregator {
         iter: u64,
         entries: Vec<(usize, Cid, Option<[u8; 33]>)>,
     ) {
-        if iter != self.iter {
+        if iter != self.round.iter {
             return;
         }
         for (trainer, cid, commitment) in entries {
             let c = commitment.and_then(|b| ProtocolCommitment::from_bytes(&b));
-            if let Some(c) = &c {
-                self.commitments_seen.insert(trainer, *c);
+            if let (Some(sync), Some(c)) = (&mut self.round.sync, c) {
+                sync.commitments_seen.insert(trainer, c);
             }
             let slot = trainer % self.topo.config().aggregators_per_partition;
             if slot == self.j {
-                if self.registered.contains_key(&trainer) {
+                if self.round.registered.contains_key(&trainer) {
                     continue;
                 }
-                self.registered.insert(trainer, (cid, c));
-                // Indirect mode fetches every gradient individually; merge
-                // mode only fetches ones whose merge failed (fallback).
-                if self.topo.config().comm == CommMode::Indirect
-                    || self.fallback_pending.contains(&trainer)
-                {
+                self.round.registered.insert(trainer, (cid, c));
+                // Without merging every gradient is fetched individually;
+                // merge mode only fetches ones whose merge failed.
+                let fetch = match &self.round.merge {
+                    Some(merge) => merge.fallback_pending.contains(&trainer),
+                    None => true,
+                };
+                if fetch {
                     self.fetch_own_gradient(out, trainer, cid);
                 }
-            } else if let Some(pending) = self.recovery_pending.get_mut(&slot) {
-                let Ok(provider) = self.topo.upload_target(self.partition, trainer) else {
-                    continue; // direct mode never starts recovery
-                };
-                if pending.remove(&trainer) {
-                    let req = self.fresh_req(Request::Recovery { j: slot, trainer });
-                    self.send_retryable(out, provider, IpfsWire::Get { cid, req_id: req }, req);
-                }
+                continue;
+            }
+            let pending = self.round.sync.as_mut();
+            let Some(pending) = pending.and_then(|s| s.recovery_pending.get_mut(&slot)) else {
+                continue;
+            };
+            let Ok(provider) = self.topo.upload_target(self.partition, trainer) else {
+                continue; // direct mode never starts recovery
+            };
+            if pending.remove(&trainer) {
+                self.get(out, Request::Recovery { j: slot, trainer }, provider, cid);
             }
         }
         // Freshly learned commitments may unblock stashed peer partials
@@ -532,18 +514,15 @@ impl Aggregator {
         // (so ours lands last and wins the directory's last-write slot),
         // register a fabricated gradient under the victim's name.
         if self.behavior == Behavior::ForgeRegistration
-            && self.forged.is_none()
-            && self.registered.len() == self.expected.len()
+            && self.round.forged.is_none()
+            && self.round.registered.len() == self.expected.len()
         {
             self.send_forged_registration(out);
         }
         // Merge-and-download: once every trainer of T_ij has registered
         // (or a quorum, after the deadline), issue one merge request per
         // provider (§III-E).
-        if self.topo.config().comm == CommMode::MergeAndDownload
-            && !self.merges_sent
-            && self.merge_ready()
-        {
+        if self.round.merge.as_ref().is_some_and(|m| !m.sent) && self.merge_ready() {
             self.send_merges(out);
         }
     }
@@ -552,40 +531,37 @@ impl Aggregator {
     /// full trainer set normally, or the quorum threshold once the round
     /// is deadline-degraded.
     fn merge_ready(&self) -> bool {
-        self.registered.len() == self.expected.len()
-            || (self.deadline_degraded
-                && self
-                    .quorum_threshold()
-                    .is_some_and(|th| self.registered.len() >= th))
+        self.have_enough(self.round.registered.len(), self.expected.len())
     }
 
     fn fetch_own_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, cid: Cid) {
-        if self.downloading.contains(&trainer) || self.gradients.contains_key(&trainer) {
-            return;
-        }
         // Fetch straight from the storage node the trainer uploaded to
         // (bitswap-style direct retrieval from the provider).
         let Ok(provider) = self.topo.upload_target(self.partition, trainer) else {
             return; // direct mode receives gradients over the wire instead
         };
+        if self.round.gradients.contains_key(&trainer) || !self.round.downloading.insert(trainer) {
+            return; // already here, or already on its way
+        }
         self.mark_fetch_start(out);
-        self.downloading.insert(trainer);
-        let req = self.fresh_req(Request::OwnGradient { trainer });
-        self.send_retryable(out, provider, IpfsWire::Get { cid, req_id: req }, req);
+        self.get(out, Request::OwnGradient { trainer }, provider, cid);
     }
 
     /// Marks the start of this round's gradient-gathering span (merge
     /// delay = `GRADS_AGGREGATED − FETCH_START`); no-op after the first
     /// fetch of the round.
     fn mark_fetch_start(&mut self, out: &mut Actions<Msg>) {
-        if !self.fetch_started {
-            self.fetch_started = true;
-            out.record(labels::FETCH_START, self.iter as f64);
+        if !self.round.fetch_started {
+            self.round.fetch_started = true;
+            out.record(labels::FETCH_START, self.round.iter as f64);
         }
     }
 
     fn send_merges(&mut self, out: &mut Actions<Msg>) {
-        self.merges_sent = true;
+        let Some(merge) = &mut self.round.merge else {
+            return;
+        };
+        merge.sent = true;
         self.mark_fetch_start(out);
         // Group my trainers' gradients by the provider they uploaded to.
         // Under quorum degradation not every trainer has registered;
@@ -596,7 +572,7 @@ impl Aggregator {
             if dropped.contains(&t) {
                 continue; // malicious: silently omit
             }
-            let Some(&(cid, _)) = self.registered.get(&t) else {
+            let Some(&(cid, _)) = self.round.registered.get(&t) else {
                 continue;
             };
             let Ok(provider) = self.topo.upload_target(self.partition, t) else {
@@ -606,23 +582,20 @@ impl Aggregator {
         }
         let mut providers: Vec<NodeId> = by_provider.keys().copied().collect();
         providers.sort_unstable_by_key(|n| n.index());
-        self.merges_outstanding = providers.len();
         for provider in providers {
             // The member lists derive from directory registration state —
             // remote, possibly Byzantine input. A provider with no group
             // is booked and skipped, never a panic.
-            let members = match Self::take_provider_group(&mut by_provider, provider) {
-                Ok(members) => members,
-                Err(_) => {
-                    self.merges_outstanding -= 1;
-                    out.incr(labels::UNLISTED_PROVIDER, 1);
-                    continue;
-                }
+            let Ok(members) = Self::take_provider_group(&mut by_provider, provider) else {
+                out.incr(labels::UNLISTED_PROVIDER, 1);
+                continue;
             };
             let cids = members.iter().map(|&(_, cid)| cid).collect();
-            let req = self.fresh_req(Request::Merged);
-            self.merge_members.insert(req, members);
-            self.send_retryable(out, provider, IpfsWire::Merge { cids, req_id: req }, req);
+            let merge = |req_id| IpfsWire::Merge { cids, req_id };
+            let req = self.request(out, Request::Merged, provider, merge);
+            if let Some(merge) = &mut self.round.merge {
+                merge.requests.insert(req, members);
+            }
         }
     }
 
@@ -662,13 +635,13 @@ impl Aggregator {
         let msg = Msg::RegisterGradient {
             trainer: victim,
             partition: self.partition,
-            iter: self.iter,
+            iter: self.round.iter,
             cid: Cid::of(&fake_blob),
             commitment,
             signature: None, // cannot be forged without the trainer's key
         };
         out.send(self.topo.directory(), msg);
-        self.forged = Some(decode_blob(&fake_blob).expect("well-formed fabrication"));
+        self.round.forged = Some(decode_blob(&fake_blob).expect("well-formed fabrication"));
     }
 
     /// Trainers this (malicious) aggregator silently drops.
@@ -682,45 +655,92 @@ impl Aggregator {
     }
 
     fn on_own_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, data: &Bytes) {
-        self.downloading.remove(&trainer);
-        self.fallback_pending.remove(&trainer);
+        self.round.downloading.remove(&trainer);
+        if let Some(merge) = &mut self.round.merge {
+            merge.fallback_pending.remove(&trainer);
+        }
         let Some(vector) = decode_blob(data) else {
             return;
         };
-        // In verifiable mode, check the blob against the trainer's
-        // registered commitment before trusting it.
-        if let (Some(key), Some((_, Some(commitment)))) =
-            (self.key.clone(), self.registered.get(&trainer).cloned())
-        {
-            if self.topo.config().batch_verify {
-                // Deferred mode: admit the vector optimistically and queue
-                // the blob; the flush in `maybe_aggregate` evicts it again
-                // if the batch check names it. Count it now — the instant
-                // the per-blob path verifies — so `blobs_verified` totals
-                // match per-blob mode even in rounds that never flush.
-                out.incr(labels::BLOBS_VERIFIED, 1);
-                self.pending_verify
-                    .push((trainer, data.clone(), commitment));
-            } else if !verify_blob_timed(out, &key, data, &commitment) {
+        // In verifiable mode the blob must open the trainer's registered
+        // commitment before it is trusted — now, or when the round settles.
+        let registered = self.round.registered.get(&trainer).and_then(|(_, c)| *c);
+        if let (Some(queue), Some(commitment)) = (&mut self.round.admitted, registered) {
+            if !queue.admit(out, Admitted::Gradient(trainer), data, commitment) {
                 return; // corrupt gradient; the poll loop will retry
             }
         }
-        self.gradients.insert(trainer, vector);
+        self.round.gradients.insert(trainer, vector);
         self.maybe_aggregate(out);
     }
 
-    fn on_merged(&mut self, out: &mut Actions<Msg>, members: &[(usize, Cid)], data: &[u8]) {
-        let Some(vector) = decode_blob(data) else {
+    /// One storage node answered a merge request: `Some` blob (`MergeOk`)
+    /// or `None` (`MergeErr`). A blob that does not decode, or does not
+    /// open what it must, is wasted bytes and otherwise no better than no
+    /// blob: either way the request degrades to plain per-CID fetches of
+    /// its members. Each Get fails over across replicas at the storage
+    /// layer, so one unmergeable blob does not force re-merging everything
+    /// through the poll loop.
+    fn on_merge_reply(&mut self, out: &mut Actions<Msg>, req: u64, reply: Option<Bytes>) {
+        let requests = self.round.merge.as_mut().map(|m| &mut m.requests);
+        let Some(members) = requests.and_then(|r| r.remove(&req)) else {
             return;
         };
-        // Verify the merged blob against the product of its members'
-        // commitments (§IV-B merge extension). The directory gave us each
-        // trainer's commitment with the gradient list.
-        // Note: with drops in play the member set is what we requested.
-        self.merged.push(vector);
-        self.merged_members.extend(members.iter().map(|&(t, _)| t));
-        self.merges_outstanding -= 1;
+        let vector = reply.and_then(|data| {
+            let vector =
+                decode_blob(&data).filter(|_| self.admit_merged(out, req, &members, &data));
+            if vector.is_none() {
+                out.record(labels::WASTED_BYTES, data.len() as f64);
+            }
+            vector
+        });
+        match (vector, &mut self.round.merge) {
+            (Some(vector), Some(merge)) => {
+                merge.merged.insert(req, (vector, members));
+            }
+            _ => self.degrade_merge(out, members),
+        }
         self.maybe_aggregate(out);
+    }
+
+    /// The §IV-B check extended to merge-and-download: a storage node's sum
+    /// must open the product of its members' registered commitments (the
+    /// directory sent each with the gradient list; with drops in play the
+    /// member set is what was requested). Without it a storage node that
+    /// returns a wrong sum gets this aggregator's signed update rejected —
+    /// and, under accountability, this aggregator evicted.
+    fn admit_merged(
+        &mut self,
+        out: &mut Actions<Msg>,
+        req: u64,
+        members: &[(usize, Cid)],
+        data: &Bytes,
+    ) -> bool {
+        let registered = |(t, _): &(usize, Cid)| self.round.registered.get(t)?.1;
+        let commitments: Option<Vec<ProtocolCommitment>> = members.iter().map(registered).collect();
+        match (&mut self.round.admitted, commitments) {
+            (Some(queue), Some(commitments)) => {
+                let product = ProtocolCommitment::accumulate(&commitments);
+                queue.admit(out, Admitted::Merge(req), data, product)
+            }
+            // Not verifiable — or a member registered no commitment, which
+            // `on_own_gradient` lets through as well.
+            _ => true,
+        }
+    }
+
+    /// Replaces one merge by individual fetches of its members.
+    fn degrade_merge(&mut self, out: &mut Actions<Msg>, members: Members) {
+        out.record(labels::MERGE_FALLBACK, members.len() as f64);
+        for (trainer, cid) in members {
+            if self.round.gradients.contains_key(&trainer) {
+                continue;
+            }
+            if let Some(merge) = &mut self.round.merge {
+                merge.fallback_pending.insert(trainer);
+            }
+            self.fetch_own_gradient(out, trainer, cid);
+        }
     }
 
     /// Whether `have` gradients satisfy the aggregation precondition: the
@@ -728,153 +748,169 @@ impl Aggregator {
     /// is deadline-degraded.
     fn have_enough(&self, have: usize, needed: usize) -> bool {
         have >= needed
-            || (self.deadline_degraded && self.quorum_threshold().is_some_and(|th| have >= th))
+            || (self.round.deadline_degraded
+                && self.quorum_threshold().is_some_and(|th| have >= th))
     }
 
-    /// Settles the deferred verification queue (`batch_verify` mode): one
-    /// RLC batch check over every own-set blob admitted optimistically
-    /// since the last flush, bisecting on failure so exactly the corrupt
-    /// blobs are evicted from `gradients` — the same state an
-    /// arrival-time per-blob rejection leaves (`registered` keeps its
-    /// entry in both modes). Returns the number of culprits.
-    fn flush_pending_verify(&mut self, out: &mut Actions<Msg>) -> usize {
-        if self.pending_verify.is_empty() {
+    /// Settles what the round admitted on trust and takes every culprit
+    /// back out: a gradient leaves `gradients` — the state an arrival-time
+    /// rejection leaves (`registered` keeps its entry under both policies)
+    /// — and a merged blob degrades to fetches of its members, as a failed
+    /// merge does. Returns the number of culprits.
+    fn settle_admitted(&mut self, out: &mut Actions<Msg>) -> usize {
+        let Some(queue) = &mut self.round.admitted else {
             return 0;
-        }
-        let pending = std::mem::take(&mut self.pending_verify);
-        let Some(key) = self.key.clone() else {
-            return 0; // unreachable: entries only queue in verifiable mode
         };
-        let items: Vec<(&[u8], &ProtocolCommitment)> =
-            pending.iter().map(|(_, blob, c)| (&blob[..], c)).collect();
-        // Blobs were counted at enqueue time; the flush books only the
-        // wall-clock and batch-size metrics.
-        let culprits = flush_verify_queue(out, &key, &items);
-        for &i in &culprits {
-            self.gradients.remove(&pending[i].0);
+        let culprits = queue.settle(out);
+        for culprit in &culprits {
+            match *culprit {
+                Admitted::Gradient(trainer) => {
+                    self.round.gradients.remove(&trainer);
+                }
+                Admitted::Merge(req) => {
+                    let merge = self.round.merge.as_mut();
+                    if let Some((vector, members)) = merge.and_then(|m| m.merged.remove(&req)) {
+                        out.record(labels::WASTED_BYTES, (vector.len() * 8) as f64);
+                        self.degrade_merge(out, members);
+                    }
+                }
+            }
         }
         culprits.len()
     }
 
+    /// Merge mode's input to the partial, once every merge is answered and
+    /// every fallback fetch is in: the merged blobs plus the gradients
+    /// fetched individually after a failed merge, and who they cover.
+    fn gather_merged(&mut self, out: &mut Actions<Msg>) -> Option<Gathered> {
+        let waiting =
+            |m: &Merging| !m.sent || !m.requests.is_empty() || !m.fallback_pending.is_empty();
+        if self.round.merge.as_ref().is_none_or(waiting) {
+            return None;
+        }
+        // The round boundary: settle the merged blobs and fallback fetches
+        // admitted on trust. A convicted gradient simply drops out of the
+        // fallback set, exactly as an arrival-time rejection would have
+        // kept it out; a convicted merge is fetched member by member first.
+        self.settle_admitted(out);
+        let merge = self.round.merge.as_ref().filter(|m| !waiting(m))?;
+        // The exact i128 sum does not depend on the order of its terms.
+        let merged = merge.merged.values();
+        let fallback = self.round.gradients.values();
+        let vectors = merged.map(|(v, _)| v).chain(fallback).cloned().collect();
+        let merged = merge.merged.values().flat_map(|(_, members)| members);
+        let mut contributors: Vec<usize> = merged.map(|&(t, _)| t).collect();
+        contributors.extend(self.round.gradients.keys());
+        contributors.sort_unstable();
+        Some((vectors, contributors))
+    }
+
+    /// The other modes' input to the partial: the gradients of `T_ij`
+    /// received or fetched one by one, once enough of them are in.
+    fn gather_fetched(&mut self, out: &mut Actions<Msg>) -> Option<Gathered> {
+        let dropped = self.dropped_trainers();
+        let needed: Vec<usize> = self
+            .expected
+            .iter()
+            .filter(|t| !dropped.contains(t))
+            .copied()
+            .collect();
+        let mut have: Vec<usize> = needed
+            .iter()
+            .filter(|t| self.round.gradients.contains_key(t))
+            .copied()
+            .collect();
+        // Normally wait for the full set; a deadline-degraded round may
+        // proceed once the quorum is in.
+        if !self.have_enough(have.len(), needed.len()) {
+            return None;
+        }
+        // The round boundary: settle what was admitted on trust, then
+        // re-check — an evicted culprit may put the set back below quorum,
+        // in which case the round waits exactly as it would have had the
+        // blob been rejected at arrival.
+        if self.settle_admitted(out) > 0 {
+            have.retain(|t| self.round.gradients.contains_key(t));
+            if !self.have_enough(have.len(), needed.len()) {
+                return None;
+            }
+        }
+        let own = |t: &usize| self.round.gradients[t].clone();
+        let vectors = if self.behavior == Behavior::ForgeRegistration {
+            // Substitute the fabricated gradient for the victim's.
+            let fake = self.round.forged.as_ref()?;
+            let victim = self.expected[0];
+            let pick = |t: &usize| if *t == victim { fake.clone() } else { own(t) };
+            have.iter().map(pick).collect()
+        } else {
+            have.iter().map(own).collect()
+        };
+        Some((vectors, have))
+    }
+
     fn maybe_aggregate(&mut self, out: &mut Actions<Msg>) {
-        if self.partial.is_some() {
+        if self.round.aggregated {
             // Stragglers admitted after aggregation (quorum-degraded
-            // rounds) still get their deferred check here, at the same
-            // instant the per-blob path would have verified them.
-            self.flush_pending_verify(out);
+            // rounds) still get their check here, at the same instant the
+            // per-blob policy would have verified them.
+            self.settle_admitted(out);
             return;
         }
-        let (vectors, contributors): (Vec<Vec<Quantized>>, Vec<usize>) =
-            match self.topo.config().comm {
-                CommMode::MergeAndDownload => {
-                    if !self.merges_sent
-                        || self.merges_outstanding > 0
-                        || !self.fallback_pending.is_empty()
-                    {
-                        return;
-                    }
-                    // Fallback fetches were admitted optimistically in
-                    // batch mode; settle them before summing. A convicted
-                    // blob simply drops out of the fallback set, exactly
-                    // as an arrival-time rejection would have kept it out.
-                    self.flush_pending_verify(out);
-                    // Merged blobs plus any gradients fetched individually
-                    // after a failed merge, in deterministic trainer order.
-                    let mut vectors = self.merged.clone();
-                    let mut fallback: Vec<usize> = self.gradients.keys().copied().collect();
-                    fallback.sort_unstable();
-                    vectors.extend(fallback.iter().map(|t| self.gradients[t].clone()));
-                    let mut contributors = self.merged_members.clone();
-                    contributors.extend(fallback);
-                    contributors.sort_unstable();
-                    (vectors, contributors)
-                }
-                _ => {
-                    let dropped = self.dropped_trainers();
-                    let needed: Vec<usize> = self
-                        .expected
-                        .iter()
-                        .filter(|t| !dropped.contains(t))
-                        .copied()
-                        .collect();
-                    let mut have: Vec<usize> = needed
-                        .iter()
-                        .filter(|t| self.gradients.contains_key(t))
-                        .copied()
-                        .collect();
-                    // Normally wait for the full set; a deadline-degraded
-                    // round may proceed once the quorum is in.
-                    if !self.have_enough(have.len(), needed.len()) {
-                        return;
-                    }
-                    // The round boundary: settle the deferred batch, then
-                    // re-check — an evicted culprit may put the set back
-                    // below quorum, in which case the round waits exactly
-                    // as it would have had the blob been rejected at
-                    // arrival.
-                    if self.flush_pending_verify(out) > 0 {
-                        have.retain(|t| self.gradients.contains_key(t));
-                        if !self.have_enough(have.len(), needed.len()) {
-                            return;
-                        }
-                    }
-                    let vectors = if self.behavior == Behavior::ForgeRegistration {
-                        let Some(fake) = self.forged.clone() else {
-                            return;
-                        };
-                        // Substitute the fabricated gradient for the victim's.
-                        have.iter()
-                            .map(|t| {
-                                if *t == self.expected[0] {
-                                    fake.clone()
-                                } else {
-                                    self.gradients[t].clone()
-                                }
-                            })
-                            .collect()
-                    } else {
-                        have.iter().map(|t| self.gradients[t].clone()).collect()
-                    };
-                    (vectors, have)
-                }
-            };
+        let gathered = match self.round.merge {
+            Some(_) => self.gather_merged(out),
+            None => self.gather_fetched(out),
+        };
+        let Some((vectors, contributors)) = gathered else {
+            return;
+        };
         if vectors.is_empty() {
             return;
         }
         let partial = match sum_gradients(&vectors) {
             Ok(partial) => partial,
             Err(_) => {
-                out.record(labels::SUM_OVERFLOW, self.iter as f64);
+                out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
                 return;
             }
         };
-        out.record(labels::GRADS_AGGREGATED, self.iter as f64);
-        self.partial = Some(partial.clone());
-        self.partial_contributors = contributors.clone();
-        self.partials.insert(self.j, partial.clone());
-        self.slot_contributors.insert(self.j, contributors);
+        out.record(labels::GRADS_AGGREGATED, self.round.iter as f64);
+        self.round.aggregated = true;
 
-        if self.multi() {
-            // Upload the partial, then announce its hash over pub/sub.
-            let gw = self.gateway();
-            self.put(out, Request::PutPartial, gw, encode(&partial), 1);
-            if self.behavior == Behavior::Equivocate {
-                // A second, poisoned variant of the partial: announced to
-                // half the peers in place of the honest one.
-                let mut altered = partial.clone();
-                altered[0] = Quantized(altered[0].0 + (1 << 20));
-                self.put(out, Request::PutAltered, gw, encode(&altered), 1);
+        let Some(sync) = &mut self.round.sync else {
+            // The partition's only aggregator: the partial is the update.
+            let contributors = contributors.iter().map(|&t| t as u32).collect();
+            if !self.round.global_sent {
+                self.upload_global(out, contributors, partial);
             }
-        } else {
-            self.finish_global(out);
+            return;
+        };
+        sync.partials
+            .insert(self.j, (partial.clone(), contributors));
+        // Upload the partial, then announce its hash over pub/sub.
+        let gw = self.gateway();
+        self.put(out, Request::PutPartial, gw, encode(&partial), 1);
+        if self.behavior == Behavior::Equivocate {
+            // A second, poisoned variant of the partial: announced to
+            // half the peers in place of the honest one.
+            let mut altered = partial;
+            altered[0] = Quantized(altered[0].0 + (1 << 20));
+            self.put(out, Request::PutAltered, gw, encode(&altered), 1);
         }
     }
 
-    /// Ranks of `partial_contributors` within `T_ij` (the announce format).
+    /// Ranks within `T_ij` of the trainers summed into my partial (the
+    /// announce format).
     fn contributor_ranks(&self) -> Vec<u16> {
-        self.partial_contributors
+        let mine = self
+            .round
+            .sync
+            .as_ref()
+            .and_then(|s| s.partials.get(&self.j));
+        let contributors = mine.map_or(&[][..], |(_, contributors)| contributors);
+        let rank = |t| self.expected.iter().position(|e| e == t);
+        contributors
             .iter()
-            .filter_map(|t| self.expected.iter().position(|e| e == t))
+            .filter_map(rank)
             .map(|r| r as u16)
             .collect()
     }
@@ -892,7 +928,7 @@ impl Aggregator {
         let mut announce = SyncAnnounce {
             partition: self.partition,
             agg_j: self.j,
-            iter: self.iter,
+            iter: self.round.iter,
             cid,
             contributors,
             signature: None,
@@ -906,14 +942,15 @@ impl Aggregator {
     // -- synchronization (multi-aggregator) ----------------------------------
 
     fn on_put_ack(&mut self, out: &mut Actions<Msg>, cid: Cid, req_id: u64) {
-        self.retry_wires.remove(&req_id);
-        match self.in_flight.remove(&req_id) {
+        match self.answered(req_id) {
             Some(Request::PutPartial) => {
                 self.uploads.push((self.gateway(), cid));
                 if self.behavior == Behavior::Equivocate {
                     // Withhold the honest topic publish: each peer receives
                     // its own (forged) per-peer announcement instead.
-                    self.equiv_honest = Some(cid);
+                    if let Some(sync) = &mut self.round.sync {
+                        sync.equiv_honest = Some(cid);
+                    }
                     self.maybe_equivocate(out);
                     return;
                 }
@@ -923,30 +960,33 @@ impl Aggregator {
                     data: Bytes::from(announce.encode()),
                 };
                 let gw = self.gateway();
-                self.send_ipfs(out, gw, publish);
+                out.send(gw, Msg::Ipfs(publish));
                 self.maybe_finish_sync(out);
             }
             Some(Request::PutAltered) => {
                 self.uploads.push((self.gateway(), cid));
-                self.equiv_altered = Some(cid);
+                if let Some(sync) = &mut self.round.sync {
+                    sync.equiv_altered = Some(cid);
+                }
                 self.maybe_equivocate(out);
             }
             Some(Request::PutGlobal) => {
-                let gw = match self.topo.config().comm {
-                    CommMode::Direct => self.topo.ipfs_node(self.g % self.topo.config().ipfs_nodes),
-                    _ => self.gateway(),
-                };
-                self.uploads.push((gw, cid));
-                let contributors = self.update_contributors.clone();
+                self.uploads.push((self.update_home(), cid));
+                let contributors = self.round.update_contributors.clone();
                 let signature = self.signing_key.as_ref().map(|sk| {
-                    let msg =
-                        update_message(self.g, self.partition, self.iter, &cid, &contributors);
+                    let msg = update_message(
+                        self.g,
+                        self.partition,
+                        self.round.iter,
+                        &cid,
+                        &contributors,
+                    );
                     sk.sign(&msg).to_bytes()
                 });
                 let msg = Msg::RegisterUpdate {
                     aggregator: self.g,
                     partition: self.partition,
-                    iter: self.iter,
+                    iter: self.round.iter,
                     cid,
                     contributors,
                     signature,
@@ -962,7 +1002,9 @@ impl Aggregator {
     /// altered CID to every other peer, the honest CID to the rest — so
     /// different peers observe conflicting signed statements.
     fn maybe_equivocate(&mut self, out: &mut Actions<Msg>) {
-        let (Some(honest), Some(altered)) = (self.equiv_honest, self.equiv_altered) else {
+        let variants = self.round.sync.as_ref();
+        let Some((honest, altered)) = variants.and_then(|s| s.equiv_honest.zip(s.equiv_altered))
+        else {
             return;
         };
         let slots = self.topo.config().aggregators_per_partition;
@@ -982,24 +1024,27 @@ impl Aggregator {
                 publisher: me,
             };
             let peer = self.topo.aggregator(self.topo.agg_index(self.partition, j));
-            self.send_ipfs(out, peer, deliver);
+            out.send(peer, Msg::Ipfs(deliver));
         }
         self.maybe_finish_sync(out);
     }
 
     fn on_deliver(&mut self, out: &mut Actions<Msg>, topic: &str, data: &[u8]) {
         if topic == EVIDENCE_TOPIC {
-            self.on_evidence(out, data);
+            // Gossiped misbehavior evidence (accountability mode).
+            if let Some(record) = Misbehavior::decode(data).filter(|_| self.accountability()) {
+                self.consider_evidence(out, record);
+            }
             return;
         }
-        let Some(ann) = SyncAnnounce::decode(data) else {
+        let (Some(ann), Some(sync)) = (SyncAnnounce::decode(data), &self.round.sync) else {
             return;
         };
-        if ann.partition != self.partition || ann.iter != self.iter || ann.agg_j == self.j {
+        if ann.partition != self.partition || ann.iter != self.round.iter || ann.agg_j == self.j {
             return;
         }
-        if self.partials.contains_key(&ann.agg_j)
-            || self.announced.contains_key(&ann.agg_j)
+        if sync.partials.contains_key(&ann.agg_j)
+            || sync.announced.contains_key(&ann.agg_j)
             || self.blacklist.contains(&ann.agg_j)
         {
             return;
@@ -1007,12 +1052,9 @@ impl Aggregator {
         // Accountability mode only acts on *signed* announcements: the
         // signature is what makes a later commitment mismatch attributable.
         if self.accountability() {
-            let Some(sig) = ann.signature.and_then(|b| Signature::from_bytes(&b)) else {
-                return;
-            };
             let sender = self.topo.agg_index(self.partition, ann.agg_j);
             let vk = agg_verifying_key(self.topo.config().seed, sender);
-            if !vk.verify(&ann.message(), &sig) {
+            if !signed_by(&vk, &ann.message(), ann.signature) {
                 return;
             }
         }
@@ -1042,101 +1084,112 @@ impl Aggregator {
         }
         let cid = ann.cid;
         let j = ann.agg_j;
-        self.announced.insert(j, ann);
-        let req = self.fresh_req(Request::PeerPartial { j });
+        if let Some(sync) = &mut self.round.sync {
+            sync.announced.insert(j, ann);
+        }
         // Partials are stored on the announcing peer's gateway; fetch from
         // there directly.
-        let peer_gateway = self
-            .topo
-            .aggregator_gateway(self.topo.agg_index(self.partition, j));
-        self.send_retryable(out, peer_gateway, IpfsWire::Get { cid, req_id: req }, req);
+        let peer = self.topo.agg_index(self.partition, j);
+        let gateway = self.topo.aggregator_gateway(peer);
+        self.get(out, Request::PeerPartial { j }, gateway, cid);
     }
 
-    /// The accumulated commitment an announced partial must open: the full
-    /// slot accumulator when no quorum is configured or the claim covers
-    /// the whole trainer set, else the product of the claimed subset's
+    /// The accumulated commitment slot `j`'s partial must open when it
+    /// claims the contributors at `ranks` of its trainer set (none = all):
+    /// the full slot accumulator when no quorum is configured or the claim
+    /// covers the whole set, else the product of the claimed subset's
     /// individual registered commitments. `None` while the inputs are
     /// still unknown (the poll loop keeps querying).
-    fn expected_accumulator(&self, ann: &SyncAnnounce) -> Option<ProtocolCommitment> {
-        let set = self.topo.trainer_set(self.partition, ann.agg_j);
-        let full_claim = ann.contributors.is_empty() || ann.contributors.len() == set.len();
+    fn expected_accumulator(
+        &self,
+        j: usize,
+        ranks: impl ExactSizeIterator<Item = usize>,
+    ) -> Option<ProtocolCommitment> {
+        let sync = self.round.sync.as_ref()?;
+        let set = self.topo.trainer_set(self.partition, j);
+        let full_claim = ranks.len() == 0 || ranks.len() == set.len();
         if self.topo.config().min_quorum.is_none() || full_claim {
-            self.accumulators[ann.agg_j]
+            *sync.accumulators.get(j)?
         } else {
             let mut acc = ProtocolCommitment::identity();
-            for &r in &ann.contributors {
-                let t = set.get(r as usize)?;
-                acc = acc.combine(self.commitments_seen.get(t)?);
+            for r in ranks {
+                acc = acc.combine(sync.commitments_seen.get(set.get(r)?)?);
             }
             Some(acc)
         }
     }
 
-    fn on_peer_partial(&mut self, out: &mut Actions<Msg>, j: usize, data: &Bytes) {
-        self.process_peer_partial(out, j, data, None);
+    /// Takes peer partials that just arrived or came out of the stash, in
+    /// slot order. Those whose accumulator is known are checked now, as one
+    /// batch, and processed in the same order with their verdicts; the
+    /// rest go (back) into the stash until the poll loop learns more.
+    fn check_peer_partials(&mut self, out: &mut Actions<Msg>, blobs: Vec<(usize, Bytes)>) {
+        let mut ready: Vec<(SyncAnnounce, Bytes, ProtocolCommitment)> = Vec::new();
+        for (j, blob) in blobs {
+            let Some(sync) = &self.round.sync else {
+                return;
+            };
+            if sync.partials.contains_key(&j) || self.blacklist.contains(&j) {
+                continue;
+            }
+            let Some(ann) = sync.announced.get(&j).cloned() else {
+                continue;
+            };
+            let ranks = ann.contributors.iter().map(|&r| r as usize);
+            if self.key.is_none() {
+                self.accept_peer_partial(out, &ann, &blob);
+            } else if let Some(acc) = self.expected_accumulator(j, ranks) {
+                ready.push((ann, blob, acc));
+            } else if let Some(sync) = &mut self.round.sync {
+                sync.unverified.insert(j, blob);
+            }
+        }
+        let Some(key) = self.key.clone() else {
+            return;
+        };
+        let items: Vec<(&[u8], &ProtocolCommitment)> = ready
+            .iter()
+            .map(|(_, blob, acc)| (&blob[..], acc))
+            .collect();
+        let culprits = verify_blobs_timed(out, &key, &items);
+        for (i, (ann, blob, acc)) in ready.iter().enumerate() {
+            self.process_peer_partial(out, ann, blob, acc, !culprits.contains(&i));
+        }
     }
 
-    /// Handles one peer partial. `verdict` carries a verification result
-    /// precomputed by the batched stash drain ([`Self::retry_unverified`]);
-    /// `None` means verify here (the per-blob path).
+    /// Applies the verdict on one peer partial checked against `acc`.
     fn process_peer_partial(
         &mut self,
         out: &mut Actions<Msg>,
-        j: usize,
+        ann: &SyncAnnounce,
         data: &Bytes,
-        verdict: Option<bool>,
+        acc: &ProtocolCommitment,
+        valid: bool,
     ) {
-        if self.partials.contains_key(&j) || self.blacklist.contains(&j) {
-            return;
+        if valid {
+            self.accept_peer_partial(out, ann, data);
+        } else if self.accountability() {
+            // Provably malicious partial: package the transferable
+            // evidence and recover the slot immediately. Without
+            // accountability it is ignored and the sync deadline triggers
+            // recovery.
+            self.convict_peer(out, ann, acc, data);
         }
-        let Some(ann) = self.announced.get(&j).cloned() else {
+    }
+
+    fn accept_peer_partial(&mut self, out: &mut Actions<Msg>, ann: &SyncAnnounce, data: &[u8]) {
+        let (Some(vector), Some(sync)) = (decode_blob(data), &mut self.round.sync) else {
             return;
         };
-        if self.verifiable() {
-            match self.expected_accumulator(&ann) {
-                Some(acc) => {
-                    let valid = match verdict {
-                        Some(v) => v,
-                        None => {
-                            // Truly local invariant: verifiable() is the
-                            // key's presence test, never remote input.
-                            let key = self.key.as_ref().expect("verifiable").clone();
-                            verify_blob_timed(out, &key, data, &acc)
-                        }
-                    };
-                    if !valid {
-                        // Provably malicious partial: in accountability
-                        // mode, package the transferable evidence and
-                        // recover the slot immediately; otherwise ignore it
-                        // and let the sync deadline trigger recovery.
-                        self.unverified.remove(&j);
-                        if self.accountability() {
-                            self.convict_peer(out, &ann, &acc, data);
-                        }
-                        return;
-                    }
-                }
-                None => {
-                    // Accumulators/commitments not known yet; stash and
-                    // re-check once the poll loop learns them.
-                    self.unverified.insert(j, data.clone());
-                    return;
-                }
-            }
-        }
-        let Some(vector) = decode_blob(data) else {
-            return;
-        };
-        self.unverified.remove(&j);
-        self.announced.remove(&j);
+        let j = ann.agg_j;
+        sync.announced.remove(&j);
         let set = self.topo.trainer_set(self.partition, j);
         let claimed: Vec<usize> = if ann.contributors.is_empty() {
             set
         } else {
             ann.contributors.iter().map(|&r| set[r as usize]).collect()
         };
-        self.slot_contributors.insert(j, claimed);
-        self.partials.insert(j, vector);
+        sync.partials.insert(j, (vector, claimed));
         self.maybe_finish_sync(out);
     }
 
@@ -1156,7 +1209,7 @@ impl Aggregator {
         let Some(offender_sig) = ann.signature else {
             return; // unsigned: suspicion only, no transferable proof
         };
-        if !self.accused.insert((offender, self.iter)) {
+        if !self.accused.insert((offender, self.round.iter)) {
             return; // already reported this offender for this round
         }
         out.record(labels::MISBEHAVIOR_DETECTED, offender as f64);
@@ -1164,7 +1217,7 @@ impl Aggregator {
             kind: MisbehaviorKind::BadPartial,
             partition: self.partition,
             agg_j: ann.agg_j,
-            iter: self.iter,
+            iter: self.round.iter,
             cid: ann.cid,
             contributors: ann.contributors.iter().map(|&r| r as u32).collect(),
             accumulator: expected.to_bytes(),
@@ -1183,7 +1236,7 @@ impl Aggregator {
             data: Bytes::from(bytes.clone()),
         };
         let gw = self.gateway();
-        self.send_ipfs(out, gw, publish);
+        out.send(gw, Msg::Ipfs(publish));
         let msg = Msg::ReportMisbehavior {
             record: Bytes::from(bytes),
         };
@@ -1201,25 +1254,17 @@ impl Aggregator {
             let global = self.topo.agg_index(self.partition, j);
             out.record(labels::PEER_BLACKLISTED, global as f64);
         }
-        self.announced.remove(&j);
-        self.unverified.remove(&j);
+        if let Some(sync) = &mut self.round.sync {
+            sync.announced.remove(&j);
+            sync.unverified.remove(&j);
+        }
         self.start_recovery(out, j);
     }
 
-    /// Handles gossiped misbehavior evidence: independently re-verify, and
-    /// blacklist the offender if the proof holds. Records that cannot be
-    /// checked yet (accumulator still unknown) are parked and retried as
-    /// the round's commitments arrive.
-    fn on_evidence(&mut self, out: &mut Actions<Msg>, data: &[u8]) {
-        if !self.accountability() {
-            return;
-        }
-        let Some(record) = Misbehavior::decode(data) else {
-            return;
-        };
-        self.consider_evidence(out, record);
-    }
-
+    /// Independently re-verifies a gossiped evidence record and blacklists
+    /// the offender if the proof holds. Records that cannot be checked yet
+    /// (accumulator still unknown) are parked and retried as the round's
+    /// commitments arrive.
     fn consider_evidence(&mut self, out: &mut Actions<Msg>, record: Misbehavior) {
         // Only same-partition evidence affects this aggregator's blacklist,
         // and only for the current round's accumulator view.
@@ -1230,40 +1275,28 @@ impl Aggregator {
         {
             return;
         }
-        match self.evidence_expected(&record) {
-            Some(expected) => {
-                // Truly local invariant: on_evidence gates on
-                // accountability(), and validate ties that to verifiable —
-                // the commitment key exists whenever evidence is handled.
-                let key = self.key.as_ref().expect("accountability keys").clone();
-                let slots = self.topo.config().aggregators_per_partition;
-                if record.verify(&key, self.topo.config().seed, slots, &expected) {
-                    self.blacklist_peer(out, record.agg_j);
-                }
+        let Some(key) = self.key.clone() else {
+            return; // unreachable: accountability requires verifiable mode
+        };
+        let Some(expected) = self.evidence_expected(&record) else {
+            if let Some(sync) = &mut self.round.sync {
+                sync.pending_evidence.push(record);
             }
-            None => self.pending_evidence.push(record),
+            return;
+        };
+        let slots = self.topo.config().aggregators_per_partition;
+        if record.verify(&key, self.topo.config().seed, slots, &expected) {
+            self.blacklist_peer(out, record.agg_j);
         }
     }
 
     /// Independently derives the accumulated commitment a gossiped evidence
-    /// record's claim must be checked against (same rule as
-    /// [`Self::expected_accumulator`]).
+    /// record's claim must be checked against.
     fn evidence_expected(&self, record: &Misbehavior) -> Option<ProtocolCommitment> {
         match record.kind {
             MisbehaviorKind::BadPartial => {
-                let set = self.topo.trainer_set(record.partition, record.agg_j);
-                let full_claim =
-                    record.contributors.is_empty() || record.contributors.len() == set.len();
-                if self.topo.config().min_quorum.is_none() || full_claim {
-                    self.accumulators[record.agg_j]
-                } else {
-                    let mut acc = ProtocolCommitment::identity();
-                    for &r in &record.contributors {
-                        let t = set.get(r as usize)?;
-                        acc = acc.combine(self.commitments_seen.get(t)?);
-                    }
-                    Some(acc)
-                }
+                let ranks = record.contributors.iter().map(|&r| r as usize);
+                self.expected_accumulator(record.agg_j, ranks)
             }
             MisbehaviorKind::BadUpdate => {
                 // A global update must open the product over its claimed
@@ -1273,9 +1306,10 @@ impl Aggregator {
                 } else {
                     record.contributors.iter().map(|&t| t as usize).collect()
                 };
+                let seen = &self.round.sync.as_ref()?.commitments_seen;
                 let mut acc = ProtocolCommitment::identity();
                 for t in contributors {
-                    acc = acc.combine(self.commitments_seen.get(&t)?);
+                    acc = acc.combine(seen.get(&t)?);
                 }
                 Some(acc)
             }
@@ -1283,66 +1317,37 @@ impl Aggregator {
     }
 
     /// Re-runs verification for stashed peer partials and parked evidence
-    /// once new commitments or accumulators arrive. In `batch_verify` mode
-    /// the whole drain is checked with one RLC batch up front; the
-    /// per-item processing below then replays the per-blob event order
-    /// (convictions, inserts, sync completion) using the precomputed
-    /// verdicts, so both modes produce identical event streams and name
-    /// identical culprits.
+    /// once new commitments or accumulators arrive.
     fn retry_unverified(&mut self, out: &mut Actions<Msg>) {
-        let mut stashed: Vec<(usize, Bytes)> = self.unverified.drain().collect();
+        let Some(sync) = &mut self.round.sync else {
+            return;
+        };
+        let mut stashed: Vec<(usize, Bytes)> = sync.unverified.drain().collect();
         stashed.sort_unstable_by_key(|(j, _)| *j); // deterministic order
-        let mut verdicts: Vec<Option<bool>> = vec![None; stashed.len()];
-        if self.topo.config().batch_verify && !stashed.is_empty() {
-            if let Some(key) = self.key.clone() {
-                // Precompute only for items the per-item pass would verify
-                // now: announced, not settled, accumulator known. The rest
-                // keep `None` and re-stash below, as per-blob mode does.
-                let mut idx: Vec<usize> = Vec::new();
-                let mut accs: Vec<ProtocolCommitment> = Vec::new();
-                for (i, (j, _)) in stashed.iter().enumerate() {
-                    if self.partials.contains_key(j) || self.blacklist.contains(j) {
-                        continue;
-                    }
-                    let Some(ann) = self.announced.get(j) else {
-                        continue;
-                    };
-                    if let Some(acc) = self.expected_accumulator(ann) {
-                        idx.push(i);
-                        accs.push(acc);
-                    }
-                }
-                let items: Vec<(&[u8], &ProtocolCommitment)> = idx
-                    .iter()
-                    .zip(&accs)
-                    .map(|(&i, acc)| (&stashed[i].1[..], acc))
-                    .collect();
-                let culprits = verify_blobs_timed(out, &key, &items);
-                for (k, &i) in idx.iter().enumerate() {
-                    verdicts[i] = Some(!culprits.contains(&k));
-                }
-            }
-        }
-        for (i, (j, blob)) in stashed.iter().enumerate() {
-            self.process_peer_partial(out, *j, blob, verdicts[i]);
-        }
-        let parked = std::mem::take(&mut self.pending_evidence);
+        let parked = std::mem::take(&mut sync.pending_evidence);
+        self.check_peer_partials(out, stashed);
         for record in parked {
             self.consider_evidence(out, record);
         }
     }
 
     fn on_accumulators(&mut self, out: &mut Actions<Msg>, accumulated: Vec<Option<[u8; 33]>>) {
-        for (j, bytes) in accumulated.into_iter().enumerate() {
-            if self.accumulators[j].is_none() {
-                self.accumulators[j] = bytes.and_then(|b| ProtocolCommitment::from_bytes(&b));
+        let Some(sync) = &mut self.round.sync else {
+            return;
+        };
+        for (known, bytes) in sync.accumulators.iter_mut().zip(accumulated) {
+            if known.is_none() {
+                *known = bytes.and_then(|b| ProtocolCommitment::from_bytes(&b));
             }
         }
         self.retry_unverified(out);
     }
 
     fn maybe_finish_sync(&mut self, out: &mut Actions<Msg>) {
-        if self.global_sent || self.partial.is_none() {
+        let Some(sync) = &self.round.sync else {
+            return;
+        };
+        if self.round.global_sent || !self.round.aggregated {
             return;
         }
         let slots = self.topo.config().aggregators_per_partition;
@@ -1351,118 +1356,89 @@ impl Aggregator {
         let mut contributors: Vec<u32> = Vec::new();
         let mut recovered = false;
         for j in 0..slots {
-            if let Some(v) = self.partials.get(&j) {
+            if let Some((v, set)) = sync.partials.get(&j) {
                 vectors.push(v.clone());
-                match self.slot_contributors.get(&j) {
-                    Some(set) => contributors.extend(set.iter().map(|&t| t as u32)),
-                    None => contributors.extend(
-                        self.topo
-                            .trainer_set(self.partition, j)
-                            .iter()
-                            .map(|&t| t as u32),
-                    ),
-                }
-            } else if let Some(grads) = self.recovery_grads.get(&j) {
+                contributors.extend(set.iter().map(|&t| t as u32));
+            } else if let Some(grads) = sync.recovery_grads.get(&j) {
                 // Recovery normally needs the peer's whole trainer set; a
                 // deadline-degraded round accepts the per-set quorum.
                 let want = self.topo.trainer_set(self.partition, j).len();
                 let enough = grads.len() == want
-                    || (self.deadline_degraded
+                    || (self.round.deadline_degraded
                         && self
                             .quorum_threshold_for(want)
                             .is_some_and(|th| grads.len() >= th));
                 if !enough || grads.is_empty() {
                     return;
                 }
-                // Deterministic trainer order; the i128 sum is order-
-                // independent anyway, so the recovered slot reproduces the
-                // honest partial bit for bit.
-                let mut members: Vec<usize> = grads.keys().copied().collect();
-                members.sort_unstable();
-                let recovered_vecs: Vec<Vec<Quantized>> =
-                    members.iter().map(|t| grads[t].clone()).collect();
+                // The exact i128 sum is order-independent, so the recovered
+                // slot reproduces the honest partial bit for bit.
+                let recovered_vecs: Vec<Vec<Quantized>> = grads.values().cloned().collect();
                 match sum_gradients(&recovered_vecs) {
                     Ok(sum) => vectors.push(sum),
                     Err(_) => {
-                        out.record(labels::SUM_OVERFLOW, self.iter as f64);
+                        out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
                         return;
                     }
                 }
-                contributors.extend(members.iter().map(|&t| t as u32));
+                contributors.extend(grads.keys().map(|&t| t as u32));
                 recovered = true;
             } else {
                 return;
             }
         }
-        if recovered && !self.round_recovered {
-            self.round_recovered = true;
-            out.record(labels::ROUND_RECOVERED, self.iter as f64);
-        }
-        contributors.sort_unstable();
-        contributors.dedup();
-        self.update_contributors = if contributors.len() == self.topo.config().trainers {
-            None // full membership: the common case
-        } else {
-            Some(contributors)
-        };
-        if !self.sync_recorded {
-            self.sync_recorded = true;
-            out.record(labels::SYNC_DONE, self.iter as f64);
-        }
         let global = match sum_gradients(&vectors) {
             Ok(global) => global,
             Err(_) => {
-                out.record(labels::SUM_OVERFLOW, self.iter as f64);
+                out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
                 return;
             }
         };
-        self.upload_global(out, global);
+        if recovered {
+            out.record(labels::ROUND_RECOVERED, self.round.iter as f64);
+        }
+        contributors.sort_unstable();
+        contributors.dedup();
+        self.upload_global(out, contributors, global);
     }
 
-    fn finish_global(&mut self, out: &mut Actions<Msg>) {
-        if self.global_sent {
-            return;
-        }
-        self.update_contributors = if self.partial_contributors.len() == self.topo.config().trainers
-        {
-            None
-        } else {
-            Some(
-                self.partial_contributors
-                    .iter()
-                    .map(|&t| t as u32)
-                    .collect(),
-            )
-        };
-        if !self.sync_recorded {
-            self.sync_recorded = true;
-            out.record(labels::SYNC_DONE, self.iter as f64);
-        }
-        // Truly local invariant: finish_global's only caller runs after
-        // this aggregator computed its own partial.
-        let global = self.partial.clone().expect("partial computed");
-        self.upload_global(out, global);
-    }
-
-    fn upload_global(&mut self, out: &mut Actions<Msg>, mut global: Vec<Quantized>) {
-        self.global_sent = true;
+    /// Uploads the partition's global update, to be registered as the sum
+    /// over `contributors` once stored. Runs once a round: it ends the sync.
+    fn upload_global(
+        &mut self,
+        out: &mut Actions<Msg>,
+        contributors: Vec<u32>,
+        mut global: Vec<Quantized>,
+    ) {
+        self.round.global_sent = true;
+        let everyone = contributors.len() == self.topo.config().trainers; // the common case
+        self.round.update_contributors = (!everyone).then_some(contributors);
+        out.record(labels::SYNC_DONE, self.round.iter as f64);
         if self.behavior == Behavior::AlterUpdate {
             // Poison the first element (correctness violation, §III-A).
             global[0] = Quantized(global[0].0 + (1 << 20));
         }
-        let blob = encode(&global);
+        let replicate = match self.topo.config().comm {
+            CommMode::Direct => 1,
+            _ => self.topo.config().replication,
+        };
+        let home = self.update_home();
+        self.put(out, Request::PutGlobal, home, encode(&global), replicate);
+    }
+
+    /// Where the global update is stored. Even original IPLS writes it
+    /// somewhere the trainers can fetch it; direct mode reuses storage for
+    /// that leg.
+    fn update_home(&self) -> NodeId {
         match self.topo.config().comm {
-            CommMode::Direct => {
-                // Even original IPLS writes the update somewhere the
-                // trainers can fetch it; we reuse storage for that leg.
-                let gw = self.topo.ipfs_node(self.g % self.topo.config().ipfs_nodes);
-                self.put(out, Request::PutGlobal, gw, blob, 1);
-            }
-            _ => {
-                let replicate = self.topo.config().replication;
-                self.put(out, Request::PutGlobal, self.gateway(), blob, replicate);
-            }
+            CommMode::Direct => self.topo.ipfs_node(self.g % self.topo.config().ipfs_nodes),
+            _ => self.gateway(),
         }
+    }
+
+    /// Fetches `cid` from `from` as a retryable `Get` tracked under `purpose`.
+    fn get(&mut self, out: &mut Actions<Msg>, purpose: Request, from: NodeId, cid: Cid) {
+        self.request(out, purpose, from, |req_id| IpfsWire::Get { cid, req_id });
     }
 
     /// Uploads `blob` to `gw` as a retryable `Put` tracked under `purpose`.
@@ -1474,43 +1450,38 @@ impl Aggregator {
         blob: Vec<u8>,
         replicate: usize,
     ) {
-        let req_id = self.fresh_req(purpose);
         let data = Bytes::from(blob);
-        let wire = IpfsWire::Put {
+        self.request(out, purpose, gw, |req_id| IpfsWire::Put {
             data,
             req_id,
             replicate,
-        };
-        self.send_retryable(out, gw, wire, req_id);
+        });
     }
 
     // -- dropout recovery ----------------------------------------------------
 
     fn on_sync_deadline(&mut self, out: &mut Actions<Msg>, iter: u64) {
-        if iter != self.iter || self.global_sent || self.behavior == Behavior::Offline {
+        if iter != self.round.iter || self.round.global_sent || self.behavior == Behavior::Offline {
             return;
         }
         // t_sync is a hard deadline: with `min_quorum` configured, stop
         // waiting for trainers that never delivered and complete the round
         // with what arrived. The FedAvg denominator scales automatically —
         // blobs carry a contribution counter that averaging divides by.
-        if self.quorum_threshold().is_some() && !self.deadline_degraded {
-            self.deadline_degraded = true;
+        if self.quorum_threshold().is_some() && !self.round.deadline_degraded {
+            self.round.deadline_degraded = true;
             let received = match self.topo.config().comm {
-                CommMode::Direct => self.gradients.len(),
-                _ => self.registered.len(),
+                CommMode::Direct => self.round.gradients.len(),
+                _ => self.round.registered.len(),
             };
             let missing = self.expected.len().saturating_sub(received);
             out.record(labels::QUORUM_DEGRADED, missing as f64);
-            if self.topo.config().comm == CommMode::MergeAndDownload
-                && !self.merges_sent
-                && self.merge_ready()
-            {
+            if self.round.merge.as_ref().is_some_and(|m| !m.sent) && self.merge_ready() {
                 self.send_merges(out);
             }
             self.maybe_aggregate(out);
             self.maybe_finish_sync(out);
-            if self.global_sent {
+            if self.round.global_sent {
                 return;
             }
         }
@@ -1523,12 +1494,16 @@ impl Aggregator {
         // is blacklisted so later rounds recover it proactively instead of
         // waiting out the timeout again (timeout suspicion is local only —
         // silence yields no transferable proof).
-        let slots = self.topo.config().aggregators_per_partition;
-        for j in 0..slots {
-            if j == self.j || self.partials.contains_key(&j) {
-                continue;
-            }
-            if self.accountability() && !self.announced.contains_key(&j) {
+        let slots = 0..self.topo.config().aggregators_per_partition;
+        let missing: Vec<(usize, bool)> = match &self.round.sync {
+            Some(sync) => slots
+                .filter(|j| *j != self.j && !sync.partials.contains_key(j))
+                .map(|j| (j, sync.announced.contains_key(&j)))
+                .collect(),
+            None => Vec::new(),
+        };
+        for (j, announced) in missing {
+            if self.accountability() && !announced {
                 self.blacklist_peer(out, j);
             } else {
                 self.start_recovery(out, j);
@@ -1544,17 +1519,21 @@ impl Aggregator {
     /// race with a slow-but-honest peer: the recovered sum and the peer's
     /// partial are bit-identical, and whichever lands first is used.
     fn on_watchdog(&mut self, out: &mut Actions<Msg>, iter: u64) {
-        if iter != self.iter || self.global_sent {
+        let Some(sync) = &self.round.sync else {
+            return;
+        };
+        if iter != self.round.iter || self.round.global_sent {
             return;
         }
-        let slots = self.topo.config().aggregators_per_partition;
-        for j in 0..slots {
-            if self.partials.contains_key(&j)
-                || self.announced.contains_key(&j)
-                || self.unverified.contains_key(&j)
-            {
-                continue; // alive (or mid-verification): let it finish
-            }
+        // Alive (or mid-verification) slots are left to finish.
+        let alive = |j: &usize| {
+            sync.partials.contains_key(j)
+                || sync.announced.contains_key(j)
+                || sync.unverified.contains_key(j)
+        };
+        let slots = 0..self.topo.config().aggregators_per_partition;
+        let silent: Vec<usize> = slots.filter(|j| !alive(j)).collect();
+        for j in silent {
             self.start_recovery(out, j);
         }
     }
@@ -1566,31 +1545,25 @@ impl Aggregator {
         trainer: usize,
         data: &[u8],
     ) {
-        let Some(vector) = decode_blob(data) else {
+        let (Some(vector), Some(sync)) = (decode_blob(data), &mut self.round.sync) else {
             return;
         };
-        // Each recovered blob is checked against the trainer's registered
-        // commitment: recovery must reproduce the honest partial exactly,
-        // so a corrupt storage copy is refetched rather than summed.
-        if let Some(key) = self.key.clone() {
-            let valid = match self.commitments_seen.get(&trainer).cloned() {
-                // Recovered blobs arrive as separate storage replies, so
-                // batch mode sees them as singleton batches — same ledger,
-                // same `WASTED_BYTES` timing on a corrupt copy.
-                Some(c) if self.topo.config().batch_verify => {
-                    verify_blobs_timed(out, &key, &[(data, &c)]).is_empty()
-                }
-                Some(c) => verify_blob_timed(out, &key, data, &c),
-                None => false,
-            };
-            if !valid {
+        // Each recovered blob is checked, on arrival, against the trainer's
+        // registered commitment: recovery must reproduce the honest partial
+        // exactly, so a corrupt storage copy is refetched rather than
+        // summed.
+        if let Some(key) = &self.key {
+            let registered = sync.commitments_seen.get(&trainer);
+            let opens =
+                |c: &ProtocolCommitment| verify_blobs_timed(out, key, &[(data, c)]).is_empty();
+            if !registered.is_some_and(opens) {
                 out.record(labels::WASTED_BYTES, data.len() as f64);
-                self.recovery_pending.entry(j).or_default().insert(trainer);
+                sync.recovery_pending.entry(j).or_default().insert(trainer);
                 self.start_polling(out);
                 return;
             }
         }
-        if let Some(grads) = self.recovery_grads.get_mut(&j) {
+        if let Some(grads) = sync.recovery_grads.get_mut(&j) {
             grads.insert(trainer, vector);
         }
         self.maybe_finish_sync(out);
@@ -1600,10 +1573,10 @@ impl Aggregator {
 impl ProtocolCore for Aggregator {
     type Msg = Msg;
 
-    fn handle(&mut self, now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
+    fn handle(&mut self, _now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
         match event {
             ProtocolEvent::Start => self.on_start(out),
-            ProtocolEvent::Message { msg, .. } => self.on_message(now, out, msg),
+            ProtocolEvent::Message { msg, .. } => self.on_message(out, msg),
             ProtocolEvent::Timer { token } => self.on_timer(out, token),
             ProtocolEvent::Fault { .. } => {}
             ProtocolEvent::DeliveryFailure { .. } => out.incr(labels::DELIVERY_FAILED, 1),
@@ -1613,30 +1586,24 @@ impl ProtocolCore for Aggregator {
 
 impl Aggregator {
     fn on_start(&mut self, out: &mut Actions<Msg>) {
-        // Subscribe once to the partition's sync topic (pub/sub, §IV-B).
-        if self.multi() && self.behavior != Behavior::Offline {
-            let sub = IpfsWire::Subscribe {
-                topic: self.topo.sync_topic(self.partition),
-            };
-            let gw = self.gateway();
-            self.send_ipfs(out, gw, sub);
+        if self.behavior == Behavior::Offline {
+            return;
         }
-        // Evidence gossip rides its own topic (accountability mode).
-        if self.accountability() && self.behavior != Behavior::Offline {
-            let sub = IpfsWire::Subscribe {
-                topic: EVIDENCE_TOPIC.to_string(),
-            };
-            let gw = self.gateway();
-            self.send_ipfs(out, gw, sub);
+        // Subscribe once to the partition's sync topic (pub/sub, §IV-B);
+        // evidence gossip rides its own topic (accountability mode).
+        let sync = self.multi().then(|| self.topo.sync_topic(self.partition));
+        let evidence = self.accountability().then(|| EVIDENCE_TOPIC.to_string());
+        for topic in sync.into_iter().chain(evidence) {
+            out.send(self.gateway(), Msg::Ipfs(IpfsWire::Subscribe { topic }));
         }
     }
 
-    fn on_message(&mut self, now: SimTime, out: &mut Actions<Msg>, msg: Msg) {
+    fn on_message(&mut self, out: &mut Actions<Msg>, msg: Msg) {
         if self.behavior == Behavior::Offline {
             return;
         }
         match msg {
-            Msg::StartRound { iter } => self.begin_round(now, out, iter),
+            Msg::StartRound { iter } => self.begin_round(out, iter),
             Msg::GradientList {
                 partition,
                 iter,
@@ -1648,7 +1615,7 @@ impl Aggregator {
                 partition,
                 iter,
                 accumulated,
-            } if partition == self.partition && iter == self.iter => {
+            } if partition == self.partition && iter == self.round.iter => {
                 self.on_accumulators(out, accumulated);
             }
             Msg::DirectGradient {
@@ -1656,12 +1623,12 @@ impl Aggregator {
                 partition,
                 iter,
                 data,
-            } if partition == self.partition && iter == self.iter => {
+            } if partition == self.partition && iter == self.round.iter => {
                 if self.dropped_trainers().contains(&trainer) {
                     return;
                 }
                 if let Some(vector) = decode_blob(&data) {
-                    self.gradients.insert(trainer, vector);
+                    self.round.gradients.insert(trainer, vector);
                     self.maybe_aggregate(out);
                 }
             }
@@ -1672,58 +1639,37 @@ impl Aggregator {
                 // reports the failure.
             }
             Msg::Ipfs(IpfsWire::PutAck { cid, req_id }) => self.on_put_ack(out, cid, req_id),
-            Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                self.retry_wires.remove(&req_id);
-                match self.in_flight.remove(&req_id) {
-                    Some(Request::OwnGradient { trainer }) => {
-                        self.on_own_gradient(out, trainer, &data)
-                    }
-                    Some(Request::PeerPartial { j }) => self.on_peer_partial(out, j, &data),
-                    Some(Request::Recovery { j, trainer }) => {
-                        self.on_recovery_gradient(out, j, trainer, &data)
-                    }
-                    _ => {}
+            Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => match self.answered(req_id) {
+                Some(Request::OwnGradient { trainer }) => self.on_own_gradient(out, trainer, &data),
+                Some(Request::PeerPartial { j }) => self.check_peer_partials(out, vec![(j, data)]),
+                Some(Request::Recovery { j, trainer }) => {
+                    self.on_recovery_gradient(out, j, trainer, &data)
                 }
-            }
+                _ => {}
+            },
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
-                self.retry_wires.remove(&req_id);
                 // Allow retries through the poll loop.
-                match self.in_flight.remove(&req_id) {
+                match self.answered(req_id) {
                     Some(Request::OwnGradient { trainer }) => {
-                        self.downloading.remove(&trainer);
-                        self.registered.remove(&trainer);
+                        self.round.downloading.remove(&trainer);
+                        self.round.registered.remove(&trainer);
                     }
                     Some(Request::Recovery { j, trainer }) => {
-                        self.recovery_pending.entry(j).or_default().insert(trainer);
+                        if let Some(sync) = &mut self.round.sync {
+                            sync.recovery_pending.entry(j).or_default().insert(trainer);
+                        }
                     }
                     _ => {}
                 }
             }
             Msg::Ipfs(IpfsWire::MergeOk { data, req_id }) => {
-                self.retry_wires.remove(&req_id);
-                let members = self.merge_members.remove(&req_id).unwrap_or_default();
-                if let Some(Request::Merged) = self.in_flight.remove(&req_id) {
-                    self.on_merged(out, &members, &data);
+                if let Some(Request::Merged) = self.answered(req_id) {
+                    self.on_merge_reply(out, req_id, Some(data));
                 }
             }
             Msg::Ipfs(IpfsWire::MergeErr { req_id, .. }) => {
-                self.retry_wires.remove(&req_id);
-                // Degrade this merge to plain per-CID fetches of its
-                // members; each Get fails over across replicas at the
-                // storage layer, so one unmergeable blob no longer forces
-                // re-merging everything through the poll loop.
-                if let Some(Request::Merged) = self.in_flight.remove(&req_id) {
-                    self.merges_outstanding = self.merges_outstanding.saturating_sub(1);
-                    let members = self.merge_members.remove(&req_id).unwrap_or_default();
-                    out.record(labels::MERGE_FALLBACK, members.len() as f64);
-                    for (trainer, cid) in members {
-                        if self.gradients.contains_key(&trainer) {
-                            continue;
-                        }
-                        self.fallback_pending.insert(trainer);
-                        self.fetch_own_gradient(out, trainer, cid);
-                    }
-                    self.maybe_aggregate(out);
+                if let Some(Request::Merged) = self.answered(req_id) {
+                    self.on_merge_reply(out, req_id, None);
                 }
             }
             Msg::Ipfs(IpfsWire::Deliver { topic, data, .. }) => {
@@ -1764,17 +1710,14 @@ impl Aggregator {
         commitment: [u8; 33],
         signature: Option<[u8; 65]>,
     ) {
-        let Some(tree) = self.topo.overlay() else {
+        let Some((tree, key)) = &self.overlay else {
             return; // flat mode: stray frame, nothing listens here
         };
-        if self.behavior == Behavior::Offline {
-            return;
-        }
         // Every message processed in overlay mode is booked: per-node
         // event counts of this label are the bench's per-aggregator work
         // measurement (bounded by partitions, not by trainers).
         out.record(labels::OVERLAY_AGG_MSG, iter as f64);
-        if iter != self.iter || self.global_sent {
+        if iter != self.round.iter || self.round.global_sent {
             return;
         }
         // Only the tree root speaks for the swarm, and only for my
@@ -1787,42 +1730,25 @@ impl Aggregator {
             out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
             return;
         };
+        let cid = Cid::of(data);
         if self.topo.config().authenticate {
             let seed = self.topo.config().seed.to_be_bytes();
             let vk = SigningKey::<ProtocolCurve>::derive(&seed, trainer as u64).verifying_key();
-            let msg = overlay_partial_message(
-                trainer,
-                partition,
-                iter,
-                count,
-                &Cid::of(data),
-                &commitment,
-            );
-            let authentic = signature
-                .and_then(|b| Signature::<ProtocolCurve>::from_bytes(&b))
-                .is_some_and(|sig| vk.verify(&msg, &sig));
-            if !authentic {
+            let msg = overlay_partial_message(trainer, partition, iter, count, &cid, &commitment);
+            if !signed_by(&vk, &msg, signature) {
                 out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
                 return;
             }
         }
-        // Truly local invariant: TaskConfig::validate requires verifiable
-        // mode for the overlay, so the commitment key exists.
-        let key = self
-            .key
-            .as_ref()
-            .expect("overlay requires verifiable mode")
-            .clone();
-        if !verify_blob_timed(out, &key, data, &point) {
+        if !verify_blobs_timed(out, key, &[(data, &point)]).is_empty() {
             out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
             return;
         }
-        out.record(labels::GRADS_AGGREGATED, self.iter as f64);
-        out.record(labels::SYNC_DONE, self.iter as f64);
-        self.global_sent = true;
-        let cid = Cid::of(data);
+        out.record(labels::GRADS_AGGREGATED, self.round.iter as f64);
+        out.record(labels::SYNC_DONE, self.round.iter as f64);
+        self.round.global_sent = true;
         let update_sig = self.topo.config().authenticate.then(|| {
-            let msg = overlay_update_message(self.g, self.partition, self.iter, &cid);
+            let msg = overlay_update_message(self.g, self.partition, self.round.iter, &cid);
             agg_signing_key(self.topo.config().seed, self.g)
                 .sign(&msg)
                 .to_bytes()
@@ -1831,12 +1757,12 @@ impl Aggregator {
             self.topo.trainer(tree.root()),
             Msg::OverlayUpdate {
                 partition: self.partition,
-                iter: self.iter,
+                iter: self.round.iter,
                 data: data.clone(),
                 signature: update_sig,
             },
         );
-        out.record(labels::OVERLAY_UPDATE_PUSHED, self.iter as f64);
+        out.record(labels::OVERLAY_UPDATE_PUSHED, self.round.iter as f64);
     }
 
     fn on_timer(&mut self, out: &mut Actions<Msg>, token: u64) {
@@ -1856,6 +1782,150 @@ impl Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient::{build_blob, derive_key};
+    use crate::protocol::ProtocolAction;
+
+    /// A merge request as sent: its id and the CIDs to sum.
+    type MergeRequest = (u64, Vec<Cid>);
+
+    /// A verifiable merge-and-download aggregator that was sent its round
+    /// start and the gradient list of four trainers on two providers, the
+    /// trainers' blobs, and the merge requests it issued in answer.
+    fn merging(batch_verify: bool) -> (Aggregator, Vec<Bytes>, Vec<MergeRequest>) {
+        let cfg = TaskConfig {
+            partitions: 1,
+            comm: CommMode::MergeAndDownload,
+            verifiable: true,
+            batch_verify,
+            ..TaskConfig::default()
+        };
+        let topo = Arc::new(Topology::new(cfg, 3).unwrap());
+        let key = Arc::new(derive_key(topo.max_partition_len(), 0, true));
+        let mut agg = Aggregator::new(0, topo, Some(key.clone()), Behavior::Honest);
+        let blobs: Vec<Bytes> = (0..4)
+            .map(|t| Bytes::from(build_blob(&[t as f32, 0.5, -2.0])))
+            .collect();
+        let registered = |(t, blob): (usize, &Bytes)| {
+            let commitment = commit_blob(&key, blob).unwrap().to_bytes();
+            (t, Cid::of(blob), Some(commitment))
+        };
+        let list = Msg::GradientList {
+            partition: 0,
+            iter: 0,
+            entries: blobs.iter().enumerate().map(registered).collect(),
+        };
+        deliver(&mut agg, Msg::StartRound { iter: 0 });
+        let merges = deliver(&mut agg, list)
+            .into_iter()
+            .filter_map(|action| match action {
+                ProtocolAction::Send {
+                    msg: Msg::Ipfs(IpfsWire::Merge { cids, req_id }),
+                    ..
+                } => Some((req_id, cids)),
+                _ => None,
+            })
+            .collect();
+        (agg, blobs, merges)
+    }
+
+    fn deliver(agg: &mut Aggregator, msg: Msg) -> Vec<ProtocolAction<Msg>> {
+        let mut out = Actions::new();
+        let from = NodeId(0);
+        agg.handle(
+            SimTime::ZERO,
+            ProtocolEvent::Message { from, msg },
+            &mut out,
+        );
+        out.drain().collect()
+    }
+
+    /// The storage node's answer to a merge of `cids`: the true sum, or
+    /// with `off_by_one` a sum whose first element is one unit too large.
+    fn merge_ok(blobs: &[Bytes], (req_id, cids): &MergeRequest, off_by_one: bool) -> Msg {
+        let members: Vec<&[u8]> = blobs
+            .iter()
+            .filter(|b| cids.contains(&Cid::of(b)))
+            .map(|b| &b[..])
+            .collect();
+        let mut data = dfl_ipfs::merge::merge_blobs(&members).unwrap();
+        data[0] ^= u8::from(off_by_one);
+        Msg::Ipfs(IpfsWire::MergeOk {
+            data: Bytes::from(data),
+            req_id: *req_id,
+        })
+    }
+
+    fn recorded(actions: &[ProtocolAction<Msg>], wanted: &str) -> usize {
+        let is = |a: &&ProtocolAction<Msg>| matches!(a, ProtocolAction::Record { label, .. } if *label == wanted);
+        actions.iter().filter(is).count()
+    }
+
+    /// Regression: in verifiable merge-and-download the merged blob went
+    /// into the partial unchecked, so a storage node returning a wrong sum
+    /// got the honest aggregator's update rejected at the directory (and,
+    /// under accountability, the aggregator evicted). It must be refused,
+    /// booked as waste, and its members fetched one by one instead.
+    #[test]
+    fn a_wrong_merged_sum_is_refused_and_its_members_are_fetched_instead() {
+        for batch_verify in [false, true] {
+            let (mut agg, blobs, merges) = merging(batch_verify);
+            assert_eq!(merges.len(), 2, "one merge per provider");
+            let mut actions = deliver(&mut agg, merge_ok(&blobs, &merges[0], true));
+            actions.extend(deliver(&mut agg, merge_ok(&blobs, &merges[1], false)));
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0);
+            assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 1);
+            assert_eq!(recorded(&actions, labels::WASTED_BYTES), 1);
+            let gets: Vec<(u64, Cid)> = actions
+                .iter()
+                .filter_map(|action| match action {
+                    ProtocolAction::Send {
+                        msg: Msg::Ipfs(IpfsWire::Get { cid, req_id }),
+                        ..
+                    } => Some((*req_id, *cid)),
+                    _ => None,
+                })
+                .collect();
+            let fetched: Vec<Cid> = gets.iter().map(|&(_, cid)| cid).collect();
+            assert_eq!(fetched, merges[0].1, "batch_verify = {batch_verify}");
+
+            // The members' own blobs complete the round.
+            let mut actions = Vec::new();
+            for (req_id, cid) in gets {
+                let data = blobs.iter().find(|b| Cid::of(b) == cid).unwrap().clone();
+                let reply = IpfsWire::GetOk { cid, data, req_id };
+                actions.extend(deliver(&mut agg, Msg::Ipfs(reply)));
+            }
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
+            let everyone = blobs.iter().map(|b| decode_blob(b).unwrap());
+            let sum = encode(&sum_gradients(&everyone.collect::<Vec<_>>()).unwrap());
+            let uploads_the_true_sum = |a: &ProtocolAction<Msg>| matches!(a, ProtocolAction::Send { msg: Msg::Ipfs(IpfsWire::Put { data, .. }), .. } if data[..] == sum[..]);
+            assert!(actions.iter().any(uploads_the_true_sum));
+        }
+    }
+
+    #[test]
+    fn honest_merged_sums_still_aggregate() {
+        for batch_verify in [false, true] {
+            let (mut agg, blobs, merges) = merging(batch_verify);
+            let mut actions = deliver(&mut agg, merge_ok(&blobs, &merges[0], false));
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0, "one to go");
+            actions.extend(deliver(&mut agg, merge_ok(&blobs, &merges[1], false)));
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
+            assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 0);
+            assert_eq!(recorded(&actions, labels::WASTED_BYTES), 0);
+            // One check per merge reply, under either policy.
+            let verified: u64 = actions
+                .iter()
+                .map(|action| match action {
+                    ProtocolAction::Incr { label, delta } if *label == labels::BLOBS_VERIFIED => {
+                        *delta
+                    }
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(verified, 2, "batch_verify = {batch_verify}");
+        }
+    }
 
     /// Regression: a merge group naming a provider absent from the member
     /// map surfaces as [`IplsError::UnlistedProvider`] — the member lists

@@ -20,19 +20,18 @@ use bytes::Bytes;
 use dfl_ipfs::{Cid, IpfsWire};
 use dfl_netsim::{NodeId, SimDuration, SimTime};
 
-use dfl_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use dfl_crypto::schnorr::{SigningKey, VerifyingKey};
 
 use crate::accountability::{
     agg_verifying_key, directory_signing_key, Misbehavior, MisbehaviorKind, DIRECTORY_DETECTOR,
     EVIDENCE_TOPIC,
 };
 use crate::config::Topology;
-use crate::gradient::{
-    verify_blob_timed, verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
-};
+use crate::gradient::{verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey};
 use crate::labels;
 use crate::messages::{
-    batch_registration_message, registration_message, update_message, Msg, SignatureBytes,
+    batch_registration_message, registration_message, signed_by, update_message, Msg,
+    SignatureBytes,
 };
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
 
@@ -135,31 +134,19 @@ impl Directory {
         }
     }
 
-    /// Authenticates a registration; `true` when valid (or when the task
-    /// does not require authentication).
-    fn registration_authentic(
+    /// Whether `trainer` signed `message()`; `true` outright when the task
+    /// does not require authentication.
+    fn trainer_signed(
         &self,
         trainer: usize,
-        partition: usize,
-        iter: u64,
-        cid: &dfl_ipfs::Cid,
-        commitment: &Option<[u8; 33]>,
-        signature: &Option<[u8; 65]>,
+        signature: Option<SignatureBytes>,
+        message: impl FnOnce() -> Vec<u8>,
     ) -> bool {
         if !self.topo.config().authenticate {
             return true;
         }
-        let Some(vk) = self.trainer_keys.get(trainer) else {
-            return false;
-        };
-        let Some(sig_bytes) = signature else {
-            return false;
-        };
-        let Some(sig) = Signature::<ProtocolCurve>::from_bytes(sig_bytes) else {
-            return false;
-        };
-        let message = registration_message(trainer, partition, iter, cid, commitment);
-        vk.verify(&message, &sig)
+        let key = self.trainer_keys.get(trainer);
+        key.is_some_and(|vk| signed_by(vk, &message(), signature))
     }
 
     fn broadcast_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
@@ -182,13 +169,9 @@ impl Directory {
         iter: u64,
         agg_j: usize,
     ) -> Option<ProtocolCommitment> {
-        let commits = self.commitments.get(&(partition, iter))?;
         let trainers = self.topo.trainer_set(partition, agg_j);
-        let mut acc = ProtocolCommitment::identity();
-        for t in &trainers {
-            acc = acc.combine(commits.get(t)?);
-        }
-        Some(acc)
+        let trainers: Vec<u32> = trainers.into_iter().map(|t| t as u32).collect();
+        self.accumulated_subset(partition, iter, &trainers)
     }
 
     /// Accumulated commitment over *all* trainers of a partition — what a
@@ -274,12 +257,8 @@ impl Directory {
             // aggregator's identity key — the signature is what makes a
             // failed verification attributable (and evictable).
             let message = update_message(aggregator, partition, iter, &cid, &contributors);
-            let authentic = signature
-                .and_then(|b| Signature::<ProtocolCurve>::from_bytes(&b))
-                .is_some_and(|sig| {
-                    agg_verifying_key(self.topo.config().seed, aggregator).verify(&message, &sig)
-                });
-            if !authentic {
+            let vk = agg_verifying_key(self.topo.config().seed, aggregator);
+            if !signed_by(&vk, &message, signature) {
                 out.record(labels::FORGED_REGISTRATION, aggregator as f64);
                 return;
             }
@@ -297,43 +276,30 @@ impl Directory {
                 return;
             }
         }
-        if !self.contributors_admissible(&contributors) {
-            let pv = PendingVerify {
-                partition,
-                iter,
-                aggregator,
-                cid,
-                from,
-                verdict: false,
-                contributors,
-                signature,
-                blob: Vec::new(),
-            };
+        let pv = PendingVerify {
+            partition,
+            iter,
+            aggregator,
+            cid,
+            from,
+            verdict: false,
+            contributors,
+            signature,
+            blob: Vec::new(),
+        };
+        if !self.contributors_admissible(&pv.contributors) {
             self.reject_update(out, &pv);
-            return;
-        }
-        if self.key.is_some() {
+        } else if self.key.is_some() {
             // Fetch the update blob from storage, then verify.
             self.next_req += 1;
-            let req_id = self.next_req;
-            self.fetching.insert(
-                req_id,
-                PendingVerify {
-                    partition,
-                    iter,
-                    aggregator,
-                    cid,
-                    from,
-                    verdict: false,
-                    contributors,
-                    signature,
-                    blob: Vec::new(),
-                },
-            );
-            let get = IpfsWire::Get { cid, req_id };
+            let get = IpfsWire::Get {
+                cid,
+                req_id: self.next_req,
+            };
+            self.fetching.insert(self.next_req, pv);
             out.send(self.topo.ipfs_node(0), Msg::Ipfs(get));
         } else {
-            self.accept_update(out, partition, iter, cid, contributors);
+            self.accept_update(out, partition, iter, cid, pv.contributors);
         }
     }
 
@@ -480,18 +446,11 @@ impl Directory {
             out.incr(labels::MISSING_COMMIT_KEY, 1);
             return;
         };
-        let verdict = ok
-            && match self.expected_for_update(pv.partition, pv.iter, &pv.contributors) {
-                // Audited updates arrive one storage reply at a time, so
-                // batch mode sees them as singleton batches; the ledger
-                // and the virtual TK_VERIFY charge below are unchanged.
-                Some(acc) if self.topo.config().batch_verify => {
-                    verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty()
-                }
-                Some(acc) => verify_blob_timed(out, &key, data, &acc),
-                None => false, // not all gradients registered: incomplete
-            };
-        pv.verdict = verdict;
+        // Updates arrive one storage reply at a time: each is checked on
+        // arrival as a batch of one. `None` = not all gradients registered.
+        let expected = self.expected_for_update(pv.partition, pv.iter, &pv.contributors);
+        let opens = |acc| verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty();
+        pv.verdict = ok && expected.is_some_and(opens);
         pv.blob = data.to_vec();
         // Charge the virtual verification time, then apply the verdict.
         let elements = (data.len() / 8).max(1) as u64;
@@ -500,6 +459,32 @@ impl Directory {
         let token = TK_VERIFY | self.next_verify;
         self.verifying.insert(self.next_verify, pv);
         out.set_timer(SimDuration::from_micros(us), token);
+    }
+
+    /// Books one authenticated gradient registration.
+    fn register_gradient(
+        &mut self,
+        out: &mut Actions<Msg>,
+        trainer: usize,
+        partition: usize,
+        iter: u64,
+        cid: Cid,
+        commitment: Option<[u8; 33]>,
+    ) {
+        if self.first_hash_seen.insert(iter) {
+            out.record(labels::FIRST_GRADIENT_HASH, iter as f64);
+        }
+        let round = (partition, iter);
+        self.gradients
+            .entry(round)
+            .or_default()
+            .insert(trainer, cid);
+        if let Some(c) = commitment.and_then(|b| ProtocolCommitment::from_bytes(&b)) {
+            self.commitments
+                .entry(round)
+                .or_default()
+                .insert(trainer, c);
+        }
     }
 
     fn maybe_finish_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
@@ -574,36 +559,13 @@ impl Directory {
                 entries,
                 signature,
             } => {
-                let authentic = if self.topo.config().authenticate {
-                    let msg_bytes = batch_registration_message(trainer, iter, &entries);
-                    self.trainer_keys.get(trainer).is_some_and(|vk| {
-                        signature
-                            .and_then(|b| Signature::<ProtocolCurve>::from_bytes(&b))
-                            .is_some_and(|sig| vk.verify(&msg_bytes, &sig))
-                    })
-                } else {
-                    true
-                };
-                if !authentic {
+                let message = || batch_registration_message(trainer, iter, &entries);
+                if !self.trainer_signed(trainer, signature, message) {
                     out.record(labels::FORGED_REGISTRATION, trainer as f64);
                     return;
                 }
-                if self.first_hash_seen.insert(iter) {
-                    out.record(labels::FIRST_GRADIENT_HASH, iter as f64);
-                }
                 for (partition, cid, commitment) in entries {
-                    self.gradients
-                        .entry((partition, iter))
-                        .or_default()
-                        .insert(trainer, cid);
-                    if let Some(bytes) = commitment {
-                        if let Some(c) = ProtocolCommitment::from_bytes(&bytes) {
-                            self.commitments
-                                .entry((partition, iter))
-                                .or_default()
-                                .insert(trainer, c);
-                        }
-                    }
+                    self.register_gradient(out, trainer, partition, iter, cid, commitment);
                 }
             }
             Msg::RegisterGradient {
@@ -614,33 +576,13 @@ impl Directory {
                 commitment,
                 signature,
             } => {
-                if !self.registration_authentic(
-                    trainer,
-                    partition,
-                    iter,
-                    &cid,
-                    &commitment,
-                    &signature,
-                ) {
+                let message = || registration_message(trainer, partition, iter, &cid, &commitment);
+                if !self.trainer_signed(trainer, signature, message) {
                     // Forged or unsigned registration: discard and flag.
                     out.record(labels::FORGED_REGISTRATION, trainer as f64);
                     return;
                 }
-                if self.first_hash_seen.insert(iter) {
-                    out.record(labels::FIRST_GRADIENT_HASH, iter as f64);
-                }
-                self.gradients
-                    .entry((partition, iter))
-                    .or_default()
-                    .insert(trainer, cid);
-                if let Some(bytes) = commitment {
-                    if let Some(c) = ProtocolCommitment::from_bytes(&bytes) {
-                        self.commitments
-                            .entry((partition, iter))
-                            .or_default()
-                            .insert(trainer, c);
-                    }
-                }
+                self.register_gradient(out, trainer, partition, iter, cid, commitment);
             }
             Msg::QueryGradients {
                 partition,

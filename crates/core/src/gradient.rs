@@ -8,10 +8,15 @@
 //! merging, aggregator summation, and Pedersen commitments all operate in
 //! the same exact arithmetic.
 
+use std::sync::Arc;
+
+use bytes::Bytes;
+
 use dfl_crypto::curve::Secp256k1;
 use dfl_crypto::pedersen::{CommitKey, Commitment};
 use dfl_crypto::quantize::{decode, to_scalars, Quantized};
 
+use crate::config::TaskConfig;
 use crate::error::IplsError;
 use crate::protocol::Actions;
 
@@ -114,28 +119,7 @@ pub fn verify_blob(key: &ProtocolKey, blob: &[u8], commitment: &ProtocolCommitme
     }
 }
 
-/// [`verify_blob`], recording the wall-clock cost into the run's
-/// [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) histogram. Wall-clock
-/// time is real (not simulated) and varies run to run; determinism
-/// comparisons deliberately cover only events and byte counters.
-pub fn verify_blob_timed<M>(
-    out: &mut Actions<M>,
-    key: &ProtocolKey,
-    blob: &[u8],
-    commitment: &ProtocolCommitment,
-) -> bool {
-    let started = std::time::Instant::now();
-    let ok = verify_blob(key, blob, commitment);
-    out.observe(
-        crate::labels::VERIFY_MS,
-        started.elapsed().as_secs_f64() * 1e3,
-    );
-    out.incr(crate::labels::BLOBS_VERIFIED, 1);
-    out.observe(crate::labels::VERIFY_BATCHED, 1.0);
-    ok
-}
-
-/// Verifies a whole queue of `(blob, commitment)` pairs with one
+/// Verifies a batch of `(blob, commitment)` pairs *now* with one
 /// random-linear-combination check ([`CommitKey::batch_check`]), bisecting
 /// on failure so the returned indices are exactly the pairs that
 /// [`verify_blob`] would reject one at a time — malformed blobs included.
@@ -143,17 +127,20 @@ pub fn verify_blob_timed<M>(
 /// determine the decoded scalars), which keeps transcript hashing at 8
 /// bytes per element.
 ///
-/// Books one [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) sample for
-/// the whole flush, bumps
-/// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) by the queue
-/// length, and records the batch size under
-/// [`labels::VERIFY_BATCHED`](crate::labels::VERIFY_BATCHED) — the same
-/// ledger totals as running [`verify_blob_timed`] per blob.
+/// This is the arrival-time check of every core, whatever the task's
+/// verification policy: a blob that arrives alone (a recovered gradient,
+/// an audited update, a peer partial, the overlay root's partial) is a
+/// batch of one, a stash drain or an overlay level is a batch of `n`.
+/// Below `RLC_MIN_BATCH` entries `batch_culprits` recommits each entry,
+/// so a singleton costs exactly one [`verify_blob`].
 ///
-/// Use this when the batch is verified at the same simulated instant the
-/// per-blob path would have verified each item (singleton batches, stash
-/// drains). Deferred queues that count blobs at enqueue time call
-/// [`flush_verify_queue`] instead.
+/// Books one [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) sample for
+/// the whole batch (wall-clock time is real, not simulated, and varies
+/// run to run; determinism comparisons deliberately cover only events and
+/// counters), bumps
+/// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) by the batch
+/// length, and records the batch size under
+/// [`labels::VERIFY_BATCHED`](crate::labels::VERIFY_BATCHED).
 ///
 /// Returns the sorted indices of the failing pairs (empty = all verified).
 pub fn verify_blobs_timed<M>(
@@ -162,21 +149,16 @@ pub fn verify_blobs_timed<M>(
     items: &[(&[u8], &ProtocolCommitment)],
 ) -> Vec<usize> {
     if items.is_empty() {
-        return Vec::new();
+        return Vec::new(); // nothing booked: an empty batch is no check
     }
     out.incr(crate::labels::BLOBS_VERIFIED, items.len() as u64);
-    flush_verify_queue(out, key, items)
+    timed_culprits(out, key, items)
 }
 
 /// [`verify_blobs_timed`] minus the
-/// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) bump: books
-/// the [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) wall-clock sample
-/// and the [`labels::VERIFY_BATCHED`](crate::labels::VERIFY_BATCHED) batch
-/// size, but leaves blob counting to the caller. Deferred verification
-/// queues bump the counter when a blob is *enqueued* — the instant the
-/// per-blob path verifies it — so counter totals stay identical across
-/// modes even in rounds that stall before any flush happens.
-pub fn flush_verify_queue<M>(
+/// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) bump, which a
+/// [`VerifyQueue`] books when a blob is admitted.
+fn timed_culprits<M>(
     out: &mut Actions<M>,
     key: &ProtocolKey,
     items: &[(&[u8], &ProtocolCommitment)],
@@ -208,6 +190,72 @@ pub fn flush_verify_queue<M>(
     );
     out.observe(crate::labels::VERIFY_BATCHED, items.len() as f64);
     culprits
+}
+
+/// The blobs a core has taken in but not yet used, each with the
+/// commitment it must open and a caller-chosen tag `T` naming what to undo
+/// if it does not. The task's verification policy is read once, here:
+///
+/// * **per-blob** — [`admit`](Self::admit) checks the blob on the spot (a
+///   batch of one) and nothing is ever pending;
+/// * **deferred** (`batch_verify`) — `admit` accepts optimistically and
+///   [`settle`](Self::settle) runs one RLC check over everything admitted
+///   since the last settle, at the point the caller is about to consume
+///   the blobs.
+///
+/// Both policies name the same culprits (`batch_culprits` bisects down to
+/// per-entry recommits) and book the same
+/// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) total: a
+/// deferred blob is counted when admitted — the instant the per-blob
+/// policy verifies it — so the totals agree even for a round that stalls
+/// before it settles.
+pub struct VerifyQueue<T> {
+    key: Arc<ProtocolKey>,
+    deferred: bool,
+    pending: Vec<(T, Bytes, ProtocolCommitment)>,
+}
+
+impl<T> VerifyQueue<T> {
+    /// An empty queue checking against `key` under `cfg`'s policy.
+    pub fn new(key: Arc<ProtocolKey>, cfg: &TaskConfig) -> VerifyQueue<T> {
+        VerifyQueue {
+            key,
+            deferred: cfg.batch_verify,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Takes `blob` in. `false` means it was checked now and does not open
+    /// `commitment`; `true` means it did, or that the verdict waits for
+    /// [`settle`](Self::settle).
+    pub fn admit<M>(
+        &mut self,
+        out: &mut Actions<M>,
+        tag: T,
+        blob: &Bytes,
+        commitment: ProtocolCommitment,
+    ) -> bool {
+        if self.deferred {
+            out.incr(crate::labels::BLOBS_VERIFIED, 1);
+            self.pending.push((tag, blob.clone(), commitment));
+            return true;
+        }
+        verify_blobs_timed(out, &self.key, &[(blob, &commitment)]).is_empty()
+    }
+
+    /// Checks everything pending as one batch and returns the tags of the
+    /// blobs that do not open their commitment, in admission order. Free
+    /// when nothing is pending — always, under the per-blob policy.
+    pub fn settle<M>(&mut self, out: &mut Actions<M>) -> Vec<T> {
+        let pending = std::mem::take(&mut self.pending);
+        let items: Vec<(&[u8], &ProtocolCommitment)> =
+            pending.iter().map(|(_, blob, c)| (&blob[..], c)).collect();
+        let culprits = timed_culprits(out, &self.key, &items);
+        let tags = pending.into_iter().map(|(tag, ..)| tag).enumerate();
+        tags.filter(|(i, _)| culprits.binary_search(i).is_ok())
+            .map(|(_, tag)| tag)
+            .collect()
+    }
 }
 
 /// Derives the protocol commitment key for a task: enough generators for
@@ -541,5 +589,92 @@ mod tests {
                 "case {case}, n = {n}"
             );
         }
+    }
+
+    /// The ledger entries one verification books: (`BLOBS_VERIFIED` total,
+    /// `VERIFY_MS` samples, `VERIFY_BATCHED` samples).
+    fn ledger(out: &mut Actions<()>) -> (u64, usize, Vec<f64>) {
+        use crate::labels::{BLOBS_VERIFIED, VERIFY_BATCHED, VERIFY_MS};
+        use crate::protocol::ProtocolAction::{Incr, Observe};
+        let (mut verified, mut timed, mut batches) = (0, 0, Vec::new());
+        for action in out.drain() {
+            match action {
+                Incr { label, delta } if label == BLOBS_VERIFIED => verified += delta,
+                Observe { label, .. } if label == VERIFY_MS => timed += 1,
+                Observe { label, value } if label == VERIFY_BATCHED => batches.push(value),
+                other => panic!("unexpected action {other:?}"),
+            }
+        }
+        (verified, timed, batches)
+    }
+
+    fn queue(key: &Arc<ProtocolKey>, batch_verify: bool) -> VerifyQueue<usize> {
+        let cfg = TaskConfig {
+            batch_verify,
+            ..TaskConfig::default()
+        };
+        VerifyQueue::new(key.clone(), &cfg)
+    }
+
+    #[test]
+    fn both_policies_name_the_same_culprits_and_count_the_same_blobs() {
+        // Eight blobs, enough for `settle` to take the RLC path: six honest,
+        // one altered after it was committed to, one that does not decode.
+        let key = Arc::new(derive_key(3, 5, true));
+        let mut blobs: Vec<Bytes> = (0..8)
+            .map(|i| Bytes::from(build_blob(&[i as f32, 0.5, -1.0])))
+            .collect();
+        let commits: Vec<ProtocolCommitment> = blobs
+            .iter()
+            .map(|b| commit_blob(&key, b).unwrap())
+            .collect();
+        let mut corrupt = blobs[2].to_vec();
+        corrupt[0] ^= 1;
+        blobs[2] = Bytes::from(corrupt);
+        blobs[5] = blobs[5].slice(..blobs[5].len() - 3);
+
+        let mut out = Actions::<()>::new();
+        let mut per_blob = queue(&key, false);
+        let rejected: Vec<usize> = (0..8)
+            .filter(|&i| !per_blob.admit(&mut out, i, &blobs[i], commits[i]))
+            .collect();
+        assert_eq!(rejected, [2, 5]);
+        let (verified, timed, batches) = ledger(&mut out);
+        assert_eq!((verified, timed), (8, 8));
+        assert_eq!(batches, [1.0; 8]);
+        assert!(per_blob.settle(&mut out).is_empty(), "nothing ever pends");
+        assert!(out.is_empty(), "and an empty settle books nothing");
+
+        let mut deferred = queue(&key, true);
+        for i in 0..8 {
+            assert!(deferred.admit(&mut out, i, &blobs[i], commits[i]));
+        }
+        // Counted when admitted: a round that stalls before it settles has
+        // the per-blob policy's total all the same.
+        assert_eq!(ledger(&mut out), (8, 0, vec![]));
+        assert_eq!(deferred.settle(&mut out), rejected);
+        assert_eq!(ledger(&mut out), (0, 1, vec![8.0]));
+        assert!(deferred.settle(&mut out).is_empty(), "settled once");
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_batch_of_one_books_what_a_single_verification_did() {
+        // `BLOBS_VERIFIED` + 1, one `VERIFY_MS` sample, `VERIFY_BATCHED`
+        // 1.0 — `verify_blob_timed`'s ledger before it became this call.
+        let key = Arc::new(derive_key(2, 5, false));
+        let blob = Bytes::from(build_blob(&[1.0, 2.0]));
+        let commitment = commit_blob(&key, &blob).unwrap();
+        let other = commit_blob(&key, &build_blob(&[2.0, 1.0])).unwrap();
+        let mut out = Actions::<()>::new();
+        for (against, opens) in [(commitment, true), (other, false)] {
+            let culprits = verify_blobs_timed(&mut out, &key, &[(&blob, &against)]);
+            assert_eq!(culprits.is_empty(), opens);
+            assert_eq!(ledger(&mut out), (1, 1, vec![1.0]));
+            assert_eq!(queue(&key, false).admit(&mut out, 0, &blob, against), opens);
+            assert_eq!(ledger(&mut out), (1, 1, vec![1.0]));
+        }
+        assert!(verify_blobs_timed(&mut out, &key, &[]).is_empty());
+        assert!(out.is_empty(), "an empty batch is no check");
     }
 }

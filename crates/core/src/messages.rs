@@ -6,13 +6,28 @@
 //! rides inside the storage messages. The enum, its byte layout and its
 //! simulated cost all come from the one table in [`msg_schema!`](crate::msg_schema).
 
+use dfl_crypto::schnorr::{Signature, VerifyingKey};
 use dfl_ipfs::{Cid, DecodeError, IpfsWire, WireCost, WireEmbed};
+
+use crate::gradient::ProtocolCurve;
 
 /// A serialized Pedersen commitment (compressed secp256k1 point).
 pub type CommitmentBytes = [u8; 33];
 
 /// A serialized Schnorr signature.
 pub type SignatureBytes = [u8; 65];
+
+/// Whether `signature` is present, well-formed and `key`'s signature over
+/// `message` — the one check every signed message below passes through.
+pub fn signed_by(
+    key: &VerifyingKey<ProtocolCurve>,
+    message: &[u8],
+    signature: Option<SignatureBytes>,
+) -> bool {
+    signature
+        .and_then(|bytes| Signature::from_bytes(&bytes))
+        .is_some_and(|sig| key.verify(message, &sig))
+}
 
 /// Canonical byte string a trainer signs when batch-registering a whole
 /// round (`compact_registration` mode): one signature binds every

@@ -17,18 +17,18 @@ use dfl_ml::{local_update, Dataset, Model, SgdConfig};
 use dfl_netsim::{NodeId, SimDuration, SimTime};
 
 use dfl_crypto::quantize::encode;
-use dfl_crypto::schnorr::{Signature, SigningKey};
+use dfl_crypto::schnorr::SigningKey;
 
 use crate::accountability::agg_verifying_key;
-use crate::config::{CommMode, Topology};
+use crate::config::{CommMode, TaskConfig, Topology};
 use crate::gradient::{
-    build_blob, commit_blob, decode_blob, decode_update, flush_verify_queue, sum_gradients,
-    verify_blob_timed, verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey,
+    build_blob, commit_blob, decode_blob, decode_update, sum_gradients, verify_blobs_timed,
+    ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
 use crate::messages::{
     batch_registration_message, overlay_partial_message, overlay_update_message,
-    registration_message, Msg,
+    registration_message, signed_by, Msg,
 };
 use crate::overlay::OverlayTree;
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
@@ -50,7 +50,89 @@ type ChildPartial = (usize, Bytes, u64, [u8; 33], Option<[u8; 65]>);
 /// its own thread; in the single-threaded simulator the lock is free.
 pub type ParamSink = Arc<Mutex<HashMap<usize, Vec<f32>>>>;
 
-/// The trainer actor.
+/// The overlay half of a trainer: the tree, the key every child opening
+/// is checked against, and the child partials that arrived for this or a
+/// later round. Built once, when the task has both a tree and a key, so
+/// nothing downstream has to ask for either again.
+struct Overlay {
+    tree: OverlayTree,
+    key: Arc<ProtocolKey>,
+    /// Child partials buffered per `(iter, partition)`. Keyed by round
+    /// because a fast child can send its level's partial before this
+    /// node's own `StartRound` arrives.
+    children: HashMap<(u64, usize), Vec<ChildPartial>>,
+    /// Children already counted into a `(iter, partition)` buffer —
+    /// duplicates (retransmissions, Byzantine replays) are dropped.
+    seen: HashSet<(u64, usize, usize)>,
+}
+
+/// Update verification by the trainer itself (`trainer_verifies`, §IV-B
+/// "can be performed by any participant").
+struct UpdateCheck {
+    /// Total accumulated commitment per partition.
+    accumulators: HashMap<usize, ProtocolCommitment>,
+    /// Update blobs awaiting an accumulator to verify against.
+    stashed: HashMap<usize, Bytes>,
+    /// Updates taken in, tagged by partition; settled when the last
+    /// partition arrives and the round is about to finish.
+    queue: VerifyQueue<usize>,
+}
+
+/// One round of the TRAINER procedure: built when `StartRound` arrives,
+/// dropped when the next one does.
+#[derive(Default)]
+struct Round {
+    iter: u64,
+    start: SimTime,
+    finished: bool,
+    /// Blob + commitment per partition. The commitment stays a point until
+    /// it is sent: serialising costs a field inversion and parsing back a
+    /// square root, and an overlay node combines its own with its
+    /// children's before anything goes out.
+    blobs: HashMap<usize, (Bytes, Option<ProtocolCommitment>)>,
+    /// Put request id → partition awaiting its ack; empty again when the
+    /// round's upload is done.
+    pending_acks: HashMap<u64, usize>,
+    /// Get request id → (partition, update cid): the partitions being
+    /// fetched (update download de-dup), kept for retransmission.
+    pending_gets: HashMap<u64, (usize, Cid)>,
+    /// Downloaded averaged partitions.
+    received: HashMap<usize, Vec<f32>>,
+    /// Acked registrations awaiting the batched send (compact mode).
+    batch_entries: Vec<(usize, Cid, Option<[u8; 33]>)>,
+    /// Present in trainer-verification mode only.
+    check: Option<UpdateCheck>,
+    /// Overlay mode: own blobs are built and the node may compose/forward
+    /// (set when the TK_TRAIN timer fires, i.e. local training finished).
+    overlay_ready: bool,
+    /// Overlay mode: partitions whose level partial already went up.
+    overlay_sent: HashSet<usize>,
+}
+
+impl Round {
+    fn new(iter: u64, start: SimTime, cfg: &TaskConfig, key: Option<&Arc<ProtocolKey>>) -> Round {
+        let check = key.filter(|_| cfg.trainer_verifies).cloned();
+        Round {
+            iter,
+            start,
+            check: check.map(|key| UpdateCheck {
+                accumulators: HashMap::new(),
+                stashed: HashMap::new(),
+                queue: VerifyQueue::new(key, cfg),
+            }),
+            ..Round::default()
+        }
+    }
+
+    fn fetching(&self, partition: usize) -> bool {
+        self.pending_gets.values().any(|&(p, _)| p == partition)
+    }
+}
+
+/// The trainer actor. Beside the round it holds only what outlives one:
+/// identity, model and data, the blocks to unpin when the next round
+/// starts, armed-timer flags, the request counter, and the overlay's
+/// buffers for rounds this node has not started yet.
 pub struct Trainer<M: Model> {
     t: usize,
     topo: Arc<Topology>,
@@ -61,36 +143,8 @@ pub struct Trainer<M: Model> {
     /// Current global model parameters (updated every round).
     params: Vec<f32>,
     sink: ParamSink,
-
-    // -- per-round state ----------------------------------------------------
-    iter: u64,
-    round_start: SimTime,
-    finished: bool,
-    /// Blob + commitment per partition for the current round. The
-    /// commitment stays a point until it is sent: serialising costs a field
-    /// inversion and parsing back a square root, and an overlay node
-    /// combines its own with its children's before anything goes out.
-    blobs: HashMap<usize, (Bytes, Option<ProtocolCommitment>)>,
-    /// Put request id → partition awaiting its ack.
-    pending_acks: HashMap<u64, usize>,
-    acked: usize,
-    /// Partitions currently being fetched (update download de-dup).
-    fetching: HashSet<usize>,
-    /// Get request id → (partition, update cid), kept for retransmission.
-    pending_gets: HashMap<u64, (usize, Cid)>,
-    /// Downloaded averaged partitions.
-    received: HashMap<usize, Vec<f32>>,
-    /// Acked registrations awaiting the batched send (compact mode).
-    batch_entries: Vec<(usize, Cid, Option<[u8; 33]>)>,
-    /// Total accumulated commitment per partition (trainer-verification
-    /// mode, §IV-B "can be performed by any participant").
-    accumulators: HashMap<usize, ProtocolCommitment>,
-    /// Update blobs awaiting an accumulator to verify against.
-    unverified_updates: HashMap<usize, Bytes>,
-    /// Deferred verification queue (`batch_verify` mode): update blobs
-    /// accepted optimistically, settled with one RLC batch check when the
-    /// last partition arrives and the round is about to finish.
-    pending_verify: Vec<(usize, Bytes, ProtocolCommitment)>,
+    round: Round,
+    overlay: Option<Overlay>,
     /// Blocks uploaded in the current round, released at the next round
     /// (ephemeral storage lifecycle, §VI).
     uploads: Vec<(NodeId, Cid)>,
@@ -100,20 +154,6 @@ pub struct Trainer<M: Model> {
     /// Whether a storage-retransmission timer is armed.
     retrying: bool,
     next_req: u64,
-
-    // -- overlay mode --------------------------------------------------------
-    /// Child partials buffered per `(iter, partition)`. Keyed by round
-    /// because a fast child can send its level's partial before this
-    /// node's own `StartRound` arrives.
-    overlay_children: HashMap<(u64, usize), Vec<ChildPartial>>,
-    /// Children already counted into a `(iter, partition)` buffer —
-    /// duplicates (retransmissions, Byzantine replays) are dropped.
-    overlay_seen: HashSet<(u64, usize, usize)>,
-    /// Own blobs are built and the node may compose/forward (set when the
-    /// TK_TRAIN timer fires, i.e. local training finished).
-    overlay_ready: bool,
-    /// Partitions whose level partial already went up this round.
-    overlay_sent: HashSet<usize>,
 }
 
 impl<M: Model> Trainer<M> {
@@ -138,8 +178,16 @@ impl<M: Model> Trainer<M> {
             .config()
             .authenticate
             .then(|| SigningKey::derive(&topo.config().seed.to_be_bytes(), t as u64));
+        let overlay = topo.overlay().zip(key.clone()).map(|(tree, key)| Overlay {
+            tree,
+            key,
+            children: HashMap::new(),
+            seen: HashSet::new(),
+        });
         Trainer {
             t,
+            round: Round::new(0, SimTime::ZERO, topo.config(), key.as_ref()),
+            overlay,
             topo,
             key,
             model,
@@ -147,41 +195,45 @@ impl<M: Model> Trainer<M> {
             sgd,
             params: initial_params,
             sink,
-            iter: 0,
-            round_start: SimTime::ZERO,
-            finished: false,
-            blobs: HashMap::new(),
-            pending_acks: HashMap::new(),
-            acked: 0,
-            fetching: HashSet::new(),
-            pending_gets: HashMap::new(),
-            received: HashMap::new(),
-            batch_entries: Vec::new(),
-            accumulators: HashMap::new(),
-            unverified_updates: HashMap::new(),
-            pending_verify: Vec::new(),
             uploads: Vec::new(),
             signing_key,
             polling: false,
             retrying: false,
             next_req: 0,
-            overlay_children: HashMap::new(),
-            overlay_seen: HashSet::new(),
-            overlay_ready: false,
-            overlay_sent: HashSet::new(),
         }
     }
 
-    fn sign_registration(
-        &self,
-        partition: usize,
-        cid: &Cid,
-        commitment: &Option<[u8; 33]>,
-    ) -> Option<[u8; 65]> {
-        self.signing_key.as_ref().map(|key| {
-            let message = registration_message(self.t, partition, self.iter, cid, commitment);
+    /// Registers partition `partition`'s hash (and commitment) with the
+    /// directory, signed in authenticated mode.
+    fn register(&self, out: &mut Actions<Msg>, partition: usize, cid: Cid) {
+        let commitment = self.round.blobs[&partition].1.map(|c| c.to_bytes());
+        let signature = self.signing_key.as_ref().map(|key| {
+            let message =
+                registration_message(self.t, partition, self.round.iter, &cid, &commitment);
             key.sign(&message).to_bytes()
-        })
+        });
+        let msg = Msg::RegisterGradient {
+            trainer: self.t,
+            partition,
+            iter: self.round.iter,
+            cid,
+            commitment,
+            signature,
+        };
+        out.send(self.topo.directory(), msg);
+    }
+
+    /// (Re-)sends the `Put` of `partition`'s blob under request id `req_id`.
+    fn send_put(&self, out: &mut Actions<Msg>, req_id: u64, partition: usize) {
+        let Ok(to) = self.topo.upload_target(partition, self.t) else {
+            return; // unreachable: puts only exist in the storage-backed modes
+        };
+        let put = IpfsWire::Put {
+            data: self.round.blobs[&partition].0.clone(),
+            req_id,
+            replicate: self.topo.config().replication,
+        };
+        out.send(to, Msg::Ipfs(put));
     }
 
     fn fresh_req(&mut self) -> u64 {
@@ -192,29 +244,17 @@ impl<M: Model> Trainer<M> {
     /// Deterministic per-round training seed, aligned with
     /// [`dfl_ml::FedAvg::run`] so pipelines can be compared exactly.
     fn round_seed(&self) -> u64 {
-        self.topo.config().seed + self.iter * 1000 + self.t as u64
+        self.topo.config().seed + self.round.iter * 1000 + self.t as u64
     }
 
     fn begin_round(&mut self, now: SimTime, out: &mut Actions<Msg>, iter: u64) {
-        self.iter = iter;
-        self.round_start = now;
-        self.finished = false;
-        self.blobs.clear();
-        self.pending_acks.clear();
-        self.acked = 0;
-        self.fetching.clear();
-        self.pending_gets.clear();
-        self.received.clear();
-        self.batch_entries.clear();
-        self.accumulators.clear();
-        self.unverified_updates.clear();
-        self.pending_verify.clear();
-        self.overlay_ready = false;
-        self.overlay_sent.clear();
+        self.round = Round::new(iter, now, self.topo.config(), self.key.as_ref());
         // Keep buffered partials for this and later rounds (children may
         // race ahead of our StartRound); drop anything older.
-        self.overlay_children.retain(|&(i, _), _| i >= iter);
-        self.overlay_seen.retain(|&(i, _, _)| i >= iter);
+        if let Some(overlay) = &mut self.overlay {
+            overlay.children.retain(|&(i, _), _| i >= iter);
+            overlay.seen.retain(|&(i, _, _)| i >= iter);
+        }
 
         // Release last round's gradient blobs: they have served their
         // purpose once the round completed (§VI ephemeral-data lifecycle).
@@ -243,7 +283,7 @@ impl<M: Model> Trainer<M> {
                 commit_elements += (e - s + 1) as u64;
                 commit_blob(key, &blob).expect("locally built blob is well-formed")
             });
-            self.blobs.insert(i, (blob, commitment));
+            self.round.blobs.insert(i, (blob, commitment));
         }
 
         let compute = self.topo.config().train_compute
@@ -256,16 +296,16 @@ impl<M: Model> Trainer<M> {
         // partials climb the aggregation tree, the final model rides the
         // same edges back down, and lateness is governed by the per-level
         // deadline rather than the flat t_train cut-off.
-        if let Some(tree) = self.topo.overlay() {
-            self.upload_overlay(out, &tree);
+        if let Some(tree) = self.overlay.as_ref().map(|overlay| overlay.tree) {
+            self.upload_overlay(out, tree);
             return;
         }
         // Abort the round if training blew the t_train deadline
         // (Algorithm 1, lines 10–12): skip uploading, but keep polling so
         // the trainer still picks up the next global model.
-        let deadline = self.round_start + self.topo.config().t_train;
+        let deadline = self.round.start + self.topo.config().t_train;
         if now > deadline {
-            out.record(labels::TRAIN_ABORT, self.iter as f64);
+            out.record(labels::TRAIN_ABORT, self.round.iter as f64);
             self.start_polling(out);
             return;
         }
@@ -273,55 +313,29 @@ impl<M: Model> Trainer<M> {
         match self.topo.config().comm {
             CommMode::Direct => {
                 for i in 0..self.topo.config().partitions {
-                    let (blob, commitment) = &self.blobs[&i];
-                    let commitment = commitment.map(|c| c.to_bytes());
+                    let blob = &self.round.blobs[&i].0;
                     let j = self.topo.agg_for_trainer(i, self.t);
                     let to = self.topo.aggregator(self.topo.agg_index(i, j));
                     let msg = Msg::DirectGradient {
                         trainer: self.t,
                         partition: i,
-                        iter: self.iter,
+                        iter: self.round.iter,
                         data: blob.clone(),
                     };
                     out.send(to, msg);
                     // Register the hash (and commitment) with the directory
                     // so the aggregation-delay metric and the verification
                     // path work identically across communication modes.
-                    let cid = Cid::of(blob);
-                    let signature = self.sign_registration(i, &cid, &commitment);
-                    let register = Msg::RegisterGradient {
-                        trainer: self.t,
-                        partition: i,
-                        iter: self.iter,
-                        cid,
-                        commitment,
-                        signature,
-                    };
-                    out.send(self.topo.directory(), register);
+                    self.register(out, i, Cid::of(blob));
                 }
                 self.start_polling(out);
             }
             CommMode::Indirect | CommMode::MergeAndDownload => {
-                out.record(labels::UPLOAD_START, self.iter as f64);
+                out.record(labels::UPLOAD_START, self.round.iter as f64);
                 for i in 0..self.topo.config().partitions {
-                    let (blob, _) = &self.blobs[&i];
-                    let req_id = self.next_req + 1;
-                    self.next_req = req_id;
-                    self.pending_acks.insert(req_id, i);
-                    let replicate = self.topo.config().replication;
-                    let put = IpfsWire::Put {
-                        data: blob.clone(),
-                        req_id,
-                        replicate,
-                    };
-                    // Truly local invariant: this match arm only runs in the
-                    // storage-backed comm modes, where every partition has a
-                    // storage route by construction.
-                    let to = self
-                        .topo
-                        .upload_target(i, self.t)
-                        .expect("storage-backed mode routes uploads through storage");
-                    out.send(to, Msg::Ipfs(put));
+                    let req_id = self.fresh_req();
+                    self.round.pending_acks.insert(req_id, i);
+                    self.send_put(out, req_id, i);
                 }
                 self.arm_retry(out);
             }
@@ -331,9 +345,9 @@ impl<M: Model> Trainer<M> {
     /// Overlay upload: leaves forward their partial immediately; interior
     /// nodes arm the level deadline and forward each partition as its
     /// children complete (buffered partials may already be waiting).
-    fn upload_overlay(&mut self, out: &mut Actions<Msg>, tree: &OverlayTree) {
-        out.record(labels::UPLOAD_START, self.iter as f64);
-        self.overlay_ready = true;
+    fn upload_overlay(&mut self, out: &mut Actions<Msg>, tree: OverlayTree) {
+        out.record(labels::UPLOAD_START, self.round.iter as f64);
+        self.round.overlay_ready = true;
         if !tree.children(self.t).is_empty() {
             // Deeper interior nodes get earlier deadlines, so a partial
             // forwarded on timeout still has a level's budget to climb
@@ -341,10 +355,10 @@ impl<M: Model> Trainer<M> {
             let depth_below = (tree.levels() - tree.level(self.t)) as u64;
             let deadline =
                 SimDuration::from_micros(self.topo.config().t_sync.as_micros() * depth_below);
-            out.set_timer(deadline, TK_OVERLAY | (self.iter & 0xFFFF_FFFF));
+            out.set_timer(deadline, TK_OVERLAY | (self.round.iter & 0xFFFF_FFFF));
         }
         for i in 0..self.topo.config().partitions {
-            self.try_forward_overlay(out, tree, i, false);
+            self.try_forward_overlay(out, i, false);
         }
     }
 
@@ -355,20 +369,18 @@ impl<M: Model> Trainer<M> {
     /// summed with this node's own gradient, the commitments are combined
     /// homomorphically, and a single blob goes one hop up — to the parent
     /// trainer, or from the root to the partition's aggregator.
-    fn try_forward_overlay(
-        &mut self,
-        out: &mut Actions<Msg>,
-        tree: &OverlayTree,
-        partition: usize,
-        force: bool,
-    ) {
-        if !self.overlay_ready || self.overlay_sent.contains(&partition) {
+    fn try_forward_overlay(&mut self, out: &mut Actions<Msg>, partition: usize, force: bool) {
+        let Some(overlay) = &mut self.overlay else {
+            return;
+        };
+        if !self.round.overlay_ready || self.round.overlay_sent.contains(&partition) {
             return;
         }
+        let tree = overlay.tree;
         let expected = tree.children(self.t).len();
-        let arrived = self
-            .overlay_children
-            .get(&(self.iter, partition))
+        let arrived = overlay
+            .children
+            .get(&(self.round.iter, partition))
             .map_or(0, Vec::len);
         if arrived < expected {
             if !force {
@@ -376,20 +388,16 @@ impl<M: Model> Trainer<M> {
             }
             out.record(labels::OVERLAY_TIMEOUT, (expected - arrived) as f64);
         }
-        self.overlay_sent.insert(partition);
-        let buffered = self
-            .overlay_children
-            .remove(&(self.iter, partition))
+        self.round.overlay_sent.insert(partition);
+        let buffered = overlay
+            .children
+            .remove(&(self.round.iter, partition))
             .unwrap_or_default();
 
         // Validate the children: parseable commitment, authentic
         // signature, then one batched Pedersen opening check over the
         // survivors (the batch is empty at leaves and costs nothing).
-        let key = self
-            .key
-            .as_ref()
-            .expect("overlay requires verifiable mode") // TaskConfig::validate
-            .clone();
+        let key = &overlay.key;
         let seed = self.topo.config().seed.to_be_bytes();
         let mut candidates: Vec<(usize, Bytes, u64, ProtocolCommitment)> = Vec::new();
         for (child, blob, count, commitment, signature) in buffered {
@@ -402,15 +410,12 @@ impl<M: Model> Trainer<M> {
                 let msg = overlay_partial_message(
                     child,
                     partition,
-                    self.iter,
+                    self.round.iter,
                     count,
                     &Cid::of(&blob),
                     &commitment,
                 );
-                let authentic = signature
-                    .and_then(|b| Signature::<ProtocolCurve>::from_bytes(&b))
-                    .is_some_and(|sig| vk.verify(&msg, &sig));
-                if !authentic {
+                if !signed_by(&vk, &msg, signature) {
                     out.record(labels::OVERLAY_CHILD_REJECTED, child as f64);
                     continue;
                 }
@@ -421,14 +426,15 @@ impl<M: Model> Trainer<M> {
             .iter()
             .map(|(_, blob, _, point)| (&blob[..], point))
             .collect();
-        let culprits: HashSet<usize> = verify_blobs_timed(out, &key, &items).into_iter().collect();
+        let culprits: HashSet<usize> = verify_blobs_timed(out, key, &items).into_iter().collect();
 
         // Sum the accepted child partials with this node's own gradient.
         // The i128-exact summation makes the composed total bit-identical
         // to the flat aggregator's sum of the same leaves, independent of
         // tree shape — addition never rounds, so association is free.
-        let (own_blob, own_commitment) = self.blobs[&partition].clone();
-        let own_commitment = own_commitment.expect("overlay requires verifiable mode");
+        let (own_blob, Some(own_commitment)) = self.round.blobs[&partition].clone() else {
+            return; // unreachable: the overlay's key committed every blob of the round
+        };
         let mut grads = Vec::with_capacity(1 + candidates.len());
         let mut commits = Vec::with_capacity(1 + candidates.len());
         let mut count = 1u64;
@@ -453,7 +459,7 @@ impl<M: Model> Trainer<M> {
         let summed = match sum_gradients(&grads) {
             Ok(s) => s,
             Err(_) => {
-                out.record(labels::SUM_OVERFLOW, self.iter as f64);
+                out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
                 return;
             }
         };
@@ -465,8 +471,14 @@ impl<M: Model> Trainer<M> {
         let commitment = ProtocolCommitment::accumulate(commits.iter()).to_bytes();
         let cid = Cid::of(&blob);
         let signature = self.signing_key.as_ref().map(|k| {
-            let msg =
-                overlay_partial_message(self.t, partition, self.iter, count, &cid, &commitment);
+            let msg = overlay_partial_message(
+                self.t,
+                partition,
+                self.round.iter,
+                count,
+                &cid,
+                &commitment,
+            );
             k.sign(&msg).to_bytes()
         });
         let to = match tree.parent(self.t) {
@@ -480,7 +492,7 @@ impl<M: Model> Trainer<M> {
             Msg::OverlayPartial {
                 trainer: self.t,
                 partition,
-                iter: self.iter,
+                iter: self.round.iter,
                 data: blob,
                 count,
                 commitment,
@@ -488,8 +500,8 @@ impl<M: Model> Trainer<M> {
             },
         );
         out.record(labels::OVERLAY_FORWARDED, partition as f64);
-        if self.overlay_sent.len() == self.topo.config().partitions {
-            out.record(labels::UPLOAD_DONE, self.iter as f64);
+        if self.round.overlay_sent.len() == self.topo.config().partitions {
+            out.record(labels::UPLOAD_DONE, self.round.iter as f64);
         }
     }
 
@@ -500,7 +512,6 @@ impl<M: Model> Trainer<M> {
     fn on_overlay_partial(
         &mut self,
         out: &mut Actions<Msg>,
-        tree: &OverlayTree,
         trainer: usize,
         partition: usize,
         iter: u64,
@@ -509,29 +520,33 @@ impl<M: Model> Trainer<M> {
         commitment: [u8; 33],
         signature: Option<[u8; 65]>,
     ) {
-        if iter < self.iter {
+        let Some(overlay) = &mut self.overlay else {
+            return; // flat mode: stray frame, nothing listens here
+        };
+        if iter < self.round.iter {
             return; // late for a level that already went up — harmless
         }
         // Only accept partials from this node's actual children: the tree
         // is a pure function of the shared config, so a partial arriving
         // from anywhere else is misrouted or forged.
-        if trainer >= tree.len()
-            || tree.parent(trainer) != Some(self.t)
+        if trainer >= overlay.tree.len()
+            || overlay.tree.parent(trainer) != Some(self.t)
             || partition >= self.topo.config().partitions
         {
             out.record(labels::OVERLAY_CHILD_REJECTED, trainer as f64);
             return;
         }
-        if !self.overlay_seen.insert((iter, partition, trainer)) {
+        if !overlay.seen.insert((iter, partition, trainer)) {
             return; // duplicate (retransmission or replay)
         }
         out.record(labels::OVERLAY_CHILD_RECV, partition as f64);
-        self.overlay_children
+        overlay
+            .children
             .entry((iter, partition))
             .or_default()
             .push((trainer, data, count, commitment, signature));
-        if iter == self.iter {
-            self.try_forward_overlay(out, tree, partition, false);
+        if iter == self.round.iter {
+            self.try_forward_overlay(out, partition, false);
         }
     }
 
@@ -540,33 +555,32 @@ impl<M: Model> Trainer<M> {
     fn on_overlay_update(
         &mut self,
         out: &mut Actions<Msg>,
-        tree: &OverlayTree,
         partition: usize,
         data: Bytes,
         signature: Option<[u8; 65]>,
     ) {
-        if self.finished || self.received.contains_key(&partition) {
+        let Some(overlay) = &self.overlay else {
+            return; // flat mode: stray frame, nothing listens here
+        };
+        if self.round.finished || self.round.received.contains_key(&partition) {
             return; // already applied — and already relayed downward
         }
         if self.topo.config().authenticate {
             let g = self.topo.agg_index(partition, 0);
             let vk = agg_verifying_key(self.topo.config().seed, g);
-            let msg = overlay_update_message(g, partition, self.iter, &Cid::of(&data));
-            let authentic = signature
-                .and_then(|b| Signature::<ProtocolCurve>::from_bytes(&b))
-                .is_some_and(|sig| vk.verify(&msg, &sig));
-            if !authentic {
+            let msg = overlay_update_message(g, partition, self.round.iter, &Cid::of(&data));
+            if !signed_by(&vk, &msg, signature) {
                 out.record(labels::OVERLAY_UPDATE_REJECTED, partition as f64);
                 return;
             }
         }
         // Relay before applying: the subtree is waiting on this hop.
-        for child in tree.children(self.t) {
+        for child in overlay.tree.children(self.t) {
             out.send(
                 self.topo.trainer(child),
                 Msg::OverlayUpdate {
                     partition,
-                    iter: self.iter,
+                    iter: self.round.iter,
                     data: data.clone(),
                     signature,
                 },
@@ -578,8 +592,8 @@ impl<M: Model> Trainer<M> {
         if averaged.len() != self.topo.partition_len(partition) {
             return;
         }
-        self.received.insert(partition, averaged);
-        if self.received.len() == self.topo.config().partitions {
+        self.round.received.insert(partition, averaged);
+        if self.round.received.len() == self.topo.config().partitions {
             self.finish_round(out);
         }
     }
@@ -590,40 +604,34 @@ impl<M: Model> Trainer<M> {
     fn arm_retry(&mut self, out: &mut Actions<Msg>) {
         if !self.retrying {
             self.retrying = true;
-            let token = TK_RETRY | (self.iter & 0xFFFF_FFFF);
+            let token = TK_RETRY | (self.round.iter & 0xFFFF_FFFF);
             out.set_timer(self.topo.config().fetch_timeout, token);
         }
     }
 
     fn on_retry(&mut self, out: &mut Actions<Msg>, iter: u64) {
         self.retrying = false;
-        if iter != self.iter || self.finished {
+        if iter != self.round.iter || self.round.finished {
             // Stale timer from a previous round; re-cover the current one.
-            if !self.pending_acks.is_empty() || !self.pending_gets.is_empty() {
+            if !self.round.pending_acks.is_empty() || !self.round.pending_gets.is_empty() {
                 self.arm_retry(out);
             }
             return;
         }
         // Re-send in request order — iterating the maps directly would make
         // the wire order (and so the whole simulation) nondeterministic.
-        let mut puts: Vec<(u64, usize)> = self.pending_acks.iter().map(|(&r, &p)| (r, p)).collect();
+        let mut puts: Vec<(u64, usize)> = self
+            .round
+            .pending_acks
+            .iter()
+            .map(|(&r, &p)| (r, p))
+            .collect();
         puts.sort_unstable();
         for (req_id, partition) in puts {
-            let (blob, _) = &self.blobs[&partition];
-            let put = IpfsWire::Put {
-                data: blob.clone(),
-                req_id,
-                replicate: self.topo.config().replication,
-            };
-            // Truly local invariant: pending_acks is only populated by the
-            // storage-backed upload path, never from remote input.
-            let to = self
-                .topo
-                .upload_target(partition, self.t)
-                .expect("retries only exist for storage-backed uploads");
-            out.send(to, Msg::Ipfs(put));
+            self.send_put(out, req_id, partition);
         }
         let mut gets: Vec<(u64, Cid)> = self
+            .round
             .pending_gets
             .iter()
             .map(|(&r, &(_, cid))| (r, cid))
@@ -634,13 +642,13 @@ impl<M: Model> Trainer<M> {
             let get = IpfsWire::Get { cid, req_id };
             out.send(gateway, Msg::Ipfs(get));
         }
-        if !self.pending_acks.is_empty() || !self.pending_gets.is_empty() {
+        if !self.round.pending_acks.is_empty() || !self.round.pending_gets.is_empty() {
             self.arm_retry(out);
         }
     }
 
     fn on_put_ack(&mut self, out: &mut Actions<Msg>, cid: Cid, req_id: u64) {
-        let Some(partition) = self.pending_acks.remove(&req_id) else {
+        let Some(partition) = self.round.pending_acks.remove(&req_id) else {
             return;
         };
         // A storage acknowledgment whose partition has no storage route is
@@ -654,41 +662,35 @@ impl<M: Model> Trainer<M> {
             return;
         };
         self.uploads.push((target, cid));
-        let commitment = self.blobs[&partition].1.map(|c| c.to_bytes());
         if self.topo.config().compact_registration {
             // Accumulate; one batched registration goes out with the last
             // acknowledgment (§VI directory-load reduction).
-            self.batch_entries.push((partition, cid, commitment));
+            let commitment = self.round.blobs[&partition].1.map(|c| c.to_bytes());
+            self.round.batch_entries.push((partition, cid, commitment));
         } else {
-            let signature = self.sign_registration(partition, &cid, &commitment);
-            let msg = Msg::RegisterGradient {
-                trainer: self.t,
-                partition,
-                iter: self.iter,
-                cid,
-                commitment,
-                signature,
-            };
-            out.send(self.topo.directory(), msg);
+            self.register(out, partition, cid);
         }
-        self.acked += 1;
-        if self.acked == self.topo.config().partitions {
+        if self.round.pending_acks.is_empty() {
             if self.topo.config().compact_registration {
-                let entries = std::mem::take(&mut self.batch_entries);
+                let entries = std::mem::take(&mut self.round.batch_entries);
                 let signature = self.signing_key.as_ref().map(|key| {
-                    key.sign(&batch_registration_message(self.t, self.iter, &entries))
-                        .to_bytes()
+                    key.sign(&batch_registration_message(
+                        self.t,
+                        self.round.iter,
+                        &entries,
+                    ))
+                    .to_bytes()
                 });
                 let msg = Msg::RegisterGradientBatch {
                     trainer: self.t,
-                    iter: self.iter,
+                    iter: self.round.iter,
                     entries,
                     signature,
                 };
                 out.send(self.topo.directory(), msg);
             }
             // Upload delay = last store acknowledgment − upload start (§V).
-            out.record(labels::UPLOAD_DONE, self.iter as f64);
+            out.record(labels::UPLOAD_DONE, self.round.iter as f64);
             self.start_polling(out);
         }
     }
@@ -701,33 +703,33 @@ impl<M: Model> Trainer<M> {
     }
 
     fn poll(&mut self, out: &mut Actions<Msg>) {
-        if self.finished {
+        if self.round.finished {
             self.polling = false;
             return;
         }
         let mut outstanding = false;
         for i in 0..self.topo.config().partitions {
-            if !self.received.contains_key(&i) && !self.fetching.contains(&i) {
+            if !self.round.received.contains_key(&i) && !self.round.fetching(i) {
                 outstanding = true;
                 let msg = Msg::QueryUpdate {
                     partition: i,
-                    iter: self.iter,
+                    iter: self.round.iter,
                 };
                 out.send(self.topo.directory(), msg);
             }
-            if self.topo.config().trainer_verifies
-                && !self.received.contains_key(&i)
-                && !self.accumulators.contains_key(&i)
+            let check = self.round.check.as_ref();
+            if check.is_some_and(|c| !c.accumulators.contains_key(&i))
+                && !self.round.received.contains_key(&i)
             {
                 outstanding = true;
                 let msg = Msg::QueryTotalAccumulator {
                     partition: i,
-                    iter: self.iter,
+                    iter: self.round.iter,
                 };
                 out.send(self.topo.directory(), msg);
             }
         }
-        if outstanding || !self.fetching.is_empty() {
+        if outstanding || !self.round.pending_gets.is_empty() {
             out.set_timer(self.topo.config().poll_interval, TK_POLL);
         } else {
             self.polling = false;
@@ -736,16 +738,15 @@ impl<M: Model> Trainer<M> {
 
     fn on_update_info(&mut self, out: &mut Actions<Msg>, partition: usize, cid: Option<Cid>) {
         let Some(cid) = cid else { return };
-        if self.finished
-            || self.received.contains_key(&partition)
-            || self.unverified_updates.contains_key(&partition)
-            || self.fetching.contains(&partition)
+        if self.round.finished
+            || self.round.received.contains_key(&partition)
+            || (self.round.check.as_ref()).is_some_and(|c| c.stashed.contains_key(&partition))
+            || self.round.fetching(partition)
         {
             return;
         }
-        self.fetching.insert(partition);
         let req_id = self.fresh_req();
-        self.pending_gets.insert(req_id, (partition, cid));
+        self.round.pending_gets.insert(req_id, (partition, cid));
         let get = IpfsWire::Get { cid, req_id };
         let gateway = self.topo.trainer_gateway(self.t);
         out.send(gateway, Msg::Ipfs(get));
@@ -753,10 +754,9 @@ impl<M: Model> Trainer<M> {
     }
 
     fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: Bytes) {
-        let Some((partition, _)) = self.pending_gets.remove(&req_id) else {
+        let Some((partition, _)) = self.round.pending_gets.remove(&req_id) else {
             return;
         };
-        self.fetching.remove(&partition);
         self.accept_update(out, partition, data);
     }
 
@@ -764,37 +764,20 @@ impl<M: Model> Trainer<M> {
     /// verifies) a downloaded update blob, then applies it. The blob stays
     /// the buffer it arrived in wherever it has to wait.
     fn accept_update(&mut self, out: &mut Actions<Msg>, partition: usize, data: Bytes) {
-        if self.finished || self.received.contains_key(&partition) {
+        if self.round.finished || self.round.received.contains_key(&partition) {
             return;
         }
-        if self.topo.config().trainer_verifies {
-            match self.accumulators.get(&partition) {
-                Some(acc) => {
-                    let acc = *acc;
-                    // Truly local invariant: TaskConfig::validate rejects
-                    // trainer_verifies without verifiable, so the key
-                    // always exists on this path.
-                    let key = self.key.as_ref().expect("verifiable mode").clone();
-                    if self.topo.config().batch_verify {
-                        // Deferred mode: accept optimistically and queue
-                        // the blob for the end-of-round flush. Count it
-                        // now — the instant the per-blob path verifies —
-                        // so `blobs_verified` totals match per-blob mode
-                        // even in rounds that never complete.
-                        out.incr(labels::BLOBS_VERIFIED, 1);
-                        self.pending_verify.push((partition, data.clone(), acc));
-                    } else if !verify_blob_timed(out, &key, &data, &acc) {
-                        // Never accept an unverified update (the poll loop
-                        // will re-fetch if a correct one appears).
-                        out.record(labels::TRAINER_REJECTED_UPDATE, partition as f64);
-                        return;
-                    }
-                }
-                None => {
-                    // Accumulator not known yet; stash and re-check later.
-                    self.unverified_updates.insert(partition, data);
-                    return;
-                }
+        if let Some(check) = &mut self.round.check {
+            let Some(&acc) = check.accumulators.get(&partition) else {
+                // Accumulator not known yet; stash and re-check later.
+                check.stashed.insert(partition, data);
+                return;
+            };
+            if !check.queue.admit(out, partition, &data, acc) {
+                // Never accept an unverified update (the poll loop will
+                // re-fetch if a correct one appears).
+                out.record(labels::TRAINER_REJECTED_UPDATE, partition as f64);
+                return;
             }
         }
         let Some((averaged, _count)) = decode_update(&data) else {
@@ -803,45 +786,31 @@ impl<M: Model> Trainer<M> {
         if averaged.len() != self.topo.partition_len(partition) {
             return;
         }
-        self.received.insert(partition, averaged);
-        if self.received.len() == self.topo.config().partitions && self.flush_pending_verify(out) {
+        self.round.received.insert(partition, averaged);
+        if self.round.received.len() < self.topo.config().partitions {
+            return;
+        }
+        // The round is about to consume the updates: settle the ones taken
+        // in on trust. A culprit is rejected exactly as it would have been
+        // at arrival — dropped again, so the poll loop re-fetches it.
+        let culprits = match &mut self.round.check {
+            Some(check) => check.queue.settle(out),
+            None => Vec::new(),
+        };
+        for partition in &culprits {
+            out.record(labels::TRAINER_REJECTED_UPDATE, *partition as f64);
+            self.round.received.remove(partition);
+        }
+        if culprits.is_empty() {
             self.finish_round(out);
         }
     }
 
-    /// Settles the deferred update-verification queue (`batch_verify`
-    /// mode) with one RLC batch check; returns whether the round may
-    /// finish (no culprits). A culprit partition is rejected exactly as
-    /// the per-blob path rejects it at arrival — dropped from `received`
-    /// so the poll loop re-fetches it.
-    fn flush_pending_verify(&mut self, out: &mut Actions<Msg>) -> bool {
-        if self.pending_verify.is_empty() {
-            return true;
-        }
-        let Some(key) = self.key.clone() else {
-            return true; // unreachable: entries only queue in verifiable mode
-        };
-        let pending = std::mem::take(&mut self.pending_verify);
-        let items: Vec<(&[u8], &ProtocolCommitment)> = pending
-            .iter()
-            .map(|(_, blob, acc)| (&blob[..], acc))
-            .collect();
-        // Blobs were counted at enqueue time; the flush books only the
-        // wall-clock and batch-size metrics.
-        let culprits = flush_verify_queue(out, &key, &items);
-        for &i in &culprits {
-            let partition = pending[i].0;
-            out.record(labels::TRAINER_REJECTED_UPDATE, partition as f64);
-            self.received.remove(&partition);
-        }
-        culprits.is_empty()
-    }
-
     fn finish_round(&mut self, out: &mut Actions<Msg>) {
-        self.finished = true;
+        self.round.finished = true;
         // Rebuild the full model by concatenating updated partitions
         // (Algorithm 1, line 23).
-        for (i, values) in self.received.drain() {
+        for (i, values) in self.round.received.drain() {
             let (s, e) = self.topo.partition_range(i);
             self.params[s..e].copy_from_slice(&values);
         }
@@ -849,10 +818,10 @@ impl<M: Model> Trainer<M> {
             .lock()
             .expect("param sink")
             .insert(self.t, self.params.clone());
-        out.record(labels::TRAINER_ROUND_DONE, self.iter as f64);
+        out.record(labels::TRAINER_ROUND_DONE, self.round.iter as f64);
         let msg = Msg::TrainerDone {
             trainer: self.t,
-            iter: self.iter,
+            iter: self.round.iter,
         };
         out.send(self.topo.directory(), msg);
         self.polling = false;
@@ -871,14 +840,13 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                     TK_POLL => self.poll(out),
                     TK_RETRY => self.on_retry(out, token & 0xFFFF_FFFF),
                     TK_OVERLAY
-                        if (token & 0xFFFF_FFFF) == (self.iter & 0xFFFF_FFFF) && !self.finished =>
+                        if (token & 0xFFFF_FFFF) == (self.round.iter & 0xFFFF_FFFF)
+                            && !self.round.finished =>
                     {
                         // Level deadline: forward every partition still
                         // waiting on children, with whatever arrived.
-                        if let Some(tree) = self.topo.overlay() {
-                            for i in 0..self.topo.config().partitions {
-                                self.try_forward_overlay(out, &tree, i, true);
-                            }
+                        for i in 0..self.topo.config().partitions {
+                            self.try_forward_overlay(out, i, true);
                         }
                     }
                     _ => {}
@@ -897,17 +865,18 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                 partition,
                 iter,
                 cid,
-            } if iter == self.iter => {
+            } if iter == self.round.iter => {
                 self.on_update_info(out, partition, cid);
             }
             Msg::TotalAccumulator {
                 partition,
                 iter,
                 accumulated,
-            } if iter == self.iter => {
-                if let Some(c) = accumulated.and_then(|b| ProtocolCommitment::from_bytes(&b)) {
-                    self.accumulators.entry(partition).or_insert(c);
-                    if let Some(blob) = self.unverified_updates.remove(&partition) {
+            } if iter == self.round.iter => {
+                let total = accumulated.and_then(|b| ProtocolCommitment::from_bytes(&b));
+                if let (Some(check), Some(c)) = (&mut self.round.check, total) {
+                    check.accumulators.entry(partition).or_insert(c);
+                    if let Some(blob) = check.stashed.remove(&partition) {
                         self.accept_update(out, partition, blob);
                     }
                 }
@@ -918,9 +887,7 @@ impl<M: Model> ProtocolCore for Trainer<M> {
             }
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
                 // Allow the poll loop to retry the partition.
-                if let Some((partition, _)) = self.pending_gets.remove(&req_id) {
-                    self.fetching.remove(&partition);
-                }
+                self.round.pending_gets.remove(&req_id);
             }
             Msg::OverlayPartial {
                 trainer,
@@ -930,23 +897,15 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                 count,
                 commitment,
                 signature,
-            } => {
-                if let Some(tree) = self.topo.overlay() {
-                    self.on_overlay_partial(
-                        out, &tree, trainer, partition, iter, data, count, commitment, signature,
-                    );
-                }
-            }
+            } => self.on_overlay_partial(
+                out, trainer, partition, iter, data, count, commitment, signature,
+            ),
             Msg::OverlayUpdate {
                 partition,
                 iter,
                 data,
                 signature,
-            } if iter == self.iter => {
-                if let Some(tree) = self.topo.overlay() {
-                    self.on_overlay_update(out, &tree, partition, data, signature);
-                }
-            }
+            } if iter == self.round.iter => self.on_overlay_update(out, partition, data, signature),
             _ => {}
         }
     }
@@ -989,7 +948,7 @@ mod tests {
         );
         // A frame delivered to the wrong node whose req_id collides with
         // a live one — per-node request ids are small integers.
-        trainer.pending_acks.insert(7, 0);
+        trainer.round.pending_acks.insert(7, 0);
         let mut out = Actions::new();
         trainer.handle(
             SimTime::ZERO,

@@ -1,14 +1,11 @@
 //! Kademlia-style XOR-metric routing for provider records.
 //!
 //! IPFS locates content through a Kademlia DHT: provider records for a CID
-//! are stored on the nodes whose keys are XOR-closest to the CID, and
-//! lookups walk greedily toward the target through k-bucket routing tables.
-//! This module implements the metric, the routing table, and an iterative
-//! lookup over a set of simulated tables; the networked storage layer
-//! ([`crate::node`]) uses [`closest_nodes`] for provider placement and
-//! record retrieval.
-
-use std::collections::{HashMap, HashSet};
+//! are stored on the nodes whose keys are XOR-closest to the CID. This
+//! module implements the metric and that placement rule; the networked
+//! storage layer ([`crate::node`]) knows the whole roster, so
+//! [`closest_nodes`] is all the routing it needs for provider placement
+//! and record retrieval.
 
 use dfl_crypto::bigint::U256;
 use dfl_crypto::sha256::Sha256;
@@ -37,86 +34,6 @@ impl Key {
     pub fn distance(&self, other: &Key) -> U256 {
         self.0.xor(&other.0)
     }
-
-    /// The k-bucket index for a peer at this distance from us:
-    /// `255 - leading_zeros(distance)`, or `None` for ourselves.
-    pub fn bucket_index(&self, other: &Key) -> Option<usize> {
-        let d = self.distance(other);
-        if d.is_zero() {
-            None
-        } else {
-            Some(255 - d.leading_zeros() as usize)
-        }
-    }
-}
-
-/// A Kademlia routing table: 256 k-buckets of peers keyed by XOR distance.
-#[derive(Clone, Debug)]
-pub struct RoutingTable {
-    own: Key,
-    k: usize,
-    buckets: Vec<Vec<(NodeId, Key)>>,
-}
-
-impl RoutingTable {
-    /// Creates a table for a node with key `own` and bucket capacity `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(own: Key, k: usize) -> RoutingTable {
-        assert!(k > 0, "bucket capacity must be positive");
-        RoutingTable {
-            own,
-            k,
-            buckets: vec![Vec::new(); 256],
-        }
-    }
-
-    /// This node's key.
-    pub fn own_key(&self) -> Key {
-        self.own
-    }
-
-    /// Observes a peer: inserts it into its bucket if there is room (or it
-    /// is already present). Returns `true` if the peer is tracked afterwards.
-    pub fn observe(&mut self, id: NodeId, key: Key) -> bool {
-        let Some(idx) = self.own.bucket_index(&key) else {
-            return false; // never track ourselves
-        };
-        let bucket = &mut self.buckets[idx];
-        if bucket.iter().any(|(existing, _)| *existing == id) {
-            return true;
-        }
-        if bucket.len() < self.k {
-            bucket.push((id, key));
-            return true;
-        }
-        false
-    }
-
-    /// All known peers.
-    pub fn peers(&self) -> impl Iterator<Item = (NodeId, Key)> + '_ {
-        self.buckets.iter().flatten().copied()
-    }
-
-    /// Number of tracked peers.
-    pub fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
-    }
-
-    /// `true` when no peers are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `n` known peers closest to `target`, nearest first.
-    pub fn closest(&self, target: &Key, n: usize) -> Vec<(NodeId, Key)> {
-        let mut peers: Vec<(NodeId, Key)> = self.peers().collect();
-        peers.sort_by_key(|(_, k)| k.distance(target));
-        peers.truncate(n);
-        peers
-    }
 }
 
 /// Selects the `n` nodes from `nodes` whose keys are closest to `target` —
@@ -128,65 +45,11 @@ pub fn closest_nodes(nodes: &[(NodeId, Key)], target: &Key, n: usize) -> Vec<Nod
     sorted.into_iter().take(n).map(|(id, _)| id).collect()
 }
 
-/// Result of a simulated iterative lookup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LookupResult {
-    /// The node that ended up closest to the target.
-    pub nearest: NodeId,
-    /// Nodes contacted, in contact order (excluding the start node).
-    pub path: Vec<NodeId>,
-}
-
-/// Runs an iterative FIND_NODE from `start` toward `target` over a set of
-/// routing tables, greedily hopping to the closest known peer each step.
-/// Models lookup hop counts in a converged Kademlia network.
-///
-/// # Panics
-///
-/// Panics if `start` has no routing table.
-pub fn iterative_lookup(
-    tables: &HashMap<NodeId, RoutingTable>,
-    start: NodeId,
-    target: &Key,
-) -> LookupResult {
-    let mut current = start;
-    let mut visited: HashSet<NodeId> = HashSet::new();
-    visited.insert(start);
-    let mut path = Vec::new();
-
-    loop {
-        let table = tables.get(&current).expect("node has a routing table");
-        let mut best: Option<(NodeId, U256)> = None;
-        for (peer, key) in table.closest(target, 8) {
-            if visited.contains(&peer) {
-                continue;
-            }
-            let d = key.distance(target);
-            if best.as_ref().is_none_or(|(_, bd)| d < *bd) {
-                best = Some((peer, d));
-            }
-        }
-        let current_dist = table.own_key().distance(target);
-        match best {
-            Some((peer, d)) if d < current_dist => {
-                visited.insert(peer);
-                path.push(peer);
-                current = peer;
-            }
-            _ => {
-                return LookupResult {
-                    nearest: current,
-                    path,
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn keys(n: usize) -> Vec<(NodeId, Key)> {
         (0..n)
@@ -213,51 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_matches_distance_magnitude() {
-        let own = Key::for_node(NodeId(0));
-        assert_eq!(own.bucket_index(&own), None);
-        let other = Key::for_node(NodeId(1));
-        let idx = own.bucket_index(&other).unwrap();
-        let d = own.distance(&other);
-        assert_eq!(idx, 255 - d.leading_zeros() as usize);
-    }
-
-    #[test]
-    fn routing_table_capacity() {
-        let own = Key::for_node(NodeId(0));
-        let mut table = RoutingTable::new(own, 2);
-        let mut accepted = 0;
-        for (id, key) in keys(100).into_iter().skip(1) {
-            if table.observe(id, key) {
-                accepted += 1;
-            }
-        }
-        assert_eq!(table.len(), accepted);
-        // Every bucket holds at most k peers.
-        for (id, key) in table.peers() {
-            let idx = own.bucket_index(&key).unwrap();
-            let in_bucket = table
-                .peers()
-                .filter(|(_, k)| own.bucket_index(k) == Some(idx))
-                .count();
-            assert!(in_bucket <= 2, "bucket {idx} overfull (peer {id})");
-        }
-        // Re-observing a tracked peer succeeds without growing.
-        let before = table.len();
-        let (id, key) = table.peers().next().unwrap();
-        assert!(table.observe(id, key));
-        assert_eq!(table.len(), before);
-    }
-
-    #[test]
-    fn observe_self_rejected() {
-        let own = Key::for_node(NodeId(5));
-        let mut table = RoutingTable::new(own, 4);
-        assert!(!table.observe(NodeId(5), own));
-        assert!(table.is_empty());
-    }
-
-    #[test]
     fn closest_nodes_sorted_by_distance() {
         let nodes = keys(16);
         let target = Key::from_u256(dfl_crypto::bigint::U256::from_u64(0xABCD));
@@ -271,52 +89,6 @@ mod tests {
         all.sort();
         let expect: Vec<NodeId> = all.into_iter().take(4).map(|(_, id)| id).collect();
         assert_eq!(picked, expect);
-    }
-
-    #[test]
-    fn full_tables_lookup_one_hop() {
-        // With complete routing tables the greedy lookup lands on the
-        // globally closest node in ≤ 1 hop from anywhere.
-        let nodes = keys(16);
-        let mut tables = HashMap::new();
-        for (id, key) in &nodes {
-            let mut t = RoutingTable::new(*key, 16);
-            for (oid, okey) in &nodes {
-                t.observe(*oid, *okey);
-            }
-            tables.insert(*id, t);
-        }
-        let target = Key::from_u256(dfl_crypto::bigint::U256::from_u64(42));
-        let global_best = closest_nodes(&nodes, &target, 1)[0];
-        for (start, _) in &nodes {
-            let result = iterative_lookup(&tables, *start, &target);
-            assert_eq!(result.nearest, global_best);
-            assert!(result.path.len() <= 1, "path {:?}", result.path);
-        }
-    }
-
-    #[test]
-    fn sparse_tables_lookup_logarithmic() {
-        // k=3 buckets in a 64-node network: lookups still converge to the
-        // best reachable node in a handful of hops.
-        let nodes = keys(64);
-        let mut tables = HashMap::new();
-        for (id, key) in &nodes {
-            let mut t = RoutingTable::new(*key, 3);
-            for (oid, okey) in &nodes {
-                t.observe(*oid, *okey);
-            }
-            tables.insert(*id, t);
-        }
-        let target = Key::for_node(NodeId(1000));
-        let result = iterative_lookup(&tables, NodeId(0), &target);
-        assert!(result.path.len() <= 10, "took {} hops", result.path.len());
-        // The endpoint must be a local optimum: no peer it knows is closer.
-        let end_table = &tables[&result.nearest];
-        let end_dist = end_table.own_key().distance(&target);
-        for (_, key) in end_table.peers() {
-            assert!(key.distance(&target) >= end_dist || result.path.contains(&result.nearest));
-        }
     }
 
     proptest! {

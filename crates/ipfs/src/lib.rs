@@ -9,9 +9,8 @@
 //!
 //! * [`cid`] / [`block`] — SHA-256 content addressing, integrity-checked
 //!   blocks, a pinning block store.
-//! * [`kademlia`] — XOR-metric keys, k-bucket routing tables, iterative
-//!   lookups; used for provider-record placement and uniform replica
-//!   allocation.
+//! * [`kademlia`] — XOR-metric keys and closest-node selection; used for
+//!   provider-record placement and uniform replica allocation.
 //! * [`node`] — the networked storage node: put/get with cross-node
 //!   resolution, replication, flood pub/sub, and the paper's
 //!   **merge-and-download** pre-aggregation RPC (§III-E).

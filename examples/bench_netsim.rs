@@ -1,9 +1,7 @@
-//! Records the netsim before/after numbers into `BENCH_netsim.json`:
-//! the swarm scale sweep (incremental component-scoped reallocation vs
-//! the reference global recompute, wall clock and peak RSS per swarm
-//! size), the trace-query battery (per-label count/sum, per-node event
-//! lookup) through the seed's linear-scan pattern and the interned-label
-//! index, and the churn sweep's wire-cost accounting.
+//! Records the netsim numbers into `BENCH_netsim.json`: the swarm scale
+//! sweep (incremental component-scoped reallocation vs the reference
+//! global recompute, wall clock and peak RSS per swarm size), the churn
+//! sweep's wire-cost accounting, and the aggregation overlay sweep.
 //!
 //! Run with: `cargo run --release --example bench_netsim`
 //!
@@ -13,7 +11,6 @@
 //! - `--overlay-smoke`: CI smoke mode for the aggregation overlay — one
 //!   10k-trainer verifiable round through the branching-8 overlay, with
 //!   the per-node work bounds asserted, skip the artifact write.
-//! - `BENCH_NETSIM_EVENTS`: synthetic trace size (default 1 000 000).
 //! - `BENCH_NETSIM_SCALE`: comma-separated swarm sizes
 //!   (default `2000,5000,10000`).
 //! - `BENCH_NETSIM_SCALE_REF_MAX`: largest size that also times the
@@ -23,8 +20,7 @@
 //!   (default `1000,10000,100000`).
 
 use dfl_bench::{
-    churn_sweep, netsim_report, netsim_report_json, overlay_point, overlay_sweep, scale_point,
-    scale_sweep,
+    churn_sweep, netsim_report_json, overlay_point, overlay_sweep, scale_point, scale_sweep,
 };
 
 fn print_scale(points: &[dfl_bench::ScalePoint]) {
@@ -100,10 +96,6 @@ fn main() {
         return;
     }
 
-    let events = std::env::var("BENCH_NETSIM_EVENTS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1_000_000);
     let sizes: Vec<usize> = std::env::var("BENCH_NETSIM_SCALE")
         .ok()
         .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
@@ -113,40 +105,9 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(2_000);
 
-    // Scale sweep first (ascending) so the peak-RSS column reflects the
-    // swarm runs, not the million-event query battery below.
     println!("Swarm scale sweep (wall clock, this machine)");
     let scale = scale_sweep(&sizes, ref_max);
     print_scale(&scale);
-
-    println!("\nTrace-query battery (wall clock, this machine)");
-    println!(
-        "{:>10} {:>9} {:>7} {:>14} {:>14} {:>9} {:>12} {:>12} {:>9}",
-        "source",
-        "events",
-        "labels",
-        "scan-agg (ms)",
-        "idx-agg (ms)",
-        "speedup",
-        "scan-find",
-        "idx-find",
-        "speedup"
-    );
-    let profiles = netsim_report(events);
-    for p in &profiles {
-        println!(
-            "{:>10} {:>9} {:>7} {:>14.3} {:>14.3} {:>8.0}x {:>12.3} {:>12.3} {:>8.0}x",
-            p.source,
-            p.events,
-            p.labels,
-            p.scan_aggregate_ms,
-            p.indexed_aggregate_ms,
-            p.aggregate_speedup(),
-            p.scan_find_ms,
-            p.indexed_find_ms,
-            p.find_speedup()
-        );
-    }
 
     println!("\nChurn wire cost (bytes on the wire vs bytes wasted by churn)");
     println!(
@@ -174,7 +135,7 @@ fn main() {
     let overlay = overlay_sweep(&overlay_sizes);
     print_overlay(&overlay);
 
-    let json = netsim_report_json(&profiles, &churn, &scale, &overlay);
+    let json = netsim_report_json(&churn, &scale, &overlay);
     std::fs::write("BENCH_netsim.json", &json).expect("write BENCH_netsim.json");
     println!("\nwrote BENCH_netsim.json");
 }
