@@ -36,6 +36,17 @@ pub const EVIDENCE_TOPIC: &str = "ipls/evidence";
 /// Sentinel detector id for evidence issued by the directory service.
 pub const DIRECTORY_DETECTOR: u64 = u64::MAX;
 
+/// Derives the Schnorr signing key of trainer `t`: what it signs its
+/// registrations and overlay partials with (authenticated mode).
+pub fn trainer_signing_key(task_seed: u64, t: usize) -> SigningKey<ProtocolCurve> {
+    SigningKey::derive(&task_seed.to_be_bytes(), t as u64)
+}
+
+/// Public key counterpart of [`trainer_signing_key`].
+pub fn trainer_verifying_key(task_seed: u64, t: usize) -> VerifyingKey<ProtocolCurve> {
+    trainer_signing_key(task_seed, t).verifying_key()
+}
+
 /// Derives the Schnorr signing key of aggregator `g` (global index).
 ///
 /// Uses a domain-separated seed so aggregator identities can never
@@ -429,11 +440,9 @@ mod tests {
     fn identity_keys_are_domain_separated() {
         // Aggregator 0's identity key differs from trainer 0's
         // registration key derived from the raw task seed.
-        let trainer_key: SigningKey<ProtocolCurve> = SigningKey::derive(&SEED.to_be_bytes(), 0);
-        let agg_key = agg_signing_key(SEED, 0);
         assert_ne!(
-            trainer_key.verifying_key().to_bytes(),
-            agg_key.verifying_key().to_bytes()
+            trainer_verifying_key(SEED, 0).to_bytes(),
+            agg_verifying_key(SEED, 0).to_bytes()
         );
         assert_ne!(
             agg_signing_key(SEED, 0).verifying_key().to_bytes(),

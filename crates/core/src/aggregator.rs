@@ -46,7 +46,8 @@ use crate::gradient::{
 };
 use crate::labels;
 use crate::messages::{
-    overlay_partial_message, overlay_update_message, signed_by, update_message, Msg, SyncAnnounce,
+    overlay_partial_commitment, overlay_update_message, signed_by, update_message, Msg,
+    OverlayPartial, SyncAnnounce,
 };
 use crate::overlay::OverlayTree;
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
@@ -1683,9 +1684,10 @@ impl Aggregator {
                 count,
                 commitment,
                 signature,
-            } => self.on_overlay_partial(
-                out, trainer, partition, iter, &data, count, commitment, signature,
-            ),
+            } => {
+                let partial = (trainer, data, count, commitment, signature);
+                self.on_overlay_partial(out, partition, iter, &partial);
+            }
             _ => {}
         }
     }
@@ -1698,18 +1700,14 @@ impl Aggregator {
     /// they already encode the exact i128 sum the flat path would compute
     /// over the same leaves, so flat and overlay rounds produce
     /// bit-identical models.
-    #[allow(clippy::too_many_arguments)]
     fn on_overlay_partial(
         &mut self,
         out: &mut Actions<Msg>,
-        trainer: usize,
         partition: usize,
         iter: u64,
-        data: &Bytes,
-        count: u64,
-        commitment: [u8; 33],
-        signature: Option<[u8; 65]>,
+        partial: &OverlayPartial,
     ) {
+        let (trainer, data) = (partial.0, &partial.1);
         let Some((tree, key)) = &self.overlay else {
             return; // flat mode: stray frame, nothing listens here
         };
@@ -1726,21 +1724,9 @@ impl Aggregator {
             out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
             return;
         }
-        let Some(point) = ProtocolCommitment::from_bytes(&commitment) else {
-            out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
-            return;
-        };
-        let cid = Cid::of(data);
-        if self.topo.config().authenticate {
-            let seed = self.topo.config().seed.to_be_bytes();
-            let vk = SigningKey::<ProtocolCurve>::derive(&seed, trainer as u64).verifying_key();
-            let msg = overlay_partial_message(trainer, partition, iter, count, &cid, &commitment);
-            if !signed_by(&vk, &msg, signature) {
-                out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
-                return;
-            }
-        }
-        if !verify_blobs_timed(out, key, &[(data, &point)]).is_empty() {
+        let checked = overlay_partial_commitment(self.topo.config(), partition, iter, partial);
+        let opens = |point| verify_blobs_timed(out, key, &[(data, &point)]).is_empty();
+        if !checked.is_some_and(opens) {
             out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
             return;
         }
@@ -1748,6 +1734,7 @@ impl Aggregator {
         out.record(labels::SYNC_DONE, self.round.iter as f64);
         self.round.global_sent = true;
         let update_sig = self.topo.config().authenticate.then(|| {
+            let cid = Cid::of(data);
             let msg = overlay_update_message(self.g, self.partition, self.round.iter, &cid);
             agg_signing_key(self.topo.config().seed, self.g)
                 .sign(&msg)

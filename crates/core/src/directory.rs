@@ -5,6 +5,13 @@
 //! registered updates against the accumulated commitments, answers
 //! participant queries, and drives the round schedule.
 //!
+//! A round's facts live in one `Round` value, created when the round is
+//! announced and dropped when the round after next is: the directory holds
+//! the current round and the one before it (which still receives late
+//! `TrainerDone`s, a second aggregator's registration and its audit).
+//! Messages about any other round change nothing; queries about one get the
+//! answer for a round with nothing registered.
+//!
 //! With `accountability` on, the directory is also the eviction authority:
 //! a registered update that fails verification under the aggregator's own
 //! signature becomes a [`Misbehavior`] proof (the directory signs it as
@@ -12,7 +19,7 @@
 //! and peer-reported evidence is independently re-verified before the
 //! offender is evicted — evicted aggregators' registrations are dropped.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -20,11 +27,11 @@ use bytes::Bytes;
 use dfl_ipfs::{Cid, IpfsWire};
 use dfl_netsim::{NodeId, SimDuration, SimTime};
 
-use dfl_crypto::schnorr::{SigningKey, VerifyingKey};
+use dfl_crypto::schnorr::VerifyingKey;
 
 use crate::accountability::{
-    agg_verifying_key, directory_signing_key, Misbehavior, MisbehaviorKind, DIRECTORY_DETECTOR,
-    EVIDENCE_TOPIC,
+    agg_verifying_key, directory_signing_key, trainer_verifying_key, Misbehavior, MisbehaviorKind,
+    DIRECTORY_DETECTOR, EVIDENCE_TOPIC,
 };
 use crate::config::Topology;
 use crate::gradient::{verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey};
@@ -38,15 +45,16 @@ use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
 /// Timer token kinds (high 32 bits of the token).
 const TK_VERIFY: u64 = 1 << 32;
 
-/// A pending update verification: the blob arrived, the virtual compute
-/// time is being charged before the verdict applies.
+/// An update verification: the blob is being fetched (`verdict` `None`),
+/// or it arrived and the virtual compute time is being charged before the
+/// verdict applies.
 struct PendingVerify {
     partition: usize,
     iter: u64,
     aggregator: usize,
     cid: Cid,
     from: NodeId,
-    verdict: bool,
+    verdict: Option<bool>,
     /// Claimed contributor set (quorum-degraded updates; `None` = full).
     contributors: Option<Vec<u32>>,
     /// The registrant's signature (accountability mode) — what turns a
@@ -56,43 +64,49 @@ struct PendingVerify {
     blob: Vec<u8>,
 }
 
+/// One partition's registrations in one round.
+#[derive(Default)]
+struct Slot {
+    /// Gradient registrations, trainer → cid.
+    gradients: HashMap<usize, Cid>,
+    /// Individual gradient commitments, trainer → C.
+    commitments: HashMap<usize, ProtocolCommitment>,
+    /// The accepted global update, with the contributor set of a
+    /// quorum-degraded one so `QueryTotalAccumulator` answers with the
+    /// accumulator the update actually opens.
+    update: Option<(Cid, Option<Vec<u32>>)>,
+}
+
+/// What the directory knows about one announced round.
+#[derive(Default)]
+struct Round {
+    /// Indexed by partition.
+    slots: Vec<Slot>,
+    /// Trainers that reported the round done.
+    done: HashSet<usize>,
+    /// Whether the round's first gradient hash has been recorded.
+    first_hash_seen: bool,
+    /// Whether the round was recorded complete (quorum completion would
+    /// otherwise re-fire on each late `TrainerDone`).
+    completed: bool,
+    /// Offenders evidence was already issued for in this round.
+    evidence_issued: HashSet<usize>,
+}
+
 /// Directory + bootstrapper actor.
 pub struct Directory {
     topo: Arc<Topology>,
     key: Option<Arc<ProtocolKey>>,
-    /// Gradient registrations: (partition, iter) → (trainer → cid).
-    gradients: HashMap<(usize, u64), HashMap<usize, Cid>>,
-    /// Individual gradient commitments: (partition, iter) → trainer → C.
-    commitments: HashMap<(usize, u64), HashMap<usize, ProtocolCommitment>>,
-    /// Accepted global updates: (partition, iter) → cid.
-    updates: HashMap<(usize, u64), Cid>,
-    /// In-flight update verifications keyed by storage request id.
-    fetching: HashMap<u64, PendingVerify>,
-    verifying: HashMap<u64, PendingVerify>,
-    /// Trainers that reported the round done.
-    done: HashMap<u64, HashSet<usize>>,
-    /// Rounds whose first gradient hash has been recorded.
-    first_hash_seen: HashSet<u64>,
-    /// Rounds already announced.
-    announced: HashSet<u64>,
-    /// Rounds already recorded complete (quorum completion would otherwise
-    /// re-fire on each late `TrainerDone`).
-    completed: HashSet<u64>,
+    /// Announced rounds still held: the latest and the one before it.
+    rounds: BTreeMap<u64, Round>,
+    /// Update verifications keyed by storage request id.
+    verifications: HashMap<u64, PendingVerify>,
     next_req: u64,
-    next_verify: u64,
-    /// Count of rejected updates (exposed for tests/reports via trace too).
-    rejected: usize,
     /// Trainer verifying keys (authenticated mode).
     trainer_keys: Vec<VerifyingKey<ProtocolCurve>>,
     /// Evicted aggregators (global indices); their registrations are
     /// dropped for the rest of the task.
     evicted: HashSet<usize>,
-    /// `(offender, iter)` pairs evidence was already issued for.
-    evidence_issued: HashSet<(usize, u64)>,
-    /// Contributor sets of accepted quorum-degraded updates, so
-    /// `QueryTotalAccumulator` answers with the accumulator the accepted
-    /// update actually opens.
-    accepted_contributors: HashMap<(usize, u64), Vec<u32>>,
 }
 
 impl Directory {
@@ -104,10 +118,10 @@ impl Directory {
             topo.config().verifiable,
             "commitment key must match the verifiable flag"
         );
-        let trainer_keys = if topo.config().authenticate {
-            let seed = topo.config().seed.to_be_bytes();
-            (0..topo.config().trainers)
-                .map(|t| SigningKey::<ProtocolCurve>::derive(&seed, t as u64).verifying_key())
+        let cfg = topo.config();
+        let trainer_keys = if cfg.authenticate {
+            (0..cfg.trainers)
+                .map(|t| trainer_verifying_key(cfg.seed, t))
                 .collect()
         } else {
             Vec::new()
@@ -115,22 +129,11 @@ impl Directory {
         Directory {
             topo,
             key,
-            gradients: HashMap::new(),
-            commitments: HashMap::new(),
-            updates: HashMap::new(),
-            fetching: HashMap::new(),
-            verifying: HashMap::new(),
-            done: HashMap::new(),
-            first_hash_seen: HashSet::new(),
-            announced: HashSet::new(),
-            completed: HashSet::new(),
+            rounds: BTreeMap::new(),
+            verifications: HashMap::new(),
             next_req: 0,
-            next_verify: 0,
-            rejected: 0,
             trainer_keys,
             evicted: HashSet::new(),
-            evidence_issued: HashSet::new(),
-            accepted_contributors: HashMap::new(),
         }
     }
 
@@ -149,10 +152,19 @@ impl Directory {
         key.is_some_and(|vk| signed_by(vk, &message(), signature))
     }
 
+    /// Announces round `iter` — the only place a round is created — and
+    /// forgets every round before `iter − 1`.
     fn broadcast_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
-        if !self.announced.insert(iter) {
-            return;
+        if self.rounds.keys().next_back() >= Some(&iter) {
+            return; // announced already
         }
+        let slots = (0..self.topo.config().partitions).map(|_| Slot::default());
+        let round = Round {
+            slots: slots.collect(),
+            ..Round::default()
+        };
+        self.rounds.insert(iter, round);
+        self.rounds = self.rounds.split_off(&iter.saturating_sub(1));
         out.record(labels::ROUND_START, iter as f64);
         let msg = Msg::StartRound { iter };
         for g in 0..self.topo.config().total_aggregators() {
@@ -161,6 +173,12 @@ impl Directory {
         for t in 0..self.topo.config().trainers {
             out.send(self.topo.trainer(t), msg.clone());
         }
+    }
+
+    /// Round `iter`'s registrations for `partition`, when the table holds
+    /// that round and the partition exists.
+    fn slot(&self, partition: usize, iter: u64) -> Option<&Slot> {
+        self.rounds.get(&iter)?.slots.get(partition)
     }
 
     fn accumulated_for_slot(
@@ -177,7 +195,7 @@ impl Directory {
     /// Accumulated commitment over *all* trainers of a partition — what a
     /// full-membership global update must open (§IV-B).
     fn accumulated_total(&self, partition: usize, iter: u64) -> Option<ProtocolCommitment> {
-        let commits = self.commitments.get(&(partition, iter))?;
+        let commits = &self.slot(partition, iter)?.commitments;
         if commits.len() != self.topo.config().trainers {
             return None;
         }
@@ -195,7 +213,7 @@ impl Directory {
         iter: u64,
         trainers: &[u32],
     ) -> Option<ProtocolCommitment> {
-        let commits = self.commitments.get(&(partition, iter))?;
+        let commits = &self.slot(partition, iter)?.commitments;
         let mut acc = ProtocolCommitment::identity();
         for t in trainers {
             acc = acc.combine(commits.get(&(*t as usize))?);
@@ -263,7 +281,10 @@ impl Directory {
                 return;
             }
         }
-        if let Some(accepted) = self.updates.get(&(partition, iter)) {
+        let Some(slot) = self.slot(partition, iter) else {
+            return; // a round (or partition) the directory does not hold
+        };
+        if let Some((accepted, _)) = &slot.update {
             // Someone already registered a valid update; only the first
             // counts (§IV-B). But under accountability a *conflicting*
             // registration (different bits for the same slot) is still
@@ -282,7 +303,7 @@ impl Directory {
             aggregator,
             cid,
             from,
-            verdict: false,
+            verdict: None,
             contributors,
             signature,
             blob: Vec::new(),
@@ -296,30 +317,28 @@ impl Directory {
                 cid,
                 req_id: self.next_req,
             };
-            self.fetching.insert(self.next_req, pv);
+            self.verifications.insert(self.next_req, pv);
             out.send(self.topo.ipfs_node(0), Msg::Ipfs(get));
         } else {
-            self.accept_update(out, partition, iter, cid, pv.contributors);
+            self.accept_update(out, pv);
         }
     }
 
-    fn accept_update(
-        &mut self,
-        out: &mut Actions<Msg>,
-        partition: usize,
-        iter: u64,
-        cid: Cid,
-        contributors: Option<Vec<u32>>,
-    ) {
-        self.updates.insert((partition, iter), cid);
-        if let Some(set) = contributors {
-            self.accepted_contributors.insert((partition, iter), set);
+    /// Makes a verified registration the round's update, unless the slot
+    /// already has one (an audited loser of the race that verified, or a
+    /// round no longer held: nothing to do).
+    fn accept_update(&mut self, out: &mut Actions<Msg>, pv: PendingVerify) {
+        let round = self.rounds.get_mut(&pv.iter);
+        let Some(slot) = round.and_then(|r| r.slots.get_mut(pv.partition)) else {
+            return;
+        };
+        if slot.update.is_none() {
+            slot.update = Some((pv.cid, pv.contributors));
+            out.record(labels::UPDATE_REGISTERED, pv.partition as f64);
         }
-        out.record(labels::UPDATE_REGISTERED, partition as f64);
     }
 
     fn reject_update(&mut self, out: &mut Actions<Msg>, pv: &PendingVerify) {
-        self.rejected += 1;
         out.record(labels::VERIFICATION_FAILED, pv.partition as f64);
         // A second event keyed by the offender, for forensic reports.
         out.record(labels::VERIFICATION_FAILED_BY, pv.aggregator as f64);
@@ -350,7 +369,8 @@ impl Directory {
         else {
             return; // commitments incomplete: nothing provable
         };
-        if !self.evidence_issued.insert((pv.aggregator, pv.iter)) {
+        let round = self.rounds.get_mut(&pv.iter);
+        if !round.is_some_and(|r| r.evidence_issued.insert(pv.aggregator)) {
             return;
         }
         out.record(labels::MISBEHAVIOR_DETECTED, pv.aggregator as f64);
@@ -434,7 +454,8 @@ impl Directory {
     }
 
     fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: &[u8], ok: bool) {
-        let Some(mut pv) = self.fetching.remove(&req_id) else {
+        let fetching = self.verifications.get(&req_id);
+        let Some(pv) = fetching.filter(|pv| pv.verdict.is_none()) else {
             return;
         };
         // An update blob reply reaching the verification path without a
@@ -443,6 +464,7 @@ impl Directory {
         // ([`IplsError::MissingCommitKey`](crate::IplsError)): book it and
         // drop the reply instead of panicking.
         let Some(key) = self.key.clone() else {
+            self.verifications.remove(&req_id);
             out.incr(labels::MISSING_COMMIT_KEY, 1);
             return;
         };
@@ -450,18 +472,19 @@ impl Directory {
         // arrival as a batch of one. `None` = not all gradients registered.
         let expected = self.expected_for_update(pv.partition, pv.iter, &pv.contributors);
         let opens = |acc| verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty();
-        pv.verdict = ok && expected.is_some_and(opens);
-        pv.blob = data.to_vec();
+        let verdict = ok && expected.is_some_and(opens);
+        if let Some(pv) = self.verifications.get_mut(&req_id) {
+            pv.verdict = Some(verdict);
+            pv.blob = data.to_vec();
+        }
         // Charge the virtual verification time, then apply the verdict.
         let elements = (data.len() / 8).max(1) as u64;
         let us = self.topo.config().commit_us_per_element * elements;
-        self.next_verify += 1;
-        let token = TK_VERIFY | self.next_verify;
-        self.verifying.insert(self.next_verify, pv);
-        out.set_timer(SimDuration::from_micros(us), token);
+        out.set_timer(SimDuration::from_micros(us), TK_VERIFY | req_id);
     }
 
-    /// Books one authenticated gradient registration.
+    /// Books one gradient registration, unless it names a round the
+    /// directory does not hold, or a trainer or partition outside the task.
     fn register_gradient(
         &mut self,
         out: &mut Actions<Msg>,
@@ -471,39 +494,43 @@ impl Directory {
         cid: Cid,
         commitment: Option<[u8; 33]>,
     ) {
-        if self.first_hash_seen.insert(iter) {
+        let in_task = trainer < self.topo.config().trainers;
+        let Some(round) = self.rounds.get_mut(&iter).filter(|_| in_task) else {
+            return;
+        };
+        let Some(slot) = round.slots.get_mut(partition) else {
+            return;
+        };
+        if !round.first_hash_seen {
+            round.first_hash_seen = true;
             out.record(labels::FIRST_GRADIENT_HASH, iter as f64);
         }
-        let round = (partition, iter);
-        self.gradients
-            .entry(round)
-            .or_default()
-            .insert(trainer, cid);
+        slot.gradients.insert(trainer, cid);
         if let Some(c) = commitment.and_then(|b| ProtocolCommitment::from_bytes(&b)) {
-            self.commitments
-                .entry(round)
-                .or_default()
-                .insert(trainer, c);
+            slot.commitments.insert(trainer, c);
         }
     }
 
-    fn maybe_finish_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
+    /// Books `trainer`'s report that round `iter` is done, and completes
+    /// the round once enough trainers have.
+    fn on_trainer_done(&mut self, out: &mut Actions<Msg>, trainer: usize, iter: u64) {
+        let cfg = self.topo.config();
         // With a quorum configured, the round completes once that many
         // trainers report done: a crashed trainer must not stall the task.
-        let needed = self
-            .topo
-            .config()
-            .min_quorum
-            .unwrap_or(self.topo.config().trainers);
-        let enough = self.done.get(&iter).is_some_and(|set| set.len() >= needed);
-        if !enough || !self.completed.insert(iter) {
+        let (needed, rounds) = (cfg.min_quorum.unwrap_or(cfg.trainers), cfg.rounds);
+        let in_task = trainer < cfg.trainers;
+        let Some(round) = self.rounds.get_mut(&iter).filter(|_| in_task) else {
+            return;
+        };
+        if !round.done.insert(trainer) || round.completed || round.done.len() < needed {
             return;
         }
+        round.completed = true;
         out.record(labels::ROUND_COMPLETE, iter as f64);
-        if iter + 1 < self.topo.config().rounds {
+        if iter + 1 < rounds {
             self.broadcast_round(out, iter + 1);
         } else {
-            out.record(labels::TASK_COMPLETE, self.topo.config().rounds as f64);
+            out.record(labels::TASK_COMPLETE, rounds as f64);
         }
     }
 }
@@ -534,20 +561,15 @@ impl ProtocolCore for Directory {
 
 impl Directory {
     fn on_timer(&mut self, out: &mut Actions<Msg>, token: u64) {
-        if token & TK_VERIFY != 0 {
-            let Some(pv) = self.verifying.remove(&(token & 0xFFFF_FFFF)) else {
-                return;
-            };
-            if pv.verdict {
-                if !self.updates.contains_key(&(pv.partition, pv.iter)) {
-                    let contributors = pv.contributors.clone();
-                    self.accept_update(out, pv.partition, pv.iter, pv.cid, contributors);
-                }
-                // else: raced with an earlier valid registration; the
-                // audited blob verified, so there is nothing to report.
-            } else {
-                self.reject_update(out, &pv);
-            }
+        if token & TK_VERIFY == 0 {
+            return;
+        }
+        let Some(pv) = self.verifications.remove(&(token & 0xFFFF_FFFF)) else {
+            return;
+        };
+        match pv.verdict {
+            Some(true) => self.accept_update(out, pv),
+            _ => self.reject_update(out, &pv),
         }
     }
 
@@ -590,13 +612,13 @@ impl Directory {
                 iter,
             } => {
                 let trainers = self.topo.trainer_set(partition, agg_j);
-                let registered = self.gradients.get(&(partition, iter));
-                let commits = self.commitments.get(&(partition, iter));
+                let slot = self.slot(partition, iter);
                 let entries: Vec<(usize, Cid, Option<[u8; 33]>)> = trainers
                     .into_iter()
                     .filter_map(|t| {
-                        let cid = registered.and_then(|m| m.get(&t))?;
-                        let commitment = commits.and_then(|m| m.get(&t)).map(|c| c.to_bytes());
+                        let slot = slot?;
+                        let cid = slot.gradients.get(&t)?;
+                        let commitment = slot.commitments.get(&t).map(|c| c.to_bytes());
                         Some((t, *cid, commitment))
                     })
                     .collect();
@@ -648,7 +670,8 @@ impl Directory {
                 // After a quorum-degraded round the accepted update opens
                 // the product over its contributor set, not the full total
                 // — answer with what the accepted update actually opens.
-                let accumulated = match self.accepted_contributors.get(&(partition, iter)) {
+                let update = self.slot(partition, iter).and_then(|s| s.update.as_ref());
+                let accumulated = match update.and_then(|(_, set)| set.as_ref()) {
                     Some(set) => self.accumulated_subset(partition, iter, set),
                     None => self.accumulated_total(partition, iter),
                 }
@@ -661,18 +684,15 @@ impl Directory {
                 out.send(from, reply);
             }
             Msg::QueryUpdate { partition, iter } => {
-                let cid = self.updates.get(&(partition, iter)).copied();
+                let update = self.slot(partition, iter).and_then(|s| s.update.as_ref());
                 let reply = Msg::UpdateInfo {
                     partition,
                     iter,
-                    cid,
+                    cid: update.map(|(cid, _)| *cid),
                 };
                 out.send(from, reply);
             }
-            Msg::TrainerDone { trainer, iter } => {
-                self.done.entry(iter).or_default().insert(trainer);
-                self.maybe_finish_round(out, iter);
-            }
+            Msg::TrainerDone { trainer, iter } => self.on_trainer_done(out, trainer, iter),
             Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
                 self.on_update_blob(out, req_id, &data, true);
             }
@@ -715,12 +735,15 @@ mod tests {
         let topo = topo(true);
         let key = Arc::new(derive_key(topo.max_partition_len(), 0, true));
         let mut dir = Directory::new(topo.clone(), Some(key.clone()));
+        dir.broadcast_round(&mut Actions::new(), 0);
 
         // Register commitments for trainers 0 and 2 (slot j=0 of |A_i|=2).
         let blob = crate::gradient::build_blob(&[1.0; 4]);
         let c = commit_blob(&key, &blob).unwrap();
         for t in [0usize, 2] {
-            dir.commitments.entry((0, 0)).or_default().insert(t, c);
+            dir.rounds.get_mut(&0).unwrap().slots[0]
+                .commitments
+                .insert(t, c);
         }
         // Slot 0 (T_00 = {0, 2}) is complete; slot 1 (T_01 = {1, 3}) is not.
         assert!(dir.accumulated_for_slot(0, 0, 0).is_some());
@@ -728,7 +751,9 @@ mod tests {
         // Total accumulation needs all 4 trainers.
         assert!(dir.accumulated_total(0, 0).is_none());
         for t in [1usize, 3] {
-            dir.commitments.entry((0, 0)).or_default().insert(t, c);
+            dir.rounds.get_mut(&0).unwrap().slots[0]
+                .commitments
+                .insert(t, c);
         }
         assert!(dir.accumulated_total(0, 0).is_some());
     }
@@ -742,7 +767,7 @@ mod tests {
     fn update_blob_without_commit_key_is_booked_not_fatal() {
         use crate::protocol::{Actions, ProtocolAction};
         let mut dir = Directory::new(topo(false), None);
-        dir.fetching.insert(
+        dir.verifications.insert(
             5,
             PendingVerify {
                 partition: 0,
@@ -750,7 +775,7 @@ mod tests {
                 aggregator: 0,
                 cid: Cid::of(b"u"),
                 from: NodeId(1),
-                verdict: false,
+                verdict: None,
                 contributors: None,
                 signature: None,
                 blob: Vec::new(),
@@ -763,7 +788,7 @@ mod tests {
         });
         assert!(booked, "missing commit key must increment the counter");
         assert!(
-            dir.verifying.is_empty(),
+            dir.verifications.is_empty(),
             "nothing must reach the verdict stage"
         );
     }

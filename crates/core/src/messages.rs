@@ -6,10 +6,13 @@
 //! rides inside the storage messages. The enum, its byte layout and its
 //! simulated cost all come from the one table in [`msg_schema!`](crate::msg_schema).
 
+use bytes::Bytes;
 use dfl_crypto::schnorr::{Signature, VerifyingKey};
 use dfl_ipfs::{Cid, DecodeError, IpfsWire, WireCost, WireEmbed};
 
-use crate::gradient::ProtocolCurve;
+use crate::accountability::trainer_verifying_key;
+use crate::config::TaskConfig;
+use crate::gradient::{ProtocolCommitment, ProtocolCurve};
 
 /// A serialized Pedersen commitment (compressed secp256k1 point).
 pub type CommitmentBytes = [u8; 33];
@@ -158,6 +161,32 @@ pub fn overlay_partial_message(
     out.extend_from_slice(cid.as_bytes());
     out.extend_from_slice(commitment);
     out
+}
+
+/// An overlay level partial as its receiver holds it: the sending
+/// trainer's index, the composed blob, the number of gradients folded into
+/// it, the claimed commitment, and the sender's signature (authenticated
+/// mode) — [`Msg::OverlayPartial`] less its partition and round.
+pub type OverlayPartial = (usize, Bytes, u64, CommitmentBytes, Option<SignatureBytes>);
+
+/// The checks an overlay level partial passes before its opening is
+/// checked: the commitment parses and, in authenticated mode, the
+/// signature is the sender's over [`overlay_partial_message`]. Returns the
+/// parsed commitment, `None` to reject. The opening check is the caller's
+/// (a batch in the trainer, a batch of one in the aggregator).
+pub fn overlay_partial_commitment(
+    cfg: &TaskConfig,
+    partition: usize,
+    iter: u64,
+    (trainer, blob, count, commitment, signature): &OverlayPartial,
+) -> Option<ProtocolCommitment> {
+    let point = ProtocolCommitment::from_bytes(commitment)?;
+    let authentic = !cfg.authenticate || {
+        let (cid, vk) = (Cid::of(blob), trainer_verifying_key(cfg.seed, *trainer));
+        let message = overlay_partial_message(*trainer, partition, iter, *count, &cid, commitment);
+        signed_by(&vk, &message, *signature)
+    };
+    authentic.then_some(point)
 }
 
 /// Canonical byte string an aggregator signs over the final update it

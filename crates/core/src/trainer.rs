@@ -19,7 +19,7 @@ use dfl_netsim::{NodeId, SimDuration, SimTime};
 use dfl_crypto::quantize::encode;
 use dfl_crypto::schnorr::SigningKey;
 
-use crate::accountability::agg_verifying_key;
+use crate::accountability::{agg_verifying_key, trainer_signing_key};
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::gradient::{
     build_blob, commit_blob, decode_blob, decode_update, sum_gradients, verify_blobs_timed,
@@ -27,8 +27,8 @@ use crate::gradient::{
 };
 use crate::labels;
 use crate::messages::{
-    batch_registration_message, overlay_partial_message, overlay_update_message,
-    registration_message, signed_by, Msg,
+    batch_registration_message, overlay_partial_commitment, overlay_partial_message,
+    overlay_update_message, registration_message, signed_by, Msg, OverlayPartial,
 };
 use crate::overlay::OverlayTree;
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
@@ -39,11 +39,6 @@ const TK_RETRY: u64 = 3 << 32;
 /// Overlay-mode level deadline (low 32 bits carry the round it was armed
 /// for, so stale timers from finished rounds are ignored).
 const TK_OVERLAY: u64 = 4 << 32;
-
-/// One buffered child partial: the child's trainer index, its composed
-/// blob, the number of gradients folded into it, the claimed commitment,
-/// and the child's signature (authenticated mode).
-type ChildPartial = (usize, Bytes, u64, [u8; 33], Option<[u8; 65]>);
 
 /// Shared sink the runner reads trainers' final parameters from after the
 /// run ends. `Arc<Mutex<..>>` so socket backends can host each trainer on
@@ -60,7 +55,7 @@ struct Overlay {
     /// Child partials buffered per `(iter, partition)`. Keyed by round
     /// because a fast child can send its level's partial before this
     /// node's own `StartRound` arrives.
-    children: HashMap<(u64, usize), Vec<ChildPartial>>,
+    children: HashMap<(u64, usize), Vec<OverlayPartial>>,
     /// Children already counted into a `(iter, partition)` buffer —
     /// duplicates (retransmissions, Byzantine replays) are dropped.
     seen: HashSet<(u64, usize, usize)>,
@@ -174,10 +169,8 @@ impl<M: Model> Trainer<M> {
             topo.param_count(),
             "parameter count mismatch"
         );
-        let signing_key = topo
-            .config()
-            .authenticate
-            .then(|| SigningKey::derive(&topo.config().seed.to_be_bytes(), t as u64));
+        let cfg = topo.config();
+        let signing_key = cfg.authenticate.then(|| trainer_signing_key(cfg.seed, t));
         let overlay = topo.overlay().zip(key.clone()).map(|(tree, key)| Overlay {
             tree,
             key,
@@ -398,28 +391,15 @@ impl<M: Model> Trainer<M> {
         // signature, then one batched Pedersen opening check over the
         // survivors (the batch is empty at leaves and costs nothing).
         let key = &overlay.key;
-        let seed = self.topo.config().seed.to_be_bytes();
+        let cfg = self.topo.config();
         let mut candidates: Vec<(usize, Bytes, u64, ProtocolCommitment)> = Vec::new();
-        for (child, blob, count, commitment, signature) in buffered {
-            let Some(point) = ProtocolCommitment::from_bytes(&commitment) else {
+        for partial in buffered {
+            let checked = overlay_partial_commitment(cfg, partition, self.round.iter, &partial);
+            let (child, blob, count, ..) = partial;
+            let Some(point) = checked else {
                 out.record(labels::OVERLAY_CHILD_REJECTED, child as f64);
                 continue;
             };
-            if self.topo.config().authenticate {
-                let vk = SigningKey::<ProtocolCurve>::derive(&seed, child as u64).verifying_key();
-                let msg = overlay_partial_message(
-                    child,
-                    partition,
-                    self.round.iter,
-                    count,
-                    &Cid::of(&blob),
-                    &commitment,
-                );
-                if !signed_by(&vk, &msg, signature) {
-                    out.record(labels::OVERLAY_CHILD_REJECTED, child as f64);
-                    continue;
-                }
-            }
             candidates.push((child, blob, count, point));
         }
         let items: Vec<(&[u8], &ProtocolCommitment)> = candidates
@@ -508,18 +488,14 @@ impl<M: Model> Trainer<M> {
     /// Buffers one child partial (de-duplicated) and forwards the level if
     /// it is now complete. Partials for future rounds are held until this
     /// node's own `StartRound` catches up.
-    #[allow(clippy::too_many_arguments)]
     fn on_overlay_partial(
         &mut self,
         out: &mut Actions<Msg>,
-        trainer: usize,
         partition: usize,
         iter: u64,
-        data: Bytes,
-        count: u64,
-        commitment: [u8; 33],
-        signature: Option<[u8; 65]>,
+        partial: OverlayPartial,
     ) {
+        let trainer = partial.0;
         let Some(overlay) = &mut self.overlay else {
             return; // flat mode: stray frame, nothing listens here
         };
@@ -544,7 +520,7 @@ impl<M: Model> Trainer<M> {
             .children
             .entry((iter, partition))
             .or_default()
-            .push((trainer, data, count, commitment, signature));
+            .push(partial);
         if iter == self.round.iter {
             self.try_forward_overlay(out, partition, false);
         }
@@ -897,9 +873,10 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                 count,
                 commitment,
                 signature,
-            } => self.on_overlay_partial(
-                out, trainer, partition, iter, data, count, commitment, signature,
-            ),
+            } => {
+                let partial = (trainer, data, count, commitment, signature);
+                self.on_overlay_partial(out, partition, iter, partial);
+            }
             Msg::OverlayUpdate {
                 partition,
                 iter,

@@ -24,6 +24,7 @@
 //! is assumed available but never trusted for correctness (§III-A).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod block;
 pub mod chunker;

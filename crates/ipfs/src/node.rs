@@ -21,7 +21,7 @@
 //! * **Subscribe/Publish** — flood pub/sub used by aggregators to exchange
 //!   partial-update hashes during synchronization (§IV-B).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
 
@@ -172,41 +172,46 @@ pub struct Outgoing {
     pub wire: IpfsWire,
 }
 
-/// In-flight retrieval triggered by a client `Get` or `Merge`.
+/// What an in-flight retrieval is for.
 #[derive(Debug)]
-enum Pending {
-    Get {
-        client: NodeId,
-        client_req: u64,
-        cid: Cid,
-    },
-    MergeFetch {
-        merge_id: u64,
-        cid: Cid,
-    },
+enum Purpose {
+    /// A client `Get`: the block goes back to the client.
+    Get { client: NodeId, client_req: u64 },
+    /// A block the merge with this id is missing.
+    Merge(u64),
 }
 
-/// Which reply an in-flight retrieval is currently waiting for.
-#[derive(Debug)]
+/// Which reply an in-flight retrieval is waiting for.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Leg {
-    /// Waiting for a `Providers` reply; the queue holds untried record
-    /// holders to fail over to.
-    Resolve { holders: Vec<NodeId> },
-    /// Waiting for a `FetchOk`; the queue holds untried providers.
-    Fetch { queue: Vec<NodeId> },
+    /// `Providers` from a record holder.
+    Resolve,
+    /// `FetchOk` from a provider.
+    Fetch,
 }
 
-/// Timeout/retry/failover state of one in-flight retrieval.
+/// One in-flight retrieval of a block this node does not hold, keyed by
+/// its request id: what it is for, and its timeout / retry / failover
+/// state. While it exists, `peers` is non-empty.
 #[derive(Debug)]
-struct FetchAttempt {
+struct Retrieval {
+    purpose: Purpose,
     cid: Cid,
-    /// The peer currently being waited on.
-    peer: NodeId,
-    /// Retries already spent on `peer` (0 = first attempt).
-    attempt: u32,
-    /// Token of the currently armed timeout; earlier tokens are stale.
-    timer: u64,
     leg: Leg,
+    /// The leg's candidates in order: the first is the peer being waited
+    /// on, the rest are failover targets.
+    peers: VecDeque<NodeId>,
+    /// Retries already spent on the current peer (0 = first attempt).
+    attempt: u32,
+    /// Timeouts armed so far; only the latest is live ([`timer_token`]).
+    armed: u32,
+}
+
+/// The token of retrieval `id`'s `armed`-th timeout: the id in the high
+/// half, the arming in the low half, so an expiry names its retrieval and
+/// a superseded arming is recognisably stale.
+fn timer_token(id: u64, armed: u32) -> u64 {
+    (id << 32) | u64::from(armed)
 }
 
 /// An in-progress merge waiting for missing blocks.
@@ -232,18 +237,14 @@ pub struct IpfsNode {
     records: HashMap<Cid, Vec<NodeId>>,
     /// Local subscriptions: topic → participant node ids.
     subs: HashMap<Topic, HashSet<NodeId>>,
-    pending: HashMap<u64, Pending>,
-    /// Retry/failover state per in-flight retrieval.
-    fetches: HashMap<u64, FetchAttempt>,
+    /// In-flight retrievals by request id.
+    retrievals: HashMap<u64, Retrieval>,
     merges: HashMap<u64, PendingMerge>,
     next_req: u64,
     policy: RetryPolicy,
     /// Timeouts requested but not yet armed; the hosting actor drains
     /// these with [`IpfsNode::take_timer_requests`] and arms real timers.
     timer_requests: Vec<(u64, SimDuration)>,
-    /// Armed timeout token → the retrieval it guards.
-    timer_owner: HashMap<u64, u64>,
-    next_timer: u64,
     /// Test hook: a lossy node discards stored data (models storage loss).
     lossy: bool,
     /// Counter bumps not yet drained into a trace (see [`stats`]). The
@@ -274,8 +275,9 @@ pub mod stats {
     pub const RETRACTIONS: &str = "ipfs/retractions";
     /// Retrievals that exhausted every candidate and failed.
     pub const FETCH_FAILURES: &str = "ipfs/fetch_failures";
-    /// Replies naming a request this node is not running (forged or
-    /// stale `Providers`) — booked and dropped.
+    /// `Providers` replies naming a request this node is not resolving
+    /// (forged, or late: the retrieval already fetches or is done) —
+    /// booked and dropped.
     pub const STALE_REPLIES: &str = "ipfs/stale_replies";
     /// Messages a storage node has no handler for (client-facing
     /// responses misrouted to a node) — booked and dropped.
@@ -299,14 +301,11 @@ impl IpfsNode {
             store: BlockStore::new(),
             records: HashMap::new(),
             subs: HashMap::new(),
-            pending: HashMap::new(),
-            fetches: HashMap::new(),
+            retrievals: HashMap::new(),
             merges: HashMap::new(),
             next_req: 0,
             policy: RetryPolicy::default(),
             timer_requests: Vec::new(),
-            timer_owner: HashMap::new(),
-            next_timer: 0,
             lossy: false,
             stat_pending: Vec::new(),
         }
@@ -365,11 +364,9 @@ impl IpfsNode {
     /// timeout bookkeeping — as a crash would. Stored blocks, provider
     /// records, and subscriptions survive (they model durable state).
     pub fn drop_volatile_state(&mut self) {
-        self.pending.clear();
-        self.fetches.clear();
+        self.retrievals.clear();
         self.merges.clear();
         self.timer_requests.clear();
-        self.timer_owner.clear();
     }
 
     /// Silently discards every stored block (durable data loss). Provider
@@ -413,12 +410,7 @@ impl IpfsNode {
                 self.gc_and_retract(cid)
             }
             IpfsWire::Retract { cid, provider } => {
-                if let Some(entry) = self.records.get_mut(&cid) {
-                    entry.retain(|p| *p != provider);
-                    if entry.is_empty() {
-                        self.records.remove(&cid);
-                    }
-                }
+                self.remove_provider(&cid, provider);
                 Vec::new()
             }
             IpfsWire::Get { cid, req_id } => self.on_get(from, cid, req_id),
@@ -440,15 +432,10 @@ impl IpfsNode {
                 }]
             }
             IpfsWire::Providers {
-                cid,
-                providers,
-                req_id,
-            } => self.on_providers(cid, providers, req_id),
+                providers, req_id, ..
+            } => self.on_providers(providers, req_id),
             IpfsWire::Announce { cid, provider } => {
-                let entry = self.records.entry(cid).or_default();
-                if !entry.contains(&provider) {
-                    entry.push(provider);
-                }
+                self.add_provider(cid, provider);
                 Vec::new()
             }
             IpfsWire::FetchBlock { cid, req_id } => match self.store.get(&cid) {
@@ -468,24 +455,13 @@ impl IpfsNode {
             IpfsWire::FetchOk { cid, data, req_id } => self.on_fetch_ok(from, cid, data, req_id),
             IpfsWire::FetchErr { cid, req_id } => self.on_fetch_err(from, cid, req_id),
             IpfsWire::Replicate { data } => {
-                if !self.lossy {
-                    let block = Block::new(data);
-                    let cid = self.store.put(block);
-                    self.store.pin(cid);
-                    // Record ourselves locally when we are a record holder,
-                    // and announce to the others, so retrieval can fail over.
-                    if self
-                        .record_holders(&cid, RECORD_REPLICAS)
-                        .contains(&self.id)
-                    {
-                        let entry = self.records.entry(cid).or_default();
-                        if !entry.contains(&self.id) {
-                            entry.push(self.id);
-                        }
-                    }
-                    return self.announce(cid);
+                if self.lossy {
+                    return Vec::new();
                 }
-                Vec::new()
+                let cid = self.store.put(Block::new(data));
+                self.store.pin(cid);
+                // Advertised like the origin, so retrieval can fail over.
+                self.provide(cid)
             }
             IpfsWire::PubGossip {
                 topic,
@@ -504,47 +480,87 @@ impl IpfsNode {
         }
     }
 
-    fn announce(&self, cid: Cid) -> Vec<Outgoing> {
+    /// Adds `provider` to this node's record for `cid`.
+    fn add_provider(&mut self, cid: Cid, provider: NodeId) {
+        let entry = self.records.entry(cid).or_default();
+        if !entry.contains(&provider) {
+            entry.push(provider);
+        }
+    }
+
+    /// Removes `provider` from this node's record for `cid`; an emptied
+    /// record goes.
+    fn remove_provider(&mut self, cid: &Cid, provider: NodeId) {
+        if let Some(entry) = self.records.get_mut(cid) {
+            entry.retain(|p| *p != provider);
+            if entry.is_empty() {
+                self.records.remove(cid);
+            }
+        }
+    }
+
+    /// Advertises this node as a provider of `cid`: in its own record when
+    /// it is a record holder, by `Announce` to the other holders.
+    fn provide(&mut self, cid: Cid) -> Vec<Outgoing> {
         let mut out = Vec::new();
         for holder in self.record_holders(&cid, RECORD_REPLICAS) {
             if holder == self.id {
-                // Handled inline below by the caller storing its own record.
-                continue;
+                self.add_provider(cid, holder);
+            } else {
+                out.push(Outgoing {
+                    to: holder,
+                    wire: IpfsWire::Announce {
+                        cid,
+                        provider: self.id,
+                    },
+                });
             }
-            out.push(Outgoing {
-                to: holder,
-                wire: IpfsWire::Announce {
-                    cid,
-                    provider: self.id,
-                },
-            });
         }
         out
     }
 
-    /// Releases the local pin, forwards the release to the replica set
-    /// (the same deterministic closest-to-CID nodes `Put` used), collects
-    /// garbage, and retracts stale provider records.
+    /// Withdraws `provider` from the records for `cid`: locally when this
+    /// node holds one, by `Retract` on the other record holders. This is
+    /// how records self-heal after a provider dies, loses or drops data.
+    fn withdraw(&mut self, cid: Cid, provider: NodeId) -> Vec<Outgoing> {
+        self.remove_provider(&cid, provider);
+        // The provider itself is included: if it is a record holder that
+        // merely lost the data (not crashed), its own record heals too.
+        self.record_holders(&cid, RECORD_REPLICAS)
+            .into_iter()
+            .filter(|h| *h != self.id)
+            .map(|to| Outgoing {
+                to,
+                wire: IpfsWire::Retract { cid, provider },
+            })
+            .collect()
+    }
+
+    /// The `replicate − 1` nodes other than this one XOR-closest to `cid`
+    /// (uniform allocation): where a `Put` pushes its replicas and an
+    /// `Unpin` releases them.
+    fn replica_targets(&self, cid: &Cid, replicate: usize) -> Vec<NodeId> {
+        if replicate <= 1 {
+            return Vec::new();
+        }
+        let mut targets = self.record_holders(cid, self.roster.len());
+        targets.retain(|n| *n != self.id);
+        targets.truncate(replicate - 1);
+        targets
+    }
+
+    /// Releases the local pin, forwards the release to the replica set,
+    /// collects garbage, and retracts stale provider records.
     fn on_unpin(&mut self, cid: Cid, replicate: usize) -> Vec<Outgoing> {
         self.store.unpin(&cid);
-        let mut out = Vec::new();
-        if replicate > 1 {
-            let targets: Vec<NodeId> = closest_nodes(
-                &self.roster,
-                &Key::from_u256(cid.as_key()),
-                self.roster.len(),
-            )
+        let targets = self.replica_targets(&cid, replicate);
+        let mut out: Vec<Outgoing> = targets
             .into_iter()
-            .filter(|n| *n != self.id)
-            .take(replicate - 1)
+            .map(|to| Outgoing {
+                to,
+                wire: IpfsWire::UnpinReplica { cid },
+            })
             .collect();
-            for target in targets {
-                out.push(Outgoing {
-                    to: target,
-                    wire: IpfsWire::UnpinReplica { cid },
-                });
-            }
-        }
         out.extend(self.gc_and_retract(cid));
         out
     }
@@ -556,25 +572,7 @@ impl IpfsNode {
         if self.store.contains(&cid) {
             return Vec::new();
         }
-        if let Some(entry) = self.records.get_mut(&cid) {
-            entry.retain(|p| *p != self.id);
-            if entry.is_empty() {
-                self.records.remove(&cid);
-            }
-        }
-        let mut out = Vec::new();
-        for holder in self.record_holders(&cid, RECORD_REPLICAS) {
-            if holder != self.id {
-                out.push(Outgoing {
-                    to: holder,
-                    wire: IpfsWire::Retract {
-                        cid,
-                        provider: self.id,
-                    },
-                });
-            }
-        }
-        out
+        self.withdraw(cid, self.id)
     }
 
     fn on_put(
@@ -586,38 +584,16 @@ impl IpfsNode {
     ) -> Vec<Outgoing> {
         let block = Block::new(data.clone());
         let cid = block.cid();
-        let mut out = Vec::new();
         if !self.lossy {
             self.store.put(block);
             self.store.pin(cid);
         }
-        // Record self as provider locally if we are a record holder.
-        let holders = self.record_holders(&cid, RECORD_REPLICAS);
-        if holders.contains(&self.id) {
-            let entry = self.records.entry(cid).or_default();
-            if !entry.contains(&self.id) {
-                entry.push(self.id);
-            }
-        }
-        out.extend(self.announce(cid));
-        // Push replicas to the nodes XOR-closest to the CID (uniform
-        // allocation, excluding self).
-        if replicate > 1 {
-            let targets: Vec<NodeId> = closest_nodes(
-                &self.roster,
-                &Key::from_u256(cid.as_key()),
-                self.roster.len(),
-            )
-            .into_iter()
-            .filter(|n| *n != self.id)
-            .take(replicate - 1)
-            .collect();
-            for target in targets {
-                out.push(Outgoing {
-                    to: target,
-                    wire: IpfsWire::Replicate { data: data.clone() },
-                });
-            }
+        let mut out = self.provide(cid);
+        for to in self.replica_targets(&cid, replicate) {
+            out.push(Outgoing {
+                to,
+                wire: IpfsWire::Replicate { data: data.clone() },
+            });
         }
         out.push(Outgoing {
             to: from,
@@ -635,151 +611,106 @@ impl IpfsNode {
             }];
         }
         self.bump(stats::CACHE_MISSES);
-        let internal = self.fresh_req();
-        self.pending.insert(
-            internal,
-            Pending::Get {
-                client: from,
-                client_req: req_id,
-                cid,
-            },
-        );
-        self.resolve(cid, internal)
+        let id = self.fresh_req();
+        let purpose = Purpose::Get {
+            client: from,
+            client_req: req_id,
+        };
+        self.resolve(id, cid, purpose)
     }
 
-    /// Starts resolution of a missing block: consult the provider record
-    /// (locally if we hold a usable one, otherwise ask another record
-    /// holder — our own record may be partial, e.g. listing only
-    /// ourselves when we lost the data but a replica exists elsewhere).
-    fn resolve(&mut self, cid: Cid, internal: u64) -> Vec<Outgoing> {
+    /// Starts retrieval `id` of a block this node does not hold: straight
+    /// from the providers in its own record when that names another node,
+    /// otherwise via the record holders (our own record may be partial,
+    /// e.g. listing only ourselves when we lost the data but a replica
+    /// exists elsewhere).
+    fn resolve(&mut self, id: u64, cid: Cid, purpose: Purpose) -> Vec<Outgoing> {
         self.bump(stats::PROVIDER_LOOKUPS);
-        let local: Vec<NodeId> = self
+        let providers = self
             .records
             .get(&cid)
-            .map(|providers| {
-                providers
-                    .iter()
-                    .copied()
-                    .filter(|p| *p != self.id)
-                    .collect()
-            })
+            .map(|p| self.others(p.iter().copied()))
             .unwrap_or_default();
-        if !local.is_empty() {
-            return self.begin_fetch(cid, internal, local);
-        }
-        let mut holders: Vec<NodeId> = self
-            .record_holders(&cid, RECORD_REPLICAS)
-            .into_iter()
-            .filter(|h| *h != self.id)
-            .collect();
-        if holders.is_empty() {
-            // We are the only record holder and have no usable record.
-            return self.fail(cid, internal);
-        }
-        let first = holders.remove(0);
-        self.fetches.insert(
-            internal,
-            FetchAttempt {
-                cid,
-                peer: first,
-                attempt: 0,
-                timer: 0,
-                leg: Leg::Resolve { holders },
-            },
-        );
-        self.arm_timeout(internal);
-        vec![Outgoing {
-            to: first,
-            wire: IpfsWire::FindProviders {
-                cid,
-                req_id: internal,
-            },
-        }]
-    }
-
-    /// Arms the timeout guarding request `internal`'s current attempt,
-    /// with exponential backoff across retries of the same peer. A stale
-    /// id (request already resolved) arms nothing.
-    fn arm_timeout(&mut self, internal: u64) {
-        let Some(state) = self.fetches.get_mut(&internal) else {
-            return;
+        let (leg, peers) = if providers.is_empty() {
+            let holders = self.record_holders(&cid, RECORD_REPLICAS);
+            (Leg::Resolve, self.others(holders))
+        } else {
+            (Leg::Fetch, providers)
         };
-        self.next_timer += 1;
-        state.timer = self.next_timer;
-        let backoff = self.policy.base_timeout.as_micros() << state.attempt.min(16);
-        self.timer_owner.insert(self.next_timer, internal);
+        let retrieval = Retrieval {
+            purpose,
+            cid,
+            leg,
+            peers,
+            attempt: 0,
+            armed: 0,
+        };
+        self.retrievals.insert(id, retrieval);
+        self.attempt(id)
+    }
+
+    /// `peers` without this node, in order.
+    fn others(&self, peers: impl IntoIterator<Item = NodeId>) -> VecDeque<NodeId> {
+        peers.into_iter().filter(|p| *p != self.id).collect()
+    }
+
+    /// Sends retrieval `id`'s request for its leg to its current peer and
+    /// arms the attempt's timeout, backing off exponentially across
+    /// retries of that peer — or fails the retrieval when the leg has no
+    /// peer left.
+    fn attempt(&mut self, id: u64) -> Vec<Outgoing> {
+        let Some(r) = self.retrievals.get_mut(&id) else {
+            return Vec::new();
+        };
+        let Some(&to) = r.peers.front() else {
+            return self.fail(id);
+        };
+        r.armed += 1;
+        let backoff = self.policy.base_timeout.as_micros() << r.attempt.min(16);
+        let token = timer_token(id, r.armed);
         self.timer_requests
-            .push((self.next_timer, SimDuration::from_micros(backoff)));
+            .push((token, SimDuration::from_micros(backoff)));
+        let (cid, req_id) = (r.cid, id);
+        let wire = match r.leg {
+            Leg::Resolve => IpfsWire::FindProviders { cid, req_id },
+            Leg::Fetch => IpfsWire::FetchBlock { cid, req_id },
+        };
+        vec![Outgoing { to, wire }]
     }
 
-    /// Starts fetching `cid` from the first of `providers`, keeping the
-    /// rest as failover candidates.
-    fn begin_fetch(&mut self, cid: Cid, internal: u64, providers: Vec<NodeId>) -> Vec<Outgoing> {
-        let mut queue: Vec<NodeId> = providers.into_iter().filter(|p| *p != self.id).collect();
-        if queue.is_empty() {
-            return self.fail(cid, internal);
+    /// Gives up on retrieval `id`'s current peer and moves to the next
+    /// candidate of its leg.
+    fn failover(&mut self, id: u64) -> Vec<Outgoing> {
+        let Some(r) = self.retrievals.get_mut(&id) else {
+            return Vec::new();
+        };
+        r.peers.pop_front();
+        r.attempt = 0;
+        if !r.peers.is_empty() {
+            self.bump(stats::FAILOVERS);
         }
-        let first = queue.remove(0);
-        self.fetches.insert(
-            internal,
-            FetchAttempt {
-                cid,
-                peer: first,
-                attempt: 0,
-                timer: 0,
-                leg: Leg::Fetch { queue },
-            },
-        );
-        self.arm_timeout(internal);
-        vec![Outgoing {
-            to: first,
-            wire: IpfsWire::FetchBlock {
-                cid,
-                req_id: internal,
-            },
-        }]
+        self.attempt(id)
     }
 
-    fn on_providers(&mut self, cid: Cid, providers: Vec<NodeId>, req_id: u64) -> Vec<Outgoing> {
-        let candidates: Vec<NodeId> = providers.into_iter().filter(|p| *p != self.id).collect();
-        if let Some(state) = self.fetches.remove(&req_id) {
-            self.timer_owner.remove(&state.timer);
-            if candidates.is_empty() {
-                // This holder answered but knows no provider; another
-                // holder's record may be more complete.
-                if let Leg::Resolve { mut holders } = state.leg {
-                    if !holders.is_empty() {
-                        self.bump(stats::FAILOVERS);
-                        let next = holders.remove(0);
-                        self.fetches.insert(
-                            req_id,
-                            FetchAttempt {
-                                cid,
-                                peer: next,
-                                attempt: 0,
-                                timer: 0,
-                                leg: Leg::Resolve { holders },
-                            },
-                        );
-                        self.arm_timeout(req_id);
-                        return vec![Outgoing {
-                            to: next,
-                            wire: IpfsWire::FindProviders { cid, req_id },
-                        }];
-                    }
-                }
-                return self.fail(cid, req_id);
-            }
-        } else if !self.pending.contains_key(&req_id) {
-            // No fetch state and no pending request: a stale or forged
-            // `Providers` reply. Book it instead of spinning up a fetch
-            // for (or failing) a request this node never issued.
+    /// A record holder's answer, acted on only while its retrieval is
+    /// resolving: a late reply (a retried `FindProviders` answered twice)
+    /// must not restart a fetch already under way.
+    fn on_providers(&mut self, providers: Vec<NodeId>, req_id: u64) -> Vec<Outgoing> {
+        let candidates = self.others(providers);
+        let resolving = self.retrievals.get_mut(&req_id);
+        let Some(r) = resolving.filter(|r| r.leg == Leg::Resolve) else {
             self.bump(stats::STALE_REPLIES);
             return Vec::new();
-        } else if candidates.is_empty() {
-            return self.fail(cid, req_id);
+        };
+        if candidates.is_empty() {
+            // This holder answered but knows no provider; another
+            // holder's record may be more complete.
+            return self.failover(req_id);
         }
-        self.begin_fetch(cid, req_id, candidates)
+        r.leg = Leg::Fetch;
+        r.peers = candidates;
+        r.attempt = 0;
+        self.attempt(req_id)
     }
 
     fn on_fetch_ok(&mut self, from: NodeId, cid: Cid, data: Bytes, req_id: u64) -> Vec<Outgoing> {
@@ -787,32 +718,12 @@ impl IpfsNode {
         let Some(block) = Block::verified(cid, data) else {
             return self.on_fetch_err(from, cid, req_id);
         };
-        if let Some(state) = self.fetches.remove(&req_id) {
-            self.timer_owner.remove(&state.timer);
-        }
+        let data = block.data().clone();
         if !self.lossy {
-            self.store.put(block.clone());
+            self.store.put(block);
         }
-        match self.pending.remove(&req_id) {
-            Some(Pending::Get {
-                client,
-                client_req,
-                cid,
-            }) => vec![Outgoing {
-                to: client,
-                wire: IpfsWire::GetOk {
-                    cid,
-                    data: block.data().clone(),
-                    req_id: client_req,
-                },
-            }],
-            Some(Pending::MergeFetch { merge_id, cid }) => {
-                if let Some(merge) = self.merges.get_mut(&merge_id) {
-                    merge.missing.remove(&cid);
-                    merge.fetched.insert(cid, block.data().clone());
-                }
-                self.try_finish_merge(merge_id)
-            }
+        match self.retrievals.remove(&req_id) {
+            Some(r) => self.settle(r, Some(data)),
             None => Vec::new(),
         }
     }
@@ -821,81 +732,19 @@ impl IpfsNode {
         // The peer is reachable but does not hold the block: withdraw its
         // provider record so later retrievals skip it, then fail over (a
         // replica may still hold the block even when the announced origin
-        // lost it).
+        // lost it). A stale reply from a peer we already failed over from
+        // gets the retraction only.
         let mut out = self.retract_provider(cid, from);
-        match self.fetches.get(&req_id) {
-            Some(state) if state.peer == from => {
-                self.timer_owner.remove(&state.timer);
-                out.extend(self.advance_fetch(req_id));
-            }
-            // A stale reply from a peer we already failed over from: the
-            // retraction above is all there is to do.
-            _ => {}
+        let current = self.retrievals.get(&req_id);
+        if current.is_some_and(|r| r.peers.front() == Some(&from)) {
+            out.extend(self.failover(req_id));
         }
         out
     }
 
-    /// Moves an in-flight retrieval to its next untried peer, or fails the
-    /// request when none remain.
-    fn advance_fetch(&mut self, internal: u64) -> Vec<Outgoing> {
-        let Some(state) = self.fetches.get_mut(&internal) else {
-            return Vec::new();
-        };
-        let cid = state.cid;
-        match &mut state.leg {
-            Leg::Fetch { queue } if !queue.is_empty() => {
-                let next = queue.remove(0);
-                state.peer = next;
-                state.attempt = 0;
-                self.bump(stats::FAILOVERS);
-                self.arm_timeout(internal);
-                vec![Outgoing {
-                    to: next,
-                    wire: IpfsWire::FetchBlock {
-                        cid,
-                        req_id: internal,
-                    },
-                }]
-            }
-            Leg::Resolve { holders } if !holders.is_empty() => {
-                let next = holders.remove(0);
-                state.peer = next;
-                state.attempt = 0;
-                self.bump(stats::FAILOVERS);
-                self.arm_timeout(internal);
-                vec![Outgoing {
-                    to: next,
-                    wire: IpfsWire::FindProviders {
-                        cid,
-                        req_id: internal,
-                    },
-                }]
-            }
-            _ => self.fail(cid, internal),
-        }
-    }
-
-    /// Withdraws `provider` from the record for `cid`: locally when this
-    /// node is a record holder, and by `Retract` on the other holders.
-    /// This is how records self-heal after a provider dies or loses data.
     fn retract_provider(&mut self, cid: Cid, provider: NodeId) -> Vec<Outgoing> {
         self.bump(stats::RETRACTIONS);
-        if let Some(entry) = self.records.get_mut(&cid) {
-            entry.retain(|p| *p != provider);
-            if entry.is_empty() {
-                self.records.remove(&cid);
-            }
-        }
-        // The provider itself is included: if it is a record holder that
-        // merely lost the data (not crashed), its own record heals too.
-        self.record_holders(&cid, RECORD_REPLICAS)
-            .into_iter()
-            .filter(|h| *h != self.id)
-            .map(|h| Outgoing {
-                to: h,
-                wire: IpfsWire::Retract { cid, provider },
-            })
-            .collect()
+        self.withdraw(cid, provider)
     }
 
     /// Handles the expiry of a timeout previously requested via
@@ -903,79 +752,61 @@ impl IpfsNode {
     /// backoff, then declares it dead: retracts it (fetch leg) and fails
     /// over to the next candidate.
     pub fn on_timeout(&mut self, token: u64) -> Vec<Outgoing> {
-        let Some(internal) = self.timer_owner.remove(&token) else {
-            return Vec::new(); // stale: the request already progressed
+        let id = token >> 32;
+        let live = self.retrievals.get_mut(&id);
+        let Some(r) = live.filter(|r| timer_token(id, r.armed) == token) else {
+            return Vec::new(); // stale: the retrieval progressed since
         };
-        let Some(state) = self.fetches.get_mut(&internal) else {
-            return Vec::new();
-        };
-        if state.timer != token {
-            return Vec::new();
-        }
-        if state.attempt + 1 < self.policy.attempts_per_peer {
-            state.attempt += 1;
-            let (cid, peer) = (state.cid, state.peer);
-            let wire = match state.leg {
-                Leg::Resolve { .. } => IpfsWire::FindProviders {
-                    cid,
-                    req_id: internal,
-                },
-                Leg::Fetch { .. } => IpfsWire::FetchBlock {
-                    cid,
-                    req_id: internal,
-                },
-            };
+        if r.attempt + 1 < self.policy.attempts_per_peer {
+            r.attempt += 1;
             self.bump(stats::RETRIES);
-            self.arm_timeout(internal);
-            return vec![Outgoing { to: peer, wire }];
+            return self.attempt(id);
         }
         // Peer exhausted its attempts: treat it as dead. A dead provider
         // is retracted so the record heals; a dead record holder is simply
         // skipped (it holds no provider entry to withdraw).
-        let (cid, peer) = (state.cid, state.peer);
-        let mut out = match state.leg {
-            Leg::Fetch { .. } => self.retract_provider(cid, peer),
-            Leg::Resolve { .. } => Vec::new(),
-        };
-        out.extend(self.advance_fetch(internal));
+        let mut out = Vec::new();
+        if let (Leg::Fetch, Some(&peer)) = (r.leg, r.peers.front()) {
+            let cid = r.cid;
+            out = self.retract_provider(cid, peer);
+        }
+        out.extend(self.failover(id));
         out
     }
 
-    fn fail(&mut self, cid: Cid, internal: u64) -> Vec<Outgoing> {
-        let _ = cid;
-        if let Some(state) = self.fetches.remove(&internal) {
-            self.timer_owner.remove(&state.timer);
-        }
-        match self.pending.remove(&internal) {
-            Some(Pending::Get {
-                client,
-                client_req,
-                cid,
-            }) => {
-                self.bump(stats::FETCH_FAILURES);
-                vec![Outgoing {
-                    to: client,
-                    wire: IpfsWire::GetErr {
-                        cid,
-                        req_id: client_req,
-                    },
-                }]
+    /// Ends retrieval `id` with every candidate of its leg exhausted.
+    fn fail(&mut self, id: u64) -> Vec<Outgoing> {
+        let Some(r) = self.retrievals.remove(&id) else {
+            return Vec::new();
+        };
+        self.bump(stats::FETCH_FAILURES);
+        self.settle(r, None)
+    }
+
+    /// Hands a finished retrieval's block (`None`: it failed) to what it
+    /// was for — the client's `Get`, or its merge.
+    fn settle(&mut self, r: Retrieval, data: Option<Bytes>) -> Vec<Outgoing> {
+        let cid = r.cid;
+        match r.purpose {
+            Purpose::Get { client, client_req } => {
+                let req_id = client_req;
+                let wire = match data {
+                    Some(data) => IpfsWire::GetOk { cid, data, req_id },
+                    None => IpfsWire::GetErr { cid, req_id },
+                };
+                vec![Outgoing { to: client, wire }]
             }
-            Some(Pending::MergeFetch { merge_id, cid }) => {
-                self.bump(stats::FETCH_FAILURES);
+            Purpose::Merge(merge_id) => {
                 if let Some(merge) = self.merges.get_mut(&merge_id) {
-                    merge.failed = true;
                     merge.missing.remove(&cid);
+                    match data {
+                        Some(data) => {
+                            merge.fetched.insert(cid, data);
+                        }
+                        None => merge.failed = true,
+                    }
                 }
                 self.try_finish_merge(merge_id)
-            }
-            // A forged or long-delayed reply can carry a request id this
-            // node never issued (or already settled); booking it here is
-            // the whole response — the old debug_assert let remote bytes
-            // abort debug builds.
-            None => {
-                self.bump(stats::STALE_REPLIES);
-                Vec::new()
             }
         }
     }
@@ -1004,10 +835,8 @@ impl IpfsNode {
         let mut to_fetch: Vec<Cid> = missing.into_iter().collect();
         to_fetch.sort_unstable(); // deterministic fetch order
         for cid in to_fetch {
-            let internal = self.fresh_req();
-            self.pending
-                .insert(internal, Pending::MergeFetch { merge_id, cid });
-            out.extend(self.resolve(cid, internal));
+            let id = self.fresh_req();
+            out.extend(self.resolve(id, cid, Purpose::Merge(merge_id)));
         }
         out.extend(self.try_finish_merge(merge_id));
         out
@@ -1115,11 +944,11 @@ impl std::fmt::Debug for IpfsNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "IpfsNode(id={}, blocks={}, records={}, pending={})",
+            "IpfsNode(id={}, blocks={}, records={}, retrievals={})",
             self.id,
             self.store.len(),
             self.records.len(),
-            self.pending.len()
+            self.retrievals.len()
         )
     }
 }
@@ -1500,22 +1329,18 @@ mod tests {
         let cid = Cid::of(b"real-content");
         let internal = 1u64;
         let forger = NodeId(50);
-        node.pending.insert(
+        node.retrievals.insert(
             internal,
-            Pending::Get {
-                client: CLIENT,
-                client_req: 7,
+            Retrieval {
+                purpose: Purpose::Get {
+                    client: CLIENT,
+                    client_req: 7,
+                },
                 cid,
-            },
-        );
-        node.fetches.insert(
-            internal,
-            FetchAttempt {
-                cid,
-                peer: forger,
+                leg: Leg::Fetch,
+                peers: VecDeque::from([forger]),
                 attempt: 0,
-                timer: 0,
-                leg: Leg::Fetch { queue: vec![] },
+                armed: 0,
             },
         );
         let out = node.handle(
@@ -1885,7 +1710,7 @@ mod tests {
         assert!(nodes[1].take_timer_requests().is_empty());
         // Stored blocks survive a crash; only request state is gone.
         assert!(nodes[0].store().contains(&cid));
-        assert!(nodes[1].fetches.is_empty() && nodes[1].pending.is_empty());
+        assert!(nodes[1].retrievals.is_empty());
     }
 
     #[test]
@@ -1913,7 +1738,7 @@ mod tests {
         assert!(o.is_empty());
         let stats = drained_stats(&mut nodes[0]);
         assert_eq!(stats[stats::STALE_REPLIES], 2);
-        assert!(nodes[0].fetches.is_empty());
+        assert!(nodes[0].retrievals.is_empty());
     }
 
     #[test]

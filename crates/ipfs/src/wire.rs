@@ -109,7 +109,8 @@ impl<'a> Reader<'a> {
     }
 
     fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], DecodeError> {
-        Ok(self.take(N, context)?.try_into().expect("took N bytes"))
+        let head = self.take(N, context)?;
+        head.try_into().map_err(|_| DecodeError { context })
     }
 
     fn len_prefix(&mut self, context: &'static str) -> Result<usize, DecodeError> {
@@ -218,6 +219,9 @@ impl Sink for Segments {
 }
 
 fn put_len(out: &mut impl Sink, len: usize) {
+    // Proof: no field of 4 GiB is ever encoded — the socket codec checks
+    // `encoded_len` against its 64 MiB cap first; netsim only prices.
+    #[allow(clippy::expect_used)]
     let len = u32::try_from(len).expect("length prefix fits u32: frames are capped at 64 MiB");
     out.put(&len.to_le_bytes());
 }
