@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use dfl_crypto::curve::{Curve, Scalar, Secp256k1, Secp256r1};
-use dfl_crypto::msm::{self, Msm, MsmTable, Strategy};
+use dfl_crypto::msm::{Msm, MsmTable, Strategy};
 use dfl_crypto::pedersen::{BatchEntry, CommitKey, Commitment};
 use dfl_crypto::sha256::Sha256;
 use dfl_ml::{Dataset, Matrix, SgdConfig, SyntheticModel};
@@ -365,11 +365,8 @@ pub struct MsmProfile {
     pub batch_affine_ms: f64,
     /// One-time fixed-base table construction (ms) — setup, not per-commit.
     pub table_build_ms: f64,
-    /// Precomputed-table evaluation, single-threaded (ms).
+    /// Precomputed-table evaluation (ms).
     pub table_ms: f64,
-    /// Precomputed-table evaluation across threads (ms); `None` when the
-    /// `rayon` feature is off and no parallel path exists.
-    pub table_parallel_ms: Option<f64>,
     /// End-to-end `CommitKey::commit_naive` (ms) — the seed commit path.
     pub commit_naive_ms: f64,
     /// End-to-end `CommitKey::commit` on a precomputed key (ms).
@@ -414,7 +411,6 @@ fn profile_curve<C: Curve>(elements: usize) -> MsmProfile {
         std::hint::black_box(
             Msm::new(points)
                 .with_strategy(Strategy::BatchAffine)
-                .with_parallel(false)
                 .eval(&scalars),
         );
     });
@@ -423,12 +419,7 @@ fn profile_curve<C: Curve>(elements: usize) -> MsmProfile {
     let table = MsmTable::build(points);
     let table_build_ms = start.elapsed().as_secs_f64() * 1e3;
     let table_ms = time_ms(|| {
-        std::hint::black_box(table.eval_parallel(&scalars, false));
-    });
-    let table_parallel_ms = msm::parallel_enabled().then(|| {
-        time_ms(|| {
-            std::hint::black_box(table.eval_parallel(&scalars, true));
-        })
+        std::hint::black_box(table.eval(&scalars));
     });
 
     let commit_naive_ms = time_ms(|| {
@@ -449,7 +440,6 @@ fn profile_curve<C: Curve>(elements: usize) -> MsmProfile {
         batch_affine_ms,
         table_build_ms,
         table_ms,
-        table_parallel_ms,
         commit_naive_ms,
         commit_fast_ms,
     }
@@ -589,11 +579,7 @@ pub fn verifiable_round_sweep(sizes: &[usize], elements: usize) -> Vec<Verifiabl
 /// Hand-formats the report as the `BENCH_crypto.json` document (the repo
 /// carries no JSON dependency; the schema is flat enough to emit directly).
 pub fn crypto_report_json(profiles: &[MsmProfile], rounds: &[VerifiableRoundPoint]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"parallel_enabled\": {},\n  \"curves\": [\n",
-        msm::parallel_enabled()
-    ));
+    let mut out = String::from("{\n  \"curves\": [\n");
     for (i, p) in profiles.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"curve\": \"{}\",\n", p.curve));
@@ -614,11 +600,10 @@ pub fn crypto_report_json(profiles: &[MsmProfile], rounds: &[VerifiableRoundPoin
             "        \"table_build\": {},\n",
             json_f64(p.table_build_ms)
         ));
-        out.push_str(&format!("        \"table\": {}", json_f64(p.table_ms)));
-        if let Some(par) = p.table_parallel_ms {
-            out.push_str(&format!(",\n        \"table_parallel\": {}", json_f64(par)));
-        }
-        out.push_str("\n      },\n");
+        out.push_str(&format!(
+            "        \"table\": {}\n      }},\n",
+            json_f64(p.table_ms)
+        ));
         out.push_str("      \"commit_ms\": {\n");
         out.push_str(&format!(
             "        \"seed_naive\": {},\n",

@@ -492,13 +492,13 @@ impl<C: Curve> Jacobian<C> {
     /// for a point that still has `Z = 1` (one that came from affine — a
     /// commitment parsed from its bytes, say — and was not added to since).
     pub fn to_affine(&self) -> Affine<C> {
-        if self.is_identity() {
-            return Affine::identity();
-        }
         if self.z == Fp::ONE {
             return Affine::from_xy_unchecked(self.x, self.y);
         }
-        let zinv = self.z.invert().expect("nonzero z");
+        // Only the identity's `Z = 0` has no inverse.
+        let Some(zinv) = self.z.invert() else {
+            return Affine::identity();
+        };
         let zinv2 = zinv.square();
         Affine {
             x: self.x * zinv2,

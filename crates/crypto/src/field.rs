@@ -467,6 +467,8 @@ impl<P: FieldParams> Fp<P> {
         let mut inv = if acc == Fp::ONE {
             acc
         } else {
+            // Proof: a product of nonzero elements of a prime field is nonzero.
+            #[allow(clippy::expect_used)]
             acc.invert().expect("product of nonzero elements")
         };
         // ...then unwind: inv holds the inverse of the product of all

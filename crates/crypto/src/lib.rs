@@ -13,8 +13,9 @@
 //!   scalar multiplication.
 //! * [`msm`] — one [`msm::Msm`] entry point over naive, wNAF, Pippenger,
 //!   and batch-affine kernels, plus fixed-base precomputation tables
-//!   ([`msm::MsmTable`]) and opt-in parallelism (`rayon` feature; the
-//!   paper's cited future-work optimization, implemented with ablations).
+//!   ([`msm::MsmTable`]) whose large bucket passes split across every core
+//!   (the paper's cited future-work optimization, implemented with
+//!   ablations).
 //! * [`pedersen`] — homomorphic Pedersen vector commitments (§IV-A) with
 //!   single and batched verification.
 //! * [`schnorr`] — Schnorr signatures authenticating directory
@@ -47,6 +48,7 @@
 
 // The one `unsafe` in this crate is the SHA-NI kernel in `sha256`.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bigint;
 pub mod curve;

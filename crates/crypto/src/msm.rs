@@ -44,12 +44,14 @@
 //! [`Strategy::Naive`] deliberately stays on the canonical representative:
 //! it is the paper's implementation, and Fig. 3's baseline.
 //!
-//! With the `rayon` feature enabled, the batch-affine and table kernels
-//! chunk the scalar vector across threads and fold the per-chunk partial
-//! sums in a fixed order. Elliptic-curve addition is exact (no rounding),
-//! so the folded result is the same group element regardless of the split;
-//! after affine normalization — which is canonical — parallel and serial
-//! results are bit-identical, preserving simulator determinism.
+//! **A large bucket pass uses every core.** A pass worth at least
+//! `SPLIT_MIN_MULS` field products — a d = 8 193 commitment or batch
+//! check, never a d = 33 one — splits its buckets into contiguous ranges of
+//! about equal work, one per core, on scoped threads. Each range sums and
+//! running-sums only its own buckets, and the ranges' shares are added in a
+//! fixed order. Elliptic-curve addition is exact, so the result is the same
+//! group element whatever the split, and its affine (serialised) form is
+//! bit-identical: simulated time, event order and every byte stay put.
 //!
 //! ```
 //! use dfl_crypto::curve::{Affine, Curve, Scalar, Secp256k1};
@@ -61,16 +63,12 @@
 //! assert_eq!(sum, Secp256k1::generator().mul(&Scalar::<Secp256k1>::from_u64(10)));
 //! ```
 
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+
 use crate::bigint::U256;
 use crate::curve::{wnaf_digits, Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
-
-/// `true` when the crate was built with the `rayon` feature, i.e. when
-/// [`Msm::with_parallel`]`(true)` actually runs multi-threaded. Lets
-/// benchmark harnesses label their numbers honestly.
-pub const fn parallel_enabled() -> bool {
-    cfg!(feature = "rayon")
-}
 
 /// MSM kernel selection for [`Msm`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -96,18 +94,15 @@ pub struct Msm<'a, C: Curve> {
     points: &'a [Affine<C>],
     strategy: Strategy,
     table: Option<&'a MsmTable<C>>,
-    parallel: bool,
 }
 
 impl<'a, C: Curve> Msm<'a, C> {
-    /// Starts an MSM over `points` with [`Strategy::Auto`]. Parallelism
-    /// defaults to on when the crate's `rayon` feature is enabled.
+    /// Starts an MSM over `points` with [`Strategy::Auto`].
     pub fn new(points: &'a [Affine<C>]) -> Msm<'a, C> {
         Msm {
             points,
             strategy: Strategy::Auto,
             table: None,
-            parallel: cfg!(feature = "rayon"),
         }
     }
 
@@ -142,13 +137,6 @@ impl<'a, C: Curve> Msm<'a, C> {
         self
     }
 
-    /// Forces parallel chunking on or off. Without the `rayon` feature
-    /// this is a no-op and every kernel runs serially.
-    pub fn with_parallel(mut self, parallel: bool) -> Msm<'a, C> {
-        self.parallel = parallel;
-        self
-    }
-
     /// Computes `Σ kᵢ·Pᵢ`.
     ///
     /// # Panics
@@ -164,14 +152,14 @@ impl<'a, C: Curve> Msm<'a, C> {
             Strategy::Naive => naive(self.points, scalars),
             Strategy::Wnaf => self.run_wnaf(scalars),
             Strategy::Pippenger => pippenger_jacobian(self.points, scalars),
-            Strategy::BatchAffine => self.run_batch_affine(scalars),
+            Strategy::BatchAffine => pippenger_batch_affine(self.points, scalars),
             Strategy::Auto => {
                 if let Some(table) = self.table {
-                    table.eval_parallel(scalars, self.parallel)
+                    table.eval(scalars)
                 } else if self.points.len() < 32 {
                     self.run_wnaf(scalars)
                 } else {
-                    self.run_batch_affine(scalars)
+                    pippenger_batch_affine(self.points, scalars)
                 }
             }
         }
@@ -180,17 +168,6 @@ impl<'a, C: Curve> Msm<'a, C> {
     fn run_wnaf(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
         let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
         interleaved_wnaf(&odd_multiples(self.points), &centred)
-    }
-
-    fn run_batch_affine(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
-        #[cfg(feature = "rayon")]
-        if self.parallel && scalars.len() >= 2 * MIN_PARALLEL_CHUNK {
-            let points = self.points;
-            return join_reduce(0..scalars.len(), parallel_leaf_size(scalars.len()), &|r| {
-                pippenger_batch_affine(&points[r.clone()], &scalars[r])
-            });
-        }
-        pippenger_batch_affine(self.points, scalars)
     }
 }
 
@@ -287,9 +264,8 @@ impl<C: Curve> MsmTable<C> {
     /// so it stays sized for the widest input the key must accept.
     pub fn suggested_window(n: usize) -> usize {
         let n = n.max(1);
-        (4..=16)
-            .min_by_key(|&c| 6 * n * 256usize.div_ceil(c) + 14 * (1usize << (c + 1)))
-            .expect("non-empty window range")
+        let cost = |c: usize| 6 * n * 256usize.div_ceil(c) + 14 * (1usize << (c + 1));
+        (5..=16).fold(4, |best, c| if cost(c) < cost(best) { c } else { best })
     }
 
     /// The digit window size in bits.
@@ -317,67 +293,52 @@ impl<C: Curve> MsmTable<C> {
         (self.shifts.len() + self.odd.len()) * std::mem::size_of::<Affine<C>>()
     }
 
-    /// Evaluates `Σ kᵢ·Pᵢ` over the first `scalars.len()` base points.
+    /// Evaluates `Σ kᵢ·Pᵢ` over the first `scalars.len()` base points: one
+    /// bucket pass over every (point, nonzero digit) pair, then a single
+    /// running sum, split across cores when the pass is large —
+    /// or, where the odd multiples are kept and the operation counts for
+    /// this many scalars of this length favour it, the interleaved walk.
     ///
     /// # Panics
     ///
     /// Panics if `scalars` is longer than the table.
     pub fn eval(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
-        self.eval_parallel(scalars, cfg!(feature = "rayon"))
-    }
-
-    /// [`MsmTable::eval`] with explicit parallelism control (no-op without
-    /// the `rayon` feature).
-    pub fn eval_parallel(&self, scalars: &[Scalar<C>], parallel: bool) -> Jacobian<C> {
         assert!(
             scalars.len() <= self.len(),
             "scalar vector length {} exceeds table length {}",
             scalars.len(),
             self.len()
         );
-        let _ = parallel;
-        #[cfg(feature = "rayon")]
-        if parallel && scalars.len() >= 2 * MIN_PARALLEL_CHUNK {
-            return join_reduce(0..scalars.len(), parallel_leaf_size(scalars.len()), &|r| {
-                self.eval_chunk(scalars, r)
-            });
-        }
-        self.eval_chunk(scalars, 0..scalars.len())
-    }
-
-    /// Serial kernel over the scalar index range `range`: one bucket pass
-    /// over every (point, nonzero digit) pair, then a single running sum —
-    /// or, where the odd multiples are kept and the operation counts for
-    /// this many scalars of this length favour it, the interleaved walk.
-    /// Digits come from the scalar's centred representative
-    /// ([`Fp::to_centred`]): a negative one selects the *negated* shift
-    /// (one field subtraction in affine), and the row walk stops at the
-    /// magnitude's top digit.
-    fn eval_chunk(&self, scalars: &[Scalar<C>], range: std::ops::Range<usize>) -> Jacobian<C> {
-        let centred: Vec<(bool, U256)> = scalars[range.clone()]
-            .iter()
-            .map(|k| k.to_centred())
-            .collect();
+        let centred: Vec<(bool, U256)> = scalars.iter().map(|k| k.to_centred()).collect();
         let bits = centred.iter().map(|(_, m)| m.bit_len()).max().unwrap_or(0);
         if !self.odd.is_empty()
             && interleaved_walk_muls(centred.len(), bits)
                 < bucket_pass_muls(centred.len(), bits, self.window)
         {
-            let rows = range.start * ODD_MULTIPLES..range.end * ODD_MULTIPLES;
-            return interleaved_wnaf(&self.odd[rows], &centred);
+            return interleaved_wnaf(&self.odd, &centred);
         }
-        let mut buckets: Vec<Vec<Affine<C>>> = vec![Vec::new(); (1 << self.window) - 1];
-        for (i, (negative, magnitude)) in range.zip(centred) {
+        bucket_pass((1 << self.window) - 1, &self.entries(&centred))
+    }
+
+    /// The bucket entries for `centred` scalars: the shift of every
+    /// (scalar, window) pair, in bucket `d − 1` for its digit `d`. Digits
+    /// come from the scalar's centred representative ([`Fp::to_centred`]): a
+    /// negative one selects the *negated* shift (one field subtraction in
+    /// affine), and the row walk stops at the magnitude's top digit.
+    fn entries(&self, centred: &[(bool, U256)]) -> Vec<Entry<'_, C>> {
+        let mut entries = Vec::new();
+        for (&(negative, magnitude), row) in
+            centred.iter().zip(self.shifts.chunks_exact(self.digits))
+        {
             let used = magnitude.bit_len().div_ceil(self.window);
-            let row = &self.shifts[i * self.digits..i * self.digits + used];
-            for (w, shift) in row.iter().enumerate() {
+            for (w, shift) in row[..used].iter().enumerate() {
                 let digit = magnitude.bits(w * self.window, self.window) as usize;
                 if digit != 0 && !shift.is_identity() {
-                    buckets[digit - 1].push(if negative { shift.negate() } else { *shift });
+                    entries.push((digit - 1, shift, negative));
                 }
             }
         }
-        bucket_running_sum(&batch_affine_sum_buckets(buckets))
+        entries
     }
 }
 
@@ -447,8 +408,16 @@ fn interleaved_walk_muls(n: usize, bits: usize) -> usize {
 /// cheaper than counted, so a call within a few bits of the crossing can
 /// take the walk at a loss of about a tenth (EXPERIMENTS.md has the table).
 fn bucket_pass_muls(n: usize, bits: usize, window: usize) -> usize {
-    6 * n * bits.div_ceil(window) + 28 * ((1 << window) - 1) + 3 * 335
+    AFFINE_ADD_MULS * n * bits.div_ceil(window) + RUNNING_SUM_MULS * ((1 << window) - 1) + 3 * 335
 }
+
+/// Field products of one batch-affine addition, its share of the round's
+/// shared inversion included.
+const AFFINE_ADD_MULS: usize = 6;
+
+/// Field products one bucket adds to the running sum: a mixed and a full
+/// Jacobian addition.
+const RUNNING_SUM_MULS: usize = 28;
 
 /// The shortest call a table is planned for: one whose longest entry is a
 /// single fixed-point unit ([`crate::quantize::SCALE`]). A point set on
@@ -563,14 +532,14 @@ fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>])
 
     let mut window_sums = Vec::with_capacity(windows);
     for w in 0..windows {
-        let mut buckets: Vec<Vec<Affine<C>>> = vec![Vec::new(); (1 << c) - 1];
+        let mut entries = Vec::with_capacity(n);
         for (k, p) in magnitudes.iter().zip(&points) {
             let digit = k.bits(w * c, c) as usize;
             if digit != 0 && !p.is_identity() {
-                buckets[digit - 1].push(*p);
+                entries.push((digit - 1, p, false));
             }
         }
-        window_sums.push(bucket_running_sum(&batch_affine_sum_buckets(buckets)));
+        window_sums.push(bucket_pass((1 << c) - 1, &entries));
     }
 
     let mut acc = Jacobian::identity();
@@ -583,9 +552,11 @@ fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>])
     acc
 }
 
-/// Reduces each bucket's affine point list to a single point by repeated
-/// rounds of pairwise affine additions, amortizing the per-addition field
-/// division with one [`Fp::batch_invert`] per round across *all* buckets.
+/// Sums each bucket — `sizes[i]` consecutive points of `points`, bucket
+/// after bucket — by repeated rounds of pairwise affine additions in
+/// place, amortizing the per-addition field division with one
+/// [`Fp::batch_invert`] per round across *all* buckets. Returns one sum per
+/// bucket: the identity for an empty bucket or one that cancels.
 ///
 /// An affine addition `P + Q` needs `λ = (y_Q − y_P)/(x_Q − x_P)` (or
 /// `λ = (3x² + a)/(2y)` when doubling); batching the denominators makes
@@ -593,7 +564,9 @@ fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>])
 /// (`x_P = x_Q`, `y_P = −y_Q`) sum to the identity and are dropped; the
 /// curves have prime (odd) order, so no point has `y = 0` and the
 /// doubling denominator is never zero.
-fn batch_affine_sum_buckets<C: Curve>(mut buckets: Vec<Vec<Affine<C>>>) -> Vec<Affine<C>> {
+fn batch_affine_sum_buckets<C: Curve>(points: &mut [Affine<C>], sizes: &[usize]) -> Vec<Affine<C>> {
+    let starts = offsets(sizes);
+    let mut lens = sizes.to_vec();
     let mut nums: Vec<Fp<C::Base>> = Vec::new();
     let mut dens: Vec<Fp<C::Base>> = Vec::new();
     loop {
@@ -603,8 +576,8 @@ fn batch_affine_sum_buckets<C: Curve>(mut buckets: Vec<Vec<Affine<C>>>) -> Vec<A
         // phase 2 uses to drop them.
         nums.clear();
         dens.clear();
-        for bucket in &buckets {
-            for pair in bucket.chunks_exact(2) {
+        for (&start, &len) in starts.iter().zip(&lens) {
+            for pair in points[start..start + len].chunks_exact(2) {
                 let (p, q) = (&pair[0], &pair[1]);
                 if p.x() == q.x() {
                     if p.y() == q.y() {
@@ -628,7 +601,8 @@ fn batch_affine_sum_buckets<C: Curve>(mut buckets: Vec<Vec<Affine<C>>>) -> Vec<A
 
         // Phase 2: apply the additions, halving each bucket's list.
         let mut pair_idx = 0;
-        for bucket in &mut buckets {
+        for (&start, len) in starts.iter().zip(&mut lens) {
+            let bucket = &mut points[start..start + *len];
             let pairs = bucket.len() / 2;
             let mut out = 0;
             for i in 0..pairs {
@@ -649,25 +623,33 @@ fn batch_affine_sum_buckets<C: Curve>(mut buckets: Vec<Vec<Affine<C>>>) -> Vec<A
                 bucket[out] = bucket[bucket.len() - 1];
                 out += 1;
             }
-            bucket.truncate(out);
+            *len = out;
         }
     }
-    buckets
-        .into_iter()
-        .map(|b| b.first().copied().unwrap_or_else(Affine::identity))
+    starts
+        .iter()
+        .zip(&lens)
+        .map(|(&start, &len)| {
+            if len == 0 {
+                Affine::identity()
+            } else {
+                points[start]
+            }
+        })
         .collect()
 }
 
 /// Running-sum bucket combine over affine bucket sums:
-/// `Σ (i+1)·Bᵢ` with `2·len` point additions.
-fn bucket_running_sum<C: Curve>(sums: &[Affine<C>]) -> Jacobian<C> {
+/// `(Σ (i+1)·Bᵢ, Σ Bᵢ)` with `2·len` point additions — the total, and the
+/// running sum it ends on.
+fn bucket_running_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>) {
     let mut running = Jacobian::identity();
     let mut total = Jacobian::identity();
     for s in sums.iter().rev() {
         running = running.add_affine(s);
         total = total.add(&running);
     }
-    total
+    (total, running)
 }
 
 /// Running-sum bucket combine over Jacobian buckets.
@@ -688,45 +670,188 @@ fn window_size(n: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel reduction (rayon feature)
+// Splitting a pass across cores
 // ---------------------------------------------------------------------------
 
-/// Below this many scalars per chunk, thread spawn overhead outweighs the
-/// parallel win.
-#[cfg(feature = "rayon")]
-pub(crate) const MIN_PARALLEL_CHUNK: usize = 128;
+/// One bucket-pass entry: the bucket (its digit − 1), the point, and
+/// whether the point enters negated.
+type Entry<'p, C> = (usize, &'p Affine<C>, bool);
 
-/// Chunk size targeting one chunk per available thread.
-#[cfg(feature = "rayon")]
-pub(crate) fn parallel_leaf_size(n: usize) -> usize {
-    n.div_ceil(rayon::current_num_threads().max(1))
-        .max(MIN_PARALLEL_CHUNK)
+/// `Σ (i+1)·Bᵢ` over `buckets` buckets, `Bᵢ` the sum of the points that
+/// `entries` puts in bucket `i`: each bucket summed batch-affine, then the
+/// running sum — on every core when the pass, priced by [`bucket_muls`], is
+/// worth [`SPLIT_MIN_MULS`].
+fn bucket_pass<C: Curve>(buckets: usize, entries: &[Entry<'_, C>]) -> Jacobian<C> {
+    let sizes = bucket_sizes(buckets, entries);
+    let muls = sizes.iter().map(|&n| bucket_muls(n)).sum();
+    bucket_pass_split(&sizes, entries, ranges_for(muls))
 }
 
-/// Recursive fork/join reduction over an index range: leaves evaluate
-/// serially, parents fold `left.add(&right)`. The fold order is fixed by
-/// the recursion shape, and EC addition is exact, so the result is the
-/// same group element as the serial evaluation (bit-identical once
-/// affine-normalized).
-#[cfg(feature = "rayon")]
-fn join_reduce<C, F>(range: std::ops::Range<usize>, leaf: usize, eval: &F) -> Jacobian<C>
-where
-    C: Curve,
-    F: Fn(std::ops::Range<usize>) -> Jacobian<C> + Sync,
-{
-    if range.len() <= leaf {
-        return eval(range);
+/// How many of `entries` each of `buckets` buckets holds.
+fn bucket_sizes<C: Curve>(buckets: usize, entries: &[Entry<'_, C>]) -> Vec<usize> {
+    let mut sizes = vec![0; buckets];
+    for &(bucket, _, _) in entries {
+        sizes[bucket] += 1;
     }
-    let mid = range.start + range.len() / 2;
-    let (left, right) = rayon::join(
-        || join_reduce(range.start..mid, leaf, eval),
-        || join_reduce(mid..range.end, leaf, eval),
-    );
-    left.add(&right)
+    sizes
+}
+
+/// Where each of consecutive runs of `sizes` items starts.
+fn offsets(sizes: &[usize]) -> Vec<usize> {
+    sizes
+        .iter()
+        .scan(0, |end, &size| {
+            *end += size;
+            Some(*end - size)
+        })
+        .collect()
+}
+
+/// What a bucket of `entries` points costs its pass, in field products.
+fn bucket_muls(entries: usize) -> usize {
+    AFFINE_ADD_MULS * entries + RUNNING_SUM_MULS
+}
+
+/// [`bucket_pass`] over at most `ranges` contiguous bucket ranges of about
+/// equal [`bucket_muls`], each on its own thread, which gathers only its
+/// own buckets' points from `entries`. Balancing by work, not bucket
+/// count, matters: a ≤ 40-bit opening's top 12-bit window only
+/// reaches digits below 16, so the lowest 16 buckets hold a quarter of the
+/// entries and an equal-count split would hand the lower half ≈ 62 %.
+///
+/// The range that starts at bucket `lo` sums its buckets and runs its own
+/// running sum, which yields `T = Σ (i − lo + 1)·Bᵢ` and, as the running
+/// value it ends on, `S = Σ Bᵢ`. Its share of the whole is `T + lo·S`, and
+/// the shares are added in range order. The work is the serial pass's plus,
+/// per range, a read of the entries, one scalar multiplication by
+/// `lo < 2¹⁶` and its own two to four shared inversions. Splitting the
+/// *scalars* instead would run the whole `2^c − 1`-bucket running sum once
+/// per chunk.
+fn bucket_pass_split<C: Curve>(
+    sizes: &[usize],
+    entries: &[Entry<'_, C>],
+    ranges: usize,
+) -> Jacobian<C> {
+    let starts = range_starts(sizes, ranges);
+    let ends = starts.iter().skip(1).copied().chain([sizes.len()]);
+    let bounds: Vec<(usize, usize)> = starts.iter().copied().zip(ends).collect();
+    Jacobian::sum(map_split(bounds, |(lo, hi)| {
+        let sizes = &sizes[lo..hi];
+        let mut next = offsets(sizes);
+        let mut points = vec![Affine::identity(); sizes.iter().sum()];
+        for &(bucket, point, negate) in entries {
+            if let Some(slot) = bucket.checked_sub(lo).and_then(|i| next.get_mut(i)) {
+                points[*slot] = if negate { point.negate() } else { *point };
+                *slot += 1;
+            }
+        }
+        let (t, s) = bucket_running_sum(&batch_affine_sum_buckets(&mut points, sizes));
+        if lo == 0 {
+            t
+        } else {
+            t.add(&s.mul(&Scalar::<C>::from_u64(lo as u64)))
+        }
+    }))
+}
+
+/// The first bucket of each of at most `ranges` ranges: range `k` starts at
+/// the first bucket reached once the buckets before it hold `k / ranges` of
+/// the pass's [`bucket_muls`]. Starts at 0 and strictly increases.
+fn range_starts(sizes: &[usize], ranges: usize) -> Vec<usize> {
+    let total: usize = sizes.iter().map(|&n| bucket_muls(n)).sum();
+    let mut starts = vec![0];
+    let mut done = 0;
+    for (i, &n) in sizes.iter().enumerate() {
+        if starts.len() < ranges && done * ranges >= total * starts.len() {
+            starts.push(i);
+        }
+        done += bucket_muls(n);
+    }
+    starts
+}
+
+/// Passes priced below this many field products run on the calling thread
+/// alone. Splitting one costs a scoped thread spawn and join, a read of the
+/// entries and each extra range's own inversions, so it pays only once half
+/// the pass is worth more than that. Measured on the reference box (2
+/// vCPUs; `split_crossover` here and `accumulate_crossover` in pedersen.rs,
+/// ignored tests run by hand with `--release -- --ignored --nocapture`;
+/// median of 31 per run, µs; the median of three runs and the worst ratio
+/// of the three):
+///
+/// | pass | products | 1 thread | 2 threads | worst 2 / 1 |
+/// |---|---|---|---|---|
+/// | d = 33 commit, ≤ 40-bit | 3 120 | 69 | 84 | 1.23 |
+/// | d = 33 RLC sum, 170-bit | 7 392 | 172 | 144 | 0.85 |
+/// | d = 257, ≤ 40-bit | 14 820 | 293 | 312 | 1.07 |
+/// | d = 129, 170-bit | 23 886 | 564 | 493 | 0.92 |
+/// | d = 513, ≤ 40-bit | 29 488 | 647 | 568 | 0.99 |
+/// | d = 8 193 commit, ≤ 40-bit | 308 442 | 8 289 | 4 668 | 0.65 |
+/// | d = 8 193 RLC sum, 170-bit | 839 700 | 27 601 | 18 281 | 0.74 |
+/// | `Σ rᵢ·vᵢ`, d = 257, n = 8 | 2 056 | 50 | 61 | 1.68 |
+/// | `Σ rᵢ·vᵢ`, d = 1 025, n = 8 | 8 200 | 207 | 143 | 0.71 |
+/// | `Σ rᵢ·vᵢ`, d = 8 193, n = 15 | 122 895 | 3 834 | 2 003 | 0.53 |
+///
+/// No pass from 20 000 products up lost a run; the largest d = 33 pass
+/// stays a factor of 2.7 below, on one thread, where a spawn per pass
+/// would cost CPU for a gain inside the noise.
+///
+/// Not a knob: a split changes which thread computes each bucket, never
+/// the group element, so no verdict or byte depends on it.
+pub(crate) const SPLIT_MIN_MULS: usize = 20_000;
+
+#[cfg(test)]
+thread_local! {
+    /// Passes on this thread that cleared [`SPLIT_MIN_MULS`] (each splits
+    /// across every core): lets a test assert that a path never splits.
+    pub(crate) static SPLITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many ranges a pass worth `muls` field products splits into: one
+/// below [`SPLIT_MIN_MULS`], from there one per core, but never so many
+/// that a range is worth less than half the threshold. The core count is
+/// read once per process — it costs tens of microseconds a call — and only
+/// by a pass that has cleared the threshold.
+pub(crate) fn ranges_for(muls: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    if muls < SPLIT_MIN_MULS {
+        return 1;
+    }
+    #[cfg(test)]
+    SPLITS.with(|n| n.set(n.get() + 1));
+    let cores =
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    cores.min(2 * muls / SPLIT_MIN_MULS)
+}
+
+/// `f` over every part, results in part order: the first part on the
+/// calling thread, each other on a scoped thread of its own. A worker's
+/// panic is re-raised on the caller.
+pub(crate) fn map_split<T: Send, R: Send>(parts: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    if parts.len() == 0 {
+        return vec![f(first)];
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = parts.map(|part| scope.spawn(move || f(part))).collect();
+        let mut results = Vec::with_capacity(workers.len() + 1);
+        results.push(f(first));
+        for worker in workers {
+            match worker.join() {
+                Ok(result) => results.push(result),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        results
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::curve::{Secp256k1, Secp256r1};
     use crate::field::FieldParams;
@@ -986,35 +1111,196 @@ mod tests {
         assert_eq!(MsmTable::build(&points).eval(&scalars), reference);
     }
 
-    #[cfg(feature = "rayon")]
-    #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        // The acceptance property: with the rayon feature on, the parallel
-        // reduction returns the same group element as the serial path, and
-        // the canonical (affine / serialized) forms match byte for byte.
-        let (points, scalars) = random_instance(700, 2024);
-        let table = MsmTable::build(&points);
-        let serial = table.eval_parallel(&scalars, false);
-        let parallel = table.eval_parallel(&scalars, true);
-        assert_eq!(serial, parallel);
-        assert_eq!(
-            serial.to_affine().to_compressed(),
-            parallel.to_affine().to_compressed()
-        );
+    /// The table's bucket pass over `scalars` split into `ranges`, whatever
+    /// its size, and where the ranges start.
+    fn split_pass<C: Curve>(
+        table: &MsmTable<C>,
+        scalars: &[Scalar<C>],
+        ranges: usize,
+    ) -> ([u8; 33], Vec<usize>) {
+        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
+        let entries = table.entries(&centred);
+        let sizes = bucket_sizes((1 << table.window) - 1, &entries);
+        let sum = bucket_pass_split(&sizes, &entries, ranges);
+        (
+            sum.to_affine().to_compressed(),
+            range_starts(&sizes, ranges),
+        )
+    }
 
-        let serial = Msm::new(&points)
-            .with_strategy(Strategy::BatchAffine)
-            .with_parallel(false)
-            .eval(&scalars);
-        let parallel = Msm::new(&points)
-            .with_strategy(Strategy::BatchAffine)
-            .with_parallel(true)
-            .eval(&scalars);
-        assert_eq!(serial, parallel);
-        assert_eq!(
-            serial.to_affine().to_compressed(),
-            parallel.to_affine().to_compressed()
+    /// Every range count 1 ..= 8 gives the one-range pass's bytes, which are
+    /// naive's. Returns every range start seen.
+    fn assert_splits_agree<C: Curve>(
+        points: &[Affine<C>],
+        scalars: &[Scalar<C>],
+        window: usize,
+    ) -> Vec<usize> {
+        let table = MsmTable::with_window(points, window);
+        let naive = Msm::new(points)
+            .with_strategy(Strategy::Naive)
+            .eval(scalars)
+            .to_affine()
+            .to_compressed();
+        let (serial, _) = split_pass(&table, scalars, 1);
+        assert_eq!(serial, naive, "one range on {}", C::NAME);
+        let mut seen = Vec::new();
+        for ranges in 2..=8 {
+            let (split, starts) = split_pass(&table, scalars, ranges);
+            assert_eq!(split, serial, "{ranges} ranges on {}", C::NAME);
+            assert!(starts.len() <= ranges && starts.windows(2).all(|w| w[0] < w[1]));
+            seen.extend(starts);
+        }
+        seen
+    }
+
+    fn split_cases<C: Curve>() {
+        let mut rng = StdRng::seed_from_u64(0x5917);
+        let random: Vec<Affine<C>> = (0..24).map(|_| Affine::random(&mut rng)).collect();
+        let full: Vec<Scalar<C>> = (0..24).map(|_| Scalar::<C>::random(&mut rng)).collect();
+        assert_splits_agree(&random, &full, 6);
+
+        // Two non-empty buckets of 255, and 3 buckets for up to 8 ranges.
+        let two = [Scalar::<C>::from_u64(3), Scalar::<C>::from_u64(200)];
+        assert_splits_agree(&random[..2], &two, 8);
+        assert_splits_agree(&random[..2], &two, 2);
+
+        // Digits piled either side of 2^(c−1) = 8 in a 4-bit table: the
+        // split points land on both sides of it.
+        let around: Vec<Scalar<C>> = [7u64, 8, 8, 8, 9, 9, 1, 15, 8, 7, 9, 8]
+            .iter()
+            .map(|&d| Scalar::<C>::from_u64(d))
+            .collect();
+        let seen = assert_splits_agree(&random[..12], &around, 4);
+        assert!(seen.contains(&7) && seen.contains(&8) && seen.contains(&9));
+
+        // 12·P and 2·(−6P) cancel from buckets 12 and 2, which two ranges
+        // separate; Q and −Q cancel inside bucket 3; an identity base
+        // fills no bucket; zero scalars add no digit.
+        let (p, q) = (random[0], random[1]);
+        let points = [
+            p,
+            p.mul(&Scalar::<C>::from_u64(6)).to_affine().negate(),
+            q,
+            q.negate(),
+            Affine::identity(),
+            random[2],
+            random[3],
+        ];
+        let minus_one =
+            Scalar::<C>::from_canonical(<C as Curve>::Scalar::MODULUS.wrapping_sub(&U256::ONE));
+        let scalars = [12, 2, 3, 3, 5, 0, 0].map(Scalar::<C>::from_u64);
+        let table = MsmTable::with_window(&points, 4);
+        let (_, starts) = split_pass(&table, &scalars, 2);
+        assert!((2..=11).contains(&starts[1]), "split at {}", starts[1]);
+        assert_splits_agree(&points, &scalars, 4);
+        let mut with_minus_one = scalars;
+        with_minus_one[5] = minus_one;
+        with_minus_one[6] = -Scalar::<C>::from_u64(11);
+        assert_splits_agree(&points, &with_minus_one, 4);
+        assert_splits_agree(&points, &with_minus_one, 8);
+    }
+
+    #[test]
+    fn every_range_split_is_the_serial_pass_on_both_curves() {
+        split_cases::<Secp256k1>();
+        split_cases::<Secp256r1>();
+    }
+
+    #[test]
+    fn ranges_balance_work_not_bucket_count() {
+        // The shape of 8 192 ≤ 40-bit openings on a 12-bit table: three
+        // windows spread over all 4 095 buckets, the top one piles into
+        // digits 8–15. Two ranges meet near bucket 1 660, not 2 048, and
+        // differ by less than one bucket's work.
+        let mut sizes = vec![6; 4095];
+        for size in &mut sizes[7..15] {
+            *size += 1024;
+        }
+        let starts = range_starts(&sizes, 2);
+        assert_eq!(starts.len(), 2);
+        assert!((1600..1700).contains(&starts[1]), "split at {}", starts[1]);
+        let (low, high) = sizes.split_at(starts[1]);
+        let work = |s: &[usize]| s.iter().map(|&n| bucket_muls(n)).sum::<usize>();
+        assert!(work(low).abs_diff(work(high)) <= bucket_muls(sizes[starts[1]]));
+    }
+
+    /// Median wall time of `f` over 31 runs, in µs; `setup` is untimed.
+    pub(crate) fn median_us<S, T>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> T) -> f64 {
+        let mut runs: Vec<f64> = (0..31)
+            .map(|_| {
+                let input = setup();
+                let start = std::time::Instant::now();
+                std::hint::black_box(f(input));
+                start.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    }
+
+    /// The measurement behind [`SPLIT_MIN_MULS`]: a table's bucket pass on
+    /// one thread and split across every core, for commitment-shaped
+    /// (≤ 40-bit) and RLC-shaped (170-bit) scalars over `d` bases. Run with
+    /// `cargo test --release -p dfl-crypto --lib split_crossover --
+    /// --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing table; run by hand in release"]
+    fn split_crossover() {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        println!("bucket pass, 1 vs {cores} ranges, median of 31 (µs)");
+        println!(
+            "{:>6} {:>5} {:>9} {:>9} {:>9} {:>7}",
+            "d", "bits", "muls", "serial", "split", "ratio"
         );
+        let mut rng = StdRng::seed_from_u64(0xC505);
+        for d in [33, 65, 129, 257, 513, 1025, 2049, 4097, 8193] {
+            let (points, _) = random_instance(d, d as u64);
+            let table = MsmTable::build(&points);
+            for bits in [40, 170] {
+                let centred: Vec<(bool, U256)> = (0..d)
+                    .map(|i| {
+                        let mut bytes = [0u8; 32];
+                        rng.fill_bytes(&mut bytes);
+                        (i % 2 == 1, U256::from_be_bytes(bytes).shr(256 - bits))
+                    })
+                    .collect();
+                let buckets = (1 << table.window) - 1;
+                let sizes = bucket_sizes(buckets, &table.entries(&centred));
+                let muls: usize = sizes.iter().map(|&n| bucket_muls(n)).sum();
+                let time = |ranges| {
+                    median_us(
+                        || (),
+                        |()| {
+                            let entries = table.entries(&centred);
+                            bucket_pass_split(&bucket_sizes(buckets, &entries), &entries, ranges)
+                        },
+                    )
+                };
+                let (serial, split) = (time(1), time(cores));
+                println!(
+                    "{d:>6} {bits:>5} {muls:>9} {serial:>9.1} {split:>9.1} {:>7.2}",
+                    split / serial
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_pass_over_the_threshold_splits() {
+        let before = SPLITS.get();
+        assert_eq!(ranges_for(SPLIT_MIN_MULS - 1), 1);
+        assert_eq!(SPLITS.get(), before);
+        assert!(ranges_for(SPLIT_MIN_MULS) >= 1);
+        assert_eq!(SPLITS.get(), before + 1);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            map_split(vec![1, 2, 3], |k| assert!(k < 3, "part {k}"));
+        });
+        assert!(result.is_err());
+        assert_eq!(map_split(vec![1, 2, 3], |k| k * 10), vec![10, 20, 30]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::fmt;
 use crate::bigint::U256;
 use crate::curve::{Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
-use crate::msm::{Msm, MsmTable, Strategy};
+use crate::msm::{map_split, ranges_for, Msm, MsmTable, Strategy};
 use crate::sha256::Sha256;
 
 /// Public parameters: a vector of generators with no known discrete-log
@@ -214,9 +214,9 @@ impl<C: Curve> CommitKey<C> {
     /// windows, and `Σ rᵢ·Cᵢ` needs half the doublings. Entries longer
     /// than the key can never verify and fail the batch outright.
     ///
-    /// With the `rayon` feature the transcript hashing and the scalar
-    /// accumulation shard across threads; field arithmetic is exact, so
-    /// the result is bit-identical to the serial evaluation.
+    /// At d = 8 193 both the accumulation and the commit split across
+    /// every core; field and group arithmetic are exact, so the verdict and
+    /// every byte are the single-thread pass's.
     ///
     /// Returns `true` for an empty batch.
     pub fn batch_check(&self, entries: &[BatchEntry<'_, C>]) -> bool {
@@ -269,9 +269,7 @@ impl<C: Curve> CommitKey<C> {
     /// digest, chain the leaves (in index order) into a root, and derive
     /// `rᵢ` = the low 128 bits of `H(root ‖ i)`. Leaves hash the
     /// binding bytes when present (cheaper than 32 B per scalar) and the
-    /// scalar encodings otherwise; per-leaf hashing is independent, so it
-    /// shards across threads while the root stays index-ordered and
-    /// bit-identical.
+    /// scalar encodings otherwise.
     fn batch_coefficients(&self, entries: &[BatchEntry<'_, C>]) -> Vec<Scalar<C>> {
         let leaf = |e: &BatchEntry<'_, C>| -> [u8; 32] {
             let mut h = Sha256::new();
@@ -294,14 +292,12 @@ impl<C: Curve> CommitKey<C> {
             h.update(&e.commitment.to_bytes());
             h.finalize()
         };
-        let leaves = hash_leaves(entries, &leaf);
-
         let mut transcript = Sha256::new();
         transcript.update(b"dfl-pedersen-batch-v2");
         transcript.update(&self.seed);
         transcript.update(&(entries.len() as u64).to_be_bytes());
-        for digest in &leaves {
-            transcript.update(digest);
+        for entry in entries {
+            transcript.update(&leaf(entry));
         }
         let root = transcript.finalize();
 
@@ -313,9 +309,10 @@ impl<C: Curve> CommitKey<C> {
                 // The digest's low 128 bits: exactly uniform below 2¹²⁸,
                 // which is all the soundness bound uses, and half the MSM
                 // length of a full-width coefficient.
-                let digest = h.finalize();
-                let low: [u8; 16] = digest[16..].try_into().expect("upper half of 32");
-                Scalar::<C>::from_canonical(U256::from_u128(u128::from_be_bytes(low)))
+                let low = h.finalize()[16..]
+                    .iter()
+                    .fold(0u128, |acc, &byte| acc << 8 | u128::from(byte));
+                Scalar::<C>::from_canonical(U256::from_u128(low))
             })
             .collect()
     }
@@ -475,86 +472,43 @@ fn normalized_points<C: Curve>(entries: &[BatchEntry<'_, C>]) -> Vec<Affine<C>> 
     Jacobian::batch_normalize(&jacobians)
 }
 
-/// `Σ rᵢ·vᵢ` over the selected entries, as a `width`-element vector.
-/// Sharded across threads under the `rayon` feature: field addition is
-/// exact and associative, so any shard split merges to the same bits.
+/// `Σ rᵢ·vᵢ` over the selected entries, as a `width`-element vector: one
+/// field product per opening element, split by column range across every
+/// core once that is worth [`SPLIT_MIN_MULS`](crate::msm::SPLIT_MIN_MULS).
 fn accumulate_values<C: Curve>(
     entries: &[BatchEntry<'_, C>],
     coeffs: &[Scalar<C>],
     idxs: &[usize],
     width: usize,
 ) -> Vec<Scalar<C>> {
-    let serial = |idxs: &[usize]| -> Vec<Scalar<C>> {
-        let mut acc = vec![Scalar::<C>::ZERO; width];
+    let products = idxs.iter().map(|&i| entries[i].values.len()).sum();
+    accumulate_columns(entries, coeffs, idxs, width, ranges_for(products))
+}
+
+/// [`accumulate_values`] over at most `ranges` contiguous column ranges,
+/// each on its own thread. A range owns its columns of the sum, so nothing
+/// is merged; an opening shorter than a range's first column adds nothing
+/// to it.
+fn accumulate_columns<C: Curve>(
+    entries: &[BatchEntry<'_, C>],
+    coeffs: &[Scalar<C>],
+    idxs: &[usize],
+    width: usize,
+    ranges: usize,
+) -> Vec<Scalar<C>> {
+    let mut acc = vec![Scalar::<C>::ZERO; width];
+    let columns = width.div_ceil(ranges).max(1);
+    let parts: Vec<_> = acc.chunks_mut(columns).enumerate().collect();
+    map_split(parts, |(k, slots)| {
         for &i in idxs {
             let r = coeffs[i];
-            for (slot, v) in acc.iter_mut().zip(entries[i].values.iter()) {
+            let values = entries[i].values.get(k * columns..).unwrap_or_default();
+            for (slot, v) in slots.iter_mut().zip(values) {
                 *slot += r * *v;
             }
         }
-        acc
-    };
-    #[cfg(feature = "rayon")]
-    if idxs.len() >= 2 * crate::msm::MIN_PARALLEL_CHUNK {
-        return join_merge(
-            idxs,
-            crate::msm::parallel_leaf_size(idxs.len()),
-            &serial,
-            &|mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-    }
-    serial(idxs)
-}
-
-/// Hashes one transcript leaf per entry, in index order. Leaves are
-/// independent, so under the `rayon` feature they shard across threads;
-/// the output vector order (and thus the root) is identical either way.
-fn hash_leaves<C: Curve>(
-    entries: &[BatchEntry<'_, C>],
-    leaf: &(dyn Fn(&BatchEntry<'_, C>) -> [u8; 32] + Sync),
-) -> Vec<[u8; 32]> {
-    let serial =
-        |chunk: &[BatchEntry<'_, C>]| -> Vec<[u8; 32]> { chunk.iter().map(leaf).collect() };
-    #[cfg(feature = "rayon")]
-    if entries.len() >= 2 * crate::msm::MIN_PARALLEL_CHUNK {
-        return join_merge(
-            entries,
-            crate::msm::parallel_leaf_size(entries.len()),
-            &serial,
-            &|mut a, b| {
-                a.extend(b);
-                a
-            },
-        );
-    }
-    serial(entries)
-}
-
-/// Recursive fork/join over a slice: leaves evaluate serially, parents
-/// merge `(left, right)` in a fixed order — same shape as the MSM
-/// reduction, generic over the accumulator type.
-#[cfg(feature = "rayon")]
-fn join_merge<T, R, E, M>(items: &[T], leaf: usize, eval: &E, merge: &M) -> R
-where
-    T: Sync,
-    R: Send,
-    E: Fn(&[T]) -> R + Sync,
-    M: Fn(R, R) -> R + Sync,
-{
-    if items.len() <= leaf {
-        return eval(items);
-    }
-    let mid = items.len() / 2;
-    let (left, right) = rayon::join(
-        || join_merge(&items[..mid], leaf, eval, merge),
-        || join_merge(&items[mid..], leaf, eval, merge),
-    );
-    merge(left, right)
+    });
+    acc
 }
 
 impl<C: Curve> fmt::Debug for CommitKey<C> {
@@ -1090,6 +1044,107 @@ mod tests {
         (0..n)
             .map(|_| Scalar::<K1>::from_i64(rng.gen_range(-(1i64 << 30)..(1i64 << 30))))
             .collect()
+    }
+
+    /// An overlay node's own d = 33 commit and its 8-child check — the
+    /// largest passes `overlay_10k` runs, ≈ 960 digit entries under 170-bit
+    /// sums — stay on the calling thread and never read the core count.
+    #[test]
+    fn tiny_d_commits_and_checks_never_split() {
+        use crate::msm::SPLITS;
+        use rand::Rng;
+        let key = CommitKey::<K1>::setup_precomputed(33, b"test-seed");
+        let mut rng = StdRng::seed_from_u64(330);
+        let before = SPLITS.get();
+        let vectors: Vec<Vec<Scalar<K1>>> = (0..8)
+            .map(|_| {
+                (0..33)
+                    .map(|_| Scalar::<K1>::from_i64(rng.gen_range(-(1i64 << 40)..1i64 << 40)))
+                    .collect()
+            })
+            .collect();
+        let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
+        let mut doctored = commits.clone();
+        doctored[5] = doctored[5].combine(&commits[0]);
+        assert!(key.batch_culprits(&entries(&vectors, &commits)).is_empty());
+        assert_eq!(key.batch_culprits(&entries(&vectors, &doctored)), vec![5]);
+        assert_eq!(SPLITS.get(), before);
+    }
+
+    #[test]
+    fn column_ranges_sum_what_one_range_sums() {
+        // Ragged openings under a width of 11, one entry left out, and range
+        // counts from 1 to past the width.
+        let vectors: Vec<Vec<Scalar<K1>>> = [11, 3, 0, 7, 11, 1, 10]
+            .iter()
+            .zip(350..)
+            .map(|(&n, seed)| random_vector(n, seed))
+            .collect();
+        let commits = vec![Commitment::<K1>::identity(); vectors.len()];
+        let e = entries(&vectors, &commits);
+        let coeffs: Vec<Scalar<K1>> = (0..7u64)
+            .map(|i| Scalar::<K1>::from_u64(i * i + 3))
+            .collect();
+        let idxs = [0, 1, 2, 3, 5, 6];
+        let direct: Vec<Scalar<K1>> = (0..11)
+            .map(|j| {
+                idxs.iter()
+                    .filter_map(|&i| vectors[i].get(j).map(|v| coeffs[i] * *v))
+                    .sum()
+            })
+            .collect();
+        for ranges in 1..=12 {
+            assert_eq!(
+                accumulate_columns(&e, &coeffs, &idxs, 11, ranges),
+                direct,
+                "{ranges} ranges"
+            );
+        }
+        assert!(accumulate_columns(&e, &coeffs, &idxs, 0, 3).is_empty());
+    }
+
+    /// The accumulation's half of the measurement behind `SPLIT_MIN_MULS`:
+    /// `Σ rᵢ·vᵢ` on one thread and split by columns, for `n` openings of
+    /// `d` elements. Run with `cargo test --release -p dfl-crypto --lib
+    /// accumulate_crossover -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing table; run by hand in release"]
+    fn accumulate_crossover() {
+        use crate::msm::tests::median_us;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        println!("accumulate, 1 vs {cores} ranges, median of 31 (µs)");
+        println!(
+            "{:>6} {:>4} {:>9} {:>9} {:>9} {:>7}",
+            "d", "n", "products", "serial", "split", "ratio"
+        );
+        for (d, n) in [
+            (33, 8),
+            (257, 8),
+            (1025, 8),
+            (2049, 8),
+            (4097, 8),
+            (8193, 4),
+            (8193, 15),
+        ] {
+            let vectors: Vec<Vec<Scalar<K1>>> =
+                (0..n).map(|i| random_vector(d, i as u64)).collect();
+            let commits = vec![Commitment::<K1>::identity(); n];
+            let e = entries(&vectors, &commits);
+            let coeffs = random_vector(n, 99);
+            let idxs: Vec<usize> = (0..n).collect();
+            let time = |ranges| {
+                median_us(
+                    || (),
+                    |()| accumulate_columns(&e, &coeffs, &idxs, d, ranges),
+                )
+            };
+            let (serial, split) = (time(1), time(cores));
+            println!(
+                "{d:>6} {n:>4} {:>9} {serial:>9.1} {split:>9.1} {:>7.2}",
+                d * n,
+                split / serial
+            );
+        }
     }
 
     #[test]

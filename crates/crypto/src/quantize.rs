@@ -145,13 +145,14 @@ pub fn encode(values: &[Quantized]) -> Vec<u8> {
 /// Deserializes a quantized vector; `None` if the length is not a multiple
 /// of 8 bytes.
 pub fn decode(bytes: &[u8]) -> Option<Vec<Quantized>> {
-    if !bytes.len().is_multiple_of(8) {
+    let (words, rest) = bytes.as_chunks::<8>();
+    if !rest.is_empty() {
         return None;
     }
     Some(
-        bytes
-            .chunks_exact(8)
-            .map(|c| Quantized(i64::from_le_bytes(c.try_into().expect("chunk of 8"))))
+        words
+            .iter()
+            .map(|w| Quantized(i64::from_le_bytes(*w)))
             .collect(),
     )
 }

@@ -1,8 +1,8 @@
 //! Property tests: every MSM kernel — interleaved wNAF, Jacobian Pippenger,
-//! batch-affine Pippenger, the precomputed table (its bucket pass and its
-//! interleaved walk), and (with the `rayon` feature) the parallel
-//! reductions — must be *bit-identical* to the naive double-and-add
-//! reference, on both protocol curves.
+//! batch-affine Pippenger, the precomputed table (its bucket pass, split
+//! across cores where it is large, and its interleaved walk) — must be
+//! *bit-identical* to the naive double-and-add reference, on both protocol
+//! curves.
 //!
 //! Equality is checked on the canonical compressed encoding, not just the
 //! projective equivalence class, because commitments travel as serialized
@@ -189,7 +189,7 @@ fn assert_terms_agree<C: Curve>(
         );
     }
     prop_assert_eq!(
-        encode(table.eval_parallel(scalars, false)),
+        encode(table.eval(scalars)),
         reference,
         "table path diverges from naive on {}",
         C::NAME
@@ -200,27 +200,6 @@ fn assert_terms_agree<C: Curve>(
         "auto-with-table path diverges from naive on {}",
         C::NAME
     );
-
-    #[cfg(feature = "rayon")]
-    {
-        prop_assert_eq!(
-            encode(table.eval_parallel(scalars, true)),
-            reference,
-            "parallel table path not bit-identical on {}",
-            C::NAME
-        );
-        prop_assert_eq!(
-            encode(
-                Msm::new(points)
-                    .with_strategy(Strategy::BatchAffine)
-                    .with_parallel(true)
-                    .eval(scalars)
-            ),
-            reference,
-            "parallel batch-affine path not bit-identical on {}",
-            C::NAME
-        );
-    }
     Ok(())
 }
 
@@ -332,17 +311,18 @@ fn empty_input_all_paths() {
     assert!(MsmTable::build(&points).eval(&scalars).is_identity());
 }
 
-/// Above `2 · MIN_PARALLEL_CHUNK` terms the `rayon` build really splits
-/// the vector, so each chunk finds its own longest magnitude: the fold of
-/// differently-truncated chunks must still be the serial bytes. Without
-/// the feature this is one more serial instance at a size the property
-/// tests do not reach.
+/// 300 terms: short openings give the 300-point table a pass of ≈ 16 k
+/// field products, which one thread runs; 128-bit coefficients give it
+/// ≈ 36 k, over the split threshold, so on a machine with more than one
+/// core its buckets are summed in ranges on several threads. Both must be
+/// naive's bytes.
 #[test]
-fn three_hundred_short_terms_all_paths() {
+fn three_hundred_terms_either_side_of_the_split_all_paths() {
     let pairs: Vec<(u64, u64)> = (1..=300u64)
         .map(|i| (i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
         .collect();
     assert_all_paths_agree::<Secp256k1>(&pairs, ShortSigned).unwrap();
+    assert_all_paths_agree::<Secp256k1>(&pairs, Coefficient128).unwrap();
     assert_all_paths_agree::<Secp256r1>(&pairs, Coefficient128).unwrap();
 }
 
@@ -435,19 +415,22 @@ fn d33_table_agrees_either_side_of_the_selection_rule() {
     }
 }
 
-/// 256 short terms: the largest table that still keeps odd multiples, on
-/// scalars short enough that it walks them. The `rayon` build splits the
-/// call in two, so the second chunk's walk starts at row 128, not 0.
+/// 256 terms: the largest table that still keeps odd multiples. On scalars
+/// short enough it walks them on one thread; on full-width ones it takes a
+/// bucket pass of ≈ 56 k field products, which splits across cores.
 #[test]
-fn offset_chunk_takes_the_walk() {
+fn largest_walking_table_walks_short_scalars_and_splits_long_ones() {
     let points = seeded_points::<Secp256r1>(256, 256);
     let table = MsmTable::build(&points);
     assert_eq!(
         table.memory_bytes(),
         table_bytes(&table, 256usize.div_ceil(table.window()) + 8)
     );
-    let scalars: Vec<Scalar<Secp256r1>> = (0..256)
-        .map(|i| of_width::<Secp256r1>(1 + i % 16, i as u64))
-        .collect();
-    assert_terms_agree(&points, &scalars).unwrap();
+    let short: fn(usize) -> usize = |i| 1 + i % 16;
+    for width in [short, |_| 255] {
+        let scalars: Vec<Scalar<Secp256r1>> = (0..256)
+            .map(|i| of_width::<Secp256r1>(width(i), i as u64))
+            .collect();
+        assert_terms_agree(&points, &scalars).unwrap();
+    }
 }

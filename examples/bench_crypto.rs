@@ -6,8 +6,7 @@
 //! the paper's 10k-trainer swarm.
 //!
 //! Run with: `cargo run --release --example bench_crypto`
-//! (add `--features parallel` to also record the multi-threaded paths;
-//! set `BENCH_CRYPTO_ELEMENTS` to override the vector length and
+//! (set `BENCH_CRYPTO_ELEMENTS` to override the vector length and
 //! `BENCH_VERIFIABLE_TRAINERS` to override the largest sweep point).
 //!
 //! `-- --test` runs the CI smoke check instead: verifiable rounds of 8 and
@@ -160,9 +159,6 @@ fn main() {
             p.commit_naive_ms,
             p.commit_fast_ms
         );
-        if let Some(par) = p.table_parallel_ms {
-            println!("{:>12} table (parallel): {par:.1} ms", "");
-        }
         println!(
             "{:>12} commit speedup over seed naive path: {:.1}x",
             "",

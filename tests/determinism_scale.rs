@@ -1,7 +1,8 @@
 //! Run-to-run determinism at swarm scale: the same configuration must
-//! produce a bit-identical trace every time, under both allocators and —
-//! because CI also runs this with `--features parallel` — with the
-//! multi-threaded crypto kernels enabled. Any HashMap-iteration-order or
+//! produce a bit-identical trace every time, under both allocators and with
+//! the crypto kernels that split a large bucket pass across cores (the
+//! batched checks below sum ≈ 170-bit RLC vectors over 257 bases, a pass
+//! over the split threshold). Any HashMap-iteration-order or
 //! thread-scheduling leak into observable behaviour fails here.
 
 use decentralized_fl::prelude::TaskConfig;
@@ -37,8 +38,7 @@ fn reference_allocator_is_deterministic_and_agrees() {
 
 #[test]
 fn verifiable_protocol_run_is_run_to_run_deterministic() {
-    // Exercises the commitment pipeline: under `--features parallel` the
-    // MSM kernels are multi-threaded, and their results must still be
+    // Exercises the commitment pipeline, whose results must be
     // bitwise-stable. A small parameter vector keeps the crypto cheap —
     // determinism does not depend on size.
     let cfg = TaskConfig {
@@ -64,8 +64,8 @@ fn verifiable_protocol_run_is_run_to_run_deterministic() {
 fn batched_verification_preserves_trace_fingerprint() {
     // Deferred batch verification changes only wall-clock cost: the event
     // stream, counter totals, and byte ledger of an honest run must be
-    // bit-identical to per-blob mode — with `--features parallel`, across
-    // thread counts too. `trainer_verifies` puts every deferred queue
+    // bit-identical to per-blob mode, whose checks never split across
+    // cores where the batched ones do. `trainer_verifies` puts every deferred queue
     // (aggregator own-set, peer-partial drain, trainer downloads,
     // directory audit) in the loop.
     let per_blob = TaskConfig {
@@ -98,7 +98,7 @@ fn overlay_round_is_run_to_run_deterministic() {
     // A 3-level overlay (96 trainers at branching 8) with commitment
     // verification at every interior hop: the full trace — partial
     // forwarding order, deadline timers, dissemination — must be
-    // bit-identical across runs, with `--features parallel` too.
+    // bit-identical across runs.
     let cfg = overlay_config(96);
     let params = dfl_bench::overlay_param_count();
     let first = run_network_experiment(cfg.clone(), params);
