@@ -3,8 +3,9 @@
 //! secp256k1 and secp256r1, versus the number of parameters.
 //!
 //! The naive-MSM measurements mirror the paper's "straightforward"
-//! implementation. Run with `cargo bench -p dfl-bench --bench
-//! fig3_commitment`.
+//! implementation; the batch-affine group is the commit on a key without a
+//! table, the Pippenger bucket method the paper cites as future work. Run
+//! with `cargo bench -p dfl-bench --bench fig3_commitment`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dfl_crypto::curve::{Scalar, Secp256k1, Secp256r1};
@@ -70,6 +71,18 @@ fn bench_fig3(c: &mut Criterion) {
         let scalars = scalars_r1(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &scalars, |b, s| {
             b.iter(|| key_r1.commit_naive(s))
+        });
+    }
+    group.finish();
+
+    // The ablation: the same key has no table, so `commit` runs the
+    // batch-affine bucket method.
+    let mut group = c.benchmark_group("fig3_pedersen_batch_affine_secp256k1");
+    group.sample_size(10);
+    for &n in SIZES {
+        let scalars = scalars_k1(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &scalars, |b, s| {
+            b.iter(|| key_k1.commit(s))
         });
     }
     group.finish();

@@ -15,8 +15,7 @@
 use std::time::Instant;
 
 use dfl_crypto::curve::{Curve, Scalar, Secp256k1, Secp256r1};
-use dfl_crypto::msm::{Msm, MsmTable, Strategy};
-use dfl_crypto::pedersen::{BatchEntry, CommitKey, Commitment};
+use dfl_crypto::pedersen::CommitKey;
 use dfl_crypto::sha256::Sha256;
 use dfl_ml::{Dataset, Matrix, SgdConfig, SyntheticModel};
 use dfl_netsim::{FaultPlan, NodeId, SimDuration, SimTime, Simulation, Trace};
@@ -231,9 +230,10 @@ pub struct Fig3Point {
     pub pedersen_k1_ms: f64,
     /// Pedersen commitment, naive MSM, secp256r1 (ms).
     pub pedersen_r1_ms: f64,
-    /// Pedersen commitment with Pippenger MSM on secp256k1 (ms) — the
-    /// paper's cited future-work optimization, as an ablation.
-    pub pippenger_k1_ms: f64,
+    /// Pedersen commitment on a secp256k1 key without a table (ms): the
+    /// batch-affine Pippenger bucket method, the paper's cited future-work
+    /// optimization, as an ablation.
+    pub batch_affine_k1_ms: f64,
     /// Pedersen commitment through the precomputed-table fast path,
     /// secp256k1 (ms).
     pub fast_k1_ms: f64,
@@ -266,18 +266,20 @@ fn deterministic_scalars<C: Curve>(n: usize) -> Vec<Scalar<C>> {
 
 /// Measures one Fig. 3 point for a model of `elements` parameters, reusing
 /// pre-built commitment keys (generator derivation is setup, not the
-/// per-round cost the paper measures).
+/// per-round cost the paper measures): `plain_k1` has no table, `key_k1`
+/// and `key_r1` have one.
 ///
 /// # Panics
 ///
-/// Panics if either key has fewer than `elements` generators.
+/// Panics if any key has fewer than `elements` generators.
 pub fn fig3_run(
     elements: usize,
+    plain_k1: &CommitKey<Secp256k1>,
     key_k1: &CommitKey<Secp256k1>,
     key_r1: &CommitKey<Secp256r1>,
 ) -> Fig3Point {
     assert!(
-        key_k1.len() >= elements && key_r1.len() >= elements,
+        plain_k1.len() >= elements && key_k1.len() >= elements && key_r1.len() >= elements,
         "keys too short"
     );
     let bytes = vec![0xA5u8; elements * BYTES_PER_ELEMENT];
@@ -294,16 +296,11 @@ pub fn fig3_run(
     let pedersen_r1_ms = time_ms(|| {
         std::hint::black_box(key_r1.commit_naive(&scalars_r1));
     });
-    let pippenger_k1_ms = time_ms(|| {
-        std::hint::black_box(
-            Msm::new(&key_k1.generators()[..elements])
-                .with_strategy(Strategy::Pippenger)
-                .eval(&scalars_k1),
-        );
+    let batch_affine_k1_ms = time_ms(|| {
+        std::hint::black_box(plain_k1.commit(&scalars_k1));
     });
     // The redesigned pipeline: `commit` routes through the precomputed
-    // table when the key carries one (see `fig3_commitment`), and through
-    // batch-affine Pippenger otherwise.
+    // table the key carries.
     let fast_k1_ms = time_ms(|| {
         std::hint::black_box(key_k1.commit(&scalars_k1));
     });
@@ -316,7 +313,7 @@ pub fn fig3_run(
         sha256_ms,
         pedersen_k1_ms,
         pedersen_r1_ms,
-        pippenger_k1_ms,
+        batch_affine_k1_ms,
         fast_k1_ms,
         fast_r1_ms,
     }
@@ -329,11 +326,13 @@ pub fn fig3_run(
 /// the parameter count, which is the property the figure demonstrates.
 pub fn fig3_commitment(sizes: &[usize]) -> Vec<Fig3Point> {
     let max = sizes.iter().copied().max().unwrap_or(0);
-    let key_k1 = CommitKey::<Secp256k1>::setup_precomputed(max, b"fig3");
+    let plain_k1 = CommitKey::<Secp256k1>::setup(max, b"fig3");
+    let mut key_k1 = plain_k1.clone();
+    key_k1.precompute();
     let key_r1 = CommitKey::<Secp256r1>::setup_precomputed(max, b"fig3");
     sizes
         .iter()
-        .map(|&n| fig3_run(n, &key_k1, &key_r1))
+        .map(|&n| fig3_run(n, &plain_k1, &key_k1, &key_r1))
         .collect()
 }
 
@@ -343,312 +342,16 @@ pub fn fig3_default_sizes() -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Commitment-pipeline before/after report (BENCH_crypto.json)
+// BENCH_netsim.json
 // ---------------------------------------------------------------------------
-
-/// Before/after timings of every MSM kernel and of the end-to-end Pedersen
-/// commit on one curve, at a fixed vector length. Produced by
-/// [`crypto_report`], serialized by [`crypto_report_json`].
-#[derive(Clone, Debug)]
-pub struct MsmProfile {
-    /// Curve name (`secp256k1` / `secp256r1`).
-    pub curve: &'static str,
-    /// MSM length (number of generators = model-partition parameters).
-    pub elements: usize,
-    /// Naive double-and-add (ms) — the seed's serial baseline.
-    pub naive_ms: f64,
-    /// Width-5 wNAF (ms).
-    pub wnaf_ms: f64,
-    /// Jacobian Pippenger (ms).
-    pub pippenger_ms: f64,
-    /// Batch-affine Pippenger (ms) — the new tableless default.
-    pub batch_affine_ms: f64,
-    /// One-time fixed-base table construction (ms) — setup, not per-commit.
-    pub table_build_ms: f64,
-    /// Precomputed-table evaluation (ms).
-    pub table_ms: f64,
-    /// End-to-end `CommitKey::commit_naive` (ms) — the seed commit path.
-    pub commit_naive_ms: f64,
-    /// End-to-end `CommitKey::commit` on a precomputed key (ms).
-    pub commit_fast_ms: f64,
-}
-
-impl MsmProfile {
-    /// Commit speedup of the precomputed fast path over the seed's naive
-    /// serial path (the acceptance metric).
-    pub fn commit_speedup(&self) -> f64 {
-        self.commit_naive_ms / self.commit_fast_ms.max(1e-9)
-    }
-}
-
-fn profile_curve<C: Curve>(elements: usize) -> MsmProfile {
-    let key = CommitKey::<C>::setup(elements, b"bench-crypto");
-    let scalars = deterministic_scalars::<C>(elements);
-    let points = &key.generators()[..elements];
-
-    let naive_ms = time_ms(|| {
-        std::hint::black_box(
-            Msm::new(points)
-                .with_strategy(Strategy::Naive)
-                .eval(&scalars),
-        );
-    });
-    let wnaf_ms = time_ms(|| {
-        std::hint::black_box(
-            Msm::new(points)
-                .with_strategy(Strategy::Wnaf)
-                .eval(&scalars),
-        );
-    });
-    let pippenger_ms = time_ms(|| {
-        std::hint::black_box(
-            Msm::new(points)
-                .with_strategy(Strategy::Pippenger)
-                .eval(&scalars),
-        );
-    });
-    let batch_affine_ms = time_ms(|| {
-        std::hint::black_box(
-            Msm::new(points)
-                .with_strategy(Strategy::BatchAffine)
-                .eval(&scalars),
-        );
-    });
-
-    let start = Instant::now();
-    let table = MsmTable::build(points);
-    let table_build_ms = start.elapsed().as_secs_f64() * 1e3;
-    let table_ms = time_ms(|| {
-        std::hint::black_box(table.eval(&scalars));
-    });
-
-    let commit_naive_ms = time_ms(|| {
-        std::hint::black_box(key.commit_naive(&scalars));
-    });
-    let mut fast_key = key;
-    fast_key.precompute();
-    let commit_fast_ms = time_ms(|| {
-        std::hint::black_box(fast_key.commit(&scalars));
-    });
-
-    MsmProfile {
-        curve: C::NAME,
-        elements,
-        naive_ms,
-        wnaf_ms,
-        pippenger_ms,
-        batch_affine_ms,
-        table_build_ms,
-        table_ms,
-        commit_naive_ms,
-        commit_fast_ms,
-    }
-}
-
-/// Profiles the full commitment pipeline — every MSM kernel plus the
-/// end-to-end commit — at `elements` scalars on both protocol curves.
-pub fn crypto_report(elements: usize) -> Vec<MsmProfile> {
-    vec![
-        profile_curve::<Secp256k1>(elements),
-        profile_curve::<Secp256r1>(elements),
-    ]
-}
 
 fn json_f64(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Before/after wall-clock of the commitment checks in one verifiable
-/// round: `trainers` gradient blobs of `elements` scalars each, verified
-/// one blob at a time (the arrival-order protocol path) versus with a
-/// single random-linear-combination batch over the whole round (the
-/// `batch_verify` deferred queue, [`CommitKey::batch_culprits`] on the
-/// all-honest fast path).
-#[derive(Clone, Debug)]
-pub struct VerifiableRoundPoint {
-    /// Trainers contributing one gradient blob each.
-    pub trainers: usize,
-    /// Scalars per blob (partition parameters plus the averaging counter).
-    pub elements: usize,
-    /// Per-blob verification of the whole round (ms).
-    pub per_blob_ms: f64,
-    /// The batched round check, [`CommitKey::batch_culprits`] (ms): one
-    /// RLC from the batch size at which that beats recommitting, per-blob
-    /// recommits below it.
-    pub batched_ms: f64,
-    /// One RLC over the round whatever its size,
-    /// [`CommitKey::batch_check`] (ms) — with `per_blob_ms`, the pair the
-    /// batch-size threshold inside `batch_culprits` was chosen from.
-    pub rlc_ms: f64,
-}
-
-impl VerifiableRoundPoint {
-    /// Round-level speedup of the batched check over per-blob verification.
-    pub fn speedup(&self) -> f64 {
-        self.per_blob_ms / self.batched_ms.max(1e-9)
-    }
-}
-
-/// One verifiable round's inputs on the protocol curve
-/// ([`verifiable_round_inputs`]).
-pub struct VerifiableRound {
-    /// The task's commitment key, table attached.
-    pub key: CommitKey<Secp256k1>,
-    /// One opening vector per trainer.
-    pub vectors: Vec<Vec<Scalar<Secp256k1>>>,
-    /// The commitment each vector opens.
-    pub commitments: Vec<Commitment<Secp256k1>>,
-}
-
-/// `trainers` opening vectors of `elements` scalars and their commitments
-/// under a precomputed key. Each trainer's vector is the shared base plus
-/// one distinct single-element bump, so its commitment is built
-/// homomorphically (base commit ⊕ one single-generator mul) — setup stays
-/// O(trainers) scalar muls.
-pub fn verifiable_round_inputs(trainers: usize, elements: usize) -> VerifiableRound {
-    let mut key = CommitKey::<Secp256k1>::setup(elements, b"bench-verifiable-round");
-    key.precompute();
-    let base = deterministic_scalars::<Secp256k1>(elements);
-    let base_commit = key.commit(&base);
-
-    let mut vectors: Vec<Vec<Scalar<Secp256k1>>> = Vec::with_capacity(trainers);
-    let mut commitments: Vec<Commitment<Secp256k1>> = Vec::with_capacity(trainers);
-    for i in 0..trainers {
-        let k = i % elements;
-        let delta = Scalar::<Secp256k1>::from_u64(0x9E37u64.wrapping_mul(i as u64) & 0xFF_FFFF | 1);
-        let mut values = base.clone();
-        values[k] += delta;
-        let bump = key.generators()[k].mul(&delta);
-        vectors.push(values);
-        commitments.push(Commitment::from_point(base_commit.point().add(&bump)));
-    }
-    VerifiableRound {
-        key,
-        vectors,
-        commitments,
-    }
-}
-
-/// Measures one verifiable round of [`verifiable_round_inputs`]; the timed
-/// spans cover verification only.
-pub fn verifiable_round_point(trainers: usize, elements: usize) -> VerifiableRoundPoint {
-    let VerifiableRound {
-        key,
-        vectors,
-        commitments: commits,
-    } = verifiable_round_inputs(trainers, elements);
-
-    let per_blob_ms = time_ms(|| {
-        for (values, commitment) in vectors.iter().zip(&commits) {
-            assert!(key.verify(values, std::hint::black_box(commitment)));
-        }
-    });
-    let entries: Vec<BatchEntry<'_, Secp256k1>> = vectors
-        .iter()
-        .zip(&commits)
-        .map(|(values, commitment)| BatchEntry::new(values, commitment))
-        .collect();
-    let batched_ms = time_ms(|| {
-        assert!(key
-            .batch_culprits(std::hint::black_box(&entries))
-            .is_empty());
-    });
-
-    let rlc_ms = time_ms(|| {
-        assert!(key.batch_check(std::hint::black_box(&entries)));
-    });
-
-    VerifiableRoundPoint {
-        trainers,
-        elements,
-        per_blob_ms,
-        batched_ms,
-        rlc_ms,
-    }
-}
-
-/// The verifiable-round sweep recorded in `BENCH_crypto.json`: swarm sizes
-/// up to the paper's 10k-trainer scale at a fixed per-blob length.
-pub fn verifiable_round_sweep(sizes: &[usize], elements: usize) -> Vec<VerifiableRoundPoint> {
-    sizes
-        .iter()
-        .map(|&n| verifiable_round_point(n, elements))
-        .collect()
-}
-
-/// Hand-formats the report as the `BENCH_crypto.json` document (the repo
-/// carries no JSON dependency; the schema is flat enough to emit directly).
-pub fn crypto_report_json(profiles: &[MsmProfile], rounds: &[VerifiableRoundPoint]) -> String {
-    let mut out = String::from("{\n  \"curves\": [\n");
-    for (i, p) in profiles.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"curve\": \"{}\",\n", p.curve));
-        out.push_str(&format!("      \"elements\": {},\n", p.elements));
-        out.push_str("      \"before_ms\": {\n");
-        out.push_str(&format!("        \"naive\": {},\n", json_f64(p.naive_ms)));
-        out.push_str(&format!("        \"wnaf\": {},\n", json_f64(p.wnaf_ms)));
-        out.push_str(&format!(
-            "        \"pippenger\": {}\n      }},\n",
-            json_f64(p.pippenger_ms)
-        ));
-        out.push_str("      \"after_ms\": {\n");
-        out.push_str(&format!(
-            "        \"batch_affine\": {},\n",
-            json_f64(p.batch_affine_ms)
-        ));
-        out.push_str(&format!(
-            "        \"table_build\": {},\n",
-            json_f64(p.table_build_ms)
-        ));
-        out.push_str(&format!(
-            "        \"table\": {}\n      }},\n",
-            json_f64(p.table_ms)
-        ));
-        out.push_str("      \"commit_ms\": {\n");
-        out.push_str(&format!(
-            "        \"seed_naive\": {},\n",
-            json_f64(p.commit_naive_ms)
-        ));
-        out.push_str(&format!(
-            "        \"precomputed\": {}\n      }},\n",
-            json_f64(p.commit_fast_ms)
-        ));
-        out.push_str(&format!(
-            "      \"commit_speedup\": {}\n    }}{}\n",
-            json_f64(p.commit_speedup()),
-            if i + 1 < profiles.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"verifiable_round\": [\n");
-    for (i, r) in rounds.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"trainers\": {},\n", r.trainers));
-        out.push_str(&format!("      \"elements\": {},\n", r.elements));
-        out.push_str(&format!(
-            "      \"per_blob_ms\": {},\n",
-            json_f64(r.per_blob_ms)
-        ));
-        out.push_str(&format!(
-            "      \"batched_ms\": {},\n",
-            json_f64(r.batched_ms)
-        ));
-        out.push_str(&format!(
-            "      \"speedup\": {}\n    }}{}\n",
-            json_f64(r.speedup()),
-            if i + 1 < rounds.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_netsim.json
-// ---------------------------------------------------------------------------
-
 /// Hand-formats the churn wire costs, the scale sweep and the overlay
-/// sweep as the `BENCH_netsim.json` document (same dependency-free scheme
-/// as [`crypto_report_json`]).
+/// sweep as the `BENCH_netsim.json` document (the repo carries no JSON
+/// dependency; the schema is flat enough to emit directly).
 pub fn netsim_report_json(
     churn: &[ChurnPoint],
     scale: &[ScalePoint],
@@ -1213,50 +916,9 @@ mod tests {
         let points = fig3_commitment(&[256]);
         assert_eq!(points.len(), 1);
         assert!(points[0].pedersen_k1_ms > points[0].sha256_ms);
+        assert!(points[0].batch_affine_k1_ms > 0.0);
         assert!(points[0].fast_k1_ms > 0.0);
         assert!(points[0].fast_r1_ms > 0.0);
-    }
-
-    #[test]
-    fn crypto_report_shows_fast_path_winning() {
-        let profiles = crypto_report(512);
-        assert_eq!(profiles.len(), 2);
-        for p in &profiles {
-            // Even at a small size the table path must beat the naive
-            // serial baseline comfortably (the full d=8192 numbers go to
-            // BENCH_crypto.json via examples/bench_crypto.rs).
-            assert!(
-                p.commit_speedup() > 2.0,
-                "{}: naive {:.2} ms vs fast {:.2} ms",
-                p.curve,
-                p.commit_naive_ms,
-                p.commit_fast_ms
-            );
-        }
-        let rounds = verifiable_round_sweep(&[8], 64);
-        let json = crypto_report_json(&profiles, &rounds);
-        assert!(json.contains("\"secp256k1\""));
-        assert!(json.contains("\"secp256r1\""));
-        assert!(json.contains("\"commit_speedup\""));
-        assert_eq!(json.matches("\"elements\": 512").count(), 2);
-        assert!(json.contains("\"verifiable_round\""));
-        assert!(json.contains("\"trainers\": 8"));
-    }
-
-    #[test]
-    fn batched_round_check_beats_per_blob() {
-        // Round-level before/after at a test-sized swarm: one RLC batch
-        // over the round must already beat arrival-order per-blob
-        // verification at 32 blobs (the 10k-trainer sweep goes to
-        // BENCH_crypto.json via examples/bench_crypto.rs).
-        let point = verifiable_round_point(32, 128);
-        assert_eq!(point.trainers, 32);
-        assert!(
-            point.speedup() > 1.0,
-            "per-blob {:.2} ms vs batched {:.2} ms",
-            point.per_blob_ms,
-            point.batched_ms
-        );
     }
 
     #[test]

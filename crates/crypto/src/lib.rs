@@ -11,11 +11,11 @@
 //!   reduction its modulus allows (a fold for `2²⁵⁶ − c`, Montgomery otherwise).
 //! * [`curve`] — secp256k1 and secp256r1 with Jacobian arithmetic and wNAF
 //!   scalar multiplication.
-//! * [`msm`] — one [`msm::Msm`] entry point over naive, wNAF, Pippenger,
-//!   and batch-affine kernels, plus fixed-base precomputation tables
+//! * [`msm`] — [`msm::eval`] (an interleaved wNAF walk for a few points,
+//!   batch-affine Pippenger for more) and fixed-base precomputation tables
 //!   ([`msm::MsmTable`]) whose large bucket passes split across every core
-//!   (the paper's cited future-work optimization, implemented with
-//!   ablations).
+//!   — the paper's cited future-work optimization — with [`msm::naive`],
+//!   the paper's baseline, as their oracle.
 //! * [`pedersen`] — homomorphic Pedersen vector commitments (§IV-A) with
 //!   single and batched verification.
 //! * [`schnorr`] — Schnorr signatures authenticating directory
@@ -60,7 +60,7 @@ pub mod schnorr;
 pub mod sha256;
 
 pub use curve::{Affine, Curve, Jacobian, Scalar, Secp256k1, Secp256r1};
-pub use msm::{Msm, MsmTable, Strategy};
+pub use msm::MsmTable;
 pub use pedersen::{CommitKey, Commitment};
 pub use quantize::Quantized;
 pub use schnorr::{Signature, SigningKey, VerifyingKey};

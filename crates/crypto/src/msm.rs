@@ -1,27 +1,21 @@
 //! Multi-scalar multiplication (MSM): computing `Σ kᵢ·Pᵢ`.
 //!
 //! Pedersen vector commitments are exactly one MSM, so this is the hot path
-//! the paper identifies as the verifiability bottleneck (§V, Fig. 3). The
-//! crate exposes one entry point, [`Msm`], which selects among several
-//! kernels:
+//! the paper identifies as the verifiability bottleneck (§V, Fig. 3). Two
+//! entry points compute it, and neither takes a kernel choice:
 //!
-//! * [`Strategy::Naive`] — one plain double-and-add per term, summed. This
-//!   models the paper's "rather straight-forward" Bouncy Castle
-//!   implementation and is the baseline in the `ablate_msm` bench.
-//! * [`Strategy::Wnaf`] — interleaved width-5 wNAF (Straus): every term's
-//!   signed digits walked down **one** shared doubling chain, adding from
-//!   per-point affine odd multiples `1P, 3P … 15P`. `n` terms cost one
-//!   ladder's doublings instead of `n` ladders'; the kernel for a handful
-//!   of points, where bucket set-up dominates.
-//! * [`Strategy::Pippenger`] — bucket method with an adaptive window and
-//!   Jacobian bucket accumulation, the multi-exponentiation optimization
-//!   the paper cites as future work ([Möller '01; Borges et al. '17]).
-//! * [`Strategy::BatchAffine`] — Pippenger with the bucket contents summed
-//!   in *affine* coordinates, batching the per-addition division across
-//!   every bucket with Montgomery's simultaneous-inversion trick
-//!   ([`Fp::batch_invert`]). An affine addition costs ~6 field
-//!   multiplications amortized versus ~11 for a mixed Jacobian addition.
-//! * [`MsmTable`] — fixed-base precomputation: windowed shift tables
+//! * [`eval`] — an MSM over points with no precomputation. Below 32 points
+//!   it runs the interleaved width-5 wNAF walk (Straus): every term's
+//!   signed digits ride **one** shared doubling chain, adding from per-point
+//!   affine odd multiples `1P, 3P … 15P`, so `n` terms cost one ladder's
+//!   doublings instead of `n` ladders'. From 32 points it runs Pippenger's
+//!   bucket method — the multi-exponentiation optimization the paper cites
+//!   as future work ([Möller '01; Borges et al. '17]) — with the bucket
+//!   contents summed in *affine* coordinates, batching the per-addition
+//!   division across every bucket with Montgomery's simultaneous-inversion
+//!   trick ([`Fp::batch_invert`]): ~6 field multiplications an addition
+//!   amortized, against ~11 for a mixed Jacobian one.
+//! * [`MsmTable::eval`] — fixed-base precomputation: windowed shift tables
 //!   (`2^(w·c)·Pᵢ`) built once per point set collapse the entire MSM into a
 //!   **single** batch-affine bucket pass with no doubling chain at all.
 //!   This is the commitment fast path; [`crate::pedersen::CommitKey`]
@@ -30,19 +24,23 @@
 //!   scalars in the call are short enough that the bucket pass's fixed
 //!   cost (running sum, shared inversions) exceeds the whole walk.
 //!
+//! [`naive`] — one plain double-and-add per term, summed — is the oracle
+//! every kernel is tested against, and it models the paper's "rather
+//! straight-forward" Bouncy Castle implementation: Fig. 3's baseline.
+//!
 //! **Cost follows the scalar's real length.** Every kernel but the naive
 //! baseline reads digits from the scalar's *centred* representative (`k`
 //! if `k ≤ (n−1)/2`, else `−(n − k)`), adds the *negated* point or table
 //! entry for a negative one — free in affine coordinates, one field
-//! subtraction — and stops at the magnitude's bit length (the windowed
-//! Pippengers: at the longest magnitude in the call).
+//! subtraction — and stops at the magnitude's bit length (the bucket
+//! passes: at the longest magnitude in the call).
 //! A quantized gradient coordinate `−v` is embedded as `n − v`
 //! ([`crate::quantize`]), a 256-bit canonical scalar, but costs what its
 //! ≤ 40-bit magnitude costs: at most 4 of a d = 8 192 table's 22 windows
 //! instead of all of them. The result is the same group element, so
 //! commitments are byte-identical whichever representative was walked.
-//! [`Strategy::Naive`] deliberately stays on the canonical representative:
-//! it is the paper's implementation, and Fig. 3's baseline.
+//! [`naive`] deliberately stays on the canonical representative: it is
+//! the paper's implementation, and Fig. 3's baseline.
 //!
 //! **A large bucket pass uses every core.** A pass worth at least
 //! `SPLIT_MIN_MULS` field products — a d = 8 193 commitment or batch
@@ -55,12 +53,13 @@
 //!
 //! ```
 //! use dfl_crypto::curve::{Affine, Curve, Scalar, Secp256k1};
-//! use dfl_crypto::msm::{Msm, Strategy};
+//! use dfl_crypto::msm;
 //!
 //! let points = vec![Secp256k1::generator(); 4];
 //! let scalars: Vec<_> = (1..=4u64).map(Scalar::<Secp256k1>::from_u64).collect();
-//! let sum = Msm::new(&points).with_strategy(Strategy::Auto).eval(&scalars);
+//! let sum = msm::eval(&points, &scalars);
 //! assert_eq!(sum, Secp256k1::generator().mul(&Scalar::<Secp256k1>::from_u64(10)));
+//! assert_eq!(sum, msm::naive(&points, &scalars));
 //! ```
 
 use std::num::NonZeroUsize;
@@ -70,105 +69,57 @@ use crate::bigint::U256;
 use crate::curve::{wnaf_digits, Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
 
-/// MSM kernel selection for [`Msm`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Independent binary double-and-add per term (the paper's baseline).
-    Naive,
-    /// Interleaved width-5 wNAF: one doubling chain shared by all terms.
-    Wnaf,
-    /// Bucket method with Jacobian bucket accumulation.
-    Pippenger,
-    /// Bucket method with batch-affine bucket accumulation.
-    BatchAffine,
-    /// Pick by input size: interleaved wNAF for small inputs (where bucket
-    /// setup dominates), batch-affine Pippenger otherwise — or the
-    /// precomputed table when one is attached via [`Msm::with_table`].
-    #[default]
-    Auto,
+/// From this many points an untabled MSM runs the batch-affine bucket
+/// method; below it, one interleaved wNAF walk.
+const BUCKET_MIN_POINTS: usize = 32;
+
+/// Computes `Σ kᵢ·Pᵢ` without precomputation: the interleaved wNAF walk
+/// below 32 points, the batch-affine bucket method from 32.
+///
+/// # Panics
+///
+/// Panics if `points` and `scalars` have different lengths.
+pub fn eval<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
+    assert_eq!(
+        points.len(),
+        scalars.len(),
+        "points/scalars length mismatch"
+    );
+    if points.len() < BUCKET_MIN_POINTS {
+        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
+        interleaved_wnaf(&odd_multiples(points), &centred)
+    } else {
+        pippenger_batch_affine(points, scalars)
+    }
 }
 
-/// Builder-style MSM entry point: `Msm::new(points).eval(scalars)`.
-#[derive(Copy, Clone, Debug)]
-pub struct Msm<'a, C: Curve> {
-    points: &'a [Affine<C>],
-    strategy: Strategy,
-    table: Option<&'a MsmTable<C>>,
-}
-
-impl<'a, C: Curve> Msm<'a, C> {
-    /// Starts an MSM over `points` with [`Strategy::Auto`].
-    pub fn new(points: &'a [Affine<C>]) -> Msm<'a, C> {
-        Msm {
-            points,
-            strategy: Strategy::Auto,
-            table: None,
-        }
-    }
-
-    /// Selects the kernel. [`Strategy::Auto`] (the default) picks by input
-    /// size and prefers an attached table.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Msm<'a, C> {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Attaches a fixed-base precomputation table. Used by
-    /// [`Strategy::Auto`]; an explicit non-auto strategy still runs its own
-    /// kernel, which lets benchmarks and tests compare paths on identical
-    /// inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table covers fewer base points than `points`, or was
-    /// built over a different point set (checked cheaply by spot-comparing
-    /// the first point).
-    pub fn with_table(mut self, table: &'a MsmTable<C>) -> Msm<'a, C> {
-        assert!(
-            table.len() >= self.points.len(),
-            "table covers {} points, MSM needs {}",
-            table.len(),
-            self.points.len()
-        );
-        if let (Some(first), Some(base)) = (self.points.first(), table.base_point(0)) {
-            assert!(*first == base, "table was built over a different point set");
-        }
-        self.table = Some(table);
-        self
-    }
-
-    /// Computes `Σ kᵢ·Pᵢ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scalars` and the point set have different lengths.
-    pub fn eval(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
-        assert_eq!(
-            self.points.len(),
-            scalars.len(),
-            "points/scalars length mismatch"
-        );
-        match self.strategy {
-            Strategy::Naive => naive(self.points, scalars),
-            Strategy::Wnaf => self.run_wnaf(scalars),
-            Strategy::Pippenger => pippenger_jacobian(self.points, scalars),
-            Strategy::BatchAffine => pippenger_batch_affine(self.points, scalars),
-            Strategy::Auto => {
-                if let Some(table) = self.table {
-                    table.eval(scalars)
-                } else if self.points.len() < 32 {
-                    self.run_wnaf(scalars)
-                } else {
-                    pippenger_batch_affine(self.points, scalars)
-                }
+/// Naive MSM: independent double-and-add per term over the *canonical*
+/// representative, deliberately unoptimized. It models the paper's
+/// implementation (a negative coordinate's `n − |v|` costs all 256 bits),
+/// is Fig. 3's baseline, and is the oracle every kernel is tested against.
+///
+/// # Panics
+///
+/// Panics if `points` and `scalars` have different lengths.
+pub fn naive<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
+    assert_eq!(
+        points.len(),
+        scalars.len(),
+        "points/scalars length mismatch"
+    );
+    let mut acc = Jacobian::identity();
+    for (p, k) in points.iter().zip(scalars) {
+        let bits = k.to_canonical();
+        let mut term = Jacobian::identity();
+        for i in (0..bits.bit_len()).rev() {
+            term = term.double();
+            if bits.bit(i) {
+                term = term.add_affine(p);
             }
         }
+        acc = acc.add(&term);
     }
-
-    fn run_wnaf(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
-        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
-        interleaved_wnaf(&odd_multiples(self.points), &centred)
-    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +175,7 @@ impl<C: Curve> MsmTable<C> {
     /// # Panics
     ///
     /// Panics if `window` is outside `1..=16`.
-    pub fn with_window(points: &[Affine<C>], window: usize) -> MsmTable<C> {
+    fn with_window(points: &[Affine<C>], window: usize) -> MsmTable<C> {
         assert!(
             (1..=16).contains(&window),
             "table window must be in 1..=16 bits"
@@ -281,11 +232,6 @@ impl<C: Curve> MsmTable<C> {
     /// `true` if the table covers no points.
     pub fn is_empty(&self) -> bool {
         self.shifts.is_empty()
-    }
-
-    /// The `i`-th base point (the `w = 0` shift), if in range.
-    pub fn base_point(&self, i: usize) -> Option<Affine<C>> {
-        self.shifts.get(i * self.digits).copied()
     }
 
     /// Approximate heap footprint in bytes (for capacity planning).
@@ -345,25 +291,6 @@ impl<C: Curve> MsmTable<C> {
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
-
-/// Naive MSM: independent double-and-add per term over the *canonical*
-/// representative, deliberately unoptimized (models the paper's
-/// implementation: a negative coordinate's `n − |v|` costs all 256 bits).
-fn naive<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
-    let mut acc = Jacobian::identity();
-    for (p, k) in points.iter().zip(scalars) {
-        let bits = k.to_canonical();
-        let mut term = Jacobian::identity();
-        for i in (0..bits.bit_len()).rev() {
-            term = term.double();
-            if bits.bit(i) {
-                term = term.add_affine(p);
-            }
-        }
-        acc = acc.add(&term);
-    }
-    acc
-}
 
 /// Digit width of the interleaved wNAF kernel: digits are odd, below
 /// `2^(WNAF_WIDTH − 1)` in magnitude, and on average one position in
@@ -476,46 +403,6 @@ fn centred_terms<C: Curve>(
         })
         .unzip();
     (points, magnitudes, bits)
-}
-
-/// Pippenger bucket MSM with Jacobian bucket accumulation.
-///
-/// Splits each scalar's magnitude into windows of `c` bits, accumulates
-/// points into per-window buckets, and combines buckets with the
-/// running-sum trick. Cost is roughly `bits/c · (2^c + n)` point additions
-/// for a longest magnitude of `bits` bits, versus `n · 256` for the naive
-/// method.
-fn pippenger_jacobian<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
-    let n = points.len();
-    if n == 0 {
-        return Jacobian::identity();
-    }
-    let c = window_size(n);
-    let (points, magnitudes, bits) = centred_terms(points, scalars);
-    let windows = bits.div_ceil(c);
-
-    let mut window_sums = Vec::with_capacity(windows);
-    for w in 0..windows {
-        // Buckets 1..2^c−1 (bucket 0 contributes nothing).
-        let mut buckets = vec![Jacobian::<C>::identity(); (1 << c) - 1];
-        for (k, p) in magnitudes.iter().zip(&points) {
-            let digit = k.bits(w * c, c) as usize;
-            if digit != 0 {
-                buckets[digit - 1] = buckets[digit - 1].add_affine(p);
-            }
-        }
-        window_sums.push(bucket_running_sum_jacobian(&buckets));
-    }
-
-    // Combine: result = Σ_w (window_sum_w << (w·c)), highest window first.
-    let mut acc = Jacobian::identity();
-    for sum in window_sums.iter().rev() {
-        for _ in 0..c {
-            acc = acc.double();
-        }
-        acc = acc.add(sum);
-    }
-    acc
 }
 
 /// Pippenger with batch-affine bucket accumulation: per window, bucket
@@ -650,17 +537,6 @@ fn bucket_running_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>
         total = total.add(&running);
     }
     (total, running)
-}
-
-/// Running-sum bucket combine over Jacobian buckets.
-fn bucket_running_sum_jacobian<C: Curve>(buckets: &[Jacobian<C>]) -> Jacobian<C> {
-    let mut running = Jacobian::identity();
-    let mut total = Jacobian::identity();
-    for bucket in buckets.iter().rev() {
-        running = running.add(bucket);
-        total = total.add(&running);
-    }
-    total
 }
 
 /// Chooses the Pippenger window size for `n` terms (≈ log₂ n − 2, clamped).
@@ -867,74 +743,79 @@ pub(crate) mod tests {
         (points, scalars)
     }
 
-    fn eval_with(points: &[Affine<C>], scalars: &[Scalar<C>], s: Strategy) -> Jacobian<C> {
-        Msm::new(points).with_strategy(s).eval(scalars)
+    /// Every kernel on the same terms, by name: the interleaved walk, the
+    /// batch-affine bucket method, one table bucket pass, and the two entry
+    /// points, which pick among them.
+    fn kernels<K: Curve>(
+        points: &[Affine<K>],
+        scalars: &[Scalar<K>],
+    ) -> Vec<(&'static str, Jacobian<K>)> {
+        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
+        let table = MsmTable::build(points);
+        let buckets = (1 << table.window) - 1;
+        vec![
+            ("walk", interleaved_wnaf(&odd_multiples(points), &centred)),
+            ("batch-affine", pippenger_batch_affine(points, scalars)),
+            (
+                "table bucket pass",
+                bucket_pass(buckets, &table.entries(&centred)),
+            ),
+            ("eval", eval(points, scalars)),
+            ("table", table.eval(scalars)),
+        ]
     }
 
-    const ALL_STRATEGIES: [Strategy; 5] = [
-        Strategy::Naive,
-        Strategy::Wnaf,
-        Strategy::Pippenger,
-        Strategy::BatchAffine,
-        Strategy::Auto,
-    ];
+    /// Every kernel gives `expect` on `points` and `scalars`.
+    fn assert_kernels_give<K: Curve>(
+        points: &[Affine<K>],
+        scalars: &[Scalar<K>],
+        expect: Jacobian<K>,
+    ) {
+        for (name, got) in kernels(points, scalars) {
+            assert_eq!(got, expect, "{name}, n = {}", points.len());
+        }
+    }
+
+    /// Every kernel agrees with [`naive`].
+    fn assert_kernels_match_naive<K: Curve>(points: &[Affine<K>], scalars: &[Scalar<K>]) {
+        assert_kernels_give(points, scalars, naive(points, scalars));
+    }
 
     #[test]
     fn empty_input_is_identity() {
-        for s in ALL_STRATEGIES {
-            assert!(eval_with(&[], &[], s).is_identity(), "{s:?}");
-        }
-        let table = MsmTable::<C>::build(&[]);
-        assert!(table.is_empty());
-        assert!(table.eval(&[]).is_identity());
+        assert!(naive::<C>(&[], &[]).is_identity());
+        assert_kernels_give::<C>(&[], &[], Jacobian::identity());
+        assert!(MsmTable::<C>::build(&[]).is_empty());
     }
 
     #[test]
     fn single_term_matches_scalar_mul() {
         let (points, scalars) = random_instance(1, 1);
         let expect = points[0].mul(&scalars[0]);
-        for s in ALL_STRATEGIES {
-            assert_eq!(eval_with(&points, &scalars, s), expect, "{s:?}");
-        }
-        assert_eq!(MsmTable::build(&points).eval(&scalars), expect);
+        assert_eq!(naive(&points, &scalars), expect);
+        assert_kernels_give(&points, &scalars, expect);
     }
 
     #[test]
-    fn all_strategies_agree_small() {
+    fn all_kernels_agree_small() {
         for n in [2, 3, 7, 16] {
             let (points, scalars) = random_instance(n, n as u64);
-            let reference = eval_with(&points, &scalars, Strategy::Naive);
-            for s in ALL_STRATEGIES {
-                assert_eq!(eval_with(&points, &scalars, s), reference, "{s:?} n={n}");
-            }
-            let table = MsmTable::build(&points);
-            assert_eq!(table.eval(&scalars), reference, "table n={n}");
-            assert_eq!(
-                Msm::new(&points).with_table(&table).eval(&scalars),
-                reference,
-                "auto+table n={n}"
-            );
+            assert_kernels_match_naive(&points, &scalars);
         }
     }
 
     #[test]
-    fn all_strategies_agree_medium() {
+    fn all_kernels_agree_medium() {
         let (points, scalars) = random_instance(100, 99);
-        let reference = eval_with(&points, &scalars, Strategy::Naive);
-        for s in ALL_STRATEGIES {
-            assert_eq!(eval_with(&points, &scalars, s), reference, "{s:?}");
-        }
-        assert_eq!(MsmTable::build(&points).eval(&scalars), reference);
+        assert_kernels_match_naive(&points, &scalars);
     }
 
     #[test]
     fn zero_scalars_yield_identity() {
         let (points, _) = random_instance(8, 42);
         let zeros = vec![Scalar::<C>::ZERO; 8];
-        for s in ALL_STRATEGIES {
-            assert!(eval_with(&points, &zeros, s).is_identity(), "{s:?}");
-        }
-        assert!(MsmTable::build(&points).eval(&zeros).is_identity());
+        assert!(naive(&points, &zeros).is_identity());
+        assert_kernels_give(&points, &zeros, Jacobian::identity());
     }
 
     #[test]
@@ -944,12 +825,7 @@ pub(crate) mod tests {
         let (points, _) = random_instance(3, 5);
         let minus_one =
             Scalar::<C>::from_canonical(<C as Curve>::Scalar::MODULUS.wrapping_sub(&U256::ONE));
-        let scalars = vec![minus_one; 3];
-        let reference = eval_with(&points, &scalars, Strategy::Naive);
-        for s in ALL_STRATEGIES {
-            assert_eq!(eval_with(&points, &scalars, s), reference, "{s:?}");
-        }
-        assert_eq!(MsmTable::build(&points).eval(&scalars), reference);
+        assert_kernels_match_naive(&points, &[minus_one; 3]);
     }
 
     #[test]
@@ -962,10 +838,8 @@ pub(crate) mod tests {
         let expect = points[3]
             .mul(&scalars[3])
             .add(&points[47].mul(&scalars[47]));
-        for s in ALL_STRATEGIES {
-            assert_eq!(eval_with(&points, &scalars, s), expect, "{s:?}");
-        }
-        assert_eq!(MsmTable::build(&points).eval(&scalars), expect);
+        assert_eq!(naive(&points, &scalars), expect);
+        assert_kernels_give(&points, &scalars, expect);
     }
 
     #[test]
@@ -978,10 +852,8 @@ pub(crate) mod tests {
         let points = vec![p; n];
         let scalars = vec![Scalar::<C>::ONE; n];
         let expect = p.mul(&Scalar::<C>::from_u64(n as u64));
-        for s in ALL_STRATEGIES {
-            assert_eq!(eval_with(&points, &scalars, s), expect, "{s:?}");
-        }
-        assert_eq!(MsmTable::build(&points).eval(&scalars), expect);
+        assert_eq!(naive(&points, &scalars), expect);
+        assert_kernels_give(&points, &scalars, expect);
     }
 
     #[test]
@@ -993,10 +865,7 @@ pub(crate) mod tests {
         let q = Affine::<C>::random(&mut rng);
         let points = vec![p, p.negate(), q, q, p, p.negate()];
         let k = Scalar::<C>::from_u64(9);
-        let scalars = vec![k; 6];
-        let expect = q.mul(&(k + k));
-        assert_eq!(eval_with(&points, &scalars, Strategy::BatchAffine), expect);
-        assert_eq!(MsmTable::build(&points).eval(&scalars), expect);
+        assert_kernels_give(&points, &[k; 6], q.mul(&(k + k)));
     }
 
     #[test]
@@ -1004,11 +873,7 @@ pub(crate) mod tests {
         let (mut points, scalars) = random_instance(40, 11);
         points[7] = Affine::identity();
         points[23] = Affine::identity();
-        let reference = eval_with(&points, &scalars, Strategy::Naive);
-        for s in ALL_STRATEGIES {
-            assert_eq!(eval_with(&points, &scalars, s), reference, "{s:?}");
-        }
-        assert_eq!(MsmTable::build(&points).eval(&scalars), reference);
+        assert_kernels_match_naive(&points, &scalars);
     }
 
     #[test]
@@ -1018,7 +883,7 @@ pub(crate) mod tests {
         let (points, scalars) = random_instance(20, 13);
         let table = MsmTable::build(&points);
         for m in [0, 1, 5, 20] {
-            let reference = eval_with(&points[..m], &scalars[..m], Strategy::Naive);
+            let reference = naive(&points[..m], &scalars[..m]);
             assert_eq!(table.eval(&scalars[..m]), reference, "prefix m={m}");
         }
     }
@@ -1041,7 +906,7 @@ pub(crate) mod tests {
     #[test]
     fn explicit_window_matches_default() {
         let (points, scalars) = random_instance(12, 19);
-        let reference = eval_with(&points, &scalars, Strategy::Naive);
+        let reference = naive(&points, &scalars);
         for w in [1, 4, 8, 13, 16] {
             let table = MsmTable::with_window(&points, w);
             assert_eq!(table.window(), w);
@@ -1055,9 +920,6 @@ pub(crate) mod tests {
         let table = MsmTable::with_window(&points, 8);
         assert_eq!(table.len(), 6);
         assert!(!table.is_empty());
-        assert_eq!(table.base_point(0).unwrap(), points[0]);
-        assert_eq!(table.base_point(5).unwrap(), points[5]);
-        assert!(table.base_point(6).is_none());
         assert!(table.memory_bytes() > 0);
     }
 
@@ -1083,32 +945,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different point set")]
-    fn mismatched_table_rejected() {
-        let (points_a, _) = random_instance(4, 1);
-        let (points_b, scalars) = random_instance(4, 2);
-        let table = MsmTable::build(&points_a);
-        Msm::new(&points_b).with_table(&table).eval(&scalars);
-    }
-
-    #[test]
     fn both_curves_agree() {
         let mut rng = StdRng::seed_from_u64(55);
         let points: Vec<Affine<Secp256r1>> = (0..40).map(|_| Affine::random(&mut rng)).collect();
         let scalars: Vec<Scalar<Secp256r1>> = (0..40)
             .map(|_| Scalar::<Secp256r1>::random(&mut rng))
             .collect();
-        let reference = Msm::new(&points)
-            .with_strategy(Strategy::Naive)
-            .eval(&scalars);
-        for s in ALL_STRATEGIES {
-            assert_eq!(
-                Msm::new(&points).with_strategy(s).eval(&scalars),
-                reference,
-                "{s:?}"
-            );
-        }
-        assert_eq!(MsmTable::build(&points).eval(&scalars), reference);
+        assert_kernels_match_naive(&points, &scalars);
     }
 
     /// The table's bucket pass over `scalars` split into `ranges`, whatever
@@ -1136,13 +979,9 @@ pub(crate) mod tests {
         window: usize,
     ) -> Vec<usize> {
         let table = MsmTable::with_window(points, window);
-        let naive = Msm::new(points)
-            .with_strategy(Strategy::Naive)
-            .eval(scalars)
-            .to_affine()
-            .to_compressed();
+        let oracle = naive(points, scalars).to_affine().to_compressed();
         let (serial, _) = split_pass(&table, scalars, 1);
-        assert_eq!(serial, naive, "one range on {}", C::NAME);
+        assert_eq!(serial, oracle, "one range on {}", C::NAME);
         let mut seen = Vec::new();
         for ranges in 2..=8 {
             let (split, starts) = split_pass(&table, scalars, ranges);
@@ -1224,9 +1063,13 @@ pub(crate) mod tests {
         assert!(work(low).abs_diff(work(high)) <= bucket_muls(sizes[starts[1]]));
     }
 
-    /// Median wall time of `f` over 31 runs, in µs; `setup` is untimed.
-    pub(crate) fn median_us<S, T>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> T) -> f64 {
-        let mut runs: Vec<f64> = (0..31)
+    /// Median wall time of `f` over `runs` runs, in µs; `setup` is untimed.
+    pub(crate) fn median_us<S, T>(
+        runs: usize,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> T,
+    ) -> f64 {
+        let mut runs: Vec<f64> = (0..runs)
             .map(|_| {
                 let input = setup();
                 let start = std::time::Instant::now();
@@ -1269,6 +1112,7 @@ pub(crate) mod tests {
                 let muls: usize = sizes.iter().map(|&n| bucket_muls(n)).sum();
                 let time = |ranges| {
                     median_us(
+                        31,
                         || (),
                         |()| {
                             let entries = table.entries(&centred);

@@ -29,7 +29,7 @@ use std::fmt;
 use crate::bigint::U256;
 use crate::curve::{Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
-use crate::msm::{map_split, ranges_for, Msm, MsmTable, Strategy};
+use crate::msm::{self, map_split, ranges_for, MsmTable};
 use crate::sha256::Sha256;
 
 /// Public parameters: a vector of generators with no known discrete-log
@@ -38,7 +38,7 @@ use crate::sha256::Sha256;
 ///
 /// A key may additionally carry a fixed-base precomputation table
 /// ([`CommitKey::precompute`]) that every subsequent [`CommitKey::commit`]
-/// and [`CommitKey::batch_verify`] uses transparently. The table caches
+/// and [`CommitKey::batch_check`] uses transparently. The table caches
 /// windowed shifts of the generators (derived data only), so two keys
 /// compare equal iff their generators and seed match, table or not.
 #[derive(Clone)]
@@ -83,12 +83,6 @@ impl<C: Curve> CommitKey<C> {
         self.table = Some(MsmTable::build(&self.generators));
     }
 
-    /// Drops the precomputation table (frees its memory; commits fall back
-    /// to the table-free batch-affine path).
-    pub fn clear_precomputed(&mut self) {
-        self.table = None;
-    }
-
     /// `true` if a precomputation table is attached.
     pub fn is_precomputed(&self) -> bool {
         self.table.is_some()
@@ -120,22 +114,8 @@ impl<C: Curve> CommitKey<C> {
         &self.seed
     }
 
-    /// Extends the key in place so it covers vectors of length `n`
-    /// (deterministic: the first generators never change). If a
-    /// precomputation table is attached it is rebuilt over the extended
-    /// generator set so it never goes stale.
-    pub fn extend_to(&mut self, n: usize) {
-        let before = self.generators.len();
-        for i in self.generators.len()..n {
-            self.generators
-                .push(hash_to_curve::<C>(&self.seed, i as u64));
-        }
-        if self.generators.len() != before && self.table.is_some() {
-            self.precompute();
-        }
-    }
-
-    /// Commits to `values` (must not exceed the key length).
+    /// Commits to `values` (must not exceed the key length): through the
+    /// key's table when it has one, else [`msm::eval`].
     ///
     /// # Panics
     ///
@@ -147,17 +127,15 @@ impl<C: Curve> CommitKey<C> {
             values.len(),
             self.generators.len()
         );
-        let mut msm = Msm::new(&self.generators[..values.len()]);
-        if let Some(table) = &self.table {
-            msm = msm.with_table(table);
-        }
-        Commitment {
-            point: msm.eval(values),
-        }
+        let point = match &self.table {
+            Some(table) => table.eval(values),
+            None => msm::eval(&self.generators[..values.len()], values),
+        };
+        Commitment { point }
     }
 
-    /// Commits using the naive MSM (models the paper's unoptimized
-    /// implementation; used by the Fig. 3 benchmark).
+    /// Commits using [`msm::naive`] (models the paper's unoptimized
+    /// implementation; Fig. 3's baseline).
     ///
     /// # Panics
     ///
@@ -165,9 +143,7 @@ impl<C: Curve> CommitKey<C> {
     pub fn commit_naive(&self, values: &[Scalar<C>]) -> Commitment<C> {
         assert!(values.len() <= self.generators.len());
         Commitment {
-            point: Msm::new(&self.generators[..values.len()])
-                .with_strategy(Strategy::Naive)
-                .eval(values),
+            point: msm::naive(&self.generators[..values.len()], values),
         }
     }
 
@@ -177,19 +153,6 @@ impl<C: Curve> CommitKey<C> {
             return false;
         }
         self.commit(values) == *commitment
-    }
-
-    /// Verifies many `(values, commitment)` pairs at once with a random
-    /// linear combination. Convenience wrapper over [`CommitKey::batch_check`]
-    /// for callers without binding bytes.
-    ///
-    /// Returns `true` for an empty batch.
-    pub fn batch_verify(&self, items: &[(&[Scalar<C>], &Commitment<C>)]) -> bool {
-        let entries: Vec<BatchEntry<'_, C>> = items
-            .iter()
-            .map(|(values, commitment)| BatchEntry::new(values, commitment))
-            .collect();
-        self.batch_check(&entries)
     }
 
     /// Verifies a whole batch of openings with one random linear
@@ -334,7 +297,7 @@ impl<C: Curve> CommitKey<C> {
         let combined_values = accumulate_values(entries, coeffs, idxs, width);
         let sub_points: Vec<Affine<C>> = idxs.iter().map(|&i| points[i]).collect();
         let sub_coeffs: Vec<Scalar<C>> = idxs.iter().map(|&i| coeffs[i]).collect();
-        let combined_commitment = Msm::new(&sub_points).eval(&sub_coeffs);
+        let combined_commitment = msm::eval(&sub_points, &sub_coeffs);
         self.commit(&combined_values)
             == Commitment {
                 point: combined_commitment,
@@ -387,9 +350,11 @@ impl<C: Curve> CommitKey<C> {
 /// pass's fixed cost — where a direct recommit of ≤ 40-bit openings walks
 /// 2–4 windows, or at d = 33 one short doubling chain. So an RLC only pays
 /// from the batch size at which its fixed cost is shared widely enough.
-/// Measured on honest rounds (`cargo run --release --example bench_crypto
-/// -- --crossover`, median of 5; sequential `verify` vs one `batch_check`,
-/// ms; the first of three runs whose ratios agree to within 0.05):
+/// Measured on honest rounds (`rlc_crossover` below, an ignored test run by
+/// hand with `cargo test --release -p dfl-crypto --lib rlc_crossover --
+/// --ignored --nocapture`; median of 5; sequential `verify` vs one
+/// `batch_check`, ms; the first of three runs whose ratios agree to within
+/// 0.05):
 ///
 /// | n  | d = 8 193     | d = 33        |
 /// |----|---------------|---------------|
@@ -556,14 +521,6 @@ impl<C: Curve> Commitment<C> {
             .fold(Commitment::identity(), |acc, c| acc.combine(c))
     }
 
-    /// Wraps a raw group element as a commitment. Callers that already
-    /// hold a point — e.g. a homomorphic single-generator bump
-    /// `Δ·Hₖ` computed with [`crate::msm::Msm`] — can build the combined
-    /// commitment without re-running a full commit.
-    pub fn from_point(point: Jacobian<C>) -> Commitment<C> {
-        Commitment { point }
-    }
-
     /// The underlying group element.
     pub fn point(&self) -> Jacobian<C> {
         self.point
@@ -670,14 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_preserves_prefix() {
-        let mut small = key(4);
-        let big = key(12);
-        small.extend_to(12);
-        assert_eq!(small.generators(), big.generators());
-    }
-
-    #[test]
     fn both_curves_work() {
         let k1 = CommitKey::<Secp256k1>::setup(4, b"s");
         let r1 = CommitKey::<Secp256r1>::setup(4, b"s");
@@ -745,27 +694,17 @@ mod tests {
     }
 
     #[test]
-    fn precompute_is_idempotent_and_clearable() {
+    fn precompute_is_idempotent() {
         let mut key = key(8);
         assert!(!key.is_precomputed());
         assert_eq!(key.table_memory_bytes(), 0);
-        key.precompute();
         let v = random_vector(8, 71);
         let c = key.commit(&v);
         key.precompute();
+        assert!(key.is_precomputed());
         assert_eq!(key.commit(&v), c);
-        key.clear_precomputed();
-        assert!(!key.is_precomputed());
+        key.precompute();
         assert_eq!(key.commit(&v), c);
-    }
-
-    #[test]
-    fn extend_rebuilds_table() {
-        let mut small = CommitKey::<K1>::setup_precomputed(4, b"test-seed");
-        small.extend_to(12);
-        assert!(small.is_precomputed());
-        let v = random_vector(12, 72);
-        assert_eq!(small.commit(&v), key(12).commit(&v));
     }
 
     #[test]
@@ -777,16 +716,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_uses_table_transparently() {
+    fn batch_check_uses_table_transparently() {
         let key = CommitKey::<K1>::setup_precomputed(8, b"test-seed");
         let vectors: Vec<Vec<_>> = (0..4).map(|i| random_vector(8, 80 + i)).collect();
         let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
-        let items: Vec<(&[Scalar<K1>], &Commitment<K1>)> = vectors
-            .iter()
-            .map(Vec::as_slice)
-            .zip(commits.iter())
-            .collect();
-        assert!(key.batch_verify(&items));
+        assert!(key.batch_check(&entries(&vectors, &commits)));
     }
 
     #[test]
@@ -852,36 +786,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_accepts_valid_batches() {
+    fn batch_check_accepts_valid_batches() {
         let key = key(8);
         let vectors: Vec<Vec<_>> = (0..5).map(|i| random_vector(8, 30 + i)).collect();
         let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
-        let items: Vec<(&[Scalar<K1>], &Commitment<K1>)> = vectors
-            .iter()
-            .map(Vec::as_slice)
-            .zip(commits.iter())
-            .collect();
-        assert!(key.batch_verify(&items));
-        assert!(key.batch_verify(&[]), "empty batch is trivially valid");
+        assert!(key.batch_check(&entries(&vectors, &commits)));
+        assert!(key.batch_check(&[]), "empty batch is trivially valid");
     }
 
     #[test]
-    fn batch_verify_rejects_one_bad_pair() {
+    fn batch_check_rejects_one_bad_pair() {
         let key = key(8);
         let vectors: Vec<Vec<_>> = (0..5).map(|i| random_vector(8, 40 + i)).collect();
         let mut commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
         // Corrupt exactly one commitment.
         commits[3] = commits[3].combine(&key.commit(&random_vector(8, 99)));
-        let items: Vec<(&[Scalar<K1>], &Commitment<K1>)> = vectors
-            .iter()
-            .map(Vec::as_slice)
-            .zip(commits.iter())
-            .collect();
-        assert!(!key.batch_verify(&items));
+        assert!(!key.batch_check(&entries(&vectors, &commits)));
     }
 
     #[test]
-    fn batch_verify_rejects_swapped_openings() {
+    fn batch_check_rejects_swapped_openings() {
         // Two valid pairs with their openings exchanged must fail even
         // though the multiset of commitments is unchanged.
         let key = key(4);
@@ -889,21 +813,21 @@ mod tests {
         let v2 = random_vector(4, 51);
         let c1 = key.commit(&v1);
         let c2 = key.commit(&v2);
-        assert!(key.batch_verify(&[(&v1, &c1), (&v2, &c2)]));
-        assert!(!key.batch_verify(&[(&v1, &c2), (&v2, &c1)]));
+        assert!(key.batch_check(&[BatchEntry::new(&v1, &c1), BatchEntry::new(&v2, &c2)]));
+        assert!(!key.batch_check(&[BatchEntry::new(&v1, &c2), BatchEntry::new(&v2, &c1)]));
     }
 
     #[test]
-    fn batch_verify_mixed_lengths() {
+    fn batch_check_mixed_lengths() {
         let key = key(8);
         let short = random_vector(3, 60);
         let long = random_vector(8, 61);
         let cs = key.commit(&short);
         let cl = key.commit(&long);
-        assert!(key.batch_verify(&[(&short, &cs), (&long, &cl)]));
+        assert!(key.batch_check(&[BatchEntry::new(&short, &cs), BatchEntry::new(&long, &cl)]));
         // Over-long vector rejected outright.
         let too_long = random_vector(9, 62);
-        assert!(!key.batch_verify(&[(&too_long, &cs)]));
+        assert!(!key.batch_check(&[BatchEntry::new(&too_long, &cs)]));
     }
 
     /// Builds a batch of `n` openings over `key`, then corrupts the
@@ -945,7 +869,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_check_matches_batch_verify_semantics() {
+    fn batch_check_accepts_honest_and_rejects_altered_openings() {
         let key = key(8);
         let (vectors, commits) = corrupted_batch(&key, 6, &[], 100);
         assert!(key.batch_check(&entries(&vectors, &commits)));
@@ -1134,6 +1058,7 @@ mod tests {
             let idxs: Vec<usize> = (0..n).collect();
             let time = |ranges| {
                 median_us(
+                    31,
                     || (),
                     |()| accumulate_columns(&e, &coeffs, &idxs, d, ranges),
                 )
@@ -1144,6 +1069,50 @@ mod tests {
                 d * n,
                 split / serial
             );
+        }
+    }
+
+    /// The measurement behind [`RLC_MIN_BATCH`]: honest rounds of `n`
+    /// openings of `d` elements, checked by sequential `verify`, by one
+    /// `batch_check` and by `batch_culprits` (what the protocol calls). Each
+    /// opening is a shared vector of alternating-sign ≤ 24-bit values with
+    /// one element bumped, on a key with its table. Run with `cargo test
+    /// --release -p dfl-crypto --lib rlc_crossover -- --ignored
+    /// --nocapture`.
+    #[test]
+    #[ignore = "timing table; run by hand in release"]
+    fn rlc_crossover() {
+        use crate::msm::tests::median_us;
+        println!("honest round: sequential verify, one RLC, batch_culprits (median of 5, ms)");
+        println!(
+            "{:>6} {:>4} {:>12} {:>10} {:>16} {:>16}",
+            "d", "n", "sequential", "rlc", "batch_culprits", "sequential/rlc"
+        );
+        for d in [33, 8193] {
+            let key = CommitKey::<K1>::setup_precomputed(d, b"bench-verifiable-round");
+            let base: Vec<i64> = (0..d as i64)
+                .map(|i| ((0x9E37 * (i + 1)) & 0xFF_FFFF) * if i % 2 == 0 { 1 } else { -1 })
+                .collect();
+            for n in [1, 2, 3, 4, 5, 6, 8, 16] {
+                let vectors: Vec<Vec<Scalar<K1>>> = (0..n)
+                    .map(|i| {
+                        let mut values = base.clone();
+                        values[i % d] += ((0x9E37 * i as i64) & 0xFF_FFFF) | 1;
+                        values.into_iter().map(Scalar::<K1>::from_i64).collect()
+                    })
+                    .collect();
+                let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
+                let e = entries(&vectors, &commits);
+                let ms = |f: &dyn Fn() -> bool| median_us(5, || (), |()| assert!(f())) / 1e3;
+                let sequential =
+                    ms(&|| vectors.iter().zip(&commits).all(|(v, c)| key.verify(v, c)));
+                let rlc = ms(&|| key.batch_check(&e));
+                let culprits = ms(&|| key.batch_culprits(&e).is_empty());
+                println!(
+                    "{d:>6} {n:>4} {sequential:>12.3} {rlc:>10.3} {culprits:>16.3} {:>15.2}x",
+                    sequential / rlc
+                );
+            }
         }
     }
 
@@ -1267,8 +1236,7 @@ mod tests {
 
         /// The batched verdict and the bisected culprit set must match
         /// sequential per-item verification exactly, over randomized
-        /// good/bad mixes. CI runs this under both the default and the
-        /// `rayon` features, covering the serial and sharded paths.
+        /// good/bad mixes.
         #[test]
         fn prop_batch_matches_sequential(
             len in 1usize..12,

@@ -1,8 +1,10 @@
-//! Property tests: every MSM kernel — interleaved wNAF, Jacobian Pippenger,
-//! batch-affine Pippenger, the precomputed table (its bucket pass, split
-//! across cores where it is large, and its interleaved walk) — must be
-//! *bit-identical* to the naive double-and-add reference, on both protocol
-//! curves.
+//! Property tests: every public MSM entry point — `msm::eval` (the
+//! interleaved wNAF walk below 32 points, batch-affine Pippenger from 32),
+//! `MsmTable::eval` (its bucket pass, split across cores where it is large,
+//! and its interleaved walk) and `CommitKey::commit` with and without a
+//! table — must be *bit-identical* to `msm::naive`, the double-and-add
+//! oracle, on both protocol curves. `msm::tests` holds each private kernel
+//! to the oracle on the same inputs.
 //!
 //! Equality is checked on the canonical compressed encoding, not just the
 //! projective equivalence class, because commitments travel as serialized
@@ -29,7 +31,8 @@
 use dfl_crypto::bigint::U256;
 use dfl_crypto::curve::{Affine, Curve, Jacobian, Scalar, Secp256k1, Secp256r1};
 use dfl_crypto::field::FieldParams;
-use dfl_crypto::msm::{Msm, MsmTable, Strategy};
+use dfl_crypto::msm::{self, MsmTable};
+use dfl_crypto::pedersen::CommitKey;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,74 +135,59 @@ fn encode<C: Curve>(p: Jacobian<C>) -> [u8; 33] {
     p.to_affine().to_compressed()
 }
 
-/// Asserts every kernel — each `Strategy`, with and without a table —
-/// matches naive on the instance `pairs` decodes to, byte for byte.
+/// Asserts every public entry point matches naive on the instance `pairs`
+/// decodes to, byte for byte: the two MSMs on its points and scalars, and a
+/// commitment to its scalars.
 fn assert_all_paths_agree<C: Curve>(
     pairs: &[(u64, u64)],
     family: Family,
 ) -> Result<(), TestCaseError> {
     let (points, scalars) = terms::<C>(pairs, family);
-    assert_terms_agree(&points, &scalars)
+    assert_terms_agree(&points, &scalars)?;
+    assert_commitments_agree::<C>(&scalars)
 }
 
-/// [`assert_all_paths_agree`] on explicit terms.
+/// `msm::eval` and `MsmTable::eval` against `msm::naive` on explicit terms.
 fn assert_terms_agree<C: Curve>(
     points: &[Affine<C>],
     scalars: &[Scalar<C>],
 ) -> Result<(), TestCaseError> {
-    let reference = encode(
-        Msm::new(points)
-            .with_strategy(Strategy::Naive)
-            .eval(scalars),
+    let reference = encode(msm::naive(points, scalars));
+    prop_assert_eq!(
+        encode(msm::eval(points, scalars)),
+        reference,
+        "msm::eval diverges from naive on {} ({} terms)",
+        C::NAME,
+        points.len()
     );
-    for strategy in [
-        Strategy::Wnaf,
-        Strategy::Pippenger,
-        Strategy::BatchAffine,
-        Strategy::Auto,
-    ] {
-        prop_assert_eq!(
-            encode(Msm::new(points).with_strategy(strategy).eval(scalars)),
-            reference,
-            "{:?} diverges from naive on {} ({} terms)",
-            strategy,
-            C::NAME,
-            points.len()
-        );
-    }
+    prop_assert_eq!(
+        encode(MsmTable::build(points).eval(scalars)),
+        reference,
+        "MsmTable::eval diverges from naive on {} ({} terms)",
+        C::NAME,
+        points.len()
+    );
+    Ok(())
+}
 
-    let table = MsmTable::build(points);
-    for strategy in [
-        Strategy::Naive,
-        Strategy::Wnaf,
-        Strategy::Pippenger,
-        Strategy::BatchAffine,
-    ] {
+/// `CommitKey::commit` of `scalars` on a key without a table and on the same
+/// key with one, against `msm::naive` over the key's generators.
+fn assert_commitments_agree<C: Curve>(scalars: &[Scalar<C>]) -> Result<(), TestCaseError> {
+    let mut key = CommitKey::<C>::setup(scalars.len(), b"msm-equivalence");
+    let reference = encode(msm::naive(key.generators(), scalars));
+    for table in [false, true] {
+        if table {
+            key.precompute();
+        }
         prop_assert_eq!(
-            encode(
-                Msm::new(points)
-                    .with_table(&table)
-                    .with_strategy(strategy)
-                    .eval(scalars)
-            ),
+            key.commit(scalars).to_bytes(),
             reference,
-            "{:?} with a table attached diverges from naive on {}",
-            strategy,
-            C::NAME
+            "commit (table: {}) diverges from naive on {} ({} terms)",
+            table,
+            C::NAME,
+            scalars.len()
         );
     }
-    prop_assert_eq!(
-        encode(table.eval(scalars)),
-        reference,
-        "table path diverges from naive on {}",
-        C::NAME
-    );
-    prop_assert_eq!(
-        encode(Msm::new(points).with_table(&table).eval(scalars)),
-        reference,
-        "auto-with-table path diverges from naive on {}",
-        C::NAME
-    );
     Ok(())
 }
 
@@ -265,7 +253,7 @@ proptest! {
         assert_all_paths_agree::<Secp256k1>(&pairs, Mixed)?;
         assert_all_paths_agree::<Secp256r1>(&pairs, Mixed)?;
         let (points, scalars) = terms::<Secp256k1>(&pairs, Mixed);
-        prop_assert!(Msm::new(&points).eval(&scalars).is_identity());
+        prop_assert!(msm::eval(&points, &scalars).is_identity());
     }
 
     #[test]
@@ -283,7 +271,7 @@ proptest! {
             negated_sum = negated_sum.add_affine(&p.negate());
         }
         prop_assert_eq!(
-            encode(Msm::new(&points).eval(&scalars)),
+            encode(msm::eval(&points, &scalars)),
             encode(negated_sum)
         );
     }
@@ -293,22 +281,8 @@ proptest! {
 fn empty_input_all_paths() {
     let points: Vec<Affine<Secp256k1>> = Vec::new();
     let scalars: Vec<Scalar<Secp256k1>> = Vec::new();
-    for strategy in [
-        Strategy::Naive,
-        Strategy::Wnaf,
-        Strategy::Pippenger,
-        Strategy::BatchAffine,
-        Strategy::Auto,
-    ] {
-        assert!(
-            Msm::new(&points)
-                .with_strategy(strategy)
-                .eval(&scalars)
-                .is_identity(),
-            "{strategy:?}"
-        );
-    }
-    assert!(MsmTable::build(&points).eval(&scalars).is_identity());
+    assert!(msm::naive(&points, &scalars).is_identity());
+    assert_all_paths_agree::<Secp256k1>(&[], Mixed).unwrap();
 }
 
 /// 300 terms: short openings give the 300-point table a pass of ≈ 16 k
@@ -363,10 +337,10 @@ fn colliding_points_identities_and_zero_scalars_all_paths() {
     colliding_terms_agree::<Secp256r1>();
 }
 
-/// The sizes either side of `Strategy::Auto`'s table-less switch (n < 32
-/// walks, n ≥ 32 buckets), with every length in each call.
+/// The sizes either side of `msm::eval`'s switch (n < 32 walks, n ≥ 32
+/// buckets), with every length in each call.
 #[test]
-fn sizes_around_the_auto_switch_all_paths() {
+fn sizes_around_the_untabled_switch_all_paths() {
     for n in [0u64, 1, 2, 31, 32] {
         let pairs: Vec<(u64, u64)> = (1..=n)
             .map(|i| (i, i.wrapping_mul(0xA24B_AED4_963E_E407)))

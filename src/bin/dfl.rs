@@ -11,10 +11,12 @@
 //!            # verify-time histogram, and byte accounting
 //! dfl report --from-jsonl PATH
 //!            # re-print counters/histograms/bytes from an exported trace
-//! dfl fig1 | fig2 | fig3      # regenerate a paper figure's series
 //! ```
 //!
 //! Build and run with `cargo run --release --bin dfl -- run --trainers 8`.
+//! The paper's figures are printed by `examples/fig{1_providers,
+//! 2_aggregators,3_commitment}` (`cargo run --release --example
+//! fig1_providers`).
 //! Every failure path exits nonzero with a typed [`CliError`] on stderr.
 
 use std::fmt;
@@ -73,20 +75,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
-        Some("fig1") => {
-            print_fig1();
-            ExitCode::SUCCESS
-        }
-        Some("fig2") => {
-            print_fig2();
-            ExitCode::SUCCESS
-        }
-        Some("fig3") => {
-            print_fig3();
-            ExitCode::SUCCESS
-        }
         _ => {
-            eprintln!("usage: dfl <run|report|fig1|fig2|fig3> [flags]  (see --help in source)");
+            eprintln!("usage: dfl <run|report> [flags]  (see --help in source)");
             ExitCode::FAILURE
         }
     }
@@ -382,74 +372,4 @@ fn try_report(rest: &[String]) -> Result<(), CliError> {
         println!("trace exported to {path} (csv)");
     }
     Ok(())
-}
-
-#[cfg(feature = "figures")]
-fn print_fig1() {
-    println!("Figure 1 — delays vs providers");
-    println!(
-        "{:<12} {:>18} {:>14}",
-        "providers", "aggregation (s)", "upload (s)"
-    );
-    for point in dfl_bench::fig1_providers() {
-        println!(
-            "{:<12} {:>18.2} {:>14.2}",
-            point.label, point.aggregation_delay, point.upload_delay
-        );
-    }
-}
-
-#[cfg(feature = "figures")]
-fn print_fig2() {
-    println!("Figure 2 — effect of |A_i|");
-    println!(
-        "{:>6} {:>16} {:>10} {:>10} {:>16}",
-        "|A_i|", "aggregation (s)", "sync (s)", "total (s)", "MB/aggregator"
-    );
-    for p in dfl_bench::fig2_aggregators() {
-        println!(
-            "{:>6} {:>16.2} {:>10.2} {:>10.2} {:>16.2}",
-            p.aggregators_per_partition,
-            p.aggregation_delay,
-            p.sync_delay,
-            p.total_delay,
-            p.mb_per_aggregator
-        );
-    }
-}
-
-#[cfg(feature = "figures")]
-fn print_fig3() {
-    println!("Figure 3 — hashing vs commitment time");
-    println!(
-        "{:>10} {:>14} {:>18} {:>18}",
-        "#params", "SHA-256 (ms)", "Pedersen k1 (ms)", "Pedersen r1 (ms)"
-    );
-    for p in dfl_bench::fig3_commitment(&dfl_bench::fig3_default_sizes()) {
-        println!(
-            "{:>10} {:>14.3} {:>18.1} {:>18.1}",
-            p.elements, p.sha256_ms, p.pedersen_k1_ms, p.pedersen_r1_ms
-        );
-    }
-}
-
-#[cfg(not(feature = "figures"))]
-fn print_fig1() {
-    figures_hint()
-}
-
-#[cfg(not(feature = "figures"))]
-fn print_fig2() {
-    figures_hint()
-}
-
-#[cfg(not(feature = "figures"))]
-fn print_fig3() {
-    figures_hint()
-}
-
-#[cfg(not(feature = "figures"))]
-fn figures_hint() {
-    eprintln!("figure subcommands need the experiment harness; rebuild with:");
-    eprintln!("    cargo run --release --features figures --bin dfl -- <fig1|fig2|fig3>");
 }
