@@ -28,7 +28,7 @@ use dfl_crypto::schnorr::{SigningKey, VerifyingKey};
 use dfl_ipfs::Cid;
 
 use crate::gradient::{verify_blob, ProtocolCommitment, ProtocolCurve, ProtocolKey};
-use crate::messages::{announce_message, signed_by, update_message, SignatureBytes};
+use crate::messages::{announce_message, signed_by, take, update_message, SignatureBytes};
 
 /// Pub/sub topic misbehavior evidence is gossiped on.
 pub const EVIDENCE_TOPIC: &str = "ipls/evidence";
@@ -137,11 +137,8 @@ impl Misbehavior {
                 announce_message(self.partition, self.agg_j, self.iter, &self.cid, &ranks)
             }
             MisbehaviorKind::BadUpdate => {
-                let contributors = if self.contributors.is_empty() {
-                    None
-                } else {
-                    Some(self.contributors.clone())
-                };
+                let contributors =
+                    (!self.contributors.is_empty()).then(|| self.contributors.clone());
                 update_message(
                     self.offender(aggregators_per_partition),
                     self.partition,
@@ -241,24 +238,17 @@ impl Misbehavior {
 
     /// Parses a serialized record; `None` when malformed.
     pub fn decode(bytes: &[u8]) -> Option<Misbehavior> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let slice = bytes.get(*at..*at + n)?;
-            *at += n;
-            Some(slice)
-        };
-        let u64_of = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8 bytes"));
-
-        let kind = match take(&mut at, 1)?[0] {
-            0 => MisbehaviorKind::BadPartial,
-            1 => MisbehaviorKind::BadUpdate,
+        let mut rest = bytes;
+        let kind = match take::<1>(&mut rest)? {
+            [0] => MisbehaviorKind::BadPartial,
+            [1] => MisbehaviorKind::BadUpdate,
             _ => return None,
         };
-        let partition = u64_of(take(&mut at, 8)?) as usize;
-        let agg_j = u64_of(take(&mut at, 8)?) as usize;
-        let iter = u64_of(take(&mut at, 8)?);
-        let cid = Cid::from_bytes(take(&mut at, 32)?.try_into().expect("32 bytes"));
-        let count = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4 bytes")) as usize;
+        let partition = u64::from_le_bytes(take(&mut rest)?) as usize;
+        let agg_j = u64::from_le_bytes(take(&mut rest)?) as usize;
+        let iter = u64::from_le_bytes(take(&mut rest)?);
+        let cid = Cid::from_bytes(take(&mut rest)?);
+        let count = u32::from_le_bytes(take(&mut rest)?) as usize;
         // Contributor count is bounded by the remaining payload; reject
         // absurd counts before allocating.
         if count > bytes.len() / 4 {
@@ -266,20 +256,15 @@ impl Misbehavior {
         }
         let mut contributors = Vec::with_capacity(count);
         for _ in 0..count {
-            contributors.push(u32::from_le_bytes(
-                take(&mut at, 4)?.try_into().expect("4 bytes"),
-            ));
+            contributors.push(u32::from_le_bytes(take(&mut rest)?));
         }
-        let accumulator: [u8; 33] = take(&mut at, 33)?.try_into().expect("33 bytes");
-        let blob_len = u64_of(take(&mut at, 8)?) as usize;
-        if blob_len > bytes.len() {
-            return None;
-        }
-        let blob = take(&mut at, blob_len)?.to_vec();
-        let offender_sig: SignatureBytes = take(&mut at, 65)?.try_into().expect("65 bytes");
-        let detector = u64_of(take(&mut at, 8)?);
-        let detector_sig: SignatureBytes = take(&mut at, 65)?.try_into().expect("65 bytes");
-        if at != bytes.len() {
+        let accumulator = take(&mut rest)?;
+        let blob_len = u64::from_le_bytes(take(&mut rest)?) as usize;
+        let blob = rest.split_off(..blob_len)?.to_vec();
+        let offender_sig = take(&mut rest)?;
+        let detector = u64::from_le_bytes(take(&mut rest)?);
+        let detector_sig = take(&mut rest)?;
+        if !rest.is_empty() {
             return None;
         }
         Some(Misbehavior {
@@ -295,6 +280,52 @@ impl Misbehavior {
             detector,
             detector_sig,
         })
+    }
+}
+
+/// The product of `members`' registered commitments, each looked up by
+/// global trainer index; `None` while any of them is unknown.
+pub fn product<'a>(
+    members: impl IntoIterator<Item = usize>,
+    commitment: impl Fn(usize) -> Option<&'a ProtocolCommitment>,
+) -> Option<ProtocolCommitment> {
+    let identity = ProtocolCommitment::identity();
+    members
+        .into_iter()
+        .try_fold(identity, |acc, t| Some(acc.combine(commitment(t)?)))
+}
+
+/// What a partial of the slot whose trainer set is `set` must open when it
+/// claims the members at `ranks` (§IV-B): the slot's accumulator `full` for
+/// a full claim (no ranks, or every one) and whenever no quorum is
+/// configured, else the [`product`] over the claimed members. `None` while
+/// an input is unknown, or when a rank lies outside the set.
+pub fn partial_opens<'a>(
+    set: &[usize],
+    ranks: impl ExactSizeIterator<Item = usize>,
+    quorum: bool,
+    full: impl FnOnce() -> Option<ProtocolCommitment>,
+    commitment: impl Fn(usize) -> Option<&'a ProtocolCommitment>,
+) -> Option<ProtocolCommitment> {
+    if !quorum || ranks.len() == 0 || ranks.len() == set.len() {
+        return full();
+    }
+    let members: Option<Vec<usize>> = ranks.map(|r| set.get(r).copied()).collect();
+    product(members?, commitment)
+}
+
+/// What a global update claiming `contributors` (global trainer indices)
+/// must open: the [`product`] over them, or over all of the task's
+/// `trainers` when the claim is empty.
+pub fn update_opens<'a>(
+    trainers: usize,
+    contributors: &[u32],
+    commitment: impl Fn(usize) -> Option<&'a ProtocolCommitment>,
+) -> Option<ProtocolCommitment> {
+    if contributors.is_empty() {
+        product(0..trainers, commitment)
+    } else {
+        product(contributors.iter().map(|&t| t as usize), commitment)
     }
 }
 

@@ -17,12 +17,20 @@
 //!    `sync_watchdog`), downloads that peer's trainer gradients itself and
 //!    aggregates them on the peer's behalf.
 //!
+//! Its position in the round is one `Stage` value: `Gather` until its
+//! partial is summed (`GRADS_AGGREGATED`), `Sync` while peers' partials
+//! are pending, `Done` once the global update is uploaded (`SYNC_DONE`). A
+//! partition's only aggregator goes straight from `Gather` to `Done`.
+//!
 //! With `accountability` on, announcements are Schnorr-signed; a peer
 //! partial that fails commitment verification is packaged into a
 //! transferable [`Misbehavior`] proof, gossiped on the evidence topic,
 //! reported to the directory, and the offending slot is blacklisted and
 //! immediately recovered from the trainers' original gradient blobs — so
 //! the round completes with the same bits an honest run produces.
+//!
+//! In overlay mode (§14) the aggregator is only the sink of its
+//! partition's tree: one root partial checked in, one update pushed down.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -35,14 +43,14 @@ use dfl_ipfs::{Cid, IpfsWire};
 use dfl_netsim::{NodeId, SimTime};
 
 use crate::accountability::{
-    agg_signing_key, agg_verifying_key, Misbehavior, MisbehaviorKind, EVIDENCE_TOPIC,
+    self, agg_signing_key, agg_verifying_key, Misbehavior, MisbehaviorKind, EVIDENCE_TOPIC,
 };
 use crate::adversary::Behavior;
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::error::IplsError;
 use crate::gradient::{
-    commit_blob, decode_blob, sum_gradients, verify_blobs_timed, ProtocolCommitment, ProtocolCurve,
-    ProtocolKey, VerifyQueue,
+    build_blob, commit_blob, decode_blob, sum_in_round, verify_blobs_timed, ProtocolCommitment,
+    ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
 use crate::messages::{
@@ -58,7 +66,7 @@ const TK_FETCH: u64 = 3 << 32;
 const TK_WATCHDOG: u64 = 4 << 32;
 
 /// What an in-flight storage request is for.
-#[derive(Copy, Clone, Debug)]
+#[derive(Debug)]
 enum Request {
     /// Download of one trainer's gradient (own set).
     OwnGradient { trainer: usize },
@@ -68,12 +76,41 @@ enum Request {
     PutPartial,
     /// Upload of the equivocating second partial (`Behavior::Equivocate`).
     PutAltered,
-    /// Upload of the global update blob.
-    PutGlobal,
+    /// Upload of the global update blob, registered once stored as the sum
+    /// over `contributors` (`None` = every trainer).
+    PutGlobal { contributors: Option<Vec<u32>> },
     /// Download of a peer's partial update.
     PeerPartial { j: usize },
     /// Download of a dead peer's trainer gradient (recovery).
     Recovery { j: usize, trainer: usize },
+}
+
+/// Where an aggregator is in a round. Every move goes through
+/// [`Stage::advance`], which records the label the move stands for.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+enum Stage {
+    /// Collecting `T_ij`'s gradients — in overlay mode, waiting for the
+    /// root's partial.
+    #[default]
+    Gather,
+    /// Own partial summed; peers' partials pending (`|A_i| > 1` only).
+    Sync,
+    /// The global update is uploaded — in overlay mode, pushed down.
+    Done,
+}
+
+impl Stage {
+    /// Moves to `next`: leaving `Gather` records `GRADS_AGGREGATED`,
+    /// reaching `Done` records `SYNC_DONE`.
+    fn advance(&mut self, out: &mut Actions<Msg>, iter: u64, next: Stage) {
+        if *self == Stage::Gather {
+            out.record(labels::GRADS_AGGREGATED, iter as f64);
+        }
+        if next == Stage::Done {
+            out.record(labels::SYNC_DONE, iter as f64);
+        }
+        *self = next;
+    }
 }
 
 /// What a blob admitted to the round's [`VerifyQueue`] was — that is, what
@@ -136,11 +173,14 @@ struct PeerSync {
     equiv_altered: Option<Cid>,
 }
 
-/// One round of the AGGREGATOR procedure: built when `StartRound` arrives,
-/// dropped when the next one does.
+/// One round of the flat AGGREGATOR procedure: built when `StartRound`
+/// arrives, dropped when the next one does. Everything but the stage
+/// outlives `Gather`: a straggler admitted after aggregation, or a peer's
+/// late partial, is still fetched and checked.
 #[derive(Default)]
 struct Round {
     iter: u64,
+    stage: Stage,
     /// Registered gradient CIDs (and commitments) for my trainer set.
     registered: HashMap<usize, (Cid, Option<ProtocolCommitment>)>,
     /// Downloaded/received gradient vectors by trainer.
@@ -152,11 +192,6 @@ struct Round {
     admitted: Option<VerifyQueue<Admitted>>,
     merge: Option<Merging>,
     sync: Option<PeerSync>,
-    /// My partial update is computed (`GRADS_AGGREGATED` recorded).
-    aggregated: bool,
-    /// Contributor set registered with the global update (`None` = full).
-    update_contributors: Option<Vec<u32>>,
-    global_sent: bool,
     /// `FETCH_START` recorded for this round (first own-gradient fetch or
     /// merge RPC — the start of the merge-delay span).
     fetch_started: bool,
@@ -189,10 +224,158 @@ impl Round {
     }
 }
 
-/// The aggregator actor. Beside the round it holds only what outlives one:
+/// The aggregator actor: the flat AGGREGATOR procedure, or in overlay mode
+/// the sink of its partition's tree.
+pub struct Aggregator(Role);
+
+enum Role {
+    /// `Behavior::Offline`: takes part in nothing.
+    Offline,
+    Flat(Box<FlatAggregator>),
+    Overlay(OverlaySink),
+}
+
+impl Aggregator {
+    /// Creates the aggregator for global index `g`.
+    pub fn new(
+        g: usize,
+        topo: Arc<Topology>,
+        key: Option<Arc<ProtocolKey>>,
+        behavior: Behavior,
+    ) -> Aggregator {
+        let role = match topo.overlay().zip(key.clone()) {
+            _ if behavior == Behavior::Offline => Role::Offline,
+            Some((tree, key)) => Role::Overlay(OverlaySink {
+                g,
+                partition: topo.agg_role(g).0,
+                topo,
+                tree,
+                key,
+                iter: 0,
+                stage: Stage::Gather,
+            }),
+            None => Role::Flat(Box::new(FlatAggregator::new(g, topo, key, behavior))),
+        };
+        Aggregator(role)
+    }
+}
+
+impl ProtocolCore for Aggregator {
+    type Msg = Msg;
+
+    fn handle(&mut self, _now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
+        match (&mut self.0, event) {
+            (_, ProtocolEvent::DeliveryFailure { .. }) => out.incr(labels::DELIVERY_FAILED, 1),
+            (Role::Offline, _) => {}
+            (Role::Flat(flat), event) => flat.handle(out, event),
+            (Role::Overlay(sink), event) => sink.handle(out, event),
+        }
+    }
+}
+
+/// Overlay mode's aggregator: the sink of its partition's tree. A round is
+/// one root partial checked and one update pushed down (`Gather → Done`).
+/// It holds no gather or sync state, so the flat path's messages reach
+/// nothing here.
+struct OverlaySink {
+    g: usize,
+    partition: usize,
+    topo: Arc<Topology>,
+    tree: OverlayTree,
+    /// The key the root's composed opening is checked against.
+    key: Arc<ProtocolKey>,
+    iter: u64,
+    stage: Stage,
+}
+
+impl OverlaySink {
+    fn handle(&mut self, out: &mut Actions<Msg>, event: ProtocolEvent<Msg>) {
+        let msg = match event {
+            ProtocolEvent::Message { msg, .. } => msg,
+            // Evidence gossip is subscribed to as in flat mode; a
+            // partition's only aggregator has no peer to blacklist.
+            ProtocolEvent::Start if self.topo.config().accountability => {
+                let topic = EVIDENCE_TOPIC.to_string();
+                let gateway = self.topo.aggregator_gateway(self.g);
+                out.send(gateway, Msg::Ipfs(IpfsWire::Subscribe { topic }));
+                return;
+            }
+            _ => return,
+        };
+        match msg {
+            Msg::StartRound { iter } => (self.iter, self.stage) = (iter, Stage::Gather),
+            Msg::OverlayPartial {
+                trainer,
+                partition,
+                iter,
+                data,
+                count,
+                commitment,
+                signature,
+            } => {
+                let partial = (trainer, data, count, commitment, signature);
+                self.on_partial(out, partition, iter, &partial);
+            }
+            _ => {}
+        }
+    }
+
+    /// The tree root delivered the fully composed partial for this
+    /// partition. Verify the composed Pedersen opening (and the root's
+    /// signature), then push the final update back down the tree.
+    ///
+    /// The root's blob bytes are reused **verbatim** as the update payload:
+    /// they already encode the exact i128 sum the flat path would compute
+    /// over the same leaves, so flat and overlay rounds produce
+    /// bit-identical models.
+    fn on_partial(
+        &mut self,
+        out: &mut Actions<Msg>,
+        partition: usize,
+        iter: u64,
+        partial: &OverlayPartial,
+    ) {
+        let (trainer, data) = (partial.0, &partial.1);
+        // Every message processed in overlay mode is booked: per-node
+        // event counts of this label are the bench's per-aggregator work
+        // measurement (bounded by partitions, not by trainers).
+        out.record(labels::OVERLAY_AGG_MSG, iter as f64);
+        if iter != self.iter || self.stage == Stage::Done {
+            return;
+        }
+        // Only the tree root speaks for the swarm, and only for my
+        // partition.
+        if partition != self.partition || trainer != self.tree.root() {
+            out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
+            return;
+        }
+        let cfg = self.topo.config();
+        let checked = overlay_partial_commitment(cfg, partition, iter, partial);
+        let opens = |point| verify_blobs_timed(out, &self.key, &[(data, &point)]).is_empty();
+        if !checked.is_some_and(opens) {
+            out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
+            return;
+        }
+        self.stage.advance(out, iter, Stage::Done);
+        let signature = cfg.authenticate.then(|| {
+            let msg = overlay_update_message(self.g, partition, iter, &Cid::of(data));
+            agg_signing_key(cfg.seed, self.g).sign(&msg).to_bytes()
+        });
+        let update = Msg::OverlayUpdate {
+            partition,
+            iter,
+            data: data.clone(),
+            signature,
+        };
+        out.send(self.topo.trainer(self.tree.root()), update);
+        out.record(labels::OVERLAY_UPDATE_PUSHED, iter as f64);
+    }
+}
+
+/// The flat aggregator. Beside the round it holds only what outlives one:
 /// identity and keys, the verdicts on its peers, the blocks to unpin when
 /// the next round starts, the poll-timer flag and the request counter.
-pub struct Aggregator {
+struct FlatAggregator {
     g: usize,
     partition: usize,
     j: usize,
@@ -201,9 +384,6 @@ pub struct Aggregator {
     behavior: Behavior,
     /// Trainers in `T_ij`.
     expected: Vec<usize>,
-    /// Overlay mode: the aggregation tree and the key its root's partial
-    /// is checked against.
-    overlay: Option<(OverlayTree, Arc<ProtocolKey>)>,
     round: Round,
     /// Partition slots proven or suspected Byzantine; persists across
     /// rounds: their announces are ignored and their trainer sets
@@ -221,25 +401,23 @@ pub struct Aggregator {
     next_req: u64,
 }
 
-impl Aggregator {
-    /// Creates the aggregator for global index `g`.
-    pub fn new(
+impl FlatAggregator {
+    fn new(
         g: usize,
         topo: Arc<Topology>,
         key: Option<Arc<ProtocolKey>>,
         behavior: Behavior,
-    ) -> Aggregator {
+    ) -> FlatAggregator {
         let (partition, j) = topo.agg_role(g);
         let signing_key = topo
             .config()
             .accountability
             .then(|| agg_signing_key(topo.config().seed, g));
-        Aggregator {
+        FlatAggregator {
             g,
             partition,
             j,
             expected: topo.trainer_set(partition, j),
-            overlay: topo.overlay().zip(key.clone()),
             round: Round::new(0, topo.config(), key.as_ref()),
             topo,
             key,
@@ -255,14 +433,6 @@ impl Aggregator {
 
     fn gateway(&self) -> NodeId {
         self.topo.aggregator_gateway(self.g)
-    }
-
-    fn multi(&self) -> bool {
-        self.round.sync.is_some()
-    }
-
-    fn verifiable(&self) -> bool {
-        self.key.is_some()
     }
 
     fn accountability(&self) -> bool {
@@ -292,10 +462,8 @@ impl Aggregator {
         let Some((_, to, wire)) = self.round.in_flight.get(&req) else {
             return; // answered (or the round moved on) meanwhile
         };
-        out.set_timer(
-            self.topo.config().fetch_timeout,
-            TK_FETCH | (req & 0xFFFF_FFFF),
-        );
+        let token = TK_FETCH | (req & 0xFFFF_FFFF);
+        out.set_timer(self.topo.config().fetch_timeout, token);
         out.send(*to, Msg::Ipfs(wire.clone()));
     }
 
@@ -316,20 +484,23 @@ impl Aggregator {
             .map(|(purpose, ..)| purpose)
     }
 
-    /// How many of `expected` must be in before a degraded round may
-    /// complete: the global `min_quorum` budget of missing trainers,
-    /// applied to this aggregator's set.
-    fn quorum_threshold(&self) -> Option<usize> {
-        self.quorum_threshold_for(self.expected.len())
-    }
-
-    /// The same budget applied to a trainer set of `set_len` (used for the
-    /// trainer sets recovered on a dead peer's behalf).
-    fn quorum_threshold_for(&self, set_len: usize) -> Option<usize> {
+    /// How many of a trainer set of `set_len` must be in before a degraded
+    /// round may go on without the rest: the global `min_quorum` budget of
+    /// missing trainers, applied to the set.
+    fn quorum_threshold(&self, set_len: usize) -> Option<usize> {
         self.topo.config().min_quorum.map(|q| {
             let missing_allowed = self.topo.config().trainers - q;
             set_len.saturating_sub(missing_allowed).max(1)
         })
+    }
+
+    /// The one quorum rule: whether `have` gradients of a trainer set of
+    /// `set_len` stand for the `needed` ones — all of them, or the quorum
+    /// threshold once the deadline has degraded the round.
+    fn enough(&self, have: usize, needed: usize, set_len: usize) -> bool {
+        have >= needed
+            || (self.round.deadline_degraded
+                && self.quorum_threshold(set_len).is_some_and(|th| have >= th))
     }
 
     fn begin_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
@@ -341,31 +512,19 @@ impl Aggregator {
             let unpin = IpfsWire::Unpin { cid, replicate };
             out.send(target, Msg::Ipfs(unpin));
         }
-        // (Unpins are best-effort control messages; an Offline aggregator
-        // below never uploaded anything last round anyway.)
-        if self.behavior == Behavior::Offline {
-            return;
-        }
-        // Overlay mode is push-driven: the tree root delivers one composed
-        // partial and this aggregator pushes one update back down. There
-        // is nothing to poll for and no peer sync to deadline.
-        if self.overlay.is_some() {
-            return;
-        }
         // Direct mode receives gradients without polling, but the poll
         // loop also fetches accumulated commitments for peer verification
         // and drives dropout recovery, so it runs in every mode.
         self.start_polling(out);
         // The deadline drives peer recovery (multi-aggregator) and quorum
         // degradation, so it is armed whenever either can trigger.
-        if self.multi() || self.topo.config().min_quorum.is_some() {
-            out.set_timer(
-                self.topo.config().t_sync,
-                TK_SYNC_DEADLINE | (iter & 0xFFFF_FFFF),
-            );
+        let multi = self.round.sync.is_some();
+        if multi || self.topo.config().min_quorum.is_some() {
+            let token = TK_SYNC_DEADLINE | (iter & 0xFFFF_FFFF);
+            out.set_timer(self.topo.config().t_sync, token);
         }
         // Early watchdog: recover unresponsive slots well before t_sync.
-        if self.multi() && self.topo.config().comm != CommMode::Direct {
+        if multi && self.topo.config().comm != CommMode::Direct {
             if let Some(watchdog) = self.topo.config().sync_watchdog {
                 out.set_timer(watchdog, TK_WATCHDOG | (iter & 0xFFFF_FFFF));
             }
@@ -413,7 +572,7 @@ impl Aggregator {
     fn poll(&mut self, out: &mut Actions<Msg>) {
         // Gradient discovery (lines 28–34 of Algorithm 1).
         let grads_done =
-            self.round.aggregated || self.round.registered.len() == self.expected.len();
+            self.round.stage != Stage::Gather || self.round.registered.len() == self.expected.len();
         if !grads_done && self.topo.config().comm != CommMode::Direct {
             let msg = Msg::QueryGradients {
                 partition: self.partition,
@@ -422,17 +581,10 @@ impl Aggregator {
             };
             out.send(self.topo.directory(), msg);
         }
-        // Merge requests wait for the last registration, or for the quorum
-        // once the deadline passed.
-        if self.round.merge.as_ref().is_some_and(|m| !m.sent)
-            && !self.round.aggregated
-            && self.merge_ready()
-        {
-            self.send_merges(out);
-        }
+        self.maybe_send_merges(out);
         if let Some(sync) = &self.round.sync {
             // Accumulated commitments for peer verification (§IV-B).
-            if self.verifiable() && sync.accumulators.iter().any(Option::is_none) {
+            if self.key.is_some() && sync.accumulators.iter().any(Option::is_none) {
                 let msg = Msg::QueryAccumulators {
                     partition: self.partition,
                     iter: self.round.iter,
@@ -443,7 +595,7 @@ impl Aggregator {
             // also needs peer slots' individual commitments, which ride on
             // the same gradient lists.
             let mut slots: Vec<usize> = sync.recovery_pending.keys().copied().collect();
-            if self.verifiable() {
+            if self.key.is_some() {
                 slots.extend(sync.unverified.keys().copied());
             }
             slots.sort_unstable(); // deterministic query order
@@ -457,7 +609,7 @@ impl Aggregator {
                 out.send(self.topo.directory(), msg);
             }
         }
-        if self.round.global_sent {
+        if self.round.stage == Stage::Done {
             self.polling = false;
         } else {
             out.set_timer(self.topo.config().poll_interval, TK_POLL);
@@ -520,19 +672,18 @@ impl Aggregator {
         {
             self.send_forged_registration(out);
         }
-        // Merge-and-download: once every trainer of T_ij has registered
-        // (or a quorum, after the deadline), issue one merge request per
-        // provider (§III-E).
-        if self.round.merge.as_ref().is_some_and(|m| !m.sent) && self.merge_ready() {
-            self.send_merges(out);
-        }
+        self.maybe_send_merges(out);
     }
 
-    /// Whether enough gradients are registered to issue the merges: the
-    /// full trainer set normally, or the quorum threshold once the round
-    /// is deadline-degraded.
-    fn merge_ready(&self) -> bool {
-        self.have_enough(self.round.registered.len(), self.expected.len())
+    /// Merge-and-download (§III-E): once every trainer of `T_ij` has
+    /// registered (or a quorum, after the deadline), issue one merge
+    /// request per provider.
+    fn maybe_send_merges(&mut self, out: &mut Actions<Msg>) {
+        let registered = self.round.registered.len();
+        let ready = self.enough(registered, self.expected.len(), self.expected.len());
+        if ready && self.round.merge.as_ref().is_some_and(|m| !m.sent) {
+            self.send_merges(out);
+        }
     }
 
     fn fetch_own_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, cid: Cid) {
@@ -626,13 +777,15 @@ impl Aggregator {
     fn send_forged_registration(&mut self, out: &mut Actions<Msg>) {
         let victim = self.expected[0];
         // A "lazy but plausible" fabrication: all zeros with counter 1.
-        let fake_blob =
-            crate::gradient::build_blob(&vec![0.0f32; self.topo.partition_len(self.partition)]);
-        let commitment = self.key.as_ref().map(|key| {
-            commit_blob(key, &fake_blob)
-                .expect("locally built fabrication is well-formed")
-                .to_bytes()
-        });
+        let fake_blob = build_blob(&vec![0.0f32; self.topo.partition_len(self.partition)]);
+        let Some(fake) = decode_blob(&fake_blob) else {
+            return; // unreachable: a partition holds at least one value
+        };
+        let commitment = self
+            .key
+            .as_ref()
+            .and_then(|key| commit_blob(key, &fake_blob).ok());
+        let commitment = commitment.map(|c| c.to_bytes());
         let msg = Msg::RegisterGradient {
             trainer: victim,
             partition: self.partition,
@@ -642,7 +795,7 @@ impl Aggregator {
             signature: None, // cannot be forged without the trainer's key
         };
         out.send(self.topo.directory(), msg);
-        self.round.forged = Some(decode_blob(&fake_blob).expect("well-formed fabrication"));
+        self.round.forged = Some(fake);
     }
 
     /// Trainers this (malicious) aggregator silently drops.
@@ -744,15 +897,6 @@ impl Aggregator {
         }
     }
 
-    /// Whether `have` gradients satisfy the aggregation precondition: the
-    /// full `needed` set normally, or the quorum threshold once the round
-    /// is deadline-degraded.
-    fn have_enough(&self, have: usize, needed: usize) -> bool {
-        have >= needed
-            || (self.round.deadline_degraded
-                && self.quorum_threshold().is_some_and(|th| have >= th))
-    }
-
     /// Settles what the round admitted on trust and takes every culprit
     /// back out: a gradient leaves `gradients` — the state an arrival-time
     /// rejection leaves (`registered` keeps its entry under both policies)
@@ -823,7 +967,8 @@ impl Aggregator {
             .collect();
         // Normally wait for the full set; a deadline-degraded round may
         // proceed once the quorum is in.
-        if !self.have_enough(have.len(), needed.len()) {
+        let set_len = self.expected.len();
+        if !self.enough(have.len(), needed.len(), set_len) {
             return None;
         }
         // The round boundary: settle what was admitted on trust, then
@@ -832,7 +977,7 @@ impl Aggregator {
         // blob been rejected at arrival.
         if self.settle_admitted(out) > 0 {
             have.retain(|t| self.round.gradients.contains_key(t));
-            if !self.have_enough(have.len(), needed.len()) {
+            if !self.enough(have.len(), needed.len(), set_len) {
                 return None;
             }
         }
@@ -850,7 +995,7 @@ impl Aggregator {
     }
 
     fn maybe_aggregate(&mut self, out: &mut Actions<Msg>) {
-        if self.round.aggregated {
+        if self.round.stage != Stage::Gather {
             // Stragglers admitted after aggregation (quorum-degraded
             // rounds) still get their check here, at the same instant the
             // per-blob policy would have verified them.
@@ -867,26 +1012,18 @@ impl Aggregator {
         if vectors.is_empty() {
             return;
         }
-        let partial = match sum_gradients(&vectors) {
-            Ok(partial) => partial,
-            Err(_) => {
-                out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
-                return;
-            }
+        let Some(partial) = sum_in_round(out, self.round.iter, &vectors) else {
+            return;
         };
-        out.record(labels::GRADS_AGGREGATED, self.round.iter as f64);
-        self.round.aggregated = true;
-
         let Some(sync) = &mut self.round.sync else {
             // The partition's only aggregator: the partial is the update.
             let contributors = contributors.iter().map(|&t| t as u32).collect();
-            if !self.round.global_sent {
-                self.upload_global(out, contributors, partial);
-            }
+            self.upload_global(out, contributors, partial);
             return;
         };
         sync.partials
             .insert(self.j, (partial.clone(), contributors));
+        self.round.stage.advance(out, self.round.iter, Stage::Sync);
         // Upload the partial, then announce its hash over pub/sub.
         let gw = self.gateway();
         self.put(out, Request::PutPartial, gw, encode(&partial), 1);
@@ -902,18 +1039,11 @@ impl Aggregator {
     /// Ranks within `T_ij` of the trainers summed into my partial (the
     /// announce format).
     fn contributor_ranks(&self) -> Vec<u16> {
-        let mine = self
-            .round
-            .sync
-            .as_ref()
-            .and_then(|s| s.partials.get(&self.j));
+        let sync = self.round.sync.as_ref();
+        let mine = sync.and_then(|s| s.partials.get(&self.j));
         let contributors = mine.map_or(&[][..], |(_, contributors)| contributors);
-        let rank = |t| self.expected.iter().position(|e| e == t);
-        contributors
-            .iter()
-            .filter_map(rank)
-            .map(|r| r as u16)
-            .collect()
+        let rank = |t| self.expected.iter().position(|e| e == t).map(|r| r as u16);
+        contributors.iter().filter_map(rank).collect()
     }
 
     fn signed_announce(&self, cid: Cid) -> SyncAnnounce {
@@ -971,23 +1101,17 @@ impl Aggregator {
                 }
                 self.maybe_equivocate(out);
             }
-            Some(Request::PutGlobal) => {
+            Some(Request::PutGlobal { contributors }) => {
                 self.uploads.push((self.update_home(), cid));
-                let contributors = self.round.update_contributors.clone();
+                let (aggregator, partition, iter) = (self.g, self.partition, self.round.iter);
                 let signature = self.signing_key.as_ref().map(|sk| {
-                    let msg = update_message(
-                        self.g,
-                        self.partition,
-                        self.round.iter,
-                        &cid,
-                        &contributors,
-                    );
+                    let msg = update_message(aggregator, partition, iter, &cid, &contributors);
                     sk.sign(&msg).to_bytes()
                 });
                 let msg = Msg::RegisterUpdate {
-                    aggregator: self.g,
-                    partition: self.partition,
-                    iter: self.round.iter,
+                    aggregator,
+                    partition,
+                    iter,
                     cid,
                     contributors,
                     signature,
@@ -1073,11 +1197,10 @@ impl Aggregator {
         // A subset claim below the quorum budget is illegitimate even if
         // the blob opens the subset product (a lazy aggregator shrinking
         // its workload): suspect it locally and recover the set instead.
+        // With no quorum configured, only full claims are honest.
         if !ann.contributors.is_empty() && ann.contributors.len() < set_len {
-            let below_quorum = match self.quorum_threshold_for(set_len) {
-                Some(th) => ann.contributors.len() < th,
-                None => true, // no quorum configured: only full claims are honest
-            };
+            let claimed = ann.contributors.len();
+            let below_quorum = self.quorum_threshold(set_len).is_none_or(|th| claimed < th);
             if below_quorum && self.accountability() {
                 self.blacklist_peer(out, ann.agg_j);
                 return;
@@ -1096,10 +1219,9 @@ impl Aggregator {
     }
 
     /// The accumulated commitment slot `j`'s partial must open when it
-    /// claims the contributors at `ranks` of its trainer set (none = all):
-    /// the full slot accumulator when no quorum is configured or the claim
-    /// covers the whole set, else the product of the claimed subset's
-    /// individual registered commitments. `None` while the inputs are
+    /// claims the contributors at `ranks` of its trainer set
+    /// ([`accountability::partial_opens`]; a full claim is checked against
+    /// the directory's slot accumulator). `None` while the inputs are
     /// still unknown (the poll loop keeps querying).
     fn expected_accumulator(
         &self,
@@ -1107,17 +1229,13 @@ impl Aggregator {
         ranks: impl ExactSizeIterator<Item = usize>,
     ) -> Option<ProtocolCommitment> {
         let sync = self.round.sync.as_ref()?;
-        let set = self.topo.trainer_set(self.partition, j);
-        let full_claim = ranks.len() == 0 || ranks.len() == set.len();
-        if self.topo.config().min_quorum.is_none() || full_claim {
-            *sync.accumulators.get(j)?
-        } else {
-            let mut acc = ProtocolCommitment::identity();
-            for r in ranks {
-                acc = acc.combine(sync.commitments_seen.get(set.get(r)?)?);
-            }
-            Some(acc)
-        }
+        accountability::partial_opens(
+            &self.topo.trainer_set(self.partition, j),
+            ranks,
+            self.topo.config().min_quorum.is_some(),
+            || sync.accumulators.get(j).copied().flatten(),
+            |t| sync.commitments_seen.get(&t),
+        )
     }
 
     /// Takes peer partials that just arrived or came out of the stash, in
@@ -1154,27 +1272,15 @@ impl Aggregator {
             .collect();
         let culprits = verify_blobs_timed(out, &key, &items);
         for (i, (ann, blob, acc)) in ready.iter().enumerate() {
-            self.process_peer_partial(out, ann, blob, acc, !culprits.contains(&i));
-        }
-    }
-
-    /// Applies the verdict on one peer partial checked against `acc`.
-    fn process_peer_partial(
-        &mut self,
-        out: &mut Actions<Msg>,
-        ann: &SyncAnnounce,
-        data: &Bytes,
-        acc: &ProtocolCommitment,
-        valid: bool,
-    ) {
-        if valid {
-            self.accept_peer_partial(out, ann, data);
-        } else if self.accountability() {
-            // Provably malicious partial: package the transferable
-            // evidence and recover the slot immediately. Without
-            // accountability it is ignored and the sync deadline triggers
-            // recovery.
-            self.convict_peer(out, ann, acc, data);
+            if !culprits.contains(&i) {
+                self.accept_peer_partial(out, ann, blob);
+            } else if self.accountability() {
+                // Provably malicious partial: package the transferable
+                // evidence and recover the slot immediately. Without
+                // accountability it is ignored and the sync deadline
+                // triggers recovery.
+                self.convict_peer(out, ann, acc, blob);
+            }
         }
     }
 
@@ -1227,9 +1333,9 @@ impl Aggregator {
             detector: 0,
             detector_sig: [0u8; 65],
         };
-        // Truly local invariant: convictions only happen in accountability
-        // mode, which derives the signing key at construction.
-        let sk = self.signing_key.as_ref().expect("accountability keys");
+        let Some(sk) = &self.signing_key else {
+            return; // unreachable: only accountability mode convicts, and it has keys
+        };
         record.sign_as_detector(self.g as u64, sk);
         let bytes = record.encode();
         let publish = IpfsWire::Publish {
@@ -1300,19 +1406,9 @@ impl Aggregator {
                 self.expected_accumulator(record.agg_j, ranks)
             }
             MisbehaviorKind::BadUpdate => {
-                // A global update must open the product over its claimed
-                // contributors (the full membership when empty).
-                let contributors: Vec<usize> = if record.contributors.is_empty() {
-                    (0..self.topo.config().trainers).collect()
-                } else {
-                    record.contributors.iter().map(|&t| t as usize).collect()
-                };
                 let seen = &self.round.sync.as_ref()?.commitments_seen;
-                let mut acc = ProtocolCommitment::identity();
-                for t in contributors {
-                    acc = acc.combine(seen.get(&t)?);
-                }
-                Some(acc)
+                let trainers = self.topo.config().trainers;
+                accountability::update_opens(trainers, &record.contributors, |t| seen.get(&t))
             }
         }
     }
@@ -1345,12 +1441,10 @@ impl Aggregator {
     }
 
     fn maybe_finish_sync(&mut self, out: &mut Actions<Msg>) {
-        let Some(sync) = &self.round.sync else {
+        let (Some(sync), Stage::Sync) = (&self.round.sync, self.round.stage) else {
             return;
         };
-        if self.round.global_sent || !self.round.aggregated {
-            return;
-        }
+        let iter = self.round.iter;
         let slots = self.topo.config().aggregators_per_partition;
         // A slot is satisfied by a verified peer partial or by recovery.
         let mut vectors = Vec::with_capacity(slots);
@@ -1364,39 +1458,27 @@ impl Aggregator {
                 // Recovery normally needs the peer's whole trainer set; a
                 // deadline-degraded round accepts the per-set quorum.
                 let want = self.topo.trainer_set(self.partition, j).len();
-                let enough = grads.len() == want
-                    || (self.round.deadline_degraded
-                        && self
-                            .quorum_threshold_for(want)
-                            .is_some_and(|th| grads.len() >= th));
-                if !enough || grads.is_empty() {
+                if grads.is_empty() || !self.enough(grads.len(), want, want) {
                     return;
                 }
                 // The exact i128 sum is order-independent, so the recovered
                 // slot reproduces the honest partial bit for bit.
                 let recovered_vecs: Vec<Vec<Quantized>> = grads.values().cloned().collect();
-                match sum_gradients(&recovered_vecs) {
-                    Ok(sum) => vectors.push(sum),
-                    Err(_) => {
-                        out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
-                        return;
-                    }
-                }
+                let Some(sum) = sum_in_round(out, iter, &recovered_vecs) else {
+                    return;
+                };
+                vectors.push(sum);
                 contributors.extend(grads.keys().map(|&t| t as u32));
                 recovered = true;
             } else {
                 return;
             }
         }
-        let global = match sum_gradients(&vectors) {
-            Ok(global) => global,
-            Err(_) => {
-                out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
-                return;
-            }
+        let Some(global) = sum_in_round(out, iter, &vectors) else {
+            return;
         };
         if recovered {
-            out.record(labels::ROUND_RECOVERED, self.round.iter as f64);
+            out.record(labels::ROUND_RECOVERED, iter as f64);
         }
         contributors.sort_unstable();
         contributors.dedup();
@@ -1404,17 +1486,16 @@ impl Aggregator {
     }
 
     /// Uploads the partition's global update, to be registered as the sum
-    /// over `contributors` once stored. Runs once a round: it ends the sync.
+    /// over `contributors` once stored: the move to `Done`.
     fn upload_global(
         &mut self,
         out: &mut Actions<Msg>,
         contributors: Vec<u32>,
         mut global: Vec<Quantized>,
     ) {
-        self.round.global_sent = true;
         let everyone = contributors.len() == self.topo.config().trainers; // the common case
-        self.round.update_contributors = (!everyone).then_some(contributors);
-        out.record(labels::SYNC_DONE, self.round.iter as f64);
+        let contributors = (!everyone).then_some(contributors);
+        self.round.stage.advance(out, self.round.iter, Stage::Done);
         if self.behavior == Behavior::AlterUpdate {
             // Poison the first element (correctness violation, §III-A).
             global[0] = Quantized(global[0].0 + (1 << 20));
@@ -1424,7 +1505,8 @@ impl Aggregator {
             _ => self.topo.config().replication,
         };
         let home = self.update_home();
-        self.put(out, Request::PutGlobal, home, encode(&global), replicate);
+        let purpose = Request::PutGlobal { contributors };
+        self.put(out, purpose, home, encode(&global), replicate);
     }
 
     /// Where the global update is stored. Even original IPLS writes it
@@ -1462,14 +1544,14 @@ impl Aggregator {
     // -- dropout recovery ----------------------------------------------------
 
     fn on_sync_deadline(&mut self, out: &mut Actions<Msg>, iter: u64) {
-        if iter != self.round.iter || self.round.global_sent || self.behavior == Behavior::Offline {
+        if iter != self.round.iter || self.round.stage == Stage::Done {
             return;
         }
         // t_sync is a hard deadline: with `min_quorum` configured, stop
         // waiting for trainers that never delivered and complete the round
         // with what arrived. The FedAvg denominator scales automatically —
         // blobs carry a contribution counter that averaging divides by.
-        if self.quorum_threshold().is_some() && !self.round.deadline_degraded {
+        if self.topo.config().min_quorum.is_some() && !self.round.deadline_degraded {
             self.round.deadline_degraded = true;
             let received = match self.topo.config().comm {
                 CommMode::Direct => self.round.gradients.len(),
@@ -1477,12 +1559,10 @@ impl Aggregator {
             };
             let missing = self.expected.len().saturating_sub(received);
             out.record(labels::QUORUM_DEGRADED, missing as f64);
-            if self.round.merge.as_ref().is_some_and(|m| !m.sent) && self.merge_ready() {
-                self.send_merges(out);
-            }
+            self.maybe_send_merges(out);
             self.maybe_aggregate(out);
             self.maybe_finish_sync(out);
-            if self.round.global_sent {
+            if self.round.stage == Stage::Done {
                 return;
             }
         }
@@ -1523,7 +1603,7 @@ impl Aggregator {
         let Some(sync) = &self.round.sync else {
             return;
         };
-        if iter != self.round.iter || self.round.global_sent {
+        if iter != self.round.iter || self.round.stage == Stage::Done {
             return;
         }
         // Alive (or mid-verification) slots are left to finish.
@@ -1571,28 +1651,24 @@ impl Aggregator {
     }
 }
 
-impl ProtocolCore for Aggregator {
-    type Msg = Msg;
-
-    fn handle(&mut self, _now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
+impl FlatAggregator {
+    fn handle(&mut self, out: &mut Actions<Msg>, event: ProtocolEvent<Msg>) {
         match event {
             ProtocolEvent::Start => self.on_start(out),
             ProtocolEvent::Message { msg, .. } => self.on_message(out, msg),
             ProtocolEvent::Timer { token } => self.on_timer(out, token),
-            ProtocolEvent::Fault { .. } => {}
-            ProtocolEvent::DeliveryFailure { .. } => out.incr(labels::DELIVERY_FAILED, 1),
+            ProtocolEvent::Fault { .. } | ProtocolEvent::DeliveryFailure { .. } => {}
         }
     }
-}
 
-impl Aggregator {
     fn on_start(&mut self, out: &mut Actions<Msg>) {
-        if self.behavior == Behavior::Offline {
-            return;
-        }
         // Subscribe once to the partition's sync topic (pub/sub, §IV-B);
         // evidence gossip rides its own topic (accountability mode).
-        let sync = self.multi().then(|| self.topo.sync_topic(self.partition));
+        let sync = self
+            .round
+            .sync
+            .is_some()
+            .then(|| self.topo.sync_topic(self.partition));
         let evidence = self.accountability().then(|| EVIDENCE_TOPIC.to_string());
         for topic in sync.into_iter().chain(evidence) {
             out.send(self.gateway(), Msg::Ipfs(IpfsWire::Subscribe { topic }));
@@ -1600,9 +1676,6 @@ impl Aggregator {
     }
 
     fn on_message(&mut self, out: &mut Actions<Msg>, msg: Msg) {
-        if self.behavior == Behavior::Offline {
-            return;
-        }
         match msg {
             Msg::StartRound { iter } => self.begin_round(out, iter),
             Msg::GradientList {
@@ -1676,86 +1749,11 @@ impl Aggregator {
             Msg::Ipfs(IpfsWire::Deliver { topic, data, .. }) => {
                 self.on_deliver(out, &topic, &data);
             }
-            Msg::OverlayPartial {
-                trainer,
-                partition,
-                iter,
-                data,
-                count,
-                commitment,
-                signature,
-            } => {
-                let partial = (trainer, data, count, commitment, signature);
-                self.on_overlay_partial(out, partition, iter, &partial);
-            }
             _ => {}
         }
     }
 
-    /// Overlay mode: the tree root delivered the fully composed partial
-    /// for this partition. Verify the composed Pedersen opening (and the
-    /// root's signature), then push the final update back down the tree.
-    ///
-    /// The root's blob bytes are reused **verbatim** as the update payload:
-    /// they already encode the exact i128 sum the flat path would compute
-    /// over the same leaves, so flat and overlay rounds produce
-    /// bit-identical models.
-    fn on_overlay_partial(
-        &mut self,
-        out: &mut Actions<Msg>,
-        partition: usize,
-        iter: u64,
-        partial: &OverlayPartial,
-    ) {
-        let (trainer, data) = (partial.0, &partial.1);
-        let Some((tree, key)) = &self.overlay else {
-            return; // flat mode: stray frame, nothing listens here
-        };
-        // Every message processed in overlay mode is booked: per-node
-        // event counts of this label are the bench's per-aggregator work
-        // measurement (bounded by partitions, not by trainers).
-        out.record(labels::OVERLAY_AGG_MSG, iter as f64);
-        if iter != self.round.iter || self.round.global_sent {
-            return;
-        }
-        // Only the tree root speaks for the swarm, and only for my
-        // partition.
-        if partition != self.partition || trainer != tree.root() {
-            out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
-            return;
-        }
-        let checked = overlay_partial_commitment(self.topo.config(), partition, iter, partial);
-        let opens = |point| verify_blobs_timed(out, key, &[(data, &point)]).is_empty();
-        if !checked.is_some_and(opens) {
-            out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
-            return;
-        }
-        out.record(labels::GRADS_AGGREGATED, self.round.iter as f64);
-        out.record(labels::SYNC_DONE, self.round.iter as f64);
-        self.round.global_sent = true;
-        let update_sig = self.topo.config().authenticate.then(|| {
-            let cid = Cid::of(data);
-            let msg = overlay_update_message(self.g, self.partition, self.round.iter, &cid);
-            agg_signing_key(self.topo.config().seed, self.g)
-                .sign(&msg)
-                .to_bytes()
-        });
-        out.send(
-            self.topo.trainer(tree.root()),
-            Msg::OverlayUpdate {
-                partition: self.partition,
-                iter: self.round.iter,
-                data: data.clone(),
-                signature: update_sig,
-            },
-        );
-        out.record(labels::OVERLAY_UPDATE_PUSHED, self.round.iter as f64);
-    }
-
     fn on_timer(&mut self, out: &mut Actions<Msg>, token: u64) {
-        if self.behavior == Behavior::Offline {
-            return;
-        }
         match token & !0xFFFF_FFFF {
             TK_POLL => self.poll(out),
             TK_SYNC_DEADLINE => self.on_sync_deadline(out, token & 0xFFFF_FFFF),
@@ -1769,7 +1767,7 @@ impl Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradient::{build_blob, derive_key};
+    use crate::gradient::{derive_key, sum_gradients};
     use crate::protocol::ProtocolAction;
 
     /// A merge request as sent: its id and the CIDs to sum.
@@ -1923,11 +1921,11 @@ mod tests {
         let mut by_provider: HashMap<NodeId, Vec<(usize, Cid)>> = HashMap::new();
         by_provider.insert(NodeId(3), vec![(0, Cid::of(b"g"))]);
         // The listed provider resolves its group exactly once...
-        assert!(Aggregator::take_provider_group(&mut by_provider, NodeId(3)).is_ok());
+        assert!(FlatAggregator::take_provider_group(&mut by_provider, NodeId(3)).is_ok());
         // ...and an unlisted (or doubly listed) provider is an error.
-        let err = Aggregator::take_provider_group(&mut by_provider, NodeId(3)).unwrap_err();
+        let err = FlatAggregator::take_provider_group(&mut by_provider, NodeId(3)).unwrap_err();
         assert!(matches!(err, IplsError::UnlistedProvider { provider: 3 }));
-        let err = Aggregator::take_provider_group(&mut by_provider, NodeId(9)).unwrap_err();
+        let err = FlatAggregator::take_provider_group(&mut by_provider, NodeId(9)).unwrap_err();
         assert!(matches!(err, IplsError::UnlistedProvider { provider: 9 }));
     }
 }

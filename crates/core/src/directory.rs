@@ -30,8 +30,8 @@ use dfl_netsim::{NodeId, SimDuration, SimTime};
 use dfl_crypto::schnorr::VerifyingKey;
 
 use crate::accountability::{
-    agg_verifying_key, directory_signing_key, trainer_verifying_key, Misbehavior, MisbehaviorKind,
-    DIRECTORY_DETECTOR, EVIDENCE_TOPIC,
+    self, agg_verifying_key, directory_signing_key, trainer_verifying_key, Misbehavior,
+    MisbehaviorKind, DIRECTORY_DETECTOR, EVIDENCE_TOPIC,
 };
 use crate::config::Topology;
 use crate::gradient::{verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey};
@@ -181,58 +181,29 @@ impl Directory {
         self.rounds.get(&iter)?.slots.get(partition)
     }
 
+    /// The accumulated commitment of slot `agg_j`'s whole trainer set.
     fn accumulated_for_slot(
         &self,
         partition: usize,
         iter: u64,
         agg_j: usize,
     ) -> Option<ProtocolCommitment> {
-        let trainers = self.topo.trainer_set(partition, agg_j);
-        let trainers: Vec<u32> = trainers.into_iter().map(|t| t as u32).collect();
-        self.accumulated_subset(partition, iter, &trainers)
-    }
-
-    /// Accumulated commitment over *all* trainers of a partition — what a
-    /// full-membership global update must open (§IV-B).
-    fn accumulated_total(&self, partition: usize, iter: u64) -> Option<ProtocolCommitment> {
         let commits = &self.slot(partition, iter)?.commitments;
-        if commits.len() != self.topo.config().trainers {
-            return None;
-        }
-        // Unordered map iteration is safe here: commitment accumulation is
-        // an exact group operation, so the product is order-independent.
-        Some(ProtocolCommitment::accumulate(commits.values()))
+        let set = self.topo.trainer_set(partition, agg_j);
+        accountability::product(set, |t| commits.get(&t))
     }
 
-    /// Product of the registered commitments of an explicit trainer subset
-    /// (quorum-degraded verification). `None` when any member's commitment
-    /// has not been registered.
-    fn accumulated_subset(
-        &self,
-        partition: usize,
-        iter: u64,
-        trainers: &[u32],
-    ) -> Option<ProtocolCommitment> {
-        let commits = &self.slot(partition, iter)?.commitments;
-        let mut acc = ProtocolCommitment::identity();
-        for t in trainers {
-            acc = acc.combine(commits.get(&(*t as usize))?);
-        }
-        Some(acc)
-    }
-
-    /// What an update claiming `contributors` must open: the full total
-    /// when `None`, the per-member subset product otherwise.
+    /// What an update claiming `contributors` must open (§IV-B): the
+    /// product over every trainer when `None`, over the set otherwise.
     fn expected_for_update(
         &self,
         partition: usize,
         iter: u64,
-        contributors: &Option<Vec<u32>>,
+        contributors: Option<&[u32]>,
     ) -> Option<ProtocolCommitment> {
-        match contributors {
-            None => self.accumulated_total(partition, iter),
-            Some(set) => self.accumulated_subset(partition, iter, set),
-        }
+        let commits = &self.slot(partition, iter)?.commitments;
+        let trainers = self.topo.config().trainers;
+        accountability::update_opens(trainers, contributors.unwrap_or(&[]), |t| commits.get(&t))
     }
 
     /// Whether a claimed contributor set is even admissible: only under a
@@ -365,8 +336,8 @@ impl Directory {
         let Some(offender_sig) = pv.signature else {
             return;
         };
-        let Some(expected) = self.expected_for_update(pv.partition, pv.iter, &pv.contributors)
-        else {
+        let contributors = pv.contributors.as_deref();
+        let Some(expected) = self.expected_for_update(pv.partition, pv.iter, contributors) else {
             return; // commitments incomplete: nothing provable
         };
         let round = self.rounds.get_mut(&pv.iter);
@@ -420,29 +391,20 @@ impl Directory {
         if offender >= self.topo.config().total_aggregators() || self.evicted.contains(&offender) {
             return;
         }
+        let (partition, iter) = (record.partition, record.iter);
         let expected = match record.kind {
             MisbehaviorKind::BadPartial => {
-                let set = self.topo.trainer_set(record.partition, record.agg_j);
-                let full_claim =
-                    record.contributors.is_empty() || record.contributors.len() == set.len();
-                if self.topo.config().min_quorum.is_none() || full_claim {
-                    self.accumulated_for_slot(record.partition, record.iter, record.agg_j)
-                } else {
-                    let ranks: Option<Vec<u32>> = record
-                        .contributors
-                        .iter()
-                        .map(|&r| set.get(r as usize).map(|&t| t as u32))
-                        .collect();
-                    ranks.and_then(|ts| self.accumulated_subset(record.partition, record.iter, &ts))
-                }
+                let commits = self.slot(partition, iter).map(|s| &s.commitments);
+                accountability::partial_opens(
+                    &self.topo.trainer_set(partition, record.agg_j),
+                    record.contributors.iter().map(|&r| r as usize),
+                    self.topo.config().min_quorum.is_some(),
+                    || self.accumulated_for_slot(partition, iter, record.agg_j),
+                    |t| commits?.get(&t),
+                )
             }
             MisbehaviorKind::BadUpdate => {
-                let contributors = if record.contributors.is_empty() {
-                    None
-                } else {
-                    Some(record.contributors.clone())
-                };
-                self.expected_for_update(record.partition, record.iter, &contributors)
+                self.expected_for_update(partition, iter, Some(&record.contributors))
             }
         };
         let (Some(expected), Some(key)) = (expected, self.key.as_ref()) else {
@@ -470,7 +432,7 @@ impl Directory {
         };
         // Updates arrive one storage reply at a time: each is checked on
         // arrival as a batch of one. `None` = not all gradients registered.
-        let expected = self.expected_for_update(pv.partition, pv.iter, &pv.contributors);
+        let expected = self.expected_for_update(pv.partition, pv.iter, pv.contributors.as_deref());
         let opens = |acc| verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty();
         let verdict = ok && expected.is_some_and(opens);
         if let Some(pv) = self.verifications.get_mut(&req_id) {
@@ -671,11 +633,9 @@ impl Directory {
                 // the product over its contributor set, not the full total
                 // — answer with what the accepted update actually opens.
                 let update = self.slot(partition, iter).and_then(|s| s.update.as_ref());
-                let accumulated = match update.and_then(|(_, set)| set.as_ref()) {
-                    Some(set) => self.accumulated_subset(partition, iter, set),
-                    None => self.accumulated_total(partition, iter),
-                }
-                .map(|c| c.to_bytes());
+                let contributors = update.and_then(|(_, set)| set.as_deref());
+                let accumulated = self.expected_for_update(partition, iter, contributors);
+                let accumulated = accumulated.map(|c| c.to_bytes());
                 let reply = Msg::TotalAccumulator {
                     partition,
                     iter,
@@ -749,13 +709,13 @@ mod tests {
         assert!(dir.accumulated_for_slot(0, 0, 0).is_some());
         assert!(dir.accumulated_for_slot(0, 0, 1).is_none());
         // Total accumulation needs all 4 trainers.
-        assert!(dir.accumulated_total(0, 0).is_none());
+        assert!(dir.expected_for_update(0, 0, None).is_none());
         for t in [1usize, 3] {
             dir.rounds.get_mut(&0).unwrap().slots[0]
                 .commitments
                 .insert(t, c);
         }
-        assert!(dir.accumulated_total(0, 0).is_some());
+        assert!(dir.expected_for_update(0, 0, None).is_some());
     }
 
     /// Regression: a storage reply reaching the update-verification path

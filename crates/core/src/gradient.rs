@@ -96,6 +96,21 @@ pub fn sum_gradients(grads: &[Vec<Quantized>]) -> Result<Vec<Quantized>, IplsErr
         .collect()
 }
 
+/// [`sum_gradients`] inside a core's round `iter`: an overflow is recorded
+/// under [`labels::SUM_OVERFLOW`](crate::labels::SUM_OVERFLOW) and leaves
+/// no sum.
+pub fn sum_in_round<M>(
+    out: &mut Actions<M>,
+    iter: u64,
+    grads: &[Vec<Quantized>],
+) -> Option<Vec<Quantized>> {
+    let sum = sum_gradients(grads).ok();
+    if sum.is_none() {
+        out.record(crate::labels::SUM_OVERFLOW, iter as f64);
+    }
+    sum
+}
+
 /// Commits to a blob's quantized vector (including the counter element).
 ///
 /// Returns [`IplsError::MalformedBlob`] when the blob does not decode —

@@ -533,42 +533,40 @@ impl SyncAnnounce {
 
     /// Parses a pub/sub payload; `None` when malformed.
     pub fn decode(bytes: &[u8]) -> Option<SyncAnnounce> {
-        if bytes.len() < 59 {
-            return None;
-        }
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
-        let mut cid = [0u8; 32];
-        cid.copy_from_slice(&bytes[24..56]);
-        let count = u16::from_le_bytes(bytes[56..58].try_into().expect("2 bytes")) as usize;
-        let mut at = 58;
-        if bytes.len() < at + 2 * count + 1 {
+        let mut rest = bytes;
+        let partition = u64::from_le_bytes(take(&mut rest)?) as usize;
+        let agg_j = u64::from_le_bytes(take(&mut rest)?) as usize;
+        let iter = u64::from_le_bytes(take(&mut rest)?);
+        let cid = Cid::from_bytes(take(&mut rest)?);
+        let count = u16::from_le_bytes(take(&mut rest)?) as usize;
+        if rest.len() < 2 * count + 1 {
             return None;
         }
         let mut contributors = Vec::with_capacity(count);
         for _ in 0..count {
-            contributors.push(u16::from_le_bytes(
-                bytes[at..at + 2].try_into().expect("2 bytes"),
-            ));
-            at += 2;
+            contributors.push(u16::from_le_bytes(take(&mut rest)?));
         }
-        let signature = match bytes[at] {
-            0 if bytes.len() == at + 1 => None,
-            1 if bytes.len() == at + 66 => {
-                let mut sig = [0u8; 65];
-                sig.copy_from_slice(&bytes[at + 1..at + 66]);
-                Some(sig)
-            }
+        let signature = match rest {
+            [0] => None,
+            [1, signature @ ..] => Some(signature.try_into().ok()?),
             _ => return None,
         };
         Some(SyncAnnounce {
-            partition: u64_at(0) as usize,
-            agg_j: u64_at(8) as usize,
-            iter: u64_at(16),
-            cid: Cid::from_bytes(cid),
+            partition,
+            agg_j,
+            iter,
+            cid,
             contributors,
             signature,
         })
     }
+}
+
+/// Splits the next `N` bytes off the front of `rest`: the one field read of
+/// the signed payloads parsed here and in
+/// [`Misbehavior::decode`](crate::accountability::Misbehavior::decode).
+pub(crate) fn take<const N: usize>(rest: &mut &[u8]) -> Option<[u8; N]> {
+    rest.split_off(..N)?.try_into().ok()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! where [`run_task_in`] puts the simulator.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dfl_ipfs::{IpfsNode, RetryPolicy};
 use dfl_ml::{Dataset, Model, SgdConfig};
@@ -311,7 +311,7 @@ fn by_round(trace: &Trace, label: &str, rounds: u64) -> Vec<Vec<(NodeId, f64)>> 
 /// since the run started.
 pub fn build_report(topo: &Topology, trace: Trace, sink: &ParamSink) -> TaskReport {
     let cfg = topo.config();
-    let final_params = sink.lock().expect("param sink").clone();
+    let final_params = sink.lock().unwrap_or_else(PoisonError::into_inner).clone();
 
     // Bucket every per-round label once, instead of re-querying the trace
     // for each round.

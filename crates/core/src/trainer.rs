@@ -6,9 +6,13 @@
 //! the communication mode), register CIDs (and commitments) with the
 //! directory, then poll for the globally updated partitions, divide by the
 //! counter, and rebuild the model.
+//!
+//! Its position in the round is one `Stage` value: `Training` while the
+//! round's training timer is pending, then `Uploading` (flat) or
+//! `Forwarding` (overlay), `Awaiting` the updates, and `Finished`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
 
@@ -22,7 +26,7 @@ use dfl_crypto::schnorr::SigningKey;
 use crate::accountability::{agg_verifying_key, trainer_signing_key};
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::gradient::{
-    build_blob, commit_blob, decode_blob, decode_update, sum_gradients, verify_blobs_timed,
+    build_blob, commit_blob, decode_blob, decode_update, sum_in_round, verify_blobs_timed,
     ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
@@ -33,16 +37,20 @@ use crate::messages::{
 use crate::overlay::OverlayTree;
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
 
+// The low 32 bits of a training, retry or level-deadline token carry the
+// round it was armed in, so a timer left over from an earlier round is
+// told apart from the current round's.
 const TK_TRAIN: u64 = 1 << 32;
 const TK_POLL: u64 = 2 << 32;
 const TK_RETRY: u64 = 3 << 32;
-/// Overlay-mode level deadline (low 32 bits carry the round it was armed
-/// for, so stale timers from finished rounds are ignored).
+/// Overlay-mode level deadline.
 const TK_OVERLAY: u64 = 4 << 32;
 
 /// Shared sink the runner reads trainers' final parameters from after the
 /// run ends. `Arc<Mutex<..>>` so socket backends can host each trainer on
-/// its own thread; in the single-threaded simulator the lock is free.
+/// its own thread; in the single-threaded simulator the lock is free. Every
+/// write is one `insert` of a whole vector, so a lock poisoned by a
+/// panicking thread still guards a valid map and is taken regardless.
 pub type ParamSink = Arc<Mutex<HashMap<usize, Vec<f32>>>>;
 
 /// The overlay half of a trainer: the tree, the key every child opening
@@ -73,35 +81,47 @@ struct UpdateCheck {
     queue: VerifyQueue<usize>,
 }
 
+/// Where a trainer is in a round. Applying the round's last update ends it
+/// from any stage; every other move is made by the one handler that
+/// expects it.
+#[derive(Default)]
+enum Stage {
+    /// Local training: the round's `TK_TRAIN` timer is pending.
+    #[default]
+    Training,
+    /// Flat upload: Puts are outstanding (request id → partition), and in
+    /// compact mode the acked registrations wait for the last ack.
+    Uploading {
+        acks: HashMap<u64, usize>,
+        batch: Vec<(usize, Cid, Option<[u8; 33]>)>,
+    },
+    /// Overlay: composing level partials; the partitions already sent up.
+    Forwarding(HashSet<usize>),
+    /// Polling for the round's updates, or being pushed them.
+    Awaiting,
+    /// The model is rebuilt and `TrainerDone` sent.
+    Finished,
+}
+
 /// One round of the TRAINER procedure: built when `StartRound` arrives,
 /// dropped when the next one does.
 #[derive(Default)]
 struct Round {
     iter: u64,
     start: SimTime,
-    finished: bool,
+    stage: Stage,
     /// Blob + commitment per partition. The commitment stays a point until
     /// it is sent: serialising costs a field inversion and parsing back a
     /// square root, and an overlay node combines its own with its
     /// children's before anything goes out.
     blobs: HashMap<usize, (Bytes, Option<ProtocolCommitment>)>,
-    /// Put request id → partition awaiting its ack; empty again when the
-    /// round's upload is done.
-    pending_acks: HashMap<u64, usize>,
     /// Get request id → (partition, update cid): the partitions being
     /// fetched (update download de-dup), kept for retransmission.
     pending_gets: HashMap<u64, (usize, Cid)>,
     /// Downloaded averaged partitions.
     received: HashMap<usize, Vec<f32>>,
-    /// Acked registrations awaiting the batched send (compact mode).
-    batch_entries: Vec<(usize, Cid, Option<[u8; 33]>)>,
     /// Present in trainer-verification mode only.
     check: Option<UpdateCheck>,
-    /// Overlay mode: own blobs are built and the node may compose/forward
-    /// (set when the TK_TRAIN timer fires, i.e. local training finished).
-    overlay_ready: bool,
-    /// Overlay mode: partitions whose level partial already went up.
-    overlay_sent: HashSet<usize>,
 }
 
 impl Round {
@@ -119,8 +139,22 @@ impl Round {
         }
     }
 
+    /// `kind`'s timer token for this round.
+    fn token(&self, kind: u64) -> u64 {
+        kind | (self.iter & 0xFFFF_FFFF)
+    }
+
+    /// Whether a tagged `token` was armed in this round.
+    fn armed(&self, token: u64) -> bool {
+        token & 0xFFFF_FFFF == self.iter & 0xFFFF_FFFF
+    }
+
     fn fetching(&self, partition: usize) -> bool {
         self.pending_gets.values().any(|&(p, _)| p == partition)
+    }
+
+    fn is_finished(&self) -> bool {
+        matches!(self.stage, Stage::Finished)
     }
 }
 
@@ -272,6 +306,8 @@ impl<M: Model> Trainer<M> {
         for i in 0..self.topo.config().partitions {
             let (s, e) = self.topo.partition_range(i);
             let blob = Bytes::from(build_blob(&new_params[s..e]));
+            // A blob built here decodes: a partition holds at least one value.
+            #[allow(clippy::expect_used)]
             let commitment = self.key.as_ref().map(|key| {
                 commit_elements += (e - s + 1) as u64;
                 commit_blob(key, &blob).expect("locally built blob is well-formed")
@@ -281,7 +317,7 @@ impl<M: Model> Trainer<M> {
 
         let compute = self.topo.config().train_compute
             + SimDuration::from_micros(self.topo.config().commit_us_per_element * commit_elements);
-        out.set_timer(compute, TK_TRAIN);
+        out.set_timer(compute, self.round.token(TK_TRAIN));
     }
 
     fn upload(&mut self, now: SimTime, out: &mut Actions<Msg>) {
@@ -299,7 +335,7 @@ impl<M: Model> Trainer<M> {
         let deadline = self.round.start + self.topo.config().t_train;
         if now > deadline {
             out.record(labels::TRAIN_ABORT, self.round.iter as f64);
-            self.start_polling(out);
+            self.await_updates(out);
             return;
         }
 
@@ -321,18 +357,27 @@ impl<M: Model> Trainer<M> {
                     // path work identically across communication modes.
                     self.register(out, i, Cid::of(blob));
                 }
-                self.start_polling(out);
+                self.await_updates(out);
             }
             CommMode::Indirect | CommMode::MergeAndDownload => {
                 out.record(labels::UPLOAD_START, self.round.iter as f64);
+                let mut acks = HashMap::new();
                 for i in 0..self.topo.config().partitions {
                     let req_id = self.fresh_req();
-                    self.round.pending_acks.insert(req_id, i);
+                    acks.insert(req_id, i);
                     self.send_put(out, req_id, i);
                 }
+                let batch = Vec::new();
+                self.round.stage = Stage::Uploading { acks, batch };
                 self.arm_retry(out);
             }
         }
+    }
+
+    /// Moves the round to `Awaiting` and polls for its updates.
+    fn await_updates(&mut self, out: &mut Actions<Msg>) {
+        self.round.stage = Stage::Awaiting;
+        self.start_polling(out);
     }
 
     /// Overlay upload: leaves forward their partial immediately; interior
@@ -340,7 +385,7 @@ impl<M: Model> Trainer<M> {
     /// children complete (buffered partials may already be waiting).
     fn upload_overlay(&mut self, out: &mut Actions<Msg>, tree: OverlayTree) {
         out.record(labels::UPLOAD_START, self.round.iter as f64);
-        self.round.overlay_ready = true;
+        self.round.stage = Stage::Forwarding(HashSet::new());
         if !tree.children(self.t).is_empty() {
             // Deeper interior nodes get earlier deadlines, so a partial
             // forwarded on timeout still has a level's budget to climb
@@ -348,7 +393,7 @@ impl<M: Model> Trainer<M> {
             let depth_below = (tree.levels() - tree.level(self.t)) as u64;
             let deadline =
                 SimDuration::from_micros(self.topo.config().t_sync.as_micros() * depth_below);
-            out.set_timer(deadline, TK_OVERLAY | (self.round.iter & 0xFFFF_FFFF));
+            out.set_timer(deadline, self.round.token(TK_OVERLAY));
         }
         for i in 0..self.topo.config().partitions {
             self.try_forward_overlay(out, i, false);
@@ -366,7 +411,10 @@ impl<M: Model> Trainer<M> {
         let Some(overlay) = &mut self.overlay else {
             return;
         };
-        if !self.round.overlay_ready || self.round.overlay_sent.contains(&partition) {
+        let Stage::Forwarding(sent) = &mut self.round.stage else {
+            return;
+        };
+        if sent.contains(&partition) {
             return;
         }
         let tree = overlay.tree;
@@ -381,7 +429,8 @@ impl<M: Model> Trainer<M> {
             }
             out.record(labels::OVERLAY_TIMEOUT, (expected - arrived) as f64);
         }
-        self.round.overlay_sent.insert(partition);
+        sent.insert(partition);
+        let last = sent.len() == self.topo.config().partitions;
         let buffered = overlay
             .children
             .remove(&(self.round.iter, partition))
@@ -415,11 +464,10 @@ impl<M: Model> Trainer<M> {
         let (own_blob, Some(own_commitment)) = self.round.blobs[&partition].clone() else {
             return; // unreachable: the overlay's key committed every blob of the round
         };
-        let mut grads = Vec::with_capacity(1 + candidates.len());
-        let mut commits = Vec::with_capacity(1 + candidates.len());
-        let mut count = 1u64;
-        grads.push(decode_blob(&own_blob).expect("locally built blob is well-formed"));
-        commits.push(own_commitment);
+        let Some(own) = decode_blob(&own_blob) else {
+            return; // unreachable: a blob built by `begin_round` decodes
+        };
+        let (mut grads, mut commits, mut count) = (vec![own], vec![own_commitment], 1u64);
         for (i, (child, blob, child_count, point)) in candidates.iter().enumerate() {
             if culprits.contains(&i) {
                 out.record(labels::OVERLAY_CHILD_REJECTED, *child as f64);
@@ -436,12 +484,8 @@ impl<M: Model> Trainer<M> {
             commits.push(*point);
             count += child_count;
         }
-        let summed = match sum_gradients(&grads) {
-            Ok(s) => s,
-            Err(_) => {
-                out.record(labels::SUM_OVERFLOW, self.round.iter as f64);
-                return;
-            }
+        let Some(summed) = sum_in_round(out, self.round.iter, &grads) else {
+            return;
         };
         let blob = if grads.len() == 1 {
             own_blob // no accepted children: the partial is the own blob verbatim
@@ -450,17 +494,12 @@ impl<M: Model> Trainer<M> {
         };
         let commitment = ProtocolCommitment::accumulate(commits.iter()).to_bytes();
         let cid = Cid::of(&blob);
-        let signature = self.signing_key.as_ref().map(|k| {
-            let msg = overlay_partial_message(
-                self.t,
-                partition,
-                self.round.iter,
-                count,
-                &cid,
-                &commitment,
-            );
-            k.sign(&msg).to_bytes()
-        });
+        let (t, iter) = (self.t, self.round.iter);
+        let message = overlay_partial_message(t, partition, iter, count, &cid, &commitment);
+        let signature = self
+            .signing_key
+            .as_ref()
+            .map(|k| k.sign(&message).to_bytes());
         let to = match tree.parent(self.t) {
             Some(p) => self.topo.trainer(p),
             // The root hands the fully composed partial to the
@@ -480,8 +519,9 @@ impl<M: Model> Trainer<M> {
             },
         );
         out.record(labels::OVERLAY_FORWARDED, partition as f64);
-        if self.round.overlay_sent.len() == self.topo.config().partitions {
+        if last {
             out.record(labels::UPLOAD_DONE, self.round.iter as f64);
+            self.round.stage = Stage::Awaiting;
         }
     }
 
@@ -526,8 +566,8 @@ impl<M: Model> Trainer<M> {
         }
     }
 
-    /// Applies a final update pushed down the dissemination tree and
-    /// relays it verbatim to this node's children.
+    /// Relays a final update pushed down the dissemination tree verbatim to
+    /// this node's children, then applies it.
     fn on_overlay_update(
         &mut self,
         out: &mut Actions<Msg>,
@@ -538,7 +578,7 @@ impl<M: Model> Trainer<M> {
         let Some(overlay) = &self.overlay else {
             return; // flat mode: stray frame, nothing listens here
         };
-        if self.round.finished || self.round.received.contains_key(&partition) {
+        if self.round.is_finished() || self.round.received.contains_key(&partition) {
             return; // already applied — and already relayed downward
         }
         if self.topo.config().authenticate {
@@ -562,16 +602,7 @@ impl<M: Model> Trainer<M> {
                 },
             );
         }
-        let Some((averaged, _count)) = decode_update(&data) else {
-            return;
-        };
-        if averaged.len() != self.topo.partition_len(partition) {
-            return;
-        }
-        self.round.received.insert(partition, averaged);
-        if self.round.received.len() == self.topo.config().partitions {
-            self.finish_round(out);
-        }
+        self.accept_update(out, partition, data);
     }
 
     /// Arms the storage-retransmission timer: a Put or Get sent to a
@@ -580,51 +611,45 @@ impl<M: Model> Trainer<M> {
     fn arm_retry(&mut self, out: &mut Actions<Msg>) {
         if !self.retrying {
             self.retrying = true;
-            let token = TK_RETRY | (self.round.iter & 0xFFFF_FFFF);
+            let token = self.round.token(TK_RETRY);
             out.set_timer(self.topo.config().fetch_timeout, token);
         }
     }
 
-    fn on_retry(&mut self, out: &mut Actions<Msg>, iter: u64) {
+    /// Re-sends what the round still waits on (a timer from an earlier
+    /// round, or one firing after the round finished, re-sends nothing),
+    /// and re-arms while anything is outstanding.
+    fn on_retry(&mut self, out: &mut Actions<Msg>, token: u64) {
         self.retrying = false;
-        if iter != self.round.iter || self.round.finished {
-            // Stale timer from a previous round; re-cover the current one.
-            if !self.round.pending_acks.is_empty() || !self.round.pending_gets.is_empty() {
-                self.arm_retry(out);
+        if self.round.armed(token) && !self.round.is_finished() {
+            // Re-send in request order — iterating the maps directly would
+            // make the wire order (and so the whole simulation)
+            // nondeterministic.
+            if let Stage::Uploading { acks, .. } = &self.round.stage {
+                let mut puts: Vec<(u64, usize)> = acks.iter().map(|(&r, &p)| (r, p)).collect();
+                puts.sort_unstable();
+                for (req_id, partition) in puts {
+                    self.send_put(out, req_id, partition);
+                }
             }
-            return;
+            let mut gets: Vec<_> = self.round.pending_gets.iter().collect();
+            gets.sort_unstable_by_key(|&(&req_id, _)| req_id);
+            let gateway = self.topo.trainer_gateway(self.t);
+            for (&req_id, &(_, cid)) in gets {
+                out.send(gateway, Msg::Ipfs(IpfsWire::Get { cid, req_id }));
+            }
         }
-        // Re-send in request order — iterating the maps directly would make
-        // the wire order (and so the whole simulation) nondeterministic.
-        let mut puts: Vec<(u64, usize)> = self
-            .round
-            .pending_acks
-            .iter()
-            .map(|(&r, &p)| (r, p))
-            .collect();
-        puts.sort_unstable();
-        for (req_id, partition) in puts {
-            self.send_put(out, req_id, partition);
-        }
-        let mut gets: Vec<(u64, Cid)> = self
-            .round
-            .pending_gets
-            .iter()
-            .map(|(&r, &(_, cid))| (r, cid))
-            .collect();
-        gets.sort_unstable_by_key(|&(r, _)| r);
-        let gateway = self.topo.trainer_gateway(self.t);
-        for (req_id, cid) in gets {
-            let get = IpfsWire::Get { cid, req_id };
-            out.send(gateway, Msg::Ipfs(get));
-        }
-        if !self.round.pending_acks.is_empty() || !self.round.pending_gets.is_empty() {
+        let uploading = matches!(self.round.stage, Stage::Uploading { .. });
+        if uploading || !self.round.pending_gets.is_empty() {
             self.arm_retry(out);
         }
     }
 
     fn on_put_ack(&mut self, out: &mut Actions<Msg>, cid: Cid, req_id: u64) {
-        let Some(partition) = self.round.pending_acks.remove(&req_id) else {
+        let Stage::Uploading { acks, batch } = &mut self.round.stage else {
+            return;
+        };
+        let Some(partition) = acks.remove(&req_id) else {
             return;
         };
         // A storage acknowledgment whose partition has no storage route is
@@ -638,37 +663,37 @@ impl<M: Model> Trainer<M> {
             return;
         };
         self.uploads.push((target, cid));
-        if self.topo.config().compact_registration {
+        let compact = self.topo.config().compact_registration;
+        if compact {
             // Accumulate; one batched registration goes out with the last
             // acknowledgment (§VI directory-load reduction).
             let commitment = self.round.blobs[&partition].1.map(|c| c.to_bytes());
-            self.round.batch_entries.push((partition, cid, commitment));
-        } else {
+            batch.push((partition, cid, commitment));
+        }
+        let last = acks.is_empty().then(|| std::mem::take(batch));
+        if !compact {
             self.register(out, partition, cid);
         }
-        if self.round.pending_acks.is_empty() {
-            if self.topo.config().compact_registration {
-                let entries = std::mem::take(&mut self.round.batch_entries);
-                let signature = self.signing_key.as_ref().map(|key| {
-                    key.sign(&batch_registration_message(
-                        self.t,
-                        self.round.iter,
-                        &entries,
-                    ))
-                    .to_bytes()
-                });
-                let msg = Msg::RegisterGradientBatch {
-                    trainer: self.t,
-                    iter: self.round.iter,
-                    entries,
-                    signature,
-                };
-                out.send(self.topo.directory(), msg);
-            }
-            // Upload delay = last store acknowledgment − upload start (§V).
-            out.record(labels::UPLOAD_DONE, self.round.iter as f64);
-            self.start_polling(out);
+        let Some(entries) = last else {
+            return;
+        };
+        if compact {
+            let message = batch_registration_message(self.t, self.round.iter, &entries);
+            let signature = self
+                .signing_key
+                .as_ref()
+                .map(|key| key.sign(&message).to_bytes());
+            let msg = Msg::RegisterGradientBatch {
+                trainer: self.t,
+                iter: self.round.iter,
+                entries,
+                signature,
+            };
+            out.send(self.topo.directory(), msg);
         }
+        // Upload delay = last store acknowledgment − upload start (§V).
+        out.record(labels::UPLOAD_DONE, self.round.iter as f64);
+        self.await_updates(out);
     }
 
     fn start_polling(&mut self, out: &mut Actions<Msg>) {
@@ -679,7 +704,7 @@ impl<M: Model> Trainer<M> {
     }
 
     fn poll(&mut self, out: &mut Actions<Msg>) {
-        if self.round.finished {
+        if self.round.is_finished() {
             self.polling = false;
             return;
         }
@@ -714,7 +739,7 @@ impl<M: Model> Trainer<M> {
 
     fn on_update_info(&mut self, out: &mut Actions<Msg>, partition: usize, cid: Option<Cid>) {
         let Some(cid) = cid else { return };
-        if self.round.finished
+        if self.round.is_finished()
             || self.round.received.contains_key(&partition)
             || (self.round.check.as_ref()).is_some_and(|c| c.stashed.contains_key(&partition))
             || self.round.fetching(partition)
@@ -729,18 +754,11 @@ impl<M: Model> Trainer<M> {
         self.arm_retry(out);
     }
 
-    fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: Bytes) {
-        let Some((partition, _)) = self.round.pending_gets.remove(&req_id) else {
-            return;
-        };
-        self.accept_update(out, partition, data);
-    }
-
     /// Validates (and in trainer-verification mode, cryptographically
-    /// verifies) a downloaded update blob, then applies it. The blob stays
-    /// the buffer it arrived in wherever it has to wait.
+    /// verifies) a downloaded or pushed update blob, then applies it. The
+    /// blob stays the buffer it arrived in wherever it has to wait.
     fn accept_update(&mut self, out: &mut Actions<Msg>, partition: usize, data: Bytes) {
-        if self.round.finished || self.round.received.contains_key(&partition) {
+        if self.round.is_finished() || self.round.received.contains_key(&partition) {
             return;
         }
         if let Some(check) = &mut self.round.check {
@@ -783,17 +801,15 @@ impl<M: Model> Trainer<M> {
     }
 
     fn finish_round(&mut self, out: &mut Actions<Msg>) {
-        self.round.finished = true;
+        self.round.stage = Stage::Finished;
         // Rebuild the full model by concatenating updated partitions
         // (Algorithm 1, line 23).
         for (i, values) in self.round.received.drain() {
             let (s, e) = self.topo.partition_range(i);
             self.params[s..e].copy_from_slice(&values);
         }
-        self.sink
-            .lock()
-            .expect("param sink")
-            .insert(self.t, self.params.clone());
+        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
+        sink.insert(self.t, self.params.clone());
         out.record(labels::TRAINER_ROUND_DONE, self.round.iter as f64);
         let msg = Msg::TrainerDone {
             trainer: self.t,
@@ -811,14 +827,14 @@ impl<M: Model> ProtocolCore for Trainer<M> {
         let msg = match event {
             ProtocolEvent::Message { msg, .. } => msg,
             ProtocolEvent::Timer { token } => {
-                match token & !0xFFFF_FFFF {
-                    TK_TRAIN => self.upload(now, out),
-                    TK_POLL => self.poll(out),
-                    TK_RETRY => self.on_retry(out, token & 0xFFFF_FFFF),
-                    TK_OVERLAY
-                        if (token & 0xFFFF_FFFF) == (self.round.iter & 0xFFFF_FFFF)
-                            && !self.round.finished =>
-                    {
+                // A training timer counts only in `Training` of its own
+                // round, a level deadline only in `Forwarding` of its own.
+                let armed = self.round.armed(token);
+                match (token & !0xFFFF_FFFF, &self.round.stage) {
+                    (TK_TRAIN, Stage::Training) if armed => self.upload(now, out),
+                    (TK_POLL, _) => self.poll(out),
+                    (TK_RETRY, _) => self.on_retry(out, token),
+                    (TK_OVERLAY, Stage::Forwarding(_)) if armed => {
                         // Level deadline: forward every partition still
                         // waiting on children, with whatever arrived.
                         for i in 0..self.topo.config().partitions {
@@ -859,7 +875,9 @@ impl<M: Model> ProtocolCore for Trainer<M> {
             }
             Msg::Ipfs(IpfsWire::PutAck { cid, req_id }) => self.on_put_ack(out, cid, req_id),
             Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                self.on_update_blob(out, req_id, data);
+                if let Some((partition, _)) = self.round.pending_gets.remove(&req_id) {
+                    self.accept_update(out, partition, data);
+                }
             }
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
                 // Allow the poll loop to retry the partition.
@@ -925,7 +943,10 @@ mod tests {
         );
         // A frame delivered to the wrong node whose req_id collides with
         // a live one — per-node request ids are small integers.
-        trainer.round.pending_acks.insert(7, 0);
+        trainer.round.stage = Stage::Uploading {
+            acks: HashMap::from([(7, 0)]),
+            batch: Vec::new(),
+        };
         let mut out = Actions::new();
         trainer.handle(
             SimTime::ZERO,

@@ -139,6 +139,53 @@ fn the_label_registry_names_each_label_once() {
     assert_eq!(names.len(), labels::ALL.len());
 }
 
+/// Every `ipls` source file but the registry itself.
+const IPLS_SOURCES: &[&str] = &[
+    include_str!("../crates/core/src/accountability.rs"),
+    include_str!("../crates/core/src/addressing.rs"),
+    include_str!("../crates/core/src/adversary.rs"),
+    include_str!("../crates/core/src/aggregator.rs"),
+    include_str!("../crates/core/src/config.rs"),
+    include_str!("../crates/core/src/directory.rs"),
+    include_str!("../crates/core/src/error.rs"),
+    include_str!("../crates/core/src/gradient.rs"),
+    include_str!("../crates/core/src/lib.rs"),
+    include_str!("../crates/core/src/messages.rs"),
+    include_str!("../crates/core/src/overlay.rs"),
+    include_str!("../crates/core/src/protocol.rs"),
+    include_str!("../crates/core/src/runner.rs"),
+    include_str!("../crates/core/src/trainer.rs"),
+];
+
+/// The other direction of the registry check: each label `labels::ALL`
+/// declares is named by the non-test code (comments aside) of some `ipls`
+/// source, so a change that stops emitting a label retires it too.
+#[test]
+fn every_registered_label_is_named_by_the_code() {
+    let registry = include_str!("../crates/core/src/labels.rs");
+    let code: Vec<&str> = IPLS_SOURCES
+        .iter()
+        .flat_map(|src| src.split("#[cfg(test)]").next().unwrap_or(src).lines())
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .collect();
+    let continues_name = |c: char| c == '_' || c.is_ascii_alphanumeric();
+    for value in labels::ALL {
+        let declaration = format!(": &str = \"{value}\";");
+        let name = registry
+            .lines()
+            .find(|line| line.ends_with(&declaration))
+            .and_then(|line| line.strip_prefix("pub const "))
+            .and_then(|line| line.split(':').next())
+            .unwrap_or_else(|| panic!("`{value}` has no `pub const` in labels.rs"));
+        let path = format!("labels::{name}");
+        let named = code.iter().any(|line| {
+            line.match_indices(&path)
+                .any(|(at, _)| !line[at + path.len()..].starts_with(continues_name))
+        });
+        assert!(named, "`{path}` (\"{value}\") is named by no ipls code");
+    }
+}
+
 #[test]
 fn every_valid_combination_completes_agrees_and_conserves_bytes_direct() {
     assert_eq!(run_matrix(CommMode::Direct), VALID_PER_COMM);
