@@ -77,6 +77,10 @@ pub(crate) fn try_encode_segments(from: NodeId, msg: &Msg) -> io::Result<Segment
 ///
 /// Panics if the payload exceeds [`MAX_FRAME_BYTES`].
 pub fn encode_frame(from: NodeId, msg: &Msg) -> Vec<u8> {
+    // The documented panic is this function's contract: the transport
+    // calls `try_encode_segments`, and `encode_frame` is kept, as public
+    // API, for callers that build their own in-range messages.
+    #[allow(clippy::expect_used)]
     try_encode_frame(from, msg).expect("message fits MAX_FRAME_BYTES")
 }
 
@@ -151,8 +155,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(NodeId, Msg)>> {
             n => read += n,
         }
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let from = NodeId(u64::from_le_bytes(header[4..12].try_into().expect("8 bytes")) as usize);
+    let [l0, l1, l2, l3, f0, f1, f2, f3, f4, f5, f6, f7] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let from = NodeId(u64::from_le_bytes([f0, f1, f2, f3, f4, f5, f6, f7]) as usize);
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             ErrorKind::InvalidData,

@@ -355,10 +355,8 @@ impl Writer {
                 count(&self.stats.chaos_resets);
             }
             Verdict::ChaosTruncate => {
-                if self.ensure_conn().is_some() {
-                    if let Some(conn) = self.conn.as_mut() {
-                        let _ = codec::write_prefix(conn, &frame, frame.len() / 2);
-                    }
+                if let Some(conn) = self.ensure_conn() {
+                    let _ = codec::write_prefix(conn, &frame, frame.len() / 2);
                 }
                 // Kill the connection mid-frame: the receiver sees a
                 // torn frame and a clean decode error (booked first, so
@@ -418,10 +416,9 @@ impl Writer {
                     return false;
                 }
             }
-            if self.ensure_conn().is_none() {
+            let Some(conn) = self.ensure_conn() else {
                 continue;
-            }
-            let conn = self.conn.as_mut().expect("ensured connection");
+            };
             match codec::write_prefix(conn, frame, frame.len()) {
                 Ok(()) => return true,
                 // Stale or reset connection: reconnect and retry.
@@ -431,9 +428,10 @@ impl Writer {
         false
     }
 
-    fn ensure_conn(&mut self) -> Option<()> {
+    /// The open connection, or a new one; `None` when connecting fails.
+    fn ensure_conn(&mut self) -> Option<&mut TcpStream> {
         if self.conn.is_some() {
-            return Some(());
+            return self.conn.as_mut();
         }
         match TcpStream::connect(self.addr) {
             Ok(stream) => {
@@ -443,8 +441,7 @@ impl Writer {
                 }
                 self.ever_connected = true;
                 self.last_gen = self.faults.conn_gen(self.me);
-                self.conn = Some(stream);
-                Some(())
+                Some(self.conn.insert(stream))
             }
             Err(_) => {
                 self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);

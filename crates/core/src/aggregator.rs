@@ -32,6 +32,7 @@
 //! In overlay mode (§14) the aggregator is only the sink of its
 //! partition's tree: one root partial checked in, one update pushed down.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -123,8 +124,9 @@ enum Admitted {
     Merge(u64),
 }
 
-/// The vectors a partial is the sum of, and the trainers they cover.
-type Gathered = (Vec<Vec<Quantized>>, Vec<usize>);
+/// The vectors a partial is the sum of, borrowed from the round, and the
+/// trainers they cover.
+type Gathered<'a> = (Vec<&'a [Quantized]>, Vec<usize>);
 
 /// The `(trainer, cid)` pairs one merge request asks a storage node to sum.
 type Members = Vec<(usize, Cid)>;
@@ -927,7 +929,7 @@ impl FlatAggregator {
     /// Merge mode's input to the partial, once every merge is answered and
     /// every fallback fetch is in: the merged blobs plus the gradients
     /// fetched individually after a failed merge, and who they cover.
-    fn gather_merged(&mut self, out: &mut Actions<Msg>) -> Option<Gathered> {
+    fn gather_merged(&mut self, out: &mut Actions<Msg>) -> Option<Gathered<'_>> {
         let waiting =
             |m: &Merging| !m.sent || !m.requests.is_empty() || !m.fallback_pending.is_empty();
         if self.round.merge.as_ref().is_none_or(waiting) {
@@ -942,7 +944,8 @@ impl FlatAggregator {
         // The exact i128 sum does not depend on the order of its terms.
         let merged = merge.merged.values();
         let fallback = self.round.gradients.values();
-        let vectors = merged.map(|(v, _)| v).chain(fallback).cloned().collect();
+        let vectors = merged.map(|(v, _)| v).chain(fallback);
+        let vectors = vectors.map(Vec::as_slice).collect();
         let merged = merge.merged.values().flat_map(|(_, members)| members);
         let mut contributors: Vec<usize> = merged.map(|&(t, _)| t).collect();
         contributors.extend(self.round.gradients.keys());
@@ -952,7 +955,7 @@ impl FlatAggregator {
 
     /// The other modes' input to the partial: the gradients of `T_ij`
     /// received or fetched one by one, once enough of them are in.
-    fn gather_fetched(&mut self, out: &mut Actions<Msg>) -> Option<Gathered> {
+    fn gather_fetched(&mut self, out: &mut Actions<Msg>) -> Option<Gathered<'_>> {
         let dropped = self.dropped_trainers();
         let needed: Vec<usize> = self
             .expected
@@ -981,12 +984,12 @@ impl FlatAggregator {
                 return None;
             }
         }
-        let own = |t: &usize| self.round.gradients[t].clone();
+        let own = |t: &usize| self.round.gradients[t].as_slice();
         let vectors = if self.behavior == Behavior::ForgeRegistration {
             // Substitute the fabricated gradient for the victim's.
-            let fake = self.round.forged.as_ref()?;
+            let fake = self.round.forged.as_deref()?;
             let victim = self.expected[0];
-            let pick = |t: &usize| if *t == victim { fake.clone() } else { own(t) };
+            let pick = |t: &usize| if *t == victim { fake } else { own(t) };
             have.iter().map(pick).collect()
         } else {
             have.iter().map(own).collect()
@@ -1002,6 +1005,7 @@ impl FlatAggregator {
             self.settle_admitted(out);
             return;
         }
+        let iter = self.round.iter;
         let gathered = match self.round.merge {
             Some(_) => self.gather_merged(out),
             None => self.gather_fetched(out),
@@ -1012,7 +1016,7 @@ impl FlatAggregator {
         if vectors.is_empty() {
             return;
         }
-        let Some(partial) = sum_in_round(out, self.round.iter, &vectors) else {
+        let Some(partial) = sum_in_round(out, iter, &vectors) else {
             return;
         };
         let Some(sync) = &mut self.round.sync else {
@@ -1447,12 +1451,12 @@ impl FlatAggregator {
         let iter = self.round.iter;
         let slots = self.topo.config().aggregators_per_partition;
         // A slot is satisfied by a verified peer partial or by recovery.
-        let mut vectors = Vec::with_capacity(slots);
+        let mut vectors: Vec<Cow<'_, [Quantized]>> = Vec::with_capacity(slots);
         let mut contributors: Vec<u32> = Vec::new();
         let mut recovered = false;
         for j in 0..slots {
             if let Some((v, set)) = sync.partials.get(&j) {
-                vectors.push(v.clone());
+                vectors.push(Cow::Borrowed(v));
                 contributors.extend(set.iter().map(|&t| t as u32));
             } else if let Some(grads) = sync.recovery_grads.get(&j) {
                 // Recovery normally needs the peer's whole trainer set; a
@@ -1463,11 +1467,11 @@ impl FlatAggregator {
                 }
                 // The exact i128 sum is order-independent, so the recovered
                 // slot reproduces the honest partial bit for bit.
-                let recovered_vecs: Vec<Vec<Quantized>> = grads.values().cloned().collect();
-                let Some(sum) = sum_in_round(out, iter, &recovered_vecs) else {
+                let held: Vec<&[Quantized]> = grads.values().map(Vec::as_slice).collect();
+                let Some(sum) = sum_in_round(out, iter, &held) else {
                     return;
                 };
-                vectors.push(sum);
+                vectors.push(Cow::Owned(sum));
                 contributors.extend(grads.keys().map(|&t| t as u32));
                 recovered = true;
             } else {

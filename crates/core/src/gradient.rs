@@ -75,13 +75,17 @@ pub fn decode_update(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
 /// skews the averaged update and breaks the homomorphic commitment check
 /// (the commitments accumulate the TRUE sum, not the clamped one).
 ///
+/// The vectors are borrowed — owned, or slices of what a core holds — so a
+/// sum copies nothing but its result.
+///
 /// # Panics
 ///
 /// Panics if the vectors differ in length or the input is empty.
-pub fn sum_gradients(grads: &[Vec<Quantized>]) -> Result<Vec<Quantized>, IplsError> {
+pub fn sum_gradients(grads: &[impl AsRef<[Quantized]>]) -> Result<Vec<Quantized>, IplsError> {
     assert!(!grads.is_empty(), "nothing to sum");
-    let mut acc: Vec<i128> = grads[0].iter().map(|q| q.0 as i128).collect();
+    let mut acc: Vec<i128> = grads[0].as_ref().iter().map(|q| q.0 as i128).collect();
     for g in &grads[1..] {
+        let g = g.as_ref();
         assert_eq!(g.len(), acc.len(), "gradient length mismatch");
         for (a, b) in acc.iter_mut().zip(g) {
             *a += b.0 as i128;
@@ -102,7 +106,7 @@ pub fn sum_gradients(grads: &[Vec<Quantized>]) -> Result<Vec<Quantized>, IplsErr
 pub fn sum_in_round<M>(
     out: &mut Actions<M>,
     iter: u64,
-    grads: &[Vec<Quantized>],
+    grads: &[impl AsRef<[Quantized]>],
 ) -> Option<Vec<Quantized>> {
     let sum = sum_gradients(grads).ok();
     if sum.is_none() {

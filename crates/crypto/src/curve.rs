@@ -523,31 +523,48 @@ impl<C: Curve> Jacobian<C> {
     /// differently-parenthesized (e.g. parallel) MSM reductions comparable
     /// byte-for-byte.
     pub fn batch_normalize(points: &[Jacobian<C>]) -> Vec<Affine<C>> {
+        let mut out = vec![Affine::identity(); points.len()];
+        Jacobian::batch_normalize_into(points, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`Jacobian::batch_normalize`] into `out`, which must be as long as
+    /// `points`, with `zs` as the scratch for the inverted `Z`s: a caller
+    /// normalising block after block reuses both, so no block allocates a
+    /// point-sized buffer of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `points` differ in length.
+    pub(crate) fn batch_normalize_into(
+        points: &[Jacobian<C>],
+        zs: &mut Vec<BaseField<C>>,
+        out: &mut [Affine<C>],
+    ) {
+        assert_eq!(points.len(), out.len(), "one output slot a point");
         // A `Z = 1` point is affine already: it stays out of the shared
         // inversion (zeros are skipped) and keeps its coordinates.
-        let mut zs: Vec<BaseField<C>> = points
-            .iter()
-            .map(|p| if p.z == Fp::ONE { Fp::ZERO } else { p.z })
-            .collect();
-        Fp::batch_invert(&mut zs);
-        points
-            .iter()
-            .zip(&zs)
-            .map(|(p, zinv)| {
-                if p.is_identity() {
-                    Affine::identity()
-                } else if p.z == Fp::ONE {
-                    Affine::from_xy_unchecked(p.x, p.y)
-                } else {
-                    let zinv2 = zinv.square();
-                    Affine {
-                        x: p.x * zinv2,
-                        y: p.y * zinv2 * *zinv,
-                        infinity: false,
-                    }
+        zs.clear();
+        zs.extend(
+            points
+                .iter()
+                .map(|p| if p.z == Fp::ONE { Fp::ZERO } else { p.z }),
+        );
+        Fp::batch_invert(zs);
+        for ((p, zinv), slot) in points.iter().zip(zs.iter()).zip(out) {
+            *slot = if p.is_identity() {
+                Affine::identity()
+            } else if p.z == Fp::ONE {
+                Affine::from_xy_unchecked(p.x, p.y)
+            } else {
+                let zinv2 = zinv.square();
+                Affine {
+                    x: p.x * zinv2,
+                    y: p.y * zinv2 * *zinv,
+                    infinity: false,
                 }
-            })
-            .collect()
+            };
+        }
     }
 }
 

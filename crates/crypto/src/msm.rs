@@ -49,7 +49,14 @@
 //! running-sums only its own buckets, and the ranges' shares are added in a
 //! fixed order. Elliptic-curve addition is exact, so the result is the same
 //! group element whatever the split, and its affine (serialised) form is
-//! bit-identical: simulated time, event order and every byte stay put.
+//! bit-identical: simulated time, event order and every byte stay put. A
+//! table's build splits its bases the same way.
+//!
+//! **A running sum over thousands of buckets is two short ones.** From
+//! about 130 buckets a range sums its buckets into rows and columns by the
+//! digit's low and high bits, batch-affine, and runs a running sum over
+//! each (`row_column_sum`): ≈ 54 k field products at 4 095 buckets, where
+//! the one-level sum costs ≈ 115 k. The choice is an operation count.
 //!
 //! ```
 //! use dfl_crypto::curve::{Affine, Curve, Scalar, Secp256k1};
@@ -150,9 +157,10 @@ pub fn naive<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<
 /// operation counts say so for the call's `n` and longest magnitude.
 ///
 /// Build cost is ~256 doublings per point (about one naive scalar
-/// multiplication per point) plus one batch normalization, paid once per
-/// task; memory is `⌈256/c⌉` affine points per base point (plus 8 where
-/// the odd multiples are kept).
+/// multiplication per point) plus one batch normalization per block of
+/// bases, paid once per task and split across cores like a large pass;
+/// memory is `⌈256/c⌉` affine points per base point (plus 8 where the odd
+/// multiples are kept).
 #[derive(Clone, Debug)]
 pub struct MsmTable<C: Curve> {
     window: usize,
@@ -180,25 +188,13 @@ impl<C: Curve> MsmTable<C> {
             (1..=16).contains(&window),
             "table window must be in 1..=16 bits"
         );
-        let digits = 256usize.div_ceil(window);
-        let mut jac = Vec::with_capacity(points.len() * digits);
-        for p in points {
-            let mut cur = p.to_jacobian();
-            jac.push(cur);
-            for _ in 1..digits {
-                for _ in 0..window {
-                    cur = cur.double();
-                }
-                jac.push(cur);
-            }
-        }
         let n = points.len();
         let walk_can_win = interleaved_walk_muls(n, SHORTEST_PLANNED_BITS)
             < bucket_pass_muls(n, SHORTEST_PLANNED_BITS, window);
         MsmTable {
             window,
-            digits,
-            shifts: Jacobian::batch_normalize(&jac),
+            digits: 256usize.div_ceil(window),
+            shifts: shift_rows(points, window, ranges_for(n * 256 * DOUBLING_MULS)),
             odd: if walk_can_win {
                 odd_multiples(points)
             } else {
@@ -288,6 +284,48 @@ impl<C: Curve> MsmTable<C> {
     }
 }
 
+/// Bases a table thread doubles in Jacobian form before it normalises them
+/// with one shared inversion: at c = 12 a block's rows are ≈ 270 KB, all
+/// the scratch a thread holds, where the whole key's are 17 MB.
+const NORMALIZE_BLOCK: usize = 128;
+
+/// Every base's shifts `2^(w·c)·Pᵢ`, `⌈256/c⌉` consecutive affine entries
+/// a base. The bases split into at most `ranges` contiguous runs, each on
+/// its own thread, and each run writes its own part of one output vector
+/// allocated here. A thread doubles [`NORMALIZE_BLOCK`] bases at a time
+/// and normalises them straight into its part, reusing one block's
+/// Jacobian rows and `Z`s. Affine form is canonical, so the table's bytes
+/// do not depend on the split.
+fn shift_rows<C: Curve>(points: &[Affine<C>], window: usize, ranges: usize) -> Vec<Affine<C>> {
+    let digits = 256usize.div_ceil(window);
+    let mut shifts = vec![Affine::identity(); points.len() * digits];
+    let per_range = points.len().div_ceil(ranges).max(1);
+    let parts: Vec<_> = points
+        .chunks(per_range)
+        .zip(shifts.chunks_mut(per_range * digits))
+        .collect();
+    map_split(parts, |(points, out)| {
+        let mut jac = Vec::with_capacity(points.len().min(NORMALIZE_BLOCK) * digits);
+        let mut zs = Vec::with_capacity(jac.capacity());
+        let blocks = out.chunks_mut(NORMALIZE_BLOCK * digits);
+        for (block, out) in points.chunks(NORMALIZE_BLOCK).zip(blocks) {
+            jac.clear();
+            for p in block {
+                let mut cur = p.to_jacobian();
+                jac.push(cur);
+                for _ in 1..digits {
+                    for _ in 0..window {
+                        cur = cur.double();
+                    }
+                    jac.push(cur);
+                }
+            }
+            Jacobian::batch_normalize_into(&jac, &mut zs, out);
+        }
+    });
+    shifts
+}
+
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
@@ -321,30 +359,38 @@ fn odd_multiples<C: Curve>(points: &[Affine<C>]) -> Vec<Affine<C>> {
 /// doubling (2M + 5S on secp256k1, whose `a = 0` term folds away) per bit
 /// and a mixed addition (7M + 4S) per non-zero digit.
 fn interleaved_walk_muls(n: usize, bits: usize) -> usize {
-    7 * bits + 11 * n * bits.div_ceil(WNAF_WIDTH as usize + 1)
+    DOUBLING_MULS * bits + 11 * n * bits.div_ceil(WNAF_WIDTH as usize + 1)
 }
+
+/// Field products and squarings of one Jacobian doubling on secp256k1.
+const DOUBLING_MULS: usize = 7;
 
 /// The same count for one [`MsmTable`] bucket pass with a `window`-bit
 /// table over the same input: a batch-affine addition (≈ 6) per table digit,
-/// and — whatever the scalars' length — a mixed plus a full addition (≈ 28)
-/// per bucket of the running sum and about three Fermat inversions (≈ 335
-/// each: 256 squarings and [`Fp::pow`]'s ≈ 78 windowed products), one per
+/// and — whatever the scalars' length — the running sum over the `2^c − 1`
+/// buckets ([`running_sum_muls`]) and about three Fermat inversions, one per
 /// batch-affine round. Against the clock the two counts cross where the
 /// kernels do for n ≤ 64 (n = 33: ≈ 80 bits either way); from n ≈ 128 to
 /// the few hundred bases that still keep odd multiples the pass runs
 /// cheaper than counted, so a call within a few bits of the crossing can
 /// take the walk at a loss of about a tenth (EXPERIMENTS.md has the table).
 fn bucket_pass_muls(n: usize, bits: usize, window: usize) -> usize {
-    AFFINE_ADD_MULS * n * bits.div_ceil(window) + RUNNING_SUM_MULS * ((1 << window) - 1) + 3 * 335
+    AFFINE_ADD_MULS * n * bits.div_ceil(window)
+        + running_sum_muls((1 << window) - 1)
+        + 3 * FERMAT_MULS
 }
 
 /// Field products of one batch-affine addition, its share of the round's
 /// shared inversion included.
 const AFFINE_ADD_MULS: usize = 6;
 
-/// Field products one bucket adds to the running sum: a mixed and a full
-/// Jacobian addition.
+/// Field products one bucket adds to the one-level running sum: a mixed and
+/// a full Jacobian addition.
 const RUNNING_SUM_MULS: usize = 28;
+
+/// Field products of one Fermat inversion or square root: 256 squarings and
+/// [`Fp::pow`]'s ≈ 78 windowed products.
+pub(crate) const FERMAT_MULS: usize = 335;
 
 /// The shortest call a table is planned for: one whose longest entry is a
 /// single fixed-point unit ([`crate::quantize::SCALE`]). A point set on
@@ -539,6 +585,70 @@ fn bucket_running_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>
     (total, running)
 }
 
+/// [`bucket_running_sum`]'s `(Σ e·B_e, Σ B_e)`, digit `e` = index + 1, by
+/// whichever of it and [`row_column_sum`] costs fewer field products for
+/// this many buckets ([`running_sum_muls`]).
+fn running_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>) {
+    if row_column_muls(sums.len()) < RUNNING_SUM_MULS * sums.len() {
+        row_column_sum(sums)
+    } else {
+        bucket_running_sum(sums)
+    }
+}
+
+/// The same pair as [`bucket_running_sum`] at about half its price over
+/// thousands of buckets. Write each digit `e = a + 2^h·b` with `a < 2^h`:
+/// row `R_a` sums the buckets whose digit has low part `a`, column `S_b`
+/// those with high part `b`. Then `Σ e·B_e = Σ a·R_a + 2^h·Σ b·S_b` and
+/// `Σ B_e = Σ R_a`. Every non-empty bucket enters one row and one column,
+/// all summed batch-affine in one [`batch_affine_sum_buckets`] call; two
+/// short running sums and `h` doublings finish it.
+fn row_column_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>) {
+    let (h, rows, columns) = row_column_shape(sums.len());
+    // Rows are lines 0 .. 2^h, columns the lines after them.
+    let mut entries = Vec::with_capacity(2 * sums.len());
+    for (e, s) in (1..).zip(sums).filter(|(_, s)| !s.is_identity()) {
+        entries.push((e & (rows - 1), s, false));
+        entries.push((rows + (e >> h), s, false));
+    }
+    let sizes = bucket_sizes(rows + columns, &entries);
+    let lines = batch_affine_sum_buckets(&mut gather(&sizes, &entries, 0), &sizes);
+    let (row_sums, column_sums) = lines.split_at(rows);
+    let (low, rows_total) = bucket_running_sum(&row_sums[1..]);
+    let (mut high, _) = bucket_running_sum(&column_sums[1..]);
+    for _ in 0..h {
+        high = high.double();
+    }
+    (high.add(&low), rows_total.add_affine(&row_sums[0]))
+}
+
+/// `(h, 2^h, columns)` of [`row_column_sum`] over `buckets` buckets
+/// (digits `1 ..= buckets`): `h` about half the digits' bits, so rows and
+/// columns are about equally many.
+fn row_column_shape(buckets: usize) -> (usize, usize, usize) {
+    let h = (usize::BITS - buckets.leading_zeros()).div_ceil(2) as usize;
+    (h, 1 << h, (buckets >> h) + 1)
+}
+
+/// Field products of [`row_column_sum`] over `buckets` buckets: two
+/// batch-affine additions a bucket, the two running sums, `h` doublings,
+/// and one Fermat inversion a batch-affine round — as many rounds as the
+/// longest row or column has halvings.
+fn row_column_muls(buckets: usize) -> usize {
+    let (h, rows, columns) = row_column_shape(buckets);
+    let rounds = (usize::BITS - (rows.max(columns) - 1).leading_zeros()) as usize;
+    2 * AFFINE_ADD_MULS * buckets
+        + RUNNING_SUM_MULS * (rows + columns)
+        + DOUBLING_MULS * h
+        + FERMAT_MULS * rounds
+}
+
+/// Field products of the running sum [`running_sum`] runs over `buckets`
+/// buckets.
+fn running_sum_muls(buckets: usize) -> usize {
+    row_column_muls(buckets).min(RUNNING_SUM_MULS * buckets)
+}
+
 /// Chooses the Pippenger window size for `n` terms (≈ log₂ n − 2, clamped).
 fn window_size(n: usize) -> usize {
     let log = usize::BITS as usize - n.leading_zeros() as usize; // ⌈log2⌉-ish
@@ -559,7 +669,8 @@ type Entry<'p, C> = (usize, &'p Affine<C>, bool);
 /// worth [`SPLIT_MIN_MULS`].
 fn bucket_pass<C: Curve>(buckets: usize, entries: &[Entry<'_, C>]) -> Jacobian<C> {
     let sizes = bucket_sizes(buckets, entries);
-    let muls = sizes.iter().map(|&n| bucket_muls(n)).sum();
+    let price = bucket_muls(buckets);
+    let muls = sizes.iter().map(|&n| price(n)).sum();
     bucket_pass_split(&sizes, entries, ranges_for(muls))
 }
 
@@ -570,6 +681,21 @@ fn bucket_sizes<C: Curve>(buckets: usize, entries: &[Entry<'_, C>]) -> Vec<usize
         sizes[bucket] += 1;
     }
     sizes
+}
+
+/// The points `entries` puts in buckets `lo .. lo + sizes.len()` (negated
+/// where marked), bucket after bucket: the flat input of
+/// [`batch_affine_sum_buckets`]. Entries outside those buckets are skipped.
+fn gather<C: Curve>(sizes: &[usize], entries: &[Entry<'_, C>], lo: usize) -> Vec<Affine<C>> {
+    let mut next = offsets(sizes);
+    let mut points = vec![Affine::identity(); sizes.iter().sum()];
+    for &(bucket, point, negate) in entries {
+        if let Some(slot) = bucket.checked_sub(lo).and_then(|i| next.get_mut(i)) {
+            points[*slot] = if negate { point.negate() } else { *point };
+            *slot += 1;
+        }
+    }
+    points
 }
 
 /// Where each of consecutive runs of `sizes` items starts.
@@ -583,9 +709,12 @@ fn offsets(sizes: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// What a bucket of `entries` points costs its pass, in field products.
-fn bucket_muls(entries: usize) -> usize {
-    AFFINE_ADD_MULS * entries + RUNNING_SUM_MULS
+/// What a bucket of `n` points costs a pass over `buckets` buckets, in
+/// field products: its batch-affine additions and its share of the running
+/// sum the pass runs ([`running_sum_muls`]).
+fn bucket_muls(buckets: usize) -> impl Fn(usize) -> usize {
+    let share = running_sum_muls(buckets) / buckets.max(1);
+    move |n| AFFINE_ADD_MULS * n + share
 }
 
 /// [`bucket_pass`] over at most `ranges` contiguous bucket ranges of about
@@ -596,13 +725,13 @@ fn bucket_muls(entries: usize) -> usize {
 /// entries and an equal-count split would hand the lower half ≈ 62 %.
 ///
 /// The range that starts at bucket `lo` sums its buckets and runs its own
-/// running sum, which yields `T = Σ (i − lo + 1)·Bᵢ` and, as the running
-/// value it ends on, `S = Σ Bᵢ`. Its share of the whole is `T + lo·S`, and
-/// the shares are added in range order. The work is the serial pass's plus,
-/// per range, a read of the entries, one scalar multiplication by
-/// `lo < 2¹⁶` and its own two to four shared inversions. Splitting the
-/// *scalars* instead would run the whole `2^c − 1`-bucket running sum once
-/// per chunk.
+/// running sum ([`running_sum`], one- or two-level by its own bucket count),
+/// which yields `T = Σ (i − lo + 1)·Bᵢ` and `S = Σ Bᵢ`. Its share of the
+/// whole is `T + lo·S`, and the shares are added in range order. The work
+/// is the serial pass's plus, per range, a read of the entries, one scalar
+/// multiplication by `lo < 2¹⁶` and its own two to four shared inversions.
+/// Splitting the *scalars* instead would run the whole `2^c − 1`-bucket
+/// running sum once per chunk.
 fn bucket_pass_split<C: Curve>(
     sizes: &[usize],
     entries: &[Entry<'_, C>],
@@ -613,15 +742,8 @@ fn bucket_pass_split<C: Curve>(
     let bounds: Vec<(usize, usize)> = starts.iter().copied().zip(ends).collect();
     Jacobian::sum(map_split(bounds, |(lo, hi)| {
         let sizes = &sizes[lo..hi];
-        let mut next = offsets(sizes);
-        let mut points = vec![Affine::identity(); sizes.iter().sum()];
-        for &(bucket, point, negate) in entries {
-            if let Some(slot) = bucket.checked_sub(lo).and_then(|i| next.get_mut(i)) {
-                points[*slot] = if negate { point.negate() } else { *point };
-                *slot += 1;
-            }
-        }
-        let (t, s) = bucket_running_sum(&batch_affine_sum_buckets(&mut points, sizes));
+        let mut points = gather(sizes, entries, lo);
+        let (t, s) = running_sum(&batch_affine_sum_buckets(&mut points, sizes));
         if lo == 0 {
             t
         } else {
@@ -634,14 +756,15 @@ fn bucket_pass_split<C: Curve>(
 /// the first bucket reached once the buckets before it hold `k / ranges` of
 /// the pass's [`bucket_muls`]. Starts at 0 and strictly increases.
 fn range_starts(sizes: &[usize], ranges: usize) -> Vec<usize> {
-    let total: usize = sizes.iter().map(|&n| bucket_muls(n)).sum();
+    let price = bucket_muls(sizes.len());
+    let total: usize = sizes.iter().map(|&n| price(n)).sum();
     let mut starts = vec![0];
     let mut done = 0;
     for (i, &n) in sizes.iter().enumerate() {
         if starts.len() < ranges && done * ranges >= total * starts.len() {
             starts.push(i);
         }
-        done += bucket_muls(n);
+        done += price(n);
     }
     starts
 }
@@ -670,7 +793,11 @@ fn range_starts(sizes: &[usize], ranges: usize) -> Vec<usize> {
 ///
 /// No pass from 20 000 products up lost a run; the largest d = 33 pass
 /// stays a factor of 2.7 below, on one thread, where a spawn per pass
-/// would cost CPU for a gain inside the noise.
+/// would cost CPU for a gain inside the noise. (The products column was
+/// priced with the one-level running sum; passes of 130 buckets and more
+/// now price and run the two-level one.) Key set-up is priced the same
+/// way — a d = 33 key's generators and table clear the threshold, an
+/// eight-generator key's do not.
 ///
 /// Not a knob: a split changes which thread computes each bucket, never
 /// the group element, so no verdict or byte depends on it.
@@ -1037,6 +1164,148 @@ pub(crate) mod tests {
         with_minus_one[6] = -Scalar::<C>::from_u64(11);
         assert_splits_agree(&points, &with_minus_one, 4);
         assert_splits_agree(&points, &with_minus_one, 8);
+
+        // A 12-bit table: even split 8 ways, every range holds hundreds of
+        // buckets, past the count crossover, so each runs the two-level sum.
+        assert_splits_agree(&random, &full, 12);
+        let table = MsmTable::with_window(&random, 12);
+        let (_, starts) = split_pass(&table, &full, 8);
+        let ends = starts.iter().skip(1).copied().chain([4095]);
+        for (lo, hi) in starts.iter().copied().zip(ends) {
+            assert!(row_column_muls(hi - lo) < RUNNING_SUM_MULS * (hi - lo));
+        }
+    }
+
+    /// Affine points `Q + i·S`, `i < n`, for two random `Q` and `S`: distinct,
+    /// unrelated to any bucket digit, and cheap to make in a debug build.
+    fn point_run<K: Curve>(n: usize, seed: u64) -> Vec<Affine<K>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (q, step) = (Affine::<K>::random(&mut rng), Affine::<K>::random(&mut rng));
+        let mut cur = q.to_jacobian();
+        let run: Vec<Jacobian<K>> = (0..n)
+            .map(|_| {
+                let here = cur;
+                cur = cur.add_affine(&step);
+                here
+            })
+            .collect();
+        Jacobian::batch_normalize(&run)
+    }
+
+    /// The two-level sum, and the one [`running_sum`] picks, give the
+    /// one-level sum's `(Σ e·B_e, Σ B_e)` on `sums`, byte for byte.
+    fn assert_sums_agree<K: Curve>(sums: &[Affine<K>], case: &str) {
+        let bytes = |(t, s): (Jacobian<K>, Jacobian<K>)| {
+            (t.to_affine().to_compressed(), s.to_affine().to_compressed())
+        };
+        let one = bytes(bucket_running_sum(sums));
+        assert_eq!(bytes(row_column_sum(sums)), one, "{case} on {}", K::NAME);
+        assert_eq!(bytes(running_sum(sums)), one, "{case} on {}", K::NAME);
+    }
+
+    fn two_level_cases<K: Curve>() {
+        let m = (1 << 12) - 1;
+        let (h, rows, columns) = row_column_shape(m);
+        assert_eq!((h, rows, columns), (6, 64, 64));
+        let run = point_run::<K>(m, 0x2C01);
+        let (p, q) = (run[0], run[1]);
+        let empty = vec![Affine::<K>::identity(); m];
+        assert_sums_agree(&empty, "no bucket");
+        assert_sums_agree(&run, "every bucket");
+
+        // A lone bucket: one row and one column hold it, every other is empty.
+        for e in [1, rows - 1, rows, m] {
+            let mut sums = empty.clone();
+            sums[e - 1] = p;
+            assert_sums_agree(&sums, &format!("lone digit {e}"));
+        }
+
+        // Only multiples of 2^h: every row but row 0 is empty. Only digits
+        // below 2^h: every column but column 0 is. Then the reverse of each.
+        let keep = |f: &dyn Fn(usize) -> bool| -> Vec<Affine<K>> {
+            let digit =
+                |(i, s): (usize, &Affine<K>)| if f(i + 1) { *s } else { Affine::identity() };
+            run.iter().enumerate().map(digit).collect()
+        };
+        assert_sums_agree(&keep(&|e| e % rows == 0), "rows 1.. empty");
+        assert_sums_agree(&keep(&|e| e < rows), "columns 1.. empty");
+        assert_sums_agree(&keep(&|e| e % rows != 0), "row 0 empty");
+        assert_sums_agree(&keep(&|e| e >= rows), "column 0 empty");
+
+        // P and −P meet in row 5 (digits 5 and 5 + 2^h) and in column 1
+        // (digits 2^h + 2 and 2^h + 9), each line then summing to the
+        // identity; Q at digits 3 and 3 + 2^h doubles in row 3.
+        let mut sums = empty.clone();
+        for (e, point) in [
+            (5, p),
+            (5 + rows, p.negate()),
+            (rows + 2, p),
+            (rows + 9, p.negate()),
+            (3, q),
+            (3 + rows, q),
+        ] {
+            sums[e - 1] = point;
+        }
+        assert_sums_agree(&sums, "inverse pairs");
+    }
+
+    #[test]
+    fn two_level_sum_is_the_one_level_sum_on_both_curves() {
+        two_level_cases::<Secp256k1>();
+        two_level_cases::<Secp256r1>();
+    }
+
+    #[test]
+    fn running_sum_takes_the_cheaper_count_either_side_of_the_crossover() {
+        let two_level = |m: usize| row_column_muls(m) < RUNNING_SUM_MULS * m;
+        let crossover = (1..4096).find(|&m| two_level(m)).unwrap_or(4096);
+        // A d = 33 table's 63 buckets keep the one-level sum; every pass
+        // from the crossover up to a 16-bit table's takes the other.
+        assert_eq!(crossover, 130);
+        assert!(!two_level(63) && (crossover..1 << 16).all(two_level));
+        assert_eq!(running_sum_muls(63), RUNNING_SUM_MULS * 63);
+        let run = point_run::<C>(crossover + 1, 0x2C02);
+        for m in [crossover - 1, crossover, crossover + 1] {
+            assert_sums_agree(&run[..m], &format!("{m} buckets"));
+        }
+    }
+
+    /// The table's rows as one thread built them before set-up split:
+    /// every doubling chain in Jacobian form, then one batch normalisation.
+    fn serial_shifts<K: Curve>(points: &[Affine<K>], window: usize) -> Vec<Affine<K>> {
+        let mut jac = Vec::new();
+        for p in points {
+            let mut cur = p.to_jacobian();
+            jac.push(cur);
+            for _ in 1..256usize.div_ceil(window) {
+                for _ in 0..window {
+                    cur = cur.double();
+                }
+                jac.push(cur);
+            }
+        }
+        Jacobian::batch_normalize(&jac)
+    }
+
+    fn shift_cases<K: Curve>() {
+        // 130 bases: one range crosses a normalisation block boundary.
+        let points = point_run::<K>(NORMALIZE_BLOCK + 2, 0x5E7);
+        let serial = serial_shifts(&points, 16);
+        for ranges in 1..=8 {
+            assert_eq!(shift_rows(&points, 16, ranges), serial, "{ranges} ranges");
+        }
+        for n in [0, 3] {
+            assert_eq!(
+                shift_rows(&points[..n], 16, 8),
+                serial_shifts(&points[..n], 16)
+            );
+        }
+    }
+
+    #[test]
+    fn table_rows_built_on_any_split_are_the_serial_rows_on_both_curves() {
+        shift_cases::<Secp256k1>();
+        shift_cases::<Secp256r1>();
     }
 
     #[test]
@@ -1049,18 +1318,20 @@ pub(crate) mod tests {
     fn ranges_balance_work_not_bucket_count() {
         // The shape of 8 192 ≤ 40-bit openings on a 12-bit table: three
         // windows spread over all 4 095 buckets, the top one piles into
-        // digits 8–15. Two ranges meet near bucket 1 660, not 2 048, and
-        // differ by less than one bucket's work.
+        // digits 8–15. Priced with the two-level running sum (≈ 13
+        // products a bucket), two ranges meet near bucket 1 550, not
+        // 2 048, and differ by less than one bucket's work.
         let mut sizes = vec![6; 4095];
         for size in &mut sizes[7..15] {
             *size += 1024;
         }
         let starts = range_starts(&sizes, 2);
         assert_eq!(starts.len(), 2);
-        assert!((1600..1700).contains(&starts[1]), "split at {}", starts[1]);
+        assert!((1500..1600).contains(&starts[1]), "split at {}", starts[1]);
         let (low, high) = sizes.split_at(starts[1]);
-        let work = |s: &[usize]| s.iter().map(|&n| bucket_muls(n)).sum::<usize>();
-        assert!(work(low).abs_diff(work(high)) <= bucket_muls(sizes[starts[1]]));
+        let price = bucket_muls(sizes.len());
+        let work = |s: &[usize]| s.iter().copied().map(&price).sum::<usize>();
+        assert!(work(low).abs_diff(work(high)) <= price(sizes[starts[1]]));
     }
 
     /// Median wall time of `f` over `runs` runs, in µs; `setup` is untimed.
@@ -1109,7 +1380,7 @@ pub(crate) mod tests {
                     .collect();
                 let buckets = (1 << table.window) - 1;
                 let sizes = bucket_sizes(buckets, &table.entries(&centred));
-                let muls: usize = sizes.iter().map(|&n| bucket_muls(n)).sum();
+                let muls: usize = sizes.iter().copied().map(bucket_muls(buckets)).sum();
                 let time = |ranges| {
                     median_us(
                         31,
@@ -1126,6 +1397,33 @@ pub(crate) mod tests {
                     split / serial
                 );
             }
+        }
+    }
+
+    /// The measurement behind [`running_sum`]'s choice: both running sums
+    /// over `m` full buckets on one thread, beside their operation counts.
+    /// Run with `cargo test --release -p dfl-crypto --lib
+    /// running_sum_crossover -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing table; run by hand in release"]
+    fn running_sum_crossover() {
+        println!("running sums over m full buckets, median of 31 (µs)");
+        println!(
+            "{:>5} {:>8} {:>8} {:>9} {:>9} {:>7}",
+            "m", "1-level", "2-level", "1 (muls)", "2 (muls)", "ratio"
+        );
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let pool: Vec<Affine<C>> = (0..4095).map(|_| Affine::random(&mut rng)).collect();
+        for m in [63, 127, 191, 255, 383, 511, 1023, 2047, 4095] {
+            let sums = &pool[..m];
+            let one = median_us(31, || (), |()| bucket_running_sum(sums));
+            let two = median_us(31, || (), |()| row_column_sum(sums));
+            println!(
+                "{m:>5} {one:>8.1} {two:>8.1} {:>9} {:>9} {:>7.2}",
+                RUNNING_SUM_MULS * m,
+                row_column_muls(m),
+                two / one
+            );
         }
     }
 

@@ -29,7 +29,7 @@ use std::fmt;
 use crate::bigint::U256;
 use crate::curve::{Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
-use crate::msm::{self, map_split, ranges_for, MsmTable};
+use crate::msm::{self, map_split, ranges_for, MsmTable, FERMAT_MULS};
 use crate::sha256::Sha256;
 
 /// Public parameters: a vector of generators with no known discrete-log
@@ -57,11 +57,13 @@ impl<C: Curve> PartialEq for CommitKey<C> {
 impl<C: Curve> Eq for CommitKey<C> {}
 
 impl<C: Curve> CommitKey<C> {
-    /// Derives `n` generators from `seed`.
+    /// Derives `n` generators from `seed`, on every core once that is
+    /// worth it by the rule a large bucket pass splits by (see [`msm`]): a
+    /// generator costs about two square roots, one Fermat exponentiation
+    /// each. The generators do not depend on the split.
     pub fn setup(n: usize, seed: &[u8]) -> CommitKey<C> {
-        let generators = (0..n).map(|i| hash_to_curve::<C>(seed, i as u64)).collect();
         CommitKey {
-            generators,
+            generators: derive_generators(n, seed, ranges_for(n * 2 * FERMAT_MULS)),
             seed: seed.to_vec(),
             table: None,
         }
@@ -556,6 +558,22 @@ impl<C: Curve> Default for Commitment<C> {
     }
 }
 
+/// The first `n` generators of `seed`, their indices split into at most
+/// `ranges` contiguous runs, each on its own thread and writing its own
+/// part of one vector allocated here. Every generator depends on its
+/// index alone, so the key does not depend on the split.
+fn derive_generators<C: Curve>(n: usize, seed: &[u8], ranges: usize) -> Vec<Affine<C>> {
+    let mut generators = vec![Affine::identity(); n];
+    let per_range = n.div_ceil(ranges).max(1);
+    let parts: Vec<_> = generators.chunks_mut(per_range).enumerate().collect();
+    map_split(parts, |(k, slots)| {
+        for (i, slot) in (k * per_range..).zip(slots) {
+            *slot = hash_to_curve(seed, i as u64);
+        }
+    });
+    generators
+}
+
 /// Derives the `index`-th generator from `seed` by try-and-increment:
 /// hash `(seed, index, counter)` to an x-coordinate candidate and take the
 /// first that lies on the curve (even-y branch). Both curves have cofactor 1
@@ -624,6 +642,25 @@ mod tests {
         assert_eq!(a.generators(), b.generators());
         let c = CommitKey::<K1>::setup(8, b"other-seed");
         assert_ne!(a.generators(), c.generators());
+    }
+
+    fn generator_cases<C: Curve>() {
+        let serial: Vec<Affine<C>> = (0..37).map(|i| hash_to_curve(b"split", i)).collect();
+        for ranges in 1..=8 {
+            assert_eq!(
+                derive_generators(37, b"split", ranges),
+                serial,
+                "{ranges} ranges"
+            );
+        }
+        assert_eq!(derive_generators::<C>(3, b"split", 8), serial[..3]);
+        assert!(derive_generators::<C>(0, b"split", 8).is_empty());
+    }
+
+    #[test]
+    fn generators_derived_on_any_split_are_the_serial_key_on_both_curves() {
+        generator_cases::<Secp256k1>();
+        generator_cases::<Secp256r1>();
     }
 
     #[test]
