@@ -4,7 +4,14 @@
 //! evaluation (§V). Each `figN_*` function reproduces one figure's setup
 //! and returns the measured series; the `examples/figN_*` binaries print
 //! them and the Criterion benches in `benches/` wrap the underlying
-//! operations for statistically robust timing.
+//! operations for statistically robust timing
+//! (`cargo bench -p dfl-bench -- --test` runs each bench once).
+//!
+//! Beside the figures it holds the fixtures the root tests and examples
+//! share: the storage-churn sweep, the synthetic swarm that drives the
+//! flow allocator at scale, the overlay configuration, and
+//! [`trace_fingerprint`], the one definition of "two runs behaved alike".
+//! End-to-end and per-layer timings live in the `benchmark/` package.
 //!
 //! | Paper figure | Function | Setup |
 //! |---|---|---|
@@ -18,10 +25,11 @@ use dfl_crypto::curve::{Curve, Scalar, Secp256k1, Secp256r1};
 use dfl_crypto::pedersen::CommitKey;
 use dfl_crypto::sha256::Sha256;
 use dfl_ml::{Dataset, Matrix, SgdConfig, SyntheticModel};
-use dfl_netsim::{FaultPlan, NodeId, SimDuration, SimTime, Simulation, Trace};
-use ipls::overlay::OverlayTree;
+use dfl_netsim::{
+    Actor, Context, FaultPlan, LinkSpec, NodeId, SimDuration, SimTime, Simulation, Trace,
+};
 use ipls::runner::run_task_in;
-use ipls::{labels, CommMode, Msg, TaskConfig, TaskReport};
+use ipls::{CommMode, Msg, TaskConfig, TaskReport};
 
 /// Bytes per encoded parameter on the wire (fixed-point i64).
 pub const BYTES_PER_ELEMENT: usize = 8;
@@ -342,105 +350,6 @@ pub fn fig3_default_sizes() -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_netsim.json
-// ---------------------------------------------------------------------------
-
-fn json_f64(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Hand-formats the churn wire costs, the scale sweep and the overlay
-/// sweep as the `BENCH_netsim.json` document (the repo carries no JSON
-/// dependency; the schema is flat enough to emit directly).
-pub fn netsim_report_json(
-    churn: &[ChurnPoint],
-    scale: &[ScalePoint],
-    overlay: &[OverlayPoint],
-) -> String {
-    let mut out = String::from("{\n  \"churn_wire_cost\": [\n");
-    for (i, p) in churn.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"outage_secs\": {},\n",
-            json_f64(p.outage_secs)
-        ));
-        out.push_str(&format!(
-            "      \"completed_rounds\": {},\n      \"rounds\": {},\n",
-            p.completed_rounds, p.rounds
-        ));
-        out.push_str(&format!(
-            "      \"total_tx_bytes\": {},\n",
-            p.total_tx_bytes
-        ));
-        out.push_str(&format!(
-            "      \"wire_wasted_bytes\": {},\n",
-            p.wire_wasted_bytes
-        ));
-        out.push_str(&format!("      \"wasted_bytes\": {}\n", p.wasted_bytes));
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < churn.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"scale\": [\n");
-    for (i, p) in scale.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"trainers\": {},\n", p.trainers));
-        out.push_str(&format!("      \"nodes\": {},\n", p.nodes));
-        out.push_str(&format!("      \"uploads\": {},\n", p.uploads));
-        out.push_str(&format!(
-            "      \"incremental_ms\": {},\n",
-            json_f64(p.incremental_ms)
-        ));
-        out.push_str(&format!(
-            "      \"reference_ms\": {},\n",
-            p.reference_ms.map_or("null".to_string(), json_f64)
-        ));
-        out.push_str(&format!(
-            "      \"speedup\": {},\n",
-            p.speedup().map_or("null".to_string(), json_f64)
-        ));
-        out.push_str(&format!(
-            "      \"peak_rss_kb\": {}\n",
-            p.peak_rss_kb.map_or("null".to_string(), |v| v.to_string())
-        ));
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < scale.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"overlay\": [\n");
-    for (i, p) in overlay.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"trainers\": {},\n", p.trainers));
-        out.push_str(&format!("      \"branching\": {},\n", p.branching));
-        out.push_str(&format!("      \"levels\": {},\n", p.levels));
-        out.push_str(&format!(
-            "      \"completed_rounds\": {},\n",
-            p.completed_rounds
-        ));
-        out.push_str(&format!("      \"agg_msgs_max\": {},\n", p.agg_msgs_max));
-        out.push_str(&format!("      \"work_bound\": {},\n", p.work_bound));
-        out.push_str(&format!("      \"fan_in_max\": {},\n", p.fan_in_max));
-        out.push_str(&format!(
-            "      \"partials_forwarded\": {},\n",
-            p.partials_forwarded
-        ));
-        out.push_str(&format!(
-            "      \"round_secs\": {},\n",
-            json_f64(p.round_secs)
-        ));
-        out.push_str(&format!("      \"wall_ms\": {}\n", json_f64(p.wall_ms)));
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < overlay.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Churn sweep (storage fault tolerance)
 // ---------------------------------------------------------------------------
 
@@ -541,12 +450,12 @@ pub fn churn_sweep() -> Vec<ChurnPoint> {
 }
 
 // ---------------------------------------------------------------------------
-// Swarm scale benchmark (incremental flow reallocation)
+// Swarm workload (incremental flow reallocation at scale)
 // ---------------------------------------------------------------------------
 
 /// Message type of the synthetic swarm workload.
 #[derive(Clone, Copy, Debug)]
-pub enum SwarmMsg {
+enum SwarmMsg {
     /// A gradient payload from a trainer.
     Upload,
     /// The provider's zero-byte acknowledgment.
@@ -556,23 +465,18 @@ pub enum SwarmMsg {
 /// Uploads a gradient-sized payload per wave, the next wave gated on the
 /// provider's ack — so flow arrivals and completions churn continuously.
 struct SwarmTrainer {
-    provider: dfl_netsim::engine::NodeId,
+    provider: NodeId,
     bytes: u64,
     waves_left: u32,
     start_delay: SimDuration,
 }
 
-impl dfl_netsim::engine::Actor<SwarmMsg> for SwarmTrainer {
-    fn on_start(&mut self, ctx: &mut dfl_netsim::engine::Context<'_, SwarmMsg>) {
+impl Actor<SwarmMsg> for SwarmTrainer {
+    fn on_start(&mut self, ctx: &mut Context<'_, SwarmMsg>) {
         ctx.set_timer(self.start_delay, 0);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut dfl_netsim::engine::Context<'_, SwarmMsg>,
-        _from: dfl_netsim::engine::NodeId,
-        _msg: SwarmMsg,
-    ) {
+    fn on_message(&mut self, ctx: &mut Context<'_, SwarmMsg>, _from: NodeId, _msg: SwarmMsg) {
         self.waves_left -= 1;
         if self.waves_left > 0 {
             // Vary the next wave's size so rates keep shifting.
@@ -581,7 +485,7 @@ impl dfl_netsim::engine::Actor<SwarmMsg> for SwarmTrainer {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dfl_netsim::engine::Context<'_, SwarmMsg>, _token: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, SwarmMsg>, _token: u64) {
         ctx.send(self.provider, self.bytes, SwarmMsg::Upload);
     }
 }
@@ -589,14 +493,9 @@ impl dfl_netsim::engine::Actor<SwarmMsg> for SwarmTrainer {
 /// Counts uploads and acks each one with a zero-byte control message.
 struct SwarmProvider;
 
-impl dfl_netsim::engine::Actor<SwarmMsg> for SwarmProvider {
-    fn on_message(
-        &mut self,
-        ctx: &mut dfl_netsim::engine::Context<'_, SwarmMsg>,
-        from: dfl_netsim::engine::NodeId,
-        _msg: SwarmMsg,
-    ) {
-        ctx.incr("swarm/upload", 1);
+impl Actor<SwarmMsg> for SwarmProvider {
+    fn on_message(&mut self, ctx: &mut Context<'_, SwarmMsg>, from: NodeId, _msg: SwarmMsg) {
+        ctx.incr(SWARM_UPLOADS, 1);
         ctx.send(from, 0, SwarmMsg::Ack);
     }
 }
@@ -604,32 +503,15 @@ impl dfl_netsim::engine::Actor<SwarmMsg> for SwarmProvider {
 /// Waves each trainer uploads in the swarm workload.
 pub const SWARM_WAVES: u32 = 2;
 
-/// Builds and runs the synthetic swarm: `trainers` nodes behind 10 Mbps
-/// links, each uploading [`SWARM_WAVES`] ~100–130 kB gradients (ack-gated)
-/// to one of `trainers/16` providers, paper-style. Returns the number of
-/// uploads that completed and the wall-clock milliseconds the run took.
-///
-/// The workload is deterministic, so the upload count is a correctness
-/// check: both allocators must complete every one of
-/// `trainers × SWARM_WAVES` uploads.
-pub fn swarm_run(trainers: usize, reference: bool) -> (u64, f64) {
-    let mut sim = swarm_sim(trainers, reference);
-    let start = Instant::now();
-    sim.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    (sim.trace().counter("swarm/upload"), wall_ms)
-}
+/// Counter of the uploads a swarm's providers received: every one of
+/// `trainers × SWARM_WAVES` must complete, under either allocator.
+pub const SWARM_UPLOADS: &str = "swarm/upload";
 
-/// Runs the swarm workload and returns a fingerprint of its full trace —
-/// the run-to-run determinism check at scale.
-pub fn swarm_trace_hash(trainers: usize, reference: bool) -> u64 {
-    let mut sim = swarm_sim(trainers, reference);
-    sim.run();
-    trace_fingerprint(sim.trace())
-}
-
-fn swarm_sim(trainers: usize, reference: bool) -> dfl_netsim::engine::Simulation<SwarmMsg> {
-    use dfl_netsim::engine::{LinkSpec, NodeId as NetNodeId, Simulation};
+/// Builds and runs the synthetic swarm and returns its trace: `trainers`
+/// nodes behind 10 Mbps links, each uploading [`SWARM_WAVES`] ~100–130 kB
+/// gradients (ack-gated) to one of `trainers/16` providers, paper-style,
+/// under the incremental allocator or (`reference`) the global recompute.
+pub fn swarm_trace(trainers: usize, reference: bool) -> Trace {
     let providers = (trainers / 16).max(1);
     let mut sim: Simulation<SwarmMsg> = Simulation::new();
     sim.set_reference_allocator(reference);
@@ -637,7 +519,7 @@ fn swarm_sim(trainers: usize, reference: bool) -> dfl_netsim::engine::Simulation
     for i in 0..trainers {
         sim.add_node(
             SwarmTrainer {
-                provider: NetNodeId(trainers + (i % providers)),
+                provider: NodeId(trainers + (i % providers)),
                 bytes: 100_000 + (i as u64 * 7_919) % 30_000,
                 waves_left: SWARM_WAVES,
                 start_delay: SimDuration::from_millis((i % 64) as u64),
@@ -650,7 +532,14 @@ fn swarm_sim(trainers: usize, reference: bool) -> dfl_netsim::engine::Simulation
     }
     // Safety stop well past the contended completion horizon.
     sim.set_time_limit(SimTime::from_micros(600_000_000));
-    sim
+    sim.run();
+    sim.into_trace()
+}
+
+/// [`trace_fingerprint`] of [`swarm_trace`] — the run-to-run determinism
+/// check at scale.
+pub fn swarm_trace_hash(trainers: usize, reference: bool) -> u64 {
+    trace_fingerprint(&swarm_trace(trainers, reference))
 }
 
 /// FNV-1a over every observable output of a run: each event's time, node,
@@ -680,117 +569,11 @@ pub fn trace_fingerprint(trace: &Trace) -> u64 {
     h
 }
 
-/// One point of the netsim scale sweep: the swarm workload at `trainers`
-/// trainers, timed under the incremental allocator and (optionally) the
-/// reference global recompute.
-#[derive(Clone, Debug)]
-pub struct ScalePoint {
-    /// Trainers in the swarm.
-    pub trainers: usize,
-    /// Total simulated nodes (trainers + providers).
-    pub nodes: usize,
-    /// Uploads completed (must equal `trainers × SWARM_WAVES`).
-    pub uploads: u64,
-    /// Wall-clock ms under the incremental component-scoped allocator.
-    pub incremental_ms: f64,
-    /// Wall-clock ms under the reference global allocator (`None` when the
-    /// point was too large to time the quadratic path).
-    pub reference_ms: Option<f64>,
-    /// Process peak resident set (VmHWM, kB) sampled after the incremental
-    /// run. Process-wide high-water mark: meaningful when points run in
-    /// ascending size order before other large allocations.
-    pub peak_rss_kb: Option<u64>,
-}
-
-impl ScalePoint {
-    /// Reference / incremental wall-clock ratio, when both were timed.
-    pub fn speedup(&self) -> Option<f64> {
-        self.reference_ms.map(|r| r / self.incremental_ms.max(1e-9))
-    }
-}
-
-/// Peak resident set size (VmHWM) of this process in kB, from
-/// `/proc/self/status`. `None` off Linux or if the field is missing.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Runs one scale point; times the reference allocator too when
-/// `with_reference` (and asserts both complete the same uploads).
-pub fn scale_point(trainers: usize, with_reference: bool) -> ScalePoint {
-    let (uploads, incremental_ms) = swarm_run(trainers, false);
-    assert_eq!(
-        uploads,
-        trainers as u64 * SWARM_WAVES as u64,
-        "incremental allocator dropped uploads at n={trainers}"
-    );
-    let peak = peak_rss_kb();
-    let reference_ms = with_reference.then(|| {
-        let (ref_uploads, ms) = swarm_run(trainers, true);
-        assert_eq!(ref_uploads, uploads, "allocators disagree at n={trainers}");
-        ms
-    });
-    ScalePoint {
-        trainers,
-        nodes: trainers + (trainers / 16).max(1),
-        uploads,
-        incremental_ms,
-        reference_ms,
-        peak_rss_kb: peak,
-    }
-}
-
-/// The scale sweep: one [`ScalePoint`] per entry of `sizes` (run in the
-/// given order; ascending keeps the RSS column meaningful). The reference
-/// allocator is only timed for sizes ≤ `reference_max` — beyond that the
-/// global-recompute path takes minutes per point.
-pub fn scale_sweep(sizes: &[usize], reference_max: usize) -> Vec<ScalePoint> {
-    sizes
-        .iter()
-        .map(|&n| scale_point(n, n <= reference_max))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
-// Hierarchical aggregation overlay sweep
+// Hierarchical aggregation overlay
 // ---------------------------------------------------------------------------
 
-/// Branching factor used by the overlay sweep (fan-in bound per level).
-pub const OVERLAY_BRANCHING: usize = 8;
-
-/// One point of the overlay sweep: a full verifiable round through the
-/// multi-level aggregation overlay at `trainers` trainers, with the
-/// per-node work extracted from the trace.
-#[derive(Clone, Debug)]
-pub struct OverlayPoint {
-    /// Trainers in the swarm.
-    pub trainers: usize,
-    /// Overlay branching factor `b`.
-    pub branching: usize,
-    /// Levels in the overlay tree (a flat round would be 1 level of
-    /// `trainers` fan-in; the overlay caps fan-in at `b` per level).
-    pub levels: usize,
-    /// Rounds that completed (must equal the configured rounds).
-    pub completed_rounds: u64,
-    /// Overlay messages processed by the busiest aggregator — the
-    /// sub-linearity headline. Bounded by `work_bound`, not by `trainers`.
-    pub agg_msgs_max: u64,
-    /// The per-node work bound the overlay guarantees: `b × levels`.
-    pub work_bound: u64,
-    /// Child partials received by the busiest interior trainer (fan-in;
-    /// at most `b` per round).
-    pub fan_in_max: u64,
-    /// Partial aggregates forwarded across the whole overlay.
-    pub partials_forwarded: u64,
-    /// Duration of the completed round (simulated seconds).
-    pub round_secs: f64,
-    /// Wall-clock milliseconds the simulation took on this machine.
-    pub wall_ms: f64,
-}
-
-/// Overlay sweep base setup: one verifiable partition, one aggregator,
+/// Overlay base setup: one verifiable partition, one aggregator,
 /// branching-8 overlay, direct communication (the overlay replaces the
 /// storage upload path entirely — partials travel trainer-to-trainer).
 pub fn overlay_config(trainers: usize) -> TaskConfig {
@@ -803,7 +586,7 @@ pub fn overlay_config(trainers: usize) -> TaskConfig {
         verifiable: true,
         batch_verify: true,
         commit_precompute: true,
-        overlay_branching: Some(OVERLAY_BRANCHING),
+        overlay_branching: Some(8),
         rounds: 1,
         bandwidth_mbps: 50,
         latency: SimDuration::from_millis(5),
@@ -815,75 +598,11 @@ pub fn overlay_config(trainers: usize) -> TaskConfig {
     }
 }
 
-/// Parameter count of the overlay sweep's synthetic model. Small on
-/// purpose: the sweep measures message-topology work, which does not
+/// Parameter count of the overlay's synthetic model. Small on purpose:
+/// the overlay is measured by message-topology work, which does not
 /// depend on the payload size.
 pub fn overlay_param_count() -> usize {
     32
-}
-
-/// Runs one overlay point and checks the per-node work bounds: the
-/// busiest aggregator must process at most `b × levels` overlay messages
-/// and the busiest interior trainer at most `b` child partials per round.
-///
-/// # Panics
-///
-/// Panics if the round fails to complete or either bound is exceeded.
-pub fn overlay_point(trainers: usize) -> OverlayPoint {
-    let cfg = overlay_config(trainers);
-    let branching = cfg.overlay_branching.expect("overlay config has branching");
-    let rounds = cfg.rounds;
-    let start = Instant::now();
-    let report = run_network_experiment(cfg.clone(), overlay_param_count());
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        report.succeeded(&cfg),
-        "overlay round incomplete at n={trainers}: {}/{} rounds",
-        report.completed_rounds,
-        rounds
-    );
-
-    // One pass over the trace: per-node counts of the two work labels.
-    let mut agg_msgs: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
-    let mut fan_in: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
-    for e in report.trace.events() {
-        let name = report.trace.label_name(e.label);
-        if name == labels::OVERLAY_AGG_MSG {
-            *agg_msgs.entry(e.node.index()).or_insert(0) += 1;
-        } else if name == labels::OVERLAY_CHILD_RECV {
-            *fan_in.entry(e.node.index()).or_insert(0) += 1;
-        }
-    }
-    let agg_msgs_max = agg_msgs.values().copied().max().unwrap_or(0);
-    let fan_in_max = fan_in.values().copied().max().unwrap_or(0);
-    let levels = OverlayTree::new(trainers, branching, cfg.seed).levels();
-    let work_bound = (branching * levels) as u64 * rounds;
-    assert!(
-        agg_msgs_max <= work_bound,
-        "aggregator processed {agg_msgs_max} overlay messages at n={trainers}, bound {work_bound}"
-    );
-    assert!(
-        fan_in_max <= branching as u64 * rounds,
-        "interior fan-in {fan_in_max} exceeds branching {branching} at n={trainers}"
-    );
-
-    OverlayPoint {
-        trainers,
-        branching,
-        levels,
-        completed_rounds: report.completed_rounds,
-        agg_msgs_max,
-        work_bound,
-        fan_in_max,
-        partials_forwarded: report.trace.count(labels::OVERLAY_FORWARDED) as u64,
-        round_secs: report.rounds.first().map_or(0.0, |r| r.round_duration),
-        wall_ms,
-    }
-}
-
-/// The overlay sweep: one [`OverlayPoint`] per swarm size, ascending.
-pub fn overlay_sweep(sizes: &[usize]) -> Vec<OverlayPoint> {
-    sizes.iter().map(|&n| overlay_point(n)).collect()
 }
 
 #[cfg(test)]
@@ -931,39 +650,6 @@ mod tests {
         assert!(point.total_tx_bytes > 0);
         assert_eq!(point.wire_wasted_bytes, 0);
         assert_eq!(point.wasted_bytes, 0);
-    }
-
-    #[test]
-    fn overlay_point_completes_with_bounded_per_node_work() {
-        // 200 trainers at branching 8 is a 3-level overlay; overlay_point
-        // asserts internally that the round completes, the aggregator
-        // processes ≤ b × levels overlay messages, and no interior node
-        // sees more than b child partials.
-        let point = overlay_point(200);
-        assert_eq!(point.trainers, 200);
-        assert_eq!(point.branching, OVERLAY_BRANCHING);
-        assert!(point.levels >= 3, "200 trainers at b=8 is ≥3 levels");
-        assert_eq!(point.completed_rounds, 1);
-        // The headline property: aggregator work is a constant (one root
-        // partial per round), far below the flat round's 200 messages.
-        assert!(point.agg_msgs_max <= point.work_bound);
-        assert!(point.agg_msgs_max < 200);
-        assert!(point.fan_in_max > 0 && point.fan_in_max <= 8);
-        let json = netsim_report_json(&[], &[], std::slice::from_ref(&point));
-        assert!(json.contains("\"trainers\": 200"));
-        assert!(json.contains("\"agg_msgs_max\""));
-    }
-
-    #[test]
-    fn swarm_scale_point_completes_and_allocators_agree() {
-        // A small swarm (64 trainers, 4 providers) through both
-        // allocators: every ack-gated upload wave must complete, and the
-        // two paths must agree on the outcome.
-        let point = scale_point(64, true);
-        assert_eq!(point.uploads, 64 * SWARM_WAVES as u64);
-        assert_eq!(point.nodes, 68);
-        assert!(point.incremental_ms > 0.0);
-        assert!(point.reference_ms.is_some());
     }
 
     #[test]

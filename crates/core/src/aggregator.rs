@@ -339,8 +339,8 @@ impl OverlaySink {
     ) {
         let (trainer, data) = (partial.0, &partial.1);
         // Every message processed in overlay mode is booked: per-node
-        // event counts of this label are the bench's per-aggregator work
-        // measurement (bounded by partitions, not by trainers).
+        // event counts of this label are the overlay tests' per-aggregator
+        // work measurement (bounded by partitions, not by trainers).
         out.record(labels::OVERLAY_AGG_MSG, iter as f64);
         if iter != self.iter || self.stage == Stage::Done {
             return;

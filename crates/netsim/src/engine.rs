@@ -107,7 +107,7 @@ struct Flow<M> {
     rate_since: SimTime,
     /// Predicted completion instant; `None` while starved (rate 0).
     done_at: Option<SimTime>,
-    msg: Option<M>,
+    msg: M,
     total_bytes: u64,
 }
 
@@ -434,6 +434,8 @@ impl<M> Simulation<M> {
     ///
     /// Panics if `id` is out of range.
     pub fn actor(&self, id: NodeId) -> &dyn Actor<M> {
+        // Proof: a slot is empty only inside `dispatch`, which holds `&mut self`.
+        #[allow(clippy::expect_used)]
         self.actors[id.0]
             .as_deref()
             .expect("actor present outside callbacks")
@@ -479,6 +481,9 @@ impl<M> Simulation<M> {
                     break;
                 }
             }
+            // Proof: `push_event` stores a body under every key it queues,
+            // and this is the only line that removes one.
+            #[allow(clippy::expect_used)]
             let kind = self.queued.remove(&key).expect("queued event has a body");
             debug_assert!(time >= self.now, "time must not run backwards");
             self.now = time;
@@ -519,9 +524,10 @@ impl<M> Simulation<M> {
                             }
                             continue;
                         }
-                        let msg = flow.msg.expect("deliver carries the message");
                         self.trace.count_bytes(flow.src, flow.dst, flow.total_bytes);
-                        self.dispatch(flow.dst, |actor, ctx| actor.on_message(ctx, flow.src, msg));
+                        self.dispatch(flow.dst, |actor, ctx| {
+                            actor.on_message(ctx, flow.src, flow.msg)
+                        });
                     }
                 }
                 EventKind::Fault(fault) => self.apply_fault(fault),
@@ -531,6 +537,9 @@ impl<M> Simulation<M> {
     }
 
     fn dispatch(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Actor<M>, &mut Context<'_, M>)) {
+        // Proof: a slot is empty only while its actor runs, and an actor
+        // reaches the engine only through `Context`, which cannot dispatch.
+        #[allow(clippy::expect_used)]
         let mut actor = self.actors[node.0].take().expect("no reentrant dispatch");
         let mut ctx = Context {
             now: self.now,
@@ -561,6 +570,9 @@ impl<M> Simulation<M> {
                 torn.sort_unstable(); // deterministic trace order
                 torn.dedup(); // a self-flow lists the node as both endpoints
                 for id in torn {
+                    // Proof: a flow is in `node_flows` / `node_ctrl` exactly
+                    // while it is in `flows`; every removal updates both.
+                    #[allow(clippy::expect_used)]
                     let flow = self.flows.remove(&id).expect("listed flow exists");
                     if flow.total_bytes > 0 {
                         remove_sorted(&mut self.node_flows[flow.src.0], id);
@@ -725,7 +737,7 @@ impl<M> Simulation<M> {
                                 rate_bps: 0.0,
                                 rate_since: self.now,
                                 done_at: None,
-                                msg: Some(msg),
+                                msg,
                                 total_bytes: 0,
                             },
                         );
@@ -744,7 +756,7 @@ impl<M> Simulation<M> {
                                 rate_bps: 0.0,
                                 rate_since: self.now,
                                 done_at: None,
-                                msg: Some(msg),
+                                msg,
                                 total_bytes: bytes,
                             },
                         );
@@ -792,6 +804,9 @@ impl<M> Simulation<M> {
         finished.dedup();
 
         for &id in &finished {
+            // Proof: the loop above kept only ids found in `flows`, and
+            // nothing between here and there removes a flow.
+            #[allow(clippy::expect_used)]
             let flow = self.flows.get_mut(&id).expect("validated above");
             flow.bytes_remaining = 0.0;
             flow.rate_bps = 0.0;
@@ -881,6 +896,9 @@ impl<M> Simulation<M> {
         for k in 0..self.comp_ids.len() {
             let id = self.comp_ids[k];
             let new_rate = self.comp_rates[k];
+            // Proof: `comp_ids` was read from the active flows above, and
+            // the rate computation removes none.
+            #[allow(clippy::expect_used)]
             let flow = self.flows.get_mut(&id).expect("component flow exists");
             if new_rate == flow.rate_bps {
                 // Unchanged rate: leave progress, prediction, and the

@@ -71,6 +71,9 @@ pub fn max_min_rates(flows: &[FlowDesc], up_bps: &[f64], down_bps: &[f64]) -> Ve
                 _ => best = Some((c, share)),
             }
         }
+        // Proof: an unfrozen flow counts in both constraints it crosses, so
+        // at least one constraint has `unfrozen_count > 0`.
+        #[allow(clippy::expect_used)]
         let (bottleneck, share) = best.expect("unfrozen flows imply an active constraint");
 
         // Freeze every unfrozen flow crossing the bottleneck at the share,
@@ -223,6 +226,9 @@ impl WaterFiller {
 
         let mut n_frozen = 0;
         while n_frozen < flows.len() {
+            // Proof: a constraint with an unfrozen flow always has an entry
+            // at its current share, so the heap cannot drain first.
+            #[allow(clippy::expect_used)]
             let Reverse((Share(share), bottleneck)) = self
                 .heap
                 .pop()

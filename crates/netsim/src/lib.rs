@@ -20,6 +20,7 @@
 //!   or thread nondeterminism), so experiments are exactly reproducible.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod engine;
 pub mod fair;

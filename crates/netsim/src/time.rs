@@ -118,10 +118,15 @@ impl Add for SimDuration {
     }
 }
 
+/// # Panics
+///
+/// Panics if `rhs` is longer than `self`, as [`SimTime::duration_since`]
+/// does for an `earlier` that is later.
 impl Sub for SimDuration {
     type Output = SimDuration;
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_sub(rhs.0).expect("duration underflow"))
+        assert!(rhs.0 <= self.0, "duration underflow");
+        SimDuration(self.0 - rhs.0)
     }
 }
 

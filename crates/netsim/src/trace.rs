@@ -16,7 +16,7 @@
 //! [`Trace::find_all`] / [`Trace::first`] / [`Trace::last`] /
 //! [`Trace::count`] / [`Trace::sum`] index lookups instead of full event
 //! scans — on a Fig. 2-scale trace the report queries no longer rescan the
-//! whole run once per label (see `BENCH_netsim.json`).
+//! whole run once per label.
 //!
 //! ## Export
 //!

@@ -245,10 +245,10 @@ fn ten_thousand_concurrent_flows_conserve_bytes_exactly() {
 fn churn_wasted_bytes_regression() {
     // Pins the wasted-byte accounting for the standard churn point
     // (outage 4 s, period 10 s, churn seed 42 — the same point
-    // `examples/availability.rs` and BENCH_netsim.json report). The
+    // `examples/availability.rs` and EXPERIMENTS.md report). The
     // simulation is deterministic, so any change to this value means the
     // byte accounting (or the protocol's retry behavior) changed and the
-    // recorded artifacts must be regenerated.
+    // recorded tables must be regenerated.
     let point = dfl_bench::churn_run(SimDuration::from_secs(4), SimDuration::from_secs(10), 42);
     assert_eq!(point.completed_rounds, point.rounds);
     assert_eq!(
