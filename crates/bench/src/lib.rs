@@ -3,15 +3,15 @@
 //! The experiment harness that regenerates every figure of the paper's
 //! evaluation (§V). Each `figN_*` function reproduces one figure's setup
 //! and returns the measured series; the `examples/figN_*` binaries print
-//! them and the Criterion benches in `benches/` wrap the underlying
-//! operations for statistically robust timing
-//! (`cargo bench -p dfl-bench -- --test` runs each bench once).
+//! them and `tests/experiment_shapes.rs` pins their shapes. Two ablations
+//! ride along: [`replication_run`] (printed by `examples/availability`)
+//! and [`verify_run`] (printed by `examples/fig3_commitment`).
 //!
 //! Beside the figures it holds the fixtures the root tests and examples
 //! share: the storage-churn sweep, the synthetic swarm that drives the
 //! flow allocator at scale, the overlay configuration, and
 //! [`trace_fingerprint`], the one definition of "two runs behaved alike".
-//! End-to-end and per-layer timings live in the `benchmark/` package.
+//! Wall-clock timings live in the `benchmark/` package.
 //!
 //! | Paper figure | Function | Setup |
 //! |---|---|---|
@@ -32,7 +32,7 @@ use ipls::runner::run_task_in;
 use ipls::{CommMode, Msg, TaskConfig, TaskReport};
 
 /// Bytes per encoded parameter on the wire (fixed-point i64).
-pub const BYTES_PER_ELEMENT: usize = 8;
+const BYTES_PER_ELEMENT: usize = 8;
 
 /// Runs one network experiment round with a synthetic model of
 /// `param_count` parameters and returns the report.
@@ -114,8 +114,9 @@ pub fn fig1_param_count() -> usize {
     1_300_000 / BYTES_PER_ELEMENT
 }
 
-/// Runs one Fig. 1 point.
-pub fn fig1_run(comm: CommMode, providers: usize) -> Fig1Point {
+/// Runs one Fig. 1 point with a partition of `params` parameters
+/// ([`fig1_param_count`] is the paper's size).
+pub fn fig1_run(comm: CommMode, providers: usize, params: usize) -> Fig1Point {
     let mut cfg = fig1_config();
     cfg.comm = comm;
     cfg.providers_per_aggregator = providers.max(1);
@@ -123,7 +124,7 @@ pub fn fig1_run(comm: CommMode, providers: usize) -> Fig1Point {
         // The "naive" series stores gradients on `providers` gateways.
         cfg.ipfs_nodes = providers.max(1);
     }
-    let report = run_network_experiment(cfg, fig1_param_count());
+    let report = run_network_experiment(cfg, params);
     let round = report.rounds.first().expect("round completed");
     Fig1Point {
         label: match comm {
@@ -140,12 +141,13 @@ pub fn fig1_run(comm: CommMode, providers: usize) -> Fig1Point {
 /// The full Fig. 1 sweep: merge-and-download with 1–16 providers, plus the
 /// naive-indirect and direct baselines at 8 providers.
 pub fn fig1_providers() -> Vec<Fig1Point> {
+    let params = fig1_param_count();
     let mut points: Vec<Fig1Point> = [1usize, 2, 4, 8, 16]
         .iter()
-        .map(|&p| fig1_run(CommMode::MergeAndDownload, p))
+        .map(|&p| fig1_run(CommMode::MergeAndDownload, p, params))
         .collect();
-    points.push(fig1_run(CommMode::Indirect, 8));
-    points.push(fig1_run(CommMode::Direct, 8));
+    points.push(fig1_run(CommMode::Indirect, 8, params));
+    points.push(fig1_run(CommMode::Direct, 8, params));
     points
 }
 
@@ -197,15 +199,17 @@ pub fn fig2_param_count() -> usize {
     4 * 1_100_000 / BYTES_PER_ELEMENT
 }
 
-/// Runs one Fig. 2 point.
-pub fn fig2_run(aggregators_per_partition: usize) -> Fig2Point {
+/// Runs one Fig. 2 point on a model of `params` parameters
+/// ([`fig2_param_count`] is the paper's size).
+pub fn fig2_run(aggregators_per_partition: usize, params: usize) -> Fig2Point {
     let mut cfg = fig2_config();
     cfg.aggregators_per_partition = aggregators_per_partition;
-    let report = run_network_experiment(cfg.clone(), fig2_param_count());
+    let report = run_network_experiment(cfg.clone(), params);
     let round = report.rounds.first().expect("round completed");
     let mean_bytes = report.aggregator_rx_bytes.iter().sum::<u64>() as f64
         / report.aggregator_rx_bytes.len() as f64;
-    let partition_mb = 1.1;
+    // A partition blob is its values plus the averaging counter.
+    let partition_mb = ((params / cfg.partitions + 1) * BYTES_PER_ELEMENT) as f64 / 1e6;
     let t_ij = cfg.trainers as f64 / aggregators_per_partition as f64;
     Fig2Point {
         aggregators_per_partition,
@@ -219,7 +223,10 @@ pub fn fig2_run(aggregators_per_partition: usize) -> Fig2Point {
 
 /// The full Fig. 2 sweep over `|A_i| ∈ {1, 2, 4}`.
 pub fn fig2_aggregators() -> Vec<Fig2Point> {
-    [1usize, 2, 4].iter().map(|&a| fig2_run(a)).collect()
+    [1usize, 2, 4]
+        .iter()
+        .map(|&a| fig2_run(a, fig2_param_count()))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +287,7 @@ fn deterministic_scalars<C: Curve>(n: usize) -> Vec<Scalar<C>> {
 /// # Panics
 ///
 /// Panics if any key has fewer than `elements` generators.
-pub fn fig3_run(
+fn fig3_run(
     elements: usize,
     plain_k1: &CommitKey<Secp256k1>,
     key_k1: &CommitKey<Secp256k1>,
@@ -350,6 +357,51 @@ pub fn fig3_default_sizes() -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
+// Ablations
+// ---------------------------------------------------------------------------
+
+/// Runs the replication ablation (§VI "Guarantee availability of
+/// gradients"): 8 trainers, 2 partitions of ≈ 0.26 MB on 4 storage nodes,
+/// every block pushed to `replication` of them. The replica pushes are the
+/// round-time price of the availability insurance.
+pub fn replication_run(replication: usize) -> TaskReport {
+    let cfg = TaskConfig {
+        trainers: 8,
+        partitions: 2,
+        ipfs_nodes: 4,
+        replication,
+        seed: 13,
+        ..TaskConfig::default()
+    };
+    run_network_experiment(cfg, 64 * 1024)
+}
+
+/// Simulated cost the verification ablation charges per committed element
+/// (µs): the naive-MSM slope Fig. 3 measures on one core.
+pub const VERIFY_COMMIT_US: u64 = 120;
+
+/// Parameters of the verification ablation's model.
+pub const VERIFY_PARAMS: usize = 1_024;
+
+/// Runs the verification ablation (§V "impact of verifiability"): the same
+/// 8-trainer, 2-partition task with commitments off or on, with
+/// [`VERIFY_COMMIT_US`] of simulated time charged per committed element.
+/// When on, the real group operations run as well.
+pub fn verify_run(verifiable: bool) -> TaskReport {
+    let cfg = TaskConfig {
+        trainers: 8,
+        partitions: 2,
+        aggregators_per_partition: 2,
+        ipfs_nodes: 4,
+        verifiable,
+        commit_us_per_element: if verifiable { VERIFY_COMMIT_US } else { 0 },
+        seed: 9,
+        ..TaskConfig::default()
+    };
+    run_network_experiment(cfg, VERIFY_PARAMS)
+}
+
+// ---------------------------------------------------------------------------
 // Churn sweep (storage fault tolerance)
 // ---------------------------------------------------------------------------
 
@@ -379,7 +431,7 @@ pub struct ChurnPoint {
 
 /// Churn sweep base setup: 6 trainers on 4 storage nodes, 0.4 MB model in
 /// 2 partitions, every block on 2 replicas, 2 s fetch timeout.
-pub fn churn_config() -> TaskConfig {
+fn churn_config() -> TaskConfig {
     TaskConfig {
         trainers: 6,
         partitions: 2,
@@ -399,15 +451,10 @@ pub fn churn_config() -> TaskConfig {
     }
 }
 
-/// Parameter count of the churn sweep's synthetic model (0.4 MB).
-pub fn churn_param_count() -> usize {
-    400_000 / BYTES_PER_ELEMENT
-}
-
-/// Runs one churn point: every `period`, one storage node (drawn
+/// Runs the churn task: every `period`, one storage node (drawn
 /// deterministically from `churn_seed`) crashes for `outage`. With
 /// `outage == 0` no faults are injected (the healthy baseline).
-pub fn churn_run(outage: SimDuration, period: SimDuration, churn_seed: u64) -> ChurnPoint {
+pub fn churn_report(outage: SimDuration, period: SimDuration, churn_seed: u64) -> TaskReport {
     let mut cfg = churn_config();
     if outage > SimDuration::ZERO {
         let storage: Vec<NodeId> = (1..=cfg.ipfs_nodes).map(NodeId).collect();
@@ -420,8 +467,13 @@ pub fn churn_run(outage: SimDuration, period: SimDuration, churn_seed: u64) -> C
             churn_seed,
         );
     }
-    let rounds = cfg.rounds;
-    let report = run_network_experiment(cfg, churn_param_count());
+    run_network_experiment(cfg, 400_000 / BYTES_PER_ELEMENT)
+}
+
+/// [`churn_report`], summarised as one point of the sweep.
+pub fn churn_run(outage: SimDuration, period: SimDuration, churn_seed: u64) -> ChurnPoint {
+    let rounds = churn_config().rounds;
+    let report = churn_report(outage, period, churn_seed);
     let avg_round_duration = if report.rounds.is_empty() {
         0.0
     } else {
@@ -536,12 +588,6 @@ pub fn swarm_trace(trainers: usize, reference: bool) -> Trace {
     sim.into_trace()
 }
 
-/// [`trace_fingerprint`] of [`swarm_trace`] — the run-to-run determinism
-/// check at scale.
-pub fn swarm_trace_hash(trainers: usize, reference: bool) -> u64 {
-    trace_fingerprint(&swarm_trace(trainers, reference))
-}
-
 /// FNV-1a over every observable output of a run: each event's time, node,
 /// label name, and value bits, then every counter and per-node byte total.
 /// Two runs are behaviourally identical iff their fingerprints match
@@ -603,60 +649,4 @@ pub fn overlay_config(trainers: usize) -> TaskConfig {
 /// depend on the payload size.
 pub fn overlay_param_count() -> usize {
     32
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig1_merge_point_completes() {
-        let point = fig1_run(CommMode::MergeAndDownload, 4);
-        assert!(point.aggregation_delay > 0.0);
-        assert!(point.upload_delay > 0.0);
-        assert_eq!(point.label, "4");
-    }
-
-    #[test]
-    fn fig2_point_matches_expected_bytes() {
-        let point = fig2_run(2);
-        assert!(point.total_delay > 0.0);
-        // D = (|T_ij| + |A_i| − 1) · PartitionSize = (8 + 1) · 1.1 MB.
-        assert!(
-            (point.mb_per_aggregator - point.expected_mb).abs() / point.expected_mb < 0.15,
-            "measured {} vs expected {}",
-            point.mb_per_aggregator,
-            point.expected_mb
-        );
-    }
-
-    #[test]
-    fn fig3_small_point_runs() {
-        let points = fig3_commitment(&[256]);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].pedersen_k1_ms > points[0].sha256_ms);
-        assert!(points[0].batch_affine_k1_ms > 0.0);
-        assert!(points[0].fast_k1_ms > 0.0);
-        assert!(points[0].fast_r1_ms > 0.0);
-    }
-
-    #[test]
-    fn churn_baseline_completes_every_round() {
-        let point = churn_run(SimDuration::ZERO, SimDuration::from_secs(10), 42);
-        assert_eq!(point.completed_rounds, point.rounds);
-        assert!(point.avg_round_duration > 0.0);
-        assert_eq!(point.quorum_degradations, 0);
-        // No faults → no transfer is ever torn, so nothing is wasted.
-        assert!(point.total_tx_bytes > 0);
-        assert_eq!(point.wire_wasted_bytes, 0);
-        assert_eq!(point.wasted_bytes, 0);
-    }
-
-    #[test]
-    fn churn_point_with_short_outages_still_completes() {
-        // 1 s outages are far below the 2 s fetch timeout + failover
-        // budget: retry masks them and no round is lost.
-        let point = churn_run(SimDuration::from_secs(1), SimDuration::from_secs(10), 42);
-        assert_eq!(point.completed_rounds, point.rounds);
-    }
 }

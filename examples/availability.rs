@@ -7,7 +7,8 @@
 //! The second half sweeps scheduled storage churn (crash/recover cycles of
 //! increasing outage length, `FaultPlan::churn`) and reports how many
 //! rounds survive and how much the retry/failover machinery stretches
-//! them.
+//! them. Last, it prices the insurance: the simulated round time of one
+//! task as the replication factor grows.
 //!
 //! Run with: `cargo run --release --example availability`
 
@@ -98,6 +99,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.quorum_degradations,
             p.total_tx_bytes,
             p.wasted_bytes
+        );
+    }
+
+    println!("\nScenario: what replication costs (8 trainers, 2 × 0.26 MB partitions, 4 nodes).\n");
+    for r in [1, 2, 4] {
+        let round = &dfl_bench::replication_run(r).rounds[0];
+        println!(
+            "replication {r}: round {:.2} s, upload {:.2} s",
+            round.round_duration, round.upload_delay_avg
         );
     }
     Ok(())

@@ -14,9 +14,13 @@
 //! fully visible at these sizes; see EXPERIMENTS.md). Set `FIG3_MAX_LOG2`
 //! to raise the cap, e.g. `FIG3_MAX_LOG2=18`.
 //!
+//! It then prints the same cost in situ: one simulated round of a small
+//! task with verification off and on, charging the naive slope per
+//! committed element (`dfl_bench::verify_run`).
+//!
 //! Run with: `cargo run --release --example fig3_commitment`
 
-use dfl_bench::{fig3_commitment, fig3_default_sizes};
+use dfl_bench::{fig3_commitment, fig3_default_sizes, verify_run, VERIFY_COMMIT_US, VERIFY_PARAMS};
 
 fn main() {
     let sizes = match std::env::var("FIG3_MAX_LOG2")
@@ -53,5 +57,13 @@ fn main() {
         "\nExpected shape: commitments are linear in #params and orders of magnitude more \
          expensive than hashing; batch-affine Pippenger recovers a large constant factor \
          and the precomputed-table fast path a larger one still."
+    );
+
+    let round = |verifiable| verify_run(verifiable).rounds[0].round_duration;
+    println!(
+        "\nIn situ ({VERIFY_PARAMS} parameters, {VERIFY_COMMIT_US} µs per committed element, \
+         simulated): round {:.3} s with verification off, {:.3} s on.",
+        round(false),
+        round(true)
     );
 }

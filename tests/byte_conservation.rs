@@ -258,3 +258,23 @@ fn churn_wasted_bytes_regression() {
     assert_eq!(point.wasted_bytes, point.wire_wasted_bytes);
     assert!(point.total_tx_bytes > point.wire_wasted_bytes);
 }
+
+#[test]
+fn churn_baseline_completes_every_round() {
+    let point = dfl_bench::churn_run(SimDuration::ZERO, SimDuration::from_secs(10), 42);
+    assert_eq!(point.completed_rounds, point.rounds);
+    assert!(point.avg_round_duration > 0.0);
+    assert_eq!(point.quorum_degradations, 0);
+    // No faults → no transfer is ever torn, so nothing is wasted.
+    assert!(point.total_tx_bytes > 0);
+    assert_eq!(point.wire_wasted_bytes, 0);
+    assert_eq!(point.wasted_bytes, 0);
+}
+
+#[test]
+fn churn_point_with_short_outages_still_completes() {
+    // 1 s outages are far below the 2 s fetch timeout + failover
+    // budget: retry masks them and no round is lost.
+    let point = dfl_bench::churn_run(SimDuration::from_secs(1), SimDuration::from_secs(10), 42);
+    assert_eq!(point.completed_rounds, point.rounds);
+}

@@ -4,6 +4,10 @@
 //! batched checks below sum ≈ 170-bit RLC vectors over 257 bases, a pass
 //! over the split threshold). Any HashMap-iteration-order or
 //! thread-scheduling leak into observable behaviour fails here.
+//!
+//! Five of these runs are also pinned across builds: the canonical trace
+//! fingerprints below. A change that moves one changed what a run does,
+//! event for event; a refactor must leave all five as they are.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -12,9 +16,38 @@ use decentralized_fl::prelude::TaskConfig;
 use decentralized_fl::protocol::overlay::OverlayTree;
 use decentralized_fl::protocol::{labels, TaskReport};
 use dfl_bench::{
-    fig2_config, overlay_config, run_network_experiment, trace_fingerprint, SWARM_UPLOADS,
-    SWARM_WAVES,
+    fig1_config, fig2_config, overlay_config, run_network_experiment, trace_fingerprint,
+    SWARM_UPLOADS, SWARM_WAVES,
 };
+
+/// Parameters of the pinned figure runs.
+const PINNED_PARAMS: usize = 1_024;
+/// [`trace_fingerprint`] of `fig1_config()` at [`PINNED_PARAMS`].
+const FIG1_TRACE: u64 = 0x45168a3db16c30ec;
+/// … of `fig2_config()`.
+const FIG2_TRACE: u64 = 0xd2f452741861d4bd;
+/// … of `fig2_config()` with `verifiable`.
+const FIG2_VERIFIABLE_TRACE: u64 = 0x29f2aaf522b42eb2;
+/// … of `fig2_config()` with `verifiable`, `trainer_verifies` and
+/// `batch_verify`.
+const FIG2_BATCHED_TRACE: u64 = 0x4aa526f5cef1cf42;
+/// … of the 2 000-trainer swarm under the incremental allocator.
+const SWARM_2K_TRACE: u64 = 0x6be4538a152786fc;
+
+#[test]
+fn plain_figure_traces_match_their_pins() {
+    for (name, cfg, pin) in [
+        ("fig1", fig1_config(), FIG1_TRACE),
+        ("fig2", fig2_config(), FIG2_TRACE),
+    ] {
+        let report = run_network_experiment(cfg, PINNED_PARAMS);
+        assert_eq!(trace_fingerprint(&report.trace), pin, "{name} trace moved");
+    }
+}
+
+fn swarm_hash(trainers: usize, reference: bool) -> u64 {
+    trace_fingerprint(&dfl_bench::swarm_trace(trainers, reference))
+}
 
 #[test]
 fn two_thousand_node_swarm_is_run_to_run_deterministic() {
@@ -26,7 +59,12 @@ fn two_thousand_node_swarm_is_run_to_run_deterministic() {
     );
     assert_eq!(
         trace_fingerprint(&first),
-        dfl_bench::swarm_trace_hash(2_000, false),
+        SWARM_2K_TRACE,
+        "swarm trace moved"
+    );
+    assert_eq!(
+        swarm_hash(2_000, false),
+        SWARM_2K_TRACE,
         "incremental allocator diverged across identical runs"
     );
 }
@@ -36,9 +74,9 @@ fn reference_allocator_is_deterministic_and_agrees() {
     // The reference global recompute is quadratic, so the run-twice check
     // uses a smaller swarm. The fingerprint covers the upload counter, so
     // the allocators also agree on every completed upload.
-    let incr = dfl_bench::swarm_trace_hash(300, false);
-    let ref_first = dfl_bench::swarm_trace_hash(300, true);
-    let ref_second = dfl_bench::swarm_trace_hash(300, true);
+    let incr = swarm_hash(300, false);
+    let ref_first = swarm_hash(300, true);
+    let ref_second = swarm_hash(300, true);
     assert_eq!(
         ref_first, ref_second,
         "reference allocator diverged across identical runs"
@@ -58,9 +96,8 @@ fn verifiable_protocol_run_is_run_to_run_deterministic() {
         verifiable: true,
         ..fig2_config()
     };
-    let params = 1_024;
-    let first = run_network_experiment(cfg.clone(), params);
-    let second = run_network_experiment(cfg, params);
+    let first = run_network_experiment(cfg.clone(), PINNED_PARAMS);
+    let second = run_network_experiment(cfg, PINNED_PARAMS);
     assert_eq!(
         first.trace.events().len(),
         second.trace.events().len(),
@@ -68,7 +105,12 @@ fn verifiable_protocol_run_is_run_to_run_deterministic() {
     );
     assert_eq!(
         trace_fingerprint(&first.trace),
+        FIG2_VERIFIABLE_TRACE,
+        "verifiable trace moved"
+    );
+    assert_eq!(
         trace_fingerprint(&second.trace),
+        FIG2_VERIFIABLE_TRACE,
         "verifiable run diverged across identical runs"
     );
 }
@@ -90,18 +132,22 @@ fn batched_verification_preserves_trace_fingerprint() {
         batch_verify: true,
         ..per_blob.clone()
     };
-    let params = 1_024;
-    let baseline = run_network_experiment(per_blob, params);
-    let deferred = run_network_experiment(batched.clone(), params);
-    let again = run_network_experiment(batched, params);
+    let baseline = run_network_experiment(per_blob, PINNED_PARAMS);
+    let deferred = run_network_experiment(batched.clone(), PINNED_PARAMS);
+    let again = run_network_experiment(batched, PINNED_PARAMS);
     assert_eq!(
         trace_fingerprint(&baseline.trace),
-        trace_fingerprint(&deferred.trace),
+        FIG2_BATCHED_TRACE,
         "batched verification changed the observable trace of an honest run"
     );
     assert_eq!(
         trace_fingerprint(&deferred.trace),
+        FIG2_BATCHED_TRACE,
+        "batched trace moved"
+    );
+    assert_eq!(
         trace_fingerprint(&again.trace),
+        FIG2_BATCHED_TRACE,
         "batched verifiable run diverged across identical runs"
     );
 }

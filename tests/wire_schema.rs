@@ -19,7 +19,7 @@ use decentralized_fl::ipfs::wire::{WireCost, TRANSPORT_OVERHEAD_BYTES};
 use decentralized_fl::ipfs::{Cid, IpfsWire};
 use decentralized_fl::prelude::*;
 use decentralized_fl::protocol::{Msg, TaskReport};
-use dfl_bench::{churn_config, churn_param_count, fig1_config, fig2_config};
+use dfl_bench::{fig1_config, fig2_config};
 
 // -- seeded generator ---------------------------------------------------------
 
@@ -341,21 +341,6 @@ fn outcome(r: &TaskReport) -> String {
     )
 }
 
-/// The `dfl_bench::churn_run(4 s, 10 s, 42)` point, as a full report.
-fn churn_run() -> TaskReport {
-    let mut cfg = churn_config();
-    let storage: Vec<NodeId> = (1..=cfg.ipfs_nodes).map(NodeId).collect();
-    cfg.fault_plan = FaultPlan::churn(
-        &storage,
-        SimTime::from_micros(2_000_000),
-        SimTime::from_micros(cfg.t_sync.as_micros() * cfg.rounds),
-        SimDuration::from_secs(10),
-        SimDuration::from_secs(4),
-        42,
-    );
-    dfl_bench::run_network_experiment(cfg, churn_param_count())
-}
-
 #[test]
 fn scenario_outcomes_are_what_they_were_under_the_hand_kept_size_model() {
     let verifiable = TaskConfig {
@@ -375,7 +360,10 @@ fn scenario_outcomes_are_what_they_were_under_the_hand_kept_size_model() {
             "fig2-verifiable",
             dfl_bench::run_network_experiment(verifiable, 1_024),
         ),
-        ("churn", churn_run()),
+        (
+            "churn",
+            dfl_bench::churn_report(SimDuration::from_secs(4), SimDuration::from_secs(10), 42),
+        ),
     ];
     for ((name, report), pinned) in runs.iter().zip(PINNED_OUTCOMES) {
         assert_eq!(outcome(report), pinned, "{name}");
