@@ -50,8 +50,8 @@ use crate::adversary::Behavior;
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::error::IplsError;
 use crate::gradient::{
-    build_blob, commit_blob, decode_blob, sum_in_round, verify_blobs_timed, ProtocolCommitment,
-    ProtocolCurve, ProtocolKey, VerifyQueue,
+    build_blob, commit_blob, decode_blob, decode_partition_blob, sum_in_round, verify_blobs_timed,
+    ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
 use crate::messages::{
@@ -441,6 +441,14 @@ impl FlatAggregator {
         self.topo.config().accountability
     }
 
+    /// Decodes a blob for this aggregator's partition. Every blob it takes
+    /// in — a gradient, a merged sum, a peer partial, a recovered gradient
+    /// — comes through here, so one of another width is refused like one
+    /// that does not decode, and never reaches a sum.
+    fn decode_own(&self, data: &[u8]) -> Option<Vec<Quantized>> {
+        decode_partition_blob(data, self.topo.partition_len(self.partition))
+    }
+
     /// Sends a storage request that must survive a dead target: if no reply
     /// arrives within `fetch_timeout`, the same request (same id) is
     /// re-issued to the next storage node, round-robin, until the round
@@ -815,7 +823,7 @@ impl FlatAggregator {
         if let Some(merge) = &mut self.round.merge {
             merge.fallback_pending.remove(&trainer);
         }
-        let Some(vector) = decode_blob(data) else {
+        let Some(vector) = self.decode_own(data) else {
             return;
         };
         // In verifiable mode the blob must open the trainer's registered
@@ -843,8 +851,9 @@ impl FlatAggregator {
             return;
         };
         let vector = reply.and_then(|data| {
-            let vector =
-                decode_blob(&data).filter(|_| self.admit_merged(out, req, &members, &data));
+            let vector = self
+                .decode_own(&data)
+                .filter(|_| self.admit_merged(out, req, &members, &data));
             if vector.is_none() {
                 out.record(labels::WASTED_BYTES, data.len() as f64);
             }
@@ -904,11 +913,15 @@ impl FlatAggregator {
     /// rejection leaves (`registered` keeps its entry under both policies)
     /// — and a merged blob degrades to fetches of its members, as a failed
     /// merge does. Returns the number of culprits.
+    ///
+    /// The partial is all the round makes of these blobs, so the check is
+    /// [`VerifyQueue::settle_sum`]: one opening of their sum, and culprits
+    /// named only when it fails.
     fn settle_admitted(&mut self, out: &mut Actions<Msg>) -> usize {
         let Some(queue) = &mut self.round.admitted else {
             return 0;
         };
-        let culprits = queue.settle(out);
+        let culprits = queue.settle_sum(out);
         for culprit in &culprits {
             match *culprit {
                 Admitted::Gradient(trainer) => {
@@ -1289,7 +1302,7 @@ impl FlatAggregator {
     }
 
     fn accept_peer_partial(&mut self, out: &mut Actions<Msg>, ann: &SyncAnnounce, data: &[u8]) {
-        let (Some(vector), Some(sync)) = (decode_blob(data), &mut self.round.sync) else {
+        let (Some(vector), Some(sync)) = (self.decode_own(data), &mut self.round.sync) else {
             return;
         };
         let j = ann.agg_j;
@@ -1630,7 +1643,7 @@ impl FlatAggregator {
         trainer: usize,
         data: &[u8],
     ) {
-        let (Some(vector), Some(sync)) = (decode_blob(data), &mut self.round.sync) else {
+        let (Some(vector), Some(sync)) = (self.decode_own(data), &mut self.round.sync) else {
             return;
         };
         // Each recovered blob is checked, on arrival, against the trainer's
@@ -1705,7 +1718,7 @@ impl FlatAggregator {
                 if self.dropped_trainers().contains(&trainer) {
                     return;
                 }
-                if let Some(vector) = decode_blob(&data) {
+                if let Some(vector) = self.decode_own(&data) {
                     self.round.gradients.insert(trainer, vector);
                     self.maybe_aggregate(out);
                 }
@@ -1777,6 +1790,44 @@ mod tests {
     /// A merge request as sent: its id and the CIDs to sum.
     type MergeRequest = (u64, Vec<Cid>);
 
+    /// A partition-0 aggregator of a one-partition task over 3 parameters
+    /// that was sent its round start and the gradient list of one trainer
+    /// per blob — each registered under its CID and, when `cfg` is
+    /// verifiable, under the commitment of the matching `committed` blob —
+    /// and the actions the list produced.
+    fn listed(
+        cfg: TaskConfig,
+        blobs: &[Bytes],
+        committed: &[Bytes],
+    ) -> (Aggregator, Vec<ProtocolAction<Msg>>) {
+        let topo = Arc::new(Topology::new(cfg, 3).unwrap());
+        let key = topo
+            .config()
+            .verifiable
+            .then(|| Arc::new(derive_key(topo.max_partition_len(), 0, true)));
+        let mut agg = Aggregator::new(0, topo, key.clone(), Behavior::Honest);
+        let entries = blobs.iter().zip(committed).enumerate();
+        let registered = |(t, (blob, honest)): (usize, (&Bytes, &Bytes))| {
+            let commitment = key.as_ref().map(|k| commit_blob(k, honest).unwrap());
+            (t, Cid::of(blob), commitment.map(|c| c.to_bytes()))
+        };
+        let list = Msg::GradientList {
+            partition: 0,
+            iter: 0,
+            entries: entries.map(registered).collect(),
+        };
+        deliver(&mut agg, Msg::StartRound { iter: 0 });
+        let actions = deliver(&mut agg, list);
+        (agg, actions)
+    }
+
+    /// One blob per trainer: `[t, 0.5, −2]`.
+    fn honest_blobs(trainers: usize) -> Vec<Bytes> {
+        (0..trainers)
+            .map(|t| Bytes::from(build_blob(&[t as f32, 0.5, -2.0])))
+            .collect()
+    }
+
     /// A verifiable merge-and-download aggregator that was sent its round
     /// start and the gradient list of four trainers on two providers, the
     /// trainers' blobs, and the merge requests it issued in answer.
@@ -1788,33 +1839,60 @@ mod tests {
             batch_verify,
             ..TaskConfig::default()
         };
-        let topo = Arc::new(Topology::new(cfg, 3).unwrap());
-        let key = Arc::new(derive_key(topo.max_partition_len(), 0, true));
-        let mut agg = Aggregator::new(0, topo, Some(key.clone()), Behavior::Honest);
-        let blobs: Vec<Bytes> = (0..4)
-            .map(|t| Bytes::from(build_blob(&[t as f32, 0.5, -2.0])))
-            .collect();
-        let registered = |(t, blob): (usize, &Bytes)| {
-            let commitment = commit_blob(&key, blob).unwrap().to_bytes();
-            (t, Cid::of(blob), Some(commitment))
+        let blobs = honest_blobs(4);
+        let (agg, actions) = listed(cfg, &blobs, &blobs);
+        (agg, blobs, merges(actions))
+    }
+
+    /// The merge requests among `actions`.
+    fn merges(actions: Vec<ProtocolAction<Msg>>) -> Vec<MergeRequest> {
+        let merge = |action| match action {
+            ProtocolAction::Send {
+                msg: Msg::Ipfs(IpfsWire::Merge { cids, req_id }),
+                ..
+            } => Some((req_id, cids)),
+            _ => None,
         };
-        let list = Msg::GradientList {
-            partition: 0,
-            iter: 0,
-            entries: blobs.iter().enumerate().map(registered).collect(),
+        actions.into_iter().filter_map(merge).collect()
+    }
+
+    /// The `(req_id, cid)` of every storage `Get` among `actions`.
+    fn gets(actions: &[ProtocolAction<Msg>]) -> Vec<(u64, Cid)> {
+        let get = |action: &ProtocolAction<Msg>| match action {
+            ProtocolAction::Send {
+                msg: Msg::Ipfs(IpfsWire::Get { cid, req_id }),
+                ..
+            } => Some((*req_id, *cid)),
+            _ => None,
         };
-        deliver(&mut agg, Msg::StartRound { iter: 0 });
-        let merges = deliver(&mut agg, list)
-            .into_iter()
-            .filter_map(|action| match action {
-                ProtocolAction::Send {
-                    msg: Msg::Ipfs(IpfsWire::Merge { cids, req_id }),
-                    ..
-                } => Some((req_id, cids)),
-                _ => None,
-            })
-            .collect();
-        (agg, blobs, merges)
+        actions.iter().filter_map(get).collect()
+    }
+
+    /// Answers each of `gets` with the blob of that CID among `blobs`.
+    fn answer(
+        agg: &mut Aggregator,
+        gets: &[(u64, Cid)],
+        blobs: &[Bytes],
+    ) -> Vec<ProtocolAction<Msg>> {
+        let mut actions = Vec::new();
+        for &(req_id, cid) in gets {
+            let data = blobs.iter().find(|b| Cid::of(b) == cid).unwrap().clone();
+            let reply = IpfsWire::GetOk { cid, data, req_id };
+            actions.extend(deliver(agg, Msg::Ipfs(reply)));
+        }
+        actions
+    }
+
+    /// Whether `actions` upload `blob` to storage.
+    fn uploads(actions: &[ProtocolAction<Msg>], blob: &[u8]) -> bool {
+        let put = |a: &ProtocolAction<Msg>| matches!(a, ProtocolAction::Send { msg: Msg::Ipfs(IpfsWire::Put { data, .. }), .. } if data[..] == *blob);
+        actions.iter().any(put)
+    }
+
+    /// The encoded exact sum of `blobs`.
+    fn encoded_sum(blobs: &[Bytes]) -> Vec<u8> {
+        let decoded: Vec<_> = blobs.iter().map(|b| decode_blob(b).unwrap()).collect();
+        encode(&sum_gradients(&decoded).unwrap())
     }
 
     fn deliver(agg: &mut Aggregator, msg: Msg) -> Vec<ProtocolAction<Msg>> {
@@ -1864,31 +1942,14 @@ mod tests {
             assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0);
             assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 1);
             assert_eq!(recorded(&actions, labels::WASTED_BYTES), 1);
-            let gets: Vec<(u64, Cid)> = actions
-                .iter()
-                .filter_map(|action| match action {
-                    ProtocolAction::Send {
-                        msg: Msg::Ipfs(IpfsWire::Get { cid, req_id }),
-                        ..
-                    } => Some((*req_id, *cid)),
-                    _ => None,
-                })
-                .collect();
+            let gets = gets(&actions);
             let fetched: Vec<Cid> = gets.iter().map(|&(_, cid)| cid).collect();
             assert_eq!(fetched, merges[0].1, "batch_verify = {batch_verify}");
 
             // The members' own blobs complete the round.
-            let mut actions = Vec::new();
-            for (req_id, cid) in gets {
-                let data = blobs.iter().find(|b| Cid::of(b) == cid).unwrap().clone();
-                let reply = IpfsWire::GetOk { cid, data, req_id };
-                actions.extend(deliver(&mut agg, Msg::Ipfs(reply)));
-            }
+            let actions = answer(&mut agg, &gets, &blobs);
             assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
-            let everyone = blobs.iter().map(|b| decode_blob(b).unwrap());
-            let sum = encode(&sum_gradients(&everyone.collect::<Vec<_>>()).unwrap());
-            let uploads_the_true_sum = |a: &ProtocolAction<Msg>| matches!(a, ProtocolAction::Send { msg: Msg::Ipfs(IpfsWire::Put { data, .. }), .. } if data[..] == sum[..]);
-            assert!(actions.iter().any(uploads_the_true_sum));
+            assert!(uploads(&actions, &encoded_sum(&blobs)));
         }
     }
 
@@ -1913,6 +1974,125 @@ mod tests {
                 })
                 .sum();
             assert_eq!(verified, 2, "batch_verify = {batch_verify}");
+        }
+    }
+
+    /// Regression: a blob of the wrong width under its registered CID
+    /// reached `sum_gradients`' length assertion and panicked the
+    /// aggregator. It is refused like a blob that does not decode: nothing
+    /// is summed and the round waits.
+    #[test]
+    fn a_wrong_width_gradient_is_refused_not_summed() {
+        let cfg = TaskConfig {
+            trainers: 2,
+            partitions: 1,
+            ..TaskConfig::default()
+        };
+        let mut blobs = honest_blobs(2);
+        blobs[1] = Bytes::from(build_blob(&[1.0; 7]));
+        let (mut agg, actions) = listed(cfg, &blobs, &blobs);
+        let gets = gets(&actions);
+        assert_eq!(gets.len(), 2);
+        let actions = answer(&mut agg, &gets, &blobs);
+        assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0);
+        assert_eq!(recorded(&actions, labels::SUM_OVERFLOW), 0);
+    }
+
+    /// The same over the wire: a `DirectGradient` of the wrong width is
+    /// dropped, and the trainer's next blob of the right width completes
+    /// the round.
+    #[test]
+    fn a_wrong_width_direct_gradient_is_refused_not_summed() {
+        let cfg = TaskConfig {
+            trainers: 2,
+            partitions: 1,
+            comm: CommMode::Direct,
+            ..TaskConfig::default()
+        };
+        let (mut agg, _) = listed(cfg, &[], &[]);
+        let blobs = honest_blobs(2);
+        let wide = Bytes::from(build_blob(&[1.0; 7]));
+        let mut actions = Vec::new();
+        for (trainer, data) in [(0, &blobs[0]), (1, &wide), (1, &blobs[1])] {
+            let msg = Msg::DirectGradient {
+                trainer,
+                partition: 0,
+                iter: 0,
+                data: data.clone(),
+            };
+            let answered = deliver(&mut agg, msg);
+            let aggregated = recorded(&answered, labels::GRADS_AGGREGATED);
+            assert_eq!(
+                aggregated,
+                usize::from(data == &blobs[1]),
+                "trainer {trainer}"
+            );
+            assert_eq!(recorded(&answered, labels::SUM_OVERFLOW), 0);
+            actions.extend(answered);
+        }
+        assert!(uploads(&actions, &encoded_sum(&blobs)));
+    }
+
+    /// And from storage: a merged blob of the wrong width is wasted bytes,
+    /// like one that does not decode, and its members are fetched one by
+    /// one instead.
+    #[test]
+    fn a_wrong_width_merged_sum_is_refused_and_its_members_are_fetched_instead() {
+        let cfg = TaskConfig {
+            partitions: 1,
+            comm: CommMode::MergeAndDownload,
+            ..TaskConfig::default()
+        };
+        let blobs = honest_blobs(4);
+        let (mut agg, actions) = listed(cfg, &blobs, &blobs);
+        let merges = merges(actions);
+        assert_eq!(merges.len(), 2, "one merge per provider");
+        let wide = IpfsWire::MergeOk {
+            data: Bytes::from(build_blob(&[1.0; 7])),
+            req_id: merges[0].0,
+        };
+        let mut actions = deliver(&mut agg, Msg::Ipfs(wide));
+        actions.extend(deliver(&mut agg, merge_ok(&blobs, &merges[1], false)));
+        assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0);
+        assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 1);
+        assert_eq!(recorded(&actions, labels::WASTED_BYTES), 1);
+        let gets = gets(&actions);
+        let fetched: Vec<Cid> = gets.iter().map(|&(_, cid)| cid).collect();
+        assert_eq!(fetched, merges[0].1);
+        let actions = answer(&mut agg, &gets, &blobs);
+        assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
+        assert!(uploads(&actions, &encoded_sum(&blobs)));
+    }
+
+    /// Sum first, culprits on failure: two trainers registered honest
+    /// commitments, but the blobs stored under their CIDs carry +δ and −δ
+    /// at one coordinate. The settle's one opening of the sum passes — by
+    /// binding, the sum is the committed one — and the uploaded partial is
+    /// the honest sum byte for byte. Checked one at a time (the per-blob
+    /// policy), both blobs are refused and the round waits.
+    #[test]
+    fn a_compensating_pair_cannot_change_the_partial() {
+        let honest = honest_blobs(4);
+        let mut stored = honest.clone();
+        for (t, delta) in [(1, 1 << 20), (2, -(1 << 20))] {
+            let mut vector = decode_blob(&honest[t]).unwrap();
+            vector[0] = Quantized(vector[0].0 + delta);
+            stored[t] = Bytes::from(encode(&vector));
+        }
+        let sum = encoded_sum(&honest);
+        assert_eq!(encoded_sum(&stored), sum);
+        for batch_verify in [true, false] {
+            let cfg = TaskConfig {
+                partitions: 1,
+                verifiable: true,
+                batch_verify,
+                ..TaskConfig::default()
+            };
+            let (mut agg, actions) = listed(cfg, &stored, &honest);
+            let actions = answer(&mut agg, &gets(&actions), &stored);
+            let aggregated = recorded(&actions, labels::GRADS_AGGREGATED);
+            assert_eq!(aggregated, usize::from(batch_verify));
+            assert_eq!(uploads(&actions, &sum), batch_verify);
         }
     }
 

@@ -16,7 +16,8 @@ pub enum IplsError {
     /// have wrapped or saturated silently).
     Overflow,
     /// A gradient blob failed to decode: truncated, not 8-byte aligned, or
-    /// missing the counter element. Blobs arrive from remote (possibly
+    /// missing the counter element — or decoded vectors to be summed differ
+    /// in width, or there are none. Blobs arrive from remote (possibly
     /// Byzantine) peers, so this is an error, never a panic.
     MalformedBlob,
     /// A storage upload target was requested in a communication mode that

@@ -46,6 +46,12 @@ pub fn decode_blob(blob: &[u8]) -> Option<Vec<Quantized>> {
     Some(v)
 }
 
+/// Decodes a blob that must carry one partition of `len` values: a blob of
+/// any other width is as unusable as one that does not decode.
+pub fn decode_partition_blob(blob: &[u8], len: usize) -> Option<Vec<Quantized>> {
+    decode_blob(blob).filter(|v| v.len() == len + 1)
+}
+
 /// Decodes an aggregated update blob and divides by the counter, returning
 /// the averaged partition values (Algorithm 1 lines 20–21). The counter is
 /// the last element, so it is read first and the values stream from the
@@ -78,15 +84,17 @@ pub fn decode_update(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
 /// The vectors are borrowed — owned, or slices of what a core holds — so a
 /// sum copies nothing but its result.
 ///
-/// # Panics
-///
-/// Panics if the vectors differ in length or the input is empty.
+/// Vectors of different widths, or no vector at all, are
+/// [`IplsError::MalformedBlob`]: the vectors come from remote blobs, so a
+/// shape mismatch is an error, never a panic.
 pub fn sum_gradients(grads: &[impl AsRef<[Quantized]>]) -> Result<Vec<Quantized>, IplsError> {
-    assert!(!grads.is_empty(), "nothing to sum");
-    let mut acc: Vec<i128> = grads[0].as_ref().iter().map(|q| q.0 as i128).collect();
-    for g in &grads[1..] {
+    let (first, rest) = grads.split_first().ok_or(IplsError::MalformedBlob)?;
+    let mut acc: Vec<i128> = first.as_ref().iter().map(|q| q.0 as i128).collect();
+    for g in rest {
         let g = g.as_ref();
-        assert_eq!(g.len(), acc.len(), "gradient length mismatch");
+        if g.len() != acc.len() {
+            return Err(IplsError::MalformedBlob);
+        }
         for (a, b) in acc.iter_mut().zip(g) {
             *a += b.0 as i128;
         }
@@ -100,9 +108,9 @@ pub fn sum_gradients(grads: &[impl AsRef<[Quantized]>]) -> Result<Vec<Quantized>
         .collect()
 }
 
-/// [`sum_gradients`] inside a core's round `iter`: an overflow is recorded
-/// under [`labels::SUM_OVERFLOW`](crate::labels::SUM_OVERFLOW) and leaves
-/// no sum.
+/// [`sum_gradients`] inside a core's round `iter`: an overflow or a width
+/// mismatch is recorded under
+/// [`labels::SUM_OVERFLOW`](crate::labels::SUM_OVERFLOW) and leaves no sum.
 pub fn sum_in_round<M>(
     out: &mut Actions<M>,
     iter: u64,
@@ -146,12 +154,14 @@ pub fn verify_blob(key: &ProtocolKey, blob: &[u8], commitment: &ProtocolCommitme
 /// determine the decoded scalars), which keeps transcript hashing at 8
 /// bytes per element.
 ///
-/// This is the arrival-time check of every core, whatever the task's
-/// verification policy: a blob that arrives alone (a recovered gradient,
-/// an audited update, a peer partial, the overlay root's partial) is a
-/// batch of one, a stash drain or an overlay level is a batch of `n`.
-/// Below `RLC_MIN_BATCH` entries `batch_culprits` recommits each entry,
-/// so a singleton costs exactly one [`verify_blob`].
+/// This is the arrival-time check of every core that consumes what it
+/// checks entry by entry, whatever the task's verification policy: a blob
+/// that arrives alone (a recovered gradient, an audited update, a peer
+/// partial, the overlay root's partial) is a batch of one, a peer-partial
+/// stash drain a batch of `n`. Below `RLC_MIN_BATCH` entries
+/// `batch_culprits` recommits each entry, so a singleton costs exactly one
+/// [`verify_blob`]. A consumer of the batch's sum alone checks it with
+/// [`verify_sum_timed`].
 ///
 /// Books one [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) sample for
 /// the whole batch (wall-clock time is real, not simulated, and varies
@@ -167,26 +177,72 @@ pub fn verify_blobs_timed<M>(
     key: &ProtocolKey,
     items: &[(&[u8], &ProtocolCommitment)],
 ) -> Vec<usize> {
-    if items.is_empty() {
-        return Vec::new(); // nothing booked: an empty batch is no check
-    }
-    out.incr(crate::labels::BLOBS_VERIFIED, items.len() as u64);
-    timed_culprits(out, key, items)
+    checked_now(out, key, items, culprits)
 }
 
-/// [`verify_blobs_timed`] minus the
-/// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) bump, which a
-/// [`VerifyQueue`] books when a blob is admitted.
-fn timed_culprits<M>(
+/// [`verify_blobs_timed`] for a consumer that uses nothing but the batch's
+/// sum — the overlay's child check. Sum first, culprits on failure: the
+/// entries must decode to one width, and their exact `i128` sum must open
+/// the product of their commitments, one short opening in place of the
+/// RLC batch. By additive homomorphism and binding that makes the sum the
+/// committed one. Only when it fails (an undecodable entry, a width
+/// mismatch, an overflow, or a sum that does not open) does the check fall
+/// back to [`verify_blobs_timed`]'s per-entry culprits, so one bad entry is
+/// named exactly as before. Entries whose alterations cancel across the
+/// batch pass unnamed — and, by binding, leave the sum unchanged.
+///
+/// Books what [`verify_blobs_timed`] books.
+pub fn verify_sum_timed<M>(
     out: &mut Actions<M>,
     key: &ProtocolKey,
     items: &[(&[u8], &ProtocolCommitment)],
 ) -> Vec<usize> {
-    use dfl_crypto::pedersen::BatchEntry;
+    checked_now(out, key, items, sum_culprits)
+}
+
+/// A check made on arrival: bumps
+/// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) by the batch
+/// length (a [`VerifyQueue`] bumps it when it admits instead), then runs
+/// `check` [`timed`].
+fn checked_now<M>(
+    out: &mut Actions<M>,
+    key: &ProtocolKey,
+    items: &[(&[u8], &ProtocolCommitment)],
+    check: Check,
+) -> Vec<usize> {
+    if !items.is_empty() {
+        out.incr(crate::labels::BLOBS_VERIFIED, items.len() as u64);
+    }
+    timed(out, key, items, check)
+}
+
+/// Runs one check and books its
+/// [`labels::VERIFY_MS`](crate::labels::VERIFY_MS) and
+/// [`labels::VERIFY_BATCHED`](crate::labels::VERIFY_BATCHED) samples. An
+/// empty batch is no check: nothing runs and nothing is booked.
+fn timed<M>(
+    out: &mut Actions<M>,
+    key: &ProtocolKey,
+    items: &[(&[u8], &ProtocolCommitment)],
+    check: Check,
+) -> Vec<usize> {
     if items.is_empty() {
         return Vec::new();
     }
     let started = std::time::Instant::now();
+    let culprits = check(key, items);
+    out.observe(
+        crate::labels::VERIFY_MS,
+        started.elapsed().as_secs_f64() * 1e3,
+    );
+    out.observe(crate::labels::VERIFY_BATCHED, items.len() as f64);
+    culprits
+}
+
+/// The sorted indices of the pairs [`verify_blob`] rejects: one RLC batch
+/// over the decodable entries, bisected on failure.
+fn culprits(key: &ProtocolKey, items: &[(&[u8], &ProtocolCommitment)]) -> Vec<usize> {
+    use dfl_crypto::pedersen::BatchEntry;
     // Malformed blobs can never open a commitment: convict them up front
     // and batch the RLC over the decodable remainder.
     let mut culprits: Vec<usize> = Vec::new();
@@ -203,13 +259,28 @@ fn timed_culprits<M>(
         .collect();
     culprits.extend(key.batch_culprits(&entries).iter().map(|&j| decoded[j].0));
     culprits.sort_unstable();
-    out.observe(
-        crate::labels::VERIFY_MS,
-        started.elapsed().as_secs_f64() * 1e3,
-    );
-    out.observe(crate::labels::VERIFY_BATCHED, items.len() as f64);
     culprits
 }
+
+/// Sum first, culprits on failure (see [`verify_sum_timed`]): no culprit
+/// when the entries' exact sum opens the product of their commitments,
+/// else exactly [`culprits`].
+fn sum_culprits(key: &ProtocolKey, items: &[(&[u8], &ProtocolCommitment)]) -> Vec<usize> {
+    let decoded: Option<Vec<Vec<Quantized>>> =
+        items.iter().map(|(blob, _)| decode_blob(blob)).collect();
+    // `sum_gradients` refuses mismatched widths and overflow; `verify`
+    // refuses a sum wider than the key. The sum's scalars are ≈ 25 + log₂ n
+    // bits, converted once, for the sum only.
+    let sum = decoded.and_then(|vectors| sum_gradients(&vectors).ok());
+    let product = || Commitment::accumulate(items.iter().map(|&(_, c)| c));
+    match sum {
+        Some(sum) if key.verify(&to_scalars::<ProtocolCurve>(&sum), &product()) => Vec::new(),
+        _ => culprits(key, items),
+    }
+}
+
+/// An untimed check of a batch: [`culprits`] or [`sum_culprits`].
+type Check = fn(&ProtocolKey, &[(&[u8], &ProtocolCommitment)]) -> Vec<usize>;
 
 /// The blobs a core has taken in but not yet used, each with the
 /// commitment it must open and a caller-chosen tag `T` naming what to undo
@@ -218,12 +289,18 @@ fn timed_culprits<M>(
 /// * **per-blob** — [`admit`](Self::admit) checks the blob on the spot (a
 ///   batch of one) and nothing is ever pending;
 /// * **deferred** (`batch_verify`) — `admit` accepts optimistically and
-///   [`settle`](Self::settle) runs one RLC check over everything admitted
-///   since the last settle, at the point the caller is about to consume
-///   the blobs.
+///   the caller settles everything admitted since the last settle at the
+///   point it is about to consume the blobs: with
+///   [`settle`](Self::settle), one RLC check with per-entry verdicts, when
+///   it consumes the blobs one by one (the trainer's partition updates);
+///   with [`settle_sum`](Self::settle_sum), sum first and culprits on
+///   failure, when it consumes nothing but their sum (the aggregator's
+///   partial).
 ///
 /// Both policies name the same culprits (`batch_culprits` bisects down to
-/// per-entry recommits) and book the same
+/// per-entry recommits), with one exception: under `settle_sum`, a set of
+/// blobs whose alterations cancel in the sum goes unnamed, and by binding
+/// the sum is the committed one. Both book the same
 /// [`labels::BLOBS_VERIFIED`](crate::labels::BLOBS_VERIFIED) total: a
 /// deferred blob is counted when admitted — the instant the per-blob
 /// policy verifies it — so the totals agree even for a round that stalls
@@ -246,7 +323,7 @@ impl<T> VerifyQueue<T> {
 
     /// Takes `blob` in. `false` means it was checked now and does not open
     /// `commitment`; `true` means it did, or that the verdict waits for
-    /// [`settle`](Self::settle).
+    /// a settle.
     pub fn admit<M>(
         &mut self,
         out: &mut Actions<M>,
@@ -266,10 +343,21 @@ impl<T> VerifyQueue<T> {
     /// blobs that do not open their commitment, in admission order. Free
     /// when nothing is pending — always, under the per-blob policy.
     pub fn settle<M>(&mut self, out: &mut Actions<M>) -> Vec<T> {
+        self.settle_by(out, culprits)
+    }
+
+    /// [`settle`](Self::settle) for a caller that consumes nothing but the
+    /// pending blobs' sum: one opening of the sum, and per-entry culprits
+    /// only if it fails ([`verify_sum_timed`]).
+    pub fn settle_sum<M>(&mut self, out: &mut Actions<M>) -> Vec<T> {
+        self.settle_by(out, sum_culprits)
+    }
+
+    fn settle_by<M>(&mut self, out: &mut Actions<M>, check: Check) -> Vec<T> {
         let pending = std::mem::take(&mut self.pending);
         let items: Vec<(&[u8], &ProtocolCommitment)> =
             pending.iter().map(|(_, blob, c)| (&blob[..], c)).collect();
-        let culprits = timed_culprits(out, &self.key, &items);
+        let culprits = timed(out, &self.key, &items, check);
         let tags = pending.into_iter().map(|(tag, ..)| tag).enumerate();
         tags.filter(|(i, _)| culprits.binary_search(i).is_ok())
             .map(|(_, tag)| tag)
@@ -515,6 +603,30 @@ mod tests {
     }
 
     #[test]
+    fn sum_refuses_mismatched_widths_and_empty_input_instead_of_panicking() {
+        // Regression: both were assertions, and the vectors come from
+        // remote blobs. In a round the refusal is booked like an overflow.
+        let ragged = [vec![Quantized(1); 4], vec![Quantized(1); 8]];
+        assert_eq!(sum_gradients(&ragged), Err(IplsError::MalformedBlob));
+        let nothing: [Vec<Quantized>; 0] = [];
+        assert_eq!(sum_gradients(&nothing), Err(IplsError::MalformedBlob));
+        let mut out = Actions::<()>::new();
+        assert!(sum_in_round(&mut out, 3, &ragged).is_none());
+        let booked: Vec<_> = out.drain().collect();
+        assert!(matches!(
+            booked[..],
+            [crate::protocol::ProtocolAction::Record { label, value }]
+                if label == crate::labels::SUM_OVERFLOW && value == 3.0
+        ));
+        // The one decode every aggregator ingestion goes through.
+        let blob = build_blob(&[1.0, 2.0, 3.0]);
+        assert!(decode_partition_blob(&blob, 3).is_some());
+        assert!(decode_partition_blob(&blob, 2).is_none());
+        assert!(decode_partition_blob(&blob, 4).is_none());
+        assert!(decode_partition_blob(&blob[..blob.len() - 1], 3).is_none());
+    }
+
+    #[test]
     fn commit_blob_rejects_malformed_instead_of_panicking() {
         // Regression: a truncated blob from a Byzantine peer used to hit
         // `expect("well-formed gradient blob")` and take the node down.
@@ -610,6 +722,93 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sum_first_names_no_culprit_exactly_when_the_sum_opens_and_else_the_per_blob_rejects() {
+        // Seeded batches of 1–14 blobs of one partition's width: honest,
+        // altered value, someone else's commitment, undecodable (ragged
+        // length, counter only), longer than the key, another width,
+        // near the top of the range (two overflow the sum) — and in some
+        // batches a +δ / −δ pair at one coordinate. The sum-first check
+        // must name no culprit when the decoded sum opens the product of
+        // the commitments, and exactly `verify_blob`'s one-at-a-time
+        // rejects otherwise; its ledger is `verify_blobs_timed`'s.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let key = derive_key(4, 13, true);
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut cancelled, mut fell_back, mut honest_sums) = (0, 0, 0);
+        for case in 0..120 {
+            let n = rng.gen_range(1..15);
+            let width = rng.gen_range(1..5);
+            let mut blobs = Vec::with_capacity(n);
+            let mut commits = Vec::with_capacity(n);
+            for _ in 0..n {
+                let values: Vec<f32> = (0..width).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+                let mut blob = build_blob(&values);
+                let mut commitment = commit_blob(&key, &blob).unwrap();
+                match rng.gen_range(0..24) {
+                    0 => blob[0] ^= 1,
+                    1 => commitment = commit_blob(&key, &build_blob(&[0.5])).unwrap(),
+                    2 => blob.truncate(blob.len() - 3),
+                    3 => blob.truncate(8),
+                    4 => blob = build_blob(&[1.0; 7]),
+                    5 => {
+                        blob = build_blob(&vec![0.25; width % 4 + 1]);
+                        commitment = commit_blob(&key, &blob).unwrap();
+                    }
+                    6 => {
+                        blob = encode(&vec![Quantized(i64::MAX - 7); width + 1]);
+                        commitment = commit_blob(&key, &blob).unwrap();
+                    }
+                    _ => {}
+                }
+                blobs.push(blob);
+                commits.push(commitment);
+            }
+            let pair = n >= 2 && rng.gen_range(0..10) < 3;
+            if pair {
+                // Committed honestly, then moved apart in opposite
+                // directions: the sum cannot tell.
+                let (a, b) = (rng.gen_range(0..n - 1), n - 1);
+                for (i, delta) in [(a, 1i64 << 20), (b, -(1i64 << 20))] {
+                    if let Some(mut v) = decode_blob(&blobs[i]) {
+                        v[0] = Quantized(v[0].0.wrapping_add(delta));
+                        blobs[i] = encode(&v);
+                    }
+                }
+            }
+            let items: Vec<(&[u8], &ProtocolCommitment)> =
+                blobs.iter().map(Vec::as_slice).zip(&commits).collect();
+            let per_blob: Vec<usize> = (0..n)
+                .filter(|&i| !verify_blob(&key, items[i].0, items[i].1))
+                .collect();
+            let decoded: Option<Vec<_>> = blobs.iter().map(|b| decode_blob(b)).collect();
+            let sum = decoded.and_then(|d| sum_gradients(&d).ok());
+            let product = Commitment::accumulate(&commits);
+            let sum_opens = sum.is_some_and(|sum| verify_blob(&key, &encode(&sum), &product));
+
+            let (mut summed, mut batched) = (Actions::<()>::new(), Actions::<()>::new());
+            let got = verify_sum_timed(&mut summed, &key, &items);
+            let expected = if sum_opens {
+                Vec::new()
+            } else {
+                per_blob.clone()
+            };
+            assert_eq!(got, expected, "case {case}, n = {n}, pair = {pair}");
+            assert_eq!(verify_blobs_timed(&mut batched, &key, &items), per_blob);
+            assert_eq!(ledger(&mut summed), ledger(&mut batched), "case {case}");
+            match (sum_opens, per_blob.is_empty()) {
+                (true, true) => honest_sums += 1,
+                (true, false) => cancelled += 1,
+                (false, _) => fell_back += 1,
+            }
+        }
+        assert!(honest_sums > 0 && cancelled > 0 && fell_back > 0);
+        let mut out = Actions::<()>::new();
+        assert!(verify_sum_timed(&mut out, &key, &[]).is_empty());
+        assert!(out.is_empty(), "an empty batch is no check");
+    }
+
     /// The ledger entries one verification books: (`BLOBS_VERIFIED` total,
     /// `VERIFY_MS` samples, `VERIFY_BATCHED` samples).
     fn ledger(out: &mut Actions<()>) -> (u64, usize, Vec<f64>) {
@@ -674,6 +873,16 @@ mod tests {
         assert_eq!(deferred.settle(&mut out), rejected);
         assert_eq!(ledger(&mut out), (0, 1, vec![8.0]));
         assert!(deferred.settle(&mut out).is_empty(), "settled once");
+        assert!(out.is_empty());
+
+        // Settling the sum names the same culprits and books the same.
+        for i in 0..8 {
+            assert!(deferred.admit(&mut out, i, &blobs[i], commits[i]));
+        }
+        assert_eq!(ledger(&mut out), (8, 0, vec![]));
+        assert_eq!(deferred.settle_sum(&mut out), rejected);
+        assert_eq!(ledger(&mut out), (0, 1, vec![8.0]));
+        assert!(deferred.settle_sum(&mut out).is_empty(), "settled once");
         assert!(out.is_empty());
     }
 

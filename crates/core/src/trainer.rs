@@ -26,8 +26,8 @@ use dfl_crypto::schnorr::SigningKey;
 use crate::accountability::{agg_verifying_key, trainer_signing_key};
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::gradient::{
-    build_blob, commit_blob, decode_blob, decode_update, sum_in_round, verify_blobs_timed,
-    ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
+    build_blob, commit_blob, decode_blob, decode_partition_blob, decode_update, sum_in_round,
+    verify_sum_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
 use crate::messages::{
@@ -437,25 +437,29 @@ impl<M: Model> Trainer<M> {
             .unwrap_or_default();
 
         // Validate the children: parseable commitment, authentic
-        // signature, then one batched Pedersen opening check over the
-        // survivors (the batch is empty at leaves and costs nothing).
+        // signature and this partition's width, then one check that their
+        // sum opens the product of their commitments — the level forwards
+        // nothing but that sum — naming culprits only if it does not (the
+        // batch is empty at leaves and costs nothing).
         let key = &overlay.key;
         let cfg = self.topo.config();
-        let mut candidates: Vec<(usize, Bytes, u64, ProtocolCommitment)> = Vec::new();
+        let width = self.topo.partition_len(partition);
+        let mut candidates = Vec::new();
         for partial in buffered {
             let checked = overlay_partial_commitment(cfg, partition, self.round.iter, &partial);
             let (child, blob, count, ..) = partial;
-            let Some(point) = checked else {
+            let decoded = decode_partition_blob(&blob, width);
+            let (Some(point), Some(decoded)) = (checked, decoded) else {
                 out.record(labels::OVERLAY_CHILD_REJECTED, child as f64);
                 continue;
             };
-            candidates.push((child, blob, count, point));
+            candidates.push((child, blob, decoded, count, point));
         }
         let items: Vec<(&[u8], &ProtocolCommitment)> = candidates
             .iter()
-            .map(|(_, blob, _, point)| (&blob[..], point))
+            .map(|(_, blob, _, _, point)| (&blob[..], point))
             .collect();
-        let culprits: HashSet<usize> = verify_blobs_timed(out, key, &items).into_iter().collect();
+        let culprits: HashSet<usize> = verify_sum_timed(out, key, &items).into_iter().collect();
 
         // Sum the accepted child partials with this node's own gradient.
         // The i128-exact summation makes the composed total bit-identical
@@ -468,20 +472,13 @@ impl<M: Model> Trainer<M> {
             return; // unreachable: a blob built by `begin_round` decodes
         };
         let (mut grads, mut commits, mut count) = (vec![own], vec![own_commitment], 1u64);
-        for (i, (child, blob, child_count, point)) in candidates.iter().enumerate() {
+        for (i, (child, _, decoded, child_count, point)) in candidates.into_iter().enumerate() {
             if culprits.contains(&i) {
-                out.record(labels::OVERLAY_CHILD_REJECTED, *child as f64);
+                out.record(labels::OVERLAY_CHILD_REJECTED, child as f64);
                 continue;
             }
-            let accepted = decode_blob(blob).filter(|d| d.len() == grads[0].len());
-            let Some(decoded) = accepted else {
-                // Opens its commitment but doesn't decode to this
-                // partition's shape: drop it like any other bad child.
-                out.record(labels::OVERLAY_CHILD_REJECTED, *child as f64);
-                continue;
-            };
             grads.push(decoded);
-            commits.push(*point);
+            commits.push(point);
             count += child_count;
         }
         let Some(summed) = sum_in_round(out, self.round.iter, &grads) else {
@@ -910,8 +907,57 @@ impl<M: Model> ProtocolCore for Trainer<M> {
 mod tests {
     use super::*;
     use crate::config::TaskConfig;
+    use crate::gradient::derive_key;
     use crate::protocol::ProtocolAction;
+    use dfl_crypto::quantize::Quantized;
     use dfl_ml::{data, LogisticRegression};
+
+    /// Trainer `t` of a task over a 2-feature, 2-class logistic regression
+    /// (6 parameters), with the task's commitment key when it is
+    /// verifiable.
+    fn trainer(
+        cfg: TaskConfig,
+        t: usize,
+    ) -> (Trainer<LogisticRegression>, Option<Arc<ProtocolKey>>) {
+        let model = LogisticRegression::new(2, 2);
+        let params = model.params();
+        let topo = Arc::new(Topology::new(cfg, params.len()).unwrap());
+        let key = (topo.config().verifiable)
+            .then(|| Arc::new(derive_key(topo.max_partition_len(), 0, true)));
+        let dataset = data::make_blobs(8, 2, 2, 0.5, 1);
+        let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
+        let sgd = SgdConfig::default();
+        let trainer = Trainer::new(t, topo, key.clone(), model, params, dataset, sgd, sink);
+        (trainer, key)
+    }
+
+    fn deliver(trainer: &mut Trainer<LogisticRegression>, msg: Msg) -> Vec<ProtocolAction<Msg>> {
+        handle(
+            trainer,
+            ProtocolEvent::Message {
+                from: NodeId(1),
+                msg,
+            },
+        )
+    }
+
+    fn handle(
+        trainer: &mut Trainer<LogisticRegression>,
+        event: ProtocolEvent<Msg>,
+    ) -> Vec<ProtocolAction<Msg>> {
+        let mut out = Actions::new();
+        trainer.handle(SimTime::ZERO, event, &mut out);
+        out.drain().collect()
+    }
+
+    /// The values recorded under `wanted` among `actions`.
+    fn recorded(actions: &[ProtocolAction<Msg>], wanted: &str) -> Vec<f64> {
+        let value = |action: &ProtocolAction<Msg>| match action {
+            ProtocolAction::Record { label, value } if *label == wanted => Some(*value),
+            _ => None,
+        };
+        actions.iter().filter_map(value).collect()
+    }
 
     /// Regression: a storage acknowledgment colliding with a live request
     /// id in a mode with no storage route must be booked
@@ -926,42 +972,134 @@ mod tests {
             comm: CommMode::Direct,
             ..TaskConfig::default()
         };
-        let model = LogisticRegression::new(2, 2);
-        let params = model.params();
-        let topo = Arc::new(Topology::new(cfg, params.len()).unwrap());
-        let dataset = data::make_blobs(8, 2, 2, 0.5, 1);
-        let sink: ParamSink = Arc::new(Mutex::new(HashMap::new()));
-        let mut trainer = Trainer::new(
-            0,
-            topo,
-            None,
-            model,
-            params,
-            dataset,
-            SgdConfig::default(),
-            sink,
-        );
+        let (mut trainer, _) = trainer(cfg, 0);
         // A frame delivered to the wrong node whose req_id collides with
         // a live one — per-node request ids are small integers.
         trainer.round.stage = Stage::Uploading {
             acks: HashMap::from([(7, 0)]),
             batch: Vec::new(),
         };
-        let mut out = Actions::new();
-        trainer.handle(
-            SimTime::ZERO,
-            ProtocolEvent::Message {
-                from: NodeId(1),
-                msg: Msg::Ipfs(IpfsWire::PutAck {
-                    cid: Cid::of(b"x"),
-                    req_id: 7,
-                }),
-            },
-            &mut out,
-        );
-        let booked = out.drain().any(
+        let ack = IpfsWire::PutAck {
+            cid: Cid::of(b"x"),
+            req_id: 7,
+        };
+        let booked = deliver(&mut trainer, Msg::Ipfs(ack)).into_iter().any(
             |a| matches!(a, ProtocolAction::Incr { label, .. } if label == labels::MISROUTED_ACK),
         );
         assert!(booked, "misrouted ack must increment the counter");
+    }
+
+    /// The guard on checking a sum: a trainer consumes each partition's
+    /// update on its own, so its check keeps per-entry verdicts. Two
+    /// updates whose first elements carry +δ and −δ against honest
+    /// accumulators would pass one opening of their sum; both are rejected,
+    /// under either policy, and the round does not finish.
+    #[test]
+    fn updates_altered_in_opposite_directions_are_both_rejected() {
+        for batch_verify in [false, true] {
+            let cfg = TaskConfig {
+                trainers: 2,
+                verifiable: true,
+                trainer_verifies: true,
+                batch_verify,
+                ..TaskConfig::default()
+            };
+            let (mut trainer, key) = trainer(cfg, 0);
+            let honest = build_blob(&[0.5, -1.0, 2.0]);
+            let accumulated = Some(commit_blob(&key.unwrap(), &honest).unwrap().to_bytes());
+            let mut actions = Vec::new();
+            for (partition, delta) in [(0, 1 << 20), (1, -(1 << 20))] {
+                let mut vector = decode_blob(&honest).unwrap();
+                vector[0] = Quantized(vector[0].0 + delta);
+                let data = Bytes::from(encode(&vector));
+                let cid = Cid::of(&data);
+                let (iter, cid_info) = (0, Some(cid));
+                deliver(
+                    &mut trainer,
+                    Msg::TotalAccumulator {
+                        partition,
+                        iter,
+                        accumulated,
+                    },
+                );
+                let asked = deliver(
+                    &mut trainer,
+                    Msg::UpdateInfo {
+                        partition,
+                        iter,
+                        cid: cid_info,
+                    },
+                );
+                let req_id = asked.iter().find_map(|action| match action {
+                    ProtocolAction::Send {
+                        msg: Msg::Ipfs(IpfsWire::Get { req_id, .. }),
+                        ..
+                    } => Some(*req_id),
+                    _ => None,
+                });
+                let reply = IpfsWire::GetOk {
+                    cid,
+                    data,
+                    req_id: req_id.unwrap(),
+                };
+                actions.extend(deliver(&mut trainer, Msg::Ipfs(reply)));
+            }
+            let rejected = recorded(&actions, labels::TRAINER_REJECTED_UPDATE);
+            assert_eq!(rejected, [0.0, 1.0], "batch_verify = {batch_verify}");
+            assert!(recorded(&actions, labels::TRAINER_ROUND_DONE).is_empty());
+        }
+    }
+
+    /// An overlay node drops a child of another width before its check:
+    /// such a blob can open its own commitment (a shorter vector, or one
+    /// padded with zeros), and summed with the level it would abandon the
+    /// whole partial. The level goes up with the other child.
+    #[test]
+    fn an_overlay_child_of_another_width_is_rejected_before_the_check() {
+        let cfg = TaskConfig {
+            trainers: 3,
+            partitions: 1,
+            verifiable: true,
+            overlay_branching: Some(2),
+            ..TaskConfig::default()
+        };
+        let root = OverlayTree::new(cfg.trainers, 2, cfg.seed).root();
+        let (mut trainer, key) = trainer(cfg, root);
+        let (key, tree) = (key.unwrap(), trainer.topo.overlay().unwrap());
+        let children = tree.children(root);
+        assert_eq!(children.len(), 2);
+        deliver(&mut trainer, Msg::StartRound { iter: 0 });
+        handle(&mut trainer, ProtocolEvent::Timer { token: TK_TRAIN });
+        let own = trainer.round.blobs[&0].0.clone();
+        let honest = Bytes::from(build_blob(&[0.5; 6]));
+        let narrow = Bytes::from(build_blob(&[0.5; 3]));
+        let mut actions = Vec::new();
+        for (&child, blob) in children.iter().zip([&honest, &narrow]) {
+            let commitment = commit_blob(&key, blob).unwrap();
+            assert!(crate::gradient::verify_blob(&key, blob, &commitment));
+            actions.extend(deliver(
+                &mut trainer,
+                Msg::OverlayPartial {
+                    trainer: child,
+                    partition: 0,
+                    iter: 0,
+                    data: blob.clone(),
+                    count: 1,
+                    commitment: commitment.to_bytes(),
+                    signature: None,
+                },
+            ));
+        }
+        assert_eq!(
+            recorded(&actions, labels::OVERLAY_CHILD_REJECTED),
+            [children[1] as f64]
+        );
+        assert!(recorded(&actions, labels::SUM_OVERFLOW).is_empty());
+        let sum = [decode_blob(&own).unwrap(), decode_blob(&honest).unwrap()];
+        let sum = encode(&crate::gradient::sum_gradients(&sum).unwrap());
+        let forwarded = actions.iter().any(|action| {
+            matches!(action, ProtocolAction::Send { msg: Msg::OverlayPartial { data, count: 2, .. }, .. } if data[..] == sum[..])
+        });
+        assert!(forwarded, "the level goes up with the other child");
     }
 }

@@ -1111,19 +1111,23 @@ mod tests {
 
     /// The measurement behind [`RLC_MIN_BATCH`]: honest rounds of `n`
     /// openings of `d` elements, checked by sequential `verify`, by one
-    /// `batch_check` and by `batch_culprits` (what the protocol calls). Each
-    /// opening is a shared vector of alternating-sign ≤ 24-bit values with
-    /// one element bumped, on a key with its table. Run with `cargo test
-    /// --release -p dfl-crypto --lib rlc_crossover -- --ignored
-    /// --nocapture`.
+    /// `batch_check`, by `batch_culprits`, and — what a consumer of the sum
+    /// alone needs — by one `verify` of `Σvᵢ` against `ΠCᵢ`, the integer sum
+    /// and its one conversion to scalars included. Each opening is a
+    /// shared vector of alternating-sign ≤ 24-bit values with one element
+    /// bumped, on a key with its table. Run with `cargo test --release -p
+    /// dfl-crypto --lib rlc_crossover -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing table; run by hand in release"]
     fn rlc_crossover() {
         use crate::msm::tests::median_us;
-        println!("honest round: sequential verify, one RLC, batch_culprits (median of 5, ms)");
         println!(
-            "{:>6} {:>4} {:>12} {:>10} {:>16} {:>16}",
-            "d", "n", "sequential", "rlc", "batch_culprits", "sequential/rlc"
+            "honest round: sequential verify, one RLC, batch_culprits, verify of the sum \
+             (median of 5, ms)"
+        );
+        println!(
+            "{:>6} {:>4} {:>12} {:>10} {:>16} {:>10} {:>16}",
+            "d", "n", "sequential", "rlc", "batch_culprits", "sum", "sequential/rlc"
         );
         for d in [33, 8193] {
             let key = CommitKey::<K1>::setup_precomputed(d, b"bench-verifiable-round");
@@ -1131,12 +1135,16 @@ mod tests {
                 .map(|i| ((0x9E37 * (i + 1)) & 0xFF_FFFF) * if i % 2 == 0 { 1 } else { -1 })
                 .collect();
             for n in [1, 2, 3, 4, 5, 6, 8, 16] {
-                let vectors: Vec<Vec<Scalar<K1>>> = (0..n)
+                let openings: Vec<Vec<i64>> = (0..n)
                     .map(|i| {
                         let mut values = base.clone();
                         values[i % d] += ((0x9E37 * i as i64) & 0xFF_FFFF) | 1;
-                        values.into_iter().map(Scalar::<K1>::from_i64).collect()
+                        values
                     })
+                    .collect();
+                let vectors: Vec<Vec<Scalar<K1>>> = openings
+                    .iter()
+                    .map(|v| v.iter().map(|&x| Scalar::<K1>::from_i64(x)).collect())
                     .collect();
                 let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
                 let e = entries(&vectors, &commits);
@@ -1145,8 +1153,15 @@ mod tests {
                     ms(&|| vectors.iter().zip(&commits).all(|(v, c)| key.verify(v, c)));
                 let rlc = ms(&|| key.batch_check(&e));
                 let culprits = ms(&|| key.batch_culprits(&e).is_empty());
+                let sum = ms(&|| {
+                    let column = |j: usize| openings.iter().map(|v| v[j]).sum::<i64>();
+                    let summed: Vec<Scalar<K1>> =
+                        (0..d).map(|j| Scalar::<K1>::from_i64(column(j))).collect();
+                    key.verify(&summed, &Commitment::accumulate(&commits))
+                });
                 println!(
-                    "{d:>6} {n:>4} {sequential:>12.3} {rlc:>10.3} {culprits:>16.3} {:>15.2}x",
+                    "{d:>6} {n:>4} {sequential:>12.3} {rlc:>10.3} {culprits:>16.3} {sum:>10.3} \
+                     {:>15.2}x",
                     sequential / rlc
                 );
             }
