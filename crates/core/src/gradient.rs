@@ -14,7 +14,7 @@ use bytes::Bytes;
 
 use dfl_crypto::curve::Secp256k1;
 use dfl_crypto::pedersen::{CommitKey, Commitment};
-use dfl_crypto::quantize::{decode, to_scalars, Quantized};
+use dfl_crypto::quantize::{decode, Quantized};
 
 use crate::config::TaskConfig;
 use crate::error::IplsError;
@@ -123,27 +123,23 @@ pub fn sum_in_round<M>(
     sum
 }
 
-/// Commits to a blob's quantized vector (including the counter element).
+/// Commits to a blob's quantized vector (including the counter element),
+/// reading each integer's digits straight from its sign and magnitude.
 ///
-/// Returns [`IplsError::MalformedBlob`] when the blob does not decode —
-/// blobs can arrive from Byzantine peers (e.g. the recovery re-commit
-/// path), so a malformed one must never panic an honest node.
-///
-/// # Panics
-///
-/// Panics if the decoded vector is longer than the key (a configuration
-/// invariant: keys are derived for the task's maximum partition length).
+/// Returns [`IplsError::MalformedBlob`] when the blob does not decode or
+/// decodes to more elements than the key has generators — blobs can
+/// arrive from Byzantine peers (e.g. the recovery re-commit path), so a
+/// malformed one must never panic an honest node.
 pub fn commit_blob(key: &ProtocolKey, blob: &[u8]) -> Result<ProtocolCommitment, IplsError> {
-    let v = decode_blob(blob).ok_or(IplsError::MalformedBlob)?;
-    Ok(key.commit(&to_scalars::<ProtocolCurve>(&v)))
+    let v = decode_blob(blob)
+        .filter(|v| v.len() <= key.len())
+        .ok_or(IplsError::MalformedBlob)?;
+    Ok(key.commit(&v))
 }
 
 /// Verifies that `blob` opens `commitment`.
 pub fn verify_blob(key: &ProtocolKey, blob: &[u8], commitment: &ProtocolCommitment) -> bool {
-    match decode_blob(blob) {
-        Some(v) => key.verify(&to_scalars::<ProtocolCurve>(&v), commitment),
-        None => false,
-    }
+    decode_blob(blob).is_some_and(|v| key.verify(&v, commitment))
 }
 
 /// Verifies a batch of `(blob, commitment)` pairs *now* with one
@@ -151,7 +147,7 @@ pub fn verify_blob(key: &ProtocolKey, blob: &[u8], commitment: &ProtocolCommitme
 /// on failure so the returned indices are exactly the pairs that
 /// [`verify_blob`] would reject one at a time — malformed blobs included.
 /// The blob bytes double as the Fiat–Shamir binding (they uniquely
-/// determine the decoded scalars), which keeps transcript hashing at 8
+/// determine the decoded integers), which keeps transcript hashing at 8
 /// bytes per element.
 ///
 /// This is the arrival-time check of every core that consumes what it
@@ -246,16 +242,16 @@ fn culprits(key: &ProtocolKey, items: &[(&[u8], &ProtocolCommitment)]) -> Vec<us
     // Malformed blobs can never open a commitment: convict them up front
     // and batch the RLC over the decodable remainder.
     let mut culprits: Vec<usize> = Vec::new();
-    let mut decoded: Vec<(usize, Vec<dfl_crypto::curve::Scalar<ProtocolCurve>>)> = Vec::new();
+    let mut decoded: Vec<(usize, Vec<Quantized>)> = Vec::new();
     for (i, (blob, _)) in items.iter().enumerate() {
         match decode_blob(blob) {
-            Some(v) => decoded.push((i, to_scalars::<ProtocolCurve>(&v))),
+            Some(v) => decoded.push((i, v)),
             None => culprits.push(i),
         }
     }
     let entries: Vec<BatchEntry<'_, ProtocolCurve>> = decoded
         .iter()
-        .map(|(i, scalars)| BatchEntry::with_binding(scalars, items[*i].1, items[*i].0))
+        .map(|(i, values)| BatchEntry::quantized(values, items[*i].1, items[*i].0))
         .collect();
     culprits.extend(key.batch_culprits(&entries).iter().map(|&j| decoded[j].0));
     culprits.sort_unstable();
@@ -269,12 +265,12 @@ fn sum_culprits(key: &ProtocolKey, items: &[(&[u8], &ProtocolCommitment)]) -> Ve
     let decoded: Option<Vec<Vec<Quantized>>> =
         items.iter().map(|(blob, _)| decode_blob(blob)).collect();
     // `sum_gradients` refuses mismatched widths and overflow; `verify`
-    // refuses a sum wider than the key. The sum's scalars are ≈ 25 + log₂ n
-    // bits, converted once, for the sum only.
+    // refuses a sum wider than the key. The sum's integers are ≈ 25 + log₂ n
+    // bits, and their digits are read as they are.
     let sum = decoded.and_then(|vectors| sum_gradients(&vectors).ok());
     let product = || Commitment::accumulate(items.iter().map(|&(_, c)| c));
     match sum {
-        Some(sum) if key.verify(&to_scalars::<ProtocolCurve>(&sum), &product()) => Vec::new(),
+        Some(sum) if key.verify(&sum, &product()) => Vec::new(),
         _ => culprits(key, items),
     }
 }
@@ -649,6 +645,20 @@ mod tests {
         );
         // And the well-formed blob still commits.
         assert!(commit_blob(&key, &good).is_ok());
+    }
+
+    #[test]
+    fn commit_blob_refuses_a_blob_longer_than_the_key_instead_of_panicking() {
+        // Regression: the length was `CommitKey::commit`'s assertion, and a
+        // recovered blob comes from a peer. With or without a table.
+        let fits = build_blob(&[1.0; 4]);
+        let overlong = build_blob(&[1.0; 5]);
+        for precompute in [false, true] {
+            let key = derive_key(4, 7, precompute);
+            let commitment = commit_blob(&key, &fits).unwrap();
+            assert_eq!(commit_blob(&key, &overlong), Err(IplsError::MalformedBlob));
+            assert!(!verify_blob(&key, &overlong, &commitment));
+        }
     }
 
     #[test]

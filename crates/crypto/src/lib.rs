@@ -20,8 +20,8 @@
 //!   single and batched verification.
 //! * [`schnorr`] — Schnorr signatures authenticating directory
 //!   registrations (without which forged registrations would defeat §IV).
-//! * [`quantize`] — fixed-point embedding of gradients into scalars so that
-//!   field addition matches gradient addition.
+//! * [`quantize`] — fixed-point gradients, committed to as integers and
+//!   embedded into scalars so that field addition matches their addition.
 //!
 //! ## Example: verifiable aggregation in miniature
 //!
@@ -30,12 +30,14 @@
 //! use dfl_crypto::pedersen::{CommitKey, Commitment};
 //! use dfl_crypto::quantize::{quantize_vector, sum_quantized, to_scalars};
 //!
-//! // Two trainers commit to their gradients.
+//! // Two trainers commit to their fixed-point gradients.
 //! let key = CommitKey::<Secp256k1>::setup(3, b"task-42");
 //! let g1 = quantize_vector(&[0.5, -1.0, 2.0]);
 //! let g2 = quantize_vector(&[1.0, 0.25, -0.5]);
-//! let c1 = key.commit(&to_scalars::<Secp256k1>(&g1));
-//! let c2 = key.commit(&to_scalars::<Secp256k1>(&g2));
+//! let c1 = key.commit(&g1);
+//! let c2 = key.commit(&g2);
+//! // The same group element as a commitment to their field embedding.
+//! assert_eq!(c1, key.commit(&to_scalars::<Secp256k1>(&g1)));
 //!
 //! // The directory accumulates commitments; the aggregator sums gradients.
 //! let accumulated = Commitment::accumulate([&c1, &c2]);
@@ -43,7 +45,7 @@
 //!
 //! // Verification: the aggregate opens the accumulated commitment, so no
 //! // gradient was dropped or altered.
-//! assert!(key.verify(&to_scalars::<Secp256k1>(&aggregated), &accumulated));
+//! assert!(key.verify(&aggregated, &accumulated));
 //! ```
 
 // The one `unsafe` in this crate is the SHA-NI kernel in `sha256`.

@@ -29,28 +29,33 @@
 //! straight-forward" Bouncy Castle implementation: Fig. 3's baseline.
 //!
 //! **Cost follows the scalar's real length.** Every kernel but the naive
-//! baseline reads digits from the scalar's *centred* representative (`k`
-//! if `k ≤ (n−1)/2`, else `−(n − k)`), adds the *negated* point or table
-//! entry for a negative one — free in affine coordinates, one field
-//! subtraction — and stops at the magnitude's bit length (the bucket
-//! passes: at the longest magnitude in the call).
-//! A quantized gradient coordinate `−v` is embedded as `n − v`
-//! ([`crate::quantize`]), a 256-bit canonical scalar, but costs what its
-//! ≤ 40-bit magnitude costs: at most 4 of a d = 8 192 table's 22 windows
-//! instead of all of them. The result is the same group element, so
-//! commitments are byte-identical whichever representative was walked.
-//! [`naive`] deliberately stays on the canonical representative: it is
-//! the paper's implementation, and Fig. 3's baseline.
+//! baseline reads digits from a term's *centred* sign and magnitude
+//! ([`Multiplier`]), adds the *negated* point or table entry for a negative
+//! one — free in affine coordinates, one field subtraction — and stops at
+//! the magnitude's bit length (the bucket passes: at the longest magnitude
+//! in the call). The protocol's openings are fixed-point integers
+//! ([`Quantized`]), and an integer's sign and `|v|` are its own: the digits
+//! come from a `u64` with no field embedding and no conversion back. A
+//! [`Scalar`]'s are those of its representative in `[−(n−1)/2, (n−1)/2]`
+//! (`k` if `k ≤ (n−1)/2`, else `−(n − k)`), read out of the field once per
+//! call, so a negative `v` embedded as the 256-bit `n − |v|` costs what
+//! its ≤ 40-bit magnitude costs: at most 4 of a d = 8 192 table's 22
+//! windows instead of all of them. An integer and its embedding give the
+//! same group element, so commitments are byte-identical whichever was
+//! committed to. [`naive`] deliberately stays on the canonical
+//! representative: it is the paper's implementation, and Fig. 3's baseline.
 //!
 //! **A large bucket pass uses every core.** A pass worth at least
 //! `SPLIT_MIN_MULS` field products — a d = 8 193 commitment or batch
 //! check, never a d = 33 one — splits its buckets into contiguous ranges of
-//! about equal work, one per core, on scoped threads. Each range sums and
-//! running-sums only its own buckets, and the ranges' shares are added in a
-//! fixed order. Elliptic-curve addition is exact, so the result is the same
-//! group element whatever the split, and its affine (serialised) form is
-//! bit-identical: simulated time, event order and every byte stay put. A
-//! table's build splits its bases the same way.
+//! about equal work, one per core, on scoped threads. The pass counts its
+//! buckets' sizes in one cheap pass over the digits; then each range reads
+//! the digits again itself, gathers only its own buckets' points, sums and
+//! running-sums them, and the ranges' shares are added in a fixed order. No
+//! list of entries is built. Elliptic-curve addition is exact, so the result
+//! is the same group element whatever the split, and its affine
+//! (serialised) form is bit-identical: simulated time, event order and
+//! every byte stay put. A table's build splits its bases the same way.
 //!
 //! **A running sum over thousands of buckets is two short ones.** From
 //! about 130 buckets a range sums its buckets into rows and columns by the
@@ -75,28 +80,30 @@ use std::sync::OnceLock;
 use crate::bigint::U256;
 use crate::curve::{wnaf_digits, Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
+use crate::quantize::Quantized;
 
 /// From this many points an untabled MSM runs the batch-affine bucket
 /// method; below it, one interleaved wNAF walk.
 const BUCKET_MIN_POINTS: usize = 32;
 
 /// Computes `Σ kᵢ·Pᵢ` without precomputation: the interleaved wNAF walk
-/// below 32 points, the batch-affine bucket method from 32.
+/// below 32 points, the batch-affine bucket method from 32. The
+/// multipliers are [`Scalar`]s or fixed-point [`Quantized`] integers.
 ///
 /// # Panics
 ///
 /// Panics if `points` and `scalars` have different lengths.
-pub fn eval<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
+pub fn eval<C: Curve, K: Multiplier<C>>(points: &[Affine<C>], scalars: &[K]) -> Jacobian<C> {
     assert_eq!(
         points.len(),
         scalars.len(),
         "points/scalars length mismatch"
     );
+    let terms = centred(scalars);
     if points.len() < BUCKET_MIN_POINTS {
-        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
-        interleaved_wnaf(&odd_multiples(points), &centred)
+        interleaved_wnaf(&odd_multiples(points), &terms)
     } else {
-        pippenger_batch_affine(points, scalars)
+        pippenger_batch_affine(points, &terms)
     }
 }
 
@@ -127,6 +134,92 @@ pub fn naive<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<
         acc = acc.add(&term);
     }
     acc
+}
+
+// ---------------------------------------------------------------------------
+// What the kernels multiply by
+// ---------------------------------------------------------------------------
+
+/// A multiplier the MSM kernels take: a [`Scalar`], or a fixed-point
+/// [`Quantized`] integer — the protocol's openings. Every kernel but
+/// [`naive`] reads a term's digits from its centred sign and magnitude
+/// ([`Multiplier::centred`]), which for an integer are its own sign and
+/// `|v|` as a `u64`: no field embedding and no conversion back. An integer
+/// gives the group element its embedding [`Quantized::to_scalar`] gives.
+pub trait Multiplier<C: Curve> {
+    /// The magnitude's type: [`U256`] for a scalar, `u64` for an integer.
+    type Magnitude: Magnitude;
+
+    /// Sign and magnitude of the centred representative: `(true, |v|)` for
+    /// a negative value.
+    fn centred(&self) -> (bool, Self::Magnitude);
+}
+
+impl<C: Curve> Multiplier<C> for Scalar<C> {
+    type Magnitude = U256;
+
+    fn centred(&self) -> (bool, U256) {
+        self.to_centred()
+    }
+}
+
+impl<C: Curve> Multiplier<C> for Quantized {
+    type Magnitude = u64;
+
+    fn centred(&self) -> (bool, u64) {
+        (self.0 < 0, self.0.unsigned_abs())
+    }
+}
+
+/// An unsigned magnitude a kernel reads its digits from.
+pub trait Magnitude: Copy + Send + Sync {
+    /// Number of bits required to represent the value (0 for zero).
+    fn bit_len(&self) -> usize;
+
+    /// The `width ≤ 16` bits from bit `start` up; `start` lies below the
+    /// type's own width, and bits past the top read as zero.
+    fn digit(&self, start: usize, width: usize) -> usize;
+
+    /// The value as a [`U256`], the wNAF recoding's input.
+    fn to_u256(&self) -> U256;
+}
+
+impl Magnitude for U256 {
+    fn bit_len(&self) -> usize {
+        U256::bit_len(self)
+    }
+
+    fn digit(&self, start: usize, width: usize) -> usize {
+        self.bits(start, width) as usize
+    }
+
+    fn to_u256(&self) -> U256 {
+        *self
+    }
+}
+
+impl Magnitude for u64 {
+    fn bit_len(&self) -> usize {
+        (u64::BITS - self.leading_zeros()) as usize
+    }
+
+    fn digit(&self, start: usize, width: usize) -> usize {
+        (self >> start & ((1 << width) - 1)) as usize
+    }
+
+    fn to_u256(&self) -> U256 {
+        U256::from_u64(*self)
+    }
+}
+
+/// Every multiplier's centred `(negative, magnitude)`, read once per call.
+fn centred<C: Curve, K: Multiplier<C>>(scalars: &[K]) -> Vec<(bool, K::Magnitude)> {
+    scalars.iter().map(K::centred).collect()
+}
+
+/// The bit length of the longest magnitude among `terms`.
+fn longest<M: Magnitude>(terms: &[(bool, M)]) -> usize {
+    terms.iter().map(|(_, m)| m.bit_len()).max().unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -235,52 +328,76 @@ impl<C: Curve> MsmTable<C> {
         (self.shifts.len() + self.odd.len()) * std::mem::size_of::<Affine<C>>()
     }
 
-    /// Evaluates `Σ kᵢ·Pᵢ` over the first `scalars.len()` base points: one
-    /// bucket pass over every (point, nonzero digit) pair, then a single
-    /// running sum, split across cores when the pass is large —
-    /// or, where the odd multiples are kept and the operation counts for
-    /// this many scalars of this length favour it, the interleaved walk.
+    /// Evaluates `Σ kᵢ·Pᵢ` over the first `scalars.len()` base points, the
+    /// multipliers [`Scalar`]s or [`Quantized`] integers: one bucket pass
+    /// over every (point, nonzero digit) pair, then a single running sum,
+    /// split across cores when the pass is large — or, where the odd
+    /// multiples are kept and the operation counts for this many scalars of
+    /// this length favour it, the interleaved walk.
     ///
     /// # Panics
     ///
     /// Panics if `scalars` is longer than the table.
-    pub fn eval(&self, scalars: &[Scalar<C>]) -> Jacobian<C> {
+    pub fn eval<K: Multiplier<C>>(&self, scalars: &[K]) -> Jacobian<C> {
         assert!(
             scalars.len() <= self.len(),
             "scalar vector length {} exceeds table length {}",
             scalars.len(),
             self.len()
         );
-        let centred: Vec<(bool, U256)> = scalars.iter().map(|k| k.to_centred()).collect();
-        let bits = centred.iter().map(|(_, m)| m.bit_len()).max().unwrap_or(0);
+        let terms = centred(scalars);
+        let bits = longest(&terms);
         if !self.odd.is_empty()
-            && interleaved_walk_muls(centred.len(), bits)
-                < bucket_pass_muls(centred.len(), bits, self.window)
+            && interleaved_walk_muls(terms.len(), bits)
+                < bucket_pass_muls(terms.len(), bits, self.window)
         {
-            return interleaved_wnaf(&self.odd, &centred);
+            return interleaved_wnaf(&self.odd, &terms);
         }
-        bucket_pass((1 << self.window) - 1, &self.entries(&centred))
+        bucket_pass((1 << self.window) - 1, &self.digits_of(&terms))
     }
 
-    /// The bucket entries for `centred` scalars: the shift of every
-    /// (scalar, window) pair, in bucket `d − 1` for its digit `d`. Digits
-    /// come from the scalar's centred representative ([`Fp::to_centred`]): a
-    /// negative one selects the *negated* shift (one field subtraction in
-    /// affine), and the row walk stops at the magnitude's top digit.
-    fn entries(&self, centred: &[(bool, U256)]) -> Vec<Entry<'_, C>> {
-        let mut entries = Vec::new();
-        for (&(negative, magnitude), row) in
-            centred.iter().zip(self.shifts.chunks_exact(self.digits))
-        {
-            let used = magnitude.bit_len().div_ceil(self.window);
-            for (w, shift) in row[..used].iter().enumerate() {
-                let digit = magnitude.bits(w * self.window, self.window) as usize;
-                if digit != 0 && !shift.is_identity() {
-                    entries.push((digit - 1, shift, negative));
+    /// The bucket entries of `terms` over the table's rows of shifts.
+    fn digits_of<'a, M>(&'a self, terms: &'a [(bool, M)]) -> Digits<'a, C, M> {
+        Digits {
+            rows: &self.shifts,
+            stride: self.digits,
+            first: 0,
+            window: self.window,
+            terms,
+        }
+    }
+}
+
+/// The bucket entries of centred terms over rows of points, `stride`
+/// points a term: a nonzero digit `d` of window `w` puts the row's point
+/// for `w` in bucket `d − 1`, negated for a negative term (one field
+/// subtraction in affine). Row `i` serves windows `first .. first +
+/// stride` of term `i`, up to its magnitude's top digit. A table's rows
+/// are its shifts, every window from the first; a Pippenger window's are
+/// the bases themselves, one window each. So the table pass, the untabled
+/// bucket method and — through [`Magnitude`] — the interleaved walk read
+/// one digit source.
+struct Digits<'a, C: Curve, M> {
+    rows: &'a [Affine<C>],
+    stride: usize,
+    first: usize,
+    window: usize,
+    terms: &'a [(bool, M)],
+}
+
+impl<C: Curve, M: Magnitude> Entries<C> for Digits<'_, C, M> {
+    fn each(&self, mut f: impl FnMut(usize, &Affine<C>, bool)) {
+        let c = self.window;
+        let rows = self.rows.chunks_exact(self.stride);
+        for (&(negative, magnitude), row) in self.terms.iter().zip(rows) {
+            let end = magnitude.bit_len().div_ceil(c);
+            for (w, point) in (self.first..end).zip(row) {
+                let digit = magnitude.digit(w * c, c);
+                if digit != 0 {
+                    f(digit - 1, point, negative);
                 }
             }
         }
-        entries
     }
 }
 
@@ -403,10 +520,13 @@ const SHORTEST_PLANNED_BITS: usize = crate::quantize::FRACTIONAL_BITS as usize +
 /// longest of them, each non-zero digit costing one mixed addition of a
 /// stored multiple (negated for a negative digit or scalar, not both).
 /// With one term this is the classic wNAF ladder.
-fn interleaved_wnaf<C: Curve>(odd: &[Affine<C>], centred: &[(bool, U256)]) -> Jacobian<C> {
+fn interleaved_wnaf<C: Curve, M: Magnitude>(
+    odd: &[Affine<C>],
+    centred: &[(bool, M)],
+) -> Jacobian<C> {
     let digits: Vec<Vec<i8>> = centred
         .iter()
-        .map(|(_, magnitude)| wnaf_digits(magnitude, WNAF_WIDTH))
+        .map(|(_, magnitude)| wnaf_digits(&magnitude.to_u256(), WNAF_WIDTH))
         .collect();
     let longest = digits.iter().map(Vec::len).max().unwrap_or(0);
     let mut acc = Jacobian::identity();
@@ -430,50 +550,21 @@ fn interleaved_wnaf<C: Curve>(odd: &[Affine<C>], centred: &[(bool, U256)]) -> Ja
     acc
 }
 
-/// Every term as `|kᵢ|·(±Pᵢ)` over the scalar's centred representative
-/// ([`Fp::to_centred`]): the points with the negative terms' negated, the
-/// magnitudes, and the longest magnitude's bit length — the number of bits
-/// the windowed kernels below have to walk.
-fn centred_terms<C: Curve>(
+/// Pippenger with batch-affine bucket accumulation: one bucket pass per
+/// window over the terms' digits in it ([`Digits`]), the window sums then
+/// combined by `c` doublings each.
+fn pippenger_batch_affine<C: Curve, M: Magnitude>(
     points: &[Affine<C>],
-    scalars: &[Scalar<C>],
-) -> (Vec<Affine<C>>, Vec<U256>, usize) {
-    let mut bits = 0;
-    let (points, magnitudes) = points
-        .iter()
-        .zip(scalars)
-        .map(|(p, k)| {
-            let (negative, magnitude) = k.to_centred();
-            bits = bits.max(magnitude.bit_len());
-            (if negative { p.negate() } else { *p }, magnitude)
-        })
-        .unzip();
-    (points, magnitudes, bits)
-}
-
-/// Pippenger with batch-affine bucket accumulation: per window, bucket
-/// contents are kept as affine point lists and summed by rounds of paired
-/// affine additions sharing one inversion ([`batch_affine_sum_buckets`]).
-fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>]) -> Jacobian<C> {
+    terms: &[(bool, M)],
+) -> Jacobian<C> {
     let n = points.len();
     if n == 0 {
         return Jacobian::identity();
     }
     let c = window_size(n);
-    let (points, magnitudes, bits) = centred_terms(points, scalars);
-    let windows = bits.div_ceil(c);
-
-    let mut window_sums = Vec::with_capacity(windows);
-    for w in 0..windows {
-        let mut entries = Vec::with_capacity(n);
-        for (k, p) in magnitudes.iter().zip(&points) {
-            let digit = k.bits(w * c, c) as usize;
-            if digit != 0 && !p.is_identity() {
-                entries.push((digit - 1, p, false));
-            }
-        }
-        window_sums.push(bucket_pass((1 << c) - 1, &entries));
-    }
+    let window_sums: Vec<Jacobian<C>> = (0..longest(terms).div_ceil(c))
+        .map(|w| bucket_pass((1 << c) - 1, &window_digits(points, terms, w, c)))
+        .collect();
 
     let mut acc = Jacobian::identity();
     for sum in window_sums.iter().rev() {
@@ -485,9 +576,26 @@ fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>])
     acc
 }
 
-/// Sums each bucket — `sizes[i]` consecutive points of `points`, bucket
-/// after bucket — by repeated rounds of pairwise affine additions in
-/// place, amortizing the per-addition field division with one
+/// Pippenger window `w`'s bucket entries: each base with its term's digit
+/// in bits `w·c .. (w + 1)·c`.
+fn window_digits<'a, C: Curve, M>(
+    points: &'a [Affine<C>],
+    terms: &'a [(bool, M)],
+    w: usize,
+    c: usize,
+) -> Digits<'a, C, M> {
+    Digits {
+        rows: points,
+        stride: 1,
+        first: w,
+        window: c,
+        terms,
+    }
+}
+
+/// Sums each bucket — the first `lens[i]` of `sizes[i]` consecutive slots
+/// of `points`, bucket after bucket — by repeated rounds of pairwise affine
+/// additions in place, amortizing the per-addition field division with one
 /// [`Fp::batch_invert`] per round across *all* buckets. Returns one sum per
 /// bucket: the identity for an empty bucket or one that cancels.
 ///
@@ -497,9 +605,12 @@ fn pippenger_batch_affine<C: Curve>(points: &[Affine<C>], scalars: &[Scalar<C>])
 /// (`x_P = x_Q`, `y_P = −y_Q`) sum to the identity and are dropped; the
 /// curves have prime (odd) order, so no point has `y = 0` and the
 /// doubling denominator is never zero.
-fn batch_affine_sum_buckets<C: Curve>(points: &mut [Affine<C>], sizes: &[usize]) -> Vec<Affine<C>> {
+fn batch_affine_sum_buckets<C: Curve>(
+    points: &mut [Affine<C>],
+    sizes: &[usize],
+    mut lens: Vec<usize>,
+) -> Vec<Affine<C>> {
     let starts = offsets(sizes);
-    let mut lens = sizes.to_vec();
     let mut nums: Vec<Fp<C::Base>> = Vec::new();
     let mut dens: Vec<Fp<C::Base>> = Vec::new();
     loop {
@@ -605,14 +716,10 @@ fn running_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>) {
 /// short running sums and `h` doublings finish it.
 fn row_column_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>) {
     let (h, rows, columns) = row_column_shape(sums.len());
-    // Rows are lines 0 .. 2^h, columns the lines after them.
-    let mut entries = Vec::with_capacity(2 * sums.len());
-    for (e, s) in (1..).zip(sums).filter(|(_, s)| !s.is_identity()) {
-        entries.push((e & (rows - 1), s, false));
-        entries.push((rows + (e >> h), s, false));
-    }
-    let sizes = bucket_sizes(rows + columns, &entries);
-    let lines = batch_affine_sum_buckets(&mut gather(&sizes, &entries, 0), &sizes);
+    let lines = Lines { sums, h };
+    let sizes = bucket_sizes(rows + columns, &lines);
+    let (mut points, lens) = gather(&lines, &sizes, 0);
+    let lines = batch_affine_sum_buckets(&mut points, &sizes, lens);
     let (row_sums, column_sums) = lines.split_at(rows);
     let (low, rows_total) = bucket_running_sum(&row_sums[1..]);
     let (mut high, _) = bucket_running_sum(&column_sums[1..]);
@@ -620,6 +727,24 @@ fn row_column_sum<C: Curve>(sums: &[Affine<C>]) -> (Jacobian<C>, Jacobian<C>) {
         high = high.double();
     }
     (high.add(&low), rows_total.add_affine(&row_sums[0]))
+}
+
+/// [`row_column_sum`]'s entries: bucket `e`'s sum in row `e mod 2^h`,
+/// which is line `e mod 2^h`, and in column `e >> h`, which is line
+/// `2^h + (e >> h)`.
+struct Lines<'a, C: Curve> {
+    sums: &'a [Affine<C>],
+    h: usize,
+}
+
+impl<C: Curve> Entries<C> for Lines<'_, C> {
+    fn each(&self, mut f: impl FnMut(usize, &Affine<C>, bool)) {
+        let rows = 1 << self.h;
+        for (e, sum) in (1..).zip(self.sums) {
+            f(e & (rows - 1), sum, false);
+            f(rows + (e >> self.h), sum, false);
+        }
+    }
 }
 
 /// `(h, 2^h, columns)` of [`row_column_sum`] over `buckets` buckets
@@ -659,43 +784,61 @@ fn window_size(n: usize) -> usize {
 // Splitting a pass across cores
 // ---------------------------------------------------------------------------
 
-/// One bucket-pass entry: the bucket (its digit − 1), the point, and
-/// whether the point enters negated.
-type Entry<'p, C> = (usize, &'p Affine<C>, bool);
+/// A bucket pass's input: the `(bucket, point, negated)` entries it sums,
+/// streamed in a fixed order from the terms' digits. A pass streams them
+/// once to count each bucket's size ([`bucket_sizes`]) and once more on
+/// each range thread, which keeps only its own buckets' points
+/// ([`gather`]), so no entry list is ever built.
+trait Entries<C: Curve>: Sync {
+    /// Calls `f` on every entry, in order.
+    fn each(&self, f: impl FnMut(usize, &Affine<C>, bool));
+}
 
 /// `Σ (i+1)·Bᵢ` over `buckets` buckets, `Bᵢ` the sum of the points that
 /// `entries` puts in bucket `i`: each bucket summed batch-affine, then the
 /// running sum — on every core when the pass, priced by [`bucket_muls`], is
 /// worth [`SPLIT_MIN_MULS`].
-fn bucket_pass<C: Curve>(buckets: usize, entries: &[Entry<'_, C>]) -> Jacobian<C> {
+fn bucket_pass<C: Curve>(buckets: usize, entries: &impl Entries<C>) -> Jacobian<C> {
     let sizes = bucket_sizes(buckets, entries);
     let price = bucket_muls(buckets);
     let muls = sizes.iter().map(|&n| price(n)).sum();
     bucket_pass_split(&sizes, entries, ranges_for(muls))
 }
 
-/// How many of `entries` each of `buckets` buckets holds.
-fn bucket_sizes<C: Curve>(buckets: usize, entries: &[Entry<'_, C>]) -> Vec<usize> {
+/// How many of `entries` each of `buckets` buckets holds: digits only, no
+/// point is read.
+fn bucket_sizes<C: Curve>(buckets: usize, entries: &impl Entries<C>) -> Vec<usize> {
     let mut sizes = vec![0; buckets];
-    for &(bucket, _, _) in entries {
-        sizes[bucket] += 1;
-    }
+    entries.each(|bucket, _, _| sizes[bucket] += 1);
     sizes
 }
 
 /// The points `entries` puts in buckets `lo .. lo + sizes.len()` (negated
-/// where marked), bucket after bucket: the flat input of
-/// [`batch_affine_sum_buckets`]. Entries outside those buckets are skipped.
-fn gather<C: Curve>(sizes: &[usize], entries: &[Entry<'_, C>], lo: usize) -> Vec<Affine<C>> {
-    let mut next = offsets(sizes);
+/// where marked), bucket after bucket: room for `sizes[i]` points in
+/// bucket `i`, of which the first `lens[i]` are filled, by those that are
+/// not the identity. Entries outside those buckets are skipped.
+fn gather<C: Curve>(
+    entries: &impl Entries<C>,
+    sizes: &[usize],
+    lo: usize,
+) -> (Vec<Affine<C>>, Vec<usize>) {
+    let starts = offsets(sizes);
+    let mut next = starts.clone();
     let mut points = vec![Affine::identity(); sizes.iter().sum()];
-    for &(bucket, point, negate) in entries {
+    entries.each(|bucket, point, negate| {
         if let Some(slot) = bucket.checked_sub(lo).and_then(|i| next.get_mut(i)) {
-            points[*slot] = if negate { point.negate() } else { *point };
-            *slot += 1;
+            if !point.is_identity() {
+                points[*slot] = if negate { point.negate() } else { *point };
+                *slot += 1;
+            }
         }
-    }
-    points
+    });
+    let lens = next
+        .iter()
+        .zip(&starts)
+        .map(|(end, start)| end - start)
+        .collect();
+    (points, lens)
 }
 
 /// Where each of consecutive runs of `sizes` items starts.
@@ -718,8 +861,8 @@ fn bucket_muls(buckets: usize) -> impl Fn(usize) -> usize {
 }
 
 /// [`bucket_pass`] over at most `ranges` contiguous bucket ranges of about
-/// equal [`bucket_muls`], each on its own thread, which gathers only its
-/// own buckets' points from `entries`. Balancing by work, not bucket
+/// equal [`bucket_muls`], each on its own thread, which reads the terms'
+/// digits itself and gathers only its own buckets' points ([`gather`]). Balancing by work, not bucket
 /// count, matters: a ≤ 40-bit opening's top 12-bit window only
 /// reaches digits below 16, so the lowest 16 buckets hold a quarter of the
 /// entries and an equal-count split would hand the lower half ≈ 62 %.
@@ -729,12 +872,13 @@ fn bucket_muls(buckets: usize) -> impl Fn(usize) -> usize {
 /// which yields `T = Σ (i − lo + 1)·Bᵢ` and `S = Σ Bᵢ`. Its share of the
 /// whole is `T + lo·S`, and the shares are added in range order. The work
 /// is the serial pass's plus, per range, a read of the entries, one scalar
-/// multiplication by `lo < 2¹⁶` and its own two to four shared inversions.
+/// multiplication by `lo < 2¹⁶` and its own two to four shared inversions;
+/// the serial part is one count of the digits.
 /// Splitting the *scalars* instead would run the whole `2^c − 1`-bucket
 /// running sum once per chunk.
 fn bucket_pass_split<C: Curve>(
     sizes: &[usize],
-    entries: &[Entry<'_, C>],
+    entries: &impl Entries<C>,
     ranges: usize,
 ) -> Jacobian<C> {
     let starts = range_starts(sizes, ranges);
@@ -742,8 +886,8 @@ fn bucket_pass_split<C: Curve>(
     let bounds: Vec<(usize, usize)> = starts.iter().copied().zip(ends).collect();
     Jacobian::sum(map_split(bounds, |(lo, hi)| {
         let sizes = &sizes[lo..hi];
-        let mut points = gather(sizes, entries, lo);
-        let (t, s) = running_sum(&batch_affine_sum_buckets(&mut points, sizes));
+        let (mut points, lens) = gather(entries, sizes, lo);
+        let (t, s) = running_sum(&batch_affine_sum_buckets(&mut points, sizes, lens));
         if lo == 0 {
             t
         } else {
@@ -771,7 +915,7 @@ fn range_starts(sizes: &[usize], ranges: usize) -> Vec<usize> {
 
 /// Passes priced below this many field products run on the calling thread
 /// alone. Splitting one costs a scoped thread spawn and join, a read of the
-/// entries and each extra range's own inversions, so it pays only once half
+/// digits and each extra range's own inversions, so it pays only once half
 /// the pass is worth more than that. Measured on the reference box (2
 /// vCPUs; `split_crossover` here and `accumulate_crossover` in pedersen.rs,
 /// ignored tests run by hand with `--release -- --ignored --nocapture`;
@@ -785,19 +929,22 @@ fn range_starts(sizes: &[usize], ranges: usize) -> Vec<usize> {
 /// | d = 257, ≤ 40-bit | 14 820 | 293 | 312 | 1.07 |
 /// | d = 129, 170-bit | 23 886 | 564 | 493 | 0.92 |
 /// | d = 513, ≤ 40-bit | 29 488 | 647 | 568 | 0.99 |
-/// | d = 8 193 commit, ≤ 40-bit | 308 442 | 8 289 | 4 668 | 0.65 |
-/// | d = 8 193 RLC sum, 170-bit | 839 700 | 27 601 | 18 281 | 0.74 |
+/// | d = 8 193 commit, ≤ 40-bit integers | 246 723 | 8 753 | 5 911 | 0.71 |
+/// | d = 8 193 RLC sum, 170-bit | 778 053 | 39 467 | 20 073 | 0.80 |
 /// | `Σ rᵢ·vᵢ`, d = 257, n = 8 | 2 056 | 50 | 61 | 1.68 |
 /// | `Σ rᵢ·vᵢ`, d = 1 025, n = 8 | 8 200 | 207 | 143 | 0.71 |
-/// | `Σ rᵢ·vᵢ`, d = 8 193, n = 15 | 122 895 | 3 834 | 2 003 | 0.53 |
+/// | `Σ rᵢ·vᵢ`, d = 8 193, n = 15 | 122 895 | 7 163 | 6 292 | 0.88 |
 ///
 /// No pass from 20 000 products up lost a run; the largest d = 33 pass
 /// stays a factor of 2.7 below, on one thread, where a spawn per pass
-/// would cost CPU for a gain inside the noise. (The products column was
-/// priced with the one-level running sum; passes of 130 buckets and more
-/// now price and run the two-level one.) Key set-up is priced the same
-/// way — a d = 33 key's generators and table clear the threshold, an
-/// eight-generator key's do not.
+/// would cost CPU for a gain inside the noise. (The products column of
+/// the rows above d = 8 193 was priced with the one-level running sum;
+/// passes of 130 buckets and more now price and run the two-level one.
+/// The d = 8 193 rows are re-measured with each range reading its own
+/// digits, the commit's from integers, on a host in a slow phase: the
+/// unchanged `Σ rᵢ·vᵢ` pass read 3 834 µs on one thread before.) Key
+/// set-up is priced the same way — a d = 33 key's generators and table
+/// clear the threshold, an eight-generator key's do not.
 ///
 /// Not a knob: a split changes which thread computes each bucket, never
 /// the group element, so no verdict or byte depends on it.
@@ -873,29 +1020,27 @@ pub(crate) mod tests {
     /// Every kernel on the same terms, by name: the interleaved walk, the
     /// batch-affine bucket method, one table bucket pass, and the two entry
     /// points, which pick among them.
-    fn kernels<K: Curve>(
+    fn kernels<K: Curve, S: Multiplier<K>>(
         points: &[Affine<K>],
-        scalars: &[Scalar<K>],
+        scalars: &[S],
     ) -> Vec<(&'static str, Jacobian<K>)> {
-        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
+        let terms = centred(scalars);
         let table = MsmTable::build(points);
         let buckets = (1 << table.window) - 1;
+        let pass = table.digits_of(&terms);
         vec![
-            ("walk", interleaved_wnaf(&odd_multiples(points), &centred)),
-            ("batch-affine", pippenger_batch_affine(points, scalars)),
-            (
-                "table bucket pass",
-                bucket_pass(buckets, &table.entries(&centred)),
-            ),
+            ("walk", interleaved_wnaf(&odd_multiples(points), &terms)),
+            ("batch-affine", pippenger_batch_affine(points, &terms)),
+            ("table bucket pass", bucket_pass(buckets, &pass)),
             ("eval", eval(points, scalars)),
             ("table", table.eval(scalars)),
         ]
     }
 
     /// Every kernel gives `expect` on `points` and `scalars`.
-    fn assert_kernels_give<K: Curve>(
+    fn assert_kernels_give<K: Curve, S: Multiplier<K>>(
         points: &[Affine<K>],
-        scalars: &[Scalar<K>],
+        scalars: &[S],
         expect: Jacobian<K>,
     ) {
         for (name, got) in kernels(points, scalars) {
@@ -911,7 +1056,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_input_is_identity() {
         assert!(naive::<C>(&[], &[]).is_identity());
-        assert_kernels_give::<C>(&[], &[], Jacobian::identity());
+        assert_kernels_give::<C, Scalar<C>>(&[], &[], Jacobian::identity());
         assert!(MsmTable::<C>::build(&[]).is_empty());
     }
 
@@ -1083,13 +1228,13 @@ pub(crate) mod tests {
 
     /// The table's bucket pass over `scalars` split into `ranges`, whatever
     /// its size, and where the ranges start.
-    fn split_pass<C: Curve>(
+    fn split_pass<C: Curve, S: Multiplier<C>>(
         table: &MsmTable<C>,
-        scalars: &[Scalar<C>],
+        scalars: &[S],
         ranges: usize,
     ) -> ([u8; 33], Vec<usize>) {
-        let centred: Vec<_> = scalars.iter().map(|k| k.to_centred()).collect();
-        let entries = table.entries(&centred);
+        let terms = centred(scalars);
+        let entries = table.digits_of(&terms);
         let sizes = bucket_sizes((1 << table.window) - 1, &entries);
         let sum = bucket_pass_split(&sizes, &entries, ranges);
         (
@@ -1314,6 +1459,92 @@ pub(crate) mod tests {
         split_cases::<Secp256r1>();
     }
 
+    /// The fixed-point integers at every edge a digit read can get wrong:
+    /// zero, ±1, either side of one 12-bit window and of two, a value in
+    /// the fourth window, and the ends of the `i64` range, whose magnitude
+    /// `2⁶³` is the top bit of the `u64`.
+    pub(crate) const EDGE_INTEGERS: [i64; 15] = [
+        0,
+        1,
+        -1,
+        (1 << 12) - 1,
+        -((1 << 12) - 1),
+        1 << 12,
+        -(1 << 12),
+        (1 << 24) - 1,
+        -((1 << 24) - 1),
+        1 << 24,
+        -(1 << 24),
+        1 << 36,
+        -(1 << 36),
+        i64::MAX,
+        i64::MIN,
+    ];
+
+    /// Three `width`-element integer vectors: the edges in turn, every one
+    /// negative, and all zero.
+    pub(crate) fn edge_vectors(width: usize) -> [Vec<Quantized>; 3] {
+        let edge = |i: usize| EDGE_INTEGERS[i % EDGE_INTEGERS.len()];
+        let negative = |v: i64| if v > 0 { -v } else { v.min(-1) };
+        [
+            (0..width).map(|i| Quantized(edge(i))).collect(),
+            (0..width).map(|i| Quantized(negative(edge(i)))).collect(),
+            vec![Quantized(0); width],
+        ]
+    }
+
+    /// [`pippenger_batch_affine`] with every window's bucket pass split
+    /// into `ranges`, whatever its size.
+    fn split_windows<K: Curve, S: Multiplier<K>>(
+        points: &[Affine<K>],
+        scalars: &[S],
+        ranges: usize,
+    ) -> [u8; 33] {
+        let terms = centred(scalars);
+        let c = window_size(points.len());
+        let mut acc = Jacobian::identity();
+        for w in (0..longest(&terms).div_ceil(c)).rev() {
+            for _ in 0..c {
+                acc = acc.double();
+            }
+            let window = window_digits(points, &terms, w, c);
+            let sizes = bucket_sizes((1 << c) - 1, &window);
+            acc = acc.add(&bucket_pass_split(&sizes, &window, ranges));
+        }
+        acc.to_affine().to_compressed()
+    }
+
+    fn integer_cases<K: Curve>() {
+        for width in [1, 32, 33, 257] {
+            let mut points = point_run::<K>(width, 0x1A7 + width as u64);
+            if width > 7 {
+                points[7] = Affine::identity();
+            }
+            let table = MsmTable::build(&points);
+            for values in edge_vectors(width) {
+                let scalars = crate::quantize::to_scalars::<K>(&values);
+                let expect = eval(&points, &scalars);
+                if width <= 33 {
+                    assert_eq!(expect, naive(&points, &scalars), "width {width}");
+                }
+                assert_kernels_give(&points, &values, expect);
+                let oracle = expect.to_affine().to_compressed();
+                for ranges in 1..=8 {
+                    let (tabled, _) = split_pass(&table, &values, ranges);
+                    assert_eq!(tabled, oracle, "{ranges} ranges, width {width}");
+                    let untabled = split_windows(&points, &values, ranges);
+                    assert_eq!(untabled, oracle, "{ranges} ranges, width {width}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integers_give_their_embeddings_group_element_on_every_kernel_and_split() {
+        integer_cases::<Secp256k1>();
+        integer_cases::<Secp256r1>();
+    }
+
     #[test]
     fn ranges_balance_work_not_bucket_count() {
         // The shape of 8 192 ≤ 40-bit openings on a 12-bit table: three
@@ -1352,11 +1583,35 @@ pub(crate) mod tests {
         runs[runs.len() / 2]
     }
 
+    /// Field products, and the median µs over 31 runs on one range and on
+    /// `ranges`, of the table's bucket pass over `terms`, counting the
+    /// digits included.
+    fn time_split<M: Magnitude>(
+        table: &MsmTable<C>,
+        terms: &[(bool, M)],
+        ranges: usize,
+    ) -> (usize, f64, f64) {
+        let entries = table.digits_of(terms);
+        let buckets = (1 << table.window) - 1;
+        let muls = bucket_sizes(buckets, &entries)
+            .into_iter()
+            .map(bucket_muls(buckets))
+            .sum();
+        let time = |ranges| {
+            median_us(
+                31,
+                || (),
+                |()| bucket_pass_split(&bucket_sizes(buckets, &entries), &entries, ranges),
+            )
+        };
+        (muls, time(1), time(ranges))
+    }
+
     /// The measurement behind [`SPLIT_MIN_MULS`]: a table's bucket pass on
     /// one thread and split across every core, for commitment-shaped
-    /// (≤ 40-bit) and RLC-shaped (170-bit) scalars over `d` bases. Run with
-    /// `cargo test --release -p dfl-crypto --lib split_crossover --
-    /// --ignored --nocapture`.
+    /// (≤ 40-bit integer) and RLC-shaped (170-bit scalar) terms over `d`
+    /// bases. Run with `cargo test --release -p dfl-crypto --lib
+    /// split_crossover -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing table; run by hand in release"]
     fn split_crossover() {
@@ -1370,28 +1625,20 @@ pub(crate) mod tests {
         for d in [33, 65, 129, 257, 513, 1025, 2049, 4097, 8193] {
             let (points, _) = random_instance(d, d as u64);
             let table = MsmTable::build(&points);
-            for bits in [40, 170] {
-                let centred: Vec<(bool, U256)> = (0..d)
-                    .map(|i| {
-                        let mut bytes = [0u8; 32];
-                        rng.fill_bytes(&mut bytes);
-                        (i % 2 == 1, U256::from_be_bytes(bytes).shr(256 - bits))
-                    })
-                    .collect();
-                let buckets = (1 << table.window) - 1;
-                let sizes = bucket_sizes(buckets, &table.entries(&centred));
-                let muls: usize = sizes.iter().copied().map(bucket_muls(buckets)).sum();
-                let time = |ranges| {
-                    median_us(
-                        31,
-                        || (),
-                        |()| {
-                            let entries = table.entries(&centred);
-                            bucket_pass_split(&bucket_sizes(buckets, &entries), &entries, ranges)
-                        },
-                    )
-                };
-                let (serial, split) = (time(1), time(cores));
+            let integers: Vec<(bool, u64)> = (0..d)
+                .map(|i| (i % 2 == 1, rng.next_u64() >> (64 - 40)))
+                .collect();
+            let sums: Vec<(bool, U256)> = (0..d)
+                .map(|i| {
+                    let mut bytes = [0u8; 32];
+                    rng.fill_bytes(&mut bytes);
+                    (i % 2 == 1, U256::from_be_bytes(bytes).shr(256 - 170))
+                })
+                .collect();
+            for (bits, (muls, serial, split)) in [
+                (40, time_split(&table, &integers, cores)),
+                (170, time_split(&table, &sums, cores)),
+            ] {
                 println!(
                     "{d:>6} {bits:>5} {muls:>9} {serial:>9.1} {split:>9.1} {:>7.2}",
                     split / serial

@@ -29,7 +29,8 @@ use std::fmt;
 use crate::bigint::U256;
 use crate::curve::{Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
-use crate::msm::{self, map_split, ranges_for, MsmTable, FERMAT_MULS};
+use crate::msm::{self, map_split, ranges_for, MsmTable, Multiplier, FERMAT_MULS};
+use crate::quantize::Quantized;
 use crate::sha256::Sha256;
 
 /// Public parameters: a vector of generators with no known discrete-log
@@ -117,12 +118,15 @@ impl<C: Curve> CommitKey<C> {
     }
 
     /// Commits to `values` (must not exceed the key length): through the
-    /// key's table when it has one, else [`msm::eval`].
+    /// key's table when it has one, else [`msm::eval`]. The values are
+    /// field elements or the protocol's fixed-point integers, whose digits
+    /// come straight from their sign and `|v|`; an integer vector commits
+    /// to what its embedding ([`crate::quantize::to_scalars`]) commits to.
     ///
     /// # Panics
     ///
     /// Panics if `values.len() > self.len()`.
-    pub fn commit(&self, values: &[Scalar<C>]) -> Commitment<C> {
+    pub fn commit<K: Multiplier<C>>(&self, values: &[K]) -> Commitment<C> {
         assert!(
             values.len() <= self.generators.len(),
             "vector length {} exceeds key length {}",
@@ -149,8 +153,9 @@ impl<C: Curve> CommitKey<C> {
         }
     }
 
-    /// Verifies that `commitment` opens to `values` by recomputing.
-    pub fn verify(&self, values: &[Scalar<C>], commitment: &Commitment<C>) -> bool {
+    /// Verifies that `commitment` opens to `values` by recomputing; a
+    /// vector longer than the key opens nothing.
+    pub fn verify<K: Multiplier<C>>(&self, values: &[K], commitment: &Commitment<C>) -> bool {
         if values.len() > self.generators.len() {
             return false;
         }
@@ -174,10 +179,12 @@ impl<C: Curve> CommitKey<C> {
     /// one value of `rⱼ` modulo the (≈ 2²⁵⁶) group order cancels a
     /// non-opening entry `j`, so at most one of the 2¹²⁸ equally likely
     /// ones does. Shorter coefficients are what make the check cheap: the
-    /// protocol's openings are ≤ 40-bit signed values, so `Σ rᵢ·vᵢ`
-    /// centres to ≈ 170 bits and its commitment walks two thirds of the
-    /// windows, and `Σ rᵢ·Cᵢ` needs half the doublings. Entries longer
-    /// than the key can never verify and fail the batch outright.
+    /// protocol's openings are ≤ 40-bit signed values, so `Σ rᵢ·vᵢ` — a
+    /// field element even where the entries are integers
+    /// ([`BatchEntry::quantized`]) — centres to ≈ 170 bits and its
+    /// commitment walks two thirds of the windows, and `Σ rᵢ·Cᵢ` needs
+    /// half the doublings. Entries longer than the key can never verify
+    /// and fail the batch outright.
     ///
     /// At d = 8 193 both the accumulation and the commit split across
     /// every core; field and group arithmetic are exact, so the verdict and
@@ -190,7 +197,7 @@ impl<C: Curve> CommitKey<C> {
         }
         if entries
             .iter()
-            .any(|e| e.values.len() > self.generators.len())
+            .any(|e| e.opening.len() > self.generators.len())
         {
             return false;
         }
@@ -205,7 +212,7 @@ impl<C: Curve> CommitKey<C> {
     /// [`CommitKey::verify`], by bisecting the batch with the *same*
     /// Fiat–Shamir coefficients (derived once from the full transcript,
     /// reused per subrange so a cheating prover cannot adapt). Ranges of
-    /// fewer than `RLC_MIN_BATCH` (6) entries — a small batch as a whole
+    /// fewer than `RLC_MIN_BATCH` (7) entries — a small batch as a whole
     /// included — fall back to a direct [`CommitKey::verify`] per entry,
     /// so the culprit set matches sequential per-item verification
     /// exactly.
@@ -217,7 +224,7 @@ impl<C: Curve> CommitKey<C> {
         // Over-long vectors can never open; convict them directly and keep
         // the RLC domain to the checkable entries.
         let (overlong, in_range): (Vec<usize>, Vec<usize>) =
-            (0..entries.len()).partition(|&i| entries[i].values.len() > self.generators.len());
+            (0..entries.len()).partition(|&i| entries[i].opening.len() > self.generators.len());
         let mut culprits = overlong;
         if in_range.len() < RLC_MIN_BATCH {
             self.verify_each(entries, &in_range, &mut culprits);
@@ -232,24 +239,24 @@ impl<C: Curve> CommitKey<C> {
 
     /// Fiat–Shamir coefficients for a batch: hash each entry to a leaf
     /// digest, chain the leaves (in index order) into a root, and derive
-    /// `rᵢ` = the low 128 bits of `H(root ‖ i)`. Leaves hash the
-    /// binding bytes when present (cheaper than 32 B per scalar) and the
-    /// scalar encodings otherwise.
+    /// `rᵢ` = the low 128 bits of `H(root ‖ i)`. An integer entry's leaf
+    /// hashes its binding bytes (cheaper than 32 B per scalar), a scalar
+    /// entry's the scalar encodings.
     fn batch_coefficients(&self, entries: &[BatchEntry<'_, C>]) -> Vec<Scalar<C>> {
         let leaf = |e: &BatchEntry<'_, C>| -> [u8; 32] {
             let mut h = Sha256::new();
-            h.update(&(e.values.len() as u64).to_be_bytes());
-            match e.binding {
+            h.update(&(e.opening.len() as u64).to_be_bytes());
+            match e.opening {
                 // Domain-separate the two leaf encodings so a binding can
                 // never collide with a scalar transcript.
-                Some(bytes) => {
+                Opening::Integers(_, bytes) => {
                     h.update(b"B");
                     h.update(&(bytes.len() as u64).to_be_bytes());
                     h.update(bytes);
                 }
-                None => {
+                Opening::Scalars(values) => {
                     h.update(b"S");
-                    for v in e.values.iter() {
+                    for v in values {
                         h.update(&v.to_be_bytes());
                     }
                 }
@@ -293,7 +300,7 @@ impl<C: Curve> CommitKey<C> {
     ) -> bool {
         let width = idxs
             .iter()
-            .map(|&i| entries[i].values.len())
+            .map(|&i| entries[i].opening.len())
             .max()
             .unwrap_or(0);
         let combined_values = accumulate_values(entries, coeffs, idxs, width);
@@ -337,11 +344,13 @@ impl<C: Curve> CommitKey<C> {
         idxs: &[usize],
         culprits: &mut Vec<usize>,
     ) {
-        culprits.extend(
-            idxs.iter()
-                .copied()
-                .filter(|&i| !self.verify(entries[i].values, entries[i].commitment)),
-        );
+        culprits.extend(idxs.iter().copied().filter(|&i| {
+            let commitment = entries[i].commitment;
+            !match entries[i].opening {
+                Opening::Scalars(values) => self.verify(values, commitment),
+                Opening::Integers(values, _) => self.verify(values, commitment),
+            }
+        }));
     }
 }
 
@@ -349,81 +358,103 @@ impl<C: Curve> CommitKey<C> {
 /// one random linear combination. An RLC check commits once to `Σ rᵢ·vᵢ`,
 /// whose ≈ 170-bit entries walk 14 of a d = 8 192 table's 22 windows — and
 /// at d = 33 are too long for the interleaved walk, so they pay the bucket
-/// pass's fixed cost — where a direct recommit of ≤ 40-bit openings walks
-/// 2–4 windows, or at d = 33 one short doubling chain. So an RLC only pays
-/// from the batch size at which its fixed cost is shared widely enough.
-/// Measured on honest rounds (`rlc_crossover` below, an ignored test run by
-/// hand with `cargo test --release -p dfl-crypto --lib rlc_crossover --
-/// --ignored --nocapture`; median of 5; sequential `verify` vs one
-/// `batch_check`, ms; the first of three runs whose ratios agree to within
-/// 0.05):
+/// pass's fixed cost — where a direct recommit of ≤ 40-bit integer
+/// openings reads 2–4 windows' digits straight from the integers, or at
+/// d = 33 walks one short doubling chain. So an RLC only pays from the
+/// batch size at which its fixed cost is shared widely enough. Measured on
+/// honest rounds of integer openings (`rlc_crossover` below, an ignored
+/// test run by hand with `cargo test --release -p dfl-crypto --lib
+/// rlc_crossover -- --ignored --nocapture`; median of 5; sequential
+/// `verify` vs one `batch_check`, ms; the median of three runs):
 ///
 /// | n  | d = 8 193     | d = 33        |
 /// |----|---------------|---------------|
-/// | 2  | 12.4 vs 30.9  | 0.08 vs 0.31  |
-/// | 4  | 24.9 vs 32.3  | 0.17 vs 0.34  |
-/// | 5  | 30.9 vs 33.2  | 0.21 vs 0.35  |
-/// | 6  | 36.9 vs 34.2  | 0.26 vs 0.36  |
-/// | 8  | 48.4 vs 35.7  | 0.35 vs 0.39  |
-/// | 16 | 97.5 vs 42.1  | 0.70 vs 0.55  |
+/// | 2  | 6.50 vs 20.4  | 0.11 vs 0.41  |
+/// | 4  | 13.4 vs 21.7  | 0.22 vs 0.47  |
+/// | 5  | 17.0 vs 21.9  | 0.31 vs 0.49  |
+/// | 6  | 19.4 vs 21.5  | 0.40 vs 0.49  |
+/// | 7  | 24.9 vs 22.1  | 0.52 vs 0.59  |
+/// | 8  | 26.6 vs 25.7  | 0.64 vs 0.63  |
+/// | 16 | 52.3 vs 27.7  | 1.27 vs 0.79  |
 ///
-/// The two are level between n = 5 and 6 for large d and at n ≈ 10 for
-/// tiny d (≈ 15 while a Fermat inversion cost 500 products; the bucket
-/// pass under the RLC's long-scalar commit pays three, the recommits'
-/// walk none). 6 is the size from which an RLC is never the worse choice
-/// at large d, where the wrong choice costs tens of milliseconds a check.
-/// At tiny d ranges of 6–9 get an RLC that costs up to 1.4× their
-/// recommits, ≈ 0.1 ms a check, and any size that spared them would hand
-/// a d = 8 193 range of 6–8 to recommits at 1.1–1.4× an RLC.
+/// At large d the recommits won n = 6 in all three runs (sequential / RLC
+/// 0.83–0.93) and lost n = 7 in all three (1.02–1.14): 7 is the size from
+/// which an RLC is never the worse choice there, where the wrong choice
+/// costs milliseconds a check. (It was 6 while a recommit embedded its
+/// integers into the field and read them back out.) At tiny d the two are
+/// level at n ≈ 8, so ranges of 7 get an RLC that costs up to 1.35× their
+/// recommits, ≈ 0.1 ms a check.
 /// Not a knob: verdicts and culprit sets do not depend on it, only which
 /// of two equivalent checks a short range gets.
-const RLC_MIN_BATCH: usize = 6;
+const RLC_MIN_BATCH: usize = 7;
 
-/// One opening queued for batched verification: a claimed value vector,
-/// the commitment it should open, and optionally the canonical wire bytes
-/// the values were decoded from.
+/// One opening queued for batched verification: a claimed value vector —
+/// field elements, or the protocol's fixed-point integers with the
+/// canonical wire bytes they were decoded from — and the commitment it
+/// should open.
 ///
-/// When `binding` is set, the Fiat–Shamir transcript hashes those bytes
-/// *instead of* the scalar encodings — for the protocol's 8-byte
-/// fixed-point elements that is ~4× less hashing per element. Soundness
-/// then requires the binding to *determine* the values: the caller must
-/// derive `values` from `binding` by a fixed injective decoding (as
-/// `decode_blob` does), never accept them separately.
+/// For integers the Fiat–Shamir transcript hashes those bytes *instead of*
+/// the scalar encodings — for the protocol's 8-byte fixed-point elements
+/// that is ~4× less hashing per element. Soundness then requires the
+/// binding to *determine* the values: the caller must derive `values` from
+/// `binding` by a fixed injective decoding (as `decode_blob` does), never
+/// accept them separately.
 #[derive(Copy, Clone, Debug)]
 pub struct BatchEntry<'a, C: Curve> {
-    values: &'a [Scalar<C>],
+    opening: Opening<'a, C>,
     commitment: &'a Commitment<C>,
-    binding: Option<&'a [u8]>,
+}
+
+/// A [`BatchEntry`]'s claimed values; integers carry the binding their
+/// transcript leaf hashes in their place.
+#[derive(Copy, Clone, Debug)]
+enum Opening<'a, C: Curve> {
+    Scalars(&'a [Scalar<C>]),
+    Integers(&'a [Quantized], &'a [u8]),
+}
+
+impl<C: Curve> Opening<'_, C> {
+    fn len(&self) -> usize {
+        match self {
+            Opening::Scalars(values) => values.len(),
+            Opening::Integers(values, _) => values.len(),
+        }
+    }
+
+    /// Element `j` (below [`Opening::len`]) as a field element.
+    fn scalar(&self, j: usize) -> Scalar<C> {
+        match self {
+            Opening::Scalars(values) => values[j],
+            Opening::Integers(values, _) => values[j].to_scalar::<C>(),
+        }
+    }
 }
 
 impl<'a, C: Curve> BatchEntry<'a, C> {
     /// An entry whose transcript leaf hashes the scalar encodings.
     pub fn new(values: &'a [Scalar<C>], commitment: &'a Commitment<C>) -> BatchEntry<'a, C> {
         BatchEntry {
-            values,
+            opening: Opening::Scalars(values),
             commitment,
-            binding: None,
         }
     }
 
-    /// An entry whose transcript leaf hashes `binding` in place of the
-    /// scalars. `binding` must uniquely determine `values` (see the type
-    /// docs); the commitment is always hashed alongside either way.
-    pub fn with_binding(
-        values: &'a [Scalar<C>],
+    /// An entry of fixed-point integers whose transcript leaf hashes
+    /// `binding`, the bytes they were decoded from, in place of their
+    /// embedding's scalar encodings. `binding` must uniquely determine
+    /// `values` (see the type docs); the commitment is always hashed
+    /// alongside either way. The verdict and the culprit set are those of
+    /// the embedding ([`Quantized::to_scalar`]); a recommit reads the
+    /// integers' digits directly.
+    pub fn quantized(
+        values: &'a [Quantized],
         commitment: &'a Commitment<C>,
         binding: &'a [u8],
     ) -> BatchEntry<'a, C> {
         BatchEntry {
-            values,
+            opening: Opening::Integers(values, binding),
             commitment,
-            binding: Some(binding),
         }
-    }
-
-    /// The claimed opening.
-    pub fn values(&self) -> &'a [Scalar<C>] {
-        self.values
     }
 
     /// The commitment the values should open.
@@ -440,15 +471,16 @@ fn normalized_points<C: Curve>(entries: &[BatchEntry<'_, C>]) -> Vec<Affine<C>> 
 }
 
 /// `Σ rᵢ·vᵢ` over the selected entries, as a `width`-element vector: one
-/// field product per opening element, split by column range across every
-/// core once that is worth [`SPLIT_MIN_MULS`](crate::msm::SPLIT_MIN_MULS).
+/// field product per opening element (an integer embedded first), split by
+/// column range across every core once that is worth
+/// [`SPLIT_MIN_MULS`](crate::msm::SPLIT_MIN_MULS).
 fn accumulate_values<C: Curve>(
     entries: &[BatchEntry<'_, C>],
     coeffs: &[Scalar<C>],
     idxs: &[usize],
     width: usize,
 ) -> Vec<Scalar<C>> {
-    let products = idxs.iter().map(|&i| entries[i].values.len()).sum();
+    let products = idxs.iter().map(|&i| entries[i].opening.len()).sum();
     accumulate_columns(entries, coeffs, idxs, width, ranges_for(products))
 }
 
@@ -468,10 +500,9 @@ fn accumulate_columns<C: Curve>(
     let parts: Vec<_> = acc.chunks_mut(columns).enumerate().collect();
     map_split(parts, |(k, slots)| {
         for &i in idxs {
-            let r = coeffs[i];
-            let values = entries[i].values.get(k * columns..).unwrap_or_default();
-            for (slot, v) in slots.iter_mut().zip(values) {
-                *slot += r * *v;
+            let (r, opening) = (coeffs[i], entries[i].opening);
+            for (slot, j) in slots.iter_mut().zip(k * columns..opening.len()) {
+                *slot += r * opening.scalar(j);
             }
         }
     });
@@ -606,6 +637,7 @@ fn hash_to_curve<C: Curve>(seed: &[u8], index: u64) -> Affine<C> {
 mod tests {
     use super::*;
     use crate::curve::{Secp256k1, Secp256r1};
+    use crate::quantize::{encode, to_scalars};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -763,7 +795,7 @@ mod tests {
     #[test]
     fn empty_and_zero_vectors() {
         let key = key(4);
-        assert_eq!(key.commit(&[]), Commitment::identity());
+        assert_eq!(key.commit::<Scalar<K1>>(&[]), Commitment::identity());
         let zeros = vec![Scalar::<K1>::ZERO; 4];
         assert_eq!(key.commit(&zeros), Commitment::identity());
         assert!(key.verify(&zeros, &Commitment::identity()));
@@ -949,32 +981,43 @@ mod tests {
         assert_eq!(key.batch_culprits(&e), vec![1]);
     }
 
+    /// Integer entries with their encodings as bindings.
+    fn integer_entries<'a>(
+        openings: &'a [Vec<Quantized>],
+        commits: &'a [Commitment<K1>],
+        bindings: &'a [Vec<u8>],
+    ) -> Vec<BatchEntry<'a, K1>> {
+        openings
+            .iter()
+            .zip(commits)
+            .zip(bindings)
+            .map(|((v, c), b)| BatchEntry::quantized(v, c, b))
+            .collect()
+    }
+
     #[test]
-    fn binding_entries_accept_and_reject() {
-        // Binding bytes replace the scalar transcript but the verdicts and
-        // the culprit sets are unchanged.
+    fn integer_entries_accept_and_reject_as_their_embeddings_do() {
+        // Binding bytes replace the scalar transcript and the recommits
+        // read the integers, but the verdicts and the culprit sets are the
+        // embeddings', on either side of the bisection leaf size.
         let key = key(6);
-        let (vectors, mut commits) = corrupted_batch(&key, 5, &[], 150);
-        let bindings: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 48]).collect();
-        fn make<'a>(
-            vectors: &'a [Vec<Scalar<K1>>],
-            commits: &'a [Commitment<K1>],
-            bindings: &'a [Vec<u8>],
-        ) -> Vec<BatchEntry<'a, K1>> {
-            vectors
-                .iter()
-                .zip(commits)
-                .zip(bindings)
-                .map(|((v, c), b)| BatchEntry::with_binding(v, c, b))
-                .collect()
-        }
-        assert!(key.batch_check(&make(&vectors, &commits, &bindings)));
+        let mut rng = StdRng::seed_from_u64(150);
+        let openings: Vec<Vec<Quantized>> = (0..2 * RLC_MIN_BATCH)
+            .map(|_| signed_integers(6, &mut rng))
+            .collect();
+        let bindings: Vec<Vec<u8>> = openings.iter().map(|v| encode(v)).collect();
+        let mut commits: Vec<_> = openings.iter().map(|v| key.commit(v)).collect();
+        let scalars: Vec<Vec<Scalar<K1>>> = openings.iter().map(|v| to_scalars::<K1>(v)).collect();
         commits[3] = commits[3].combine(&key.commit(&random_vector(6, 160)));
-        assert!(!key.batch_check(&make(&vectors, &commits, &bindings)));
-        assert_eq!(
-            key.batch_culprits(&make(&vectors, &commits, &bindings)),
-            vec![3]
-        );
+        for n in [RLC_MIN_BATCH - 1, 2 * RLC_MIN_BATCH] {
+            let (openings, commits) = (&openings[..n], &commits[..n]);
+            let honest = integer_entries(openings, commits, &bindings[..n]);
+            assert!(key.batch_check(&honest[..3]), "n = {n}");
+            assert!(!key.batch_check(&honest), "n = {n}");
+            assert_eq!(key.batch_culprits(&honest), vec![3], "n = {n}");
+            let embedded = entries(&scalars[..n], commits);
+            assert_eq!(key.batch_culprits(&embedded), vec![3], "n = {n}");
+        }
     }
 
     #[test]
@@ -999,12 +1042,17 @@ mod tests {
         assert_eq!(r1.batch_culprits(&e), vec![2]);
     }
 
-    /// Small signed fixed-point vectors, the protocol's opening shape.
-    fn signed_vector(n: usize, rng: &mut StdRng) -> Vec<Scalar<K1>> {
+    /// Small signed fixed-point integers, the protocol's opening shape.
+    fn signed_integers(n: usize, rng: &mut StdRng) -> Vec<Quantized> {
         use rand::Rng;
         (0..n)
-            .map(|_| Scalar::<K1>::from_i64(rng.gen_range(-(1i64 << 30)..(1i64 << 30))))
+            .map(|_| Quantized(rng.gen_range(-(1i64 << 30)..(1i64 << 30))))
             .collect()
+    }
+
+    /// [`signed_integers`], embedded.
+    fn signed_vector(n: usize, rng: &mut StdRng) -> Vec<Scalar<K1>> {
+        to_scalars::<K1>(&signed_integers(n, rng))
     }
 
     /// An overlay node's own d = 33 commit and its 8-child check — the
@@ -1113,10 +1161,11 @@ mod tests {
     /// openings of `d` elements, checked by sequential `verify`, by one
     /// `batch_check`, by `batch_culprits`, and — what a consumer of the sum
     /// alone needs — by one `verify` of `Σvᵢ` against `ΠCᵢ`, the integer sum
-    /// and its one conversion to scalars included. Each opening is a
-    /// shared vector of alternating-sign ≤ 24-bit values with one element
-    /// bumped, on a key with its table. Run with `cargo test --release -p
-    /// dfl-crypto --lib rlc_crossover -- --ignored --nocapture`.
+    /// included. Each opening is what the protocol checks: a shared vector
+    /// of alternating-sign ≤ 24-bit fixed-point integers with one element
+    /// bumped, its bytes the binding, on a key with its table. Run with
+    /// `cargo test --release -p dfl-crypto --lib rlc_crossover -- --ignored
+    /// --nocapture`.
     #[test]
     #[ignore = "timing table; run by hand in release"]
     fn rlc_crossover() {
@@ -1134,29 +1183,25 @@ mod tests {
             let base: Vec<i64> = (0..d as i64)
                 .map(|i| ((0x9E37 * (i + 1)) & 0xFF_FFFF) * if i % 2 == 0 { 1 } else { -1 })
                 .collect();
-            for n in [1, 2, 3, 4, 5, 6, 8, 16] {
-                let openings: Vec<Vec<i64>> = (0..n)
+            for n in [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16] {
+                let openings: Vec<Vec<Quantized>> = (0..n)
                     .map(|i| {
                         let mut values = base.clone();
                         values[i % d] += ((0x9E37 * i as i64) & 0xFF_FFFF) | 1;
-                        values
+                        values.into_iter().map(Quantized).collect()
                     })
                     .collect();
-                let vectors: Vec<Vec<Scalar<K1>>> = openings
-                    .iter()
-                    .map(|v| v.iter().map(|&x| Scalar::<K1>::from_i64(x)).collect())
-                    .collect();
-                let commits: Vec<_> = vectors.iter().map(|v| key.commit(v)).collect();
-                let e = entries(&vectors, &commits);
+                let bindings: Vec<Vec<u8>> = openings.iter().map(|v| encode(v)).collect();
+                let commits: Vec<_> = openings.iter().map(|v| key.commit(v)).collect();
+                let e = integer_entries(&openings, &commits, &bindings);
                 let ms = |f: &dyn Fn() -> bool| median_us(5, || (), |()| assert!(f())) / 1e3;
                 let sequential =
-                    ms(&|| vectors.iter().zip(&commits).all(|(v, c)| key.verify(v, c)));
+                    ms(&|| openings.iter().zip(&commits).all(|(v, c)| key.verify(v, c)));
                 let rlc = ms(&|| key.batch_check(&e));
                 let culprits = ms(&|| key.batch_culprits(&e).is_empty());
                 let sum = ms(&|| {
-                    let column = |j: usize| openings.iter().map(|v| v[j]).sum::<i64>();
-                    let summed: Vec<Scalar<K1>> =
-                        (0..d).map(|j| Scalar::<K1>::from_i64(column(j))).collect();
+                    let column = |j: usize| openings.iter().map(|v| v[j].0).sum::<i64>();
+                    let summed: Vec<Quantized> = (0..d).map(|j| Quantized(column(j))).collect();
                     key.verify(&summed, &Commitment::accumulate(&commits))
                 });
                 println!(
@@ -1171,13 +1216,13 @@ mod tests {
     #[test]
     fn batch_coefficients_are_short_distinct_and_bound_to_the_whole_batch() {
         let key = key(4);
-        let (vectors, commits) = corrupted_batch(&key, 9, &[], 300);
+        let mut rng = StdRng::seed_from_u64(300);
+        let openings: Vec<Vec<Quantized>> = (0..9).map(|_| signed_integers(4, &mut rng)).collect();
+        let vectors: Vec<Vec<Scalar<K1>>> = openings.iter().map(|v| to_scalars::<K1>(v)).collect();
+        let commits: Vec<_> = openings.iter().map(|v| key.commit(v)).collect();
         let bindings: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 32]).collect();
         let bound = |commits: &[Commitment<K1>], bindings: &[Vec<u8>]| {
-            let e: Vec<BatchEntry<'_, K1>> = (0..commits.len())
-                .map(|i| BatchEntry::with_binding(&vectors[i], &commits[i], &bindings[i]))
-                .collect();
-            key.batch_coefficients(&e)
+            key.batch_coefficients(&integer_entries(&openings, commits, bindings))
         };
         let base = bound(&commits, &bindings);
         assert_eq!(base, bound(&commits, &bindings), "deterministic");

@@ -9,12 +9,14 @@
 //! for any realistic number of trainers, since `n ≈ 2^256` and each term is
 //! below `2^63`.
 //!
-//! `n - |v|` is a full 256-bit canonical scalar, but committing to it does
-//! not cost a full-width walk: the MSM kernels ([`crate::msm`]) read the
-//! centred representative back out (the same sign and `|v|` that
-//! [`Quantized::from_scalar`] recovers), negate the generator and multiply
-//! by `|v|`, so a negative coordinate costs exactly what the positive one
-//! of equal magnitude does.
+//! The protocol commits to the integers themselves: a [`Quantized`] is a
+//! [`crate::msm::Multiplier`], whose digits the MSM kernels read straight
+//! from its sign and `|v|`, negating the generator for a negative value. So
+//! a negative coordinate costs what the positive one of equal magnitude
+//! does, and no value is embedded to be committed to. The commitment is the
+//! one to the embedding [`to_scalars`]: `n − |v|` is a full 256-bit
+//! canonical scalar, but its centred representative is the same sign and
+//! `|v|` ([`Quantized::from_scalar`]).
 //!
 //! Aggregators sum *quantized* values, the directory verifies commitments
 //! over the same quantized domain, and trainers dequantize after download,
@@ -36,8 +38,8 @@ pub const SCALE: f64 = (1u64 << FRACTIONAL_BITS) as f64;
 /// A quantized gradient value: a signed fixed-point integer.
 ///
 /// Kept as an explicit newtype so protocol code can sum gradients cheaply in
-/// the integer domain (what IPFS merge nodes do) and only embed into the
-/// field when committing.
+/// the integer domain (what IPFS merge nodes do) and commit to them as they
+/// are; only a random linear combination embeds them into the field.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Quantized(pub i64);
 
@@ -127,7 +129,8 @@ pub fn sum_quantized(vectors: &[Vec<Quantized>]) -> Vec<Quantized> {
     acc
 }
 
-/// Converts a quantized vector into scalars for committing.
+/// Embeds a quantized vector into the scalar field: the field elements a
+/// commitment to the integers opens to.
 pub fn to_scalars<C: Curve>(values: &[Quantized]) -> Vec<Scalar<C>> {
     values.iter().map(|q| q.to_scalar::<C>()).collect()
 }
