@@ -22,10 +22,10 @@
 //!   frame by [`NetFaults::verdict`]. One SplitMix64 roll per frame is
 //!   partitioned across the spec's percentages in field order, so a spec
 //!   whose knobs sum ≤ 100 injects each fault kind at its stated rate.
-//! * **DataLoss / DegradeLink** — no transport meaning on loopback TCP;
-//!   the fault event is still delivered to the core (storage nodes drop
-//!   their blocks on `DataLoss`), and link shaping is documented as
-//!   netsim-only.
+//! * **DataLoss / LoseWrites / DegradeLink** — no transport meaning on
+//!   loopback TCP; the fault event is still delivered to the core (storage
+//!   nodes drop their blocks on `DataLoss` and stop keeping writes on
+//!   `LoseWrites`), and link shaping is documented as netsim-only.
 //!
 //! Every fault is also forwarded to the target node's event channel as
 //! [`ProtocolEvent::Fault`], so cores observe the same callbacks they get
@@ -162,7 +162,7 @@ impl NetFaults {
             }
             // Durable-state loss is a core-level event; link shaping has
             // no loopback-TCP counterpart (netsim-only, DESIGN.md §13).
-            Fault::DataLoss(_) | Fault::DegradeLink { .. } => {}
+            Fault::DataLoss(_) | Fault::LoseWrites(_) | Fault::DegradeLink { .. } => {}
         }
     }
 }

@@ -400,9 +400,11 @@ impl Node {
 
 /// Runs a full task over localhost TCP and reports the outcome.
 ///
-/// Mirrors [`ipls::runner::run_task`] with all aggregators honest; the
-/// configuration's [`fault_plan`](TaskConfig::fault_plan) is replayed
-/// against wall-clock time (crashes, partitions, per-frame chaos), and a
+/// Mirrors [`ipls::runner::run_task`] with no [`Behavior`](ipls::Behavior)
+/// overrides: every aggregator follows the protocol until the
+/// configuration's [`fault_plan`](TaskConfig::fault_plan) says otherwise.
+/// The plan is replayed against wall-clock time — crashes (a dead
+/// aggregator is one), lost writes, partitions, per-frame chaos — and a
 /// wall-clock completion deadline of `t_sync × rounds + 60 s` applies.
 /// Connections are supervised with the default backoff, jittered from the
 /// task seed.

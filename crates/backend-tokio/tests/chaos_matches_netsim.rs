@@ -12,7 +12,8 @@
 //!
 //! Node layout for the configs below: node 0 = directory, nodes 1–2 =
 //! storage, nodes 3–4 = aggregators (one per partition), nodes 5–8 =
-//! trainers 0–3.
+//! trainers 0–3. The dead-aggregator scenario has two aggregators per
+//! partition: nodes 3–6, partition 0's being 3 and 4.
 
 use std::io::Write as _;
 
@@ -246,4 +247,63 @@ fn permanent_trainer_loss_degrades_identically_on_both_backends() {
         "crash-window losses must be attributed: {d:?}"
     );
     assert_eq!(d.frames_dropped(), 0, "no unforced drops: {d:?}");
+}
+
+#[test]
+fn a_dead_aggregator_is_recovered_identically_on_both_backends() {
+    // The §III-D dropout: partition 0's second aggregator is crashed at
+    // t = 0 and never recovers. Its partition peer hears no announcement,
+    // and once the sync watchdog fires it downloads the dead slot's trainer
+    // gradients from storage itself — on both backends, to the same model.
+    // Without a quorum nothing degrades, and silence is no evidence.
+    let dead_aggregator = NodeId(4);
+    let cfg = TaskConfig {
+        aggregators_per_partition: 2,
+        rounds: 2,
+        min_quorum: None,
+        // Recovery starts 1 s into a round instead of at t_sync.
+        sync_watchdog: Some(SimDuration::from_secs(1)),
+        fault_plan: FaultPlan::new().crash_at(SimTime::ZERO, dead_aggregator),
+        ..base_cfg()
+    };
+
+    let (sim, tcp) = run_both(cfg.clone());
+    let _trace_on_failure = TraceOnFailure {
+        scenario: "dead_aggregator",
+        cfg: &cfg,
+        tcp: &tcp,
+    };
+
+    for (backend, report) in [("netsim", &sim), ("TCP", &tcp.report)] {
+        assert!(
+            report.succeeded(&cfg),
+            "{backend}: recovery must carry every round"
+        );
+        assert!(
+            report.dropout_recoveries > 0,
+            "{backend}: recovery must run"
+        );
+        assert!(report.recovered_rounds >= 1, "{backend}: a round recovered");
+        assert_eq!(report.detections, 0, "{backend}: silence is not provable");
+        assert_eq!(report.evictions, 0, "{backend}: no eviction without proof");
+    }
+    let bits = |report: &ipls::runner::TaskReport| {
+        let params = report.consensus_params().expect("trainers agree");
+        params.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(&tcp),
+        bits(&sim),
+        "TCP and netsim final model bytes differ"
+    );
+
+    // Everything the dead node would have sent or received is booked
+    // under the crash, and nothing under any other cause.
+    let d = tcp.delivery;
+    assert!(
+        d.frames_discarded_down + d.frames_dropped_down > 0,
+        "the dead aggregator's traffic must be attributed: {d:?}"
+    );
+    assert_eq!(d.frames_dropped(), 0, "no unforced drops: {d:?}");
+    assert_eq!(d.frames_faulted(), 0, "no chaos or partition: {d:?}");
 }

@@ -22,9 +22,6 @@ pub enum Behavior {
     /// Adds a perturbation to the aggregated update before uploading —
     /// violating *correctness* (model poisoning, §III-A).
     AlterUpdate,
-    /// Never responds at all (crash/dropout; exercises the recovery path
-    /// where peers download the dead aggregator's gradients, §III-D).
-    Offline,
     /// Registers a *forged* gradient commitment under its first trainer's
     /// name and substitutes a fabricated gradient in the aggregation. With
     /// unauthenticated registrations this defeats the §IV verification —
@@ -42,13 +39,6 @@ pub enum Behavior {
     Equivocate,
 }
 
-impl Behavior {
-    /// `true` if the behaviour deviates from the protocol.
-    pub fn is_malicious(&self) -> bool {
-        *self != Behavior::Honest
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,11 +46,5 @@ mod tests {
     #[test]
     fn default_is_honest() {
         assert_eq!(Behavior::default(), Behavior::Honest);
-        assert!(!Behavior::Honest.is_malicious());
-        assert!(Behavior::DropGradients { count: 1 }.is_malicious());
-        assert!(Behavior::AlterUpdate.is_malicious());
-        assert!(Behavior::Offline.is_malicious());
-        assert!(Behavior::ForgeRegistration.is_malicious());
-        assert!(Behavior::Equivocate.is_malicious());
     }
 }

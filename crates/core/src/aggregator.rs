@@ -231,8 +231,6 @@ impl Round {
 pub struct Aggregator(Role);
 
 enum Role {
-    /// `Behavior::Offline`: takes part in nothing.
-    Offline,
     Flat(Box<FlatAggregator>),
     Overlay(OverlaySink),
 }
@@ -246,7 +244,6 @@ impl Aggregator {
         behavior: Behavior,
     ) -> Aggregator {
         let role = match topo.overlay().zip(key.clone()) {
-            _ if behavior == Behavior::Offline => Role::Offline,
             Some((tree, key)) => Role::Overlay(OverlaySink {
                 g,
                 partition: topo.agg_role(g).0,
@@ -268,7 +265,6 @@ impl ProtocolCore for Aggregator {
     fn handle(&mut self, _now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
         match (&mut self.0, event) {
             (_, ProtocolEvent::DeliveryFailure { .. }) => out.incr(labels::DELIVERY_FAILED, 1),
-            (Role::Offline, _) => {}
             (Role::Flat(flat), event) => flat.handle(out, event),
             (Role::Overlay(sink), event) => sink.handle(out, event),
         }

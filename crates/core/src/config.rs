@@ -90,12 +90,12 @@ pub struct TaskConfig {
     pub t_sync: SimDuration,
     /// Simulated wall-clock cost of local training per round.
     pub train_compute: SimDuration,
-    /// Storage nodes (by index) that silently discard stored data —
-    /// availability-failure injection for the §VI replication experiments.
-    pub lossy_ipfs_nodes: Vec<usize>,
-    /// Clock-driven fault schedule (crashes, recoveries, data loss, link
-    /// degradation) applied to the simulation before it runs. Node ids
-    /// refer to the task's simulated layout
+    /// Clock-driven fault schedule, the one place a run says which node
+    /// fails, how and when: crashes and recoveries (an aggregator crashed
+    /// at t = 0 and never recovered is the §III-D dropout), data loss,
+    /// storage that acknowledges writes but keeps none (§VI), link
+    /// degradation, partitions and frame chaos. Both backends replay it.
+    /// Node ids refer to the task's layout
     /// (`directory | ipfs | aggregators | trainers`).
     pub fault_plan: FaultPlan,
     /// Minimum number of trainers (globally) whose gradients must be in
@@ -171,7 +171,6 @@ impl Default for TaskConfig {
             t_train: SimDuration::from_secs(600),
             t_sync: SimDuration::from_secs(1200),
             train_compute: SimDuration::ZERO,
-            lossy_ipfs_nodes: Vec::new(),
             fault_plan: FaultPlan::new(),
             min_quorum: None,
             fetch_timeout: SimDuration::from_secs(30),
@@ -251,9 +250,6 @@ impl TaskConfig {
         }
         if self.t_train > self.t_sync {
             return err("t_train must not exceed t_sync");
-        }
-        if self.lossy_ipfs_nodes.iter().any(|&k| k >= self.ipfs_nodes) {
-            return err("lossy node index out of range");
         }
         if self.trainer_verifies && !self.verifiable {
             return err("trainer verification requires verifiable mode");
@@ -383,7 +379,6 @@ impl TaskConfigBuilder {
         t_train: SimDuration,
         t_sync: SimDuration,
         train_compute: SimDuration,
-        lossy_ipfs_nodes: Vec<usize>,
         fault_plan: FaultPlan,
         min_quorum: Option<usize>,
         fetch_timeout: SimDuration,

@@ -150,9 +150,9 @@ pub const VERIFICATION_FAILED_BY: &str = "verification_failed_by";
 pub const STORE_BLOCKS: &str = "store_blocks";
 
 /// Every label an `ipls` core can emit as an event, counter or histogram.
-/// Storage counters are in `dfl_ipfs::node::stats` and the simulator's own
-/// labels in `dfl_netsim::trace::net`; `tests/mode_matrix.rs` checks that a
-/// run's trace holds nothing outside the three.
+/// Storage counters are in `dfl_ipfs::node::stats::ALL` and the simulator's
+/// own labels in `dfl_netsim::trace::net::ALL`; `tests/mode_matrix.rs` checks
+/// that a run's trace holds nothing outside the three.
 pub const ALL: &[&str] = &[
     ROUND_START,
     FIRST_GRADIENT_HASH,

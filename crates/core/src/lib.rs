@@ -46,7 +46,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod accountability;
-pub mod addressing;
 pub mod adversary;
 pub mod aggregator;
 pub mod config;
@@ -81,9 +80,9 @@ pub mod prelude {
 
 // The crate-root surface: the state machines, the event/action boundary
 // they speak, the configuration and runner entry points, and the message
-// enum backends transport. Everything else (addressing tuples, evidence
-// records, wire payloads, trace labels) is deliberately *not* re-exported
-// here — reach through the owning module so internals read as internals.
+// enum backends transport. Everything else (evidence records, wire
+// payloads, trace labels) is deliberately *not* re-exported here — reach
+// through the owning module so internals read as internals.
 pub use adversary::Behavior;
 pub use aggregator::Aggregator;
 pub use config::{CommMode, TaskConfig, TaskConfigBuilder, Topology};

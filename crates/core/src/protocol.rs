@@ -227,11 +227,6 @@ impl<C: ProtocolCore> NetsimAdapter<C> {
     pub fn core(&self) -> &C {
         &self.core
     }
-
-    /// Mutable access to the wrapped core (e.g. test setup).
-    pub fn core_mut(&mut self) -> &mut C {
-        &mut self.core
-    }
 }
 
 impl<C: ProtocolCore> NetsimAdapter<C>
@@ -301,11 +296,6 @@ impl<M: WireEmbed> IpfsCore<M> {
         &self.node
     }
 
-    /// Mutable access (e.g. for configuration before a run).
-    pub fn node_mut(&mut self) -> &mut IpfsNode {
-        &mut self.node
-    }
-
     fn flush(&mut self, outgoing: Vec<Outgoing>, out: &mut Actions<M>) {
         for Outgoing { to, wire } in outgoing {
             out.send(to, M::embed(wire));
@@ -351,6 +341,8 @@ impl<M: WireEmbed> ProtocolCore for IpfsCore<M> {
                     self.last_reported_blocks = 0;
                     out.record(crate::labels::STORE_BLOCKS, 0.0);
                 }
+                // A failing disk: writes are still acknowledged, never kept.
+                Fault::LoseWrites(_) => self.node.set_lossy(true),
                 // Recovery, link shaping, partitions and frame chaos are
                 // transport-level: the storage state machine is unaffected.
                 _ => {}

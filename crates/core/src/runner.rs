@@ -192,7 +192,7 @@ impl Deployment {
         let mut cores: Vec<BoxedCore> = Vec::with_capacity(topo.node_count());
         cores.push(Box::new(Directory::new(topo.clone(), key.clone())));
         // Storage nodes share the roster and take `fetch_timeout` as the retry
-        // base and the `lossy_ipfs_nodes` fault injection from the task.
+        // base from the task.
         let roster = IpfsNode::roster_for(&topo.ipfs_ids());
         for k in 0..cfg.ipfs_nodes {
             let mut node = IpfsNode::new(topo.ipfs_node(k), roster.clone());
@@ -200,7 +200,6 @@ impl Deployment {
                 base_timeout: cfg.fetch_timeout,
                 ..RetryPolicy::default()
             });
-            node.set_lossy(cfg.lossy_ipfs_nodes.contains(&k));
             cores.push(Box::new(IpfsCore::<Msg>::new(node)));
         }
         for g in 0..cfg.total_aggregators() {

@@ -245,7 +245,8 @@ pub struct IpfsNode {
     /// Timeouts requested but not yet armed; the hosting actor drains
     /// these with [`IpfsNode::take_timer_requests`] and arms real timers.
     timer_requests: Vec<(u64, SimDuration)>,
-    /// Test hook: a lossy node discards stored data (models storage loss).
+    /// A lossy node acknowledges writes but keeps nothing (a failing
+    /// disk; set by a `LoseWrites` fault).
     lossy: bool,
     /// Counter bumps not yet drained into a trace (see [`stats`]). The
     /// hosting actor drains with [`IpfsNode::take_stats`] after every
@@ -282,6 +283,21 @@ pub mod stats {
     /// Messages a storage node has no handler for (client-facing
     /// responses misrouted to a node) — booked and dropped.
     pub const UNEXPECTED_MESSAGES: &str = "ipfs/unexpected_messages";
+
+    /// Every counter above: what a storage node may put in a trace.
+    pub const ALL: &[&str] = &[
+        PROVIDER_LOOKUPS,
+        CACHE_HITS,
+        CACHE_MISSES,
+        MERGE_RPCS,
+        MERGE_REMOTE_FETCHES,
+        RETRIES,
+        FAILOVERS,
+        RETRACTIONS,
+        FETCH_FAILURES,
+        STALE_REPLIES,
+        UNEXPECTED_MESSAGES,
+    ];
 }
 
 impl IpfsNode {
@@ -316,7 +332,8 @@ impl IpfsNode {
         ids.iter().map(|&id| (id, Key::for_node(id))).collect()
     }
 
-    /// Makes the node discard all stored data (availability-failure hook).
+    /// Makes the node acknowledge writes without keeping them (the
+    /// `Fault::LoseWrites` hook).
     pub fn set_lossy(&mut self, lossy: bool) {
         self.lossy = lossy;
     }

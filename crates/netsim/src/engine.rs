@@ -628,8 +628,12 @@ impl<M> Simulation<M> {
                 self.dispatch(node, |actor, ctx| actor.on_fault(ctx, fault));
                 self.apply_commands();
             }
-            Fault::DataLoss(node) => {
-                self.trace.record(self.now, node, net::FAULT_DATA_LOSS, 1.0);
+            Fault::DataLoss(node) | Fault::LoseWrites(node) => {
+                let label = match fault {
+                    Fault::DataLoss(_) => net::FAULT_DATA_LOSS,
+                    _ => net::FAULT_LOSE_WRITES,
+                };
+                self.trace.record(self.now, node, label, 1.0);
                 self.dispatch(node, |actor, ctx| actor.on_fault(ctx, fault));
                 self.apply_commands();
             }

@@ -19,6 +19,9 @@
 //! * **DataLoss** — the node stays up but the actor is told to silently
 //!   drop durable state (e.g. stored blocks); peers observe nothing until
 //!   they next ask for the data.
+//! * **LoseWrites** — the node stays up and keeps acknowledging writes,
+//!   but from then on the actor is told to keep none of them (a failing
+//!   disk); what it already holds is unaffected.
 //! * **DegradeLink** — the node's access-link capacities are replaced and
 //!   all active flows are re-shaped from that instant.
 //! * **Isolate / Heal** — a transient partition: while isolated, the node
@@ -132,6 +135,9 @@ pub enum Fault {
     Recover(NodeId),
     /// The node silently loses durable state (it stays responsive).
     DataLoss(NodeId),
+    /// From now on the node acknowledges writes but keeps none of them
+    /// (it stays responsive).
+    LoseWrites(NodeId),
     /// The node's access link is re-provisioned to the given capacities
     /// (bits/s). Use the original capacities to lift a degradation.
     DegradeLink {
@@ -158,7 +164,7 @@ impl Fault {
     /// The node the fault applies to.
     pub fn node(&self) -> NodeId {
         match *self {
-            Fault::Crash(n) | Fault::Recover(n) | Fault::DataLoss(n) => n,
+            Fault::Crash(n) | Fault::Recover(n) | Fault::DataLoss(n) | Fault::LoseWrites(n) => n,
             Fault::Isolate(n) | Fault::Heal(n) => n,
             Fault::DegradeLink { node, .. } | Fault::Chaos { node, .. } => node,
         }

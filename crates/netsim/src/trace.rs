@@ -22,9 +22,8 @@
 //!
 //! [`Trace::write_jsonl`] emits a self-contained JSON-lines document
 //! (events, counters, histograms, per-node byte totals, each line tagged
-//! with a `"type"` field); [`Trace::write_csv`] emits the event log as
-//! `time_us,node,label,value` rows. [`Trace::read_jsonl`] parses that
-//! document back into a [`Trace`], reporting malformed input as a typed
+//! with a `"type"` field); [`Trace::read_jsonl`] parses that document
+//! back into a [`Trace`], reporting malformed input as a typed
 //! [`TraceReadError`] with the offending line number.
 
 use std::collections::HashMap;
@@ -43,6 +42,8 @@ pub mod net {
     pub const FAULT_RECOVER: &str = "fault/recover";
     /// A node silently lost durable state (value = 1).
     pub const FAULT_DATA_LOSS: &str = "fault/data_loss";
+    /// A node began acknowledging writes without keeping them (value = 1).
+    pub const FAULT_LOSE_WRITES: &str = "fault/lose_writes";
     /// A node's access link was re-provisioned (value = 1).
     pub const FAULT_DEGRADE_LINK: &str = "fault/degrade_link";
     /// An in-flight flow was torn down because its **receiver** crashed
@@ -77,6 +78,23 @@ pub mod net {
     /// chaos spec — the fluid-model reading of a drop, reset, or
     /// truncation (recorded on the sender; value = payload bytes).
     pub const CHAOS_FRAME_DROP: &str = "chaos/frame_drop";
+
+    /// Every label above: what the engine may put in a trace.
+    pub const ALL: &[&str] = &[
+        FAULT_CRASH,
+        FAULT_RECOVER,
+        FAULT_DATA_LOSS,
+        FAULT_LOSE_WRITES,
+        FAULT_DEGRADE_LINK,
+        FLOW_TORN_INBOUND,
+        FLOW_TORN_OUTBOUND,
+        FLOW_UNDELIVERED,
+        FAULT_ISOLATE,
+        FAULT_HEAL,
+        FAULT_CHAOS,
+        CHAOS_PARTITION_DROP,
+        CHAOS_FRAME_DROP,
+    ];
 }
 
 /// An interned trace label: a dense id into the trace's label registry.
@@ -631,31 +649,10 @@ impl Trace {
         }
         Ok(())
     }
-
-    /// Writes the event log as CSV (`time_us,node,label,value`). Counters,
-    /// histograms, and byte totals are JSONL-only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_csv<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(w, "time_us,node,label,value")?;
-        for e in &self.events {
-            writeln!(
-                w,
-                "{},{},{},{}",
-                e.time.as_micros(),
-                e.node.index(),
-                csv_field(self.label_name(e.label)),
-                json_f64(e.value)
-            )?;
-        }
-        Ok(())
-    }
 }
 
-/// Formats a float the way both JSON and CSV accept (finite shortest form;
-/// non-finite values become null — they should not occur in traces).
+/// Formats a float for JSON (finite shortest form; non-finite values become
+/// null — they should not occur in traces).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -682,15 +679,6 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Quotes a CSV field when it contains a separator or quote.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 /// Failure while reading a JSONL trace document ([`Trace::read_jsonl`]).
@@ -1142,7 +1130,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_csv_export() {
+    fn jsonl_export() {
         let mut trace = Trace::new();
         trace.record(SimTime::from_micros(5), NodeId(1), "up,load", 1.5);
         trace.add("ipfs/retries", 2);
@@ -1160,13 +1148,6 @@ mod tests {
         assert!(jsonl.contains("\"+inf\""));
         assert!(jsonl.contains("{\"type\":\"bytes\",\"node\":0,\"tx\":42,\"rx\":0}"));
         assert!(jsonl.contains("{\"type\":\"bytes\",\"node\":1,\"tx\":0,\"rx\":42}"));
-
-        let mut csv = Vec::new();
-        trace.write_csv(&mut csv).unwrap();
-        let csv = String::from_utf8(csv).unwrap();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time_us,node,label,value"));
-        assert_eq!(lines.next(), Some("5,1,\"up,load\",1.5"));
     }
 
     #[test]

@@ -38,13 +38,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("Scenario: storage node 0 silently discards everything it is asked to store.\n");
+    // Storage node 0 is node 1 (the directory is node 0).
+    let lose_writes = FaultPlan::new().at(SimTime::ZERO, Fault::LoseWrites(NodeId(1)));
 
     for (label, replication) in [
         ("replication = 1 (no replicas)", 1usize),
         ("replication = 2", 2),
     ] {
         let mut cfg = base.clone();
-        cfg.lossy_ipfs_nodes = vec![0];
+        cfg.fault_plan = lose_writes.clone();
         cfg.replication = replication;
         let report = run_task(
             cfg.clone(),
@@ -76,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[],
     )?;
     let mut replicated_cfg = base.clone();
-    replicated_cfg.lossy_ipfs_nodes = vec![0];
+    replicated_cfg.fault_plan = lose_writes;
     replicated_cfg.replication = 2;
     let replicated = run_task(replicated_cfg, model, initial, clients, sgd, &[])?;
     let same = healthy.consensus_params() == replicated.consensus_params();

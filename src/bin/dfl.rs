@@ -1,19 +1,18 @@
 //! `dfl` — command-line driver for the decentralized FL system.
 //!
 //! ```text
-//! dfl run    [--trainers N] [--partitions N] [--aggregators N] [--nodes N]
+//! dfl report [--trainers N] [--partitions N] [--aggregators N] [--nodes N]
 //!            [--rounds N] [--comm direct|indirect|merge] [--providers N]
 //!            [--verifiable] [--authenticate] [--compact] [--replication N]
-//!            [--bandwidth MBPS] [--seed S]
-//! dfl report [same flags; --comm defaults to merge]
-//!            [--export-jsonl PATH] [--export-csv PATH]
-//!            # per-round latency breakdown, protocol counters,
-//!            # verify-time histogram, and byte accounting
+//!            [--bandwidth MBPS] [--seed S] [--export-jsonl PATH]
+//!            # runs a task (--comm defaults to merge): per-round latency
+//!            # breakdown, protocol counters, verify-time histogram, byte
+//!            # accounting, final accuracy and verification failures
 //! dfl report --from-jsonl PATH
 //!            # re-print counters/histograms/bytes from an exported trace
 //! ```
 //!
-//! Build and run with `cargo run --release --bin dfl -- run --trainers 8`.
+//! Build and run with `cargo run --release --bin dfl -- report --trainers 8`.
 //! The paper's figures are printed by `examples/fig{1_providers,
 //! 2_aggregators,3_commitment}` (`cargo run --release --example
 //! fig1_providers`).
@@ -73,10 +72,9 @@ impl std::error::Error for CliError {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         _ => {
-            eprintln!("usage: dfl <run|report> [flags]  (see --help in source)");
+            eprintln!("usage: dfl report [flags]  (see --help in source)");
             ExitCode::FAILURE
         }
     }
@@ -108,19 +106,11 @@ impl<'a> Flags<'a> {
     }
 }
 
-fn cmd_run(rest: &[String]) -> ExitCode {
-    match try_run(rest) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Builds a [`TaskConfig`] from the shared `run`/`report` flag set.
-fn parse_config(flags: &Flags<'_>, default_comm: &str) -> Result<TaskConfig, CliError> {
-    let comm = match flags.get("--comm").unwrap_or(default_comm) {
+/// Builds a [`TaskConfig`] from the `report` flag set. `merge` is the
+/// default: the breakdown is most informative when gradients travel through
+/// storage (merge-and-download, §III-E).
+fn parse_config(flags: &Flags<'_>) -> Result<TaskConfig, CliError> {
+    let comm = match flags.get("--comm").unwrap_or("merge") {
         "direct" => CommMode::Direct,
         "indirect" => CommMode::Indirect,
         "merge" => CommMode::MergeAndDownload,
@@ -151,8 +141,10 @@ fn parse_config(flags: &Flags<'_>, default_comm: &str) -> Result<TaskConfig, Cli
     Ok(cfg)
 }
 
-/// Runs a task under `cfg` on the standard synthetic workload.
-fn run_with_config(cfg: &TaskConfig) -> Result<TaskReport, CliError> {
+/// Runs a task under `cfg` on the standard synthetic workload, and scores
+/// the trainers' common final model on the training data (`None` when
+/// they disagree or no round completed).
+fn run_with_config(cfg: &TaskConfig) -> Result<(TaskReport, Option<f32>), CliError> {
     let dataset = data::make_blobs(50 * cfg.trainers, 4, 3, 0.5, cfg.seed);
     let clients = data::partition_iid(&dataset, cfg.trainers, cfg.seed);
     let model = LogisticRegression::new(4, 3);
@@ -163,65 +155,14 @@ fn run_with_config(cfg: &TaskConfig) -> Result<TaskReport, CliError> {
         epochs: 1,
         clip: None,
     };
-    run_task(cfg.clone(), model, initial, clients, sgd, &[])
-        .map_err(|e| CliError::Task(e.to_string()))
-}
-
-fn try_run(rest: &[String]) -> Result<(), CliError> {
-    let flags = Flags(rest);
-    let cfg = parse_config(&flags, "indirect")?;
-
-    let dataset = data::make_blobs(50 * cfg.trainers, 4, 3, 0.5, cfg.seed);
-    let clients = data::partition_iid(&dataset, cfg.trainers, cfg.seed);
-    let model = LogisticRegression::new(4, 3);
-    let initial = model.params();
-    let sgd = SgdConfig {
-        lr: 0.3,
-        batch_size: 16,
-        epochs: 1,
-        clip: None,
-    };
-
-    println!(
-        "task: {} trainers, {} partitions × {} aggregators, {} storage nodes, {:?}, \
-         verifiable={}, authenticated={}, {} round(s)",
-        cfg.trainers,
-        cfg.partitions,
-        cfg.aggregators_per_partition,
-        cfg.ipfs_nodes,
-        cfg.comm,
-        cfg.verifiable,
-        cfg.authenticate,
-        cfg.rounds
-    );
     let report = run_task(cfg.clone(), model.clone(), initial, clients, sgd, &[])
         .map_err(|e| CliError::Task(e.to_string()))?;
-
-    for round in &report.rounds {
-        println!(
-            "round {}: upload {:.2}s | aggregation {:.2}s | sync {:.2}s | total {:.2}s",
-            round.round,
-            round.upload_delay_avg,
-            round.aggregation_delay,
-            round.sync_delay,
-            round.round_duration
-        );
-    }
-    if !report.succeeded(&cfg) {
-        return Err(CliError::Task(format!(
-            "only {}/{} rounds completed (verification failures: {})",
-            report.completed_rounds, cfg.rounds, report.verification_failures
-        )));
-    }
-    let consensus = report
-        .consensus_params()
-        .ok_or_else(|| CliError::Task("trainers disagree on the final model".to_string()))?;
-    let mut evaluate = model;
-    evaluate.set_params(&consensus);
-    let acc = metrics::accuracy(&evaluate.predict(&dataset.x), &dataset.y);
-    println!("final training accuracy: {:.1}%", acc * 100.0);
-    println!("verification failures: {}", report.verification_failures);
-    Ok(())
+    let accuracy = report.consensus_params().map(|params| {
+        let mut evaluate = model;
+        evaluate.set_params(&params);
+        metrics::accuracy(&evaluate.predict(&dataset.x), &dataset.y)
+    });
+    Ok((report, accuracy))
 }
 
 fn cmd_report(rest: &[String]) -> ExitCode {
@@ -292,10 +233,8 @@ fn try_report(rest: &[String]) -> Result<(), CliError> {
     if let Some(path) = flags.get("--from-jsonl") {
         return report_from_jsonl(path);
     }
-    // `merge` by default: the breakdown is most informative when gradients
-    // travel through storage (merge-and-download, §IV-B).
-    let cfg = parse_config(&flags, "merge")?;
-    let report = run_with_config(&cfg)?;
+    let cfg = parse_config(&flags)?;
+    let (report, accuracy) = run_with_config(&cfg)?;
 
     println!(
         "run: {} trainers, {} partitions × {} aggregators, {} storage nodes, {:?}, \
@@ -349,6 +288,13 @@ fn try_report(rest: &[String]) -> Result<(), CliError> {
         .collect();
     println!("  rx per aggregator            [{}]", per_agg.join(", "));
 
+    println!();
+    match accuracy {
+        Some(acc) => println!("final training accuracy: {:.1}%", acc * 100.0),
+        None => println!("final training accuracy: none (no common model)"),
+    }
+    println!("verification failures: {}", report.verification_failures);
+
     if let Some(path) = flags.get("--export-jsonl") {
         let mut out = Vec::new();
         trace
@@ -360,16 +306,12 @@ fn try_report(rest: &[String]) -> Result<(), CliError> {
         })?;
         println!("trace exported to {path} (jsonl)");
     }
-    if let Some(path) = flags.get("--export-csv") {
-        let mut out = Vec::new();
-        trace
-            .write_csv(&mut out)
-            .expect("writing to a Vec cannot fail");
-        std::fs::write(path, out).map_err(|source| CliError::Io {
-            path: path.to_string(),
-            source,
-        })?;
-        println!("trace exported to {path} (csv)");
+
+    if !report.succeeded(&cfg) {
+        return Err(CliError::Task(format!(
+            "only {}/{} rounds completed (verification failures: {})",
+            report.completed_rounds, cfg.rounds, report.verification_failures
+        )));
     }
     Ok(())
 }

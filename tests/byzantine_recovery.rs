@@ -195,10 +195,12 @@ fn offline_aggregator_round_recovers_without_eviction() {
     // locally blacklisted (timeout suspicion) and its set recovered, but
     // never evicted: eviction is reserved for *provable* misbehavior.
     for (comm, batch) in modes() {
-        let c = cfg(comm, batch);
+        let mut c = cfg(comm, batch);
         let honest = run(c.clone(), &[]);
-        let behaviors = [(0, Behavior::Offline)];
-        let report = assert_recovers(&c, &honest, &behaviors);
+        // Aggregator 0 (node layout: directory | storage | aggregators |
+        // trainers) crashes before round 0 and never recovers.
+        c.fault_plan = FaultPlan::new().crash_at(SimTime::ZERO, NodeId(1 + c.ipfs_nodes));
+        let report = assert_recovers(&c, &honest, &[]);
         assert_eq!(report.detections, 0, "{comm:?}: silence is not provable");
         assert_eq!(report.evictions, 0, "{comm:?}: no eviction without proof");
         assert!(report.dropout_recoveries > 0, "{comm:?}");

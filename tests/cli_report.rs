@@ -87,7 +87,7 @@ fn report_round_trips_an_exported_trace() {
 
 #[test]
 fn bad_flag_value_is_a_usage_error() {
-    let out = dfl(&["run", "--trainers", "many"]);
+    let out = dfl(&["report", "--trainers", "many"]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(

@@ -22,35 +22,6 @@ const TRAINERS: usize = 3;
 /// to `validate()` or to the switches moves this on purpose or not at all.
 const VALID_PER_COMM: usize = 16 + 128 + 32;
 
-/// The storage node's counters (`dfl_ipfs::node::stats`) and the simulator's
-/// own labels (`dfl_netsim::trace::net`): with `labels::ALL`, every name a
-/// run's trace may hold.
-const STORAGE_AND_NET: &[&str] = &[
-    stats::PROVIDER_LOOKUPS,
-    stats::CACHE_HITS,
-    stats::CACHE_MISSES,
-    stats::MERGE_RPCS,
-    stats::MERGE_REMOTE_FETCHES,
-    stats::RETRIES,
-    stats::FAILOVERS,
-    stats::RETRACTIONS,
-    stats::FETCH_FAILURES,
-    stats::STALE_REPLIES,
-    stats::UNEXPECTED_MESSAGES,
-    net::FAULT_CRASH,
-    net::FAULT_RECOVER,
-    net::FAULT_DATA_LOSS,
-    net::FAULT_DEGRADE_LINK,
-    net::FLOW_TORN_INBOUND,
-    net::FLOW_TORN_OUTBOUND,
-    net::FLOW_UNDELIVERED,
-    net::FAULT_ISOLATE,
-    net::FAULT_HEAL,
-    net::FAULT_CHAOS,
-    net::CHAOS_PARTITION_DROP,
-    net::CHAOS_FRAME_DROP,
-];
-
 /// The nine switches, one bit each.
 fn configure(bits: u32, comm: CommMode) -> Result<TaskConfig, IplsError> {
     let on = |bit: u32| bits & (1 << bit) != 0;
@@ -121,7 +92,9 @@ fn run_matrix(comm: CommMode) -> usize {
         }
         for name in trace.labels() {
             assert!(
-                labels::ALL.contains(&name) || STORAGE_AND_NET.contains(&name),
+                [labels::ALL, stats::ALL, net::ALL]
+                    .iter()
+                    .any(|registry| registry.contains(&name)),
                 "{what}: `{name}` is in no label registry"
             );
         }
@@ -133,16 +106,56 @@ fn run_matrix(comm: CommMode) -> usize {
 
 #[test]
 fn the_label_registry_names_each_label_once() {
-    let mut names = labels::ALL.to_vec();
+    let registries = [labels::ALL, stats::ALL, net::ALL];
+    let mut names = registries.concat();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), labels::ALL.len());
+    assert_eq!(names.len(), registries.iter().map(|r| r.len()).sum());
+}
+
+/// The `pub const` string values declared in `source`'s `pub mod {module}`
+/// block.
+fn declared_in_module(source: &'static str, module: &str) -> Vec<&'static str> {
+    let start = source
+        .find(&format!("pub mod {module} {{"))
+        .unwrap_or_else(|| panic!("no `pub mod {module}`"));
+    source[start..]
+        .lines()
+        .skip(1)
+        .take_while(|line| *line != "}")
+        .filter(|line| line.trim_start().starts_with("pub const ") && line.contains(": &str ="))
+        .filter_map(|line| line.split('"').nth(1))
+        .collect()
+}
+
+/// Each storage counter and each simulator label is in its crate's `ALL`,
+/// so the "no unregistered name" check above cannot miss a new one.
+#[test]
+fn every_storage_and_simulator_label_is_registered() {
+    for (source, module, registry) in [
+        (
+            include_str!("../crates/ipfs/src/node.rs"),
+            "stats",
+            stats::ALL,
+        ),
+        (
+            include_str!("../crates/netsim/src/trace.rs"),
+            "net",
+            net::ALL,
+        ),
+    ] {
+        let declared = declared_in_module(source, module);
+        assert!(!declared.is_empty(), "{module}: no labels found");
+        for value in &declared {
+            assert!(registry.contains(value), "{module}: `{value}` not in ALL");
+        }
+        assert_eq!(declared.len(), registry.len(), "{module}");
+    }
 }
 
 /// Every `ipls` source file but the registry itself.
 const IPLS_SOURCES: &[&str] = &[
     include_str!("../crates/core/src/accountability.rs"),
-    include_str!("../crates/core/src/addressing.rs"),
     include_str!("../crates/core/src/adversary.rs"),
     include_str!("../crates/core/src/aggregator.rs"),
     include_str!("../crates/core/src/config.rs"),

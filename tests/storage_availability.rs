@@ -34,6 +34,12 @@ fn clients() -> Vec<data::Dataset> {
     data::partition_iid(&dataset, 6, 2)
 }
 
+/// Storage node `k` acknowledges every write from the start but keeps
+/// none (node layout: directory, then the storage nodes).
+fn lose_writes(k: usize) -> FaultPlan {
+    FaultPlan::new().at(SimTime::ZERO, Fault::LoseWrites(NodeId(1 + k)))
+}
+
 fn run(cfg: TaskConfig) -> decentralized_fl::protocol::TaskReport {
     let model = LogisticRegression::new(3, 2);
     let params = model.params();
@@ -53,7 +59,7 @@ fn data_loss_without_replication_stalls_the_round() {
     // gradient that landed there is unrecoverable and the round fails —
     // the motivation for the §VI availability mechanisms.
     let mut c = cfg();
-    c.lossy_ipfs_nodes = vec![0];
+    c.fault_plan = lose_writes(0);
     c.replication = 1;
     let report = run(c.clone());
     assert!(
@@ -67,7 +73,7 @@ fn replication_survives_data_loss() {
     // Same loss, but every block is pushed to 2 replicas: provider
     // failover finds the surviving copy and the round completes.
     let mut c = cfg();
-    c.lossy_ipfs_nodes = vec![0];
+    c.fault_plan = lose_writes(0);
     c.replication = 2;
     let report = run(c.clone());
     assert!(report.succeeded(&c), "replication must mask the loss");
@@ -92,23 +98,13 @@ fn merge_mode_survives_loss_with_replication() {
     let mut c = cfg();
     c.comm = CommMode::MergeAndDownload;
     c.providers_per_aggregator = 2;
-    c.lossy_ipfs_nodes = vec![1];
+    c.fault_plan = lose_writes(1);
     c.replication = 2;
     let report = run(c.clone());
     assert!(
         report.succeeded(&c),
         "merge requests must fetch lost members from replicas"
     );
-}
-
-#[test]
-fn lossy_index_validated() {
-    let mut c = cfg();
-    c.lossy_ipfs_nodes = vec![99];
-    let model = LogisticRegression::new(3, 2);
-    let params = model.params();
-    let err = run_task(c, model, params, clients(), sgd(), &[]).unwrap_err();
-    assert!(err.to_string().contains("lossy"));
 }
 
 #[test]

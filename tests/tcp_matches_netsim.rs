@@ -164,7 +164,7 @@ fn lossy_storage_node_loses_data_over_tcp_too() {
     // replicas every round still completes on both backends, and over TCP
     // too the lossy node never holds a block.
     let cfg = TaskConfig {
-        lossy_ipfs_nodes: vec![0],
+        fault_plan: FaultPlan::new().at(SimTime::ZERO, Fault::LoseWrites(NodeId(1))),
         replication: 2,
         ..task_config()
     };

@@ -141,7 +141,10 @@ fn offline_aggregator_triggers_dropout_recovery() {
     c.aggregators_per_partition = 2;
     c.t_train = dfl_netsim::SimDuration::from_secs(15);
     c.t_sync = dfl_netsim::SimDuration::from_secs(20);
-    let report = run(c.clone(), &[(2, Behavior::Offline)]);
+    // Aggregator 2 (node layout: directory | storage | aggregators |
+    // trainers) is down from the start and never recovers.
+    c.fault_plan = FaultPlan::new().crash_at(SimTime::ZERO, NodeId(1 + c.ipfs_nodes + 2));
+    let report = run(c.clone(), &[]);
     assert!(report.succeeded(&c), "round must survive the dropout");
     assert!(report.dropout_recoveries > 0, "recovery path must have run");
 
@@ -160,7 +163,9 @@ fn all_aggregators_offline_fails_round() {
     // t_sync bounds the stall (the paper's liveness argument for deadlines).
     let mut c = cfg(false);
     c.aggregators_per_partition = 1;
-    let report = run(c.clone(), &[(0, Behavior::Offline)]);
+    // Aggregator 0, partition 0's only one, is down for the whole task.
+    c.fault_plan = FaultPlan::new().crash_at(SimTime::ZERO, NodeId(1 + c.ipfs_nodes));
+    let report = run(c.clone(), &[]);
     assert!(!report.succeeded(&c));
     assert_eq!(report.completed_rounds, 0);
 }
