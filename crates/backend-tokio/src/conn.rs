@@ -8,7 +8,10 @@
 //! * the node loop enqueues encoded-able messages without blocking; a
 //!   full queue drops the *newest* frame (the protocol's own retries
 //!   regenerate state, so old queued frames are worth more than new
-//!   ones), counts it, and raises a delivery-failure event;
+//!   ones), counts it, and raises a delivery-failure event. The bound is
+//!   an occupancy count, not a preallocated ring: the queue's memory
+//!   follows the frames queued (the channel allocates slots 31 at a time,
+//!   ≈ 5.5 KB), where a ring of `queue_depth` slots cost 172 KB a pair;
 //! * the writer owns the TCP stream, reconnecting under deterministic
 //!   seeded exponential backoff with jitter ([`BackoffPolicy`]) and
 //!   giving up on a frame only after `max_attempts` (or at once, when the
@@ -29,7 +32,7 @@
 //! the run's worst moment.
 
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,8 +58,10 @@ pub(crate) struct BackoffPolicy {
     pub max: Duration,
     /// Delivery attempts per frame (connect + write counts as one).
     pub max_attempts: u32,
-    /// Bounded outbound queue depth per peer; a full queue drops the
-    /// newest frame with accounting.
+    /// Bounded outbound queue depth per peer: frames handed over and not
+    /// yet taken by the writer. A full queue drops the newest frame with
+    /// accounting. The depth is a bound, not an allocation: the queue's
+    /// memory follows the frames queued.
     pub queue_depth: usize,
     /// Seed of the jitter streams.
     pub seed: u64,
@@ -226,7 +231,10 @@ impl DeliveryReport {
 
 /// The node-loop handle to one peer's supervised writer.
 pub(crate) struct PeerSender {
-    queue: mpsc::SyncSender<Msg>,
+    queue: mpsc::Sender<Msg>,
+    /// Frames in `queue` the writer has not taken yet; at most `depth`.
+    occupancy: Arc<AtomicUsize>,
+    depth: usize,
     to: NodeId,
     stats: Arc<DeliveryStats>,
     failure_tx: mpsc::Sender<NodeEvent>,
@@ -243,7 +251,9 @@ impl PeerSender {
         stats: Arc<DeliveryStats>,
         failure_tx: mpsc::Sender<NodeEvent>,
     ) -> PeerSender {
-        let (queue, rx) = mpsc::sync_channel::<Msg>(policy.queue_depth.max(1));
+        let (queue, rx) = mpsc::channel::<Msg>();
+        let occupancy = Arc::new(AtomicUsize::new(0));
+        let writer_occupancy = occupancy.clone();
         let writer_stats = stats.clone();
         let writer_failures = failure_tx.clone();
         std::thread::spawn(move || {
@@ -263,10 +273,12 @@ impl PeerSender {
                 last_gen: 0,
                 ever_connected: false,
             }
-            .run(rx);
+            .run(rx, &writer_occupancy);
         });
         PeerSender {
             queue,
+            occupancy,
+            depth: policy.queue_depth.max(1),
             to,
             stats,
             failure_tx,
@@ -281,15 +293,14 @@ impl PeerSender {
         // the instant it is in the queue.
         let bytes = frame_bytes(&msg);
         self.stats.queued(bytes);
-        match self.queue.try_send(msg) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.stats.dequeued(bytes);
-                self.stats
-                    .frames_dropped_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = self.failure_tx.send(NodeEvent::SendFailed { to: self.to });
-            }
+        let room = self.occupancy.fetch_add(1, Ordering::Relaxed) < self.depth;
+        if !room || self.queue.send(msg).is_err() {
+            self.occupancy.fetch_sub(1, Ordering::Relaxed);
+            self.stats.dequeued(bytes);
+            self.stats
+                .frames_dropped_queue_full
+                .fetch_add(1, Ordering::Relaxed);
+            let _ = self.failure_tx.send(NodeEvent::SendFailed { to: self.to });
         }
     }
 }
@@ -315,8 +326,9 @@ struct Writer {
 }
 
 impl Writer {
-    fn run(mut self, rx: mpsc::Receiver<Msg>) {
+    fn run(mut self, rx: mpsc::Receiver<Msg>, occupancy: &AtomicUsize) {
         while let Ok(msg) = rx.recv() {
+            occupancy.fetch_sub(1, Ordering::Relaxed);
             self.handle(&msg);
             self.stats.dequeued(frame_bytes(&msg));
         }
@@ -532,6 +544,76 @@ mod tests {
         assert!(failures > 0, "overflow must raise SendFailed");
         assert!(stats.frames_dropped_queue_full.load(Ordering::Relaxed) > 0);
         assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 0);
+    }
+
+    /// The bound is exact: with the writer stalled on one frame, `depth`
+    /// more queue, the next is dropped, counted and reported, and
+    /// everything queued goes out in order once the writer resumes.
+    #[test]
+    fn a_stalled_writer_queues_exactly_depth_frames_and_delivers_them_in_order() {
+        let depth = 4;
+        // Frame 0 is far larger than loopback's socket buffers, and nobody
+        // reads the connection until the test accepts it: the writer is
+        // stuck inside frame 0's write until then.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stats = Arc::new(DeliveryStats::default());
+        let (tx, rx) = mpsc::channel();
+        let policy = BackoffPolicy {
+            queue_depth: depth,
+            ..BackoffPolicy::default()
+        };
+        let addr = listener.local_addr().unwrap();
+        let faults = Arc::new(NetFaults::new(2));
+        let sender = PeerSender::spawn(
+            NodeId(0),
+            NodeId(1),
+            addr,
+            policy,
+            faults,
+            stats.clone(),
+            tx,
+        );
+        let stall = vec![7u8; 16 << 20];
+        sender.send(Msg::ReportMisbehavior {
+            record: stall.clone().into(),
+        });
+        let taken = std::time::Instant::now() + Duration::from_secs(5);
+        while sender.occupancy.load(Ordering::Relaxed) > 0 {
+            assert!(
+                std::time::Instant::now() < taken,
+                "the writer takes frame 0"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for iter in 1..=depth as u64 + 1 {
+            sender.send(Msg::StartRound { iter });
+        }
+        assert_eq!(sender.occupancy.load(Ordering::Relaxed), depth);
+        let dropped = stats.frames_dropped_queue_full.load(Ordering::Relaxed);
+        assert_eq!(dropped, 1, "frame {} is dropped", depth + 1);
+        let event = rx.recv_timeout(Duration::from_secs(5)).expect("event");
+        assert!(matches!(event, NodeEvent::SendFailed { to } if to == NodeId(1)));
+
+        let (mut conn, _) = listener.accept().unwrap();
+        let (_, first) = codec::read_frame(&mut conn).unwrap().expect("frame 0");
+        assert!(matches!(first, Msg::ReportMisbehavior { record } if record[..] == stall[..]));
+        for want in 1..=depth as u64 {
+            let (_, msg) = codec::read_frame(&mut conn).unwrap().expect("a frame");
+            assert!(
+                matches!(msg, Msg::StartRound { iter } if iter == want),
+                "{msg:?}"
+            );
+        }
+        drop(sender);
+        assert!(
+            codec::read_frame(&mut conn).unwrap().is_none(),
+            "nothing follows"
+        );
+        let report = stats.snapshot();
+        assert_eq!(report.frames_sent, depth as u64 + 1);
+        assert_eq!(report.frames_dropped(), 1);
+        assert_eq!((report.queued_frames, report.queued_bytes), (0, 0));
+        assert!(rx.try_recv().is_err(), "one failure, one event");
     }
 
     #[test]

@@ -139,8 +139,9 @@ struct Merging {
     /// Unanswered merge requests: req → the `(trainer, cid)` members asked
     /// for, kept so a failed merge can degrade to plain per-CID fetches.
     requests: HashMap<u64, Members>,
-    /// Merged blobs received so far: req → the sum and the members in it.
-    merged: HashMap<u64, (Vec<Quantized>, Members)>,
+    /// Merged blobs received so far: req → the sum (`None` once the
+    /// partial has summed it) and the members in it.
+    merged: HashMap<u64, (Option<Vec<Quantized>>, Members)>,
     /// Trainers being fetched individually after their merge failed.
     fallback_pending: HashSet<usize>,
 }
@@ -151,7 +152,8 @@ struct Merging {
 struct PeerSync {
     /// Partials by slot index (mine included once computed), each with the
     /// contributor set (global trainer indices) behind it — peer-claimed.
-    partials: HashMap<usize, (Vec<Quantized>, Vec<usize>)>,
+    /// The vector is `None` once the global update has summed it.
+    partials: HashMap<usize, (Option<Vec<Quantized>>, Vec<usize>)>,
     /// Peer announcements whose partials are not yet verified: j → announce
     /// (kept afterwards as evidence material).
     announced: HashMap<usize, SyncAnnounce>,
@@ -176,17 +178,19 @@ struct PeerSync {
 }
 
 /// One round of the flat AGGREGATOR procedure: built when `StartRound`
-/// arrives, dropped when the next one does. Everything but the stage
-/// outlives `Gather`: a straggler admitted after aggregation, or a peer's
-/// late partial, is still fetched and checked.
+/// arrives, dropped when the next one does. Everything but the stage and
+/// the summed vectors outlives `Gather`: a straggler admitted after
+/// aggregation, or a peer's late partial, is still fetched and checked.
 #[derive(Default)]
 struct Round {
     iter: u64,
     stage: Stage,
     /// Registered gradient CIDs (and commitments) for my trainer set.
     registered: HashMap<usize, (Cid, Option<ProtocolCommitment>)>,
-    /// Downloaded/received gradient vectors by trainer.
-    gradients: HashMap<usize, Vec<Quantized>>,
+    /// Downloaded/received gradients by trainer: the vector until the
+    /// partial sums it, `None` after. A straggler taken in after the sum
+    /// is checked and booked but never summed, so it keeps no vector.
+    gradients: HashMap<usize, Option<Vec<Quantized>>>,
     /// Trainers whose download is in flight.
     downloading: HashSet<usize>,
     /// Own-set blobs (and merged blobs) taken in, to be settled when
@@ -222,6 +226,32 @@ impl Round {
                 ..PeerSync::default()
             }),
             ..Round::default()
+        }
+    }
+
+    /// Takes in trainer `trainer`'s gradient; the vector is kept only while
+    /// a partial may still sum it.
+    fn take_gradient(&mut self, trainer: usize, vector: Vec<Quantized>) {
+        let vector = (self.stage == Stage::Gather).then_some(vector);
+        self.gradients.insert(trainer, vector);
+    }
+
+    /// Releases the vectors the stage reached has summed — nothing reads
+    /// them again (§VI: gradient data is needed only briefly): past
+    /// `Gather` the own-set and merged vectors in the partial, at `Done`
+    /// the partials in the global update. Who they came from stays:
+    /// de-duplication, the quorum and the straggler checks read the keys,
+    /// member lists and contributor sets.
+    fn release_summed(&mut self) {
+        if self.stage == Stage::Gather {
+            return;
+        }
+        self.gradients.values_mut().for_each(|v| *v = None);
+        if let Some(merge) = &mut self.merge {
+            merge.merged.values_mut().for_each(|(v, _)| *v = None);
+        }
+        if let (Some(sync), Stage::Done) = (&mut self.sync, self.stage) {
+            sync.partials.values_mut().for_each(|(v, _)| *v = None);
         }
     }
 }
@@ -830,7 +860,7 @@ impl FlatAggregator {
                 return; // corrupt gradient; the poll loop will retry
             }
         }
-        self.round.gradients.insert(trainer, vector);
+        self.round.take_gradient(trainer, vector);
         self.maybe_aggregate(out);
     }
 
@@ -857,7 +887,7 @@ impl FlatAggregator {
         });
         match (vector, &mut self.round.merge) {
             (Some(vector), Some(merge)) => {
-                merge.merged.insert(req, (vector, members));
+                merge.merged.insert(req, (Some(vector), members));
             }
             _ => self.degrade_merge(out, members),
         }
@@ -926,7 +956,8 @@ impl FlatAggregator {
                 Admitted::Merge(req) => {
                     let merge = self.round.merge.as_mut();
                     if let Some((vector, members)) = merge.and_then(|m| m.merged.remove(&req)) {
-                        out.record(labels::WASTED_BYTES, (vector.len() * 8) as f64);
+                        let wasted = vector.map_or(0, |v| v.len() * 8);
+                        out.record(labels::WASTED_BYTES, wasted as f64);
                         self.degrade_merge(out, members);
                     }
                 }
@@ -951,10 +982,11 @@ impl FlatAggregator {
         self.settle_admitted(out);
         let merge = self.round.merge.as_ref().filter(|m| !waiting(m))?;
         // The exact i128 sum does not depend on the order of its terms.
-        let merged = merge.merged.values();
+        // Nothing is released before the partial is summed.
+        let merged = merge.merged.values().map(|(v, _)| v);
         let fallback = self.round.gradients.values();
-        let vectors = merged.map(|(v, _)| v).chain(fallback);
-        let vectors = vectors.map(Vec::as_slice).collect();
+        let vectors = merged.chain(fallback).filter_map(Option::as_deref);
+        let vectors = vectors.collect();
         let merged = merge.merged.values().flat_map(|(_, members)| members);
         let mut contributors: Vec<usize> = merged.map(|&(t, _)| t).collect();
         contributors.extend(self.round.gradients.keys());
@@ -993,15 +1025,15 @@ impl FlatAggregator {
                 return None;
             }
         }
-        let own = |t: &usize| self.round.gradients[t].as_slice();
+        let own = |t: &usize| self.round.gradients.get(t)?.as_deref();
         let vectors = if self.behavior == Behavior::ForgeRegistration {
             // Substitute the fabricated gradient for the victim's.
             let fake = self.round.forged.as_deref()?;
             let victim = self.expected[0];
-            let pick = |t: &usize| if *t == victim { fake } else { own(t) };
-            have.iter().map(pick).collect()
+            let pick = |t: &usize| if *t == victim { Some(fake) } else { own(t) };
+            have.iter().map(pick).collect::<Option<_>>()?
         } else {
-            have.iter().map(own).collect()
+            have.iter().map(own).collect::<Option<_>>()?
         };
         Some((vectors, have))
     }
@@ -1034,18 +1066,22 @@ impl FlatAggregator {
             self.upload_global(out, contributors, partial);
             return;
         };
-        sync.partials
-            .insert(self.j, (partial.clone(), contributors));
+        let blob = encode(&partial);
+        // A second, poisoned variant of the partial: announced to half the
+        // peers in place of the honest one.
+        let altered = (self.behavior == Behavior::Equivocate).then(|| {
+            let mut altered = partial.clone();
+            altered[0] = Quantized(altered[0].0 + (1 << 20));
+            encode(&altered)
+        });
+        sync.partials.insert(self.j, (Some(partial), contributors));
         self.round.stage.advance(out, self.round.iter, Stage::Sync);
+        self.round.release_summed();
         // Upload the partial, then announce its hash over pub/sub.
         let gw = self.gateway();
-        self.put(out, Request::PutPartial, gw, encode(&partial), 1);
-        if self.behavior == Behavior::Equivocate {
-            // A second, poisoned variant of the partial: announced to
-            // half the peers in place of the honest one.
-            let mut altered = partial;
-            altered[0] = Quantized(altered[0].0 + (1 << 20));
-            self.put(out, Request::PutAltered, gw, encode(&altered), 1);
+        self.put(out, Request::PutPartial, gw, blob, 1);
+        if let Some(altered) = altered {
+            self.put(out, Request::PutAltered, gw, altered, 1);
         }
     }
 
@@ -1309,6 +1345,8 @@ impl FlatAggregator {
         } else {
             ann.contributors.iter().map(|&r| set[r as usize]).collect()
         };
+        // One arriving after the global update is summed is never summed.
+        let vector = (self.round.stage != Stage::Done).then_some(vector);
         sync.partials.insert(j, (vector, claimed));
         self.maybe_finish_sync(out);
     }
@@ -1465,6 +1503,9 @@ impl FlatAggregator {
         let mut recovered = false;
         for j in 0..slots {
             if let Some((v, set)) = sync.partials.get(&j) {
+                let Some(v) = v else {
+                    return; // unreachable: released only once the round is done
+                };
                 vectors.push(Cow::Borrowed(v));
                 contributors.extend(set.iter().map(|&t| t as u32));
             } else if let Some(grads) = sync.recovery_grads.get(&j) {
@@ -1509,6 +1550,7 @@ impl FlatAggregator {
         let everyone = contributors.len() == self.topo.config().trainers; // the common case
         let contributors = (!everyone).then_some(contributors);
         self.round.stage.advance(out, self.round.iter, Stage::Done);
+        self.round.release_summed();
         if self.behavior == Behavior::AlterUpdate {
             // Poison the first element (correctness violation, §III-A).
             global[0] = Quantized(global[0].0 + (1 << 20));
@@ -1715,7 +1757,7 @@ impl FlatAggregator {
                     return;
                 }
                 if let Some(vector) = self.decode_own(&data) {
-                    self.round.gradients.insert(trainer, vector);
+                    self.round.take_gradient(trainer, vector);
                     self.maybe_aggregate(out);
                 }
             }
@@ -1960,16 +2002,7 @@ mod tests {
             assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 0);
             assert_eq!(recorded(&actions, labels::WASTED_BYTES), 0);
             // One check per merge reply, under either policy.
-            let verified: u64 = actions
-                .iter()
-                .map(|action| match action {
-                    ProtocolAction::Incr { label, delta } if *label == labels::BLOBS_VERIFIED => {
-                        *delta
-                    }
-                    _ => 0,
-                })
-                .sum();
-            assert_eq!(verified, 2, "batch_verify = {batch_verify}");
+            assert_eq!(verified(&actions), 2, "batch_verify = {batch_verify}");
         }
     }
 
@@ -2089,6 +2122,148 @@ mod tests {
             let aggregated = recorded(&actions, labels::GRADS_AGGREGATED);
             assert_eq!(aggregated, usize::from(batch_verify));
             assert_eq!(uploads(&actions, &sum), batch_verify);
+        }
+    }
+
+    /// The flat aggregator behind `agg`.
+    fn flat(agg: &Aggregator) -> &FlatAggregator {
+        match &agg.0 {
+            Role::Flat(flat) => flat,
+            Role::Overlay(_) => panic!("a flat task"),
+        }
+    }
+
+    /// The own-set and merged vectors `agg`'s round still holds.
+    fn held_vectors(agg: &Aggregator) -> usize {
+        let round = &flat(agg).round;
+        let merged = round.merge.iter().flat_map(|m| m.merged.values());
+        let merged = merged.filter(|(v, _)| v.is_some()).count();
+        merged + round.gradients.values().flatten().count()
+    }
+
+    fn verified(actions: &[ProtocolAction<Msg>]) -> u64 {
+        let delta = |action: &ProtocolAction<Msg>| match action {
+            ProtocolAction::Incr { label, delta } if *label == labels::BLOBS_VERIFIED => *delta,
+            _ => 0,
+        };
+        actions.iter().map(delta).sum()
+    }
+
+    /// Flat fetch, two slots: once the partial is summed the own-set
+    /// vectors are gone, the trainers they came from are not, and the
+    /// partial uploaded is the exact sum of the set; once the global update
+    /// is summed, the partials go the same way.
+    #[test]
+    fn a_summed_partial_releases_the_fetched_gradients() {
+        let cfg = TaskConfig {
+            partitions: 1,
+            aggregators_per_partition: 2,
+            ..TaskConfig::default()
+        };
+        let blobs = honest_blobs(4);
+        let (mut agg, actions) = listed(cfg, &blobs, &blobs);
+        let own = gets(&actions);
+        assert_eq!(own.len(), 2, "slot 0 fetches trainers 0 and 2");
+        let first = answer(&mut agg, &own[..1], &blobs);
+        assert_eq!(recorded(&first, labels::GRADS_AGGREGATED), 0);
+        assert_eq!(held_vectors(&agg), 1, "held until the partial sums it");
+        let actions = answer(&mut agg, &own[1..], &blobs);
+        assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
+        let own_set = [blobs[0].clone(), blobs[2].clone()];
+        assert!(uploads(&actions, &encoded_sum(&own_set)));
+        assert_eq!(held_vectors(&agg), 0);
+        let round = &flat(&agg).round;
+        let mut kept: Vec<usize> = round.gradients.keys().copied().collect();
+        kept.sort_unstable();
+        assert_eq!(kept, [0, 2]);
+        let partial = &round.sync.as_ref().unwrap().partials[&0];
+        assert_eq!(encode(partial.0.as_ref().unwrap()), encoded_sum(&own_set));
+        assert_eq!(partial.1, [0, 2]);
+
+        // Slot 1 announces its partial; once the global update sums the
+        // two, neither partial is held, and both contributor sets are.
+        let peer = Bytes::from(encoded_sum(&[blobs[1].clone(), blobs[3].clone()]));
+        let announce = SyncAnnounce {
+            partition: 0,
+            agg_j: 1,
+            iter: 0,
+            cid: Cid::of(&peer),
+            contributors: Vec::new(),
+            signature: None,
+        };
+        let deliver_wire = IpfsWire::Deliver {
+            topic: flat(&agg).topo.sync_topic(0),
+            data: Bytes::from(announce.encode()),
+            publisher: NodeId(9),
+        };
+        let asked = deliver(&mut agg, Msg::Ipfs(deliver_wire));
+        let actions = answer(&mut agg, &gets(&asked), &[peer]);
+        assert!(uploads(&actions, &encoded_sum(&blobs)));
+        let partials = &flat(&agg).round.sync.as_ref().unwrap().partials;
+        assert!(partials.values().all(|(v, _)| v.is_none()));
+        let mut sets: Vec<&[usize]> = partials.values().map(|(_, set)| &set[..]).collect();
+        sets.sort_unstable();
+        assert_eq!(sets, [&[0, 2][..], &[1, 3][..]]);
+    }
+
+    /// Merge mode: the merged sums are released once summed; their member
+    /// lists stay.
+    #[test]
+    fn a_summed_partial_releases_the_merged_sums() {
+        for batch_verify in [false, true] {
+            let (mut agg, blobs, merges) = merging(batch_verify);
+            let mut actions = deliver(&mut agg, merge_ok(&blobs, &merges[0], false));
+            assert_eq!(held_vectors(&agg), 1);
+            actions.extend(deliver(&mut agg, merge_ok(&blobs, &merges[1], false)));
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
+            assert!(uploads(&actions, &encoded_sum(&blobs)));
+            assert_eq!(held_vectors(&agg), 0, "batch_verify = {batch_verify}");
+            let merge = flat(&agg).round.merge.as_ref().unwrap();
+            let members = merge.merged.values().map(|(_, m)| m.len()).sum::<usize>();
+            assert_eq!(members, 4);
+        }
+    }
+
+    /// A quorum-degraded round sums what arrived by the deadline and
+    /// releases it; a straggler after that is still verified and booked —
+    /// a corrupt one is taken back out — but never held.
+    #[test]
+    fn a_straggler_after_the_sum_is_checked_and_booked_but_not_held() {
+        let honest = honest_blobs(4);
+        for batch_verify in [false, true] {
+            for corrupt in [false, true] {
+                let cfg = TaskConfig {
+                    partitions: 1,
+                    verifiable: true,
+                    batch_verify,
+                    min_quorum: Some(3),
+                    ..TaskConfig::default()
+                };
+                let mut stored = honest.clone();
+                if corrupt {
+                    stored[3] = Bytes::from(build_blob(&[9.0, 0.5, -2.0]));
+                }
+                let (mut agg, actions) = listed(cfg, &stored, &honest);
+                let gets = gets(&actions);
+                assert_eq!(gets.len(), 4);
+                answer(&mut agg, &gets[..3], &stored);
+                let mut out = Actions::new();
+                let deadline = ProtocolEvent::Timer {
+                    token: TK_SYNC_DEADLINE,
+                };
+                agg.handle(SimTime::ZERO, deadline, &mut out);
+                let actions: Vec<_> = out.drain().collect();
+                assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
+                assert!(uploads(&actions, &encoded_sum(&honest[..3])));
+                assert_eq!(held_vectors(&agg), 0);
+
+                let late = answer(&mut agg, &gets[3..], &stored);
+                let case = format!("batch_verify = {batch_verify}, corrupt = {corrupt}");
+                assert_eq!(verified(&late), 1, "{case}");
+                assert_eq!(held_vectors(&agg), 0, "{case}");
+                let booked = flat(&agg).round.gradients.contains_key(&3);
+                assert_eq!(booked, !corrupt, "{case}");
+            }
         }
     }
 

@@ -99,13 +99,18 @@ pub fn sum_gradients(grads: &[impl AsRef<[Quantized]>]) -> Result<Vec<Quantized>
             *a += b.0 as i128;
         }
     }
-    acc.into_iter()
-        .map(|v| {
+    // Sized up front: a `Result` collect cannot trust the length and
+    // doubles its way there, leaving the sum — an aggregator's partial
+    // lives a whole round — in a buffer up to twice its size.
+    let mut sum = Vec::with_capacity(acc.len());
+    for v in acc {
+        sum.push(
             i64::try_from(v)
                 .map(Quantized)
-                .map_err(|_| IplsError::Overflow)
-        })
-        .collect()
+                .map_err(|_| IplsError::Overflow)?,
+        );
+    }
+    Ok(sum)
 }
 
 /// [`sum_gradients`] inside a core's round `iter`: an overflow or a width

@@ -9,7 +9,10 @@
 //!
 //! Its position in the round is one `Stage` value: `Training` while the
 //! round's training timer is pending, then `Uploading` (flat) or
-//! `Forwarding` (overlay), `Awaiting` the updates, and `Finished`.
+//! `Forwarding` (overlay), `Awaiting` the updates, and `Finished`. A
+//! partition's blob lives in the stage that still reads it and is dropped
+//! at the last point that does: its storage acknowledgment, its overlay
+//! forward, or its direct send. Only its commitment outlives that.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -84,23 +87,30 @@ struct UpdateCheck {
 /// Where a trainer is in a round. Applying the round's last update ends it
 /// from any stage; every other move is made by the one handler that
 /// expects it.
-#[derive(Default)]
 enum Stage {
-    /// Local training: the round's `TK_TRAIN` timer is pending.
-    #[default]
-    Training,
-    /// Flat upload: Puts are outstanding (request id → partition), and in
+    /// Local training: the round's `TK_TRAIN` timer is pending over the
+    /// blobs it built, one per partition in partition order.
+    Training(Vec<Bytes>),
+    /// Flat upload: Puts are outstanding (request id → partition and the
+    /// blob a retry re-sends, dropped at its acknowledgment), and in
     /// compact mode the acked registrations wait for the last ack.
     Uploading {
-        acks: HashMap<u64, usize>,
+        acks: HashMap<u64, (usize, Bytes)>,
         batch: Vec<(usize, Cid, Option<[u8; 33]>)>,
     },
-    /// Overlay: composing level partials; the partitions already sent up.
-    Forwarding(HashSet<usize>),
+    /// Overlay: composing level partials; the own blobs of the partitions
+    /// not yet sent up.
+    Forwarding(HashMap<usize, Bytes>),
     /// Polling for the round's updates, or being pushed them.
     Awaiting,
     /// The model is rebuilt and `TrainerDone` sent.
     Finished,
+}
+
+impl Default for Stage {
+    fn default() -> Stage {
+        Stage::Training(Vec::new())
+    }
 }
 
 /// One round of the TRAINER procedure: built when `StartRound` arrives,
@@ -110,11 +120,12 @@ struct Round {
     iter: u64,
     start: SimTime,
     stage: Stage,
-    /// Blob + commitment per partition. The commitment stays a point until
-    /// it is sent: serialising costs a field inversion and parsing back a
-    /// square root, and an overlay node combines its own with its
-    /// children's before anything goes out.
-    blobs: HashMap<usize, (Bytes, Option<ProtocolCommitment>)>,
+    /// Commitment per partition, in partition order; empty when the task
+    /// is not verifiable. Registration reads it after the blob is gone. It
+    /// stays a point until it is sent: serialising costs a field inversion
+    /// and parsing back a square root, and an overlay node combines its own
+    /// with its children's before anything goes out.
+    commitments: Vec<ProtocolCommitment>,
     /// Get request id → (partition, update cid): the partitions being
     /// fetched (update download de-dup), kept for retransmission.
     pending_gets: HashMap<u64, (usize, Cid)>,
@@ -233,7 +244,7 @@ impl<M: Model> Trainer<M> {
     /// Registers partition `partition`'s hash (and commitment) with the
     /// directory, signed in authenticated mode.
     fn register(&self, out: &mut Actions<Msg>, partition: usize, cid: Cid) {
-        let commitment = self.round.blobs[&partition].1.map(|c| c.to_bytes());
+        let commitment = self.round.commitments.get(partition).map(|c| c.to_bytes());
         let signature = self.signing_key.as_ref().map(|key| {
             let message =
                 registration_message(self.t, partition, self.round.iter, &cid, &commitment);
@@ -250,13 +261,14 @@ impl<M: Model> Trainer<M> {
         out.send(self.topo.directory(), msg);
     }
 
-    /// (Re-)sends the `Put` of `partition`'s blob under request id `req_id`.
-    fn send_put(&self, out: &mut Actions<Msg>, req_id: u64, partition: usize) {
+    /// (Re-)sends the `Put` of `partition`'s blob `data` under request id
+    /// `req_id`.
+    fn send_put(&self, out: &mut Actions<Msg>, req_id: u64, partition: usize, data: Bytes) {
         let Ok(to) = self.topo.upload_target(partition, self.t) else {
             return; // unreachable: puts only exist in the storage-backed modes
         };
         let put = IpfsWire::Put {
-            data: self.round.blobs[&partition].0.clone(),
+            data,
             req_id,
             replicate: self.topo.config().replication,
         };
@@ -303,17 +315,21 @@ impl<M: Model> Trainer<M> {
         );
 
         let mut commit_elements = 0u64;
+        let mut blobs = Vec::with_capacity(self.topo.config().partitions);
         for i in 0..self.topo.config().partitions {
             let (s, e) = self.topo.partition_range(i);
             let blob = Bytes::from(build_blob(&new_params[s..e]));
-            // A blob built here decodes: a partition holds at least one value.
-            #[allow(clippy::expect_used)]
-            let commitment = self.key.as_ref().map(|key| {
+            if let Some(key) = &self.key {
                 commit_elements += (e - s + 1) as u64;
-                commit_blob(key, &blob).expect("locally built blob is well-formed")
-            });
-            self.round.blobs.insert(i, (blob, commitment));
+                // A blob built here decodes: a partition holds at least one value.
+                #[allow(clippy::expect_used)]
+                let commitment =
+                    commit_blob(key, &blob).expect("locally built blob is well-formed");
+                self.round.commitments.push(commitment);
+            }
+            blobs.push(blob);
         }
+        self.round.stage = Stage::Training(blobs);
 
         let compute = self.topo.config().train_compute
             + SimDuration::from_micros(self.topo.config().commit_us_per_element * commit_elements);
@@ -321,12 +337,15 @@ impl<M: Model> Trainer<M> {
     }
 
     fn upload(&mut self, now: SimTime, out: &mut Actions<Msg>) {
+        let Stage::Training(blobs) = std::mem::take(&mut self.round.stage) else {
+            return; // unreachable: the training timer counts in `Training` only
+        };
         // Overlay mode replaces both the upload and the download path:
         // partials climb the aggregation tree, the final model rides the
         // same edges back down, and lateness is governed by the per-level
         // deadline rather than the flat t_train cut-off.
         if let Some(tree) = self.overlay.as_ref().map(|overlay| overlay.tree) {
-            self.upload_overlay(out, tree);
+            self.upload_overlay(out, tree, blobs);
             return;
         }
         // Abort the round if training blew the t_train deadline
@@ -341,31 +360,31 @@ impl<M: Model> Trainer<M> {
 
         match self.topo.config().comm {
             CommMode::Direct => {
-                for i in 0..self.topo.config().partitions {
-                    let blob = &self.round.blobs[&i].0;
+                for (i, data) in blobs.into_iter().enumerate() {
+                    let cid = Cid::of(&data);
                     let j = self.topo.agg_for_trainer(i, self.t);
                     let to = self.topo.aggregator(self.topo.agg_index(i, j));
                     let msg = Msg::DirectGradient {
                         trainer: self.t,
                         partition: i,
                         iter: self.round.iter,
-                        data: blob.clone(),
+                        data,
                     };
                     out.send(to, msg);
                     // Register the hash (and commitment) with the directory
                     // so the aggregation-delay metric and the verification
                     // path work identically across communication modes.
-                    self.register(out, i, Cid::of(blob));
+                    self.register(out, i, cid);
                 }
                 self.await_updates(out);
             }
             CommMode::Indirect | CommMode::MergeAndDownload => {
                 out.record(labels::UPLOAD_START, self.round.iter as f64);
                 let mut acks = HashMap::new();
-                for i in 0..self.topo.config().partitions {
+                for (i, blob) in blobs.into_iter().enumerate() {
                     let req_id = self.fresh_req();
-                    acks.insert(req_id, i);
-                    self.send_put(out, req_id, i);
+                    self.send_put(out, req_id, i, blob.clone());
+                    acks.insert(req_id, (i, blob));
                 }
                 let batch = Vec::new();
                 self.round.stage = Stage::Uploading { acks, batch };
@@ -383,9 +402,9 @@ impl<M: Model> Trainer<M> {
     /// Overlay upload: leaves forward their partial immediately; interior
     /// nodes arm the level deadline and forward each partition as its
     /// children complete (buffered partials may already be waiting).
-    fn upload_overlay(&mut self, out: &mut Actions<Msg>, tree: OverlayTree) {
+    fn upload_overlay(&mut self, out: &mut Actions<Msg>, tree: OverlayTree, blobs: Vec<Bytes>) {
         out.record(labels::UPLOAD_START, self.round.iter as f64);
-        self.round.stage = Stage::Forwarding(HashSet::new());
+        self.round.stage = Stage::Forwarding(blobs.into_iter().enumerate().collect());
         if !tree.children(self.t).is_empty() {
             // Deeper interior nodes get earlier deadlines, so a partial
             // forwarded on timeout still has a level's budget to climb
@@ -411,11 +430,11 @@ impl<M: Model> Trainer<M> {
         let Some(overlay) = &mut self.overlay else {
             return;
         };
-        let Stage::Forwarding(sent) = &mut self.round.stage else {
+        let Stage::Forwarding(unsent) = &mut self.round.stage else {
             return;
         };
-        if sent.contains(&partition) {
-            return;
+        if !unsent.contains_key(&partition) {
+            return; // already sent up
         }
         let tree = overlay.tree;
         let expected = tree.children(self.t).len();
@@ -429,8 +448,10 @@ impl<M: Model> Trainer<M> {
             }
             out.record(labels::OVERLAY_TIMEOUT, (expected - arrived) as f64);
         }
-        sent.insert(partition);
-        let last = sent.len() == self.topo.config().partitions;
+        let Some(own_blob) = unsent.remove(&partition) else {
+            return; // unreachable: checked above
+        };
+        let last = unsent.is_empty();
         let buffered = overlay
             .children
             .remove(&(self.round.iter, partition))
@@ -465,7 +486,7 @@ impl<M: Model> Trainer<M> {
         // The i128-exact summation makes the composed total bit-identical
         // to the flat aggregator's sum of the same leaves, independent of
         // tree shape — addition never rounds, so association is free.
-        let (own_blob, Some(own_commitment)) = self.round.blobs[&partition].clone() else {
+        let Some(&own_commitment) = self.round.commitments.get(partition) else {
             return; // unreachable: the overlay's key committed every blob of the round
         };
         let Some(own) = decode_blob(&own_blob) else {
@@ -623,10 +644,10 @@ impl<M: Model> Trainer<M> {
             // make the wire order (and so the whole simulation)
             // nondeterministic.
             if let Stage::Uploading { acks, .. } = &self.round.stage {
-                let mut puts: Vec<(u64, usize)> = acks.iter().map(|(&r, &p)| (r, p)).collect();
-                puts.sort_unstable();
-                for (req_id, partition) in puts {
-                    self.send_put(out, req_id, partition);
+                let mut puts: Vec<(&u64, &(usize, Bytes))> = acks.iter().collect();
+                puts.sort_unstable_by_key(|&(&req_id, _)| req_id);
+                for (&req_id, (partition, data)) in puts {
+                    self.send_put(out, req_id, *partition, data.clone());
                 }
             }
             let mut gets: Vec<_> = self.round.pending_gets.iter().collect();
@@ -646,7 +667,10 @@ impl<M: Model> Trainer<M> {
         let Stage::Uploading { acks, batch } = &mut self.round.stage else {
             return;
         };
-        let Some(partition) = acks.remove(&req_id) else {
+        // The blob goes with its entry: the ack is the last thing that
+        // reads it. Registration reads the commitment, the next round's
+        // `Unpin` the CID.
+        let Some((partition, _)) = acks.remove(&req_id) else {
             return;
         };
         // A storage acknowledgment whose partition has no storage route is
@@ -664,7 +688,7 @@ impl<M: Model> Trainer<M> {
         if compact {
             // Accumulate; one batched registration goes out with the last
             // acknowledgment (§VI directory-load reduction).
-            let commitment = self.round.blobs[&partition].1.map(|c| c.to_bytes());
+            let commitment = self.round.commitments.get(partition).map(|c| c.to_bytes());
             batch.push((partition, cid, commitment));
         }
         let last = acks.is_empty().then(|| std::mem::take(batch));
@@ -828,7 +852,7 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                 // round, a level deadline only in `Forwarding` of its own.
                 let armed = self.round.armed(token);
                 match (token & !0xFFFF_FFFF, &self.round.stage) {
-                    (TK_TRAIN, Stage::Training) if armed => self.upload(now, out),
+                    (TK_TRAIN, Stage::Training(_)) if armed => self.upload(now, out),
                     (TK_POLL, _) => self.poll(out),
                     (TK_RETRY, _) => self.on_retry(out, token),
                     (TK_OVERLAY, Stage::Forwarding(_)) if armed => {
@@ -959,6 +983,148 @@ mod tests {
         actions.iter().filter_map(value).collect()
     }
 
+    /// The `(req_id, data)` of every storage `Put` among `actions`.
+    fn puts(actions: &[ProtocolAction<Msg>]) -> Vec<(u64, Bytes)> {
+        let put = |action: &ProtocolAction<Msg>| match action {
+            ProtocolAction::Send {
+                msg: Msg::Ipfs(IpfsWire::Put { data, req_id, .. }),
+                ..
+            } => Some((*req_id, data.clone())),
+            _ => None,
+        };
+        actions.iter().filter_map(put).collect()
+    }
+
+    /// Trainer 0 of a verifiable task of `partitions` partitions after its
+    /// training timer fired, the task's key, and the Puts it sent — one
+    /// per partition, in partition order.
+    fn uploading(
+        partitions: usize,
+        compact_registration: bool,
+    ) -> (
+        Trainer<LogisticRegression>,
+        Arc<ProtocolKey>,
+        Vec<(u64, Bytes)>,
+    ) {
+        let cfg = TaskConfig {
+            trainers: 2,
+            partitions,
+            verifiable: true,
+            compact_registration,
+            ..TaskConfig::default()
+        };
+        let (mut trainer, key) = trainer(cfg, 0);
+        deliver(&mut trainer, Msg::StartRound { iter: 0 });
+        let actions = handle(&mut trainer, ProtocolEvent::Timer { token: TK_TRAIN });
+        let puts = puts(&actions);
+        assert_eq!(puts.len(), partitions);
+        (trainer, key.unwrap(), puts)
+    }
+
+    fn ack(
+        trainer: &mut Trainer<LogisticRegression>,
+        (req_id, data): &(u64, Bytes),
+    ) -> Vec<ProtocolAction<Msg>> {
+        let cid = Cid::of(data);
+        deliver(
+            trainer,
+            Msg::Ipfs(IpfsWire::PutAck {
+                cid,
+                req_id: *req_id,
+            }),
+        )
+    }
+
+    /// A partition's blob is released at its storage acknowledgment, the
+    /// last point that reads it; its commitment (registration) and its CID
+    /// (the next round's `Unpin`) stay.
+    #[test]
+    fn an_acknowledged_partition_holds_no_blob_but_keeps_its_commitment_and_cid() {
+        let (mut trainer, key, puts) = uploading(2, false);
+        let registered = ack(&mut trainer, &puts[0]);
+        let (blob0, blob1) = (&puts[0].1, &puts[1].1);
+        // This test holds the only reference to the acknowledged blob; the
+        // trainer still holds the other, which a retry may re-send.
+        assert!(blob0.is_unique(), "partition 0's bytes are released");
+        assert!(!blob1.is_unique(), "partition 1 waits for its ack");
+        let commitment = commit_blob(&key, blob0).unwrap();
+        assert!(trainer.round.commitments[0] == commitment);
+        let registration = registered.iter().find_map(|action| match action {
+            ProtocolAction::Send {
+                msg:
+                    Msg::RegisterGradient {
+                        partition: 0,
+                        cid,
+                        commitment,
+                        ..
+                    },
+                ..
+            } => Some((*cid, *commitment)),
+            _ => None,
+        });
+        let expected = Some((Cid::of(blob0), Some(commitment.to_bytes())));
+        assert_eq!(registration, expected);
+        // Acknowledged, then the round moves on: the next round unpins it.
+        ack(&mut trainer, &puts[1]);
+        assert!(blob1.is_unique());
+        let next = deliver(&mut trainer, Msg::StartRound { iter: 1 });
+        let unpinned: Vec<Cid> = next
+            .iter()
+            .filter_map(|action| match action {
+                ProtocolAction::Send {
+                    msg: Msg::Ipfs(IpfsWire::Unpin { cid, .. }),
+                    ..
+                } => Some(*cid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(unpinned, [Cid::of(blob0), Cid::of(blob1)]);
+    }
+
+    /// A retry re-sends exactly the partitions still unacknowledged, under
+    /// their request ids, byte for byte.
+    #[test]
+    fn a_retry_resends_exactly_the_unacknowledged_partitions_byte_for_byte() {
+        let (mut trainer, _, sent) = uploading(3, false);
+        ack(&mut trainer, &sent[1]);
+        let token = TK_RETRY;
+        let resent = puts(&handle(&mut trainer, ProtocolEvent::Timer { token }));
+        assert_eq!(resent, [sent[0].clone(), sent[2].clone()]);
+        assert!(sent[1].1.is_unique());
+    }
+
+    /// In compact mode the one batched registration, sent with the last
+    /// acknowledgment after every blob is released, still carries every
+    /// partition's commitment.
+    #[test]
+    fn a_compact_batch_still_carries_every_commitment() {
+        let (mut trainer, key, puts) = uploading(3, true);
+        let mut actions = Vec::new();
+        for put in [&puts[2], &puts[0], &puts[1]] {
+            actions.extend(ack(&mut trainer, put));
+        }
+        assert!(puts.iter().all(|(_, blob)| blob.is_unique()));
+        let batches: Vec<_> = actions
+            .iter()
+            .filter_map(|action| match action {
+                ProtocolAction::Send {
+                    msg: Msg::RegisterGradientBatch { entries, .. },
+                    ..
+                } => Some(entries.clone()),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<_> = [2, 0, 1]
+            .into_iter()
+            .map(|p| {
+                let blob = &puts[p].1;
+                let commitment = commit_blob(&key, blob).unwrap().to_bytes();
+                (p, Cid::of(blob), Some(commitment))
+            })
+            .collect();
+        assert_eq!(batches, [expected]);
+    }
+
     /// Regression: a storage acknowledgment colliding with a live request
     /// id in a mode with no storage route must be booked
     /// ([`IplsError::MisroutedAck`](crate::IplsError)) and dropped — it
@@ -976,7 +1142,7 @@ mod tests {
         // A frame delivered to the wrong node whose req_id collides with
         // a live one — per-node request ids are small integers.
         trainer.round.stage = Stage::Uploading {
-            acks: HashMap::from([(7, 0)]),
+            acks: HashMap::from([(7, (0, Bytes::new()))]),
             batch: Vec::new(),
         };
         let ack = IpfsWire::PutAck {
@@ -1070,7 +1236,10 @@ mod tests {
         assert_eq!(children.len(), 2);
         deliver(&mut trainer, Msg::StartRound { iter: 0 });
         handle(&mut trainer, ProtocolEvent::Timer { token: TK_TRAIN });
-        let own = trainer.round.blobs[&0].0.clone();
+        let Stage::Forwarding(unsent) = &trainer.round.stage else {
+            panic!("the root waits for its children");
+        };
+        let own = unsent[&0].clone();
         let honest = Bytes::from(build_blob(&[0.5; 6]));
         let narrow = Bytes::from(build_blob(&[0.5; 3]));
         let mut actions = Vec::new();
