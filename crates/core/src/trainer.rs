@@ -51,9 +51,10 @@ const TK_OVERLAY: u64 = 4 << 32;
 
 /// Shared sink the runner reads trainers' final parameters from after the
 /// run ends. `Arc<Mutex<..>>` so socket backends can host each trainer on
-/// its own thread; in the single-threaded simulator the lock is free. Every
-/// write is one `insert` of a whole vector, so a lock poisoned by a
-/// panicking thread still guards a valid map and is taken regardless.
+/// its own thread; in the single-threaded simulator the lock is free. A
+/// trainer's entry is allocated once and each round's parameters are
+/// copied into it, a copy that cannot stop half-way, so a lock poisoned by
+/// a panicking thread still guards a valid map and is taken regardless.
 pub type ParamSink = Arc<Mutex<HashMap<usize, Vec<f32>>>>;
 
 /// The overlay half of a trainer: the tree, the key every child opening
@@ -170,8 +171,8 @@ impl Round {
 }
 
 /// The trainer actor. Beside the round it holds only what outlives one:
-/// identity, model and data, the blocks to unpin when the next round
-/// starts, armed-timer flags, the request counter, and the overlay's
+/// identity, model and data, the blocks to unpin or release when the next
+/// round starts, armed-timer flags, the request counter, and the overlay's
 /// buffers for rounds this node has not started yet.
 pub struct Trainer<M: Model> {
     t: usize,
@@ -188,6 +189,9 @@ pub struct Trainer<M: Model> {
     /// Blocks uploaded in the current round, released at the next round
     /// (ephemeral storage lifecycle, §VI).
     uploads: Vec<(NodeId, Cid)>,
+    /// Updates asked for through the gateway in the current round: its
+    /// cached copies, released at the next round like the uploads.
+    fetched: Vec<Cid>,
     /// Registration signing key (authenticated mode).
     signing_key: Option<SigningKey<ProtocolCurve>>,
     polling: bool,
@@ -234,6 +238,7 @@ impl<M: Model> Trainer<M> {
             params: initial_params,
             sink,
             uploads: Vec::new(),
+            fetched: Vec::new(),
             signing_key,
             polling: false,
             retrying: false,
@@ -295,12 +300,22 @@ impl<M: Model> Trainer<M> {
             overlay.seen.retain(|&(i, _, _)| i >= iter);
         }
 
-        // Release last round's gradient blobs: they have served their
-        // purpose once the round completed (§VI ephemeral-data lifecycle).
+        // Release last round's gradient blobs and the gateway's copies of
+        // its updates: they have served their purpose once the round
+        // completed (§VI ephemeral-data lifecycle). An `Unpin` at the
+        // gateway collects its cached copies anyway.
         let replicate = self.topo.config().replication;
+        let gateway = self.topo.trainer_gateway(self.t);
+        let unpins_gateway = self.uploads.iter().any(|&(target, _)| target == gateway);
         for (target, cid) in std::mem::take(&mut self.uploads) {
             let unpin = IpfsWire::Unpin { cid, replicate };
             out.send(target, Msg::Ipfs(unpin));
+        }
+        let fetched = std::mem::take(&mut self.fetched);
+        if !unpins_gateway {
+            for cid in fetched {
+                out.send(gateway, Msg::Ipfs(IpfsWire::Release { cid }));
+            }
         }
 
         // Train now (real computation), charge the virtual compute time,
@@ -769,6 +784,9 @@ impl<M: Model> Trainer<M> {
         }
         let req_id = self.fresh_req();
         self.round.pending_gets.insert(req_id, (partition, cid));
+        if !self.fetched.contains(&cid) {
+            self.fetched.push(cid);
+        }
         let get = IpfsWire::Get { cid, req_id };
         let gateway = self.topo.trainer_gateway(self.t);
         out.send(gateway, Msg::Ipfs(get));
@@ -830,7 +848,7 @@ impl<M: Model> Trainer<M> {
             self.params[s..e].copy_from_slice(&values);
         }
         let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.insert(self.t, self.params.clone());
+        sink.entry(self.t).or_default().clone_from(&self.params);
         out.record(labels::TRAINER_ROUND_DONE, self.round.iter as f64);
         let msg = Msg::TrainerDone {
             trainer: self.t,
@@ -1079,6 +1097,80 @@ mod tests {
             })
             .collect();
         assert_eq!(unpinned, [Cid::of(blob0), Cid::of(blob1)]);
+    }
+
+    /// At the next `StartRound` a trainer releases each update it fetched,
+    /// once, at a gateway that none of its upload `Unpin`s reaches — and
+    /// sends no `Release` where one does (Indirect), since that `Unpin`'s
+    /// collection takes the cached copies too.
+    #[test]
+    fn the_next_round_releases_fetched_updates_where_no_unpin_reaches_the_gateway() {
+        for (comm, releases) in [
+            (CommMode::MergeAndDownload, true),
+            (CommMode::Indirect, false),
+        ] {
+            let cfg = TaskConfig {
+                providers_per_aggregator: 1,
+                comm,
+                ..TaskConfig::default()
+            };
+            let t = 3;
+            let (mut trainer, _) = trainer(cfg, t);
+            let gateway = trainer.topo.trainer_gateway(t);
+            deliver(&mut trainer, Msg::StartRound { iter: 0 });
+            let sent = puts(&handle(
+                &mut trainer,
+                ProtocolEvent::Timer { token: TK_TRAIN },
+            ));
+            for put in &sent {
+                ack(&mut trainer, put);
+            }
+            let updates = [Cid::of(b"update 0"), Cid::of(b"update 1")];
+            for (partition, cid) in updates.into_iter().enumerate() {
+                let info = |cid| Msg::UpdateInfo {
+                    partition,
+                    iter: 0,
+                    cid: Some(cid),
+                };
+                deliver(&mut trainer, info(cid));
+                // A failed Get asked for again is still one cached copy.
+                let req_id = trainer.next_req;
+                deliver(&mut trainer, Msg::Ipfs(IpfsWire::GetErr { cid, req_id }));
+                deliver(&mut trainer, info(cid));
+            }
+
+            let storage: Vec<(NodeId, IpfsWire)> =
+                deliver(&mut trainer, Msg::StartRound { iter: 1 })
+                    .into_iter()
+                    .filter_map(|action| match action {
+                        ProtocolAction::Send {
+                            to,
+                            msg: Msg::Ipfs(wire),
+                        } => Some((to, wire)),
+                        _ => None,
+                    })
+                    .collect();
+            let unpinned: Vec<NodeId> = storage
+                .iter()
+                .filter(|(_, wire)| matches!(wire, IpfsWire::Unpin { .. }))
+                .map(|&(to, _)| to)
+                .collect();
+            let released: Vec<(NodeId, Cid)> = storage
+                .iter()
+                .filter_map(|(to, wire)| match wire {
+                    IpfsWire::Release { cid } => Some((*to, *cid)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(unpinned.len(), sent.len(), "{comm:?}");
+            assert_eq!(unpinned.contains(&gateway), !releases, "{comm:?}");
+            let expected = if releases {
+                updates.map(|cid| (gateway, cid)).to_vec()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(released, expected, "{comm:?}");
+        }
     }
 
     /// A retry re-sends exactly the partitions still unacknowledged, under

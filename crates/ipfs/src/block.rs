@@ -103,6 +103,16 @@ impl BlockStore {
         }
     }
 
+    /// Drops `cid` unless it is pinned.
+    pub fn release(&mut self, cid: &Cid) {
+        if self.pins.contains_key(cid) {
+            return;
+        }
+        if let Some(block) = self.blocks.remove(cid) {
+            self.total_bytes -= block.len();
+        }
+    }
+
     /// Drops all unpinned blocks; returns the number of bytes freed.
     pub fn gc(&mut self) -> usize {
         let mut freed = 0;

@@ -16,6 +16,7 @@
 //!   a provider through the record holders, fetches the block node-to-node,
 //!   caches it, and responds. Retrieved bytes are always re-hashed: the
 //!   storage network is trusted for availability, never for correctness.
+//!   The client's `Release` drops the cached copy once it is done with it.
 //! * **Merge** — the §III-E pre-aggregation: sum a set of stored gradient
 //!   blobs and return one blob.
 //! * **Subscribe/Publish** — flood pub/sub used by aggregators to exchange
@@ -95,6 +96,10 @@ macro_rules! ipfs_wire_schema {
                     /// pins are released too.
                     replicate: usize,
                 },
+                /// The sender is done with a block it fetched through this
+                /// node: the cached copy goes unless it is pinned. A cached
+                /// copy was never announced, so nothing is retracted.
+                22 => Release { cid: Cid },
                 /// Subscribe the sender to a topic.
                 4 => Subscribe { topic: Topic },
                 /// Publish to a topic (flooded to all nodes' subscribers).
@@ -422,6 +427,10 @@ impl IpfsNode {
                 replicate,
             } => self.on_put(from, data, req_id, replicate),
             IpfsWire::Unpin { cid, replicate } => self.on_unpin(cid, replicate),
+            IpfsWire::Release { cid } => {
+                self.store.release(&cid);
+                Vec::new()
+            }
             IpfsWire::UnpinReplica { cid } => {
                 self.store.unpin(&cid);
                 self.gc_and_retract(cid)
@@ -1092,6 +1101,62 @@ mod tests {
     }
 
     #[test]
+    fn release_drops_a_cached_copy_but_never_a_pinned_block_and_sends_nothing() {
+        let mut nodes = network(6);
+        let data = Bytes::from_static(b"an-update-blob");
+        let cid = Cid::of(&data);
+        let put = IpfsWire::Put {
+            data: data.clone(),
+            req_id: 1,
+            replicate: 1,
+        };
+        let out = nodes[0].handle(CLIENT, put);
+        pump(
+            &mut nodes,
+            out.into_iter().map(|o| (NodeId(0), o)).collect(),
+        );
+        let out = nodes[3].handle(CLIENT, IpfsWire::Get { cid, req_id: 2 });
+        pump(
+            &mut nodes,
+            out.into_iter().map(|o| (NodeId(3), o)).collect(),
+        );
+        assert!(nodes[3].store().contains(&cid), "the gateway cached it");
+        let other = Bytes::from_static(b"another-cached-block");
+        nodes[3].store.put(Block::new(other.clone()));
+        let before = nodes[3].store().total_bytes();
+
+        // An unknown CID is a no-op.
+        let unknown = Cid::of(b"never-fetched");
+        assert!(nodes[3]
+            .handle(CLIENT, IpfsWire::Release { cid: unknown })
+            .is_empty());
+        assert_eq!(nodes[3].store().total_bytes(), before);
+
+        // The cached copy goes, and only it.
+        assert!(nodes[3]
+            .handle(CLIENT, IpfsWire::Release { cid })
+            .is_empty());
+        assert!(!nodes[3].store().contains(&cid));
+        assert!(nodes[3].store().contains(&Cid::of(&other)));
+        assert_eq!(nodes[3].store().total_bytes(), before - data.len());
+
+        // The pinned original stays, and is still served.
+        assert!(nodes[0]
+            .handle(CLIENT, IpfsWire::Release { cid })
+            .is_empty());
+        assert!(nodes[0].store().contains(&cid));
+        let out = nodes[3].handle(CLIENT, IpfsWire::Get { cid, req_id: 3 });
+        let replies = pump(
+            &mut nodes,
+            out.into_iter().map(|o| (NodeId(3), o)).collect(),
+        );
+        assert!(
+            matches!(&replies[..], [(_, IpfsWire::GetOk { req_id: 3, .. })]),
+            "{replies:?}"
+        );
+    }
+
+    #[test]
     fn get_unknown_cid_errors() {
         let mut nodes = network(4);
         let cid = Cid::of(b"never-stored");
@@ -1406,6 +1471,7 @@ mod tests {
                 1 + (4 + 64) + 8,
             ),
             (IpfsWire::Unpin { cid, replicate: 2 }, 1 + 32 + 8),
+            (IpfsWire::Release { cid }, 1 + 32),
             (
                 IpfsWire::Subscribe {
                     topic: "sync".into(),

@@ -159,6 +159,37 @@ fn tcp_run_matches_netsim_model_bytes_trace_and_report() {
 }
 
 #[test]
+fn merge_and_download_over_tcp_matches_netsim() {
+    // The merge RPC, and each trainer's release of the updates its gateway
+    // cached: 2 providers among 8 storage nodes leave 6 trainer gateways
+    // that no upload reaches.
+    let cfg = TaskConfig {
+        trainers: 8,
+        ipfs_nodes: 8,
+        providers_per_aggregator: 2,
+        comm: CommMode::MergeAndDownload,
+        rounds: 3,
+        ..task_config()
+    };
+    let (sim, tcp) = run_both(&cfg);
+    let (sim, tcp) = (sim.expect("netsim run"), tcp.expect("TCP run"));
+    assert!(sim.succeeded(&cfg), "netsim run must complete");
+    assert!(tcp.succeeded(&cfg), "TCP run must complete every round");
+    let bits = |params: Vec<f32>| params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(tcp.consensus_params().expect("TCP trainers agree")),
+        bits(sim.consensus_params().expect("netsim trainers agree")),
+        "TCP and netsim final model bytes differ"
+    );
+    assert_eq!(
+        tcp.delivery.frames_dropped(),
+        0,
+        "healthy run dropped frames"
+    );
+    assert_eq!(tcp.delivery.frames_faulted(), 0, "no faults were injected");
+}
+
+#[test]
 fn lossy_storage_node_loses_data_over_tcp_too() {
     // Storage node 0 discards everything it is asked to keep; with two
     // replicas every round still completes on both backends, and over TCP

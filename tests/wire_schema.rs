@@ -278,7 +278,7 @@ fn corrupted_and_random_input_is_an_error_or_a_message_never_a_panic() {
 #[test]
 fn unknown_tags_bad_flags_and_bad_utf8_are_rejected() {
     assert!(Msg::decode(&[19]).is_err(), "unknown Msg tag");
-    assert!(Msg::decode(&[0, 22]).is_err(), "unknown IpfsWire tag");
+    assert!(Msg::decode(&[0, 23]).is_err(), "unknown IpfsWire tag");
     // UpdateInfo { partition, iter, cid: Option<Cid> } with presence byte 2.
     let mut bytes = encode(&Msg::UpdateInfo {
         partition: 1,
