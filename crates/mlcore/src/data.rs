@@ -13,8 +13,7 @@ use crate::linalg::Matrix;
 
 /// A supervised dataset: feature matrix plus one target per row.
 ///
-/// Classification targets are class indices stored as `f32`; regression
-/// targets are real values.
+/// Targets are class indices stored as `f32`.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     /// Feature matrix, one row per example.
@@ -102,68 +101,6 @@ pub fn make_blobs(n: usize, dim: usize, classes: usize, spread: f32, seed: u64) 
         y.push(class as f32);
     }
     // Shuffle rows so partitions are not trivially ordered.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut rng);
-    let ds = Dataset { x, y };
-    ds.subset(&order)
-}
-
-/// Linear-regression data `y = w·x + b + noise` with a hidden random `w`.
-pub fn make_regression(n: usize, dim: usize, noise: f32, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w: Vec<f32> = (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
-    let b: f32 = rng.gen_range(-1.0..1.0);
-    let mut x = Matrix::zeros(n, dim);
-    let mut y = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut target = b;
-        for (j, wj) in w.iter().enumerate() {
-            let v = normal(&mut rng);
-            x.set(i, j, v);
-            target += wj * v;
-        }
-        y.push(target + noise * normal(&mut rng));
-    }
-    Dataset { x, y }
-}
-
-/// Seven-segment digit patterns: which of the segments
-/// (top, top-left, top-right, middle, bottom-left, bottom-right, bottom)
-/// are lit for each digit 0-9.
-const SEGMENTS: [[f32; 7]; 10] = [
-    [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0], // 0
-    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0], // 1
-    [1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0], // 2
-    [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0], // 3
-    [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0], // 4
-    [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0], // 5
-    [1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0], // 6
-    [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0], // 7
-    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], // 8
-    [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0], // 9
-];
-
-/// A digits-like classification dataset: noisy seven-segment renderings of
-/// the digits 0–9 (7 features, 10 classes). Harder than blobs — classes
-/// share segments — but still learnable by a small MLP; the non-trivial
-/// workload for the end-to-end examples.
-pub fn make_digits(n: usize, noise: f32, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut x = Matrix::zeros(n, 7);
-    let mut y = Vec::with_capacity(n);
-    for i in 0..n {
-        let digit = i % 10;
-        for (j, &segment) in SEGMENTS[digit].iter().enumerate() {
-            // Lit segments glow around 1, unlit around 0, with sensor noise
-            // and occasional dropouts/ghosts.
-            let mut v = segment + noise * normal(&mut rng);
-            if rng.gen_range(0.0..1.0) < 0.02 {
-                v = 1.0 - v; // flipped segment
-            }
-            x.set(i, j, v);
-        }
-        y.push(digit as f32);
-    }
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
     let ds = Dataset { x, y };
@@ -291,14 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn regression_correlates_with_features() {
-        let ds = make_regression(200, 3, 0.0, 2);
-        assert_eq!(ds.len(), 200);
-        // Noise-free targets vary with inputs.
-        assert!(ds.y.iter().any(|&y| y != ds.y[0]));
-    }
-
-    #[test]
     fn iid_partition_covers_everything_once() {
         let ds = make_blobs(100, 2, 2, 0.5, 3);
         let parts = partition_iid(&ds, 7, 0);
@@ -343,42 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn digits_shape_and_learnability_prereqs() {
-        let ds = make_digits(500, 0.1, 9);
-        assert_eq!(ds.len(), 500);
-        assert_eq!(ds.dim(), 7);
-        let labels: HashSet<u32> = ds.y.iter().map(|&y| y as u32).collect();
-        assert_eq!(labels.len(), 10, "all ten digits present");
-        // Noise-free class means must match the segment patterns.
-        let clean = make_digits(1000, 0.0, 10);
-        for (digit, segments) in SEGMENTS.iter().enumerate() {
-            let rows: Vec<usize> = (0..clean.len())
-                .filter(|&i| clean.y[i] as usize == digit)
-                .collect();
-            let first = clean.x.row(rows[0]);
-            for &j in &[0usize, 3, 6] {
-                let expect = segments[j];
-                // Most samples keep the clean value (2% flip chance).
-                let agreeing = rows
-                    .iter()
-                    .filter(|&&r| (clean.x.get(r, j) - expect).abs() < 0.5)
-                    .count();
-                assert!(agreeing * 10 > rows.len() * 9, "digit {digit} segment {j}");
-            }
-            let _ = first;
-        }
-    }
-
-    #[test]
-    fn digits_deterministic() {
-        let a = make_digits(100, 0.2, 5);
-        let b = make_digits(100, 0.2, 5);
-        assert_eq!(a.x.as_slice(), b.x.as_slice());
-    }
-
-    #[test]
     fn subset_preserves_rows() {
-        let ds = make_regression(10, 2, 0.1, 6);
+        let ds = make_blobs(10, 2, 2, 0.5, 6);
         let sub = ds.subset(&[3, 7]);
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.x.row(0), ds.x.row(3));

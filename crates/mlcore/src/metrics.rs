@@ -16,22 +16,6 @@ pub fn accuracy(predictions: &[f32], targets: &[f32]) -> f32 {
     correct as f32 / predictions.len() as f32
 }
 
-/// Mean squared error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mse(predictions: &[f32], targets: &[f32]) -> f32 {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "empty evaluation set");
-    predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f32>()
-        / predictions.len() as f32
-}
-
 /// L2 distance between two parameter vectors (used to compare training
 /// pipelines for equivalence).
 ///
@@ -55,12 +39,6 @@ mod tests {
     fn accuracy_counts_matches() {
         assert_eq!(accuracy(&[0.0, 1.0, 1.0], &[0.0, 1.0, 0.0]), 2.0 / 3.0);
         assert_eq!(accuracy(&[1.0], &[1.0]), 1.0);
-    }
-
-    #[test]
-    fn mse_basic() {
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 4.0]), 2.0);
-        assert_eq!(mse(&[3.0], &[3.0]), 0.0);
     }
 
     #[test]

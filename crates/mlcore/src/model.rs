@@ -28,73 +28,8 @@ pub trait Model: Send {
     /// Mean loss and mean gradient over a batch.
     fn loss_and_grad(&self, x: &Matrix, y: &[f32]) -> (f32, Vec<f32>);
 
-    /// Predicted target (class index or regression value) per row.
+    /// Predicted class index per row.
     fn predict(&self, x: &Matrix) -> Vec<f32>;
-}
-
-// ---------------------------------------------------------------------------
-// Linear regression
-// ---------------------------------------------------------------------------
-
-/// Linear regression `ŷ = w·x + b` trained with mean-squared error.
-#[derive(Clone, Debug)]
-pub struct LinearRegression {
-    w: Vec<f32>,
-    b: f32,
-}
-
-impl LinearRegression {
-    /// Zero-initialized model for `dim` features.
-    pub fn new(dim: usize) -> LinearRegression {
-        LinearRegression {
-            w: vec![0.0; dim],
-            b: 0.0,
-        }
-    }
-}
-
-impl Model for LinearRegression {
-    fn param_count(&self) -> usize {
-        self.w.len() + 1
-    }
-
-    fn params(&self) -> Vec<f32> {
-        let mut p = self.w.clone();
-        p.push(self.b);
-        p
-    }
-
-    fn set_params(&mut self, params: &[f32]) {
-        assert_eq!(
-            params.len(),
-            self.param_count(),
-            "parameter length mismatch"
-        );
-        let (w, b) = params.split_at(self.w.len());
-        self.w.copy_from_slice(w);
-        self.b = b[0];
-    }
-
-    fn loss_and_grad(&self, x: &Matrix, y: &[f32]) -> (f32, Vec<f32>) {
-        assert_eq!(x.rows(), y.len(), "feature/target count mismatch");
-        let n = x.rows().max(1) as f32;
-        let mut grad = vec![0.0f32; self.param_count()];
-        let mut loss = 0.0f32;
-        for (i, &target) in y.iter().enumerate() {
-            let row = x.row(i);
-            let err = dot(&self.w, row) + self.b - target;
-            loss += err * err;
-            axpy(&mut grad[..self.w.len()], 2.0 * err / n, row);
-            grad[self.w.len()] += 2.0 * err / n;
-        }
-        (loss / n, grad)
-    }
-
-    fn predict(&self, x: &Matrix) -> Vec<f32> {
-        (0..x.rows())
-            .map(|i| dot(&self.w, x.row(i)) + self.b)
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +324,7 @@ impl Model for SyntheticModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{make_blobs, make_regression};
+    use crate::data::make_blobs;
 
     fn numeric_grad_check<M: Model + Clone>(model: &M, x: &Matrix, y: &[f32], indices: &[usize]) {
         let (_, grad) = model.loss_and_grad(x, y);
@@ -415,14 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_regression_gradient_check() {
-        let ds = make_regression(32, 3, 0.1, 1);
-        let mut model = LinearRegression::new(3);
-        model.set_params(&[0.5, -0.25, 0.1, 0.0]);
-        numeric_grad_check(&model, &ds.x, &ds.y, &[0, 1, 2, 3]);
-    }
-
-    #[test]
     fn logistic_regression_gradient_check() {
         let ds = make_blobs(32, 3, 3, 0.5, 2);
         let mut model = LogisticRegression::new(3, 3);
@@ -444,7 +371,6 @@ mod tests {
     #[test]
     fn param_round_trip_all_models() {
         let models: Vec<Box<dyn Model>> = vec![
-            Box::new(LinearRegression::new(4)),
             Box::new(LogisticRegression::new(4, 3)),
             Box::new(Mlp::new(4, 6, 3, 1)),
             Box::new(SyntheticModel::new(10, 2)),
@@ -467,9 +393,7 @@ mod tests {
     fn gradient_descent_reduces_loss() {
         // A few full-batch steps must reduce training loss on every model.
         let cls = make_blobs(100, 4, 3, 0.4, 5);
-        let reg = make_regression(100, 4, 0.05, 6);
         let mut models: Vec<(Box<dyn Model>, &Matrix, &Vec<f32>)> = vec![
-            (Box::new(LinearRegression::new(4)), &reg.x, &reg.y),
             (Box::new(LogisticRegression::new(4, 3)), &cls.x, &cls.y),
             (Box::new(Mlp::new(4, 8, 3, 9)), &cls.x, &cls.y),
         ];

@@ -16,8 +16,8 @@
 //!   simulator with max–min fair bandwidth sharing (the mininet stand-in).
 //! * [`ipfs`] ([`dfl_ipfs`]) — simulated content-addressed storage with
 //!   provider routing, replication, pub/sub, and merge-and-download.
-//! * [`ml`] ([`dfl_ml`]) — models, local SGD, federated datasets, FedAvg
-//!   and gossip baselines.
+//! * [`ml`] ([`dfl_ml`]) — models, local SGD, federated datasets, and the
+//!   centralized FedAvg the protocol must match.
 //! * [`protocol`] ([`ipls`]) — the paper's protocol and its task runner.
 //!
 //! ## Quickstart
