@@ -26,7 +26,6 @@ use ipls::protocol::WireCost;
 use ipls::Msg;
 
 pub use dfl_ipfs::wire::DecodeError;
-pub use ipls::messages::{decode_msg, encode_msg};
 
 /// Upper bound on a frame's payload length. The largest legitimate frame
 /// is a full-model gradient blob (megabytes); anything claiming more is a
@@ -214,7 +213,7 @@ mod tests {
         for msg in sample_msgs() {
             let (from, back) = read_frame(&mut cursor).unwrap().expect("frame");
             assert_eq!(from, NodeId(3));
-            assert_eq!(encode_msg(&back), encode_msg(&msg));
+            assert_eq!(back.encode(), msg.encode());
         }
         assert!(read_frame(&mut cursor).unwrap().is_none());
     }
@@ -303,7 +302,7 @@ mod tests {
         // An absurd sender id decodes structurally (NodeId is just an
         // index; routing rejects unknown peers) — but garbage *payload*
         // bytes must be an InvalidData error.
-        let payload = encode_msg(&Msg::StartRound { iter: 3 });
+        let payload = Msg::StartRound { iter: 3 }.encode();
         let mut frame = Vec::new();
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&u64::MAX.to_le_bytes());
@@ -408,7 +407,7 @@ mod tests {
         };
         let (from, back) = read_frame(&mut trickle).unwrap().expect("frame");
         assert_eq!(from, NodeId(5));
-        assert_eq!(encode_msg(&back), encode_msg(&msg));
+        assert_eq!(back.encode(), msg.encode());
     }
 
     #[test]
@@ -466,7 +465,7 @@ mod tests {
             data: blob.clone().into(),
             publisher: NodeId(9),
         });
-        let frame = Bytes::from(encode_msg(&msg));
+        let frame = Bytes::from(msg.encode());
         let Msg::Ipfs(IpfsWire::PubGossip { topic, data, .. }) =
             Msg::decode_shared(&frame).unwrap()
         else {
@@ -488,7 +487,7 @@ mod tests {
         let small = Msg::ReportMisbehavior {
             record: vec![7u8; 33].into(),
         };
-        let frame = Bytes::from(encode_msg(&small));
+        let frame = Bytes::from(small.encode());
         let Msg::ReportMisbehavior { record } = Msg::decode_shared(&frame).unwrap() else {
             panic!("another variant came back");
         };
@@ -497,7 +496,7 @@ mod tests {
         assert!(frame.is_unique());
 
         // The plain path never shares: it has nothing to share with.
-        let Msg::Ipfs(IpfsWire::PubGossip { data, .. }) = decode_msg(&encode_msg(&msg)).unwrap()
+        let Msg::Ipfs(IpfsWire::PubGossip { data, .. }) = Msg::decode(&msg.encode()).unwrap()
         else {
             panic!("another variant came back");
         };

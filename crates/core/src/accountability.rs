@@ -24,11 +24,13 @@
 //! trainer registration keys) under a separate domain; a deployment would
 //! distribute real keys at enrollment.
 
+use bytes::Bytes;
 use dfl_crypto::schnorr::{SigningKey, VerifyingKey};
+use dfl_ipfs::wire::{DecodeError, Reader, Sink, WireCost};
 use dfl_ipfs::Cid;
 
 use crate::gradient::{verify_blob, ProtocolCommitment, ProtocolCurve, ProtocolKey};
-use crate::messages::{announce_message, signed_by, take, update_message, SignatureBytes};
+use crate::messages::{Msg, SignatureBytes, Signed, SyncAnnounce};
 
 /// Pub/sub topic misbehavior evidence is gossiped on.
 pub const EVIDENCE_TOPIC: &str = "ipls/evidence";
@@ -72,16 +74,18 @@ fn agg_domain(task_seed: u64) -> Vec<u8> {
     seed
 }
 
-/// What the offender provably did.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum MisbehaviorKind {
-    /// A partial update, announced over pub/sub under the offender's
-    /// signature, does not open the accumulated commitment of its claimed
-    /// contributor set.
-    BadPartial,
-    /// A global update, registered at the directory under the offender's
-    /// signature, does not open the partition's accumulated commitment.
-    BadUpdate,
+dfl_ipfs::wire_enum! {
+    /// What the offender provably did.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub enum MisbehaviorKind {
+        /// A partial update, announced over pub/sub under the offender's
+        /// signature, does not open the accumulated commitment of its claimed
+        /// contributor set.
+        0 => BadPartial,
+        /// A global update, registered at the directory under the offender's
+        /// signature, does not open the partition's accumulated commitment.
+        1 => BadUpdate,
+    }
 }
 
 /// A self-contained, transferable proof that an aggregator published a
@@ -89,10 +93,11 @@ pub enum MisbehaviorKind {
 /// commitments.
 ///
 /// The record embeds the offending blob itself, so re-verification needs
-/// no storage round-trip: a verifier recomputes the signed message from
-/// the semantic fields, checks both signatures, checks the blob hashes to
-/// the signed CID, independently derives the expected accumulated
-/// commitment, and confirms the blob fails it.
+/// no storage round-trip: a verifier rebuilds the statement the offender
+/// signed from the record's fields, checks both signatures, checks the blob
+/// hashes to the signed CID, independently derives the expected
+/// accumulated commitment, and confirms the blob fails it. The record is
+/// sent as its fields' wire encodings, in declaration order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Misbehavior {
     /// Which protocol step the evidence covers.
@@ -112,14 +117,14 @@ pub struct Misbehavior {
     /// Serialized accumulated commitment the blob was checked against.
     pub accumulator: [u8; 33],
     /// The offending blob itself.
-    pub blob: Vec<u8>,
+    pub blob: Bytes,
     /// The offender's signature over its announcement / registration.
     pub offender_sig: SignatureBytes,
     /// Who detected it: an aggregator's global index, or
     /// [`DIRECTORY_DETECTOR`].
     pub detector: u64,
     /// Detector's signature over the rest of the record.
-    pub detector_sig: SignatureBytes,
+    pub detector_sig: Option<SignatureBytes>,
 }
 
 impl Misbehavior {
@@ -129,48 +134,58 @@ impl Misbehavior {
         self.partition * aggregators_per_partition + self.agg_j
     }
 
-    /// The canonical byte string the *offender's* signature must cover.
-    pub fn offender_message(&self, aggregators_per_partition: usize) -> Vec<u8> {
+    /// Whether `offender_sig` is the offender's signature over the statement
+    /// the record rebuilds from its fields: the [`SyncAnnounce`] it
+    /// published (`BadPartial`) or the [`Msg::RegisterUpdate`] it sent
+    /// (`BadUpdate`).
+    pub fn offender_signed(&self, task_seed: u64, aggregators_per_partition: usize) -> bool {
+        let offender = self.offender(aggregators_per_partition);
+        let key = agg_verifying_key(task_seed, offender);
+        let signature = Some(self.offender_sig);
         match self.kind {
             MisbehaviorKind::BadPartial => {
-                let ranks: Vec<u16> = self.contributors.iter().map(|&r| r as u16).collect();
-                announce_message(self.partition, self.agg_j, self.iter, &self.cid, &ranks)
+                let ranks = self.contributors.iter().map(|&r| u16::try_from(r));
+                let Ok(contributors) = ranks.collect() else {
+                    return false; // no announce carries such a rank
+                };
+                let announce = SyncAnnounce {
+                    partition: self.partition,
+                    agg_j: self.agg_j,
+                    iter: self.iter,
+                    cid: self.cid,
+                    contributors,
+                    signature,
+                };
+                announce.signed_by(&key)
             }
             MisbehaviorKind::BadUpdate => {
-                let contributors =
-                    (!self.contributors.is_empty()).then(|| self.contributors.clone());
-                update_message(
-                    self.offender(aggregators_per_partition),
-                    self.partition,
-                    self.iter,
-                    &self.cid,
-                    &contributors,
-                )
+                let claimed = !self.contributors.is_empty();
+                let registration = Msg::RegisterUpdate {
+                    aggregator: offender,
+                    partition: self.partition,
+                    iter: self.iter,
+                    cid: self.cid,
+                    contributors: claimed.then(|| self.contributors.clone()),
+                    signature,
+                };
+                registration.signed_by(&key)
             }
         }
-    }
-
-    /// The byte string the *detector* signs: the whole record minus the
-    /// detector signature itself.
-    pub fn detector_message(&self) -> Vec<u8> {
-        let mut bytes = self.encode();
-        bytes.truncate(bytes.len() - 65);
-        bytes
     }
 
     /// Signs the record as `detector`, filling `detector_sig`.
     pub fn sign_as_detector(&mut self, detector: u64, key: &SigningKey<ProtocolCurve>) {
         self.detector = detector;
-        self.detector_sig = key.sign(&self.detector_message()).to_bytes();
+        self.sign(key);
     }
 
     /// Fully re-checks the evidence against an independently derived
     /// expected accumulated commitment.
     ///
     /// Valid evidence requires *all* of:
-    /// 1. the offender's signature covers (partition, slot, round, CID,
-    ///    contributors) under the offender's identity key;
-    /// 2. the detector's signature covers the record;
+    /// 1. the offender's identity key signed the announce or registration
+    ///    the record rebuilds;
+    /// 2. the detector's key signed the record;
     /// 3. the embedded blob hashes to the signed CID;
     /// 4. the record's accumulator equals the verifier's independently
     ///    computed `expected` commitment for the claimed contributor set;
@@ -186,9 +201,7 @@ impl Misbehavior {
         aggregators_per_partition: usize,
         expected: &ProtocolCommitment,
     ) -> bool {
-        let offender_vk = agg_verifying_key(task_seed, self.offender(aggregators_per_partition));
-        let offender_message = self.offender_message(aggregators_per_partition);
-        if !signed_by(&offender_vk, &offender_message, Some(self.offender_sig)) {
+        if !self.offender_signed(task_seed, aggregators_per_partition) {
             return false;
         }
         let detector_vk = if self.detector == DIRECTORY_DETECTOR {
@@ -196,11 +209,7 @@ impl Misbehavior {
         } else {
             agg_verifying_key(task_seed, self.detector as usize)
         };
-        if !signed_by(
-            &detector_vk,
-            &self.detector_message(),
-            Some(self.detector_sig),
-        ) {
+        if !self.signed_by(&detector_vk) {
             return false;
         }
         if Cid::of(&self.blob) != self.cid {
@@ -211,75 +220,50 @@ impl Misbehavior {
         }
         !verify_blob(key, &self.blob, expected)
     }
+}
 
-    /// Serializes the record for gossip and directory reports.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(220 + 4 * self.contributors.len() + self.blob.len());
-        out.push(match self.kind {
-            MisbehaviorKind::BadPartial => 0,
-            MisbehaviorKind::BadUpdate => 1,
-        });
-        out.extend_from_slice(&(self.partition as u64).to_le_bytes());
-        out.extend_from_slice(&(self.agg_j as u64).to_le_bytes());
-        out.extend_from_slice(&self.iter.to_le_bytes());
-        out.extend_from_slice(self.cid.as_bytes());
-        out.extend_from_slice(&(self.contributors.len() as u32).to_le_bytes());
-        for c in &self.contributors {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out.extend_from_slice(&self.accumulator);
-        out.extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.blob);
-        out.extend_from_slice(&self.offender_sig);
-        out.extend_from_slice(&self.detector.to_le_bytes());
-        out.extend_from_slice(&self.detector_sig);
-        out
+impl WireCost for Misbehavior {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        self.kind.encode_into(out);
+        self.partition.encode_into(out);
+        self.agg_j.encode_into(out);
+        self.iter.encode_into(out);
+        self.cid.encode_into(out);
+        self.contributors.encode_into(out);
+        self.accumulator.encode_into(out);
+        self.blob.encode_into(out);
+        self.offender_sig.encode_into(out);
+        self.detector.encode_into(out);
+        self.detector_sig.encode_into(out);
     }
 
-    /// Parses a serialized record; `None` when malformed.
-    pub fn decode(bytes: &[u8]) -> Option<Misbehavior> {
-        let mut rest = bytes;
-        let kind = match take::<1>(&mut rest)? {
-            [0] => MisbehaviorKind::BadPartial,
-            [1] => MisbehaviorKind::BadUpdate,
-            _ => return None,
-        };
-        let partition = u64::from_le_bytes(take(&mut rest)?) as usize;
-        let agg_j = u64::from_le_bytes(take(&mut rest)?) as usize;
-        let iter = u64::from_le_bytes(take(&mut rest)?);
-        let cid = Cid::from_bytes(take(&mut rest)?);
-        let count = u32::from_le_bytes(take(&mut rest)?) as usize;
-        // Contributor count is bounded by the remaining payload; reject
-        // absurd counts before allocating.
-        if count > bytes.len() / 4 {
-            return None;
-        }
-        let mut contributors = Vec::with_capacity(count);
-        for _ in 0..count {
-            contributors.push(u32::from_le_bytes(take(&mut rest)?));
-        }
-        let accumulator = take(&mut rest)?;
-        let blob_len = u64::from_le_bytes(take(&mut rest)?) as usize;
-        let blob = rest.split_off(..blob_len)?.to_vec();
-        let offender_sig = take(&mut rest)?;
-        let detector = u64::from_le_bytes(take(&mut rest)?);
-        let detector_sig = take(&mut rest)?;
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(Misbehavior {
-            kind,
-            partition,
-            agg_j,
-            iter,
-            cid,
-            contributors,
-            accumulator,
-            blob,
-            offender_sig,
-            detector,
-            detector_sig,
+    fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
+        Ok(Misbehavior {
+            kind: WireCost::decode_from(r, context)?,
+            partition: WireCost::decode_from(r, context)?,
+            agg_j: WireCost::decode_from(r, context)?,
+            iter: WireCost::decode_from(r, context)?,
+            cid: WireCost::decode_from(r, context)?,
+            contributors: WireCost::decode_from(r, context)?,
+            accumulator: WireCost::decode_from(r, context)?,
+            blob: WireCost::decode_from(r, context)?,
+            offender_sig: WireCost::decode_from(r, context)?,
+            detector: WireCost::decode_from(r, context)?,
+            detector_sig: WireCost::decode_from(r, context)?,
         })
+    }
+
+    fn encoded_len(&self) -> usize {
+        let fields = 1 + 8 + 8 + 8 + 32 + self.contributors.encoded_len() + 33;
+        fields + self.blob.encoded_len() + 65 + 8 + self.detector_sig.encoded_len()
+    }
+}
+
+impl Signed for Misbehavior {
+    const DOMAIN: &'static [u8] = b"ipls-evidence";
+
+    fn signature_mut(&mut self) -> Option<&mut Option<SignatureBytes>> {
+        Some(&mut self.detector_sig)
     }
 }
 
@@ -337,18 +321,24 @@ mod tests {
     const SEED: u64 = 7;
     const SLOTS: usize = 2;
 
-    /// Builds valid evidence: offender (partition 1, slot 1 → global 3)
-    /// signed an announce for a blob that does not open the honest
-    /// commitment.
-    fn valid_evidence() -> (Misbehavior, ProtocolKey, ProtocolCommitment) {
-        let key = derive_key(8, SEED, false);
-        let honest = build_blob(&[0.5f32; 8]);
-        let expected = commit_blob(&key, &honest).unwrap();
-        let altered = build_blob(&[0.75f32; 8]);
-        let cid = Cid::of(&altered);
-        let ranks: Vec<u16> = vec![0, 1];
-        let msg = announce_message(1, 1, 4, &cid, &ranks);
-        let offender_sig = agg_signing_key(SEED, 3).sign(&msg).to_bytes();
+    /// The offender's (global aggregator 3's) signature over its announce
+    /// of `cid` for partition 1, slot 1, round 4, claiming ranks 0 and 1.
+    fn announce_signature(cid: Cid) -> SignatureBytes {
+        let mut announce = SyncAnnounce {
+            partition: 1,
+            agg_j: 1,
+            iter: 4,
+            cid,
+            contributors: vec![0, 1],
+            signature: None,
+        };
+        announce.sign(&agg_signing_key(SEED, 3));
+        announce.signature.unwrap()
+    }
+
+    /// A `BadPartial` record for that announce, signed by detector 2.
+    fn bad_partial(blob: Bytes, expected: &ProtocolCommitment) -> Misbehavior {
+        let cid = Cid::of(&blob);
         let mut record = Misbehavior {
             kind: MisbehaviorKind::BadPartial,
             partition: 1,
@@ -357,33 +347,31 @@ mod tests {
             cid,
             contributors: vec![0, 1],
             accumulator: expected.to_bytes(),
-            blob: altered,
-            offender_sig,
+            blob,
+            offender_sig: announce_signature(cid),
             detector: 0,
-            detector_sig: [0u8; 65],
+            detector_sig: None,
         };
         record.sign_as_detector(2, &agg_signing_key(SEED, 2));
-        (record, key, expected)
+        record
     }
 
-    #[test]
-    fn encode_decode_round_trips() {
-        let (record, _, _) = valid_evidence();
-        let decoded = Misbehavior::decode(&record.encode()).unwrap();
-        assert_eq!(decoded, record);
-        assert_eq!(Misbehavior::decode(b"garbage"), None);
-        let mut truncated = record.encode();
-        truncated.pop();
-        assert_eq!(Misbehavior::decode(&truncated), None);
-        let mut extended = record.encode();
-        extended.push(0);
-        assert_eq!(Misbehavior::decode(&extended), None);
+    /// Builds valid evidence: offender (partition 1, slot 1 → global 3)
+    /// signed an announce for a blob that does not open the honest
+    /// commitment.
+    fn valid_evidence() -> (Misbehavior, ProtocolKey, ProtocolCommitment) {
+        let key = derive_key(8, SEED, false);
+        let expected = commit_blob(&key, &build_blob(&[0.5f32; 8])).unwrap();
+        let record = bad_partial(Bytes::from(build_blob(&[0.75f32; 8])), &expected);
+        (record, key, expected)
     }
 
     #[test]
     fn valid_evidence_verifies() {
         let (record, key, expected) = valid_evidence();
         assert!(record.verify(&key, SEED, SLOTS, &expected));
+        // Fixed fields, 4 bytes a contributor, the blob.
+        assert_eq!(record.encode().len(), 237 + 4 * 2 + record.blob.len());
     }
 
     #[test]
@@ -393,22 +381,7 @@ mod tests {
         let key = derive_key(8, SEED, false);
         let honest = build_blob(&[0.5f32; 8]);
         let expected = commit_blob(&key, &honest).unwrap();
-        let cid = Cid::of(&honest);
-        let msg = announce_message(1, 1, 4, &cid, &[0, 1]);
-        let mut record = Misbehavior {
-            kind: MisbehaviorKind::BadPartial,
-            partition: 1,
-            agg_j: 1,
-            iter: 4,
-            cid,
-            contributors: vec![0, 1],
-            accumulator: expected.to_bytes(),
-            blob: honest,
-            offender_sig: agg_signing_key(SEED, 3).sign(&msg).to_bytes(),
-            detector: 0,
-            detector_sig: [0u8; 65],
-        };
-        record.sign_as_detector(2, &agg_signing_key(SEED, 2));
+        let record = bad_partial(Bytes::from(honest), &expected);
         assert!(!record.verify(&key, SEED, SLOTS, &expected));
     }
 
@@ -418,7 +391,7 @@ mod tests {
 
         // Substituted blob no longer hashes to the signed CID.
         let mut doctored = record.clone();
-        doctored.blob = build_blob(&[0.1f32; 8]);
+        doctored.blob = Bytes::from(build_blob(&[0.1f32; 8]));
         doctored.sign_as_detector(2, &agg_signing_key(SEED, 2));
         assert!(!doctored.verify(&key, SEED, SLOTS, &expected));
 
@@ -443,10 +416,25 @@ mod tests {
         let key = derive_key(8, SEED, false);
         let honest = build_blob(&[0.5f32; 8]);
         let expected = commit_blob(&key, &honest).unwrap();
-        let altered = build_blob(&[0.25f32; 8]);
+        let altered = Bytes::from(build_blob(&[0.25f32; 8]));
         let cid = Cid::of(&altered);
         // Offender: partition 1, slot 1 → global index 3 (SLOTS = 2).
-        let msg = update_message(3, 1, 2, &cid, &None);
+        let mut registration = Msg::RegisterUpdate {
+            aggregator: 3,
+            partition: 1,
+            iter: 2,
+            cid,
+            contributors: None,
+            signature: None,
+        };
+        registration.sign(&agg_signing_key(SEED, 3));
+        let Msg::RegisterUpdate {
+            signature: Some(offender_sig),
+            ..
+        } = registration
+        else {
+            unreachable!("signed above")
+        };
         let mut record = Misbehavior {
             kind: MisbehaviorKind::BadUpdate,
             partition: 1,
@@ -456,9 +444,9 @@ mod tests {
             contributors: Vec::new(),
             accumulator: expected.to_bytes(),
             blob: altered,
-            offender_sig: agg_signing_key(SEED, 3).sign(&msg).to_bytes(),
+            offender_sig,
             detector: 0,
-            detector_sig: [0u8; 65],
+            detector_sig: None,
         };
         record.sign_as_detector(DIRECTORY_DETECTOR, &directory_signing_key(SEED));
         assert!(record.verify(&key, SEED, SLOTS, &expected));

@@ -40,7 +40,7 @@ use bytes::Bytes;
 
 use dfl_crypto::quantize::{encode, Quantized};
 use dfl_crypto::schnorr::SigningKey;
-use dfl_ipfs::{Cid, IpfsWire};
+use dfl_ipfs::{Cid, IpfsWire, WireCost};
 use dfl_netsim::{NodeId, SimTime};
 
 use crate::accountability::{
@@ -54,16 +54,12 @@ use crate::gradient::{
     ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
-use crate::messages::{
-    overlay_partial_commitment, overlay_update_message, signed_by, update_message, Msg,
-    OverlayPartial, SyncAnnounce,
-};
+use crate::messages::{overlay_partial_commitment, Msg, OverlayPartial, Signed, SyncAnnounce};
 use crate::overlay::OverlayTree;
-use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
+use crate::protocol::{Actions, ProtocolCore, ProtocolEvent, StorageRequests, TK_STORAGE_RETRY};
 
 const TK_POLL: u64 = 1 << 32;
 const TK_SYNC_DEADLINE: u64 = 2 << 32;
-const TK_FETCH: u64 = 3 << 32;
 const TK_WATCHDOG: u64 = 4 << 32;
 
 /// What an in-flight storage request is for.
@@ -204,11 +200,10 @@ struct Round {
     /// The t_sync deadline passed and `min_quorum` authorized completing
     /// the round with the gradients received so far.
     deadline_degraded: bool,
-    /// Unanswered storage requests: req → what it is for, its last target
-    /// and the wire to re-issue. On timeout the request is re-sent to the
-    /// next storage node, which resolves the data wherever a live replica
-    /// exists.
-    in_flight: HashMap<u64, (Request, NodeId, IpfsWire)>,
+    /// Unanswered storage requests, by what each is for. On timeout a
+    /// request is re-sent to the next storage node, which resolves the data
+    /// wherever a live replica exists.
+    in_flight: StorageRequests<Request>,
     /// The fabricated gradient substituted by `Behavior::ForgeRegistration`
     /// (set once the forgery has been sent for this round).
     forged: Option<Vec<Quantized>>,
@@ -385,16 +380,15 @@ impl OverlaySink {
             return;
         }
         self.stage.advance(out, iter, Stage::Done);
-        let signature = cfg.authenticate.then(|| {
-            let msg = overlay_update_message(self.g, partition, iter, &Cid::of(data));
-            agg_signing_key(cfg.seed, self.g).sign(&msg).to_bytes()
-        });
-        let update = Msg::OverlayUpdate {
+        let mut update = Msg::OverlayUpdate {
             partition,
             iter,
             data: data.clone(),
-            signature,
+            signature: None,
         };
+        if cfg.authenticate {
+            update.sign(&agg_signing_key(cfg.seed, self.g));
+        }
         out.send(self.topo.trainer(self.tree.root()), update);
         out.record(labels::OVERLAY_UPDATE_PUSHED, iter as f64);
     }
@@ -475,11 +469,8 @@ impl FlatAggregator {
         decode_partition_blob(data, self.topo.partition_len(self.partition))
     }
 
-    /// Sends a storage request that must survive a dead target: if no reply
-    /// arrives within `fetch_timeout`, the same request (same id) is
-    /// re-issued to the next storage node, round-robin, until the round
-    /// ends or a reply lands. Late replies from earlier targets find
-    /// `in_flight` empty and are dropped.
+    /// Sends a storage request that must survive a dead target (see
+    /// [`StorageRequests`]); the round's end drops it with the round.
     fn request(
         &mut self,
         out: &mut Actions<Msg>,
@@ -489,35 +480,14 @@ impl FlatAggregator {
     ) -> u64 {
         self.next_req += 1;
         let req = self.next_req;
-        self.round.in_flight.insert(req, (purpose, to, wire(req)));
-        self.send_in_flight(out, req);
+        let requests = &mut self.round.in_flight;
+        requests.send(out, &self.topo, req, purpose, to, wire(req));
         req
-    }
-
-    fn send_in_flight(&mut self, out: &mut Actions<Msg>, req: u64) {
-        let Some((_, to, wire)) = self.round.in_flight.get(&req) else {
-            return; // answered (or the round moved on) meanwhile
-        };
-        let token = TK_FETCH | (req & 0xFFFF_FFFF);
-        out.set_timer(self.topo.config().fetch_timeout, token);
-        out.send(*to, Msg::Ipfs(wire.clone()));
-    }
-
-    fn on_fetch_retry(&mut self, out: &mut Actions<Msg>, req: u64) {
-        if let Some((_, target, _)) = self.round.in_flight.get_mut(&req) {
-            let ids = self.topo.ipfs_ids();
-            let idx = ids.iter().position(|n| n == target).unwrap_or(0);
-            *target = ids[(idx + 1) % ids.len()];
-        }
-        self.send_in_flight(out, req);
     }
 
     /// The purpose of the request a reply answers, if it is still wanted.
     fn answered(&mut self, req: u64) -> Option<Request> {
-        self.round
-            .in_flight
-            .remove(&req)
-            .map(|(purpose, ..)| purpose)
+        self.round.in_flight.answered(req)
     }
 
     /// How many of a trainer set of `set_len` must be in before a degraded
@@ -1114,7 +1084,7 @@ impl FlatAggregator {
             signature: None,
         };
         if let Some(sk) = &self.signing_key {
-            announce.signature = Some(sk.sign(&announce.message()).to_bytes());
+            announce.sign(sk);
         }
         announce
     }
@@ -1152,19 +1122,17 @@ impl FlatAggregator {
             }
             Some(Request::PutGlobal { contributors }) => {
                 self.uploads.push((self.update_home(), cid));
-                let (aggregator, partition, iter) = (self.g, self.partition, self.round.iter);
-                let signature = self.signing_key.as_ref().map(|sk| {
-                    let msg = update_message(aggregator, partition, iter, &cid, &contributors);
-                    sk.sign(&msg).to_bytes()
-                });
-                let msg = Msg::RegisterUpdate {
-                    aggregator,
-                    partition,
-                    iter,
+                let mut msg = Msg::RegisterUpdate {
+                    aggregator: self.g,
+                    partition: self.partition,
+                    iter: self.round.iter,
                     cid,
                     contributors,
-                    signature,
+                    signature: None,
                 };
+                if let Some(sk) = &self.signing_key {
+                    msg.sign(sk);
+                }
                 out.send(self.topo.directory(), msg);
             }
             _ => {}
@@ -1206,12 +1174,15 @@ impl FlatAggregator {
     fn on_deliver(&mut self, out: &mut Actions<Msg>, topic: &str, data: &[u8]) {
         if topic == EVIDENCE_TOPIC {
             // Gossiped misbehavior evidence (accountability mode).
-            if let Some(record) = Misbehavior::decode(data).filter(|_| self.accountability()) {
+            if let Some(record) = Misbehavior::decode(data)
+                .ok()
+                .filter(|_| self.accountability())
+            {
                 self.consider_evidence(out, record);
             }
             return;
         }
-        let (Some(ann), Some(sync)) = (SyncAnnounce::decode(data), &self.round.sync) else {
+        let (Ok(ann), Some(sync)) = (SyncAnnounce::decode(data), &self.round.sync) else {
             return;
         };
         if ann.partition != self.partition || ann.iter != self.round.iter || ann.agg_j == self.j {
@@ -1227,8 +1198,7 @@ impl FlatAggregator {
         // signature is what makes a later commitment mismatch attributable.
         if self.accountability() {
             let sender = self.topo.agg_index(self.partition, ann.agg_j);
-            let vk = agg_verifying_key(self.topo.config().seed, sender);
-            if !signed_by(&vk, &ann.message(), ann.signature) {
+            if !ann.signed_by(&agg_verifying_key(self.topo.config().seed, sender)) {
                 return;
             }
         }
@@ -1359,7 +1329,7 @@ impl FlatAggregator {
         out: &mut Actions<Msg>,
         ann: &SyncAnnounce,
         expected: &ProtocolCommitment,
-        blob: &[u8],
+        blob: &Bytes,
     ) {
         let offender = self.topo.agg_index(self.partition, ann.agg_j);
         out.record(labels::WASTED_BYTES, blob.len() as f64);
@@ -1379,25 +1349,23 @@ impl FlatAggregator {
             cid: ann.cid,
             contributors: ann.contributors.iter().map(|&r| r as u32).collect(),
             accumulator: expected.to_bytes(),
-            blob: blob.to_vec(),
+            blob: blob.clone(),
             offender_sig,
             detector: 0,
-            detector_sig: [0u8; 65],
+            detector_sig: None,
         };
         let Some(sk) = &self.signing_key else {
             return; // unreachable: only accountability mode convicts, and it has keys
         };
         record.sign_as_detector(self.g as u64, sk);
-        let bytes = record.encode();
+        let bytes = Bytes::from(record.encode());
         let publish = IpfsWire::Publish {
             topic: EVIDENCE_TOPIC.to_string(),
-            data: Bytes::from(bytes.clone()),
+            data: bytes.clone(),
         };
         let gw = self.gateway();
         out.send(gw, Msg::Ipfs(publish));
-        let msg = Msg::ReportMisbehavior {
-            record: Bytes::from(bytes),
-        };
+        let msg = Msg::ReportMisbehavior { record: bytes };
         out.send(self.topo.directory(), msg);
     }
 
@@ -1812,7 +1780,10 @@ impl FlatAggregator {
         match token & !0xFFFF_FFFF {
             TK_POLL => self.poll(out),
             TK_SYNC_DEADLINE => self.on_sync_deadline(out, token & 0xFFFF_FFFF),
-            TK_FETCH => self.on_fetch_retry(out, token & 0xFFFF_FFFF),
+            TK_STORAGE_RETRY => {
+                let req = token & 0xFFFF_FFFF;
+                self.round.in_flight.retry(out, &self.topo, req);
+            }
             TK_WATCHDOG => self.on_watchdog(out, token & 0xFFFF_FFFF),
             _ => {}
         }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use dfl_ipfs::{Cid, IpfsWire};
+use dfl_ipfs::{Cid, IpfsWire, WireCost};
 use dfl_netsim::{NodeId, SimDuration, SimTime};
 
 use dfl_crypto::schnorr::VerifyingKey;
@@ -36,32 +36,30 @@ use crate::accountability::{
 use crate::config::Topology;
 use crate::gradient::{verify_blobs_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey};
 use crate::labels;
-use crate::messages::{
-    batch_registration_message, registration_message, signed_by, update_message, Msg,
-    SignatureBytes,
-};
-use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
+use crate::messages::{Msg, SignatureBytes, Signed};
+use crate::protocol::{Actions, ProtocolCore, ProtocolEvent, StorageRequests, TK_STORAGE_RETRY};
 
-/// Timer token kinds (high 32 bits of the token).
+/// Timer token kinds (high 32 bits of the token); storage fetches retry
+/// under [`TK_STORAGE_RETRY`].
 const TK_VERIFY: u64 = 1 << 32;
 
-/// An update verification: the blob is being fetched (`verdict` `None`),
-/// or it arrived and the virtual compute time is being charged before the
-/// verdict applies.
+/// An update verification: the blob is being fetched (in
+/// `Directory::fetches`), or it arrived and the virtual compute time is
+/// being charged (in `Directory::verifications`) before `verdict` applies.
 struct PendingVerify {
     partition: usize,
     iter: u64,
     aggregator: usize,
     cid: Cid,
     from: NodeId,
-    verdict: Option<bool>,
+    verdict: bool,
     /// Claimed contributor set (quorum-degraded updates; `None` = full).
     contributors: Option<Vec<u32>>,
     /// The registrant's signature (accountability mode) — what turns a
     /// failed verification into transferable evidence.
     signature: Option<SignatureBytes>,
     /// The fetched update blob, kept for the evidence record.
-    blob: Vec<u8>,
+    blob: Bytes,
 }
 
 /// One partition's registrations in one round.
@@ -99,7 +97,10 @@ pub struct Directory {
     key: Option<Arc<ProtocolKey>>,
     /// Announced rounds still held: the latest and the one before it.
     rounds: BTreeMap<u64, Round>,
-    /// Update verifications keyed by storage request id.
+    /// Update blobs being fetched, by storage request id.
+    fetches: StorageRequests<PendingVerify>,
+    /// Fetched updates whose verification time is being charged, by the
+    /// request id that fetched them.
     verifications: HashMap<u64, PendingVerify>,
     next_req: u64,
     /// Trainer verifying keys (authenticated mode).
@@ -130,6 +131,7 @@ impl Directory {
             topo,
             key,
             rounds: BTreeMap::new(),
+            fetches: StorageRequests::default(),
             verifications: HashMap::new(),
             next_req: 0,
             trainer_keys,
@@ -137,19 +139,14 @@ impl Directory {
         }
     }
 
-    /// Whether `trainer` signed `message()`; `true` outright when the task
-    /// does not require authentication.
-    fn trainer_signed(
-        &self,
-        trainer: usize,
-        signature: Option<SignatureBytes>,
-        message: impl FnOnce() -> Vec<u8>,
-    ) -> bool {
+    /// Whether `trainer` signed `msg`; `true` outright when the task does
+    /// not require authentication.
+    fn trainer_signed(&self, trainer: usize, msg: &Msg) -> bool {
         if !self.topo.config().authenticate {
             return true;
         }
         let key = self.trainer_keys.get(trainer);
-        key.is_some_and(|vk| signed_by(vk, &message(), signature))
+        key.is_some_and(|vk| msg.signed_by(vk))
     }
 
     /// Announces round `iter` — the only place a round is created — and
@@ -245,9 +242,16 @@ impl Directory {
             // Accountability requires the registration to be signed by the
             // aggregator's identity key — the signature is what makes a
             // failed verification attributable (and evictable).
-            let message = update_message(aggregator, partition, iter, &cid, &contributors);
+            let registration = Msg::RegisterUpdate {
+                aggregator,
+                partition,
+                iter,
+                cid,
+                contributors: contributors.clone(),
+                signature,
+            };
             let vk = agg_verifying_key(self.topo.config().seed, aggregator);
-            if !signed_by(&vk, &message, signature) {
+            if !registration.signed_by(&vk) {
                 out.record(labels::FORGED_REGISTRATION, aggregator as f64);
                 return;
             }
@@ -274,22 +278,20 @@ impl Directory {
             aggregator,
             cid,
             from,
-            verdict: None,
+            verdict: false,
             contributors,
             signature,
-            blob: Vec::new(),
+            blob: Bytes::new(),
         };
         if !self.contributors_admissible(&pv.contributors) {
             self.reject_update(out, &pv);
         } else if self.key.is_some() {
             // Fetch the update blob from storage, then verify.
             self.next_req += 1;
-            let get = IpfsWire::Get {
-                cid,
-                req_id: self.next_req,
-            };
-            self.verifications.insert(self.next_req, pv);
-            out.send(self.topo.ipfs_node(0), Msg::Ipfs(get));
+            let req_id = self.next_req;
+            let get = IpfsWire::Get { cid, req_id };
+            let to = self.topo.ipfs_node(0);
+            self.fetches.send(out, &self.topo, req_id, pv, to, get);
         } else {
             self.accept_update(out, pv);
         }
@@ -357,7 +359,7 @@ impl Directory {
             blob: pv.blob.clone(),
             offender_sig,
             detector: 0,
-            detector_sig: [0u8; 65],
+            detector_sig: None,
         };
         let sk = directory_signing_key(self.topo.config().seed);
         record.sign_as_detector(DIRECTORY_DETECTOR, &sk);
@@ -383,7 +385,7 @@ impl Directory {
         if !self.topo.config().accountability {
             return;
         }
-        let Some(record) = Misbehavior::decode(record_bytes) else {
+        let Ok(record) = Misbehavior::decode(record_bytes) else {
             return;
         };
         let slots = self.topo.config().aggregators_per_partition;
@@ -415,9 +417,8 @@ impl Directory {
         }
     }
 
-    fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: &[u8], ok: bool) {
-        let fetching = self.verifications.get(&req_id);
-        let Some(pv) = fetching.filter(|pv| pv.verdict.is_none()) else {
+    fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: Bytes, ok: bool) {
+        let Some(mut pv) = self.fetches.answered(req_id) else {
             return;
         };
         // An update blob reply reaching the verification path without a
@@ -426,22 +427,19 @@ impl Directory {
         // ([`IplsError::MissingCommitKey`](crate::IplsError)): book it and
         // drop the reply instead of panicking.
         let Some(key) = self.key.clone() else {
-            self.verifications.remove(&req_id);
             out.incr(labels::MISSING_COMMIT_KEY, 1);
             return;
         };
         // Updates arrive one storage reply at a time: each is checked on
         // arrival as a batch of one. `None` = not all gradients registered.
         let expected = self.expected_for_update(pv.partition, pv.iter, pv.contributors.as_deref());
-        let opens = |acc| verify_blobs_timed(out, &key, &[(data, &acc)]).is_empty();
-        let verdict = ok && expected.is_some_and(opens);
-        if let Some(pv) = self.verifications.get_mut(&req_id) {
-            pv.verdict = Some(verdict);
-            pv.blob = data.to_vec();
-        }
+        let opens = |acc| verify_blobs_timed(out, &key, &[(&data[..], &acc)]).is_empty();
+        pv.verdict = ok && expected.is_some_and(opens);
         // Charge the virtual verification time, then apply the verdict.
         let elements = (data.len() / 8).max(1) as u64;
         let us = self.topo.config().commit_us_per_element * elements;
+        pv.blob = data;
+        self.verifications.insert(req_id, pv);
         out.set_timer(SimDuration::from_micros(us), TK_VERIFY | req_id);
     }
 
@@ -523,31 +521,32 @@ impl ProtocolCore for Directory {
 
 impl Directory {
     fn on_timer(&mut self, out: &mut Actions<Msg>, token: u64) {
-        if token & TK_VERIFY == 0 {
-            return;
-        }
-        let Some(pv) = self.verifications.remove(&(token & 0xFFFF_FFFF)) else {
-            return;
-        };
-        match pv.verdict {
-            Some(true) => self.accept_update(out, pv),
-            _ => self.reject_update(out, &pv),
+        let req = token & 0xFFFF_FFFF;
+        match token & !0xFFFF_FFFF {
+            TK_STORAGE_RETRY => self.fetches.retry(out, &self.topo, req),
+            TK_VERIFY => match self.verifications.remove(&req) {
+                Some(pv) if pv.verdict => self.accept_update(out, pv),
+                Some(pv) => self.reject_update(out, &pv),
+                None => {}
+            },
+            _ => {}
         }
     }
 
     fn on_message(&mut self, out: &mut Actions<Msg>, from: NodeId, msg: Msg) {
         match msg {
+            // Forged or unsigned registration: discard and flag.
+            Msg::RegisterGradientBatch { trainer, .. } | Msg::RegisterGradient { trainer, .. }
+                if !self.trainer_signed(trainer, &msg) =>
+            {
+                out.record(labels::FORGED_REGISTRATION, trainer as f64);
+            }
             Msg::RegisterGradientBatch {
                 trainer,
                 iter,
                 entries,
-                signature,
+                ..
             } => {
-                let message = || batch_registration_message(trainer, iter, &entries);
-                if !self.trainer_signed(trainer, signature, message) {
-                    out.record(labels::FORGED_REGISTRATION, trainer as f64);
-                    return;
-                }
                 for (partition, cid, commitment) in entries {
                     self.register_gradient(out, trainer, partition, iter, cid, commitment);
                 }
@@ -558,14 +557,8 @@ impl Directory {
                 iter,
                 cid,
                 commitment,
-                signature,
+                ..
             } => {
-                let message = || registration_message(trainer, partition, iter, &cid, &commitment);
-                if !self.trainer_signed(trainer, signature, message) {
-                    // Forged or unsigned registration: discard and flag.
-                    out.record(labels::FORGED_REGISTRATION, trainer as f64);
-                    return;
-                }
                 self.register_gradient(out, trainer, partition, iter, cid, commitment);
             }
             Msg::QueryGradients {
@@ -654,10 +647,10 @@ impl Directory {
             }
             Msg::TrainerDone { trainer, iter } => self.on_trainer_done(out, trainer, iter),
             Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                self.on_update_blob(out, req_id, &data, true);
+                self.on_update_blob(out, req_id, data, true);
             }
             Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
-                self.on_update_blob(out, req_id, &[], false);
+                self.on_update_blob(out, req_id, Bytes::new(), false);
             }
             // Other storage responses (acks for nothing we sent) and
             // protocol messages not addressed to the directory are ignored.
@@ -726,23 +719,26 @@ mod tests {
     #[test]
     fn update_blob_without_commit_key_is_booked_not_fatal() {
         use crate::protocol::{Actions, ProtocolAction};
-        let mut dir = Directory::new(topo(false), None);
-        dir.verifications.insert(
-            5,
-            PendingVerify {
-                partition: 0,
-                iter: 0,
-                aggregator: 0,
-                cid: Cid::of(b"u"),
-                from: NodeId(1),
-                verdict: None,
-                contributors: None,
-                signature: None,
-                blob: Vec::new(),
-            },
-        );
+        let topo = topo(false);
+        let mut dir = Directory::new(topo.clone(), None);
+        let pv = PendingVerify {
+            partition: 0,
+            iter: 0,
+            aggregator: 0,
+            cid: Cid::of(b"u"),
+            from: NodeId(1),
+            verdict: false,
+            contributors: None,
+            signature: None,
+            blob: Bytes::new(),
+        };
+        let get = IpfsWire::Get {
+            cid: pv.cid,
+            req_id: 5,
+        };
         let mut out = Actions::new();
-        dir.on_update_blob(&mut out, 5, b"update-bytes", true);
+        dir.fetches.send(&mut out, &topo, 5, pv, NodeId(0), get);
+        dir.on_update_blob(&mut out, 5, Bytes::from_static(b"update-bytes"), true);
         let booked = out.drain().any(|a| {
             matches!(a, ProtocolAction::Incr { label, .. } if label == labels::MISSING_COMMIT_KEY)
         });

@@ -20,15 +20,7 @@
 //! holding its own shuffled copy of the membership would dwarf the model
 //! itself; the closed form keeps [`OverlayTree`] a few machine words.
 
-/// SplitMix64: the seed-expansion step used to derive the permutation
-/// parameters. Standard constants (Steele et al., "Fast splittable
-/// pseudorandom number generators").
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use dfl_netsim::splitmix64;
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
@@ -80,11 +72,11 @@ impl OverlayTree {
         // start point. Scanning wraps at most n steps (1 is always coprime).
         // gcd(0, n) = n, so 0 is rejected for every n > 1 — and accepted
         // for the degenerate n = 1 tree, where 0 is the only residue.
-        let mut a = splitmix64(seed) % n;
+        let mut a = splitmix64(&mut { seed }) % n;
         while gcd(a, n) != 1 {
             a = (a + 1) % n;
         }
-        let c = splitmix64(seed.wrapping_add(1)) % n;
+        let c = splitmix64(&mut seed.wrapping_add(1)) % n;
         OverlayTree {
             n,
             b: branching as u64,

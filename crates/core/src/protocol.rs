@@ -17,8 +17,8 @@
 //!   callback returns, replaying the queue in push order is
 //!   observationally identical to the old inline-`ctx` style — the
 //!   fig1/fig2 trace fingerprints prove it bit-for-bit.
-//! * `dfl-backend-tokio` (the `tokio` workspace feature) replays the same
-//!   actions onto real TCP sockets and wall-clock timers.
+//! * the `dfl-backend-tokio` crate replays the same actions onto real TCP
+//!   sockets and wall-clock timers.
 //!
 //! The contract a backend must honour:
 //!
@@ -28,12 +28,16 @@
 //! 3. Never reorder or drop actions of a live node (a crashed node's
 //!    actions may be discarded wholesale, as netsim does).
 
-use dfl_ipfs::{IpfsNode, Outgoing, WireEmbed};
+use dfl_ipfs::{IpfsNode, IpfsWire, Outgoing, WireEmbed};
 use dfl_netsim::{Actor, Context, Fault, NodeId, SimDuration, SimTime};
+use std::collections::HashMap;
 use std::marker::PhantomData;
 
+use crate::config::Topology;
+use crate::messages::Msg;
+
 /// An input to a protocol state machine. The type parameter `M` is the
-/// application message type (for IPLS tasks, [`Msg`](crate::Msg)).
+/// application message type (for IPLS tasks, [`Msg`]).
 #[derive(Clone, Debug)]
 pub enum ProtocolEvent<M> {
     /// The node comes alive (delivered exactly once, before any other
@@ -265,6 +269,70 @@ where
 
     fn on_fault(&mut self, ctx: &mut Context<'_, C::Msg>, fault: Fault) {
         self.dispatch(ctx, ProtocolEvent::Fault { fault });
+    }
+}
+
+/// Timer kind (high 32 bits of the token) of a [`StorageRequests`] retry;
+/// the low 32 bits carry the request id. Cores that use it keep their own
+/// timer kinds clear of it.
+pub(crate) const TK_STORAGE_RETRY: u64 = 3 << 32;
+
+/// Storage requests that must survive a dead target: each is re-sent under
+/// the same id to the next storage node, round-robin, whenever
+/// `fetch_timeout` passes without a reply, until it is
+/// [`answered`](StorageRequests::answered). A late reply from an earlier
+/// target finds its request gone and is dropped, and so is the retry timer
+/// of an answered request.
+pub(crate) struct StorageRequests<P> {
+    pending: HashMap<u64, (P, NodeId, IpfsWire)>,
+}
+
+impl<P> Default for StorageRequests<P> {
+    fn default() -> Self {
+        StorageRequests {
+            pending: HashMap::new(),
+        }
+    }
+}
+
+impl<P> StorageRequests<P> {
+    /// Sends `wire`, request `req` for `purpose`, to storage node `to`.
+    pub(crate) fn send(
+        &mut self,
+        out: &mut Actions<Msg>,
+        topo: &Topology,
+        req: u64,
+        purpose: P,
+        to: NodeId,
+        wire: IpfsWire,
+    ) {
+        self.pending.insert(req, (purpose, to, wire));
+        self.resend(out, topo, req);
+    }
+
+    /// Handles the [`TK_STORAGE_RETRY`] timer of request `req`: re-sends it
+    /// to the storage node after its last target, unless it was answered.
+    pub(crate) fn retry(&mut self, out: &mut Actions<Msg>, topo: &Topology, req: u64) {
+        if let Some((_, target, _)) = self.pending.get_mut(&req) {
+            let ids = topo.ipfs_ids();
+            let idx = ids.iter().position(|n| n == target).unwrap_or(0);
+            *target = ids[(idx + 1) % ids.len()];
+        }
+        self.resend(out, topo, req);
+    }
+
+    fn resend(&self, out: &mut Actions<Msg>, topo: &Topology, req: u64) {
+        let Some((_, to, wire)) = self.pending.get(&req) else {
+            return; // answered meanwhile
+        };
+        let token = TK_STORAGE_RETRY | (req & 0xFFFF_FFFF);
+        out.set_timer(topo.config().fetch_timeout, token);
+        out.send(*to, Msg::Ipfs(wire.clone()));
+    }
+
+    /// The purpose of the request a reply answers, if it is still wanted.
+    pub(crate) fn answered(&mut self, req: u64) -> Option<P> {
+        self.pending.remove(&req).map(|(purpose, ..)| purpose)
     }
 }
 

@@ -33,10 +33,7 @@ use crate::gradient::{
     verify_sum_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
-use crate::messages::{
-    batch_registration_message, overlay_partial_commitment, overlay_partial_message,
-    overlay_update_message, registration_message, signed_by, Msg, OverlayPartial,
-};
+use crate::messages::{overlay_partial_commitment, Msg, OverlayPartial, Signed};
 use crate::overlay::OverlayTree;
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
 
@@ -250,20 +247,23 @@ impl<M: Model> Trainer<M> {
     /// directory, signed in authenticated mode.
     fn register(&self, out: &mut Actions<Msg>, partition: usize, cid: Cid) {
         let commitment = self.round.commitments.get(partition).map(|c| c.to_bytes());
-        let signature = self.signing_key.as_ref().map(|key| {
-            let message =
-                registration_message(self.t, partition, self.round.iter, &cid, &commitment);
-            key.sign(&message).to_bytes()
-        });
         let msg = Msg::RegisterGradient {
             trainer: self.t,
             partition,
             iter: self.round.iter,
             cid,
             commitment,
-            signature,
+            signature: None,
         };
-        out.send(self.topo.directory(), msg);
+        self.send_signed(out, self.topo.directory(), msg);
+    }
+
+    /// Sends `msg`, signed in authenticated mode.
+    fn send_signed(&self, out: &mut Actions<Msg>, to: NodeId, mut msg: Msg) {
+        if let Some(key) = &self.signing_key {
+            msg.sign(key);
+        }
+        out.send(to, msg);
     }
 
     /// (Re-)sends the `Put` of `partition`'s blob `data` under request id
@@ -526,31 +526,22 @@ impl<M: Model> Trainer<M> {
             Bytes::from(encode(&summed))
         };
         let commitment = ProtocolCommitment::accumulate(commits.iter()).to_bytes();
-        let cid = Cid::of(&blob);
-        let (t, iter) = (self.t, self.round.iter);
-        let message = overlay_partial_message(t, partition, iter, count, &cid, &commitment);
-        let signature = self
-            .signing_key
-            .as_ref()
-            .map(|k| k.sign(&message).to_bytes());
         let to = match tree.parent(self.t) {
             Some(p) => self.topo.trainer(p),
             // The root hands the fully composed partial to the
             // partition's (single) aggregator slot.
             None => self.topo.aggregator(self.topo.agg_index(partition, 0)),
         };
-        out.send(
-            to,
-            Msg::OverlayPartial {
-                trainer: self.t,
-                partition,
-                iter: self.round.iter,
-                data: blob,
-                count,
-                commitment,
-                signature,
-            },
-        );
+        let partial = Msg::OverlayPartial {
+            trainer: self.t,
+            partition,
+            iter: self.round.iter,
+            data: blob,
+            count,
+            commitment,
+            signature: None,
+        };
+        self.send_signed(out, to, partial);
         out.record(labels::OVERLAY_FORWARDED, partition as f64);
         if last {
             out.record(labels::UPLOAD_DONE, self.round.iter as f64);
@@ -614,26 +605,22 @@ impl<M: Model> Trainer<M> {
         if self.round.is_finished() || self.round.received.contains_key(&partition) {
             return; // already applied — and already relayed downward
         }
+        let update = Msg::OverlayUpdate {
+            partition,
+            iter: self.round.iter,
+            data: data.clone(),
+            signature,
+        };
         if self.topo.config().authenticate {
             let g = self.topo.agg_index(partition, 0);
-            let vk = agg_verifying_key(self.topo.config().seed, g);
-            let msg = overlay_update_message(g, partition, self.round.iter, &Cid::of(&data));
-            if !signed_by(&vk, &msg, signature) {
+            if !update.signed_by(&agg_verifying_key(self.topo.config().seed, g)) {
                 out.record(labels::OVERLAY_UPDATE_REJECTED, partition as f64);
                 return;
             }
         }
         // Relay before applying: the subtree is waiting on this hop.
         for child in overlay.tree.children(self.t) {
-            out.send(
-                self.topo.trainer(child),
-                Msg::OverlayUpdate {
-                    partition,
-                    iter: self.round.iter,
-                    data: data.clone(),
-                    signature,
-                },
-            );
+            out.send(self.topo.trainer(child), update.clone());
         }
         self.accept_update(out, partition, data);
     }
@@ -714,18 +701,13 @@ impl<M: Model> Trainer<M> {
             return;
         };
         if compact {
-            let message = batch_registration_message(self.t, self.round.iter, &entries);
-            let signature = self
-                .signing_key
-                .as_ref()
-                .map(|key| key.sign(&message).to_bytes());
             let msg = Msg::RegisterGradientBatch {
                 trainer: self.t,
                 iter: self.round.iter,
                 entries,
-                signature,
+                signature: None,
             };
-            out.send(self.topo.directory(), msg);
+            self.send_signed(out, self.topo.directory(), msg);
         }
         // Upload delay = last store acknowledgment − upload start (§V).
         out.record(labels::UPLOAD_DONE, self.round.iter as f64);

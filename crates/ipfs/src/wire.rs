@@ -241,6 +241,13 @@ pub trait WireCost: Sized {
     /// Exactly `encode_into`'s output length, without allocating.
     fn encoded_len(&self) -> usize;
 
+    /// The encoding as one buffer.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
     /// Parses a whole buffer; trailing bytes are an error.
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
@@ -279,7 +286,7 @@ macro_rules! le_int {
         }
     )*};
 }
-le_int!(u8, u32, u64);
+le_int!(u8, u16, u32, u64);
 
 impl WireCost for usize {
     fn encode_into<S: Sink>(&self, out: &mut S) {

@@ -20,16 +20,6 @@ impl Matrix {
         }
     }
 
-    /// Wraps existing data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Matrix {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -147,17 +137,14 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_and_select() {
-        let m = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+    fn select_rows_keeps_the_given_order() {
+        let mut m = Matrix::zeros(3, 2);
+        for (i, v) in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0].into_iter().enumerate() {
+            m.set(i / 2, i % 2, v);
+        }
         let sel = m.select_rows(&[2, 0]);
         assert_eq!(sel.row(0), &[5.0, 6.0]);
         assert_eq!(sel.row(1), &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn from_vec_wrong_len_panics() {
-        Matrix::from_vec(2, 2, vec![1.0]);
     }
 
     #[test]

@@ -155,12 +155,6 @@ impl Mlp {
         }
     }
 
-    /// Parameter count for a given architecture (handy for sizing
-    /// partitions before constructing the model).
-    pub fn param_count_for(dim: usize, hidden: usize, classes: usize) -> usize {
-        hidden * dim + hidden + classes * hidden + classes
-    }
-
     fn split(&self) -> (&[f32], &[f32], &[f32], &[f32]) {
         let w1 = self.hidden * self.dim;
         let b1 = w1 + self.hidden;
@@ -385,8 +379,7 @@ mod tests {
     #[test]
     fn mlp_param_count_formula() {
         let m = Mlp::new(7, 11, 4, 0);
-        assert_eq!(m.param_count(), Mlp::param_count_for(7, 11, 4));
-        assert_eq!(m.param_count(), 11 * 7 + 11 + 4 * 11 + 4);
+        assert_eq!(m.param_count(), 136); // 11·7 + 11 + 4·11 + 4
     }
 
     #[test]

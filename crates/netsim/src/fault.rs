@@ -95,8 +95,19 @@ impl ChaosSpec {
     }
 }
 
+/// SplitMix64 (Steele et al., "Fast splittable pseudorandom number
+/// generators"): advances `state` by the golden-ratio increment and returns
+/// the mixed result. Every seeded draw of the runtime comes from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// The deterministic per-frame roll stream backing a [`ChaosSpec`]
-/// (SplitMix64). Both backends draw from this generator so a plan's fault
+/// ([`splitmix64`]). Both backends draw from this generator so a plan's fault
 /// sequence is reproducible per backend.
 #[derive(Clone, Debug)]
 pub struct ChaosRng {
@@ -113,11 +124,7 @@ impl ChaosRng {
 
     /// Next raw draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// A roll in `0..100`, the unit every [`ChaosSpec`] percentage uses.
@@ -253,16 +260,9 @@ impl FaultPlan {
         assert!(period.as_micros() > 0, "churn period must be positive");
         let mut plan = FaultPlan::new();
         let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next_u64 = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         let mut t = start;
         while t <= end {
-            let victim = nodes[(next_u64() % nodes.len() as u64) as usize];
+            let victim = nodes[(splitmix64(&mut state) % nodes.len() as u64) as usize];
             plan = plan.crash_at(t, victim).recover_at(t + outage, victim);
             t += period;
         }
@@ -346,6 +346,13 @@ mod tests {
         assert_eq!(seq_a, seq_b);
         assert_ne!(seq_a, seq_c);
         assert!(seq_a.iter().all(|&r| r < 100));
+    }
+
+    #[test]
+    fn splitmix64_is_the_reference_stream() {
+        let mut state = 0;
+        let draws = [splitmix64(&mut state), splitmix64(&mut state)];
+        assert_eq!(draws, [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
     }
 
     #[test]

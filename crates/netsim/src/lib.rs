@@ -29,6 +29,6 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Actor, Context, LinkSpec, NodeId, Simulation};
-pub use fault::{ChaosRng, ChaosSpec, Fault, FaultPlan};
+pub use fault::{splitmix64, ChaosRng, ChaosSpec, Fault, FaultPlan};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Histogram, Label, Trace, TraceEvent, TraceReadError};

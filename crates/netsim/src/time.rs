@@ -74,19 +74,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Builds a span from fractional seconds (rounded to microseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "duration must be finite and non-negative"
-        );
-        SimDuration((s * 1e6).round() as u64)
-    }
-
     /// Raw microseconds.
     pub const fn as_micros(&self) -> u64 {
         self.0
@@ -169,7 +156,6 @@ mod tests {
     fn construction_and_conversion() {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
         assert_eq!(SimTime::from_micros(1_500_000).as_secs_f64(), 1.5);
     }
 

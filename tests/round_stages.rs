@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use decentralized_fl::ipfs::{Cid, IpfsWire};
+use decentralized_fl::ipfs::{Cid, IpfsWire, WireCost};
 use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};
 use decentralized_fl::netsim::{NodeId, SimDuration, SimTime};
 use decentralized_fl::protocol::gradient::{build_blob, commit_blob, derive_key, ProtocolKey};

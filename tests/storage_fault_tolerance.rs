@@ -208,3 +208,40 @@ fn quorum_composes_with_verifiable_mode() {
     let first = models.next().expect("five survivors");
     assert!(models.all(|m| m == first));
 }
+
+#[test]
+fn directory_update_fetch_fails_over_to_the_next_storage_node() {
+    // In verifiable mode the directory fetches each registered update from
+    // storage node 0 (node 1) before accepting it. Node 1 crashes at
+    // 270 ms, while the directory's Get for partition 0's update is on its
+    // way there (sent ≈ 263 ms, arriving ≈ 283 ms) and before partition
+    // 1's is sent. Both Gets are lost. After `fetch_timeout` the directory
+    // re-sends each to node 2, which holds a replica of partition 0's
+    // update (`replication` 2) and finds partition 1's at its provider.
+    // Node 1 comes back at 5 s.
+    let verifiable = || {
+        let mut c = cfg();
+        c.verifiable = true;
+        c.rounds = 2;
+        c
+    };
+    let baseline = run(verifiable());
+    assert!(baseline.succeeded(&verifiable()));
+
+    let mut c = verifiable();
+    c.fault_plan = FaultPlan::new()
+        .crash_at(SimTime::from_micros(270_000), NodeId(1))
+        .recover_at(SimTime::from_micros(5_000_000), NodeId(1));
+    let report = run(c.clone());
+
+    assert!(report.succeeded(&c), "the retried fetch must complete");
+    let faulted = report.rounds[0].round_duration;
+    assert!(
+        faulted > 2.0,
+        "round took {faulted:.3}s — the crash missed the directory's fetch"
+    );
+    assert_eq!(
+        report.consensus_params().expect("consensus"),
+        baseline.consensus_params().expect("consensus")
+    );
+}

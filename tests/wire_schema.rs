@@ -9,6 +9,10 @@
 //! allocation-free length and the simulated cost agree and that malformed
 //! input is a clean error.
 //!
+//! The two signed payloads that ride inside storage messages, the sync
+//! announce and the misbehavior record, are built from the same field
+//! primitives and checked for the same properties.
+//!
 //! The second half pins what must *not* depend on message sizes: trained
 //! model bytes, completed rounds and every non-byte counter of the
 //! canonical scenarios, captured before sizes moved from the hand-kept
@@ -18,6 +22,8 @@ use bytes::Bytes;
 use decentralized_fl::ipfs::wire::{WireCost, TRANSPORT_OVERHEAD_BYTES};
 use decentralized_fl::ipfs::{Cid, IpfsWire};
 use decentralized_fl::prelude::*;
+use decentralized_fl::protocol::accountability::{Misbehavior, MisbehaviorKind};
+use decentralized_fl::protocol::messages::SyncAnnounce;
 use decentralized_fl::protocol::{Msg, TaskReport};
 use dfl_bench::{fig1_config, fig2_config};
 
@@ -60,6 +66,12 @@ impl Sample for u64 {
             1 => u64::MAX - rng.below(2),
             _ => rng.next(),
         }
+    }
+}
+
+impl Sample for u16 {
+    fn sample(rng: &mut Rng) -> u16 {
+        u64::sample(rng) as u16
     }
 }
 
@@ -129,6 +141,38 @@ impl<T: Sample> Sample for Vec<T> {
 impl<A: Sample, B: Sample, C: Sample> Sample for (A, B, C) {
     fn sample(rng: &mut Rng) -> (A, B, C) {
         (A::sample(rng), B::sample(rng), C::sample(rng))
+    }
+}
+
+impl Sample for SyncAnnounce {
+    fn sample(rng: &mut Rng) -> SyncAnnounce {
+        SyncAnnounce {
+            partition: Sample::sample(rng),
+            agg_j: Sample::sample(rng),
+            iter: Sample::sample(rng),
+            cid: Sample::sample(rng),
+            contributors: Sample::sample(rng),
+            signature: Sample::sample(rng),
+        }
+    }
+}
+
+impl Sample for Misbehavior {
+    fn sample(rng: &mut Rng) -> Misbehavior {
+        let kinds = [MisbehaviorKind::BadPartial, MisbehaviorKind::BadUpdate];
+        Misbehavior {
+            kind: kinds[rng.below(2) as usize],
+            partition: Sample::sample(rng),
+            agg_j: Sample::sample(rng),
+            iter: Sample::sample(rng),
+            cid: Sample::sample(rng),
+            contributors: Sample::sample(rng),
+            accumulator: Sample::sample(rng),
+            blob: Sample::sample(rng),
+            offender_sig: Sample::sample(rng),
+            detector: Sample::sample(rng),
+            detector_sig: Sample::sample(rng),
+        }
     }
 }
 
@@ -206,33 +250,51 @@ fn check_schema<M: Schema>() {
     for seed in 0..SEEDS {
         for (tag, name, m) in M::rows(&mut Rng(seed)) {
             let what = format!("{}::{name} (seed {seed}): {m:?}", M::NAME);
-            let bytes = encode(&m);
-            assert_eq!(bytes[0], tag, "first byte is the table's tag: {what}");
-            assert_eq!(bytes.len(), m.encoded_len(), "encoded_len: {what}");
-            assert_eq!(
-                m.wire_bytes(),
-                bytes.len() as u64 + TRANSPORT_OVERHEAD_BYTES,
-                "wire_bytes: {what}"
-            );
-            let back = M::decode(&bytes).unwrap_or_else(|e| panic!("{e}: {what}"));
-            assert_eq!(encode(&back), bytes, "re-encoding differs: {what}");
-            // The same decoder reading out of a shared frame (large blobs
-            // sliced, not copied) yields the same value and the same errors.
-            // (`frame` is the encoding plus one trailing byte.)
-            let frame: Bytes = bytes.iter().copied().chain([0]).collect();
-            let whole = frame.slice(..bytes.len());
-            let shared = M::decode_shared(&whole).unwrap_or_else(|e| panic!("{e}: {what}"));
-            assert_eq!(encode(&shared), bytes, "shared decode differs: {what}");
-            for cut in 0..bytes.len() {
-                let err = M::decode(&bytes[..cut]).err();
-                assert!(err.is_some(), "prefix of {cut} bytes decoded: {what}");
-                let shared = M::decode_shared(&frame.slice(..cut)).err();
-                assert_eq!(shared, err, "prefix of {cut} bytes, shared: {what}");
-            }
-            let err = M::decode(&frame).err();
-            assert!(err.is_some(), "trailing byte accepted: {what}");
-            assert_eq!(M::decode_shared(&frame).err(), err, "shared: {what}");
+            assert_eq!(encode(&m)[0], tag, "first byte is the table's tag: {what}");
+            check_encoding(&m, &what);
         }
+    }
+}
+
+/// What every encoded value obeys: `encoded_len` and `wire_bytes` agree
+/// with the bytes, which decode (copied or shared) to a value that
+/// re-encodes to them, while every strict prefix and one trailing byte are
+/// errors.
+fn check_encoding<M: WireCost>(m: &M, what: &str) {
+    let bytes = encode(m);
+    assert_eq!(bytes.len(), m.encoded_len(), "encoded_len: {what}");
+    assert_eq!(
+        m.wire_bytes(),
+        bytes.len() as u64 + TRANSPORT_OVERHEAD_BYTES,
+        "wire_bytes: {what}"
+    );
+    let back = M::decode(&bytes).unwrap_or_else(|e| panic!("{e}: {what}"));
+    assert_eq!(encode(&back), bytes, "re-encoding differs: {what}");
+    // The same decoder reading out of a shared frame (large blobs
+    // sliced, not copied) yields the same value and the same errors.
+    // (`frame` is the encoding plus one trailing byte.)
+    let frame: Bytes = bytes.iter().copied().chain([0]).collect();
+    let whole = frame.slice(..bytes.len());
+    let shared = M::decode_shared(&whole).unwrap_or_else(|e| panic!("{e}: {what}"));
+    assert_eq!(encode(&shared), bytes, "shared decode differs: {what}");
+    for cut in 0..bytes.len() {
+        let err = M::decode(&bytes[..cut]).err();
+        assert!(err.is_some(), "prefix of {cut} bytes decoded: {what}");
+        let shared = M::decode_shared(&frame.slice(..cut)).err();
+        assert_eq!(shared, err, "prefix of {cut} bytes, shared: {what}");
+    }
+    let err = M::decode(&frame).err();
+    assert!(err.is_some(), "trailing byte accepted: {what}");
+    assert_eq!(M::decode_shared(&frame).err(), err, "shared: {what}");
+}
+
+/// [`check_encoding`] over seeded samples of a payload type.
+fn check_payload<M: Sample + WireCost + PartialEq + std::fmt::Debug>() {
+    for seed in 0..SEEDS {
+        let m = M::sample(&mut Rng(seed));
+        let what = format!("seed {seed}: {m:?}");
+        check_encoding(&m, &what);
+        assert_eq!(M::decode(&encode(&m)).ok(), Some(m), "round trip: {what}");
     }
 }
 
@@ -244,6 +306,16 @@ fn every_ipfs_wire_variant_obeys_the_schema_properties() {
 #[test]
 fn every_msg_variant_obeys_the_schema_properties() {
     check_schema::<Msg>();
+}
+
+#[test]
+fn the_sync_announce_obeys_the_schema_properties() {
+    check_payload::<SyncAnnounce>();
+}
+
+#[test]
+fn the_misbehavior_record_obeys_the_schema_properties() {
+    check_payload::<Misbehavior>();
 }
 
 #[test]
@@ -264,6 +336,8 @@ fn corrupted_and_random_input_is_an_error_or_a_message_never_a_panic() {
         let garbage = rng.bytes(96);
         let _ = Msg::decode(&garbage);
         let _ = IpfsWire::decode(&garbage);
+        let _ = SyncAnnounce::decode(&garbage);
+        let _ = Misbehavior::decode(&garbage);
     }
     for seed in 0..SEEDS {
         for (_, _, m) in Msg::rows(&mut Rng(seed)) {
