@@ -200,10 +200,6 @@ struct Round {
     /// The t_sync deadline passed and `min_quorum` authorized completing
     /// the round with the gradients received so far.
     deadline_degraded: bool,
-    /// Unanswered storage requests, by what each is for. On timeout a
-    /// request is re-sent to the next storage node, which resolves the data
-    /// wherever a live replica exists.
-    in_flight: StorageRequests<Request>,
     /// The fabricated gradient substituted by `Behavior::ForgeRegistration`
     /// (set once the forgery has been sent for this round).
     forged: Option<Vec<Quantized>>,
@@ -395,8 +391,8 @@ impl OverlaySink {
 }
 
 /// The flat aggregator. Beside the round it holds only what outlives one:
-/// identity and keys, the verdicts on its peers, the blocks to unpin when
-/// the next round starts, the poll-timer flag and the request counter.
+/// identity and keys, the verdicts on its peers, the storage client (with
+/// the blocks to unpin when the next round starts) and the poll-timer flag.
 struct FlatAggregator {
     g: usize,
     partition: usize,
@@ -416,11 +412,12 @@ struct FlatAggregator {
     accused: HashSet<(usize, u64)>,
     /// Schnorr identity key (accountability mode).
     signing_key: Option<SigningKey<ProtocolCurve>>,
-    /// Blocks this aggregator uploaded in the current round, released at
-    /// the next round (§VI ephemeral-data lifecycle).
-    uploads: Vec<(NodeId, Cid)>,
+    /// Storage requests, by what each is for. On timeout a request is
+    /// re-sent to the next storage node, which resolves the data wherever a
+    /// live replica exists. The blocks it stored are unpinned at the next
+    /// round (§VI ephemeral-data lifecycle).
+    storage: StorageRequests<Request>,
     polling: bool,
-    next_req: u64,
 }
 
 impl FlatAggregator {
@@ -447,9 +444,8 @@ impl FlatAggregator {
             blacklist: HashSet::new(),
             accused: HashSet::new(),
             signing_key,
-            uploads: Vec::new(),
+            storage: StorageRequests::default(),
             polling: false,
-            next_req: 0,
         }
     }
 
@@ -467,27 +463,6 @@ impl FlatAggregator {
     /// that does not decode, and never reaches a sum.
     fn decode_own(&self, data: &[u8]) -> Option<Vec<Quantized>> {
         decode_partition_blob(data, self.topo.partition_len(self.partition))
-    }
-
-    /// Sends a storage request that must survive a dead target (see
-    /// [`StorageRequests`]); the round's end drops it with the round.
-    fn request(
-        &mut self,
-        out: &mut Actions<Msg>,
-        purpose: Request,
-        to: NodeId,
-        wire: impl FnOnce(u64) -> IpfsWire,
-    ) -> u64 {
-        self.next_req += 1;
-        let req = self.next_req;
-        let requests = &mut self.round.in_flight;
-        requests.send(out, &self.topo, req, purpose, to, wire(req));
-        req
-    }
-
-    /// The purpose of the request a reply answers, if it is still wanted.
-    fn answered(&mut self, req: u64) -> Option<Request> {
-        self.round.in_flight.answered(req)
     }
 
     /// How many of a trainer set of `set_len` must be in before a degraded
@@ -513,11 +488,7 @@ impl FlatAggregator {
         self.round = Round::new(iter, self.topo.config(), self.key.as_ref());
 
         // Release last round's partial/global update blobs.
-        let replicate = self.topo.config().replication;
-        for (target, cid) in std::mem::take(&mut self.uploads) {
-            let unpin = IpfsWire::Unpin { cid, replicate };
-            out.send(target, Msg::Ipfs(unpin));
-        }
+        self.storage.end_round(out, &self.topo);
         // Direct mode receives gradients without polling, but the poll
         // loop also fetches accumulated commitments for peer verification
         // and drives dropout recovery, so it runs in every mode.
@@ -750,7 +721,8 @@ impl FlatAggregator {
             };
             let cids = members.iter().map(|&(_, cid)| cid).collect();
             let merge = |req_id| IpfsWire::Merge { cids, req_id };
-            let req = self.request(out, Request::Merged, provider, merge);
+            let (topo, purpose) = (&self.topo, Request::Merged);
+            let req = self.storage.send(out, topo, purpose, provider, merge);
             if let Some(merge) = &mut self.round.merge {
                 merge.requests.insert(req, members);
             }
@@ -1089,12 +1061,44 @@ impl FlatAggregator {
         announce
     }
 
+    /// A storage reply to the request for `purpose`.
+    fn on_storage_reply(&mut self, out: &mut Actions<Msg>, purpose: Request, reply: IpfsWire) {
+        match (purpose, reply) {
+            (Request::OwnGradient { trainer }, IpfsWire::GetOk { data, .. }) => {
+                self.on_own_gradient(out, trainer, &data);
+            }
+            (Request::PeerPartial { j }, IpfsWire::GetOk { data, .. }) => {
+                self.check_peer_partials(out, vec![(j, data)]);
+            }
+            (Request::Recovery { j, trainer }, IpfsWire::GetOk { data, .. }) => {
+                self.on_recovery_gradient(out, j, trainer, &data);
+            }
+            // A failed Get is retried through the poll loop.
+            (Request::OwnGradient { trainer }, IpfsWire::GetErr { .. }) => {
+                self.round.downloading.remove(&trainer);
+                self.round.registered.remove(&trainer);
+            }
+            (Request::Recovery { j, trainer }, IpfsWire::GetErr { .. }) => {
+                if let Some(sync) = &mut self.round.sync {
+                    sync.recovery_pending.entry(j).or_default().insert(trainer);
+                }
+            }
+            (Request::Merged, IpfsWire::MergeOk { data, req_id }) => {
+                self.on_merge_reply(out, req_id, Some(data));
+            }
+            (Request::Merged, IpfsWire::MergeErr { req_id, .. }) => {
+                self.on_merge_reply(out, req_id, None);
+            }
+            (purpose, IpfsWire::PutAck { cid, .. }) => self.on_put_ack(out, purpose, cid),
+            _ => {}
+        }
+    }
+
     // -- synchronization (multi-aggregator) ----------------------------------
 
-    fn on_put_ack(&mut self, out: &mut Actions<Msg>, cid: Cid, req_id: u64) {
-        match self.answered(req_id) {
-            Some(Request::PutPartial) => {
-                self.uploads.push((self.gateway(), cid));
+    fn on_put_ack(&mut self, out: &mut Actions<Msg>, purpose: Request, cid: Cid) {
+        match purpose {
+            Request::PutPartial => {
                 if self.behavior == Behavior::Equivocate {
                     // Withhold the honest topic publish: each peer receives
                     // its own (forged) per-peer announcement instead.
@@ -1113,15 +1117,13 @@ impl FlatAggregator {
                 out.send(gw, Msg::Ipfs(publish));
                 self.maybe_finish_sync(out);
             }
-            Some(Request::PutAltered) => {
-                self.uploads.push((self.gateway(), cid));
+            Request::PutAltered => {
                 if let Some(sync) = &mut self.round.sync {
                     sync.equiv_altered = Some(cid);
                 }
                 self.maybe_equivocate(out);
             }
-            Some(Request::PutGlobal { contributors }) => {
-                self.uploads.push((self.update_home(), cid));
+            Request::PutGlobal { contributors } => {
                 let mut msg = Msg::RegisterUpdate {
                     aggregator: self.g,
                     partition: self.partition,
@@ -1544,7 +1546,8 @@ impl FlatAggregator {
 
     /// Fetches `cid` from `from` as a retryable `Get` tracked under `purpose`.
     fn get(&mut self, out: &mut Actions<Msg>, purpose: Request, from: NodeId, cid: Cid) {
-        self.request(out, purpose, from, |req_id| IpfsWire::Get { cid, req_id });
+        let get = |req_id| IpfsWire::Get { cid, req_id };
+        self.storage.send(out, &self.topo, purpose, from, get);
     }
 
     /// Uploads `blob` to `gw` as a retryable `Put` tracked under `purpose`.
@@ -1557,11 +1560,12 @@ impl FlatAggregator {
         replicate: usize,
     ) {
         let data = Bytes::from(blob);
-        self.request(out, purpose, gw, |req_id| IpfsWire::Put {
+        let put = |req_id| IpfsWire::Put {
             data,
             req_id,
             replicate,
-        });
+        };
+        self.storage.send(out, &self.topo, purpose, gw, put);
     }
 
     // -- dropout recovery ----------------------------------------------------
@@ -1735,42 +1739,13 @@ impl FlatAggregator {
                 // will supersede, or the round stalls and the experiment
                 // reports the failure.
             }
-            Msg::Ipfs(IpfsWire::PutAck { cid, req_id }) => self.on_put_ack(out, cid, req_id),
-            Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => match self.answered(req_id) {
-                Some(Request::OwnGradient { trainer }) => self.on_own_gradient(out, trainer, &data),
-                Some(Request::PeerPartial { j }) => self.check_peer_partials(out, vec![(j, data)]),
-                Some(Request::Recovery { j, trainer }) => {
-                    self.on_recovery_gradient(out, j, trainer, &data)
-                }
-                _ => {}
-            },
-            Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
-                // Allow retries through the poll loop.
-                match self.answered(req_id) {
-                    Some(Request::OwnGradient { trainer }) => {
-                        self.round.downloading.remove(&trainer);
-                        self.round.registered.remove(&trainer);
-                    }
-                    Some(Request::Recovery { j, trainer }) => {
-                        if let Some(sync) = &mut self.round.sync {
-                            sync.recovery_pending.entry(j).or_default().insert(trainer);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            Msg::Ipfs(IpfsWire::MergeOk { data, req_id }) => {
-                if let Some(Request::Merged) = self.answered(req_id) {
-                    self.on_merge_reply(out, req_id, Some(data));
-                }
-            }
-            Msg::Ipfs(IpfsWire::MergeErr { req_id, .. }) => {
-                if let Some(Request::Merged) = self.answered(req_id) {
-                    self.on_merge_reply(out, req_id, None);
-                }
-            }
             Msg::Ipfs(IpfsWire::Deliver { topic, data, .. }) => {
                 self.on_deliver(out, &topic, &data);
+            }
+            Msg::Ipfs(reply) => {
+                if let Some(purpose) = self.storage.answered(&reply) {
+                    self.on_storage_reply(out, purpose, reply);
+                }
             }
             _ => {}
         }
@@ -1782,7 +1757,7 @@ impl FlatAggregator {
             TK_SYNC_DEADLINE => self.on_sync_deadline(out, token & 0xFFFF_FFFF),
             TK_STORAGE_RETRY => {
                 let req = token & 0xFFFF_FFFF;
-                self.round.in_flight.retry(out, &self.topo, req);
+                self.storage.retry(out, &self.topo, req);
             }
             TK_WATCHDOG => self.on_watchdog(out, token & 0xFFFF_FFFF),
             _ => {}

@@ -102,7 +102,6 @@ pub struct Directory {
     /// Fetched updates whose verification time is being charged, by the
     /// request id that fetched them.
     verifications: HashMap<u64, PendingVerify>,
-    next_req: u64,
     /// Trainer verifying keys (authenticated mode).
     trainer_keys: Vec<VerifyingKey<ProtocolCurve>>,
     /// Evicted aggregators (global indices); their registrations are
@@ -133,7 +132,6 @@ impl Directory {
             rounds: BTreeMap::new(),
             fetches: StorageRequests::default(),
             verifications: HashMap::new(),
-            next_req: 0,
             trainer_keys,
             evicted: HashSet::new(),
         }
@@ -287,11 +285,9 @@ impl Directory {
             self.reject_update(out, &pv);
         } else if self.key.is_some() {
             // Fetch the update blob from storage, then verify.
-            self.next_req += 1;
-            let req_id = self.next_req;
-            let get = IpfsWire::Get { cid, req_id };
+            let get = |req_id| IpfsWire::Get { cid, req_id };
             let to = self.topo.ipfs_node(0);
-            self.fetches.send(out, &self.topo, req_id, pv, to, get);
+            self.fetches.send(out, &self.topo, pv, to, get);
         } else {
             self.accept_update(out, pv);
         }
@@ -417,10 +413,14 @@ impl Directory {
         }
     }
 
-    fn on_update_blob(&mut self, out: &mut Actions<Msg>, req_id: u64, data: Bytes, ok: bool) {
-        let Some(mut pv) = self.fetches.answered(req_id) else {
-            return;
-        };
+    /// Verification `pv`'s update blob arrived, fetched by request `req_id`.
+    fn on_update_blob(
+        &mut self,
+        out: &mut Actions<Msg>,
+        req_id: u64,
+        mut pv: PendingVerify,
+        data: Bytes,
+    ) {
         // An update blob reply reaching the verification path without a
         // commitment key means a storage frame was spoofed or misrouted
         // into a non-verifiable task
@@ -434,7 +434,7 @@ impl Directory {
         // arrival as a batch of one. `None` = not all gradients registered.
         let expected = self.expected_for_update(pv.partition, pv.iter, pv.contributors.as_deref());
         let opens = |acc| verify_blobs_timed(out, &key, &[(&data[..], &acc)]).is_empty();
-        pv.verdict = ok && expected.is_some_and(opens);
+        pv.verdict = expected.is_some_and(opens);
         // Charge the virtual verification time, then apply the verdict.
         let elements = (data.len() / 8).max(1) as u64;
         let us = self.topo.config().commit_us_per_element * elements;
@@ -646,12 +646,15 @@ impl Directory {
                 out.send(from, reply);
             }
             Msg::TrainerDone { trainer, iter } => self.on_trainer_done(out, trainer, iter),
-            Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                self.on_update_blob(out, req_id, data, true);
+            Msg::Ipfs(reply @ IpfsWire::GetOk { .. }) => {
+                let pv = self.fetches.answered(&reply);
+                if let (Some(pv), IpfsWire::GetOk { data, req_id, .. }) = (pv, reply) {
+                    self.on_update_blob(out, req_id, pv, data);
+                }
             }
-            Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
-                self.on_update_blob(out, req_id, Bytes::new(), false);
-            }
+            // A `GetErr` says the node found no copy, not that the update
+            // is bad: the fetch stays pending, and its retry timer moves it
+            // to the next storage node. Only a blob that arrived is judged.
             // Other storage responses (acks for nothing we sent) and
             // protocol messages not addressed to the directory are ignored.
             _ => {}
@@ -732,13 +735,13 @@ mod tests {
             signature: None,
             blob: Bytes::new(),
         };
-        let get = IpfsWire::Get {
-            cid: pv.cid,
-            req_id: 5,
-        };
+        let cid = pv.cid;
+        let get = |req_id| IpfsWire::Get { cid, req_id };
         let mut out = Actions::new();
-        dir.fetches.send(&mut out, &topo, 5, pv, NodeId(0), get);
-        dir.on_update_blob(&mut out, 5, Bytes::from_static(b"update-bytes"), true);
+        let req_id = dir.fetches.send(&mut out, &topo, pv, NodeId(0), get);
+        let data = Bytes::from_static(b"update-bytes");
+        let reply = IpfsWire::GetOk { cid, data, req_id };
+        dir.on_message(&mut out, NodeId(0), Msg::Ipfs(reply));
         let booked = out.drain().any(|a| {
             matches!(a, ProtocolAction::Incr { label, .. } if label == labels::MISSING_COMMIT_KEY)
         });
@@ -747,5 +750,63 @@ mod tests {
             dir.verifications.is_empty(),
             "nothing must reach the verdict stage"
         );
+    }
+
+    /// A `GetErr` for an update blob says only that the node had no copy:
+    /// nothing is judged, nothing is rejected, and the fetch's retry timer
+    /// sends the `Get` on to the next storage node.
+    #[test]
+    fn an_update_fetch_that_finds_no_copy_is_retried_not_rejected() {
+        use crate::gradient::derive_key;
+        use crate::protocol::ProtocolAction;
+        let topo = topo(true);
+        let key = Arc::new(derive_key(topo.max_partition_len(), 0, true));
+        let mut dir = Directory::new(topo.clone(), Some(key));
+        let mut handle = |event: ProtocolEvent<Msg>| {
+            let mut out = Actions::new();
+            dir.handle(SimTime::ZERO, event, &mut out);
+            out.drain().collect::<Vec<_>>()
+        };
+        let gets = |actions: &[ProtocolAction<Msg>]| -> Vec<(NodeId, u64)> {
+            let get = |action: &ProtocolAction<Msg>| match action {
+                ProtocolAction::Send {
+                    to,
+                    msg: Msg::Ipfs(IpfsWire::Get { req_id, .. }),
+                } => Some((*to, *req_id)),
+                _ => None,
+            };
+            actions.iter().filter_map(get).collect()
+        };
+        handle(ProtocolEvent::Start);
+        let cid = Cid::of(b"update");
+        let msg = Msg::RegisterUpdate {
+            aggregator: 0,
+            partition: 0,
+            iter: 0,
+            cid,
+            contributors: None,
+            signature: None,
+        };
+        let from = topo.aggregator(0);
+        let asked = gets(&handle(ProtocolEvent::Message { from, msg }));
+        let [(to, req_id)] = asked[..] else {
+            panic!("one Get: {asked:?}");
+        };
+        assert_eq!(to, topo.ipfs_node(0));
+
+        let msg = Msg::Ipfs(IpfsWire::GetErr { cid, req_id });
+        let actions = handle(ProtocolEvent::Message { from: to, msg });
+        let judged = actions.iter().any(|action| match action {
+            ProtocolAction::Record { label, .. } => {
+                [labels::VERIFICATION_FAILED, labels::VERIFICATION_FAILED_BY].contains(label)
+            }
+            ProtocolAction::Send { msg, .. } => matches!(msg, Msg::UpdateRejected { .. }),
+            _ => false,
+        });
+        assert!(!judged, "an unavailable blob is not a failed verification");
+
+        let token = TK_STORAGE_RETRY | req_id;
+        let retried = gets(&handle(ProtocolEvent::Timer { token }));
+        assert_eq!(retried, [(topo.ipfs_node(1), req_id)]);
     }
 }

@@ -36,13 +36,6 @@ pub enum IplsError {
         /// Simulation node index of the missing provider.
         provider: usize,
     },
-    /// A storage acknowledgment arrived for a request this node never
-    /// routed through storage: a misrouted or duplicated frame from a
-    /// remote backend (observed from the TCP transport).
-    MisroutedAck {
-        /// The acknowledged request id.
-        req_id: u64,
-    },
     /// A cryptographic verification step ran without a commitment key —
     /// a remote message steered a non-verifiable node onto a verifying
     /// code path.
@@ -81,10 +74,6 @@ impl fmt::Display for IplsError {
                 f,
                 "merge group references provider node {provider} absent from the member map"
             ),
-            IplsError::MisroutedAck { req_id } => write!(
-                f,
-                "storage acknowledgment for request {req_id} that was never routed through storage"
-            ),
             IplsError::MissingCommitKey => {
                 write!(f, "verification requested without a commitment key")
             }
@@ -109,8 +98,6 @@ mod tests {
         assert!(e.to_string().contains("partition 2"));
         let e = IplsError::UnlistedProvider { provider: 7 };
         assert!(e.to_string().contains("provider node 7"));
-        let e = IplsError::MisroutedAck { req_id: 41 };
-        assert!(e.to_string().contains("request 41"));
         assert!(IplsError::MissingCommitKey.to_string().contains("key"));
     }
 }

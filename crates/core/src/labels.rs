@@ -98,10 +98,6 @@ pub const DELIVERY_FAILED: &str = "delivery_failed";
 /// lists derive from directory messages, so the mismatch is booked and the
 /// provider skipped instead of panicking.
 pub const UNLISTED_PROVIDER: &str = "unlisted_provider";
-/// Counter: a storage acknowledgment arrived for a request this node never
-/// routed through storage ([`IplsError::MisroutedAck`](crate::IplsError))
-/// — a misrouted or duplicated frame from a remote backend. Dropped.
-pub const MISROUTED_ACK: &str = "misrouted_ack";
 /// Counter: an update blob reply reached a verification path without a
 /// commitment key ([`IplsError::MissingCommitKey`](crate::IplsError)).
 /// Dropped instead of panicking.
@@ -182,7 +178,6 @@ pub const ALL: &[&str] = &[
     VERIFY_BATCHED,
     DELIVERY_FAILED,
     UNLISTED_PROVIDER,
-    MISROUTED_ACK,
     MISSING_COMMIT_KEY,
     OVERLAY_FORWARDED,
     OVERLAY_CHILD_RECV,

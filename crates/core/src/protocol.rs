@@ -28,7 +28,7 @@
 //! 3. Never reorder or drop actions of a live node (a crashed node's
 //!    actions may be discarded wholesale, as netsim does).
 
-use dfl_ipfs::{IpfsNode, IpfsWire, Outgoing, WireEmbed};
+use dfl_ipfs::{Cid, IpfsNode, IpfsWire, Outgoing, WireEmbed};
 use dfl_netsim::{Actor, Context, Fault, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -277,62 +277,161 @@ where
 /// timer kinds clear of it.
 pub(crate) const TK_STORAGE_RETRY: u64 = 3 << 32;
 
-/// Storage requests that must survive a dead target: each is re-sent under
-/// the same id to the next storage node, round-robin, whenever
-/// `fetch_timeout` passes without a reply, until it is
-/// [`answered`](StorageRequests::answered). A late reply from an earlier
-/// target finds its request gone and is dropped, and so is the retry timer
-/// of an answered request.
+/// A role's one storage client: every `Put`, `Get` and `Merge` a trainer,
+/// an aggregator or the directory sends goes through it.
+///
+/// It numbers the requests. Each is re-sent under the same id to the next
+/// storage node, round-robin, whenever `fetch_timeout` passes without a
+/// reply, until it is [`answered`](StorageRequests::answered). A late reply
+/// from an earlier target finds its request gone and is dropped, and so is
+/// the retry timer of an answered request.
+///
+/// It also keeps what the round leaves in storage, for
+/// [`end_round`](StorageRequests::end_round): each stored block at every
+/// node its `Put` went to (the copy is at whichever of them took it), and,
+/// for a client built with [`releasing`](StorageRequests::releasing), each
+/// block fetched at every node its `Get` went to (a gateway caches what it
+/// fetches for a client).
 pub(crate) struct StorageRequests<P> {
-    pending: HashMap<u64, (P, NodeId, IpfsWire)>,
+    next_req: u64,
+    pending: HashMap<u64, Pending<P>>,
+    /// Blocks stored this round, one entry per node the `Put` went to.
+    pinned: Vec<(NodeId, Cid)>,
+    /// Blocks asked for this round, one entry per node the `Get` went to;
+    /// `None` for a client that never releases.
+    fetched: Option<Vec<(NodeId, Cid)>>,
+}
+
+/// An unanswered request: what it is for, every storage node it went to
+/// (each once, the current target last), and the wire a retry re-sends.
+struct Pending<P> {
+    purpose: P,
+    targets: Vec<NodeId>,
+    wire: IpfsWire,
 }
 
 impl<P> Default for StorageRequests<P> {
     fn default() -> Self {
         StorageRequests {
+            next_req: 0,
             pending: HashMap::new(),
+            pinned: Vec::new(),
+            fetched: None,
         }
     }
 }
 
 impl<P> StorageRequests<P> {
-    /// Sends `wire`, request `req` for `purpose`, to storage node `to`.
+    /// A client that releases, at the round end, the copies its `Get`s
+    /// left in the nodes that no `Unpin` reaches.
+    pub(crate) fn releasing() -> Self {
+        StorageRequests {
+            fetched: Some(Vec::new()),
+            ..StorageRequests::default()
+        }
+    }
+
+    /// Sends the next request, `wire(id)`, for `purpose` to storage node
+    /// `to`, and returns its id.
     pub(crate) fn send(
         &mut self,
         out: &mut Actions<Msg>,
         topo: &Topology,
-        req: u64,
         purpose: P,
         to: NodeId,
-        wire: IpfsWire,
-    ) {
-        self.pending.insert(req, (purpose, to, wire));
-        self.resend(out, topo, req);
+        wire: impl FnOnce(u64) -> IpfsWire,
+    ) -> u64 {
+        self.next_req += 1;
+        let req = self.next_req;
+        let (targets, wire) = (Vec::new(), wire(req));
+        let pending = Pending {
+            purpose,
+            targets,
+            wire,
+        };
+        self.pending.insert(req, pending);
+        self.resend(out, topo, req, to);
+        req
     }
 
     /// Handles the [`TK_STORAGE_RETRY`] timer of request `req`: re-sends it
     /// to the storage node after its last target, unless it was answered.
     pub(crate) fn retry(&mut self, out: &mut Actions<Msg>, topo: &Topology, req: u64) {
-        if let Some((_, target, _)) = self.pending.get_mut(&req) {
-            let ids = topo.ipfs_ids();
-            let idx = ids.iter().position(|n| n == target).unwrap_or(0);
-            *target = ids[(idx + 1) % ids.len()];
-        }
-        self.resend(out, topo, req);
-    }
-
-    fn resend(&self, out: &mut Actions<Msg>, topo: &Topology, req: u64) {
-        let Some((_, to, wire)) = self.pending.get(&req) else {
+        let Some(&last) = self.pending.get(&req).and_then(|p| p.targets.last()) else {
             return; // answered meanwhile
         };
-        let token = TK_STORAGE_RETRY | (req & 0xFFFF_FFFF);
-        out.set_timer(topo.config().fetch_timeout, token);
-        out.send(*to, Msg::Ipfs(wire.clone()));
+        let ids = topo.ipfs_ids();
+        let idx = ids.iter().position(|&n| n == last).unwrap_or(0);
+        self.resend(out, topo, req, ids[(idx + 1) % ids.len()]);
     }
 
-    /// The purpose of the request a reply answers, if it is still wanted.
-    pub(crate) fn answered(&mut self, req: u64) -> Option<P> {
-        self.pending.remove(&req).map(|(purpose, ..)| purpose)
+    fn resend(&mut self, out: &mut Actions<Msg>, topo: &Topology, req: u64, to: NodeId) {
+        let Some(pending) = self.pending.get_mut(&req) else {
+            return;
+        };
+        if let (IpfsWire::Get { cid, .. }, Some(fetched)) = (&pending.wire, &mut self.fetched) {
+            if !fetched.contains(&(to, *cid)) {
+                fetched.push((to, *cid));
+            }
+        }
+        pending.targets.retain(|&n| n != to);
+        pending.targets.push(to);
+        let token = TK_STORAGE_RETRY | (req & 0xFFFF_FFFF);
+        out.set_timer(topo.config().fetch_timeout, token);
+        out.send(to, Msg::Ipfs(pending.wire.clone()));
+    }
+
+    /// The purpose of the request `reply` answers, if it is still wanted:
+    /// a `PutAck` answers a `Put`, a `GetOk` or `GetErr` a `Get`, a
+    /// `MergeOk` or `MergeErr` a `Merge`. A block a `PutAck` reports stored
+    /// is unpinned at the round end at every node its `Put` went to.
+    pub(crate) fn answered(&mut self, reply: &IpfsWire) -> Option<P> {
+        let (req, answers): (u64, fn(&IpfsWire) -> bool) = match *reply {
+            IpfsWire::PutAck { req_id, .. } => (req_id, |w| matches!(w, IpfsWire::Put { .. })),
+            IpfsWire::GetOk { req_id, .. } | IpfsWire::GetErr { req_id, .. } => {
+                (req_id, |w| matches!(w, IpfsWire::Get { .. }))
+            }
+            IpfsWire::MergeOk { req_id, .. } | IpfsWire::MergeErr { req_id, .. } => {
+                (req_id, |w| matches!(w, IpfsWire::Merge { .. }))
+            }
+            _ => return None,
+        };
+        if !answers(&self.pending.get(&req)?.wire) {
+            return None; // a reply of another kind under a live id: misrouted
+        }
+        let pending = self.pending.remove(&req)?;
+        if let IpfsWire::PutAck { cid, .. } = *reply {
+            for to in pending.targets {
+                if !self.pinned.contains(&(to, cid)) {
+                    self.pinned.push((to, cid));
+                }
+            }
+        }
+        Some(pending.purpose)
+    }
+
+    /// The purposes of the requests still unanswered.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &P> {
+        self.pending.values().map(|p| &p.purpose)
+    }
+
+    /// Ends the round: forgets its unanswered requests, unpins every block
+    /// it stored at every node that may hold it, then releases each block
+    /// it fetched at the nodes where no `Unpin` goes (an `Unpin`'s `gc`
+    /// collects the cached copies there anyway).
+    pub(crate) fn end_round(&mut self, out: &mut Actions<Msg>, topo: &Topology) {
+        self.pending.clear();
+        let replicate = topo.config().replication;
+        let pinned = std::mem::take(&mut self.pinned);
+        for &(to, cid) in &pinned {
+            out.send(to, Msg::Ipfs(IpfsWire::Unpin { cid, replicate }));
+        }
+        let fetched = self.fetched.as_mut().map(std::mem::take);
+        for (to, cid) in fetched.into_iter().flatten() {
+            if !pinned.iter().any(|&(node, _)| node == to) {
+                out.send(to, Msg::Ipfs(IpfsWire::Release { cid }));
+            }
+        }
     }
 }
 

@@ -10,9 +10,12 @@
 //! Its position in the round is one `Stage` value: `Training` while the
 //! round's training timer is pending, then `Uploading` (flat) or
 //! `Forwarding` (overlay), `Awaiting` the updates, and `Finished`. A
-//! partition's blob lives in the stage that still reads it and is dropped
-//! at the last point that does: its storage acknowledgment, its overlay
-//! forward, or its direct send. Only its commitment outlives that.
+//! partition's blob lives in the stage, or the pending `Put`, that still
+//! reads it and is dropped at the last point that does: its storage
+//! acknowledgment, its overlay forward, or its direct send. Only its
+//! commitment outlives that. Puts and Gets go through the role's storage
+//! client (`protocol::StorageRequests`), which re-sends an unanswered one
+//! to the next storage node.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -35,16 +38,24 @@ use crate::gradient::{
 use crate::labels;
 use crate::messages::{overlay_partial_commitment, Msg, OverlayPartial, Signed};
 use crate::overlay::OverlayTree;
-use crate::protocol::{Actions, ProtocolCore, ProtocolEvent};
+use crate::protocol::{Actions, ProtocolCore, ProtocolEvent, StorageRequests, TK_STORAGE_RETRY};
 
-// The low 32 bits of a training, retry or level-deadline token carry the
-// round it was armed in, so a timer left over from an earlier round is
-// told apart from the current round's.
+// The low 32 bits of a training or level-deadline token carry the round it
+// was armed in, so a timer left over from an earlier round is told apart
+// from the current round's. Storage retries use [`TK_STORAGE_RETRY`].
 const TK_TRAIN: u64 = 1 << 32;
 const TK_POLL: u64 = 2 << 32;
-const TK_RETRY: u64 = 3 << 32;
 /// Overlay-mode level deadline.
 const TK_OVERLAY: u64 = 4 << 32;
+
+/// What a trainer's storage request is for.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Request {
+    /// The `Put` of a partition's gradient blob.
+    Upload(usize),
+    /// The `Get` of a partition's update.
+    Download(usize),
+}
 
 /// Shared sink the runner reads trainers' final parameters from after the
 /// run ends. `Arc<Mutex<..>>` so socket backends can host each trainer on
@@ -89,13 +100,10 @@ enum Stage {
     /// Local training: the round's `TK_TRAIN` timer is pending over the
     /// blobs it built, one per partition in partition order.
     Training(Vec<Bytes>),
-    /// Flat upload: Puts are outstanding (request id → partition and the
-    /// blob a retry re-sends, dropped at its acknowledgment), and in
-    /// compact mode the acked registrations wait for the last ack.
-    Uploading {
-        acks: HashMap<u64, (usize, Bytes)>,
-        batch: Vec<(usize, Cid, Option<[u8; 33]>)>,
-    },
+    /// Flat upload: Puts are outstanding (each pending `Put` holds its
+    /// blob until its acknowledgment), and in compact mode the acked
+    /// registrations wait for the last ack.
+    Uploading(Vec<(usize, Cid, Option<[u8; 33]>)>),
     /// Overlay: composing level partials; the own blobs of the partitions
     /// not yet sent up.
     Forwarding(HashMap<usize, Bytes>),
@@ -124,9 +132,6 @@ struct Round {
     /// and parsing back a square root, and an overlay node combines its own
     /// with its children's before anything goes out.
     commitments: Vec<ProtocolCommitment>,
-    /// Get request id → (partition, update cid): the partitions being
-    /// fetched (update download de-dup), kept for retransmission.
-    pending_gets: HashMap<u64, (usize, Cid)>,
     /// Downloaded averaged partitions.
     received: HashMap<usize, Vec<f32>>,
     /// Present in trainer-verification mode only.
@@ -158,19 +163,15 @@ impl Round {
         token & 0xFFFF_FFFF == self.iter & 0xFFFF_FFFF
     }
 
-    fn fetching(&self, partition: usize) -> bool {
-        self.pending_gets.values().any(|&(p, _)| p == partition)
-    }
-
     fn is_finished(&self) -> bool {
         matches!(self.stage, Stage::Finished)
     }
 }
 
 /// The trainer actor. Beside the round it holds only what outlives one:
-/// identity, model and data, the blocks to unpin or release when the next
-/// round starts, armed-timer flags, the request counter, and the overlay's
-/// buffers for rounds this node has not started yet.
+/// identity, model and data, the storage client (with the blocks to unpin
+/// or release when the next round starts), the poll-timer flag, and the
+/// overlay's buffers for rounds this node has not started yet.
 pub struct Trainer<M: Model> {
     t: usize,
     topo: Arc<Topology>,
@@ -183,18 +184,12 @@ pub struct Trainer<M: Model> {
     sink: ParamSink,
     round: Round,
     overlay: Option<Overlay>,
-    /// Blocks uploaded in the current round, released at the next round
-    /// (ephemeral storage lifecycle, §VI).
-    uploads: Vec<(NodeId, Cid)>,
-    /// Updates asked for through the gateway in the current round: its
-    /// cached copies, released at the next round like the uploads.
-    fetched: Vec<Cid>,
+    /// Puts and Gets; what the round stored or fetched is unpinned or
+    /// released when the next round starts (ephemeral storage, §VI).
+    storage: StorageRequests<Request>,
     /// Registration signing key (authenticated mode).
     signing_key: Option<SigningKey<ProtocolCurve>>,
     polling: bool,
-    /// Whether a storage-retransmission timer is armed.
-    retrying: bool,
-    next_req: u64,
 }
 
 impl<M: Model> Trainer<M> {
@@ -234,12 +229,9 @@ impl<M: Model> Trainer<M> {
             sgd,
             params: initial_params,
             sink,
-            uploads: Vec::new(),
-            fetched: Vec::new(),
+            storage: StorageRequests::releasing(),
             signing_key,
             polling: false,
-            retrying: false,
-            next_req: 0,
         }
     }
 
@@ -266,23 +258,11 @@ impl<M: Model> Trainer<M> {
         out.send(to, msg);
     }
 
-    /// (Re-)sends the `Put` of `partition`'s blob `data` under request id
-    /// `req_id`.
-    fn send_put(&self, out: &mut Actions<Msg>, req_id: u64, partition: usize, data: Bytes) {
-        let Ok(to) = self.topo.upload_target(partition, self.t) else {
-            return; // unreachable: puts only exist in the storage-backed modes
-        };
-        let put = IpfsWire::Put {
-            data,
-            req_id,
-            replicate: self.topo.config().replication,
-        };
-        out.send(to, Msg::Ipfs(put));
-    }
-
-    fn fresh_req(&mut self) -> u64 {
-        self.next_req += 1;
-        self.next_req
+    /// Whether `partition`'s update is being fetched.
+    fn fetching(&self, partition: usize) -> bool {
+        self.storage
+            .pending()
+            .any(|&r| r == Request::Download(partition))
     }
 
     /// Deterministic per-round training seed, aligned with
@@ -300,23 +280,10 @@ impl<M: Model> Trainer<M> {
             overlay.seen.retain(|&(i, _, _)| i >= iter);
         }
 
-        // Release last round's gradient blobs and the gateway's copies of
-        // its updates: they have served their purpose once the round
-        // completed (§VI ephemeral-data lifecycle). An `Unpin` at the
-        // gateway collects its cached copies anyway.
-        let replicate = self.topo.config().replication;
-        let gateway = self.topo.trainer_gateway(self.t);
-        let unpins_gateway = self.uploads.iter().any(|&(target, _)| target == gateway);
-        for (target, cid) in std::mem::take(&mut self.uploads) {
-            let unpin = IpfsWire::Unpin { cid, replicate };
-            out.send(target, Msg::Ipfs(unpin));
-        }
-        let fetched = std::mem::take(&mut self.fetched);
-        if !unpins_gateway {
-            for cid in fetched {
-                out.send(gateway, Msg::Ipfs(IpfsWire::Release { cid }));
-            }
-        }
+        // Release last round's gradient blobs and the copies of its
+        // updates the storage nodes cached for it: they have served their
+        // purpose once the round completed (§VI ephemeral-data lifecycle).
+        self.storage.end_round(out, &self.topo);
 
         // Train now (real computation), charge the virtual compute time,
         // and continue in the TK_TRAIN timer.
@@ -395,15 +362,20 @@ impl<M: Model> Trainer<M> {
             }
             CommMode::Indirect | CommMode::MergeAndDownload => {
                 out.record(labels::UPLOAD_START, self.round.iter as f64);
-                let mut acks = HashMap::new();
-                for (i, blob) in blobs.into_iter().enumerate() {
-                    let req_id = self.fresh_req();
-                    self.send_put(out, req_id, i, blob.clone());
-                    acks.insert(req_id, (i, blob));
+                let replicate = self.topo.config().replication;
+                for (i, data) in blobs.into_iter().enumerate() {
+                    let Ok(to) = self.topo.upload_target(i, self.t) else {
+                        continue; // unreachable: both modes upload to storage
+                    };
+                    let put = |req_id| IpfsWire::Put {
+                        data,
+                        req_id,
+                        replicate,
+                    };
+                    let purpose = Request::Upload(i);
+                    self.storage.send(out, &self.topo, purpose, to, put);
                 }
-                let batch = Vec::new();
-                self.round.stage = Stage::Uploading { acks, batch };
-                self.arm_retry(out);
+                self.round.stage = Stage::Uploading(Vec::new());
             }
         }
     }
@@ -625,67 +597,13 @@ impl<M: Model> Trainer<M> {
         self.accept_update(out, partition, data);
     }
 
-    /// Arms the storage-retransmission timer: a Put or Get sent to a
-    /// storage node that crashes before answering is silently lost, so
-    /// anything still unanswered after `fetch_timeout` is re-sent.
-    fn arm_retry(&mut self, out: &mut Actions<Msg>) {
-        if !self.retrying {
-            self.retrying = true;
-            let token = self.round.token(TK_RETRY);
-            out.set_timer(self.topo.config().fetch_timeout, token);
-        }
-    }
-
-    /// Re-sends what the round still waits on (a timer from an earlier
-    /// round, or one firing after the round finished, re-sends nothing),
-    /// and re-arms while anything is outstanding.
-    fn on_retry(&mut self, out: &mut Actions<Msg>, token: u64) {
-        self.retrying = false;
-        if self.round.armed(token) && !self.round.is_finished() {
-            // Re-send in request order — iterating the maps directly would
-            // make the wire order (and so the whole simulation)
-            // nondeterministic.
-            if let Stage::Uploading { acks, .. } = &self.round.stage {
-                let mut puts: Vec<(&u64, &(usize, Bytes))> = acks.iter().collect();
-                puts.sort_unstable_by_key(|&(&req_id, _)| req_id);
-                for (&req_id, (partition, data)) in puts {
-                    self.send_put(out, req_id, *partition, data.clone());
-                }
-            }
-            let mut gets: Vec<_> = self.round.pending_gets.iter().collect();
-            gets.sort_unstable_by_key(|&(&req_id, _)| req_id);
-            let gateway = self.topo.trainer_gateway(self.t);
-            for (&req_id, &(_, cid)) in gets {
-                out.send(gateway, Msg::Ipfs(IpfsWire::Get { cid, req_id }));
-            }
-        }
-        let uploading = matches!(self.round.stage, Stage::Uploading { .. });
-        if uploading || !self.round.pending_gets.is_empty() {
-            self.arm_retry(out);
-        }
-    }
-
-    fn on_put_ack(&mut self, out: &mut Actions<Msg>, cid: Cid, req_id: u64) {
-        let Stage::Uploading { acks, batch } = &mut self.round.stage else {
-            return;
+    /// Partition `partition`'s blob is stored as `cid`. The blob went with
+    /// its pending `Put`: the ack is the last thing that reads it.
+    /// Registration reads the commitment, the next round's `Unpin` the CID.
+    fn on_put_ack(&mut self, out: &mut Actions<Msg>, partition: usize, cid: Cid) {
+        let Stage::Uploading(batch) = &mut self.round.stage else {
+            return; // the round finished without this ack
         };
-        // The blob goes with its entry: the ack is the last thing that
-        // reads it. Registration reads the commitment, the next round's
-        // `Unpin` the CID.
-        let Some((partition, _)) = acks.remove(&req_id) else {
-            return;
-        };
-        // A storage acknowledgment whose partition has no storage route is
-        // a misrouted or duplicated frame from the backend — per-node
-        // request ids are small integers, so a frame delivered to the
-        // wrong node can collide with a live id here
-        // ([`IplsError::MisroutedAck`](crate::IplsError)). Book and drop
-        // it rather than killing the node.
-        let Ok(target) = self.topo.upload_target(partition, self.t) else {
-            out.incr(labels::MISROUTED_ACK, 1);
-            return;
-        };
-        self.uploads.push((target, cid));
         let compact = self.topo.config().compact_registration;
         if compact {
             // Accumulate; one batched registration goes out with the last
@@ -693,7 +611,11 @@ impl<M: Model> Trainer<M> {
             let commitment = self.round.commitments.get(partition).map(|c| c.to_bytes());
             batch.push((partition, cid, commitment));
         }
-        let last = acks.is_empty().then(|| std::mem::take(batch));
+        let uploading = self
+            .storage
+            .pending()
+            .any(|r| matches!(r, Request::Upload(_)));
+        let last = (!uploading).then(|| std::mem::take(batch));
         if !compact {
             self.register(out, partition, cid);
         }
@@ -728,7 +650,7 @@ impl<M: Model> Trainer<M> {
         }
         let mut outstanding = false;
         for i in 0..self.topo.config().partitions {
-            if !self.round.received.contains_key(&i) && !self.round.fetching(i) {
+            if !self.round.received.contains_key(&i) && !self.fetching(i) {
                 outstanding = true;
                 let msg = Msg::QueryUpdate {
                     partition: i,
@@ -748,7 +670,11 @@ impl<M: Model> Trainer<M> {
                 out.send(self.topo.directory(), msg);
             }
         }
-        if outstanding || !self.round.pending_gets.is_empty() {
+        let downloading = self
+            .storage
+            .pending()
+            .any(|r| matches!(r, Request::Download(_)));
+        if outstanding || downloading {
             out.set_timer(self.topo.config().poll_interval, TK_POLL);
         } else {
             self.polling = false;
@@ -760,19 +686,14 @@ impl<M: Model> Trainer<M> {
         if self.round.is_finished()
             || self.round.received.contains_key(&partition)
             || (self.round.check.as_ref()).is_some_and(|c| c.stashed.contains_key(&partition))
-            || self.round.fetching(partition)
+            || self.fetching(partition)
         {
             return;
         }
-        let req_id = self.fresh_req();
-        self.round.pending_gets.insert(req_id, (partition, cid));
-        if !self.fetched.contains(&cid) {
-            self.fetched.push(cid);
-        }
-        let get = IpfsWire::Get { cid, req_id };
         let gateway = self.topo.trainer_gateway(self.t);
-        out.send(gateway, Msg::Ipfs(get));
-        self.arm_retry(out);
+        let get = |req_id| IpfsWire::Get { cid, req_id };
+        let purpose = Request::Download(partition);
+        self.storage.send(out, &self.topo, purpose, gateway, get);
     }
 
     /// Validates (and in trainer-verification mode, cryptographically
@@ -854,7 +775,9 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                 match (token & !0xFFFF_FFFF, &self.round.stage) {
                     (TK_TRAIN, Stage::Training(_)) if armed => self.upload(now, out),
                     (TK_POLL, _) => self.poll(out),
-                    (TK_RETRY, _) => self.on_retry(out, token),
+                    (TK_STORAGE_RETRY, _) => {
+                        self.storage.retry(out, &self.topo, token & 0xFFFF_FFFF);
+                    }
                     (TK_OVERLAY, Stage::Forwarding(_)) if armed => {
                         // Level deadline: forward every partition still
                         // waiting on children, with whatever arrived.
@@ -894,16 +817,16 @@ impl<M: Model> ProtocolCore for Trainer<M> {
                     }
                 }
             }
-            Msg::Ipfs(IpfsWire::PutAck { cid, req_id }) => self.on_put_ack(out, cid, req_id),
-            Msg::Ipfs(IpfsWire::GetOk { data, req_id, .. }) => {
-                if let Some((partition, _)) = self.round.pending_gets.remove(&req_id) {
+            Msg::Ipfs(reply) => match (self.storage.answered(&reply), reply) {
+                (Some(Request::Upload(partition)), IpfsWire::PutAck { cid, .. }) => {
+                    self.on_put_ack(out, partition, cid);
+                }
+                (Some(Request::Download(partition)), IpfsWire::GetOk { data, .. }) => {
                     self.accept_update(out, partition, data);
                 }
-            }
-            Msg::Ipfs(IpfsWire::GetErr { req_id, .. }) => {
-                // Allow the poll loop to retry the partition.
-                self.round.pending_gets.remove(&req_id);
-            }
+                // A `GetErr` leaves the partition to the poll loop.
+                _ => {}
+            },
             Msg::OverlayPartial {
                 trainer,
                 partition,
@@ -1081,10 +1004,30 @@ mod tests {
         assert_eq!(unpinned, [Cid::of(blob0), Cid::of(blob1)]);
     }
 
+    /// The `(to, req_id, cid)` of every storage `Get` among `actions`.
+    fn gets(actions: &[ProtocolAction<Msg>]) -> Vec<(NodeId, u64, Cid)> {
+        let get = |action: &ProtocolAction<Msg>| match action {
+            ProtocolAction::Send {
+                to,
+                msg: Msg::Ipfs(IpfsWire::Get { cid, req_id }),
+            } => Some((*to, *req_id, *cid)),
+            _ => None,
+        };
+        actions.iter().filter_map(get).collect()
+    }
+
+    /// The retry timer of storage request `req_id` fires.
+    fn retry(trainer: &mut Trainer<LogisticRegression>, req_id: u64) -> Vec<ProtocolAction<Msg>> {
+        let token = TK_STORAGE_RETRY | req_id;
+        handle(trainer, ProtocolEvent::Timer { token })
+    }
+
     /// At the next `StartRound` a trainer releases each update it fetched,
-    /// once, at a gateway that none of its upload `Unpin`s reaches — and
-    /// sends no `Release` where one does (Indirect), since that `Unpin`'s
-    /// collection takes the cached copies too.
+    /// once, at every node its `Get` went to that none of its upload
+    /// `Unpin`s reaches — and sends no `Release` where one does (the
+    /// Indirect gateway), since that `Unpin`'s collection takes the cached
+    /// copies too. A `Get` that timed out at the gateway and was answered
+    /// by the next storage node is released at both.
     #[test]
     fn the_next_round_releases_fetched_updates_where_no_unpin_reaches_the_gateway() {
         for (comm, releases) in [
@@ -1096,9 +1039,11 @@ mod tests {
                 comm,
                 ..TaskConfig::default()
             };
-            let t = 3;
+            let t = 2;
             let (mut trainer, _) = trainer(cfg, t);
             let gateway = trainer.topo.trainer_gateway(t);
+            let next = trainer.topo.ipfs_node(3);
+            assert_eq!(gateway, trainer.topo.ipfs_node(2));
             deliver(&mut trainer, Msg::StartRound { iter: 0 });
             let sent = puts(&handle(
                 &mut trainer,
@@ -1107,19 +1052,42 @@ mod tests {
             for put in &sent {
                 ack(&mut trainer, put);
             }
-            let updates = [Cid::of(b"update 0"), Cid::of(b"update 1")];
-            for (partition, cid) in updates.into_iter().enumerate() {
-                let info = |cid| Msg::UpdateInfo {
-                    partition,
-                    iter: 0,
-                    cid: Some(cid),
-                };
-                deliver(&mut trainer, info(cid));
-                // A failed Get asked for again is still one cached copy.
-                let req_id = trainer.next_req;
-                deliver(&mut trainer, Msg::Ipfs(IpfsWire::GetErr { cid, req_id }));
-                deliver(&mut trainer, info(cid));
-            }
+            let info = |partition, cid| Msg::UpdateInfo {
+                partition,
+                iter: 0,
+                cid: Some(cid),
+            };
+            // A failed Get asked for again is still one cached copy.
+            let update0 = Cid::of(b"update 0");
+            let asked = gets(&deliver(&mut trainer, info(0, update0)));
+            let [(_, req_id, _)] = asked[..] else {
+                panic!("one Get: {asked:?}");
+            };
+            let failed = IpfsWire::GetErr {
+                cid: update0,
+                req_id,
+            };
+            deliver(&mut trainer, Msg::Ipfs(failed));
+            deliver(&mut trainer, info(0, update0));
+            // A Get the gateway leaves unanswered goes to the next node,
+            // which serves it.
+            let data = Bytes::from_static(b"update 1");
+            let update1 = Cid::of(&data);
+            let asked = gets(&deliver(&mut trainer, info(1, update1)));
+            let [(to, req_id, _)] = asked[..] else {
+                panic!("one Get: {asked:?}");
+            };
+            assert_eq!(to, gateway);
+            assert_eq!(
+                gets(&retry(&mut trainer, req_id)),
+                [(next, req_id, update1)]
+            );
+            let reply = IpfsWire::GetOk {
+                cid: update1,
+                data,
+                req_id,
+            };
+            deliver(&mut trainer, Msg::Ipfs(reply));
 
             let storage: Vec<(NodeId, IpfsWire)> =
                 deliver(&mut trainer, Msg::StartRound { iter: 1 })
@@ -1145,25 +1113,41 @@ mod tests {
                 })
                 .collect();
             assert_eq!(unpinned.len(), sent.len(), "{comm:?}");
+            assert!(!unpinned.contains(&next), "{comm:?}");
             assert_eq!(unpinned.contains(&gateway), !releases, "{comm:?}");
-            let expected = if releases {
-                updates.map(|cid| (gateway, cid)).to_vec()
-            } else {
-                Vec::new()
-            };
+            let mut expected = Vec::new();
+            if releases {
+                expected.extend([(gateway, update0), (gateway, update1)]);
+            }
+            expected.push((next, update1));
             assert_eq!(released, expected, "{comm:?}");
         }
     }
 
     /// A retry re-sends exactly the partitions still unacknowledged, under
-    /// their request ids, byte for byte.
+    /// their request ids, byte for byte, to the storage node after the one
+    /// that did not answer.
     #[test]
     fn a_retry_resends_exactly_the_unacknowledged_partitions_byte_for_byte() {
         let (mut trainer, _, sent) = uploading(3, false);
         ack(&mut trainer, &sent[1]);
-        let token = TK_RETRY;
-        let resent = puts(&handle(&mut trainer, ProtocolEvent::Timer { token }));
-        assert_eq!(resent, [sent[0].clone(), sent[2].clone()]);
+        let target = trainer.topo.upload_target(0, 0).unwrap();
+        assert_eq!(target, trainer.topo.ipfs_node(0));
+        let mut resent = Vec::new();
+        for (req_id, _) in &sent {
+            for action in retry(&mut trainer, *req_id) {
+                if let ProtocolAction::Send {
+                    to,
+                    msg: Msg::Ipfs(IpfsWire::Put { data, req_id, .. }),
+                } = action
+                {
+                    resent.push((to, req_id, data));
+                }
+            }
+        }
+        let next = trainer.topo.ipfs_node(1);
+        let expected = [&sent[0], &sent[2]].map(|(req_id, data)| (next, *req_id, data.clone()));
+        assert_eq!(resent, expected);
         assert!(sent[1].1.is_unique());
     }
 
@@ -1200,12 +1184,12 @@ mod tests {
     }
 
     /// Regression: a storage acknowledgment colliding with a live request
-    /// id in a mode with no storage route must be booked
-    /// ([`IplsError::MisroutedAck`](crate::IplsError)) and dropped — it
-    /// used to kill the node via
-    /// `.expect("puts are only acked in storage-backed modes")`.
+    /// id in a mode with no storage route must be dropped — it used to kill
+    /// the node via `.expect("puts are only acked in storage-backed
+    /// modes")`. A `PutAck` answers only a pending `Put`, so the `Get` it
+    /// collides with stays pending.
     #[test]
-    fn misrouted_put_ack_is_booked_not_fatal() {
+    fn misrouted_put_ack_is_dropped_not_fatal() {
         let cfg = TaskConfig {
             trainers: 2,
             partitions: 1,
@@ -1213,20 +1197,24 @@ mod tests {
             ..TaskConfig::default()
         };
         let (mut trainer, _) = trainer(cfg, 0);
+        deliver(&mut trainer, Msg::StartRound { iter: 0 });
+        let info = Msg::UpdateInfo {
+            partition: 0,
+            iter: 0,
+            cid: Some(Cid::of(b"update")),
+        };
+        let asked = gets(&deliver(&mut trainer, info));
+        let [(_, req_id, _)] = asked[..] else {
+            panic!("one Get: {asked:?}");
+        };
         // A frame delivered to the wrong node whose req_id collides with
         // a live one — per-node request ids are small integers.
-        trainer.round.stage = Stage::Uploading {
-            acks: HashMap::from([(7, (0, Bytes::new()))]),
-            batch: Vec::new(),
-        };
         let ack = IpfsWire::PutAck {
             cid: Cid::of(b"x"),
-            req_id: 7,
+            req_id,
         };
-        let booked = deliver(&mut trainer, Msg::Ipfs(ack)).into_iter().any(
-            |a| matches!(a, ProtocolAction::Incr { label, .. } if label == labels::MISROUTED_ACK),
-        );
-        assert!(booked, "misrouted ack must increment the counter");
+        assert!(deliver(&mut trainer, Msg::Ipfs(ack)).is_empty());
+        assert!(trainer.fetching(0), "the Get is still pending");
     }
 
     /// The guard on checking a sum: a trainer consumes each partition's

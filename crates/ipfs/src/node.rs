@@ -16,7 +16,8 @@
 //!   a provider through the record holders, fetches the block node-to-node,
 //!   caches it, and responds. Retrieved bytes are always re-hashed: the
 //!   storage network is trusted for availability, never for correctness.
-//!   The client's `Release` drops the cached copy once it is done with it.
+//!   The client's `Release` drops the cached copy once it is done with it,
+//!   or keeps a fetch still in flight from caching one.
 //! * **Merge** — the §III-E pre-aggregation: sum a set of stored gradient
 //!   blobs and return one blob.
 //! * **Subscribe/Publish** — flood pub/sub used by aggregators to exchange
@@ -210,6 +211,9 @@ struct Retrieval {
     attempt: u32,
     /// Timeouts armed so far; only the latest is live ([`timer_token`]).
     armed: u32,
+    /// A client `Get` whose block was released while it was in flight: the
+    /// block still goes back to the client, but is not cached.
+    released: bool,
 }
 
 /// The token of retrieval `id`'s `armed`-th timeout: the id in the high
@@ -429,6 +433,11 @@ impl IpfsNode {
             IpfsWire::Unpin { cid, replicate } => self.on_unpin(cid, replicate),
             IpfsWire::Release { cid } => {
                 self.store.release(&cid);
+                for r in self.retrievals.values_mut() {
+                    if r.cid == cid && matches!(r.purpose, Purpose::Get { .. }) {
+                        r.released = true;
+                    }
+                }
                 Vec::new()
             }
             IpfsWire::UnpinReplica { cid } => {
@@ -670,6 +679,7 @@ impl IpfsNode {
             peers,
             attempt: 0,
             armed: 0,
+            released: false,
         };
         self.retrievals.insert(id, retrieval);
         self.attempt(id)
@@ -745,10 +755,11 @@ impl IpfsNode {
             return self.on_fetch_err(from, cid, req_id);
         };
         let data = block.data().clone();
-        if !self.lossy {
+        let retrieval = self.retrievals.remove(&req_id);
+        if !self.lossy && !retrieval.as_ref().is_some_and(|r| r.released) {
             self.store.put(block);
         }
-        match self.retrievals.remove(&req_id) {
+        match retrieval {
             Some(r) => self.settle(r, Some(data)),
             None => Vec::new(),
         }
@@ -1156,6 +1167,59 @@ mod tests {
         );
     }
 
+    /// A `Release` that reaches the gateway while its fetch is still in
+    /// flight leaves no cached copy: the block goes back to the client and
+    /// is not stored.
+    #[test]
+    fn a_fetch_released_while_in_flight_is_delivered_but_not_cached() {
+        let mut nodes = network(6);
+        let data = Bytes::from_static(b"an-update-blob");
+        let cid = Cid::of(&data);
+        let put = IpfsWire::Put {
+            data: data.clone(),
+            req_id: 1,
+            replicate: 1,
+        };
+        let out = nodes[0].handle(CLIENT, put);
+        pump(
+            &mut nodes,
+            out.into_iter().map(|o| (NodeId(0), o)).collect(),
+        );
+        // Route the gateway's retrieval until the block is on its way back.
+        let out = nodes[3].handle(CLIENT, IpfsWire::Get { cid, req_id: 2 });
+        let mut queue: Vec<_> = out.into_iter().map(|o| (NodeId(3), o)).collect();
+        let mut fetched = None;
+        while let Some((from, o)) = queue.pop() {
+            if matches!(o.wire, IpfsWire::FetchOk { .. }) {
+                fetched = Some((from, o));
+                continue;
+            }
+            let to = o.to;
+            let produced = nodes[to.index()].handle(from, o.wire);
+            queue.extend(produced.into_iter().map(|p| (to, p)));
+        }
+        let fetched = fetched.expect("the provider sends the block");
+        assert!(nodes[3]
+            .handle(CLIENT, IpfsWire::Release { cid })
+            .is_empty());
+        let replies = pump(&mut nodes, vec![fetched]);
+        match &replies[..] {
+            [(
+                to,
+                IpfsWire::GetOk {
+                    data: got,
+                    req_id: 2,
+                    ..
+                },
+            )] if *to == CLIENT => {
+                assert_eq!(*got, data)
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(!nodes[3].store().contains(&cid), "nothing cached");
+        assert!(nodes[0].store().contains(&cid), "the original stays");
+    }
+
     #[test]
     fn get_unknown_cid_errors() {
         let mut nodes = network(4);
@@ -1423,6 +1487,7 @@ mod tests {
                 peers: VecDeque::from([forger]),
                 attempt: 0,
                 armed: 0,
+                released: false,
             },
         );
         let out = node.handle(

@@ -252,7 +252,7 @@ fn churn_wasted_bytes_regression() {
     let point = dfl_bench::churn_run(SimDuration::from_secs(4), SimDuration::from_secs(10), 42);
     assert_eq!(point.completed_rounds, point.rounds);
     assert_eq!(
-        point.wire_wasted_bytes, 628_849,
+        point.wire_wasted_bytes, 1_317_788,
         "churn wire waste drifted from the pinned artifact value"
     );
     assert_eq!(point.wasted_bytes, point.wire_wasted_bytes);

@@ -17,11 +17,10 @@
 
 use std::io::Write as _;
 
+use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};
+use decentralized_fl::prelude::*;
+use decentralized_fl::protocol::labels;
 use dfl_backend_tokio::{run_task_over_tcp, TcpTaskReport};
-use dfl_ml::{data, LogisticRegression, Model, SgdConfig};
-use ipls::labels;
-use ipls::prelude::{ChaosSpec, FaultPlan, NodeId, SimDuration, SimTime};
-use ipls::{run_task, CommMode, TaskConfig};
 
 fn sgd() -> SgdConfig {
     SgdConfig {
@@ -107,7 +106,7 @@ impl Drop for TraceOnFailure<'_> {
     }
 }
 
-fn run_both(cfg: TaskConfig) -> (ipls::runner::TaskReport, TcpTaskReport) {
+fn run_both(cfg: TaskConfig) -> (TaskReport, TcpTaskReport) {
     let model = LogisticRegression::new(2, 2);
     let params = model.params();
     let sim = run_task(
@@ -287,7 +286,7 @@ fn a_dead_aggregator_is_recovered_identically_on_both_backends() {
         assert_eq!(report.detections, 0, "{backend}: silence is not provable");
         assert_eq!(report.evictions, 0, "{backend}: no eviction without proof");
     }
-    let bits = |report: &ipls::runner::TaskReport| {
+    let bits = |report: &TaskReport| {
         let params = report.consensus_params().expect("trainers agree");
         params.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
     };

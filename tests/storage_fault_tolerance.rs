@@ -2,12 +2,22 @@
 //! ([`FaultPlan`]), client-side retry with alternate-provider failover, and
 //! quorum-based deadline degradation.
 //!
+//! Every role reaches storage through one client rule: a `Put`, `Get` or
+//! `Merge` unanswered after `fetch_timeout` is re-sent, under the same
+//! request id, to the next storage node, round-robin — trainers,
+//! aggregators and the directory alike. So a storage node that dies and
+//! stays dead costs time, not rounds, and the round-boundary `Unpin` goes to
+//! every node a `Put` was sent to, where the copy was stored. Inside the
+//! storage network, a node retrieving a block retries and fails over across
+//! providers on its own timer.
+//!
 //! Node layout for the config below: node 0 = directory, nodes 1–4 =
 //! storage, nodes 5–6 = aggregators (one per partition), nodes 7–12 =
 //! trainers 0–5.
 
 use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};
 use decentralized_fl::prelude::*;
+use decentralized_fl::protocol::labels;
 
 fn sgd() -> SgdConfig {
     SgdConfig {
@@ -81,6 +91,84 @@ fn storage_crash_mid_round_is_masked_by_retry_and_failover() {
         report.consensus_params().expect("consensus"),
         baseline.consensus_params().expect("consensus")
     );
+
+    // Node 1 need not come back: every request it leaves unanswered moves
+    // on to the next storage node.
+    c.fault_plan = FaultPlan::new().crash_at(SimTime::from_micros(90_000), NodeId(1));
+    let report = run(c.clone());
+    assert!(report.succeeded(&c), "the dead node's requests move on");
+    assert_eq!(
+        report.consensus_params().expect("consensus"),
+        baseline.consensus_params().expect("consensus")
+    );
+}
+
+/// Storage node `k` crashed at t = 0 and never recovered.
+fn dead_from_the_start(k: usize) -> FaultPlan {
+    FaultPlan::new().crash_at(SimTime::ZERO, NodeId(1 + k))
+}
+
+#[test]
+fn any_one_storage_node_dead_from_the_start_costs_no_round() {
+    // Whichever node is dead, it is someone's gateway, upload target or
+    // provider, and the directory's first choice when it is node 1. Each
+    // request sent there is re-sent to the next storage node after
+    // `fetch_timeout`, so with a strict quorum every round completes, and
+    // the model is the fault-free one.
+    for comm in [CommMode::Indirect, CommMode::MergeAndDownload] {
+        for replication in [1, 2] {
+            let mut c = cfg();
+            c.comm = comm;
+            c.replication = replication;
+            c.rounds = 2;
+            let baseline = run(c.clone());
+            assert!(baseline.succeeded(&c));
+            let expected = baseline.consensus_params().expect("consensus");
+            for k in 0..c.ipfs_nodes {
+                c.fault_plan = dead_from_the_start(k);
+                let report = run(c.clone());
+                let case = format!("{comm:?}, replication {replication}, node {k} dead");
+                assert_eq!(report.completed_rounds, 2, "{case}");
+                assert_eq!(report.consensus_params(), Some(expected.clone()), "{case}");
+            }
+        }
+    }
+}
+
+/// The blocks each live storage node holds when the run ends.
+fn held_blocks(report: &decentralized_fl::protocol::TaskReport, dead: NodeId) -> Vec<usize> {
+    let storage = (1..=4).map(NodeId).filter(|&n| n != dead);
+    let held = |node| {
+        let samples = report.trace.find(node, labels::STORE_BLOCKS);
+        samples.last().map_or(0, |e| e.value as usize)
+    };
+    storage.map(held).collect()
+}
+
+#[test]
+fn no_block_outlives_its_round_when_a_put_went_elsewhere() {
+    // Node 1 is aggregator 0's gateway and the upload target of some
+    // trainers, dead from the start: their Puts are stored by the next
+    // node. The round-boundary `Unpin` must reach that copy, so the live
+    // nodes hold as many blocks after 3R rounds as after R — the blocks of
+    // the last round, and nothing left over from the ones before. One copy
+    // a block: replicas go to the nodes nearest each CID, so with more a
+    // node's count at the end moves by a few blocks from round to round.
+    const R: u64 = 2;
+    for comm in [CommMode::Indirect, CommMode::MergeAndDownload] {
+        let mut c = cfg();
+        c.comm = comm;
+        c.replication = 1;
+        c.fault_plan = dead_from_the_start(0);
+        let held = |rounds| {
+            let mut c = c.clone();
+            c.rounds = rounds;
+            let report = run(c.clone());
+            assert!(report.succeeded(&c), "{comm:?}, {rounds} rounds");
+            held_blocks(&report, NodeId(1))
+        };
+        assert_eq!(held(3 * R), held(R), "{comm:?}");
+    }
 }
 
 #[test]

@@ -445,10 +445,13 @@ fn scenario_outcomes_are_what_they_were_under_the_hand_kept_size_model() {
 }
 
 /// Captured at the commit before the schema, where sizes still came from
-/// the hand-kept `wire_bytes()` match blocks.
+/// the hand-kept `wire_bytes()` match blocks. The churn entry was re-pinned
+/// when trainers' storage requests moved onto the shared client, which
+/// re-sends a timed-out request to the next storage node: the model and the
+/// rounds stayed, the storage counters and the event count moved.
 const PINNED_OUTCOMES: [&str; 4] = [
     r#"model fcf70b3fcd707f85 rounds 1 report (0, 0, 0, 0, 0, 0, 0) counters [("ipfs/cache_hits", 17), ("ipfs/cache_misses", 15), ("ipfs/provider_lookups", 15)] events 88"#,
     r#"model e1478006cb71bb25 rounds 1 report (0, 0, 0, 0, 0, 0, 0) counters [("ipfs/cache_hits", 72), ("ipfs/cache_misses", 56), ("ipfs/provider_lookups", 56)] events 132"#,
     r#"model e1478006cb71bb25 rounds 1 report (0, 0, 0, 0, 0, 0, 0) counters [("blobs_verified", 68), ("ipfs/cache_hits", 79), ("ipfs/cache_misses", 53), ("ipfs/provider_lookups", 53)] events 132"#,
-    r#"model d02aafacf61f1cb9 rounds 3 report (0, 0, 0, 0, 0, 0, 0) counters [("ipfs/cache_hits", 50), ("ipfs/cache_misses", 32), ("ipfs/failovers", 12), ("ipfs/fetch_failures", 4), ("ipfs/provider_lookups", 32), ("ipfs/retries", 8)] events 260"#,
+    r#"model d02aafacf61f1cb9 rounds 3 report (0, 0, 0, 0, 0, 0, 0) counters [("ipfs/cache_hits", 57), ("ipfs/cache_misses", 22), ("ipfs/failovers", 6), ("ipfs/fetch_failures", 4), ("ipfs/provider_lookups", 22), ("ipfs/retries", 5)] events 259"#,
 ];
