@@ -418,6 +418,14 @@ struct FlatAggregator {
     /// round (§VI ephemeral-data lifecycle).
     storage: StorageRequests<Request>,
     polling: bool,
+    /// Whether a `StartRound` has arrived: until then `round` stands for
+    /// no round.
+    begun: bool,
+    /// Direct-mode gradients for the round this aggregator has yet to
+    /// begin, one per trainer of its set: over sockets a trainer's
+    /// gradient can overtake the directory's `StartRound` to its
+    /// aggregator, and Direct mode keeps no storage copy to fetch later.
+    early: Vec<(u64, usize, Bytes)>,
 }
 
 impl FlatAggregator {
@@ -446,6 +454,8 @@ impl FlatAggregator {
             signing_key,
             storage: StorageRequests::default(),
             polling: false,
+            begun: false,
+            early: Vec::new(),
         }
     }
 
@@ -486,6 +496,7 @@ impl FlatAggregator {
 
     fn begin_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
         self.round = Round::new(iter, self.topo.config(), self.key.as_ref());
+        self.begun = true;
 
         // Release last round's partial/global update blobs.
         self.storage.end_round(out, &self.topo);
@@ -513,6 +524,22 @@ impl FlatAggregator {
             for j in listed {
                 self.start_recovery(out, j);
             }
+        }
+        for (early_iter, trainer, data) in std::mem::take(&mut self.early) {
+            if early_iter == iter {
+                self.on_direct_gradient(out, trainer, &data);
+            }
+        }
+    }
+
+    /// Takes in a trainer's Direct-mode gradient for the current round.
+    fn on_direct_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, data: &[u8]) {
+        if self.dropped_trainers().contains(&trainer) {
+            return;
+        }
+        if let Some(vector) = self.decode_own(data) {
+            self.round.take_gradient(trainer, vector);
+            self.maybe_aggregate(out);
         }
     }
 
@@ -1724,13 +1751,15 @@ impl FlatAggregator {
                 partition,
                 iter,
                 data,
-            } if partition == self.partition && iter == self.round.iter => {
-                if self.dropped_trainers().contains(&trainer) {
-                    return;
-                }
-                if let Some(vector) = self.decode_own(&data) {
-                    self.round.take_gradient(trainer, vector);
-                    self.maybe_aggregate(out);
+            } if partition == self.partition => {
+                let next = if self.begun { self.round.iter + 1 } else { 0 };
+                if self.begun && iter == self.round.iter {
+                    self.on_direct_gradient(out, trainer, &data);
+                } else if iter == next
+                    && self.expected.contains(&trainer)
+                    && !self.early.iter().any(|&(_, t, _)| t == trainer)
+                {
+                    self.early.push((iter, trainer, data));
                 }
             }
             Msg::UpdateRejected { .. } => {
@@ -2006,6 +2035,49 @@ mod tests {
             actions.extend(answered);
         }
         assert!(uploads(&actions, &encoded_sum(&blobs)));
+    }
+
+    /// Over sockets a trainer's `DirectGradient` can overtake the
+    /// directory's `StartRound` to its aggregator. Regression: it was
+    /// dropped, and with no storage copy to fetch the round never
+    /// aggregated. It waits for its round instead — round 0's and the
+    /// next one's alike — and a gradient for a later round, or from a
+    /// trainer outside the set, is still dropped.
+    #[test]
+    fn a_direct_gradient_that_overtakes_its_start_round_waits_for_it() {
+        let cfg = TaskConfig {
+            trainers: 2,
+            partitions: 1,
+            rounds: 2,
+            comm: CommMode::Direct,
+            ..TaskConfig::default()
+        };
+        let topo = Arc::new(Topology::new(cfg, 3).unwrap());
+        let mut agg = Aggregator::new(0, topo, None, Behavior::Honest);
+        let blobs = honest_blobs(2);
+        for iter in 0..2 {
+            let direct = |trainer: usize, iter: u64| Msg::DirectGradient {
+                trainer,
+                partition: 0,
+                iter,
+                data: blobs[trainer % 2].clone(),
+            };
+            for early in [
+                direct(0, iter),
+                direct(1, iter),
+                direct(0, iter + 1),
+                direct(7, iter),
+            ] {
+                assert!(deliver(&mut agg, early).is_empty(), "round {iter}");
+            }
+            let started = deliver(&mut agg, Msg::StartRound { iter });
+            assert_eq!(
+                recorded(&started, labels::GRADS_AGGREGATED),
+                1,
+                "round {iter}"
+            );
+            assert!(uploads(&started, &encoded_sum(&blobs)), "round {iter}");
+        }
     }
 
     /// And from storage: a merged blob of the wrong width is wasted bytes,

@@ -28,12 +28,13 @@ use dfl_netsim::{NodeId, SimDuration, SimTime};
 
 use dfl_crypto::quantize::encode;
 use dfl_crypto::schnorr::SigningKey;
+use dfl_crypto::Pending;
 
 use crate::accountability::{agg_verifying_key, trainer_signing_key};
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::gradient::{
-    build_blob, commit_blob, decode_blob, decode_partition_blob, decode_update, sum_in_round,
-    verify_sum_timed, ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
+    build_blob, decode_blob, decode_partition_blob, decode_update, sum_in_round, verify_sum_timed,
+    ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
 use crate::messages::{overlay_partial_commitment, Msg, OverlayPartial, Signed};
@@ -127,11 +128,14 @@ struct Round {
     start: SimTime,
     stage: Stage,
     /// Commitment per partition, in partition order; empty when the task
-    /// is not verifiable. Registration reads it after the blob is gone. It
-    /// stays a point until it is sent: serialising costs a field inversion
-    /// and parsing back a square root, and an overlay node combines its own
-    /// with its children's before anything goes out.
-    commitments: Vec<ProtocolCommitment>,
+    /// is not verifiable. Each is computed on a spare core between
+    /// `StartRound` and its first read — registration, the compact batch
+    /// or the overlay forward — which waits for it, or computes it if no
+    /// spare core has started it. It stays a point until it is sent:
+    /// serialising costs a field inversion and parsing back a square root,
+    /// and an overlay node combines its own with its children's before
+    /// anything goes out.
+    commitments: Vec<Pending<ProtocolCommitment>>,
     /// Downloaded averaged partitions.
     received: HashMap<usize, Vec<f32>>,
     /// Present in trainer-verification mode only.
@@ -151,6 +155,12 @@ impl Round {
             }),
             ..Round::default()
         }
+    }
+
+    /// Partition `partition`'s commitment, waited for if a spare core is
+    /// still computing it.
+    fn commitment(&self, partition: usize) -> Option<ProtocolCommitment> {
+        self.commitments.get(partition).map(Pending::wait)
     }
 
     /// `kind`'s timer token for this round.
@@ -238,7 +248,7 @@ impl<M: Model> Trainer<M> {
     /// Registers partition `partition`'s hash (and commitment) with the
     /// directory, signed in authenticated mode.
     fn register(&self, out: &mut Actions<Msg>, partition: usize, cid: Cid) {
-        let commitment = self.round.commitments.get(partition).map(|c| c.to_bytes());
+        let commitment = self.round.commitment(partition).map(|c| c.to_bytes());
         let msg = Msg::RegisterGradient {
             trainer: self.t,
             partition,
@@ -303,11 +313,7 @@ impl<M: Model> Trainer<M> {
             let blob = Bytes::from(build_blob(&new_params[s..e]));
             if let Some(key) = &self.key {
                 commit_elements += (e - s + 1) as u64;
-                // A blob built here decodes: a partition holds at least one value.
-                #[allow(clippy::expect_used)]
-                let commitment =
-                    commit_blob(key, &blob).expect("locally built blob is well-formed");
-                self.round.commitments.push(commitment);
+                self.round.commitments.push(key.commit_later(blob.clone()));
             }
             blobs.push(blob);
         }
@@ -473,7 +479,7 @@ impl<M: Model> Trainer<M> {
         // The i128-exact summation makes the composed total bit-identical
         // to the flat aggregator's sum of the same leaves, independent of
         // tree shape — addition never rounds, so association is free.
-        let Some(&own_commitment) = self.round.commitments.get(partition) else {
+        let Some(own_commitment) = self.round.commitment(partition) else {
             return; // unreachable: the overlay's key committed every blob of the round
         };
         let Some(own) = decode_blob(&own_blob) else {
@@ -608,7 +614,8 @@ impl<M: Model> Trainer<M> {
         if compact {
             // Accumulate; one batched registration goes out with the last
             // acknowledgment (§VI directory-load reduction).
-            let commitment = self.round.commitments.get(partition).map(|c| c.to_bytes());
+            let commitment = self.round.commitments.get(partition);
+            let commitment = commitment.map(|c| c.wait().to_bytes());
             batch.push((partition, cid, commitment));
         }
         let uploading = self
@@ -854,7 +861,7 @@ impl<M: Model> ProtocolCore for Trainer<M> {
 mod tests {
     use super::*;
     use crate::config::TaskConfig;
-    use crate::gradient::derive_key;
+    use crate::gradient::{commit_blob, derive_key};
     use crate::protocol::ProtocolAction;
     use dfl_crypto::quantize::Quantized;
     use dfl_ml::{data, LogisticRegression};
@@ -971,7 +978,7 @@ mod tests {
         assert!(blob0.is_unique(), "partition 0's bytes are released");
         assert!(!blob1.is_unique(), "partition 1 waits for its ack");
         let commitment = commit_blob(&key, blob0).unwrap();
-        assert!(trainer.round.commitments[0] == commitment);
+        assert!(trainer.round.commitment(0) == Some(commitment));
         let registration = registered.iter().find_map(|action| match action {
             ProtocolAction::Send {
                 msg:

@@ -596,9 +596,19 @@ impl<C: Curve> fmt::Debug for Jacobian<C> {
 /// first). Digits are odd and in `(-2^(w-1), 2^(w-1))`; at most one of any
 /// `w` consecutive digits is nonzero.
 pub(crate) fn wnaf_digits(k: &U256, w: u32) -> Vec<i8> {
+    let mut digits = vec![0; k.bit_len() + 1];
+    let len = wnaf_digits_into(k, w, &mut digits);
+    digits.truncate(len);
+    digits
+}
+
+/// [`wnaf_digits`] written to the front of `out`, which must hold
+/// `k.bit_len() + 1` digits (no recoding is longer); returns how many it
+/// wrote and leaves the rest of `out` as it was.
+pub(crate) fn wnaf_digits_into(k: &U256, w: u32, out: &mut [i8]) -> usize {
     assert!((2..=8).contains(&w), "wNAF width must be in 2..=8");
     let mut k = *k;
-    let mut digits = Vec::with_capacity(257);
+    let mut len = 0;
     let window = 1u64 << w;
     let half = 1u64 << (w - 1);
     while !k.is_zero() {
@@ -609,18 +619,19 @@ pub(crate) fn wnaf_digits(k: &U256, w: u32) -> Vec<i8> {
             } else {
                 low as i64
             };
-            digits.push(digit as i8);
+            out[len] = digit as i8;
             if digit > 0 {
                 k = k.wrapping_sub(&U256::from_u64(digit as u64));
             } else {
                 k = k.wrapping_add(&U256::from_u64((-digit) as u64));
             }
         } else {
-            digits.push(0);
+            out[len] = 0;
         }
+        len += 1;
         k = k.shr(1);
     }
-    digits
+    len
 }
 
 #[cfg(test)]

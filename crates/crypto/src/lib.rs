@@ -18,6 +18,9 @@
 //!   the paper's baseline, as their oracle.
 //! * [`pedersen`] — homomorphic Pedersen vector commitments (§IV-A) with
 //!   single and batched verification.
+//! * [`pool`] — the spare cores: a commitment whose result is read later
+//!   ([`CommitKey::commit_later`]) is computed there while its caller goes
+//!   on.
 //! * [`schnorr`] — Schnorr signatures authenticating directory
 //!   registrations (without which forged registrations would defeat §IV).
 //! * [`quantize`] — fixed-point gradients, committed to as integers and
@@ -57,6 +60,7 @@ pub mod curve;
 pub mod field;
 pub mod msm;
 pub mod pedersen;
+pub mod pool;
 pub mod quantize;
 pub mod schnorr;
 pub mod sha256;
@@ -64,6 +68,7 @@ pub mod sha256;
 pub use curve::{Affine, Curve, Jacobian, Scalar, Secp256k1, Secp256r1};
 pub use msm::MsmTable;
 pub use pedersen::{CommitKey, Commitment};
+pub use pool::Pending;
 pub use quantize::Quantized;
 pub use schnorr::{Signature, SigningKey, VerifyingKey};
 pub use sha256::Sha256;

@@ -78,7 +78,7 @@ use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 use crate::bigint::U256;
-use crate::curve::{wnaf_digits, Affine, Curve, Jacobian, Scalar};
+use crate::curve::{wnaf_digits_into, Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
 use crate::quantize::Quantized;
 
@@ -356,6 +356,14 @@ impl<C: Curve> MsmTable<C> {
         bucket_pass((1 << self.window) - 1, &self.digits_of(&terms))
     }
 
+    /// Whether [`MsmTable::eval`] on `n` multipliers whose longest
+    /// magnitude has `bits` bits may split its bucket pass across cores:
+    /// `false` only when the pass, priced at its most — every term as long
+    /// as the longest — stays under [`SPLIT_MIN_MULS`].
+    pub(crate) fn may_split(&self, n: usize, bits: usize) -> bool {
+        bucket_pass_muls(n, bits, self.window) >= SPLIT_MIN_MULS
+    }
+
     /// The bucket entries of `terms` over the table's rows of shifts.
     fn digits_of<'a, M>(&'a self, terms: &'a [(bool, M)]) -> Digits<'a, C, M> {
         Digits {
@@ -519,24 +527,29 @@ const SHORTEST_PLANNED_BITS: usize = crate::quantize::FRACTIONAL_BITS as usize +
 /// Every magnitude's signed digits ride one doubling chain as long as the
 /// longest of them, each non-zero digit costing one mixed addition of a
 /// stored multiple (negated for a negative digit or scalar, not both).
-/// With one term this is the classic wNAF ladder.
+/// With one term this is the classic wNAF ladder. The terms' digits share
+/// one buffer, a row of `longest bits + 1` digits a term, zero past each
+/// term's own recoding.
 fn interleaved_wnaf<C: Curve, M: Magnitude>(
     odd: &[Affine<C>],
     centred: &[(bool, M)],
 ) -> Jacobian<C> {
-    let digits: Vec<Vec<i8>> = centred
+    let stride = longest(centred) + 1;
+    let mut digits = vec![0i8; centred.len() * stride];
+    let positions = centred
         .iter()
-        .map(|(_, magnitude)| wnaf_digits(&magnitude.to_u256(), WNAF_WIDTH))
-        .collect();
-    let longest = digits.iter().map(Vec::len).max().unwrap_or(0);
+        .zip(digits.chunks_exact_mut(stride))
+        .map(|((_, magnitude), naf)| wnaf_digits_into(&magnitude.to_u256(), WNAF_WIDTH, naf))
+        .max()
+        .unwrap_or(0);
     let mut acc = Jacobian::identity();
-    for position in (0..longest).rev() {
+    for position in (0..positions).rev() {
         acc = acc.double();
         let rows = odd.chunks_exact(ODD_MULTIPLES);
-        for ((row, naf), (negative, _)) in rows.zip(&digits).zip(centred) {
-            match naf.get(position) {
-                None | Some(0) => {}
-                Some(&digit) => {
+        for ((row, naf), (negative, _)) in rows.zip(digits.chunks_exact(stride)).zip(centred) {
+            match naf[position] {
+                0 => {}
+                digit => {
                     let multiple = row[usize::from(digit.unsigned_abs()) / 2];
                     acc = acc.add_affine(&if (digit < 0) != *negative {
                         multiple.negate()
@@ -972,6 +985,14 @@ pub(crate) fn ranges_for(muls: usize) -> usize {
     let cores =
         *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
     cores.min(2 * muls / SPLIT_MIN_MULS)
+}
+
+/// The same as [`MsmTable::may_split`] for [`eval`] over `n` points: the
+/// walk never splits, and a Pippenger window's pass holds at most one digit
+/// a term.
+pub(crate) fn may_split(n: usize) -> bool {
+    let c = window_size(n);
+    n >= BUCKET_MIN_POINTS && bucket_pass_muls(n, c, c) >= SPLIT_MIN_MULS
 }
 
 /// `f` over every part, results in part order: the first part on the

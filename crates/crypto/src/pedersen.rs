@@ -25,12 +25,14 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::bigint::U256;
 use crate::curve::{Affine, Curve, Jacobian, Scalar};
 use crate::field::Fp;
-use crate::msm::{self, map_split, ranges_for, MsmTable, Multiplier, FERMAT_MULS};
-use crate::quantize::Quantized;
+use crate::msm::{self, map_split, ranges_for, Magnitude, MsmTable, Multiplier, FERMAT_MULS};
+use crate::pool::{self, Pending};
+use crate::quantize::{decode, Quantized};
 use crate::sha256::Sha256;
 
 /// Public parameters: a vector of generators with no known discrete-log
@@ -138,6 +140,48 @@ impl<C: Curve> CommitKey<C> {
             None => msm::eval(&self.generators[..values.len()], values),
         };
         Commitment { point }
+    }
+
+    /// [`CommitKey::commit`] to the fixed-point integers that
+    /// [`crate::quantize::encode`] wrote into `encoded`, computed on a
+    /// spare core while the caller goes on ([`crate::pool`]), or by
+    /// [`Pending::wait`] on the caller's thread if no spare core has
+    /// started it — with none, at first use. A commitment whose bucket pass
+    /// may split across every core (see [`msm`]) already uses them all, and
+    /// is computed at once. The group element is the same whichever thread
+    /// computes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, here, if `encoded` is not whole 8-byte words or holds more
+    /// integers than the key has generators.
+    pub fn commit_later<B>(self: &Arc<Self>, encoded: B) -> Pending<Commitment<C>>
+    where
+        B: AsRef<[u8]> + Send + 'static,
+    {
+        let (words, ragged) = encoded.as_ref().as_chunks::<8>();
+        assert!(
+            ragged.is_empty() && words.len() <= self.generators.len(),
+            "{} bytes do not encode at most {} integers",
+            encoded.as_ref().len(),
+            self.generators.len()
+        );
+        let bits = words
+            .iter()
+            .map(|w| i64::from_le_bytes(*w).unsigned_abs().bit_len())
+            .max();
+        let splits = match &self.table {
+            Some(table) => table.may_split(words.len(), bits.unwrap_or(0)),
+            None => msm::may_split(words.len()),
+        };
+        // Whole words, as checked above, always decode.
+        let commit =
+            move |key: &CommitKey<C>| key.commit(&decode(encoded.as_ref()).unwrap_or_default());
+        if splits {
+            return Pending::ready(commit(self));
+        }
+        let key = Arc::clone(self);
+        pool::defer(move || commit(&key))
     }
 
     /// Commits using [`msm::naive`] (models the paper's unoptimized
@@ -1078,6 +1122,24 @@ mod tests {
         assert!(key.batch_culprits(&entries(&vectors, &commits)).is_empty());
         assert_eq!(key.batch_culprits(&entries(&vectors, &doctored)), vec![5]);
         assert_eq!(SPLITS.get(), before);
+    }
+
+    /// A commitment computed later is the one computed now, on either side
+    /// of the split rule: just below it the job is deferred, from it the
+    /// commitment is computed at once.
+    #[test]
+    fn commit_later_equals_commit_on_either_side_of_the_split_rule() {
+        let key = Arc::new(CommitKey::<K1>::setup_precomputed(512, b"test-seed"));
+        let mut rng = StdRng::seed_from_u64(340);
+        let mut values = signed_integers(512, &mut rng);
+        values[0] = Quantized((1 << 30) - 1); // the longest has 30 bits
+        let table = key.table.as_ref().unwrap();
+        let first = (1..=512).find(|&d| table.may_split(d, 30)).unwrap();
+        for (d, deferred) in [(33, true), (first - 1, true), (first, false)] {
+            let pending = key.commit_later(encode(&values[..d]));
+            assert_eq!(pending.is_deferred(), deferred, "d = {d}");
+            assert_eq!(pending.wait(), key.commit(&values[..d]), "d = {d}");
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! over the split threshold). Any HashMap-iteration-order or
 //! thread-scheduling leak into observable behaviour fails here.
 //!
-//! Five of these runs are also pinned across builds: the canonical trace
-//! fingerprints below. A change that moves one changed what a run does,
-//! event for event; a refactor must leave all five as they are.
+//! Six of these runs are also pinned across builds: the five canonical
+//! trace fingerprints below and the overlay round's. A change that moves
+//! one changed what a run does, event for event; a refactor must leave all
+//! six as they are.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -33,6 +34,9 @@ const FIG2_VERIFIABLE_TRACE: u64 = 0x29f2aaf522b42eb2;
 const FIG2_BATCHED_TRACE: u64 = 0x4aa526f5cef1cf42;
 /// … of the 2 000-trainer swarm under the incremental allocator.
 const SWARM_2K_TRACE: u64 = 0x6be4538a152786fc;
+/// … of `overlay_config(96)`: a verifiable overlay round whose trainers'
+/// own commitments may be computed on another thread.
+const OVERLAY_96_TRACE: u64 = 0xef0aa3cb0ded44fc;
 
 #[test]
 fn plain_figure_traces_match_their_pins() {
@@ -172,6 +176,11 @@ fn overlay_round_is_run_to_run_deterministic() {
         trace_fingerprint(&first.trace),
         trace_fingerprint(&second.trace),
         "overlay run diverged across identical runs"
+    );
+    assert_eq!(
+        trace_fingerprint(&first.trace),
+        OVERLAY_96_TRACE,
+        "overlay trace moved"
     );
     let work = overlay_work(&cfg, &first);
     assert_eq!(work.levels, 4, "96 trainers at branching 8");

@@ -227,3 +227,47 @@ fn a_fault_plan_outside_the_deployment_is_the_same_error_on_both_backends() {
     assert_eq!(tcp.to_string(), sim.to_string());
     assert!(tcp.to_string().contains("fault plan targets node 99"));
 }
+
+/// A verifiable task on both backends: over TCP every trainer thread
+/// commits through the one process-wide pool of spare-core workers (none on
+/// one core), and the commitments it registers or combines still give
+/// netsim's model bytes, with no frame dropped.
+fn verifiable_task_matches_netsim(cfg: &TaskConfig) {
+    let (sim, tcp) = run_both(cfg);
+    let (sim, tcp) = (sim.expect("netsim run"), tcp.expect("TCP run"));
+    assert!(sim.succeeded(cfg), "netsim run must complete");
+    assert!(tcp.succeeded(cfg), "TCP run must complete every round");
+    let bits = |params: Vec<f32>| params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(tcp.consensus_params().expect("TCP trainers agree")),
+        bits(sim.consensus_params().expect("netsim trainers agree")),
+        "TCP and netsim final model bytes differ"
+    );
+    assert_eq!(
+        tcp.delivery.frames_dropped(),
+        0,
+        "healthy run dropped frames"
+    );
+    assert_eq!(tcp.delivery.frames_faulted(), 0, "no faults were injected");
+}
+
+#[test]
+fn verifiable_flat_task_over_tcp_matches_netsim() {
+    verifiable_task_matches_netsim(&TaskConfig {
+        trainers: 8,
+        comm: CommMode::Direct,
+        verifiable: true,
+        ..task_config()
+    });
+}
+
+#[test]
+fn verifiable_overlay_task_over_tcp_matches_netsim() {
+    verifiable_task_matches_netsim(&TaskConfig {
+        trainers: 8,
+        comm: CommMode::Direct,
+        verifiable: true,
+        overlay_branching: Some(2),
+        ..task_config()
+    });
+}
