@@ -31,6 +31,9 @@
 //!
 //! In overlay mode (§14) the aggregator is only the sink of its
 //! partition's tree: one root partial checked in, one update pushed down.
+//!
+//! Nothing here knows how attacks are made: a misbehaving aggregator is
+//! this honest core inside [`crate::adversary`]'s wrapper.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -46,17 +49,16 @@ use dfl_netsim::{NodeId, SimTime};
 use crate::accountability::{
     self, agg_signing_key, agg_verifying_key, Misbehavior, MisbehaviorKind, EVIDENCE_TOPIC,
 };
-use crate::adversary::Behavior;
 use crate::config::{CommMode, TaskConfig, Topology};
-use crate::error::IplsError;
 use crate::gradient::{
-    build_blob, commit_blob, decode_blob, decode_partition_blob, sum_in_round, verify_blobs_timed,
-    ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
+    decode_partition_blob, sum_in_round, verify_blobs_timed, ProtocolCommitment, ProtocolCurve,
+    ProtocolKey, VerifyQueue,
 };
 use crate::labels;
 use crate::messages::{overlay_partial_commitment, Msg, OverlayPartial, Signed, SyncAnnounce};
 use crate::overlay::OverlayTree;
 use crate::protocol::{Actions, ProtocolCore, ProtocolEvent, StorageRequests, TK_STORAGE_RETRY};
+use crate::runner::BoxedCore;
 
 const TK_POLL: u64 = 1 << 32;
 const TK_SYNC_DEADLINE: u64 = 2 << 32;
@@ -71,8 +73,6 @@ enum Request {
     Merged,
     /// Upload of the partial update blob.
     PutPartial,
-    /// Upload of the equivocating second partial (`Behavior::Equivocate`).
-    PutAltered,
     /// Upload of the global update blob, registered once stored as the sum
     /// over `contributors` (`None` = every trainer).
     PutGlobal { contributors: Option<Vec<u32>> },
@@ -168,9 +168,6 @@ struct PeerSync {
     /// Gossiped evidence that could not be re-verified yet (accumulators
     /// still unknown).
     pending_evidence: Vec<Misbehavior>,
-    /// `Behavior::Equivocate`: CIDs of the two uploaded partial variants.
-    equiv_honest: Option<Cid>,
-    equiv_altered: Option<Cid>,
 }
 
 /// One round of the flat AGGREGATOR procedure: built when `StartRound`
@@ -200,9 +197,6 @@ struct Round {
     /// The t_sync deadline passed and `min_quorum` authorized completing
     /// the round with the gradients received so far.
     deadline_degraded: bool,
-    /// The fabricated gradient substituted by `Behavior::ForgeRegistration`
-    /// (set once the forgery has been sent for this round).
-    forged: Option<Vec<Quantized>>,
 }
 
 impl Round {
@@ -254,15 +248,17 @@ pub struct Aggregator(Role);
 enum Role {
     Flat(Box<FlatAggregator>),
     Overlay(OverlaySink),
+    /// An honest aggregator inside a wrapper that rewrites its traffic
+    /// ([`crate::adversary`]).
+    Wrapped(BoxedCore),
 }
 
 impl Aggregator {
-    /// Creates the aggregator for global index `g`.
-    pub fn new(
+    /// The honest aggregator for global index `g`.
+    pub(crate) fn honest(
         g: usize,
         topo: Arc<Topology>,
         key: Option<Arc<ProtocolKey>>,
-        behavior: Behavior,
     ) -> Aggregator {
         let role = match topo.overlay().zip(key.clone()) {
             Some((tree, key)) => Role::Overlay(OverlaySink {
@@ -274,20 +270,26 @@ impl Aggregator {
                 iter: 0,
                 stage: Stage::Gather,
             }),
-            None => Role::Flat(Box::new(FlatAggregator::new(g, topo, key, behavior))),
+            None => Role::Flat(Box::new(FlatAggregator::new(g, topo, key))),
         };
         Aggregator(role)
+    }
+
+    /// `core` standing in for an aggregator.
+    pub(crate) fn wrapped(core: BoxedCore) -> Aggregator {
+        Aggregator(Role::Wrapped(core))
     }
 }
 
 impl ProtocolCore for Aggregator {
     type Msg = Msg;
 
-    fn handle(&mut self, _now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
+    fn handle(&mut self, now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
         match (&mut self.0, event) {
             (_, ProtocolEvent::DeliveryFailure { .. }) => out.incr(labels::DELIVERY_FAILED, 1),
             (Role::Flat(flat), event) => flat.handle(out, event),
             (Role::Overlay(sink), event) => sink.handle(out, event),
+            (Role::Wrapped(core), event) => core.handle(now, event, out),
         }
     }
 }
@@ -399,7 +401,6 @@ struct FlatAggregator {
     j: usize,
     topo: Arc<Topology>,
     key: Option<Arc<ProtocolKey>>,
-    behavior: Behavior,
     /// Trainers in `T_ij`.
     expected: Vec<usize>,
     round: Round,
@@ -429,12 +430,7 @@ struct FlatAggregator {
 }
 
 impl FlatAggregator {
-    fn new(
-        g: usize,
-        topo: Arc<Topology>,
-        key: Option<Arc<ProtocolKey>>,
-        behavior: Behavior,
-    ) -> FlatAggregator {
+    fn new(g: usize, topo: Arc<Topology>, key: Option<Arc<ProtocolKey>>) -> FlatAggregator {
         let (partition, j) = topo.agg_role(g);
         let signing_key = topo
             .config()
@@ -448,7 +444,6 @@ impl FlatAggregator {
             round: Round::new(0, topo.config(), key.as_ref()),
             topo,
             key,
-            behavior,
             blacklist: HashSet::new(),
             accused: HashSet::new(),
             signing_key,
@@ -534,9 +529,6 @@ impl FlatAggregator {
 
     /// Takes in a trainer's Direct-mode gradient for the current round.
     fn on_direct_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, data: &[u8]) {
-        if self.dropped_trainers().contains(&trainer) {
-            return;
-        }
         if let Some(vector) = self.decode_own(data) {
             self.round.take_gradient(trainer, vector);
             self.maybe_aggregate(out);
@@ -667,15 +659,6 @@ impl FlatAggregator {
         // Freshly learned commitments may unblock stashed peer partials
         // and gossiped evidence.
         self.retry_unverified(out);
-        // Registration forgery: once the victim's real registration exists
-        // (so ours lands last and wins the directory's last-write slot),
-        // register a fabricated gradient under the victim's name.
-        if self.behavior == Behavior::ForgeRegistration
-            && self.round.forged.is_none()
-            && self.round.registered.len() == self.expected.len()
-        {
-            self.send_forged_registration(out);
-        }
         self.maybe_send_merges(out);
     }
 
@@ -722,12 +705,8 @@ impl FlatAggregator {
         // Group my trainers' gradients by the provider they uploaded to.
         // Under quorum degradation not every trainer has registered;
         // unregistered ones are simply absent from the merge.
-        let mut by_provider: HashMap<NodeId, Vec<(usize, Cid)>> = HashMap::new();
-        let dropped = self.dropped_trainers();
+        let mut by_provider: HashMap<NodeId, Members> = HashMap::new();
         for &t in &self.expected {
-            if dropped.contains(&t) {
-                continue; // malicious: silently omit
-            }
             let Some(&(cid, _)) = self.round.registered.get(&t) else {
                 continue;
             };
@@ -736,16 +715,9 @@ impl FlatAggregator {
             };
             by_provider.entry(provider).or_default().push((t, cid));
         }
-        let mut providers: Vec<NodeId> = by_provider.keys().copied().collect();
-        providers.sort_unstable_by_key(|n| n.index());
-        for provider in providers {
-            // The member lists derive from directory registration state —
-            // remote, possibly Byzantine input. A provider with no group
-            // is booked and skipped, never a panic.
-            let Ok(members) = Self::take_provider_group(&mut by_provider, provider) else {
-                out.incr(labels::UNLISTED_PROVIDER, 1);
-                continue;
-            };
+        let mut groups: Vec<(NodeId, Members)> = by_provider.into_iter().collect();
+        groups.sort_unstable_by_key(|(provider, _)| provider.index());
+        for (provider, members) in groups {
             let cids = members.iter().map(|&(_, cid)| cid).collect();
             let merge = |req_id| IpfsWire::Merge { cids, req_id };
             let (topo, purpose) = (&self.topo, Request::Merged);
@@ -753,63 +725,6 @@ impl FlatAggregator {
             if let Some(merge) = &mut self.round.merge {
                 merge.requests.insert(req, members);
             }
-        }
-    }
-
-    /// Pops `provider`'s member group out of the grouped registration map.
-    ///
-    /// # Errors
-    ///
-    /// [`IplsError::UnlistedProvider`] when the merge grouping names a
-    /// provider absent from the member map — registration state reaches
-    /// this aggregator through directory messages, so an inconsistent
-    /// (or maliciously crafted) list must surface as a typed error.
-    fn take_provider_group(
-        by_provider: &mut HashMap<NodeId, Vec<(usize, Cid)>>,
-        provider: NodeId,
-    ) -> Result<Vec<(usize, Cid)>, IplsError> {
-        by_provider
-            .remove(&provider)
-            .ok_or(IplsError::UnlistedProvider {
-                provider: provider.index(),
-            })
-    }
-
-    /// Fabricates a zero-ish gradient for the first trainer of `T_ij`,
-    /// registers it under that trainer's name (no valid signature — the
-    /// attacker does not hold the trainer's key), and remembers it for
-    /// substitution during aggregation.
-    fn send_forged_registration(&mut self, out: &mut Actions<Msg>) {
-        let victim = self.expected[0];
-        // A "lazy but plausible" fabrication: all zeros with counter 1.
-        let fake_blob = build_blob(&vec![0.0f32; self.topo.partition_len(self.partition)]);
-        let Some(fake) = decode_blob(&fake_blob) else {
-            return; // unreachable: a partition holds at least one value
-        };
-        let commitment = self
-            .key
-            .as_ref()
-            .and_then(|key| commit_blob(key, &fake_blob).ok());
-        let commitment = commitment.map(|c| c.to_bytes());
-        let msg = Msg::RegisterGradient {
-            trainer: victim,
-            partition: self.partition,
-            iter: self.round.iter,
-            cid: Cid::of(&fake_blob),
-            commitment,
-            signature: None, // cannot be forged without the trainer's key
-        };
-        out.send(self.topo.directory(), msg);
-        self.round.forged = Some(fake);
-    }
-
-    /// Trainers this (malicious) aggregator silently drops.
-    fn dropped_trainers(&self) -> HashSet<usize> {
-        match self.behavior {
-            Behavior::DropGradients { count } => {
-                self.expected.iter().take(count).copied().collect()
-            }
-            _ => HashSet::new(),
         }
     }
 
@@ -966,22 +881,12 @@ impl FlatAggregator {
     /// The other modes' input to the partial: the gradients of `T_ij`
     /// received or fetched one by one, once enough of them are in.
     fn gather_fetched(&mut self, out: &mut Actions<Msg>) -> Option<Gathered<'_>> {
-        let dropped = self.dropped_trainers();
-        let needed: Vec<usize> = self
-            .expected
-            .iter()
-            .filter(|t| !dropped.contains(t))
-            .copied()
-            .collect();
-        let mut have: Vec<usize> = needed
-            .iter()
-            .filter(|t| self.round.gradients.contains_key(t))
-            .copied()
-            .collect();
+        let set_len = self.expected.len();
+        let mut have: Vec<usize> = self.expected.clone();
+        have.retain(|t| self.round.gradients.contains_key(t));
         // Normally wait for the full set; a deadline-degraded round may
         // proceed once the quorum is in.
-        let set_len = self.expected.len();
-        if !self.enough(have.len(), needed.len(), set_len) {
+        if !self.enough(have.len(), set_len, set_len) {
             return None;
         }
         // The round boundary: settle what was admitted on trust, then
@@ -990,20 +895,12 @@ impl FlatAggregator {
         // blob been rejected at arrival.
         if self.settle_admitted(out) > 0 {
             have.retain(|t| self.round.gradients.contains_key(t));
-            if !self.enough(have.len(), needed.len(), set_len) {
+            if !self.enough(have.len(), set_len, set_len) {
                 return None;
             }
         }
         let own = |t: &usize| self.round.gradients.get(t)?.as_deref();
-        let vectors = if self.behavior == Behavior::ForgeRegistration {
-            // Substitute the fabricated gradient for the victim's.
-            let fake = self.round.forged.as_deref()?;
-            let victim = self.expected[0];
-            let pick = |t: &usize| if *t == victim { Some(fake) } else { own(t) };
-            have.iter().map(pick).collect::<Option<_>>()?
-        } else {
-            have.iter().map(own).collect::<Option<_>>()?
-        };
+        let vectors = have.iter().map(own).collect::<Option<_>>()?;
         Some((vectors, have))
     }
 
@@ -1036,22 +933,12 @@ impl FlatAggregator {
             return;
         };
         let blob = encode(&partial);
-        // A second, poisoned variant of the partial: announced to half the
-        // peers in place of the honest one.
-        let altered = (self.behavior == Behavior::Equivocate).then(|| {
-            let mut altered = partial.clone();
-            altered[0] = Quantized(altered[0].0 + (1 << 20));
-            encode(&altered)
-        });
         sync.partials.insert(self.j, (Some(partial), contributors));
         self.round.stage.advance(out, self.round.iter, Stage::Sync);
         self.round.release_summed();
         // Upload the partial, then announce its hash over pub/sub.
         let gw = self.gateway();
         self.put(out, Request::PutPartial, gw, blob, 1);
-        if let Some(altered) = altered {
-            self.put(out, Request::PutAltered, gw, altered, 1);
-        }
     }
 
     /// Ranks within `T_ij` of the trainers summed into my partial (the
@@ -1065,21 +952,12 @@ impl FlatAggregator {
     }
 
     fn signed_announce(&self, cid: Cid) -> SyncAnnounce {
-        // A gradient-dropping attacker *lies* about its contributor set
-        // (claims everyone — empty = full claim): admitting the subset
-        // would be self-incriminating. The lie is what makes the partial
-        // provably bad — it fails the full slot accumulator.
-        let contributors = if matches!(self.behavior, Behavior::DropGradients { .. }) {
-            Vec::new()
-        } else {
-            self.contributor_ranks()
-        };
         let mut announce = SyncAnnounce {
             partition: self.partition,
             agg_j: self.j,
             iter: self.round.iter,
             cid,
-            contributors,
+            contributors: self.contributor_ranks(),
             signature: None,
         };
         if let Some(sk) = &self.signing_key {
@@ -1126,15 +1004,6 @@ impl FlatAggregator {
     fn on_put_ack(&mut self, out: &mut Actions<Msg>, purpose: Request, cid: Cid) {
         match purpose {
             Request::PutPartial => {
-                if self.behavior == Behavior::Equivocate {
-                    // Withhold the honest topic publish: each peer receives
-                    // its own (forged) per-peer announcement instead.
-                    if let Some(sync) = &mut self.round.sync {
-                        sync.equiv_honest = Some(cid);
-                    }
-                    self.maybe_equivocate(out);
-                    return;
-                }
                 let announce = self.signed_announce(cid);
                 let publish = IpfsWire::Publish {
                     topic: self.topo.sync_topic(self.partition),
@@ -1143,12 +1012,6 @@ impl FlatAggregator {
                 let gw = self.gateway();
                 out.send(gw, Msg::Ipfs(publish));
                 self.maybe_finish_sync(out);
-            }
-            Request::PutAltered => {
-                if let Some(sync) = &mut self.round.sync {
-                    sync.equiv_altered = Some(cid);
-                }
-                self.maybe_equivocate(out);
             }
             Request::PutGlobal { contributors } => {
                 let mut msg = Msg::RegisterUpdate {
@@ -1166,38 +1029,6 @@ impl FlatAggregator {
             }
             _ => {}
         }
-    }
-
-    /// `Behavior::Equivocate`: once both partial variants are stored, send
-    /// each partition peer a *direct*, validly signed announcement — the
-    /// altered CID to every other peer, the honest CID to the rest — so
-    /// different peers observe conflicting signed statements.
-    fn maybe_equivocate(&mut self, out: &mut Actions<Msg>) {
-        let variants = self.round.sync.as_ref();
-        let Some((honest, altered)) = variants.and_then(|s| s.equiv_honest.zip(s.equiv_altered))
-        else {
-            return;
-        };
-        let slots = self.topo.config().aggregators_per_partition;
-        let topic = self.topo.sync_topic(self.partition);
-        let me = self.topo.aggregator(self.g);
-        let mut send_altered = true; // altered first: 2-slot partitions still see the attack
-        for j in 0..slots {
-            if j == self.j {
-                continue;
-            }
-            let cid = if send_altered { altered } else { honest };
-            send_altered = !send_altered;
-            let announce = self.signed_announce(cid);
-            let deliver = IpfsWire::Deliver {
-                topic: topic.clone(),
-                data: Bytes::from(announce.encode()),
-                publisher: me,
-            };
-            let peer = self.topo.aggregator(self.topo.agg_index(self.partition, j));
-            out.send(peer, Msg::Ipfs(deliver));
-        }
-        self.maybe_finish_sync(out);
     }
 
     fn on_deliver(&mut self, out: &mut Actions<Msg>, topic: &str, data: &[u8]) {
@@ -1542,16 +1373,12 @@ impl FlatAggregator {
         &mut self,
         out: &mut Actions<Msg>,
         contributors: Vec<u32>,
-        mut global: Vec<Quantized>,
+        global: Vec<Quantized>,
     ) {
         let everyone = contributors.len() == self.topo.config().trainers; // the common case
         let contributors = (!everyone).then_some(contributors);
         self.round.stage.advance(out, self.round.iter, Stage::Done);
         self.round.release_summed();
-        if self.behavior == Behavior::AlterUpdate {
-            // Poison the first element (correctness violation, §III-A).
-            global[0] = Quantized(global[0].0 + (1 << 20));
-        }
         let replicate = match self.topo.config().comm {
             CommMode::Direct => 1,
             _ => self.topo.config().replication,
@@ -1797,7 +1624,7 @@ impl FlatAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradient::{derive_key, sum_gradients};
+    use crate::gradient::{build_blob, commit_blob, decode_blob, derive_key, sum_gradients};
     use crate::protocol::ProtocolAction;
 
     /// A merge request as sent: its id and the CIDs to sum.
@@ -1818,7 +1645,7 @@ mod tests {
             .config()
             .verifiable
             .then(|| Arc::new(derive_key(topo.max_partition_len(), 0, true)));
-        let mut agg = Aggregator::new(0, topo, key.clone(), Behavior::Honest);
+        let mut agg = Aggregator::honest(0, topo, key.clone());
         let entries = blobs.iter().zip(committed).enumerate();
         let registered = |(t, (blob, honest)): (usize, (&Bytes, &Bytes))| {
             let commitment = key.as_ref().map(|k| commit_blob(k, honest).unwrap());
@@ -2053,7 +1880,7 @@ mod tests {
             ..TaskConfig::default()
         };
         let topo = Arc::new(Topology::new(cfg, 3).unwrap());
-        let mut agg = Aggregator::new(0, topo, None, Behavior::Honest);
+        let mut agg = Aggregator::honest(0, topo, None);
         let blobs = honest_blobs(2);
         for iter in 0..2 {
             let direct = |trainer: usize, iter: u64| Msg::DirectGradient {
@@ -2147,7 +1974,7 @@ mod tests {
     fn flat(agg: &Aggregator) -> &FlatAggregator {
         match &agg.0 {
             Role::Flat(flat) => flat,
-            Role::Overlay(_) => panic!("a flat task"),
+            Role::Overlay(_) | Role::Wrapped(_) => panic!("a flat task"),
         }
     }
 
@@ -2283,22 +2110,5 @@ mod tests {
                 assert_eq!(booked, !corrupt, "{case}");
             }
         }
-    }
-
-    /// Regression: a merge group naming a provider absent from the member
-    /// map surfaces as [`IplsError::UnlistedProvider`] — the member lists
-    /// derive from directory (remote, possibly Byzantine) messages, so
-    /// this used to panic via `.expect("listed provider")`.
-    #[test]
-    fn unlisted_provider_is_a_typed_error_not_a_panic() {
-        let mut by_provider: HashMap<NodeId, Vec<(usize, Cid)>> = HashMap::new();
-        by_provider.insert(NodeId(3), vec![(0, Cid::of(b"g"))]);
-        // The listed provider resolves its group exactly once...
-        assert!(FlatAggregator::take_provider_group(&mut by_provider, NodeId(3)).is_ok());
-        // ...and an unlisted (or doubly listed) provider is an error.
-        let err = FlatAggregator::take_provider_group(&mut by_provider, NodeId(3)).unwrap_err();
-        assert!(matches!(err, IplsError::UnlistedProvider { provider: 3 }));
-        let err = FlatAggregator::take_provider_group(&mut by_provider, NodeId(9)).unwrap_err();
-        assert!(matches!(err, IplsError::UnlistedProvider { provider: 9 }));
     }
 }

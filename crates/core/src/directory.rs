@@ -148,7 +148,8 @@ impl Directory {
     }
 
     /// Announces round `iter` — the only place a round is created — and
-    /// forgets every round before `iter − 1`.
+    /// forgets every round before `iter − 1`, with the update fetches
+    /// still pending for them.
     fn broadcast_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
         if self.rounds.keys().next_back() >= Some(&iter) {
             return; // announced already
@@ -159,7 +160,9 @@ impl Directory {
             ..Round::default()
         };
         self.rounds.insert(iter, round);
-        self.rounds = self.rounds.split_off(&iter.saturating_sub(1));
+        let oldest = iter.saturating_sub(1);
+        self.rounds = self.rounds.split_off(&oldest);
+        self.fetches.retain(|pv| pv.iter >= oldest);
         out.record(labels::ROUND_START, iter as f64);
         let msg = Msg::StartRound { iter };
         for g in 0..self.topo.config().total_aggregators() {
@@ -808,5 +811,54 @@ mod tests {
         let token = TK_STORAGE_RETRY | req_id;
         let retried = gets(&handle(ProtocolEvent::Timer { token }));
         assert_eq!(retried, [(topo.ipfs_node(1), req_id)]);
+    }
+
+    /// Regression: forgetting a round left its pending update fetches in
+    /// place, so the fetch of a `RegisterUpdate` naming a CID no node holds
+    /// went round the storage nodes, one `Get` per `fetch_timeout`, until
+    /// the run ended. The fetch goes with its round: it is retried while
+    /// round 0 is held (rounds 0 and 1), and not once round 2 forgets it.
+    #[test]
+    fn a_fetch_for_a_forgotten_round_is_not_retried() {
+        use crate::gradient::derive_key;
+        use crate::protocol::ProtocolAction;
+        let topo = topo(true);
+        let key = Arc::new(derive_key(topo.max_partition_len(), 0, true));
+        let mut dir = Directory::new(topo.clone(), Some(key));
+        let mut out = Actions::new();
+        dir.handle(SimTime::ZERO, ProtocolEvent::Start, &mut out);
+        let msg = Msg::RegisterUpdate {
+            aggregator: 0,
+            partition: 0,
+            iter: 0,
+            cid: Cid::of(b"held nowhere"),
+            contributors: None,
+            signature: None,
+        };
+        let from = topo.aggregator(0);
+        dir.handle(
+            SimTime::ZERO,
+            ProtocolEvent::Message { from, msg },
+            &mut out,
+        );
+        let token = TK_STORAGE_RETRY | 1; // the directory's first request
+        let mut retried = |dir: &mut Directory| {
+            out.drain();
+            dir.handle(SimTime::ZERO, ProtocolEvent::Timer { token }, &mut out);
+            let get = |a: &ProtocolAction<Msg>| {
+                matches!(
+                    a,
+                    ProtocolAction::Send {
+                        msg: Msg::Ipfs(IpfsWire::Get { .. }),
+                        ..
+                    }
+                )
+            };
+            out.drain().filter(get).count()
+        };
+        dir.broadcast_round(&mut Actions::new(), 1);
+        assert_eq!(retried(&mut dir), 1, "round 0 is still held");
+        dir.broadcast_round(&mut Actions::new(), 2);
+        assert_eq!(retried(&mut dir), 0, "round 0 is forgotten");
     }
 }

@@ -28,14 +28,6 @@ pub enum IplsError {
         /// Trainer that asked for an upload target.
         trainer: usize,
     },
-    /// A merge group referenced a provider that is absent from the grouped
-    /// member map. The member lists derive from directory `GradientList`
-    /// messages — remote, possibly Byzantine input — so the mismatch is an
-    /// error, never a panic.
-    UnlistedProvider {
-        /// Simulation node index of the missing provider.
-        provider: usize,
-    },
     /// A cryptographic verification step ran without a commitment key —
     /// a remote message steered a non-verifiable node onto a verifying
     /// code path.
@@ -70,10 +62,6 @@ impl fmt::Display for IplsError {
                 "no storage route for partition {partition} gradient of trainer {trainer}: \
                  direct mode uploads no gradients to storage"
             ),
-            IplsError::UnlistedProvider { provider } => write!(
-                f,
-                "merge group references provider node {provider} absent from the member map"
-            ),
             IplsError::MissingCommitKey => {
                 write!(f, "verification requested without a commitment key")
             }
@@ -96,8 +84,6 @@ mod tests {
             aggregator: 1,
         };
         assert!(e.to_string().contains("partition 2"));
-        let e = IplsError::UnlistedProvider { provider: 7 };
-        assert!(e.to_string().contains("provider node 7"));
         assert!(IplsError::MissingCommitKey.to_string().contains("key"));
     }
 }

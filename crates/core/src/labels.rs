@@ -93,11 +93,6 @@ pub const VERIFY_BATCHED: &str = "verify_batched";
 /// its retries or the per-peer queue overflowed. Only real-socket
 /// backends emit these; in netsim every loss is injected and traced.
 pub const DELIVERY_FAILED: &str = "delivery_failed";
-/// Counter: a merge group named a provider absent from the grouped member
-/// map ([`IplsError::UnlistedProvider`](crate::IplsError)). The member
-/// lists derive from directory messages, so the mismatch is booked and the
-/// provider skipped instead of panicking.
-pub const UNLISTED_PROVIDER: &str = "unlisted_provider";
 /// Counter: an update blob reply reached a verification path without a
 /// commitment key ([`IplsError::MissingCommitKey`](crate::IplsError)).
 /// Dropped instead of panicking.
@@ -177,7 +172,6 @@ pub const ALL: &[&str] = &[
     BLOBS_VERIFIED,
     VERIFY_BATCHED,
     DELIVERY_FAILED,
-    UNLISTED_PROVIDER,
     MISSING_COMMIT_KEY,
     OVERLAY_FORWARDED,
     OVERLAY_CHILD_RECV,

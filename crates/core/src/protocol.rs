@@ -152,6 +152,11 @@ impl<M> Actions<M> {
         self.queued.push(ProtocolAction::Incr { label, delta });
     }
 
+    /// Queues an action as it is.
+    pub(crate) fn push(&mut self, action: ProtocolAction<M>) {
+        self.queued.push(action);
+    }
+
     /// Queues a histogram sample.
     pub fn observe(&mut self, label: &'static str, value: f64) {
         self.queued.push(ProtocolAction::Observe { label, value });
@@ -322,6 +327,16 @@ impl<P> Default for StorageRequests<P> {
 }
 
 impl<P> StorageRequests<P> {
+    /// A client whose request ids count up from `last + 1`: two clients of
+    /// one node numbered apart keep their replies and retry timers apart.
+    /// Ids must stay below 2³², the low half of a retry token.
+    pub(crate) fn numbered_after(last: u64) -> Self {
+        StorageRequests {
+            next_req: last,
+            ..StorageRequests::default()
+        }
+    }
+
     /// A client that releases, at the round end, the copies its `Get`s
     /// left in the nodes that no `Unpin` reaches.
     pub(crate) fn releasing() -> Self {
@@ -413,6 +428,13 @@ impl<P> StorageRequests<P> {
     /// The purposes of the requests still unanswered.
     pub(crate) fn pending(&self) -> impl Iterator<Item = &P> {
         self.pending.values().map(|p| &p.purpose)
+    }
+
+    /// Forgets the unanswered requests whose purpose `keep` refuses: their
+    /// retry timers then find nothing to re-send, and late replies are
+    /// dropped.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&P) -> bool) {
+        self.pending.retain(|_, p| keep(&p.purpose));
     }
 
     /// Ends the round: forgets its unanswered requests, unpins every block

@@ -143,7 +143,9 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns an error when the configuration is invalid or inconsistent
-    /// with the model/datasets.
+    /// with the model/datasets, or `behaviors` names an aggregator that does
+    /// not exist, names one twice, or gives an overlay aggregator (which
+    /// uploads nothing an attack could rename) any but `Honest`.
     pub fn build<M: Model + Clone + 'static>(
         cfg: TaskConfig,
         model: M,
@@ -166,12 +168,19 @@ impl Deployment {
                 "model parameter count does not match initial parameters".to_string(),
             ));
         }
-        for (g, _) in behaviors {
-            if *g >= cfg.total_aggregators() {
-                return Err(IplsError::InvalidConfig(format!(
-                    "no aggregator with index {g}"
-                )));
-            }
+        for (k, &(g, behavior)) in behaviors.iter().enumerate() {
+            let problem = if g >= cfg.total_aggregators() {
+                "no aggregator with that index"
+            } else if behaviors[..k].iter().any(|&(i, _)| i == g) {
+                "a second behaviour for one aggregator"
+            } else if behavior != Behavior::Honest && cfg.overlay_branching.is_some() {
+                "an overlay aggregator can only be honest"
+            } else {
+                continue;
+            };
+            return Err(IplsError::InvalidConfig(format!(
+                "{problem}: ({g}, {behavior:?})"
+            )));
         }
 
         let key: Option<Arc<ProtocolKey>> = cfg.verifiable.then(|| {

@@ -309,3 +309,83 @@ fn batched_verification_names_identical_culprits() {
         }
     }
 }
+
+/// `examples/byzantine_sweep.rs`'s table, row for row: each attack against
+/// the first `f` aggregators of the order (0, 2, 1), on the same config.
+/// One per partition is absorbed with the model exact; at `f = 3` both
+/// slots of partition 0 attack, so no round completes. Each row is
+/// `(completed rounds, detections, evictions, recovered rounds, wasted
+/// bytes, model bit-equal to the honest run's)`.
+#[test]
+fn byzantine_sweep_rows_are_pinned() {
+    let c = cfg(CommMode::Indirect, false);
+    let honest = run(c.clone(), &[])
+        .consensus_params()
+        .expect("honest consensus");
+    let rows = |recovered: [usize; 3]| {
+        [
+            (2, 1, 1, recovered[0], 40, true),
+            (2, 2, 2, recovered[1], 80, true),
+            (0, 3, 3, recovered[2], 120, false),
+        ]
+    };
+    let attacks = [
+        (Behavior::DropGradients { count: 2 }, rows([2, 2, 1])),
+        (Behavior::AlterUpdate, rows([0, 0, 0])),
+        (Behavior::Equivocate, rows([2, 2, 1])),
+    ];
+    for (attack, expected) in attacks {
+        for (f, row) in (1..=3).zip(expected) {
+            let behaviors: Vec<(usize, Behavior)> =
+                [0, 2, 1][..f].iter().map(|&g| (g, attack)).collect();
+            let report = run(c.clone(), &behaviors);
+            let exact = report.consensus_params().as_ref() == Some(&honest);
+            let got = (
+                report.completed_rounds,
+                report.detections,
+                report.evictions,
+                report.recovered_rounds,
+                report.wasted_bytes,
+                exact,
+            );
+            assert_eq!(got, row, "{attack:?}, f = {f}");
+        }
+    }
+}
+
+/// Misbehaviour lives in `ipls::adversary` alone: no honest-core source
+/// names `Behavior` outside its tests, so an honest round runs no attack
+/// code and a new adversary adds no branch to an honest core.
+#[test]
+fn no_honest_core_source_names_behavior() {
+    let honest_core = [
+        (
+            "aggregator.rs",
+            include_str!("../crates/core/src/aggregator.rs"),
+        ),
+        ("trainer.rs", include_str!("../crates/core/src/trainer.rs")),
+        (
+            "directory.rs",
+            include_str!("../crates/core/src/directory.rs"),
+        ),
+        ("overlay.rs", include_str!("../crates/core/src/overlay.rs")),
+        (
+            "protocol.rs",
+            include_str!("../crates/core/src/protocol.rs"),
+        ),
+        (
+            "gradient.rs",
+            include_str!("../crates/core/src/gradient.rs"),
+        ),
+    ];
+    let names = |line: &str| {
+        let continues_name = |c: char| c == '_' || c.is_ascii_alphanumeric();
+        line.match_indices("Behavior")
+            .any(|(at, _)| !line[..at].ends_with(continues_name))
+    };
+    for (file, src) in honest_core {
+        let code = src.split("#[cfg(test)]").next().unwrap_or(src);
+        let named: Vec<&str> = code.lines().filter(|line| names(line)).collect();
+        assert!(named.is_empty(), "{file} names `Behavior`: {named:?}");
+    }
+}

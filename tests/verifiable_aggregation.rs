@@ -296,3 +296,44 @@ fn trainer_verification_requires_verifiable_mode() {
     let err = run_task(c, model, params, clients(), sgd(), &[]).unwrap_err();
     assert!(err.to_string().contains("verifiable"));
 }
+
+/// The wrapper is transparent when it does not attack: with one slot per
+/// partition there is no partial sync, so an equivocator sends exactly
+/// what the honest aggregator sends — the same trace, event for event, and
+/// the same model.
+#[test]
+fn a_one_slot_equivocator_is_indistinguishable_from_honest() {
+    let c = cfg(true);
+    let honest = run(c.clone(), &[]);
+    let equivocating = run(
+        c.clone(),
+        &[(0, Behavior::Equivocate), (1, Behavior::Equivocate)],
+    );
+    assert_eq!(
+        dfl_bench::trace_fingerprint(&equivocating.trace),
+        dfl_bench::trace_fingerprint(&honest.trace)
+    );
+    assert_eq!(equivocating.consensus_params(), honest.consensus_params());
+    assert!(honest.succeeded(&c));
+}
+
+/// `Deployment::build` refuses behaviours that could not happen, instead
+/// of dropping them: an attack on an overlay aggregator (the overlay sink
+/// uploads nothing an attack could rename), and a second behaviour for
+/// one aggregator.
+#[test]
+fn impossible_behaviours_are_invalid_configs() {
+    let model = LogisticRegression::new(3, 2);
+    let build = |cfg: TaskConfig, behaviors: &[(usize, Behavior)]| {
+        let params = model.params();
+        run_task(cfg, model.clone(), params, clients(), sgd(), behaviors).map(|_| ())
+    };
+    let overlay = dfl_bench::overlay_config(6);
+    assert!(build(overlay.clone(), &[(0, Behavior::Honest)]).is_ok());
+    let err = build(overlay, &[(0, Behavior::AlterUpdate)]).unwrap_err();
+    assert!(err.to_string().contains("overlay aggregator"), "{err}");
+    let twice = [(1, Behavior::AlterUpdate), (1, Behavior::Honest)];
+    let err = build(cfg(true), &twice).unwrap_err();
+    assert!(matches!(err, IplsError::InvalidConfig(_)), "{err}");
+    assert!(err.to_string().contains("second behaviour"), "{err}");
+}
