@@ -237,7 +237,7 @@ impl Adversary {
         self.round.listed.insert(t, cid);
         let merging = self.topo.config().comm == CommMode::MergeAndDownload;
         let provider = self.topo.upload_target(self.partition, t);
-        if let (true, true, Ok(provider)) = (merging, self.is_victim(t), provider) {
+        if let (true, true, Some(provider)) = (merging, self.is_victim(t), provider) {
             let get = |req_id| IpfsWire::Get { cid, req_id };
             let job = Job::Victim(t);
             self.storage.send(out, &self.topo, job, provider, get);

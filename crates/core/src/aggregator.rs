@@ -14,8 +14,9 @@
 //!    directory (which verifies it against the total accumulated
 //!    commitment);
 //! 5. if a peer never shows up by the sync deadline (or the earlier
-//!    `sync_watchdog`), downloads that peer's trainer gradients itself and
-//!    aggregates them on the peer's behalf.
+//!    `sync_watchdog`), runs its own gather for that peer's slot `j`:
+//!    fetches and checks `T_ij`'s gradients as it does its own set's, and
+//!    uses their sum as the peer's partial (§III-D).
 //!
 //! Its position in the round is one `Stage` value: `Gather` until its
 //! partial is summed (`GRADS_AGGREGATED`), `Sync` while peers' partials
@@ -35,8 +36,7 @@
 //! Nothing here knows how attacks are made: a misbehaving aggregator is
 //! this honest core inside [`crate::adversary`]'s wrapper.
 
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -67,8 +67,8 @@ const TK_WATCHDOG: u64 = 4 << 32;
 /// What an in-flight storage request is for.
 #[derive(Debug)]
 enum Request {
-    /// Download of one trainer's gradient (own set).
-    OwnGradient { trainer: usize },
+    /// Download of one trainer's gradient for slot `j`'s gather.
+    Gradient { j: usize, trainer: usize },
     /// Merge-and-download result from one provider.
     Merged,
     /// Upload of the partial update blob.
@@ -78,8 +78,6 @@ enum Request {
     PutGlobal { contributors: Option<Vec<u32>> },
     /// Download of a peer's partial update.
     PeerPartial { j: usize },
-    /// Download of a dead peer's trainer gradient (recovery).
-    Recovery { j: usize, trainer: usize },
 }
 
 /// Where an aggregator is in a round. Every move goes through
@@ -110,18 +108,18 @@ impl Stage {
     }
 }
 
-/// What a blob admitted to the round's [`VerifyQueue`] was — that is, what
+/// What a blob admitted to a gather's [`VerifyQueue`] was — that is, what
 /// to take back out of the round if it does not open its commitment.
 #[derive(Copy, Clone)]
 enum Admitted {
-    /// One trainer's gradient, fetched individually.
-    Gradient(usize),
+    /// One trainer's gradient, fetched individually, and its blob's size.
+    Gradient(usize, usize),
     /// The merged reply to this merge request.
     Merge(u64),
 }
 
-/// The vectors a partial is the sum of, borrowed from the round, and the
-/// trainers they cover.
+/// The vectors a gather's sum is made of, borrowed from the round, and
+/// the trainers they cover.
 type Gathered<'a> = (Vec<&'a [Quantized]>, Vec<usize>);
 
 /// The `(trainer, cid)` pairs one merge request asks a storage node to sum.
@@ -142,16 +140,52 @@ struct Merging {
     fallback_pending: HashSet<usize>,
 }
 
+/// The gather of one trainer set `T_ij`: my own slot's, or a peer slot's
+/// being recovered (§III-D: another aggregator downloads the missing one's
+/// gradients on his behalf). Either way its gradients are fetched, checked
+/// and summed by the same code.
+#[derive(Default)]
+struct Gather {
+    /// The trainer set.
+    set: Vec<usize>,
+    /// Registered gradient CIDs (and commitments), by trainer.
+    registered: HashMap<usize, (Cid, Option<ProtocolCommitment>)>,
+    /// Gradients taken in, by trainer: the vector until the sum takes it,
+    /// `None` after. A straggler taken into my own set after its partial
+    /// is checked and booked but never summed, so it keeps no vector.
+    gradients: HashMap<usize, Option<Vec<Quantized>>>,
+    /// Blobs taken in, to be settled when the sum is about to consume
+    /// them. Verifiable mode only.
+    admitted: Option<VerifyQueue<Admitted>>,
+}
+
+impl Gather {
+    fn new(set: Vec<usize>, cfg: &TaskConfig, key: Option<&Arc<ProtocolKey>>) -> Gather {
+        Gather {
+            set,
+            admitted: key.map(|key| VerifyQueue::new(key.clone(), cfg)),
+            ..Gather::default()
+        }
+    }
+
+    /// The trainers of the set whose gradient is in, in set order.
+    fn have(&self) -> Vec<usize> {
+        let have = self.set.iter().copied();
+        have.filter(|t| self.gradients.contains_key(t)).collect()
+    }
+}
+
 /// Synchronisation with the partition's other aggregators (§IV-B) and
 /// recovery of their trainer sets (§III-D); exists only with `|A_i| > 1`.
 #[derive(Default)]
 struct PeerSync {
-    /// Partials by slot index (mine included once computed), each with the
-    /// contributor set (global trainer indices) behind it — peer-claimed.
+    /// Partials by slot index (mine included once computed, a recovered
+    /// slot's once its gather is summed), each with the contributor set
+    /// (global trainer indices) behind it — peer-claimed unless recovered.
     /// The vector is `None` once the global update has summed it.
     partials: HashMap<usize, (Option<Vec<Quantized>>, Vec<usize>)>,
-    /// Peer announcements whose partials are not yet verified: j → announce
-    /// (kept afterwards as evidence material).
+    /// Peer announcements, by slot: each partial is fetched once, and the
+    /// announce is kept afterwards as evidence material.
     announced: HashMap<usize, SyncAnnounce>,
     /// Peer partial blobs fetched but not yet verified (waiting for the
     /// accumulated commitments): j → blob.
@@ -159,12 +193,15 @@ struct PeerSync {
     /// Accumulated commitment per slot from the directory.
     accumulators: Vec<Option<ProtocolCommitment>>,
     /// Individual registered commitments by global trainer index (for
-    /// degraded-quorum verification and recovered-gradient checks).
+    /// degraded-quorum verification and gossiped evidence).
     commitments_seen: HashMap<usize, ProtocolCommitment>,
-    /// Recovery bookkeeping: slot → trainers still to fetch.
-    recovery_pending: HashMap<usize, HashSet<usize>>,
-    /// Recovery gradients collected: slot → trainer → vector.
-    recovery_grads: HashMap<usize, HashMap<usize, Vec<Quantized>>>,
+    /// The gathers of the peer slots being recovered, until each is summed
+    /// into `partials` or the peer's own partial lands there first.
+    recovering: HashMap<usize, Gather>,
+    /// A recovered gather's sum is in `partials`. The peer's own partial is
+    /// still fetched and checked if it lands later, but the sum already in
+    /// is the one used.
+    recovered: bool,
     /// Gossiped evidence that could not be re-verified yet (accumulators
     /// still unknown).
     pending_evidence: Vec<Misbehavior>,
@@ -178,17 +215,8 @@ struct PeerSync {
 struct Round {
     iter: u64,
     stage: Stage,
-    /// Registered gradient CIDs (and commitments) for my trainer set.
-    registered: HashMap<usize, (Cid, Option<ProtocolCommitment>)>,
-    /// Downloaded/received gradients by trainer: the vector until the
-    /// partial sums it, `None` after. A straggler taken in after the sum
-    /// is checked and booked but never summed, so it keeps no vector.
-    gradients: HashMap<usize, Option<Vec<Quantized>>>,
-    /// Trainers whose download is in flight.
-    downloading: HashSet<usize>,
-    /// Own-set blobs (and merged blobs) taken in, to be settled when
-    /// aggregation is about to consume them. Verifiable mode only.
-    admitted: Option<VerifyQueue<Admitted>>,
+    /// My trainer set's gather; its queue also takes the merged blobs.
+    own: Gather,
     merge: Option<Merging>,
     sync: Option<PeerSync>,
     /// `FETCH_START` recorded for this round (first own-gradient fetch or
@@ -200,11 +228,11 @@ struct Round {
 }
 
 impl Round {
-    fn new(iter: u64, cfg: &TaskConfig, key: Option<&Arc<ProtocolKey>>) -> Round {
+    fn new(iter: u64, set: Vec<usize>, cfg: &TaskConfig, key: Option<&Arc<ProtocolKey>>) -> Round {
         let slots = cfg.aggregators_per_partition;
         Round {
             iter,
-            admitted: key.map(|key| VerifyQueue::new(key.clone(), cfg)),
+            own: Gather::new(set, cfg, key),
             merge: (cfg.comm == CommMode::MergeAndDownload).then(Merging::default),
             sync: (slots > 1).then(|| PeerSync {
                 accumulators: vec![None; slots],
@@ -212,13 +240,6 @@ impl Round {
             }),
             ..Round::default()
         }
-    }
-
-    /// Takes in trainer `trainer`'s gradient; the vector is kept only while
-    /// a partial may still sum it.
-    fn take_gradient(&mut self, trainer: usize, vector: Vec<Quantized>) {
-        let vector = (self.stage == Stage::Gather).then_some(vector);
-        self.gradients.insert(trainer, vector);
     }
 
     /// Releases the vectors the stage reached has summed — nothing reads
@@ -231,7 +252,7 @@ impl Round {
         if self.stage == Stage::Gather {
             return;
         }
-        self.gradients.values_mut().for_each(|v| *v = None);
+        self.own.gradients.values_mut().for_each(|v| *v = None);
         if let Some(merge) = &mut self.merge {
             merge.merged.values_mut().for_each(|(v, _)| *v = None);
         }
@@ -401,13 +422,11 @@ struct FlatAggregator {
     j: usize,
     topo: Arc<Topology>,
     key: Option<Arc<ProtocolKey>>,
-    /// Trainers in `T_ij`.
-    expected: Vec<usize>,
     round: Round,
     /// Partition slots proven or suspected Byzantine; persists across
     /// rounds: their announces are ignored and their trainer sets
-    /// proactively recovered at round start.
-    blacklist: HashSet<usize>,
+    /// proactively recovered at round start, in slot order.
+    blacklist: BTreeSet<usize>,
     /// `(offender global index, iter)` pairs already reported, so one
     /// detection produces one evidence record.
     accused: HashSet<(usize, u64)>,
@@ -432,19 +451,16 @@ struct FlatAggregator {
 impl FlatAggregator {
     fn new(g: usize, topo: Arc<Topology>, key: Option<Arc<ProtocolKey>>) -> FlatAggregator {
         let (partition, j) = topo.agg_role(g);
-        let signing_key = topo
-            .config()
-            .accountability
-            .then(|| agg_signing_key(topo.config().seed, g));
+        let cfg = topo.config();
+        let signing_key = cfg.accountability.then(|| agg_signing_key(cfg.seed, g));
         FlatAggregator {
             g,
             partition,
             j,
-            expected: topo.trainer_set(partition, j),
-            round: Round::new(0, topo.config(), key.as_ref()),
+            round: Round::new(0, topo.trainer_set(partition, j), cfg, key.as_ref()),
             topo,
             key,
-            blacklist: HashSet::new(),
+            blacklist: BTreeSet::new(),
             accused: HashSet::new(),
             signing_key,
             storage: StorageRequests::default(),
@@ -481,16 +497,25 @@ impl FlatAggregator {
     }
 
     /// The one quorum rule: whether `have` gradients of a trainer set of
-    /// `set_len` stand for the `needed` ones — all of them, or the quorum
-    /// threshold once the deadline has degraded the round.
-    fn enough(&self, have: usize, needed: usize, set_len: usize) -> bool {
-        have >= needed
+    /// `set_len` stand for the set — all of them, or the quorum threshold
+    /// once the deadline has degraded the round.
+    fn enough(&self, have: usize, set_len: usize) -> bool {
+        have >= set_len
             || (self.round.deadline_degraded
                 && self.quorum_threshold(set_len).is_some_and(|th| have >= th))
     }
 
+    /// The gather of slot `j`: my own set's, or a recovered peer slot's.
+    fn gather(&mut self, j: usize) -> Option<&mut Gather> {
+        if j == self.j {
+            return Some(&mut self.round.own);
+        }
+        self.round.sync.as_mut()?.recovering.get_mut(&j)
+    }
+
     fn begin_round(&mut self, out: &mut Actions<Msg>, iter: u64) {
-        self.round = Round::new(iter, self.topo.config(), self.key.as_ref());
+        let set = std::mem::take(&mut self.round.own.set);
+        self.round = Round::new(iter, set, self.topo.config(), self.key.as_ref());
         self.begun = true;
 
         // Release last round's partial/global update blobs.
@@ -514,47 +539,36 @@ impl FlatAggregator {
             // Blacklisted peers will not produce a usable partial: start
             // re-downloading their trainer sets immediately instead of
             // burning watchdog (or deadline) time on them again.
-            let mut listed: Vec<usize> = self.blacklist.iter().copied().collect();
-            listed.sort_unstable();
-            for j in listed {
+            for j in self.blacklist.clone() {
                 self.start_recovery(out, j);
             }
         }
         for (early_iter, trainer, data) in std::mem::take(&mut self.early) {
             if early_iter == iter {
-                self.on_direct_gradient(out, trainer, &data);
+                self.on_gradient(out, self.j, trainer, &data);
             }
         }
     }
 
-    /// Takes in a trainer's Direct-mode gradient for the current round.
-    fn on_direct_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, data: &[u8]) {
-        if let Some(vector) = self.decode_own(data) {
-            self.round.take_gradient(trainer, vector);
-            self.maybe_aggregate(out);
-        }
-    }
-
-    /// Begins download-all recovery of slot `j`'s trainer set (§III-D):
-    /// fetch the members' original gradient blobs from storage and
-    /// re-aggregate them on the slot's behalf. Idempotent per round.
+    /// Begins download-all recovery of slot `j` (§III-D): a gather of its
+    /// trainer set, run as my own is, whose sum stands in for the slot's
+    /// partial. Idempotent per round.
     fn start_recovery(&mut self, out: &mut Actions<Msg>, j: usize) {
         let Some(sync) = &mut self.round.sync else {
             return;
         };
+        let cfg = self.topo.config();
         if j == self.j
-            || self.topo.config().comm == CommMode::Direct
+            || cfg.comm == CommMode::Direct
             || sync.partials.contains_key(&j)
-            || sync.recovery_pending.contains_key(&j)
-            || sync.recovery_grads.contains_key(&j)
+            || sync.recovering.contains_key(&j)
         {
             return;
         }
         out.record(labels::DROPOUT_RECOVERY, j as f64);
-        let trainers = self.topo.trainer_set(self.partition, j);
-        sync.recovery_pending
-            .insert(j, trainers.into_iter().collect());
-        sync.recovery_grads.insert(j, HashMap::new());
+        let set = self.topo.trainer_set(self.partition, j);
+        let gather = Gather::new(set, cfg, self.key.as_ref());
+        sync.recovering.insert(j, gather);
         self.start_polling(out);
     }
 
@@ -567,8 +581,8 @@ impl FlatAggregator {
 
     fn poll(&mut self, out: &mut Actions<Msg>) {
         // Gradient discovery (lines 28–34 of Algorithm 1).
-        let grads_done =
-            self.round.stage != Stage::Gather || self.round.registered.len() == self.expected.len();
+        let own = &self.round.own;
+        let grads_done = self.round.stage != Stage::Gather || own.registered.len() == own.set.len();
         if !grads_done && self.topo.config().comm != CommMode::Direct {
             let msg = Msg::QueryGradients {
                 partition: self.partition,
@@ -590,7 +604,7 @@ impl FlatAggregator {
             // Recovery gradient discovery; degraded-quorum verification
             // also needs peer slots' individual commitments, which ride on
             // the same gradient lists.
-            let mut slots: Vec<usize> = sync.recovery_pending.keys().copied().collect();
+            let mut slots: Vec<usize> = sync.recovering.keys().copied().collect();
             if self.key.is_some() {
                 slots.extend(sync.unverified.keys().copied());
             }
@@ -629,31 +643,18 @@ impl FlatAggregator {
                 sync.commitments_seen.insert(trainer, c);
             }
             let slot = trainer % self.topo.config().aggregators_per_partition;
-            if slot == self.j {
-                if self.round.registered.contains_key(&trainer) {
-                    continue;
-                }
-                self.round.registered.insert(trainer, (cid, c));
-                // Without merging every gradient is fetched individually;
-                // merge mode only fetches ones whose merge failed.
-                let fetch = match &self.round.merge {
-                    Some(merge) => merge.fallback_pending.contains(&trainer),
-                    None => true,
-                };
-                if fetch {
-                    self.fetch_own_gradient(out, trainer, cid);
-                }
+            let Some(gather) = self.gather(slot) else {
+                continue; // a peer slot that is not being recovered
+            };
+            if gather.registered.contains_key(&trainer) {
                 continue;
             }
-            let pending = self.round.sync.as_mut();
-            let Some(pending) = pending.and_then(|s| s.recovery_pending.get_mut(&slot)) else {
-                continue;
-            };
-            let Ok(provider) = self.topo.upload_target(self.partition, trainer) else {
-                continue; // direct mode never starts recovery
-            };
-            if pending.remove(&trainer) {
-                self.get(out, Request::Recovery { j: slot, trainer }, provider, cid);
+            gather.registered.insert(trainer, (cid, c));
+            // Without merging every gradient is fetched individually; my
+            // own set's merge mode only fetches ones whose merge failed.
+            let merging = self.round.merge.as_ref().filter(|_| slot == self.j);
+            if merging.is_none_or(|m| m.fallback_pending.contains(&trainer)) {
+                self.fetch_gradient(out, slot, trainer, cid);
             }
         }
         // Freshly learned commitments may unblock stashed peer partials
@@ -666,24 +667,31 @@ impl FlatAggregator {
     /// registered (or a quorum, after the deadline), issue one merge
     /// request per provider.
     fn maybe_send_merges(&mut self, out: &mut Actions<Msg>) {
-        let registered = self.round.registered.len();
-        let ready = self.enough(registered, self.expected.len(), self.expected.len());
+        let own = &self.round.own;
+        let ready = self.enough(own.registered.len(), own.set.len());
         if ready && self.round.merge.as_ref().is_some_and(|m| !m.sent) {
             self.send_merges(out);
         }
     }
 
-    fn fetch_own_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, cid: Cid) {
-        // Fetch straight from the storage node the trainer uploaded to
-        // (bitswap-style direct retrieval from the provider).
-        let Ok(provider) = self.topo.upload_target(self.partition, trainer) else {
+    /// Fetches `trainer`'s gradient for slot `j`'s gather straight from the
+    /// storage node it was uploaded to (bitswap-style direct retrieval from
+    /// the provider).
+    fn fetch_gradient(&mut self, out: &mut Actions<Msg>, j: usize, trainer: usize, cid: Cid) {
+        let Some(provider) = self.topo.upload_target(self.partition, trainer) else {
             return; // direct mode receives gradients over the wire instead
         };
-        if self.round.gradients.contains_key(&trainer) || !self.round.downloading.insert(trainer) {
-            return; // already here, or already on its way
+        // Already here, or already on its way?
+        let here = |g: &mut Gather| g.gradients.contains_key(&trainer);
+        let asked =
+            |p: &Request| matches!(*p, Request::Gradient { trainer: t, .. } if t == trainer);
+        if self.gather(j).is_some_and(here) || self.storage.pending().any(asked) {
+            return;
         }
-        self.mark_fetch_start(out);
-        self.get(out, Request::OwnGradient { trainer }, provider, cid);
+        if j == self.j {
+            self.mark_fetch_start(out);
+        }
+        self.get(out, Request::Gradient { j, trainer }, provider, cid);
     }
 
     /// Marks the start of this round's gradient-gathering span (merge
@@ -706,11 +714,11 @@ impl FlatAggregator {
         // Under quorum degradation not every trainer has registered;
         // unregistered ones are simply absent from the merge.
         let mut by_provider: HashMap<NodeId, Members> = HashMap::new();
-        for &t in &self.expected {
-            let Some(&(cid, _)) = self.round.registered.get(&t) else {
+        for &t in &self.round.own.set {
+            let Some(&(cid, _)) = self.round.own.registered.get(&t) else {
                 continue;
             };
-            let Ok(provider) = self.topo.upload_target(self.partition, t) else {
+            let Some(provider) = self.topo.upload_target(self.partition, t) else {
                 continue; // merges only exist when storage is in the path
             };
             by_provider.entry(provider).or_default().push((t, cid));
@@ -728,24 +736,40 @@ impl FlatAggregator {
         }
     }
 
-    fn on_own_gradient(&mut self, out: &mut Actions<Msg>, trainer: usize, data: &Bytes) {
-        self.round.downloading.remove(&trainer);
-        if let Some(merge) = &mut self.round.merge {
+    /// Takes in `trainer`'s gradient for slot `j`'s gather, mine or a
+    /// recovered peer's: fetched from storage, or in Direct mode sent to
+    /// me. In verifiable mode the blob must open the trainer's registered
+    /// commitment before it is trusted — now, or when the gather settles.
+    /// A culprit (or a blob that does not decode) is wasted bytes; it stays
+    /// registered, so it is not fetched again: the same CID from the same
+    /// node can only return the same bytes. My own set keeps the vector
+    /// only while a partial may still sum it.
+    fn on_gradient(&mut self, out: &mut Actions<Msg>, j: usize, trainer: usize, data: &Bytes) {
+        let own = j == self.j;
+        if let (true, Some(merge)) = (own, &mut self.round.merge) {
             merge.fallback_pending.remove(&trainer);
         }
-        let Some(vector) = self.decode_own(data) else {
+        let keep = !own || self.round.stage == Stage::Gather;
+        let vector = self.decode_own(data);
+        let Some(gather) = self.gather(j) else {
+            return; // its slot's partial is in
+        };
+        let registered = gather.registered.get(&trainer).and_then(|(_, c)| *c);
+        let tag = Admitted::Gradient(trainer, data.len());
+        let vector = vector.filter(|_| match (&mut gather.admitted, registered) {
+            (Some(queue), Some(commitment)) => queue.admit(out, tag, data, commitment),
+            _ => true,
+        });
+        let Some(vector) = vector else {
+            out.record(labels::WASTED_BYTES, data.len() as f64);
             return;
         };
-        // In verifiable mode the blob must open the trainer's registered
-        // commitment before it is trusted — now, or when the round settles.
-        let registered = self.round.registered.get(&trainer).and_then(|(_, c)| *c);
-        if let (Some(queue), Some(commitment)) = (&mut self.round.admitted, registered) {
-            if !queue.admit(out, Admitted::Gradient(trainer), data, commitment) {
-                return; // corrupt gradient; the poll loop will retry
-            }
+        gather.gradients.insert(trainer, keep.then_some(vector));
+        if own {
+            self.maybe_aggregate(out);
+        } else {
+            self.maybe_recover(out);
         }
-        self.round.take_gradient(trainer, vector);
-        self.maybe_aggregate(out);
     }
 
     /// One storage node answered a merge request: `Some` blob (`MergeOk`)
@@ -791,15 +815,15 @@ impl FlatAggregator {
         members: &[(usize, Cid)],
         data: &Bytes,
     ) -> bool {
-        let registered = |(t, _): &(usize, Cid)| self.round.registered.get(t)?.1;
+        let registered = |(t, _): &(usize, Cid)| self.round.own.registered.get(t)?.1;
         let commitments: Option<Vec<ProtocolCommitment>> = members.iter().map(registered).collect();
-        match (&mut self.round.admitted, commitments) {
+        match (&mut self.round.own.admitted, commitments) {
             (Some(queue), Some(commitments)) => {
                 let product = ProtocolCommitment::accumulate(&commitments);
                 queue.admit(out, Admitted::Merge(req), data, product)
             }
             // Not verifiable — or a member registered no commitment, which
-            // `on_own_gradient` lets through as well.
+            // `on_gradient` lets through as well.
             _ => true,
         }
     }
@@ -808,34 +832,38 @@ impl FlatAggregator {
     fn degrade_merge(&mut self, out: &mut Actions<Msg>, members: Members) {
         out.record(labels::MERGE_FALLBACK, members.len() as f64);
         for (trainer, cid) in members {
-            if self.round.gradients.contains_key(&trainer) {
+            if self.round.own.gradients.contains_key(&trainer) {
                 continue;
             }
             if let Some(merge) = &mut self.round.merge {
                 merge.fallback_pending.insert(trainer);
             }
-            self.fetch_own_gradient(out, trainer, cid);
+            self.fetch_gradient(out, self.j, trainer, cid);
         }
     }
 
-    /// Settles what the round admitted on trust and takes every culprit
-    /// back out: a gradient leaves `gradients` — the state an arrival-time
-    /// rejection leaves (`registered` keeps its entry under both policies)
-    /// — and a merged blob degrades to fetches of its members, as a failed
-    /// merge does. Returns the number of culprits.
+    /// Settles what slot `j`'s gather admitted on trust and takes every
+    /// culprit back out, booked as wasted: a gradient leaves `gradients` —
+    /// the state an arrival-time rejection leaves (`registered` keeps its
+    /// entry under both policies) — and a merged blob degrades to fetches
+    /// of its members, as a failed merge does. Returns the number of
+    /// culprits.
     ///
-    /// The partial is all the round makes of these blobs, so the check is
+    /// The sum is all the gather makes of these blobs, so the check is
     /// [`VerifyQueue::settle_sum`]: one opening of their sum, and culprits
     /// named only when it fails.
-    fn settle_admitted(&mut self, out: &mut Actions<Msg>) -> usize {
-        let Some(queue) = &mut self.round.admitted else {
+    fn settle_admitted(&mut self, out: &mut Actions<Msg>, j: usize) -> usize {
+        let Some(queue) = self.gather(j).and_then(|g| g.admitted.as_mut()) else {
             return 0;
         };
         let culprits = queue.settle_sum(out);
         for culprit in &culprits {
             match *culprit {
-                Admitted::Gradient(trainer) => {
-                    self.round.gradients.remove(&trainer);
+                Admitted::Gradient(trainer, bytes) => {
+                    out.record(labels::WASTED_BYTES, bytes as f64);
+                    if let Some(gather) = self.gather(j) {
+                        gather.gradients.remove(&trainer);
+                    }
                 }
                 Admitted::Merge(req) => {
                     let merge = self.round.merge.as_mut();
@@ -863,45 +891,56 @@ impl FlatAggregator {
         // admitted on trust. A convicted gradient simply drops out of the
         // fallback set, exactly as an arrival-time rejection would have
         // kept it out; a convicted merge is fetched member by member first.
-        self.settle_admitted(out);
+        self.settle_admitted(out, self.j);
         let merge = self.round.merge.as_ref().filter(|m| !waiting(m))?;
         // The exact i128 sum does not depend on the order of its terms.
         // Nothing is released before the partial is summed.
         let merged = merge.merged.values().map(|(v, _)| v);
-        let fallback = self.round.gradients.values();
+        let fallback = self.round.own.gradients.values();
         let vectors = merged.chain(fallback).filter_map(Option::as_deref);
         let vectors = vectors.collect();
         let merged = merge.merged.values().flat_map(|(_, members)| members);
         let mut contributors: Vec<usize> = merged.map(|&(t, _)| t).collect();
-        contributors.extend(self.round.gradients.keys());
+        contributors.extend(self.round.own.gradients.keys());
         contributors.sort_unstable();
         Some((vectors, contributors))
     }
 
-    /// The other modes' input to the partial: the gradients of `T_ij`
-    /// received or fetched one by one, once enough of them are in.
-    fn gather_fetched(&mut self, out: &mut Actions<Msg>) -> Option<Gathered<'_>> {
-        let set_len = self.expected.len();
-        let mut have: Vec<usize> = self.expected.clone();
-        have.retain(|t| self.round.gradients.contains_key(t));
+    /// The input to slot `j`'s sum (every mode but my own merges): the
+    /// gradients of its set received or fetched one by one, once enough
+    /// of them are in.
+    fn gather_fetched(&mut self, out: &mut Actions<Msg>, j: usize) -> Option<Gathered<'_>> {
+        let enough = |agg: &mut Self| {
+            let gather = agg.gather(j)?;
+            let (have, set_len) = (gather.have().len(), gather.set.len());
+            Some(agg.enough(have, set_len))
+        };
         // Normally wait for the full set; a deadline-degraded round may
-        // proceed once the quorum is in.
-        if !self.enough(have.len(), set_len, set_len) {
+        // proceed once the quorum is in. That is the round boundary: settle
+        // what was admitted on trust, then re-check — an evicted culprit may
+        // put the set back below quorum, in which case the round waits
+        // exactly as it would have had the blob been rejected at arrival.
+        if !enough(self)? || (self.settle_admitted(out, j) > 0 && !enough(self)?) {
             return None;
         }
-        // The round boundary: settle what was admitted on trust, then
-        // re-check — an evicted culprit may put the set back below quorum,
-        // in which case the round waits exactly as it would have had the
-        // blob been rejected at arrival.
-        if self.settle_admitted(out) > 0 {
-            have.retain(|t| self.round.gradients.contains_key(t));
-            if !self.enough(have.len(), set_len, set_len) {
-                return None;
-            }
-        }
-        let own = |t: &usize| self.round.gradients.get(t)?.as_deref();
-        let vectors = have.iter().map(own).collect::<Option<_>>()?;
+        let gather: &Gather = self.gather(j)?;
+        let have = gather.have();
+        let vector = |t: &usize| gather.gradients.get(t)?.as_deref();
+        let vectors = have.iter().map(vector).collect::<Option<_>>()?;
         Some((vectors, have))
+    }
+
+    /// Slot `j`'s sum, once its gather is complete, and the trainers in it.
+    fn summed(&mut self, out: &mut Actions<Msg>, j: usize) -> Option<(Vec<Quantized>, Vec<usize>)> {
+        let iter = self.round.iter;
+        let (vectors, contributors) = match self.round.merge {
+            Some(_) if j == self.j => self.gather_merged(out),
+            _ => self.gather_fetched(out, j),
+        }?;
+        if vectors.is_empty() {
+            return None;
+        }
+        Some((sum_in_round(out, iter, &vectors)?, contributors))
     }
 
     fn maybe_aggregate(&mut self, out: &mut Actions<Msg>) {
@@ -909,21 +948,10 @@ impl FlatAggregator {
             // Stragglers admitted after aggregation (quorum-degraded
             // rounds) still get their check here, at the same instant the
             // per-blob policy would have verified them.
-            self.settle_admitted(out);
+            self.settle_admitted(out, self.j);
             return;
         }
-        let iter = self.round.iter;
-        let gathered = match self.round.merge {
-            Some(_) => self.gather_merged(out),
-            None => self.gather_fetched(out),
-        };
-        let Some((vectors, contributors)) = gathered else {
-            return;
-        };
-        if vectors.is_empty() {
-            return;
-        }
-        let Some(partial) = sum_in_round(out, iter, &vectors) else {
+        let Some((partial, contributors)) = self.summed(out, self.j) else {
             return;
         };
         let Some(sync) = &mut self.round.sync else {
@@ -947,7 +975,8 @@ impl FlatAggregator {
         let sync = self.round.sync.as_ref();
         let mine = sync.and_then(|s| s.partials.get(&self.j));
         let contributors = mine.map_or(&[][..], |(_, contributors)| contributors);
-        let rank = |t| self.expected.iter().position(|e| e == t).map(|r| r as u16);
+        let set = &self.round.own.set;
+        let rank = |t| set.iter().position(|e| e == t).map(|r| r as u16);
         contributors.iter().filter_map(rank).collect()
     }
 
@@ -969,23 +998,17 @@ impl FlatAggregator {
     /// A storage reply to the request for `purpose`.
     fn on_storage_reply(&mut self, out: &mut Actions<Msg>, purpose: Request, reply: IpfsWire) {
         match (purpose, reply) {
-            (Request::OwnGradient { trainer }, IpfsWire::GetOk { data, .. }) => {
-                self.on_own_gradient(out, trainer, &data);
+            (Request::Gradient { j, trainer }, IpfsWire::GetOk { data, .. }) => {
+                self.on_gradient(out, j, trainer, &data);
             }
             (Request::PeerPartial { j }, IpfsWire::GetOk { data, .. }) => {
                 self.check_peer_partials(out, vec![(j, data)]);
             }
-            (Request::Recovery { j, trainer }, IpfsWire::GetOk { data, .. }) => {
-                self.on_recovery_gradient(out, j, trainer, &data);
-            }
-            // A failed Get is retried through the poll loop.
-            (Request::OwnGradient { trainer }, IpfsWire::GetErr { .. }) => {
-                self.round.downloading.remove(&trainer);
-                self.round.registered.remove(&trainer);
-            }
-            (Request::Recovery { j, trainer }, IpfsWire::GetErr { .. }) => {
-                if let Some(sync) = &mut self.round.sync {
-                    sync.recovery_pending.entry(j).or_default().insert(trainer);
+            // A failed Get un-registers its trainer: the poll loop lists it
+            // again, and the listing fetches it again.
+            (Request::Gradient { j, trainer }, IpfsWire::GetErr { .. }) => {
+                if let Some(gather) = self.gather(j) {
+                    gather.registered.remove(&trainer);
                 }
             }
             (Request::Merged, IpfsWire::MergeOk { data, req_id }) => {
@@ -1048,10 +1071,7 @@ impl FlatAggregator {
         if ann.partition != self.partition || ann.iter != self.round.iter || ann.agg_j == self.j {
             return;
         }
-        if sync.partials.contains_key(&ann.agg_j)
-            || sync.announced.contains_key(&ann.agg_j)
-            || self.blacklist.contains(&ann.agg_j)
-        {
+        if sync.announced.contains_key(&ann.agg_j) || self.blacklist.contains(&ann.agg_j) {
             return;
         }
         // Accountability mode only acts on *signed* announcements: the
@@ -1127,7 +1147,7 @@ impl FlatAggregator {
             let Some(sync) = &self.round.sync else {
                 return;
             };
-            if sync.partials.contains_key(&j) || self.blacklist.contains(&j) {
+            if self.blacklist.contains(&j) {
                 continue;
             }
             let Some(ann) = sync.announced.get(&j).cloned() else {
@@ -1168,7 +1188,9 @@ impl FlatAggregator {
             return;
         };
         let j = ann.agg_j;
-        sync.announced.remove(&j);
+        // Landing before the slot's recovered sum, it ends that recovery:
+        // the two sums are bit-identical, and the first one in is used.
+        sync.recovering.remove(&j);
         let set = self.topo.trainer_set(self.partition, j);
         let claimed: Vec<usize> = if ann.contributors.is_empty() {
             set
@@ -1177,7 +1199,7 @@ impl FlatAggregator {
         };
         // One arriving after the global update is summed is never summed.
         let vector = (self.round.stage != Stage::Done).then_some(vector);
-        sync.partials.insert(j, (vector, claimed));
+        sync.partials.entry(j).or_insert((vector, claimed));
         self.maybe_finish_sync(out);
     }
 
@@ -1326,40 +1348,20 @@ impl FlatAggregator {
         let iter = self.round.iter;
         let slots = self.topo.config().aggregators_per_partition;
         // A slot is satisfied by a verified peer partial or by recovery.
-        let mut vectors: Vec<Cow<'_, [Quantized]>> = Vec::with_capacity(slots);
+        let mut vectors: Vec<&[Quantized]> = Vec::with_capacity(slots);
         let mut contributors: Vec<u32> = Vec::new();
-        let mut recovered = false;
         for j in 0..slots {
-            if let Some((v, set)) = sync.partials.get(&j) {
-                let Some(v) = v else {
-                    return; // unreachable: released only once the round is done
-                };
-                vectors.push(Cow::Borrowed(v));
-                contributors.extend(set.iter().map(|&t| t as u32));
-            } else if let Some(grads) = sync.recovery_grads.get(&j) {
-                // Recovery normally needs the peer's whole trainer set; a
-                // deadline-degraded round accepts the per-set quorum.
-                let want = self.topo.trainer_set(self.partition, j).len();
-                if grads.is_empty() || !self.enough(grads.len(), want, want) {
-                    return;
-                }
-                // The exact i128 sum is order-independent, so the recovered
-                // slot reproduces the honest partial bit for bit.
-                let held: Vec<&[Quantized]> = grads.values().map(Vec::as_slice).collect();
-                let Some(sum) = sum_in_round(out, iter, &held) else {
-                    return;
-                };
-                vectors.push(Cow::Owned(sum));
-                contributors.extend(grads.keys().map(|&t| t as u32));
-                recovered = true;
-            } else {
+            // A vector is released only once the round is done.
+            let Some((Some(v), set)) = sync.partials.get(&j) else {
                 return;
-            }
+            };
+            vectors.push(v);
+            contributors.extend(set.iter().map(|&t| t as u32));
         }
         let Some(global) = sum_in_round(out, iter, &vectors) else {
             return;
         };
-        if recovered {
+        if sync.recovered {
             out.record(labels::ROUND_RECOVERED, iter as f64);
         }
         contributors.sort_unstable();
@@ -1434,15 +1436,15 @@ impl FlatAggregator {
         // blobs carry a contribution counter that averaging divides by.
         if self.topo.config().min_quorum.is_some() && !self.round.deadline_degraded {
             self.round.deadline_degraded = true;
-            let received = match self.topo.config().comm {
-                CommMode::Direct => self.round.gradients.len(),
-                _ => self.round.registered.len(),
-            };
-            let missing = self.expected.len().saturating_sub(received);
+            // Listed in storage modes; received in Direct mode, which lists
+            // nothing.
+            let own = &self.round.own;
+            let received = own.registered.len().max(own.gradients.len());
+            let missing = own.set.len().saturating_sub(received);
             out.record(labels::QUORUM_DEGRADED, missing as f64);
             self.maybe_send_merges(out);
             self.maybe_aggregate(out);
-            self.maybe_finish_sync(out);
+            self.maybe_recover(out);
             if self.round.stage == Stage::Done {
                 return;
             }
@@ -1456,15 +1458,10 @@ impl FlatAggregator {
         // is blacklisted so later rounds recover it proactively instead of
         // waiting out the timeout again (timeout suspicion is local only —
         // silence yields no transferable proof).
-        let slots = 0..self.topo.config().aggregators_per_partition;
-        let missing: Vec<(usize, bool)> = match &self.round.sync {
-            Some(sync) => slots
-                .filter(|j| *j != self.j && !sync.partials.contains_key(j))
-                .map(|j| (j, sync.announced.contains_key(&j)))
-                .collect(),
-            None => Vec::new(),
-        };
-        for (j, announced) in missing {
+        let me = self.j;
+        for j in (0..self.topo.config().aggregators_per_partition).filter(|&j| j != me) {
+            let sync = self.round.sync.as_ref();
+            let announced = sync.is_some_and(|s| s.announced.contains_key(&j));
             if self.accountability() && !announced {
                 self.blacklist_peer(out, j);
             } else {
@@ -1487,12 +1484,9 @@ impl FlatAggregator {
         if iter != self.round.iter || self.round.stage == Stage::Done {
             return;
         }
-        // Alive (or mid-verification) slots are left to finish.
-        let alive = |j: &usize| {
-            sync.partials.contains_key(j)
-                || sync.announced.contains_key(j)
-                || sync.unverified.contains_key(j)
-        };
+        // Alive (or mid-verification) slots are left to finish: a stashed
+        // or accepted peer partial keeps its announce.
+        let alive = |j: &usize| sync.partials.contains_key(j) || sync.announced.contains_key(j);
         let slots = 0..self.topo.config().aggregators_per_partition;
         let silent: Vec<usize> = slots.filter(|j| !alive(j)).collect();
         for j in silent {
@@ -1500,33 +1494,21 @@ impl FlatAggregator {
         }
     }
 
-    fn on_recovery_gradient(
-        &mut self,
-        out: &mut Actions<Msg>,
-        j: usize,
-        trainer: usize,
-        data: &[u8],
-    ) {
-        let (Some(vector), Some(sync)) = (self.decode_own(data), &mut self.round.sync) else {
-            return;
-        };
-        // Each recovered blob is checked, on arrival, against the trainer's
-        // registered commitment: recovery must reproduce the honest partial
-        // exactly, so a corrupt storage copy is refetched rather than
-        // summed.
-        if let Some(key) = &self.key {
-            let registered = sync.commitments_seen.get(&trainer);
-            let opens =
-                |c: &ProtocolCommitment| verify_blobs_timed(out, key, &[(data, c)]).is_empty();
-            if !registered.is_some_and(opens) {
-                out.record(labels::WASTED_BYTES, data.len() as f64);
-                sync.recovery_pending.entry(j).or_default().insert(trainer);
-                self.start_polling(out);
-                return;
+    /// Ends the recovery of each slot whose gather has what my own would
+    /// need — the whole set, or a deadline-degraded round's quorum: its
+    /// sum goes into `partials` as the slot's. The exact i128 sum is
+    /// order-independent, so it is the honest partial bit for bit.
+    fn maybe_recover(&mut self, out: &mut Actions<Msg>) {
+        let me = self.j;
+        for j in (0..self.topo.config().aggregators_per_partition).filter(|&j| j != me) {
+            let Some((sum, contributors)) = self.summed(out, j) else {
+                continue; // still gathering, or not recovered
+            };
+            if let Some(sync) = &mut self.round.sync {
+                sync.recovering.remove(&j);
+                sync.partials.insert(j, (Some(sum), contributors));
+                sync.recovered = true;
             }
-        }
-        if let Some(grads) = sync.recovery_grads.get_mut(&j) {
-            grads.insert(trainer, vector);
         }
         self.maybe_finish_sync(out);
     }
@@ -1581,9 +1563,9 @@ impl FlatAggregator {
             } if partition == self.partition => {
                 let next = if self.begun { self.round.iter + 1 } else { 0 };
                 if self.begun && iter == self.round.iter {
-                    self.on_direct_gradient(out, trainer, &data);
+                    self.on_gradient(out, self.j, trainer, &data);
                 } else if iter == next
-                    && self.expected.contains(&trainer)
+                    && self.round.own.set.contains(&trainer)
                     && !self.early.iter().any(|&(_, t, _)| t == trainer)
                 {
                     self.early.push((iter, trainer, data));
@@ -1645,20 +1627,32 @@ mod tests {
             .config()
             .verifiable
             .then(|| Arc::new(derive_key(topo.max_partition_len(), 0, true)));
-        let mut agg = Aggregator::honest(0, topo, key.clone());
-        let entries = blobs.iter().zip(committed).enumerate();
-        let registered = |(t, (blob, honest)): (usize, (&Bytes, &Bytes))| {
-            let commitment = key.as_ref().map(|k| commit_blob(k, honest).unwrap());
-            (t, Cid::of(blob), commitment.map(|c| c.to_bytes()))
-        };
-        let list = Msg::GradientList {
-            partition: 0,
-            iter: 0,
-            entries: entries.map(registered).collect(),
-        };
+        let mut agg = Aggregator::honest(0, topo, key);
+        let list = gradient_list(&agg, blobs, committed, 0..blobs.len());
         deliver(&mut agg, Msg::StartRound { iter: 0 });
         let actions = deliver(&mut agg, list);
         (agg, actions)
+    }
+
+    /// The round-0 gradient list of `trainers`, each registered under the
+    /// CID of its blob in `blobs` and, when `agg` is verifiable, under the
+    /// commitment of its blob in `committed`.
+    fn gradient_list(
+        agg: &Aggregator,
+        blobs: &[Bytes],
+        committed: &[Bytes],
+        trainers: impl Iterator<Item = usize>,
+    ) -> Msg {
+        let key = flat(agg).key.as_ref();
+        let registered = |t: usize| {
+            let commitment = key.map(|k| commit_blob(k, &committed[t]).unwrap());
+            (t, Cid::of(&blobs[t]), commitment.map(|c| c.to_bytes()))
+        };
+        Msg::GradientList {
+            partition: 0,
+            iter: 0,
+            entries: trainers.map(registered).collect(),
+        }
     }
 
     /// One blob per trainer: `[t, 0.5, −2]`.
@@ -1983,7 +1977,7 @@ mod tests {
         let round = &flat(agg).round;
         let merged = round.merge.iter().flat_map(|m| m.merged.values());
         let merged = merged.filter(|(v, _)| v.is_some()).count();
-        merged + round.gradients.values().flatten().count()
+        merged + round.own.gradients.values().flatten().count()
     }
 
     fn verified(actions: &[ProtocolAction<Msg>]) -> u64 {
@@ -2018,7 +2012,7 @@ mod tests {
         assert!(uploads(&actions, &encoded_sum(&own_set)));
         assert_eq!(held_vectors(&agg), 0);
         let round = &flat(&agg).round;
-        let mut kept: Vec<usize> = round.gradients.keys().copied().collect();
+        let mut kept: Vec<usize> = round.own.gradients.keys().copied().collect();
         kept.sort_unstable();
         assert_eq!(kept, [0, 2]);
         let partial = &round.sync.as_ref().unwrap().partials[&0];
@@ -2106,9 +2100,193 @@ mod tests {
                 let case = format!("batch_verify = {batch_verify}, corrupt = {corrupt}");
                 assert_eq!(verified(&late), 1, "{case}");
                 assert_eq!(held_vectors(&agg), 0, "{case}");
-                let booked = flat(&agg).round.gradients.contains_key(&3);
+                let booked = flat(&agg).round.own.gradients.contains_key(&3);
                 assert_eq!(booked, !corrupt, "{case}");
             }
+        }
+    }
+
+    /// A one-partition task of two slots, `T_00 = {0, 2}` and
+    /// `T_01 = {1, 3}`, with a sync watchdog.
+    fn two_slots(verifiable: bool, batch_verify: bool) -> TaskConfig {
+        TaskConfig {
+            partitions: 1,
+            aggregators_per_partition: 2,
+            sync_watchdog: Some(dfl_netsim::SimDuration::from_secs(2)),
+            verifiable,
+            batch_verify,
+            ..TaskConfig::default()
+        }
+    }
+
+    /// A slot-0 aggregator of `cfg` (a [`two_slots`] task) whose own
+    /// partial is summed from `stored` and stored, whose watchdog then
+    /// found slot 1 silent, and which was sent the gradient list of slot 1
+    /// as the poll loop asks for it; every action since the first list, and
+    /// the `Get`s of slot 1's gradients among them.
+    fn recovering(
+        cfg: TaskConfig,
+        stored: &[Bytes],
+        honest: &[Bytes],
+    ) -> (Aggregator, Vec<ProtocolAction<Msg>>, Vec<(u64, Cid)>) {
+        let (mut agg, mut actions) = listed(cfg, stored, honest);
+        let own = gets(&actions);
+        actions.extend(answer(&mut agg, &own, stored));
+        let [(req_id, partial)] = &puts(&actions)[..] else {
+            panic!("one partial uploaded: {actions:?}");
+        };
+        let cid = Cid::of(partial);
+        let ack = IpfsWire::PutAck {
+            cid,
+            req_id: *req_id,
+        };
+        actions.extend(deliver(&mut agg, Msg::Ipfs(ack)));
+        actions.extend(fire(&mut agg, TK_WATCHDOG));
+        assert_eq!(recorded(&actions, labels::DROPOUT_RECOVERY), 1);
+        let list = gradient_list(&agg, stored, honest, [1, 3].into_iter());
+        let listed = deliver(&mut agg, list);
+        let recovery = gets(&listed);
+        actions.extend(listed);
+        (agg, actions, recovery)
+    }
+
+    /// The `(req_id, data)` of every storage `Put` among `actions`.
+    fn puts(actions: &[ProtocolAction<Msg>]) -> Vec<(u64, Bytes)> {
+        let put = |action: &ProtocolAction<Msg>| match action {
+            ProtocolAction::Send {
+                msg: Msg::Ipfs(IpfsWire::Put { data, req_id, .. }),
+                ..
+            } => Some((*req_id, data.clone())),
+            _ => None,
+        };
+        actions.iter().filter_map(put).collect()
+    }
+
+    /// The blobs `actions` upload.
+    fn uploaded(actions: &[ProtocolAction<Msg>]) -> Vec<Bytes> {
+        puts(actions).into_iter().map(|(_, data)| data).collect()
+    }
+
+    /// The bytes `actions` book as wasted.
+    fn wasted(actions: &[ProtocolAction<Msg>]) -> f64 {
+        let value = |action: &ProtocolAction<Msg>| match action {
+            ProtocolAction::Record { label, value } if *label == labels::WASTED_BYTES => *value,
+            _ => 0.0,
+        };
+        actions.iter().map(value).sum()
+    }
+
+    /// Fires `agg`'s round-0 timer of kind `kind`.
+    fn fire(agg: &mut Aggregator, kind: u64) -> Vec<ProtocolAction<Msg>> {
+        let mut out = Actions::new();
+        agg.handle(
+            SimTime::ZERO,
+            ProtocolEvent::Timer { token: kind },
+            &mut out,
+        );
+        out.drain().collect()
+    }
+
+    /// Slot `j`'s announce of `partial`, as the sync topic delivers it.
+    fn announced(agg: &Aggregator, j: usize, partial: &[u8]) -> Msg {
+        let announce = SyncAnnounce {
+            partition: 0,
+            agg_j: j,
+            iter: 0,
+            cid: Cid::of(partial),
+            contributors: Vec::new(),
+            signature: None,
+        };
+        Msg::Ipfs(IpfsWire::Deliver {
+            topic: flat(agg).topo.sync_topic(0),
+            data: Bytes::from(announce.encode()),
+            publisher: NodeId(9),
+        })
+    }
+
+    /// Recovery races the peer it stands in for: slot 1's own partial
+    /// lands while its recovery is half-fetched. The round ends once, with
+    /// the global update a full recovery uploads, not as a recovered
+    /// round, and the recovery replies after it change nothing.
+    #[test]
+    fn a_peer_partial_that_lands_mid_recovery_ends_the_round_once() {
+        let blobs = honest_blobs(4);
+        let global = Bytes::from(encoded_sum(&blobs));
+        let (mut agg, _, recovery) = recovering(two_slots(false, false), &blobs, &blobs);
+        assert_eq!(recovery.len(), 2, "slot 1's trainers 1 and 3");
+        let done = answer(&mut agg, &recovery, &blobs);
+        assert_eq!(recorded(&done, labels::ROUND_RECOVERED), 1);
+        assert_eq!(
+            uploaded(&done),
+            std::slice::from_ref(&global),
+            "all recovered"
+        );
+
+        let (mut agg, _, recovery) = recovering(two_slots(false, false), &blobs, &blobs);
+        let half = answer(&mut agg, &recovery[..1], &blobs);
+        assert!(uploaded(&half).is_empty(), "{half:?}");
+        let peer = Bytes::from(encoded_sum(&[blobs[1].clone(), blobs[3].clone()]));
+        let announce = announced(&agg, 1, &peer);
+        let asked = deliver(&mut agg, announce);
+        let done = answer(&mut agg, &gets(&asked), &[peer]);
+        assert_eq!(recorded(&done, labels::SYNC_DONE), 1);
+        assert_eq!(recorded(&done, labels::ROUND_RECOVERED), 0);
+        assert_eq!(uploaded(&done), [global]);
+        let late = answer(&mut agg, &recovery[1..], &blobs);
+        assert!(late.is_empty(), "{late:?}");
+    }
+
+    /// A recovered slot under the per-blob and the deferred policy: the
+    /// same global update, and the same number of blobs verified.
+    #[test]
+    fn a_recovered_slot_is_the_same_under_either_verification_policy() {
+        let blobs = honest_blobs(4);
+        let runs = [false, true].map(|batch_verify| {
+            let cfg = two_slots(true, batch_verify);
+            let (mut agg, before, recovery) = recovering(cfg, &blobs, &blobs);
+            let done = answer(&mut agg, &recovery, &blobs);
+            assert_eq!(recorded(&done, labels::ROUND_RECOVERED), 1);
+            (uploaded(&done), verified(&before) + verified(&done))
+        });
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], (vec![Bytes::from(encoded_sum(&blobs))], 4));
+    }
+
+    /// One culprit rule for every gathered blob, recovered or own: one
+    /// that does not open its registered commitment is booked as wasted,
+    /// never summed, and not fetched again — the same CID from the same
+    /// storage node can only return the same bytes.
+    #[test]
+    fn a_culprit_gradient_is_wasted_and_not_fetched_again() {
+        let honest = honest_blobs(4);
+        for batch_verify in [false, true] {
+            let case = format!("batch_verify = {batch_verify}");
+            // Slot 1's trainer 3, recovered.
+            let mut stored = honest.clone();
+            stored[3] = Bytes::from(build_blob(&[9.0, 0.5, -2.0]));
+            let cfg = two_slots(true, batch_verify);
+            let (mut agg, _, recovery) = recovering(cfg, &stored, &honest);
+            let mut actions = answer(&mut agg, &recovery, &stored);
+            let again = gradient_list(&agg, &stored, &honest, [1, 3].into_iter());
+            actions.extend(deliver(&mut agg, again));
+            assert_eq!(wasted(&actions), stored[3].len() as f64, "{case}");
+            assert!(gets(&actions).is_empty(), "{case}: {actions:?}");
+            assert!(uploaded(&actions).is_empty(), "{case}");
+
+            // Trainer 1 of the own set of a one-slot task.
+            let mut stored = honest.clone();
+            stored[1] = Bytes::from(build_blob(&[9.0, 0.5, -2.0]));
+            let cfg = TaskConfig {
+                aggregators_per_partition: 1,
+                ..two_slots(true, batch_verify)
+            };
+            let (mut agg, listed) = listed(cfg, &stored, &honest);
+            let mut actions = answer(&mut agg, &gets(&listed), &stored);
+            let again = gradient_list(&agg, &stored, &honest, 0..4);
+            actions.extend(deliver(&mut agg, again));
+            assert_eq!(wasted(&actions), stored[1].len() as f64, "{case}");
+            assert!(gets(&actions).is_empty(), "{case}: {actions:?}");
+            assert!(uploaded(&actions).is_empty(), "{case}");
         }
     }
 }

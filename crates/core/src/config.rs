@@ -578,25 +578,18 @@ impl Topology {
     /// The storage node trainer `t` must upload its partition-`i` gradient
     /// to. Under merge-and-download this is one of its aggregator's
     /// providers, chosen round-robin by the trainer's rank within `T_ij`;
-    /// otherwise it is the trainer's own gateway.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IplsError::NoStorageRoute`] in [`CommMode::Direct`],
-    /// where gradients never touch storage.
-    pub fn upload_target(&self, partition: usize, t: usize) -> Result<NodeId, IplsError> {
+    /// otherwise it is the trainer's own gateway. `None` in
+    /// [`CommMode::Direct`], where gradients never touch storage.
+    pub fn upload_target(&self, partition: usize, t: usize) -> Option<NodeId> {
         match self.cfg.comm {
-            CommMode::Direct => Err(IplsError::NoStorageRoute {
-                partition,
-                trainer: t,
-            }),
-            CommMode::Indirect => Ok(self.trainer_gateway(t)),
+            CommMode::Direct => None,
+            CommMode::Indirect => Some(self.trainer_gateway(t)),
             CommMode::MergeAndDownload => {
                 let j = self.agg_for_trainer(partition, t);
                 let g = self.agg_index(partition, j);
                 let providers = self.providers(g);
                 let rank = t / self.cfg.aggregators_per_partition;
-                Ok(providers[rank % providers.len()])
+                Some(providers[rank % providers.len()])
             }
         }
     }
@@ -873,17 +866,11 @@ mod tests {
 
     #[test]
     fn direct_mode_upload_target_is_typed_error() {
-        // Regression: this used to panic instead of returning an error.
+        // Regression: this used to panic instead of returning no target.
         let mut cfg = cfg_16_trainers();
         cfg.comm = CommMode::Direct;
         let topo = Topology::new(cfg, 100).unwrap();
-        assert_eq!(
-            topo.upload_target(1, 5),
-            Err(IplsError::NoStorageRoute {
-                partition: 1,
-                trainer: 5,
-            })
-        );
+        assert_eq!(topo.upload_target(1, 5), None);
     }
 
     #[test]

@@ -426,9 +426,9 @@ impl Directory {
     ) {
         // An update blob reply reaching the verification path without a
         // commitment key means a storage frame was spoofed or misrouted
-        // into a non-verifiable task
-        // ([`IplsError::MissingCommitKey`](crate::IplsError)): book it and
-        // drop the reply instead of panicking.
+        // into a non-verifiable task: book it under
+        // `labels::MISSING_COMMIT_KEY` and drop the reply instead of
+        // panicking.
         let Some(key) = self.key.clone() else {
             out.incr(labels::MISSING_COMMIT_KEY, 1);
             return;
@@ -719,7 +719,7 @@ mod tests {
 
     /// Regression: a storage reply reaching the update-verification path
     /// in a non-verifiable task (spoofed or misrouted frame) must be
-    /// booked ([`IplsError::MissingCommitKey`](crate::IplsError)) and
+    /// booked (`labels::MISSING_COMMIT_KEY`) and
     /// dropped — it used to kill the directory via
     /// `.expect("verifiable mode")`.
     #[test]

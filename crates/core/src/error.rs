@@ -10,8 +10,6 @@ pub enum IplsError {
     /// A training round did not complete (e.g. every aggregator of a
     /// partition was malicious or dead and the deadline passed).
     RoundFailed { round: u64, reason: String },
-    /// Verification rejected an aggregator's update.
-    VerificationFailed { partition: usize, aggregator: usize },
     /// Summed quantized gradients exceeded the fixed-point range (would
     /// have wrapped or saturated silently).
     Overflow,
@@ -20,18 +18,6 @@ pub enum IplsError {
     /// in width, or there are none. Blobs arrive from remote (possibly
     /// Byzantine) peers, so this is an error, never a panic.
     MalformedBlob,
-    /// A storage upload target was requested in a communication mode that
-    /// never routes gradients through storage (`CommMode::Direct`).
-    NoStorageRoute {
-        /// Partition whose gradient was about to be routed.
-        partition: usize,
-        /// Trainer that asked for an upload target.
-        trainer: usize,
-    },
-    /// A cryptographic verification step ran without a commitment key —
-    /// a remote message steered a non-verifiable node onto a verifying
-    /// code path.
-    MissingCommitKey,
 }
 
 impl fmt::Display for IplsError {
@@ -41,13 +27,6 @@ impl fmt::Display for IplsError {
             IplsError::RoundFailed { round, reason } => {
                 write!(f, "round {round} failed: {reason}")
             }
-            IplsError::VerificationFailed {
-                partition,
-                aggregator,
-            } => write!(
-                f,
-                "verification failed for partition {partition} (aggregator {aggregator})"
-            ),
             IplsError::Overflow => {
                 write!(f, "quantized gradient sum overflowed the fixed-point range")
             }
@@ -56,14 +35,6 @@ impl fmt::Display for IplsError {
                     f,
                     "malformed gradient blob (truncated, unaligned, or missing the counter)"
                 )
-            }
-            IplsError::NoStorageRoute { partition, trainer } => write!(
-                f,
-                "no storage route for partition {partition} gradient of trainer {trainer}: \
-                 direct mode uploads no gradients to storage"
-            ),
-            IplsError::MissingCommitKey => {
-                write!(f, "verification requested without a commitment key")
             }
         }
     }
@@ -79,11 +50,10 @@ mod tests {
     fn display_messages() {
         let e = IplsError::InvalidConfig("zero partitions".into());
         assert!(e.to_string().contains("zero partitions"));
-        let e = IplsError::VerificationFailed {
-            partition: 2,
-            aggregator: 1,
+        let e = IplsError::RoundFailed {
+            round: 2,
+            reason: "no quorum".into(),
         };
-        assert!(e.to_string().contains("partition 2"));
-        assert!(IplsError::MissingCommitKey.to_string().contains("key"));
+        assert!(e.to_string().contains("round 2"));
     }
 }

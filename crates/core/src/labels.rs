@@ -94,8 +94,7 @@ pub const VERIFY_BATCHED: &str = "verify_batched";
 /// backends emit these; in netsim every loss is injected and traced.
 pub const DELIVERY_FAILED: &str = "delivery_failed";
 /// Counter: an update blob reply reached a verification path without a
-/// commitment key ([`IplsError::MissingCommitKey`](crate::IplsError)).
-/// Dropped instead of panicking.
+/// commitment key. Dropped instead of panicking.
 pub const MISSING_COMMIT_KEY: &str = "missing_commit_key";
 /// Trainer (overlay mode): forwarded its level's partial — own gradient
 /// plus verified child partials — one hop up the aggregation tree

@@ -370,7 +370,7 @@ impl<M: Model> Trainer<M> {
                 out.record(labels::UPLOAD_START, self.round.iter as f64);
                 let replicate = self.topo.config().replication;
                 for (i, data) in blobs.into_iter().enumerate() {
-                    let Ok(to) = self.topo.upload_target(i, self.t) else {
+                    let Some(to) = self.topo.upload_target(i, self.t) else {
                         continue; // unreachable: both modes upload to storage
                     };
                     let put = |req_id| IpfsWire::Put {
