@@ -220,16 +220,12 @@ pub use dfl_ipfs::wire::WireCost;
 /// resulting action queue into the [`Context`].
 pub struct NetsimAdapter<C: ProtocolCore> {
     core: C,
-    out: Actions<C::Msg>,
 }
 
 impl<C: ProtocolCore> NetsimAdapter<C> {
     /// Wraps a core.
     pub fn new(core: C) -> NetsimAdapter<C> {
-        NetsimAdapter {
-            core,
-            out: Actions::new(),
-        }
+        NetsimAdapter { core }
     }
 
     /// The wrapped core.
@@ -243,8 +239,11 @@ where
     C::Msg: WireCost,
 {
     fn dispatch(&mut self, ctx: &mut Context<'_, C::Msg>, event: ProtocolEvent<C::Msg>) {
-        self.core.handle(ctx.now(), event, &mut self.out);
-        for action in self.out.drain() {
+        // A queue per callback: one kept per node would sit drained between
+        // callbacks, sized to that node's largest.
+        let mut out = Actions::new();
+        self.core.handle(ctx.now(), event, &mut out);
+        for action in out.drain() {
             match action {
                 ProtocolAction::Send { to, msg } => ctx.send(to, msg.wire_bytes(), msg),
                 ProtocolAction::SetTimer { delay, token } => ctx.set_timer(delay, token),

@@ -11,8 +11,9 @@
 //! sequence number increments per scheduled event, so runs with the same
 //! inputs produce identical traces bit-for-bit.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::fair::{max_min_rates, FlowDesc, WaterFiller};
 use crate::fault::{Fault, FaultPlan};
@@ -123,10 +124,55 @@ impl<M> Flow<M> {
     }
 }
 
-/// Removes one occurrence of `id` from a sorted id list.
-fn remove_sorted(list: &mut Vec<u64>, id: u64) {
-    if let Ok(i) = list.binary_search(&id) {
-        list.remove(i);
+/// Hashes a flow id with one multiply by an odd constant. Ids are
+/// allocated consecutively, so the low bits of the product put a window of
+/// live ids in distinct buckets: a removal almost always leaves an empty
+/// slot rather than a tombstone, and the table stays sized by the flows
+/// live at once.
+#[derive(Default)]
+struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A queued event. The heap orders by `(time, seq)` alone; the body rides
+/// in the entry.
+struct Event {
+    time: SimTime,
+    seq: u64,
+    kind: EventKind,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Event) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Event) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Event) -> Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
@@ -265,25 +311,28 @@ pub struct Simulation<M> {
     /// Per-node outbound chaos process (spec + its roll stream), installed
     /// by [`Fault::Chaos`].
     chaos: Vec<Option<(crate::fault::ChaosSpec, crate::fault::ChaosRng)>>,
-    queue: BinaryHeap<Reverse<(SimTime, u64)>>,
-    queued: HashMap<(SimTime, u64), EventKind>,
+    queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
     now: SimTime,
-    flows: HashMap<u64, Flow<M>>,
+    flows: HashMap<u64, Flow<M>, BuildHasherDefault<FlowIdHasher>>,
     next_flow_id: u64,
     trace: Trace,
     commands: Vec<Command<M>>,
     limit: Option<SimTime>,
-    /// Active bandwidth-shaped flow ids per endpoint node (sorted; ids are
-    /// allocated monotonically so pushes keep the order). A flow appears in
-    /// both its source's and destination's list.
-    node_flows: Vec<Vec<u64>>,
+    /// Active bandwidth-shaped flow ids per endpoint node. A flow appears
+    /// in both its source's and destination's set.
+    node_flows: Vec<BTreeSet<u64>>,
     /// In-flight zero-byte control messages per endpoint (torn on crash
     /// like any flow, but never shaped).
-    node_ctrl: Vec<Vec<u64>>,
+    node_ctrl: Vec<BTreeSet<u64>>,
     /// Predicted flow completions, lazily invalidated against
     /// [`Flow::done_at`] (a rate change abandons the stale entry).
     completions: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Instants with a queued [`EventKind::FlowCheck`]: one check per
+    /// instant, queued when the instant is first predicted.
+    checks: BTreeSet<SimTime>,
+    /// Scratch for [`Simulation::process_completions`].
+    finished: Vec<u64>,
     /// Capacity mirrors of `links` (dense arrays handed to the allocator
     /// without being rebuilt per call).
     up_bps: Vec<f64>,
@@ -323,10 +372,9 @@ impl<M> Simulation<M> {
             isolated: Vec::new(),
             chaos: Vec::new(),
             queue: BinaryHeap::new(),
-            queued: HashMap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            flows: HashMap::new(),
+            flows: HashMap::default(),
             next_flow_id: 0,
             trace: Trace::new(),
             commands: Vec::new(),
@@ -334,6 +382,8 @@ impl<M> Simulation<M> {
             node_flows: Vec::new(),
             node_ctrl: Vec::new(),
             completions: BinaryHeap::new(),
+            checks: BTreeSet::new(),
+            finished: Vec::new(),
             up_bps: Vec::new(),
             down_bps: Vec::new(),
             reference_alloc: false,
@@ -377,8 +427,8 @@ impl<M> Simulation<M> {
         self.down.push(false);
         self.isolated.push(false);
         self.chaos.push(None);
-        self.node_flows.push(Vec::new());
-        self.node_ctrl.push(Vec::new());
+        self.node_flows.push(BTreeSet::new());
+        self.node_ctrl.push(BTreeSet::new());
         self.up_bps.push(link.up_bps);
         self.down_bps.push(link.down_bps);
         self.visit_epoch.push(0);
@@ -442,27 +492,19 @@ impl<M> Simulation<M> {
     }
 
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
-        let key = (time, self.seq);
+        self.queue.push(Reverse(Event {
+            time,
+            seq: self.seq,
+            kind,
+        }));
         self.seq += 1;
-        self.queue.push(Reverse(key));
-        self.queued.insert(key, kind);
     }
 
     /// Runs until the event queue drains (or the time limit is hit).
     pub fn run(&mut self) {
         loop {
-            let Some(Reverse(key)) = self.queue.pop() else {
-                // Flows born in the final instant are still unrated — their
-                // completions are the only future events left, so flush and
-                // keep going until rating stops producing new events.
-                if self.realloc_seeds.is_empty() {
-                    break;
-                }
-                self.reallocate();
-                continue;
-            };
-            let (time, _) = key;
-            if time > self.now && !self.realloc_seeds.is_empty() {
+            let next = self.queue.peek().map(|Reverse(e)| e.time);
+            if next.is_none_or(|t| t > self.now) && !self.realloc_seeds.is_empty() {
                 // Instant-batched reallocation: every dispatch at the
                 // current instant deferred its component recompute to this
                 // boundary. Max–min rates depend only on the final flow set
@@ -471,23 +513,23 @@ impl<M> Simulation<M> {
                 // rates the per-dispatch recomputes would have converged
                 // to — while turning an N-message same-instant burst from
                 // N component walks into one. The flush may predict
-                // completions earlier than `time`, so re-queue and re-pop.
-                self.queue.push(Reverse(key));
+                // completions earlier than the next event, so peek again.
+                // With the queue empty, flows born in the final instant
+                // are still unrated and their completions are the only
+                // future events left.
                 self.reallocate();
                 continue;
             }
-            if let Some(limit) = self.limit {
-                if time > limit {
-                    break;
-                }
+            let Some(time) = next else { break };
+            if self.limit.is_some_and(|limit| time > limit) {
+                break;
             }
-            // Proof: `push_event` stores a body under every key it queues,
-            // and this is the only line that removes one.
-            #[allow(clippy::expect_used)]
-            let kind = self.queued.remove(&key).expect("queued event has a body");
+            let Some(Reverse(event)) = self.queue.pop() else {
+                break;
+            };
             debug_assert!(time >= self.now, "time must not run backwards");
             self.now = time;
-            match kind {
+            match event.kind {
                 EventKind::Start(node) => {
                     if !self.down[node.0] {
                         self.dispatch(node, |actor, ctx| actor.on_start(ctx))
@@ -506,8 +548,8 @@ impl<M> Simulation<M> {
                         if flow.total_bytes == 0 {
                             // Control message: retire it from the teardown
                             // lists (bandwidth flows left them at completion).
-                            remove_sorted(&mut self.node_ctrl[flow.src.0], flow_id);
-                            remove_sorted(&mut self.node_ctrl[flow.dst.0], flow_id);
+                            self.node_ctrl[flow.src.0].remove(&flow_id);
+                            self.node_ctrl[flow.dst.0].remove(&flow_id);
                         }
                         if self.down[flow.dst.0] {
                             // Receiver crashed after the transfer completed
@@ -565,23 +607,22 @@ impl<M> Simulation<M> {
                 // The bytes already on the wire are still accounted — the
                 // sender transmitted them either way, and a surviving
                 // receiver took delivery of the (useless) prefix.
-                let mut torn: Vec<u64> = self.node_flows[node.0].clone();
-                torn.extend_from_slice(&self.node_ctrl[node.0]);
+                let mut torn: Vec<u64> = self.node_flows[node.0].iter().copied().collect();
+                torn.extend(&self.node_ctrl[node.0]);
                 torn.sort_unstable(); // deterministic trace order
-                torn.dedup(); // a self-flow lists the node as both endpoints
                 for id in torn {
                     // Proof: a flow is in `node_flows` / `node_ctrl` exactly
                     // while it is in `flows`; every removal updates both.
                     #[allow(clippy::expect_used)]
                     let flow = self.flows.remove(&id).expect("listed flow exists");
                     if flow.total_bytes > 0 {
-                        remove_sorted(&mut self.node_flows[flow.src.0], id);
-                        remove_sorted(&mut self.node_flows[flow.dst.0], id);
+                        self.node_flows[flow.src.0].remove(&id);
+                        self.node_flows[flow.dst.0].remove(&id);
                         self.realloc_seeds.push(flow.src.0);
                         self.realloc_seeds.push(flow.dst.0);
                     } else {
-                        remove_sorted(&mut self.node_ctrl[flow.src.0], id);
-                        remove_sorted(&mut self.node_ctrl[flow.dst.0], id);
+                        self.node_ctrl[flow.src.0].remove(&id);
+                        self.node_ctrl[flow.dst.0].remove(&id);
                     }
                     let transferred =
                         (flow.total_bytes as f64 - flow.remaining_at(self.now).max(0.0))
@@ -684,8 +725,8 @@ impl<M> Simulation<M> {
     }
 
     fn apply_commands(&mut self) {
-        let commands = std::mem::take(&mut self.commands);
-        for cmd in commands {
+        let mut commands = std::mem::take(&mut self.commands);
+        for cmd in commands.drain(..) {
             match cmd {
                 Command::Send {
                     from,
@@ -745,10 +786,8 @@ impl<M> Simulation<M> {
                                 total_bytes: 0,
                             },
                         );
-                        self.node_ctrl[from.0].push(id);
-                        if to != from {
-                            self.node_ctrl[to.0].push(id);
-                        }
+                        self.node_ctrl[from.0].insert(id);
+                        self.node_ctrl[to.0].insert(id);
                         self.push_event(self.now + latency, EventKind::Deliver { flow_id: id });
                     } else {
                         self.flows.insert(
@@ -764,10 +803,8 @@ impl<M> Simulation<M> {
                                 total_bytes: bytes,
                             },
                         );
-                        self.node_flows[from.0].push(id);
-                        if to != from {
-                            self.node_flows[to.0].push(id);
-                        }
+                        self.node_flows[from.0].insert(id);
+                        self.node_flows[to.0].insert(id);
                         self.realloc_seeds.push(from.0);
                         self.realloc_seeds.push(to.0);
                     }
@@ -780,6 +817,7 @@ impl<M> Simulation<M> {
                 }
             }
         }
+        self.commands = commands;
         // No reallocate here: seeds accumulate across every dispatch of the
         // current instant and are flushed once, when `run` is about to
         // advance the clock (or by an explicit flush on a same-instant
@@ -791,7 +829,8 @@ impl<M> Simulation<M> {
     /// (their flow was re-rated or torn since they were pushed) are
     /// discarded by comparing against the flow's current `done_at`.
     fn process_completions(&mut self) {
-        let mut finished: Vec<u64> = Vec::new();
+        self.checks.remove(&self.now);
+        let mut finished = std::mem::take(&mut self.finished);
         while let Some(&Reverse((t, id))) = self.completions.peek() {
             if t > self.now {
                 break;
@@ -801,12 +840,9 @@ impl<M> Simulation<M> {
                 finished.push(id);
             }
         }
-        if finished.is_empty() {
-            return;
-        }
+        let due = !finished.is_empty();
         finished.sort_unstable(); // deterministic delivery order
         finished.dedup();
-
         for &id in &finished {
             // Proof: the loop above kept only ids found in `flows`, and
             // nothing between here and there removes a flow.
@@ -819,12 +855,16 @@ impl<M> Simulation<M> {
             let (src, dst) = (flow.src.0, flow.dst.0);
             let latency = self.links[src].latency + self.links[dst].latency;
             self.push_event(self.now + latency, EventKind::Deliver { flow_id: id });
-            remove_sorted(&mut self.node_flows[src], id);
-            remove_sorted(&mut self.node_flows[dst], id);
+            self.node_flows[src].remove(&id);
+            self.node_flows[dst].remove(&id);
             self.realloc_seeds.push(src);
             self.realloc_seeds.push(dst);
         }
-        self.reallocate();
+        finished.clear();
+        self.finished = finished;
+        if due {
+            self.reallocate();
+        }
     }
 
     /// Recomputes fair-share rates for the constraint components seeded in
@@ -843,8 +883,8 @@ impl<M> Simulation<M> {
         if self.reference_alloc {
             // Oracle mode: gather every active flow.
             self.realloc_seeds.clear();
-            for list in &self.node_flows {
-                self.comp_ids.extend_from_slice(list);
+            for set in &self.node_flows {
+                self.comp_ids.extend(set);
             }
         } else {
             // Walk the union of components containing the seed nodes.
@@ -925,7 +965,12 @@ impl<M> Simulation<M> {
                     let done = self.now + SimDuration::from_micros(us as u64);
                     flow.done_at = Some(done);
                     self.completions.push(Reverse((done, id)));
-                    self.push_event(done, EventKind::FlowCheck);
+                    // The first check at an instant finds every flow due
+                    // then: predictions lie at least 1 µs ahead, so none
+                    // joins an instant once its check has run.
+                    if self.checks.insert(done) {
+                        self.push_event(done, EventKind::FlowCheck);
+                    }
                 } else {
                     flow.done_at = None;
                 }
@@ -1773,5 +1818,182 @@ mod tests {
         assert_eq!(replies + drops, 10);
         assert!(drops > 0, "40% loss over 10 frames should drop something");
         assert!(replies > 0, "40% loss should not drop everything");
+    }
+
+    /// Sends `bytes` to each of `to` at start, in order.
+    struct Burst {
+        to: Vec<NodeId>,
+        bytes: u64,
+    }
+    impl Actor<&'static str> for Burst {
+        fn on_start(&mut self, ctx: &mut Context<'_, &'static str>) {
+            for &to in &self.to {
+                ctx.send(to, self.bytes, "burst");
+            }
+        }
+        fn on_message(
+            &mut self,
+            _ctx: &mut Context<'_, &'static str>,
+            _f: NodeId,
+            _m: &'static str,
+        ) {
+        }
+    }
+
+    /// One node bursting `n` equal flows to `n` sinks at time 0.
+    fn burst(n: usize) -> Simulation<&'static str> {
+        let mut sim = Simulation::new();
+        let to = (1..=n).map(|k| sim.reserve_id(k)).collect();
+        sim.add_node(Burst { to, bytes: 10_000 }, link_10mbps());
+        for _ in 0..n {
+            sim.add_node(ArrivalSink, link_10mbps());
+        }
+        sim
+    }
+
+    #[test]
+    fn same_instant_burst_queues_one_flow_check() {
+        // The flows share the sender's uplink equally, so all are predicted
+        // to complete at one instant, and that instant gets one check.
+        let n = 50;
+        let mut sim = burst(n);
+        sim.set_time_limit(SimTime::ZERO);
+        sim.run();
+        let checks = sim
+            .queue
+            .iter()
+            .filter(|Reverse(e)| matches!(e.kind, EventKind::FlowCheck))
+            .count();
+        assert_eq!(checks, 1, "one check for one completion instant");
+        assert_eq!(sim.completions.len(), n);
+        assert_eq!(sim.flows.len(), n);
+
+        // The one check completes every flow.
+        sim.set_time_limit(SimTime::from_micros(u64::MAX));
+        sim.run();
+        for k in 1..=n {
+            assert_eq!(sim.trace().find(NodeId(k), "arrived_us").len(), 1);
+        }
+    }
+
+    #[test]
+    fn completed_flows_leave_no_engine_state() {
+        let n = 50;
+        let mut sim = burst(n);
+        sim.run();
+        assert_eq!(sim.trace().total_bytes_received(), n as u64 * 10_000);
+        assert!(sim.flows.is_empty(), "flow table emptied");
+        assert!(sim.node_flows.iter().all(BTreeSet::is_empty));
+        assert!(sim.node_ctrl.iter().all(BTreeSet::is_empty));
+        assert!(sim.checks.is_empty() && sim.completions.is_empty());
+        assert!(sim.queue.is_empty());
+    }
+
+    #[test]
+    fn torn_control_message_stays_lost_after_newer_flows() {
+        // A sends a control message at 0; it crashes at 5 ms, before the
+        // 20 ms delivery, and on recovery at 6 ms sends fresh messages,
+        // which take the torn one's place in the engine's tables before
+        // its `Deliver` fires.
+        struct Sender {
+            to: NodeId,
+        }
+        impl Actor<&'static str> for Sender {
+            fn on_start(&mut self, ctx: &mut Context<'_, &'static str>) {
+                ctx.send(self.to, 0, "torn");
+            }
+            fn on_message(
+                &mut self,
+                _ctx: &mut Context<'_, &'static str>,
+                _f: NodeId,
+                _m: &'static str,
+            ) {
+            }
+            fn on_fault(&mut self, ctx: &mut Context<'_, &'static str>, fault: Fault) {
+                if let Fault::Recover(_) = fault {
+                    ctx.send(self.to, 0, "fresh");
+                    ctx.send(self.to, 1_000, "fresh");
+                }
+            }
+        }
+        struct Recorder;
+        impl Actor<&'static str> for Recorder {
+            fn on_message(
+                &mut self,
+                ctx: &mut Context<'_, &'static str>,
+                _f: NodeId,
+                m: &'static str,
+            ) {
+                ctx.record(m, 1.0);
+            }
+        }
+        let mut sim = Simulation::new();
+        let b = sim.reserve_id(1);
+        let a = sim.add_node(Sender { to: b }, link_10mbps());
+        sim.add_node(Recorder, link_10mbps());
+        sim.schedule_fault(SimTime::from_micros(5_000), Fault::Crash(a));
+        sim.schedule_fault(SimTime::from_micros(6_000), Fault::Recover(a));
+        sim.run();
+        assert!(
+            sim.trace().find(b, "torn").is_empty(),
+            "torn message delivered"
+        );
+        assert_eq!(sim.trace().find(b, "fresh").len(), 2);
+        assert!(sim.flows.is_empty());
+    }
+
+    #[test]
+    fn crash_teardown_records_in_ascending_flow_id() {
+        // Flow ids follow start order: s1→x (0), x→d (1), s2→x (2). Each
+        // runs at its own bottleneck — 1, 2 and 3 Mbps — so the prefix
+        // each moved by the crash at 0.5 s tells the flows apart.
+        fn uplink(mbps_up: u64) -> LinkSpec {
+            LinkSpec {
+                up_bps: mbps(mbps_up),
+                ..link_10mbps()
+            }
+        }
+        let mut sim = Simulation::new();
+        let x = sim.reserve_id(1);
+        let d = sim.reserve_id(3);
+        sim.add_node(
+            Client {
+                server: x,
+                bytes: 1_000_000,
+            },
+            uplink(1),
+        );
+        sim.add_node(
+            Client {
+                server: d,
+                bytes: 1_000_000,
+            },
+            uplink(2),
+        );
+        sim.add_node(
+            Client {
+                server: x,
+                bytes: 1_000_000,
+            },
+            uplink(3),
+        );
+        sim.add_node(ArrivalSink, link_10mbps());
+        sim.schedule_fault(SimTime::from_micros(500_000), Fault::Crash(x));
+        sim.run();
+        let trace = sim.trace();
+        let torn: Vec<(&str, f64)> = trace
+            .events()
+            .iter()
+            .map(|e| (trace.label_name(e.label), e.value))
+            .filter(|(name, _)| name.starts_with("flow/torn"))
+            .collect();
+        assert_eq!(
+            torn,
+            [
+                (net::FLOW_TORN_INBOUND, 62_500.0),
+                (net::FLOW_TORN_OUTBOUND, 125_000.0),
+                (net::FLOW_TORN_INBOUND, 187_500.0),
+            ]
+        );
     }
 }

@@ -256,8 +256,10 @@ pub struct Trace {
     counters: Vec<u64>,
     /// Label id → histogram, for labels observed via [`Trace::observe`].
     histograms: Vec<Option<Histogram>>,
-    tx_bytes: HashMap<NodeId, u64>,
-    rx_bytes: HashMap<NodeId, u64>,
+    /// Node index → `[tx, rx]` bytes; `None` for a node no transfer has
+    /// touched (the JSONL export lists the touched ones, zero-byte control
+    /// deliveries included).
+    bytes: Vec<Option<[u64; 2]>>,
 }
 
 impl Trace {
@@ -377,19 +379,36 @@ impl Trace {
 
     /// Accounts a completed transfer (called by the engine).
     pub fn count_bytes(&mut self, src: NodeId, dst: NodeId, bytes: u64) {
-        *self.tx_bytes.entry(src).or_default() += bytes;
-        *self.rx_bytes.entry(dst).or_default() += bytes;
+        self.count_tx(src, bytes);
+        self.count_rx(dst, bytes);
     }
 
     /// Accounts transmit-only bytes: a partial flow whose receiver never
     /// took application delivery (torn by a crash).
     pub fn count_tx(&mut self, src: NodeId, bytes: u64) {
-        *self.tx_bytes.entry(src).or_default() += bytes;
+        self.node_bytes(src)[0] += bytes;
     }
 
     /// Accounts receive-only bytes (the surviving half of a torn flow).
     pub fn count_rx(&mut self, dst: NodeId, bytes: u64) {
-        *self.rx_bytes.entry(dst).or_default() += bytes;
+        self.node_bytes(dst)[1] += bytes;
+    }
+
+    /// `node`'s `[tx, rx]` counters, marking it touched.
+    fn node_bytes(&mut self, node: NodeId) -> &mut [u64; 2] {
+        if self.bytes.len() <= node.index() {
+            self.bytes.resize(node.index() + 1, None);
+        }
+        self.bytes[node.index()].get_or_insert([0, 0])
+    }
+
+    /// `node`'s `[tx, rx]` totals (zero if no transfer touched it).
+    fn totals(&self, node: NodeId) -> [u64; 2] {
+        self.bytes
+            .get(node.index())
+            .copied()
+            .flatten()
+            .unwrap_or([0, 0])
     }
 
     /// All events in recording order.
@@ -443,22 +462,22 @@ impl Trace {
 
     /// Total application bytes sent by `node`.
     pub fn bytes_sent(&self, node: NodeId) -> u64 {
-        self.tx_bytes.get(&node).copied().unwrap_or(0)
+        self.totals(node)[0]
     }
 
     /// Total application bytes received by `node`.
     pub fn bytes_received(&self, node: NodeId) -> u64 {
-        self.rx_bytes.get(&node).copied().unwrap_or(0)
+        self.totals(node)[1]
     }
 
     /// Sum of bytes sent across every node.
     pub fn total_bytes_sent(&self) -> u64 {
-        self.tx_bytes.values().sum()
+        self.bytes.iter().flatten().map(|b| b[0]).sum()
     }
 
     /// Sum of bytes received across every node.
     pub fn total_bytes_received(&self) -> u64 {
-        self.rx_bytes.values().sum()
+        self.bytes.iter().flatten().map(|b| b[1]).sum()
     }
 
     /// Writes the whole trace as JSON lines: every event, then non-zero
@@ -510,22 +529,13 @@ impl Trace {
                 buckets.join(",")
             )?;
         }
-        let mut nodes: Vec<NodeId> = self
-            .tx_bytes
-            .keys()
-            .chain(self.rx_bytes.keys())
-            .copied()
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        for node in nodes {
-            writeln!(
-                w,
-                "{{\"type\":\"bytes\",\"node\":{},\"tx\":{},\"rx\":{}}}",
-                node.index(),
-                self.bytes_sent(node),
-                self.bytes_received(node)
-            )?;
+        for (node, bytes) in self.bytes.iter().enumerate() {
+            if let Some([tx, rx]) = bytes {
+                writeln!(
+                    w,
+                    "{{\"type\":\"bytes\",\"node\":{node},\"tx\":{tx},\"rx\":{rx}}}"
+                )?;
+            }
         }
         Ok(())
     }

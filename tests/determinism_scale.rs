@@ -242,16 +242,32 @@ fn overlay_work(cfg: &TaskConfig, report: &TaskReport) -> OverlayWork {
     work
 }
 
+/// The process's peak resident set so far (`VmHWM`), in MiB; 0 where
+/// `/proc` is absent.
+fn vm_hwm_mib() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            line.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<f64>()
+                .ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 /// Prints the overlay's per-node work at 1 000, 10 000 and 100 000
 /// trainers (EXPERIMENTS.md, *Aggregation overlay*), checking the same
-/// bounds at each size. The largest point takes tens of seconds and over
-/// 500 MB, so it runs only on request:
+/// bounds at each size, with the process's `VmHWM` after each row. The
+/// largest point takes seconds and ≈ 300 MiB, so it runs only on request:
 /// `cargo test --release --test determinism_scale overlay_work_table -- --ignored --nocapture`.
 #[test]
 #[ignore]
 fn overlay_work_table() {
-    println!("| trainers | levels | busiest aggregator (bound b·levels) | max fan-in | round (sim s) | wall (s) |");
-    println!("|---|---|---|---|---|---|");
+    println!("| trainers | levels | busiest aggregator (bound b·levels) | max fan-in | round (sim s) | wall (s) | VmHWM (MiB) |");
+    println!("|---|---|---|---|---|---|---|");
     for n in [1_000, 10_000, 100_000] {
         let cfg = overlay_config(n);
         let start = Instant::now();
@@ -260,12 +276,13 @@ fn overlay_work_table() {
         let work = overlay_work(&cfg, &report);
         let b = cfg.overlay_branching.unwrap_or(0);
         println!(
-            "| {n} | {} | {} ({}) | {} | {:.3} | {wall:.1} |",
+            "| {n} | {} | {} ({}) | {} | {:.3} | {wall:.1} | {:.0} |",
             work.levels,
             work.agg_msgs_max,
             b * work.levels,
             work.fan_in_max,
             report.rounds.first().map_or(0.0, |r| r.round_duration),
+            vm_hwm_mib(),
         );
     }
 }
