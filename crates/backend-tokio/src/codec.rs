@@ -178,6 +178,7 @@ mod tests {
     use super::*;
     use dfl_ipfs::wire::TRANSPORT_OVERHEAD_BYTES;
     use dfl_ipfs::{Cid, IpfsWire};
+    use ipls::gradient::ProtocolCommitment;
 
     fn sample_msgs() -> Vec<Msg> {
         vec![
@@ -332,6 +333,30 @@ mod tests {
         let (_, msg) = read_frame(&mut cursor).unwrap().expect("first frame");
         assert!(matches!(msg, Msg::StartRound { iter: 9 }));
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn an_overlay_partial_whose_commitment_is_no_point_is_invalid_data() {
+        // The commitment is parsed into a point as the frame is read, so
+        // 33 bytes that are none fail the frame; the core never sees it.
+        let partial = Msg::OverlayPartial {
+            trainer: 1,
+            partition: 0,
+            iter: 2,
+            data: vec![5u8; 16].into(),
+            count: 1,
+            commitment: ProtocolCommitment::identity().into(),
+            signature: None,
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, NodeId(4), &partial).unwrap();
+        assert!(read_one(&frame).unwrap().is_some());
+        // The commitment is the 33 bytes before the signature's presence
+        // byte; prefix 0x05 is no SEC1 point.
+        let at = frame.len() - 1 - 33;
+        frame[at] = 0x05;
+        let err = read_one(&frame).expect_err("a partial with no point decoded");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -450,11 +450,11 @@ impl<M: Model> Trainer<M> {
             .remove(&(self.round.iter, partition))
             .unwrap_or_default();
 
-        // Validate the children: parseable commitment, authentic
-        // signature and this partition's width, then one check that their
-        // sum opens the product of their commitments — the level forwards
-        // nothing but that sum — naming culprits only if it does not (the
-        // batch is empty at leaves and costs nothing).
+        // Validate the children: authentic signature and this partition's
+        // width, then one check that their sum opens the product of their
+        // commitments — the level forwards nothing but that sum — naming
+        // culprits only if it does not (the batch is empty at leaves and
+        // costs nothing).
         let key = &overlay.key;
         let cfg = self.topo.config();
         let width = self.topo.partition_len(partition);
@@ -503,7 +503,7 @@ impl<M: Model> Trainer<M> {
         } else {
             Bytes::from(encode(&summed))
         };
-        let commitment = ProtocolCommitment::accumulate(commits.iter()).to_bytes();
+        let commitment = ProtocolCommitment::accumulate(commits.iter()).into();
         let to = match tree.parent(self.t) {
             Some(p) => self.topo.trainer(p),
             // The root hands the fully composed partial to the
@@ -1323,7 +1323,7 @@ mod tests {
                     iter: 0,
                     data: blob.clone(),
                     count: 1,
-                    commitment: commitment.to_bytes(),
+                    commitment: commitment.into(),
                     signature: None,
                 },
             ));

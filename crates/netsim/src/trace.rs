@@ -648,12 +648,10 @@ impl Trace {
                 let node = NodeId(u64_field(&obj, "node")? as usize);
                 let tx = u64_field(&obj, "tx")?;
                 let rx = u64_field(&obj, "rx")?;
-                if tx > 0 {
-                    self.count_tx(node, tx);
-                }
-                if rx > 0 {
-                    self.count_rx(node, rx);
-                }
+                // The line lists the node even at zero bytes: a transfer
+                // touched it (a zero-byte control message).
+                self.count_tx(node, tx);
+                self.count_rx(node, rx);
             }
             other => return Err(format!("unknown line type {other:?}")),
         }
@@ -1204,6 +1202,22 @@ mod tests {
         let mut again = Vec::new();
         back.write_jsonl(&mut again).unwrap();
         assert_eq!(jsonl, again);
+    }
+
+    /// Regression: a node whose only transfer was a zero-byte control
+    /// message is listed with `tx` and `rx` both 0, and reading that line
+    /// left the node untouched, so a re-export dropped it.
+    #[test]
+    fn a_zero_byte_delivery_survives_a_jsonl_round_trip() {
+        let mut trace = Trace::new();
+        trace.count_bytes(NodeId(0), NodeId(2), 0);
+        trace.count_bytes(NodeId(3), NodeId(1), 17);
+        let mut jsonl = Vec::new();
+        trace.write_jsonl(&mut jsonl).unwrap();
+        let back = Trace::read_jsonl(&jsonl[..]).expect("round trip");
+        let mut again = Vec::new();
+        back.write_jsonl(&mut again).unwrap();
+        assert_eq!(String::from_utf8(again), String::from_utf8(jsonl));
     }
 
     #[test]

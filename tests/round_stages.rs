@@ -156,7 +156,7 @@ fn overlay_update(iter: u64) -> Msg {
 /// A well-formed root partial of round `iter` that opens its commitment.
 fn root_partial(key: &ProtocolKey, root: usize, iter: u64) -> Msg {
     let data = blob(2.0);
-    let commitment = commit_blob(key, &data).unwrap().to_bytes();
+    let commitment = commit_blob(key, &data).unwrap().into();
     Msg::OverlayPartial {
         trainer: root,
         partition: 0,

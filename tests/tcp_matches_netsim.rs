@@ -271,3 +271,18 @@ fn verifiable_overlay_task_over_tcp_matches_netsim() {
         ..task_config()
     });
 }
+
+/// The same overlay task with every partial and update signed: over TCP
+/// each signature is made and checked over the encoded (compressed)
+/// commitment, and each partial's point is parsed back out of its frame.
+#[test]
+fn verifiable_authenticated_overlay_task_over_tcp_matches_netsim() {
+    verifiable_task_matches_netsim(&TaskConfig {
+        trainers: 8,
+        comm: CommMode::Direct,
+        verifiable: true,
+        authenticate: true,
+        overlay_branching: Some(2),
+        ..task_config()
+    });
+}

@@ -23,7 +23,8 @@ use decentralized_fl::ipfs::wire::{WireCost, TRANSPORT_OVERHEAD_BYTES};
 use decentralized_fl::ipfs::{Cid, IpfsWire};
 use decentralized_fl::prelude::*;
 use decentralized_fl::protocol::accountability::{Misbehavior, MisbehaviorKind};
-use decentralized_fl::protocol::messages::SyncAnnounce;
+use decentralized_fl::protocol::gradient::ProtocolCommitment;
+use decentralized_fl::protocol::messages::{PartialCommitment, SyncAnnounce};
 use decentralized_fl::protocol::{Msg, TaskReport};
 use dfl_bench::{fig1_config, fig2_config};
 
@@ -96,6 +97,23 @@ impl Sample for NodeId {
 impl<const N: usize> Sample for [u8; N] {
     fn sample(rng: &mut Rng) -> [u8; N] {
         std::array::from_fn(|_| rng.next() as u8)
+    }
+}
+
+/// A curve point: one in eight the identity (all-zero bytes), else the
+/// first random x-coordinate that lies on the curve.
+impl Sample for PartialCommitment {
+    fn sample(rng: &mut Rng) -> PartialCommitment {
+        if rng.below(8) == 0 {
+            return ProtocolCommitment::identity().into();
+        }
+        loop {
+            let mut bytes: [u8; 33] = Sample::sample(rng);
+            bytes[0] = 2 + rng.below(2) as u8;
+            if let Some(point) = ProtocolCommitment::from_bytes(&bytes) {
+                return point.into();
+            }
+        }
     }
 }
 
@@ -374,6 +392,44 @@ fn unknown_tags_bad_flags_and_bad_utf8_are_rejected() {
     });
     bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(IpfsWire::decode(&bytes).is_err(), "hostile count");
+}
+
+/// An overlay partial carries its commitment as a point, so 33 bytes that
+/// are none — a bad prefix, an x-coordinate past the field, or one off the
+/// curve — fail to decode like any other malformed field.
+#[test]
+fn an_overlay_partial_whose_commitment_is_no_point_is_rejected() {
+    let partial = Msg::OverlayPartial {
+        trainer: 1,
+        partition: 0,
+        iter: 2,
+        data: Bytes::from_static(&[1, 2, 3]),
+        count: 1,
+        commitment: ProtocolCommitment::identity().into(),
+        signature: None,
+    };
+    let bytes = encode(&partial);
+    // The commitment is the 33 bytes before the signature's presence byte.
+    let at = bytes.len() - 1 - 33;
+    assert!(Msg::decode(&bytes).is_ok(), "the identity is a point");
+    let mut rng = Rng(7);
+    let off_curve = std::iter::repeat_with(|| {
+        let mut x: [u8; 33] = Sample::sample(&mut rng);
+        x[0] = 2;
+        x
+    })
+    .find(|x| ProtocolCommitment::from_bytes(x).is_none())
+    .unwrap();
+    let mut bad_prefix = [0x11; 33];
+    bad_prefix[0] = 5;
+    let mut past_the_field = [0xFF; 33];
+    past_the_field[0] = 3;
+    for point in [bad_prefix, past_the_field, off_curve] {
+        let mut changed = bytes.clone();
+        changed[at..at + 33].copy_from_slice(&point);
+        let err = Msg::decode(&changed).expect_err("no point decoded");
+        assert_eq!(err.context, "OverlayPartial", "{point:02x?}");
+    }
 }
 
 // -- outcomes that must not depend on message sizes -----------------------------
