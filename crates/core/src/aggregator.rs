@@ -51,7 +51,7 @@ use crate::accountability::{
 };
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::gradient::{
-    decode_partition_blob, sum_in_round, verify_blobs_timed, ProtocolCommitment, ProtocolCurve,
+    decode_partition_blob, sum_gradients, verify_blobs_timed, ProtocolCommitment, ProtocolCurve,
     ProtocolKey, VerifyQueue,
 };
 use crate::labels;
@@ -367,9 +367,9 @@ impl OverlaySink {
     /// signature), then push the final update back down the tree.
     ///
     /// The root's blob bytes are reused **verbatim** as the update payload:
-    /// they already encode the exact i128 sum the flat path would compute
-    /// over the same leaves, so flat and overlay rounds produce
-    /// bit-identical models.
+    /// they already encode the exact sum the flat path would compute over
+    /// the same leaves, so flat and overlay rounds produce bit-identical
+    /// models.
     fn on_partial(
         &mut self,
         out: &mut Actions<Msg>,
@@ -478,12 +478,14 @@ impl FlatAggregator {
         self.topo.config().accountability
     }
 
-    /// Decodes a blob for this aggregator's partition. Every blob it takes
-    /// in — a gradient, a merged sum, a peer partial, a recovered gradient
-    /// — comes through here, so one of another width is refused like one
-    /// that does not decode, and never reaches a sum.
-    fn decode_own(&self, data: &[u8]) -> Option<Vec<Quantized>> {
-        decode_partition_blob(data, self.topo.partition_len(self.partition))
+    /// Decodes a blob for this aggregator's partition that stands for `n`
+    /// contributions. Every blob it takes in — a gradient (`n` = 1), a
+    /// merged sum (its members), a peer partial (its claimed
+    /// contributors), a recovered gradient — comes through here, so one of
+    /// another width, or outside the range of `n` contributions, is
+    /// refused like one that does not decode, and never reaches a sum.
+    fn decode_own(&self, data: &[u8], n: usize) -> Option<Vec<Quantized>> {
+        decode_partition_blob(data, self.topo.partition_len(self.partition), n)
     }
 
     /// How many of a trainer set of `set_len` must be in before a degraded
@@ -750,7 +752,7 @@ impl FlatAggregator {
             merge.fallback_pending.remove(&trainer);
         }
         let keep = !own || self.round.stage == Stage::Gather;
-        let vector = self.decode_own(data);
+        let vector = self.decode_own(data, 1);
         let Some(gather) = self.gather(j) else {
             return; // its slot's partial is in
         };
@@ -786,7 +788,7 @@ impl FlatAggregator {
         };
         let vector = reply.and_then(|data| {
             let vector = self
-                .decode_own(&data)
+                .decode_own(&data, members.len())
                 .filter(|_| self.admit_merged(out, req, &members, &data));
             if vector.is_none() {
                 out.record(labels::WASTED_BYTES, data.len() as f64);
@@ -893,7 +895,7 @@ impl FlatAggregator {
         // kept it out; a convicted merge is fetched member by member first.
         self.settle_admitted(out, self.j);
         let merge = self.round.merge.as_ref().filter(|m| !waiting(m))?;
-        // The exact i128 sum does not depend on the order of its terms.
+        // The exact sum does not depend on the order of its terms.
         // Nothing is released before the partial is summed.
         let merged = merge.merged.values().map(|(v, _)| v);
         let fallback = self.round.own.gradients.values();
@@ -932,15 +934,12 @@ impl FlatAggregator {
 
     /// Slot `j`'s sum, once its gather is complete, and the trainers in it.
     fn summed(&mut self, out: &mut Actions<Msg>, j: usize) -> Option<(Vec<Quantized>, Vec<usize>)> {
-        let iter = self.round.iter;
         let (vectors, contributors) = match self.round.merge {
             Some(_) if j == self.j => self.gather_merged(out),
             _ => self.gather_fetched(out, j),
         }?;
-        if vectors.is_empty() {
-            return None;
-        }
-        Some((sum_in_round(out, iter, &vectors)?, contributors))
+        // `None` for no vector at all; every one has the partition's width.
+        Some((sum_gradients(&vectors).ok()?, contributors))
     }
 
     fn maybe_aggregate(&mut self, out: &mut Actions<Msg>) {
@@ -1183,20 +1182,27 @@ impl FlatAggregator {
         }
     }
 
+    /// Takes in slot `j`'s partial. One that does not decode for the
+    /// contributors it claims is wasted bytes; its announce stays, so it is
+    /// not fetched again, and the slot waits for the deadline's recovery.
     fn accept_peer_partial(&mut self, out: &mut Actions<Msg>, ann: &SyncAnnounce, data: &[u8]) {
-        let (Some(vector), Some(sync)) = (self.decode_own(data), &mut self.round.sync) else {
-            return;
-        };
         let j = ann.agg_j;
-        // Landing before the slot's recovered sum, it ends that recovery:
-        // the two sums are bit-identical, and the first one in is used.
-        sync.recovering.remove(&j);
         let set = self.topo.trainer_set(self.partition, j);
         let claimed: Vec<usize> = if ann.contributors.is_empty() {
             set
         } else {
             ann.contributors.iter().map(|&r| set[r as usize]).collect()
         };
+        let Some(vector) = self.decode_own(data, claimed.len()) else {
+            out.record(labels::WASTED_BYTES, data.len() as f64);
+            return;
+        };
+        let Some(sync) = &mut self.round.sync else {
+            return;
+        };
+        // Landing before the slot's recovered sum, it ends that recovery:
+        // the two sums are bit-identical, and the first one in is used.
+        sync.recovering.remove(&j);
         // One arriving after the global update is summed is never summed.
         let vector = (self.round.stage != Stage::Done).then_some(vector);
         sync.partials.entry(j).or_insert((vector, claimed));
@@ -1358,8 +1364,8 @@ impl FlatAggregator {
             vectors.push(v);
             contributors.extend(set.iter().map(|&t| t as u32));
         }
-        let Some(global) = sum_in_round(out, iter, &vectors) else {
-            return;
+        let Ok(global) = sum_gradients(&vectors) else {
+            return; // unreachable: every slot's vector has the partition's width
         };
         if sync.recovered {
             out.record(labels::ROUND_RECOVERED, iter as f64);
@@ -1496,7 +1502,7 @@ impl FlatAggregator {
 
     /// Ends the recovery of each slot whose gather has what my own would
     /// need — the whole set, or a deadline-degraded round's quorum: its
-    /// sum goes into `partials` as the slot's. The exact i128 sum is
+    /// sum goes into `partials` as the slot's. The exact sum is
     /// order-independent, so it is the honest partial bit for bit.
     fn maybe_recover(&mut self, out: &mut Actions<Msg>) {
         let me = self.j;
@@ -1820,7 +1826,7 @@ mod tests {
         assert_eq!(gets.len(), 2);
         let actions = answer(&mut agg, &gets, &blobs);
         assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0);
-        assert_eq!(recorded(&actions, labels::SUM_OVERFLOW), 0);
+        assert_eq!(recorded(&actions, labels::WASTED_BYTES), 1);
     }
 
     /// The same over the wire: a `DirectGradient` of the wrong width is
@@ -1852,7 +1858,10 @@ mod tests {
                 usize::from(data == &blobs[1]),
                 "trainer {trainer}"
             );
-            assert_eq!(recorded(&answered, labels::SUM_OVERFLOW), 0);
+            assert_eq!(
+                recorded(&answered, labels::WASTED_BYTES),
+                usize::from(data == &wide)
+            );
             actions.extend(answered);
         }
         assert!(uploads(&actions, &encoded_sum(&blobs)));
@@ -2287,6 +2296,151 @@ mod tests {
             assert_eq!(wasted(&actions), stored[1].len() as f64, "{case}");
             assert!(gets(&actions).is_empty(), "{case}: {actions:?}");
             assert!(uploaded(&actions).is_empty(), "{case}");
+        }
+    }
+
+    /// `[element, 0.5, −2]` with one contribution's counter: past the
+    /// range of `n` contributions once `element` exceeds n · `BOUND`.
+    fn with_first(element: i64) -> Bytes {
+        let tail = dfl_crypto::quantize::quantize_vector(&[0.5, -2.0, 1.0]);
+        let mut vector = vec![Quantized(element)];
+        vector.extend(tail);
+        Bytes::from(encode(&vector))
+    }
+
+    const PAST_ONE: i64 = dfl_crypto::quantize::BOUND + 1;
+
+    /// The range rule at the gradient intake: a gradient with an element
+    /// past `BOUND` is refused though it opens its registered commitment —
+    /// booked as wasted, never summed and not fetched again — and the
+    /// deadline degrades the round to the quorum without it.
+    #[test]
+    fn a_fetched_gradient_outside_the_range_is_wasted_and_the_quorum_goes_on() {
+        let honest = honest_blobs(4);
+        let mut stored = honest.clone();
+        stored[1] = with_first(PAST_ONE);
+        for verifiable in [false, true] {
+            let cfg = TaskConfig {
+                partitions: 1,
+                verifiable,
+                min_quorum: Some(3),
+                ..TaskConfig::default()
+            };
+            let (mut agg, listed) = listed(cfg, &stored, &stored);
+            let mut actions = answer(&mut agg, &gets(&listed), &stored);
+            let again = gradient_list(&agg, &stored, &stored, 0..4);
+            actions.extend(deliver(&mut agg, again));
+            let case = format!("verifiable = {verifiable}");
+            assert_eq!(wasted(&actions), stored[1].len() as f64, "{case}");
+            assert!(gets(&actions).is_empty(), "{case}: {actions:?}");
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0, "{case}");
+            let degraded = fire(&mut agg, TK_SYNC_DEADLINE);
+            let rest = [honest[0].clone(), honest[2].clone(), honest[3].clone()];
+            assert!(uploads(&degraded, &encoded_sum(&rest)), "{case}");
+        }
+    }
+
+    /// The same for a `DirectGradient`: refused and booked as wasted, and
+    /// the trainer's next blob in range completes the round.
+    #[test]
+    fn a_direct_gradient_outside_the_range_is_wasted() {
+        let cfg = TaskConfig {
+            trainers: 2,
+            partitions: 1,
+            comm: CommMode::Direct,
+            ..TaskConfig::default()
+        };
+        let (mut agg, _) = listed(cfg, &[], &[]);
+        let blobs = honest_blobs(2);
+        let past = with_first(PAST_ONE);
+        let mut actions = Vec::new();
+        for (trainer, data) in [(0, &blobs[0]), (1, &past), (1, &blobs[1])] {
+            let msg = Msg::DirectGradient {
+                trainer,
+                partition: 0,
+                iter: 0,
+                data: data.clone(),
+            };
+            actions.extend(deliver(&mut agg, msg));
+        }
+        assert_eq!(wasted(&actions), past.len() as f64);
+        assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
+        assert!(uploads(&actions, &encoded_sum(&blobs)));
+    }
+
+    /// At the merge intake the range is the members': a merged sum past
+    /// two contributions' range is refused though it opens the product of
+    /// its members' commitments, and its members are fetched one by one.
+    /// The out-of-range one is refused again and drops out of the partial,
+    /// as any culprit among the fallback fetches does.
+    #[test]
+    fn a_merged_sum_outside_the_range_of_its_members_is_wasted_and_fetched_instead() {
+        let honest = honest_blobs(4);
+        let mut stored = honest.clone();
+        stored[1] = with_first(3 * dfl_crypto::quantize::BOUND);
+        for verifiable in [false, true] {
+            let cfg = TaskConfig {
+                partitions: 1,
+                comm: CommMode::MergeAndDownload,
+                verifiable,
+                ..TaskConfig::default()
+            };
+            let (mut agg, listed) = listed(cfg, &stored, &stored);
+            let merges = merges(listed);
+            let bad = Cid::of(&stored[1]);
+            let mut actions = Vec::new();
+            for merge in &merges {
+                assert_eq!(merge.1.len(), 2, "two members a merge");
+                actions.extend(deliver(&mut agg, merge_ok(&stored, merge, false)));
+            }
+            let case = format!("verifiable = {verifiable}");
+            assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 1, "{case}");
+            let refused = merges.iter().find(|(_, cids)| cids.contains(&bad)).unwrap();
+            let fetched = gets(&actions);
+            let cids: Vec<Cid> = fetched.iter().map(|&(_, cid)| cid).collect();
+            assert_eq!(cids, refused.1, "{case}");
+            actions.extend(answer(&mut agg, &fetched, &stored));
+            let merged = stored[1].len() as f64; // a sum is as wide as a member
+            assert_eq!(wasted(&actions), merged + stored[1].len() as f64, "{case}");
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1, "{case}");
+            let rest = [honest[0].clone(), honest[2].clone(), honest[3].clone()];
+            assert!(uploads(&actions, &encoded_sum(&rest)), "{case}");
+        }
+    }
+
+    /// At the peer-partial intake the range is the claimed contributors':
+    /// slot 1's partial past two contributions' range is refused though it
+    /// opens slot 1's accumulator — booked as wasted, not fetched again —
+    /// and the deadline recovers the slot.
+    #[test]
+    fn a_peer_partial_outside_the_range_of_its_contributors_is_wasted_and_recovered() {
+        let honest = honest_blobs(4);
+        let mut stored = honest.clone();
+        stored[1] = with_first(3 * dfl_crypto::quantize::BOUND);
+        for verifiable in [false, true] {
+            let (mut agg, actions) = listed(two_slots(verifiable, false), &stored, &stored);
+            answer(&mut agg, &gets(&actions), &stored);
+            let peer = Bytes::from(encoded_sum(&[stored[1].clone(), stored[3].clone()]));
+            if let Some(key) = &flat(&agg).key {
+                let opened = commit_blob(key, &peer).unwrap();
+                let accumulated = vec![None, Some(opened.to_bytes())];
+                let msg = Msg::Accumulators {
+                    partition: 0,
+                    iter: 0,
+                    accumulated,
+                };
+                deliver(&mut agg, msg);
+            }
+            let announce = announced(&agg, 1, &peer);
+            let asked = deliver(&mut agg, announce.clone());
+            let mut actions = answer(&mut agg, &gets(&asked), std::slice::from_ref(&peer));
+            actions.extend(deliver(&mut agg, announce));
+            let case = format!("verifiable = {verifiable}");
+            assert_eq!(wasted(&actions), peer.len() as f64, "{case}");
+            assert!(gets(&actions).is_empty(), "{case}: {actions:?}");
+            assert!(uploaded(&actions).is_empty(), "{case}");
+            let deadline = fire(&mut agg, TK_SYNC_DEADLINE);
+            assert_eq!(recorded(&deadline, labels::DROPOUT_RECOVERY), 1, "{case}");
         }
     }
 }

@@ -225,6 +225,10 @@ impl TaskConfig {
         if self.trainers == 0 {
             return err("at least one trainer required");
         }
+        // The range rule: no sum stands for more contributions than this.
+        if self.trainers > dfl_crypto::quantize::MAX_CONTRIBUTIONS {
+            return err("at most 2^20 trainers (quantize::MAX_CONTRIBUTIONS)");
+        }
         if self.partitions == 0 {
             return err("at least one partition required");
         }
@@ -676,6 +680,16 @@ mod tests {
         assert_eq!(cfg.seed, 42);
         // Untouched fields keep their defaults.
         assert_eq!(cfg.poll_interval, TaskConfig::default().poll_interval);
+    }
+
+    #[test]
+    fn trainers_are_bounded_by_the_range_rule() {
+        let most = dfl_crypto::quantize::MAX_CONTRIBUTIONS;
+        let build = |trainers| TaskConfig::builder().trainers(trainers).build();
+        // Builds and validates only: no topology or tree of that size.
+        build(most).unwrap();
+        let err = build(most + 1).unwrap_err();
+        assert!(err.to_string().contains("MAX_CONTRIBUTIONS"), "{err}");
     }
 
     #[test]

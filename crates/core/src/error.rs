@@ -10,9 +10,6 @@ pub enum IplsError {
     /// A training round did not complete (e.g. every aggregator of a
     /// partition was malicious or dead and the deadline passed).
     RoundFailed { round: u64, reason: String },
-    /// Summed quantized gradients exceeded the fixed-point range (would
-    /// have wrapped or saturated silently).
-    Overflow,
     /// A gradient blob failed to decode: truncated, not 8-byte aligned, or
     /// missing the counter element — or decoded vectors to be summed differ
     /// in width, or there are none. Blobs arrive from remote (possibly
@@ -26,9 +23,6 @@ impl fmt::Display for IplsError {
             IplsError::InvalidConfig(msg) => write!(f, "invalid task configuration: {msg}"),
             IplsError::RoundFailed { round, reason } => {
                 write!(f, "round {round} failed: {reason}")
-            }
-            IplsError::Overflow => {
-                write!(f, "quantized gradient sum overflowed the fixed-point range")
             }
             IplsError::MalformedBlob => {
                 write!(

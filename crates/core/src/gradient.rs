@@ -14,7 +14,7 @@ use bytes::Bytes;
 
 use dfl_crypto::curve::Secp256k1;
 use dfl_crypto::pedersen::{CommitKey, Commitment};
-use dfl_crypto::quantize::{decode, Quantized};
+use dfl_crypto::quantize::{admissible, decode, Quantized};
 
 use crate::config::TaskConfig;
 use crate::error::IplsError;
@@ -28,9 +28,12 @@ pub type ProtocolKey = CommitKey<ProtocolCurve>;
 pub type ProtocolCommitment = Commitment<ProtocolCurve>;
 
 /// Builds the upload blob for one partition: `quantize(values ++ [1.0])`,
-/// each element written as its 8 little-endian bytes as it is rounded.
+/// each element clamped into one contribution's range
+/// ([`dfl_crypto::quantize::BOUND`]) and written as its 8 little-endian
+/// bytes as it is rounded. A diverging trainer's blob is therefore still
+/// admissible, and still contributes.
 pub fn build_blob(values: &[f32]) -> Vec<u8> {
-    let element = |v: f64| Quantized::from_f64(v).0.to_le_bytes();
+    let element = |v: f64| Quantized::from_f64(v).clamped().0.to_le_bytes();
     let mut out: Vec<[u8; 8]> = Vec::with_capacity(values.len() + 1);
     out.extend(values.iter().map(|&v| element(v as f64)));
     out.push(element(1.0)); // the averaging counter
@@ -46,10 +49,12 @@ pub fn decode_blob(blob: &[u8]) -> Option<Vec<Quantized>> {
     Some(v)
 }
 
-/// Decodes a blob that must carry one partition of `len` values: a blob of
-/// any other width is as unusable as one that does not decode.
-pub fn decode_partition_blob(blob: &[u8], len: usize) -> Option<Vec<Quantized>> {
-    decode_blob(blob).filter(|v| v.len() == len + 1)
+/// Decodes a blob that must carry one partition of `len` values and stand
+/// for `n` contributions: a blob of any other width, or with an element
+/// outside ± n · [`BOUND`](dfl_crypto::quantize::BOUND), is as unusable as
+/// one that does not decode.
+pub fn decode_partition_blob(blob: &[u8], len: usize, n: usize) -> Option<Vec<Quantized>> {
+    decode_blob(blob).filter(|v| v.len() == len + 1 && admissible(v.iter().copied(), n))
 }
 
 /// Decodes an aggregated update blob and divides by the counter, returning
@@ -57,29 +62,34 @@ pub fn decode_partition_blob(blob: &[u8], len: usize) -> Option<Vec<Quantized>> 
 /// the last element, so it is read first and the values stream from the
 /// bytes into the result.
 ///
-/// Returns `None` when the blob is malformed or the counter is not
-/// positive.
+/// Returns `None` when the blob is malformed, when the counter is not a
+/// positive whole number, or when the values are not admissible for that
+/// many contributions ([`admissible`]: at most `MAX_CONTRIBUTIONS`).
 pub fn decode_update(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
     let (elements, ragged) = blob.as_chunks::<8>();
     let (counter, values) = elements.split_last()?;
     if !ragged.is_empty() || values.is_empty() {
         return None; // at least one value plus the counter
     }
-    let real = |bytes: &[u8; 8]| Quantized(i64::from_le_bytes(*bytes)).to_f64();
+    let quantized = |bytes: &[u8; 8]| Quantized(i64::from_le_bytes(*bytes));
+    let real = |bytes| quantized(bytes).to_f64();
     let count = real(counter);
     if count < 1.0 || count.fract() != 0.0 {
         return None;
+    }
+    if !admissible(values.iter().map(quantized), count as usize) {
+        return None; // past its counter's range, or counting too many
     }
     let averaged = values.iter().map(|v| (real(v) / count) as f32).collect();
     Some((averaged, count as u64))
 }
 
-/// Element-wise sum of decoded gradient vectors (values and counters alike).
-///
-/// Accumulates in `i128` and reports overflow explicitly: a sum past the
-/// `i64` fixed-point range would previously saturate silently, which both
-/// skews the averaged update and breaks the homomorphic commitment check
-/// (the commitments accumulate the TRUE sum, not the clamped one).
+/// Element-wise sum of decoded gradient vectors (values and counters
+/// alike), in `i64` addition that wraps. Wrapping is associative, so the
+/// result is the true sum, in any order, whenever that fits — always for
+/// vectors admitted under the range rule
+/// ([`dfl_crypto::quantize::BOUND`]); that same sum is what the
+/// commitments add.
 ///
 /// The vectors are borrowed — owned, or slices of what a core holds — so a
 /// sum copies nothing but its result.
@@ -89,43 +99,17 @@ pub fn decode_update(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
 /// shape mismatch is an error, never a panic.
 pub fn sum_gradients(grads: &[impl AsRef<[Quantized]>]) -> Result<Vec<Quantized>, IplsError> {
     let (first, rest) = grads.split_first().ok_or(IplsError::MalformedBlob)?;
-    let mut acc: Vec<i128> = first.as_ref().iter().map(|q| q.0 as i128).collect();
+    let mut sum = first.as_ref().to_vec();
     for g in rest {
         let g = g.as_ref();
-        if g.len() != acc.len() {
+        if g.len() != sum.len() {
             return Err(IplsError::MalformedBlob);
         }
-        for (a, b) in acc.iter_mut().zip(g) {
-            *a += b.0 as i128;
+        for (a, b) in sum.iter_mut().zip(g) {
+            a.0 = a.0.wrapping_add(b.0);
         }
     }
-    // Sized up front: a `Result` collect cannot trust the length and
-    // doubles its way there, leaving the sum — an aggregator's partial
-    // lives a whole round — in a buffer up to twice its size.
-    let mut sum = Vec::with_capacity(acc.len());
-    for v in acc {
-        sum.push(
-            i64::try_from(v)
-                .map(Quantized)
-                .map_err(|_| IplsError::Overflow)?,
-        );
-    }
     Ok(sum)
-}
-
-/// [`sum_gradients`] inside a core's round `iter`: an overflow or a width
-/// mismatch is recorded under
-/// [`labels::SUM_OVERFLOW`](crate::labels::SUM_OVERFLOW) and leaves no sum.
-pub fn sum_in_round<M>(
-    out: &mut Actions<M>,
-    iter: u64,
-    grads: &[impl AsRef<[Quantized]>],
-) -> Option<Vec<Quantized>> {
-    let sum = sum_gradients(grads).ok();
-    if sum.is_none() {
-        out.record(crate::labels::SUM_OVERFLOW, iter as f64);
-    }
-    sum
 }
 
 /// Commits to a blob's quantized vector (including the counter element),
@@ -183,12 +167,13 @@ pub fn verify_blobs_timed<M>(
 
 /// [`verify_blobs_timed`] for a consumer that uses nothing but the batch's
 /// sum — the overlay's child check. Sum first, culprits on failure: the
-/// entries must decode to one width, and their exact `i128` sum must open
+/// entries must decode to one width, and their [`sum_gradients`] must open
 /// the product of their commitments, one short opening in place of the
 /// RLC batch. By additive homomorphism and binding that makes the sum the
-/// committed one. Only when it fails (an undecodable entry, a width
-/// mismatch, an overflow, or a sum that does not open) does the check fall
-/// back to [`verify_blobs_timed`]'s per-entry culprits, so one bad entry is
+/// committed one; the callers admit only in-range entries, whose sum is
+/// exact. Only when it fails (an undecodable entry, a width mismatch, or a
+/// sum that does not open) does the check fall back to
+/// [`verify_blobs_timed`]'s per-entry culprits, so one bad entry is
 /// named exactly as before. Entries whose alterations cancel across the
 /// batch pass unnamed — and, by binding, leave the sum unchanged.
 ///
@@ -269,9 +254,9 @@ fn culprits(key: &ProtocolKey, items: &[(&[u8], &ProtocolCommitment)]) -> Vec<us
 fn sum_culprits(key: &ProtocolKey, items: &[(&[u8], &ProtocolCommitment)]) -> Vec<usize> {
     let decoded: Option<Vec<Vec<Quantized>>> =
         items.iter().map(|(blob, _)| decode_blob(blob)).collect();
-    // `sum_gradients` refuses mismatched widths and overflow; `verify`
-    // refuses a sum wider than the key. The sum's integers are ≈ 25 + log₂ n
-    // bits, and their digits are read as they are.
+    // `sum_gradients` refuses mismatched widths; `verify` refuses a sum
+    // wider than the key. The sum's integers are ≈ 25 + log₂ n bits, and
+    // their digits are read as they are.
     let sum = decoded.and_then(|vectors| sum_gradients(&vectors).ok());
     let product = || Commitment::accumulate(items.iter().map(|&(_, c)| c));
     match sum {
@@ -387,25 +372,30 @@ pub fn derive_key(max_partition_len: usize, task_seed: u64, precompute: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfl_crypto::quantize::{encode, SCALE};
+    use dfl_crypto::quantize::{encode, BOUND, SCALE};
 
     /// [`build_blob`] as it was — quantise into a vector, then encode it —
-    /// kept as the one-pass version's oracle.
+    /// kept as the one-pass version's oracle, with the range rule's clamp.
     fn build_blob_two_pass(values: &[f32]) -> Vec<u8> {
         let mut quantized: Vec<Quantized> = values
             .iter()
-            .map(|&v| Quantized((v as f64 * SCALE).round() as i64))
+            .map(|&v| Quantized(((v as f64 * SCALE).round() as i64).clamp(-BOUND, BOUND)))
             .collect();
         quantized.push(Quantized(SCALE as i64));
         encode(&quantized)
     }
 
-    /// [`decode_update`] as it was: decode the whole vector, then average.
+    /// [`decode_update`] as it was: decode the whole vector, then average;
+    /// with the range rule written out.
     fn decode_update_two_pass(blob: &[u8]) -> Option<(Vec<f32>, u64)> {
         let v = decode_blob(blob)?;
         let (values, counter) = v.split_at(v.len() - 1);
         let count = counter[0].to_f64();
-        if count < 1.0 || count.fract() != 0.0 {
+        if count < 1.0 || count.fract() != 0.0 || count > (1 << 20) as f64 {
+            return None;
+        }
+        let limit = count as i128 * BOUND as i128;
+        if values.iter().any(|q| (q.0 as i128).abs() > limit) {
             return None;
         }
         let averaged = values.iter().map(|q| (q.to_f64() / count) as f32).collect();
@@ -436,17 +426,29 @@ mod tests {
             );
             assert_eq!(blob.len(), (values.len() + 1) * 8);
 
-            // The same bytes as an update, under every kind of counter.
-            let mut elements: Vec<i64> = (0..values.len()).map(|_| rng.next_u64() as i64).collect();
-            // `i64::MAX` reads as the whole number 2³⁹: `to_f64` rounds it.
+            // The same number of elements as an update, anywhere in the
+            // range of one contribution, or raw bit patterns, or one past
+            // the range of 16 — under every kind of counter.
+            let mut elements: Vec<i64> = (0..values.len())
+                .map(|_| match case % 3 {
+                    0 => rng.gen_range(-BOUND..BOUND + 1),
+                    1 => rng.next_u64() as i64,
+                    _ => 16 * BOUND + 1,
+                })
+                .collect();
+            // `i64::MAX` reads as the whole number 2³⁹: `to_f64` rounds it,
+            // and it counts more contributions than a task may have.
             for (counter, whole) in [
                 (one, true),
                 (16 * one, true),
+                (17 * one, true),
+                (one << 20, true),
+                ((one << 20) + one, false),
                 (0, false),
                 (-one, false),
                 (one + 1, false),
                 (one / 2, false),
-                (i64::MAX, true),
+                (i64::MAX, false),
                 (i64::MIN, false),
             ] {
                 elements.push(counter);
@@ -465,7 +467,11 @@ mod tests {
                         bits(&expect),
                         "case {case} counter {counter} cut {cut}"
                     );
-                    let ok = cut == 0 && !values.is_empty() && whole;
+                    let count = (counter / one) as i128;
+                    let in_range = elements[..values.len()]
+                        .iter()
+                        .all(|&e| (e as i128).abs() <= count * BOUND as i128);
+                    let ok = cut == 0 && !values.is_empty() && whole && in_range;
                     assert_eq!(got.is_some(), ok, "case {case} counter {counter} cut {cut}");
                 }
                 elements.pop();
@@ -586,45 +592,72 @@ mod tests {
     }
 
     #[test]
-    fn sum_reports_overflow_instead_of_saturating() {
-        // Regression: two near-max quantized values used to clamp at
-        // i64::MAX silently, corrupting the average AND the commitment
-        // check. The boundary case (sum == i64::MAX exactly) must still
-        // succeed; one past it must error.
-        let near = Quantized(i64::MAX - 1);
-        let at_boundary =
-            sum_gradients(&[vec![near, Quantized(1)], vec![Quantized(1), Quantized(1)]]);
-        assert_eq!(at_boundary.unwrap()[0], Quantized(i64::MAX));
-        let past = sum_gradients(&[vec![near, Quantized(1)], vec![Quantized(2), Quantized(1)]]);
-        assert_eq!(past.unwrap_err(), IplsError::Overflow);
-        // Same at the negative end.
-        let low = Quantized(i64::MIN + 1);
-        let neg = sum_gradients(&[vec![low, Quantized(1)], vec![Quantized(-2), Quantized(1)]]);
-        assert_eq!(neg.unwrap_err(), IplsError::Overflow);
-    }
-
-    #[test]
     fn sum_refuses_mismatched_widths_and_empty_input_instead_of_panicking() {
         // Regression: both were assertions, and the vectors come from
-        // remote blobs. In a round the refusal is booked like an overflow.
+        // remote blobs.
         let ragged = [vec![Quantized(1); 4], vec![Quantized(1); 8]];
         assert_eq!(sum_gradients(&ragged), Err(IplsError::MalformedBlob));
         let nothing: [Vec<Quantized>; 0] = [];
         assert_eq!(sum_gradients(&nothing), Err(IplsError::MalformedBlob));
-        let mut out = Actions::<()>::new();
-        assert!(sum_in_round(&mut out, 3, &ragged).is_none());
-        let booked: Vec<_> = out.drain().collect();
-        assert!(matches!(
-            booked[..],
-            [crate::protocol::ProtocolAction::Record { label, value }]
-                if label == crate::labels::SUM_OVERFLOW && value == 3.0
-        ));
         // The one decode every aggregator ingestion goes through.
         let blob = build_blob(&[1.0, 2.0, 3.0]);
-        assert!(decode_partition_blob(&blob, 3).is_some());
-        assert!(decode_partition_blob(&blob, 2).is_none());
-        assert!(decode_partition_blob(&blob, 4).is_none());
-        assert!(decode_partition_blob(&blob[..blob.len() - 1], 3).is_none());
+        assert!(decode_partition_blob(&blob, 3, 1).is_some());
+        assert!(decode_partition_blob(&blob, 2, 1).is_none());
+        assert!(decode_partition_blob(&blob, 4, 1).is_none());
+        assert!(decode_partition_blob(&blob[..blob.len() - 1], 3, 1).is_none());
+    }
+
+    #[test]
+    fn a_blob_outside_the_range_of_its_contributions_does_not_decode() {
+        // A trainer clamps: a diverging value is one contribution's edge.
+        let blob = build_blob(&[1e13, -1e13, f32::INFINITY, 0.5]);
+        let v = decode_partition_blob(&blob, 4, 1).unwrap();
+        assert_eq!(
+            v[..3],
+            [Quantized(BOUND), Quantized(-BOUND), Quantized(BOUND)]
+        );
+        // Past n · BOUND is refused, at either end; at it is not.
+        for n in [1, 3] {
+            let edge = n as i64 * BOUND;
+            for (element, ok) in [
+                (edge, true),
+                (-edge, true),
+                (edge + 1, false),
+                (-edge - 1, false),
+            ] {
+                let blob = encode(&[Quantized(element), Quantized((n as i64) << 24)]);
+                assert_eq!(
+                    decode_partition_blob(&blob, 1, n).is_some(),
+                    ok,
+                    "{element}, n = {n}"
+                );
+                assert!(
+                    decode_blob(&blob).is_some(),
+                    "the codec itself is width-only"
+                );
+            }
+        }
+        // Sums of admissible vectors stay admissible, and exact.
+        let (a, b) = (vec![Quantized(BOUND); 2], vec![Quantized(2 * BOUND); 2]);
+        let sum = sum_gradients(&[&a[..], &b[..]]).unwrap();
+        assert_eq!(sum, vec![Quantized(3 * BOUND); 2]);
+        assert!(decode_partition_blob(&encode(&sum), 1, 3).is_some());
+        // An update is bounded by its own counter.
+        let one = 1i64 << 24;
+        for (count, element, ok) in [
+            (1, BOUND, true),
+            (1, BOUND + 1, false),
+            (4, -4 * BOUND, true),
+            (4, -4 * BOUND - 1, false),
+            (1 << 20, i64::MAX >> 1, true),
+        ] {
+            let update = encode(&[Quantized(element), Quantized(count * one)]);
+            assert_eq!(
+                decode_update(&update).is_some(),
+                ok,
+                "{element} over {count}"
+            );
+        }
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub const QUORUM_DEGRADED: &str = "quorum_degraded";
 /// back to fetching that provider's gradients individually (value = number
 /// of CIDs fetched individually).
 pub const MERGE_FALLBACK: &str = "merge_fallback";
-/// Aggregator: summing gradients overflowed the fixed-point range, or met
-/// vectors of different widths, and the aggregate was abandoned rather
-/// than silently clamped (value = iter).
-pub const SUM_OVERFLOW: &str = "sum_overflow";
 /// A commitment mismatch was pinned on a specific aggregator — by a peer
 /// whose fetched partial failed verification, or by the directory whose
 /// registered update failed verification (value = offending aggregator's
@@ -159,7 +155,6 @@ pub const ALL: &[&str] = &[
     FORGED_REGISTRATION,
     QUORUM_DEGRADED,
     MERGE_FALLBACK,
-    SUM_OVERFLOW,
     MISBEHAVIOR_DETECTED,
     EVICTED,
     EVICTED_REJECTED,

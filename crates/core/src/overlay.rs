@@ -139,6 +139,19 @@ impl OverlayTree {
             .collect()
     }
 
+    /// The number of trainers in the subtree rooted at `t`, `t` included:
+    /// the most contributions a partial from `t` may stand for.
+    pub fn subtree_size(&self, t: usize) -> usize {
+        // One level at a time: the heap positions `first..=last` below `t`.
+        let below = |p: u64, k: u64| p.saturating_mul(self.b).saturating_add(k);
+        let (mut first, mut last, mut size) = (self.position(t), self.position(t), 0);
+        while first < self.n {
+            size += last.min(self.n - 1) - first + 1;
+            (first, last) = (below(first, 1), below(last, self.b));
+        }
+        size as usize
+    }
+
     /// Trainer `t`'s level: 0 at the root, increasing toward the leaves.
     pub fn level(&self, t: usize) -> usize {
         let mut pos = self.position(t);
@@ -220,6 +233,29 @@ mod tests {
             }
             assert_eq!(cur, tree.root());
             assert_eq!(tree.level(t), hops);
+        }
+    }
+
+    #[test]
+    fn a_subtree_is_its_root_and_its_childrens_subtrees() {
+        for (n, b) in [
+            (1usize, 2usize),
+            (2, 2),
+            (16, 2),
+            (100, 4),
+            (257, 8),
+            (1000, 3),
+        ] {
+            let tree = OverlayTree::new(n, b, 5);
+            assert_eq!(tree.subtree_size(tree.root()), n);
+            for t in 0..n {
+                let children: usize = tree.children(t).iter().map(|&c| tree.subtree_size(c)).sum();
+                assert_eq!(
+                    tree.subtree_size(t),
+                    1 + children,
+                    "n = {n}, b = {b}, t = {t}"
+                );
+            }
         }
     }
 

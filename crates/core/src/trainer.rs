@@ -33,7 +33,7 @@ use dfl_crypto::Pending;
 use crate::accountability::{agg_verifying_key, trainer_signing_key};
 use crate::config::{CommMode, TaskConfig, Topology};
 use crate::gradient::{
-    build_blob, decode_blob, decode_partition_blob, decode_update, sum_in_round, verify_sum_timed,
+    build_blob, decode_blob, decode_partition_blob, decode_update, sum_gradients, verify_sum_timed,
     ProtocolCommitment, ProtocolCurve, ProtocolKey, VerifyQueue,
 };
 use crate::labels;
@@ -450,11 +450,11 @@ impl<M: Model> Trainer<M> {
             .remove(&(self.round.iter, partition))
             .unwrap_or_default();
 
-        // Validate the children: authentic signature and this partition's
-        // width, then one check that their sum opens the product of their
-        // commitments — the level forwards nothing but that sum — naming
-        // culprits only if it does not (the batch is empty at leaves and
-        // costs nothing).
+        // Validate the children: authentic signature, this partition's
+        // width and the range of the child's subtree, then one check that
+        // their sum opens the product of their commitments — the level
+        // forwards nothing but that sum — naming culprits only if it does
+        // not (the batch is empty at leaves and costs nothing).
         let key = &overlay.key;
         let cfg = self.topo.config();
         let width = self.topo.partition_len(partition);
@@ -462,7 +462,7 @@ impl<M: Model> Trainer<M> {
         for partial in buffered {
             let checked = overlay_partial_commitment(cfg, partition, self.round.iter, &partial);
             let (child, blob, count, ..) = partial;
-            let decoded = decode_partition_blob(&blob, width);
+            let decoded = decode_partition_blob(&blob, width, tree.subtree_size(child));
             let (Some(point), Some(decoded)) = (checked, decoded) else {
                 out.record(labels::OVERLAY_CHILD_REJECTED, child as f64);
                 continue;
@@ -476,9 +476,9 @@ impl<M: Model> Trainer<M> {
         let culprits: HashSet<usize> = verify_sum_timed(out, key, &items).into_iter().collect();
 
         // Sum the accepted child partials with this node's own gradient.
-        // The i128-exact summation makes the composed total bit-identical
-        // to the flat aggregator's sum of the same leaves, independent of
-        // tree shape — addition never rounds, so association is free.
+        // They stand for at most this node's subtree, so the sum is exact:
+        // the composed total is bit-identical to the flat aggregator's sum
+        // of the same leaves, independent of tree shape.
         let Some(own_commitment) = self.round.commitment(partition) else {
             return; // unreachable: the overlay's key committed every blob of the round
         };
@@ -495,8 +495,8 @@ impl<M: Model> Trainer<M> {
             commits.push(point);
             count += child_count;
         }
-        let Some(summed) = sum_in_round(out, self.round.iter, &grads) else {
-            return;
+        let Ok(summed) = sum_gradients(&grads) else {
+            return; // unreachable: every vector has the partition's width
         };
         let blob = if grads.len() == 1 {
             own_blob // no accepted children: the partial is the own blob verbatim
@@ -1241,43 +1241,14 @@ mod tests {
             };
             let (mut trainer, key) = trainer(cfg, 0);
             let honest = build_blob(&[0.5, -1.0, 2.0]);
-            let accumulated = Some(commit_blob(&key.unwrap(), &honest).unwrap().to_bytes());
+            let accumulated = commit_blob(&key.unwrap(), &honest).unwrap();
             let mut actions = Vec::new();
             for (partition, delta) in [(0, 1 << 20), (1, -(1 << 20))] {
                 let mut vector = decode_blob(&honest).unwrap();
                 vector[0] = Quantized(vector[0].0 + delta);
                 let data = Bytes::from(encode(&vector));
-                let cid = Cid::of(&data);
-                let (iter, cid_info) = (0, Some(cid));
-                deliver(
-                    &mut trainer,
-                    Msg::TotalAccumulator {
-                        partition,
-                        iter,
-                        accumulated,
-                    },
-                );
-                let asked = deliver(
-                    &mut trainer,
-                    Msg::UpdateInfo {
-                        partition,
-                        iter,
-                        cid: cid_info,
-                    },
-                );
-                let req_id = asked.iter().find_map(|action| match action {
-                    ProtocolAction::Send {
-                        msg: Msg::Ipfs(IpfsWire::Get { req_id, .. }),
-                        ..
-                    } => Some(*req_id),
-                    _ => None,
-                });
-                let reply = IpfsWire::GetOk {
-                    cid,
-                    data,
-                    req_id: req_id.unwrap(),
-                };
-                actions.extend(deliver(&mut trainer, Msg::Ipfs(reply)));
+                let fetched = download(&mut trainer, partition, data, Some(accumulated));
+                actions.extend(fetched.expect("the update is fetched"));
             }
             let rejected = recorded(&actions, labels::TRAINER_REJECTED_UPDATE);
             assert_eq!(rejected, [0.0, 1.0], "batch_verify = {batch_verify}");
@@ -1285,12 +1256,97 @@ mod tests {
         }
     }
 
-    /// An overlay node drops a child of another width before its check:
-    /// such a blob can open its own commitment (a shorter vector, or one
-    /// padded with zeros), and summed with the level it would abandon the
-    /// whole partial. The level goes up with the other child.
+    /// Round 0's update `data` of `partition` reaching `trainer`: the total
+    /// accumulator, when given, then the update's CID, then the storage
+    /// reply to the `Get` that asks for it. `None` when no `Get` went out.
+    fn download(
+        trainer: &mut Trainer<LogisticRegression>,
+        partition: usize,
+        data: Bytes,
+        accumulated: Option<ProtocolCommitment>,
+    ) -> Option<Vec<ProtocolAction<Msg>>> {
+        let (cid, iter) = (Cid::of(&data), 0);
+        if let Some(total) = accumulated {
+            let accumulated = Some(total.to_bytes());
+            let msg = Msg::TotalAccumulator {
+                partition,
+                iter,
+                accumulated,
+            };
+            deliver(trainer, msg);
+        }
+        let info = Msg::UpdateInfo {
+            partition,
+            iter,
+            cid: Some(cid),
+        };
+        let asked = deliver(trainer, info);
+        let req_id = asked.iter().find_map(|action| match action {
+            ProtocolAction::Send {
+                msg: Msg::Ipfs(IpfsWire::Get { req_id, .. }),
+                ..
+            } => Some(*req_id),
+            _ => None,
+        })?;
+        let reply = IpfsWire::GetOk { cid, data, req_id };
+        Some(deliver(trainer, Msg::Ipfs(reply)))
+    }
+
+    /// The range rule at the update intake: an update with an element
+    /// past the range of the contributions its counter claims is not
+    /// applied, though it opens its accumulator where the trainer
+    /// verifies. The update intake books no label: the poll loop fetches
+    /// again, and without verification the next update in range finishes
+    /// the round.
     #[test]
-    fn an_overlay_child_of_another_width_is_rejected_before_the_check() {
+    fn an_update_outside_the_range_of_its_counter_is_not_applied_and_fetched_again() {
+        use dfl_crypto::quantize::BOUND;
+        for trainer_verifies in [false, true] {
+            let cfg = TaskConfig {
+                trainers: 2,
+                partitions: 1,
+                verifiable: trainer_verifies,
+                trainer_verifies,
+                ..TaskConfig::default()
+            };
+            let (mut trainer, key) = trainer(cfg, 0);
+            let opened = |blob: &[u8]| key.as_ref().map(|k| commit_blob(k, blob).unwrap());
+            // Two contributions: their counter reads 2.
+            let two = |first: i64| {
+                let mut vector = decode_blob(&build_blob(&[0.5; 6])).unwrap();
+                vector[0] = Quantized(first);
+                vector[6] = Quantized(2 << 24);
+                Bytes::from(encode(&vector))
+            };
+            let (past, edge) = (two(2 * BOUND + 1), two(2 * BOUND));
+            let case = format!("trainer_verifies = {trainer_verifies}");
+            let refused = download(&mut trainer, 0, past.clone(), opened(&past)).unwrap();
+            assert!(trainer.round.received.is_empty(), "{case}");
+            assert!(
+                recorded(&refused, labels::TRAINER_ROUND_DONE).is_empty(),
+                "{case}"
+            );
+            assert!(
+                recorded(&refused, labels::TRAINER_REJECTED_UPDATE).is_empty(),
+                "{case}"
+            );
+            // The poll loop fetches again.
+            let again = download(&mut trainer, 0, past, None).expect(&case);
+            assert!(
+                recorded(&again, labels::TRAINER_ROUND_DONE).is_empty(),
+                "{case}"
+            );
+            if !trainer_verifies {
+                let done = download(&mut trainer, 0, edge, None).expect(&case);
+                assert_eq!(recorded(&done, labels::TRAINER_ROUND_DONE), [0.0]);
+            }
+        }
+    }
+
+    /// The root of a three-trainer overlay (b = 2) that was sent each of
+    /// its two children's partials, `blobs[k]` from child `k` under its own
+    /// commitment: its own blob, the children, and the actions.
+    fn root_level(blobs: [&Bytes; 2]) -> (Bytes, Vec<usize>, Vec<ProtocolAction<Msg>>) {
         let cfg = TaskConfig {
             trainers: 3,
             partitions: 1,
@@ -1309,10 +1365,8 @@ mod tests {
             panic!("the root waits for its children");
         };
         let own = unsent[&0].clone();
-        let honest = Bytes::from(build_blob(&[0.5; 6]));
-        let narrow = Bytes::from(build_blob(&[0.5; 3]));
         let mut actions = Vec::new();
-        for (&child, blob) in children.iter().zip([&honest, &narrow]) {
+        for (&child, blob) in children.iter().zip(blobs) {
             let commitment = commit_blob(&key, blob).unwrap();
             assert!(crate::gradient::verify_blob(&key, blob, &commitment));
             actions.extend(deliver(
@@ -1328,16 +1382,56 @@ mod tests {
                 },
             ));
         }
+        (own, children, actions)
+    }
+
+    /// Whether `actions` forward the sum of `own` and `child` as a level
+    /// partial of two contributions.
+    fn forwards_sum(actions: &[ProtocolAction<Msg>], own: &[u8], child: &[u8]) -> bool {
+        let sum = [decode_blob(own).unwrap(), decode_blob(child).unwrap()];
+        let sum = encode(&crate::gradient::sum_gradients(&sum).unwrap());
+        actions.iter().any(|action| {
+            matches!(action, ProtocolAction::Send { msg: Msg::OverlayPartial { data, count: 2, .. }, .. } if data[..] == sum[..])
+        })
+    }
+
+    /// An overlay node drops a child of another width before its check:
+    /// such a blob can open its own commitment (a shorter vector, or one
+    /// padded with zeros), and summed with the level it would abandon the
+    /// whole partial. The level goes up with the other child.
+    #[test]
+    fn an_overlay_child_of_another_width_is_rejected_before_the_check() {
+        let honest = Bytes::from(build_blob(&[0.5; 6]));
+        let narrow = Bytes::from(build_blob(&[0.5; 3]));
+        let (own, children, actions) = root_level([&honest, &narrow]);
         assert_eq!(
             recorded(&actions, labels::OVERLAY_CHILD_REJECTED),
             [children[1] as f64]
         );
-        assert!(recorded(&actions, labels::SUM_OVERFLOW).is_empty());
-        let sum = [decode_blob(&own).unwrap(), decode_blob(&honest).unwrap()];
-        let sum = encode(&crate::gradient::sum_gradients(&sum).unwrap());
-        let forwarded = actions.iter().any(|action| {
-            matches!(action, ProtocolAction::Send { msg: Msg::OverlayPartial { data, count: 2, .. }, .. } if data[..] == sum[..])
-        });
-        assert!(forwarded, "the level goes up with the other child");
+        assert!(
+            forwards_sum(&actions, &own, &honest),
+            "the level goes up with the other child"
+        );
+    }
+
+    /// The same for a child outside the range of its subtree: a leaf's
+    /// partial stands for one contribution, so an element past `BOUND` is
+    /// refused before the check, though it opens its own commitment.
+    #[test]
+    fn an_overlay_child_outside_the_range_of_its_subtree_is_rejected_before_the_check() {
+        use dfl_crypto::quantize::{Quantized, BOUND};
+        let honest = Bytes::from(build_blob(&[0.5; 6]));
+        let mut vector = decode_blob(&honest).unwrap();
+        vector[0] = Quantized(BOUND + 1);
+        let wide = Bytes::from(encode(&vector));
+        let (own, children, actions) = root_level([&wide, &honest]);
+        assert_eq!(
+            recorded(&actions, labels::OVERLAY_CHILD_REJECTED),
+            [children[0] as f64]
+        );
+        assert!(
+            forwards_sum(&actions, &own, &honest),
+            "the level goes up with the other child"
+        );
     }
 }

@@ -31,7 +31,7 @@
 //! ```
 //! use dfl_crypto::curve::Secp256k1;
 //! use dfl_crypto::pedersen::{CommitKey, Commitment};
-//! use dfl_crypto::quantize::{quantize_vector, sum_quantized, to_scalars};
+//! use dfl_crypto::quantize::{quantize_vector, to_scalars, Quantized};
 //!
 //! // Two trainers commit to their fixed-point gradients.
 //! let key = CommitKey::<Secp256k1>::setup(3, b"task-42");
@@ -44,7 +44,7 @@
 //!
 //! // The directory accumulates commitments; the aggregator sums gradients.
 //! let accumulated = Commitment::accumulate([&c1, &c2]);
-//! let aggregated = sum_quantized(&[g1, g2]);
+//! let aggregated: Vec<Quantized> = g1.iter().zip(&g2).map(|(a, b)| Quantized(a.0 + b.0)).collect();
 //!
 //! // Verification: the aggregate opens the accumulated commitment, so no
 //! // gradient was dropped or altered.

@@ -20,7 +20,9 @@
 //!
 //! Aggregators sum *quantized* values, the directory verifies commitments
 //! over the same quantized domain, and trainers dequantize after download,
-//! so the verifiable path and the numeric path can never diverge.
+//! so the verifiable path and the numeric path can never diverge. The range
+//! rule ([`BOUND`]) keeps every sum of the protocol inside `i64`, where the
+//! integer sum and the commitments' sum are the same number.
 
 use crate::bigint::U256;
 use crate::curve::{Curve, Scalar};
@@ -34,6 +36,22 @@ pub const FRACTIONAL_BITS: u32 = 24;
 
 /// Scale factor `2^FRACTIONAL_BITS`.
 pub const SCALE: f64 = (1u64 << FRACTIONAL_BITS) as f64;
+
+/// The most contributions one vector may stand for: no task has more
+/// trainers, so no sum of the protocol — a partial, a merged reply, an
+/// update — counts more.
+pub const MAX_CONTRIBUTIONS: usize = 1 << 20;
+
+/// The largest magnitude of an element of one contribution: 2⁴³ − 1, which
+/// is ± 524 288 in real units.
+///
+/// This is the range rule. A vector standing for `n` contributions is
+/// admissible when every element, counter included, lies within
+/// ± n · `BOUND` ([`admissible`]). Any sum of admissible vectors whose `n`s
+/// total at most [`MAX_CONTRIBUTIONS`] then lies within ± `i64::MAX`, so
+/// plain `i64` addition is exact in any order, and it equals the sum the
+/// commitments add mod the group order.
+pub const BOUND: i64 = i64::MAX / MAX_CONTRIBUTIONS as i64;
 
 /// A quantized gradient value: a signed fixed-point integer.
 ///
@@ -74,10 +92,10 @@ impl Quantized {
         self.0 as f64 / SCALE
     }
 
-    /// Saturating addition (sums of honest gradients never saturate; the
-    /// guard exists so adversarial inputs cannot cause UB-adjacent wrapping).
-    pub fn saturating_add(self, rhs: Quantized) -> Quantized {
-        Quantized(self.0.saturating_add(rhs.0))
+    /// The nearest value in one contribution's range, ± [`BOUND`].
+    #[inline]
+    pub fn clamped(self) -> Quantized {
+        Quantized(self.0.clamp(-BOUND, BOUND))
     }
 
     /// Embeds the signed value into the scalar field of curve `C`.
@@ -110,23 +128,29 @@ pub fn dequantize_vector(values: &[Quantized]) -> Vec<f32> {
     values.iter().map(|q| q.to_f64() as f32).collect()
 }
 
-/// Element-wise sum of quantized vectors (the aggregation operation).
+/// Whether `values`, standing for `n` contributions, are admissible: `n` is
+/// at most [`MAX_CONTRIBUTIONS`] and every element lies within
+/// ± n · [`BOUND`].
 ///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn sum_quantized(vectors: &[Vec<Quantized>]) -> Vec<Quantized> {
-    let Some(first) = vectors.first() else {
-        return Vec::new();
-    };
-    let mut acc = first.clone();
-    for v in &vectors[1..] {
-        assert_eq!(v.len(), acc.len(), "gradient length mismatch");
-        for (a, b) in acc.iter_mut().zip(v) {
-            *a = a.saturating_add(*b);
-        }
+/// Every intake runs this over a whole blob, so it first ORs the elements'
+/// ones'-complement magnitudes (`|v|` for `v ≥ 0`, `|v| − 1` below), which
+/// vectorises where a maximum of 64-bit values does not. The OR is at
+/// least every one of them, so below the limit it settles the question;
+/// only at or above it are the magnitudes compared one by one.
+pub fn admissible<I>(values: I, n: usize) -> bool
+where
+    I: IntoIterator<Item = Quantized>,
+    I::IntoIter: Clone,
+{
+    if n > MAX_CONTRIBUTIONS {
+        return false;
     }
-    acc
+    let mut values = values.into_iter();
+    let limit = n as u64 * BOUND as u64;
+    let ored = values
+        .clone()
+        .fold(0, |or, q| or | (q.0 ^ (q.0 >> 63)) as u64);
+    ored < limit || values.all(|q| q.0.unsigned_abs() <= limit)
 }
 
 /// Embeds a quantized vector into the scalar field: the field elements a
@@ -312,21 +336,62 @@ mod tests {
         assert_eq!(Quantized::from_scalar::<C>(&big), None);
     }
 
+    /// The element-wise sum of `vectors`, as `i64` addition.
+    fn sum(vectors: &[Vec<Quantized>]) -> Vec<Quantized> {
+        let add = |a: Vec<Quantized>, b: &Vec<Quantized>| {
+            a.iter().zip(b).map(|(x, y)| Quantized(x.0 + y.0)).collect()
+        };
+        vectors[1..].iter().fold(vectors[0].clone(), add)
+    }
+
     #[test]
-    fn sum_quantized_matches_elementwise() {
+    fn quantized_vectors_add_element_wise() {
         let vs = vec![
             quantize_vector(&[1.0, 2.0, 3.0]),
             quantize_vector(&[0.5, -1.0, 0.0]),
             quantize_vector(&[-0.25, 0.25, 1.0]),
         ];
-        let sum = sum_quantized(&vs);
-        let real = dequantize_vector(&sum);
+        let real = dequantize_vector(&sum(&vs));
         assert_eq!(real, vec![1.25, 1.25, 4.0]);
     }
 
     #[test]
-    fn sum_of_empty_is_empty() {
-        assert!(sum_quantized(&[]).is_empty());
+    fn the_range_rule_bounds_every_sum_inside_i64() {
+        assert_eq!(BOUND, (1 << 43) - 1);
+        assert_eq!(Quantized(BOUND).to_f64(), 524_288.0 - 1.0 / SCALE);
+        // The largest admissible sum fits, at both ends.
+        let most = MAX_CONTRIBUTIONS as i64;
+        assert!(most.checked_mul(BOUND).is_some());
+        assert!(most.checked_mul(-BOUND).is_some());
+        for n in [1, 2, 7, MAX_CONTRIBUTIONS] {
+            let edge = n as i64 * BOUND;
+            for v in [0, 1, -1, edge, -edge] {
+                assert!(admissible([Quantized(v)], n), "{v} for {n}");
+            }
+            for v in [edge + 1, -edge - 1, i64::MAX, i64::MIN] {
+                assert!(!admissible([Quantized(v)], n), "{v} for {n}");
+            }
+        }
+        // Nothing stands for more contributions than a task may have.
+        assert!(!admissible([Quantized(0)], MAX_CONTRIBUTIONS + 1));
+        assert!(admissible([], 1));
+        // One contribution's counter (1.0) is admissible.
+        assert!(admissible(quantize_vector(&[1.0]), 1));
+    }
+
+    #[test]
+    fn clamping_keeps_one_contribution_in_range() {
+        for (v, clamped) in [
+            (0, 0),
+            (BOUND, BOUND),
+            (-BOUND, -BOUND),
+            (BOUND + 1, BOUND),
+            (i64::MAX, BOUND),
+            (i64::MIN, -BOUND),
+        ] {
+            assert_eq!(Quantized(v).clamped(), Quantized(clamped), "{v}");
+            assert!(admissible([Quantized(v).clamped()], 1));
+        }
     }
 
     #[test]
@@ -347,7 +412,7 @@ mod tests {
         let g2 = quantize_vector(&[1.5, 1.0, -2.0, 3.0]);
         let c1 = key.commit(&to_scalars::<C>(&g1));
         let c2 = key.commit(&to_scalars::<C>(&g2));
-        let sum = sum_quantized(&[g1, g2]);
+        let sum = sum(&[g1, g2]);
         assert_eq!(c1.combine(&c2), key.commit(&to_scalars::<C>(&sum)));
     }
 
@@ -379,6 +444,23 @@ mod tests {
             for v in around(x) {
                 prop_assert_eq!(Quantized::from_f64(v).0, from_f64_by_libm(v), "around {:e}", x);
             }
+        }
+
+        #[test]
+        fn prop_admissible_is_its_definition(
+            raw in proptest::collection::vec(any::<i64>(), 0..8),
+            shift in 0..64u32,
+            small in 0..8usize,
+            large in 0..(2 * MAX_CONTRIBUTIONS),
+            pick in any::<bool>(),
+        ) {
+            // Magnitudes on every scale, either side of each limit.
+            let values: Vec<Quantized> = raw.iter().map(|v| Quantized(v >> shift)).collect();
+            let n = if pick { small } else { large };
+            let limit = n as i128 * BOUND as i128;
+            let within = values.iter().all(|q| (q.0 as i128).abs() <= limit);
+            let definition = n <= MAX_CONTRIBUTIONS && within;
+            prop_assert_eq!(admissible(values.iter().copied(), n), definition);
         }
 
         #[test]

@@ -42,8 +42,10 @@ impl std::fmt::Display for MergeError {
 impl std::error::Error for MergeError {}
 
 /// Sums a set of encoded gradient blobs into one encoded blob: 8-byte
-/// little-endian fixed-point elements, added with saturation, blob after
-/// blob into the output's bytes.
+/// little-endian fixed-point elements, added blob after blob into the
+/// output's bytes as `i64`s that wrap. Wrapping addition is associative, so
+/// whenever the true sum fits in `i64` — always, for admissible blobs
+/// ([`dfl_crypto::quantize::BOUND`]) — the result is that sum, in any order.
 ///
 /// # Errors
 ///
@@ -73,7 +75,7 @@ pub fn merge_blobs<B: AsRef<[u8]>>(blobs: &[B]) -> Result<Vec<u8>, MergeError> {
         let (sums, _) = out.as_chunks_mut::<8>();
         let (terms, _) = blob.as_ref().as_chunks::<8>();
         for (sum, term) in sums.iter_mut().zip(terms) {
-            let total = i64::from_le_bytes(*sum).saturating_add(i64::from_le_bytes(*term));
+            let total = i64::from_le_bytes(*sum).wrapping_add(i64::from_le_bytes(*term));
             *sum = total.to_le_bytes();
         }
     }
@@ -83,9 +85,7 @@ pub fn merge_blobs<B: AsRef<[u8]>>(blobs: &[B]) -> Result<Vec<u8>, MergeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfl_crypto::quantize::{
-        decode, dequantize_vector, encode, quantize_vector, sum_quantized, Quantized,
-    };
+    use dfl_crypto::quantize::{decode, dequantize_vector, encode, quantize_vector, Quantized};
     use proptest::prelude::*;
 
     fn blob(values: &[f32]) -> Vec<u8> {
@@ -115,7 +115,13 @@ mod tests {
             }
             vectors.push(v);
         }
-        Ok(encode(&sum_quantized(&vectors)))
+        let add = |mut sum: Vec<Quantized>, v: &Vec<Quantized>| {
+            for (s, e) in sum.iter_mut().zip(v) {
+                s.0 = s.0.wrapping_add(e.0);
+            }
+            sum
+        };
+        Ok(encode(&vectors[1..].iter().fold(vectors[0].clone(), add)))
     }
 
     fn raw(elements: &[i64]) -> Vec<u8> {
@@ -130,8 +136,8 @@ mod tests {
         for case in 0..200 {
             let len = rng.gen_range(0..24usize);
             let n = rng.gen_range(1..7usize);
-            // Half the cases use the whole i64 range, so sums saturate at
-            // either end — in request order, as the pairwise adds did.
+            // Half the cases use the whole i64 range, so sums wrap at
+            // either end.
             let wide = case % 2 == 0;
             let mut blobs: Vec<Vec<u8>> = (0..n)
                 .map(|_| {
@@ -215,12 +221,16 @@ mod tests {
         }
         // Empty vectors are vectors: nothing to add, nothing wrong.
         assert_eq!(merge_blobs(&[[0u8; 0], [0u8; 0]]), Ok(Vec::new()));
-        // One past the range saturates, at both ends, and stays there only
-        // while later terms do not pull it back (pairwise, in order).
+        // A partial sum past the range does not stick there: whenever the
+        // true sum fits, it is the result.
         let (max, min) = (i64::MAX, i64::MIN);
         assert_eq!(
             merge_blobs(&[raw(&[max, min, max]), raw(&[1, -1, 1]), raw(&[0, 0, -5])]),
-            Ok(raw(&[max, min, max - 5]))
+            Ok(raw(&[min, max, max - 4]))
+        );
+        assert_eq!(
+            merge_blobs(&[raw(&[max, min]), raw(&[1, -1]), raw(&[-5, 5])]),
+            Ok(raw(&[max - 4, min + 4]))
         );
     }
 
@@ -276,6 +286,34 @@ mod tests {
             let x = merge_blobs(&[blob(&a), blob(&b)]).unwrap();
             let y = merge_blobs(&[blob(&b), blob(&a)]).unwrap();
             prop_assert_eq!(x, y);
+        }
+
+        #[test]
+        fn prop_merge_is_the_true_sum_in_any_order(
+            terms in proptest::collection::vec(proptest::collection::vec(-i64::MAX..=i64::MAX, 3), 1..4),
+            edges in proptest::collection::vec(0..3usize, 3),
+            total in proptest::collection::vec(any::<i64>(), 3),
+            order in proptest::collection::vec(any::<u64>(), 7),
+        ) {
+            // Each term, some elements at ± i64::MAX, then each term
+            // negated, then the total: every partial sum may leave the
+            // range, but the true sum is `total`.
+            let mut terms = terms;
+            for (j, &edge) in edges.iter().enumerate() {
+                terms[0][j] = [terms[0][j], i64::MAX, -i64::MAX][edge];
+            }
+            let negated: Vec<Vec<i64>> =
+                terms.iter().map(|t| t.iter().map(|e| -e).collect()).collect();
+            let mut blobs: Vec<(u64, Vec<u8>)> = terms
+                .iter()
+                .chain(&negated)
+                .chain([&total])
+                .zip(&order)
+                .map(|(elements, &key)| (key, raw(elements)))
+                .collect();
+            blobs.sort_unstable_by_key(|(key, _)| *key);
+            let blobs: Vec<&[u8]> = blobs.iter().map(|(_, b)| &b[..]).collect();
+            prop_assert_eq!(merge_blobs(&blobs), Ok(raw(&total)));
         }
 
         #[test]

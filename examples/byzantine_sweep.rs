@@ -114,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\n'model = exact' means the final parameters are bit-identical to the \
          all-honest run: recovery re-aggregates the original gradient blobs and \
-         the order-independent i128 sum reproduces the honest bits."
+         the order-independent exact sum reproduces the honest bits."
     );
     Ok(())
 }

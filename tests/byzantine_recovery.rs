@@ -3,7 +3,7 @@
 //! misbehavior must get the offender evicted within one round of first
 //! detection, and the final model must be **bit-identical** to the
 //! all-honest run — recovery re-aggregates the original gradient blobs and
-//! the i128 sum is order-independent, so honest and recovered rounds
+//! the exact sum is order-independent, so honest and recovered rounds
 //! produce the same bits.
 
 use decentralized_fl::ml::{data, LogisticRegression, Model, SgdConfig};

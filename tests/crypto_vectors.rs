@@ -356,11 +356,17 @@ fn malformed_merge_requests_name_the_first_bad_blob() {
     for (blobs, expect) in table {
         assert_eq!(merge_blobs(&blobs), expect, "{blobs:?}");
     }
-    // One past the range saturates, pairwise in request order.
-    assert_eq!(
-        merge_blobs(&[raw(&[i64::MAX, i64::MIN]), raw(&[1, -1]), raw(&[-5, 5])]),
-        Ok(raw(&[i64::MAX - 5, i64::MIN + 5]))
-    );
+    // A partial sum past the range does not stick: the true sum fits, so
+    // it is the result, in any order.
+    for order in [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2]] {
+        let terms = [raw(&[i64::MAX, i64::MIN]), raw(&[1, -1]), raw(&[-5, 5])];
+        let blobs = order.map(|i| terms[i].clone());
+        assert_eq!(
+            merge_blobs(&blobs),
+            Ok(raw(&[i64::MAX - 4, i64::MIN + 4])),
+            "{order:?}"
+        );
+    }
     // And what no longer decodes as an update.
     let one = 1i64 << 24;
     assert!(decode_update(&raw(&[7, one])).is_some());

@@ -23,6 +23,13 @@ fn task_config() -> TaskConfig {
         // Real time, not simulated: poll fast so a round completes in
         // tens of milliseconds instead of the simulator-scaled default.
         poll_interval: SimDuration::from_millis(20),
+        // And deadlines sized to the task: the slowest healthy round of
+        // this suite on one core, unoptimised, takes about 0.33 s, a
+        // sixtieth of this. `run_task_over_tcp` gives up at
+        // `t_sync × rounds + 60 s`, so a stalled run fails in under two
+        // minutes instead of hanging for 41 with the default 1 200 s.
+        t_train: SimDuration::from_secs(20),
+        t_sync: SimDuration::from_secs(20),
         ..TaskConfig::default()
     }
 }
