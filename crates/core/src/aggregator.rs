@@ -3,10 +3,15 @@
 //!
 //! Per round, the aggregator for slot `j` of partition `i`:
 //!
-//! 1. collects the gradients of its trainer set `T_ij` — directly (original
-//!    IPLS), by downloading each blob from storage, or via
-//!    merge-and-download requests to its providers (§III-E);
-//! 2. sums them into its partial update;
+//! 1. gathers the gradients of its trainer set `T_ij` — sent to it
+//!    (original IPLS), downloaded one blob at a time from storage, or
+//!    summed by its providers on merge-and-download requests (§III-E).
+//!    Each blob taken in is one entry of the gather, covering the trainers
+//!    it stands for, and is checked by the same intake: a culprit is
+//!    wasted, and a refused merge is fetched member by member;
+//! 2. sums the entries into its partial update once they cover the whole
+//!    set — or, after the deadline, `min_quorum`'s share of it — by one
+//!    rule in every comm mode;
 //! 3. with `|A_i| > 1`, uploads the partial, announces its CID on the
 //!    partition's pub/sub topic, verifies peers' partials against the
 //!    accumulated commitments from the directory, and sums all partials;
@@ -16,7 +21,8 @@
 //! 5. if a peer never shows up by the sync deadline (or the earlier
 //!    `sync_watchdog`), runs its own gather for that peer's slot `j`:
 //!    fetches and checks `T_ij`'s gradients as it does its own set's, and
-//!    uses their sum as the peer's partial (§III-D).
+//!    uses their sum, complete by the same rule, as the peer's partial
+//!    (§III-D).
 //!
 //! Its position in the round is one `Stage` value: `Gather` until its
 //! partial is summed (`GRADS_AGGREGATED`), `Sync` while peers' partials
@@ -69,8 +75,9 @@ const TK_WATCHDOG: u64 = 4 << 32;
 enum Request {
     /// Download of one trainer's gradient for slot `j`'s gather.
     Gradient { j: usize, trainer: usize },
-    /// Merge-and-download result from one provider.
-    Merged,
+    /// Merge-and-download of these trainers' gradients from one provider;
+    /// kept so a failed merge can degrade to plain per-CID fetches.
+    Merge { members: Vec<usize> },
     /// Upload of the partial update blob.
     PutPartial,
     /// Upload of the global update blob, registered once stored as the sum
@@ -108,41 +115,17 @@ impl Stage {
     }
 }
 
-/// What a blob admitted to a gather's [`VerifyQueue`] was — that is, what
-/// to take back out of the round if it does not open its commitment.
-#[derive(Copy, Clone)]
-enum Admitted {
-    /// One trainer's gradient, fetched individually, and its blob's size.
-    Gradient(usize, usize),
-    /// The merged reply to this merge request.
+/// One blob a gather took in: a trainer's gradient, fetched or received
+/// on its own, or the sum a merge request returned (§III-E).
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+enum Entry {
+    Gradient(usize),
     Merge(u64),
-}
-
-/// The vectors a gather's sum is made of, borrowed from the round, and
-/// the trainers they cover.
-type Gathered<'a> = (Vec<&'a [Quantized]>, Vec<usize>);
-
-/// The `(trainer, cid)` pairs one merge request asks a storage node to sum.
-type Members = Vec<(usize, Cid)>;
-
-/// Merge-and-download bookkeeping (§III-E); exists in that mode only.
-#[derive(Default)]
-struct Merging {
-    /// The round's merge requests went out.
-    sent: bool,
-    /// Unanswered merge requests: req → the `(trainer, cid)` members asked
-    /// for, kept so a failed merge can degrade to plain per-CID fetches.
-    requests: HashMap<u64, Members>,
-    /// Merged blobs received so far: req → the sum (`None` once the
-    /// partial has summed it) and the members in it.
-    merged: HashMap<u64, (Option<Vec<Quantized>>, Members)>,
-    /// Trainers being fetched individually after their merge failed.
-    fallback_pending: HashSet<usize>,
 }
 
 /// The gather of one trainer set `T_ij`: my own slot's, or a peer slot's
 /// being recovered (§III-D: another aggregator downloads the missing one's
-/// gradients on his behalf). Either way its gradients are fetched, checked
+/// gradients on his behalf). Either way its blobs are fetched, checked
 /// and summed by the same code.
 #[derive(Default)]
 struct Gather {
@@ -150,13 +133,15 @@ struct Gather {
     set: Vec<usize>,
     /// Registered gradient CIDs (and commitments), by trainer.
     registered: HashMap<usize, (Cid, Option<ProtocolCommitment>)>,
-    /// Gradients taken in, by trainer: the vector until the sum takes it,
-    /// `None` after. A straggler taken into my own set after its partial
-    /// is checked and booked but never summed, so it keeps no vector.
-    gradients: HashMap<usize, Option<Vec<Quantized>>>,
-    /// Blobs taken in, to be settled when the sum is about to consume
-    /// them. Verifiable mode only.
-    admitted: Option<VerifyQueue<Admitted>>,
+    /// Entries taken in: the vector until the sum takes it, `None` after,
+    /// and the trainers it covers. No two cover one trainer: a trainer is
+    /// fetched only while nothing covers it or is on its way for it. An
+    /// entry taken into my own set after its partial is checked and
+    /// booked but never summed, so it keeps no vector.
+    entries: HashMap<Entry, (Option<Vec<Quantized>>, Vec<usize>)>,
+    /// Entries taken in on trust, and their blobs' sizes, to be settled
+    /// when the sum is about to consume them. Verifiable mode only.
+    admitted: Option<VerifyQueue<(Entry, usize)>>,
 }
 
 impl Gather {
@@ -168,10 +153,16 @@ impl Gather {
         }
     }
 
-    /// The trainers of the set whose gradient is in, in set order.
+    /// Whether an entry covers `trainer`.
+    fn covers(&self, trainer: usize) -> bool {
+        let mut covered = self.entries.values().flat_map(|(_, covered)| covered);
+        covered.any(|&t| t == trainer)
+    }
+
+    /// The trainers of the set an entry covers, in set order.
     fn have(&self) -> Vec<usize> {
         let have = self.set.iter().copied();
-        have.filter(|t| self.gradients.contains_key(t)).collect()
+        have.filter(|&t| self.covers(t)).collect()
     }
 }
 
@@ -215,9 +206,10 @@ struct PeerSync {
 struct Round {
     iter: u64,
     stage: Stage,
-    /// My trainer set's gather; its queue also takes the merged blobs.
+    /// My trainer set's gather.
     own: Gather,
-    merge: Option<Merging>,
+    /// Merge-and-download (§III-E): the round's merge requests went out.
+    merges_sent: bool,
     sync: Option<PeerSync>,
     /// `FETCH_START` recorded for this round (first own-gradient fetch or
     /// merge RPC — the start of the merge-delay span).
@@ -233,7 +225,6 @@ impl Round {
         Round {
             iter,
             own: Gather::new(set, cfg, key),
-            merge: (cfg.comm == CommMode::MergeAndDownload).then(Merging::default),
             sync: (slots > 1).then(|| PeerSync {
                 accumulators: vec![None; slots],
                 ..PeerSync::default()
@@ -244,18 +235,15 @@ impl Round {
 
     /// Releases the vectors the stage reached has summed — nothing reads
     /// them again (§VI: gradient data is needed only briefly): past
-    /// `Gather` the own-set and merged vectors in the partial, at `Done`
-    /// the partials in the global update. Who they came from stays:
-    /// de-duplication, the quorum and the straggler checks read the keys,
-    /// member lists and contributor sets.
+    /// `Gather` the own set's entries in the partial, at `Done` the
+    /// partials in the global update. Who they came from stays:
+    /// de-duplication, the quorum and the straggler checks read the
+    /// covered trainers and contributor sets.
     fn release_summed(&mut self) {
         if self.stage == Stage::Gather {
             return;
         }
-        self.own.gradients.values_mut().for_each(|v| *v = None);
-        if let Some(merge) = &mut self.merge {
-            merge.merged.values_mut().for_each(|(v, _)| *v = None);
-        }
+        self.own.entries.values_mut().for_each(|(v, _)| *v = None);
         if let (Some(sync), Stage::Done) = (&mut self.sync, self.stage) {
             sync.partials.values_mut().for_each(|(v, _)| *v = None);
         }
@@ -391,10 +379,15 @@ impl OverlaySink {
             out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
             return;
         }
+        // The root's sum stands for the whole tree: one of another width,
+        // or outside the range of that many contributions, is refused
+        // before its opening is checked, as a trainer refuses such a child.
         let cfg = self.topo.config();
+        let width = self.topo.partition_len(partition);
+        let decoded = decode_partition_blob(data, width, self.tree.len());
         let checked = overlay_partial_commitment(cfg, partition, iter, partial);
         let opens = |point| verify_blobs_timed(out, &self.key, &[(data, &point)]).is_empty();
-        if !checked.is_some_and(opens) {
+        if decoded.is_none() || !checked.is_some_and(opens) {
             out.record(labels::OVERLAY_PARTIAL_REJECTED, trainer as f64);
             return;
         }
@@ -498,8 +491,8 @@ impl FlatAggregator {
         })
     }
 
-    /// The one quorum rule: whether `have` gradients of a trainer set of
-    /// `set_len` stand for the set — all of them, or the quorum threshold
+    /// The one quorum rule: whether `have` trainers covered of a trainer
+    /// set of `set_len` stand for the set — all of them, or the quorum threshold
     /// once the deadline has degraded the round.
     fn enough(&self, have: usize, set_len: usize) -> bool {
         have >= set_len
@@ -652,10 +645,9 @@ impl FlatAggregator {
                 continue;
             }
             gather.registered.insert(trainer, (cid, c));
-            // Without merging every gradient is fetched individually; my
-            // own set's merge mode only fetches ones whose merge failed.
-            let merging = self.round.merge.as_ref().filter(|_| slot == self.j);
-            if merging.is_none_or(|m| m.fallback_pending.contains(&trainer)) {
+            // My own set's merge mode fetches a gradient one by one only
+            // once the merges are out, and only if none of them covers it.
+            if slot != self.j || !self.merging() || self.round.merges_sent {
                 self.fetch_gradient(out, slot, trainer, cid);
             }
         }
@@ -665,13 +657,17 @@ impl FlatAggregator {
         self.maybe_send_merges(out);
     }
 
+    fn merging(&self) -> bool {
+        self.topo.config().comm == CommMode::MergeAndDownload
+    }
+
     /// Merge-and-download (§III-E): once every trainer of `T_ij` has
     /// registered (or a quorum, after the deadline), issue one merge
     /// request per provider.
     fn maybe_send_merges(&mut self, out: &mut Actions<Msg>) {
         let own = &self.round.own;
         let ready = self.enough(own.registered.len(), own.set.len());
-        if ready && self.round.merge.as_ref().is_some_and(|m| !m.sent) {
+        if ready && self.merging() && !self.round.merges_sent {
             self.send_merges(out);
         }
     }
@@ -683,11 +679,13 @@ impl FlatAggregator {
         let Some(provider) = self.topo.upload_target(self.partition, trainer) else {
             return; // direct mode receives gradients over the wire instead
         };
-        // Already here, or already on its way?
-        let here = |g: &mut Gather| g.gradients.contains_key(&trainer);
-        let asked =
-            |p: &Request| matches!(*p, Request::Gradient { trainer: t, .. } if t == trainer);
-        if self.gather(j).is_some_and(here) || self.storage.pending().any(asked) {
+        // Already here, or already on its way, alone or in a merge?
+        let asked = |p: &Request| match p {
+            Request::Gradient { trainer: t, .. } => *t == trainer,
+            Request::Merge { members } => members.contains(&trainer),
+            _ => false,
+        };
+        if self.gather(j).is_some_and(|g| g.covers(trainer)) || self.storage.pending().any(asked) {
             return;
         }
         if j == self.j {
@@ -707,15 +705,12 @@ impl FlatAggregator {
     }
 
     fn send_merges(&mut self, out: &mut Actions<Msg>) {
-        let Some(merge) = &mut self.round.merge else {
-            return;
-        };
-        merge.sent = true;
+        self.round.merges_sent = true;
         self.mark_fetch_start(out);
         // Group my trainers' gradients by the provider they uploaded to.
         // Under quorum degradation not every trainer has registered;
         // unregistered ones are simply absent from the merge.
-        let mut by_provider: HashMap<NodeId, Members> = HashMap::new();
+        let mut by_provider: HashMap<NodeId, Vec<(usize, Cid)>> = HashMap::new();
         for &t in &self.round.own.set {
             let Some(&(cid, _)) = self.round.own.registered.get(&t) else {
                 continue;
@@ -725,131 +720,110 @@ impl FlatAggregator {
             };
             by_provider.entry(provider).or_default().push((t, cid));
         }
-        let mut groups: Vec<(NodeId, Members)> = by_provider.into_iter().collect();
+        let mut groups: Vec<(NodeId, Vec<(usize, Cid)>)> = by_provider.into_iter().collect();
         groups.sort_unstable_by_key(|(provider, _)| provider.index());
-        for (provider, members) in groups {
-            let cids = members.iter().map(|&(_, cid)| cid).collect();
+        for (provider, asked) in groups {
+            let (members, cids) = asked.into_iter().unzip();
             let merge = |req_id| IpfsWire::Merge { cids, req_id };
-            let (topo, purpose) = (&self.topo, Request::Merged);
-            let req = self.storage.send(out, topo, purpose, provider, merge);
-            if let Some(merge) = &mut self.round.merge {
-                merge.requests.insert(req, members);
-            }
+            let purpose = Request::Merge { members };
+            self.storage.send(out, &self.topo, purpose, provider, merge);
         }
     }
 
     /// Takes in `trainer`'s gradient for slot `j`'s gather, mine or a
     /// recovered peer's: fetched from storage, or in Direct mode sent to
-    /// me. In verifiable mode the blob must open the trainer's registered
-    /// commitment before it is trusted — now, or when the gather settles.
-    /// A culprit (or a blob that does not decode) is wasted bytes; it stays
-    /// registered, so it is not fetched again: the same CID from the same
-    /// node can only return the same bytes. My own set keeps the vector
-    /// only while a partial may still sum it.
+    /// me. A refused one stays registered, so it is not fetched again: the
+    /// same CID from the same node can only return the same bytes.
     fn on_gradient(&mut self, out: &mut Actions<Msg>, j: usize, trainer: usize, data: &Bytes) {
-        let own = j == self.j;
-        if let (true, Some(merge)) = (own, &mut self.round.merge) {
-            merge.fallback_pending.remove(&trainer);
-        }
-        let keep = !own || self.round.stage == Stage::Gather;
-        let vector = self.decode_own(data, 1);
-        let Some(gather) = self.gather(j) else {
-            return; // its slot's partial is in
-        };
-        let registered = gather.registered.get(&trainer).and_then(|(_, c)| *c);
-        let tag = Admitted::Gradient(trainer, data.len());
-        let vector = vector.filter(|_| match (&mut gather.admitted, registered) {
-            (Some(queue), Some(commitment)) => queue.admit(out, tag, data, commitment),
-            _ => true,
-        });
-        let Some(vector) = vector else {
-            out.record(labels::WASTED_BYTES, data.len() as f64);
+        if !self.take_in(out, j, Entry::Gradient(trainer), vec![trainer], data) {
             return;
-        };
-        gather.gradients.insert(trainer, keep.then_some(vector));
-        if own {
+        }
+        if j == self.j {
             self.maybe_aggregate(out);
         } else {
             self.maybe_recover(out);
         }
     }
 
-    /// One storage node answered a merge request: `Some` blob (`MergeOk`)
-    /// or `None` (`MergeErr`). A blob that does not decode, or does not
-    /// open what it must, is wasted bytes and otherwise no better than no
-    /// blob: either way the request degrades to plain per-CID fetches of
-    /// its members. Each Get fails over across replicas at the storage
-    /// layer, so one unmergeable blob does not force re-merging everything
-    /// through the poll loop.
-    fn on_merge_reply(&mut self, out: &mut Actions<Msg>, req: u64, reply: Option<Bytes>) {
-        let requests = self.round.merge.as_mut().map(|m| &mut m.requests);
-        let Some(members) = requests.and_then(|r| r.remove(&req)) else {
-            return;
+    /// One storage node answered the merge request `req` for `members`:
+    /// `Some` blob (`MergeOk`) or `None` (`MergeErr`). A blob refused at
+    /// intake is no better than no blob: either way the request degrades to
+    /// plain per-CID fetches of its members. Each Get fails over across
+    /// replicas at the storage layer, so one unmergeable blob does not
+    /// force re-merging everything through the poll loop.
+    fn on_merge_reply(
+        &mut self,
+        out: &mut Actions<Msg>,
+        req: u64,
+        members: Vec<usize>,
+        reply: Option<Bytes>,
+    ) {
+        let taken = match reply {
+            Some(data) => self.take_in(out, self.j, Entry::Merge(req), members.clone(), &data),
+            None => false,
         };
-        let vector = reply.and_then(|data| {
-            let vector = self
-                .decode_own(&data, members.len())
-                .filter(|_| self.admit_merged(out, req, &members, &data));
-            if vector.is_none() {
-                out.record(labels::WASTED_BYTES, data.len() as f64);
-            }
-            vector
-        });
-        match (vector, &mut self.round.merge) {
-            (Some(vector), Some(merge)) => {
-                merge.merged.insert(req, (Some(vector), members));
-            }
-            _ => self.degrade_merge(out, members),
+        if !taken {
+            self.degrade_merge(out, members);
         }
         self.maybe_aggregate(out);
     }
 
-    /// The §IV-B check extended to merge-and-download: a storage node's sum
-    /// must open the product of its members' registered commitments (the
-    /// directory sent each with the gradient list; with drops in play the
-    /// member set is what was requested). Without it a storage node that
-    /// returns a wrong sum gets this aggregator's signed update rejected —
-    /// and, under accountability, this aggregator evicted.
-    fn admit_merged(
+    /// Takes a blob that stands for `trainers` into slot `j`'s gather as
+    /// `entry`, and returns whether it was taken. Like every blob this
+    /// aggregator takes in, it must decode for that many contributions
+    /// ([`decode_own`](Self::decode_own)); in verifiable mode it must also
+    /// open the product of their registered commitments (§IV-B, which for a
+    /// merged sum extends the check to merge-and-download), now or when the
+    /// gather settles. A refused blob (a culprit) is wasted bytes. My own
+    /// set keeps the vector only while a partial may still sum it.
+    fn take_in(
         &mut self,
         out: &mut Actions<Msg>,
-        req: u64,
-        members: &[(usize, Cid)],
+        j: usize,
+        entry: Entry,
+        trainers: Vec<usize>,
         data: &Bytes,
     ) -> bool {
-        let registered = |(t, _): &(usize, Cid)| self.round.own.registered.get(t)?.1;
-        let commitments: Option<Vec<ProtocolCommitment>> = members.iter().map(registered).collect();
-        match (&mut self.round.own.admitted, commitments) {
+        let keep = j != self.j || self.round.stage == Stage::Gather;
+        let vector = self.decode_own(data, trainers.len());
+        let Some(gather) = self.gather(j) else {
+            return false; // its slot's partial is in
+        };
+        // A trainer that registered no commitment goes unchecked.
+        let registered = |t: &usize| gather.registered.get(t)?.1;
+        let commitments: Option<Vec<ProtocolCommitment>> =
+            trainers.iter().map(registered).collect();
+        let vector = vector.filter(|_| match (&mut gather.admitted, commitments) {
             (Some(queue), Some(commitments)) => {
                 let product = ProtocolCommitment::accumulate(&commitments);
-                queue.admit(out, Admitted::Merge(req), data, product)
+                queue.admit(out, (entry, data.len()), data, product)
             }
-            // Not verifiable — or a member registered no commitment, which
-            // `on_gradient` lets through as well.
             _ => true,
-        }
+        });
+        let Some(vector) = vector else {
+            out.record(labels::WASTED_BYTES, data.len() as f64);
+            return false;
+        };
+        let held = keep.then_some(vector);
+        gather.entries.insert(entry, (held, trainers));
+        true
     }
 
     /// Replaces one merge by individual fetches of its members.
-    fn degrade_merge(&mut self, out: &mut Actions<Msg>, members: Members) {
+    fn degrade_merge(&mut self, out: &mut Actions<Msg>, members: Vec<usize>) {
         out.record(labels::MERGE_FALLBACK, members.len() as f64);
-        for (trainer, cid) in members {
-            if self.round.own.gradients.contains_key(&trainer) {
-                continue;
+        for trainer in members {
+            if let Some(&(cid, _)) = self.round.own.registered.get(&trainer) {
+                self.fetch_gradient(out, self.j, trainer, cid);
             }
-            if let Some(merge) = &mut self.round.merge {
-                merge.fallback_pending.insert(trainer);
-            }
-            self.fetch_gradient(out, self.j, trainer, cid);
         }
     }
 
     /// Settles what slot `j`'s gather admitted on trust and takes every
-    /// culprit back out, booked as wasted: a gradient leaves `gradients` —
-    /// the state an arrival-time rejection leaves (`registered` keeps its
-    /// entry under both policies) — and a merged blob degrades to fetches
-    /// of its members, as a failed merge does. Returns the number of
-    /// culprits.
+    /// culprit back out, booked as wasted — the state an arrival-time
+    /// refusal leaves (`registered` keeps its trainers under both
+    /// policies) — and a merged sum's members are fetched one by one, as
+    /// after a failed merge. Returns the number of culprits.
     ///
     /// The sum is all the gather makes of these blobs, so the check is
     /// [`VerifyQueue::settle_sum`]: one opening of their sum, and culprits
@@ -859,87 +833,39 @@ impl FlatAggregator {
             return 0;
         };
         let culprits = queue.settle_sum(out);
-        for culprit in &culprits {
-            match *culprit {
-                Admitted::Gradient(trainer, bytes) => {
-                    out.record(labels::WASTED_BYTES, bytes as f64);
-                    if let Some(gather) = self.gather(j) {
-                        gather.gradients.remove(&trainer);
-                    }
-                }
-                Admitted::Merge(req) => {
-                    let merge = self.round.merge.as_mut();
-                    if let Some((vector, members)) = merge.and_then(|m| m.merged.remove(&req)) {
-                        let wasted = vector.map_or(0, |v| v.len() * 8);
-                        out.record(labels::WASTED_BYTES, wasted as f64);
-                        self.degrade_merge(out, members);
-                    }
-                }
+        for &(entry, bytes) in &culprits {
+            out.record(labels::WASTED_BYTES, bytes as f64);
+            let removed = self.gather(j).and_then(|g| g.entries.remove(&entry));
+            if let (Entry::Merge(_), Some((_, members))) = (entry, removed) {
+                self.degrade_merge(out, members);
             }
         }
         culprits.len()
     }
 
-    /// Merge mode's input to the partial, once every merge is answered and
-    /// every fallback fetch is in: the merged blobs plus the gradients
-    /// fetched individually after a failed merge, and who they cover.
-    fn gather_merged(&mut self, out: &mut Actions<Msg>) -> Option<Gathered<'_>> {
-        let waiting =
-            |m: &Merging| !m.sent || !m.requests.is_empty() || !m.fallback_pending.is_empty();
-        if self.round.merge.as_ref().is_none_or(waiting) {
-            return None;
-        }
-        // The round boundary: settle the merged blobs and fallback fetches
-        // admitted on trust. A convicted gradient simply drops out of the
-        // fallback set, exactly as an arrival-time rejection would have
-        // kept it out; a convicted merge is fetched member by member first.
-        self.settle_admitted(out, self.j);
-        let merge = self.round.merge.as_ref().filter(|m| !waiting(m))?;
-        // The exact sum does not depend on the order of its terms.
-        // Nothing is released before the partial is summed.
-        let merged = merge.merged.values().map(|(v, _)| v);
-        let fallback = self.round.own.gradients.values();
-        let vectors = merged.chain(fallback).filter_map(Option::as_deref);
-        let vectors = vectors.collect();
-        let merged = merge.merged.values().flat_map(|(_, members)| members);
-        let mut contributors: Vec<usize> = merged.map(|&(t, _)| t).collect();
-        contributors.extend(self.round.own.gradients.keys());
-        contributors.sort_unstable();
-        Some((vectors, contributors))
-    }
-
-    /// The input to slot `j`'s sum (every mode but my own merges): the
-    /// gradients of its set received or fetched one by one, once enough
-    /// of them are in.
-    fn gather_fetched(&mut self, out: &mut Actions<Msg>, j: usize) -> Option<Gathered<'_>> {
+    /// Slot `j`'s sum and the trainers in it, in every comm mode, once its
+    /// gather has what [`enough`](Self::enough) asks for: the whole set, or
+    /// a deadline-degraded round's quorum. That is the round boundary:
+    /// settle what was admitted on trust, then re-check — an evicted
+    /// culprit may put the set back below the rule, in which case the
+    /// gather waits exactly as it would have had the blob been refused at
+    /// arrival.
+    fn summed(&mut self, out: &mut Actions<Msg>, j: usize) -> Option<(Vec<Quantized>, Vec<usize>)> {
         let enough = |agg: &mut Self| {
             let gather = agg.gather(j)?;
             let (have, set_len) = (gather.have().len(), gather.set.len());
             Some(agg.enough(have, set_len))
         };
-        // Normally wait for the full set; a deadline-degraded round may
-        // proceed once the quorum is in. That is the round boundary: settle
-        // what was admitted on trust, then re-check — an evicted culprit may
-        // put the set back below quorum, in which case the round waits
-        // exactly as it would have had the blob been rejected at arrival.
         if !enough(self)? || (self.settle_admitted(out, j) > 0 && !enough(self)?) {
             return None;
         }
+        // The entries are disjoint, and the exact sum does not depend on
+        // the order of its terms. Nothing is released before it is summed.
         let gather: &Gather = self.gather(j)?;
-        let have = gather.have();
-        let vector = |t: &usize| gather.gradients.get(t)?.as_deref();
-        let vectors = have.iter().map(vector).collect::<Option<_>>()?;
-        Some((vectors, have))
-    }
-
-    /// Slot `j`'s sum, once its gather is complete, and the trainers in it.
-    fn summed(&mut self, out: &mut Actions<Msg>, j: usize) -> Option<(Vec<Quantized>, Vec<usize>)> {
-        let (vectors, contributors) = match self.round.merge {
-            Some(_) if j == self.j => self.gather_merged(out),
-            _ => self.gather_fetched(out, j),
-        }?;
+        let vectors = gather.entries.values().map(|(v, _)| v.as_deref());
+        let vectors: Vec<&[Quantized]> = vectors.collect::<Option<_>>()?;
         // `None` for no vector at all; every one has the partition's width.
-        Some((sum_gradients(&vectors).ok()?, contributors))
+        Some((sum_gradients(&vectors).ok()?, gather.have()))
     }
 
     fn maybe_aggregate(&mut self, out: &mut Actions<Msg>) {
@@ -1010,11 +936,11 @@ impl FlatAggregator {
                     gather.registered.remove(&trainer);
                 }
             }
-            (Request::Merged, IpfsWire::MergeOk { data, req_id }) => {
-                self.on_merge_reply(out, req_id, Some(data));
+            (Request::Merge { members }, IpfsWire::MergeOk { data, req_id }) => {
+                self.on_merge_reply(out, req_id, members, Some(data));
             }
-            (Request::Merged, IpfsWire::MergeErr { req_id, .. }) => {
-                self.on_merge_reply(out, req_id, None);
+            (Request::Merge { members }, IpfsWire::MergeErr { req_id, .. }) => {
+                self.on_merge_reply(out, req_id, members, None);
             }
             (purpose, IpfsWire::PutAck { cid, .. }) => self.on_put_ack(out, purpose, cid),
             _ => {}
@@ -1445,7 +1371,7 @@ impl FlatAggregator {
             // Listed in storage modes; received in Direct mode, which lists
             // nothing.
             let own = &self.round.own;
-            let received = own.registered.len().max(own.gradients.len());
+            let received = own.registered.len().max(own.have().len());
             let missing = own.set.len().saturating_sub(received);
             out.record(labels::QUORUM_DEGRADED, missing as f64);
             self.maybe_send_merges(out);
@@ -1561,19 +1487,22 @@ impl FlatAggregator {
             } if partition == self.partition && iter == self.round.iter => {
                 self.on_accumulators(out, accumulated);
             }
+            // Only Direct mode's trainers send their gradients: in the
+            // storage modes a blob replayed as one would be taken in beside
+            // the merged sum or the fetch that already covers its trainer.
             Msg::DirectGradient {
                 trainer,
                 partition,
                 iter,
                 data,
-            } if partition == self.partition => {
+            } if partition == self.partition
+                && self.topo.config().comm == CommMode::Direct
+                && self.round.own.set.contains(&trainer) =>
+            {
                 let next = if self.begun { self.round.iter + 1 } else { 0 };
                 if self.begun && iter == self.round.iter {
                     self.on_gradient(out, self.j, trainer, &data);
-                } else if iter == next
-                    && self.round.own.set.contains(&trainer)
-                    && !self.early.iter().any(|&(_, t, _)| t == trainer)
-                {
+                } else if iter == next && !self.early.iter().any(|&(_, t, _)| t == trainer) {
                     self.early.push((iter, trainer, data));
                 }
             }
@@ -1681,19 +1610,19 @@ mod tests {
         };
         let blobs = honest_blobs(4);
         let (agg, actions) = listed(cfg, &blobs, &blobs);
-        (agg, blobs, merges(actions))
+        (agg, blobs, merges(&actions))
     }
 
     /// The merge requests among `actions`.
-    fn merges(actions: Vec<ProtocolAction<Msg>>) -> Vec<MergeRequest> {
-        let merge = |action| match action {
+    fn merges(actions: &[ProtocolAction<Msg>]) -> Vec<MergeRequest> {
+        let merge = |action: &ProtocolAction<Msg>| match action {
             ProtocolAction::Send {
                 msg: Msg::Ipfs(IpfsWire::Merge { cids, req_id }),
                 ..
-            } => Some((req_id, cids)),
+            } => Some((*req_id, cids.clone())),
             _ => None,
         };
-        actions.into_iter().filter_map(merge).collect()
+        actions.iter().filter_map(merge).collect()
     }
 
     /// The `(req_id, cid)` of every storage `Get` among `actions`.
@@ -1922,7 +1851,7 @@ mod tests {
         };
         let blobs = honest_blobs(4);
         let (mut agg, actions) = listed(cfg, &blobs, &blobs);
-        let merges = merges(actions);
+        let merges = merges(&actions);
         assert_eq!(merges.len(), 2, "one merge per provider");
         let wide = IpfsWire::MergeOk {
             data: Bytes::from(build_blob(&[1.0; 7])),
@@ -1981,12 +1910,10 @@ mod tests {
         }
     }
 
-    /// The own-set and merged vectors `agg`'s round still holds.
+    /// The own-set vectors, fetched or merged, `agg`'s round still holds.
     fn held_vectors(agg: &Aggregator) -> usize {
-        let round = &flat(agg).round;
-        let merged = round.merge.iter().flat_map(|m| m.merged.values());
-        let merged = merged.filter(|(v, _)| v.is_some()).count();
-        merged + round.own.gradients.values().flatten().count()
+        let entries = flat(agg).round.own.entries.values();
+        entries.filter(|(v, _)| v.is_some()).count()
     }
 
     fn verified(actions: &[ProtocolAction<Msg>]) -> u64 {
@@ -2021,9 +1948,7 @@ mod tests {
         assert!(uploads(&actions, &encoded_sum(&own_set)));
         assert_eq!(held_vectors(&agg), 0);
         let round = &flat(&agg).round;
-        let mut kept: Vec<usize> = round.own.gradients.keys().copied().collect();
-        kept.sort_unstable();
-        assert_eq!(kept, [0, 2]);
+        assert_eq!(round.own.have(), [0, 2]);
         let partial = &round.sync.as_ref().unwrap().partials[&0];
         assert_eq!(encode(partial.0.as_ref().unwrap()), encoded_sum(&own_set));
         assert_eq!(partial.1, [0, 2]);
@@ -2054,8 +1979,8 @@ mod tests {
         assert_eq!(sets, [&[0, 2][..], &[1, 3][..]]);
     }
 
-    /// Merge mode: the merged sums are released once summed; their member
-    /// lists stay.
+    /// Merge mode: the merged sums are released once summed; the trainers
+    /// they cover stay.
     #[test]
     fn a_summed_partial_releases_the_merged_sums() {
         for batch_verify in [false, true] {
@@ -2066,9 +1991,7 @@ mod tests {
             assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
             assert!(uploads(&actions, &encoded_sum(&blobs)));
             assert_eq!(held_vectors(&agg), 0, "batch_verify = {batch_verify}");
-            let merge = flat(&agg).round.merge.as_ref().unwrap();
-            let members = merge.merged.values().map(|(_, m)| m.len()).sum::<usize>();
-            assert_eq!(members, 4);
+            assert_eq!(flat(&agg).round.own.have(), [0, 1, 2, 3]);
         }
     }
 
@@ -2109,7 +2032,7 @@ mod tests {
                 let case = format!("batch_verify = {batch_verify}, corrupt = {corrupt}");
                 assert_eq!(verified(&late), 1, "{case}");
                 assert_eq!(held_vectors(&agg), 0, "{case}");
-                let booked = flat(&agg).round.own.gradients.contains_key(&3);
+                let booked = flat(&agg).round.own.covers(3);
                 assert_eq!(booked, !corrupt, "{case}");
             }
         }
@@ -2310,33 +2233,71 @@ mod tests {
 
     const PAST_ONE: i64 = dfl_crypto::quantize::BOUND + 1;
 
-    /// The range rule at the gradient intake: a gradient with an element
-    /// past `BOUND` is refused though it opens its registered commitment —
-    /// booked as wasted, never summed and not fetched again — and the
-    /// deadline degrades the round to the quorum without it.
+    /// The range rule at the gradient intake, and one culprit verdict
+    /// whether the gradient is fetched alone or after its merge: trainer
+    /// 1's gradient, three `BOUND`s past zero, is out of range for one
+    /// contribution and makes its merge out of range for two. Though it
+    /// opens its registered commitment, it is refused — in merge mode the
+    /// merge first, its members fetched one by one instead, then the
+    /// gradient itself on that fetch — booked as wasted, never summed and
+    /// not fetched again. The round waits for the whole set: it does not
+    /// aggregate without `min_quorum`, and with one the deadline degrades
+    /// it to the other three.
     #[test]
     fn a_fetched_gradient_outside_the_range_is_wasted_and_the_quorum_goes_on() {
         let honest = honest_blobs(4);
         let mut stored = honest.clone();
-        stored[1] = with_first(PAST_ONE);
-        for verifiable in [false, true] {
-            let cfg = TaskConfig {
-                partitions: 1,
-                verifiable,
-                min_quorum: Some(3),
-                ..TaskConfig::default()
-            };
-            let (mut agg, listed) = listed(cfg, &stored, &stored);
-            let mut actions = answer(&mut agg, &gets(&listed), &stored);
-            let again = gradient_list(&agg, &stored, &stored, 0..4);
-            actions.extend(deliver(&mut agg, again));
-            let case = format!("verifiable = {verifiable}");
-            assert_eq!(wasted(&actions), stored[1].len() as f64, "{case}");
-            assert!(gets(&actions).is_empty(), "{case}: {actions:?}");
-            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0, "{case}");
-            let degraded = fire(&mut agg, TK_SYNC_DEADLINE);
-            let rest = [honest[0].clone(), honest[2].clone(), honest[3].clone()];
-            assert!(uploads(&degraded, &encoded_sum(&rest)), "{case}");
+        stored[1] = with_first(3 * dfl_crypto::quantize::BOUND);
+        let rest = encoded_sum(&[honest[0].clone(), honest[2].clone(), honest[3].clone()]);
+        for comm in [CommMode::Indirect, CommMode::MergeAndDownload] {
+            for (verifiable, min_quorum) in [
+                (false, None),
+                (true, None),
+                (false, Some(3)),
+                (true, Some(3)),
+            ] {
+                let cfg = TaskConfig {
+                    partitions: 1,
+                    comm,
+                    verifiable,
+                    min_quorum,
+                    ..TaskConfig::default()
+                };
+                let case =
+                    format!("{comm:?}, verifiable = {verifiable}, min_quorum = {min_quorum:?}");
+                let (mut agg, mut actions) = listed(cfg, &stored, &stored);
+                let merges = merges(&actions);
+                for merge in &merges {
+                    assert_eq!(merge.1.len(), 2, "{case}: two members a merge");
+                    actions.extend(deliver(&mut agg, merge_ok(&stored, merge, false)));
+                }
+                let fetched = gets(&actions);
+                let merged = if merges.is_empty() {
+                    assert_eq!(fetched.len(), 4, "{case}");
+                    0.0
+                } else {
+                    assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 1, "{case}");
+                    let bad = Cid::of(&stored[1]);
+                    let refused = merges.iter().find(|(_, cids)| cids.contains(&bad));
+                    let cids: Vec<Cid> = fetched.iter().map(|&(_, cid)| cid).collect();
+                    assert_eq!(cids, refused.unwrap().1, "{case}");
+                    stored[1].len() as f64 // a sum is as wide as a member
+                };
+                assert_eq!(wasted(&actions), merged, "{case}");
+
+                let mut after = answer(&mut agg, &fetched, &stored);
+                let again = gradient_list(&agg, &stored, &stored, 0..4);
+                after.extend(deliver(&mut agg, again));
+                assert_eq!(wasted(&after), stored[1].len() as f64, "{case}");
+                assert!(gets(&after).is_empty(), "{case}: {after:?}");
+                assert_eq!(recorded(&after, labels::GRADS_AGGREGATED), 0, "{case}");
+
+                let deadline = fire(&mut agg, TK_SYNC_DEADLINE);
+                let degraded = min_quorum.is_some();
+                let aggregated = recorded(&deadline, labels::GRADS_AGGREGATED);
+                assert_eq!(aggregated, usize::from(degraded), "{case}");
+                assert_eq!(uploads(&deadline, &rest), degraded, "{case}");
+            }
         }
     }
 
@@ -2366,46 +2327,6 @@ mod tests {
         assert_eq!(wasted(&actions), past.len() as f64);
         assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
         assert!(uploads(&actions, &encoded_sum(&blobs)));
-    }
-
-    /// At the merge intake the range is the members': a merged sum past
-    /// two contributions' range is refused though it opens the product of
-    /// its members' commitments, and its members are fetched one by one.
-    /// The out-of-range one is refused again and drops out of the partial,
-    /// as any culprit among the fallback fetches does.
-    #[test]
-    fn a_merged_sum_outside_the_range_of_its_members_is_wasted_and_fetched_instead() {
-        let honest = honest_blobs(4);
-        let mut stored = honest.clone();
-        stored[1] = with_first(3 * dfl_crypto::quantize::BOUND);
-        for verifiable in [false, true] {
-            let cfg = TaskConfig {
-                partitions: 1,
-                comm: CommMode::MergeAndDownload,
-                verifiable,
-                ..TaskConfig::default()
-            };
-            let (mut agg, listed) = listed(cfg, &stored, &stored);
-            let merges = merges(listed);
-            let bad = Cid::of(&stored[1]);
-            let mut actions = Vec::new();
-            for merge in &merges {
-                assert_eq!(merge.1.len(), 2, "two members a merge");
-                actions.extend(deliver(&mut agg, merge_ok(&stored, merge, false)));
-            }
-            let case = format!("verifiable = {verifiable}");
-            assert_eq!(recorded(&actions, labels::MERGE_FALLBACK), 1, "{case}");
-            let refused = merges.iter().find(|(_, cids)| cids.contains(&bad)).unwrap();
-            let fetched = gets(&actions);
-            let cids: Vec<Cid> = fetched.iter().map(|&(_, cid)| cid).collect();
-            assert_eq!(cids, refused.1, "{case}");
-            actions.extend(answer(&mut agg, &fetched, &stored));
-            let merged = stored[1].len() as f64; // a sum is as wide as a member
-            assert_eq!(wasted(&actions), merged + stored[1].len() as f64, "{case}");
-            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1, "{case}");
-            let rest = [honest[0].clone(), honest[2].clone(), honest[3].clone()];
-            assert!(uploads(&actions, &encoded_sum(&rest)), "{case}");
-        }
     }
 
     /// At the peer-partial intake the range is the claimed contributors':
@@ -2442,5 +2363,91 @@ mod tests {
             let deadline = fire(&mut agg, TK_SYNC_DEADLINE);
             assert_eq!(recorded(&deadline, labels::DROPOUT_RECOVERY), 1, "{case}");
         }
+    }
+
+    /// Regression: a flat aggregator took `Msg::DirectGradient` in every
+    /// comm mode. Any node can fetch a trainer's stored blob by its CID
+    /// and replay it as one: in merge mode the partial then counted that
+    /// trainer twice, beside the merged sum that covers it, and in Indirect
+    /// mode the extra vector stayed held for the rest of the round.
+    #[test]
+    fn a_replayed_direct_gradient_reaches_nothing_outside_direct_mode() {
+        let replay = |agg: &mut Aggregator, blobs: &[Bytes]| {
+            let msg = Msg::DirectGradient {
+                trainer: 0,
+                partition: 0,
+                iter: 0,
+                data: blobs[0].clone(),
+            };
+            deliver(agg, msg)
+        };
+        for batch_verify in [false, true] {
+            let (mut agg, blobs, merges) = merging(batch_verify);
+            let mut actions = replay(&mut agg, &blobs);
+            for merge in &merges {
+                actions.extend(deliver(&mut agg, merge_ok(&blobs, merge, false)));
+            }
+            let honest = Bytes::from(encoded_sum(&blobs));
+            assert_eq!(
+                uploaded(&actions),
+                [honest],
+                "batch_verify = {batch_verify}"
+            );
+        }
+        let cfg = TaskConfig {
+            partitions: 1,
+            ..TaskConfig::default()
+        };
+        let blobs = honest_blobs(4);
+        let (mut agg, _) = listed(cfg, &blobs, &blobs);
+        assert!(replay(&mut agg, &blobs).is_empty());
+        assert_eq!(held_vectors(&agg), 0);
+    }
+
+    /// The overlay sink's intake checks the root's range, as a trainer
+    /// checks a child's: a root partial past the range of the tree's four
+    /// contributions is refused though it opens its commitment — booked
+    /// `overlay_partial_rejected`, and no update is pushed down — while one
+    /// at the edge of the range is pushed.
+    #[test]
+    fn an_overlay_root_outside_the_range_of_the_tree_is_rejected() {
+        let cfg = TaskConfig {
+            trainers: 4,
+            partitions: 1,
+            verifiable: true,
+            overlay_branching: Some(2),
+            ..TaskConfig::default()
+        };
+        let topo = Arc::new(Topology::new(cfg, 3).unwrap());
+        let key = Arc::new(derive_key(topo.max_partition_len(), 0, true));
+        let root = topo.overlay().unwrap().root();
+        let mut agg = Aggregator::honest(0, topo, Some(key.clone()));
+        deliver(&mut agg, Msg::StartRound { iter: 0 });
+        let mut root_partial = |times: i64| {
+            let data = with_first(times * dfl_crypto::quantize::BOUND);
+            let msg = Msg::OverlayPartial {
+                trainer: root,
+                partition: 0,
+                iter: 0,
+                commitment: commit_blob(&key, &data).unwrap().into(),
+                data,
+                count: 4,
+                signature: None,
+            };
+            let actions = deliver(&mut agg, msg);
+            let update = |a: &&ProtocolAction<Msg>| {
+                matches!(
+                    a,
+                    ProtocolAction::Send {
+                        msg: Msg::OverlayUpdate { .. },
+                        ..
+                    }
+                )
+            };
+            let pushed = actions.iter().filter(update).count();
+            (recorded(&actions, labels::OVERLAY_PARTIAL_REJECTED), pushed)
+        };
+        assert_eq!(root_partial(5), (1, 0), "past the range");
+        assert_eq!(root_partial(4), (0, 1), "at its edge");
     }
 }

@@ -1,18 +1,26 @@
 #!/usr/bin/env bash
-# Non-test Rust lines per crate and for the root package.
+# Non-test Rust lines per crate and for the root package, then the test
+# code of all of them.
 #
-# Each file under a package's `src/` is cut at its first `#[cfg(test)]`;
-# of the rest, blank lines and lines that start with `//` (comments and
-# docs) are dropped. Examples, tests, shims and `benchmark/` are not
-# counted. Run from anywhere: `scripts/loc.sh`.
+# Each file under a package's `src/` is cut at its first `#[cfg(test)]`:
+# what comes before is non-test code, the rest is test code, and so is
+# every file under `tests/` and `crates/*/tests/`. Either way blank lines
+# and lines that start with `//` (comments and docs) are dropped.
+# Examples, shims and `benchmark/` are not counted. Run from anywhere:
+# `scripts/loc.sh`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# count PART DIR...: the kept lines of the `.rs` files under the DIRs —
+# PART `src` before each file's first `#[cfg(test)]`, `test` from it on,
+# `all` every line.
 count() {
-    find "$1" -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
+    local part=$1
+    shift
+    find "$@" -name '*.rs' -print0 | sort -z | xargs -0 -r awk -v part="$part" '
         FNR == 1 { cut = 0 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
-        !cut && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
+        (part == "all" || cut == (part == "test")) && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
         END { print n + 0 }'
 }
 
@@ -21,8 +29,11 @@ for dir in crates/*/ .; do
     dir=${dir%/}
     name=$(sed -n 's/^name *= *"\(.*\)"/\1/p' "$dir/Cargo.toml" | head -n 1)
     [ "$dir" = . ] && name="$name (root)"
-    n=$(count "$dir/src")
+    n=$(count src "$dir/src")
     printf '%-28s %6d\n' "$name" "$n"
     total=$((total + n))
 done
 printf '%-28s %6d\n' total "$total"
+
+tests=$(($(count test crates/*/src src) + $(count all tests crates/*/tests)))
+printf '%-28s %6d\n' "test code (not in total)" "$tests"

@@ -39,9 +39,9 @@ fn task() -> (TaskConfig, usize) {
 ///   model-sized `f32` vectors;
 /// * storage holds the round's gradient blobs, one per trainer and
 ///   partition, 8 bytes a value, until the aggregators have fetched them;
-/// * an aggregator summing its partial holds its trainer set's vectors,
-///   the exact `i128` accumulator (two vectors' worth) and the partial,
-///   8 bytes a value.
+/// * an aggregator summing its partial holds its trainer set's vectors
+///   and the partial, 8 bytes a value (the exact sum is taken in place in
+///   `i64`).
 ///
 /// A trainer's round start (a fourth model vector and its blobs) comes
 /// when nothing of the round is stored or summed yet, and is smaller. The
@@ -54,7 +54,7 @@ fn floor(cfg: &TaskConfig, params: usize) -> usize {
     let set = cfg.trainers / cfg.aggregators_per_partition;
     let trainer = 3 * model;
     let storage = cfg.trainers * cfg.partitions * blob;
-    let aggregator = (set + 3) * blob;
+    let aggregator = (set + 1) * blob;
     cfg.trainers * trainer + storage + aggregators * aggregator
 }
 
