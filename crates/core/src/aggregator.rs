@@ -434,11 +434,13 @@ struct FlatAggregator {
     /// Whether a `StartRound` has arrived: until then `round` stands for
     /// no round.
     begun: bool,
-    /// Direct-mode gradients for the round this aggregator has yet to
-    /// begin, one per trainer of its set: over sockets a trainer's
-    /// gradient can overtake the directory's `StartRound` to its
-    /// aggregator, and Direct mode keeps no storage copy to fetch later.
-    early: Vec<(u64, usize, Bytes)>,
+    /// Direct-mode gradients that cannot be taken in yet, one per trainer
+    /// of its set and round: over sockets a trainer's gradient can
+    /// overtake the directory's `StartRound` to its aggregator, and with a
+    /// key a gradient is checked against its trainer's registered
+    /// commitment, which a later gradient list brings. Direct mode keeps no
+    /// storage copy to fetch later, so each waits here.
+    waiting: Vec<(u64, usize, Bytes)>,
 }
 
 impl FlatAggregator {
@@ -459,7 +461,7 @@ impl FlatAggregator {
             storage: StorageRequests::default(),
             polling: false,
             begun: false,
-            early: Vec::new(),
+            waiting: Vec::new(),
         }
     }
 
@@ -538,11 +540,9 @@ impl FlatAggregator {
                 self.start_recovery(out, j);
             }
         }
-        for (early_iter, trainer, data) in std::mem::take(&mut self.early) {
-            if early_iter == iter {
-                self.on_gradient(out, self.j, trainer, &data);
-            }
-        }
+        self.waiting
+            .retain(|&(waiting_iter, ..)| waiting_iter == iter);
+        self.take_waiting(out);
     }
 
     /// Begins download-all recovery of slot `j` (§III-D): a gather of its
@@ -578,7 +578,11 @@ impl FlatAggregator {
         // Gradient discovery (lines 28–34 of Algorithm 1).
         let own = &self.round.own;
         let grads_done = self.round.stage != Stage::Gather || own.registered.len() == own.set.len();
-        if !grads_done && self.topo.config().comm != CommMode::Direct {
+        // Direct mode is sent its gradients, but with a key it checks each
+        // against the commitment its trainer registered, which the lists
+        // carry.
+        let listing = self.topo.config().comm != CommMode::Direct || self.key.is_some();
+        if !grads_done && listing {
             let msg = Msg::QueryGradients {
                 partition: self.partition,
                 agg_j: self.j,
@@ -651,8 +655,9 @@ impl FlatAggregator {
                 self.fetch_gradient(out, slot, trainer, cid);
             }
         }
-        // Freshly learned commitments may unblock stashed peer partials
-        // and gossiped evidence.
+        // Freshly learned commitments may unblock waiting Direct-mode
+        // gradients, stashed peer partials and gossiped evidence.
+        self.take_waiting(out);
         self.retry_unverified(out);
         self.maybe_send_merges(out);
     }
@@ -727,6 +732,29 @@ impl FlatAggregator {
             let merge = |req_id| IpfsWire::Merge { cids, req_id };
             let purpose = Request::Merge { members };
             self.storage.send(out, &self.topo, purpose, provider, merge);
+        }
+    }
+
+    /// Takes in every waiting Direct-mode gradient of the round that can
+    /// be checked: each one without a key, a listed trainer's with one. A
+    /// trainer's gradient is taken in once: another for a trainer an entry
+    /// already covers is wasted bytes.
+    fn take_waiting(&mut self, out: &mut Actions<Msg>) {
+        let (iter, own) = (self.round.iter, &self.round.own);
+        let keyless = self.key.is_none();
+        let ready = |&(i, t, _): &(u64, usize, Bytes)| {
+            self.begun && i == iter && (keyless || own.registered.contains_key(&t))
+        };
+        let (ready, waiting) = std::mem::take(&mut self.waiting)
+            .into_iter()
+            .partition(ready);
+        self.waiting = waiting;
+        for (_, trainer, data) in ready {
+            if self.round.own.covers(trainer) {
+                out.record(labels::WASTED_BYTES, data.len() as f64);
+            } else {
+                self.on_gradient(out, self.j, trainer, &data);
+            }
         }
     }
 
@@ -1368,10 +1396,12 @@ impl FlatAggregator {
         // blobs carry a contribution counter that averaging divides by.
         if self.topo.config().min_quorum.is_some() && !self.round.deadline_degraded {
             self.round.deadline_degraded = true;
-            // Listed in storage modes; received in Direct mode, which lists
-            // nothing.
+            // Listed in the storage modes, received in Direct mode.
             let own = &self.round.own;
-            let received = own.registered.len().max(own.have().len());
+            let received = match self.topo.config().comm {
+                CommMode::Direct => own.have().len(),
+                _ => own.registered.len(),
+            };
             let missing = own.set.len().saturating_sub(received);
             out.record(labels::QUORUM_DEGRADED, missing as f64);
             self.maybe_send_merges(out);
@@ -1500,10 +1530,11 @@ impl FlatAggregator {
                 && self.round.own.set.contains(&trainer) =>
             {
                 let next = if self.begun { self.round.iter + 1 } else { 0 };
-                if self.begun && iter == self.round.iter {
-                    self.on_gradient(out, self.j, trainer, &data);
-                } else if iter == next && !self.early.iter().any(|&(_, t, _)| t == trainer) {
-                    self.early.push((iter, trainer, data));
+                let current = self.begun && iter == self.round.iter;
+                let waits = |&(i, t, _): &(u64, usize, Bytes)| (i, t) == (iter, trainer);
+                if (current || iter == next) && !self.waiting.iter().any(waits) {
+                    self.waiting.push((iter, trainer, data));
+                    self.take_waiting(out);
                 }
             }
             Msg::UpdateRejected { .. } => {
@@ -2327,6 +2358,74 @@ mod tests {
         assert_eq!(wasted(&actions), past.len() as f64);
         assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1);
         assert!(uploads(&actions, &encoded_sum(&blobs)));
+    }
+
+    /// Regression: a verifiable Direct-mode aggregator never asked for the
+    /// gradient lists, so no trainer's commitment was registered and every
+    /// `DirectGradient` was taken in unchecked — a forged blob sent as
+    /// trainer 0 went into the partial. The poll now asks for the lists; a
+    /// gradient whose trainer is not listed yet waits for its listing, and
+    /// is then checked against the commitment its trainer registered: the
+    /// forged blob is wasted bytes, and trainer 0's honest blob completes
+    /// the round with the honest sum. A second blob sent as a trainer
+    /// already taken in is wasted too: under `batch_verify` it would
+    /// replace the honest entry, and the settle would evict both.
+    #[test]
+    fn a_verifiable_direct_gradient_is_checked_against_its_registered_commitment() {
+        let blobs = honest_blobs(2);
+        let forged = Bytes::from(build_blob(&[9.0, 0.5, -2.0]));
+        let direct = |trainer: usize, data: &Bytes| Msg::DirectGradient {
+            trainer,
+            partition: 0,
+            iter: 0,
+            data: data.clone(),
+        };
+        for batch_verify in [false, true] {
+            let case = format!("batch_verify = {batch_verify}");
+            let cfg = TaskConfig {
+                trainers: 2,
+                partitions: 1,
+                comm: CommMode::Direct,
+                verifiable: true,
+                batch_verify,
+                ..TaskConfig::default()
+            };
+            let (mut agg, _) = listed(cfg, &[], &[]);
+            let query = |a: &ProtocolAction<Msg>| {
+                matches!(
+                    a,
+                    ProtocolAction::Send {
+                        msg: Msg::QueryGradients { .. },
+                        ..
+                    }
+                )
+            };
+            assert!(fire(&mut agg, TK_POLL).iter().any(query), "{case}");
+
+            let mut actions = deliver(&mut agg, direct(1, &blobs[1]));
+            actions.extend(deliver(&mut agg, direct(0, &forged)));
+            assert!(
+                actions.is_empty(),
+                "{case}: unlisted, both wait: {actions:?}"
+            );
+            let list = gradient_list(&agg, &blobs, &blobs, 0..2);
+            let actions = deliver(&mut agg, list);
+            assert_eq!(wasted(&actions), forged.len() as f64, "{case}");
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 0, "{case}");
+            // A trainer's gradient is taken in once: another blob sent as
+            // trainer 1 is wasted, whatever it holds.
+            let actions = deliver(&mut agg, direct(1, &forged));
+            assert_eq!(wasted(&actions), forged.len() as f64, "{case}");
+
+            let actions = deliver(&mut agg, direct(0, &blobs[0]));
+            assert_eq!(recorded(&actions, labels::GRADS_AGGREGATED), 1, "{case}");
+            assert_eq!(
+                uploaded(&actions),
+                [Bytes::from(encoded_sum(&blobs))],
+                "{case}"
+            );
+            assert!(verified(&actions) > 0, "{case}");
+        }
     }
 
     /// At the peer-partial intake the range is the claimed contributors':

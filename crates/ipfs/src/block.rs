@@ -6,7 +6,10 @@ use bytes::Bytes;
 
 use crate::cid::Cid;
 
-/// An immutable content-addressed block.
+/// An immutable content-addressed block. [`Block::new`] is the only way to
+/// make one, and it hashes: a block's CID is always its bytes' hash, so a
+/// node that asked for a CID checks what arrived by comparing the two
+/// (§III-A), and a block that never left the process is hashed once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     cid: Cid,
@@ -19,18 +22,6 @@ impl Block {
         Block {
             cid: Cid::of(&data),
             data,
-        }
-    }
-
-    /// Reassembles a block received over the wire, verifying integrity.
-    ///
-    /// Returns `None` when the bytes do not hash to `cid` — the "we do not
-    /// assume correctness of retrieved data" check from §III-A.
-    pub fn verified(cid: Cid, data: Bytes) -> Option<Block> {
-        if cid.verifies(&data) {
-            Some(Block { cid, data })
-        } else {
-            None
         }
     }
 
@@ -154,9 +145,8 @@ mod tests {
     #[test]
     fn block_integrity() {
         let b = block(b"payload");
-        assert!(b.cid().verifies(b.data()));
-        assert!(Block::verified(b.cid(), b.data().clone()).is_some());
-        assert!(Block::verified(b.cid(), Bytes::from_static(b"tampered")).is_none());
+        assert_eq!(b.cid(), Cid::of(b.data()));
+        assert_ne!(block(b"tampered").cid(), b.cid());
     }
 
     #[test]

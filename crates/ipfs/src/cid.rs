@@ -17,6 +17,7 @@ pub struct Cid([u8; 32]);
 impl Cid {
     /// Computes the CID of `data`.
     pub fn of(data: &[u8]) -> Cid {
+        count_hash();
         Cid(Sha256::digest(data))
     }
 
@@ -28,11 +29,6 @@ impl Cid {
     /// The raw digest bytes.
     pub const fn as_bytes(&self) -> &[u8; 32] {
         &self.0
-    }
-
-    /// Verifies that `data` hashes to this CID.
-    pub fn verifies(&self, data: &[u8]) -> bool {
-        Cid::of(data) == *self
     }
 
     /// The digest interpreted as a 256-bit big-endian integer — the
@@ -62,6 +58,19 @@ impl fmt::Display for Cid {
     }
 }
 
+/// Counts one [`Cid::of`] pass in [`HASHES`] (test builds only).
+fn count_hash() {
+    #[cfg(test)]
+    HASHES.with(|n| n.set(n.get() + 1));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// SHA-256 passes [`Cid::of`] ran on this thread: lets a test pin how
+    /// often a path hashes a block.
+    pub(crate) static HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,8 +78,8 @@ mod tests {
     #[test]
     fn cid_is_content_hash() {
         let cid = Cid::of(b"hello world");
-        assert!(cid.verifies(b"hello world"));
-        assert!(!cid.verifies(b"hello worlD"));
+        assert_eq!(*cid.as_bytes(), Sha256::digest(b"hello world"));
+        assert_ne!(Cid::of(b"hello worlD"), cid);
     }
 
     #[test]

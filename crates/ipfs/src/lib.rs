@@ -20,8 +20,10 @@
 //!   primitives, and the table macro that derives each message enum's
 //!   encoder, decoder and simulated cost from one per-variant row.
 //!
-//! Every retrieved block is re-hashed against its CID: the storage network
-//! is assumed available but never trusted for correctness (§III-A).
+//! A [`Block`] is hashed wherever its bytes enter a process, and a
+//! retrieval takes one only under the CID it asked for: the storage
+//! network is assumed available but never trusted for correctness
+//! (§III-A).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -14,8 +14,11 @@
 //!   by CID, the §VI availability suggestion), and acks with the CID.
 //! * **Get** — served locally when possible; otherwise the gateway resolves
 //!   a provider through the record holders, fetches the block node-to-node,
-//!   caches it, and responds. Retrieved bytes are always re-hashed: the
-//!   storage network is trusted for availability, never for correctness.
+//!   caches it, and responds. A fetched block is taken only if its CID is
+//!   the one asked for, and a block's CID is always its bytes' hash
+//!   (hashed once per process: by the node that stored it, or by the
+//!   decoder where its bytes came off a socket): the storage network is
+//!   trusted for availability, never for correctness.
 //!   The client's `Release` drops the cached copy once it is done with it,
 //!   or keeps a fetch still in flight from caching one.
 //! * **Merge** — the §III-E pre-aggregation: sum a set of stored gradient
@@ -23,6 +26,7 @@
 //! * **Subscribe/Publish** — flood pub/sub used by aggregators to exchange
 //!   partial-update hashes during synchronization (§IV-B).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
@@ -132,8 +136,8 @@ macro_rules! ipfs_wire_schema {
                 14 => Announce { cid: Cid, provider: NodeId },
                 /// Fetch a block node-to-node.
                 15 => FetchBlock { cid: Cid, req_id: u64 },
-                /// Fetch response with data.
-                16 => FetchOk { cid: Cid, data: Bytes, req_id: u64 },
+                /// Fetch response: the block, hashed where it was made.
+                16 => FetchOk { block: Block, req_id: u64 },
                 /// Fetch failed (block not held).
                 17 => FetchErr { cid: Cid, req_id: u64 },
                 /// Push a replica of a block.
@@ -477,8 +481,7 @@ impl IpfsNode {
                 Some(block) => vec![Outgoing {
                     to: from,
                     wire: IpfsWire::FetchOk {
-                        cid,
-                        data: block.data().clone(),
+                        block: block.clone(),
                         req_id,
                     },
                 }],
@@ -487,7 +490,7 @@ impl IpfsNode {
                     wire: IpfsWire::FetchErr { cid, req_id },
                 }],
             },
-            IpfsWire::FetchOk { cid, data, req_id } => self.on_fetch_ok(from, cid, data, req_id),
+            IpfsWire::FetchOk { block, req_id } => self.on_fetch_ok(from, block, req_id),
             IpfsWire::FetchErr { cid, req_id } => self.on_fetch_err(from, cid, req_id),
             IpfsWire::Replicate { data } => {
                 if self.lossy {
@@ -749,20 +752,28 @@ impl IpfsNode {
         self.attempt(req_id)
     }
 
-    fn on_fetch_ok(&mut self, from: NodeId, cid: Cid, data: Bytes, req_id: u64) -> Vec<Outgoing> {
-        // Verify content against the CID — never trust retrieved bytes.
-        let Some(block) = Block::verified(cid, data) else {
-            return self.on_fetch_err(from, cid, req_id);
+    /// A provider's answer to retrieval `req_id`, taken only if it is the
+    /// block that retrieval asked for. A [`Block`]'s CID is its bytes'
+    /// hash, computed where the block was made — the provider's put, or
+    /// the decoder of a socket frame — so comparing CIDs is the whole
+    /// integrity check (§III-A). Any other block, honestly hashed or not,
+    /// is the provider failing to serve the asked one: it is retracted and
+    /// the retrieval fails over. A reply to a retrieval that is over is
+    /// dropped.
+    fn on_fetch_ok(&mut self, from: NodeId, block: Block, req_id: u64) -> Vec<Outgoing> {
+        let r = match self.retrievals.entry(req_id) {
+            Entry::Occupied(r) if r.get().cid == block.cid() => r.remove(),
+            Entry::Occupied(r) => {
+                let asked = r.get().cid;
+                return self.on_fetch_err(from, asked, req_id);
+            }
+            Entry::Vacant(_) => return Vec::new(),
         };
         let data = block.data().clone();
-        let retrieval = self.retrievals.remove(&req_id);
-        if !self.lossy && !retrieval.as_ref().is_some_and(|r| r.released) {
+        if !self.lossy && !r.released {
             self.store.put(block);
         }
-        match retrieval {
-            Some(r) => self.settle(r, Some(data)),
-            None => Vec::new(),
-        }
+        self.settle(r, Some(data))
     }
 
     fn on_fetch_err(&mut self, from: NodeId, cid: Cid, req_id: u64) -> Vec<Outgoing> {
@@ -1467,37 +1478,44 @@ mod tests {
         assert!(!nodes[0].store().contains(&Cid::of(&data)));
     }
 
+    /// Node 0 of a one-node network, retrieving `cid` for `CLIENT`'s
+    /// `Get` 7 as its retrieval 1, from `peers` in order; its own record
+    /// for `cid` names them.
+    fn fetching(cid: Cid, peers: &[NodeId]) -> IpfsNode {
+        let mut node = network(1).pop().unwrap();
+        node.records.insert(cid, peers.to_vec());
+        let retrieval = Retrieval {
+            purpose: Purpose::Get {
+                client: CLIENT,
+                client_req: 7,
+            },
+            cid,
+            leg: Leg::Fetch,
+            peers: peers.iter().copied().collect(),
+            attempt: 0,
+            armed: 0,
+            released: false,
+        };
+        node.retrievals.insert(1, retrieval);
+        node
+    }
+
+    /// A provider whose bytes do not hash to the CID it claims: the frame
+    /// decodes (to a block named by its own hash), and the gateway serves
+    /// nothing — `GetErr` to the client, the provider retracted.
     #[test]
     fn fetch_verifies_content() {
-        // A node receiving a FetchOk whose bytes don't match the CID must
-        // not serve them.
-        let mut node = network(1).pop().unwrap();
         let cid = Cid::of(b"real-content");
-        let internal = 1u64;
         let forger = NodeId(50);
-        node.retrievals.insert(
-            internal,
-            Retrieval {
-                purpose: Purpose::Get {
-                    client: CLIENT,
-                    client_req: 7,
-                },
-                cid,
-                leg: Leg::Fetch,
-                peers: VecDeque::from([forger]),
-                attempt: 0,
-                armed: 0,
-                released: false,
-            },
-        );
-        let out = node.handle(
-            forger,
-            IpfsWire::FetchOk {
-                cid,
-                data: Bytes::from_static(b"forged!!"),
-                req_id: internal,
-            },
-        );
+        let mut node = fetching(cid, &[forger]);
+        let forged = b"forged!!";
+        let mut frame = vec![16];
+        frame.extend_from_slice(cid.as_bytes());
+        frame.extend_from_slice(&(forged.len() as u32).to_le_bytes());
+        frame.extend_from_slice(forged);
+        frame.extend_from_slice(&1u64.to_le_bytes());
+        let wire = IpfsWire::decode(&frame).expect("a lie is a well-formed frame");
+        let out = node.handle(forger, wire);
         match &out[..] {
             [Outgoing {
                 to,
@@ -1507,6 +1525,145 @@ mod tests {
             }
             other => panic!("forged content must yield GetErr, got {other:?}"),
         }
+        assert!(!node.records.contains_key(&cid), "the forger is retracted");
+        assert_eq!(drained_stats(&mut node)[stats::RETRACTIONS], 1);
+        assert!(node.store().is_empty());
+    }
+
+    /// Regression: a retrieval matched a `FetchOk` by request id alone and
+    /// checked the bytes against the reply's own CID, so an honestly hashed
+    /// block B sent in answer to `FetchBlock { A }` went to the client as
+    /// `GetOk { cid: A, data: B }` (and a merge would have summed B in A's
+    /// place). It is the provider failing to serve A: retracted, and the
+    /// retrieval fails over to the next provider, whose A is served.
+    #[test]
+    fn a_fetch_ok_for_another_cid_fails_over_and_is_not_served() {
+        let a = Block::new(Bytes::from_static(b"block-a"));
+        let b = Block::new(Bytes::from_static(b"block-b"));
+        let (liar, honest) = (NodeId(50), NodeId(51));
+        let mut node = fetching(a.cid(), &[liar, honest]);
+        let out = node.handle(
+            liar,
+            IpfsWire::FetchOk {
+                block: b.clone(),
+                req_id: 1,
+            },
+        );
+        match &out[..] {
+            [Outgoing {
+                to,
+                wire: IpfsWire::FetchBlock { cid, req_id: 1 },
+            }] => assert_eq!((*to, *cid), (honest, a.cid())),
+            other => panic!("expected a failover to the next provider, got {other:?}"),
+        }
+        assert_eq!(node.records[&a.cid()], [honest], "the liar is retracted");
+        assert!(node.store().is_empty(), "nothing cached");
+        let stats = drained_stats(&mut node);
+        assert_eq!(stats[stats::RETRACTIONS], 1);
+        assert_eq!(stats[stats::FAILOVERS], 1);
+
+        let out = node.handle(
+            honest,
+            IpfsWire::FetchOk {
+                block: a.clone(),
+                req_id: 1,
+            },
+        );
+        match &out[..] {
+            [Outgoing {
+                to,
+                wire:
+                    IpfsWire::GetOk {
+                        cid,
+                        data,
+                        req_id: 7,
+                    },
+            }] => assert_eq!((*to, *cid, data), (CLIENT, a.cid(), a.data())),
+            other => panic!("expected A's GetOk, got {other:?}"),
+        }
+
+        // With no provider left, the client gets `GetErr`.
+        let mut node = fetching(a.cid(), &[liar]);
+        let out = node.handle(
+            liar,
+            IpfsWire::FetchOk {
+                block: b,
+                req_id: 1,
+            },
+        );
+        assert!(
+            matches!(
+                &out[..],
+                [Outgoing {
+                    wire: IpfsWire::GetErr { req_id: 7, .. },
+                    ..
+                }]
+            ),
+            "{out:?}"
+        );
+    }
+
+    /// `Cid::of` passes run on this thread so far.
+    fn hashes() -> usize {
+        crate::cid::HASHES.get()
+    }
+
+    /// A block stored at one node and fetched through a second gateway
+    /// crosses no process boundary, so it is hashed once: by the put.
+    #[test]
+    fn a_block_put_at_one_node_and_got_through_another_is_hashed_once() {
+        let mut nodes = network(6);
+        let data = Bytes::from(vec![7u8; 5000]);
+        let before = hashes();
+        let put = IpfsWire::Put {
+            data: data.clone(),
+            req_id: 1,
+            replicate: 1,
+        };
+        let out = nodes[0].handle(CLIENT, put);
+        let replies = pump(
+            &mut nodes,
+            out.into_iter().map(|o| (NodeId(0), o)).collect(),
+        );
+        let [(_, IpfsWire::PutAck { cid, .. })] = replies[..] else {
+            panic!("unexpected {replies:?}");
+        };
+        let out = nodes[3].handle(CLIENT, IpfsWire::Get { cid, req_id: 2 });
+        let replies = pump(
+            &mut nodes,
+            out.into_iter().map(|o| (NodeId(3), o)).collect(),
+        );
+        assert!(
+            matches!(&replies[..], [(_, IpfsWire::GetOk { data: got, .. })] if *got == data),
+            "{replies:?}"
+        );
+        assert!(nodes[3].store().contains(&cid), "the gateway cached it");
+        assert_eq!(hashes() - before, 1);
+    }
+
+    /// A block that comes off the wire is hashed once, by the decoder, and
+    /// the gateway that takes it hashes it no more.
+    #[test]
+    fn a_fetch_ok_decoded_from_bytes_is_hashed_once() {
+        let block = Block::new(Bytes::from(vec![3u8; 5000]));
+        let provider = NodeId(50);
+        let mut node = fetching(block.cid(), &[provider]);
+        let frame = Bytes::from(IpfsWire::FetchOk { block, req_id: 1 }.encode());
+        let before = hashes();
+        let wire = IpfsWire::decode_shared(&frame).unwrap();
+        assert_eq!(hashes() - before, 1, "the decoder hashes");
+        let out = node.handle(provider, wire);
+        assert!(
+            matches!(
+                &out[..],
+                [Outgoing {
+                    wire: IpfsWire::GetOk { req_id: 7, .. },
+                    ..
+                }]
+            ),
+            "{out:?}"
+        );
+        assert_eq!(hashes() - before, 1, "the gateway does not");
     }
 
     /// Pins the encoded size of every message variant — tag byte, then each
@@ -1601,8 +1758,7 @@ mod tests {
             (IpfsWire::FetchBlock { cid, req_id: 0 }, 1 + 32 + 8),
             (
                 IpfsWire::FetchOk {
-                    cid,
-                    data: data.clone(),
+                    block: Block::new(data.clone()),
                     req_id: 0,
                 },
                 1 + 32 + (4 + 1000) + 8,

@@ -25,6 +25,7 @@
 use bytes::Bytes;
 use dfl_netsim::NodeId;
 
+use crate::block::Block;
 use crate::cid::Cid;
 
 /// Bytes of the `[u32 payload length][u64 sender id]` header a transport
@@ -348,6 +349,26 @@ impl WireCost for Bytes {
     }
     fn encoded_len(&self) -> usize {
         4 + self.len()
+    }
+}
+
+/// A block: its CID, then its bytes behind a `u32` length. Decoding
+/// hashes the bytes and drops the CID read off the wire, so a decoded
+/// block names its own content whatever the sender claimed; a receiver
+/// that asked for a CID compares it with [`Block::cid`]. A lie is
+/// therefore a well-formed frame, answered by the protocol, not a
+/// malformed one that would cost the connection.
+impl WireCost for Block {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        self.cid().encode_into(out);
+        self.data().encode_into(out);
+    }
+    fn decode_from(r: &mut Reader<'_>, context: &'static str) -> Result<Self, DecodeError> {
+        Cid::decode_from(r, context)?;
+        Ok(Block::new(Bytes::decode_from(r, context)?))
+    }
+    fn encoded_len(&self) -> usize {
+        32 + self.data().encoded_len()
     }
 }
 

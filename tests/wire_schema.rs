@@ -20,7 +20,7 @@
 
 use bytes::Bytes;
 use decentralized_fl::ipfs::wire::{WireCost, TRANSPORT_OVERHEAD_BYTES};
-use decentralized_fl::ipfs::{Cid, IpfsWire};
+use decentralized_fl::ipfs::{Block, Cid, IpfsWire};
 use decentralized_fl::prelude::*;
 use decentralized_fl::protocol::accountability::{Misbehavior, MisbehaviorKind};
 use decentralized_fl::protocol::gradient::ProtocolCommitment;
@@ -132,6 +132,15 @@ impl Sample for Bytes {
             return (0..len).map(|_| rng.next() as u8).collect();
         }
         Bytes::from(rng.bytes(40))
+    }
+}
+
+/// A block is made only by hashing its bytes, so a sample is always
+/// honest: the decoder re-hashes the bytes and keeps that CID, which is
+/// the one on the wire.
+impl Sample for Block {
+    fn sample(rng: &mut Rng) -> Block {
+        Block::new(Sample::sample(rng))
     }
 }
 
