@@ -14,7 +14,7 @@ use bytes::Bytes;
 
 use dfl_crypto::curve::Secp256k1;
 use dfl_crypto::pedersen::{CommitKey, Commitment};
-use dfl_crypto::quantize::{admissible, decode, Quantized};
+use dfl_crypto::quantize::{admissible, decode, quantize_clamped, Quantized};
 
 use crate::config::TaskConfig;
 use crate::error::IplsError;
@@ -33,9 +33,9 @@ pub type ProtocolCommitment = Commitment<ProtocolCurve>;
 /// bytes as it is rounded. A diverging trainer's blob is therefore still
 /// admissible, and still contributes.
 pub fn build_blob(values: &[f32]) -> Vec<u8> {
-    let element = |v: f64| Quantized::from_f64(v).clamped().0.to_le_bytes();
+    let element = |v: f32| quantize_clamped(v).0.to_le_bytes();
     let mut out: Vec<[u8; 8]> = Vec::with_capacity(values.len() + 1);
-    out.extend(values.iter().map(|&v| element(v as f64)));
+    out.extend(values.iter().map(|&v| element(v)));
     out.push(element(1.0)); // the averaging counter
     out.into_flattened()
 }

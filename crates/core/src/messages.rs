@@ -9,7 +9,7 @@
 use bytes::Bytes;
 use dfl_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
 use dfl_ipfs::wire::{Reader, Sink};
-use dfl_ipfs::{Cid, DecodeError, IpfsWire, WireCost, WireEmbed};
+use dfl_ipfs::{CarriesBlock, Cid, DecodeError, IpfsWire, WireCost, WireEmbed};
 
 use crate::accountability::trainer_verifying_key;
 use crate::config::TaskConfig;
@@ -392,6 +392,15 @@ impl WireEmbed for Msg {
         match self {
             Msg::Ipfs(wire) => Ok(wire),
             other => Err(other),
+        }
+    }
+}
+
+impl CarriesBlock for Msg {
+    fn block_bytes(&self) -> Option<&Bytes> {
+        match self {
+            Msg::Ipfs(wire) => wire.block_bytes(),
+            _ => None,
         }
     }
 }

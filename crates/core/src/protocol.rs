@@ -28,7 +28,7 @@
 //! 3. Never reorder or drop actions of a live node (a crashed node's
 //!    actions may be discarded wholesale, as netsim does).
 
-use dfl_ipfs::{Cid, IpfsNode, IpfsWire, Outgoing, WireEmbed};
+use dfl_ipfs::{CarriesBlock, Cid, IpfsNode, IpfsWire, Outgoing, WireEmbed};
 use dfl_netsim::{Actor, Context, Fault, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -236,7 +236,7 @@ impl<C: ProtocolCore> NetsimAdapter<C> {
 
 impl<C: ProtocolCore> NetsimAdapter<C>
 where
-    C::Msg: WireCost,
+    C::Msg: WireCost + CarriesBlock,
 {
     fn dispatch(&mut self, ctx: &mut Context<'_, C::Msg>, event: ProtocolEvent<C::Msg>) {
         // A queue per callback: one kept per node would sit drained between
@@ -245,7 +245,14 @@ where
         self.core.handle(ctx.now(), event, &mut out);
         for action in out.drain() {
             match action {
-                ProtocolAction::Send { to, msg } => ctx.send(to, msg.wire_bytes(), msg),
+                ProtocolAction::Send { to, msg } => {
+                    // Hashed on a spare core while it travels, as a socket
+                    // reader thread hashes beside its node's loop.
+                    if let Some(data) = msg.block_bytes() {
+                        dfl_ipfs::block::hash_in_flight(data);
+                    }
+                    ctx.send(to, msg.wire_bytes(), msg)
+                }
                 ProtocolAction::SetTimer { delay, token } => ctx.set_timer(delay, token),
                 ProtocolAction::Record { label, value } => ctx.record(label, value),
                 ProtocolAction::Incr { label, delta } => ctx.incr(label, delta),
@@ -257,7 +264,7 @@ where
 
 impl<C: ProtocolCore> Actor<C::Msg> for NetsimAdapter<C>
 where
-    C::Msg: WireCost,
+    C::Msg: WireCost + CarriesBlock,
 {
     fn on_start(&mut self, ctx: &mut Context<'_, C::Msg>) {
         self.dispatch(ctx, ProtocolEvent::Start);
@@ -396,22 +403,30 @@ impl<P> StorageRequests<P> {
     }
 
     /// The purpose of the request `reply` answers, if it is still wanted:
-    /// a `PutAck` answers a `Put`, a `GetOk` or `GetErr` a `Get`, a
-    /// `MergeOk` or `MergeErr` a `Merge`. A block a `PutAck` reports stored
-    /// is unpinned at the round end at every node its `Put` went to.
+    /// a `PutAck` answers a `Put`, a `GetOk` or `GetErr` a `Get` of the
+    /// CID it names, a `MergeOk` or `MergeErr` a `Merge`. A block a
+    /// `PutAck` reports stored is unpinned at the round end at every node
+    /// its `Put` went to.
     pub(crate) fn answered(&mut self, reply: &IpfsWire) -> Option<P> {
-        let (req, answers): (u64, fn(&IpfsWire) -> bool) = match *reply {
-            IpfsWire::PutAck { req_id, .. } => (req_id, |w| matches!(w, IpfsWire::Put { .. })),
-            IpfsWire::GetOk { req_id, .. } | IpfsWire::GetErr { req_id, .. } => {
-                (req_id, |w| matches!(w, IpfsWire::Get { .. }))
-            }
-            IpfsWire::MergeOk { req_id, .. } | IpfsWire::MergeErr { req_id, .. } => {
-                (req_id, |w| matches!(w, IpfsWire::Merge { .. }))
-            }
+        let req = match *reply {
+            IpfsWire::PutAck { req_id, .. }
+            | IpfsWire::GetOk { req_id, .. }
+            | IpfsWire::GetErr { req_id, .. }
+            | IpfsWire::MergeOk { req_id, .. }
+            | IpfsWire::MergeErr { req_id, .. } => req_id,
             _ => return None,
         };
-        if !answers(&self.pending.get(&req)?.wire) {
-            return None; // a reply of another kind under a live id: misrouted
+        let answers = match (reply, &self.pending.get(&req)?.wire) {
+            (IpfsWire::PutAck { .. }, IpfsWire::Put { .. }) => true,
+            (
+                IpfsWire::GetOk { cid, .. } | IpfsWire::GetErr { cid, .. },
+                IpfsWire::Get { cid: asked, .. },
+            ) => cid == asked,
+            (IpfsWire::MergeOk { .. } | IpfsWire::MergeErr { .. }, IpfsWire::Merge { .. }) => true,
+            _ => false,
+        };
+        if !answers {
+            return None; // another kind, or another CID, under a live id: misrouted
         }
         let pending = self.pending.remove(&req)?;
         if let IpfsWire::PutAck { cid, .. } = *reply {
@@ -550,6 +565,8 @@ mod tests {
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u64);
 
+    impl CarriesBlock for Ping {}
+
     impl WireCost for Ping {
         fn encode_into<S: Sink>(&self, out: &mut S) {
             self.0.encode_into(out);
@@ -607,6 +624,184 @@ mod tests {
             ProtocolAction::Observe { label: "h", .. }
         ));
         assert!(out.is_empty());
+    }
+
+    /// A reply under a live `Get`'s id that names another CID answers
+    /// nothing: the request stays pending, and its retry moves on.
+    #[test]
+    fn a_get_reply_for_another_cid_is_not_an_answer() {
+        let topo = Topology::new(crate::TaskConfig::default(), 8).unwrap();
+        let mut requests = StorageRequests::<&str>::default();
+        let mut out: Actions<Msg> = Actions::new();
+        let (asked, other) = (Cid::of(b"asked"), Cid::of(b"other"));
+        let first = topo.ipfs_ids()[0];
+        let req = requests.send(&mut out, &topo, "get", first, |req_id| IpfsWire::Get {
+            cid: asked,
+            req_id,
+        });
+        let data = bytes::Bytes::from_static(b"other");
+        let wrong = [
+            IpfsWire::GetOk {
+                cid: other,
+                data: data.clone(),
+                req_id: req,
+            },
+            IpfsWire::GetErr {
+                cid: other,
+                req_id: req,
+            },
+        ];
+        for reply in &wrong {
+            assert_eq!(requests.answered(reply), None, "{reply:?}");
+        }
+        assert_eq!(requests.pending().count(), 1);
+        out.drain().for_each(drop);
+        requests.retry(&mut out, &topo, req);
+        let resent: Vec<_> = out
+            .drain()
+            .filter_map(|action| match action {
+                ProtocolAction::Send { to, .. } => Some(to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resent, [topo.ipfs_ids()[1]], "the retry moves on");
+        let right = IpfsWire::GetErr {
+            cid: asked,
+            req_id: req,
+        };
+        assert_eq!(requests.answered(&right), Some("get"));
+        assert_eq!(requests.pending().count(), 0);
+    }
+
+    /// A Fig. 1-shaped round on the simulator, every node behind the
+    /// adapter, makes exactly 17 SHA-256 passes: the 16 gradients and the
+    /// update, each started in flight by the adapter and taken by the
+    /// storage node that stores it, on whichever thread ran it. Merging and
+    /// the gateways' fetches hash nothing.
+    mod fig1_round {
+        use super::*;
+        use bytes::Bytes;
+        use dfl_ipfs::block::taken_in_flight;
+        use dfl_ipfs::cid::hashes;
+        use dfl_ipfs::merge::merge_blobs;
+        use dfl_netsim::engine::{LinkSpec, Simulation};
+
+        const STORAGE: usize = 16;
+        const PROVIDERS: usize = 4;
+
+        /// The clients of one Fig. 1 round, as one node: 16 trainers put a
+        /// gradient at their gateways; the aggregator merges them at 4
+        /// providers, sums the replies and puts the update; the other 15
+        /// gateways fetch it for their trainers.
+        struct Round {
+            gradients: Vec<Bytes>,
+            cids: Vec<Cid>,
+            merged: Vec<Bytes>,
+            update: Vec<u8>,
+        }
+
+        impl ProtocolCore for Round {
+            type Msg = Msg;
+
+            fn handle(&mut self, _now: SimTime, event: ProtocolEvent<Msg>, out: &mut Actions<Msg>) {
+                let wire = match event {
+                    ProtocolEvent::Start => {
+                        for (k, data) in self.gradients.iter().enumerate() {
+                            let put = IpfsWire::Put {
+                                data: data.clone(),
+                                req_id: k as u64,
+                                replicate: 1,
+                            };
+                            out.send(NodeId(k), Msg::Ipfs(put));
+                        }
+                        return;
+                    }
+                    ProtocolEvent::Message {
+                        msg: Msg::Ipfs(wire),
+                        ..
+                    } => wire,
+                    other => panic!("unexpected {other:?}"),
+                };
+                match wire {
+                    IpfsWire::PutAck { cid, req_id } if req_id < STORAGE as u64 => {
+                        self.cids.push(cid);
+                        if self.cids.len() == STORAGE {
+                            self.cids.sort_unstable();
+                            let group = STORAGE / PROVIDERS;
+                            for (p, cids) in self.cids.chunks(group).enumerate() {
+                                let merge = IpfsWire::Merge {
+                                    cids: cids.to_vec(),
+                                    req_id: 100 + p as u64,
+                                };
+                                out.send(NodeId(p), Msg::Ipfs(merge));
+                            }
+                        }
+                    }
+                    IpfsWire::MergeOk { data, .. } => {
+                        self.merged.push(data);
+                        if self.merged.len() == PROVIDERS {
+                            let sum = Bytes::from(merge_blobs(&self.merged).unwrap());
+                            let put = IpfsWire::Put {
+                                data: sum,
+                                req_id: 200,
+                                replicate: 1,
+                            };
+                            out.send(NodeId(0), Msg::Ipfs(put));
+                        }
+                    }
+                    IpfsWire::PutAck { cid, req_id: 200 } => {
+                        for k in 1..STORAGE {
+                            let get = IpfsWire::Get {
+                                cid,
+                                req_id: 300 + k as u64,
+                            };
+                            out.send(NodeId(k), Msg::Ipfs(get));
+                        }
+                    }
+                    IpfsWire::GetOk { data, .. } => {
+                        assert_eq!(data[..], self.update[..]);
+                        out.incr("fetched", 1);
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+
+        #[test]
+        fn a_fig1_round_hashes_each_stored_block_once_in_flight() {
+            let elements = 2048;
+            let gradients: Vec<Bytes> = (0..STORAGE as i64)
+                .map(|k| {
+                    let values = (0..elements).map(|i| k * 1000 + i).chain([1 << 24]);
+                    Bytes::from(values.flat_map(i64::to_le_bytes).collect::<Vec<u8>>())
+                })
+                .collect();
+            let update = merge_blobs(&gradients).unwrap();
+            let mut sim: Simulation<Msg> = Simulation::new();
+            let link = LinkSpec::symmetric_mbps(10, SimDuration::from_millis(10));
+            let ids: Vec<NodeId> = (0..STORAGE).map(NodeId).collect();
+            let roster = IpfsNode::roster_for(&ids);
+            for &id in &ids {
+                let node = IpfsCore::<Msg>::new(IpfsNode::new(id, roster.clone()));
+                sim.add_node(NetsimAdapter::new(node), link);
+            }
+            let round = Round {
+                gradients,
+                cids: Vec::new(),
+                merged: Vec::new(),
+                update,
+            };
+            sim.add_node(NetsimAdapter::new(round), link);
+            let (before, taken) = (hashes(), taken_in_flight());
+            sim.run();
+            assert_eq!(hashes() - before, STORAGE + 1);
+            assert_eq!(
+                taken_in_flight() - taken,
+                STORAGE + 1,
+                "each taken by its receiver"
+            );
+            assert_eq!(sim.into_trace().counter("fetched"), STORAGE as u64 - 1);
+        }
     }
 
     #[test]

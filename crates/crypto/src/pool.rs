@@ -14,7 +14,9 @@
 //! A job is a pure function of what it captured, so its result does not
 //! depend on the thread that computed it: whatever the core count, every
 //! result, and with it every byte and event a caller derives from one, is
-//! the same. [`crate::pedersen::CommitKey::commit_later`] is the one user.
+//! the same. It has two users: [`crate::pedersen::CommitKey::commit_later`],
+//! and `dfl_ipfs::block::hash_in_flight`, which hashes a block's bytes
+//! while the simulator carries them to the storage node that stores them.
 //!
 //! Workers live as long as the process and are never joined: they own no
 //! state and hold no lock while a job runs, and a job that panics is
@@ -28,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Queues `work` on the process-wide pool.
-pub(crate) fn defer<T, F>(work: F) -> Pending<T>
+pub fn defer<T, F>(work: F) -> Pending<T>
 where
     T: Clone + Send + 'static,
     F: FnOnce() -> T + Send + 'static,

@@ -53,6 +53,21 @@ pub const MAX_CONTRIBUTIONS: usize = 1 << 20;
 /// commitments add mod the group order.
 pub const BOUND: i64 = i64::MAX / MAX_CONTRIBUTIONS as i64;
 
+/// One contribution's quantization of `v`: [`Quantized::from_f64`] clamped
+/// into ± [`BOUND`], computed in one clamp, one add and one cast.
+///
+/// For an `f32`, `x = v · SCALE` is exact in `f64`. Within ± `BOUND`,
+/// `x ± 0.5` is exact too when `|x| ≥ 2⁻²⁹` (an `f32`'s 24 significant
+/// bits and 2⁻¹ fit in 53), and below that it rounds to within 2⁻²⁹ of
+/// ± 0.5. So truncating it toward zero rounds ties away from zero, as
+/// `from_f64` does, and NaN casts to 0 in both. The cast truncates; not
+/// `f64::trunc`, which on baseline x86-64 is a call into libm.
+#[inline]
+pub fn quantize_clamped(v: f32) -> Quantized {
+    let x = (v as f64 * SCALE).clamp(-(BOUND as f64), BOUND as f64);
+    Quantized((x + 0.5f64.copysign(x)) as i64)
+}
+
 /// A quantized gradient value: a signed fixed-point integer.
 ///
 /// Kept as an explicit newtype so protocol code can sum gradients cheaply in
@@ -90,12 +105,6 @@ impl Quantized {
     #[inline]
     pub fn to_f64(self) -> f64 {
         self.0 as f64 / SCALE
-    }
-
-    /// The nearest value in one contribution's range, ± [`BOUND`].
-    #[inline]
-    pub fn clamped(self) -> Quantized {
-        Quantized(self.0.clamp(-BOUND, BOUND))
     }
 
     /// Embeds the signed value into the scalar field of curve `C`.
@@ -379,19 +388,82 @@ mod tests {
         assert!(admissible(quantize_vector(&[1.0]), 1));
     }
 
+    /// The definition [`quantize_clamped`] computes: the rounding oracle,
+    /// then the clamp.
+    fn quantize_clamped_by_definition(v: f32) -> Quantized {
+        Quantized(Quantized::from_f64(v as f64).0.clamp(-BOUND, BOUND))
+    }
+
+    #[track_caller]
+    fn assert_quantizes_clamped(bits: u32) {
+        let v = f32::from_bits(bits);
+        assert_eq!(
+            quantize_clamped(v),
+            quantize_clamped_by_definition(v),
+            "v = {v:e} (bits {bits:#010x})"
+        );
+    }
+
     #[test]
     fn clamping_keeps_one_contribution_in_range() {
+        let bound = Quantized(BOUND).to_f64() as f32;
         for (v, clamped) in [
-            (0, 0),
-            (BOUND, BOUND),
-            (-BOUND, -BOUND),
-            (BOUND + 1, BOUND),
-            (i64::MAX, BOUND),
-            (i64::MIN, -BOUND),
+            (0.0, 0),
+            (-0.0, 0),
+            (f32::NAN, 0),
+            (-f32::NAN, 0),
+            (f32::INFINITY, BOUND),
+            (f32::NEG_INFINITY, -BOUND),
+            (f32::MAX, BOUND),
+            (f32::MIN, -BOUND),
+            (bound, BOUND),
+            (-bound, -BOUND),
+            (1.0, SCALE as i64),
+            (0.5 / SCALE as f32, 1),
+            (-0.5 / SCALE as f32, -1),
+            (2.5 / SCALE as f32, 3),
         ] {
-            assert_eq!(Quantized(v).clamped(), Quantized(clamped), "{v}");
-            assert!(admissible([Quantized(v).clamped()], 1));
+            assert_eq!(quantize_clamped(v), Quantized(clamped), "{v:e}");
+            assert!(admissible([quantize_clamped(v)], 1));
         }
+    }
+
+    /// Every 2¹²-th `f32` bit pattern, and the edges: zeros, subnormals,
+    /// the bound and the ties either side of it, NaNs and ± ∞.
+    #[test]
+    fn quantize_clamped_is_its_definition_on_sampled_f32s() {
+        for bits in (0..=u32::MAX).step_by(1 << 12) {
+            assert_quantizes_clamped(bits);
+            assert_quantizes_clamped(bits | 0xfff);
+        }
+        let bound = (BOUND as f64 / SCALE) as f32;
+        let near = |v: f32| (0..=8).map(move |k| v.to_bits() - 4 + k);
+        let ties = (0..64u32).map(|k| ((k as f32 + 0.5) / SCALE as f32).to_bits());
+        let edges = [
+            0,
+            1,
+            0x7f_ffff,
+            0x80_0000,
+            0x7f80_0000,
+            0x7fc0_0000,
+            0x7f80_0001,
+        ];
+        for bits in near(bound)
+            .chain(near(0.5 / SCALE as f32))
+            .chain(ties)
+            .chain(edges)
+        {
+            assert_quantizes_clamped(bits);
+            assert_quantizes_clamped(bits | 1 << 31);
+        }
+    }
+
+    /// All 2³² `f32` bit patterns: about 30 s optimised. CI's release step
+    /// runs it (`-- --ignored quantize_clamped_is_its_definition_on_every_f32`).
+    #[test]
+    #[ignore]
+    fn quantize_clamped_is_its_definition_on_every_f32() {
+        (0..=u32::MAX).for_each(assert_quantizes_clamped);
     }
 
     #[test]

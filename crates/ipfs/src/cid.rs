@@ -58,17 +58,22 @@ impl fmt::Display for Cid {
     }
 }
 
-/// Counts one [`Cid::of`] pass in [`HASHES`] (test builds only).
-fn count_hash() {
-    #[cfg(test)]
+/// Counts one SHA-256 pass in this thread's [`hashes`].
+pub(crate) fn count_hash() {
     HASHES.with(|n| n.set(n.get() + 1));
 }
 
-#[cfg(test)]
 thread_local! {
-    /// SHA-256 passes [`Cid::of`] ran on this thread: lets a test pin how
-    /// often a path hashes a block.
-    pub(crate) static HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// SHA-256 passes [`Cid::of`] ran on this thread, and those
+/// [`hash_in_flight`](crate::block::hash_in_flight) started from it on the
+/// pool, whichever thread then ran them: lets a test pin how often a path
+/// hashes a block.
+#[doc(hidden)]
+pub fn hashes() -> usize {
+    HASHES.get()
 }
 
 #[cfg(test)]

@@ -20,10 +20,11 @@
 //!   primitives, and the table macro that derives each message enum's
 //!   encoder, decoder and simulated cost from one per-variant row.
 //!
-//! A [`Block`] is hashed wherever its bytes enter a process, and a
-//! retrieval takes one only under the CID it asked for: the storage
-//! network is assumed available but never trusted for correctness
-//! (§III-A).
+//! A [`Block`] is hashed wherever its bytes enter a process (in the
+//! simulator, on a spare core while they travel:
+//! [`block::hash_in_flight`]), and a retrieval takes one only under the
+//! CID it asked for: the storage network is assumed available but never
+//! trusted for correctness (§III-A).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -39,5 +40,5 @@ pub mod wire;
 pub use block::{Block, BlockStore};
 pub use cid::Cid;
 pub use kademlia::Key;
-pub use node::{IpfsNode, IpfsWire, Outgoing, RetryPolicy, Topic, WireEmbed};
+pub use node::{CarriesBlock, IpfsNode, IpfsWire, Outgoing, RetryPolicy, Topic, WireEmbed};
 pub use wire::{DecodeError, WireCost, TRANSPORT_OVERHEAD_BYTES};

@@ -173,6 +173,27 @@ impl WireEmbed for IpfsWire {
     }
 }
 
+/// A message type a simulator looks into for the bytes of a block on its
+/// way to a storage node, to start their hash while they travel
+/// ([`hash_in_flight`](crate::block::hash_in_flight)).
+pub trait CarriesBlock {
+    /// The bytes of a client's `Put`, which the receiving node makes a
+    /// [`Block`] of; `None` for any other message. A `Replicate` carries
+    /// bytes its sender has just hashed, and is hashed by its receiver.
+    fn block_bytes(&self) -> Option<&Bytes> {
+        None
+    }
+}
+
+impl CarriesBlock for IpfsWire {
+    fn block_bytes(&self) -> Option<&Bytes> {
+        match self {
+            IpfsWire::Put { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+}
+
 /// An outgoing message produced by [`IpfsNode::handle`].
 #[derive(Clone, Debug)]
 pub struct Outgoing {
@@ -1603,10 +1624,7 @@ mod tests {
         );
     }
 
-    /// `Cid::of` passes run on this thread so far.
-    fn hashes() -> usize {
-        crate::cid::HASHES.get()
-    }
+    use crate::cid::hashes;
 
     /// A block stored at one node and fetched through a second gateway
     /// crosses no process boundary, so it is hashed once: by the put.
@@ -1664,6 +1682,37 @@ mod tests {
             "{out:?}"
         );
         assert_eq!(hashes() - before, 1, "the gateway does not");
+    }
+
+    /// Over a socket no `Put` is hashed in flight: encoding and decoding it
+    /// hash nothing, and the receiving node hashes it once.
+    #[test]
+    fn a_put_off_the_wire_is_hashed_once_by_its_receiver() {
+        let mut node = network(1).pop().unwrap();
+        let put = IpfsWire::Put {
+            data: Bytes::from(vec![5u8; 5000]),
+            req_id: 1,
+            replicate: 1,
+        };
+        let before = hashes();
+        let frame = Bytes::from(put.encode());
+        let wire = IpfsWire::decode_shared(&frame).unwrap();
+        assert_eq!(hashes() - before, 0, "the codec hashes nothing");
+        let out = node.handle(CLIENT, wire);
+        assert!(
+            matches!(
+                &out[..],
+                [
+                    ..,
+                    Outgoing {
+                        wire: IpfsWire::PutAck { req_id: 1, .. },
+                        ..
+                    }
+                ]
+            ),
+            "{out:?}"
+        );
+        assert_eq!(hashes() - before, 1, "the receiver hashes it");
     }
 
     /// Pins the encoded size of every message variant — tag byte, then each
