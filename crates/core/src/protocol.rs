@@ -132,6 +132,12 @@ impl<M> Actions<M> {
         Actions { queued: Vec::new() }
     }
 
+    /// Makes room for `additional` more actions at once, for a handler
+    /// that knows how many it is about to queue.
+    pub fn reserve(&mut self, additional: usize) {
+        self.queued.reserve(additional);
+    }
+
     /// Queues a message transmission.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.queued.push(ProtocolAction::Send { to, msg });

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use bytes::Bytes;
 
 use dfl_ipfs::{Cid, IpfsWire};
-use dfl_ml::{local_update, Dataset, Model, SgdConfig};
+use dfl_ml::{local_update_in_place, Dataset, Model, SgdConfig};
 use dfl_netsim::{NodeId, SimDuration, SimTime};
 
 use dfl_crypto::quantize::encode;
@@ -59,11 +59,16 @@ enum Request {
 }
 
 /// Shared sink the runner reads trainers' final parameters from after the
-/// run ends. `Arc<Mutex<..>>` so socket backends can host each trainer on
-/// its own thread; in the single-threaded simulator the lock is free. A
-/// trainer's entry is allocated once and each round's parameters are
-/// copied into it, a copy that cannot stop half-way, so a lock poisoned by
-/// a panicking thread still guards a valid map and is taken regardless.
+/// run ends. A trainer's entry is its global model: the only copy it keeps
+/// from one completed round to the next. The entry is made when the
+/// trainer's first round completes, from the initial parameters it was
+/// built with, and each later round's partitions are written into it. A
+/// round start copies it out and releases the lock before training, so
+/// trainers never wait on each other's training. `Arc<Mutex<..>>` so
+/// socket backends can host each trainer on its own thread; in the
+/// single-threaded simulator the lock is free. Every write under the lock
+/// is a copy that cannot stop half-way, so a lock poisoned by a panicking
+/// thread still guards a valid map and is taken regardless.
 pub type ParamSink = Arc<Mutex<HashMap<usize, Vec<f32>>>>;
 
 /// The overlay half of a trainer: the tree, the key every child opening
@@ -179,9 +184,11 @@ impl Round {
 }
 
 /// The trainer actor. Beside the round it holds only what outlives one:
-/// identity, model and data, the storage client (with the blocks to unpin
-/// or release when the next round starts), the poll-timer flag, and the
-/// overlay's buffers for rounds this node has not started yet.
+/// identity, model and data, the initial parameters until its first round
+/// completes (its [`ParamSink`] entry holds the global model after), the
+/// storage client (with the blocks to unpin or release when the next round
+/// starts), the poll-timer flag, and the overlay's buffers for rounds this
+/// node has not started yet.
 pub struct Trainer<M: Model> {
     t: usize,
     topo: Arc<Topology>,
@@ -189,8 +196,9 @@ pub struct Trainer<M: Model> {
     model: M,
     dataset: Dataset,
     sgd: SgdConfig,
-    /// Current global model parameters (updated every round).
-    params: Vec<f32>,
+    /// The parameters the trainer was built with, until its first round
+    /// completes and moves them into its `sink` entry.
+    initial: Option<Vec<f32>>,
     sink: ParamSink,
     round: Round,
     overlay: Option<Overlay>,
@@ -237,7 +245,7 @@ impl<M: Model> Trainer<M> {
             model,
             dataset,
             sgd,
-            params: initial_params,
+            initial: Some(initial_params),
             sink,
             storage: StorageRequests::releasing(),
             signing_key,
@@ -296,15 +304,15 @@ impl<M: Model> Trainer<M> {
         self.storage.end_round(out, &self.topo);
 
         // Train now (real computation), charge the virtual compute time,
-        // and continue in the TK_TRAIN timer.
+        // and continue in the TK_TRAIN timer. Training steps a copy of the
+        // global model, taken with the sink's lock held only to copy it.
         let seed = self.round_seed();
-        let new_params = local_update(
-            &mut self.model,
-            &self.params,
-            &self.dataset,
-            &self.sgd,
-            seed,
-        );
+        let start = match &self.initial {
+            Some(initial) => initial.clone(),
+            None => self.sink.lock().unwrap_or_else(PoisonError::into_inner)[&self.t].clone(),
+        };
+        let new_params =
+            local_update_in_place(&mut self.model, start, &self.dataset, &self.sgd, seed);
 
         let mut commit_elements = 0u64;
         let mut blobs = Vec::with_capacity(self.topo.config().partitions);
@@ -751,14 +759,17 @@ impl<M: Model> Trainer<M> {
 
     fn finish_round(&mut self, out: &mut Actions<Msg>) {
         self.round.stage = Stage::Finished;
-        // Rebuild the full model by concatenating updated partitions
-        // (Algorithm 1, line 23).
+        // Rebuild the full model by writing the updated partitions into
+        // it (Algorithm 1, line 23). The first round to complete moves the
+        // initial parameters in.
+        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
+        let params = sink
+            .entry(self.t)
+            .or_insert_with(|| self.initial.take().unwrap_or_default());
         for (i, values) in self.round.received.drain() {
             let (s, e) = self.topo.partition_range(i);
-            self.params[s..e].copy_from_slice(&values);
+            params[s..e].copy_from_slice(&values);
         }
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.entry(self.t).or_default().clone_from(&self.params);
         out.record(labels::TRAINER_ROUND_DONE, self.round.iter as f64);
         let msg = Msg::TrainerDone {
             trainer: self.t,
@@ -1340,6 +1351,69 @@ mod tests {
                 let done = download(&mut trainer, 0, edge, None).expect(&case);
                 assert_eq!(recorded(&done, labels::TRAINER_ROUND_DONE), [0.0]);
             }
+        }
+    }
+
+    /// The blobs `trainer` trained this round, one per partition.
+    fn trained(trainer: &Trainer<LogisticRegression>) -> Vec<Bytes> {
+        let Stage::Training(blobs) = &trainer.round.stage else {
+            panic!("the round is training");
+        };
+        blobs.clone()
+    }
+
+    /// The blobs the current round trains when it starts from `start`.
+    fn trained_from(trainer: &Trainer<LogisticRegression>, start: &[f32]) -> Vec<Bytes> {
+        let mut model = LogisticRegression::new(2, 2);
+        let seed = trainer.round_seed();
+        let updated = dfl_ml::local_update(&mut model, start, &trainer.dataset, &trainer.sgd, seed);
+        let partitions = 0..trainer.topo.config().partitions;
+        let blob = |i| {
+            let (s, e) = trainer.topo.partition_range(i);
+            Bytes::from(build_blob(&updated[s..e]))
+        };
+        partitions.map(blob).collect()
+    }
+
+    /// A trainer's one copy of the global model is its sink entry. There is
+    /// none before a round completes; the round that completes makes it
+    /// from the received partitions; and a round that starts before the
+    /// last one's updates arrived trains from the last completed round's
+    /// model, not the initial parameters.
+    #[test]
+    fn the_sink_entry_is_the_global_model_from_the_first_completed_round_on() {
+        let cfg = TaskConfig {
+            trainers: 2,
+            partitions: 2,
+            ..TaskConfig::default()
+        };
+        let (mut trainer, _) = trainer(cfg, 0);
+        let initial = trainer.initial.clone().unwrap();
+        let entry = |trainer: &Trainer<LogisticRegression>| {
+            let sink = trainer.sink.lock().unwrap();
+            sink.get(&trainer.t).cloned()
+        };
+        deliver(&mut trainer, Msg::StartRound { iter: 0 });
+        assert_eq!(trained(&trainer), trained_from(&trainer, &initial));
+        handle(&mut trainer, ProtocolEvent::Timer { token: TK_TRAIN });
+        let updates = [[0.5, -1.0, 2.0], [0.25, 4.0, -0.5]];
+        let blob = |i: usize| Bytes::from(build_blob(&updates[i]));
+        download(&mut trainer, 0, blob(0), None).expect("partition 0 is fetched");
+        assert_eq!(entry(&trainer), None, "no entry before the round completes");
+        let done = download(&mut trainer, 1, blob(1), None).expect("partition 1 is fetched");
+        assert_eq!(recorded(&done, labels::TRAINER_ROUND_DONE), [0.0]);
+        let model = updates.concat();
+        assert_eq!(entry(&trainer), Some(model.clone()));
+        assert!(trainer.initial.is_none(), "the initial parameters moved");
+
+        // Round 1 gets no updates before round 2 starts: both train from
+        // round 0's model.
+        for iter in [1, 2] {
+            deliver(&mut trainer, Msg::StartRound { iter });
+            let blobs = trained(&trainer);
+            assert_eq!(blobs, trained_from(&trainer, &model), "round {iter}");
+            assert_ne!(blobs, trained_from(&trainer, &initial), "round {iter}");
+            assert_eq!(entry(&trainer), Some(model.clone()), "round {iter}");
         }
     }
 

@@ -31,4 +31,4 @@ pub use data::Dataset;
 pub use fedavg::FedAvg;
 pub use linalg::Matrix;
 pub use model::{LogisticRegression, Mlp, Model, SyntheticModel};
-pub use train::{average_params, local_update, SgdConfig};
+pub use train::{average_params, local_update, local_update_in_place, SgdConfig};

@@ -49,8 +49,28 @@ pub fn local_update<M: Model>(
     cfg: &SgdConfig,
     seed: u64,
 ) -> Vec<f32> {
+    local_update_in_place(model, start_params.to_vec(), dataset, cfg, seed)
+}
+
+/// [`local_update`] from a start vector the caller hands over: each SGD
+/// step updates `params` in place and loads it into `model`, and `params`
+/// is returned. The model's parameters are never read back, so no step
+/// clones them. For a model whose `params` returns what `set_params` last
+/// loaded, as every model here does, this is the vector reading it back
+/// would give.
+///
+/// # Panics
+///
+/// Panics if `dataset` is empty or `params` has the wrong length.
+pub fn local_update_in_place<M: Model>(
+    model: &mut M,
+    mut params: Vec<f32>,
+    dataset: &Dataset,
+    cfg: &SgdConfig,
+    seed: u64,
+) -> Vec<f32> {
     assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-    model.set_params(start_params);
+    model.set_params(&params);
     let mut rng = StdRng::seed_from_u64(seed);
     let batch = cfg.batch_size.max(1).min(dataset.len());
     let mut order: Vec<usize> = (0..dataset.len()).collect();
@@ -63,12 +83,11 @@ pub fn local_update<M: Model>(
             if let Some(clip) = cfg.clip {
                 clip_gradient(&mut grad, clip);
             }
-            let mut params = model.params();
             axpy(&mut params, -cfg.lr, &grad);
             model.set_params(&params);
         }
     }
-    model.params()
+    params
 }
 
 /// Scales `grad` down so its L2 norm is at most `max_norm`.
@@ -105,9 +124,12 @@ pub fn average_params(updates: &[Vec<f32>]) -> Vec<f32> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use crate::data::make_blobs;
-    use crate::model::LogisticRegression;
+    use crate::linalg::Matrix;
+    use crate::model::{LogisticRegression, Mlp, SyntheticModel};
 
     #[test]
     fn local_update_is_deterministic() {
@@ -145,6 +167,130 @@ mod tests {
         model.set_params(&updated);
         let (loss_after, _) = model.loss_and_grad(&ds.x, &ds.y);
         assert!(loss_after < loss_before, "{loss_before} -> {loss_after}");
+    }
+
+    /// A call into a model: the parameters it was set to, or the rows of
+    /// the batch it took a gradient over.
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Params,
+        SetParams(Vec<u32>),
+        LossAndGrad(Vec<u32>),
+    }
+
+    /// A model that logs every call into it.
+    struct Logged<M> {
+        inner: M,
+        calls: RefCell<Vec<Call>>,
+    }
+
+    impl<M: Model> Logged<M> {
+        fn new(inner: M) -> Logged<M> {
+            let calls = RefCell::new(Vec::new());
+            Logged { inner, calls }
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    impl<M: Model> Model for Logged<M> {
+        fn param_count(&self) -> usize {
+            self.inner.param_count()
+        }
+
+        fn params(&self) -> Vec<f32> {
+            self.calls.borrow_mut().push(Call::Params);
+            self.inner.params()
+        }
+
+        fn set_params(&mut self, params: &[f32]) {
+            self.calls.get_mut().push(Call::SetParams(bits(params)));
+            self.inner.set_params(params);
+        }
+
+        fn loss_and_grad(&self, x: &Matrix, y: &[f32]) -> (f32, Vec<f32>) {
+            let batch = Call::LossAndGrad(bits(x.as_slice()));
+            self.calls.borrow_mut().push(batch);
+            self.inner.loss_and_grad(x, y)
+        }
+
+        fn predict(&self, x: &Matrix) -> Vec<f32> {
+            self.inner.predict(x)
+        }
+    }
+
+    /// The reference the by-value loop must equal: local SGD that reads the
+    /// parameters back out of the model at every step, and once more for
+    /// the result.
+    fn read_back_update<M: Model>(
+        model: &mut M,
+        start_params: &[f32],
+        dataset: &Dataset,
+        cfg: &SgdConfig,
+        seed: u64,
+    ) -> Vec<f32> {
+        model.set_params(start_params);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let batch = cfg.batch_size.max(1).min(dataset.len());
+        let mut order: Vec<usize> = (0..dataset.len()).collect();
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            for chunk in order.chunks(batch) {
+                let sub = dataset.subset(chunk);
+                let (_, mut grad) = model.loss_and_grad(&sub.x, &sub.y);
+                if let Some(clip) = cfg.clip {
+                    clip_gradient(&mut grad, clip);
+                }
+                let mut params = model.params();
+                axpy(&mut params, -cfg.lr, &grad);
+                model.set_params(&params);
+            }
+        }
+        model.params()
+    }
+
+    /// The by-value loop steps its vector in place: it returns what
+    /// reading the parameters back out of the model after every step
+    /// returned, bit for bit, and makes the same `set_params` and
+    /// `loss_and_grad` calls in the same order, with the same arguments —
+    /// so a model that counts its steps (`SyntheticModel`) draws the same
+    /// gradients. It never reads the model's parameters.
+    fn check_by_value_loop<M: Model + Clone>(name: &str, model: M) {
+        let ds = make_blobs(40, 3, 3, 0.5, 4);
+        let cfg = SgdConfig {
+            lr: 0.2,
+            batch_size: 6,
+            epochs: 3,
+            clip: Some(0.5),
+        };
+        // 40 examples in batches of 6, three times.
+        let steps = 3 * 7;
+        let start = model.params();
+        let logged = || Logged::new(model.clone());
+        let (mut before, mut wrapped, mut owned) = (logged(), logged(), logged());
+        let expected = read_back_update(&mut before, &start, &ds, &cfg, 9);
+        let by_ref = local_update(&mut wrapped, &start, &ds, &cfg, 9);
+        let by_value = local_update_in_place(&mut owned, start.clone(), &ds, &cfg, 9);
+        assert_eq!(bits(&by_value), bits(&expected), "{name}");
+        assert_eq!(bits(&by_ref), bits(&expected), "{name}");
+
+        let mut calls = before.calls.into_inner();
+        let reads = calls.iter().filter(|&c| *c == Call::Params).count();
+        assert_eq!(reads, steps + 1, "{name}: one read a step, one at the end");
+        calls.retain(|c| *c != Call::Params);
+        assert_eq!(calls.len(), 1 + 2 * steps, "{name}");
+        assert_eq!(owned.calls.into_inner(), calls, "{name}");
+        assert_eq!(wrapped.calls.into_inner(), calls, "{name}");
+    }
+
+    #[test]
+    fn the_by_value_loop_reads_no_parameters_and_equals_reading_them_back() {
+        let mlp = Mlp::new(3, 5, 3, 7);
+        let synthetic = SyntheticModel::new(mlp.param_count(), 7);
+        check_by_value_loop("mlp", mlp);
+        check_by_value_loop("synthetic", synthetic);
     }
 
     #[test]

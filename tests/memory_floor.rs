@@ -35,7 +35,8 @@ fn task() -> (TaskConfig, usize) {
 /// in bytes:
 ///
 /// * a trainer, waiting for its updates, holds its model state: its
-///   parameters, the model's own copy and its `ParamSink` entry, three
+///   global model (its `ParamSink` entry, or before its first round
+///   completes the initial parameters) and the model's own copy, two
 ///   model-sized `f32` vectors;
 /// * storage holds the round's gradient blobs, one per trainer and
 ///   partition, 8 bytes a value, until the aggregators have fetched them;
@@ -43,16 +44,16 @@ fn task() -> (TaskConfig, usize) {
 ///   and the partial, 8 bytes a value (the exact sum is taken in place in
 ///   `i64`).
 ///
-/// A trainer's round start (a fourth model vector and its blobs) comes
-/// when nothing of the round is stored or summed yet, and is smaller. The
-/// 30 % on top covers what is brief beside these: frames being read, the
-/// partials stored, a peer's partial fetched.
+/// A trainer's round start (a third model vector, the gradient and its
+/// blobs) comes when nothing of the round is stored or summed yet, and is
+/// smaller. The 30 % on top covers what is brief beside these: frames
+/// being read, the partials stored, a peer's partial fetched.
 fn floor(cfg: &TaskConfig, params: usize) -> usize {
     let model = 4 * params;
     let blob = 8 * (params / cfg.partitions + 1);
     let aggregators = cfg.partitions * cfg.aggregators_per_partition;
     let set = cfg.trainers / cfg.aggregators_per_partition;
-    let trainer = 3 * model;
+    let trainer = 2 * model;
     let storage = cfg.trainers * cfg.partitions * blob;
     let aggregator = (set + 1) * blob;
     cfg.trainers * trainer + storage + aggregators * aggregator

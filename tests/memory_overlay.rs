@@ -30,9 +30,10 @@ const TRAINERS: usize = 2_000;
 /// What the round's trainers must hold at its worst instant, in bytes,
 /// given how many trace events it recorded. Each trainer holds:
 ///
-/// * itself: its core (`Trainer`, boxed by the deployment) and four
-///   model-sized `f32` vectors — its parameters, the model's own copy, its
-///   `ParamSink` entry and the update it trains;
+/// * itself: its core (`Trainer`, boxed by the deployment) and three
+///   model-sized `f32` vectors — its global model (the initial parameters
+///   or its `ParamSink` entry), the model's own copy and the update it
+///   trains;
 /// * its partial: every trainer sends one a round, which lives in the
 ///   engine as a message in flight or at its parent as a buffered child:
 ///   a `Msg` and its blob, 8 bytes a value and the count;
@@ -46,7 +47,7 @@ const TRAINERS: usize = 2_000;
 /// trainer come on top; each is smaller than a partial.
 fn holds(events: usize) -> usize {
     let params = overlay_param_count();
-    let trainer = size_of::<Trainer<SyntheticModel>>() + 4 * 4 * params;
+    let trainer = size_of::<Trainer<SyntheticModel>>() + 3 * 4 * params;
     let partial = size_of::<Msg>() + 8 * (params + 1);
     TRAINERS * (trainer + partial) + events * size_of::<TraceEvent>()
 }

@@ -12,6 +12,13 @@
 //! that holds it in the simulator (each node holds its own copy over
 //! sockets), so a leak shows here as at least one blob a round.
 //!
+//! The same runs pin how many model-sized vectors a trainer keeps: at a
+//! task's peak, at most two per trainer — its global model and the
+//! model's own copy — and one more for the trainer training at that
+//! instant. Each such `f32` vector (a gradient too) is one allocation of
+//! exactly `4 × PARAMS` bytes, a size no blob has, so the allocator's size
+//! table counts them.
+//!
 //! `support`'s counting global allocator books every live byte and counts
 //! the whole process, so this binary holds one test, which runs its tasks
 //! one after another.
@@ -59,8 +66,9 @@ fn indirect(rounds: u64) -> TaskConfig {
     }
 }
 
-/// The live-heap peak of one simulated run of `cfg`, in bytes.
-fn peak(cfg: &TaskConfig) -> usize {
+/// The live-heap peak of one simulated run of `cfg`, in bytes, and how many
+/// model-sized `f32` vectors were live at it.
+fn peak(cfg: &TaskConfig) -> (usize, usize) {
     let model = SyntheticModel::new(PARAMS, 1);
     let initial = model.params();
     let dataset = data::make_blobs(4 * cfg.trainers, 2, 2, 0.5, 1);
@@ -77,14 +85,15 @@ fn peak(cfg: &TaskConfig) -> usize {
     .expect("simulated run");
     assert!(report.succeeded(cfg), "every round completes");
     let peak = support::peak_since(before);
+    let vectors = support::live_at_peak(4 * PARAMS);
     println!(
-        "{:?}, {} rounds: live-heap peak {:.2} MiB",
+        "{:?}, {} rounds: live-heap peak {:.2} MiB, {vectors} model vectors",
         cfg.comm,
         cfg.rounds,
         peak as f64 / MIB
     );
     support::print_peak(before);
-    peak
+    (peak, vectors)
 }
 
 #[test]
@@ -94,7 +103,16 @@ fn the_live_heap_peak_does_not_grow_with_rounds() {
         // An update blob: a partition's values, 8 bytes each, and the
         // averaging counter.
         let blob = 8 * (PARAMS / short.partitions + 1);
-        let (short_peak, long_peak) = (peak(&short), peak(&long));
+        let ((short_peak, short_vectors), (long_peak, long_vectors)) = (peak(&short), peak(&long));
+        let most = 2 * short.trainers + 1;
+        for vectors in [short_vectors, long_vectors] {
+            assert!(
+                vectors <= most,
+                "{:?}: {vectors} model vectors live at the peak, more than \
+                 {most}: two per trainer and one training",
+                short.comm,
+            );
+        }
         assert!(
             long_peak <= short_peak + blob,
             "{:?}: the {}-round peak {long_peak} B exceeds the {R}-round peak \

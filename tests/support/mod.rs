@@ -152,6 +152,19 @@ pub fn peak_since(before: usize) -> usize {
     PEAK.load(Ordering::Relaxed) - before
 }
 
+/// How many allocations of exactly `size` bytes, at least [`LARGE`], were
+/// live at the peak since the last [`start`].
+#[allow(dead_code)] // not every memory test reads a size
+pub fn live_at_peak(size: usize) -> usize {
+    assert!(
+        size >= LARGE,
+        "sizes under {LARGE} B are booked by class only"
+    );
+    let ledger = LEDGER.lock().unwrap_or_else(PoisonError::into_inner);
+    let slot = ledger.at_peak.iter().find(|&&(s, _)| s == size);
+    slot.map_or(0, |&(_, n)| n)
+}
+
 /// Prints the largest allocations, by total, live at the peak since
 /// [`start`] returned `before`.
 pub fn print_peak(before: usize) {
